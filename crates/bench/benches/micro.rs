@@ -13,7 +13,8 @@
 //! * quiet-tick executor overhead: persistent worker pool vs per-tick scoped threads,
 //! * skewed-fleet busy ticks: one hot shard, Zipf group sizes — one-job-per-shard vs
 //!   work-stealing session batches vs stealing plus the shared query cache,
-//! * GT-Verify vs IT-Verify (the grouping optimisation of Section 5.3),
+//! * GT-Verify (Section 5.3): a whole Tile-MSR run, and ns per (tile, candidate) pair on the
+//!   pass and the fail path of the incremental verifier,
 //! * index pruning on/off (Theorem 3),
 //! * R-tree GNN query cost,
 //! * tile-region compression encode/decode throughput,
@@ -28,10 +29,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mpn_core::{
-    circle_msr, tile_msr, CompressedTileRegion, EngineContext, Method, MpnServer, Objective,
-    SessionState, TileMsrConfig, VerifierKind, DEFAULT_RADIUS_CAP,
+    circle_msr, tile_msr, CompressedTileRegion, ComputeStats, EngineContext, Method, MpnServer,
+    Objective, SessionState, TileCell, TileFrame, TileMsrConfig, TileRegion, TileVerifier,
+    DEFAULT_RADIUS_CAP,
 };
-use mpn_geom::Point;
+use mpn_geom::{Point, Square};
 use mpn_index::{Aggregate, GnnSearch, QueryCache, RTree};
 use mpn_mobility::poi::{clustered_pois, PoiConfig};
 use mpn_mobility::Trajectory;
@@ -95,6 +97,41 @@ fn users(m: usize) -> Vec<Point> {
     (0..m)
         .map(|i| Point::new(4_000.0 + 300.0 * i as f64, 5_000.0 + 170.0 * (i as f64).sin() * 200.0))
         .collect()
+}
+
+/// GT-Verify fixture: three users with 5 × 5 tiles each around `pᵒ` = the origin, a tile one
+/// step beyond user 0's region, and 1,000 candidates on a ring — at radius 5,000 every pair
+/// passes the whole-region check (Algorithm 4, lines 1-2), at radius 30 every pair fails it,
+/// runs the Theorem 2 fold and is rejected.
+struct GtFixture {
+    anchors: [Point; 3],
+    regions: Vec<TileRegion>,
+    tile: Square,
+    candidates: Vec<(Point, usize)>,
+}
+
+fn gt_fixture(ring_radius: f64) -> GtFixture {
+    let anchors = [Point::new(-40.0, 10.0), Point::new(35.0, 25.0), Point::new(5.0, -45.0)];
+    let regions: Vec<TileRegion> = anchors
+        .iter()
+        .map(|anchor| {
+            let mut region = TileRegion::new(TileFrame::centered_at(*anchor, 8.0));
+            for ix in -2..=2 {
+                for iy in -2..=2 {
+                    region.push(TileCell::new(0, ix, iy));
+                }
+            }
+            region
+        })
+        .collect();
+    let tile = regions[0].frame().square(TileCell::new(0, 3, 0));
+    let candidates = (0..1_000)
+        .map(|k| {
+            let angle = f64::from(k) * std::f64::consts::TAU / 1_000.0;
+            (Point::new(ring_radius * angle.cos(), ring_radius * angle.sin()), k as usize)
+        })
+        .collect();
+    GtFixture { anchors, regions, tile, candidates }
 }
 
 /// Runs `f` repeatedly for the configured budget and prints mean / median / p95.
@@ -440,18 +477,90 @@ fn main() {
             );
             assert!(!busy.is_finished(), "horizon exhausted mid-count");
         }
+
+        // Tile verification: with warm summaries the verify loop itself never touches the
+        // heap (pass and fail path), and a whole warm Tile-D-b recompute — buffer reused,
+        // per-thread verifier scratch grown by the priming run — allocates only what it
+        // hands back (two growing vectors per region, the answer) plus the seed query and
+        // the per-layer tile streams: a count that depends on the output, not on the
+        // thousands of (tile, candidate) pairs verified on the way.
+        if "allocs/tile_recompute_warm".contains(filter.as_str()) {
+            for ring_radius in [5_000.0, 30.0] {
+                let GtFixture { anchors, regions, tile, candidates } = gt_fixture(ring_radius);
+                let mut verifier = TileVerifier::default();
+                verifier.begin(Objective::Max, Point::ORIGIN, &anchors);
+                let mut stats = ComputeStats::default();
+                let mut pass = || {
+                    for candidate in &candidates {
+                        black_box(verifier.accepts(&regions, 0, &tile, [*candidate], &mut stats));
+                    }
+                };
+                pass(); // first touch builds every candidate's tables
+                let before = counting_alloc::allocations();
+                pass();
+                let total = counting_alloc::allocations() - before;
+                assert_eq!(total, 0, "warm GT-Verify must not allocate (ring {ring_radius})");
+            }
+
+            let tree = poi_tree(8_000);
+            let group = users(3);
+            let method = Method::tile_directed_buffered(std::f64::consts::FRAC_PI_4, 100);
+            let engine = method.engine();
+            let ctx = EngineContext::new(&tree, Objective::Max);
+            let mut session = SessionState::new(group.len(), 0.3).with_persistent_buffers(true);
+            session.observe(&group);
+            black_box(engine.compute(ctx, &group, &mut session)); // builds buffer and scratch
+            let before = counting_alloc::allocations();
+            let answer = engine.compute(ctx, &group, &mut session);
+            let total = counting_alloc::allocations() - before;
+            assert_eq!(answer.stats.rtree_queries, 1, "the recompute must reuse the buffer");
+            let pairs = answer.stats.candidates_checked;
+            // Per region: two vectors doubling from capacity 4, and per browsed layer a ring
+            // vector plus its sort buffer; 32 covers the seed query and answer bookkeeping.
+            let bound: usize = answer
+                .regions
+                .iter()
+                .map(|region| {
+                    let tiles = region.uncompressed_value_count() / 3;
+                    2 * (tiles.max(4).ilog2() as usize) + 2 * (tiles + 1)
+                })
+                .sum::<usize>()
+                + 32;
+            println!(
+                "allocs/tile_recompute_warm {total:>28} allocations / recompute \
+                 ({pairs} pairs verified, output bound {bound})"
+            );
+            assert!(
+                total as usize <= bound,
+                "a warm Tile-D-b recompute allocated {total} times for {pairs} verified \
+                 pairs; its output accounts for at most {bound}"
+            );
+        }
     }
 
     // Verifier and pruning ablations.
     {
         let tree = poi_tree(4_000);
         let group = users(3);
-        for (name, verifier) in
-            [("ablation/gt_verify", VerifierKind::Gt), ("ablation/it_verify", VerifierKind::It)]
-        {
-            let config = TileMsrConfig { verifier, alpha: 10, ..TileMsrConfig::default() };
+        let config = TileMsrConfig { alpha: 10, ..TileMsrConfig::default() };
+        b("ablation/gt_verify", &mut || {
+            black_box(tile_msr(&tree, &group, Objective::Max, &config, None));
+        });
+        // One iteration verifies 1,000 (tile, candidate) pairs against warm summaries, so
+        // the printed microseconds read as nanoseconds per candidate.
+        for (name, ring_radius, expect) in [
+            ("tile/gt_verify_ns_per_candidate/pass", 5_000.0, true),
+            ("tile/gt_verify_ns_per_candidate/fail", 30.0, false),
+        ] {
+            let GtFixture { anchors, regions, tile, candidates } = gt_fixture(ring_radius);
+            let mut verifier = TileVerifier::default();
+            verifier.begin(Objective::Max, Point::ORIGIN, &anchors);
+            let mut stats = ComputeStats::default();
             b(name, &mut || {
-                black_box(tile_msr(&tree, &group, Objective::Max, &config, None));
+                for candidate in &candidates {
+                    let ok = verifier.accepts(&regions, 0, &tile, [*candidate], &mut stats);
+                    assert_eq!(ok, expect, "{name}: the fixture left its path");
+                }
             });
         }
         for (name, pruning) in [("ablation/pruning_on", true), ("ablation/pruning_off", false)] {

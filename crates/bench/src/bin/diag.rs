@@ -5,8 +5,9 @@
 use mpn_bench::params::Scale;
 use mpn_bench::{build_poi_tree, build_workload, TrajectoryKind};
 use mpn_core::region::{TileFrame, TileRegion};
-use mpn_core::tile_verify::{GtVerifier, TileVerifier};
-use mpn_core::{circle_msr, tile_msr, Objective, TileMsrConfig, DEFAULT_RADIUS_CAP};
+use mpn_core::{
+    circle_msr, tile_msr, ComputeStats, Objective, TileMsrConfig, TileVerifier, DEFAULT_RADIUS_CAP,
+};
 use mpn_geom::max_dist_to_set;
 
 fn main() {
@@ -69,14 +70,15 @@ fn main() {
             .map(|u| TileRegion::with_seed(TileFrame::centered_at(*u, delta)))
             .collect();
         let frame = seeds[user].frame();
+        let mut gt = TileVerifier::default();
+        gt.begin(Objective::Max, p_opt, &users);
         let mut accepted = 0;
         let mut oracle_valid = 0;
         for cell in mpn_core::ordering::ring_cells(1) {
             let square = frame.square(cell);
-            let gt_ok = tree
-                .iter()
-                .filter(|e| e.location != p_opt)
-                .all(|e| GtVerifier.verify(&seeds, user, &square, e.location, e.id, p_opt));
+            let candidates =
+                tree.iter().filter(|e| e.location != p_opt).map(|e| (e.location, e.id));
+            let gt_ok = gt.accepts(&seeds, user, &square, candidates, &mut ComputeStats::default());
             // Brute-force: sample corners of every region/tile and check the optimum holds.
             let mut valid = true;
             'outer: for c0 in corner_samples(&seeds, 0, user, &square) {

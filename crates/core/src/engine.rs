@@ -163,7 +163,7 @@ impl SafeRegionEngine for CircleEngine {
 /// Tile-based safe regions (Section 5, `Tile` / `Tile-D` / `Tile-D-b` in the experiments).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TileEngine {
-    /// The Tile-MSR configuration (ordering, verifier, buffering, …).
+    /// The Tile-MSR configuration (ordering, pruning, buffering, …).
     pub config: TileMsrConfig,
 }
 

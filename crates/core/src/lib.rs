@@ -12,12 +12,12 @@
 //!
 //! | Paper section | Functionality | Module |
 //! |---|---|---|
-//! | §4.1 Lemma 1 | conservative group verification | [`verify`] |
+//! | §4.1 Lemma 1 | conservative group verification, exhaustive test oracle | [`verify`] |
 //! | §4.2 Alg. 1, Thm. 1/5 | circular safe regions (Circle-MSR) | [`circle`] |
 //! | §5.1–5.2 Alg. 2–3 | tile-based safe regions (Tile-MSR), orderings | [`tile`], [`ordering`] |
-//! | §5.3 Thm. 2/3, Alg. 4 | IT-Verify, GT-Verify, index pruning | [`tile_verify`], [`tile`] |
+//! | §5.3 Thm. 2/3, Alg. 4 | incremental GT-Verify, index pruning | [`tile_verify`], [`tile`] |
 //! | §5.4 Alg. 5, Thm. 4 | buffering of GNN prefixes | [`buffer`] |
-//! | §6 Alg. 6, Thm. 5–7 | the sum-optimal variant | [`tile_verify::SumVerifier`], [`circle`], [`buffer`] |
+//! | §6 Alg. 6, Thm. 5–7 | the sum-optimal variant | [`tile_verify`], [`circle`], [`buffer`] |
 //! | §7.1 packet model | lossless tile-region compression | [`compress`] |
 //!
 //! # Architecture: engines and sessions
@@ -76,7 +76,7 @@ pub use region::{SafeRegion, TileCell, TileFrame, TileRegion};
 pub use server::{Answer, Method, MpnServer};
 pub use session::SessionState;
 pub use tile::{tile_msr, tile_msr_cached, BufferCache, TileMsr, TileMsrConfig};
-pub use tile_verify::VerifierKind;
+pub use tile_verify::TileVerifier;
 
 use mpn_index::{Aggregate, QueryStats};
 

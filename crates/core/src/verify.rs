@@ -9,178 +9,27 @@
 //! ```
 //!
 //! The predicate may produce false negatives (rejecting a valid group) but never false
-//! positives, which is exactly what the safe-region algorithms need.
-//!
-//! The [`RegionView`] trait lets the same predicate run over whole tile regions, single tiles,
-//! circles, and the *grouped* tile subsets used by GT-Verify (Theorem 2) without copying tiles.
+//! positives, which is exactly what the safe-region algorithms need.  [`lemma1_holds`] is the
+//! one place the comparison (and its floating-point slack) is written down; the tile verifier
+//! of [`crate::tile_verify`] feeds it dominant distances folded from its region summaries,
+//! and [`verify_max_exhaustive`] — the exponential enumeration the paper calls IT-Verify —
+//! feeds it one tile combination at a time and serves as the test oracle.
 
-use mpn_geom::{Circle, DistanceBounds, Point, Square, EPSILON};
+use mpn_geom::{DistanceBounds, Point, Square, EPSILON};
 
-use crate::region::TileRegion;
-
-/// A read-only view of one user's region for verification purposes.
+/// Lemma 1 for the MAX objective on already-folded dominant distances:
+/// `dominant_max_opt = ‖pᵒ, R‖⊤` and `dominant_min_cand = ‖p, R‖⊥`.
 ///
-/// An *empty* view reports `min_dist = +∞` and `max_dist = −∞`; Lemma 1 then treats the user
-/// as unconstrained, which makes checks over empty tile groups vacuously true — the behaviour
-/// required by the grouped tests of Theorem 2.
-pub trait RegionView {
-    /// `‖p, Rᵢ‖min` (infinity when the view is empty).
-    fn view_min_dist(&self, p: Point) -> f64;
-    /// `‖p, Rᵢ‖max` (negative infinity when the view is empty).
-    fn view_max_dist(&self, p: Point) -> f64;
-    /// Whether the view contains no geometry.
-    fn view_is_empty(&self) -> bool {
-        false
-    }
-}
-
-impl RegionView for Circle {
-    fn view_min_dist(&self, p: Point) -> f64 {
-        self.min_dist(p)
-    }
-    fn view_max_dist(&self, p: Point) -> f64 {
-        self.max_dist(p)
-    }
-}
-
-impl RegionView for Square {
-    fn view_min_dist(&self, p: Point) -> f64 {
-        self.min_dist(p)
-    }
-    fn view_max_dist(&self, p: Point) -> f64 {
-        self.max_dist(p)
-    }
-}
-
-impl RegionView for TileRegion {
-    fn view_min_dist(&self, p: Point) -> f64 {
-        self.min_dist(p)
-    }
-    fn view_max_dist(&self, p: Point) -> f64 {
-        self.max_dist(p)
-    }
-    fn view_is_empty(&self) -> bool {
-        self.is_empty()
-    }
-}
-
-impl RegionView for Point {
-    fn view_min_dist(&self, p: Point) -> f64 {
-        self.dist(p)
-    }
-    fn view_max_dist(&self, p: Point) -> f64 {
-        self.dist(p)
-    }
-}
-
-/// A view over an arbitrary set of squares (borrowed), used by GT-Verify's tile groups.
-#[derive(Debug, Clone)]
-pub struct SquaresView<'a> {
-    squares: &'a [Square],
-    /// Indices of the squares included in this view; `None` means all of them.
-    selection: Option<Vec<usize>>,
-}
-
-impl<'a> SquaresView<'a> {
-    /// A view over every square in the slice.
-    #[must_use]
-    pub fn all(squares: &'a [Square]) -> Self {
-        Self { squares, selection: None }
-    }
-
-    /// A view over the squares at the given indices.
-    #[must_use]
-    pub fn subset(squares: &'a [Square], selection: Vec<usize>) -> Self {
-        Self { squares, selection: Some(selection) }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &Square> + '_ {
-        let all = self.selection.is_none();
-        let from_selection = self.selection.iter().flatten().map(move |&i| &self.squares[i]);
-        let from_all = self.squares.iter().filter(move |_| all);
-        from_selection.chain(from_all)
-    }
-
-    /// Number of squares visible through this view.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.selection.as_ref().map_or(self.squares.len(), Vec::len)
-    }
-
-    /// Whether the view exposes no squares.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl RegionView for SquaresView<'_> {
-    fn view_min_dist(&self, p: Point) -> f64 {
-        self.iter().map(|s| s.min_dist(p)).fold(f64::INFINITY, f64::min)
-    }
-    fn view_max_dist(&self, p: Point) -> f64 {
-        self.iter().map(|s| s.max_dist(p)).fold(f64::NEG_INFINITY, f64::max)
-    }
-    fn view_is_empty(&self) -> bool {
-        self.is_empty()
-    }
-}
-
-/// A heterogeneous group of region views, one per user.
-pub type ViewGroup<'a> = Vec<&'a dyn RegionView>;
-
-/// Dominant maximum distance `‖p, R‖⊤ = max_i ‖p, Rᵢ‖max` (Definition 5).
-///
-/// Empty views contribute nothing; a group of only empty views yields `−∞`.
+/// A small epsilon on the safe side absorbs rounding in the distance computations.
 #[must_use]
-pub fn dominant_max_dist(views: &[&dyn RegionView], p: Point) -> f64 {
-    views
-        .iter()
-        .filter(|v| !v.view_is_empty())
-        .map(|v| v.view_max_dist(p))
-        .fold(f64::NEG_INFINITY, f64::max)
-}
-
-/// Dominant minimum distance `‖p, R‖⊥ = max_i ‖p, Rᵢ‖min` (Definition 5).
-#[must_use]
-pub fn dominant_min_dist(views: &[&dyn RegionView], p: Point) -> f64 {
-    views
-        .iter()
-        .filter(|v| !v.view_is_empty())
-        .map(|v| v.view_min_dist(p))
-        .fold(f64::NEG_INFINITY, f64::max)
-}
-
-/// Index of the user contributing the dominant maximum distance (`u⊤_p`), if any.
-#[must_use]
-pub fn dominant_max_user(views: &[&dyn RegionView], p: Point) -> Option<usize> {
-    views
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| !v.view_is_empty())
-        .max_by(|a, b| a.1.view_max_dist(p).total_cmp(&b.1.view_max_dist(p)))
-        .map(|(i, _)| i)
-}
-
-/// Conservative verification of Lemma 1 for the MAX objective.
-///
-/// Returns `true` when the candidate `p` provably cannot have a smaller dominant distance than
-/// the optimum `p_opt` for *any* instance of user locations inside their regions.  A small
-/// epsilon is subtracted from the safe side so floating-point error only makes the check more
-/// conservative.
-#[must_use]
-pub fn verify_max(views: &[&dyn RegionView], p_opt: Point, p: Point) -> bool {
-    if views.iter().any(|v| v.view_is_empty()) {
-        // A combination requires one location per user; with an empty member there is no
-        // combination to invalidate the result, so the check is vacuously true.
-        return true;
-    }
-    dominant_max_dist(views, p_opt) <= dominant_min_dist(views, p) + EPSILON
+pub fn lemma1_holds(dominant_max_opt: f64, dominant_min_cand: f64) -> bool {
+    dominant_max_opt <= dominant_min_cand + EPSILON
 }
 
 /// Exhaustive (exponential) verification used as a test oracle: checks Lemma 1 over every
-/// combination of one square per user.  This matches the "IT-Verify" enumeration of
-/// Section 5.3 and is only meant for small inputs.
+/// combination of one square per user.  This is the "IT-Verify" enumeration of Section 5.3
+/// and is only meant for small inputs.  A user without squares admits no combination, so
+/// the check is vacuously true.
 #[must_use]
 pub fn verify_max_exhaustive(per_user_squares: &[Vec<Square>], p_opt: Point, p: Point) -> bool {
     if per_user_squares.iter().any(Vec::is_empty) {
@@ -189,12 +38,10 @@ pub fn verify_max_exhaustive(per_user_squares: &[Vec<Square>], p_opt: Point, p: 
     let m = per_user_squares.len();
     let mut indices = vec![0usize; m];
     loop {
-        let combo: Vec<&dyn RegionView> = indices
-            .iter()
-            .enumerate()
-            .map(|(u, &i)| &per_user_squares[u][i] as &dyn RegionView)
-            .collect();
-        if !verify_max(&combo, p_opt, p) {
+        let combo = || indices.iter().enumerate().map(|(u, &i)| &per_user_squares[u][i]);
+        let dominant_max = combo().map(|s| s.max_dist(p_opt)).fold(f64::NEG_INFINITY, f64::max);
+        let dominant_min = combo().map(|s| s.min_dist(p)).fold(f64::NEG_INFINITY, f64::max);
+        if !lemma1_holds(dominant_max, dominant_min) {
             return false;
         }
         // Advance the mixed-radix counter.
@@ -216,80 +63,40 @@ pub fn verify_max_exhaustive(per_user_squares: &[Vec<Square>], p_opt: Point, p: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::region::{TileCell, TileFrame};
-
-    fn tile_region(center: Point, delta: f64, cells: &[TileCell]) -> TileRegion {
-        let mut r = TileRegion::new(TileFrame::centered_at(center, delta));
-        for c in cells {
-            r.push(*c);
-        }
-        r
-    }
-
-    #[test]
-    fn dominant_distances_match_definition_5() {
-        let r1 = Circle::new(Point::new(0.0, 0.0), 1.0);
-        let r2 = Circle::new(Point::new(10.0, 0.0), 2.0);
-        let views: Vec<&dyn RegionView> = vec![&r1, &r2];
-        let p = Point::new(0.0, 0.0);
-        // max over {maxdist(p,R1)=1, maxdist(p,R2)=12} = 12
-        assert!((dominant_max_dist(&views, p) - 12.0).abs() < 1e-12);
-        // max over {mindist=0, mindist=8} = 8
-        assert!((dominant_min_dist(&views, p) - 8.0).abs() < 1e-12);
-        assert_eq!(dominant_max_user(&views, p), Some(1));
-    }
 
     #[test]
     fn lemma1_passes_and_fails_as_in_fig6a() {
-        // Figure 6(a): kpo,R2kmax < kp1,R1kmin so the group verifies.
+        // Figure 6(a): ‖pᵒ,R₂‖max < ‖p₁,R₁‖min so the group verifies.
         let po = Point::new(0.0, 0.0);
         let p1 = Point::new(100.0, 0.0);
-        let r1 = Circle::new(Point::new(10.0, 0.0), 1.0); // far from p1
-        let r2 = Circle::new(Point::new(2.0, 0.0), 1.0);
-        let r3 = Circle::new(Point::new(-2.0, 1.0), 1.0);
-        let views: Vec<&dyn RegionView> = vec![&r1, &r2, &r3];
-        assert!(verify_max(&views, po, p1));
+        let group = vec![
+            vec![Square::new(Point::new(10.0, 0.0), 2.0)], // far from p₁
+            vec![Square::new(Point::new(2.0, 0.0), 2.0)],
+            vec![Square::new(Point::new(-2.0, 1.0), 2.0)],
+        ];
+        assert!(verify_max_exhaustive(&group, po, p1));
         // A candidate sitting in the middle of the group is within the dominant max distance
         // of every region, so the conservative test must reject the group for it.
-        let near = Point::new(5.0, 0.0);
-        assert!(!verify_max(&views, po, near));
+        assert!(!verify_max_exhaustive(&group, po, Point::new(5.0, 0.0)));
     }
 
     #[test]
     fn vacuous_verification_with_empty_member() {
-        let r1 = tile_region(Point::new(0.0, 0.0), 2.0, &[TileCell::SEED]);
-        let empty = tile_region(Point::new(5.0, 5.0), 2.0, &[]);
-        let views: Vec<&dyn RegionView> = vec![&r1, &empty];
-        assert!(verify_max(&views, Point::new(0.0, 0.0), Point::new(0.1, 0.0)));
+        let group = vec![vec![Square::new(Point::new(0.0, 0.0), 2.0)], Vec::new()];
+        assert!(verify_max_exhaustive(&group, Point::new(0.0, 0.0), Point::new(0.1, 0.0)));
     }
 
     #[test]
-    fn point_views_reduce_to_exact_distances() {
-        let u1 = Point::new(0.0, 0.0);
-        let u2 = Point::new(4.0, 0.0);
-        let views: Vec<&dyn RegionView> = vec![&u1, &u2];
+    fn degenerate_squares_reduce_to_exact_distances() {
+        let group = vec![
+            vec![Square::new(Point::new(0.0, 0.0), 0.0)],
+            vec![Square::new(Point::new(4.0, 0.0), 0.0)],
+        ];
         let po = Point::new(2.0, 0.0);
         let p = Point::new(10.0, 0.0);
-        // With degenerate (point) regions Lemma 1 is exact: po dominates because
-        // max(2,2)=2 <= max(10,6)=6.
-        assert!(verify_max(&views, po, p));
-        assert!(!verify_max(&views, p, po));
-    }
-
-    #[test]
-    fn squares_view_subset_and_all() {
-        let squares =
-            vec![Square::new(Point::new(0.0, 0.0), 2.0), Square::new(Point::new(10.0, 0.0), 2.0)];
-        let all = SquaresView::all(&squares);
-        let only_far = SquaresView::subset(&squares, vec![1]);
-        let empty = SquaresView::subset(&squares, vec![]);
-        let p = Point::new(0.0, 0.0);
-        assert_eq!(all.len(), 2);
-        assert!((all.view_min_dist(p) - 0.0).abs() < 1e-12);
-        assert!((only_far.view_min_dist(p) - 9.0).abs() < 1e-12);
-        assert!(empty.is_empty());
-        assert_eq!(empty.view_min_dist(p), f64::INFINITY);
-        assert_eq!(empty.view_max_dist(p), f64::NEG_INFINITY);
+        // With point regions Lemma 1 is exact: pᵒ dominates because max(2,2)=2 ≤ max(10,6).
+        assert!(verify_max_exhaustive(&group, po, p));
+        assert!(!verify_max_exhaustive(&group, p, po));
     }
 
     #[test]
@@ -318,19 +125,25 @@ mod tests {
         // Users 1 and 3 have tiny regions near pᵒ; user 2's region is a tall strip that stays
         // strictly on pᵒ's side of the bisector (every point is closer to pᵒ than to p₁), so
         // the safe-region group is genuinely valid.
-        let r1_tiles = vec![Square::new(Point::new(0.0, 1.0), 0.2)];
-        let r3_tiles = vec![Square::new(Point::new(1.0, -1.0), 0.2)];
-        let r2_tiles = vec![
-            Square::new(Point::new(3.0, 8.5), 1.0),
-            Square::new(Point::new(3.0, 9.5), 1.0),
-            Square::new(Point::new(3.0, 10.5), 1.0),
-            Square::new(Point::new(3.0, 11.5), 1.0),
+        let group = [
+            vec![Square::new(Point::new(0.0, 1.0), 0.2)],
+            vec![
+                Square::new(Point::new(3.0, 8.5), 1.0),
+                Square::new(Point::new(3.0, 9.5), 1.0),
+                Square::new(Point::new(3.0, 10.5), 1.0),
+                Square::new(Point::new(3.0, 11.5), 1.0),
+            ],
+            vec![Square::new(Point::new(1.0, -1.0), 0.2)],
         ];
-        let whole_r1 = SquaresView::all(&r1_tiles);
-        let whole_r2 = SquaresView::all(&r2_tiles);
-        let whole_r3 = SquaresView::all(&r3_tiles);
-        let whole: Vec<&dyn RegionView> = vec![&whole_r1, &whole_r2, &whole_r3];
-        assert!(!verify_max(&whole, po, p1));
-        assert!(verify_max_exhaustive(&[r1_tiles, r2_tiles, r3_tiles], po, p1));
+        let whole = |f: fn(&Square, Point) -> f64, q: Point, pick: fn(f64, f64) -> f64, id: f64| {
+            group
+                .iter()
+                .map(|tiles| tiles.iter().map(|s| f(s, q)).fold(id, pick))
+                .fold(f64::NEG_INFINITY, f64::max)
+        };
+        let dominant_max = whole(|s, q| s.max_dist(q), po, f64::max, f64::NEG_INFINITY);
+        let dominant_min = whole(|s, q| s.min_dist(q), p1, f64::min, f64::INFINITY);
+        assert!(!lemma1_holds(dominant_max, dominant_min));
+        assert!(verify_max_exhaustive(&group, po, p1));
     }
 }

@@ -42,8 +42,11 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
+use mpn_geom::Point;
 use mpn_index::RTree;
-use mpn_proto::{AdminRequest, NotificationKind, Request, Response, WireConfig, WireGroupId};
+use mpn_proto::{
+    AdminRequest, NotificationKind, Request, Response, WireConfig, WireGroupId, WireMethod,
+};
 
 use crate::engine::{
     EpochUpdate, GroupId, MonitoringEngine, SubmitError, TickSummary, WorldChange,
@@ -260,7 +263,13 @@ impl ServerCore {
                     out.push((client, notification(u64::MAX, NotificationKind::BadRequest)));
                     return;
                 };
-                if group_size == 0 {
+                // A non-finite cone angle would steer every tile ordering of the session.
+                let finite_config = match config.method {
+                    WireMethod::Circle | WireMethod::Tile => true,
+                    WireMethod::TileDirected { theta }
+                    | WireMethod::TileDirectedBuffered { theta, .. } => theta.is_finite(),
+                };
+                if group_size == 0 || !finite_config {
                     out.push((client, notification(u64::MAX, NotificationKind::BadRequest)));
                     return;
                 }
@@ -278,6 +287,13 @@ impl ServerCore {
                     out.push((client, notification(group, NotificationKind::UnknownGroup)));
                     return;
                 };
+                // Non-finite coordinates stop at the boundary: inside the engine a NaN makes
+                // every comparison false, so the user would silently drop out of the meeting
+                // point (a Definition 3 violation) instead of failing loudly.
+                if !positions.iter().all(Point::is_finite) {
+                    out.push((client, notification(group, NotificationKind::BadRequest)));
+                    return;
+                }
                 match self.engine.submit(EpochUpdate { group_id, positions }) {
                     Ok(()) => self.backlog += 1,
                     Err(SubmitError::UnknownGroup(_)) => {
@@ -328,6 +344,10 @@ impl ServerCore {
             return;
         }
         let change = match admin {
+            AdminRequest::PoiInsert { location } if !location.is_finite() => {
+                out.push((client, notification(echo, NotificationKind::BadRequest)));
+                return;
+            }
             AdminRequest::PoiInsert { location } => WorldChange::PoiInsert { location },
             AdminRequest::PoiDelete { poi } => {
                 let Ok(poi) = usize::try_from(poi) else {
@@ -455,11 +475,10 @@ fn engine_id(id: WireGroupId) -> Option<GroupId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpn_geom::Point;
     use mpn_mobility::poi::{clustered_pois, PoiConfig};
     use mpn_mobility::waypoint::{random_waypoint, WaypointConfig};
     use mpn_mobility::Trajectory;
-    use mpn_proto::{WireMethod, WireObjective};
+    use mpn_proto::WireObjective;
 
     fn world() -> (Arc<RTree>, Vec<Trajectory>) {
         let pois =
@@ -567,6 +586,50 @@ mod tests {
         assert!(responses.contains(&notification(id, NotificationKind::BadRequest)));
         assert_eq!(server.engine().group_metrics(0).updates, 0);
         assert_eq!(server.last_summary().expect("processed").starved, 1);
+    }
+
+    /// NaN or infinite coordinates never reach the engine: the report earns `BadRequest`,
+    /// nothing is enqueued, and the session keeps answering as if it had not arrived.
+    #[test]
+    fn non_finite_input_is_rejected_at_the_boundary() {
+        let (tree, group) = world();
+        let theta = std::f64::consts::FRAC_PI_4;
+        for method in [WireMethod::Circle, WireMethod::TileDirectedBuffered { theta, buffer: 20 }] {
+            let config = WireConfig { method, persist_buffers: true, ..WireConfig::default() };
+            let mut server = MonitoringServer::new(Arc::clone(&tree), 1);
+            server.enqueue(Request::Register { group_size: 3, config });
+            let id = registered_id(&server.process());
+            server.enqueue(Request::Report { group: id, positions: positions_at(&group, 0) });
+            server.process();
+            let before = server.engine().group_metrics(0).clone();
+
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut positions = positions_at(&group, 1);
+                positions[1].y = bad;
+                server.enqueue(Request::Report { group: id, positions });
+                assert_eq!(server.process(), vec![notification(id, NotificationKind::BadRequest)]);
+                assert_eq!(server.core().backlog(), 0, "nothing was enqueued");
+            }
+            let after = server.engine().group_metrics(0);
+            assert_eq!((after.timestamps, after.updates), (before.timestamps, before.updates));
+
+            // The session is untouched: the next well-formed report is served normally and
+            // every region it produces is finite.
+            server.enqueue(Request::Report { group: id, positions: positions_at(&group, 50) });
+            let responses = server.process();
+            assert!(responses.iter().any(|r| matches!(r, Response::SafeRegion { .. })));
+            assert!(!format!("{responses:?}").contains("NaN"));
+        }
+
+        // A non-finite cone angle is refused at registration.
+        let mut server = MonitoringServer::new(tree, 1);
+        let method = WireMethod::TileDirected { theta: f64::NAN };
+        server.enqueue(Request::Register {
+            group_size: 3,
+            config: WireConfig { method, ..WireConfig::default() },
+        });
+        assert_eq!(server.process(), vec![notification(u64::MAX, NotificationKind::BadRequest)]);
+        assert_eq!(server.engine().group_count(), 0, "nothing was registered");
     }
 
     #[test]

@@ -183,3 +183,137 @@ fn proptest_shrink_three_pois_two_users() {
         }
     }
 }
+
+/// 64-bit FNV-1a over a stream of integers.
+fn fnv1a(hash: &mut u64, value: i64) {
+    for byte in value.to_le_bytes() {
+        *hash ^= u64::from(byte);
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// Golden fixture pinning every Tile-MSR accept/reject decision: a seeded POI set and 64
+/// seeded groups (sizes 2–5, seeded headings) through `Tile`, `Tile-D` and `Tile-D-b` under
+/// MAX and SUM, each computed cold and then again after a small move with the §5.4 buffer
+/// cache carried over (so the reused-buffer path, whose anchors differ from the current
+/// locations, is covered).  The constants were recorded on the commit *before* the
+/// verification loop became incremental; a verifier change that flips a single decision
+/// changes a region's cells or a work counter and fails here.
+#[test]
+fn tile_msr_decisions_match_the_golden_fixture() {
+    use mpn::core::{tile_msr_cached, ComputeStats, TileMsrConfig};
+    use std::f64::consts::{FRAC_PI_4, TAU};
+
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut rand01 = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let pois: Vec<Point> =
+        (0..600).map(|_| Point::new(rand01() * 1000.0, rand01() * 1000.0)).collect();
+    let tree = RTree::bulk_load(&pois);
+    let groups: Vec<(Vec<Point>, Vec<Option<f64>>)> = (0..64)
+        .map(|g| {
+            let centre = Point::new(100.0 + rand01() * 800.0, 100.0 + rand01() * 800.0);
+            let spread = 20.0 + rand01() * 80.0;
+            let users = (0..2 + g % 4)
+                .map(|_| {
+                    Point::new(
+                        centre.x + (rand01() - 0.5) * spread,
+                        centre.y + (rand01() - 0.5) * spread,
+                    )
+                })
+                .collect::<Vec<_>>();
+            let headings = users.iter().map(|_| (rand01() < 0.8).then(|| rand01() * TAU)).collect();
+            (users, headings)
+        })
+        .collect();
+
+    // (hash of every region's cells, verify_calls, candidates_checked, tiles_accepted,
+    //  tiles_rejected, rtree_queries), recorded on the parent commit.
+    let golden: [(&str, Objective, u64, [usize; 5]); 6] = [
+        (
+            "Tile",
+            Objective::Max,
+            0xa797_eaf2_64ed_d67f,
+            [664_478, 2_616_638, 18_035, 489_434, 36_570],
+        ),
+        (
+            "Tile",
+            Objective::Sum,
+            0x0789_9847_154a_047f,
+            [338_468, 1_908_786, 16_536, 242_869, 22_344],
+        ),
+        (
+            "Tile-D",
+            Objective::Max,
+            0xf0e2_d6cd_88e8_2037,
+            [255_094, 812_908, 12_254, 183_115, 16_322],
+        ),
+        (
+            "Tile-D",
+            Objective::Sum,
+            0xe0c1_ab7a_e7b7_acca,
+            [223_216, 948_695, 10_735, 160_445, 15_200],
+        ),
+        (
+            "Tile-D-b",
+            Objective::Max,
+            0x0148_e3e3_ee0e_785d,
+            [219_125, 445_680, 11_961, 157_318, 193],
+        ),
+        (
+            "Tile-D-b",
+            Objective::Sum,
+            0x34d5_ab36_18cb_e130,
+            [191_117, 411_512, 10_881, 136_694, 193],
+        ),
+    ];
+
+    let mut recorded = Vec::new();
+    for (name, objective, ..) in golden {
+        let config = match name {
+            "Tile" => TileMsrConfig::tile(),
+            "Tile-D" => TileMsrConfig::tile_directed(FRAC_PI_4),
+            _ => TileMsrConfig::tile_directed_buffered(FRAC_PI_4, 40),
+        };
+        assert_eq!(config.name(), name);
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut stats = ComputeStats::default();
+        for (users, headings) in &groups {
+            let moved: Vec<Point> =
+                users.iter().map(|u| Point::new(u.x + 0.75, u.y - 0.5)).collect();
+            let mut cache = None;
+            for locations in [users, &moved] {
+                let out = tile_msr_cached(
+                    &tree,
+                    locations,
+                    objective,
+                    &config,
+                    Some(headings),
+                    &mut cache,
+                );
+                stats.absorb(&out.stats);
+                for region in &out.regions {
+                    fnv1a(&mut hash, region.len() as i64);
+                    for cell in region.cells() {
+                        fnv1a(&mut hash, i64::from(cell.level));
+                        fnv1a(&mut hash, i64::from(cell.ix));
+                        fnv1a(&mut hash, i64::from(cell.iy));
+                    }
+                }
+            }
+        }
+        let counters = [
+            stats.verify_calls,
+            stats.candidates_checked,
+            stats.tiles_accepted,
+            stats.tiles_rejected,
+            stats.rtree_queries,
+        ];
+        recorded.push((name, objective, hash, counters));
+    }
+    assert_eq!(recorded, golden, "regions or work counters differ from the recorded run");
+}

@@ -129,3 +129,63 @@ proptest! {
         }
     }
 }
+
+/// One tile push: which user's region grows, and by which cell of her frame.
+fn arb_push() -> impl Strategy<Value = (usize, u8, i32, i32)> {
+    (0usize..4, 0u32..2, -3i32..4, -3i32..4)
+        .prop_map(|(user, level, ix, iy)| (user, level as u8, ix, iy))
+}
+
+// Lemma 1 soundness of the incremental GT-Verify: whatever it accepts, the exhaustive
+// enumeration over every tile combination accepts too — with one long-lived verifier whose
+// summaries are extended across pushes interleaved over the users, and with regions that
+// start (and may stay) empty, where every check is vacuously true.
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, .. ProptestConfig::default() })]
+
+    #[test]
+    fn incremental_gt_verify_is_sound_wrt_exhaustive_enumeration(
+        frames in proptest::collection::vec((arb_point(60.0), 2.0f64..12.0), 2..5),
+        pushes in proptest::collection::vec(arb_push(), 0..10),
+        p_opt in arb_point(60.0),
+        candidates in proptest::collection::vec(arb_point(120.0), 1..4),
+        probe in arb_push(),
+    ) {
+        use mpn::core::verify::verify_max_exhaustive;
+        use mpn::core::{ComputeStats, TileCell, TileFrame, TileRegion, TileVerifier};
+
+        let m = frames.len();
+        let anchors: Vec<Point> = frames.iter().map(|(anchor, _)| *anchor).collect();
+        let mut regions: Vec<TileRegion> = frames
+            .iter()
+            .map(|(anchor, delta)| TileRegion::new(TileFrame::centered_at(*anchor, *delta)))
+            .collect();
+        let mut verifier = TileVerifier::default();
+        verifier.begin(Objective::Max, p_opt, &anchors);
+        let mut stats = ComputeStats::default();
+
+        // Step 0 verifies against the empty regions; every later step follows one push.
+        let steps = std::iter::once(None).chain(pushes.iter().map(Some));
+        for (step, push) in steps.enumerate() {
+            if let Some(&(user, level, ix, iy)) = push {
+                regions[user % m].push(TileCell::new(level, ix, iy));
+            }
+            let user = (probe.0 + step) % m;
+            let tile = regions[user].frame().square(TileCell::new(probe.1, probe.2, probe.3));
+            let mut per_user: Vec<_> = regions.iter().map(|r| r.squares().to_vec()).collect();
+            per_user[user] = vec![tile];
+            for (slot, candidate) in candidates.iter().enumerate() {
+                let accepted =
+                    verifier.accepts(&regions, user, &tile, [(*candidate, slot)], &mut stats);
+                let exhaustive = verify_max_exhaustive(&per_user, p_opt, *candidate);
+                prop_assert!(
+                    !accepted || exhaustive,
+                    "step {step}: GT-Verify accepted a tile the enumeration rejects"
+                );
+                if per_user.iter().any(Vec::is_empty) {
+                    prop_assert!(accepted, "step {step}: an empty region must verify vacuously");
+                }
+            }
+        }
+    }
+}

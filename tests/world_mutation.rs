@@ -395,6 +395,16 @@ fn poi_delete_reaches_the_affected_client_as_an_unsolicited_mux_push() {
         vec![Response::Notification { group: u64::MAX, kind: NotificationKind::UnknownPoi }]
     );
 
+    // A POI at a non-finite location is refused at the boundary and never reaches the world
+    // (the final length check below would see it).
+    for bad in [Point::new(f64::NAN, 5.0), Point::new(5.0, f64::INFINITY)] {
+        console.send(&Request::Admin(AdminRequest::PoiInsert { location: bad }));
+        assert_eq!(
+            console.next_batch(),
+            vec![Response::Notification { group: u64::MAX, kind: NotificationKind::BadRequest }]
+        );
+    }
+
     let mut tenant = LockStep::connect(addr);
     let config = WireConfig {
         objective: WireObjective::Max,
