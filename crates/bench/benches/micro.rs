@@ -10,7 +10,7 @@
 //!
 //! * safe-region computation cost per engine (Circle vs Tile vs Tile-D vs Tile-D-b),
 //! * stateful vs stateless Tile-D-b sessions (the §5.4 buffer-reuse win),
-//! * quiet-tick executor overhead: persistent worker pool vs per-tick scoped threads,
+//! * quiet-tick executor overhead of the persistent worker pool,
 //! * skewed-fleet busy ticks: one hot shard, Zipf group sizes — one-job-per-shard vs
 //!   work-stealing session batches vs stealing plus the shared query cache,
 //! * GT-Verify (Section 5.3): a whole Tile-MSR run, and ns per (tile, candidate) pair on the
@@ -235,38 +235,27 @@ fn main() {
 
     // Executor overhead on quiet ticks: a fleet of stationary groups never violates its safe
     // regions after registration, so every tick is pure violation checking — the per-tick
-    // cost is dominated by how the executor wakes the shard workers.  The persistent pool
-    // parks its workers between ticks; the scoped baseline spawns and joins a thread per
-    // live shard every tick.
+    // cost is dominated by how the executor wakes the shard workers, which the persistent
+    // pool keeps parked between ticks.
     {
         let tree = Arc::new(poi_tree(2_000));
         let stationary: Arc<Vec<Trajectory>> =
             Arc::new(users(3).iter().map(|p| Trajectory::new(vec![*p; 400_000])).collect());
         let config = MonitorConfig::new(Objective::Max, Method::circle());
-        let mut pool_engine =
-            MonitoringEngine::with_executor(Arc::clone(&tree), 8, TickExecutor::WorkerPool);
-        let mut scoped_engine =
-            MonitoringEngine::with_executor(Arc::clone(&tree), 8, TickExecutor::ScopedThreads);
-        for engine in [&mut pool_engine, &mut scoped_engine] {
-            // 32 groups sharing one recording (feeds share the Arc, never copy the data).
-            for _ in 0..32 {
-                engine.register(TrajectoryFeed::new(Arc::clone(&stationary)), config);
-            }
-            engine.tick(); // registration tick: every group's initial computation, once
+        let mut pool_engine = MonitoringEngine::new(Arc::clone(&tree), 8);
+        // 32 groups sharing one recording (feeds share the Arc, never copy the data).
+        for _ in 0..32 {
+            pool_engine.register(TrajectoryFeed::new(Arc::clone(&stationary)), config);
         }
+        pool_engine.tick(); // registration tick: every group's initial computation, once
         b("executor/quiet_tick_pool", &mut || {
             black_box(pool_engine.tick());
         });
-        b("executor/quiet_tick_scoped_threads", &mut || {
-            black_box(scoped_engine.tick());
-        });
-        for engine in [&pool_engine, &scoped_engine] {
-            assert!(
-                !engine.is_finished(),
-                "horizon exhausted mid-bench: quiet ticks were no longer measured — raise the \
-                 stationary trajectory length"
-            );
-        }
+        assert!(
+            !pool_engine.is_finished(),
+            "horizon exhausted mid-bench: quiet ticks were no longer measured — raise the \
+             stationary trajectory length"
+        );
     }
 
     // Skewed-fleet busy ticks: the workload the work-stealing executor exists for.  Three
@@ -382,20 +371,11 @@ fn main() {
         if let (Some(one), Some(steal)) = (hot_one_job, hot_stealing) {
             let speedup = one.as_secs_f64() / steal.as_secs_f64();
             let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+            // Printed, not asserted: a ratio of two wall-clock means is a clock fact (the
+            // same work bursts 2x on a shared host); the schedule facts are asserted above.
             println!(
                 "  skewed speedup: stealing {speedup:.2}x vs one-job-per-shard ({cores} cores)"
             );
-            // Gate the win only where it is physically possible (idle cores to steal onto)
-            // and statistically meaningful (short smoke budgets are too noisy): on a
-            // single-core box stealing can only tie, and the skewed-bench CI job runs with
-            // a real budget on a multi-core runner to enforce the 1.5x.
-            if cores >= 2 && budget >= Duration::from_millis(200) {
-                assert!(
-                    speedup >= 1.5,
-                    "work-stealing must beat one-job-per-shard by >= 1.5x on the skewed \
-                     fleet (got {speedup:.2}x on {cores} cores)"
-                );
-            }
         }
     }
 

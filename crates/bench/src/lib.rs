@@ -1,50 +1,22 @@
 //! Benchmark harness reproducing the paper's evaluation (Section 7).
 //!
-//! Each evaluation figure has a matching binary (`fig13` … `fig19`, plus `table2`) that prints
-//! the corresponding CSV series; `benches/micro.rs` holds criterion micro-benchmarks and
-//! ablations.  See `EXPERIMENTS.md` at the workspace root for the mapping and the recorded
-//! results.
+//! Each evaluation figure has a matching binary (`fig13` … `fig19`, plus `table2`, and
+//! `diag` for per-method work counters) that prints the corresponding CSV series;
+//! `benches/micro.rs` holds plain `harness = false` micro-benchmarks and ablations.
+//! End-to-end server measurements live in the `benchmark/` package at the workspace root,
+//! not here.
 //!
 //! The harness honours the `MPN_BENCH_SCALE` environment variable:
 //!
 //! * `quick` (default) — reduced data sizes so every figure binary finishes in minutes,
 //! * `paper` — the paper's sizes (21,287 POIs, 10 groups, 10,000 timestamps).
-//!
-//! # The capacity harness
-//!
-//! Beyond the figure reproductions, [`workload`] holds the million-session capacity
-//! harness (ROADMAP item 5): [`CapacityWorkload`] drives a synthetic fleet of up to 10⁶
-//! in-process sessions straight into a [`mpn_sim::MonitoringEngine`] — no sockets — and
-//! the `capacity` bin sweeps it over fleet sizes, printing the scaling series and writing
-//! `BENCH_10.json`.  Every knob is an environment variable read by the bin:
-//!
-//! | variable          | default                | meaning                                        |
-//! |-------------------|------------------------|------------------------------------------------|
-//! | `MPN_CAP_SWEEP`   | `10000,100000,1000000` | comma-separated fleet sizes to run             |
-//! | `MPN_CAP_WARMUP`  | `2`                    | unmeasured warm-up ticks                       |
-//! | `MPN_CAP_TICKS`   | `5`                    | measured ticks                                 |
-//! | `MPN_CAP_CHURN`   | `0.002`                | fleet fraction deregistered + replaced per tick|
-//! | `MPN_CAP_OPEN`    | `0.05`                 | fraction registered as open-horizon streams    |
-//! | `MPN_CAP_SHARDS`  | `max(2, cores)`        | engine shards (work-stealing pool)             |
-//! | `MPN_CAP_ZIPF`    | `1.1`                  | Zipf exponent for popularity/size/speed skews  |
-//! | `MPN_CAP_GROUPS`  | `512`                  | distinct trajectory groups in the shared pool  |
-//! | `MPN_CAP_BATCH`   | `256`                  | sessions per work-stealing batch               |
-//! | `MPN_CAP_SEED`    | `42`                   | master seed                                    |
-//! | `MPN_OUT`         | `BENCH_10.json`         | JSON report path                               |
-//!
-//! Measured numbers come from one [`mpn_sim::EngineReport`] snapshot per phase boundary
-//! (see `mpn-sim`'s crate docs, "Engine-wide snapshots").
 
 #![forbid(unsafe_code)]
 
 pub mod datasets;
 pub mod harness;
 pub mod params;
-pub mod report;
-pub mod workload;
 
 pub use datasets::{build_poi_tree, build_workload, TrajectoryKind};
 pub use harness::{method_suite, print_series, run_cell, MethodSpec};
 pub use params::{Scale, DEFAULT_THETA};
-pub use report::{render_json, render_table};
-pub use workload::{CapacityConfig, CapacityOutcome, CapacityWorkload, Zipf};

@@ -1,14 +1,12 @@
-//! The count-prefixed response batch envelope shared by every TCP front-end.
+//! The count-prefixed response batch envelope of the TCP front-end.
 //!
-//! One uplink request (or, on the multiplexed path, one engine tick addressing a client) is
-//! answered with a 4-byte little-endian response count followed by that many encoded
-//! [`Response`] frames.  The count makes quiet epochs observable: a client in lock-step can
-//! block on the header and learn "zero notifications this epoch" instead of guessing from a
-//! read timeout.  Both [`serve_blocking`](crate::serve_blocking) and
-//! [`MuxServer`](crate::MuxServer) emit exactly this layout, which is what makes their
-//! downlinks byte-identical for the same request trace.
+//! One engine tick addressing a client is answered with a 4-byte little-endian response
+//! count followed by that many encoded [`Response`] frames.  The count makes quiet epochs
+//! observable: a client in lock-step can block on the header and learn "zero notifications
+//! this epoch" instead of guessing from a read timeout.  [`MuxServer`](crate::MuxServer)
+//! emits exactly this layout ([`encode_batch`]); [`read_batch`] is its client-side inverse.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 use mpn_proto::{read_frame, Response};
 
@@ -23,16 +21,6 @@ pub fn encode_batch(responses: &[Response], out: &mut Vec<u8>) {
     for response in responses {
         response.encode(out);
     }
-}
-
-/// Writes one batch to a blocking stream.
-///
-/// # Errors
-/// Propagates write errors.
-pub fn write_batch(stream: &mut impl Write, responses: &[Response]) -> io::Result<()> {
-    let mut wire = Vec::new();
-    encode_batch(responses, &mut wire);
-    stream.write_all(&wire)
 }
 
 /// Reads one batch (count header + frames) off a blocking stream — the client-side helper.

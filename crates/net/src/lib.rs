@@ -1,26 +1,21 @@
-//! Network front-ends for the meeting-point monitoring server.
+//! The network front-end of the meeting-point monitoring server.
 //!
 //! `mpn-sim`'s [`ServerCore`](mpn_sim::ServerCore) is transport-agnostic: a queue of
 //! client-tagged requests, an engine tick, client-tagged responses.  This crate supplies the
-//! transports — and nothing but the transports — on top of `std` alone (no external event
+//! transport — and nothing but the transport — on top of `std` alone (no external event
 //! library; the readiness layer talks to `epoll`/`poll` directly in [`poll`]).
 //!
-//! # The three front-end paths
+//! # One transport over one core
 //!
-//! All three produce **byte-identical downlinks for the same lock-step request trace**
-//! (pinned by the workspace test `tests/mux_parity.rs`):
-//!
-//! 1. **In-process** — no transport at all: [`mpn_sim::MonitoringServer`] enqueues decoded
-//!    requests and `process()`es on the caller's cadence.  What tests and `mpn-bench` use.
-//! 2. **Blocking TCP** — [`serve_blocking`]: one OS thread per connection, whole-frame
-//!    blocking reads, one engine tick per request, responses under the count-prefixed batch
-//!    [`envelope`].  Simple and fine for a handful of sockets.
-//! 3. **Multiplexed** — [`MuxServer`]: one event-loop thread, thousands of non-blocking
-//!    sockets, one *shared* core.  Readiness events ([`poll::Poller`]) drive per-connection
-//!    state machines ([`conn::Connection`]) whose incremental [`mpn_proto::FrameReader`]s
-//!    reassemble frames across arbitrarily fragmented reads; decoded requests from every
-//!    ready socket batch into the core, one engine tick runs per loop iteration, and each
-//!    addressed client gets one enveloped batch written back through its outbox.
+//! [`MuxServer`] is one event-loop thread, thousands of non-blocking sockets, one *shared*
+//! core.  Readiness events ([`poll::Poller`]) drive per-connection state machines
+//! ([`conn::Connection`]) whose incremental [`mpn_proto::FrameReader`]s reassemble frames
+//! across arbitrarily fragmented reads; decoded requests from every ready socket batch into
+//! the core, one engine tick runs per loop iteration, and each addressed client gets one
+//! count-prefixed batch ([`envelope`]) written back through its outbox.  The loop only
+//! frames what the core produced, so a connection's downlink is **byte-identical** to the
+//! in-process `ServerCore` output for the same lock-step request trace (pinned by the
+//! workspace test `tests/mux_parity.rs`).
 //!
 //! # The backpressure contract
 //!
@@ -66,14 +61,12 @@
 
 #![forbid(unsafe_op_in_unsafe_fn)]
 
-pub mod blocking;
 pub mod conn;
 pub mod envelope;
 pub mod mux;
 pub mod poll;
 
-pub use blocking::serve_blocking;
 pub use conn::{CloseReason, Connection, ReadOutcome};
-pub use envelope::{encode_batch, read_batch, write_batch};
+pub use envelope::{encode_batch, read_batch};
 pub use mux::{MuxConfig, MuxServer, MuxStats};
 pub use poll::{Interest, PollEvent, Poller, Token};

@@ -10,8 +10,8 @@
 //!    [`ClientId`] — partial frames simply park in the per-connection reader;
 //! 3. if the core has work (queued requests, or inbox epochs from an earlier burst), runs
 //!    **one** engine tick and routes the client-tagged responses back: each addressed
-//!    connection gets one count-prefixed batch (the same envelope as the blocking path)
-//!    queued in its outbox and flushed as far as the socket accepts.
+//!    connection gets one count-prefixed batch ([`crate::envelope`]) queued in its outbox
+//!    and flushed as far as the socket accepts.
 //!
 //! Closed, malformed and backpressured connections are deregistered from both the poller and
 //! the core ([`ServerCore::disconnect`]), so a vanished client never leaks live sessions.
@@ -159,7 +159,7 @@ impl MuxServer {
             core,
             config,
             stats: MuxStats::default(),
-            // Client 0 is reserved for the in-process `MonitoringServer` convention.
+            // Connections are numbered from 1 in accept order (see `core_mut`).
             next_client: 1,
             events: Vec::new(),
         })

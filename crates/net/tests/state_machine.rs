@@ -1,6 +1,6 @@
 //! Connection state-machine tests for the multiplexed front-end: frame reassembly across
-//! fragmented reads, malformed-uplink closes, both phases of the backpressure contract, and
-//! mid-session disconnect cleanup.
+//! fragmented reads, malformed-uplink closes, both phases of the backpressure contract,
+//! mid-session disconnect cleanup, and many connections sharing one loop without crosstalk.
 //!
 //! Every test drives a real [`MuxServer`] over loopback sockets from a single thread,
 //! interleaving `poll_once` with client-side socket work, so the event loop's behaviour is
@@ -374,4 +374,103 @@ fn hard_backpressure_drops_the_connection_and_deregisters() {
     assert_eq!(server.connection_count(), 0);
     assert_eq!(server.core().engine().group_count(), 0);
     assert_eq!(server.core().backlog(), 0);
+}
+
+/// Pumps the event loop until every client holds one whole batch; returns them in client
+/// order.
+fn read_batches(clients: &mut [Client], server: &mut MuxServer) -> Vec<Vec<Response>> {
+    let deadline = Instant::now() + DEADLINE;
+    let mut batches: Vec<Option<Vec<Response>>> = vec![None; clients.len()];
+    loop {
+        for (client, batch) in clients.iter_mut().zip(&mut batches) {
+            if batch.is_none() {
+                client.pump_read();
+                *batch = client.try_batch();
+            }
+        }
+        if batches.iter().all(Option::is_some) {
+            return batches.into_iter().flatten().collect();
+        }
+        assert!(Instant::now() < deadline, "a client never got its batch");
+        pump(server, 1);
+    }
+}
+
+/// The group a downlink response is about.
+fn group_of(response: &Response) -> u64 {
+    match response {
+        Response::SafeRegion { group, .. }
+        | Response::ProbeRequest { group, .. }
+        | Response::Notification { group, .. }
+        | Response::WorldUpdate { group, .. } => *group,
+    }
+}
+
+#[test]
+fn many_connections_share_one_loop_without_crosstalk() {
+    const CONNS: usize = 256;
+    const EPOCHS: usize = 5;
+    let mut server =
+        MuxServer::bind("127.0.0.1:0", test_core(), MuxConfig::default()).expect("bind");
+    let mut clients: Vec<Client> = (0..CONNS)
+        .map(|_| {
+            let client = Client::connect(&server);
+            pump(&mut server, 1); // accept as we go: the listen backlog is shorter than CONNS
+            client
+        })
+        .collect();
+    let deadline = Instant::now() + DEADLINE;
+    while server.stats().accepted < CONNS as u64 {
+        pump(&mut server, 1);
+        assert!(Instant::now() < deadline, "not every connection was accepted");
+    }
+
+    for client in &mut clients {
+        client.send(&Request::Register { group_size: 2, config: circle_config() }.encoded());
+    }
+    let ids: Vec<u64> =
+        read_batches(&mut clients, &mut server).iter().map(|ack| registered_id(ack)).collect();
+    let mut distinct = ids.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(distinct.len(), CONNS, "every connection owns a group of its own");
+
+    // Lock-step epochs, every group on a course of its own: each request is answered by
+    // exactly one batch, and that batch speaks of the reader's group only.
+    let mut feeds: Vec<TrajectoryFeed> =
+        (0..CONNS).map(|i| feed(3_000 + 10 * i as u64, 2, EPOCHS)).collect();
+    let mut responses_read = CONNS; // the registration acks
+    for epoch in 0..EPOCHS {
+        for ((client, &id), feed) in clients.iter_mut().zip(&ids).zip(&mut feeds) {
+            let positions = feed.next_epoch().expect("epoch");
+            client.send(&Request::Report { group: id, positions }.encoded());
+        }
+        for (batch, &id) in read_batches(&mut clients, &mut server).iter().zip(&ids) {
+            assert!(
+                batch.iter().all(|response| group_of(response) == id),
+                "group {id}'s connection read another group's downlink: {batch:?}"
+            );
+            assert!(epoch > 0 || batch.iter().any(|r| matches!(r, Response::SafeRegion { .. })));
+            responses_read += batch.len();
+        }
+    }
+    let stats = *server.stats();
+    assert_eq!(stats.accepted, CONNS as u64);
+    assert_eq!(stats.requests, (CONNS * (1 + EPOCHS)) as u64);
+    assert_eq!(stats.responses, responses_read as u64, "every response reached a client");
+    assert_eq!(server.core().engine().group_count(), CONNS);
+
+    // Half the phones die mid-session: exactly their groups are reclaimed.
+    clients.truncate(CONNS / 2);
+    let deadline = Instant::now() + DEADLINE;
+    while server.stats().disconnected < (CONNS / 2) as u64 {
+        pump(&mut server, 1);
+        assert!(Instant::now() < deadline, "not every disconnect was observed");
+    }
+    assert_eq!(server.stats().disconnected, (CONNS / 2) as u64);
+    assert_eq!(server.connection_count(), CONNS / 2);
+    assert_eq!(server.core().engine().group_count(), CONNS / 2);
+    for &id in &ids[..CONNS / 2] {
+        assert!(server.core().owner(id as usize).is_some(), "a survivor lost group {id}");
+    }
 }

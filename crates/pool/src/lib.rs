@@ -24,7 +24,8 @@
 //!   recently pushed job is the hottest in cache); a worker whose own deque is empty scans
 //!   the other deques — starting after itself, so thieves spread out — and steals from the
 //!   *front*, taking the oldest job, the one the owner would reach last.  Owner and thief
-//!   therefore drain opposite ends and only contend on the final job.
+//!   therefore drain opposite ends and only contend on the final job.  No deque lock is
+//!   held while a job runs: a busy worker's deque stays open to thieves and to the producer.
 //! * **Parking.**  A worker that finds every deque empty re-checks all of them *while
 //!   holding the parking mutex* and only then waits on the condition variable; producers
 //!   push first and then notify under the same mutex, so a wake-up can never be lost.
@@ -113,7 +114,11 @@ impl Shared {
     /// every scope joins its jobs before returning, and shutdown needs `&mut` access).
     fn worker_loop(&self, me: usize) {
         loop {
-            if let Some(job) = lock(&self.deques[me]).pop_back() {
+            // Bind the popped job first: a `MutexGuard` temporary in an `if let` scrutinee
+            // lives to the end of the body, which would keep this deque locked — unstealable
+            // and unpushable — for as long as the job runs.
+            let own = lock(&self.deques[me]).pop_back();
+            if let Some(job) = own {
                 self.run_job(me, job);
                 continue;
             }

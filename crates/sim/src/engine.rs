@@ -11,15 +11,13 @@
 //!   Position input arrives as owned [`EpochUpdate`] batches via
 //!   [`submit`](MonitoringEngine::submit) (the streaming path) or from a per-session
 //!   [`TrajectoryFeed`] (the replay path); every [`tick`](MonitoringEngine::tick) advances
-//!   all live sessions one epoch, one worker per live shard.  Groups are fully independent,
-//!   so a parallel tick produces exactly the counters of the equivalent serial replay,
-//!   regardless of shard count or executor.
-//! * **Persistent executor.**  The default executor is an [`mpn_pool::WorkerPool`]: one
-//!   long-lived thread per shard, parked on a channel between ticks and woken by the tick
-//!   barrier ([`WorkerPool::scoped`](mpn_pool::WorkerPool::scoped)).  The historical
-//!   spawn-and-join executor is still available as [`TickExecutor::ScopedThreads`] — it is
-//!   the parity baseline (`tests/engine_parity.rs`) and the comparison point of the
-//!   `executor/quiet_tick_*` micro-benchmarks.
+//!   all live sessions one epoch.  Groups are fully independent, so a parallel tick
+//!   produces exactly the counters of the equivalent serial replay, regardless of shard
+//!   count or executor.
+//! * **Persistent executor.**  A multi-shard engine owns an [`mpn_pool::WorkerPool`]: one
+//!   long-lived thread per shard, parked between ticks and woken by the tick barrier
+//!   ([`WorkerPool::scoped`](mpn_pool::WorkerPool::scoped)).  A single-shard engine ticks
+//!   inline and is the serial reference of the parity suites (`tests/engine_parity.rs`).
 //! * **Fleet lifecycle.**  Beyond late [`register`](MonitoringEngine::register)-ation, groups
 //!   can [`deregister`](MonitoringEngine::deregister) mid-run (their session state — heading
 //!   predictors, §5.4 buffer, last answer — is reclaimed, their metrics are retained for
@@ -153,39 +151,25 @@ pub struct InvalidationSummary {
     pub compacted: bool,
 }
 
-/// Default session-batch size of [`TickExecutor::WorkStealing`]: small enough that a skewed
-/// shard splits into many stealable units, large enough that a batch amortises its deque
-/// round-trip over several sessions.
-pub const DEFAULT_TICK_BATCH: usize = 8;
-
-/// Which executor advances the live shards of a tick.
+/// How a multi-shard engine slices a tick's live shards into pool jobs (a single-shard
+/// engine ticks inline whatever the executor).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TickExecutor {
-    /// Persistent worker pool, one monolithic job per live shard: one long-lived thread per
-    /// shard, parked between ticks (the default — no per-tick thread churn).
+    /// One monolithic chunk per live shard (the default): the cheapest dispatch, and the
+    /// faster choice for large quiet fleets, where small batches cost more in boxed jobs
+    /// than stealing wins back.
     #[default]
     WorkerPool,
-    /// The historical executor: spawn one scoped thread per live shard on every tick and join
-    /// them before the tick returns.  Kept as the parity/benchmark baseline.
-    ScopedThreads,
-    /// The persistent pool with *session batches* instead of one job per shard: every live
-    /// shard's sessions are split into chunks of `batch` and pushed onto the shard's own
-    /// worker deque; workers that drain their deque steal batches from stragglers, so one
-    /// hot shard no longer bounds the tick (see `mpn-pool`'s module docs for the deque
-    /// discipline).  Counters are identical to the other executors — only the schedule
+    /// *Session batches* instead of one chunk per shard: every live shard's sessions are
+    /// split into chunks of `batch` and pushed onto the shard's own worker deque; workers
+    /// that drain their deque steal batches from stragglers, so one hot shard no longer
+    /// bounds the tick (see `mpn-pool`'s module docs for the deque discipline).  Counters
+    /// are identical to [`WorkerPool`](TickExecutor::WorkerPool) — only the schedule
     /// changes, surfaced via [`TickSummary::exec`].
     WorkStealing {
         /// Sessions per job (clamped to at least 1).
         batch: usize,
     },
-}
-
-impl TickExecutor {
-    /// The work-stealing executor with the default batch size.
-    #[must_use]
-    pub fn work_stealing() -> Self {
-        TickExecutor::WorkStealing { batch: DEFAULT_TICK_BATCH }
-    }
 }
 
 /// Executor diagnostics of one tick: how the work was scheduled and what the shared query
@@ -197,12 +181,14 @@ impl TickExecutor {
 /// there first), while the protocol counters are bit-identical by contract.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TickExecCounters {
-    /// Jobs handed to the executor (session batches for
-    /// [`TickExecutor::WorkStealing`], whole shards otherwise).
+    /// Chunks the tick was sliced into (session batches for
+    /// [`TickExecutor::WorkStealing`], whole shards otherwise), including the one the
+    /// calling thread ran itself.
     pub batches: usize,
     /// Jobs a pool worker took from another worker's deque (0 without a pool).
     pub steals: usize,
-    /// Jobs run by the busiest minus the laziest pool worker after stealing.
+    /// Jobs run by the busiest minus the laziest pool worker after stealing (the chunk run
+    /// on the calling thread is no pool job).
     pub imbalance: usize,
     /// Shared-cache lookups answered from the cache during this tick (0 without a cache).
     pub cache_hits: u64,
@@ -472,7 +458,8 @@ impl Shard {
         self.hot.iter().any(|h| !h.vacant && !h.finished)
     }
 
-    /// Advances every live session one epoch; returns this shard's tick tally.
+    /// Advances every live session one epoch; returns this shard's tick tally (the
+    /// single-shard inline path).
     fn advance_all(&mut self, view: IndexView<'_>) -> TickSummary {
         let (tally, weight) = advance_chunk(&mut self.hot, &mut self.cold, view);
         self.weight = weight;
@@ -569,9 +556,7 @@ pub struct MonitoringEngine {
     reclaimed: MonitoringMetrics,
     clock: usize,
     executor: TickExecutor,
-    /// Present iff the executor is pool-backed ([`TickExecutor::WorkerPool`] or
-    /// [`TickExecutor::WorkStealing`]) and there is more than one shard (a single shard
-    /// always ticks inline).
+    /// Present iff there is more than one shard (a single shard always ticks inline).
     pool: Option<WorkerPool>,
     /// Optional fleet-wide shared query cache, attached to every tick's [`IndexView`] so
     /// near-duplicate groups reuse candidate lists within a generation.
@@ -583,7 +568,7 @@ pub struct MonitoringEngine {
 
 impl MonitoringEngine {
     /// Creates an engine over the POI tree with `num_shards` worker shards and the default
-    /// persistent-pool executor.
+    /// one-chunk-per-shard executor.
     ///
     /// Accepts the tree by value or as a pre-shared [`Arc`] (`Arc::clone` a handle to keep
     /// reading the index from outside the engine).  `num_shards` is clamped to at least 1.
@@ -598,9 +583,8 @@ impl MonitoringEngine {
 
     /// Creates an engine with an explicit tick executor.
     ///
-    /// With [`TickExecutor::WorkerPool`] the engine spawns one persistent worker per shard up
-    /// front (none for a single shard, which always ticks inline); with
-    /// [`TickExecutor::ScopedThreads`] no threads outlive a tick.
+    /// The engine spawns one persistent worker per shard up front (none for a single shard,
+    /// which always ticks inline).
     ///
     /// # Panics
     /// Panics when the POI tree is empty.
@@ -613,9 +597,7 @@ impl MonitoringEngine {
         let world = WorldView::new(tree.into());
         assert!(!world.is_empty(), "monitoring requires a non-empty POI set");
         let num_shards = num_shards.max(1);
-        let pooled =
-            matches!(executor, TickExecutor::WorkerPool | TickExecutor::WorkStealing { .. });
-        let pool = (pooled && num_shards > 1).then(|| WorkerPool::new(num_shards));
+        let pool = (num_shards > 1).then(|| WorkerPool::new(num_shards));
         Self {
             world,
             shards: (0..num_shards).map(|_| Shard::default()).collect(),
@@ -731,9 +713,8 @@ impl MonitoringEngine {
     ///
     /// The session is torn down via [`GroupSession::retire`] (dropping the cached §5.4 GNN
     /// buffer, the last answer, any queued epochs and undrained events along with the heading
-    /// predictors) and its accumulated metrics are returned.  A copy of those metrics —
-    /// compacted via [`MonitoringMetrics::into_compact`], so dead epochs never hold
-    /// per-update sample vectors — is retained in the shard directory: counted by
+    /// predictors) and its accumulated metrics are returned.  A copy of those metrics is
+    /// retained in the shard directory: counted by
     /// [`retired_count`](MonitoringEngine::retired_count), included in
     /// [`fleet_metrics`](MonitoringEngine::fleet_metrics) and
     /// [`into_group_metrics`](MonitoringEngine::into_group_metrics).  When the id is reused
@@ -756,9 +737,7 @@ impl MonitoringEngine {
         self.shards[shard].weight =
             self.shards[shard].weight.saturating_sub(session_weight(&session));
         let metrics = session.retire();
-        // The retained copy is compacted: a churning fleet would otherwise accumulate every
-        // dead epoch's per-update samples forever.  The caller gets the full record.
-        self.directory[id] = DirectoryEntry::Retired(Box::new(metrics.clone().into_compact()));
+        self.directory[id] = DirectoryEntry::Retired(Box::new(metrics.clone()));
         self.free_ids.push(id);
         Some(metrics)
     }
@@ -832,8 +811,8 @@ impl MonitoringEngine {
     /// [`with_events`](GroupSession::with_events)), in shard order, tagged with the group id.
     ///
     /// Sessions without an event log contribute nothing; the
-    /// [`MonitoringServer`](crate::server::MonitoringServer) turns these into wire responses
-    /// after each tick.
+    /// [`ServerCore`](crate::server::ServerCore) turns these into wire responses after each
+    /// tick.
     pub fn drain_events(&mut self) -> Vec<(GroupId, SessionEvent)> {
         let mut drained = Vec::new();
         for shard in &mut self.shards {
@@ -850,8 +829,8 @@ impl MonitoringEngine {
     /// Applies one POI world change and recomputes exactly the sessions it can break.
     ///
     /// The change is written into the engine's [`WorldView`] overlay first (bumping the
-    /// world generation), then an invalidation pass fans out over the shards on the same
-    /// executor path as [`tick`](MonitoringEngine::tick): every registered session evaluates
+    /// world generation), then an invalidation pass fans out over the occupied shards on
+    /// the worker pool: every registered session evaluates
     /// the break predicate ([`GroupSession::world_change_invalidates`] — a deleted POI that
     /// participates in the answer or the cached §5.4 buffer, or an inserted POI whose
     /// best-case aggregate undercuts the optimum's worst case over the regions) and the
@@ -891,7 +870,8 @@ impl MonitoringEngine {
             self.shards.iter_mut().filter(|s| s.occupancy() > 0).collect();
         let results: Vec<(usize, Vec<GroupId>)> = if occupied.len() <= 1 {
             occupied.into_iter().map(|shard| shard.invalidate_all(view, change)).collect()
-        } else if let Some(pool) = &mut self.pool {
+        } else {
+            let pool = self.pool.as_mut().expect("a multi-shard engine owns a pool");
             let mut slots: Vec<Option<(usize, Vec<GroupId>)>> = vec![None; occupied.len()];
             pool.scoped(|scope| {
                 for (shard, slot) in occupied.into_iter().zip(slots.iter_mut()) {
@@ -899,17 +879,6 @@ impl MonitoringEngine {
                 }
             });
             slots.into_iter().map(|t| t.expect("the scope barrier ran every job")).collect()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = occupied
-                    .into_iter()
-                    .map(|shard| scope.spawn(move || shard.invalidate_all(view, change)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("invalidation shard thread panicked"))
-                    .collect()
-            })
         };
 
         let mut groups_checked = 0;
@@ -1034,12 +1003,10 @@ impl MonitoringEngine {
     /// totals, query-cache counters, per-shard load and the merged fleet metrics — see
     /// [`EngineReport`] for what each field measures.
     ///
-    /// This is the read path of the capacity harness, the loadgen examples and any future
-    /// tooling; it replaces poking
+    /// It replaces poking
     /// [`clock`](MonitoringEngine::clock)/[`exec_totals`](MonitoringEngine::exec_totals)/
     /// [`shard_loads`](MonitoringEngine::shard_loads)/[`fleet_metrics`](MonitoringEngine::fleet_metrics)
-    /// one by one.  Cost is O(fleet + recorded updates) — snapshot at phase boundaries, not
-    /// per tick.
+    /// one by one.  Cost is O(fleet) — snapshot at phase boundaries, not per tick.
     #[must_use]
     pub fn report(&self) -> EngineReport {
         EngineReport {
@@ -1072,13 +1039,16 @@ impl MonitoringEngine {
             .collect()
     }
 
-    /// Advances every live session one epoch, one pool worker (or scoped thread) per *live*
-    /// shard.
+    /// Advances every live session one epoch.
     ///
-    /// Shards whose sessions have all finished (or that hold none) are skipped without waking
-    /// a worker — their [`idle_ticks`](ShardLoad::idle_ticks) counter is bumped instead — and
-    /// a single live shard runs inline, so a winding-down fleet does not pay executor
-    /// overhead.  Counters are deterministic: groups are independent, so the summary and all
+    /// There are two execution paths.  A single-shard engine ticks fully inline.  A
+    /// multi-shard engine slices its *live* shards into chunks — one per live shard under
+    /// [`TickExecutor::WorkerPool`], `batch` sessions each under
+    /// [`TickExecutor::WorkStealing`] — pushes all but one onto the owning shard's pool
+    /// worker and runs the remaining one on the calling thread, so a tick with a single
+    /// chunk wakes no worker at all.  Shards whose sessions have all finished (or that hold
+    /// none) are skipped — their [`idle_ticks`](ShardLoad::idle_ticks) counter is bumped
+    /// instead.  Counters are deterministic: groups are independent, so the summary and all
     /// per-group metrics are identical to a serial replay regardless of shard count and
     /// executor.
     pub fn tick(&mut self) -> TickSummary {
@@ -1090,11 +1060,10 @@ impl MonitoringEngine {
         let mut exec = TickExecCounters::default();
         let mut already_finished = 0usize;
 
-        // Single-shard engines (the capacity harness's serial baseline) tick fully inline:
-        // no live-shard vector, no tally vector, no executor bookkeeping.  Together with the
-        // per-worker query scratch this makes a steady-state warm-cache tick allocate
-        // nothing at all (`benches/micro.rs` asserts this under the `bench` feature).
-        let tallies: Vec<TickSummary>;
+        // Single-shard engines tick fully inline: no live-shard vector, no tally vector, no
+        // executor bookkeeping.  Together with the per-worker query scratch this makes a
+        // steady-state warm-cache tick allocate nothing at all (`benches/micro.rs` asserts
+        // this under the `bench` feature).
         let mut summary = if self.shards.len() == 1 {
             let shard = &mut self.shards[0];
             if shard.has_live() {
@@ -1115,96 +1084,56 @@ impl MonitoringEngine {
                     already_finished += shard.occupancy();
                 }
             }
-            let stealing_batch = match self.executor {
-                TickExecutor::WorkStealing { batch } => Some(batch.max(1)),
-                _ => None,
+            let batch = match self.executor {
+                TickExecutor::WorkerPool => usize::MAX,
+                TickExecutor::WorkStealing { batch } => batch.max(1),
             };
-            tallies = if live.is_empty() {
-                Vec::new()
-            } else if let (Some(batch), Some(pool)) = (stealing_batch, self.pool.as_mut()) {
-                // Work-stealing path: split every live shard into stealable batches of
-                // hot/cold slot pairs.  A single live shard deliberately still goes through
-                // the pool — that is exactly the skewed case where its batches must spread
-                // over idle workers.
-                let workers = pool.worker_count();
-                let mut chunk_owner: Vec<usize> = Vec::new();
-                let mut per_chunk: Vec<Option<(TickSummary, usize)>>;
-                {
-                    type SlotChunk<'s> = (&'s mut [HotEntry], &'s mut [Option<GroupSession>]);
-                    let mut chunks: Vec<SlotChunk<'_>> = Vec::new();
-                    for (owner, shard) in live.iter_mut().enumerate() {
-                        let Shard { hot, cold, .. } = &mut **shard;
-                        for pair in hot.chunks_mut(batch).zip(cold.chunks_mut(batch)) {
-                            chunk_owner.push(owner);
-                            chunks.push(pair);
-                        }
-                    }
-                    per_chunk = vec![None; chunks.len()];
-                    pool.scoped(|scope| {
-                        for ((owner, (hot, cold)), slot) in
-                            chunk_owner.iter().zip(chunks).zip(per_chunk.iter_mut())
-                        {
-                            scope.execute_on(owner % workers, move || {
-                                *slot = Some(advance_chunk(hot, cold, view));
-                            });
-                        }
+            let mut owners: Vec<usize> = Vec::new();
+            let mut chunks = Vec::new();
+            for (owner, shard) in live.iter_mut().enumerate() {
+                let Shard { hot, cold, .. } = &mut **shard;
+                for pair in hot.chunks_mut(batch).zip(cold.chunks_mut(batch)) {
+                    owners.push(owner);
+                    chunks.push(pair);
+                }
+            }
+            exec.batches = chunks.len();
+            let mut outcomes = vec![(TickSummary::default(), 0usize); chunks.len()];
+            let pool = self.pool.as_mut().expect("a multi-shard engine owns a pool");
+            let workers = pool.worker_count();
+            pool.scoped(|scope| {
+                let mut work = owners.iter().zip(chunks).zip(outcomes.iter_mut());
+                // The caller would otherwise only wait at the barrier: it takes the last
+                // chunk itself and the pool gets the rest, routed to the owning shard's
+                // worker and moved elsewhere only by stealing.
+                let inline = work.next_back();
+                for ((owner, (hot, cold)), outcome) in work {
+                    scope.execute_on(owner % workers, move || {
+                        *outcome = advance_chunk(hot, cold, view);
                     });
                 }
-                let stats = pool.last_scope_stats();
-                exec.batches = stats.jobs;
-                exec.steals = stats.steals;
-                exec.imbalance = stats.imbalance();
-                // Merge the chunk tallies back per shard: the shard's weight is the sum over
-                // its chunks, and its starved-tick counter looks at the whole-shard tally.
-                let mut merged: Vec<(TickSummary, usize)> =
-                    vec![(TickSummary::default(), 0); live.len()];
-                for (owner, slot) in chunk_owner.into_iter().zip(per_chunk) {
-                    let (tally, weight) = slot.expect("the scope barrier ran every job");
-                    let (acc, total_weight) = &mut merged[owner];
-                    merge_counts(acc, &tally);
-                    *total_weight = total_weight.saturating_add(weight);
+                if let Some(((_, (hot, cold)), outcome)) = inline {
+                    *outcome = advance_chunk(hot, cold, view);
                 }
-                merged
-                    .into_iter()
-                    .zip(live)
-                    .map(|((tally, weight), shard)| {
-                        shard.weight = weight;
-                        shard.note_tick_outcome(&tally);
-                        tally
-                    })
-                    .collect()
-            } else if live.len() == 1 {
-                exec.batches = 1;
-                live.into_iter().map(|shard| shard.advance_all(view)).collect()
-            } else if let Some(pool) = &mut self.pool {
-                let mut slots: Vec<Option<TickSummary>> = vec![None; live.len()];
-                pool.scoped(|scope| {
-                    for (shard, slot) in live.into_iter().zip(slots.iter_mut()) {
-                        scope.execute(move || *slot = Some(shard.advance_all(view)));
-                    }
-                });
-                let stats = pool.last_scope_stats();
-                exec.batches = stats.jobs;
-                exec.steals = stats.steals;
-                exec.imbalance = stats.imbalance();
-                slots.into_iter().map(|t| t.expect("the scope barrier ran every job")).collect()
-            } else {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = live
-                        .into_iter()
-                        .map(|shard| scope.spawn(move || shard.advance_all(view)))
-                        .collect();
-                    exec.batches = handles.len();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("monitoring shard thread panicked"))
-                        .collect()
-                })
-            };
-            tallies.into_iter().fold(TickSummary::default(), |mut acc, t| {
-                merge_counts(&mut acc, &t);
-                acc
-            })
+            });
+            let stats = pool.last_scope_stats();
+            exec.steals = stats.steals;
+            exec.imbalance = stats.imbalance();
+            // Merge the chunk tallies back per shard: the shard's weight is the sum over
+            // its chunks, and its starved-tick counter looks at the whole-shard tally.
+            let mut merged = vec![(TickSummary::default(), 0usize); live.len()];
+            for (owner, (tally, weight)) in owners.into_iter().zip(outcomes) {
+                let (acc, total_weight) = &mut merged[owner];
+                merge_counts(acc, &tally);
+                *total_weight = total_weight.saturating_add(weight);
+            }
+            let mut fleet = TickSummary::default();
+            for ((tally, weight), shard) in merged.into_iter().zip(live) {
+                shard.weight = weight;
+                shard.note_tick_outcome(&tally);
+                merge_counts(&mut fleet, &tally);
+            }
+            fleet
         };
         if let (Some(before), Some(cache)) = (cache_before, self.cache.as_deref()) {
             let delta = cache.stats().since(&before);
@@ -1293,9 +1222,7 @@ impl MonitoringEngine {
     /// long-lived server's totals must not shrink when a group leaves or its id is recycled).
     ///
     /// `group_size` is the total number of monitored users over the fleet's lifetime (each
-    /// epoch of a churning group counts its users once).  Retained records are compacted, so
-    /// compute-time *percentiles* of the merged record reflect only live sessions; all
-    /// totals and means cover everything.
+    /// epoch of a churning group counts its users once).
     #[must_use]
     pub fn fleet_metrics(&self) -> MonitoringMetrics {
         let retired = self.directory.iter().filter_map(|entry| match entry {
@@ -1508,12 +1435,9 @@ mod tests {
         assert_eq!(engine.group_count(), 3);
         assert_eq!(engine.retired_count(), 1);
         assert!(engine.deregister(ids[1]).is_none(), "deregistration is idempotent");
-        // The retained record stays readable and feeds fleet accounting; it is compacted
-        // (scalar totals only) while the returned record keeps the raw samples.
+        // The retained record stays readable and feeds fleet accounting.
         assert_eq!(engine.group_metrics(ids[1]).timestamps, 9);
         assert_eq!(engine.group_metrics(ids[1]).updates, departed.updates);
-        assert!(engine.group_metrics(ids[1]).update_times.is_empty());
-        assert_eq!(departed.update_times.len(), departed.updates);
         assert!(engine.fleet_metrics().group_size >= departed.group_size);
         let fleet_before_reuse = engine.fleet_metrics();
 
@@ -1752,23 +1676,6 @@ mod tests {
         assert!(events.iter().any(|(_, e)| matches!(e, SessionEvent::Assigned { .. })));
         let _ = silent;
         assert!(engine.drain_events().is_empty(), "draining is destructive");
-    }
-
-    #[test]
-    fn scoped_thread_executor_is_still_available() {
-        let (tree, fleet) = world(4);
-        let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(25);
-        let mut engine =
-            MonitoringEngine::with_executor(Arc::clone(&tree), 4, TickExecutor::ScopedThreads);
-        assert_eq!(engine.executor(), TickExecutor::ScopedThreads);
-        for group in &fleet {
-            engine.register(feed(group), config);
-        }
-        engine.run_to_completion();
-        for (id, group) in fleet.iter().enumerate() {
-            let serial = run_monitoring(&tree, group, &config);
-            assert_eq!(engine.group_metrics(id).updates, serial.updates);
-        }
     }
 
     #[test]

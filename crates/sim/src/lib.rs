@@ -32,33 +32,26 @@
 //!   runs over a free-list of group ids with **horizon-aware** least-loaded placement
 //!   (occupancy weighted by remaining epochs, [`ShardLoad::weight`]); streaming input
 //!   arrives as [`EpochUpdate`]s via [`submit`](MonitoringEngine::submit).
-//! * [`ServerCore`] / [`MonitoringServer`] ([`server`]) — the `mpn-proto` front-end core: a
-//!   queue of client-tagged wire-shaped `Request`s drained into sharded ticks, with the
-//!   sessions' [`SessionEvent`]s routed back to the client owning each group (probe
-//!   requests, safe-region assignments).  The core is transport-agnostic and multi-tenant;
-//!   [`MonitoringServer`] pins it to one implicit client for the in-process path.
-//!
-//! # The three front-end paths
-//!
-//! One `ServerCore` serves three interchangeable front-ends, all producing **byte-identical
-//! responses for the same request trace** (pinned by `tests/mux_parity.rs`):
-//!
-//! 1. **In-process** — decoded `Request` values enqueued on a [`MonitoringServer`] and
-//!    `process()`ed on the caller's cadence.  No transport, no framing; tests and embedded
-//!    deployments.
-//! 2. **Blocking TCP** — the legacy one-thread-per-connection loop (`mpn_net::serve_blocking`):
-//!    `read_frame` pulls whole frames off the socket, each request is applied and ticked,
-//!    the responses go back under the count-prefixed batch envelope.  Simple, but one OS
-//!    thread per client.
-//! 3. **Multiplexed** — the readiness-driven event loop (`mpn_net::MuxServer`): one thread,
-//!    thousands of non-blocking sockets, per-connection incremental decode
-//!    (`mpn_proto::FrameReader`), requests batched into the shared core once per poll
-//!    iteration, write-buffered responses with backpressure (see `mpn-net`'s crate docs for
-//!    the backpressure contract: a client that stops draining first stops being read, then
-//!    is dropped and deregistered).
+//! * [`ServerCore`] ([`server`]) — the `mpn-proto` server core: a queue of client-tagged
+//!   wire-shaped `Request`s drained into sharded ticks, with the sessions'
+//!   [`SessionEvent`]s routed back to the client owning each group (probe requests,
+//!   safe-region assignments).  The core is transport-agnostic and multi-tenant.
 //! * [`Message`] / [`Traffic`] ([`message`]) — the §7.1 cost model (packets of 67 doubles),
 //!   shared with `mpn-proto`'s wire accounting through
 //!   [`mpn_core::region_value_count`].
+//!
+//! # The core and its one transport
+//!
+//! `ServerCore` is the in-process API: decoded `Request` values enqueued under a
+//! [`ClientId`] and `process()`ed on the caller's cadence — no transport, no framing; what
+//! tests, the benchmark's in-process depth and embedded deployments use.  Its one transport
+//! is the readiness-driven event loop `mpn_net::MuxServer`: one thread, thousands of
+//! non-blocking sockets, per-connection incremental decode (`mpn_proto::FrameReader`),
+//! requests batched into the shared core once per poll iteration, write-buffered responses
+//! with backpressure (see `mpn-net`'s crate docs for the backpressure contract: a client
+//! that stops draining first stops being read, then is dropped and deregistered).  The
+//! transport only frames what the core produced, so its downlink is **byte-identical** to
+//! the in-process output for the same request trace (pinned by `tests/mux_parity.rs`).
 //!
 //! # The mutable world: generations, invalidation, push
 //!
@@ -111,11 +104,14 @@
 //! [`MonitoringEngine::exec_totals`], so a deployment can measure its own hit rate and drop
 //! the cache when it pays for nothing.
 //!
-//! The same `exec` counters expose the work-stealing executor
-//! ([`TickExecutor::WorkStealing`]): ticks dispatch stealable session *batches* instead of
-//! one monolithic job per shard, so idle workers finish a straggling hot shard's tail
-//! (`steals`, `imbalance`).  Like the cache, stealing changes only the schedule — every
-//! protocol counter stays identical to the serial replay.
+//! The same `exec` counters expose how a multi-shard tick was scheduled.  The tick has two
+//! execution paths: a single-shard engine advances inline, and a multi-shard engine slices
+//! its live shards into chunks that run on the persistent worker pool, one of them on the
+//! calling thread.  [`TickExecutor`] only picks the chunk size — one chunk per live shard
+//! ([`TickExecutor::WorkerPool`], the default) or stealable session *batches*
+//! ([`TickExecutor::WorkStealing`]), so idle workers finish a straggling hot shard's tail
+//! (`steals`, `imbalance`).  Like the cache, the schedule changes no protocol counter —
+//! each stays identical to the serial replay.
 //!
 //! # Memory layout of the tick hot path
 //!
@@ -153,14 +149,11 @@
 //! the engine clock, membership accounting (live / retired / reclaimed),
 //! lifetime [`TickExecCounters`], the shared query cache's
 //! [`CacheStats`](mpn_index::CacheStats), per-shard [`ShardLoad`] and the merged fleet
-//! [`MonitoringMetrics`].  Every measurement tool — the `mpn-bench` capacity harness, the
-//! loadgen examples, future dashboards — reads this one snapshot instead of poking five
-//! accessors, so "the numbers that matter" (tick throughput, per-update CPU percentiles
-//! via the batch [`MonitoringMetrics::compute_time_percentiles`] path, wire bytes via
-//! [`Traffic::wire_bytes`], steal/cache counters) are defined in exactly one place.
-//! Reports are cumulative; phase-based tools snapshot at phase boundaries and diff the
-//! counters.  The free [`percentiles`] helper serves any other sample vector (e.g. wire
-//! round-trip latencies) with the same one-sort batch rule.
+//! [`MonitoringMetrics`].  A measurement tool (the `benchmark/` package's traced run) reads
+//! this one snapshot instead of poking five accessors.  Every field is a fixed-size counter
+//! — no per-update sample is kept anywhere — so a report costs O(fleet) and a session's
+//! metrics never grow.  Reports are cumulative; phase-based tools snapshot at phase
+//! boundaries and diff the counters.
 //!
 //! [`run_monitoring`] remains as the single-group compatibility wrapper (bit-identical
 //! counters to the historical stateless loop, pinned by `tests/engine_parity.rs`) and
@@ -178,12 +171,12 @@ pub mod server;
 
 pub use engine::{
     EpochUpdate, GroupId, InvalidationSummary, MonitoringEngine, SubmitError, TickExecCounters,
-    TickExecutor, TickSummary, WorldChange, DEFAULT_TICK_BATCH, OPEN_HORIZON_WEIGHT,
+    TickExecutor, TickSummary, WorldChange, OPEN_HORIZON_WEIGHT,
 };
 pub use experiment::{run_workload, run_workload_sharded, WorkloadSummary};
 pub use message::{Message, MessageKind, Traffic};
-pub use metrics::{percentiles, EngineReport, MonitoringMetrics, ShardLoad};
+pub use metrics::{EngineReport, MonitoringMetrics, ShardLoad};
 pub use monitor::{
     run_monitoring, GroupSession, MonitorConfig, SessionEvent, StepOutcome, TrajectoryFeed,
 };
-pub use server::{monitor_config, ClientId, MonitoringServer, ProcessOutput, ServerCore};
+pub use server::{monitor_config, ClientId, ProcessOutput, ServerCore};

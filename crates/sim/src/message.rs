@@ -103,16 +103,6 @@ impl Traffic {
         }
     }
 
-    /// Total bytes on the wire under the §7.1 cost model: every counted packet is one full
-    /// 576-byte TCP packet (40 bytes of headers plus up to 67 eight-byte values), so this
-    /// is a packet-granular bound — a partially filled packet still costs a whole one,
-    /// exactly as the paper's communication measure charges it.
-    #[must_use]
-    pub fn wire_bytes(&self) -> u64 {
-        const PACKET_BYTES: u64 = 576;
-        self.packets as u64 * PACKET_BYTES
-    }
-
     /// Merges another tally into this one.
     pub fn absorb(&mut self, other: &Traffic) {
         self.messages += other.messages;

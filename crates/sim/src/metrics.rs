@@ -50,9 +50,7 @@ impl ShardLoad {
 /// ([`MonitoringEngine::report`](crate::MonitoringEngine::report)) instead of five
 /// accessors.
 ///
-/// This is the measurement substrate of the capacity harness (`mpn-bench`'s `capacity`
-/// bin), the loadgen examples and any future tooling — each field maps onto one of the
-/// "numbers that matter" for the paper's evaluation and the million-user north star:
+/// Each field maps onto one of the "numbers that matter" for the paper's evaluation:
 ///
 /// * [`ticks`](EngineReport::ticks) — engine clock; with a wall-clock window this yields
 ///   **tick throughput** (epochs served per second).
@@ -67,14 +65,11 @@ impl ShardLoad {
 /// * [`shards`](EngineReport::shards) — per-shard [`ShardLoad`] (occupancy, live, idle /
 ///   starved ticks, remaining-work weight), in shard order.
 /// * [`fleet`](EngineReport::fleet) — the merged [`MonitoringMetrics`] of every session,
-///   including retired and reclaimed epochs: the §7.1 measures (update frequency,
-///   per-update CPU time — percentiles via the batch
-///   [`compute_time_percentiles`](MonitoringMetrics::compute_time_percentiles) — and
-///   communication cost as packets / [`wire_bytes`](Traffic::wire_bytes)).
+///   including retired and reclaimed epochs: the §7.1 measures (update frequency, mean
+///   per-update CPU time and communication cost as packets).
 ///
-/// Building a report is O(fleet + total recorded updates) — the fleet metrics clone every
-/// live session's per-update sample vector — so callers snapshot at phase boundaries (e.g.
-/// warm-up end, measurement end) rather than per tick, and diff the cumulative counters.
+/// Building a report is O(fleet), so callers snapshot at phase boundaries (e.g. warm-up
+/// end, measurement end) rather than per tick, and diff the cumulative counters.
 #[derive(Debug, Clone)]
 pub struct EngineReport {
     /// Ticks executed so far (the engine clock).
@@ -97,49 +92,6 @@ pub struct EngineReport {
     pub fleet: MonitoringMetrics,
 }
 
-impl EngineReport {
-    /// Batch per-update CPU-time percentiles of the fleet (one sort for all of them).
-    ///
-    /// Retired records are compacted, so the samples cover live sessions only; totals and
-    /// means in [`fleet`](EngineReport::fleet) cover everything.
-    #[must_use]
-    pub fn update_time_percentiles(&self, qs: &[f64]) -> Vec<Duration> {
-        self.fleet.compute_time_percentiles(qs)
-    }
-
-    /// Total bytes on the wire under the §7.1 packet cost model.
-    #[must_use]
-    pub fn wire_bytes(&self) -> u64 {
-        self.fleet.traffic.wire_bytes()
-    }
-}
-
-/// Batch percentile extraction over arbitrary samples: sorts one scratch copy and reads
-/// every requested percentile (0–100) from it, so asking for p50/p95/p99 pays a single
-/// O(n log n) sort instead of one per percentile.
-///
-/// Percentile `q` reads the element at rank `round(q/100 · (n−1))` of the sorted samples —
-/// the same rule [`MonitoringMetrics::compute_time_percentile`] has always used.  An empty
-/// sample set yields `T::default()` ([`Duration::ZERO`], `0.0`, …) for every percentile.
-///
-/// # Panics
-/// Panics when the samples are not totally ordered (e.g. a NaN latency).
-#[must_use]
-pub fn percentiles<T: Copy + PartialOrd + Default>(samples: &[T], qs: &[f64]) -> Vec<T> {
-    if samples.is_empty() {
-        return vec![T::default(); qs.len()];
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable_by(|a, b| {
-        a.partial_cmp(b).expect("percentile samples must be totally ordered")
-    });
-    qs.iter()
-        .map(|q| {
-            sorted[((q.clamp(0.0, 100.0) / 100.0) * (sorted.len() - 1) as f64).round() as usize]
-        })
-        .collect()
-}
-
 /// Aggregated metrics of one monitoring run (one user group over one trajectory horizon).
 #[derive(Debug, Clone)]
 pub struct MonitoringMetrics {
@@ -151,8 +103,6 @@ pub struct MonitoringMetrics {
     pub updates: usize,
     /// Total CPU time spent computing safe regions.
     pub compute_time: Duration,
-    /// Per-update CPU times (used for percentiles in reports).
-    pub update_times: Vec<Duration>,
     /// Accumulated work counters of every safe-region computation.
     pub stats: ComputeStats,
     /// Message and packet tally.
@@ -168,7 +118,6 @@ impl MonitoringMetrics {
             timestamps: 0,
             updates: 0,
             compute_time: Duration::ZERO,
-            update_times: Vec::new(),
             stats: ComputeStats::default(),
             traffic: Traffic::default(),
         }
@@ -178,7 +127,6 @@ impl MonitoringMetrics {
     pub fn record_update(&mut self, elapsed: Duration, stats: &ComputeStats) {
         self.updates += 1;
         self.compute_time += elapsed;
-        self.update_times.push(elapsed);
         self.stats.absorb(stats);
     }
 
@@ -215,49 +163,11 @@ impl MonitoringMetrics {
         self.traffic.packets as f64 / self.timestamps as f64
     }
 
-    /// The `q`-th percentile (0–100) of per-update CPU times.
-    ///
-    /// Each call pays one sort of the sample vector; a report that reads several
-    /// percentiles uses the batch
-    /// [`compute_time_percentiles`](MonitoringMetrics::compute_time_percentiles), which
-    /// sorts once for all of them — the difference between milliseconds and minutes on a
-    /// million-update fleet record.
-    #[must_use]
-    pub fn compute_time_percentile(&self, q: f64) -> Duration {
-        self.compute_time_percentiles(&[q])[0]
-    }
-
-    /// Batch percentiles (0–100 each) of the per-update CPU times: one sort of the samples
-    /// serves every requested percentile, in request order.
-    ///
-    /// Returns [`Duration::ZERO`] for every entry when no updates were recorded (or the
-    /// record was compacted); each returned value equals the corresponding
-    /// [`compute_time_percentile`](MonitoringMetrics::compute_time_percentile) result.
-    #[must_use]
-    pub fn compute_time_percentiles(&self, qs: &[f64]) -> Vec<Duration> {
-        percentiles(&self.update_times, qs)
-    }
-
-    /// Drops the raw per-update CPU samples, keeping every scalar total (updates, compute
-    /// time, work counters, traffic).
-    ///
-    /// Used for records retained indefinitely — a monitoring engine keeps the metrics of
-    /// every deregistered group for fleet accounting, and `update_times` would otherwise
-    /// grow without bound as the fleet churns.  Percentiles
-    /// ([`compute_time_percentile`](MonitoringMetrics::compute_time_percentile)) of a
-    /// compacted record are [`Duration::ZERO`]; means and totals are unaffected.
-    #[must_use]
-    pub fn into_compact(mut self) -> Self {
-        self.update_times = Vec::new();
-        self
-    }
-
     /// Merges another run's metrics into this one (used to average over user groups).
     pub fn absorb(&mut self, other: &MonitoringMetrics) {
         self.timestamps += other.timestamps;
         self.updates += other.updates;
         self.compute_time += other.compute_time;
-        self.update_times.extend_from_slice(&other.update_times);
         self.stats.absorb(&other.stats);
         self.traffic.absorb(&other.traffic);
     }
@@ -273,7 +183,6 @@ mod tests {
         assert_eq!(m.update_frequency(), 0.0);
         assert_eq!(m.mean_compute_time(), Duration::ZERO);
         assert_eq!(m.packets_per_timestamp(), 0.0);
-        assert_eq!(m.compute_time_percentile(50.0), Duration::ZERO);
     }
 
     #[test]
@@ -285,49 +194,6 @@ mod tests {
         assert_eq!(m.updates, 2);
         assert_eq!(m.update_frequency(), 0.2);
         assert_eq!(m.mean_compute_time(), Duration::from_millis(5));
-        assert_eq!(m.compute_time_percentile(0.0), Duration::from_millis(4));
-        assert_eq!(m.compute_time_percentile(100.0), Duration::from_millis(6));
-    }
-
-    #[test]
-    fn into_compact_keeps_totals_and_drops_samples() {
-        let mut m = MonitoringMetrics::new(2);
-        m.timestamps = 10;
-        m.record_update(Duration::from_millis(4), &ComputeStats::default());
-        m.record_update(Duration::from_millis(6), &ComputeStats::default());
-        let compact = m.into_compact();
-        assert_eq!(compact.updates, 2);
-        assert_eq!(compact.compute_time, Duration::from_millis(10));
-        assert_eq!(compact.mean_compute_time(), Duration::from_millis(5));
-        assert!(compact.update_times.is_empty());
-        assert_eq!(compact.compute_time_percentile(95.0), Duration::ZERO);
-    }
-
-    #[test]
-    fn batch_percentiles_match_single_calls() {
-        let mut m = MonitoringMetrics::new(4);
-        // Deliberately unsorted recording order; the batch sorts once internally.
-        for ms in [9u64, 1, 7, 3, 5, 2, 8, 4, 6, 10] {
-            m.record_update(Duration::from_millis(ms), &ComputeStats::default());
-        }
-        let qs = [0.0, 25.0, 50.0, 75.0, 95.0, 99.0, 100.0];
-        let batch = m.compute_time_percentiles(&qs);
-        for (q, batched) in qs.iter().zip(&batch) {
-            assert_eq!(*batched, m.compute_time_percentile(*q), "q={q}");
-        }
-        // Empty query list and empty recording both behave.
-        assert!(m.compute_time_percentiles(&[]).is_empty());
-        let empty = MonitoringMetrics::new(1);
-        assert_eq!(empty.compute_time_percentiles(&[50.0, 99.0]), vec![Duration::ZERO; 2]);
-    }
-
-    #[test]
-    fn free_percentiles_sorts_once_over_any_samples() {
-        let samples = [4.0f64, 1.0, 3.0, 2.0];
-        assert_eq!(percentiles(&samples, &[0.0, 50.0, 100.0]), vec![1.0, 3.0, 4.0]);
-        // Out-of-range quantiles clamp; empty samples yield defaults.
-        assert_eq!(percentiles(&samples, &[-5.0, 150.0]), vec![1.0, 4.0]);
-        assert_eq!(percentiles::<f64>(&[], &[50.0]), vec![0.0]);
     }
 
     #[test]
@@ -342,7 +208,7 @@ mod tests {
         a.absorb(&b);
         assert_eq!(a.timestamps, 150);
         assert_eq!(a.updates, 3);
-        assert_eq!(a.update_times.len(), 3);
+        assert_eq!(a.compute_time, Duration::from_millis(7));
         assert!((a.update_frequency() - 0.02).abs() < 1e-12);
     }
 }

@@ -25,9 +25,8 @@
 //! Sessions are self-clocked and `Send`, so a
 //! [`MonitoringEngine`](crate::engine::MonitoringEngine) can advance many of them from worker
 //! threads.  With an event log enabled ([`GroupSession::with_events`]) a session records the
-//! per-user protocol sends of each epoch as [`SessionEvent`]s, which the
-//! [`MonitoringServer`](crate::server::MonitoringServer) front-end turns into `mpn-proto`
-//! responses.  The legacy single-group entry point [`run_monitoring`] drives one replay
+//! per-user protocol sends of each epoch as [`SessionEvent`]s, which
+//! [`ServerCore`](crate::server::ServerCore) turns into `mpn-proto` responses.  The legacy single-group entry point [`run_monitoring`] drives one replay
 //! session to its horizon; with the default configuration its metrics (updates, packets,
 //! work counters) are bit-identical to the historical stateless loop.
 

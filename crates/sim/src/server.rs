@@ -1,25 +1,21 @@
 //! The protocol front-end: an `mpn-proto` request queue drained into sharded engine ticks.
 //!
-//! Since the multiplexed front-end landed this module is split in two layers:
+//! [`ServerCore`] is the **transport-agnostic** server.  It owns the [`MonitoringEngine`], a
+//! FIFO of `(client, Request)` pairs, and the group-ownership map that makes the server
+//! multi-tenant: each registered group belongs to the [`ClientId`] that registered it,
+//! downlink events route back to that client, and requests addressed to another client's
+//! group are rejected like unknown groups.  One [`process`](ServerCore::process) call applies
+//! every queued request in arrival order, runs **one** sharded engine tick, and returns the
+//! responses tagged with their destination client.  [`disconnect`](ServerCore::disconnect)
+//! tears down everything a vanished client owned — the mid-session-disconnect contract of
+//! the network front-end.
 //!
-//! * [`ServerCore`] — the **transport-agnostic** heart every front-end shares.  It owns the
-//!   [`MonitoringEngine`], a FIFO of `(client, Request)` pairs, and the group-ownership map
-//!   that makes the server multi-tenant: each registered group belongs to the [`ClientId`]
-//!   that registered it, downlink events route back to that client, and requests addressed
-//!   to another client's group are rejected like unknown groups.  One
-//!   [`process`](ServerCore::process) call applies every queued request in arrival order,
-//!   runs **one** sharded engine tick, and returns the responses tagged with their
-//!   destination client.  [`disconnect`](ServerCore::disconnect) tears down everything a
-//!   vanished client owned — the mid-session-disconnect contract of the network front-ends.
-//! * [`MonitoringServer`] — the single-client convenience wrapper (the in-process path): the
-//!   same core pinned to one implicit client, with plain `Request` in / `Response` out.
+//! The core is the in-process API (enqueue decoded values under any client id, `process` on
+//! the caller's cadence) and `mpn_net::MuxServer` is its one transport: the responses are
+//! produced here and only framed there, which is what keeps the TCP downlink byte-identical
+//! to the in-process output for the same request trace (`tests/mux_parity.rs`).
 //!
-//! Three front-ends drive the core today (see `crates/net`): decoded values in-process, a
-//! blocking one-thread-per-connection TCP loop, and the readiness-driven multiplexed event
-//! loop — all byte-identical on the wire for the same request trace, because the responses
-//! are produced here and only framed by the transports.
-//!
-//! Per request, the core behaves as before the split:
+//! Per request:
 //!
 //! * [`Request::Register`] → a streaming [`GroupSession`](crate::GroupSession) with its
 //!   event log enabled, placed horizon-aware on the least-loaded shard; answered with a
@@ -80,8 +76,8 @@ pub struct ProcessOutput {
     /// request arrival order), then the tick's per-user protocol sends in shard order.
     pub responses: Vec<(ClientId, Response)>,
     /// Clients that had at least one request applied this tick, deduplicated, in first-
-    /// arrival order.  Front-ends that frame their downlink per tick (the batch envelope of
-    /// the TCP paths) answer exactly `applied ∪ {clients with responses}`.
+    /// arrival order.  A front-end that frames its downlink per tick (the batch envelope of
+    /// the TCP transport) answers exactly `applied ∪ {clients with responses}`.
     pub applied: Vec<ClientId>,
     /// The engine tick that ran after the requests were applied.
     pub summary: TickSummary,
@@ -117,7 +113,7 @@ impl ServerCore {
         Self::with_engine(MonitoringEngine::new(tree, num_shards))
     }
 
-    /// Creates a core around a pre-configured engine — the hook for non-default executors
+    /// Creates a core around a pre-configured engine — the hook for a non-default executor
     /// ([`TickExecutor::WorkStealing`](crate::TickExecutor)) and a shared
     /// [`QueryCache`](mpn_index::QueryCache), which have no wire-level knobs.
     #[must_use]
@@ -239,7 +235,7 @@ impl ServerCore {
     /// requests are dropped and every group it registered is deregistered (metrics retained,
     /// like an explicit [`Request::Deregister`]).  Returns the deregistered group ids.
     ///
-    /// This is the disconnect contract of the network front-ends: a mid-session disconnect
+    /// This is the disconnect contract of the network front-end: a mid-session disconnect
     /// must not leak live sessions that nobody can ever report to again.
     pub fn disconnect(&mut self, client: ClientId) -> Vec<GroupId> {
         self.queue.retain(|(c, _)| *c != client);
@@ -325,7 +321,7 @@ impl ServerCore {
     /// engine's [`WorldView`](mpn_index::WorldView), then queue the unsolicited
     /// [`Response::WorldUpdate`] pushes for every group whose safe regions the change broke.
     ///
-    /// Per-client ordering is the push contract of the front-ends: the owner of an affected
+    /// Per-client ordering is the push contract of the front-end: the owner of an affected
     /// group sees the `WorldUpdate` (queued here, during request application) *before* the
     /// revised `SafeRegion` responses, which the forced recomputation logged as session
     /// events and [`process`](ServerCore::process) drains only after the tick.
@@ -390,76 +386,6 @@ impl ServerCore {
     }
 }
 
-/// The single-client monitoring server (the in-process front-end): a [`ServerCore`] pinned
-/// to one implicit client, speaking plain `Request` in / `Response` out.
-#[derive(Debug)]
-pub struct MonitoringServer {
-    core: ServerCore,
-}
-
-/// The implicit client of a [`MonitoringServer`].
-const LOCAL_CLIENT: ClientId = 0;
-
-impl MonitoringServer {
-    /// Creates a server over the POI tree with `num_shards` engine shards.
-    ///
-    /// # Panics
-    /// Panics when the POI tree is empty.
-    #[must_use]
-    pub fn new(tree: impl Into<Arc<RTree>>, num_shards: usize) -> Self {
-        Self { core: ServerCore::new(tree, num_shards) }
-    }
-
-    /// Creates a server around a pre-configured engine (see [`ServerCore::with_engine`]).
-    #[must_use]
-    pub fn with_engine(engine: MonitoringEngine) -> Self {
-        Self { core: ServerCore::with_engine(engine) }
-    }
-
-    /// The underlying engine, for telemetry (fleet metrics, shard loads, per-group state).
-    #[must_use]
-    pub fn engine(&self) -> &MonitoringEngine {
-        self.core.engine()
-    }
-
-    /// The shared transport-agnostic core (the multi-client API surface).
-    #[must_use]
-    pub fn core(&self) -> &ServerCore {
-        &self.core
-    }
-
-    /// Grants the implicit local client the right to mutate the POI world via
-    /// [`Request::Admin`] (the in-process path is trusted by definition, but the gate still
-    /// defaults to closed so tests exercise the same denial path as the network front-ends).
-    pub fn grant_admin(&mut self) {
-        self.core.grant_admin(LOCAL_CLIENT);
-    }
-
-    /// The summary of the most recent [`process`](MonitoringServer::process) tick.
-    #[must_use]
-    pub fn last_summary(&self) -> Option<TickSummary> {
-        self.core.last_summary()
-    }
-
-    /// Queues one request for the next [`process`](MonitoringServer::process) call.
-    pub fn enqueue(&mut self, request: Request) {
-        self.core.enqueue(LOCAL_CLIENT, request);
-    }
-
-    /// Number of requests waiting to be applied.
-    #[must_use]
-    pub fn pending_requests(&self) -> usize {
-        self.core.pending_requests()
-    }
-
-    /// Applies every queued request in arrival order, runs one sharded engine tick, and
-    /// returns the downlink responses: control notifications first (one per applied request
-    /// that warrants one, in request order), then the tick's per-user protocol sends.
-    pub fn process(&mut self) -> Vec<Response> {
-        self.core.process().responses.into_iter().map(|(_, response)| response).collect()
-    }
-}
-
 fn notification(group: WireGroupId, kind: NotificationKind) -> Response {
     Response::Notification { group, kind }
 }
@@ -489,6 +415,16 @@ mod tests {
         (tree, group)
     }
 
+    /// The client id the single-tenant tests speak as.
+    const CLIENT: ClientId = 5;
+
+    /// Runs one tick of a core that only [`CLIENT`] talks to and returns her downlink.
+    fn process(core: &mut ServerCore) -> Vec<Response> {
+        let responses = core.process().responses;
+        assert!(responses.iter().all(|(to, _)| *to == CLIENT), "downlink for a stranger");
+        responses.into_iter().map(|(_, response)| response).collect()
+    }
+
     fn positions_at(group: &[Trajectory], t: usize) -> Vec<Point> {
         group.iter().map(|traj| traj.at(t)).collect()
     }
@@ -508,18 +444,18 @@ mod tests {
     #[test]
     fn register_report_notify_round_trip() {
         let (tree, group) = world();
-        let mut server = MonitoringServer::new(Arc::clone(&tree), 2);
-        server.enqueue(Request::Register {
-            group_size: group.len() as u32,
-            config: WireConfig::default(),
-        });
-        let responses = server.process();
+        let mut server = ServerCore::new(Arc::clone(&tree), 2);
+        server.enqueue(
+            CLIENT,
+            Request::Register { group_size: group.len() as u32, config: WireConfig::default() },
+        );
+        let responses = process(&mut server);
         let id = registered_id(&responses);
         assert_eq!(responses.len(), 1, "no reports yet: registration ack only");
 
         // The first report registers the query: every user gets a safe region.
-        server.enqueue(Request::Report { group: id, positions: positions_at(&group, 0) });
-        let responses = server.process();
+        server.enqueue(CLIENT, Request::Report { group: id, positions: positions_at(&group, 0) });
+        let responses = process(&mut server);
         let assigned: Vec<_> =
             responses.iter().filter(|r| matches!(r, Response::SafeRegion { .. })).collect();
         assert_eq!(assigned.len(), group.len());
@@ -532,8 +468,9 @@ mod tests {
         // probe exactly the non-violators.
         let mut updates = 0;
         for t in 1..60 {
-            server.enqueue(Request::Report { group: id, positions: positions_at(&group, t) });
-            let responses = server.process();
+            server
+                .enqueue(CLIENT, Request::Report { group: id, positions: positions_at(&group, t) });
+            let responses = process(&mut server);
             let probes =
                 responses.iter().filter(|r| matches!(r, Response::ProbeRequest { .. })).count();
             let assigned =
@@ -551,8 +488,8 @@ mod tests {
         assert_eq!(metrics.updates, updates + 1, "wire updates match the engine's accounting");
         assert_eq!(metrics.timestamps, 59);
 
-        server.enqueue(Request::Deregister { group: id });
-        let responses = server.process();
+        server.enqueue(CLIENT, Request::Deregister { group: id });
+        let responses = process(&mut server);
         assert!(responses
             .contains(&Response::Notification { group: id, kind: NotificationKind::Deregistered }));
         assert_eq!(server.engine().group_count(), 0);
@@ -562,12 +499,12 @@ mod tests {
     #[test]
     fn invalid_requests_get_error_notifications_not_crashes() {
         let (tree, group) = world();
-        let mut server = MonitoringServer::new(Arc::clone(&tree), 2);
+        let mut server = ServerCore::new(Arc::clone(&tree), 2);
 
-        server.enqueue(Request::Register { group_size: 0, config: WireConfig::default() });
-        server.enqueue(Request::Report { group: 17, positions: positions_at(&group, 0) });
-        server.enqueue(Request::Deregister { group: 17 });
-        let responses = server.process();
+        server.enqueue(CLIENT, Request::Register { group_size: 0, config: WireConfig::default() });
+        server.enqueue(CLIENT, Request::Report { group: 17, positions: positions_at(&group, 0) });
+        server.enqueue(CLIENT, Request::Deregister { group: 17 });
+        let responses = process(&mut server);
         assert_eq!(
             responses,
             vec![
@@ -579,10 +516,10 @@ mod tests {
         assert_eq!(server.engine().group_count(), 0, "nothing was registered");
 
         // A wrong-size batch is rejected without touching the session.
-        server.enqueue(Request::Register { group_size: 3, config: WireConfig::default() });
-        let id = registered_id(&server.process());
-        server.enqueue(Request::Report { group: id, positions: vec![Point::ORIGIN] });
-        let responses = server.process();
+        server.enqueue(CLIENT, Request::Register { group_size: 3, config: WireConfig::default() });
+        let id = registered_id(&process(&mut server));
+        server.enqueue(CLIENT, Request::Report { group: id, positions: vec![Point::ORIGIN] });
+        let responses = process(&mut server);
         assert!(responses.contains(&notification(id, NotificationKind::BadRequest)));
         assert_eq!(server.engine().group_metrics(0).updates, 0);
         assert_eq!(server.last_summary().expect("processed").starved, 1);
@@ -596,39 +533,52 @@ mod tests {
         let theta = std::f64::consts::FRAC_PI_4;
         for method in [WireMethod::Circle, WireMethod::TileDirectedBuffered { theta, buffer: 20 }] {
             let config = WireConfig { method, persist_buffers: true, ..WireConfig::default() };
-            let mut server = MonitoringServer::new(Arc::clone(&tree), 1);
-            server.enqueue(Request::Register { group_size: 3, config });
-            let id = registered_id(&server.process());
-            server.enqueue(Request::Report { group: id, positions: positions_at(&group, 0) });
-            server.process();
+            let mut server = ServerCore::new(Arc::clone(&tree), 1);
+            server.enqueue(CLIENT, Request::Register { group_size: 3, config });
+            let id = registered_id(&process(&mut server));
+            server
+                .enqueue(CLIENT, Request::Report { group: id, positions: positions_at(&group, 0) });
+            process(&mut server);
             let before = server.engine().group_metrics(0).clone();
 
             for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
                 let mut positions = positions_at(&group, 1);
                 positions[1].y = bad;
-                server.enqueue(Request::Report { group: id, positions });
-                assert_eq!(server.process(), vec![notification(id, NotificationKind::BadRequest)]);
-                assert_eq!(server.core().backlog(), 0, "nothing was enqueued");
+                server.enqueue(CLIENT, Request::Report { group: id, positions });
+                assert_eq!(
+                    process(&mut server),
+                    vec![notification(id, NotificationKind::BadRequest)]
+                );
+                assert_eq!(server.backlog(), 0, "nothing was enqueued");
             }
             let after = server.engine().group_metrics(0);
             assert_eq!((after.timestamps, after.updates), (before.timestamps, before.updates));
 
             // The session is untouched: the next well-formed report is served normally and
             // every region it produces is finite.
-            server.enqueue(Request::Report { group: id, positions: positions_at(&group, 50) });
-            let responses = server.process();
+            server.enqueue(
+                CLIENT,
+                Request::Report { group: id, positions: positions_at(&group, 50) },
+            );
+            let responses = process(&mut server);
             assert!(responses.iter().any(|r| matches!(r, Response::SafeRegion { .. })));
             assert!(!format!("{responses:?}").contains("NaN"));
         }
 
         // A non-finite cone angle is refused at registration.
-        let mut server = MonitoringServer::new(tree, 1);
+        let mut server = ServerCore::new(tree, 1);
         let method = WireMethod::TileDirected { theta: f64::NAN };
-        server.enqueue(Request::Register {
-            group_size: 3,
-            config: WireConfig { method, ..WireConfig::default() },
-        });
-        assert_eq!(server.process(), vec![notification(u64::MAX, NotificationKind::BadRequest)]);
+        server.enqueue(
+            CLIENT,
+            Request::Register {
+                group_size: 3,
+                config: WireConfig { method, ..WireConfig::default() },
+            },
+        );
+        assert_eq!(
+            process(&mut server),
+            vec![notification(u64::MAX, NotificationKind::BadRequest)]
+        );
         assert_eq!(server.engine().group_count(), 0, "nothing was registered");
     }
 
@@ -644,12 +594,13 @@ mod tests {
         };
         let replay = crate::monitor::run_monitoring(&tree, &group, &monitor_config(&wire));
 
-        let mut server = MonitoringServer::new(Arc::clone(&tree), 4);
-        server.enqueue(Request::Register { group_size: group.len() as u32, config: wire });
-        let id = registered_id(&server.process());
+        let mut server = ServerCore::new(Arc::clone(&tree), 4);
+        server.enqueue(CLIENT, Request::Register { group_size: group.len() as u32, config: wire });
+        let id = registered_id(&process(&mut server));
         for t in 0..50 {
-            server.enqueue(Request::Report { group: id, positions: positions_at(&group, t) });
-            server.process();
+            server
+                .enqueue(CLIENT, Request::Report { group: id, positions: positions_at(&group, t) });
+            process(&mut server);
         }
         let metrics = server.engine().group_metrics(engine_id(id).unwrap());
         assert_eq!(metrics.updates, replay.updates);
@@ -875,16 +826,16 @@ mod tests {
     }
 
     #[test]
-    fn local_server_admin_grant_applies_world_changes() {
+    fn a_granted_insert_is_acked_with_an_id_the_operator_can_delete() {
         let (tree, group) = world();
-        let mut server = MonitoringServer::new(Arc::clone(&tree), 2);
-        server.enqueue(Request::Admin(AdminRequest::PoiInsert { location: Point::ORIGIN }));
-        let responses = server.process();
+        let mut server = ServerCore::new(Arc::clone(&tree), 2);
+        server.enqueue(CLIENT, Request::Admin(AdminRequest::PoiInsert { location: Point::ORIGIN }));
+        let responses = process(&mut server);
         assert_eq!(responses, vec![notification(u64::MAX, NotificationKind::AdminDenied)]);
 
-        server.grant_admin();
-        server.enqueue(Request::Admin(AdminRequest::PoiInsert { location: Point::ORIGIN }));
-        let responses = server.process();
+        server.grant_admin(CLIENT);
+        server.enqueue(CLIENT, Request::Admin(AdminRequest::PoiInsert { location: Point::ORIGIN }));
+        let responses = process(&mut server);
         let inserted = responses
             .iter()
             .find_map(|r| match r {
@@ -897,8 +848,8 @@ mod tests {
         assert_eq!(server.engine().world().len(), tree.len() + 1);
 
         // The id in the ack is usable: the operator can delete the POI it just created.
-        server.enqueue(Request::Admin(AdminRequest::PoiDelete { poi: inserted }));
-        let responses = server.process();
+        server.enqueue(CLIENT, Request::Admin(AdminRequest::PoiDelete { poi: inserted }));
+        let responses = process(&mut server);
         assert!(responses.contains(&notification(inserted, NotificationKind::AdminApplied)));
         assert_eq!(server.engine().world().len(), tree.len());
         let _ = group;

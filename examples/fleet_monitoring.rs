@@ -128,11 +128,7 @@ fn main() {
         fleet.timestamps,
         fleet.packets()
     );
-    println!(
-        "       mean compute time {:.1} us, p95 {:.1} us",
-        fleet.mean_compute_time().as_secs_f64() * 1e6,
-        fleet.compute_time_percentile(95.0).as_secs_f64() * 1e6
-    );
+    println!("       mean compute time {:.1} us", fleet.mean_compute_time().as_secs_f64() * 1e6);
 
     println!("\nshard   occupancy   live   idle_ticks   remaining_work");
     for load in engine.shard_loads() {

@@ -1,15 +1,13 @@
 //! Network monitoring: the Fig. 3 client/server protocol, for real.
 //!
-//! Three demonstrations of the `mpn-proto` + `ServerCore` stack — the three front-end paths
-//! described in `mpn-net`'s crate docs:
+//! Two demonstrations of the `mpn-proto` + `ServerCore` stack — the core and its one
+//! transport, as described in `mpn-net`'s crate docs:
 //!
-//! 1. **In-process** — a front-end drains decoded `Request`s straight into sharded engine
-//!    ticks: two phone groups register with different objectives/methods, stream their
-//!    epochs, and receive probe requests and safe-region assignments back.
-//! 2. **Blocking TCP** — the same protocol over `std::net::TcpStream` using
-//!    `mpn::net::serve_blocking`: one thread, one connection, whole-frame blocking reads,
-//!    responses under the count-prefixed batch envelope.
-//! 3. **Multiplexed** — `mpn::net::MuxServer`: one event-loop thread serving many concurrent
+//! 1. **In-process** — decoded `Request`s enqueued on a `ServerCore` under two client ids
+//!    and drained into sharded engine ticks: two phone groups register with different
+//!    objectives/methods, stream their epochs, and each client receives its own probe
+//!    requests and safe-region assignments back.
+//! 2. **Multiplexed** — `mpn::net::MuxServer`: one event-loop thread serving many concurrent
 //!    lock-step clients over non-blocking sockets, all sharing one engine.
 //!
 //! Over the socket each uplink request is answered with a 4-byte little-endian response
@@ -19,7 +17,7 @@
 //! Run with: `cargo run --release --example network_monitoring`
 
 use std::io::Write;
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -29,9 +27,9 @@ use mpn::index::RTree;
 use mpn::mobility::poi::{clustered_pois, PoiConfig};
 use mpn::mobility::waypoint::{taxi_trajectory, TaxiConfig};
 use mpn::mobility::Trajectory;
-use mpn::net::{read_batch, serve_blocking, MuxConfig, MuxServer};
+use mpn::net::{read_batch, MuxConfig, MuxServer};
 use mpn::proto::{NotificationKind, Request, Response, WireConfig, WireMethod, WireObjective};
-use mpn::sim::{MonitoringServer, ServerCore, TrajectoryFeed};
+use mpn::sim::{ClientId, ServerCore, TrajectoryFeed};
 
 /// Epochs each client streams before deregistering.
 const EPOCHS: usize = 150;
@@ -44,7 +42,6 @@ fn main() {
     let tree = Arc::new(RTree::bulk_load(&pois));
 
     in_process_demo(Arc::clone(&tree));
-    blocking_tcp_demo(Arc::clone(&tree));
     multiplexed_demo(tree);
 }
 
@@ -99,12 +96,19 @@ impl Downlink {
     }
 }
 
+/// The responses of one tick addressed to `client`.
+fn downlink_of(responses: &[(ClientId, Response)], client: ClientId) -> Vec<Response> {
+    responses.iter().filter(|(to, _)| *to == client).map(|(_, r)| r.clone()).collect()
+}
+
 fn in_process_demo(tree: Arc<RTree>) {
     println!("== In-process: a request queue drained into sharded engine ticks ==\n");
-    let mut server = MonitoringServer::new(tree, 4);
+    let mut server = ServerCore::new(tree, 4);
 
-    let configs = [
+    // One client per group: the core routes every response to the client owning the group.
+    let clients: [(ClientId, &str, WireConfig); 2] = [
         (
+            1,
             "friends/MAX/Tile-D-b",
             WireConfig {
                 objective: WireObjective::Max,
@@ -118,6 +122,7 @@ fn in_process_demo(tree: Arc<RTree>) {
             },
         ),
         (
+            2,
             "carpool/SUM/Circle",
             WireConfig {
                 objective: WireObjective::Sum,
@@ -130,37 +135,24 @@ fn in_process_demo(tree: Arc<RTree>) {
     ];
 
     let mut feeds = [phone_group(1_000, 3), phone_group(2_000, 4)];
-    let mut ids = Vec::new();
-    for ((_, config), feed) in configs.iter().zip(&feeds) {
-        server.enqueue(Request::Register { group_size: feed.group_size() as u32, config: *config });
+    for ((client, _, config), feed) in clients.iter().zip(&feeds) {
+        let group_size = feed.group_size() as u32;
+        server.enqueue(*client, Request::Register { group_size, config: *config });
     }
-    let responses = server.process();
-    for response in &responses {
-        if let Response::Notification { group, kind: NotificationKind::Registered } = response {
-            ids.push(*group);
-        }
-    }
+    let acks = server.process().responses;
+    let ids: Vec<u64> =
+        clients.iter().map(|(client, ..)| registered_id(&downlink_of(&acks, *client))).collect();
     println!("registered groups {ids:?} ({} shards)\n", server.engine().shard_count());
 
     let mut tallies = [Downlink::default(), Downlink::default()];
     for _ in 0..EPOCHS {
-        for (feed, &id) in feeds.iter_mut().zip(&ids) {
+        for ((feed, &id), (client, ..)) in feeds.iter_mut().zip(&ids).zip(&clients) {
             let positions = feed.next_epoch().expect("the recording covers every epoch");
-            server.enqueue(Request::Report { group: id, positions });
+            server.enqueue(*client, Request::Report { group: id, positions });
         }
-        let responses = server.process();
-        for (tally, &id) in tallies.iter_mut().zip(&ids) {
-            let own: Vec<Response> = responses
-                .iter()
-                .filter(|r| {
-                    matches!(r,
-                    Response::SafeRegion { group, .. }
-                    | Response::ProbeRequest { group, .. }
-                    | Response::Notification { group, .. } if *group == id)
-                })
-                .cloned()
-                .collect();
-            tally.absorb(&own);
+        let responses = server.process().responses;
+        for (tally, (client, ..)) in tallies.iter_mut().zip(&clients) {
+            tally.absorb(&downlink_of(&responses, *client));
         }
     }
 
@@ -168,7 +160,7 @@ fn in_process_demo(tree: Arc<RTree>) {
         "{:<22} {:>8} {:>12} {:>12} {:>14}",
         "group", "updates", "probes", "regions", "packets"
     );
-    for ((label, _), (tally, &id)) in configs.iter().zip(tallies.iter().zip(&ids)) {
+    for ((client, label, _), (tally, &id)) in clients.iter().zip(tallies.iter().zip(&ids)) {
         let metrics = server.engine().group_metrics(id as usize);
         println!(
             "{:<22} {:>8} {:>12} {:>12} {:>14}",
@@ -178,12 +170,13 @@ fn in_process_demo(tree: Arc<RTree>) {
             tally.assignments,
             metrics.packets()
         );
-        server.enqueue(Request::Deregister { group: id });
+        server.enqueue(*client, Request::Deregister { group: id });
     }
-    let farewells = server.process();
-    assert!(farewells
-        .iter()
-        .all(|r| matches!(r, Response::Notification { kind: NotificationKind::Deregistered, .. })));
+    let farewells = server.process().responses;
+    assert!(farewells.iter().all(|(_, r)| matches!(
+        r,
+        Response::Notification { kind: NotificationKind::Deregistered, .. }
+    )));
     println!(
         "\nboth groups deregistered; fleet lifetime totals: {} updates, {} packets\n",
         server.engine().fleet_metrics().updates,
@@ -192,11 +185,11 @@ fn in_process_demo(tree: Arc<RTree>) {
 }
 
 // ---------------------------------------------------------------------------------------
-// Loopback TCP, blocking path
+// Loopback TCP, multiplexed
 // ---------------------------------------------------------------------------------------
 
 /// Registers, streams `feed` to the end, deregisters — the full lock-step client lifetime.
-fn lock_step_session(stream: &mut TcpStream, mut feed: TrajectoryFeed) -> (Downlink, usize) {
+fn lock_step_session(stream: &mut TcpStream, mut feed: TrajectoryFeed) -> Downlink {
     let config = WireConfig {
         objective: WireObjective::Max,
         method: WireMethod::Tile,
@@ -210,10 +203,8 @@ fn lock_step_session(stream: &mut TcpStream, mut feed: TrajectoryFeed) -> (Downl
     let id = registered_id(&read_batch(stream).expect("registration ack"));
 
     let mut tally = Downlink::default();
-    let mut wire_bytes = 0usize;
     while let Some(positions) = feed.next_epoch() {
         let frame = Request::Report { group: id, positions }.encoded();
-        wire_bytes += frame.len();
         stream.write_all(&frame).expect("send report");
         tally.absorb(&read_batch(stream).expect("epoch downlink"));
     }
@@ -225,35 +216,8 @@ fn lock_step_session(stream: &mut TcpStream, mut feed: TrajectoryFeed) -> (Downl
             .contains(&Response::Notification { group: id, kind: NotificationKind::Deregistered }),
         "the server must acknowledge the deregistration"
     );
-    (tally, wire_bytes)
+    tally
 }
-
-fn blocking_tcp_demo(tree: Arc<RTree>) {
-    println!("== Loopback TCP, blocking path: one thread, one connection ==\n");
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr");
-    let server_thread = thread::spawn(move || {
-        let (mut stream, peer) = listener.accept().expect("accept the demo client");
-        println!("server: accepted {peer}");
-        let mut core = ServerCore::new(tree, 4);
-        serve_blocking(&mut stream, &mut core, 1).expect("serve the demo client");
-        println!("server: client disconnected, shutting down");
-    });
-
-    let mut stream = TcpStream::connect(addr).expect("connect to loopback server");
-    let (tally, wire_bytes) = lock_step_session(&mut stream, phone_group(3_000, 3));
-    println!(
-        "client: {} epochs streamed ({} uplink bytes): {} updates, {} probes, {} safe regions",
-        EPOCHS, wire_bytes, tally.epochs_with_update, tally.probes, tally.assignments
-    );
-    println!("client: deregistered cleanly");
-    drop(stream);
-    server_thread.join().expect("server thread exits cleanly");
-}
-
-// ---------------------------------------------------------------------------------------
-// Loopback TCP, multiplexed path
-// ---------------------------------------------------------------------------------------
 
 fn multiplexed_demo(tree: Arc<RTree>) {
     const CLIENTS: usize = 12;
@@ -289,7 +253,7 @@ fn multiplexed_demo(tree: Arc<RTree>) {
 
     let mut total = Downlink::default();
     for client in clients {
-        let (tally, _) = client.join().expect("client thread");
+        let tally = client.join().expect("client thread");
         total.probes += tally.probes;
         total.assignments += tally.assignments;
         total.epochs_with_update += tally.epochs_with_update;

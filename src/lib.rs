@@ -17,9 +17,9 @@
 //! * [`mobility`] — trajectory and POI workload generators.
 //! * [`proto`] — the wire-shaped client/server protocol (requests, responses, binary codec).
 //! * [`sim`] — owned, message-driven monitoring sessions, the sharded engine, the
-//!   `ServerCore`/`MonitoringServer` protocol front-end and message/packet accounting.
-//! * [`net`] — the network front-ends over that core: a blocking per-connection loop and
-//!   the readiness-driven multiplexed event loop (one thread, thousands of sockets).
+//!   transport-agnostic `ServerCore` and message/packet accounting.
+//! * [`net`] — the one transport over that core: the readiness-driven multiplexed event
+//!   loop (one thread, thousands of sockets).
 //!
 //! ## Quickstart
 //!

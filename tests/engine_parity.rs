@@ -9,8 +9,8 @@
 //! * a parallel multi-group tick equals the serial single-group replays,
 //! * the message-driven streaming path (`register_stream` + `EpochUpdate` submission)
 //!   produces the same counters as the feed replay, epoch for epoch,
-//! * the persistent worker-pool executor produces the same fleet `TickSummary` sequence as
-//!   the legacy scoped-thread executor (pinning the executor swap),
+//! * a multi-shard engine — one chunk per shard, or stolen session batches — produces the
+//!   same fleet `TickSummary` sequence as a single-shard inline engine,
 //! * the hot/cold split engine — dense per-shard `HotEntry` arrays, slot-stable session
 //!   slabs, active-set skip paths — matches a serial walk-everything oracle tick for tick
 //!   across churn, starvation, batch sizes and world mutation (pinning the memory-layout
@@ -233,39 +233,38 @@ fn parallel_eight_group_tick_matches_eight_serial_runs() {
 }
 
 #[test]
-fn pool_executor_matches_the_scoped_thread_executor_tick_for_tick() {
+fn pool_executor_matches_the_single_shard_engine_tick_for_tick() {
     let (tree, fleet) = world(8, 57);
     let config = MonitorConfig::new(Objective::Max, Method::tile()).with_max_timestamps(100);
 
     let mut pool = MonitoringEngine::with_executor(Arc::clone(&tree), 4, TickExecutor::WorkerPool);
-    let mut scoped =
-        MonitoringEngine::with_executor(Arc::clone(&tree), 4, TickExecutor::ScopedThreads);
+    let mut inline = MonitoringEngine::new(Arc::clone(&tree), 1);
     assert_eq!(pool.executor(), TickExecutor::WorkerPool);
-    assert_eq!(scoped.executor(), TickExecutor::ScopedThreads);
+    assert_eq!((pool.shard_count(), inline.shard_count()), (4, 1));
     for group in &fleet {
         pool.register(TrajectoryFeed::from_group(group), config);
-        scoped.register(TrajectoryFeed::from_group(group), config);
+        inline.register(TrajectoryFeed::from_group(group), config);
     }
 
     let mut pool_summaries: Vec<TickSummary> = Vec::new();
     while !pool.is_finished() {
         pool_summaries.push(pool.tick());
     }
-    let mut scoped_summaries: Vec<TickSummary> = Vec::new();
-    while !scoped.is_finished() {
-        scoped_summaries.push(scoped.tick());
+    let mut inline_summaries: Vec<TickSummary> = Vec::new();
+    while !inline.is_finished() {
+        inline_summaries.push(inline.tick());
     }
 
     assert_eq!(pool_summaries.len(), 100);
     assert_eq!(
-        pool_summaries, scoped_summaries,
-        "the executor swap must not change any fleet tick summary"
+        pool_summaries, inline_summaries,
+        "running the shards on the pool must not change any fleet tick summary"
     );
     for id in 0..fleet.len() {
         assert_eq!(
             counters_of(pool.group_metrics(id)),
-            counters_of(scoped.group_metrics(id)),
-            "group {id} diverged between executors"
+            counters_of(inline.group_metrics(id)),
+            "group {id} diverged between the pooled and the inline engine"
         );
     }
 }
@@ -291,11 +290,11 @@ proptest! {
 
     // The work-stealing executor — session batches, stolen across workers, through the
     // shared query cache — must produce the *exact* tick-summary sequence and per-group
-    // counters of the scoped-thread executor, for any shard count, any (skewed) batch size
-    // and any skewed mix of group sizes.  Stealing and caching may only change the
+    // counters of a single-shard inline engine, for any shard count, any (skewed) batch
+    // size and any skewed mix of group sizes.  Stealing and caching may only change the
     // schedule, never a counter.
     #[test]
-    fn stealing_ticks_match_scoped_threads_for_any_skew(
+    fn stealing_ticks_match_a_single_shard_engine_for_any_skew(
         shards in 1usize..=8,
         batch in 1usize..=8,
         sizes in prop_vec(1usize..=4, 1..11),
@@ -311,27 +310,26 @@ proptest! {
             TickExecutor::WorkStealing { batch },
         )
         .with_query_cache(QueryCache::new());
-        let mut scoped =
-            MonitoringEngine::with_executor(Arc::clone(&tree), shards, TickExecutor::ScopedThreads);
+        let mut inline = MonitoringEngine::new(Arc::clone(&tree), 1);
         for group in &fleet {
             stealing.register(TrajectoryFeed::from_group(group), config);
-            scoped.register(TrajectoryFeed::from_group(group), config);
+            inline.register(TrajectoryFeed::from_group(group), config);
         }
 
         let mut guard = 0usize;
         while !stealing.is_finished() {
             let a = stealing.tick();
-            let b = scoped.tick();
+            let b = inline.tick();
             prop_assert_eq!(a, b, "tick {} diverged under stealing", guard);
             guard += 1;
             prop_assert!(guard <= HORIZON, "bounded fleets finish within their horizon");
         }
-        prop_assert!(scoped.is_finished());
+        prop_assert!(inline.is_finished());
         for id in 0..fleet.len() {
             prop_assert_eq!(
                 counters_of(stealing.group_metrics(id)),
-                counters_of(scoped.group_metrics(id)),
-                "group {} diverged between executors", id
+                counters_of(inline.group_metrics(id)),
+                "group {} diverged from the inline engine", id
             );
         }
         // The cache saw every query of the run (each tick's lookups are hits + misses).

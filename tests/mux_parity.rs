@@ -1,13 +1,13 @@
-//! Front-end parity: the blocking TCP path and the multiplexed event loop must produce
-//! **byte-identical** downlinks for the same lock-step request trace.
+//! Transport parity: the multiplexed event loop's downlink must be **byte-identical** to the
+//! in-process `ServerCore` output for the same lock-step request trace.
 //!
-//! Both transports frame responses produced by the same transport-agnostic `ServerCore`
-//! (applied in request order, ticked identically, enveloped with the same count prefix), so
-//! any divergence — ordering, framing, extra or missing batches — shows up here as a raw
-//! byte mismatch.
+//! The transport only frames responses the transport-agnostic core produced (applied in
+//! request order, one tick per request, one count-prefixed batch per tick), so any
+//! divergence — ordering, routing, extra or missing batches — shows up here as a raw byte
+//! mismatch.
 
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -17,7 +17,7 @@ use mpn::index::RTree;
 use mpn::mobility::poi::{clustered_pois, PoiConfig};
 use mpn::mobility::waypoint::{taxi_trajectory, TaxiConfig};
 use mpn::mobility::Trajectory;
-use mpn::net::{serve_blocking, MuxConfig, MuxServer};
+use mpn::net::{encode_batch, MuxConfig, MuxServer};
 use mpn::proto::{
     DecodeError, NotificationKind, Request, Response, WireConfig, WireMethod, WireObjective,
 };
@@ -33,7 +33,7 @@ fn test_core() -> ServerCore {
     ServerCore::new(Arc::new(RTree::bulk_load(&pois)), 3)
 }
 
-/// The identical uplink trace both paths replay: one group registering, streaming epochs in
+/// The identical uplink trace both sides replay: one group registering, streaming epochs in
 /// lock-step, and deregistering.
 fn trace() -> (WireConfig, TrajectoryFeed) {
     let config = WireConfig {
@@ -108,13 +108,12 @@ fn parse_batch(bytes: &[u8]) -> Option<(Vec<Response>, usize)> {
     Some((batch, at))
 }
 
-/// Replays the trace through an already-listening front-end, returning the raw downlink.
-fn run_client(addr: std::net::SocketAddr) -> Vec<u8> {
+/// Replays the trace in lock-step: `exchange` delivers one request and returns the batch
+/// that answers it.
+fn replay_trace(mut exchange: impl FnMut(&Request) -> Vec<Response>) {
     let (config, mut feed) = trace();
-    let mut client = LockStep::connect(addr);
 
-    client.send(&Request::Register { group_size: feed.group_size() as u32, config });
-    let ack = client.next_batch();
+    let ack = exchange(&Request::Register { group_size: feed.group_size() as u32, config });
     let id = ack
         .iter()
         .find_map(|r| match r {
@@ -126,36 +125,37 @@ fn run_client(addr: std::net::SocketAddr) -> Vec<u8> {
     let mut regions = 0usize;
     for _ in 0..EPOCHS {
         let positions = feed.next_epoch().expect("the recording covers every epoch");
-        client.send(&Request::Report { group: id, positions });
-        regions +=
-            client.next_batch().iter().filter(|r| matches!(r, Response::SafeRegion { .. })).count();
+        regions += exchange(&Request::Report { group: id, positions })
+            .iter()
+            .filter(|r| matches!(r, Response::SafeRegion { .. }))
+            .count();
     }
     assert!(regions > 0, "the trace must exercise real safe-region traffic");
 
-    client.send(&Request::Deregister { group: id });
-    let farewell = client.next_batch();
+    let farewell = exchange(&Request::Deregister { group: id });
     assert!(farewell
         .contains(&Response::Notification { group: id, kind: NotificationKind::Deregistered }));
-
-    assert_eq!(client.pos, client.raw.len(), "no trailing unparsed downlink");
-    client.raw
 }
 
 #[test]
-fn blocking_and_multiplexed_downlinks_are_byte_identical() {
-    // Path 1: the legacy blocking loop.
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind blocking");
-    let addr = listener.local_addr().expect("addr");
-    let server = thread::spawn(move || {
-        let (mut stream, _) = listener.accept().expect("accept");
-        let mut core = test_core();
-        serve_blocking(&mut stream, &mut core, 7).expect("serve");
-        assert_eq!(core.engine().group_count(), 0, "EOF deregisters whatever is left");
+fn multiplexed_downlink_is_byte_identical_to_the_in_process_core() {
+    // The reference: the core driven in-process, each tick's responses enveloped as the
+    // batch a transport would send.  Client ids never reach the wire, so any id will do.
+    const CLIENT: u64 = 7;
+    let mut core = test_core();
+    let mut core_bytes = Vec::new();
+    replay_trace(|request| {
+        core.enqueue(CLIENT, request.clone());
+        let output = core.process();
+        assert!(!core.has_work(), "one lock-step request is one tick");
+        assert!(output.responses.iter().all(|(to, _)| *to == CLIENT));
+        let batch: Vec<Response> = output.responses.into_iter().map(|(_, r)| r).collect();
+        encode_batch(&batch, &mut core_bytes);
+        batch
     });
-    let blocking_bytes = run_client(addr);
-    server.join().expect("blocking server thread");
+    assert_eq!(core.engine().group_count(), 0);
 
-    // Path 2: the multiplexed event loop, same core construction.
+    // The same trace over loopback TCP through the event loop, same core construction.
     let mut mux =
         MuxServer::bind("127.0.0.1:0", test_core(), MuxConfig::default()).expect("bind mux");
     let addr = mux.local_addr().expect("addr");
@@ -167,13 +167,18 @@ fn blocking_and_multiplexed_downlinks_are_byte_identical() {
             mux
         })
     };
-    let mux_bytes = run_client(addr);
+    let mut client = LockStep::connect(addr);
+    replay_trace(|request| {
+        client.send(request);
+        client.next_batch()
+    });
+    assert_eq!(client.pos, client.raw.len(), "no trailing unparsed downlink");
     stop.store(true, Ordering::Relaxed);
     let mux = server.join().expect("mux server thread");
     assert_eq!(mux.core().engine().group_count(), 0);
 
     assert_eq!(
-        blocking_bytes, mux_bytes,
-        "the two TCP front-ends must frame identical bytes for the same trace"
+        core_bytes, client.raw,
+        "the transport must frame exactly the bytes the core produced for the same trace"
     );
 }

@@ -22,8 +22,7 @@ use mpn::mobility::poi::{clustered_pois, PoiConfig};
 use mpn::mobility::waypoint::{random_waypoint, WaypointConfig};
 use mpn::mobility::Trajectory;
 use mpn::sim::{
-    MonitorConfig, MonitoringEngine, MonitoringMetrics, TickExecutor, Traffic, TrajectoryFeed,
-    WorldChange,
+    MonitorConfig, MonitoringEngine, MonitoringMetrics, Traffic, TrajectoryFeed, WorldChange,
 };
 use proptest::collection::vec as prop_vec;
 use proptest::prelude::*;
@@ -93,14 +92,9 @@ proptest! {
 
         // Single shard on both sides: ticks are serial, so within a tick the first group of
         // each duplicated trajectory inserts and its twin *deterministically* hits.
-        let mut cached = MonitoringEngine::with_executor(
-            Arc::clone(&tree),
-            1,
-            TickExecutor::work_stealing(),
-        )
-        .with_query_cache(QueryCache::new());
-        let mut plain =
-            MonitoringEngine::with_executor(Arc::clone(&tree), 1, TickExecutor::ScopedThreads);
+        let mut cached =
+            MonitoringEngine::new(Arc::clone(&tree), 1).with_query_cache(QueryCache::new());
+        let mut plain = MonitoringEngine::new(Arc::clone(&tree), 1);
         for group in &fleet {
             cached.register(TrajectoryFeed::from_group(group), config);
             plain.register(TrajectoryFeed::from_group(group), config);
