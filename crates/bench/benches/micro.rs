@@ -18,11 +18,9 @@
 //! * index pruning on/off (Theorem 3),
 //! * R-tree GNN query cost,
 //! * tile-region compression encode/decode throughput,
-//! * `mpn-proto` wire codec round-trip throughput (report and safe-region frames),
-//! * (with `--features bench`) heap allocations per steady-state monitoring tick, counted
-//!   by a global allocator shim — quiet ticks must allocate nothing, and warm-cache
-//!   recompute ticks must allocate only per-session answer bookkeeping (the query path
-//!   itself — probe build, cache lookup, GNN staging — is pinned allocation-free).
+//! * `mpn-proto` wire codec round-trip throughput (report and safe-region frames).
+//!
+//! The allocation gates of the tick hot path are a tier-1 test (`tests/alloc_gates.rs`).
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -39,54 +37,6 @@ use mpn_mobility::poi::{clustered_pois, PoiConfig};
 use mpn_mobility::Trajectory;
 use mpn_proto::{Request, Response};
 use mpn_sim::{MonitorConfig, MonitoringEngine, TickExecutor, TrajectoryFeed};
-
-/// Counting global allocator, compiled in only under the `bench` feature.
-///
-/// Counts every `alloc`/`realloc`/`alloc_zeroed` call (frees are not interesting here: the
-/// zero-allocation assertions care about allocation *pressure*, and a path that allocates
-/// and frees per tick still churns the allocator).  The counter is relaxed — the allocs
-/// sections run single-threaded over a single-shard engine, so there is no ordering to
-/// protect.
-#[cfg(feature = "bench")]
-mod counting_alloc {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-    struct CountingAlloc;
-
-    // SAFETY: defers every operation to `System`; the counter has no effect on the
-    // returned memory.
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            unsafe { System.alloc(layout) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            unsafe { System.dealloc(ptr, layout) }
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            unsafe { System.alloc_zeroed(layout) }
-        }
-    }
-
-    #[global_allocator]
-    static ALLOC: CountingAlloc = CountingAlloc;
-
-    /// Total allocation calls since process start.
-    pub fn allocations() -> u64 {
-        ALLOCATIONS.load(Ordering::Relaxed)
-    }
-}
 
 fn poi_tree(n: usize) -> RTree {
     let pois = clustered_pois(&PoiConfig { count: n, domain: 10_000.0, ..PoiConfig::default() }, 7);
@@ -375,145 +325,6 @@ fn main() {
             // same work bursts 2x on a shared host); the schedule facts are asserted above.
             println!(
                 "  skewed speedup: stealing {speedup:.2}x vs one-job-per-shard ({cores} cores)"
-            );
-        }
-    }
-
-    // Allocation pressure of the tick hot path (`--features bench` only).  A single-shard
-    // engine ticks fully inline — no live-shard vector, no executor bookkeeping — so every
-    // allocation counted here comes from the monitoring path itself.
-    #[cfg(feature = "bench")]
-    {
-        const GROUPS: usize = 16;
-        const TICKS: u64 = 64;
-        let tree = Arc::new(poi_tree(2_000));
-        let config = MonitorConfig::new(Objective::Max, Method::circle());
-
-        // Quiet steady state: stationary groups never violate their regions after the
-        // registration tick, so every tick is pure violation checking.  With the hot/cold
-        // session split, the reused per-session location buffers and the single-shard tick
-        // fast path, this must not touch the heap at all.
-        if "allocs/quiet_tick_steady".contains(filter.as_str()) {
-            let stationary: Arc<Vec<Trajectory>> =
-                Arc::new(users(3).iter().map(|p| Trajectory::new(vec![*p; 200_000])).collect());
-            let mut quiet =
-                MonitoringEngine::new(Arc::clone(&tree), 1).with_query_cache(QueryCache::new());
-            for _ in 0..GROUPS {
-                quiet.register(TrajectoryFeed::new(Arc::clone(&stationary)), config);
-            }
-            for _ in 0..4 {
-                quiet.tick(); // registration + warm-up: every capacity reaches steady state
-            }
-            let before = counting_alloc::allocations();
-            for _ in 0..TICKS {
-                black_box(quiet.tick());
-            }
-            let total = counting_alloc::allocations() - before;
-            println!("allocs/quiet_tick_steady {total:>30} allocations / {TICKS} ticks");
-            assert_eq!(total, 0, "a steady-state quiet tick must not allocate");
-            assert!(!quiet.is_finished(), "horizon exhausted mid-count");
-        }
-
-        // Warm-cache recompute: a two-position oscillation violates every safe region on
-        // every tick, so every session recomputes — but after one cold round the shared
-        // query cache replays both parities, and the probe key is staged in the per-worker
-        // scratch arena.  The query path (probe build, cache lookup, GNN staging) is
-        // allocation-free; what remains is per-session answer bookkeeping, pinned to a
-        // small constant per recomputation.
-        if "allocs/warm_recompute_tick".contains(filter.as_str()) {
-            let near = users(3);
-            let osc: Arc<Vec<Trajectory>> = Arc::new(
-                near.iter()
-                    .map(|p| {
-                        let far = Point::new(p.x + 500.0, p.y + 300.0);
-                        Trajectory::new(
-                            (0..200_000).map(|t| if t % 2 == 0 { *p } else { far }).collect(),
-                        )
-                    })
-                    .collect(),
-            );
-            let mut busy =
-                MonitoringEngine::new(Arc::clone(&tree), 1).with_query_cache(QueryCache::new());
-            for _ in 0..GROUPS {
-                busy.register(TrajectoryFeed::new(Arc::clone(&osc)), config);
-            }
-            for _ in 0..4 {
-                busy.tick(); // registration + both oscillation parities go cold → warm
-            }
-            let before = counting_alloc::allocations();
-            for _ in 0..TICKS {
-                black_box(busy.tick());
-            }
-            let total = counting_alloc::allocations() - before;
-            let per_recompute = total as f64 / (TICKS * GROUPS as u64) as f64;
-            println!(
-                "allocs/warm_recompute_tick {total:>28} allocations / {TICKS} ticks \
-                 ({per_recompute:.2} per recomputation)"
-            );
-            assert!(
-                per_recompute <= 3.0,
-                "a warm-cache circle recomputation must stay within its answer bookkeeping \
-                 (violator list + region vector), got {per_recompute:.2} allocations"
-            );
-            assert!(!busy.is_finished(), "horizon exhausted mid-count");
-        }
-
-        // Tile verification: with warm summaries the verify loop itself never touches the
-        // heap (pass and fail path), and a whole warm Tile-D-b recompute — buffer reused,
-        // per-thread verifier scratch grown by the priming run — allocates only what it
-        // hands back (two growing vectors per region, the answer) plus the seed query and
-        // the per-layer tile streams: a count that depends on the output, not on the
-        // thousands of (tile, candidate) pairs verified on the way.
-        if "allocs/tile_recompute_warm".contains(filter.as_str()) {
-            for ring_radius in [5_000.0, 30.0] {
-                let GtFixture { anchors, regions, tile, candidates } = gt_fixture(ring_radius);
-                let mut verifier = TileVerifier::default();
-                verifier.begin(Objective::Max, Point::ORIGIN, &anchors);
-                let mut stats = ComputeStats::default();
-                let mut pass = || {
-                    for candidate in &candidates {
-                        black_box(verifier.accepts(&regions, 0, &tile, [*candidate], &mut stats));
-                    }
-                };
-                pass(); // first touch builds every candidate's tables
-                let before = counting_alloc::allocations();
-                pass();
-                let total = counting_alloc::allocations() - before;
-                assert_eq!(total, 0, "warm GT-Verify must not allocate (ring {ring_radius})");
-            }
-
-            let tree = poi_tree(8_000);
-            let group = users(3);
-            let method = Method::tile_directed_buffered(std::f64::consts::FRAC_PI_4, 100);
-            let engine = method.engine();
-            let ctx = EngineContext::new(&tree, Objective::Max);
-            let mut session = SessionState::new(group.len(), 0.3).with_persistent_buffers(true);
-            session.observe(&group);
-            black_box(engine.compute(ctx, &group, &mut session)); // builds buffer and scratch
-            let before = counting_alloc::allocations();
-            let answer = engine.compute(ctx, &group, &mut session);
-            let total = counting_alloc::allocations() - before;
-            assert_eq!(answer.stats.rtree_queries, 1, "the recompute must reuse the buffer");
-            let pairs = answer.stats.candidates_checked;
-            // Per region: two vectors doubling from capacity 4, and per browsed layer a ring
-            // vector plus its sort buffer; 32 covers the seed query and answer bookkeeping.
-            let bound: usize = answer
-                .regions
-                .iter()
-                .map(|region| {
-                    let tiles = region.uncompressed_value_count() / 3;
-                    2 * (tiles.max(4).ilog2() as usize) + 2 * (tiles + 1)
-                })
-                .sum::<usize>()
-                + 32;
-            println!(
-                "allocs/tile_recompute_warm {total:>28} allocations / recompute \
-                 ({pairs} pairs verified, output bound {bound})"
-            );
-            assert!(
-                total as usize <= bound,
-                "a warm Tile-D-b recompute allocated {total} times for {pairs} verified \
-                 pairs; its output accounts for at most {bound}"
             );
         }
     }

@@ -107,12 +107,6 @@ impl CompressedTileRegion {
     pub fn value_count(&self) -> usize {
         4 + self.words.len()
     }
-
-    /// Number of TCP packets needed to transmit the region (§7.1 packet model).
-    #[must_use]
-    pub fn packet_count(&self) -> usize {
-        self.value_count().div_ceil(VALUES_PER_PACKET)
-    }
 }
 
 fn pack_cell(cell: TileCell) -> Result<u32, CompressError> {
@@ -228,7 +222,7 @@ mod tests {
         assert_eq!(packets_for_values(200), 3);
         let region = sample_region();
         let encoded = CompressedTileRegion::encode(&region).unwrap();
-        assert_eq!(encoded.packet_count(), 1);
+        assert_eq!(packets_for_values(encoded.value_count()), 1);
     }
 
     #[test]

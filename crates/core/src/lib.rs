@@ -20,13 +20,12 @@
 //! | §6 Alg. 6, Thm. 5–7 | the sum-optimal variant | [`tile_verify`], [`circle`], [`buffer`] |
 //! | §7.1 packet model | lossless tile-region compression | [`compress`] |
 //!
-//! # Architecture: engines and sessions
+//! # Architecture: one method description, sessions
 //!
-//! Computation is dispatched through the open [`SafeRegionEngine`] trait ([`engine`]):
-//! [`CircleEngine`] and [`TileEngine`] implement the two families above, and new region
-//! families plug in by implementing the trait — neither [`MpnServer`] nor the monitoring
-//! layer in `mpn-sim` enumerates them.  [`Method`] remains as a plain *description* of a
-//! configuration that resolves to an engine via [`Method::engine`].
+//! [`Method`] is the one description of a safe-region configuration (Circle, or a Tile-MSR
+//! configuration) and the one implementor of the [`SafeRegionEngine`] trait ([`engine`]),
+//! the seam [`MpnServer`], the monitoring layer in `mpn-sim` and the benchmark compute
+//! through; [`Method::engine`] boxes it for callers that hold a trait object.
 //!
 //! The paper's server is stateful: between updates for the same group it keeps the per-user
 //! heading predictors, the §5.4 GNN buffer and the last answer.  [`SessionState`]
@@ -70,7 +69,7 @@ pub use circle::{circle_msr, CircleMsr, DEFAULT_RADIUS_CAP};
 pub use compress::{
     packets_for_values, region_value_count, CompressedTileRegion, VALUES_PER_PACKET,
 };
-pub use engine::{CircleEngine, EngineContext, SafeRegionEngine, TileEngine};
+pub use engine::{EngineContext, SafeRegionEngine};
 pub use ordering::TileOrdering;
 pub use region::{SafeRegion, TileCell, TileFrame, TileRegion};
 pub use server::{Answer, Method, MpnServer};

@@ -96,12 +96,6 @@ impl TileStream {
         self.exhausted && self.cursor >= self.queue.len()
     }
 
-    /// Current layer index (1 = the ring immediately around the seed tile).
-    #[must_use]
-    pub fn layer(&self) -> i32 {
-        self.layer
-    }
-
     fn advance_layer(&mut self) {
         self.layer += 1;
         self.accepted_in_layer = false;

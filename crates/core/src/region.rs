@@ -206,12 +206,6 @@ impl SafeRegion {
         }
     }
 
-    /// Maximum distance from `anchor` to any point of the region — the `r†ᵢ` of Theorem 3.
-    #[must_use]
-    pub fn reach_from(&self, anchor: Point) -> f64 {
-        self.max_dist(anchor)
-    }
-
     /// Whether the region is degenerate (covers nothing).
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -312,7 +306,7 @@ mod tests {
         let c = SafeRegion::Circle(Circle::new(Point::new(0.0, 0.0), 2.0));
         assert!(c.contains(Point::new(1.0, 1.0)));
         assert_eq!(c.uncompressed_value_count(), 3);
-        assert!((c.reach_from(Point::new(3.0, 0.0)) - 5.0).abs() < 1e-12);
+        assert!((c.max_dist(Point::new(3.0, 0.0)) - 5.0).abs() < 1e-12);
 
         let mut tiles = TileRegion::with_seed(frame());
         tiles.push(TileCell::new(0, 0, 1));

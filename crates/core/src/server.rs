@@ -5,19 +5,16 @@
 //! optimal meeting point plus one safe region per user — exactly the reply of "Step 3" in the
 //! system architecture of Fig. 3.
 //!
-//! Dispatch is open: [`Method`] is only a *description* of a configuration; the actual
-//! computation is performed by the [`SafeRegionEngine`](crate::engine::SafeRegionEngine) the
-//! description resolves to via [`Method::engine`].  New safe-region families plug in by
-//! implementing the trait — the server and the monitoring layer never enumerate them.  For
-//! continuous monitoring, [`MpnServer::compute_session`] threads a per-group
-//! [`SessionState`] through the engine so heading predictors and §5.4 GNN buffers persist
-//! across updates.
+//! [`Method`] is the one description of a safe-region configuration; it computes through its
+//! [`SafeRegionEngine`] implementation (`crate::engine`).  For continuous monitoring,
+//! [`MpnServer::compute_session`] threads a per-group [`SessionState`] through the method so
+//! heading predictors and §5.4 GNN buffers persist across updates.
 
 use mpn_geom::Point;
 use mpn_index::IndexView;
 
 use crate::circle::DEFAULT_RADIUS_CAP;
-use crate::engine::{CircleEngine, EngineContext, SafeRegionEngine, TileEngine};
+use crate::engine::{EngineContext, SafeRegionEngine};
 use crate::region::SafeRegion;
 use crate::session::SessionState;
 use crate::tile::TileMsrConfig;
@@ -69,16 +66,21 @@ impl Method {
         }
     }
 
-    /// Resolves this description to the engine that implements it.
+    /// Whether this method ever reads the session's predicted headings.
     ///
-    /// The two built-in families map to [`CircleEngine`] and [`TileEngine`]; callers that
-    /// bring their own [`SafeRegionEngine`] implementation can bypass `Method` entirely.
+    /// Circle-MSR does not, which lets the monitoring layer skip the per-epoch
+    /// [`SessionState::observe`] call — one `atan2` per user on the tick hot path — for
+    /// circle groups: the predictor state would be write-only, so not writing it is
+    /// unobservable.
+    #[must_use]
+    pub fn uses_headings(&self) -> bool {
+        matches!(self, Method::Tile(_))
+    }
+
+    /// This method as a boxed [`SafeRegionEngine`], for callers that hold a trait object.
     #[must_use]
     pub fn engine(&self) -> Box<dyn SafeRegionEngine> {
-        match self {
-            Method::Circle { radius_cap } => Box::new(CircleEngine::new(*radius_cap)),
-            Method::Tile(config) => Box::new(TileEngine::new(*config)),
-        }
+        Box::new(*self)
     }
 }
 
@@ -134,40 +136,18 @@ impl Answer {
 }
 
 /// Server-side safe-region computation bound to a POI index.
-///
-/// The engine is resolved from the method once at construction and reused for every query
-/// (`compute` sits in hot loops, so no per-call boxing).
 #[derive(Debug)]
 pub struct MpnServer<'a> {
     view: IndexView<'a>,
     objective: Objective,
     method: Method,
-    engine: Box<dyn SafeRegionEngine>,
 }
 
 impl<'a> MpnServer<'a> {
     /// Creates a server over the POI index (a `&RTree`, `&Arc<RTree>` or `&WorldView`).
     #[must_use]
     pub fn new(tree: impl Into<IndexView<'a>>, objective: Objective, method: Method) -> Self {
-        Self { view: tree.into(), objective, method, engine: method.engine() }
-    }
-
-    /// The configured objective.
-    #[must_use]
-    pub fn objective(&self) -> Objective {
-        self.objective
-    }
-
-    /// The configured safe-region method.
-    #[must_use]
-    pub fn method(&self) -> Method {
-        self.method
-    }
-
-    /// The POI index view served.
-    #[must_use]
-    pub fn view(&self) -> IndexView<'a> {
-        self.view
+        Self { view: tree.into(), objective, method }
     }
 
     /// Computes the optimal meeting point and safe regions for the current user locations.
@@ -184,11 +164,11 @@ impl<'a> MpnServer<'a> {
         users: &[Point],
         headings: Option<&[Option<f64>]>,
     ) -> Answer {
-        self.engine.compute_stateless(self.context(), users, headings)
+        self.method.compute_stateless(self.context(), users, headings)
     }
 
     /// Stateful computation for continuous monitoring: reads the predicted headings from the
-    /// session, lets the engine reuse any persistent state (e.g. the §5.4 GNN buffer) and
+    /// session, lets the method reuse any persistent state (e.g. the §5.4 GNN buffer) and
     /// records the answer back into the session.
     ///
     /// The answer is owned by the session (also available as [`SessionState::last_answer`])
@@ -200,7 +180,7 @@ impl<'a> MpnServer<'a> {
         users: &[Point],
         session: &'s mut SessionState,
     ) -> &'s Answer {
-        self.engine.compute(self.context(), users, session)
+        self.method.compute(self.context(), users, session)
     }
 
     fn context(&self) -> EngineContext<'a> {

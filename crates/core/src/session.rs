@@ -115,9 +115,6 @@ impl SessionState {
     /// footprint).  The heading predictors — a few floats per user — are untouched; callers
     /// tearing a session down fully (e.g. a monitoring server's deregistration path) drop the
     /// whole `SessionState` right after.
-    ///
-    /// Called when a group deregisters from a long-lived monitoring server, so teardown of
-    /// the heavy state is explicit rather than relying on the session being dropped promptly.
     pub fn reclaim(&mut self) {
         self.buffer = None;
         self.last_answer = None;

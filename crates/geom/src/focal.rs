@@ -96,16 +96,6 @@ pub fn min_focal_diff_over_square(p_prime: Point, p_opt: Point, tile: &Square) -
     best
 }
 
-/// Maximum of the focal difference over a square tile.
-///
-/// By symmetry `max f = −min (‖p_opt, l‖ − ‖p_prime, l‖)`, so this reuses the minimiser with
-/// the foci swapped.  It is used by tests and by diagnostic tooling; the verification
-/// algorithms themselves only need the minimum.
-#[must_use]
-pub fn max_focal_diff_over_square(p_prime: Point, p_opt: Point, tile: &Square) -> f64 {
-    -min_focal_diff_over_square(p_opt, p_prime, tile)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,30 +162,6 @@ mod tests {
         let p = Point::new(1.0, 1.0);
         let tile = Square::new(Point::new(5.0, 5.0), 2.0);
         assert!(min_focal_diff_over_square(p, p, &tile).abs() < 1e-12);
-    }
-
-    #[test]
-    fn max_is_negation_of_swapped_min() {
-        let p_prime = Point::new(-2.0, 1.0);
-        let p_opt = Point::new(1.0, -1.0);
-        let tile = Square::new(Point::new(0.5, 2.0), 3.0);
-        let max = max_focal_diff_over_square(p_prime, p_opt, &tile);
-        let brute = {
-            let r = tile.to_rect();
-            let mut best = f64::NEG_INFINITY;
-            for i in 0..=300 {
-                for j in 0..=300 {
-                    let l = Point::new(
-                        r.lo.x + r.width() * f64::from(i) / 300.0,
-                        r.lo.y + r.height() * f64::from(j) / 300.0,
-                    );
-                    best = best.max(focal_diff(p_prime, p_opt, l));
-                }
-            }
-            best
-        };
-        assert!(max >= brute - 1e-6);
-        assert!((max - brute).abs() < 1e-3);
     }
 
     #[test]

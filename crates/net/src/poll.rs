@@ -71,16 +71,6 @@ pub fn set_send_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
     sockopt::set_buffer(fd, sockopt::SO_SNDBUF, bytes)
 }
 
-/// Pins a socket's kernel **receive** buffer to roughly `bytes` — same caveats as
-/// [`set_send_buffer`].  Beware that shrinking the receive side of an active connection
-/// introduces TCP zero-window persist-timer stalls under load; prefer pinning the send side.
-///
-/// # Errors
-/// Propagates the OS error (e.g. a bad descriptor).
-pub fn set_recv_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
-    sockopt::set_buffer(fd, sockopt::SO_RCVBUF, bytes)
-}
-
 mod sockopt {
     use std::io;
     use std::os::fd::RawFd;
@@ -89,15 +79,11 @@ mod sockopt {
     const SOL_SOCKET: i32 = 1;
     #[cfg(target_os = "linux")]
     pub const SO_SNDBUF: i32 = 7;
-    #[cfg(target_os = "linux")]
-    pub const SO_RCVBUF: i32 = 8;
 
     #[cfg(all(unix, not(target_os = "linux")))]
     const SOL_SOCKET: i32 = 0xffff;
     #[cfg(all(unix, not(target_os = "linux")))]
     pub const SO_SNDBUF: i32 = 0x1001;
-    #[cfg(all(unix, not(target_os = "linux")))]
-    pub const SO_RCVBUF: i32 = 0x1002;
 
     extern "C" {
         fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;

@@ -268,6 +268,43 @@ fn mid_session_disconnect_deregisters_owned_groups() {
     assert_eq!(server.core().backlog(), 0, "inbox epochs of the dead client are reclaimed");
 }
 
+/// A ~20-byte `Register` declaring four billion users must cost the hostile connection a
+/// `BadRequest` and nothing else: the server neither aborts on the allocation nor stalls the
+/// loop, the connection stays open, and another client's session keeps receiving regions.
+#[test]
+fn an_absurd_group_size_is_refused_without_disturbing_other_sessions() {
+    let mut server =
+        MuxServer::bind("127.0.0.1:0", test_core(), MuxConfig::default()).expect("bind");
+    let mut tenant = Client::connect(&server);
+    let mut hostile = Client::connect(&server);
+    pump(&mut server, 2);
+
+    let mut group = feed(1_300, 2, 8);
+    tenant.send(
+        &Request::Register { group_size: group.group_size() as u32, config: circle_config() }
+            .encoded(),
+    );
+    let id = registered_id(&tenant.read_batch(&mut server));
+    let positions = group.next_epoch().expect("epoch");
+    tenant.send(&Request::Report { group: id, positions }.encoded());
+    tenant.read_batch(&mut server);
+
+    hostile.send(&Request::Register { group_size: u32::MAX, config: circle_config() }.encoded());
+    assert_eq!(
+        hostile.read_batch(&mut server),
+        vec![Response::Notification { group: u64::MAX, kind: NotificationKind::BadRequest }]
+    );
+    assert_eq!(server.connection_count(), 2, "a refused request does not close the connection");
+    assert_eq!(server.core().engine().group_count(), 1);
+
+    // The tenant is still served: a jump across the domain leaves her region and is answered.
+    let mut positions = group.next_epoch().expect("epoch");
+    positions.iter_mut().for_each(|p| p.x += 900.0);
+    tenant.send(&Request::Report { group: id, positions }.encoded());
+    let answer = tenant.read_batch(&mut server);
+    assert!(answer.iter().any(|r| matches!(r, Response::SafeRegion { .. })), "{answer:?}");
+}
+
 /// Queues registrations and one report epoch for `groups` two-user groups, without ever
 /// reading the downlink — the slow-reader setup both backpressure tests start from.  The
 /// uplink is queued, not written: the tests deliver it with `flush_uplink` as the (shrunken)

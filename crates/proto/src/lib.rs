@@ -2,11 +2,11 @@
 //!
 //! The paper's system architecture (Fig. 3) is a client/server protocol: clients stream
 //! location reports uplink, the server answers downlink with safe regions, probes and
-//! notifications.  The simulation layer in `mpn-sim` has always *accounted* for these
-//! messages (its `Message`/`Traffic` cost model); this crate makes them **real**: a
-//! transport-independent [`Request`] / [`Response`] pair with a compact length-prefixed
-//! binary [`codec`], usable in-process (a queue of decoded values) or over any byte stream
-//! (`std::net::TcpStream` in `examples/network_monitoring.rs`).
+//! notifications.  This crate holds those messages — a transport-independent [`Request`] /
+//! [`Response`] pair with a compact length-prefixed binary [`codec`], usable in-process (a
+//! queue of decoded values) or over any byte stream (`std::net::TcpStream` in
+//! `examples/network_monitoring.rs`) — and what each of them costs in the paper's packet
+//! model.
 //!
 //! # Message shapes
 //!
@@ -37,20 +37,22 @@
 //! # Cost accounting
 //!
 //! The paper's evaluation measures communication in TCP packets of
-//! [`VALUES_PER_PACKET`](mpn_core::VALUES_PER_PACKET) double-precision values (§7.1).  Every
-//! protocol message exposes [`values`](Request::values) / [`packets`](Request::packets)
-//! under exactly that model, **pinned equal** to the simulation's `Message` cost model
-//! (`tests/proto_parity.rs`): a single-user report costs what a `Message::location_report`
-//! costs, a probe request one value, and a safe-region response `2 +`
-//! [`region_value_count`](mpn_core::region_value_count) values.  A multi-user
+//! [`VALUES_PER_PACKET`](mpn_core::VALUES_PER_PACKET) double-precision values (§7.1).  The
+//! cost of the three Fig. 3 messages is defined **once**, here: one user's location on the
+//! uplink is [`LOCATION_VALUES`] (a step-1 report and a step-2 probe reply alike), a probe
+//! is [`PROBE_VALUES`], and a step-3 notification is [`notification_values`] — the meeting
+//! point plus [`region_value_count`].
+//! [`values`](Request::values) / [`packets`](Request::packets) of every protocol message
+//! are written in terms of them, and the monitoring sessions of `mpn-sim` charge the same
+//! three definitions to their traffic tally, so the wire and the simulated figures cannot
+//! drift apart (`tests/proto_parity.rs` pins the absolute numbers).  A multi-user
 //! [`Request::Report`] is accounted as its constituent per-user reports — the users'
 //! uplinks are physically separate transmissions, the batch is only the server-side framing.
 //! The byte [`codec`] is an implementation detail underneath this model (and at 9 bytes per
 //! tile it is itself well under the 24-byte plain-double encoding).
 //!
 //! Control-plane messages (`Register`, `Deregister`, `Notification`) have no counterpart in
-//! the paper's Fig. 3 accounting; they are charged their literal payload (1–2 values) and
-//! excluded from the parity pin.
+//! the paper's Fig. 3 accounting; they are charged their literal payload (1–2 values).
 
 #![forbid(unsafe_code)]
 
@@ -60,6 +62,21 @@ pub use codec::{read_frame, DecodeError, FrameReader, MAX_FRAME_LEN};
 
 use mpn_core::{packets_for_values, region_value_count, Method, Objective, SafeRegion};
 use mpn_geom::Point;
+
+/// §7.1 cost of one user's location on the uplink — her coordinates — whether she reports
+/// on her own (step 1 of Fig. 3) or answers a probe (step 2).
+pub const LOCATION_VALUES: usize = 2;
+
+/// §7.1 cost of a step-2 probe: it carries only the query identifier.
+pub const PROBE_VALUES: usize = 1;
+
+/// §7.1 cost of a step-3 notification to one user: the meeting point's coordinates plus her
+/// safe region ([`region_value_count`]; `compress` selects the lossless tile encoding, circles
+/// are always 3 plain values).
+#[must_use]
+pub fn notification_values(region: &SafeRegion, compress: bool) -> usize {
+    2 + region_value_count(region, compress)
+}
 
 /// Server-assigned identifier of a monitored group, carried by every post-registration
 /// message (`mpn-sim`'s dense `GroupId`, widened for the wire).
@@ -257,7 +274,8 @@ pub enum NotificationKind {
     /// The addressed group is not registered (never was, or already deregistered).
     UnknownGroup,
     /// The request was malformed at the protocol level: a report whose batch does not hold
-    /// one position per user, or a registration for an empty group.
+    /// one position per user, or a registration for an empty group or for one too large to
+    /// ever fit a report frame ([`MAX_FRAME_LEN`]` / 16` users).
     BadRequest,
     /// The admin request was applied; the notification's `group` field carries the POI id
     /// the change concerned (the freshly assigned id of an insert, or the deleted id).
@@ -272,14 +290,14 @@ pub enum NotificationKind {
 impl Request {
     /// Payload size of this message in §7.1 double-precision values.
     ///
-    /// A [`Report`](Request::Report) is 2 values per contained position (each user's
-    /// coordinates); the control-plane messages are charged their literal payload.
+    /// A [`Report`](Request::Report) is [`LOCATION_VALUES`] per contained position; the
+    /// control-plane messages are charged their literal payload.
     #[must_use]
     pub fn values(&self) -> usize {
         match self {
             // Control plane: group size + config word.
             Request::Register { .. } => 2,
-            Request::Report { positions, .. } => 2 * positions.len(),
+            Request::Report { positions, .. } => LOCATION_VALUES * positions.len(),
             Request::Deregister { .. } => 1,
             // An insert carries one coordinate pair, a delete one id.
             Request::Admin(AdminRequest::PoiInsert { .. }) => 2,
@@ -290,12 +308,13 @@ impl Request {
     /// Number of §7.1 TCP packets this message costs.
     ///
     /// A [`Report`](Request::Report) batch is accounted as its constituent per-user
-    /// transmissions (each user uplinks separately; the batch is server-side framing), which
-    /// pins it to `Message::location_report` / `Message::probe_reply` of the simulation.
+    /// transmissions (each user uplinks separately; the batch is server-side framing).
     #[must_use]
     pub fn packets(&self) -> usize {
         match self {
-            Request::Report { positions, .. } => positions.len() * packets_for_values(2),
+            Request::Report { positions, .. } => {
+                positions.len() * packets_for_values(LOCATION_VALUES)
+            }
             other => packets_for_values(other.values()),
         }
     }
@@ -304,15 +323,14 @@ impl Request {
 impl Response {
     /// Payload size of this message in §7.1 double-precision values.
     ///
-    /// A [`SafeRegion`](Response::SafeRegion) costs the meeting point (2 values) plus the
-    /// shared region payload definition [`region_value_count`] — `compress` chooses the
-    /// paper's compressed tile encoding, exactly like the group's
+    /// A [`SafeRegion`](Response::SafeRegion) costs [`notification_values`] — `compress`
+    /// chooses the paper's compressed tile encoding, exactly like the group's
     /// `MonitorConfig::compress_regions`.
     #[must_use]
     pub fn values(&self, compress: bool) -> usize {
         match self {
-            Response::SafeRegion { region, .. } => 2 + region_value_count(region, compress),
-            Response::ProbeRequest { .. } => 1,
+            Response::SafeRegion { region, .. } => notification_values(region, compress),
+            Response::ProbeRequest { .. } => PROBE_VALUES,
             Response::Notification { .. } => 1,
             // Generation stamp + revised-region count.
             Response::WorldUpdate { .. } => 2,

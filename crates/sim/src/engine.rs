@@ -640,22 +640,6 @@ impl MonitoringEngine {
         self.exec_totals
     }
 
-    /// Creates an engine with one shard per available CPU.
-    #[must_use]
-    pub fn with_default_shards(tree: impl Into<Arc<RTree>>) -> Self {
-        let shards = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        Self::new(tree, shards)
-    }
-
-    /// The *base* R-tree of the engine's POI world (without any overlay changes applied).
-    ///
-    /// Callers that must see the current POI content — including un-compacted inserts and
-    /// deletes — read [`world`](MonitoringEngine::world) instead.
-    #[must_use]
-    pub fn tree(&self) -> &Arc<RTree> {
-        self.world.base()
-    }
-
     /// The engine's mutable POI world (base index plus delta overlay).
     #[must_use]
     pub fn world(&self) -> &WorldView {
@@ -711,9 +695,9 @@ impl MonitoringEngine {
 
     /// Removes a group from monitoring, reclaiming its session state.
     ///
-    /// The session is torn down via [`GroupSession::retire`] (dropping the cached §5.4 GNN
-    /// buffer, the last answer, any queued epochs and undrained events along with the heading
-    /// predictors) and its accumulated metrics are returned.  A copy of those metrics is
+    /// The session is dropped (the cached §5.4 GNN buffer, the last answer, any queued epochs
+    /// and undrained events along with the heading predictors) and its accumulated metrics
+    /// are returned.  A copy of those metrics is
     /// retained in the shard directory: counted by
     /// [`retired_count`](MonitoringEngine::retired_count), included in
     /// [`fleet_metrics`](MonitoringEngine::fleet_metrics) and
@@ -736,7 +720,7 @@ impl MonitoringEngine {
         self.shards[shard].free_slots.push(slot);
         self.shards[shard].weight =
             self.shards[shard].weight.saturating_sub(session_weight(&session));
-        let metrics = session.retire();
+        let metrics = session.into_metrics();
         self.directory[id] = DirectoryEntry::Retired(Box::new(metrics.clone()));
         self.free_ids.push(id);
         Some(metrics)

@@ -24,61 +24,27 @@ pub struct WorkloadSummary {
     pub mean_compute_time: Duration,
     /// Mean packets per timestamp across groups.
     pub packets_per_timestamp: f64,
-    /// Mean total packets per group.
-    pub packets_per_group: f64,
     /// Mean R-tree queries per safe-region computation.
     pub rtree_queries_per_update: f64,
     /// Per-group metrics for detailed inspection.
     pub per_group: Vec<MonitoringMetrics>,
 }
 
-impl WorkloadSummary {
-    /// Formats the summary as one CSV row: `freq,packets/ts,mean_time_us`.
-    #[must_use]
-    pub fn csv_row(&self) -> String {
-        format!(
-            "{:.6},{:.4},{:.1}",
-            self.update_frequency,
-            self.packets_per_timestamp,
-            self.mean_compute_time.as_secs_f64() * 1e6
-        )
-    }
-}
-
 /// Runs one monitoring configuration over every group of the workload and averages the results.
 ///
-/// Since the stateful refactor this drives a [`MonitoringEngine`] with a **single shard**:
-/// the paper's figures report per-update CPU time, and timing safe-region computations while
-/// other shards compete for cores would inflate those numbers relative to the historical
-/// serial replay.  Counters and timings are therefore both comparable to the pre-refactor
-/// driver.  Use [`run_workload_sharded`] when only the protocol counters matter and
-/// wall-clock speed does.
+/// This drives a [`MonitoringEngine`] with a **single shard**: the paper's figures report
+/// per-update CPU time, and timing safe-region computations while other shards compete for
+/// cores would inflate those numbers.  The engine shares its POI index via `Arc` and replays
+/// each group through a [`TrajectoryFeed`], so the tree and the workload's groups are cloned
+/// once per call — a one-off memcpy that is negligible against the monitoring compute it
+/// feeds.
 #[must_use]
 pub fn run_workload(
     tree: &RTree,
     workload: &GroupWorkload,
     config: &MonitorConfig,
 ) -> WorkloadSummary {
-    run_workload_sharded(tree, workload, config, 1)
-}
-
-/// Like [`run_workload`] but with an explicit shard count.
-///
-/// With more than one shard the protocol counters (updates, packets, R-tree work) are
-/// unchanged — groups are independent — but the per-update CPU times are measured under
-/// multi-core contention and should not be compared against serial runs.
-///
-/// The owned-session engine shares its POI index via `Arc` and replays each group through a
-/// [`TrajectoryFeed`], so the tree and the workload's groups are cloned once per call — a
-/// one-off memcpy that is negligible against the monitoring compute it feeds.
-#[must_use]
-pub fn run_workload_sharded(
-    tree: &RTree,
-    workload: &GroupWorkload,
-    config: &MonitorConfig,
-    num_shards: usize,
-) -> WorkloadSummary {
-    let mut engine = MonitoringEngine::new(tree.clone(), num_shards);
+    let mut engine = MonitoringEngine::new(tree.clone(), 1);
     for group in workload.iter() {
         engine.register(TrajectoryFeed::from_group(group), *config);
     }
@@ -95,8 +61,6 @@ pub fn summarize(per_group: Vec<MonitoringMetrics>) -> WorkloadSummary {
     let updates_per_group = per_group.iter().map(|m| m.updates as f64).sum::<f64>() / groups as f64;
     let packets_per_timestamp =
         per_group.iter().map(MonitoringMetrics::packets_per_timestamp).sum::<f64>() / groups as f64;
-    let packets_per_group =
-        per_group.iter().map(|m| m.packets() as f64).sum::<f64>() / groups as f64;
     let total_updates: usize = per_group.iter().map(|m| m.updates).sum();
     let total_time: Duration = per_group.iter().map(|m| m.compute_time).sum();
     let mean_compute_time =
@@ -110,7 +74,6 @@ pub fn summarize(per_group: Vec<MonitoringMetrics>) -> WorkloadSummary {
         updates_per_group,
         mean_compute_time,
         packets_per_timestamp,
-        packets_per_group,
         rtree_queries_per_update,
         per_group,
     }
@@ -147,8 +110,6 @@ mod tests {
         assert!(summary.packets_per_timestamp > 0.0);
         assert!(summary.updates_per_group >= 1.0);
         assert!(summary.rtree_queries_per_update >= 1.0);
-        let row = summary.csv_row();
-        assert_eq!(row.split(',').count(), 3);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Stateful client–server monitoring for meeting-point notification.
 //!
-//! This crate glues the safe-region engines (`mpn-core`), the POI index (`mpn-index`) and the
+//! This crate glues the safe-region methods (`mpn-core`), the POI index (`mpn-index`) and the
 //! workload generators (`mpn-mobility`) into the monitoring protocol of Fig. 3 and measures
 //! what the paper's evaluation measures:
 //!
@@ -10,18 +10,19 @@
 //!
 //! # Architecture: own-and-consume
 //!
-//! Since the owned-session refactor nothing in the monitoring stack borrows workload data;
-//! position input flows *into* the server as owned per-epoch batches, which is what a real
-//! deployment looks like.  The stack has four layers:
+//! Nothing in the monitoring stack borrows workload data; position input flows *into* the
+//! server as owned per-epoch batches, which is what a real deployment looks like.  The stack
+//! has three layers:
 //!
 //! * [`GroupSession`] ([`monitor`]) — the protocol state machine of *one* moving group.  It
-//!   owns its engine, its [`mpn_core::SessionState`] (heading predictors, §5.4 GNN buffer,
-//!   last answer) and its metrics, and **consumes** one epoch of owned positions per
+//!   owns its configuration (objective and safe-region `Method`), its
+//!   [`mpn_core::SessionState`] (heading predictors, §5.4 GNN buffer, last answer) and its
+//!   metrics, and **consumes** one epoch of owned positions per
 //!   [`advance`](GroupSession::advance): either batches queued via
 //!   [`submit`](GroupSession::submit) (streaming) or epochs played back by a
-//!   [`TrajectoryFeed`] (replay — a thin adapter over `Arc`-shared recorded trajectories,
-//!   counter-bit-identical to the historical borrowing replay).  A session without a
-//!   timestamp cap has an **open horizon**: it monitors until deregistered.
+//!   [`TrajectoryFeed`] (replay — a thin adapter over `Arc`-shared recorded trajectories).
+//!   A session without a timestamp cap has an **open horizon**: it monitors until
+//!   deregistered.
 //! * [`MonitoringEngine`] ([`engine`]) — a churning fleet of sessions sharded over a
 //!   persistent worker pool and advanced one epoch per [`tick`](MonitoringEngine::tick).
 //!   The engine owns its POI index as a [`mpn_index::WorldView`] (a shared base R-tree
@@ -36,9 +37,11 @@
 //!   wire-shaped `Request`s drained into sharded ticks, with the sessions'
 //!   [`SessionEvent`]s routed back to the client owning each group (probe requests,
 //!   safe-region assignments).  The core is transport-agnostic and multi-tenant.
-//! * [`Message`] / [`Traffic`] ([`message`]) — the §7.1 cost model (packets of 67 doubles),
-//!   shared with `mpn-proto`'s wire accounting through
-//!   [`mpn_core::region_value_count`].
+//!
+//! Communication cost follows the §7.1 packet model (packets of 67 doubles).  What a Fig. 3
+//! message costs is defined once, in `mpn-proto`; a session charges those costs to its
+//! [`Traffic`] tally ([`metrics`]), so the simulated figures and the wire accounting are the
+//! same numbers by construction.
 //!
 //! # The core and its one transport
 //!
@@ -141,7 +144,7 @@
 //!   per-query heap allocations.  Pool workers persist across ticks, so each worker's
 //!   arenas warm once and are reused for the engine's lifetime; single-shard engines
 //!   additionally tick through an allocation-free fast path (asserted by the counting
-//!   allocator in `mpn-bench`'s `benches/micro.rs` under `--features bench`).
+//!   allocator of the tier-1 test `tests/alloc_gates.rs`).
 //!
 //! # Engine-wide snapshots
 //!
@@ -155,16 +158,16 @@
 //! metrics never grow.  Reports are cumulative; phase-based tools snapshot at phase
 //! boundaries and diff the counters.
 //!
-//! [`run_monitoring`] remains as the single-group compatibility wrapper (bit-identical
-//! counters to the historical stateless loop, pinned by `tests/engine_parity.rs`) and
-//! [`experiment::run_workload`] drives a whole multi-group workload through the engine,
-//! which is how every figure of the paper is reproduced by `mpn-bench`.
+//! [`run_monitoring`] drives one replay session to its horizon (its counters are pinned
+//! bit-identical to the reference loop in `tests/engine_parity.rs`) and
+//! [`experiment::run_workload`] drives a whole multi-group workload through a one-shard
+//! engine, which is how `mpn-bench`'s `figures` binary reproduces — and checks — every
+//! figure of the paper.
 
 #![forbid(unsafe_code)]
 
 pub mod engine;
 pub mod experiment;
-pub mod message;
 pub mod metrics;
 pub mod monitor;
 pub mod server;
@@ -173,9 +176,8 @@ pub use engine::{
     EpochUpdate, GroupId, InvalidationSummary, MonitoringEngine, SubmitError, TickExecCounters,
     TickExecutor, TickSummary, WorldChange, OPEN_HORIZON_WEIGHT,
 };
-pub use experiment::{run_workload, run_workload_sharded, WorkloadSummary};
-pub use message::{Message, MessageKind, Traffic};
-pub use metrics::{EngineReport, MonitoringMetrics, ShardLoad};
+pub use experiment::{run_workload, WorkloadSummary};
+pub use metrics::{EngineReport, MonitoringMetrics, ShardLoad, Traffic};
 pub use monitor::{
     run_monitoring, GroupSession, MonitorConfig, SessionEvent, StepOutcome, TrajectoryFeed,
 };

@@ -1,13 +1,61 @@
 //! Metrics collected by a monitoring run: the three measures of Section 7.1, plus the
 //! per-shard load counters of the fleet engine.
+//!
+//! Communication is measured in TCP packets: one packet carries at most
+//! `(576 − 40) / 8 = 67` double-precision values (Section 7.1).  What each Fig. 3 message
+//! costs in values is defined once, in `mpn-proto` (`LOCATION_VALUES`, `PROBE_VALUES`,
+//! `notification_values`); [`Traffic`] only turns values into packets and tallies them by
+//! direction.
 
 use std::time::Duration;
 
-use mpn_core::ComputeStats;
+use mpn_core::{packets_for_values, ComputeStats};
 use mpn_index::CacheStats;
 
 use crate::engine::TickExecCounters;
-use crate::message::Traffic;
+
+/// Tally of messages and packets exchanged during a monitoring run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Traffic {
+    /// Total messages sent (all kinds, both directions).
+    pub messages: usize,
+    /// Total TCP packets sent.
+    pub packets: usize,
+    /// Packets sent from clients to the server (uplink).
+    pub uplink_packets: usize,
+    /// Packets sent from the server to clients (downlink).
+    pub downlink_packets: usize,
+}
+
+impl Traffic {
+    /// Records one client → server message of `values` double-precision values (a location
+    /// report or a probe reply).
+    pub fn record_uplink(&mut self, values: usize) {
+        self.uplink_packets += self.record(values);
+    }
+
+    /// Records one server → client message of `values` double-precision values (a probe or
+    /// a result notification).
+    pub fn record_downlink(&mut self, values: usize) {
+        self.downlink_packets += self.record(values);
+    }
+
+    /// Counts one message of `values` values in the totals; returns its packets.
+    fn record(&mut self, values: usize) -> usize {
+        let packets = packets_for_values(values);
+        self.messages += 1;
+        self.packets += packets;
+        packets
+    }
+
+    /// Merges another tally into this one.
+    pub fn absorb(&mut self, other: &Traffic) {
+        self.messages += other.messages;
+        self.packets += other.packets;
+        self.uplink_packets += other.uplink_packets;
+        self.downlink_packets += other.downlink_packets;
+    }
+}
 
 /// Load snapshot of one engine shard (see
 /// [`MonitoringEngine::shard_loads`](crate::MonitoringEngine::shard_loads)).
@@ -35,14 +83,6 @@ pub struct ShardLoad {
     pub starved_ticks: usize,
     /// Remaining work: the sum of the sessions' remaining (or open-horizon) epoch weights.
     pub weight: usize,
-}
-
-impl ShardLoad {
-    /// Whether the shard would be woken by the next tick.
-    #[must_use]
-    pub fn is_live(&self) -> bool {
-        self.live > 0
-    }
 }
 
 /// One coherent engine-wide snapshot: everything a
@@ -176,6 +216,63 @@ impl MonitoringMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpn_core::{SafeRegion, TileCell, TileFrame, TileRegion};
+    use mpn_geom::{Circle, Point};
+    use mpn_proto::{notification_values, LOCATION_VALUES, PROBE_VALUES};
+
+    #[test]
+    fn small_messages_fit_one_packet() {
+        let mut t = Traffic::default();
+        t.record_uplink(LOCATION_VALUES);
+        assert_eq!((t.packets, t.uplink_packets), (1, 1));
+        t.record_downlink(PROBE_VALUES);
+        assert_eq!((t.packets, t.downlink_packets), (2, 1));
+    }
+
+    #[test]
+    fn circle_notification_is_one_packet() {
+        let region = SafeRegion::Circle(Circle::new(Point::ORIGIN, 5.0));
+        assert_eq!(notification_values(&region, true), 5);
+        let mut t = Traffic::default();
+        t.record_downlink(notification_values(&region, true));
+        assert_eq!(t.packets, 1);
+    }
+
+    #[test]
+    fn tile_notification_packets_depend_on_compression() {
+        let mut tiles = TileRegion::with_seed(TileFrame::centered_at(Point::ORIGIN, 2.0));
+        for i in 1..=120 {
+            tiles.push(TileCell::new(0, i, 0));
+        }
+        let region = SafeRegion::Tiles(tiles);
+        let plain = notification_values(&region, false);
+        let compressed = notification_values(&region, true);
+        // 121 tiles * 3 values + 2 > 5 packets uncompressed; compressed fits in 2.
+        assert_eq!(plain, 2 + 3 * 121);
+        assert!(packets_for_values(plain) >= 5);
+        assert!(compressed < plain / 3);
+        assert!(packets_for_values(compressed) <= 2);
+    }
+
+    #[test]
+    fn traffic_tallies_direction_correctly() {
+        let mut t = Traffic::default();
+        t.record_uplink(LOCATION_VALUES);
+        t.record_downlink(PROBE_VALUES);
+        t.record_uplink(LOCATION_VALUES);
+        let region = SafeRegion::Circle(Circle::new(Point::ORIGIN, 1.0));
+        t.record_downlink(notification_values(&region, true));
+        assert_eq!(t.messages, 4);
+        assert_eq!(t.packets, 4);
+        assert_eq!(t.uplink_packets, 2);
+        assert_eq!(t.downlink_packets, 2);
+
+        let mut total = Traffic::default();
+        total.absorb(&t);
+        total.absorb(&t);
+        assert_eq!(total.messages, 8);
+        assert_eq!(total.packets, 8);
+    }
 
     #[test]
     fn frequencies_and_means_handle_empty_runs() {

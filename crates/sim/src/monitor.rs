@@ -1,9 +1,9 @@
 //! The per-group monitoring state machine, message-driven and fully owned.
 //!
-//! [`GroupSession`] owns everything the server keeps for one moving group: the safe-region
-//! engine, the per-group [`SessionState`] (heading predictors, §5.4 GNN buffer, last answer)
-//! and the accumulated metrics.  Since the owned-session refactor a session does **not**
-//! borrow trajectory data; it consumes one *epoch* of owned user positions per
+//! [`GroupSession`] owns everything the server keeps for one moving group: its configuration
+//! (objective and safe-region [`Method`]), the per-group [`SessionState`] (heading
+//! predictors, §5.4 GNN buffer, last answer) and the accumulated metrics.  A session does
+//! **not** borrow trajectory data; it consumes one *epoch* of owned user positions per
 //! [`advance`](GroupSession::advance) call, drawn from two sources:
 //!
 //! * **submitted batches** ([`GroupSession::submit`]) — the streaming path: a network
@@ -11,8 +11,8 @@
 //!   [`submit`](crate::engine::MonitoringEngine::submit)) queues each epoch's positions into
 //!   the session inbox as they arrive off the wire;
 //! * **a [`TrajectoryFeed`]** — the replay path: a thin adapter that plays a recorded
-//!   trajectory set back one epoch per advance, exactly like the historical borrowing replay
-//!   (and bit-identical in every counter, see `tests/engine_parity.rs`).
+//!   trajectory set back one epoch per advance (every counter bit-identical to the
+//!   reference loop in `tests/engine_parity.rs`).
 //!
 //! Each consumed epoch replays one timestamp of the protocol of Fig. 3: the first epoch
 //! registers the query (every user reports once, the server computes and notifies); each
@@ -26,9 +26,8 @@
 //! [`MonitoringEngine`](crate::engine::MonitoringEngine) can advance many of them from worker
 //! threads.  With an event log enabled ([`GroupSession::with_events`]) a session records the
 //! per-user protocol sends of each epoch as [`SessionEvent`]s, which
-//! [`ServerCore`](crate::server::ServerCore) turns into `mpn-proto` responses.  The legacy single-group entry point [`run_monitoring`] drives one replay
-//! session to its horizon; with the default configuration its metrics (updates, packets,
-//! work counters) are bit-identical to the historical stateless loop.
+//! [`ServerCore`](crate::server::ServerCore) turns into `mpn-proto` responses.
+//! [`run_monitoring`] drives one replay session to its horizon.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -39,8 +38,9 @@ use mpn_geom::Point;
 use mpn_index::{IndexView, RTree};
 use mpn_mobility::Trajectory;
 
+use mpn_proto::{notification_values, LOCATION_VALUES, PROBE_VALUES};
+
 use crate::engine::WorldChange;
-use crate::message::Message;
 use crate::metrics::MonitoringMetrics;
 
 /// Configuration of a monitoring run.
@@ -60,8 +60,8 @@ pub struct MonitorConfig {
     pub max_timestamps: Option<usize>,
     /// Whether the session keeps its §5.4 GNN buffer alive across updates (Tile-D-b only).
     ///
-    /// Off (the default) every buffered update rebuilds the buffer, exactly like the
-    /// historical stateless loop; on, the buffer is rebuilt only when the optimum moves or
+    /// Off (the default) every buffered update rebuilds the buffer, exactly like the one-shot
+    /// API; on, the buffer is rebuilt only when the optimum moves or
     /// the group strays from the buffer anchors, roughly halving R-tree queries per update.
     pub persist_buffers: bool,
 }
@@ -119,7 +119,7 @@ pub enum StepOutcome {
 ///
 /// Events carry owned copies of the shipped payloads (the meeting point and the user's
 /// region), so a front-end can serialise them long after the session has moved on.  They are
-/// recorded **in addition to** the [`Traffic`](crate::message::Traffic) accounting, which is
+/// recorded **in addition to** the [`Traffic`](crate::metrics::Traffic) accounting, which is
 /// unchanged either way.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SessionEvent {
@@ -198,12 +198,6 @@ impl TrajectoryFeed {
         self.cursor < self.horizon
     }
 
-    /// Number of epochs already fed.
-    #[must_use]
-    pub fn epochs_fed(&self) -> usize {
-        self.cursor
-    }
-
     /// The next epoch's positions as an owned batch, or `None` when exhausted.
     ///
     /// This is the convenience used to pump a feed *into* a streaming session or over a
@@ -238,11 +232,6 @@ pub(crate) const INBOX_HIGH_WATER: usize = 32;
 #[derive(Debug)]
 pub struct GroupSession {
     config: MonitorConfig,
-    engine: Box<dyn SafeRegionEngine>,
-    /// Cached [`SafeRegionEngine::uses_headings`]: when `false` (circle groups) the
-    /// per-epoch [`SessionState::observe`] call — one `atan2` per user — is skipped, since
-    /// the predictor state would be write-only.
-    headings_needed: bool,
     session: SessionState,
     metrics: MonitoringMetrics,
     /// The current epoch's positions (reused across epochs in the replay path).
@@ -265,8 +254,7 @@ impl GroupSession {
     /// Creates a replay session over a recorded trajectory feed.
     ///
     /// The session's horizon is the feed's ([`TrajectoryFeed::horizon`]), capped by
-    /// [`MonitorConfig::max_timestamps`] — exactly the horizon of the historical borrowing
-    /// replay.
+    /// [`MonitorConfig::max_timestamps`].
     #[must_use]
     pub fn replay(feed: TrajectoryFeed, config: MonitorConfig) -> Self {
         let horizon = feed.horizon();
@@ -293,10 +281,7 @@ impl GroupSession {
         assert!(group_size > 0, "monitoring requires at least one user trajectory");
         let session = SessionState::new(group_size, config.heading_smoothing)
             .with_persistent_buffers(config.persist_buffers);
-        let engine = config.method.engine();
         Self {
-            headings_needed: engine.uses_headings(),
-            engine,
             session,
             metrics: MonitoringMetrics::new(group_size),
             locations: Vec::with_capacity(group_size),
@@ -420,21 +405,6 @@ impl GroupSession {
         self.events.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
-    /// Tears the session down on deregistration: explicitly reclaims the engine state
-    /// retained between updates (the §5.4 GNN buffer and the last answer, via
-    /// [`SessionState::reclaim`]) before extracting the metrics.  Queued epochs, the feed
-    /// and any undrained events are dropped with the session.
-    ///
-    /// Functionally this drops the same memory `into_metrics` would, but the explicit
-    /// reclaim keeps the teardown order observable — a long-lived server deregistering a
-    /// group must not keep dead caches alive through some stray reference.
-    #[must_use]
-    pub fn retire(mut self) -> MonitoringMetrics {
-        self.session.reclaim();
-        debug_assert!(!self.session.has_cached_buffer(), "reclaim must drop the cached GNN buffer");
-        self.metrics
-    }
-
     /// Consumes the next epoch of the protocol.
     ///
     /// The epoch's positions come from the inbox ([`submit`](GroupSession::submit)) first,
@@ -468,7 +438,8 @@ impl GroupSession {
         }
 
         let t = self.next_t;
-        if self.headings_needed {
+        // Circle groups skip the predictors (one `atan2` per user): nothing would read them.
+        if self.config.method.uses_headings() {
             self.session.observe(&self.locations);
         }
 
@@ -476,7 +447,7 @@ impl GroupSession {
             // Query registration: every user reports her location once and receives the first
             // answer (counted like any other update).
             for _ in 0..self.group_size {
-                self.metrics.traffic.record(Message::location_report());
+                self.metrics.traffic.record_uplink(LOCATION_VALUES);
             }
             self.compute_and_notify(view);
             self.registered = true;
@@ -498,13 +469,13 @@ impl GroupSession {
 
         // Step 1: each violating user reports her location.
         for _ in &violators {
-            self.metrics.traffic.record(Message::location_report());
+            self.metrics.traffic.record_uplink(LOCATION_VALUES);
         }
         // Step 2: the server probes every other user, who replies.
         let others = self.group_size - violators.len();
         for _ in 0..others {
-            self.metrics.traffic.record(Message::probe());
-            self.metrics.traffic.record(Message::probe_reply());
+            self.metrics.traffic.record_downlink(PROBE_VALUES);
+            self.metrics.traffic.record_uplink(LOCATION_VALUES);
         }
         if self.events.is_some() {
             let mut violating = violators.iter().copied().peekable();
@@ -554,11 +525,11 @@ impl GroupSession {
         true
     }
 
-    /// Runs one safe-region computation through the engine and pushes the notifications.
+    /// Runs one safe-region computation and pushes the notifications.
     fn compute_and_notify(&mut self, view: IndexView<'_>) {
         let ctx = EngineContext::new(view, self.config.objective);
         let start = Instant::now();
-        let answer = self.engine.compute(ctx, &self.locations, &mut self.session);
+        let answer = self.config.method.compute(ctx, &self.locations, &mut self.session);
         let elapsed = start.elapsed();
         self.metrics.record_update(elapsed, &answer.stats);
         debug_assert!(
@@ -568,7 +539,7 @@ impl GroupSession {
         for (user, region) in answer.regions.iter().enumerate() {
             self.metrics
                 .traffic
-                .record(Message::result_notification(region, self.config.compress_regions));
+                .record_downlink(notification_values(region, self.config.compress_regions));
             if let Some(log) = &mut self.events {
                 log.push(SessionEvent::Assigned {
                     user,
@@ -582,10 +553,10 @@ impl GroupSession {
 
 /// Replays one user group against the server and collects metrics.
 ///
-/// This is the single-group compatibility wrapper over a [`GroupSession::replay`] session:
-/// with the default configuration (no persistent buffers) the resulting updates, packets and
-/// work counters are bit-identical to the historical stateless monitoring loop
-/// (`tests/engine_parity.rs` pins this).  The trajectories are cloned once into the feed.
+/// A single-group wrapper over a [`GroupSession::replay`] session: with the default
+/// configuration (no persistent buffers) the resulting updates, packets and work counters
+/// are bit-identical to the reference loop in `tests/engine_parity.rs`.  The trajectories
+/// are cloned once into the feed.
 ///
 /// # Panics
 /// Panics when the group is empty or the POI tree is empty.

@@ -42,6 +42,7 @@ use mpn_geom::Point;
 use mpn_index::RTree;
 use mpn_proto::{
     AdminRequest, NotificationKind, Request, Response, WireConfig, WireGroupId, WireMethod,
+    MAX_FRAME_LEN,
 };
 
 use crate::engine::{
@@ -54,6 +55,11 @@ use crate::monitor::{GroupSession, MonitorConfig, SessionEvent};
 /// Front-ends allocate these (monotonically — ids are never reused, unlike poll tokens or
 /// group ids, so a recycled connection slot can never inherit a dead client's groups).
 pub type ClientId = u64;
+
+/// Largest group a client may register.  A [`Request::Report`] carries 16 bytes per user, so
+/// a larger group could never send one inside [`MAX_FRAME_LEN`] — while registering it would
+/// make the server allocate per declared user before a single position arrived.
+const MAX_GROUP_SIZE: usize = MAX_FRAME_LEN / 16;
 
 /// Resolves a client-chosen [`WireConfig`] to the server-side monitoring configuration
 /// (server defaults fill everything the wire does not carry, e.g. the heading smoothing).
@@ -265,7 +271,7 @@ impl ServerCore {
                     WireMethod::TileDirected { theta }
                     | WireMethod::TileDirectedBuffered { theta, .. } => theta.is_finite(),
                 };
-                if group_size == 0 || !finite_config {
+                if group_size == 0 || group_size > MAX_GROUP_SIZE || !finite_config {
                     out.push((client, notification(u64::MAX, NotificationKind::BadRequest)));
                     return;
                 }
@@ -523,6 +529,28 @@ mod tests {
         assert!(responses.contains(&notification(id, NotificationKind::BadRequest)));
         assert_eq!(server.engine().group_metrics(0).updates, 0);
         assert_eq!(server.last_summary().expect("processed").starved, 1);
+    }
+
+    /// A declared group size costs memory per user before any position arrives, so sizes no
+    /// `Report` frame could ever carry are refused instead of allocated.
+    #[test]
+    fn oversized_groups_are_rejected_before_anything_is_allocated() {
+        let (tree, _) = world();
+        let mut server = ServerCore::new(tree, 1);
+        let cap = u32::try_from(MAX_GROUP_SIZE).expect("fits the wire");
+        let register =
+            |group_size: u32| Request::Register { group_size, config: WireConfig::default() };
+        for group_size in [u32::MAX, cap + 1] {
+            server.enqueue(CLIENT, register(group_size));
+            assert_eq!(
+                process(&mut server),
+                vec![notification(u64::MAX, NotificationKind::BadRequest)]
+            );
+            assert_eq!(server.engine().group_count(), 0, "nothing was registered");
+        }
+        server.enqueue(CLIENT, register(cap));
+        registered_id(&process(&mut server));
+        assert_eq!(server.engine().group_count(), 1, "the cap itself is a legal group");
     }
 
     /// NaN or infinite coordinates never reach the engine: the report earns `BadRequest`,

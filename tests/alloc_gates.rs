@@ -1,0 +1,227 @@
+//! Allocation gates of the monitoring hot path, counted by a global allocator shim.
+//!
+//! Three facts the tick path and the tile verifier are built around, asserted as counts
+//! (never a wall-clock ratio):
+//!
+//! * a steady-state quiet tick — every user inside her region — allocates **nothing**;
+//! * a warm-cache Circle recomputation allocates only its answer bookkeeping (the violator
+//!   list and the region vector): the query path itself — probe build, cache lookup, GNN
+//!   staging — is allocation-free;
+//! * warm GT-Verify allocates nothing on its pass and its fail path, and a whole warm
+//!   Tile-D-b recompute allocates in proportion to its *output*, not to the thousands of
+//!   (tile, candidate) pairs it verifies.
+//!
+//! The counter is thread-local: `cargo test` runs the tests of this binary on parallel
+//! threads, and a single-shard engine ticks inline on the calling thread, so each test
+//! counts exactly its own allocations.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::hint::black_box;
+use std::sync::Arc;
+
+use mpn::core::{
+    ComputeStats, EngineContext, Method, Objective, SafeRegionEngine, SessionState, TileCell,
+    TileFrame, TileRegion, TileVerifier,
+};
+use mpn::geom::Point;
+use mpn::index::{QueryCache, RTree};
+use mpn::mobility::poi::{clustered_pois, PoiConfig};
+use mpn::mobility::Trajectory;
+use mpn::sim::{MonitorConfig, MonitoringEngine, TrajectoryFeed};
+
+thread_local! {
+    // Const-initialised and without a destructor: reading it never allocates and never
+    // observes a torn-down slot, which is what lets the allocator itself touch it.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts every `alloc` / `realloc` / `alloc_zeroed` call of the current thread (frees are
+/// not interesting: a path that allocates and frees per tick still churns the allocator).
+struct CountingAlloc;
+
+fn count() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: defers every operation to `System` unchanged; the thread-local counter has no
+// effect on the returned memory and never allocates (see `ALLOCATIONS`).
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's `GlobalAlloc::alloc` contract is passed through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator with the same layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr` came from `System` through this allocator with the same layout.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's `GlobalAlloc::alloc_zeroed` contract is passed through.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Allocation calls this thread made while running `f`.
+fn allocations_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+fn poi_tree(n: usize) -> RTree {
+    let pois = clustered_pois(&PoiConfig { count: n, domain: 10_000.0, ..PoiConfig::default() }, 7);
+    RTree::bulk_load(&pois)
+}
+
+fn users(m: usize) -> Vec<Point> {
+    (0..m)
+        .map(|i| Point::new(4_000.0 + 300.0 * i as f64, 5_000.0 + 170.0 * (i as f64).sin() * 200.0))
+        .collect()
+}
+
+const GROUPS: usize = 16;
+const TICKS: u64 = 64;
+
+/// A single-shard engine (it ticks fully inline: no live-shard vector, no executor
+/// bookkeeping) over `GROUPS` Circle groups sharing one recording, ticked to steady state:
+/// registration plus enough epochs for every capacity and both cache parities to warm.
+fn warm_engine(recording: Vec<Trajectory>) -> MonitoringEngine {
+    let recording = Arc::new(recording);
+    let config = MonitorConfig::new(Objective::Max, Method::circle());
+    let mut engine =
+        MonitoringEngine::new(Arc::new(poi_tree(2_000)), 1).with_query_cache(QueryCache::new());
+    for _ in 0..GROUPS {
+        engine.register(TrajectoryFeed::new(Arc::clone(&recording)), config);
+    }
+    for _ in 0..4 {
+        engine.tick();
+    }
+    engine
+}
+
+/// Stationary groups never violate their regions after the registration tick, so every tick
+/// is pure violation checking.  With the hot/cold session split, the reused per-session
+/// location buffers and the single-shard tick fast path, that must not touch the heap.
+#[test]
+fn quiet_tick_steady() {
+    let mut quiet =
+        warm_engine(users(3).iter().map(|p| Trajectory::new(vec![*p; 1_000])).collect());
+    let (total, ()) = allocations_during(|| {
+        for _ in 0..TICKS {
+            black_box(quiet.tick());
+        }
+    });
+    assert_eq!(total, 0, "a steady-state quiet tick must not allocate");
+    assert!(!quiet.is_finished(), "horizon exhausted mid-count");
+}
+
+/// A two-position oscillation violates every safe region on every tick, so every session
+/// recomputes — but after one cold round the shared query cache replays both parities, and
+/// the probe key is staged in the per-worker scratch arena.
+#[test]
+fn warm_recompute_tick() {
+    let osc = users(3)
+        .iter()
+        .map(|p| {
+            let far = Point::new(p.x + 500.0, p.y + 300.0);
+            Trajectory::new((0..1_000).map(|t| if t % 2 == 0 { *p } else { far }).collect())
+        })
+        .collect();
+    let mut busy = warm_engine(osc);
+    let (total, ()) = allocations_during(|| {
+        for _ in 0..TICKS {
+            black_box(busy.tick());
+        }
+    });
+    let per_recompute = total as f64 / (TICKS * GROUPS as u64) as f64;
+    assert!(
+        per_recompute <= 3.0,
+        "a warm-cache circle recomputation must stay within its answer bookkeeping \
+         (violator list + region vector), got {per_recompute:.2} allocations"
+    );
+    assert!(!busy.is_finished(), "horizon exhausted mid-count");
+}
+
+#[test]
+fn tile_recompute_warm() {
+    // GT-Verify: three users with 5 x 5 tiles each around the origin, a tile one step beyond
+    // user 0's region, and 1,000 candidates on a ring — at radius 5,000 every pair passes
+    // the whole-region check, at radius 30 every pair runs the Theorem 2 fold and fails.
+    let anchors = [Point::new(-40.0, 10.0), Point::new(35.0, 25.0), Point::new(5.0, -45.0)];
+    let regions: Vec<TileRegion> = anchors
+        .iter()
+        .map(|anchor| {
+            let mut region = TileRegion::new(TileFrame::centered_at(*anchor, 8.0));
+            for ix in -2..=2 {
+                for iy in -2..=2 {
+                    region.push(TileCell::new(0, ix, iy));
+                }
+            }
+            region
+        })
+        .collect();
+    let tile = regions[0].frame().square(TileCell::new(0, 3, 0));
+    for ring_radius in [5_000.0, 30.0] {
+        let candidates: Vec<(Point, usize)> = (0..1_000)
+            .map(|k| {
+                let angle = f64::from(k) * std::f64::consts::TAU / 1_000.0;
+                (Point::new(ring_radius * angle.cos(), ring_radius * angle.sin()), k as usize)
+            })
+            .collect();
+        let mut verifier = TileVerifier::default();
+        verifier.begin(Objective::Max, Point::ORIGIN, &anchors);
+        let mut stats = ComputeStats::default();
+        let mut pass = || {
+            for candidate in &candidates {
+                black_box(verifier.accepts(&regions, 0, &tile, [*candidate], &mut stats));
+            }
+        };
+        pass(); // first touch builds every candidate's tables
+        let (total, ()) = allocations_during(pass);
+        assert_eq!(total, 0, "warm GT-Verify must not allocate (ring {ring_radius})");
+    }
+
+    // A whole warm Tile-D-b recompute — buffer reused, per-thread verifier scratch grown by
+    // the priming run — allocates only what it hands back (two growing vectors per region,
+    // the answer) plus the seed query and the per-layer tile streams.
+    let tree = poi_tree(8_000);
+    let group = users(3);
+    let method = Method::tile_directed_buffered(std::f64::consts::FRAC_PI_4, 100);
+    let ctx = EngineContext::new(&tree, Objective::Max);
+    let mut session = SessionState::new(group.len(), 0.3).with_persistent_buffers(true);
+    session.observe(&group);
+    black_box(method.compute(ctx, &group, &mut session)); // builds buffer and scratch
+    let (total, answer) = allocations_during(|| method.compute(ctx, &group, &mut session));
+    assert_eq!(answer.stats.rtree_queries, 1, "the recompute must reuse the buffer");
+    assert!(total > 0, "the answer's region vectors are heap-allocated: the counter is blind");
+    // Per region: two vectors doubling from capacity 4, and per browsed layer a ring vector
+    // plus its sort buffer; 32 covers the seed query and answer bookkeeping.
+    let bound: usize = answer
+        .regions
+        .iter()
+        .map(|region| {
+            let tiles = region.uncompressed_value_count() / 3;
+            2 * (tiles.max(4).ilog2() as usize) + 2 * (tiles + 1)
+        })
+        .sum::<usize>()
+        + 32;
+    assert!(
+        total as usize <= bound,
+        "a warm Tile-D-b recompute allocated {total} times for {} verified pairs; its output \
+         accounts for at most {bound}",
+        answer.stats.candidates_checked
+    );
+}

@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use mpn::core::{Method, MpnServer, Objective};
+use mpn::core::{region_value_count, Method, MpnServer, Objective};
 use mpn::geom::{HeadingPredictor, Point};
 use mpn::index::WorldView;
 use mpn::index::{QueryCache, RTree};
@@ -27,9 +27,8 @@ use mpn::mobility::poi::{clustered_pois, PoiConfig};
 use mpn::mobility::waypoint::{random_waypoint, taxi_trajectory, TaxiConfig, WaypointConfig};
 use mpn::mobility::Trajectory;
 use mpn::sim::{
-    run_monitoring, EpochUpdate, GroupSession, Message, MonitorConfig, MonitoringEngine,
-    MonitoringMetrics, StepOutcome, TickExecutor, TickSummary, Traffic, TrajectoryFeed,
-    WorldChange,
+    run_monitoring, EpochUpdate, GroupSession, MonitorConfig, MonitoringEngine, MonitoringMetrics,
+    StepOutcome, TickExecutor, TickSummary, Traffic, TrajectoryFeed, WorldChange,
 };
 use proptest::collection::vec as prop_vec;
 use proptest::prelude::*;
@@ -57,7 +56,9 @@ struct Counters {
 
 /// The original stateless monitoring loop, verbatim from the pre-refactor implementation:
 /// per-update heading prediction, violation detection, step 1–3 message accounting, with the
-/// server recomputing from scratch every time.  This is the parity baseline.
+/// server recomputing from scratch every time.  This is the parity baseline; it charges the
+/// literal §7.1 costs (2 values per reported location, 1 per probe, meeting point + region
+/// per notification) rather than naming `mpn-proto`'s definitions, so it pins them too.
 fn legacy_run_monitoring(tree: &RTree, group: &[Trajectory], config: &MonitorConfig) -> Counters {
     let horizon = group.iter().map(Trajectory::len).min().unwrap_or(0);
     let horizon = config.max_timestamps.map_or(horizon, |cap| horizon.min(cap));
@@ -75,14 +76,14 @@ fn legacy_run_monitoring(tree: &RTree, group: &[Trajectory], config: &MonitorCon
         predictor.observe(*location);
     }
     for _ in group {
-        traffic.record(Message::location_report());
+        traffic.record_uplink(2);
     }
     let headings: Vec<Option<f64>> = predictors.iter().map(HeadingPredictor::predicted).collect();
     let mut answer = server.compute_with_headings(&locations, Some(&headings));
     updates += 1;
     stats.absorb(&answer.stats);
     for region in &answer.regions {
-        traffic.record(Message::result_notification(region, config.compress_regions));
+        traffic.record_downlink(2 + region_value_count(region, config.compress_regions));
     }
 
     for t in 1..horizon {
@@ -98,12 +99,12 @@ fn legacy_run_monitoring(tree: &RTree, group: &[Trajectory], config: &MonitorCon
             continue;
         }
         for _ in &violators {
-            traffic.record(Message::location_report());
+            traffic.record_uplink(2);
         }
         let others = group.len() - violators.len();
         for _ in 0..others {
-            traffic.record(Message::probe());
-            traffic.record(Message::probe_reply());
+            traffic.record_downlink(1);
+            traffic.record_uplink(2);
         }
         let headings: Vec<Option<f64>> =
             predictors.iter().map(HeadingPredictor::predicted).collect();
@@ -111,7 +112,7 @@ fn legacy_run_monitoring(tree: &RTree, group: &[Trajectory], config: &MonitorCon
         updates += 1;
         stats.absorb(&answer.stats);
         for region in &answer.regions {
-            traffic.record(Message::result_notification(region, config.compress_regions));
+            traffic.record_downlink(2 + region_value_count(region, config.compress_regions));
         }
     }
 
@@ -378,7 +379,7 @@ impl WalkEverythingOracle {
     fn deregister(&mut self, id: usize) -> bool {
         match self.sessions[id].take() {
             Some(session) => {
-                self.retired.push(session.retire());
+                self.retired.push(session.into_metrics());
                 true
             }
             None => false,

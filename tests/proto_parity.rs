@@ -1,23 +1,28 @@
-//! Pins the `mpn-proto` wire accounting to the simulation's `Message` cost model.
+//! Pins the `mpn-proto` wire accounting to the literal §7.1 costs.
 //!
 //! The paper's evaluation counts communication in §7.1 packets of 67 double-precision
-//! values.  `mpn-sim` has always accounted for the Fig. 3 messages through `Message` /
-//! `Traffic`; `mpn-proto` makes the same messages wire-real.  The two layers must charge
-//! **identical** values and packets for every data-plane message, or the network front-end
-//! would silently drift from every figure the simulation reproduces:
+//! values.  There is one definition of what a Fig. 3 message costs — `mpn-proto`'s
+//! `LOCATION_VALUES`, `PROBE_VALUES` and `notification_values`, which both the wire
+//! messages' `values` / `packets` and the monitoring sessions' `Traffic` tally are written
+//! in terms of — so there is no second model to compare against; these are absolute pins,
+//! and a change to any of them changes every figure the repository reproduces:
 //!
-//! * a single-user `Request::Report` ↔ `Message::location_report` / `Message::probe_reply`,
-//! * a multi-user `Request::Report` ↔ its constituent per-user reports,
-//! * `Response::ProbeRequest` ↔ `Message::probe`,
-//! * `Response::SafeRegion` ↔ `Message::result_notification`, compressed and plain, for
-//!   circle regions and for real tile regions produced by the server.
+//! * a reported user costs 2 values and 1 packet, alone or inside a batched
+//!   `Request::Report`,
+//! * a `Response::ProbeRequest` costs 1 value and 1 packet,
+//! * a `Response::SafeRegion` costs the meeting point (2 values) plus the region — 3 for a
+//!   circle; `region_value_count` for real tile regions produced by the server, compressed
+//!   and plain,
+//! * and a monitoring session's downlink tally is exactly the cost of the responses the
+//!   server core produced for it.
 
-use mpn::core::{Method, MpnServer, Objective, SafeRegion};
+use mpn::core::{packets_for_values, region_value_count, Method, MpnServer, Objective, SafeRegion};
 use mpn::geom::{Circle, Point};
 use mpn::index::RTree;
 use mpn::mobility::poi::{clustered_pois, PoiConfig};
-use mpn::proto::{AdminRequest, Request, Response};
-use mpn::sim::Message;
+use mpn::mobility::waypoint::{random_waypoint, WaypointConfig};
+use mpn::proto::{AdminRequest, Request, Response, WireConfig, WireMethod};
+use mpn::sim::ServerCore;
 
 fn report(positions: Vec<Point>) -> Request {
     Request::Report { group: 9, positions }
@@ -29,23 +34,21 @@ fn safe_region(region: SafeRegion) -> Response {
 
 #[test]
 fn single_user_reports_match_location_reports_and_probe_replies() {
+    // A step-1 location report and a step-2 probe reply are the same uplink: her coordinates.
     let wire = report(vec![Point::new(3.0, 4.0)]);
-    for message in [Message::location_report(), Message::probe_reply()] {
-        assert_eq!(wire.values(), message.values);
-        assert_eq!(wire.packets(), message.packets());
-    }
+    assert_eq!(wire.values(), 2);
+    assert_eq!(wire.packets(), 1);
 }
 
 #[test]
 fn batched_reports_cost_their_constituent_per_user_reports() {
     for users in 1..=40 {
         let wire = report((0..users).map(|i| Point::new(i as f64, 0.0)).collect());
-        let per_user = Message::location_report();
-        assert_eq!(wire.values(), users * per_user.values);
+        assert_eq!(wire.values(), 2 * users);
         assert_eq!(
             wire.packets(),
-            users * per_user.packets(),
-            "a {users}-user batch is {users} separate uplink transmissions"
+            users,
+            "a {users}-user batch is {users} separate single-packet uplink transmissions"
         );
     }
 }
@@ -53,9 +56,10 @@ fn batched_reports_cost_their_constituent_per_user_reports() {
 #[test]
 fn probe_requests_match_probe_messages() {
     let wire = Response::ProbeRequest { group: 9, user: 3 };
-    let message = Message::probe();
-    assert_eq!(wire.values(true), message.values);
-    assert_eq!(wire.packets(true), message.packets());
+    for compress in [true, false] {
+        assert_eq!(wire.values(compress), 1, "a probe carries only the query identifier");
+        assert_eq!(wire.packets(compress), 1);
+    }
 }
 
 #[test]
@@ -63,9 +67,8 @@ fn circle_safe_regions_match_result_notifications() {
     let region = SafeRegion::Circle(Circle::new(Point::new(5.0, 5.0), 2.0));
     for compress in [true, false] {
         let wire = safe_region(region.clone());
-        let message = Message::result_notification(&region, compress);
-        assert_eq!(wire.values(compress), message.values);
-        assert_eq!(wire.packets(compress), message.packets());
+        assert_eq!(wire.values(compress), 5, "meeting point + centre + radius");
+        assert_eq!(wire.packets(compress), 1);
     }
 }
 
@@ -91,8 +94,8 @@ fn admin_and_world_update_costs_are_pinned() {
 
 #[test]
 fn real_tile_regions_match_result_notifications_compressed_and_plain() {
-    // Regions straight out of the server, so the parity covers realistic tile counts (and
-    // the compressed encoding path), not hand-built toys.
+    // Regions straight out of the server, so the pin covers realistic tile counts (and the
+    // compressed encoding path), not hand-built toys.
     let pois =
         clustered_pois(&PoiConfig { count: 2_000, domain: 3_000.0, ..PoiConfig::default() }, 31);
     let tree = RTree::bulk_load(&pois);
@@ -104,14 +107,44 @@ fn real_tile_regions_match_result_notifications_compressed_and_plain() {
         for region in &answer.regions {
             for compress in [true, false] {
                 let wire = safe_region(region.clone());
-                let message = Message::result_notification(region, compress);
+                let values = 2 + region_value_count(region, compress);
                 assert_eq!(
                     wire.values(compress),
-                    message.values,
-                    "{objective:?}/compress={compress} value accounting diverged"
+                    values,
+                    "{objective:?}/compress={compress}: meeting point + region payload"
                 );
-                assert_eq!(wire.packets(compress), message.packets());
+                assert_eq!(wire.packets(compress), packets_for_values(values));
             }
         }
+    }
+}
+
+#[test]
+fn a_sessions_downlink_tally_is_the_cost_of_the_responses_it_produced() {
+    let pois =
+        clustered_pois(&PoiConfig { count: 500, domain: 1_000.0, ..PoiConfig::default() }, 19);
+    let walk = WaypointConfig { domain: 1_000.0, speed_limit: 6.0, timestamps: 60 };
+    let group: Vec<_> = (0..3).map(|i| random_waypoint(&walk, 70 + i)).collect();
+
+    for compress_regions in [true, false] {
+        let mut core = ServerCore::new(RTree::bulk_load(&pois), 1);
+        let config =
+            WireConfig { method: WireMethod::Tile, compress_regions, ..WireConfig::default() };
+        core.enqueue(1, Request::Register { group_size: 3, config });
+        core.process();
+        let (mut packets, mut messages) = (0, 0);
+        for t in 0..60 {
+            let positions = group.iter().map(|traj| traj.at(t)).collect();
+            core.enqueue(1, Request::Report { group: 0, positions });
+            for (_, response) in core.process().responses {
+                packets += response.packets(compress_regions);
+                messages += 1;
+            }
+        }
+        let traffic = core.engine().group_metrics(0).traffic;
+        assert!(messages > 3, "the walk must trigger updates, not just the registration");
+        assert_eq!(traffic.downlink_packets, packets, "compress = {compress_regions}");
+        // Every update is answered by one uplink per user (her report or her probe reply).
+        assert_eq!(traffic.messages - messages, 3 * core.engine().group_metrics(0).updates);
     }
 }
