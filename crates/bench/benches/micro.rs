@@ -16,6 +16,8 @@
 //! * GT-Verify (Section 5.3): a whole Tile-MSR run, and ns per (tile, candidate) pair on the
 //!   pass and the fail path of the incremental verifier,
 //! * index pruning on/off (Theorem 3),
+//! * the SUM side of the tile methods: ns per closed-form focal-difference minimum
+//!   (Section 6.3.1) and a whole unbuffered Tile-D/SUM recompute served by one candidate pool,
 //! * R-tree GNN query cost,
 //! * tile-region compression encode/decode throughput,
 //! * `mpn-proto` wire codec round-trip throughput (report and safe-region frames).
@@ -31,7 +33,7 @@ use mpn_core::{
     Objective, SessionState, TileCell, TileFrame, TileMsrConfig, TileRegion, TileVerifier,
     DEFAULT_RADIUS_CAP,
 };
-use mpn_geom::{Point, Square};
+use mpn_geom::{min_focal_diff_over_square, Point, Square};
 use mpn_index::{Aggregate, GnnSearch, QueryCache, RTree};
 use mpn_mobility::poi::{clustered_pois, PoiConfig};
 use mpn_mobility::Trajectory;
@@ -361,6 +363,31 @@ fn main() {
                 black_box(tile_msr(&tree, &group, Objective::Max, &config, None));
             });
         }
+    }
+
+    // The SUM verifier's kernel and the unbuffered recompute that calls it per (tile, candidate).
+    {
+        // One iteration minimises over 1,000 (candidate, tile) pairs around pᵒ = the origin,
+        // so the printed microseconds read as nanoseconds per call.
+        let cases: Vec<(Point, Square)> = (0..1_000)
+            .map(|k| {
+                let angle = f64::from(k) * 0.61;
+                let candidate = Point::new(900.0 * angle.cos(), 700.0 * angle.sin());
+                let centre = Point::new(40.0 * (1.7 * angle).sin(), 55.0 * (2.3 * angle).cos());
+                (candidate, Square::new(centre, 4.0 + f64::from(k % 7)))
+            })
+            .collect();
+        b("geom/min_focal_diff_ns", &mut || {
+            for (candidate, tile) in &cases {
+                black_box(min_focal_diff_over_square(*candidate, Point::ORIGIN, black_box(tile)));
+            }
+        });
+        let tree = poi_tree(8_000);
+        let group = users(3);
+        let config = TileMsrConfig::tile_directed(std::f64::consts::FRAC_PI_4);
+        b("tile/sum_recompute_unbuffered", &mut || {
+            black_box(tile_msr(&tree, black_box(&group), Objective::Sum, &config, None));
+        });
     }
 
     // GNN query cost by data-set size.

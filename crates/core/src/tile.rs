@@ -2,6 +2,7 @@
 //! the divide-and-conquer verification (Algorithm 2), index pruning (Theorem 3 / Theorem 6)
 //! and the buffering optimisation (Section 5.4, Algorithm 5).
 
+use std::cell::Cell;
 use std::collections::HashMap;
 
 use mpn_geom::{DistanceBounds, Point};
@@ -11,7 +12,7 @@ use crate::buffer::BufferSet;
 use crate::circle::{circle_msr, DEFAULT_RADIUS_CAP};
 use crate::ordering::{TileOrdering, TileStream};
 use crate::region::{TileCell, TileFrame, TileRegion};
-use crate::tile_verify::{with_verifier, TileVerifier};
+use crate::tile_verify::TileVerifier;
 use crate::{ComputeStats, Objective};
 
 /// Configuration of Tile-MSR.
@@ -254,18 +255,11 @@ pub fn tile_msr_cached<'a>(
         None
     };
 
-    let mut growth = TileGrowth {
-        view,
-        users,
-        regions,
-        p_opt,
-        objective,
-        config,
-        buffer,
-        slots: HashMap::new(),
-        stats,
-    };
-    with_verifier(|verifier| growth.run(verifier, headings));
+    // Σⱼ ‖pᵒ, uⱼ‖: the part of every tile's Theorem 6 threshold that no tile changes.
+    let opt_dist_sum = users.iter().map(|u| p_opt.location.dist(*u)).sum();
+    let mut growth =
+        TileGrowth { view, users, regions, p_opt, opt_dist_sum, objective, config, buffer, stats };
+    with_scratch(|scratch| growth.run(scratch, headings));
 
     TileMsr {
         optimal: seed.optimal,
@@ -277,42 +271,132 @@ pub fn tile_msr_cached<'a>(
     }
 }
 
+/// The unbuffered candidates of one Tile-MSR computation: what the index last returned, kept
+/// so that most tiles are served without walking the R-tree again.
+///
+/// Within a computation the users and `pᵒ` are fixed and only the Theorem 3 radii / the
+/// Theorem 6 threshold change from tile to tile.  The R-tree walk is a deterministic
+/// depth-first traversal and [`IndexView`] appends its overlay inserts in a fixed order, and
+/// both keep an entry by comparing the very distances recorded here against the bound — so
+/// the output of a query is exactly the order-preserving filter of the output of any query
+/// with bounds at least as large (pinned by `mpn-index`'s `narrower_candidate_queries_…`
+/// proptest).  Filtering the pool *in order* with the index's own float expressions
+/// therefore hands the verifier the same candidates in the same order as a per-tile query
+/// would, and every decision, verifier slot and work counter except the number of index
+/// queries stays bit-identical.
+#[derive(Debug, Default)]
+struct CandidatePool {
+    /// The last fetch, in the index's output order.
+    entries: Vec<PoiEntry>,
+    /// `‖entries[k], uⱼ‖` at `k · m + j`.
+    dists: Vec<f64>,
+    /// The bounds of the last fetch (empty before the first): one radius per user (MAX) or
+    /// the one summed-distance threshold (SUM).
+    covered: Vec<f64>,
+    /// The bounds of the tile under test, in the same layout.
+    wanted: Vec<f64>,
+    /// Verifier slot of every candidate handed out so far, by POI id (buffered candidates
+    /// are named by their buffer position instead).
+    slots: HashMap<usize, usize>,
+    /// The `(location, verifier slot)` candidates of the tile under test.
+    selected: Vec<(Point, usize)>,
+}
+
+impl CandidatePool {
+    fn begin(&mut self) {
+        self.entries.clear();
+        self.covered.clear();
+        self.slots.clear();
+        self.selected.clear();
+    }
+
+    /// Whether the last fetch returned every entry within the `wanted` bounds.
+    fn covers_wanted(&self) -> bool {
+        self.covered.len() == self.wanted.len()
+            && self.wanted.iter().zip(&self.covered).all(|(wanted, covered)| wanted <= covered)
+    }
+
+    /// Records every fetched entry's distance to every user, in user order.
+    fn measure(&mut self, users: &[Point]) {
+        self.dists.clear();
+        for entry in &self.entries {
+            self.dists.extend(users.iter().map(|u| entry.location.dist(*u)));
+        }
+    }
+
+    /// Selects, in fetch order, the entries other than `pᵒ` whose user distances `keep`
+    /// admits, naming each by its slot (assigned on first selection).
+    fn select(&mut self, m: usize, p_opt: usize, keep: impl Fn(&[f64], &[f64]) -> bool) {
+        self.selected.clear();
+        for (entry, dists) in self.entries.iter().zip(self.dists.chunks_exact(m)) {
+            if entry.id != p_opt && keep(dists, &self.wanted) {
+                let next = self.slots.len();
+                self.selected.push((entry.location, *self.slots.entry(entry.id).or_insert(next)));
+            }
+        }
+    }
+}
+
+/// The per-thread buffers of a Tile-MSR computation: the verifier's summary tables and the
+/// candidate pool live for one computation, their allocations for the thread.
+#[derive(Debug, Default)]
+struct TileScratch {
+    verifier: TileVerifier,
+    pool: CandidatePool,
+}
+
+thread_local! {
+    static SCRATCH: Cell<TileScratch> = Cell::new(TileScratch::default());
+}
+
+/// Runs `f` with this thread's parked [`TileScratch`] (the `mpn_index::with_scratch`
+/// pattern): taken out of thread-local storage for the call and put back afterwards with
+/// whatever capacity the call grew.  The scratch is per worker thread, never per session — a
+/// session-held copy would cost a tile fleet more memory than the rest of the server.
+fn with_scratch<R>(f: impl FnOnce(&mut TileScratch) -> R) -> R {
+    SCRATCH.with(|cell| {
+        let mut scratch = cell.take();
+        let out = f(&mut scratch);
+        cell.set(scratch);
+        out
+    })
+}
+
 /// The state of one Tile-MSR region-growing loop (Algorithm 3, lines 5-10).
 struct TileGrowth<'a> {
     view: IndexView<'a>,
     users: &'a [Point],
     regions: Vec<TileRegion>,
     p_opt: PoiEntry,
+    opt_dist_sum: f64,
     objective: Objective,
     config: &'a TileMsrConfig,
     buffer: Option<&'a BufferCache>,
-    /// Verifier slot of every candidate the R-tree has returned so far, by POI id (buffered
-    /// candidates are named by their buffer position instead).
-    slots: HashMap<usize, usize>,
     stats: ComputeStats,
 }
 
 impl TileGrowth<'_> {
     /// Round-robin tile browsing bounded by α.
-    fn run(&mut self, verifier: &mut TileVerifier, headings: Option<&[Option<f64>]>) {
+    fn run(&mut self, scratch: &mut TileScratch, headings: Option<&[Option<f64>]>) {
+        let TileScratch { verifier, pool } = scratch;
         // The threshold ladder of a buffer bounds distances from its anchors (the locations
         // at build time); without a buffer, Theorems 3/6 measure from the current locations.
         let anchors = self.buffer.map_or(self.users, |cache| cache.anchors.as_slice());
         verifier.begin(self.objective, self.p_opt.location, anchors);
+        pool.begin();
 
         let max_layer = (self.config.alpha + 2) as i32;
         let mut streams: Vec<TileStream> = (0..self.users.len())
             .map(|i| TileStream::new(self.config.ordering, headings.and_then(|h| h[i]), max_layer))
             .collect();
-        let mut candidates = Vec::new();
         for _round in 0..self.config.alpha {
             for (user, stream) in streams.iter_mut().enumerate() {
                 while let Some(cell) = stream.next_cell() {
                     if self.buffer.is_none() {
-                        self.gather_candidates(verifier, user, cell, &mut candidates);
+                        self.gather_candidates(verifier, pool, user, cell);
                     }
                     let level = self.config.split_level;
-                    if self.divide_verify(verifier, user, cell, level, &candidates) {
+                    if self.divide_verify(verifier, user, cell, level, &pool.selected) {
                         stream.mark_accepted();
                         break;
                     }
@@ -381,56 +465,85 @@ impl TileGrowth<'_> {
         flag
     }
 
-    /// Retrieves the `(location, verifier slot)` candidates a tile must be verified against.
+    /// Leaves in `pool.selected` the candidates a tile must be verified against.
     ///
-    /// With index pruning enabled this applies Theorem 3 (MAX) or Theorem 6 (SUM) on the
-    /// R-tree, using region extents that already account for the tile under test so the
-    /// candidate set is conservative; otherwise every POI except `pᵒ` is returned.
+    /// With index pruning enabled these are the POIs Theorem 3 (MAX) or Theorem 6 (SUM)
+    /// cannot prune, under region extents that already account for the tile under test so the
+    /// candidate set is conservative; otherwise every POI except `pᵒ`.  The index is queried
+    /// only when the tile's bounds exceed what the pool's last fetch covered, and then with
+    /// slack on the part of the bounds that grows with the regions — MAX `rⱼ + maxⱼ r†ⱼ`, SUM
+    /// `T + 2·Σⱼ r†ⱼ`, never on `‖pᵒ, uⱼ‖` — so a computation fetches a handful of times.
     fn gather_candidates(
         &mut self,
         verifier: &mut TileVerifier,
+        pool: &mut CandidatePool,
         user: usize,
         cell: TileCell,
-        out: &mut Vec<(Point, usize)>,
     ) {
         let (users, p_opt) = (self.users, self.p_opt);
-        let found = if self.config.index_pruning {
-            self.stats.rtree_queries += 1;
-            let tile = self.regions[user].frame().square(cell);
-            verifier.sync(&self.regions);
-            // r†ⱼ: how far user j may stray from her current location (the verifier's anchor
-            // on this unbuffered path); for the user under test this must include the new tile.
-            let reach = |j: usize| {
-                let r = verifier.anchor_reach(j).max(0.0);
-                if j == user {
-                    r.max(tile.max_dist(users[j]))
-                } else {
-                    r
-                }
-            };
-            let (found, qstats) = match self.objective {
+        if !self.config.index_pruning {
+            // The unoptimised baseline verifies against every POI: one scan serves every tile.
+            if pool.covered.is_empty() {
+                self.stats.rtree_queries += 1;
+                pool.covered.push(f64::INFINITY);
+                pool.entries.extend(self.view.iter());
+                pool.measure(users);
+                pool.select(users.len(), p_opt.id, |_, _| true);
+            }
+            return;
+        }
+        let tile = self.regions[user].frame().square(cell);
+        verifier.sync(&self.regions);
+        // r†ⱼ: how far user j may stray from her current location (the verifier's anchor
+        // on this unbuffered path); for the user under test this must include the new tile.
+        let reach = |j: usize| {
+            let r = verifier.anchor_reach(j).max(0.0);
+            if j == user {
+                r.max(tile.max_dist(users[j]))
+            } else {
+                r
+            }
+        };
+        let strays = (0..users.len()).map(reach);
+        pool.wanted.clear();
+        let slack = match self.objective {
+            Objective::Max => {
+                // ‖pᵒ, R‖⊤ including the tile under test.
+                let dominant = (0..users.len())
+                    .fold(tile.max_dist(p_opt.location), |d, j| d.max(verifier.opt_reach(j)));
+                pool.wanted.extend(strays.clone().map(|stray| dominant + stray));
+                strays.fold(0.0, f64::max)
+            }
+            Objective::Sum => {
+                let strays: f64 = strays.sum();
+                pool.wanted.push(self.opt_dist_sum + 2.0 * strays);
+                2.0 * strays
+            }
+        };
+        if !pool.covers_wanted() {
+            pool.covered.clear();
+            pool.covered.extend(pool.wanted.iter().map(|wanted| wanted + slack));
+            let fetched = &mut pool.entries;
+            let qstats = match self.objective {
                 Objective::Max => {
-                    // ‖pᵒ, R‖⊤ including the tile under test.
-                    let dominant = (0..users.len())
-                        .fold(tile.max_dist(p_opt.location), |d, j| d.max(verifier.opt_reach(j)));
-                    let radii: Vec<f64> = (0..users.len()).map(|j| dominant + reach(j)).collect();
-                    self.view.candidates_within_user_radii(users, &radii)
+                    self.view.candidates_within_user_radii_into(users, &pool.covered, fetched)
                 }
                 Objective::Sum => {
-                    let base: f64 = users.iter().map(|u| p_opt.location.dist(*u)).sum();
-                    let strays: f64 = (0..users.len()).map(reach).sum();
-                    self.view.candidates_within_sum_radius(users, base + 2.0 * strays)
+                    self.view.candidates_within_sum_radius_into(users, pool.covered[0], fetched)
                 }
             };
+            self.stats.rtree_queries += 1;
             self.stats.candidate_retrieval.absorb(qstats);
-            found
-        } else {
-            self.view.iter().collect()
-        };
-        out.clear();
-        for entry in found.into_iter().filter(|e| e.id != p_opt.id) {
-            let next = self.slots.len();
-            out.push((entry.location, *self.slots.entry(entry.id).or_insert(next)));
+            pool.measure(users);
+        }
+        // The index's own acceptance tests, on the recorded distances.
+        match self.objective {
+            Objective::Max => pool.select(users.len(), p_opt.id, |dists, radii| {
+                dists.iter().zip(radii).all(|(d, r)| d <= r)
+            }),
+            Objective::Sum => pool.select(users.len(), p_opt.id, |dists, threshold| {
+                dists.iter().sum::<f64>() <= threshold[0]
+            }),
         }
     }
 }
@@ -613,6 +726,38 @@ mod tests {
             plain.stats.rtree_queries
         );
         assert_eq!(buffered.stats.rtree_queries, 2, "circle GNN + buffer GNN only");
+    }
+
+    #[test]
+    fn one_candidate_pool_serves_most_tiles_of_an_unbuffered_computation() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut rand01 = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let pois: Vec<Point> =
+            (0..4_000).map(|_| Point::new(rand01() * 2_000.0, rand01() * 2_000.0)).collect();
+        let tree = RTree::bulk_load(&pois);
+        let users = vec![Point::new(990.0, 1_010.0), Point::new(1_030.0, 980.0)];
+        for objective in [Objective::Max, Objective::Sum] {
+            let directed = TileMsrConfig::tile_directed(std::f64::consts::FRAC_PI_4);
+            let out = tile_msr(&tree, &users, objective, &directed, None);
+            // Divide-Verify runs at most 1 + 4 + 16 times per tried cell at L = 2 (so this
+            // undercounts several times over), and every tried cell used to cost an index query.
+            let cells_tried = out.stats.verify_calls / 21;
+            assert!(cells_tried >= 30, "{objective:?}: only {cells_tried} cells tried");
+            assert!(
+                out.stats.rtree_queries < 12,
+                "{objective:?}: {} index queries for at least {cells_tried} cells",
+                out.stats.rtree_queries
+            );
+
+            let unpruned = TileMsrConfig { index_pruning: false, alpha: 3, ..directed };
+            let out = tile_msr(&tree, &users, objective, &unpruned, None);
+            assert_eq!(out.stats.rtree_queries, 2, "{objective:?}: the seed GNN and one scan");
+        }
     }
 
     #[test]

@@ -39,16 +39,19 @@
 //! tile by tile as regions grow, group by group, or all at once yields the same bits — and
 //! Lemma 1 ([`lemma1_holds`]) then compares the same two numbers.  The SUM verifier adds its
 //! per-user minima in user order exactly as before, because `+` is *not* order-independent.
+//! The candidates themselves arrive in the index's output order whether they were queried
+//! for this tile or filtered from the per-computation pool (a narrower query's output is the
+//! in-order subsequence of a wider one's; see `CandidatePool` in `tile.rs`), so `accepts`
+//! stops at the same first failing candidate and counts the same pairs.
 //!
 //! # Scratch
 //!
-//! The tables live for one computation but their buffers are reused: `with_verifier`
-//! lends out a per-thread instance whose vectors keep their capacity, so a warm recompute
+//! The tables live for one computation but their buffers are reused: Tile-MSR (`tile.rs`)
+//! parks one verifier per worker thread, beside the candidate pool that serves the unbuffered
+//! Theorem 3/6 retrievals, and their vectors keep their capacity, so a warm recompute
 //! performs no heap allocation in the verify loop.  The scratch is per worker thread, never
 //! per session — a session-held copy would cost a Tile-D-b fleet more memory than the rest
 //! of the server.
-
-use std::cell::Cell;
 
 use mpn_geom::{min_focal_diff_over_square, DistanceBounds, Point, Square, EPSILON};
 
@@ -334,22 +337,6 @@ impl TileVerifier {
         }
         total >= -EPSILON
     }
-}
-
-thread_local! {
-    static VERIFIER: Cell<TileVerifier> = Cell::new(TileVerifier::default());
-}
-
-/// Runs `f` with this thread's parked [`TileVerifier`] (the `mpn_index::with_scratch`
-/// pattern): taken out of thread-local storage for the call and put back afterwards with
-/// whatever capacity the call grew.
-pub(crate) fn with_verifier<R>(f: impl FnOnce(&mut TileVerifier) -> R) -> R {
-    VERIFIER.with(|cell| {
-        let mut verifier = cell.take();
-        let out = f(&mut verifier);
-        cell.set(verifier);
-        out
-    })
 }
 
 #[cfg(test)]

@@ -3,13 +3,44 @@
 //! The SUM-objective verification (Section 6.3.1, Algorithm 6 of the paper) needs, for every
 //! user tile `s`, the minimum of the focal difference between a candidate point `p'` and the
 //! current optimum `pᵒ`.  The level sets of `f` are hyperbola branches with foci `p'` and `pᵒ`
-//! (Fig. 12), and the paper observes that the minimum over a square occurs either at a corner
-//! or where the square's boundary crosses the focal axis (the line through `p'` and `pᵒ`).
+//! (Fig. 12).  Away from the foci `f` has no interior stationary point except along the focal
+//! axis beyond a focus, where it is constant out to the boundary, so the minimum over a tile
+//! is attained at `p'` when the tile contains it and on the tile's boundary otherwise.
 //!
-//! We evaluate those analytical candidates *and* additionally run a bounded numeric
-//! minimisation along every edge.  The extra pass costs a few dozen evaluations per tile and
-//! guards against edge cases where an edge is tangent to a level hyperbola, so the returned
-//! value can safely be used as a conservative lower bound by the verification predicates.
+//! # The minimum along one edge, in closed form
+//!
+//! Take an axis-parallel edge, let `a₁, a₂` be the positions of `p'`, `pᵒ` along the edge's
+//! line and `h₁, h₂ ≥ 0` their perpendicular distances to it.  At offset `s` along the edge
+//!
+//! ```text
+//! f(s) = √((s−a₁)² + h₁²) − √((s−a₂)² + h₂²),    f′(s) = (s−a₁)/d₁ − (s−a₂)/d₂.
+//! ```
+//!
+//! `f′(s) = 0` squares to `(s−a₁)²·h₂² = (s−a₂)²·h₁²`, i.e. `(s−a₁)h₂ = ±(s−a₂)h₁`, which has
+//! two roots:
+//!
+//! ```text
+//! s₊ = (a₁h₂ − a₂h₁) / (h₂ − h₁),        s₋ = (a₁h₂ + a₂h₁) / (h₂ + h₁).
+//! ```
+//!
+//! The two terms of `f′` carry the signs of `s−a₁` and `s−a₂`, so they can only cancel when
+//! those signs agree: `s₊` is the stationary point and `s₋` is the root squaring introduced
+//! (there `s−a₁` and `s−a₂` have opposite signs unless both sides vanish, which happens only at
+//! a focus projection).  Geometrically one of the two is where the focal axis (the line through
+//! `p'` and `pᵒ`) crosses the edge's line and the other is where the line through `p'` and the
+//! *mirror image* of `pᵒ` in the edge's line crosses it; `f` along the line depends on `h₁, h₂`
+//! only, not on which side a focus is on, so `s₊` is the axis crossing when both foci lie on
+//! the same side and the **mirror** crossing when the line separates them.  The paper lists
+//! only "a corner or a focal-axis crossing": for a separating edge that list names `s₋`, where
+//! `f` is not stationary, and misses the tangency of the edge with a level hyperbola at `s₊`,
+//! which can be the edge's minimum.
+//!
+//! A focus on the edge's line (`h = 0`) puts a kink in `f` at its projection, and `s₊` is then
+//! exactly that projection; with both foci on the line `s₊` is `0/0`, but `f` is then constant
+//! beyond either focus and an endpoint attains the minimum.  So the minimum over an edge is at
+//! an endpoint or at `s₊`: three evaluations of `f`, no iteration.  A vanishing denominator
+//! (`h₁ = h₂`: the stationary point is at infinity) yields a non-finite `s₊`, which lies in no
+//! edge and fails the range test.
 
 use crate::{DistanceBounds, Point, Square};
 
@@ -22,6 +53,12 @@ pub fn focal_diff(p_prime: Point, p_opt: Point, l: Point) -> f64 {
     p_prime.dist(l) - p_opt.dist(l)
 }
 
+/// The stationary point `s₊` of `f` along a line (see the module docs): `a` is a focus'
+/// position along the line, `h` its perpendicular distance to it.
+fn stationary_offset(a1: f64, h1: f64, a2: f64, h2: f64) -> f64 {
+    (a1 * h2 - a2 * h1) / (h2 - h1)
+}
+
 /// Minimum of the focal difference over a square tile.
 ///
 /// This is the per-user term minimised independently in Equation (13) of the paper.  The value
@@ -29,64 +66,31 @@ pub fn focal_diff(p_prime: Point, p_opt: Point, l: Point) -> f64 {
 /// inequality); the implementation asserts the lower bound in debug builds.
 #[must_use]
 pub fn min_focal_diff_over_square(p_prime: Point, p_opt: Point, tile: &Square) -> f64 {
+    let rect = tile.to_rect();
+    let (lo, hi) = (rect.lo, rect.hi);
     let mut best = f64::INFINITY;
-    let mut consider = |l: Point| {
-        let v = focal_diff(p_prime, p_opt, l);
-        if v < best {
-            best = v;
-        }
-    };
+    let mut consider = |l: Point| best = best.min(focal_diff(p_prime, p_opt, l));
 
-    // 1. Corners of the tile.
-    for c in tile.corners() {
+    // Edge endpoints.
+    for c in rect.corners() {
         consider(c);
     }
-
-    // 2. Intersections of every edge with the focal axis (the infinite line p' pᵒ).
-    let degenerate_axis = p_prime.dist(p_opt) < 1e-12;
-    for edge in tile.edges() {
-        if !degenerate_axis {
-            if let Some(x) = edge.intersect_line(p_prime, p_opt) {
-                consider(x);
-            }
+    // The stationary point of the two horizontal, then the two vertical edges.
+    for y in [lo.y, hi.y] {
+        let x = stationary_offset(p_prime.x, (p_prime.y - y).abs(), p_opt.x, (p_opt.y - y).abs());
+        if lo.x < x && x < hi.x {
+            consider(Point::new(x, y));
         }
-        // 3. Numeric sweep + local refinement along the edge (robustness against tangency
-        //    of an edge with a level hyperbola).
-        const SAMPLES: usize = 16;
-        let mut best_t = 0.0;
-        let mut best_v = f64::INFINITY;
-        for i in 0..=SAMPLES {
-            let t = i as f64 / SAMPLES as f64;
-            let v = focal_diff(p_prime, p_opt, edge.point_at(t));
-            if v < best_v {
-                best_v = v;
-                best_t = t;
-            }
-        }
-        // Golden-section refinement around the best sample.
-        let mut lo = (best_t - 1.0 / SAMPLES as f64).max(0.0);
-        let mut hi = (best_t + 1.0 / SAMPLES as f64).min(1.0);
-        const PHI: f64 = 0.618_033_988_749_894_9;
-        for _ in 0..32 {
-            let m1 = hi - PHI * (hi - lo);
-            let m2 = lo + PHI * (hi - lo);
-            let f1 = focal_diff(p_prime, p_opt, edge.point_at(m1));
-            let f2 = focal_diff(p_prime, p_opt, edge.point_at(m2));
-            if f1 < f2 {
-                hi = m2;
-            } else {
-                lo = m1;
-            }
-        }
-        consider(edge.point_at((lo + hi) / 2.0));
     }
-
-    // 4. If the tile contains either focus, the extreme values are attained exactly there.
+    for x in [lo.x, hi.x] {
+        let y = stationary_offset(p_prime.y, (p_prime.x - x).abs(), p_opt.y, (p_opt.x - x).abs());
+        if lo.y < y && y < hi.y {
+            consider(Point::new(x, y));
+        }
+    }
+    // Inside the tile the global minimum −‖p', pᵒ‖ is attained exactly at p'.
     if tile.contains(p_prime) {
         consider(p_prime);
-    }
-    if tile.contains(p_opt) {
-        consider(p_opt);
     }
 
     debug_assert!(

@@ -7,9 +7,8 @@
 //! * [`Rect`] — an axis-aligned rectangle (R-tree MBRs) with min/max distance to a point.
 //! * [`Circle`] — circular safe regions (Section 4 of the paper).
 //! * [`Square`] — square tiles for tile-based safe regions (Section 5).
-//! * [`Segment`] — line segments and segment/line intersection used by the hyperbola
-//!   minimisation of the SUM objective (Section 6.3.1, Fig. 12).
-//! * [`focal`] — minimisation of the focal difference `‖p', l‖ − ‖pᵒ, l‖` over a square.
+//! * [`focal`] — closed-form minimum of the focal difference `‖p', l‖ − ‖pᵒ, l‖` over a
+//!   square, for the SUM objective (Section 6.3.1, Fig. 12).
 //! * [`angle`] — heading arithmetic for the directed tile ordering (Section 5.2).
 //!
 //! All distances are Euclidean (`f64`). The crate never panics on degenerate inputs
@@ -22,7 +21,6 @@ pub mod circle;
 pub mod focal;
 pub mod point;
 pub mod rect;
-pub mod segment;
 pub mod square;
 
 pub use angle::{angle_diff, heading, normalize_angle, HeadingPredictor};
@@ -30,7 +28,6 @@ pub use circle::Circle;
 pub use focal::{focal_diff, min_focal_diff_over_square};
 pub use point::{max_dist_to_set, sum_dist_to_set, Point};
 pub use rect::Rect;
-pub use segment::Segment;
 pub use square::Square;
 
 /// Numerical tolerance used across the workspace when comparing distances.

@@ -1,6 +1,6 @@
 //! Axis-aligned squares: the tiles of the tile-based safe regions (Section 5).
 
-use crate::{DistanceBounds, Point, Rect, Segment};
+use crate::{DistanceBounds, Point, Rect};
 
 /// An axis-aligned square described by its centre and half side length.
 ///
@@ -53,18 +53,6 @@ impl Square {
     #[must_use]
     pub fn corners(&self) -> [Point; 4] {
         self.to_rect().corners()
-    }
-
-    /// The four edges as segments, in counter-clockwise order.
-    #[must_use]
-    pub fn edges(&self) -> [Segment; 4] {
-        let c = self.corners();
-        [
-            Segment::new(c[0], c[1]),
-            Segment::new(c[1], c[2]),
-            Segment::new(c[2], c[3]),
-            Segment::new(c[3], c[0]),
-        ]
     }
 
     /// Splits the square into its four quadrant sub-squares (Algorithm 2, line 6).
@@ -146,15 +134,6 @@ mod tests {
         assert_eq!(s.max_dist(p), r.max_dist(p));
         assert!(s.contains(Point::new(0.9, -0.9)));
         assert!(!s.contains(Point::new(1.1, 0.0)));
-    }
-
-    #[test]
-    fn edges_form_a_closed_loop() {
-        let s = Square::new(Point::new(1.0, 1.0), 2.0);
-        let e = s.edges();
-        for i in 0..4 {
-            assert_eq!(e[i].b, e[(i + 1) % 4].a);
-        }
     }
 
     #[test]

@@ -9,6 +9,92 @@ fn pt() -> impl Strategy<Value = Point> {
     (-100.0f64..100.0, -100.0f64..100.0).prop_map(|(x, y)| Point::new(x, y))
 }
 
+/// The numeric minimiser `min_focal_diff_over_square` used before the closed form (corners,
+/// focal-axis crossings, and a 17-sample sweep plus 32 golden-section steps per edge), kept as
+/// an independent reference.
+fn sweep_min_focal_diff(p_prime: Point, p_opt: Point, tile: &Square) -> f64 {
+    let f = |l: Point| focal_diff(p_prime, p_opt, l);
+    let corners = tile.corners();
+    let mut best = corners.iter().map(|c| f(*c)).fold(f64::INFINITY, f64::min);
+    let axis = p_opt - p_prime;
+    for i in 0..4 {
+        let (a, b) = (corners[i], corners[(i + 1) % 4]);
+        // Crossing of the edge with the focal axis: a + t·(b − a) = p' + u·axis.
+        let denom = (b - a).cross(axis);
+        let t = (p_prime - a).cross(axis) / denom;
+        if denom.abs() >= 1e-18 && (0.0..=1.0).contains(&t) {
+            best = best.min(f(a.lerp(b, t)));
+        }
+        const SAMPLES: usize = 16;
+        let step = 1.0 / SAMPLES as f64;
+        let at = |i: usize| f(a.lerp(b, i as f64 * step));
+        let coarse = (0..=SAMPLES).min_by(|i, j| at(*i).total_cmp(&at(*j))).unwrap();
+        let mut lo = (coarse as f64 * step - step).max(0.0);
+        let mut hi = (coarse as f64 * step + step).min(1.0);
+        const PHI: f64 = 0.618_033_988_749_894_9;
+        for _ in 0..32 {
+            let (m1, m2) = (hi - PHI * (hi - lo), lo + PHI * (hi - lo));
+            if f(a.lerp(b, m1)) < f(a.lerp(b, m2)) {
+                hi = m2;
+            } else {
+                lo = m1;
+            }
+        }
+        best = best.min(f(a.lerp(b, (lo + hi) / 2.0)));
+    }
+    for focus in [p_prime, p_opt] {
+        if tile.contains(focus) {
+            best = best.min(f(focus));
+        }
+    }
+    best
+}
+
+/// Minimum of the focal difference over `n` evenly spaced points of every edge.
+fn boundary_scan_min(p_prime: Point, p_opt: Point, tile: &Square, n: usize) -> f64 {
+    let corners = tile.corners();
+    let mut best = f64::INFINITY;
+    for i in 0..4 {
+        for k in 0..n {
+            let l = corners[i].lerp(corners[(i + 1) % 4], k as f64 / n as f64);
+            best = best.min(focal_diff(p_prime, p_opt, l));
+        }
+    }
+    best
+}
+
+/// Random foci and tiles over scales 1…10⁴; `shape` forces the closed form's degenerate cases.
+fn focal_case(
+    unit: (f64, f64, f64, f64, f64, f64),
+    side: f64,
+    exponent: f64,
+    shape: usize,
+) -> (Point, Point, Square, f64) {
+    let scale = 10f64.powf(exponent);
+    let (ax, ay, bx, by, cx, cy) = unit;
+    let mut p_prime = Point::new(ax * scale, ay * scale);
+    let mut p_opt = Point::new(bx * scale, by * scale);
+    let mut tile = Square::new(Point::new(cx * scale, cy * scale), side * scale);
+    let lo = tile.to_rect().lo;
+    match shape {
+        // A focus on an edge line (a kink of `f` along that edge).
+        0 => p_prime.y = lo.y,
+        1 => p_opt.x = lo.x,
+        // Both foci on one edge line: `f` is piecewise linear along it, s₊ = 0/0.
+        2 => (p_prime.y, p_opt.y) = (lo.y, lo.y),
+        // A focus inside the tile.
+        3 => p_prime = Point::new(tile.center.x + ax * tile.half, tile.center.y + ay * tile.half),
+        4 => p_opt = p_prime,
+        5 => tile = Square::new(tile.center, 0.0),
+        // Focal axis parallel to an edge, which also makes h₁ = h₂ on the two edges along it.
+        6 => p_opt.y = p_prime.y,
+        // h₁ = h₂ (up to rounding) with the bottom edge's line separating the foci.
+        7 => p_opt.y = lo.y - (p_prime.y - lo.y),
+        _ => {}
+    }
+    (p_prime, p_opt, tile, scale)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -86,5 +172,24 @@ proptest! {
         let min = min_focal_diff_over_square(pp, po, &tile);
         prop_assert!(min >= -pp.dist(po) - 1e-9);
         prop_assert!(min <= pp.dist(po) + 1e-9);
+    }
+
+    #[test]
+    fn closed_form_focal_min_matches_a_boundary_scan_and_the_retired_sweep(
+        unit in (-1.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0),
+        side in 0.001f64..0.8, exponent in 0.0f64..4.0, shape in 0usize..16
+    ) {
+        let (p_prime, p_opt, tile, scale) = focal_case(unit, side, exponent, shape);
+        let closed = min_focal_diff_over_square(p_prime, p_opt, &tile);
+        // Exact on the boundary: no sampled boundary point may undercut it.  A tile holding
+        // p' attains the global minimum inside, below anything on its boundary.
+        let scan = boundary_scan_min(p_prime, p_opt, &tile, 2_000);
+        prop_assert!(closed <= scan + 1e-12 * scale, "closed {closed} above the scan {scan}");
+        prop_assert!(closed >= -p_prime.dist(p_opt) - 1e-12 * scale);
+        // Never less conservative than the minimiser it replaced, and no further below it
+        // than the golden-section sweep's own resolution.
+        let sweep = sweep_min_focal_diff(p_prime, p_opt, &tile);
+        prop_assert!(closed <= sweep + 1e-12 * scale, "closed {closed} above the sweep {sweep}");
+        prop_assert!(sweep - closed <= 1e-9 * scale, "sweep {sweep} far above closed {closed}");
     }
 }

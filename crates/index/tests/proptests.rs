@@ -3,7 +3,7 @@
 
 use mpn_geom::{DistanceBounds, Point, Rect};
 use mpn_index::gnn::brute_force_gnn;
-use mpn_index::{Aggregate, GnnSearch, RTree, RTreeConfig};
+use mpn_index::{Aggregate, GnnSearch, IndexView, PoiEntry, RTree, RTreeConfig, WorldView};
 use proptest::prelude::*;
 
 fn pt() -> impl Strategy<Value = Point> {
@@ -126,5 +126,53 @@ proptest! {
             .collect();
         want_sum.sort_unstable();
         prop_assert_eq!(got_sum_ids, want_sum);
+    }
+
+    // The contract `mpn-core`'s per-computation candidate pool rests on: the R-tree walk and
+    // the overlay merge emit entries in an order that does not depend on the bounds, and keep
+    // an entry by comparing its exact user distances against them — so a query's output is
+    // the order-preserving filter of the output of any query with bounds at least as large.
+    #[test]
+    fn narrower_candidate_queries_are_in_order_filters_of_wider_ones(
+        points in proptest::collection::vec(pt(), 1..300),
+        inserts in proptest::collection::vec(pt(), 0..12),
+        deletes in proptest::collection::vec(0usize..300, 0..12),
+        users in proptest::collection::vec(pt(), 1..5),
+        radius in 10.0f64..800.0,
+        shrink in proptest::collection::vec(0.0f64..=1.0, 5),
+        fanout in 4usize..12,
+    ) {
+        let entries = points.iter().enumerate().map(|(id, p)| PoiEntry::new(id, *p)).collect();
+        let tree = RTree::bulk_load_entries(entries, RTreeConfig::new(fanout, 2));
+        let mut world = WorldView::new(tree.clone());
+        for p in &inserts {
+            world.insert(*p);
+        }
+        for id in &deletes {
+            world.delete(*id % (points.len() + inserts.len()));
+        }
+        let ids = |found: &[PoiEntry]| found.iter().map(|e| e.id).collect::<Vec<_>>();
+
+        let wide_radii: Vec<f64> = (0..users.len()).map(|j| radius + 20.0 * j as f64).collect();
+        let radii: Vec<f64> = wide_radii.iter().zip(&shrink).map(|(r, s)| r * s).collect();
+        let wide_threshold = radius * users.len() as f64;
+        let threshold = wide_threshold * shrink[4];
+        for view in [IndexView::from(&tree), world.view()] {
+            let (wide, _) = view.candidates_within_user_radii(&users, &wide_radii);
+            let (narrow, _) = view.candidates_within_user_radii(&users, &radii);
+            let filtered: Vec<PoiEntry> = wide
+                .into_iter()
+                .filter(|e| users.iter().zip(&radii).all(|(u, r)| e.location.dist(*u) <= *r))
+                .collect();
+            prop_assert_eq!(ids(&narrow), ids(&filtered));
+
+            let (wide, _) = view.candidates_within_sum_radius(&users, wide_threshold);
+            let (narrow, _) = view.candidates_within_sum_radius(&users, threshold);
+            let filtered: Vec<PoiEntry> = wide
+                .into_iter()
+                .filter(|e| users.iter().map(|u| e.location.dist(*u)).sum::<f64>() <= threshold)
+                .collect();
+            prop_assert_eq!(ids(&narrow), ids(&filtered));
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! Allocation gates of the monitoring hot path, counted by a global allocator shim.
 //!
-//! Three facts the tick path and the tile verifier are built around, asserted as counts
+//! Four facts the tick path and the tile verifier are built around, asserted as counts
 //! (never a wall-clock ratio):
 //!
 //! * a steady-state quiet tick — every user inside her region — allocates **nothing**;
@@ -9,7 +9,10 @@
 //!   staging — is allocation-free;
 //! * warm GT-Verify allocates nothing on its pass and its fail path, and a whole warm
 //!   Tile-D-b recompute allocates in proportion to its *output*, not to the thousands of
-//!   (tile, candidate) pairs it verifies.
+//!   (tile, candidate) pairs it verifies;
+//! * a warm unbuffered Tile-D/SUM recompute does the same: the candidate pool, its bounds and
+//!   the per-tile candidate list are per-thread scratch, so trying more tiles costs no
+//!   allocation.
 //!
 //! The counter is thread-local: `cargo test` runs the tests of this binary on parallel
 //! threads, and a single-shard engine ticks inline on the calling thread, so each test
@@ -21,8 +24,8 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use mpn::core::{
-    ComputeStats, EngineContext, Method, Objective, SafeRegionEngine, SessionState, TileCell,
-    TileFrame, TileRegion, TileVerifier,
+    ComputeStats, EngineContext, Method, Objective, SafeRegion, SafeRegionEngine, SessionState,
+    TileCell, TileFrame, TileRegion, TileVerifier,
 };
 use mpn::geom::Point;
 use mpn::index::{QueryCache, RTree};
@@ -207,21 +210,51 @@ fn tile_recompute_warm() {
     let (total, answer) = allocations_during(|| method.compute(ctx, &group, &mut session));
     assert_eq!(answer.stats.rtree_queries, 1, "the recompute must reuse the buffer");
     assert!(total > 0, "the answer's region vectors are heap-allocated: the counter is blind");
-    // Per region: two vectors doubling from capacity 4, and per browsed layer a ring vector
-    // plus its sort buffer; 32 covers the seed query and answer bookkeeping.
-    let bound: usize = answer
-        .regions
+    let bound = tile_output_bound(&answer.regions);
+    assert!(
+        total as usize <= bound,
+        "a warm Tile-D-b recompute allocated {total} times for {} verified pairs; its output \
+         accounts for at most {bound}",
+        answer.stats.candidates_checked
+    );
+}
+
+/// Per region: two vectors doubling from capacity 4, and per browsed layer a ring vector
+/// plus its sort buffer; 32 covers the seed query and answer bookkeeping.
+fn tile_output_bound(regions: &[SafeRegion]) -> usize {
+    regions
         .iter()
         .map(|region| {
             let tiles = region.uncompressed_value_count() / 3;
             2 * (tiles.max(4).ilog2() as usize) + 2 * (tiles + 1)
         })
         .sum::<usize>()
-        + 32;
+        + 32
+}
+
+/// The unbuffered path gathers candidates per tried tile.  With the per-computation pool in
+/// the per-thread scratch, hundreds of tried tiles and a handful of index fetches add
+/// nothing to what the answer itself allocates.
+#[test]
+fn tile_sum_recompute_warm() {
+    let tree = poi_tree(8_000);
+    let group =
+        [Point::new(4_160.0, 5_200.0), Point::new(4_172.0, 6_344.0), Point::new(4_184.0, 6_437.0)];
+    let method = Method::tile_directed(std::f64::consts::FRAC_PI_4);
+    let ctx = EngineContext::new(&tree, Objective::Sum);
+    let mut session = SessionState::new(group.len(), 0.3);
+    session.observe(&group);
+    black_box(method.compute(ctx, &group, &mut session)); // grows the scratch
+    let (total, answer) = allocations_during(|| method.compute(ctx, &group, &mut session));
+    let stats = answer.stats;
+    assert!(stats.rtree_queries >= 3, "the recompute must refill the pool at least once");
+    assert!(stats.verify_calls > 100, "too few tiles tried to tell: {}", stats.verify_calls);
+    let bound = tile_output_bound(&answer.regions);
     assert!(
         total as usize <= bound,
-        "a warm Tile-D-b recompute allocated {total} times for {} verified pairs; its output \
-         accounts for at most {bound}",
-        answer.stats.candidates_checked
+        "a warm Tile-D/SUM recompute allocated {total} times for {} Divide-Verify calls and {} \
+         index fetches; its output accounts for at most {bound}",
+        stats.verify_calls,
+        stats.rtree_queries
     );
 }
