@@ -402,6 +402,37 @@ fn main() {
         }
     }
 
+    // The same query cold: the sections above ask about one hot location, so the tree nodes
+    // they touch never leave the cache.  One iteration runs 1,000 distinct groups of three
+    // spread over the domain, so the printed microseconds read as nanoseconds per query.
+    // Users sit 1–3 km from their group's centre, which makes a SUM query open 37.5 nodes and
+    // score 979 points on average (MAX 5.9 / 93) — the work of the repository benchmark's
+    // `churn_circle_sum` registrations (37.7 / 917).
+    {
+        let tree = poi_tree(21_287);
+        let groups: Vec<[Point; 3]> = (0..1_000)
+            .map(|g| {
+                let t = f64::from(g);
+                let centre = Point::new(
+                    5_000.0 + 4_500.0 * (t * 0.731).sin(),
+                    5_000.0 + 4_500.0 * (t * 1.237).cos(),
+                );
+                [0.0, 2.1, 4.2].map(|phase| {
+                    let r = 1_000.0 + 2_000.0 * (t * 0.37 + phase).sin().abs();
+                    Point::new(centre.x + r * (t + phase).cos(), centre.y + r * (t + phase).sin())
+                })
+            })
+            .collect();
+        for agg in [Aggregate::Max, Aggregate::Sum] {
+            let mut out = Vec::new();
+            b(&format!("gnn/top2_{}_cold_21287", agg.name()), &mut || {
+                for group in &groups {
+                    black_box(GnnSearch::new(&tree, black_box(group), agg).top_k_into(2, &mut out));
+                }
+            });
+        }
+    }
+
     // Circle-MSR at the paper's data-set size.
     {
         let tree = poi_tree(21_287);

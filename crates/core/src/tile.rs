@@ -552,7 +552,7 @@ impl TileGrowth<'_> {
 mod tests {
     use super::*;
     use mpn_geom::max_dist_to_set;
-    use mpn_index::RTree;
+    use mpn_index::{RTree, WorldView};
 
     fn grid_pois(n_side: usize, spacing: f64) -> Vec<Point> {
         (0..n_side * n_side)
@@ -684,15 +684,15 @@ mod tests {
         let other = tile_msr_cached(&other_tree, &users, Objective::Sum, &bigger, None, &mut cache);
         assert!(other.built_buffer, "tree change must rebuild");
 
-        // Mutating the tree bumps its generation and invalidates the cache.
-        let mut mutable = RTree::bulk_load(&grid_pois(8, 5.0));
+        // A world mutation bumps the logical generation and invalidates the cache.
+        let mut mutable = WorldView::new(RTree::bulk_load(&grid_pois(8, 5.0)));
         let warm = tile_msr_cached(&mutable, &users, Objective::Sum, &bigger, None, &mut cache);
         assert!(warm.built_buffer);
         let reused = tile_msr_cached(&mutable, &users, Objective::Sum, &bigger, None, &mut cache);
-        assert!(!reused.built_buffer, "unchanged tree must reuse");
+        assert!(!reused.built_buffer, "unchanged world must reuse");
         mutable.insert(Point::new(1.0, 2.0));
         let stale = tile_msr_cached(&mutable, &users, Objective::Sum, &bigger, None, &mut cache);
-        assert!(stale.built_buffer, "tree mutation must rebuild");
+        assert!(stale.built_buffer, "world mutation must rebuild");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Spatial indexing of the POI set: an R-tree plus group nearest-neighbour (GNN) search.
 //!
-//! The MPN server (Fig. 3 of the paper) manages the points of interest in an R-tree.  Three
+//! The MPN server (Fig. 3 of the paper) manages the points of interest in an R-tree.  Two
 //! query capabilities are needed by the safe-region algorithms:
 //!
 //! 1. **Top-k group nearest neighbours** under the MAX or SUM aggregate (`FindMaxGNN` /
@@ -9,12 +9,10 @@
 //! 2. **Candidate retrieval with per-user radius pruning** (Theorem 3 / Theorem 6 and the MBR
 //!    pruning of Fig. 10) — see [`RTree::candidates_within_user_radii`] and
 //!    [`RTree::candidates_within_sum_radius`].
-//! 3. Ordinary spatial queries (nearest neighbour, range) used by tests, examples and the
-//!    workload tooling.
 //!
-//! The R-tree is implemented from scratch: STR bulk loading for static POI sets, quadratic-split
-//! insertion for incremental updates, and best-first traversal with a binary heap for all
-//! distance-ranked queries.  Node accesses are counted so experiments can report index I/O.
+//! The R-tree is implemented from scratch and immutable: one STR bulk load builds it, the GNN
+//! query is a k-bounded branch-and-bound over it, and node accesses are counted so
+//! experiments can report index I/O.
 //!
 //! Dynamic POI sets are served by [`world`]: a [`WorldView`] wraps an immutable base tree in a
 //! generation-stamped insert/delete overlay (compacted back into the base past a threshold),

@@ -1,37 +1,32 @@
 //! A planar R-tree over points of interest.
 //!
-//! The tree supports STR (Sort-Tile-Recursive) bulk loading for static POI data sets —
-//! the common case in the paper's experiments — and incremental insertion with quadratic
-//! node splitting for dynamic data.  All distance-ranked traversals are best-first searches
-//! over a binary heap, which gives the incremental top-k behaviour required by the GNN
-//! queries of [`crate::gnn`].
+//! The tree is immutable: it is built in one STR (Sort-Tile-Recursive) bulk load — the POI
+//! sets of the paper's experiments are static — and a changing world is served by the
+//! insert/delete overlay of [`crate::world::WorldView`], which rebuilds the base with another
+//! bulk load when the overlay outgrows its threshold.  The distance-ranked traversal is the
+//! GNN search of [`crate::gnn`]; the two candidate walks of Theorems 3 and 6 live here.
 
 use mpn_geom::{DistanceBounds, Point, Rect};
 
 /// Configuration of the R-tree fan-out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RTreeConfig {
-    /// Maximum number of entries per node before it is split.
+    /// Maximum number of entries per node.
     pub max_entries: usize,
-    /// Minimum number of entries per node produced by a split.
-    pub min_entries: usize,
 }
 
 impl Default for RTreeConfig {
     fn default() -> Self {
-        // A fan-out of 32 models a small disk page of POI records; the 40% minimum fill
-        // follows the classic R-tree guidance.
-        Self { max_entries: 32, min_entries: 13 }
+        // A fan-out of 32 models a small disk page of POI records.
+        Self { max_entries: 32 }
     }
 }
 
 impl RTreeConfig {
-    /// Creates a configuration, clamping degenerate values to sane minimums.
+    /// Creates a configuration, clamping a degenerate fan-out to 4.
     #[must_use]
-    pub fn new(max_entries: usize, min_entries: usize) -> Self {
-        let max_entries = max_entries.max(4);
-        let min_entries = min_entries.clamp(2, max_entries / 2);
-        Self { max_entries, min_entries }
+    pub fn new(max_entries: usize) -> Self {
+        Self { max_entries: max_entries.max(4) }
     }
 }
 
@@ -137,29 +132,17 @@ pub struct RTree {
     generation: u64,
 }
 
-/// Process-unique stamp for [`RTree::generation`]: every construction or mutation gets a
-/// fresh value, so two trees (or two states of one tree) never share a generation.  The
-/// overlay of [`crate::world::WorldView`] mints its logical generations from the same
-/// counter, so tree stamps and world stamps can never collide.
+/// Process-unique stamp for [`RTree::generation`]: every construction gets a fresh value, so
+/// two trees never share a generation.  The overlay of [`crate::world::WorldView`] mints its
+/// logical generations from the same counter, so tree stamps and world stamps can never
+/// collide.
 pub(crate) fn next_generation() -> u64 {
     use std::sync::atomic::{AtomicU64, Ordering};
     static NEXT: AtomicU64 = AtomicU64::new(1);
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-impl Default for RTree {
-    fn default() -> Self {
-        Self::new(RTreeConfig::default())
-    }
-}
-
 impl RTree {
-    /// Creates an empty tree with the given configuration.
-    #[must_use]
-    pub fn new(config: RTreeConfig) -> Self {
-        Self { config, root: None, len: 0, next_id: 0, generation: next_generation() }
-    }
-
     /// Bulk loads a tree from plain points; the entry id of each point is its slice index.
     #[must_use]
     pub fn bulk_load(points: &[Point]) -> Self {
@@ -216,121 +199,27 @@ impl RTree {
         self.config
     }
 
-    /// Process-unique identity stamp of this tree's current contents.
+    /// Process-unique identity stamp of this tree's contents.
     ///
-    /// Every construction and every mutation produces a fresh value, so caches keyed on the
-    /// generation (e.g. the persistent §5.4 GNN buffer) can detect a different or modified
-    /// tree without probabilistic address/content comparisons.  Cloning preserves the stamp:
-    /// a clone holds identical contents, so caches built from the original stay valid for it.
+    /// Every construction produces a fresh value, so caches keyed on the generation (e.g. the
+    /// persistent §5.4 GNN buffer) can detect a different tree without probabilistic
+    /// address/content comparisons.  Cloning preserves the stamp: a clone holds identical
+    /// contents, so caches built from the original stay valid for it.
     #[must_use]
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// Inserts a new POI and returns its assigned id.
-    pub fn insert(&mut self, location: Point) -> usize {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.insert_entry(PoiEntry::new(id, location));
-        id
-    }
-
-    /// Inserts a pre-identified entry.
-    pub fn insert_entry(&mut self, entry: PoiEntry) {
-        self.next_id = self.next_id.max(entry.id + 1);
-        self.len += 1;
-        self.generation = next_generation();
-        match self.root.take() {
-            None => {
-                self.root = Some(Node::Leaf {
-                    mbr: Rect::from_point(entry.location),
-                    entries: vec![entry],
-                });
-            }
-            Some(mut root) => {
-                if let Some(sibling) = insert_recursive(&mut root, entry, &self.config) {
-                    // Root split: grow the tree by one level.
-                    let mbr = root.mbr().union(sibling.mbr());
-                    self.root = Some(Node::Internal { mbr, children: vec![root, sibling] });
-                } else {
-                    self.root = Some(root);
-                }
-            }
-        }
     }
 
     /// Iterates over every entry (in unspecified order).
     pub fn iter(&self) -> impl Iterator<Item = PoiEntry> + '_ {
         let mut stack: Vec<&Node> = self.root.iter().collect();
         std::iter::from_fn(move || loop {
-            let node = stack.pop()?;
-            match node {
-                Node::Leaf { entries, .. } => return Some(entries.clone()),
+            match stack.pop()? {
+                Node::Leaf { entries, .. } => return Some(entries.iter().copied()),
                 Node::Internal { children, .. } => stack.extend(children.iter()),
             }
         })
         .flatten()
-    }
-
-    /// All entries inside (or on the boundary of) the query rectangle.
-    #[must_use]
-    pub fn range(&self, query: &Rect) -> Vec<PoiEntry> {
-        let mut out = Vec::new();
-        let mut stack: Vec<&Node> = self.root.iter().collect();
-        while let Some(node) = stack.pop() {
-            if !node.mbr().intersects(query) {
-                continue;
-            }
-            match node {
-                Node::Leaf { entries, .. } => {
-                    out.extend(entries.iter().copied().filter(|e| query.contains(e.location)));
-                }
-                Node::Internal { children, .. } => stack.extend(children.iter()),
-            }
-        }
-        out
-    }
-
-    /// Nearest POI to the query point, with its distance.
-    #[must_use]
-    pub fn nearest(&self, query: Point) -> Option<(PoiEntry, f64)> {
-        self.k_nearest(query, 1).into_iter().next()
-    }
-
-    /// The `k` nearest POIs to the query point, ordered by increasing distance.
-    #[must_use]
-    pub fn k_nearest(&self, query: Point, k: usize) -> Vec<(PoiEntry, f64)> {
-        let mut out = Vec::with_capacity(k);
-        if k == 0 {
-            return out;
-        }
-        let mut heap = BestFirstHeap::new();
-        if let Some(root) = &self.root {
-            heap.push_node(root.mbr().min_dist(query), root);
-        }
-        while let Some(item) = heap.pop() {
-            match item {
-                HeapItem::Node(_, node) => match node {
-                    Node::Leaf { entries, .. } => {
-                        for e in entries {
-                            heap.push_entry(e.location.dist(query), *e);
-                        }
-                    }
-                    Node::Internal { children, .. } => {
-                        for c in children {
-                            heap.push_node(c.mbr().min_dist(query), c);
-                        }
-                    }
-                },
-                HeapItem::Entry(d, e) => {
-                    out.push((e, d));
-                    if out.len() == k {
-                        break;
-                    }
-                }
-            }
-        }
-        out
     }
 
     /// Candidate POIs for the MAX objective: every POI `p` such that `‖p, uᵢ‖ ≤ radiiᵢ` for all
@@ -465,72 +354,10 @@ impl RTree {
         self.root.as_ref()
     }
 
-    /// The id the next [`RTree::insert`] would assign (one past the largest id ever stored).
-    /// The delta overlay of [`crate::world::WorldView`] continues this numbering so overlay
-    /// inserts never collide with base ids.
+    /// One past the largest id stored.  The delta overlay of [`crate::world::WorldView`]
+    /// continues this numbering so overlay inserts never collide with base ids.
     pub(crate) fn next_id(&self) -> usize {
         self.next_id
-    }
-}
-
-// ---------------------------------------------------------------------------------------------
-// Best-first traversal plumbing.
-// ---------------------------------------------------------------------------------------------
-
-pub(crate) enum HeapItem<'a> {
-    Node(f64, &'a Node),
-    Entry(f64, PoiEntry),
-}
-
-impl HeapItem<'_> {
-    fn key(&self) -> f64 {
-        match self {
-            HeapItem::Node(k, _) | HeapItem::Entry(k, _) => *k,
-        }
-    }
-}
-
-/// A min-heap over heap items keyed by distance (std's `BinaryHeap` is a max-heap, so the
-/// ordering is reversed here).
-pub(crate) struct BestFirstHeap<'a> {
-    heap: std::collections::BinaryHeap<HeapOrd<'a>>,
-}
-
-struct HeapOrd<'a>(HeapItem<'a>);
-
-impl PartialEq for HeapOrd<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.key() == other.0.key()
-    }
-}
-impl Eq for HeapOrd<'_> {}
-impl PartialOrd for HeapOrd<'_> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapOrd<'_> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse: smallest key first.
-        other.0.key().total_cmp(&self.0.key())
-    }
-}
-
-impl<'a> BestFirstHeap<'a> {
-    pub(crate) fn new() -> Self {
-        Self { heap: std::collections::BinaryHeap::new() }
-    }
-
-    pub(crate) fn push_node(&mut self, key: f64, node: &'a Node) {
-        self.heap.push(HeapOrd(HeapItem::Node(key, node)));
-    }
-
-    pub(crate) fn push_entry(&mut self, key: f64, entry: PoiEntry) {
-        self.heap.push(HeapOrd(HeapItem::Entry(key, entry)));
-    }
-
-    pub(crate) fn pop(&mut self) -> Option<HeapItem<'a>> {
-        self.heap.pop().map(|h| h.0)
     }
 }
 
@@ -591,144 +418,19 @@ fn build_upper_levels(mut level: Vec<Node>, cap: usize) -> Node {
     level.pop().expect("non-empty level")
 }
 
-// ---------------------------------------------------------------------------------------------
-// Incremental insertion with quadratic split.
-// ---------------------------------------------------------------------------------------------
-
-/// Inserts into the subtree rooted at `node`; returns a new sibling if `node` was split.
-fn insert_recursive(node: &mut Node, entry: PoiEntry, config: &RTreeConfig) -> Option<Node> {
-    match node {
-        Node::Leaf { mbr, entries } => {
-            entries.push(entry);
-            *mbr = mbr.union(Rect::from_point(entry.location));
-            if entries.len() > config.max_entries {
-                let (left, right) = split_leaf(std::mem::take(entries), config);
-                let (lm, le) = left;
-                *mbr = lm;
-                *entries = le;
-                let (rm, re) = right;
-                Some(Node::Leaf { mbr: rm, entries: re })
-            } else {
-                None
-            }
-        }
-        Node::Internal { mbr, children } => {
-            let point_rect = Rect::from_point(entry.location);
-            // Choose the child needing the least area enlargement (ties: smaller area).
-            let best = (0..children.len())
-                .min_by(|&i, &j| {
-                    let ei = children[i].mbr().enlargement(point_rect);
-                    let ej = children[j].mbr().enlargement(point_rect);
-                    ei.total_cmp(&ej)
-                        .then(children[i].mbr().area().total_cmp(&children[j].mbr().area()))
-                })
-                .expect("internal node has children");
-            let new_sibling = insert_recursive(&mut children[best], entry, config);
-            if let Some(sib) = new_sibling {
-                children.push(sib);
-            }
-            *mbr = children.iter().fold(Rect::EMPTY, |r, c| r.union(c.mbr()));
-            if children.len() > config.max_entries {
-                let (left, right) = split_internal(std::mem::take(children), config);
-                let (lm, lc) = left;
-                *mbr = lm;
-                *children = lc;
-                let (rm, rc) = right;
-                Some(Node::Internal { mbr: rm, children: rc })
-            } else {
-                None
-            }
-        }
-    }
-}
-
-/// Quadratic split over arbitrary items given a function producing each item's rectangle.
-fn quadratic_split<T>(
-    items: Vec<T>,
-    rect_of: impl Fn(&T) -> Rect,
-    min_entries: usize,
-) -> ((Rect, Vec<T>), (Rect, Vec<T>)) {
-    debug_assert!(items.len() >= 2);
-    // Pick the pair of seeds wasting the most area when grouped together.
-    let mut seed_a = 0;
-    let mut seed_b = 1;
-    let mut worst = f64::NEG_INFINITY;
-    for i in 0..items.len() {
-        for j in (i + 1)..items.len() {
-            let ri = rect_of(&items[i]);
-            let rj = rect_of(&items[j]);
-            let waste = ri.union(rj).area() - ri.area() - rj.area();
-            if waste > worst {
-                worst = waste;
-                seed_a = i;
-                seed_b = j;
-            }
-        }
-    }
-
-    let mut group_a: Vec<T> = Vec::new();
-    let mut group_b: Vec<T> = Vec::new();
-    let mut mbr_a = Rect::EMPTY;
-    let mut mbr_b = Rect::EMPTY;
-    let mut rest: Vec<T> = Vec::new();
-    for (idx, item) in items.into_iter().enumerate() {
-        if idx == seed_a {
-            mbr_a = rect_of(&item);
-            group_a.push(item);
-        } else if idx == seed_b {
-            mbr_b = rect_of(&item);
-            group_b.push(item);
-        } else {
-            rest.push(item);
-        }
-    }
-
-    let total = rest.len() + 2;
-    for item in rest {
-        let r = rect_of(&item);
-        // Honour the minimum fill: if one group must take everything remaining, do so.
-        let remaining = total - group_a.len() - group_b.len();
-        if group_a.len() + remaining <= min_entries {
-            mbr_a = mbr_a.union(r);
-            group_a.push(item);
-            continue;
-        }
-        if group_b.len() + remaining <= min_entries {
-            mbr_b = mbr_b.union(r);
-            group_b.push(item);
-            continue;
-        }
-        let grow_a = mbr_a.union(r).area() - mbr_a.area();
-        let grow_b = mbr_b.union(r).area() - mbr_b.area();
-        if grow_a < grow_b || (grow_a == grow_b && mbr_a.area() <= mbr_b.area()) {
-            mbr_a = mbr_a.union(r);
-            group_a.push(item);
-        } else {
-            mbr_b = mbr_b.union(r);
-            group_b.push(item);
-        }
-    }
-    ((mbr_a, group_a), (mbr_b, group_b))
-}
-
-type LeafSplit = ((Rect, Vec<PoiEntry>), (Rect, Vec<PoiEntry>));
-type InternalSplit = ((Rect, Vec<Node>), (Rect, Vec<Node>));
-
-fn split_leaf(entries: Vec<PoiEntry>, config: &RTreeConfig) -> LeafSplit {
-    quadratic_split(entries, |e| Rect::from_point(e.location), config.min_entries)
-}
-
-fn split_internal(children: Vec<Node>, config: &RTreeConfig) -> InternalSplit {
-    quadratic_split(children, Node::mbr, config.min_entries)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gnn::{Aggregate, GnnNeighbor, GnnSearch};
 
     fn grid_points(n: usize) -> Vec<Point> {
         let side = (n as f64).sqrt().ceil() as usize;
         (0..n).map(|i| Point::new((i % side) as f64, (i / side) as f64)).collect()
+    }
+
+    /// The `k` nearest POIs to `q`: the single-user GNN query (MAX and SUM coincide).
+    fn nearest_to(t: &RTree, q: Point, k: usize) -> Vec<GnnNeighbor> {
+        GnnSearch::new(t, &[q], Aggregate::Max).top_k(k).0
     }
 
     #[test]
@@ -738,22 +440,23 @@ mod tests {
         assert_ne!(a.generation(), b.generation(), "distinct trees get distinct stamps");
         // A clone shares contents, so it keeps the stamp.
         assert_eq!(a.clone().generation(), a.generation());
-        // Mutation refreshes the stamp.
-        let mut c = b.clone();
-        let before = c.generation();
-        c.insert(Point::new(100.0, 100.0));
-        assert_ne!(c.generation(), before);
-        assert_eq!(b.generation(), before, "the clone's mutation leaves the original alone");
+        // The tree itself is immutable; a changed POI set is a rebuilt tree with a fresh stamp.
+        let mut entries: Vec<PoiEntry> = b.iter().collect();
+        entries.push(PoiEntry::new(b.next_id(), Point::new(100.0, 100.0)));
+        let c = RTree::bulk_load_entries(entries, b.config());
+        assert_ne!(c.generation(), b.generation());
+        assert_eq!(c.next_id(), 17);
     }
 
     #[test]
     fn empty_tree_behaviour() {
-        let t = RTree::default();
+        let t = RTree::bulk_load(&[]);
         assert!(t.is_empty());
         assert_eq!(t.len(), 0);
         assert_eq!(t.height(), 0);
-        assert!(t.nearest(Point::ORIGIN).is_none());
-        assert!(t.range(&Rect::new(Point::ORIGIN, Point::new(1.0, 1.0))).is_empty());
+        assert_eq!(t.iter().count(), 0);
+        assert!(nearest_to(&t, Point::ORIGIN, 1).is_empty());
+        assert!(t.candidates_within_sum_radius(&[Point::ORIGIN], 1.0).0.is_empty());
         assert!(t.bounds().is_empty());
     }
 
@@ -773,9 +476,9 @@ mod tests {
         let t = RTree::bulk_load(&[Point::new(3.0, 4.0)]);
         assert_eq!(t.len(), 1);
         assert_eq!(t.height(), 1);
-        let (e, d) = t.nearest(Point::ORIGIN).unwrap();
-        assert_eq!(e.id, 0);
-        assert!((d - 5.0).abs() < 1e-12);
+        let nearest = nearest_to(&t, Point::ORIGIN, 1)[0];
+        assert_eq!(nearest.entry.id, 0);
+        assert!((nearest.dist - 5.0).abs() < 1e-12);
 
         let empty = RTree::bulk_load(&[]);
         assert!(empty.is_empty());
@@ -789,103 +492,43 @@ mod tests {
             Point::new(3.3, 7.9),
             Point::new(-5.0, -5.0),
             Point::new(30.0, 2.0),
-            Point::new(11.5, 11.5),
+            Point::new(11.5, 11.5), // four grid points tie: the smallest id wins
         ];
         for q in queries {
-            let (got, gd) = t.nearest(q).unwrap();
+            let got = nearest_to(&t, q, 1)[0];
+            // `min_by` keeps the first of equal minima, i.e. the smallest id.
             let (want_i, want_d) = pts
                 .iter()
                 .enumerate()
                 .map(|(i, p)| (i, p.dist(q)))
                 .min_by(|a, b| a.1.total_cmp(&b.1))
                 .unwrap();
-            assert!((gd - want_d).abs() < 1e-12);
-            assert_eq!(pts[got.id].dist(q), pts[want_i].dist(q));
+            assert_eq!(got.dist, want_d);
+            assert_eq!(got.entry.id, want_i);
+            // Asking for more neighbours than points returns everything, for none nothing.
+            assert_eq!(nearest_to(&t, q, 1000).len(), 500);
+            assert!(nearest_to(&t, q, 0).is_empty());
         }
-    }
-
-    #[test]
-    fn k_nearest_is_sorted_and_correct() {
-        let pts = grid_points(200);
-        let t = RTree::bulk_load(&pts);
-        let q = Point::new(5.2, 5.7);
-        let got = t.k_nearest(q, 10);
-        assert_eq!(got.len(), 10);
-        for w in got.windows(2) {
-            assert!(w[0].1 <= w[1].1 + 1e-12);
-        }
-        let mut brute: Vec<f64> = pts.iter().map(|p| p.dist(q)).collect();
-        brute.sort_by(f64::total_cmp);
-        for (i, (_, d)) in got.iter().enumerate() {
-            assert!((d - brute[i]).abs() < 1e-12);
-        }
-        // Asking for more neighbours than points returns everything.
-        assert_eq!(t.k_nearest(q, 1000).len(), 200);
-        assert!(t.k_nearest(q, 0).is_empty());
-    }
-
-    #[test]
-    fn range_query_matches_filter() {
-        let pts = grid_points(400);
-        let t = RTree::bulk_load(&pts);
-        let q = Rect::new(Point::new(2.5, 3.5), Point::new(9.5, 12.5));
-        let mut got: Vec<usize> = t.range(&q).into_iter().map(|e| e.id).collect();
-        got.sort_unstable();
-        let mut want: Vec<usize> =
-            pts.iter().enumerate().filter(|(_, p)| q.contains(**p)).map(|(i, _)| i).collect();
-        want.sort_unstable();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn insertion_grows_and_stays_queryable() {
-        let mut t = RTree::new(RTreeConfig::new(8, 3));
-        let pts = grid_points(300);
-        for p in &pts {
-            t.insert(*p);
-        }
-        assert_eq!(t.len(), 300);
-        assert!(t.height() >= 2);
-        // Every inserted point is its own nearest neighbour at distance 0.
-        for (i, p) in pts.iter().enumerate().step_by(17) {
-            let (e, d) = t.nearest(*p).unwrap();
-            assert!(d < 1e-12, "point {i} should be found exactly");
-            assert_eq!(pts[e.id], *p);
-        }
-    }
-
-    #[test]
-    fn insertion_after_bulk_load() {
-        let mut t = RTree::bulk_load(&grid_points(100));
-        let id = t.insert(Point::new(-50.0, -50.0));
-        assert_eq!(id, 100);
-        assert_eq!(t.len(), 101);
-        let (e, d) = t.nearest(Point::new(-49.0, -50.0)).unwrap();
-        assert_eq!(e.id, 100);
-        assert!((d - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn node_capacity_is_respected() {
-        let mut t = RTree::new(RTreeConfig::new(6, 2));
-        for p in grid_points(200) {
-            t.insert(p);
-        }
-        fn check(node: &Node, cap: usize, is_root: bool) {
+        fn check(node: &Node, cap: usize) {
             match node {
-                Node::Leaf { entries, .. } => assert!(entries.len() <= cap),
+                Node::Leaf { entries, .. } => assert!((1..=cap).contains(&entries.len())),
                 Node::Internal { children, .. } => {
-                    assert!(children.len() <= cap);
-                    if !is_root {
-                        assert!(children.len() >= 2);
-                    }
-                    for c in children {
-                        check(c, cap, false);
-                    }
+                    assert!((1..=cap).contains(&children.len()));
+                    children.iter().for_each(|c| check(c, cap));
                 }
             }
         }
-        check(t.root().unwrap(), 6, true);
+        for (n, cap) in [(200, 6), (97, 4), (1000, 32), (33, 32)] {
+            let entries = grid_points(n).into_iter().enumerate().map(|(i, p)| PoiEntry::new(i, p));
+            let t = RTree::bulk_load_entries(entries.collect(), RTreeConfig::new(cap));
+            check(t.root().unwrap(), cap);
+            assert!(t.node_count() >= n.div_ceil(cap));
+        }
+        assert_eq!(RTreeConfig::new(1).max_entries, 4, "a degenerate fan-out is clamped");
     }
 
     #[test]
@@ -961,11 +604,6 @@ mod tests {
     fn subtree_entry_count_matches_len() {
         let t = RTree::bulk_load(&grid_points(321));
         assert_eq!(t.root().unwrap().len(), t.len());
-        let mut t2 = RTree::new(RTreeConfig::new(8, 3));
-        for p in grid_points(97) {
-            t2.insert(p);
-        }
-        assert_eq!(t2.root().unwrap().len(), 97);
     }
 
     #[test]
@@ -973,6 +611,8 @@ mod tests {
         let pts = vec![Point::new(1.0, 1.0); 50];
         let t = RTree::bulk_load(&pts);
         assert_eq!(t.len(), 50);
-        assert_eq!(t.k_nearest(Point::new(1.0, 1.0), 50).len(), 50);
+        assert_eq!(t.iter().count(), 50);
+        let all = nearest_to(&t, Point::new(1.0, 1.0), 50);
+        assert_eq!(all.iter().map(|n| n.entry.id).collect::<Vec<_>>(), (0..50).collect::<Vec<_>>());
     }
 }

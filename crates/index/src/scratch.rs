@@ -1,13 +1,11 @@
 //! Per-worker query scratch arenas: reusable buffers for the query hot path.
 //!
-//! Every cached index query used to allocate on *every* call — a `Vec<u64>` of exact key
-//! bits to probe the [`QueryCache`](crate::QueryCache), and a cloned payload vector on a
-//! hit.  At fleet scale that is millions of short-lived allocations per tick for queries
-//! whose answers are already resident.  [`QueryScratch`] hoists those buffers out of the
-//! call: the probe key and the kNN staging vector live in a thread-keyed arena and are
-//! reused by every query the thread runs, so a warm-cache query performs **zero heap
-//! allocations** end to end (see [`IndexView::top2`](crate::IndexView::top2) and the
-//! `*_into` query variants).
+//! An index query needs a `Vec<u64>` of exact key bits to probe the
+//! [`QueryCache`](crate::QueryCache) and a vector to stage its neighbours in.  [`QueryScratch`]
+//! hoists those buffers out of the call: they live in a thread-keyed arena and are reused by
+//! every query the thread runs, so a warm-cache query performs **zero heap allocations** end
+//! to end and an uncached one allocates only its traversal frontier (see
+//! [`IndexView::top2`](crate::IndexView::top2) and the `*_into` query variants).
 //!
 //! # Why the scratch is per *worker*
 //!
@@ -15,9 +13,7 @@
 //! (`mpn-pool` spawns them once and parks them between scopes).  Keying the arena by thread
 //! therefore means each worker warms its buffers once and keeps them for the lifetime of
 //! the fleet — there is no per-tick arena churn and no cross-worker synchronisation, because
-//! a scratch is only ever touched by the thread that owns it.  A scoped-thread executor gets
-//! fresh threads (and cold arenas) every tick, which is one more reason the persistent pool
-//! is the default.
+//! a scratch is only ever touched by the thread that owns it.
 //!
 //! # What stays on the call stack
 //!
@@ -25,9 +21,15 @@
 //! (crate::RTree::candidates_within_user_radii_into) and the sum-radius variant) need a
 //! visit stack; it is the program stack — the walk recurses, bounded by the R-tree height
 //! (a handful of levels even at millions of POIs) — so no heap stack is allocated at all.
-//! The best-first kNN frontier still allocates per *traversal* because its items borrow
-//! tree nodes, but a traversal only happens on a cache miss, which steady-state ticks
-//! never take.
+//! The GNN frontier ([`GnnSearch::top_k_into`](crate::GnnSearch::top_k_into)) is the one
+//! heap allocation a traversal makes: its items borrow tree nodes, so it cannot outlive the
+//! call and live here.  A traversal is not the rare case: a server without a
+//! [`QueryCache`](crate::QueryCache) — the one the repository benchmark runs — traverses on
+//! every recomputation, and a server with one still does for every group that shares no
+//! query location with another (`index.cache_hit_share` is 0 on all four benchmark
+//! workloads).  The frontier holds nodes only and starts at a capacity a top-2 query all
+//! but never outgrows, so the cost is one allocation per query (`tests/alloc_gates.rs`,
+//! `uncached_circle_recompute`).
 
 use std::cell::Cell;
 

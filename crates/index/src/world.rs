@@ -292,8 +292,9 @@ impl<'a> IndexView<'a> {
         self.base.iter().filter(move |e| !view.deleted(e.id)).chain(self.inserts().iter().copied())
     }
 
-    /// The `k` best meeting points under `aggregate`, in increasing aggregate distance, plus
-    /// traversal statistics — the overlay-aware `FindMaxGNN` / `FindSumGNN`.
+    /// The `k` best meeting points under `aggregate`, in increasing aggregate distance (ties
+    /// in ascending id), plus traversal statistics — the overlay-aware `FindMaxGNN` /
+    /// `FindSumGNN`.
     ///
     /// Deleting `d` base entries can promote at most `d` runners-up into the top-k, so the
     /// base is searched for `k + d` neighbours, deleted ids are dropped, and the overlay
@@ -397,6 +398,7 @@ impl<'a> IndexView<'a> {
                 .iter()
                 .map(|e| GnnNeighbor { entry: *e, dist: aggregate.point_dist(e.location, users) }),
         );
+        // Stable, and every insert id exceeds every base id: ascending `(dist, id)` again.
         out.sort_by(|a, b| a.dist.total_cmp(&b.dist));
         out.truncate(k);
         stats
