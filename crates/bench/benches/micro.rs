@@ -471,7 +471,7 @@ fn main() {
             group: 42,
             user: 2,
             meeting_point: Point::new(4_000.0, 5_000.0),
-            region: mpn_core::SafeRegion::Tiles(region),
+            region: mpn_core::SafeRegion::Tiles(Box::new(region)),
         };
         b("proto/codec_roundtrip_report", &mut || {
             let bytes = black_box(&report).encoded();

@@ -174,8 +174,9 @@ impl TileRegion {
 pub enum SafeRegion {
     /// Circular safe region of Circle-MSR.
     Circle(Circle),
-    /// Tile-based safe region of Tile-MSR.
-    Tiles(TileRegion),
+    /// Tile-based safe region of Tile-MSR, boxed: a region travels by value through answers,
+    /// session events and wire responses, and a circle should not pay a tile set's size.
+    Tiles(Box<TileRegion>),
 }
 
 impl SafeRegion {
@@ -310,7 +311,7 @@ mod tests {
 
         let mut tiles = TileRegion::with_seed(frame());
         tiles.push(TileCell::new(0, 0, 1));
-        let t = SafeRegion::Tiles(tiles);
+        let t = SafeRegion::Tiles(Box::new(tiles));
         assert!(t.contains(Point::new(10.0, 13.0)));
         assert!(!t.contains(Point::new(20.0, 20.0)));
         assert_eq!(t.uncompressed_value_count(), 6);

@@ -17,14 +17,19 @@ use crate::Objective;
 /// Mutable per-group state owned by the server between safe-region computations.
 #[derive(Debug, Clone)]
 pub struct SessionState {
+    group_size: usize,
+    smoothing: f64,
+    /// One predictor per user, created by the first [`observe`](SessionState::observe): a
+    /// session whose method never reads a heading (Circle) never allocates them.
     predictors: Vec<HeadingPredictor>,
     persist_buffers: bool,
-    buffer: Option<BufferCache>,
-    buffer_builds: usize,
+    /// The §5.4 buffer, boxed: only a Tile-D-b session with persistent buffers ever fills it.
+    buffer: Option<Box<BufferCache>>,
     last_answer: Option<Answer>,
     /// [`IndexView::generation`](mpn_index::IndexView::generation) of the POI content the
-    /// last answer was computed against, used by the world-change invalidation pass.
-    answer_generation: Option<u64>,
+    /// last answer was computed against (meaningless without one), used by the world-change
+    /// invalidation pass.
+    answer_generation: u64,
 }
 
 impl SessionState {
@@ -39,12 +44,13 @@ impl SessionState {
     pub fn new(group_size: usize, smoothing: f64) -> Self {
         assert!(group_size > 0, "a session needs at least one user");
         Self {
-            predictors: (0..group_size).map(|_| HeadingPredictor::new(smoothing)).collect(),
+            group_size,
+            smoothing,
+            predictors: Vec::new(),
             persist_buffers: false,
             buffer: None,
-            buffer_builds: 0,
             last_answer: None,
-            answer_generation: None,
+            answer_generation: 0,
         }
     }
 
@@ -64,7 +70,7 @@ impl SessionState {
     /// Number of users in the group this session tracks.
     #[must_use]
     pub fn group_size(&self) -> usize {
-        self.predictors.len()
+        self.group_size
     }
 
     /// Feeds the users' current locations into the heading predictors.
@@ -76,7 +82,10 @@ impl SessionState {
     /// # Panics
     /// Panics when `locations` does not have one entry per user.
     pub fn observe(&mut self, locations: &[Point]) {
-        assert_eq!(locations.len(), self.predictors.len(), "one location per user is required");
+        assert_eq!(locations.len(), self.group_size, "one location per user is required");
+        if self.predictors.is_empty() {
+            self.predictors = vec![HeadingPredictor::new(self.smoothing); self.group_size];
+        }
         for (predictor, location) in self.predictors.iter_mut().zip(locations) {
             predictor.observe(*location);
         }
@@ -85,7 +94,10 @@ impl SessionState {
     /// The predicted heading of every user (`None` until a user has moved).
     #[must_use]
     pub fn predicted_headings(&self) -> Vec<Option<f64>> {
-        self.predictors.iter().map(HeadingPredictor::predicted).collect()
+        let mut headings: Vec<_> =
+            self.predictors.iter().map(HeadingPredictor::predicted).collect();
+        headings.resize(self.group_size, None);
+        headings
     }
 
     /// The answer of the most recent safe-region computation, if any.
@@ -94,38 +106,17 @@ impl SessionState {
         self.last_answer.as_ref()
     }
 
-    /// How many times the *persistent* GNN buffer has been (re)built in this session.
-    ///
-    /// With persistent buffers enabled this stays well below the number of updates.  Without
-    /// persistence the engines go through the stateless path, whose throwaway buffers are not
-    /// tracked, so the counter stays 0.
-    #[must_use]
-    pub fn buffer_builds(&self) -> usize {
-        self.buffer_builds
-    }
-
     /// Whether a buffered prefix is currently cached.
     #[must_use]
     pub fn has_cached_buffer(&self) -> bool {
         self.buffer.is_some()
     }
 
-    /// Releases everything the session retains between updates: the cached §5.4 GNN buffer
-    /// and the last [`Answer`] (whose per-user region vectors dominate the session's
-    /// footprint).  The heading predictors — a few floats per user — are untouched; callers
-    /// tearing a session down fully (e.g. a monitoring server's deregistration path) drop the
-    /// whole `SessionState` right after.
-    pub fn reclaim(&mut self) {
-        self.buffer = None;
-        self.last_answer = None;
-        self.answer_generation = None;
-    }
-
     /// The world generation the last answer was computed against, `None` before the first
-    /// computation (or after [`reclaim`](SessionState::reclaim)).
+    /// computation.
     #[must_use]
     pub fn answer_generation(&self) -> Option<u64> {
-        self.answer_generation
+        self.last_answer.as_ref().map(|_| self.answer_generation)
     }
 
     /// Whether deleting POI `poi` can break this session's current safe regions.
@@ -185,21 +176,15 @@ impl SessionState {
     /// the section whose duration is reported as the paper's "CPU time per computation".
     /// `generation` stamps which world content the answer is valid for.
     pub(crate) fn record_answer(&mut self, answer: Answer, generation: u64) -> &Answer {
-        self.answer_generation = Some(generation);
+        self.answer_generation = generation;
         self.last_answer.insert(answer)
     }
 
     /// The persistent buffer slot, or `None` when persistence is disabled.
     ///
-    /// Engines pass the inner `Option<BufferCache>` to the cache-aware tile computation; a
-    /// count of builds is kept for diagnostics.
-    pub(crate) fn buffer_slot_mut(&mut self) -> Option<&mut Option<BufferCache>> {
+    /// Engines pass the inner slot to the cache-aware tile computation.
+    pub(crate) fn buffer_slot_mut(&mut self) -> Option<&mut Option<Box<BufferCache>>> {
         self.persist_buffers.then_some(&mut self.buffer)
-    }
-
-    /// Bumps the build counter (called by the engines when a computation built a new buffer).
-    pub(crate) fn count_buffer_builds(&mut self, builds: usize) {
-        self.buffer_builds += builds;
     }
 }
 
@@ -224,32 +209,6 @@ mod tests {
     fn observe_rejects_wrong_group_size() {
         let mut session = SessionState::new(3, 0.3);
         session.observe(&[Point::ORIGIN]);
-    }
-
-    #[test]
-    fn reclaim_drops_the_retained_state_but_keeps_the_predictors() {
-        let mut session = SessionState::new(2, 0.4);
-        session.observe(&[Point::new(0.0, 0.0), Point::new(1.0, 1.0)]);
-        session.observe(&[Point::new(1.0, 0.0), Point::new(1.0, 2.0)]);
-        let answer = Answer {
-            optimal_index: 0,
-            optimal_point: Point::ORIGIN,
-            optimal_dist: 1.0,
-            regions: Vec::new(),
-            stats: crate::ComputeStats::default(),
-        };
-        session.record_answer(answer, 7);
-        assert!(session.last_answer().is_some());
-        assert_eq!(session.answer_generation(), Some(7));
-        session.reclaim();
-        assert!(session.last_answer().is_none(), "reclaim drops the last answer");
-        assert!(session.answer_generation().is_none(), "reclaim drops the generation stamp");
-        assert!(!session.has_cached_buffer(), "reclaim drops any cached buffer");
-        assert_eq!(session.group_size(), 2);
-        assert!(
-            session.predicted_headings().iter().all(Option::is_some),
-            "heading predictors stay warm across reclaim"
-        );
     }
 
     fn answer_with_regions() -> Answer {

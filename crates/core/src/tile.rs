@@ -194,7 +194,7 @@ pub fn tile_msr_cached<'a>(
     objective: Objective,
     config: &TileMsrConfig,
     headings: Option<&[Option<f64>]>,
-    cache: &mut Option<BufferCache>,
+    cache: &mut Option<Box<BufferCache>>,
 ) -> TileMsr {
     let view = tree.into();
     assert!(!view.is_empty(), "Tile-MSR requires a non-empty POI set");
@@ -242,15 +242,15 @@ pub fn tile_msr_cached<'a>(
             stats.gnn.absorb(set.stats);
             stats.rtree_queries += 1;
             built_buffer = true;
-            *cache = Some(BufferCache {
+            *cache = Some(Box::new(BufferCache {
                 set,
                 anchors: users.to_vec(),
                 objective,
                 b,
                 tree_generation: view.generation(),
-            });
+            }));
         }
-        cache.as_ref()
+        cache.as_deref()
     } else {
         None
     };

@@ -95,12 +95,6 @@ impl Rect {
         Rect { lo: self.lo.min_components(p), hi: self.hi.max_components(p) }
     }
 
-    /// Increase in area caused by enlarging `self` to also cover `other`.
-    #[must_use]
-    pub fn enlargement(&self, other: Rect) -> f64 {
-        self.union(other).area() - self.area()
-    }
-
     /// Whether the two rectangles share at least one point.
     #[must_use]
     pub fn intersects(&self, other: &Rect) -> bool {
@@ -231,13 +225,11 @@ mod tests {
     }
 
     #[test]
-    fn union_and_enlargement() {
+    fn union_is_the_bounding_box() {
         let a = unit();
         let b = Rect::new(Point::new(2.0, 2.0), Point::new(3.0, 3.0));
-        let u = a.union(b);
-        assert_eq!(u, Rect::new(Point::new(0.0, 0.0), Point::new(3.0, 3.0)));
-        assert!((a.enlargement(b) - 8.0).abs() < 1e-12);
-        assert_eq!(a.enlargement(a), 0.0);
+        assert_eq!(a.union(b), Rect::new(Point::new(0.0, 0.0), Point::new(3.0, 3.0)));
+        assert_eq!(a.union(a), a);
     }
 
     #[test]

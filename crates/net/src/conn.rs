@@ -18,10 +18,10 @@
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 
-use mpn_proto::{DecodeError, FrameReader, Request};
+use mpn_proto::{DecodeError, FrameReader, Request, Response};
 use mpn_sim::ClientId;
 
-use crate::poll::{Interest, Token};
+use crate::poll::Interest;
 
 /// Why a connection must be closed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,14 +51,15 @@ pub struct ReadOutcome {
 #[derive(Debug)]
 pub struct Connection {
     stream: TcpStream,
-    /// The poll registration of this connection.
-    pub token: Token,
     /// The core-level identity (never reused, unlike tokens).
     pub client: ClientId,
     reader: FrameReader,
     outbox: Vec<u8>,
     /// Bytes of `outbox` already written to the socket.
     sent: usize,
+    /// The batch the event loop is still appending to: where its count header sits in
+    /// `outbox`, and the responses counted so far.
+    batch: Option<(usize, u32)>,
     /// The interest currently registered with the poller (kept here so the loop only issues
     /// `reregister` syscalls on actual changes).
     pub interest: Interest,
@@ -68,14 +69,14 @@ pub struct Connection {
 
 impl Connection {
     /// Wraps an accepted stream (the caller has already made it non-blocking).
-    pub fn new(stream: TcpStream, token: Token, client: ClientId) -> Self {
+    pub fn new(stream: TcpStream, client: ClientId) -> Self {
         Self {
             stream,
-            token,
             client,
             reader: FrameReader::new(),
             outbox: Vec::new(),
             sent: 0,
+            batch: None,
             interest: Interest::READ,
             paused: false,
         }
@@ -144,9 +145,32 @@ impl Connection {
         outcome
     }
 
-    /// Queues downlink bytes (already-encoded frames / envelope headers) for the peer.
-    pub fn queue_write(&mut self, bytes: &[u8]) {
-        self.outbox.extend_from_slice(bytes);
+    /// Opens this tick's count-prefixed batch ([`crate::envelope`]) at the end of the
+    /// outbox, its count to be patched in by [`end_batch`](Connection::end_batch); returns
+    /// `false` when one is open already.
+    pub fn begin_batch(&mut self) -> bool {
+        if self.batch.is_some() {
+            return false;
+        }
+        self.batch = Some((self.outbox.len(), 0));
+        self.outbox.extend_from_slice(&0u32.to_le_bytes());
+        true
+    }
+
+    /// Encodes one response straight into the outbox, as the next frame of the open batch.
+    ///
+    /// # Panics
+    /// Panics when no batch is open.
+    pub fn push_response(&mut self, response: &Response) {
+        self.batch.as_mut().expect("a batch is open").1 += 1;
+        response.encode(&mut self.outbox);
+    }
+
+    /// Closes the open batch; its bytes are then ready to [`flush`](Connection::flush).
+    pub fn end_batch(&mut self) {
+        if let Some((header, count)) = self.batch.take() {
+            self.outbox[header..header + 4].copy_from_slice(&count.to_le_bytes());
+        }
     }
 
     /// Writes as much of the outbox as the socket accepts right now.

@@ -12,7 +12,7 @@
 //! ([`conn::Connection`]) whose incremental [`mpn_proto::FrameReader`]s reassemble frames
 //! across arbitrarily fragmented reads; decoded requests from every ready socket batch into
 //! the core, one engine tick runs per loop iteration, and each addressed client gets one
-//! count-prefixed batch ([`envelope`]) written back through its outbox.  The loop only
+//! count-prefixed batch ([`envelope`]) encoded straight into its outbox.  The loop only
 //! frames what the core produced, so a connection's downlink is **byte-identical** to the
 //! in-process `ServerCore` output for the same lock-step request trace (pinned by the
 //! workspace test `tests/mux_parity.rs`).
@@ -57,7 +57,7 @@
 //! Per-client ordering guarantee: the owner of an affected group always sees the
 //! `WorldUpdate` before the revised regions it announces, because the core queues the
 //! announcement during request application and the recomputed regions drain from the
-//! session event log only after the tick.
+//! engine's event sink only after the tick.
 
 #![forbid(unsafe_op_in_unsafe_fn)]
 

@@ -10,8 +10,8 @@
 //!    [`ClientId`] — partial frames simply park in the per-connection reader;
 //! 3. if the core has work (queued requests, or inbox epochs from an earlier burst), runs
 //!    **one** engine tick and routes the client-tagged responses back: each addressed
-//!    connection gets one count-prefixed batch ([`crate::envelope`]) queued in its outbox
-//!    and flushed as far as the socket accepts.
+//!    connection gets one count-prefixed batch ([`crate::envelope`]) encoded into its
+//!    outbox and flushed as far as the socket accepts.
 //!
 //! Closed, malformed and backpressured connections are deregistered from both the poller and
 //! the core ([`ServerCore::disconnect`]), so a vanished client never leaks live sessions.
@@ -24,11 +24,9 @@ use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use mpn_proto::Response;
 use mpn_sim::{ClientId, ServerCore};
 
 use crate::conn::{CloseReason, Connection};
-use crate::envelope::encode_batch;
 use crate::poll::{Interest, PollEvent, Poller, Token};
 
 /// Tuning of the event loop's buffers and limits.
@@ -100,14 +98,13 @@ struct Slab {
 }
 
 impl Slab {
-    fn insert(&mut self, make: impl FnOnce(Token) -> Connection) -> Token {
+    fn insert(&mut self, conn: Connection) -> Token {
         let slot = self.free.pop().unwrap_or_else(|| {
             self.entries.push(None);
             self.entries.len() - 1
         });
-        let token = Token(slot + 1);
-        self.entries[slot] = Some(make(token));
-        token
+        self.entries[slot] = Some(conn);
+        Token(slot + 1)
     }
 
     fn get_mut(&mut self, token: Token) -> Option<&mut Connection> {
@@ -262,7 +259,7 @@ impl MuxServer {
                     }
                     let client = self.next_client;
                     self.next_client += 1;
-                    let token = self.conns.insert(|token| Connection::new(stream, token, client));
+                    let token = self.conns.insert(Connection::new(stream, client));
                     let conn = self.conns.get_mut(token).expect("just inserted");
                     let fd = conn.stream().as_raw_fd();
                     self.poller.register(fd, token, conn.interest)?;
@@ -320,33 +317,43 @@ impl MuxServer {
 
         // One batch per client this tick: every client with an applied request answers
         // (possibly count 0 — a quiet epoch), plus any client whose sessions produced
-        // events without a fresh request (burst uplink draining from the inbox).
-        let mut batches: Vec<(ClientId, Vec<Response>)> = Vec::new();
-        let mut index: HashMap<ClientId, usize> = HashMap::new();
+        // events without a fresh request (burst uplink draining from the inbox).  Each
+        // response is encoded straight into its connection's outbox.
+        let mut addressed: Vec<Token> = Vec::new();
         for &client in &output.applied {
-            index.insert(client, batches.len());
-            batches.push((client, Vec::new()));
+            self.open_batch(client, &mut addressed);
         }
-        for (client, response) in output.responses {
-            let at = *index.entry(client).or_insert_with(|| {
-                batches.push((client, Vec::new()));
-                batches.len() - 1
-            });
-            batches[at].1.push(response);
-        }
-
-        let mut wire = Vec::new();
-        for (client, responses) in batches {
-            let Some(&token) = self.clients.get(&client) else {
-                continue; // The client vanished mid-tick; its sessions are already gone.
+        // Responses come in per-client runs: the connection is looked up once per run.
+        let mut run: Option<(ClientId, Option<Token>)> = None;
+        for (client, response) in &output.responses {
+            let token = match run {
+                Some((of, token)) if of == *client => token,
+                _ => {
+                    let token = self.open_batch(*client, &mut addressed);
+                    run = Some((*client, token));
+                    token
+                }
             };
-            wire.clear();
-            encode_batch(&responses, &mut wire);
+            if let Some(conn) = token.and_then(|token| self.conns.get_mut(token)) {
+                conn.push_response(response);
+            }
+        }
+        for token in addressed {
             if let Some(conn) = self.conns.get_mut(token) {
-                conn.queue_write(&wire);
+                conn.end_batch();
             }
             self.flush_and_sync(token);
         }
+    }
+
+    /// Opens this tick's batch on `client`'s connection unless it is open already.  `None`:
+    /// the client vanished mid-tick and its sessions are already gone.
+    fn open_batch(&mut self, client: ClientId, addressed: &mut Vec<Token>) -> Option<Token> {
+        let token = *self.clients.get(&client)?;
+        if self.conns.get_mut(token)?.begin_batch() {
+            addressed.push(token);
+        }
+        Some(token)
     }
 
     /// Flushes a connection's outbox, then applies the backpressure verdict and re-registers

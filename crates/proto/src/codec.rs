@@ -296,7 +296,7 @@ fn decode_region(r: &mut Reader<'_>) -> Result<SafeRegion, DecodeError> {
             if region.len() != count {
                 return Err(DecodeError::Malformed("duplicate tile cells"));
             }
-            Ok(SafeRegion::Tiles(region))
+            Ok(SafeRegion::Tiles(Box::new(region)))
         }
         _ => Err(DecodeError::Malformed("unknown region kind")),
     }
@@ -511,8 +511,7 @@ pub fn read_frame(stream: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
 /// [`read_frame`] needs a blocking [`Read`]; an event loop instead gets arbitrary byte chunks
 /// whenever a socket is readable.  A `FrameReader` buffers those chunks
 /// ([`feed`](FrameReader::feed)) and hands back whole decoded messages as soon as they are
-/// complete ([`next_request`](FrameReader::next_request) /
-/// [`next_response`](FrameReader::next_response)), mapping the codec's
+/// complete ([`next_request`](FrameReader::next_request)), mapping the codec's
 /// [`DecodeError::Incomplete`] to `Ok(None)` — "wait for more bytes" is not an error on a
 /// stream.  Every other [`DecodeError`] **is** final: the stream is desynchronised (unknown
 /// tag, lying length, malformed payload) and the connection should be closed; the reader
@@ -556,23 +555,7 @@ impl FrameReader {
     /// Any error other than the internally-absorbed [`DecodeError::Incomplete`]: the stream
     /// is broken and cannot be decoded further.
     pub fn next_request(&mut self) -> Result<Option<Request>, DecodeError> {
-        self.next_with(Request::decode)
-    }
-
-    /// Decodes the next complete downlink message, `Ok(None)` when more bytes are needed.
-    ///
-    /// # Errors
-    /// Any error other than the internally-absorbed [`DecodeError::Incomplete`]: the stream
-    /// is broken and cannot be decoded further.
-    pub fn next_response(&mut self) -> Result<Option<Response>, DecodeError> {
-        self.next_with(Response::decode)
-    }
-
-    fn next_with<T>(
-        &mut self,
-        decode: impl FnOnce(&[u8]) -> Result<(T, usize), DecodeError>,
-    ) -> Result<Option<T>, DecodeError> {
-        match decode(&self.buf[self.pos..]) {
+        match Request::decode(&self.buf[self.pos..]) {
             Ok((message, consumed)) => {
                 self.pos += consumed;
                 Ok(Some(message))
@@ -592,7 +575,7 @@ mod tests {
         for (level, ix, iy) in [(0, 1, 0), (1, -2, 3), (2, 5, -7)] {
             region.push(TileCell::new(level, ix, iy));
         }
-        SafeRegion::Tiles(region)
+        SafeRegion::Tiles(Box::new(region))
     }
 
     #[test]

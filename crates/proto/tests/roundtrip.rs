@@ -40,7 +40,7 @@ fn tile_region(origin: Point, delta: f64, cells: &[(usize, i32, i32)]) -> SafeRe
     for &(level, ix, iy) in cells {
         region.push(TileCell::new(level as u8, ix, iy));
     }
-    SafeRegion::Tiles(region)
+    SafeRegion::Tiles(Box::new(region))
 }
 
 proptest! {

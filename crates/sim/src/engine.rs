@@ -45,7 +45,9 @@ use mpn_index::{IndexView, QueryCache, RTree, WorldView};
 use mpn_pool::WorkerPool;
 
 use crate::metrics::{EngineReport, MonitoringMetrics, ShardLoad};
-use crate::monitor::{GroupSession, MonitorConfig, SessionEvent, StepOutcome, TrajectoryFeed};
+use crate::monitor::{
+    EventSink, GroupSession, MonitorConfig, SessionEvent, StepOutcome, TrajectoryFeed,
+};
 
 /// Identifier of a registered group.
 ///
@@ -347,6 +349,7 @@ fn advance_chunk(
     hot: &mut [HotEntry],
     cold: &mut [Option<GroupSession>],
     view: IndexView<'_>,
+    events: &mut EventSink,
 ) -> (TickSummary, usize) {
     debug_assert_eq!(hot.len(), cold.len(), "hot and cold chunks must be sliced in lockstep");
     let mut tally = TickSummary::default();
@@ -361,13 +364,13 @@ fn advance_chunk(
         }
         if entry.pending == 0 && !entry.feed_ready {
             // Active-set scheduling: a session with nothing to consume is tallied as
-            // starved without walking its cold body (inbox, predictors, cached answer).
+            // starved without walking its cold body (positions, cached answer).
             tally.starved += 1;
             weight = weight.saturating_add(entry.weight);
             continue;
         }
         let session = slot.as_mut().expect("a non-vacant slot holds a session");
-        match session.advance(view) {
+        match session.advance_into(view, entry.id, events) {
             StepOutcome::Finished => {}
             StepOutcome::Starved => tally.starved += 1,
             StepOutcome::Registered => {
@@ -411,12 +414,14 @@ fn merge_counts(acc: &mut TickSummary, t: &TickSummary) {
 /// The shard stores its sessions in two parallel arrays indexed by **slot**:
 ///
 /// * [`hot`](Shard::hot) — a dense `Vec<HotEntry>` of per-tick decision state (a few dozen
-///   bytes per session: vacancy, finished/feed flags, inbox depth, placement weight).  The
+///   bytes per session: vacancy, finished/feed flags, waiting epochs, placement weight).  The
 ///   tick streams this array linearly; sessions with nothing to do are skipped or tallied
 ///   right here, cache line after cache line, without dereferencing anything.
 /// * [`cold`](Shard::cold) — a slot-stable slab of the full [`GroupSession`] bodies
-///   (predictors, inboxes, metrics, cached answers; hundreds of bytes each).  Only sessions
-///   that actually consume an epoch touch their cold body.
+///   (configuration, metrics, last answer, the flat position buffer; what else a body holds
+///   depends on its method — see the crate docs).  Only sessions that actually consume an
+///   epoch touch their cold body.  A body keeps no event log: the protocol events of an
+///   advance go to the tick's sink ([`MonitoringEngine::drain_events`]).
 ///
 /// Slots are **stable**: deregistration marks the hot entry vacant, parks the slot on
 /// [`free_slots`](Shard::free_slots) and never moves another session, so directory entries
@@ -460,8 +465,8 @@ impl Shard {
 
     /// Advances every live session one epoch; returns this shard's tick tally (the
     /// single-shard inline path).
-    fn advance_all(&mut self, view: IndexView<'_>) -> TickSummary {
-        let (tally, weight) = advance_chunk(&mut self.hot, &mut self.cold, view);
+    fn advance_all(&mut self, view: IndexView<'_>, events: &mut EventSink) -> TickSummary {
+        let (tally, weight) = advance_chunk(&mut self.hot, &mut self.cold, view, events);
         self.weight = weight;
         self.note_tick_outcome(&tally);
         tally
@@ -476,8 +481,8 @@ impl Shard {
     }
 
     /// The invalidation pass of one world change: evaluates the break predicate for every
-    /// session and force-recomputes the affected ones against the new view.  Returns
-    /// `(sessions checked, affected group ids)`.
+    /// session and force-recomputes the affected ones against the new view, their revised
+    /// regions going to `events`.  Returns `(sessions checked, affected group ids)`.
     ///
     /// A forced recompute consumes no epoch and moves no clock, so the hot mirrors
     /// (pending, feed, finished, weight) stay valid without a refresh.
@@ -485,13 +490,16 @@ impl Shard {
         &mut self,
         view: IndexView<'_>,
         change: &WorldChange,
+        events: &mut EventSink,
     ) -> (usize, Vec<GroupId>) {
         let mut affected = Vec::new();
         let mut checked = 0usize;
         for (entry, slot) in self.hot.iter().zip(self.cold.iter_mut()) {
             let Some(session) = slot else { continue };
             checked += 1;
-            if session.world_change_invalidates(change) && session.force_recompute(view) {
+            if session.world_change_invalidates(change)
+                && session.force_recompute_into(view, entry.id, events)
+            {
                 affected.push(entry.id);
             }
         }
@@ -554,6 +562,13 @@ pub struct MonitoringEngine {
     /// Aggregate metrics of past epochs whose ids were reused: folded out of the directory by
     /// `place` so fleet-wide totals never shrink, even though per-id attribution is gone.
     reclaimed: MonitoringMetrics,
+    /// The event sink: what sessions registered [`with_events`](GroupSession::with_events)
+    /// sent since the last [`drain_events`](MonitoringEngine::drain_events), each pass (a
+    /// tick, a world change) appending in shard/slot order.
+    events: EventSink,
+    /// A pass appended to a sink that already held an earlier pass's events, so the sink as
+    /// a whole is no longer in shard/slot order; `drain_events` restores it.
+    events_interleaved: bool,
     clock: usize,
     executor: TickExecutor,
     /// Present iff there is more than one shard (a single shard always ticks inline).
@@ -604,6 +619,8 @@ impl MonitoringEngine {
             directory: Vec::new(),
             free_ids: Vec::new(),
             reclaimed: MonitoringMetrics::new(0),
+            events: Vec::new(),
+            events_interleaved: false,
             clock: 0,
             executor,
             pool,
@@ -674,7 +691,7 @@ impl MonitoringEngine {
     /// Registers a pre-built session (the general form of
     /// [`register`](MonitoringEngine::register) /
     /// [`register_stream`](MonitoringEngine::register_stream), e.g. for a session with its
-    /// event log enabled).
+    /// events enabled).
     ///
     /// The session is placed on the shard with the least **remaining work** (occupancy
     /// weighted by remaining horizon, lowest index on ties); its id is popped from the
@@ -720,6 +737,11 @@ impl MonitoringEngine {
         self.shards[shard].free_slots.push(slot);
         self.shards[shard].weight =
             self.shards[shard].weight.saturating_sub(session_weight(&session));
+        // Undrained events leave with the session: nobody owns the group any more, and the
+        // id may be handed to a new one before the next drain.
+        if !self.events.is_empty() {
+            self.events.retain(|(group, _)| *group != id);
+        }
         let metrics = session.into_metrics();
         self.directory[id] = DirectoryEntry::Retired(Box::new(metrics.clone()));
         self.free_ids.push(id);
@@ -791,23 +813,24 @@ impl MonitoringEngine {
         Ok(())
     }
 
-    /// Drains every session's protocol event log (sessions registered
-    /// [`with_events`](GroupSession::with_events)), in shard order, tagged with the group id.
+    /// Takes the event sink: the protocol events of every session registered
+    /// [`with_events`](GroupSession::with_events) since the last call, tagged with the group
+    /// id, in shard then slot order and, within one session, in the order they were sent.
     ///
-    /// Sessions without an event log contribute nothing; the
+    /// Sessions without events contribute nothing; the
     /// [`ServerCore`](crate::server::ServerCore) turns these into wire responses after each
-    /// tick.
+    /// tick.  The sink's capacity goes with it — a burst of first regions does not stay
+    /// resident — and a tick that sends nothing allocates nothing.
     pub fn drain_events(&mut self) -> Vec<(GroupId, SessionEvent)> {
-        let mut drained = Vec::new();
-        for shard in &mut self.shards {
-            for (entry, slot) in shard.hot.iter().zip(shard.cold.iter_mut()) {
-                let Some(session) = slot else { continue };
-                for event in session.take_events() {
-                    drained.push((entry.id, event));
-                }
-            }
+        if std::mem::take(&mut self.events_interleaved) {
+            let directory = &self.directory;
+            // Stable: a session's forced recompute stays ahead of its later advance.
+            self.events.sort_by_key(|(group, _)| match directory[*group] {
+                DirectoryEntry::Active { shard, slot } => (shard, slot),
+                DirectoryEntry::Retired(_) => unreachable!("deregister purged its events"),
+            });
         }
-        drained
+        std::mem::take(&mut self.events)
     }
 
     /// Applies one POI world change and recomputes exactly the sessions it can break.
@@ -845,24 +868,35 @@ impl MonitoringEngine {
         }
         assert!(!self.world.is_empty(), "a POI delete may not empty the monitored world");
 
+        self.events_interleaved |= !self.events.is_empty();
         let view = match self.cache.as_deref() {
             Some(cache) => self.world.view().with_cache(cache),
             None => self.world.view(),
         };
         let change = &change;
+        let events = &mut self.events;
         let occupied: Vec<&mut Shard> =
             self.shards.iter_mut().filter(|s| s.occupancy() > 0).collect();
         let results: Vec<(usize, Vec<GroupId>)> = if occupied.len() <= 1 {
-            occupied.into_iter().map(|shard| shard.invalidate_all(view, change)).collect()
+            occupied.into_iter().map(|shard| shard.invalidate_all(view, change, events)).collect()
         } else {
             let pool = self.pool.as_mut().expect("a multi-shard engine owns a pool");
-            let mut slots: Vec<Option<(usize, Vec<GroupId>)>> = vec![None; occupied.len()];
+            // One buffer per job, concatenated in shard order behind the barrier.
+            let mut slots: Vec<_> = occupied.iter().map(|_| (None, Vec::new())).collect();
             pool.scoped(|scope| {
-                for (shard, slot) in occupied.into_iter().zip(slots.iter_mut()) {
-                    scope.execute(move || *slot = Some(shard.invalidate_all(view, change)));
+                for (shard, (result, sent)) in occupied.into_iter().zip(slots.iter_mut()) {
+                    scope.execute(move || {
+                        *result = Some(shard.invalidate_all(view, change, sent));
+                    });
                 }
             });
-            slots.into_iter().map(|t| t.expect("the scope barrier ran every job")).collect()
+            slots
+                .into_iter()
+                .map(|(result, mut sent)| {
+                    events.append(&mut sent);
+                    result.expect("the scope barrier ran every job")
+                })
+                .collect()
         };
 
         let mut groups_checked = 0;
@@ -1036,6 +1070,8 @@ impl MonitoringEngine {
     /// per-group metrics are identical to a serial replay regardless of shard count and
     /// executor.
     pub fn tick(&mut self) -> TickSummary {
+        self.events_interleaved |= !self.events.is_empty();
+        let events = &mut self.events;
         let cache_before = self.cache.as_deref().map(QueryCache::stats);
         let view = match self.cache.as_deref() {
             Some(cache) => self.world.view().with_cache(cache),
@@ -1052,7 +1088,7 @@ impl MonitoringEngine {
             let shard = &mut self.shards[0];
             if shard.has_live() {
                 exec.batches = 1;
-                shard.advance_all(view)
+                shard.advance_all(view, events)
             } else {
                 shard.idle_ticks += 1;
                 already_finished += shard.occupancy();
@@ -1082,7 +1118,10 @@ impl MonitoringEngine {
                 }
             }
             exec.batches = chunks.len();
-            let mut outcomes = vec![(TickSummary::default(), 0usize); chunks.len()];
+            // Each chunk sends to a buffer of its own; behind the barrier they are
+            // concatenated in chunk order, which is shard then slot order.
+            let mut outcomes: Vec<_> =
+                chunks.iter().map(|_| ((TickSummary::default(), 0usize), Vec::new())).collect();
             let pool = self.pool.as_mut().expect("a multi-shard engine owns a pool");
             let workers = pool.worker_count();
             pool.scoped(|scope| {
@@ -1091,13 +1130,13 @@ impl MonitoringEngine {
                 // chunk itself and the pool gets the rest, routed to the owning shard's
                 // worker and moved elsewhere only by stealing.
                 let inline = work.next_back();
-                for ((owner, (hot, cold)), outcome) in work {
+                for ((owner, (hot, cold)), (outcome, sent)) in work {
                     scope.execute_on(owner % workers, move || {
-                        *outcome = advance_chunk(hot, cold, view);
+                        *outcome = advance_chunk(hot, cold, view, sent);
                     });
                 }
-                if let Some(((_, (hot, cold)), outcome)) = inline {
-                    *outcome = advance_chunk(hot, cold, view);
+                if let Some(((_, (hot, cold)), (outcome, sent))) = inline {
+                    *outcome = advance_chunk(hot, cold, view, sent);
                 }
             });
             let stats = pool.last_scope_stats();
@@ -1106,7 +1145,8 @@ impl MonitoringEngine {
             // Merge the chunk tallies back per shard: the shard's weight is the sum over
             // its chunks, and its starved-tick counter looks at the whole-shard tally.
             let mut merged = vec![(TickSummary::default(), 0usize); live.len()];
-            for (owner, (tally, weight)) in owners.into_iter().zip(outcomes) {
+            for (owner, ((tally, weight), mut sent)) in owners.into_iter().zip(outcomes) {
+                events.append(&mut sent);
                 let (acc, total_weight) = &mut merged[owner];
                 merge_counts(acc, &tally);
                 *total_weight = total_weight.saturating_add(weight);

@@ -16,9 +16,9 @@
 //!
 //! * [`GroupSession`] ([`monitor`]) — the protocol state machine of *one* moving group.  It
 //!   owns its configuration (objective and safe-region `Method`), its
-//!   [`mpn_core::SessionState`] (heading predictors, §5.4 GNN buffer, last answer) and its
-//!   metrics, and **consumes** one epoch of owned positions per
-//!   [`advance`](GroupSession::advance): either batches queued via
+//!   [`mpn_core::SessionState`] (last answer; heading predictors and the §5.4 GNN buffer
+//!   where the method uses them) and its metrics, and **consumes** one epoch of owned
+//!   positions per [`advance`](GroupSession::advance): either batches queued via
 //!   [`submit`](GroupSession::submit) (streaming) or epochs played back by a
 //!   [`TrajectoryFeed`] (replay — a thin adapter over `Arc`-shared recorded trajectories).
 //!   A session without a timestamp cap has an **open horizon**: it monitors until
@@ -120,24 +120,32 @@
 //!
 //! At fleet scale the tick is memory-bound, not compute-bound: with a warm query cache the
 //! per-session work collapses to a few counter updates and a cache probe, and throughput is
-//! set by how many cache lines a tick must pull.  Three layout decisions keep that number
+//! set by how many cache lines a tick must pull.  Four layout decisions keep that number
 //! small (pinned counter-bit-identical by `tests/engine_parity.rs`'s walk-everything
 //! oracle):
 //!
-//! * **Hot/cold session split** — each shard stores its sessions as two parallel arrays
-//!   indexed by *slot*: a dense hot array of per-session decision state (vacancy, finished
-//!   flag, feed readiness, inbox depth, placement weight — a few dozen bytes) and a
-//!   slot-stable cold slab of `Option<GroupSession>` bodies (inbox, predictors, metrics,
-//!   cached answer).  The tick streams the hot array linearly and dereferences a cold body
-//!   only when that session actually has an epoch to consume.  Deregistration marks the
-//!   slot vacant and parks it on a free list; registration reuses parked slots, so churning
-//!   slabs stay dense and directory entries (`id → shard, slot`) never move.
-//! * **Active-set scheduling** — the skip paths of the hot array are exact tallies of what
-//!   a full advance would have returned: a finished session counts `finished` without
-//!   being touched, a session with an empty inbox and an exhausted feed counts `starved`
-//!   (its clock would not have moved, so its cached weight is still current), and a vacant
-//!   slot counts nothing.  A fleet that is mostly idle pays cache lines only for its live
-//!   fraction.
+//! * **Hot/cold session split, active-set scheduling** — a shard keeps a dense array of
+//!   per-session decision state (vacancy, finished, feed readiness, waiting epochs, weight)
+//!   beside a slot-stable slab of session bodies.  The tick streams the first and touches a
+//!   body only when that session has an epoch to consume; finished and starved sessions
+//!   are tallied off the dense array exactly as a full advance would have counted them.
+//!   Slots never move, so directory entries (`id → shard, slot`) stay valid under churn.
+//! * **A session holds what its method needs** — always: the configuration, the metrics,
+//!   the last answer and one flat buffer of positions (the epoch being monitored, then the
+//!   submitted ones, consumed in place).  Heading predictors exist once a method that reads
+//!   headings has observed a position (never for Circle); the §5.4 buffer is a boxed slot
+//!   that only Tile-D-b with persistent buffers fills; the replay feed and a tile region
+//!   inside `SafeRegion` are boxed.  A Circle/MAX group of three costs 763 live heap bytes,
+//!   slab slot and directory included (it was 1,269); `tests/alloc_gates.rs` gates it at
+//!   900 and prints the table by owner.
+//! * **One event sink per tick** — sessions keep no event log.  What a session created
+//!   [`with_events`](GroupSession::with_events) sends is appended, tagged with its group
+//!   id, to a buffer the engine owns (one per chunk under the pool, concatenated in shard
+//!   then slot order) and [`MonitoringEngine::drain_events`] takes that buffer whole.  A
+//!   world change's forced recomputes write to the same sink; when passes pile up
+//!   undrained, a stable sort restores shard/slot order, so a session's push still
+//!   precedes its later epoch.  Nothing walks the fleet to collect events, and a tick that
+//!   sends nothing allocates nothing.
 //! * **Per-worker query scratch arenas** — the index layer stages probe keys and GNN
 //!   candidate staging in thread-local [`mpn_index::QueryScratch`] buffers
 //!   ([`mpn_index::with_scratch`]), so a steady-state warm-cache tick performs *zero*

@@ -244,7 +244,7 @@ mod tests {
         for i in 1..=120 {
             tiles.push(TileCell::new(0, i, 0));
         }
-        let region = SafeRegion::Tiles(tiles);
+        let region = SafeRegion::Tiles(Box::new(tiles));
         let plain = notification_values(&region, false);
         let compressed = notification_values(&region, true);
         // 121 tiles * 3 values + 2 > 5 packets uncompressed; compressed fits in 2.

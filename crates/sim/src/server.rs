@@ -1,7 +1,7 @@
 //! The protocol front-end: an `mpn-proto` request queue drained into sharded engine ticks.
 //!
 //! [`ServerCore`] is the **transport-agnostic** server.  It owns the [`MonitoringEngine`], a
-//! FIFO of `(client, Request)` pairs, and the group-ownership map that makes the server
+//! FIFO of `(client, Request)` pairs, and the group-ownership table that makes the server
 //! multi-tenant: each registered group belongs to the [`ClientId`] that registered it,
 //! downlink events route back to that client, and requests addressed to another client's
 //! group are rejected like unknown groups.  One [`process`](ServerCore::process) call applies
@@ -18,9 +18,9 @@
 //! Per request:
 //!
 //! * [`Request::Register`] → a streaming [`GroupSession`](crate::GroupSession) with its
-//!   event log enabled, placed horizon-aware on the least-loaded shard; answered with a
+//!   events enabled, placed horizon-aware on the least-loaded shard; answered with a
 //!   `Registered` notification carrying the assigned group id;
-//! * [`Request::Report`] → an [`EpochUpdate`] submitted into the group's inbox (invalid
+//! * [`Request::Report`] → an [`EpochUpdate`] appended to the group's positions (invalid
 //!   reports are answered with `UnknownGroup` / `BadRequest` notifications instead of
 //!   touching any session);
 //! * [`Request::Deregister`] → session teardown with metrics retained for fleet accounting;
@@ -35,7 +35,7 @@
 //! event loop calls it once per poll iteration with work pending), a test calls it after
 //! enqueueing whatever it wants applied.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 use mpn_geom::Point;
@@ -95,9 +95,10 @@ pub struct ProcessOutput {
 pub struct ServerCore {
     engine: MonitoringEngine,
     queue: VecDeque<(ClientId, Request)>,
-    /// Which client registered (and therefore owns) each live group.  Entries exist exactly
-    /// for the engine's active groups that were registered through the core.
-    owners: HashMap<GroupId, ClientId>,
+    /// Which client registered (and therefore owns) each live group, indexed by [`GroupId`]
+    /// (ids are dense and reused, like the engine's directory).  `Some` exactly for the
+    /// engine's active groups that were registered through the core.
+    owners: Vec<Option<ClientId>>,
     /// Submitted epochs not yet consumed by a tick, over all sessions.  Lets front-ends ask
     /// [`has_work`](ServerCore::has_work) without scanning the fleet: a burst of reports is
     /// applied to the inboxes in one call but drained one epoch per tick.
@@ -106,6 +107,9 @@ pub struct ServerCore {
     /// this out of band ([`grant_admin`](ServerCore::grant_admin)); an ungranted client's
     /// admin request is answered with [`NotificationKind::AdminDenied`] and touches nothing.
     admins: HashSet<ClientId>,
+    /// Clients seen by the current [`process`](ServerCore::process) call (kept for its
+    /// capacity; empty between calls).
+    seen: HashSet<ClientId>,
     last_summary: Option<TickSummary>,
 }
 
@@ -127,9 +131,10 @@ impl ServerCore {
         Self {
             engine,
             queue: VecDeque::new(),
-            owners: HashMap::new(),
+            owners: Vec::new(),
             backlog: 0,
             admins: HashSet::new(),
+            seen: HashSet::new(),
             last_summary: None,
         }
     }
@@ -174,7 +179,7 @@ impl ServerCore {
     /// The client owning a live group, if the group was registered through the core.
     #[must_use]
     pub fn owner(&self, group: GroupId) -> Option<ClientId> {
-        self.owners.get(&group).copied()
+        self.owners.get(group).copied().flatten()
     }
 
     /// Grants `client` the right to mutate the POI world via [`Request::Admin`].
@@ -200,19 +205,23 @@ impl ServerCore {
     pub fn process(&mut self) -> ProcessOutput {
         let mut output = ProcessOutput::default();
         while let Some((client, request)) = self.queue.pop_front() {
-            if !output.applied.contains(&client) {
+            // Requests arrive in per-client runs: only a change of client asks the set.
+            if output.applied.last() != Some(&client) && self.seen.insert(client) {
                 output.applied.push(client);
             }
             self.apply(client, request, &mut output.responses);
         }
+        self.seen.clear();
         let summary = self.engine.tick();
         // Every advanced session consumed exactly one inbox epoch: the core only creates
         // streaming (inbox-fed) sessions, so `advanced` is the tick's backlog drain.
         self.backlog = self.backlog.saturating_sub(summary.advanced);
         self.last_summary = Some(summary);
         output.summary = summary;
-        for (group, event) in self.engine.drain_events() {
-            let Some(&client) = self.owners.get(&group) else {
+        let events = self.engine.drain_events();
+        output.responses.reserve_exact(events.len());
+        for (group, event) in events {
+            let Some(client) = self.owner(group) else {
                 debug_assert!(false, "event from group {group} without an owner");
                 continue;
             };
@@ -246,11 +255,10 @@ impl ServerCore {
     pub fn disconnect(&mut self, client: ClientId) -> Vec<GroupId> {
         self.queue.retain(|(c, _)| *c != client);
         self.admins.remove(&client);
-        let mut owned: Vec<GroupId> =
-            self.owners.iter().filter(|(_, &c)| c == client).map(|(&g, _)| g).collect();
-        owned.sort_unstable();
+        let owned: Vec<GroupId> =
+            (0..self.owners.len()).filter(|&group| self.owners[group] == Some(client)).collect();
         for &group in &owned {
-            self.owners.remove(&group);
+            self.owners[group] = None;
             self.backlog = self.backlog.saturating_sub(self.engine.group(group).pending_epochs());
             let removed = self.engine.deregister(group);
             debug_assert!(removed.is_some(), "owned groups are live in the engine");
@@ -278,7 +286,10 @@ impl ServerCore {
                 let session =
                     GroupSession::streaming(group_size, monitor_config(&config)).with_events(true);
                 let id = self.engine.register_session(session);
-                self.owners.insert(id, client);
+                if id >= self.owners.len() {
+                    self.owners.resize(id + 1, None);
+                }
+                self.owners[id] = Some(client);
                 out.push((client, notification(wire_id(id), NotificationKind::Registered)));
             }
             Request::Report { group, positions } => {
@@ -310,7 +321,7 @@ impl ServerCore {
                 let departed = self.owned_by(group, client).and_then(|id| {
                     self.backlog =
                         self.backlog.saturating_sub(self.engine.group(id).pending_epochs());
-                    self.owners.remove(&id);
+                    self.owners[id] = None;
                     self.engine.deregister(id)
                 });
                 let kind = match departed {
@@ -368,7 +379,7 @@ impl ServerCore {
         // was assigned, which the operator needs to ever delete it again).
         out.push((client, notification(poi as u64, NotificationKind::AdminApplied)));
         for &group in &summary.affected {
-            let Some(&owner) = self.owners.get(&group) else {
+            let Some(owner) = self.owner(group) else {
                 debug_assert!(false, "affected group {group} without an owner");
                 continue;
             };
@@ -388,7 +399,7 @@ impl ServerCore {
     /// Resolves a wire group id to an engine id iff the group is live and owned by `client`.
     fn owned_by(&self, group: WireGroupId, client: ClientId) -> Option<GroupId> {
         let id = engine_id(group)?;
-        (self.owners.get(&id) == Some(&client)).then_some(id)
+        (self.owner(id) == Some(client)).then_some(id)
     }
 }
 
@@ -435,9 +446,9 @@ mod tests {
         group.iter().map(|traj| traj.at(t)).collect()
     }
 
-    fn registered_id(responses: &[Response]) -> WireGroupId {
+    fn registered_id<'a>(responses: impl IntoIterator<Item = &'a Response>) -> WireGroupId {
         responses
-            .iter()
+            .into_iter()
             .find_map(|r| match r {
                 Response::Notification { group, kind: NotificationKind::Registered } => {
                     Some(*group)
@@ -698,17 +709,7 @@ mod tests {
             1,
             Request::Register { group_size: group.len() as u32, config: WireConfig::default() },
         );
-        let output = core.process();
-        let id = output
-            .responses
-            .iter()
-            .find_map(|(_, r)| match r {
-                Response::Notification { group, kind: NotificationKind::Registered } => {
-                    Some(*group)
-                }
-                _ => None,
-            })
-            .unwrap();
+        let id = registered_id(core.process().responses.iter().map(|(_, r)| r));
 
         // Client 2 cannot report into, or deregister, client 1's group.
         core.enqueue(2, Request::Report { group: id, positions: positions_at(&group, 0) });
@@ -759,17 +760,7 @@ mod tests {
             3,
             Request::Register { group_size: group.len() as u32, config: WireConfig::default() },
         );
-        let output = core.process();
-        let reused = output
-            .responses
-            .iter()
-            .find_map(|(_, r)| match r {
-                Response::Notification { group, kind: NotificationKind::Registered } => {
-                    Some(*group)
-                }
-                _ => None,
-            })
-            .unwrap();
+        let reused = registered_id(core.process().responses.iter().map(|(_, r)| r));
         assert_eq!(reused, 0, "the freed id is reused");
         assert_eq!(core.owner(0), Some(3), "ownership moved to the new registrant");
     }

@@ -8,7 +8,10 @@ use mpn::geom::Point;
 use mpn::index::RTree;
 use mpn::mobility::waypoint::{random_waypoint, WaypointConfig};
 use mpn::mobility::Trajectory;
-use mpn::sim::{EpochUpdate, MonitorConfig, MonitoringEngine, TrajectoryFeed};
+use mpn::proto::Request;
+use mpn::sim::{
+    EpochUpdate, GroupSession, MonitorConfig, MonitoringEngine, ServerCore, TrajectoryFeed,
+};
 
 /// `TickSummary::finished` was documented as a fleet-wide total but its relationship to
 /// deregistration was implicit: a deregistered group silently vanished from the total, which
@@ -116,6 +119,62 @@ fn open_horizon_streams_have_no_finish_line_and_never_count_as_finished() {
     engine.deregister(open).unwrap();
     assert_eq!(engine.horizon(), Some(5));
     assert!(engine.is_finished());
+}
+
+/// `ProcessOutput::applied` used to be deduplicated by a linear scan per request; the set that
+/// replaced it must keep the contract a transport frames its downlink by: every client once,
+/// in first-arrival order, whatever one call has seen forgotten by the next.
+#[test]
+fn applied_lists_each_client_once_in_first_arrival_order() {
+    let pois: Vec<Point> = (0..9).map(|i| Point::new(f64::from(i % 3), f64::from(i / 3))).collect();
+    let mut core = ServerCore::new(RTree::bulk_load(&pois), 1);
+    for order in [[9, 4, 9, 9, 7, 4, 9, 7], [7, 7, 9, 7, 4, 4, 9, 7]] {
+        for client in order {
+            core.enqueue(client, Request::Deregister { group: 1_000 });
+        }
+        let output = core.process();
+        let mut first_arrivals = Vec::new();
+        for client in order {
+            if !first_arrivals.contains(&client) {
+                first_arrivals.push(client);
+            }
+        }
+        assert_eq!(output.applied, first_arrivals);
+        assert_eq!(output.responses.len(), order.len(), "every request is answered");
+    }
+}
+
+/// Sessions used to keep their own event logs, so undrained events came out session by
+/// session and died with a deregistered session.  The tick-owned sink must behave the same:
+/// several undrained ticks come out per session, not per tick, and a group that leaves takes
+/// its undrained events along (its id may be reused before the next drain).
+#[test]
+fn undrained_events_stay_grouped_by_session_and_leave_with_their_group() {
+    let pois: Vec<Point> =
+        (0..80).map(|i| Point::new(f64::from(i % 10) * 60.0, f64::from(i / 10) * 70.0)).collect();
+    let traj = WaypointConfig { domain: 600.0, speed_limit: 40.0, timestamps: 40 };
+    let config = MonitorConfig::new(Objective::Max, Method::circle());
+    let mut engine = MonitoringEngine::new(RTree::bulk_load(&pois), 2);
+    let ids: Vec<_> = (0..2u64)
+        .map(|g| {
+            let group: Vec<Trajectory> =
+                (0..2).map(|i| random_waypoint(&traj, g * 7 + i)).collect();
+            let session = GroupSession::replay(TrajectoryFeed::from_group(&group), config);
+            engine.register_session(session.with_events(true))
+        })
+        .collect();
+    for _ in 0..6 {
+        engine.tick();
+    }
+    let senders: Vec<_> = engine.drain_events().iter().map(|(id, _)| *id).collect();
+    let (of_first, of_second): (Vec<_>, Vec<_>) = senders.iter().partition(|&&id| id == ids[0]);
+    assert!(of_first.len() > 2 && of_second.len() > 2, "both groups updated after registering");
+    assert_eq!(senders, [of_first, of_second].concat(), "one run per session");
+
+    engine.tick();
+    engine.tick();
+    engine.deregister(ids[1]).expect("registered");
+    assert!(engine.drain_events().iter().all(|(id, _)| *id == ids[0]));
 }
 
 /// Three almost-collinear POIs with two users on opposite sides: found by proptest as a case
