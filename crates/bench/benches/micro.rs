@@ -29,9 +29,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mpn_core::{
-    circle_msr, tile_msr, CompressedTileRegion, ComputeStats, EngineContext, Method, MpnServer,
-    Objective, SessionState, TileCell, TileFrame, TileMsrConfig, TileRegion, TileVerifier,
-    DEFAULT_RADIUS_CAP,
+    circle_msr, decode_cells, encode_cells, tile_msr, ComputeStats, EngineContext, Method,
+    MpnServer, Objective, SessionState, TileCell, TileFrame, TileMsrConfig, TileRegion,
+    TileVerifier, DEFAULT_RADIUS_CAP,
 };
 use mpn_geom::{min_focal_diff_over_square, Point, Square};
 use mpn_index::{Aggregate, GnnSearch, QueryCache, RTree};
@@ -442,30 +442,22 @@ fn main() {
         });
     }
 
-    // Tile-region compression.
+    // Tile-region compression (the step stream `mpn-proto` sends), then the codec round-trips
+    // around it: the serialisation cost a network front-end pays on top of the compute.
     {
         let tree = poi_tree(8_000);
         let group = users(3);
         let out = tile_msr(&tree, &group, Objective::Max, &TileMsrConfig::default(), None);
         let region =
             out.regions.iter().max_by_key(|r| r.len()).expect("at least one region").clone();
-        let encoded = CompressedTileRegion::encode(&region).expect("encodable");
+        let mut stream = Vec::new();
         b("compression/encode", &mut || {
-            black_box(CompressedTileRegion::encode(black_box(&region)).unwrap());
+            stream.clear();
+            encode_cells(black_box(region.cells()), &mut stream);
         });
         b("compression/decode", &mut || {
-            black_box(encoded.decode());
+            black_box(decode_cells(black_box(&stream)).expect("a valid stream"));
         });
-    }
-
-    // mpn-proto wire codec round-trips: the per-message serialisation cost a network
-    // front-end pays on top of the monitoring compute.
-    {
-        let tree = poi_tree(8_000);
-        let group = users(3);
-        let out = tile_msr(&tree, &group, Objective::Max, &TileMsrConfig::default(), None);
-        let region =
-            out.regions.iter().max_by_key(|r| r.len()).expect("at least one region").clone();
         let report = Request::Report { group: 42, positions: users(5) };
         let safe_region = Response::SafeRegion {
             group: 42,

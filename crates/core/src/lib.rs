@@ -18,7 +18,7 @@
 //! | §5.3 Thm. 2/3, Alg. 4 | incremental GT-Verify, index pruning | [`tile_verify`], [`tile`] |
 //! | §5.4 Alg. 5, Thm. 4 | buffering of GNN prefixes | [`buffer`] |
 //! | §6 Alg. 6, Thm. 5–7 | the sum-optimal variant | [`tile_verify`], [`circle`], [`buffer`] |
-//! | §7.1 packet model | lossless tile-region compression | [`compress`] |
+//! | §7.1 packet model | the lossless tile-region stream that is sent | [`compress`] |
 //!
 //! # Architecture: one method description, sessions
 //!
@@ -67,7 +67,8 @@ pub mod verify;
 pub use buffer::BufferSet;
 pub use circle::{circle_msr, CircleMsr, DEFAULT_RADIUS_CAP};
 pub use compress::{
-    packets_for_values, region_value_count, CompressedTileRegion, VALUES_PER_PACKET,
+    decode_cells, encode_cells, packets_for_values, region_value_count, MAX_TILE_LEVEL,
+    VALUES_PER_PACKET,
 };
 pub use engine::{EngineContext, SafeRegionEngine};
 pub use ordering::TileOrdering;

@@ -10,8 +10,8 @@ use mpn_geom::{Circle, DistanceBounds, Point, Square};
 ///
 /// At level `k` the grid granularity is `δ / 2ᵏ` and the tile's lower-left corner sits at
 /// `frame.origin + granularity · (ix, iy)`.  Keeping tiles in integer grid coordinates makes
-/// subdivision exact, deduplication cheap and the lossless compression of
-/// [`crate::compress`] straightforward.
+/// subdivision exact, deduplication cheap and the one-byte steps of [`crate::compress`]
+/// possible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TileCell {
     /// Subdivision level: 0 for the base tiles of side `δ`, +1 per quad subdivision.
@@ -104,6 +104,19 @@ impl TileRegion {
         let mut region = Self::new(frame);
         region.push(TileCell::SEED);
         region
+    }
+
+    /// Rebuilds a region from its cells, in their order; `None` when a cell repeats.  One
+    /// sort instead of [`push`](Self::push)'s scan per cell, so a decoder stays `n log n`.
+    #[must_use]
+    pub fn from_cells(frame: TileFrame, cells: Vec<TileCell>) -> Option<Self> {
+        let mut sorted = cells.clone();
+        sorted.sort_unstable_by_key(|c| (c.level, c.ix, c.iy));
+        if sorted.windows(2).any(|pair| pair[0] == pair[1]) {
+            return None;
+        }
+        let squares = cells.iter().map(|&cell| frame.square(cell)).collect();
+        Some(Self { frame, cells, squares })
     }
 
     /// The region's coordinate frame.
@@ -215,16 +228,6 @@ impl SafeRegion {
             SafeRegion::Tiles(t) => t.is_empty(),
         }
     }
-
-    /// Number of plain (uncompressed) values needed to ship the region to a client:
-    /// 3 per circle, 3 per square tile (§7.1 "Measures").
-    #[must_use]
-    pub fn uncompressed_value_count(&self) -> usize {
-        match self {
-            SafeRegion::Circle(_) => 3,
-            SafeRegion::Tiles(t) => 3 * t.len(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -278,6 +281,8 @@ mod tests {
         r.push(TileCell::new(0, 1, 0));
         assert_eq!(r.len(), 2);
         assert_eq!(r.squares().len(), 2);
+        assert_eq!(TileRegion::from_cells(frame(), [r.cells(), r.cells()].concat()), None);
+        assert_eq!(TileRegion::from_cells(frame(), r.cells().to_vec()), Some(r));
     }
 
     #[test]
@@ -306,7 +311,6 @@ mod tests {
     fn safe_region_dispatch() {
         let c = SafeRegion::Circle(Circle::new(Point::new(0.0, 0.0), 2.0));
         assert!(c.contains(Point::new(1.0, 1.0)));
-        assert_eq!(c.uncompressed_value_count(), 3);
         assert!((c.max_dist(Point::new(3.0, 0.0)) - 5.0).abs() < 1e-12);
 
         let mut tiles = TileRegion::with_seed(frame());
@@ -314,7 +318,6 @@ mod tests {
         let t = SafeRegion::Tiles(Box::new(tiles));
         assert!(t.contains(Point::new(10.0, 13.0)));
         assert!(!t.contains(Point::new(20.0, 20.0)));
-        assert_eq!(t.uncompressed_value_count(), 6);
         assert!(!t.is_empty());
     }
 

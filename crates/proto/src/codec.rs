@@ -3,8 +3,9 @@
 //! Every message travels as one **frame**: a little-endian `u32` payload length, a one-byte
 //! message tag, then the tag's payload.  Primitives are little-endian; `f64`s ship as their
 //! IEEE-754 bit patterns (the round-trip is exact, which the property tests pin); tile
-//! regions ship as their shared frame plus 9 bytes per cell (level `u8`, grid coordinates
-//! `i32`×2) and are rebuilt exactly on decode.
+//! regions ship as their shared frame plus the step stream of [`mpn_core::compress`] — one
+//! byte per cell that neighbours its predecessor, the whole cell after an escape byte
+//! otherwise — and are rebuilt exactly, cells in their original order, on decode.
 //!
 //! Uplink and downlink tags live in disjoint ranges (`0x01..` vs `0x81..`), so a captured
 //! frame identifies its direction and [`Request::decode`] cannot silently parse a response
@@ -13,11 +14,11 @@
 //! Decoding is incremental-friendly: [`DecodeError::Incomplete`] means "feed me more bytes",
 //! which is exactly what a socket read loop needs — or use [`read_frame`] to pull one whole
 //! frame off any [`std::io::Read`].  All other errors are malformed input; decoders never
-//! panic and never allocate more than the declared (and [`MAX_FRAME_LEN`]-bounded) frame.
+//! panic, and allocate in proportion to the [`MAX_FRAME_LEN`]-bounded bytes actually present.
 
 use std::io::Read;
 
-use mpn_core::{SafeRegion, TileCell, TileFrame, TileRegion};
+use mpn_core::{decode_cells, encode_cells, SafeRegion, TileFrame, TileRegion};
 use mpn_geom::{Circle, Point};
 
 use crate::{
@@ -67,17 +68,12 @@ const TAG_PROBE_REQUEST: u8 = 0x82;
 const TAG_NOTIFICATION: u8 = 0x83;
 const TAG_WORLD_UPDATE: u8 = 0x84;
 
-// Sub-tags.
+// Sub-tags.  Region kind 1 was the retired 9-bytes-a-cell tile layout: it stays unassigned
+// so that an old frame is "unknown region kind", not a misread step stream.
 const REGION_CIRCLE: u8 = 0;
-const REGION_TILES: u8 = 1;
+const REGION_TILES: u8 = 2;
 const ADMIN_POI_INSERT: u8 = 0;
 const ADMIN_POI_DELETE: u8 = 1;
-
-/// Highest subdivision level a decoded tile cell may carry.  `TileFrame::side_at` computes
-/// `δ / 2^level`, so any level ≥ 32 would overflow the shift; real regions never exceed a
-/// handful of levels (the §7.1 compressed encoding caps at 15), so 31 rejects corrupt frames
-/// without ever refusing an encodable region.
-const MAX_TILE_LEVEL: u8 = 31;
 
 /// Sequential little-endian reader over one frame's payload.
 struct Reader<'a> {
@@ -109,10 +105,6 @@ impl<'a> Reader<'a> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("take returned 4 bytes")))
     }
 
-    fn i32(&mut self) -> Result<i32, DecodeError> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().expect("take returned 4 bytes")))
-    }
-
     fn u64(&mut self) -> Result<u64, DecodeError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("take returned 8 bytes")))
     }
@@ -135,10 +127,6 @@ impl<'a> Reader<'a> {
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_i32(out: &mut Vec<u8>, v: i32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -257,12 +245,7 @@ fn encode_region(out: &mut Vec<u8>, region: &SafeRegion) {
             let frame = tiles.frame();
             put_point(out, frame.origin);
             put_f64(out, frame.delta);
-            put_u32(out, u32::try_from(tiles.len()).expect("tile count fits u32"));
-            for cell in tiles.cells() {
-                out.push(cell.level);
-                put_i32(out, cell.ix);
-                put_i32(out, cell.iy);
-            }
+            encode_cells(tiles.cells(), out);
         }
     }
 }
@@ -277,25 +260,12 @@ fn decode_region(r: &mut Reader<'_>) -> Result<SafeRegion, DecodeError> {
         REGION_TILES => {
             let origin = r.point()?;
             let delta = r.f64()?;
-            let count = r.u32()? as usize;
-            // 9 bytes per cell must still fit the remaining payload, so a lying count cannot
-            // trigger a huge allocation.
-            if count.saturating_mul(9) > r.buf.len() - r.pos {
-                return Err(DecodeError::Malformed("tile count exceeds the payload"));
-            }
-            let mut region = TileRegion::new(TileFrame { origin, delta });
-            for _ in 0..count {
-                let level = r.u8()?;
-                if level > MAX_TILE_LEVEL {
-                    return Err(DecodeError::Malformed("tile level out of range"));
-                }
-                let ix = r.i32()?;
-                let iy = r.i32()?;
-                region.push(TileCell::new(level, ix, iy));
-            }
-            if region.len() != count {
-                return Err(DecodeError::Malformed("duplicate tile cells"));
-            }
+            // The stream bounds its count by the remaining payload before allocating; one
+            // sort finds duplicates, so a megabyte of one-byte cells is not 10¹² compares.
+            let (cells, used) = decode_cells(&r.buf[r.pos..]).map_err(DecodeError::Malformed)?;
+            r.pos += used;
+            let region = TileRegion::from_cells(TileFrame { origin, delta }, cells)
+                .ok_or(DecodeError::Malformed("duplicate tile cells"))?;
             Ok(SafeRegion::Tiles(Box::new(region)))
         }
         _ => Err(DecodeError::Malformed("unknown region kind")),
@@ -569,6 +539,20 @@ impl FrameReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpn_core::{TileCell, MAX_TILE_LEVEL};
+
+    /// A `SafeRegion` frame of region `kind` (all-zero ids, meeting point and tile frame) and
+    /// `stream` verbatim: puts a step stream no encoder would write in front of the decoder.
+    fn region_frame(kind: u8, stream: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        frame(&mut bytes, TAG_SAFE_REGION, |out| {
+            out.extend_from_slice(&[0; 28]);
+            out.push(kind);
+            out.extend_from_slice(&[0; 24]);
+            out.extend_from_slice(stream);
+        });
+        bytes
+    }
 
     fn tile_region() -> SafeRegion {
         let mut region = TileRegion::with_seed(TileFrame::centered_at(Point::new(4.0, -3.0), 2.0));
@@ -710,25 +694,32 @@ mod tests {
         });
         assert!(matches!(Response::decode(&short).unwrap_err(), DecodeError::Malformed(_)));
 
-        // An out-of-range tile level is rejected before it can overflow the tile geometry
-        // (`TileFrame::side_at` shifts by the level).
-        let mut deep = Vec::new();
-        frame(&mut deep, TAG_SAFE_REGION, |out| {
-            put_u64(out, 1);
-            put_u32(out, 0);
-            put_point(out, Point::new(0.0, 0.0));
-            out.push(REGION_TILES);
-            put_point(out, Point::new(0.0, 0.0));
-            put_f64(out, 2.0);
-            put_u32(out, 1);
-            out.push(MAX_TILE_LEVEL + 1);
-            put_i32(out, 0);
-            put_i32(out, 0);
-        });
-        assert_eq!(
-            Response::decode(&deep).unwrap_err(),
-            DecodeError::Malformed("tile level out of range")
-        );
+        // One case per way a tile region can lie (0xC0 escapes, 0x24 stays, 0x2C steps right),
+        // after the retired 9-bytes-a-cell layout (kind 1: `u32` count, `u8` level, 2 × `i32`).
+        const T: u8 = REGION_TILES;
+        let (over_long, leaves) =
+            ("varint is over-long or exceeds u32", "tile step leaves the i32 grid");
+        let lies: [(u8, &[u8], &str); 12] = [
+            (1, &[1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], "unknown region kind"),
+            (T, &[], "truncated payload"),
+            (T, &[3, 0x24, 0x2C], "tile count exceeds the payload"),
+            (T, &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F], "tile count exceeds the payload"),
+            // An escaped level `TileFrame::side_at` could not shift by.
+            (T, &[1, 0xC0, MAX_TILE_LEVEL + 1, 0, 0], "tile level out of range"),
+            (T, &[1, 0xC1], "unknown tile escape byte"),
+            (T, &[1, 0xC0, 0, 0x80, 0x80, 0x80, 0x80, 0x10, 0], over_long),
+            (T, &[1, 0xC0, 0, 0x81, 0x00, 0], over_long),
+            // From (0, i32::MAX, 0): one step right, or one level down.
+            (T, &[2, 0xC0, 0, 0xFE, 0xFF, 0xFF, 0xFF, 0x0F, 0, 0x2C], leaves),
+            (T, &[2, 0xC0, 0, 0xFE, 0xFF, 0xFF, 0xFF, 0x0F, 0, 0x64], leaves),
+            // The seed, one step right, one step back.
+            (T, &[3, 0x24, 0x2C, 0x1C], "duplicate tile cells"),
+            (T, &[1, 0x24, 0x24], "trailing bytes after the payload"),
+        ];
+        for (kind, stream, message) in lies {
+            let got = Response::decode(&region_frame(kind, stream)).unwrap_err();
+            assert_eq!(got, DecodeError::Malformed(message), "{stream:02x?}");
+        }
     }
 
     #[test]

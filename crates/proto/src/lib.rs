@@ -48,8 +48,10 @@
 //! drift apart (`tests/proto_parity.rs` pins the absolute numbers).  A multi-user
 //! [`Request::Report`] is accounted as its constituent per-user reports — the users'
 //! uplinks are physically separate transmissions, the batch is only the server-side framing.
-//! The byte [`codec`] is an implementation detail underneath this model (and at 9 bytes per
-//! tile it is itself well under the 24-byte plain-double encoding).
+//! The byte [`codec`] is an implementation detail underneath this model, and for tile regions
+//! it stays below it: the step stream it sends ([`mpn_core::compress`]) averages a little
+//! over one byte a tile on real regions against the model's own 4 (two tiles per value), so
+//! modelled packets bound the real ones from above (`tests/wire_gates.rs`).
 //!
 //! Control-plane messages (`Register`, `Deregister`, `Notification`) have no counterpart in
 //! the paper's Fig. 3 accounting; they are charged their literal payload (1–2 values).

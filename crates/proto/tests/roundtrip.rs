@@ -43,6 +43,69 @@ fn tile_region(origin: Point, delta: f64, cells: &[(usize, i32, i32)]) -> SafeRe
     SafeRegion::Tiles(Box::new(region))
 }
 
+/// Cells in the order Tile-MSR emits them at the paper's L = 2: mostly a small step from the
+/// previous cell at the same level, sometimes one level down or up (coordinates doubled or
+/// halved), now and then a jump — so most cells take the codec's one-byte path and a few
+/// its escape.
+fn tile_walk(moves: &[(usize, i32, i32, i32, i32)]) -> Vec<(usize, i32, i32)> {
+    let (mut level, mut x, mut y) = (0usize, 0i32, 0i32);
+    moves
+        .iter()
+        .map(|&(kind, dx, dy, jump_x, jump_y)| {
+            match kind {
+                0 if level < 2 => (level, x, y) = (level + 1, x << 1, y << 1),
+                1 if level > 0 => (level, x, y) = (level - 1, x >> 1, y >> 1),
+                2 => (x, y) = (jump_x, jump_y),
+                _ => {}
+            }
+            (x, y) = (x + dx, y + dy);
+            (level, x, y)
+        })
+        .collect()
+}
+
+/// Any `i32`, with the two ends and zero drawn often enough to be hit in every run.
+fn any_coordinate() -> impl Strategy<Value = i32> {
+    (0usize..8, 0u64..1 << 32).prop_map(|(pick, bits)| match pick {
+        0 => i32::MIN,
+        1 => i32::MAX,
+        2 => 0,
+        _ => bits as u32 as i32,
+    })
+}
+
+fn assert_round_trips(response: &Response) -> Result<(), TestCaseError> {
+    let bytes = response.encoded();
+    let (decoded, consumed) = Response::decode(&bytes).expect("a valid frame");
+    prop_assert_eq!(&decoded, response);
+    prop_assert_eq!(consumed, bytes.len());
+    Ok(())
+}
+
+/// At one byte a cell the largest frames hold 9× the cells they used to: decoding one must
+/// not be quadratic in the count, whether it ends in a region or in a rejection.
+#[test]
+fn a_megabyte_of_valid_tokens_is_decoded_or_rejected_quickly() {
+    let frame = TileFrame { origin: Point::new(0.0, 0.0), delta: 2.0 };
+    let cells: Vec<TileCell> = (1..=1 << 20).map(|ix| TileCell::new(0, ix, 0)).collect();
+    let region = TileRegion::from_cells(frame, cells).expect("distinct cells");
+    let region = SafeRegion::Tiles(Box::new(region));
+    let response = Response::SafeRegion { group: 1, user: 0, meeting_point: frame.origin, region };
+    // A million steps to the right; then the same frame with every step standing still.
+    let walk = response.encoded();
+    assert_eq!(walk.len(), 58 + 3 + (1 << 20));
+    let mut still = walk.clone();
+    still[58 + 3..].fill(0x24);
+    for (bytes, expected) in [
+        (walk, Ok((response, 58 + 3 + (1 << 20)))),
+        (still, Err(DecodeError::Malformed("duplicate tile cells"))),
+    ] {
+        let started = std::time::Instant::now();
+        assert_eq!(Response::decode(&bytes), expected);
+        assert!(started.elapsed().as_secs_f64() < 1.0, "{:?}", started.elapsed());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -111,16 +174,43 @@ proptest! {
         delta in 0.5f64..500.0,
         cells in prop_vec((0usize..6, -2_000i32..2_000, -2_000i32..2_000), 1..80),
     ) {
-        let response = Response::SafeRegion {
+        assert_round_trips(&Response::SafeRegion {
             group: 5,
             user: 1,
             meeting_point: Point::new(ox, oy),
             region: tile_region(Point::new(ox, oy), delta, &cells),
-        };
-        let bytes = response.encoded();
-        let (decoded, consumed) = Response::decode(&bytes).expect("a valid frame");
-        prop_assert_eq!(decoded, response);
-        prop_assert_eq!(consumed, bytes.len());
+        })?;
+    }
+
+    #[test]
+    fn tile_msr_shaped_and_full_range_regions_round_trip(
+        moves in prop_vec(
+            (0usize..12, -4i32..4, -4i32..4, -100_000i32..100_000, -100_000i32..100_000),
+            1..120,
+        ),
+        wild in prop_vec((0usize..32, any_coordinate(), any_coordinate()), 1..40),
+    ) {
+        let origin = Point::new(-3.5, 1e6);
+        let walk = tile_walk(&moves);
+        let walked = tile_region(origin, 2.0, &walk);
+        let SafeRegion::Tiles(tiles) = &walked else { unreachable!() };
+        let steps = tiles.len();
+        let response =
+            Response::SafeRegion { group: 5, user: 1, meeting_point: origin, region: walked };
+        assert_round_trips(&response)?;
+        // 58 fixed bytes, a count, one byte a cell — except after a jump, and after a cell
+        // `push` dropped as a duplicate (the next step is then taken from further back):
+        // those may cost an escape, 8 bytes at these coordinates.
+        let escapes = moves.iter().filter(|m| m.0 == 2).count() + (moves.len() - steps);
+        prop_assert!(response.encoded().len() <= 60 + steps + 7 * escapes, "{steps} cells");
+
+        // Levels to the cap and coordinates over the whole of `i32`: escapes, bit for bit.
+        assert_round_trips(&Response::SafeRegion {
+            group: u64::MAX,
+            user: u32::MAX,
+            meeting_point: origin,
+            region: tile_region(origin, 0.5, &wild),
+        })?;
     }
 
     #[test]

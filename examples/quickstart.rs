@@ -2,7 +2,7 @@
 //!
 //! Run with: `cargo run --example quickstart` (asserts what it prints; CI runs it).
 
-use mpn::core::{Method, MpnServer, Objective, SessionState};
+use mpn::core::{region_value_count, Method, MpnServer, Objective, SessionState};
 use mpn::geom::Point;
 use mpn::index::RTree;
 
@@ -37,7 +37,7 @@ fn main() {
         for (i, region) in answer.regions.iter().enumerate() {
             println!(
                 "  friend {i}: safe region payload = {} values, still inside: {}",
-                region.uncompressed_value_count(),
+                region_value_count(region, false),
                 region.contains(friends[i])
             );
         }

@@ -30,8 +30,8 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use mpn::core::{
-    Answer, ComputeStats, EngineContext, Method, Objective, SafeRegion, SafeRegionEngine,
-    SessionState, TileCell, TileFrame, TileRegion, TileVerifier,
+    region_value_count, Answer, ComputeStats, EngineContext, Method, Objective, SafeRegion,
+    SafeRegionEngine, SessionState, TileCell, TileFrame, TileRegion, TileVerifier,
 };
 use mpn::geom::Point;
 use mpn::index::{QueryCache, RTree};
@@ -281,6 +281,14 @@ fn tile_recompute_warm() {
          accounts for at most {bound}",
         answer.stats.candidates_checked
     );
+
+    // Charging the answer to the §7.1 model — once per region, on every update — is a closed
+    // form over the cells, not an encoding built to be measured and dropped.
+    let (charging, values) = allocations_during(|| {
+        answer.regions.iter().map(|r| region_value_count(r, true)).sum::<usize>()
+    });
+    assert!(values > 4 * answer.regions.len());
+    assert_eq!(charging, 0, "the §7.1 accounting must not allocate");
 }
 
 /// Per region: two vectors doubling from capacity 4, per browsed layer a ring vector plus its
@@ -291,7 +299,7 @@ fn tile_output_bound(regions: &[SafeRegion]) -> usize {
     regions
         .iter()
         .map(|region| {
-            let tiles = region.uncompressed_value_count() / 3;
+            let tiles = region_value_count(region, false) / 3;
             2 * (tiles.max(4).ilog2() as usize) + 2 * (tiles + 1) + 1
         })
         .sum::<usize>()

@@ -92,14 +92,18 @@ fn admin_and_world_update_costs_are_pinned() {
     }
 }
 
+/// The world the real-region pins run on: 2,000 clustered POIs and a group of two.
+fn parity_world() -> (RTree, Vec<Point>) {
+    let pois =
+        clustered_pois(&PoiConfig { count: 2_000, domain: 3_000.0, ..PoiConfig::default() }, 31);
+    (RTree::bulk_load(&pois), vec![Point::new(900.0, 900.0), Point::new(1_400.0, 1_100.0)])
+}
+
 #[test]
 fn real_tile_regions_match_result_notifications_compressed_and_plain() {
     // Regions straight out of the server, so the pin covers realistic tile counts (and the
     // compressed encoding path), not hand-built toys.
-    let pois =
-        clustered_pois(&PoiConfig { count: 2_000, domain: 3_000.0, ..PoiConfig::default() }, 31);
-    let tree = RTree::bulk_load(&pois);
-    let users = vec![Point::new(900.0, 900.0), Point::new(1_400.0, 1_100.0)];
+    let (tree, users) = parity_world();
 
     for objective in [Objective::Max, Objective::Sum] {
         let answer = MpnServer::new(&tree, objective, Method::tile()).compute(&users);
@@ -117,6 +121,46 @@ fn real_tile_regions_match_result_notifications_compressed_and_plain() {
             }
         }
     }
+}
+
+/// The §7.1 model charges a compressed tile 4 bytes (two tiles per value).  What the codec
+/// sends for the same regions — every tile method, both objectives — round-trips bit for
+/// bit, cells in order, and stays under 2 bytes a tile: the model is an upper bound on the
+/// wire, not an estimate of it.
+#[test]
+fn real_tile_regions_round_trip_at_under_two_bytes_a_tile() {
+    // Frame length, tag, group, user, meeting point, region kind, frame origin and δ.
+    const FIXED: usize = 4 + 1 + 8 + 4 + 16 + 1 + 16 + 8;
+    let (tree, users) = parity_world();
+    let theta = std::f64::consts::FRAC_PI_4;
+    let methods =
+        [Method::tile(), Method::tile_directed(theta), Method::tile_directed_buffered(theta, 100)];
+    let (mut tiles, mut tile_bytes) = (0, 0);
+    for objective in [Objective::Max, Objective::Sum] {
+        for method in methods {
+            let answer = MpnServer::new(&tree, objective, method).compute(&users);
+            for (user, region) in answer.regions.iter().enumerate() {
+                let SafeRegion::Tiles(region_tiles) = region else { panic!("{method:?}") };
+                let wire = Response::SafeRegion {
+                    group: 9,
+                    user: user as u32,
+                    meeting_point: answer.optimal_point,
+                    region: region.clone(),
+                };
+                let bytes = wire.encoded();
+                assert_eq!(Response::decode(&bytes), Ok((wire, bytes.len())));
+                tiles += region_tiles.len();
+                tile_bytes += bytes.len() - FIXED;
+                // Per region too: the model's doubles (origin, δ, count, two tiles a value)
+                // cover the bytes sent for the same four things.
+                let modelled = 8 * region_value_count(region, true);
+                assert!(modelled >= bytes.len() - FIXED + 24, "{objective:?} {method:?}");
+            }
+        }
+    }
+    assert!(tiles >= 12, "{tiles} tiles is too few to speak of an aggregate");
+    println!("{tile_bytes} B of step stream for {tiles} tiles");
+    assert!(tile_bytes <= 2 * tiles, "{tile_bytes} B for {tiles} tiles");
 }
 
 #[test]

@@ -5,6 +5,7 @@
 use mpn::core::{Method, MpnServer, Objective, SafeRegion};
 use mpn::geom::Point;
 use mpn::index::RTree;
+use mpn::proto::Response;
 use proptest::prelude::*;
 
 fn arb_point(domain: f64) -> impl Strategy<Value = Point> {
@@ -119,13 +120,25 @@ proptest! {
     ) {
         let tree = RTree::bulk_load(&pois);
         let answer = MpnServer::new(&tree, Objective::Max, Method::tile()).compute(&users);
-        for region in &answer.regions {
-            if let SafeRegion::Tiles(tiles) = region {
-                let encoded = mpn::core::CompressedTileRegion::encode(tiles).unwrap();
-                let decoded = encoded.decode();
-                prop_assert_eq!(decoded.cells(), tiles.cells());
-                prop_assert!(encoded.value_count() <= 4 + tiles.len().div_ceil(2));
-            }
+        for (user, region) in answer.regions.iter().enumerate() {
+            let SafeRegion::Tiles(tiles) = region else { continue };
+            let response = Response::SafeRegion {
+                group: 7,
+                user: user as u32,
+                meeting_point: answer.optimal_point,
+                region: region.clone(),
+            };
+            let bytes = response.encoded();
+            let (decoded, consumed) = Response::decode(&bytes).expect("a valid frame");
+            prop_assert_eq!(consumed, bytes.len());
+            let Response::SafeRegion { region: SafeRegion::Tiles(back), .. } = &decoded else {
+                panic!("decoded to {decoded:?}");
+            };
+            prop_assert_eq!(back.cells(), tiles.cells());
+            prop_assert_eq!(back.frame(), tiles.frame());
+            prop_assert_eq!(&decoded, &response);
+            // What the retired fixed-width layout cost: 62 header bytes + 9 a tile.
+            prop_assert!(bytes.len() <= 62 + 9 * tiles.len());
         }
     }
 }
