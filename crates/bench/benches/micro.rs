@@ -11,8 +11,9 @@
 //! * safe-region computation cost per engine (Circle vs Tile vs Tile-D vs Tile-D-b),
 //! * stateful vs stateless Tile-D-b sessions (the §5.4 buffer-reuse win),
 //! * quiet-tick executor overhead of the persistent worker pool,
-//! * skewed-fleet busy ticks: one hot shard, Zipf group sizes — one-job-per-shard vs
-//!   work-stealing session batches vs stealing plus the shared query cache,
+//! * skewed-fleet busy ticks: Zipf group sizes, the big groups neighbours in id order —
+//!   one chunk per worker vs work-stealing session batches vs stealing plus the shared
+//!   query cache,
 //! * GT-Verify (Section 5.3): a whole Tile-MSR run, and ns per (tile, candidate) pair on the
 //!   pass and the fail path of the incremental verifier,
 //! * index pruning on/off (Theorem 3),
@@ -187,7 +188,7 @@ fn main() {
 
     // Executor overhead on quiet ticks: a fleet of stationary groups never violates its safe
     // regions after registration, so every tick is pure violation checking — the per-tick
-    // cost is dominated by how the executor wakes the shard workers, which the persistent
+    // cost is dominated by how the executor wakes the pool workers, which the persistent
     // pool keeps parked between ticks.
     {
         let tree = Arc::new(poi_tree(2_000));
@@ -210,20 +211,18 @@ fn main() {
         );
     }
 
-    // Skewed-fleet busy ticks: the workload the work-stealing executor exists for.  Three
-    // decoy open-horizon streams pin shards 0–2 (each decoy charges OPEN_HORIZON_WEIGHT, so
-    // horizon-aware placement sends every bounded group to shard 3), leaving one hot shard
-    // with 32 groups of Zipf-ish sizes [8, 4, 2, 1] that teleport every epoch and therefore
-    // recompute their safe regions on every tick.  One-job-per-shard serialises all of that
-    // on a single worker; stealing splits it into session batches the three starved-decoy
-    // workers pull over.  Each size class shares one recording, so the third variant adds
-    // the fleet-wide query cache: within a batch the class twins replay each other's
-    // candidate lists.
+    // Skewed-fleet busy ticks: the workload the work-stealing executor exists for.  32
+    // groups of Zipf-ish sizes [4, 3, 2, 1] teleport every epoch and therefore recompute
+    // their safe regions on every tick.  The size classes are registered one after the
+    // other, so they are contiguous in id order: one chunk per worker hands the eight
+    // biggest groups to a single worker, which bounds the tick; stealing splits the slab
+    // into session batches the workers with the lighter classes pull over.  Each size class
+    // shares one recording, so the third variant adds the fleet-wide query cache: within a
+    // batch the class twins replay each other's candidate lists.
     {
-        const SHARDS: usize = 4;
+        const WORKERS: usize = 4;
         const CLASS_SIZES: [usize; 4] = [4, 3, 2, 1];
         const COPIES: usize = 8;
-        // 32 * 20_000 < OPEN_HORIZON_WEIGHT: shard 3 stays the hot one throughout.
         const HOT_HORIZON: usize = 20_000;
         // Batches of two sessions: the heaviest size class must split across workers, or its
         // one monolithic batch becomes the critical path and stealing has nothing to move.
@@ -254,23 +253,20 @@ fn main() {
         // Tile regions: heavy enough (hundreds of microseconds per recomputation) that the
         // tick cost is compute-dominated, which is what stealing redistributes.
         let config = MonitorConfig::new(Objective::Max, Method::tile());
-        let mut one_job =
-            MonitoringEngine::with_executor(Arc::clone(&tree), SHARDS, TickExecutor::WorkerPool);
+        let mut one_chunk =
+            MonitoringEngine::with_executor(Arc::clone(&tree), WORKERS, TickExecutor::WorkerPool);
         let mut stealing = MonitoringEngine::with_executor(
             Arc::clone(&tree),
-            SHARDS,
+            WORKERS,
             TickExecutor::WorkStealing { batch: BATCH },
         );
         let mut stealing_cached = MonitoringEngine::with_executor(
             Arc::clone(&tree),
-            SHARDS,
+            WORKERS,
             TickExecutor::WorkStealing { batch: BATCH },
         )
         .with_query_cache(QueryCache::new());
-        for engine in [&mut one_job, &mut stealing, &mut stealing_cached] {
-            for _ in 0..SHARDS - 1 {
-                engine.register_stream(1, config); // decoys: starved, but pin their shards
-            }
+        for engine in [&mut one_chunk, &mut stealing, &mut stealing_cached] {
             for class in &classes {
                 for _ in 0..COPIES {
                     engine.register(TrajectoryFeed::new(Arc::clone(class)), config);
@@ -281,10 +277,10 @@ fn main() {
         // Each sample is a *pair* of ticks: the two oscillation parities enumerate
         // different tile neighbourhoods and so cost differently, but a pair always covers
         // both, keeping every sample (and thus the variant means) directly comparable.
-        let hot_one_job =
-            bench("executor/skewed_tick_pair_one_job_per_shard", budget, &filter, || {
-                black_box(one_job.tick());
-                black_box(one_job.tick());
+        let hot_one_chunk =
+            bench("executor/skewed_tick_pair_chunk_per_worker", budget, &filter, || {
+                black_box(one_chunk.tick());
+                black_box(one_chunk.tick());
             });
         let hot_stealing = bench("executor/skewed_tick_pair_stealing", budget, &filter, || {
             black_box(stealing.tick());
@@ -295,7 +291,7 @@ fn main() {
                 black_box(stealing_cached.tick());
                 black_box(stealing_cached.tick());
             });
-        for engine in [&one_job, &stealing, &stealing_cached] {
+        for engine in [&one_chunk, &stealing, &stealing_cached] {
             assert!(!engine.is_finished(), "hot horizon exhausted mid-bench — raise HOT_HORIZON");
         }
         if let Some(totals) = hot_stealing.map(|_| stealing.exec_totals()) {
@@ -305,7 +301,7 @@ fn main() {
             );
             assert!(
                 totals.steals > 0,
-                "the skewed fleet must provoke steals: 4 hot batches vs 3 starved workers"
+                "the skewed fleet must provoke steals: the biggest class's 4 batches sit on one worker"
             );
         }
         if let Some(totals) = hot_cached.map(|_| stealing_cached.exec_totals()) {
@@ -320,13 +316,13 @@ fn main() {
                 "8 copies per size class must lift the shared-cache hit rate above 50%"
             );
         }
-        if let (Some(one), Some(steal)) = (hot_one_job, hot_stealing) {
+        if let (Some(one), Some(steal)) = (hot_one_chunk, hot_stealing) {
             let speedup = one.as_secs_f64() / steal.as_secs_f64();
             let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
             // Printed, not asserted: a ratio of two wall-clock means is a clock fact (the
             // same work bursts 2x on a shared host); the schedule facts are asserted above.
             println!(
-                "  skewed speedup: stealing {speedup:.2}x vs one-job-per-shard ({cores} cores)"
+                "  skewed speedup: stealing {speedup:.2}x vs one chunk per worker ({cores} cores)"
             );
         }
     }

@@ -1,7 +1,7 @@
 //! A mutable POI world over an immutable R-tree: generation-stamped delta overlay.
 //!
 //! The safe-region machinery assumes a frozen POI set: every engine query runs against an
-//! immutable [`RTree`] shared across shards.  [`WorldView`] keeps that fast path while making
+//! immutable [`RTree`] shared across workers.  [`WorldView`] keeps that fast path while making
 //! the world mutable: it owns a **base** tree (`Arc`-shared, never mutated) plus a small
 //! insert/delete **overlay**, and answers every query as *base − deletes + inserts*.  When
 //! the overlay grows past a threshold, [`WorldView::maybe_compact`] rebuilds the base from

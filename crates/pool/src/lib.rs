@@ -1,22 +1,22 @@
 //! A persistent, work-stealing, scoped worker pool built only on `std`.
 //!
-//! The monitoring engine in `mpn-sim` advances its shards in parallel on every tick.  Doing
-//! that with [`std::thread::scope`] means spawning and joining one OS thread per shard per
-//! tick — fine when a tick carries heavy safe-region computations, but measurable overhead on
+//! The monitoring engine in `mpn-sim` advances chunks of its session slab in parallel on
+//! every tick.  Doing that with [`std::thread::scope`] means spawning and joining one OS
+//! thread per chunk per tick — fine when a tick carries heavy safe-region computations, but measurable overhead on
 //! quiet ticks.  [`WorkerPool`] keeps the workers alive instead: threads are spawned once,
 //! park on a condition variable between ticks, and a [`scoped`](WorkerPool::scoped) call acts
 //! as the tick barrier — it hands closures to the workers and blocks until all of them
-//! completed, so borrowed data (the shards, the POI tree) may safely flow into the jobs.
+//! completed, so borrowed data (the slab's chunks, the POI tree) may safely flow into the jobs.
 //!
 //! # Deques and stealing
 //!
-//! A tick is only as fast as its slowest worker, and real fleets are skewed: one shard can
+//! A tick is only as fast as its slowest worker, and real fleets are skewed: one chunk can
 //! carry a group ten times the size of everyone else's.  The pool therefore follows the
 //! classic work-stealing shape (Chase–Lev, here with a mutex-backed `VecDeque` since this
 //! workspace builds without external crates):
 //!
 //! * **Ownership.**  Every worker owns one deque.  [`Scope::execute_on`] pushes a job onto a
-//!   *specific* worker's deque (the engine routes a shard's session batches to the shard's
+//!   *specific* worker's deque (the engine routes neighbouring session batches to the same
 //!   worker, preserving locality); [`Scope::execute`] round-robins over the deques.  Only the
 //!   submitting thread pushes — workers never re-enqueue — so a deque only shrinks while a
 //!   scope's barrier is waiting.
@@ -350,8 +350,8 @@ impl<'scope> Scope<'_, 'scope> {
     }
 
     /// Submits one job onto a *specific* worker's deque (`worker` taken modulo the worker
-    /// count).  This is the locality hint of the engine's batched tick: a shard's batches go
-    /// to the shard's worker and are only moved elsewhere by stealing.
+    /// count).  This is the locality hint of the engine's batched tick: neighbouring batches
+    /// go to the same worker and are only moved elsewhere by stealing.
     ///
     /// # Panics
     /// Panics when the pool was shut down, and fails fast (see the [module docs](self))

@@ -196,7 +196,8 @@ pub enum Request {
         /// One position per user.
         positions: Vec<Point>,
     },
-    /// Close the session; the server reclaims its state and retains the metrics.
+    /// Close the session; the server reclaims its state and folds its metrics into the
+    /// fleet totals.
     Deregister {
         /// The group to deregister.
         group: WireGroupId,

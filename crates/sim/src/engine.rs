@@ -1,42 +1,41 @@
-//! The multi-group monitoring engine: many owned [`GroupSession`]s, sharded, ticked by a
-//! persistent worker pool, with dynamic fleet membership and message-driven position input.
+//! The multi-group monitoring engine: many owned [`GroupSession`]s in one slab indexed by
+//! group id, with dynamic fleet membership and message-driven position input.
 //!
 //! A production meeting-point service is a long-lived server: thousands of groups come and go
 //! while the POI index stays hot, and the server's cost is dominated by per-update work, not
 //! setup.  [`MonitoringEngine`] models exactly that:
 //!
-//! * **Owned, sharded sessions.**  The engine owns its POI index (an [`Arc<RTree>`] shared
+//! * **Owned sessions, one slab.**  The engine owns its POI index (an [`Arc<RTree>`] shared
 //!   with whoever built it) and every registered [`GroupSession`] owns its state — there is
 //!   no borrowed trajectory data and no lifetime tying the engine to a pre-baked workload.
-//!   Position input arrives as owned [`EpochUpdate`] batches via
-//!   [`submit`](MonitoringEngine::submit) (the streaming path) or from a per-session
-//!   [`TrajectoryFeed`] (the replay path); every [`tick`](MonitoringEngine::tick) advances
-//!   all live sessions one epoch.  Groups are fully independent, so a parallel tick
-//!   produces exactly the counters of the equivalent serial replay, regardless of shard
-//!   count or executor.
-//! * **Persistent executor.**  A multi-shard engine owns an [`mpn_pool::WorkerPool`]: one
-//!   long-lived thread per shard, parked between ticks and woken by the tick barrier
-//!   ([`WorkerPool::scoped`](mpn_pool::WorkerPool::scoped)).  A single-shard engine ticks
-//!   inline and is the serial reference of the parity suites (`tests/engine_parity.rs`).
+//!   A group's id *is* its slot: the paper's server (§3, Fig. 3) keeps one record per group
+//!   and the groups are independent, so nothing partitions them.  Position input arrives as
+//!   owned [`EpochUpdate`] batches via [`submit`](MonitoringEngine::submit) (the streaming
+//!   path) or from a per-session [`TrajectoryFeed`] (the replay path); every
+//!   [`tick`](MonitoringEngine::tick) advances all live sessions one epoch.
+//! * **Workers slice the slab.**  A one-worker engine ticks inline and is the serial
+//!   reference of the parity suites (`tests/engine_parity.rs`).  With more workers the engine
+//!   owns an [`mpn_pool::WorkerPool`] — long-lived threads parked between ticks and woken by
+//!   the tick barrier ([`WorkerPool::scoped`](mpn_pool::WorkerPool::scoped)) — and each tick
+//!   cuts the *same* slab into contiguous chunks of ids ([`TickExecutor`] picks their
+//!   length).  Every pass visits the groups in ascending id order whatever the worker count,
+//!   so a parallel tick produces exactly the counters **and the events** of a serial one.
 //! * **Fleet lifecycle.**  Beyond late [`register`](MonitoringEngine::register)-ation, groups
 //!   can [`deregister`](MonitoringEngine::deregister) mid-run (their session state — heading
-//!   predictors, §5.4 buffer, last answer — is reclaimed, their metrics are retained for
-//!   fleet accounting) and later [`rejoin`](MonitoringEngine::rejoin) under their old id.
-//!   Freed ids are kept in a free-list over the shard directory and reused; new groups are
-//!   placed on the shard with the least **remaining work** — occupancy weighted by each
-//!   session's remaining horizon ([`GroupSession::remaining_horizon`]), with open-horizon
-//!   streaming sessions counting as [`OPEN_HORIZON_WEIGHT`] — so a fleet mixing short
-//!   replays with long-running streams balances by load, not head-count.
+//!   predictors, §5.4 buffer, last answer — is reclaimed, their metrics are handed back and
+//!   folded into the fleet totals) and later [`rejoin`](MonitoringEngine::rejoin) under
+//!   their old id.  Freed ids are reused, most recently freed first, before a new one is
+//!   allocated, so the slab stays dense under churn.
 //!
 //! Sessions may have different horizons (and even different methods/objectives); a session
 //! past its bounded horizon is skipped, and an **open-horizon** streaming session (no
 //! [`MonitorConfig`](crate::MonitorConfig) timestamp cap) never finishes — it leaves the
 //! fleet via deregistration.  [`run_to_completion`](MonitoringEngine::run_to_completion)
 //! ticks until every registered session finished and therefore requires a fleet of bounded,
-//! feed-driven sessions.  Per-group / fleet-wide metrics (including those of deregistered
-//! groups) are available throughout via [`group_metrics`](MonitoringEngine::group_metrics) /
-//! [`fleet_metrics`](MonitoringEngine::fleet_metrics) and per-shard load via
-//! [`shard_loads`](MonitoringEngine::shard_loads).
+//! feed-driven sessions.  Per-group / fleet-wide metrics (the latter including those of
+//! deregistered groups) are available throughout via
+//! [`group_metrics`](MonitoringEngine::group_metrics) /
+//! [`fleet_metrics`](MonitoringEngine::fleet_metrics).
 
 use std::sync::Arc;
 
@@ -44,26 +43,19 @@ use mpn_geom::Point;
 use mpn_index::{IndexView, QueryCache, RTree, WorldView};
 use mpn_pool::WorkerPool;
 
-use crate::metrics::{EngineReport, MonitoringMetrics, ShardLoad};
+use crate::metrics::{EngineReport, MonitoringMetrics};
 use crate::monitor::{
     EventSink, GroupSession, MonitorConfig, SessionEvent, StepOutcome, TrajectoryFeed,
 };
 
 /// Identifier of a registered group.
 ///
-/// Ids are dense and handed out in registration order; the id of a
-/// [`deregister`](MonitoringEngine::deregister)ed group goes to a free-list and is reused by
-/// the next [`register`](MonitoringEngine::register) / [`rejoin`](MonitoringEngine::rejoin),
-/// so an id is only unique among the groups alive at one time.
+/// Ids are dense and handed out in registration order, and an id is the group's index into
+/// the engine's slab; the id of a [`deregister`](MonitoringEngine::deregister)ed group goes
+/// to a free-list and is reused by the next [`register`](MonitoringEngine::register) /
+/// [`rejoin`](MonitoringEngine::rejoin), so an id is only unique among the groups alive at
+/// one time.
 pub type GroupId = usize;
-
-/// Placement weight of an open-horizon streaming session (a session with no timestamp cap,
-/// which runs until deregistered).
-///
-/// Horizon-aware placement sums each shard's *remaining* epochs; an open-ended session has no
-/// such bound, so it is charged a large constant — heavier than any realistic bounded replay
-/// (≈12 days of 1 Hz epochs), so streams spread across shards before piling onto one.
-pub const OPEN_HORIZON_WEIGHT: usize = 1 << 20;
 
 /// One epoch of owned user positions for a registered group — the unit of position input a
 /// streaming front-end pushes into the engine via [`MonitoringEngine::submit`].
@@ -89,8 +81,8 @@ pub enum SubmitError {
         /// The batch's size.
         got: usize,
     },
-    /// The session has consumed its whole bounded horizon: it will never advance again, so
-    /// queueing more epochs would only grow its inbox until deregistration.
+    /// The epochs the session has consumed plus those already queued reach its bounded
+    /// horizon: one more would never be consumed, only sit in the inbox until deregistration.
     Finished(GroupId),
 }
 
@@ -103,7 +95,10 @@ impl std::fmt::Display for SubmitError {
                 "group {group_id} has {expected} users but the epoch update carries {got} positions"
             ),
             SubmitError::Finished(id) => {
-                write!(f, "group {id} has finished its horizon and consumes no more epochs")
+                write!(
+                    f,
+                    "group {id} has its whole horizon consumed or queued and takes no more epochs"
+                )
             }
         }
     }
@@ -147,29 +142,29 @@ pub struct InvalidationSummary {
     /// Sessions whose safe regions the change could break — each was force-recomputed
     /// against the new world and re-notified.
     pub invalidated: usize,
-    /// The ids of the invalidated groups, in shard order.
+    /// The ids of the invalidated groups, ascending.
     pub affected: Vec<GroupId>,
     /// Whether the delta overlay was folded back into the base index afterwards.
     pub compacted: bool,
 }
 
-/// How a multi-shard engine slices a tick's live shards into pool jobs (a single-shard
-/// engine ticks inline whatever the executor).
+/// How an engine with several workers cuts the slab into pool jobs (a one-worker engine
+/// ticks inline whatever the executor).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TickExecutor {
-    /// One monolithic chunk per live shard (the default): the cheapest dispatch, and the
-    /// faster choice for large quiet fleets, where small batches cost more in boxed jobs
-    /// than stealing wins back.
+    /// One chunk of `⌈slots / workers⌉` ids per worker (the default): the cheapest dispatch,
+    /// and the faster choice for large quiet fleets, where small batches cost more in boxed
+    /// jobs than stealing wins back.
     #[default]
     WorkerPool,
-    /// *Session batches* instead of one chunk per shard: every live shard's sessions are
-    /// split into chunks of `batch` and pushed onto the shard's own worker deque; workers
-    /// that drain their deque steal batches from stragglers, so one hot shard no longer
-    /// bounds the tick (see `mpn-pool`'s module docs for the deque discipline).  Counters
-    /// are identical to [`WorkerPool`](TickExecutor::WorkerPool) — only the schedule
-    /// changes, surfaced via [`TickSummary::exec`].
+    /// *Session batches*: the slab is cut into chunks of `batch` ids, neighbouring chunks
+    /// pushed onto the same worker's deque; workers that drain their deque steal batches
+    /// from stragglers, so a run of expensive groups no longer bounds the tick (see
+    /// `mpn-pool`'s module docs for the deque discipline).  Counters and events are
+    /// identical to [`WorkerPool`](TickExecutor::WorkerPool) — only the schedule changes,
+    /// surfaced via [`TickSummary::exec`].
     WorkStealing {
-        /// Sessions per job (clamped to at least 1).
+        /// Slab slots per job (clamped to at least 1).
         batch: usize,
     },
 }
@@ -183,9 +178,8 @@ pub enum TickExecutor {
 /// there first), while the protocol counters are bit-identical by contract.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TickExecCounters {
-    /// Chunks the tick was sliced into (session batches for
-    /// [`TickExecutor::WorkStealing`], whole shards otherwise), including the one the
-    /// calling thread ran itself.
+    /// Chunks the slab was cut into (session batches for [`TickExecutor::WorkStealing`], one
+    /// per worker otherwise), including the one the calling thread ran itself.
     pub batches: usize,
     /// Jobs a pool worker took from another worker's deque (0 without a pool).
     pub steals: usize,
@@ -224,7 +218,7 @@ impl TickExecCounters {
 ///
 /// Equality deliberately covers only the *protocol* counters (everything except
 /// [`exec`](TickSummary::exec)): those are deterministic — identical across executors,
-/// shard counts and cache configurations — and pinned by `tests/engine_parity.rs`, while
+/// worker counts and cache configurations — and pinned by `tests/engine_parity.rs`, while
 /// the executor diagnostics describe the racy schedule that produced them.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TickSummary {
@@ -247,9 +241,8 @@ pub struct TickSummary {
     /// feed).  Replay fleets never starve before their horizon; for a streaming fleet this
     /// counts groups whose clients are reporting slower than the server ticks.
     pub starved: usize,
-    /// Deregistered groups whose retired metrics are still attributed to their id (an id
-    /// reused by `register`/`rejoin` leaves this total; its old epoch then only feeds the
-    /// fleet-wide reclaimed-epochs aggregate).
+    /// Ids of deregistered groups awaiting reuse by `register`/`rejoin` (the vacant slab
+    /// slots).
     pub retired: usize,
     /// Executor diagnostics (batches, steals, imbalance, cache hits/misses).  Excluded from
     /// equality — see the type docs.
@@ -272,24 +265,17 @@ impl PartialEq for TickSummary {
 
 impl Eq for TickSummary {}
 
-/// Placement weight of one session: its remaining bounded horizon, or
-/// [`OPEN_HORIZON_WEIGHT`] for an open-horizon stream.
-fn session_weight(session: &GroupSession) -> usize {
-    session.remaining_horizon().unwrap_or(OPEN_HORIZON_WEIGHT)
-}
-
 /// The per-session **hot** state: the few bytes a tick must read to decide whether the
-/// session's cold body needs to be touched at all (see the [`Shard`] docs for the split).
+/// session's cold body needs to be touched at all (see [`MonitoringEngine`] for the split).
 ///
 /// Every field is a mirror of session state that only changes at known points — after an
 /// [`advance`](GroupSession::advance) (refreshed on the worker by [`HotEntry::refresh`]),
-/// on [`submit`](MonitoringEngine::submit) (`pending`), and on placement / deregistration
-/// (`vacant`) — so reading the mirror is always equivalent to asking the session.
+/// on [`submit`](MonitoringEngine::submit) (`pending`), and on registration /
+/// deregistration (`vacant`) — so reading the mirror is always equivalent to asking the
+/// session.
 #[derive(Debug, Clone, Copy)]
 struct HotEntry {
-    /// The group occupying this slot (stale while `vacant`).
-    id: GroupId,
-    /// The slot is free: its session was deregistered and the slot awaits reuse.
+    /// The id is free: its session was deregistered and the slot awaits reuse.
     vacant: bool,
     /// Mirror of [`GroupSession::is_finished`]: the whole bounded horizon is consumed.
     finished: bool,
@@ -297,20 +283,15 @@ struct HotEntry {
     feed_ready: bool,
     /// Mirror of [`GroupSession::pending_epochs`]: submitted batches waiting in the inbox.
     pending: usize,
-    /// Mirror of [`session_weight`]: the session's remaining-work placement weight.
-    weight: usize,
 }
 
 impl HotEntry {
-    fn new(id: GroupId, session: &GroupSession) -> Self {
-        let mut entry = HotEntry {
-            id,
-            vacant: false,
-            finished: false,
-            feed_ready: false,
-            pending: 0,
-            weight: 0,
-        };
+    /// The entry of a deregistered (or not yet installed) id.
+    const VACANT: HotEntry =
+        HotEntry { vacant: true, finished: false, feed_ready: false, pending: 0 };
+
+    fn new(session: &GroupSession) -> Self {
+        let mut entry = HotEntry { vacant: false, ..HotEntry::VACANT };
         entry.refresh(session);
         entry
     }
@@ -321,12 +302,11 @@ impl HotEntry {
         self.finished = session.is_finished();
         self.feed_ready = session.feed_has_next();
         self.pending = session.pending_epochs();
-        self.weight = session_weight(session);
     }
 }
 
-/// Advances one slice of a shard — a whole shard, or one work-stealing batch — one epoch
-/// per live session; returns the slice's tick tally and its remaining-work weight.
+/// Advances one contiguous chunk of the slab — the ids `first..first + hot.len()` — one
+/// epoch per live session; returns the chunk's tick tally.
 ///
 /// This is the unit of parallel work, and the engine's memory hot path: the loop *streams*
 /// the dense [`HotEntry`] array and dereferences a session's cold body only when that
@@ -335,26 +315,23 @@ impl HotEntry {
 ///
 /// * `vacant` — no session, nothing to count;
 /// * `finished` — `advance` would return [`StepOutcome::Finished`] (no counters) and the
-///   follow-up `is_finished()` check would tally one `finished`; the weight contribution is
-///   0 by definition (a finished horizon has no remaining epochs);
+///   follow-up `is_finished()` check would tally one `finished`;
 /// * `pending == 0 && !feed_ready` — `advance` would pop nothing and return
-///   [`StepOutcome::Starved`] without moving the session's clock, so the cached weight is
-///   still current.
+///   [`StepOutcome::Starved`] without moving the session's clock.
 ///
-/// Sessions are fully independent, so slicing a shard into batches (and letting idle
-/// workers steal them) changes only the schedule, never any counter; and the skip paths
-/// above change only which memory is touched, never what is counted
-/// (`tests/engine_parity.rs` pins both).
+/// Sessions are fully independent, so where the slab is cut (and which worker runs a chunk)
+/// changes only the schedule, never any counter; and the skip paths above change only which
+/// memory is touched, never what is counted (`tests/engine_parity.rs` pins both).
 fn advance_chunk(
+    first: GroupId,
     hot: &mut [HotEntry],
     cold: &mut [Option<GroupSession>],
     view: IndexView<'_>,
     events: &mut EventSink,
-) -> (TickSummary, usize) {
+) -> TickSummary {
     debug_assert_eq!(hot.len(), cold.len(), "hot and cold chunks must be sliced in lockstep");
     let mut tally = TickSummary::default();
-    let mut weight = 0usize;
-    for (entry, slot) in hot.iter_mut().zip(cold.iter_mut()) {
+    for (id, (entry, slot)) in (first..).zip(hot.iter_mut().zip(cold.iter_mut())) {
         if entry.vacant {
             continue;
         }
@@ -366,11 +343,10 @@ fn advance_chunk(
             // Active-set scheduling: a session with nothing to consume is tallied as
             // starved without walking its cold body (positions, cached answer).
             tally.starved += 1;
-            weight = weight.saturating_add(entry.weight);
             continue;
         }
         let session = slot.as_mut().expect("a non-vacant slot holds a session");
-        match session.advance_into(view, entry.id, events) {
+        match session.advance_into(view, id, events) {
             StepOutcome::Finished => {}
             StepOutcome::Starved => tally.starved += 1,
             StepOutcome::Registered => {
@@ -387,12 +363,99 @@ fn advance_chunk(
         if session.is_finished() {
             tally.finished += 1;
         }
-        // The tick is the one place sessions' remaining horizons change, and it already
-        // walks every advanced session — refresh the hot mirror for free, on the worker.
         entry.refresh(session);
-        weight = weight.saturating_add(entry.weight);
     }
-    (tally, weight)
+    tally
+}
+
+/// The invalidation pass of one world change over one chunk of the slab: evaluates the break
+/// predicate for every session and force-recomputes the affected ones against the new view,
+/// their revised regions going to `events`.  Returns `(sessions checked, affected ids)`.
+///
+/// A forced recompute consumes no epoch and moves no clock, so the hot mirrors stay valid
+/// without a refresh.
+fn invalidate_chunk(
+    first: GroupId,
+    cold: &mut [Option<GroupSession>],
+    view: IndexView<'_>,
+    change: &WorldChange,
+    events: &mut EventSink,
+) -> (usize, Vec<GroupId>) {
+    let mut affected = Vec::new();
+    let mut checked = 0usize;
+    for (id, slot) in (first..).zip(cold.iter_mut()) {
+        let Some(session) = slot else { continue };
+        checked += 1;
+        if session.world_change_invalidates(change)
+            && session.force_recompute_into(view, id, events)
+        {
+            affected.push(id);
+        }
+    }
+    (checked, affected)
+}
+
+/// Runs `pass` over the whole slab and hands each result to `fold`, in ascending id order;
+/// returns how the work was scheduled.
+///
+/// Without a pool (one worker) — or when the slab fits one chunk — that is a single inline
+/// call writing straight to `events`, with no allocation of its own.  Otherwise the slab is
+/// cut into contiguous chunks (`⌈len / workers⌉` slots under [`TickExecutor::WorkerPool`],
+/// `batch` under [`TickExecutor::WorkStealing`]), each with an event buffer of its own;
+/// neighbouring chunks go to the same worker's deque and move elsewhere only by stealing,
+/// the last chunk runs on the calling thread (which would otherwise only wait at the
+/// barrier), and behind the barrier the buffers are concatenated in chunk order — so
+/// `events` and the sequence `fold` sees are those of the inline call.
+///
+/// A free function over the slab's parts, so a caller can hold a view of the engine's world
+/// while it runs.
+fn for_each_chunk<T: Send>(
+    pool: Option<&mut WorkerPool>,
+    executor: TickExecutor,
+    hot: &mut [HotEntry],
+    cold: &mut [Option<GroupSession>],
+    events: &mut EventSink,
+    pass: impl Fn(GroupId, &mut [HotEntry], &mut [Option<GroupSession>], &mut EventSink) -> T + Sync,
+    mut fold: impl FnMut(T),
+) -> TickExecCounters {
+    let workers = pool.as_ref().map_or(1, |pool| pool.worker_count());
+    let len = match executor {
+        TickExecutor::WorkerPool => hot.len().div_ceil(workers),
+        TickExecutor::WorkStealing { batch } => batch,
+    }
+    .max(1);
+    let chunks = hot.len().div_ceil(len);
+    let Some(pool) = pool.filter(|_| chunks > 1) else {
+        fold(pass(0, hot, cold, events));
+        return TickExecCounters { batches: 1, ..TickExecCounters::default() };
+    };
+    let mut outcomes: Vec<(Option<T>, EventSink)> =
+        (0..chunks).map(|_| (None, Vec::new())).collect();
+    pool.scoped(|scope| {
+        let pass = &pass;
+        let mut work =
+            hot.chunks_mut(len).zip(cold.chunks_mut(len)).zip(outcomes.iter_mut()).enumerate();
+        let inline = work.next_back();
+        for (i, ((hot, cold), (result, sent))) in work {
+            scope.execute_on(i * workers / chunks, move || {
+                *result = Some(pass(i * len, hot, cold, sent));
+            });
+        }
+        if let Some((i, ((hot, cold), (result, sent)))) = inline {
+            *result = Some(pass(i * len, hot, cold, sent));
+        }
+    });
+    for (result, mut sent) in outcomes {
+        events.append(&mut sent);
+        fold(result.expect("the scope barrier ran every job"));
+    }
+    let stats = pool.last_scope_stats();
+    TickExecCounters {
+        batches: chunks,
+        steals: stats.steals,
+        imbalance: stats.imbalance(),
+        ..TickExecCounters::default()
+    }
 }
 
 /// Folds one tally's protocol counters into an accumulator (the per-tick bookkeeping fields
@@ -406,172 +469,54 @@ fn merge_counts(acc: &mut TickSummary, t: &TickSummary) {
     acc.starved += t.starved;
 }
 
-/// One shard: a slice of the fleet advanced by a single worker per tick (or, under
-/// [`TickExecutor::WorkStealing`], split into stealable session batches).
+/// A stateful server monitoring a churning fleet of moving groups over one POI index.
+///
+/// The engine has no lifetime parameters: it shares the POI index via [`Arc`] and every
+/// session owns its data, so engines can be moved into server threads, held alongside their
+/// workload, and fed from the network.
 ///
 /// # The hot/cold session split
 ///
-/// The shard stores its sessions in two parallel arrays indexed by **slot**:
+/// The sessions live in two parallel arrays indexed by [`GroupId`]:
 ///
-/// * [`hot`](Shard::hot) — a dense `Vec<HotEntry>` of per-tick decision state (a few dozen
-///   bytes per session: vacancy, finished/feed flags, waiting epochs, placement weight).  The
-///   tick streams this array linearly; sessions with nothing to do are skipped or tallied
-///   right here, cache line after cache line, without dereferencing anything.
-/// * [`cold`](Shard::cold) — a slot-stable slab of the full [`GroupSession`] bodies
-///   (configuration, metrics, last answer, the flat position buffer; what else a body holds
-///   depends on its method — see the crate docs).  Only sessions that actually consume an
-///   epoch touch their cold body.  A body keeps no event log: the protocol events of an
-///   advance go to the tick's sink ([`MonitoringEngine::drain_events`]).
+/// * `hot` — a dense `Vec<HotEntry>` of per-tick decision state (16 bytes per session:
+///   vacancy, finished/feed flags, waiting epochs).  The tick streams this array linearly;
+///   sessions with nothing to do are skipped or tallied right here, cache line after cache
+///   line, without dereferencing anything.
+/// * `cold` — the slab of full [`GroupSession`] bodies (configuration, metrics, last answer,
+///   the flat position buffer; what else a body holds depends on its method — see the crate
+///   docs).  Only sessions that actually consume an epoch touch their cold body.  A body
+///   keeps no event log: the protocol events of an advance go to the tick's sink
+///   ([`MonitoringEngine::drain_events`]).
 ///
-/// Slots are **stable**: deregistration marks the hot entry vacant, parks the slot on
-/// [`free_slots`](Shard::free_slots) and never moves another session, so directory entries
-/// `(shard, slot)` stay valid without the swap-remove fixups of the old single-vec layout
-/// — `submit`, `group` lookups and deregistration stay O(1).  `hot.len() == cold.len()`
-/// always; a slot is vacant iff its hot entry says so iff its cold option is `None`.
-#[derive(Debug, Default)]
-struct Shard {
-    /// Dense per-slot tick state, streamed by [`advance_chunk`].
-    hot: Vec<HotEntry>,
-    /// Slot-stable slab of session bodies; `None` marks a vacant (deregistered) slot.
-    cold: Vec<Option<GroupSession>>,
-    /// Vacant slots available for reuse by the next placement on this shard.
-    free_slots: Vec<usize>,
-    /// Ticks during which this shard had no live session (no worker was woken for it).
-    idle_ticks: usize,
-    /// Ticks during which this shard *had* live sessions but advanced none of them — every
-    /// live session starved (slow-reporting clients).  Disjoint from
-    /// [`idle_ticks`](Shard::idle_ticks): a starved shard still costs a worker wake-up and
-    /// still holds remaining work, so placement must not treat it as free capacity.
-    starved_ticks: usize,
-    /// Cached remaining work (the sum of [`session_weight`] over live sessions), maintained
-    /// incrementally: adjusted on placement and deregistration, recomputed by
-    /// [`advance_all`](Shard::advance_all) while the tick is already streaming every hot
-    /// entry.  Keeping it current at every mutation point makes `register` placement
-    /// O(shards) instead of a full O(fleet) re-scan per call.
-    weight: usize,
-}
-
-impl Shard {
-    /// Number of registered sessions (occupied slots).
-    fn occupancy(&self) -> usize {
-        self.hot.iter().filter(|h| !h.vacant).count()
-    }
-
-    /// Whether any registered session still has horizon left — read entirely off the hot
-    /// array.
-    fn has_live(&self) -> bool {
-        self.hot.iter().any(|h| !h.vacant && !h.finished)
-    }
-
-    /// Advances every live session one epoch; returns this shard's tick tally (the
-    /// single-shard inline path).
-    fn advance_all(&mut self, view: IndexView<'_>, events: &mut EventSink) -> TickSummary {
-        let (tally, weight) = advance_chunk(&mut self.hot, &mut self.cold, view, events);
-        self.weight = weight;
-        self.note_tick_outcome(&tally);
-        tally
-    }
-
-    /// Records the starved-tick counter from a completed tick's tally (the shard was woken,
-    /// so it was live; if nothing advanced, every live session starved).
-    fn note_tick_outcome(&mut self, tally: &TickSummary) {
-        if tally.advanced == 0 && tally.starved > 0 {
-            self.starved_ticks += 1;
-        }
-    }
-
-    /// The invalidation pass of one world change: evaluates the break predicate for every
-    /// session and force-recomputes the affected ones against the new view, their revised
-    /// regions going to `events`.  Returns `(sessions checked, affected group ids)`.
-    ///
-    /// A forced recompute consumes no epoch and moves no clock, so the hot mirrors
-    /// (pending, feed, finished, weight) stay valid without a refresh.
-    fn invalidate_all(
-        &mut self,
-        view: IndexView<'_>,
-        change: &WorldChange,
-        events: &mut EventSink,
-    ) -> (usize, Vec<GroupId>) {
-        let mut affected = Vec::new();
-        let mut checked = 0usize;
-        for (entry, slot) in self.hot.iter().zip(self.cold.iter_mut()) {
-            let Some(session) = slot else { continue };
-            checked += 1;
-            if session.world_change_invalidates(change)
-                && session.force_recompute_into(view, entry.id, events)
-            {
-                affected.push(entry.id);
-            }
-        }
-        (checked, affected)
-    }
-
-    /// Recomputes the remaining work from scratch (the debug cross-check of the cached
-    /// [`weight`](Shard::weight) counter).
-    #[cfg(debug_assertions)]
-    fn recompute_weight(&self) -> usize {
-        self.cold.iter().flatten().map(session_weight).fold(0usize, usize::saturating_add)
-    }
-
-    /// Slab invariants: the arrays run in lockstep and vacancy agrees between them (debug
-    /// cross-check; see the type docs).
-    #[cfg(debug_assertions)]
-    fn check_slab(&self) {
-        debug_assert_eq!(self.hot.len(), self.cold.len(), "hot/cold arrays drifted");
-        for (slot, (entry, session)) in self.hot.iter().zip(self.cold.iter()).enumerate() {
-            debug_assert_eq!(
-                entry.vacant,
-                session.is_none(),
-                "slot {slot}: hot vacancy disagrees with the cold slab"
-            );
-        }
-        debug_assert!(
-            self.free_slots.iter().all(|&slot| self.hot[slot].vacant),
-            "free list holds an occupied slot"
-        );
-    }
-}
-
-/// One entry of the shard directory: where a group's session lives, or what it left behind.
-#[derive(Debug)]
-enum DirectoryEntry {
-    /// The group is registered: its cold session body sits at `shards[shard].cold[slot]`
-    /// with the matching hot entry at `shards[shard].hot[slot]`.
-    Active { shard: usize, slot: usize },
-    /// The group deregistered: its session was torn down, these metrics remain for fleet
-    /// accounting until the id is reused.
-    Retired(Box<MonitoringMetrics>),
-}
-
-/// A sharded, stateful server monitoring a churning fleet of moving groups over one POI index.
-///
-/// Since the owned-session refactor the engine has no lifetime parameters: it shares the POI
-/// index via [`Arc`] and every session owns its data, so engines can be moved into server
-/// threads, held alongside their workload, and fed from the network.
+/// Deregistration marks the hot entry vacant, empties the cold slot and parks the id on the
+/// free-list; no other session moves, so `submit`, `group` lookups and deregistration are
+/// one index away.  `hot.len() == cold.len()` always; an id is vacant iff its hot entry says
+/// so iff its cold option is `None` iff it is on the free-list.
 #[derive(Debug)]
 pub struct MonitoringEngine {
     /// The mutable POI world: a shared base R-tree plus the generation-stamped delta overlay
     /// maintained by [`apply_world_change`](MonitoringEngine::apply_world_change).
     world: WorldView,
-    shards: Vec<Shard>,
-    /// `id -> session location (or retired metrics)`, indexed by [`GroupId`].
-    directory: Vec<DirectoryEntry>,
-    /// Ids of deregistered groups, available for reuse (every entry is `Retired` in the
-    /// directory, and vice versa).
+    /// Dense per-id tick state, streamed by [`advance_chunk`].
+    hot: Vec<HotEntry>,
+    /// Session bodies by id; `None` marks a vacant (deregistered) id.
+    cold: Vec<Option<GroupSession>>,
+    /// Ids of deregistered groups, available for reuse (most recently freed last).
     free_ids: Vec<GroupId>,
-    /// Aggregate metrics of past epochs whose ids were reused: folded out of the directory by
-    /// `place` so fleet-wide totals never shrink, even though per-id attribution is gone.
-    reclaimed: MonitoringMetrics,
+    /// Merged metrics of every group that deregistered (`group_size` = their users), so
+    /// fleet-wide totals never shrink when a group leaves.
+    departed: MonitoringMetrics,
     /// The event sink: what sessions registered [`with_events`](GroupSession::with_events)
     /// sent since the last [`drain_events`](MonitoringEngine::drain_events), each pass (a
-    /// tick, a world change) appending in shard/slot order.
+    /// tick, a world change) appending in ascending id order.
     events: EventSink,
     /// A pass appended to a sink that already held an earlier pass's events, so the sink as
-    /// a whole is no longer in shard/slot order; `drain_events` restores it.
+    /// a whole is no longer in id order; `drain_events` restores it.
     events_interleaved: bool,
     clock: usize,
     executor: TickExecutor,
-    /// Present iff there is more than one shard (a single shard always ticks inline).
+    /// Present iff there is more than one worker (a single worker always ticks inline).
     pool: Option<WorkerPool>,
     /// Optional fleet-wide shared query cache, attached to every tick's [`IndexView`] so
     /// near-duplicate groups reuse candidate lists within a generation.
@@ -582,23 +527,23 @@ pub struct MonitoringEngine {
 }
 
 impl MonitoringEngine {
-    /// Creates an engine over the POI tree with `num_shards` worker shards and the default
-    /// one-chunk-per-shard executor.
+    /// Creates an engine over the POI tree that ticks on `workers` threads, with the default
+    /// one-chunk-per-worker executor.
     ///
     /// Accepts the tree by value or as a pre-shared [`Arc`] (`Arc::clone` a handle to keep
-    /// reading the index from outside the engine).  `num_shards` is clamped to at least 1.
-    /// One shard means fully serial ticks.
+    /// reading the index from outside the engine).  `workers` is clamped to at least 1.
+    /// One worker means fully serial, inline ticks.
     ///
     /// # Panics
     /// Panics when the POI tree is empty.
     #[must_use]
-    pub fn new(tree: impl Into<Arc<RTree>>, num_shards: usize) -> Self {
-        Self::with_executor(tree, num_shards, TickExecutor::default())
+    pub fn new(tree: impl Into<Arc<RTree>>, workers: usize) -> Self {
+        Self::with_executor(tree, workers, TickExecutor::default())
     }
 
     /// Creates an engine with an explicit tick executor.
     ///
-    /// The engine spawns one persistent worker per shard up front (none for a single shard,
+    /// The engine spawns its persistent pool workers up front (none for a single worker,
     /// which always ticks inline).
     ///
     /// # Panics
@@ -606,24 +551,22 @@ impl MonitoringEngine {
     #[must_use]
     pub fn with_executor(
         tree: impl Into<Arc<RTree>>,
-        num_shards: usize,
+        workers: usize,
         executor: TickExecutor,
     ) -> Self {
         let world = WorldView::new(tree.into());
         assert!(!world.is_empty(), "monitoring requires a non-empty POI set");
-        let num_shards = num_shards.max(1);
-        let pool = (num_shards > 1).then(|| WorkerPool::new(num_shards));
         Self {
             world,
-            shards: (0..num_shards).map(|_| Shard::default()).collect(),
-            directory: Vec::new(),
+            hot: Vec::new(),
+            cold: Vec::new(),
             free_ids: Vec::new(),
-            reclaimed: MonitoringMetrics::new(0),
+            departed: MonitoringMetrics::new(0),
             events: Vec::new(),
             events_interleaved: false,
             clock: 0,
             executor,
-            pool,
+            pool: (workers > 1).then(|| WorkerPool::new(workers)),
             cache: None,
             exec_totals: TickExecCounters::default(),
         }
@@ -693,69 +636,51 @@ impl MonitoringEngine {
     /// [`register_stream`](MonitoringEngine::register_stream), e.g. for a session with its
     /// events enabled).
     ///
-    /// The session is placed on the shard with the least **remaining work** (occupancy
-    /// weighted by remaining horizon, lowest index on ties); its id is popped from the
-    /// free-list of deregistered ids when one is available (folding that id's retired metrics
-    /// record into the reclaimed-epochs aggregate), else freshly allocated.
+    /// Its id is the most recently freed one when a deregistered id awaits reuse, else the
+    /// next unused index.
     ///
     /// Groups registered after ticking has started are self-clocked (they start from their
     /// own `t = 0`); their registration message is counted on the next tick that feeds them.
     pub fn register_session(&mut self, session: GroupSession) -> GroupId {
         let id = self.free_ids.pop().unwrap_or_else(|| {
-            // Placeholder entry; `place` overwrites it with the real location.
-            self.directory.push(DirectoryEntry::Active { shard: 0, slot: 0 });
-            self.directory.len() - 1
+            self.hot.push(HotEntry::VACANT);
+            self.cold.push(None);
+            self.hot.len() - 1
         });
-        self.place(id, session);
-        id
+        self.install(id, session)
     }
 
     /// Removes a group from monitoring, reclaiming its session state.
     ///
     /// The session is dropped (the cached §5.4 GNN buffer, the last answer, any queued epochs
     /// and undrained events along with the heading predictors) and its accumulated metrics
-    /// are returned.  A copy of those metrics is
-    /// retained in the shard directory: counted by
-    /// [`retired_count`](MonitoringEngine::retired_count), included in
-    /// [`fleet_metrics`](MonitoringEngine::fleet_metrics) and
-    /// [`into_group_metrics`](MonitoringEngine::into_group_metrics).  When the id is reused
-    /// by [`register`](MonitoringEngine::register) / [`rejoin`](MonitoringEngine::rejoin) the
-    /// record loses its per-id slot but keeps feeding the fleet totals through the
-    /// reclaimed-epochs aggregate ([`reclaimed_metrics`](MonitoringEngine::reclaimed_metrics)).
+    /// are returned.  They also stay part of [`fleet_metrics`](MonitoringEngine::fleet_metrics)
+    /// — a server's totals do not shrink when a group leaves — but no longer per id: a
+    /// caller that wants a departed group's own numbers keeps the returned record.  The id
+    /// counts into [`retired_count`](MonitoringEngine::retired_count) until it is reused.
     ///
     /// Returns `None` for an unknown or already-deregistered id (deregistration is
     /// idempotent).
     pub fn deregister(&mut self, id: GroupId) -> Option<MonitoringMetrics> {
-        let &DirectoryEntry::Active { shard, slot } = self.directory.get(id)? else {
-            return None;
-        };
-        // Slot-stable teardown: the slot is marked vacant and parked for reuse; no other
-        // session moves, so no directory entry needs fixing up.
-        let session =
-            self.shards[shard].cold[slot].take().expect("an active directory entry has a session");
-        self.shards[shard].hot[slot].vacant = true;
-        self.shards[shard].free_slots.push(slot);
-        self.shards[shard].weight =
-            self.shards[shard].weight.saturating_sub(session_weight(&session));
+        let session = self.cold.get_mut(id)?.take()?;
+        self.hot[id] = HotEntry::VACANT;
+        self.free_ids.push(id);
         // Undrained events leave with the session: nobody owns the group any more, and the
         // id may be handed to a new one before the next drain.
         if !self.events.is_empty() {
             self.events.retain(|(group, _)| *group != id);
         }
         let metrics = session.into_metrics();
-        self.directory[id] = DirectoryEntry::Retired(Box::new(metrics.clone()));
-        self.free_ids.push(id);
+        self.departed.group_size += metrics.group_size;
+        self.departed.absorb(&metrics);
         Some(metrics)
     }
 
     /// Re-registers a replay group under the id of a previously deregistered one.
     ///
-    /// The new session starts fresh from its own `t = 0` (sessions are self-clocked).  The
-    /// id's retired metrics record moves into the reclaimed-epochs aggregate — still part of
-    /// [`fleet_metrics`](MonitoringEngine::fleet_metrics), no longer attributed to the id —
-    /// so callers who want the previous epoch's numbers per group take them from
-    /// [`deregister`](MonitoringEngine::deregister)'s return value.  Placement is
-    /// least-remaining-work, like [`register`](MonitoringEngine::register).
+    /// The new session starts fresh from its own `t = 0` (sessions are self-clocked); the
+    /// previous epoch's numbers are what [`deregister`](MonitoringEngine::deregister)
+    /// returned.
     ///
     /// # Panics
     /// Panics when `id` is not currently free (never registered, or still active); the empty
@@ -776,7 +701,14 @@ impl MonitoringEngine {
             .position(|&free| free == id)
             .expect("rejoin requires the id of a deregistered group");
         self.free_ids.swap_remove(pos);
-        self.place(id, session);
+        self.install(id, session)
+    }
+
+    /// Puts `session` into the vacant slot `id`.
+    fn install(&mut self, id: GroupId, session: GroupSession) -> GroupId {
+        debug_assert!(self.hot[id].vacant && self.cold[id].is_none(), "id {id} is occupied");
+        self.hot[id] = HotEntry::new(&session);
+        self.cold[id] = Some(session);
         id
     }
 
@@ -785,17 +717,15 @@ impl MonitoringEngine {
     ///
     /// # Errors
     /// Rejects updates for unknown / deregistered ids, batches whose size does not match the
-    /// group, and sessions past their bounded horizon (their inbox would otherwise grow
-    /// forever, unconsumed) — all without touching any session state, so a network front-end
-    /// maps these to protocol-level error notifications instead of crashing the server.
+    /// group, and epochs beyond a bounded horizon (consumed plus queued epochs already reach
+    /// it, so the batch would sit in the inbox forever, unconsumed) — all without touching
+    /// any session state, so a network front-end maps these to protocol-level error
+    /// notifications instead of crashing the server.
     pub fn submit(&mut self, update: EpochUpdate) -> Result<(), SubmitError> {
         let EpochUpdate { group_id, positions } = update;
-        let Some(&DirectoryEntry::Active { shard, slot }) = self.directory.get(group_id) else {
+        let Some(session) = self.cold.get_mut(group_id).and_then(Option::as_mut) else {
             return Err(SubmitError::UnknownGroup(group_id));
         };
-        let session = self.shards[shard].cold[slot]
-            .as_mut()
-            .expect("an active directory entry has a session");
         if positions.len() != session.group_size() {
             return Err(SubmitError::WrongGroupSize {
                 group_id,
@@ -803,19 +733,20 @@ impl MonitoringEngine {
                 got: positions.len(),
             });
         }
-        if session.is_finished() {
+        if session.horizon_is_covered() {
             return Err(SubmitError::Finished(group_id));
         }
         session.submit(positions);
         // Keep the hot mirror current: the next tick's active-set walk must see the queued
         // epoch without asking the session.
-        self.shards[shard].hot[slot].pending = session.pending_epochs();
+        self.hot[group_id].pending = session.pending_epochs();
         Ok(())
     }
 
     /// Takes the event sink: the protocol events of every session registered
     /// [`with_events`](GroupSession::with_events) since the last call, tagged with the group
-    /// id, in shard then slot order and, within one session, in the order they were sent.
+    /// id, in ascending group id order — whatever the worker count or executor — and, within
+    /// one session, in the order they were sent.
     ///
     /// Sessions without events contribute nothing; the
     /// [`ServerCore`](crate::server::ServerCore) turns these into wire responses after each
@@ -823,12 +754,8 @@ impl MonitoringEngine {
     /// resident — and a tick that sends nothing allocates nothing.
     pub fn drain_events(&mut self) -> Vec<(GroupId, SessionEvent)> {
         if std::mem::take(&mut self.events_interleaved) {
-            let directory = &self.directory;
             // Stable: a session's forced recompute stays ahead of its later advance.
-            self.events.sort_by_key(|(group, _)| match directory[*group] {
-                DirectoryEntry::Active { shard, slot } => (shard, slot),
-                DirectoryEntry::Retired(_) => unreachable!("deregister purged its events"),
-            });
+            self.events.sort_by_key(|(group, _)| *group);
         }
         std::mem::take(&mut self.events)
     }
@@ -836,8 +763,8 @@ impl MonitoringEngine {
     /// Applies one POI world change and recomputes exactly the sessions it can break.
     ///
     /// The change is written into the engine's [`WorldView`] overlay first (bumping the
-    /// world generation), then an invalidation pass fans out over the occupied shards on
-    /// the worker pool: every registered session evaluates
+    /// world generation), then an invalidation pass runs over the slab, cut over the workers
+    /// like a tick: every registered session evaluates
     /// the break predicate ([`GroupSession::world_change_invalidates`] — a deleted POI that
     /// participates in the answer or the cached §5.4 buffer, or an inserted POI whose
     /// best-case aggregate undercuts the optimum's worst case over the regions) and the
@@ -873,38 +800,20 @@ impl MonitoringEngine {
             Some(cache) => self.world.view().with_cache(cache),
             None => self.world.view(),
         };
-        let change = &change;
-        let events = &mut self.events;
-        let occupied: Vec<&mut Shard> =
-            self.shards.iter_mut().filter(|s| s.occupancy() > 0).collect();
-        let results: Vec<(usize, Vec<GroupId>)> = if occupied.len() <= 1 {
-            occupied.into_iter().map(|shard| shard.invalidate_all(view, change, events)).collect()
-        } else {
-            let pool = self.pool.as_mut().expect("a multi-shard engine owns a pool");
-            // One buffer per job, concatenated in shard order behind the barrier.
-            let mut slots: Vec<_> = occupied.iter().map(|_| (None, Vec::new())).collect();
-            pool.scoped(|scope| {
-                for (shard, (result, sent)) in occupied.into_iter().zip(slots.iter_mut()) {
-                    scope.execute(move || {
-                        *result = Some(shard.invalidate_all(view, change, sent));
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|(result, mut sent)| {
-                    events.append(&mut sent);
-                    result.expect("the scope barrier ran every job")
-                })
-                .collect()
-        };
-
         let mut groups_checked = 0;
         let mut affected = Vec::new();
-        for (checked, ids) in results {
-            groups_checked += checked;
-            affected.extend(ids);
-        }
+        for_each_chunk(
+            self.pool.as_mut(),
+            self.executor,
+            &mut self.hot,
+            &mut self.cold,
+            &mut self.events,
+            |first, _, cold, events| invalidate_chunk(first, cold, view, &change, events),
+            |(checked, ids)| {
+                groups_checked += checked;
+                affected.extend(ids);
+            },
+        );
         let generation = self.world.generation();
         let compacted = self.world.maybe_compact();
         InvalidationSummary {
@@ -918,79 +827,25 @@ impl MonitoringEngine {
         }
     }
 
-    /// Inserts a fresh session for `id` on the least-loaded shard, reusing a vacant slot
-    /// when that shard has one (so a churning fleet's slabs stay dense instead of growing
-    /// without bound).  If the id carries a retired metrics record (it is being reused), the
-    /// record is folded into the reclaimed-epochs aggregate so fleet-wide totals never
-    /// shrink.
-    fn place(&mut self, id: GroupId, session: GroupSession) {
-        let shard = self.least_loaded_shard();
-        let target = &mut self.shards[shard];
-        let entry = HotEntry::new(id, &session);
-        target.weight = target.weight.saturating_add(entry.weight);
-        let slot = match target.free_slots.pop() {
-            Some(slot) => {
-                target.hot[slot] = entry;
-                target.cold[slot] = Some(session);
-                slot
-            }
-            None => {
-                target.hot.push(entry);
-                target.cold.push(Some(session));
-                target.hot.len() - 1
-            }
-        };
-        #[cfg(debug_assertions)]
-        target.check_slab();
-        if let DirectoryEntry::Retired(previous) =
-            std::mem::replace(&mut self.directory[id], DirectoryEntry::Active { shard, slot })
-        {
-            self.reclaimed.group_size += previous.group_size;
-            self.reclaimed.absorb(&previous);
-        }
-    }
-
-    /// The shard with the least remaining work — occupancy weighted by remaining horizon,
-    /// open-horizon sessions charged [`OPEN_HORIZON_WEIGHT`] (lowest index on ties).
-    ///
-    /// Reads the incrementally maintained per-shard weight counters, so placement costs
-    /// O(shards) per registration regardless of fleet size.
-    fn least_loaded_shard(&self) -> usize {
-        #[cfg(debug_assertions)]
-        for shard in &self.shards {
-            debug_assert_eq!(
-                shard.weight,
-                shard.recompute_weight(),
-                "cached shard weight drifted from its sessions"
-            );
-        }
-        self.shards
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, shard)| shard.weight)
-            .map(|(i, _)| i)
-            .expect("an engine always has at least one shard")
-    }
-
     /// Number of currently registered (active) groups.
     #[must_use]
     pub fn group_count(&self) -> usize {
-        self.directory.len() - self.free_ids.len()
+        self.cold.len() - self.free_ids.len()
     }
 
-    /// Number of deregistered groups whose retired metrics are still held.
+    /// Number of deregistered ids awaiting reuse.
     #[must_use]
     pub fn retired_count(&self) -> usize {
         self.free_ids.len()
     }
 
-    /// Number of shards ticked in parallel.
+    /// Number of threads a tick's chunks are spread over (1 = inline on the caller).
     #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    pub fn worker_count(&self) -> usize {
+        self.pool.as_ref().map_or(1, WorkerPool::worker_count)
     }
 
-    /// The executor advancing live shards on each tick.
+    /// How a tick's slab is cut into pool jobs.
     #[must_use]
     pub fn executor(&self) -> TickExecutor {
         self.executor
@@ -1018,155 +873,57 @@ impl MonitoringEngine {
     }
 
     /// One coherent snapshot of the whole engine: clock, membership accounting, executor
-    /// totals, query-cache counters, per-shard load and the merged fleet metrics — see
-    /// [`EngineReport`] for what each field measures.
+    /// totals, query-cache counters and the merged fleet metrics — see [`EngineReport`] for
+    /// what each field measures.
     ///
-    /// It replaces poking
-    /// [`clock`](MonitoringEngine::clock)/[`exec_totals`](MonitoringEngine::exec_totals)/
-    /// [`shard_loads`](MonitoringEngine::shard_loads)/[`fleet_metrics`](MonitoringEngine::fleet_metrics)
-    /// one by one.  Cost is O(fleet) — snapshot at phase boundaries, not per tick.
+    /// Cost is O(fleet) — snapshot at phase boundaries, not per tick.
     #[must_use]
     pub fn report(&self) -> EngineReport {
         EngineReport {
             ticks: self.clock,
             groups: self.group_count(),
             retired: self.retired_count(),
-            reclaimed_users: self.reclaimed.group_size,
             exec: self.exec_totals,
             cache: self.cache.as_deref().map(QueryCache::stats),
-            shards: self.shard_loads(),
             fleet: self.fleet_metrics(),
         }
     }
 
-    /// Per-shard occupancy, idle-tick, starved-tick and remaining-work counters, in shard
-    /// order.
-    #[must_use]
-    pub fn shard_loads(&self) -> Vec<ShardLoad> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(shard, s)| ShardLoad {
-                shard,
-                occupancy: s.occupancy(),
-                live: s.hot.iter().filter(|h| !h.vacant && !h.finished).count(),
-                idle_ticks: s.idle_ticks,
-                starved_ticks: s.starved_ticks,
-                weight: s.weight,
-            })
-            .collect()
-    }
-
     /// Advances every live session one epoch.
     ///
-    /// There are two execution paths.  A single-shard engine ticks fully inline.  A
-    /// multi-shard engine slices its *live* shards into chunks — one per live shard under
-    /// [`TickExecutor::WorkerPool`], `batch` sessions each under
-    /// [`TickExecutor::WorkStealing`] — pushes all but one onto the owning shard's pool
-    /// worker and runs the remaining one on the calling thread, so a tick with a single
-    /// chunk wakes no worker at all.  Shards whose sessions have all finished (or that hold
-    /// none) are skipped — their [`idle_ticks`](ShardLoad::idle_ticks) counter is bumped
-    /// instead.  Counters are deterministic: groups are independent, so the summary and all
-    /// per-group metrics are identical to a serial replay regardless of shard count and
-    /// executor.
+    /// A one-worker engine ticks fully inline.  With more workers the slab is cut into
+    /// contiguous chunks of ids — one per worker under [`TickExecutor::WorkerPool`], `batch`
+    /// slots each under [`TickExecutor::WorkStealing`] — all but the last pushed onto the
+    /// pool, the last run on the calling thread.  Counters and events are deterministic:
+    /// groups are independent and every chunk's events are concatenated in id order, so the
+    /// summary, all per-group metrics and [`drain_events`](MonitoringEngine::drain_events)
+    /// are identical to a serial replay regardless of worker count and executor.
     pub fn tick(&mut self) -> TickSummary {
         self.events_interleaved |= !self.events.is_empty();
-        let events = &mut self.events;
         let cache_before = self.cache.as_deref().map(QueryCache::stats);
         let view = match self.cache.as_deref() {
             Some(cache) => self.world.view().with_cache(cache),
             None => self.world.view(),
         };
-        let mut exec = TickExecCounters::default();
-        let mut already_finished = 0usize;
-
-        // Single-shard engines tick fully inline: no live-shard vector, no tally vector, no
-        // executor bookkeeping.  Together with the per-worker query scratch this makes a
-        // steady-state warm-cache tick allocate nothing at all (`benches/micro.rs` asserts
-        // this under the `bench` feature).
-        let mut summary = if self.shards.len() == 1 {
-            let shard = &mut self.shards[0];
-            if shard.has_live() {
-                exec.batches = 1;
-                shard.advance_all(view, events)
-            } else {
-                shard.idle_ticks += 1;
-                already_finished += shard.occupancy();
-                TickSummary::default()
-            }
-        } else {
-            let mut live: Vec<&mut Shard> = Vec::with_capacity(self.shards.len());
-            for shard in &mut self.shards {
-                if shard.has_live() {
-                    live.push(shard);
-                } else {
-                    shard.idle_ticks += 1;
-                    already_finished += shard.occupancy();
-                }
-            }
-            let batch = match self.executor {
-                TickExecutor::WorkerPool => usize::MAX,
-                TickExecutor::WorkStealing { batch } => batch.max(1),
-            };
-            let mut owners: Vec<usize> = Vec::new();
-            let mut chunks = Vec::new();
-            for (owner, shard) in live.iter_mut().enumerate() {
-                let Shard { hot, cold, .. } = &mut **shard;
-                for pair in hot.chunks_mut(batch).zip(cold.chunks_mut(batch)) {
-                    owners.push(owner);
-                    chunks.push(pair);
-                }
-            }
-            exec.batches = chunks.len();
-            // Each chunk sends to a buffer of its own; behind the barrier they are
-            // concatenated in chunk order, which is shard then slot order.
-            let mut outcomes: Vec<_> =
-                chunks.iter().map(|_| ((TickSummary::default(), 0usize), Vec::new())).collect();
-            let pool = self.pool.as_mut().expect("a multi-shard engine owns a pool");
-            let workers = pool.worker_count();
-            pool.scoped(|scope| {
-                let mut work = owners.iter().zip(chunks).zip(outcomes.iter_mut());
-                // The caller would otherwise only wait at the barrier: it takes the last
-                // chunk itself and the pool gets the rest, routed to the owning shard's
-                // worker and moved elsewhere only by stealing.
-                let inline = work.next_back();
-                for ((owner, (hot, cold)), (outcome, sent)) in work {
-                    scope.execute_on(owner % workers, move || {
-                        *outcome = advance_chunk(hot, cold, view, sent);
-                    });
-                }
-                if let Some(((_, (hot, cold)), (outcome, sent))) = inline {
-                    *outcome = advance_chunk(hot, cold, view, sent);
-                }
-            });
-            let stats = pool.last_scope_stats();
-            exec.steals = stats.steals;
-            exec.imbalance = stats.imbalance();
-            // Merge the chunk tallies back per shard: the shard's weight is the sum over
-            // its chunks, and its starved-tick counter looks at the whole-shard tally.
-            let mut merged = vec![(TickSummary::default(), 0usize); live.len()];
-            for (owner, ((tally, weight), mut sent)) in owners.into_iter().zip(outcomes) {
-                events.append(&mut sent);
-                let (acc, total_weight) = &mut merged[owner];
-                merge_counts(acc, &tally);
-                *total_weight = total_weight.saturating_add(weight);
-            }
-            let mut fleet = TickSummary::default();
-            for ((tally, weight), shard) in merged.into_iter().zip(live) {
-                shard.weight = weight;
-                shard.note_tick_outcome(&tally);
-                merge_counts(&mut fleet, &tally);
-            }
-            fleet
-        };
+        // On one worker this is one inline call with no bookkeeping of its own: together
+        // with the per-worker query scratch, a steady-state tick allocates nothing at all
+        // (`tests/alloc_gates.rs` pins this).
+        let mut summary = TickSummary::default();
+        summary.exec = for_each_chunk(
+            self.pool.as_mut(),
+            self.executor,
+            &mut self.hot,
+            &mut self.cold,
+            &mut self.events,
+            |first, hot, cold, events| advance_chunk(first, hot, cold, view, events),
+            |tally| merge_counts(&mut summary, &tally),
+        );
         if let (Some(before), Some(cache)) = (cache_before, self.cache.as_deref()) {
             let delta = cache.stats().since(&before);
-            exec.cache_hits = delta.hits;
-            exec.cache_misses = delta.misses;
+            summary.exec.cache_hits = delta.hits;
+            summary.exec.cache_misses = delta.misses;
         }
-        summary.exec = exec;
         self.exec_totals.absorb(&summary.exec);
-        summary.finished += already_finished;
         summary.retired = self.retired_count();
         summary.tick = self.clock;
         self.clock += 1;
@@ -1209,97 +966,48 @@ impl MonitoringEngine {
     /// Panics on an unknown or deregistered id.
     #[must_use]
     pub fn group(&self, id: GroupId) -> &GroupSession {
-        match &self.directory[id] {
-            DirectoryEntry::Active { shard, slot } => self.shards[*shard].cold[*slot]
-                .as_ref()
-                .expect("the directory never points at a vacant slot"),
-            DirectoryEntry::Retired(_) => panic!("group {id} has been deregistered"),
-        }
+        self.cold[id].as_ref().unwrap_or_else(|| panic!("group {id} has been deregistered"))
     }
 
-    /// The metrics of one group accumulated so far — a live group's running counters, or the
-    /// retained record of a deregistered one.
+    /// The metrics one registered group has accumulated so far.
     ///
     /// # Panics
-    /// Panics on an unknown id.
+    /// Panics on an unknown or deregistered id (a departed group's record is what
+    /// [`deregister`](MonitoringEngine::deregister) returned).
     #[must_use]
     pub fn group_metrics(&self, id: GroupId) -> &MonitoringMetrics {
-        match &self.directory[id] {
-            DirectoryEntry::Active { shard, slot } => self.shards[*shard].cold[*slot]
-                .as_ref()
-                .expect("the directory never points at a vacant slot")
-                .metrics(),
-            DirectoryEntry::Retired(metrics) => metrics,
-        }
+        self.group(id).metrics()
     }
 
-    /// Aggregate metrics of past epochs whose ids have been reused by
-    /// [`register`](MonitoringEngine::register) / [`rejoin`](MonitoringEngine::rejoin): no
-    /// longer attributable to a live id, but still part of the fleet's lifetime totals.
-    #[must_use]
-    pub fn reclaimed_metrics(&self) -> &MonitoringMetrics {
-        &self.reclaimed
-    }
-
-    /// Fleet-wide metrics: every group's counters merged into one record, **including** the
-    /// retained metrics of deregistered groups and the reclaimed epochs of reused ids (a
-    /// long-lived server's totals must not shrink when a group leaves or its id is recycled).
+    /// Fleet-wide metrics: every group's counters merged into one record, **including**
+    /// those of deregistered groups (a long-lived server's totals must not shrink when a
+    /// group leaves or its id is recycled).
     ///
     /// `group_size` is the total number of monitored users over the fleet's lifetime (each
     /// epoch of a churning group counts its users once).
     #[must_use]
     pub fn fleet_metrics(&self) -> MonitoringMetrics {
-        let retired = self.directory.iter().filter_map(|entry| match entry {
-            DirectoryEntry::Retired(metrics) => Some(&**metrics),
-            DirectoryEntry::Active { .. } => None,
-        });
-        let users = self.sessions().map(GroupSession::group_size).sum::<usize>()
-            + retired.clone().map(|m| m.group_size).sum::<usize>()
-            + self.reclaimed.group_size;
-        let mut fleet = MonitoringMetrics::new(users);
+        let users = self.sessions().map(GroupSession::group_size).sum::<usize>();
+        let mut fleet = MonitoringMetrics::new(users + self.departed.group_size);
         for session in self.sessions() {
             fleet.absorb(session.metrics());
         }
-        for metrics in retired {
-            fleet.absorb(metrics);
-        }
-        fleet.absorb(&self.reclaimed);
+        fleet.absorb(&self.departed);
         fleet
     }
 
-    /// Consumes the engine, returning every group's metrics by id (registration order):
-    /// live sessions' accumulated counters plus the retained records of deregistered groups.
-    /// Earlier epochs of reused ids are not per-id attributable — read them off
-    /// [`reclaimed_metrics`](MonitoringEngine::reclaimed_metrics) before consuming the
-    /// engine.
+    /// Consumes the engine, returning the metrics of every registered group in ascending id
+    /// order (without churn: one record per group, in registration order).
     #[must_use]
     pub fn into_group_metrics(mut self) -> Vec<MonitoringMetrics> {
         // `mem::take` instead of destructuring: the engine implements `Drop` (worker-pool
         // shutdown), so fields cannot be moved out of `self` directly.
-        let shards = std::mem::take(&mut self.shards);
-        let directory = std::mem::take(&mut self.directory);
-        let mut by_id: Vec<Option<MonitoringMetrics>> = directory
-            .into_iter()
-            .map(|entry| match entry {
-                DirectoryEntry::Retired(metrics) => Some(*metrics),
-                DirectoryEntry::Active { .. } => None,
-            })
-            .collect();
-        for shard in shards {
-            for (entry, slot) in shard.hot.into_iter().zip(shard.cold) {
-                if let Some(session) = slot {
-                    by_id[entry.id] = Some(session.into_metrics());
-                }
-            }
-        }
-        by_id
-            .into_iter()
-            .map(|m| m.expect("every directory entry is either active or retired"))
-            .collect()
+        let cold = std::mem::take(&mut self.cold);
+        cold.into_iter().flatten().map(GroupSession::into_metrics).collect()
     }
 
     fn sessions(&self) -> impl Iterator<Item = &GroupSession> {
-        self.shards.iter().flat_map(|shard| shard.cold.iter().filter_map(Option::as_ref))
+        self.cold.iter().flatten()
     }
 }
 
@@ -1459,20 +1167,18 @@ mod tests {
         assert_eq!(engine.group_count(), 3);
         assert_eq!(engine.retired_count(), 1);
         assert!(engine.deregister(ids[1]).is_none(), "deregistration is idempotent");
-        // The retained record stays readable and feeds fleet accounting.
-        assert_eq!(engine.group_metrics(ids[1]).timestamps, 9);
-        assert_eq!(engine.group_metrics(ids[1]).updates, departed.updates);
-        assert!(engine.fleet_metrics().group_size >= departed.group_size);
+        // The departed group's counters keep feeding fleet accounting.
+        let live_updates: usize =
+            [0, 2, 3].iter().map(|&i| engine.group_metrics(ids[i]).updates).sum();
         let fleet_before_reuse = engine.fleet_metrics();
+        assert_eq!(fleet_before_reuse.updates, live_updates + departed.updates);
+        assert_eq!(fleet_before_reuse.group_size, 12, "the departed users stay in the total");
 
-        // The freed id is reused by the next registration; the old epoch moves into the
-        // reclaimed aggregate so fleet totals never shrink.
+        // The freed id is reused by the next registration; fleet totals do not shrink.
         let reused = engine.register(feed(&fleet[1]), config);
         assert_eq!(reused, ids[1]);
         assert_eq!(engine.group_count(), 4);
         assert_eq!(engine.retired_count(), 0);
-        assert_eq!(engine.reclaimed_metrics().updates, departed.updates);
-        assert_eq!(engine.reclaimed_metrics().group_size, departed.group_size);
         let fleet_after_reuse = engine.fleet_metrics();
         assert_eq!(fleet_after_reuse.updates, fleet_before_reuse.updates);
         assert_eq!(fleet_after_reuse.group_size, fleet_before_reuse.group_size + 3);
@@ -1515,79 +1221,6 @@ mod tests {
         assert_eq!(summary.registered, 1, "a rejoined group re-registers on its next tick");
         engine.run_to_completion();
         assert_eq!(engine.group_metrics(id).timestamps, 19, "the new epoch starts from t = 0");
-    }
-
-    #[test]
-    fn registration_fills_the_least_loaded_shard() {
-        let (tree, fleet) = world(6);
-        let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(10);
-        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 3);
-        let ids: Vec<_> = fleet.iter().map(|g| engine.register(feed(g), config)).collect();
-        let loads = engine.shard_loads();
-        assert!(loads.iter().all(|l| l.occupancy == 2), "6 groups spread 2-2-2 over 3 shards");
-        assert!(loads.iter().all(|l| l.weight == 20), "2 sessions x 10 remaining epochs");
-
-        // Empty one shard, then register twice: both go to the emptied shard.
-        engine.deregister(ids[0]).unwrap();
-        engine.deregister(ids[3]).unwrap();
-        let loads = engine.shard_loads();
-        assert_eq!(loads[0].occupancy, 0, "ids 0 and 3 both lived on shard 0");
-        let a = engine.register(feed(&fleet[0]), config);
-        let b = engine.register(feed(&fleet[3]), config);
-        let loads = engine.shard_loads();
-        assert_eq!(loads[0].occupancy, 2, "both replacements fill the emptied shard");
-        assert!(a != b);
-    }
-
-    #[test]
-    fn placement_weights_occupancy_by_remaining_horizon() {
-        let (tree, fleet) = world(3);
-        let long = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(100);
-        let short = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(10);
-        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 2);
-        // One long session lands on shard 0; five short sessions (50 epochs of total work)
-        // are still lighter than it, so they all pile onto shard 1 — occupancy-only
-        // placement would have alternated.
-        engine.register(feed(&fleet[0]), long);
-        for _ in 0..5 {
-            engine.register(feed(&fleet[1]), short);
-        }
-        let loads = engine.shard_loads();
-        assert_eq!(loads[0].occupancy, 1);
-        assert_eq!(loads[1].occupancy, 5);
-        assert_eq!(loads[0].weight, 100);
-        assert_eq!(loads[1].weight, 50);
-        // The sixth short session tips shard 1 to 60 — still the lighter shard.
-        engine.register(feed(&fleet[2]), short);
-        assert_eq!(engine.shard_loads()[1].occupancy, 6);
-
-        // An open-horizon stream outweighs any bounded replay.
-        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 2);
-        engine.register_stream(3, MonitorConfig::new(Objective::Max, Method::circle()));
-        let loads = engine.shard_loads();
-        assert_eq!(loads[0].weight, OPEN_HORIZON_WEIGHT);
-        for _ in 0..4 {
-            engine.register(feed(&fleet[0]), long);
-        }
-        let loads = engine.shard_loads();
-        assert_eq!(loads[0].occupancy, 1, "bounded sessions avoid the stream's shard");
-        assert_eq!(loads[1].occupancy, 4);
-    }
-
-    #[test]
-    fn idle_shards_are_skipped_and_counted() {
-        let (tree, fleet) = world(2);
-        let short = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(5);
-        let long = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(15);
-        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 2);
-        engine.register(feed(&fleet[0]), short);
-        engine.register(feed(&fleet[1]), long);
-        engine.run_to_completion();
-        let loads = engine.shard_loads();
-        assert_eq!(loads[0].idle_ticks, 10, "the short group's shard idles for 10 ticks");
-        assert_eq!(loads[1].idle_ticks, 0);
-        assert_eq!(loads[0].live, 0);
-        assert_eq!(loads[0].weight, 0, "a finished shard has no remaining work");
     }
 
     #[test]
@@ -1717,7 +1350,7 @@ mod tests {
         // check the workers exited cleanly.
         drop(engine);
 
-        // An engine that never ticked in parallel (single shard: no pool) also drops cleanly.
+        // An engine that never ticked in parallel (one worker: no pool) also drops cleanly.
         let mut serial = MonitoringEngine::new(Arc::clone(&tree), 1);
         serial.register(feed(&fleet[0]), config);
         serial.run_to_completion();

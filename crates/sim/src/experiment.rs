@@ -32,8 +32,8 @@ pub struct WorkloadSummary {
 
 /// Runs one monitoring configuration over every group of the workload and averages the results.
 ///
-/// This drives a [`MonitoringEngine`] with a **single shard**: the paper's figures report
-/// per-update CPU time, and timing safe-region computations while other shards compete for
+/// This drives a [`MonitoringEngine`] with a **single worker**: the paper's figures report
+/// per-update CPU time, and timing safe-region computations while other workers compete for
 /// cores would inflate those numbers.  The engine shares its POI index via `Arc` and replays
 /// each group through a [`TrajectoryFeed`], so the tree and the workload's groups are cloned
 /// once per call — a one-off memcpy that is negligible against the monitoring compute it

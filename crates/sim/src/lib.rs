@@ -23,18 +23,19 @@
 //!   [`TrajectoryFeed`] (replay — a thin adapter over `Arc`-shared recorded trajectories).
 //!   A session without a timestamp cap has an **open horizon**: it monitors until
 //!   deregistered.
-//! * [`MonitoringEngine`] ([`engine`]) — a churning fleet of sessions sharded over a
-//!   persistent worker pool and advanced one epoch per [`tick`](MonitoringEngine::tick).
+//! * [`MonitoringEngine`] ([`engine`]) — a churning fleet of sessions in one slab indexed
+//!   by group id, advanced one epoch per [`tick`](MonitoringEngine::tick) (inline, or
+//!   sliced per tick over a persistent worker pool).
 //!   The engine owns its POI index as a [`mpn_index::WorldView`] (a shared base R-tree
 //!   behind a generation-stamped mutation overlay) and has no lifetime parameters, so it
 //!   moves freely into server threads.  Dynamic membership
 //!   ([`register`](MonitoringEngine::register) / [`register_stream`](MonitoringEngine::register_stream)
 //!   / [`deregister`](MonitoringEngine::deregister) / [`rejoin`](MonitoringEngine::rejoin))
-//!   runs over a free-list of group ids with **horizon-aware** least-loaded placement
-//!   (occupancy weighted by remaining epochs, [`ShardLoad::weight`]); streaming input
-//!   arrives as [`EpochUpdate`]s via [`submit`](MonitoringEngine::submit).
+//!   runs over a free-list of group ids (most recently freed first, else the next unused
+//!   index); streaming input arrives as [`EpochUpdate`]s via
+//!   [`submit`](MonitoringEngine::submit).
 //! * [`ServerCore`] ([`server`]) — the `mpn-proto` server core: a queue of client-tagged
-//!   wire-shaped `Request`s drained into sharded ticks, with the sessions'
+//!   wire-shaped `Request`s drained into engine ticks, with the sessions'
 //!   [`SessionEvent`]s routed back to the client owning each group (probe requests,
 //!   safe-region assignments).  The core is transport-agnostic and multi-tenant.
 //!
@@ -74,9 +75,9 @@
 //!   optimum's worst case (`mpn_core::SessionState::{delete_invalidates,
 //!   insert_invalidates}`).  Both predicates are *sound*: a group they leave alone still
 //!   upholds Definition 3 against the new world (pinned by the workspace property test
-//!   `tests/world_mutation.rs`).  Only broken groups are force-recomputed — fanned over the
-//!   shards on the same worker pool as a tick — and the summary names exactly those groups,
-//!   so callers can account per-group work.
+//!   `tests/world_mutation.rs`).  Only broken groups are force-recomputed — the pass is
+//!   sliced over the workers exactly like a tick — and the summary names exactly those
+//!   groups, so callers can account per-group work.
 //! * **Push** — [`ServerCore`] maps an applied admin mutation ([`mpn_proto::Request::Admin`],
 //!   gated per client by [`ServerCore::grant_admin`]) to unsolicited downlink for each
 //!   affected group's owner: a [`mpn_proto::Response::WorldUpdate`] announcing the new
@@ -107,14 +108,14 @@
 //! [`MonitoringEngine::exec_totals`], so a deployment can measure its own hit rate and drop
 //! the cache when it pays for nothing.
 //!
-//! The same `exec` counters expose how a multi-shard tick was scheduled.  The tick has two
-//! execution paths: a single-shard engine advances inline, and a multi-shard engine slices
-//! its live shards into chunks that run on the persistent worker pool, one of them on the
-//! calling thread.  [`TickExecutor`] only picks the chunk size — one chunk per live shard
+//! The same `exec` counters expose how a tick was scheduled.  A one-worker engine advances
+//! the slab inline; with more workers the same slab is cut into contiguous chunks of ids
+//! that run on the persistent worker pool, the last of them on the calling thread.
+//! [`TickExecutor`] only picks the chunk length — one chunk per worker
 //! ([`TickExecutor::WorkerPool`], the default) or stealable session *batches*
-//! ([`TickExecutor::WorkStealing`]), so idle workers finish a straggling hot shard's tail
-//! (`steals`, `imbalance`).  Like the cache, the schedule changes no protocol counter —
-//! each stays identical to the serial replay.
+//! ([`TickExecutor::WorkStealing`]), so idle workers finish a straggling run of expensive
+//! groups (`steals`, `imbalance`).  Like the cache, the schedule changes no protocol counter
+//! and no event — each stays identical to the serial replay.
 //!
 //! # Memory layout of the tick hot path
 //!
@@ -124,51 +125,51 @@
 //! small (pinned counter-bit-identical by `tests/engine_parity.rs`'s walk-everything
 //! oracle):
 //!
-//! * **Hot/cold session split, active-set scheduling** — a shard keeps a dense array of
-//!   per-session decision state (vacancy, finished, feed readiness, waiting epochs, weight)
-//!   beside a slot-stable slab of session bodies.  The tick streams the first and touches a
-//!   body only when that session has an epoch to consume; finished and starved sessions
-//!   are tallied off the dense array exactly as a full advance would have counted them.
-//!   Slots never move, so directory entries (`id → shard, slot`) stay valid under churn.
+//! * **Hot/cold session split, active-set scheduling** — the engine keeps a dense array of
+//!   per-session decision state (vacancy, finished, feed readiness, waiting epochs) beside
+//!   the slab of session bodies, both indexed by group id.  The tick streams the first and
+//!   touches a body only when that session has an epoch to consume; finished and starved
+//!   sessions are tallied off the dense array exactly as a full advance would have counted
+//!   them.  A group's id is its slot and never moves, so lookups need no directory.
 //! * **A session holds what its method needs** — always: the configuration, the metrics,
 //!   the last answer and one flat buffer of positions (the epoch being monitored, then the
 //!   submitted ones, consumed in place).  Heading predictors exist once a method that reads
 //!   headings has observed a position (never for Circle); the §5.4 buffer is a boxed slot
 //!   that only Tile-D-b with persistent buffers fills; the replay feed and a tile region
-//!   inside `SafeRegion` are boxed.  A Circle/MAX group of three costs 763 live heap bytes,
-//!   slab slot and directory included (it was 1,269); `tests/alloc_gates.rs` gates it at
-//!   900 and prints the table by owner.
+//!   inside `SafeRegion` are boxed.  A Circle/MAX group of three costs 723 live heap bytes,
+//!   slab slot and hot entry included (it was 1,269); `tests/alloc_gates.rs` gates it at
+//!   760 and prints the table by owner.
 //! * **One event sink per tick** — sessions keep no event log.  What a session created
 //!   [`with_events`](GroupSession::with_events) sends is appended, tagged with its group
-//!   id, to a buffer the engine owns (one per chunk under the pool, concatenated in shard
-//!   then slot order) and [`MonitoringEngine::drain_events`] takes that buffer whole.  A
+//!   id, to a buffer the engine owns (one per chunk under the pool, concatenated in
+//!   ascending id order) and [`MonitoringEngine::drain_events`] takes that buffer whole.  A
 //!   world change's forced recomputes write to the same sink; when passes pile up
-//!   undrained, a stable sort restores shard/slot order, so a session's push still
+//!   undrained, a stable sort restores id order, so a session's push still
 //!   precedes its later epoch.  Nothing walks the fleet to collect events, and a tick that
 //!   sends nothing allocates nothing.
 //! * **Per-worker query scratch arenas** — the index layer stages probe keys and GNN
 //!   candidate staging in thread-local [`mpn_index::QueryScratch`] buffers
 //!   ([`mpn_index::with_scratch`]), so a steady-state warm-cache tick performs *zero*
 //!   per-query heap allocations.  Pool workers persist across ticks, so each worker's
-//!   arenas warm once and are reused for the engine's lifetime; single-shard engines
-//!   additionally tick through an allocation-free fast path (asserted by the counting
+//!   arenas warm once and are reused for the engine's lifetime; one-worker engines
+//!   additionally tick through an allocation-free inline path (asserted by the counting
 //!   allocator of the tier-1 test `tests/alloc_gates.rs`).
 //!
 //! # Engine-wide snapshots
 //!
 //! [`MonitoringEngine::report`] returns an [`EngineReport`]: one coherent struct holding
-//! the engine clock, membership accounting (live / retired / reclaimed),
+//! the engine clock, membership accounting (registered groups / ids awaiting reuse),
 //! lifetime [`TickExecCounters`], the shared query cache's
-//! [`CacheStats`](mpn_index::CacheStats), per-shard [`ShardLoad`] and the merged fleet
-//! [`MonitoringMetrics`].  A measurement tool (the `benchmark/` package's traced run) reads
-//! this one snapshot instead of poking five accessors.  Every field is a fixed-size counter
+//! [`CacheStats`](mpn_index::CacheStats) and the merged fleet [`MonitoringMetrics`]
+//! (departed groups included).  A measurement tool (the `benchmark/` package's traced run)
+//! reads this one snapshot instead of poking four accessors.  Every field is a fixed-size counter
 //! — no per-update sample is kept anywhere — so a report costs O(fleet) and a session's
 //! metrics never grow.  Reports are cumulative; phase-based tools snapshot at phase
 //! boundaries and diff the counters.
 //!
 //! [`run_monitoring`] drives one replay session to its horizon (its counters are pinned
 //! bit-identical to the reference loop in `tests/engine_parity.rs`) and
-//! [`experiment::run_workload`] drives a whole multi-group workload through a one-shard
+//! [`experiment::run_workload`] drives a whole multi-group workload through a one-worker
 //! engine, which is how `mpn-bench`'s `figures` binary reproduces — and checks — every
 //! figure of the paper.
 
@@ -182,10 +183,10 @@ pub mod server;
 
 pub use engine::{
     EpochUpdate, GroupId, InvalidationSummary, MonitoringEngine, SubmitError, TickExecCounters,
-    TickExecutor, TickSummary, WorldChange, OPEN_HORIZON_WEIGHT,
+    TickExecutor, TickSummary, WorldChange,
 };
 pub use experiment::{run_workload, WorkloadSummary};
-pub use metrics::{EngineReport, MonitoringMetrics, ShardLoad, Traffic};
+pub use metrics::{EngineReport, MonitoringMetrics, Traffic};
 pub use monitor::{
     run_monitoring, GroupSession, MonitorConfig, SessionEvent, StepOutcome, TrajectoryFeed,
 };

@@ -1,5 +1,5 @@
 //! Metrics collected by a monitoring run: the three measures of Section 7.1, plus the
-//! per-shard load counters of the fleet engine.
+//! fleet engine's snapshot.
 //!
 //! Communication is measured in TCP packets: one packet carries at most
 //! `(576 − 40) / 8 = 67` double-precision values (Section 7.1).  What each Fig. 3 message
@@ -57,56 +57,24 @@ impl Traffic {
     }
 }
 
-/// Load snapshot of one engine shard (see
-/// [`MonitoringEngine::shard_loads`](crate::MonitoringEngine::shard_loads)).
-///
-/// `weight` drives the engine's horizon-aware placement of new groups (remaining epochs over
-/// the shard's sessions, open-horizon streams charged
-/// [`OPEN_HORIZON_WEIGHT`](crate::engine::OPEN_HORIZON_WEIGHT)); `idle_ticks` counts the
-/// ticks for which the shard's worker was *not* woken (every session finished, or none
-/// registered), i.e. how much executor work the live-shard filter saved.  `starved_ticks`
-/// counts ticks where the shard *was* woken but advanced nothing because every live session
-/// starved for input — those shards still hold remaining work and a worker wake-up, so
-/// placement must not confuse them with truly idle capacity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardLoad {
-    /// Index of the shard.
-    pub shard: usize,
-    /// Sessions currently registered on the shard (live or finished).
-    pub occupancy: usize,
-    /// Sessions that have not yet consumed their whole horizon.
-    pub live: usize,
-    /// Ticks during which the shard had no live session and was skipped by the executor.
-    pub idle_ticks: usize,
-    /// Ticks during which the shard was woken with live sessions but advanced none of them
-    /// (all starved — typically slow-reporting clients).  Disjoint from `idle_ticks`.
-    pub starved_ticks: usize,
-    /// Remaining work: the sum of the sessions' remaining (or open-horizon) epoch weights.
-    pub weight: usize,
-}
-
 /// One coherent engine-wide snapshot: everything a
 /// [`MonitoringEngine`](crate::MonitoringEngine) can report about itself, read in one call
-/// ([`MonitoringEngine::report`](crate::MonitoringEngine::report)) instead of five
+/// ([`MonitoringEngine::report`](crate::MonitoringEngine::report)) instead of four
 /// accessors.
 ///
 /// Each field maps onto one of the "numbers that matter" for the paper's evaluation:
 ///
 /// * [`ticks`](EngineReport::ticks) — engine clock; with a wall-clock window this yields
 ///   **tick throughput** (epochs served per second).
-/// * [`groups`](EngineReport::groups) / [`retired`](EngineReport::retired) /
-///   [`reclaimed_users`](EngineReport::reclaimed_users) — fleet membership accounting:
-///   live sessions, deregistered sessions whose metrics are still attributed to their id,
-///   and the lifetime user total of epochs whose ids were reused.
+/// * [`groups`](EngineReport::groups) / [`retired`](EngineReport::retired) — fleet
+///   membership accounting: registered sessions, and deregistered ids awaiting reuse.
 /// * [`exec`](EngineReport::exec) — lifetime executor totals (batches, steals, imbalance,
 ///   cache traffic): how the work was scheduled, as opposed to what it computed.
 /// * [`cache`](EngineReport::cache) — the shared [`QueryCache`](mpn_index::QueryCache)'s
 ///   cumulative counters (`None` when no cache is attached).
-/// * [`shards`](EngineReport::shards) — per-shard [`ShardLoad`] (occupancy, live, idle /
-///   starved ticks, remaining-work weight), in shard order.
 /// * [`fleet`](EngineReport::fleet) — the merged [`MonitoringMetrics`] of every session,
-///   including retired and reclaimed epochs: the §7.1 measures (update frequency, mean
-///   per-update CPU time and communication cost as packets).
+///   deregistered ones included: the §7.1 measures (update frequency, mean per-update CPU
+///   time and communication cost as packets); its `group_size` is the lifetime user total.
 ///
 /// Building a report is O(fleet), so callers snapshot at phase boundaries (e.g. warm-up
 /// end, measurement end) rather than per tick, and diff the cumulative counters.
@@ -116,19 +84,14 @@ pub struct EngineReport {
     pub ticks: usize,
     /// Currently registered groups.
     pub groups: usize,
-    /// Deregistered groups whose retired metrics are still attributed to their id.
+    /// Deregistered ids awaiting reuse.
     pub retired: usize,
-    /// Lifetime users of past epochs whose ids were reused (no longer per-id attributable;
-    /// their counters live on inside [`fleet`](EngineReport::fleet)).
-    pub reclaimed_users: usize,
     /// Executor diagnostics accumulated over every tick (batches, steals, imbalance,
     /// query-cache hit/miss traffic).
     pub exec: TickExecCounters,
     /// Cumulative shared query-cache counters, when a cache is attached.
     pub cache: Option<CacheStats>,
-    /// Per-shard load, in shard order.
-    pub shards: Vec<ShardLoad>,
-    /// Fleet-wide merged metrics (live + retired + reclaimed).
+    /// Fleet-wide merged metrics (registered + departed groups).
     pub fleet: MonitoringMetrics,
 }
 

@@ -316,12 +316,12 @@ impl GroupSession {
         self.horizon
     }
 
-    /// Epochs left before the session finishes: `None` for an open horizon (the session
-    /// never finishes on its own), `Some(0)` once finished.  This is the weight the
-    /// engine's horizon-aware placement uses.
+    /// Whether the epochs consumed so far plus those waiting in the inbox reach the bounded
+    /// horizon: one more submitted epoch would never be consumed.  Never true for an open
+    /// horizon.
     #[must_use]
-    pub fn remaining_horizon(&self) -> Option<usize> {
-        self.horizon.map(|h| h.saturating_sub(self.next_t))
+    pub fn horizon_is_covered(&self) -> bool {
+        self.horizon.is_some_and(|h| self.next_t + self.pending_epochs() >= h)
     }
 
     /// The session's configuration.
@@ -700,7 +700,6 @@ mod tests {
             MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(60),
         );
         assert_eq!(session.horizon(), Some(60));
-        assert_eq!(session.remaining_horizon(), Some(60));
         assert!(!session.is_finished());
         assert_eq!(session.advance(&tree), StepOutcome::Registered);
         let mut quiet = 0usize;
@@ -717,7 +716,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(session.remaining_horizon(), Some(0));
+        assert!(session.horizon_is_covered());
         assert_eq!(session.advance(&tree), StepOutcome::Finished);
         assert_eq!(quiet + updated, 59);
         assert_eq!(session.metrics().updates, updated + 1);
@@ -757,7 +756,7 @@ mod tests {
         let config = MonitorConfig::new(Objective::Max, Method::circle());
         let mut session = GroupSession::streaming(group.len(), config);
         assert_eq!(session.horizon(), None, "no cap means an open horizon");
-        assert_eq!(session.remaining_horizon(), None);
+        assert!(!session.horizon_is_covered());
         session.submit(group.iter().map(|t| t.at(0)).collect());
         assert_eq!(session.advance(&tree), StepOutcome::Registered);
         assert!(!session.is_finished(), "open-horizon sessions only leave by deregistration");

@@ -1,11 +1,11 @@
-//! The protocol front-end: an `mpn-proto` request queue drained into sharded engine ticks.
+//! The protocol front-end: an `mpn-proto` request queue drained into engine ticks.
 //!
 //! [`ServerCore`] is the **transport-agnostic** server.  It owns the [`MonitoringEngine`], a
 //! FIFO of `(client, Request)` pairs, and the group-ownership table that makes the server
 //! multi-tenant: each registered group belongs to the [`ClientId`] that registered it,
 //! downlink events route back to that client, and requests addressed to another client's
 //! group are rejected like unknown groups.  One [`process`](ServerCore::process) call applies
-//! every queued request in arrival order, runs **one** sharded engine tick, and returns the
+//! every queued request in arrival order, runs **one** engine tick, and returns the
 //! responses tagged with their destination client.  [`disconnect`](ServerCore::disconnect)
 //! tears down everything a vanished client owned — the mid-session-disconnect contract of
 //! the network front-end.
@@ -18,12 +18,12 @@
 //! Per request:
 //!
 //! * [`Request::Register`] → a streaming [`GroupSession`](crate::GroupSession) with its
-//!   events enabled, placed horizon-aware on the least-loaded shard; answered with a
-//!   `Registered` notification carrying the assigned group id;
+//!   events enabled, under the most recently freed group id (else the next unused one);
+//!   answered with a `Registered` notification carrying that id;
 //! * [`Request::Report`] → an [`EpochUpdate`] appended to the group's positions (invalid
 //!   reports are answered with `UnknownGroup` / `BadRequest` notifications instead of
 //!   touching any session);
-//! * [`Request::Deregister`] → session teardown with metrics retained for fleet accounting;
+//! * [`Request::Deregister`] → session teardown, its metrics folded into the fleet totals;
 //! * [`Request::Admin`] → a POI-world mutation ([`WorldChange`]) applied through the
 //!   engine's generation-stamped overlay, gated on a per-client admin grant
 //!   ([`grant_admin`](ServerCore::grant_admin)).  Groups whose safe regions the change
@@ -79,7 +79,7 @@ pub fn monitor_config(wire: &WireConfig) -> MonitorConfig {
 pub struct ProcessOutput {
     /// Every downlink response of this tick, tagged with its destination client, in send
     /// order: control notifications first (one per applied request that warrants one, in
-    /// request arrival order), then the tick's per-user protocol sends in shard order.
+    /// request arrival order), then the tick's per-user protocol sends in ascending group id.
     pub responses: Vec<(ClientId, Response)>,
     /// Clients that had at least one request applied this tick, deduplicated, in first-
     /// arrival order.  A front-end that frames its downlink per tick (the batch envelope of
@@ -114,13 +114,13 @@ pub struct ServerCore {
 }
 
 impl ServerCore {
-    /// Creates a core over the POI tree with `num_shards` engine shards.
+    /// Creates a core over the POI tree whose engine ticks on `workers` threads (1 = inline).
     ///
     /// # Panics
     /// Panics when the POI tree is empty.
     #[must_use]
-    pub fn new(tree: impl Into<Arc<RTree>>, num_shards: usize) -> Self {
-        Self::with_engine(MonitoringEngine::new(tree, num_shards))
+    pub fn new(tree: impl Into<Arc<RTree>>, workers: usize) -> Self {
+        Self::with_engine(MonitoringEngine::new(tree, workers))
     }
 
     /// Creates a core around a pre-configured engine — the hook for a non-default executor
@@ -139,7 +139,7 @@ impl ServerCore {
         }
     }
 
-    /// The underlying engine, for telemetry (fleet metrics, shard loads, per-group state).
+    /// The underlying engine, for telemetry (fleet metrics, per-group state).
     #[must_use]
     pub fn engine(&self) -> &MonitoringEngine {
         &self.engine
@@ -199,7 +199,7 @@ impl ServerCore {
         self.admins.contains(&client)
     }
 
-    /// Applies every queued request in arrival order, runs one sharded engine tick, and
+    /// Applies every queued request in arrival order, runs one engine tick, and
     /// returns the client-tagged responses (control notifications first, then the tick's
     /// per-user protocol sends).
     pub fn process(&mut self) -> ProcessOutput {
@@ -247,8 +247,8 @@ impl ServerCore {
     }
 
     /// Tears down everything `client` owns after its connection vanished: unapplied queued
-    /// requests are dropped and every group it registered is deregistered (metrics retained,
-    /// like an explicit [`Request::Deregister`]).  Returns the deregistered group ids.
+    /// requests are dropped and every group it registered is deregistered (like an
+    /// explicit [`Request::Deregister`]).  Returns the deregistered group ids.
     ///
     /// This is the disconnect contract of the network front-end: a mid-session disconnect
     /// must not leak live sessions that nobody can ever report to again.
@@ -751,7 +751,7 @@ mod tests {
         assert_eq!(core.pending_requests(), 0, "queued requests of the dead client are dropped");
         assert_eq!(core.backlog(), 0, "inbox epochs of the dead client left the backlog");
         assert_eq!(core.engine().group_count(), 1, "client 2's group survives");
-        assert_eq!(core.engine().retired_count(), 1, "client 1's metrics are retained");
+        assert_eq!(core.engine().retired_count(), 1, "client 1's id awaits reuse");
         assert_eq!(core.owner(0), None);
         assert!(core.disconnect(1).is_empty(), "disconnect is idempotent");
 

@@ -4,7 +4,7 @@
 //! transport, as described in `mpn-net`'s crate docs:
 //!
 //! 1. **In-process** — decoded `Request`s enqueued on a `ServerCore` under two client ids
-//!    and drained into sharded engine ticks: two phone groups register with different
+//!    and drained into engine ticks: two phone groups register with different
 //!    objectives/methods, stream their epochs, and each client receives its own probe
 //!    requests and safe-region assignments back.
 //! 2. **Multiplexed** — `mpn::net::MuxServer`: one event-loop thread serving many concurrent
@@ -102,7 +102,7 @@ fn downlink_of(responses: &[(ClientId, Response)], client: ClientId) -> Vec<Resp
 }
 
 fn in_process_demo(tree: Arc<RTree>) {
-    println!("== In-process: a request queue drained into sharded engine ticks ==\n");
+    println!("== In-process: a request queue drained into engine ticks ==\n");
     let mut server = ServerCore::new(tree, 4);
 
     // One client per group: the core routes every response to the client owning the group.
@@ -142,7 +142,7 @@ fn in_process_demo(tree: Arc<RTree>) {
     let acks = server.process().responses;
     let ids: Vec<u64> =
         clients.iter().map(|(client, ..)| registered_id(&downlink_of(&acks, *client))).collect();
-    println!("registered groups {ids:?} ({} shards)\n", server.engine().shard_count());
+    println!("registered groups {ids:?} ({} workers)\n", server.engine().worker_count());
 
     let mut tallies = [Downlink::default(), Downlink::default()];
     for _ in 0..EPOCHS {

@@ -16,7 +16,7 @@
 //! * [`core`] — the safe-region algorithms (circular and tile-based, MAX and SUM objectives).
 //! * [`mobility`] — trajectory and POI workload generators.
 //! * [`proto`] — the wire-shaped client/server protocol (requests, responses, binary codec).
-//! * [`sim`] — owned, message-driven monitoring sessions, the sharded engine, the
+//! * [`sim`] — owned, message-driven monitoring sessions, the fleet engine, the
 //!   transport-agnostic `ServerCore` and message/packet accounting.
 //! * [`net`] — the one transport over that core: the readiness-driven multiplexed event
 //!   loop (one thread, thousands of sockets).

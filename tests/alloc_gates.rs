@@ -16,12 +16,12 @@
 //!   the per-tile candidate list are per-thread scratch, so trying more tiles costs no
 //!   allocation;
 //! * a monitored group costs the server what its method needs, in live heap bytes: a Circle
-//!   group of three at most 900 (763 today, 1,269 before the layout went lean), further
+//!   group of three at most 760 (723 today, 1,269 before the layout went lean), further
 //!   epochs nothing, and the leaner layout costs a buffered Tile-D-b session nothing.  Run
 //!   with `--nocapture` for the per-owner table behind those figures.
 //!
 //! The counters are thread-local: `cargo test` runs the tests of this binary on parallel
-//! threads, and a single-shard engine ticks inline on the calling thread, so each test
+//! threads, and a one-worker engine ticks inline on the calling thread, so each test
 //! counts exactly its own allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -139,7 +139,7 @@ fn users(m: usize) -> Vec<Point> {
 const GROUPS: usize = 16;
 const TICKS: u64 = 64;
 
-/// A single-shard engine (it ticks fully inline: no live-shard vector, no executor
+/// A one-worker engine (it ticks fully inline: no chunk buffers, no executor
 /// bookkeeping) over `GROUPS` Circle groups sharing one recording, ticked to steady state:
 /// registration plus enough epochs for every capacity and both cache parities to warm.
 fn warm_engine(recording: Vec<Trajectory>, cache: Option<QueryCache>) -> MonitoringEngine {
@@ -160,7 +160,7 @@ fn warm_engine(recording: Vec<Trajectory>, cache: Option<QueryCache>) -> Monitor
 
 /// Stationary groups never violate their regions after the registration tick, so every tick
 /// is pure violation checking.  With the hot/cold session split, the reused per-session
-/// location buffers and the single-shard tick fast path, that must not touch the heap.
+/// location buffers and the inline one-worker tick, that must not touch the heap.
 #[test]
 fn quiet_tick_steady() {
     let still = users(3).iter().map(|p| Trajectory::new(vec![*p; 1_000])).collect();
@@ -333,7 +333,7 @@ fn tile_sum_recompute_warm() {
     );
 }
 
-/// Groups in the byte gate: enough that the fleet-wide tables (slab, directory, owners, hot
+/// Groups in the byte gate: enough that the fleet-wide tables (slab, owners, hot
 /// entries — each a `Vec` that doubles, 16,384 being a power of two keeps them exactly full)
 /// are charged to the groups that fill them.
 const FLEET: usize = 16_384;
@@ -394,7 +394,7 @@ fn circle_group_bytes() {
     ] {
         println!("  {name:<18} {size:>4}");
     }
-    println!("live per group of {FLEET}, one shard (slab, directory, hot entry, owner included):");
+    println!("live per group of {FLEET} (slab, hot entry, owner included):");
     for (after, (bytes, blocks)) in [("Register", registered), ("the first region", monitored)] {
         println!(
             "  after {after:<17} {:>7.1} bytes in {:.2} blocks",
@@ -410,7 +410,7 @@ fn circle_group_bytes() {
     );
 
     let per_group = monitored.0 as f64 / FLEET as f64;
-    assert!(per_group <= 900.0, "a Circle group of three costs {per_group:.1} live bytes");
+    assert!(per_group <= 760.0, "a Circle group of three costs {per_group:.1} live bytes");
 
     let mut recomputed = 0;
     for e in 1..=5 {

@@ -1,8 +1,7 @@
 //! Property tests for dynamic fleet membership: random interleavings of
 //! `register` / `deregister` / `tick` over a 16-group fleet must leave every group's protocol
-//! counters identical to that group replayed solo — churn bookkeeping (the directory
-//! free-list, `swap_remove` slot fixups, least-loaded placement, retired-metrics records)
-//! must never corrupt or cross-wire a session.
+//! counters identical to that group replayed solo — churn bookkeeping (the id free-list and
+//! slot reuse) must never corrupt or cross-wire a session.
 //!
 //! Uses the offline `proptest` shim: cases are deterministic (seeded from the test name), so
 //! a failing case index reproduces exactly.
@@ -149,103 +148,6 @@ proptest! {
                 i,
                 epoch.gidx,
                 epoch.advances
-            );
-        }
-    }
-
-    #[test]
-    fn registration_always_lands_on_a_least_loaded_shard(
-        ops in prop_vec((0usize..2, 0usize..GROUPS), 4..64),
-    ) {
-        // With uniform horizons and no ticking, every session weighs the same, so the
-        // horizon-aware placement degenerates to the historical occupancy rule — this is
-        // the least-loaded pin the weighted test below generalises.
-        let (tree, fleet) = world();
-        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 5);
-        let mut active: Vec<Option<GroupId>> = vec![None; GROUPS];
-
-        for (kind, g) in ops {
-            if kind == 0 {
-                if active[g].is_none() {
-                    let before: Vec<usize> =
-                        engine.shard_loads().iter().map(|l| l.occupancy).collect();
-                    let min = *before.iter().min().expect("at least one shard");
-                    active[g] = Some(engine.register(feed(&fleet[g]), config()));
-                    let after: Vec<usize> =
-                        engine.shard_loads().iter().map(|l| l.occupancy).collect();
-                    let grown: Vec<usize> = (0..before.len())
-                        .filter(|&s| after[s] != before[s])
-                        .collect();
-                    prop_assert_eq!(grown.len(), 1, "a registration fills exactly one shard");
-                    prop_assert_eq!(
-                        before[grown[0]],
-                        min,
-                        "placement must pick a least-loaded shard (occupancies {:?})",
-                        before
-                    );
-                }
-            } else if let Some(id) = active[g].take() {
-                prop_assert!(engine.deregister(id).is_some());
-            }
-        }
-    }
-
-    #[test]
-    fn registration_always_lands_on_a_least_weighted_shard(
-        ops in prop_vec((0usize..4, 0usize..GROUPS, 2usize..HORIZON), 4..48),
-    ) {
-        // Heterogeneous horizons, ticking interleaved with churn: placement must pick a
-        // shard minimising the remaining-horizon *weight*, and the reported per-shard
-        // weights must track the sessions' actual remaining epochs.
-        let (tree, fleet) = world();
-        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 4);
-        let mut active: Vec<Option<GroupId>> = vec![None; GROUPS];
-
-        for (kind, g, horizon) in ops {
-            match kind {
-                0 | 1 => {
-                    engine.tick();
-                }
-                2 => {
-                    if active[g].is_none() {
-                        let before: Vec<usize> =
-                            engine.shard_loads().iter().map(|l| l.weight).collect();
-                        let min = *before.iter().min().expect("at least one shard");
-                        let config = MonitorConfig::new(Objective::Max, Method::circle())
-                            .with_max_timestamps(horizon);
-                        active[g] = Some(engine.register(feed(&fleet[g]), config));
-                        let after: Vec<usize> =
-                            engine.shard_loads().iter().map(|l| l.weight).collect();
-                        let grown: Vec<usize> =
-                            (0..before.len()).filter(|&s| after[s] != before[s]).collect();
-                        prop_assert_eq!(grown.len(), 1, "a registration fills exactly one shard");
-                        prop_assert_eq!(
-                            before[grown[0]],
-                            min,
-                            "placement must pick a least-weighted shard (weights {:?})",
-                            before
-                        );
-                        prop_assert_eq!(
-                            after[grown[0]],
-                            min + horizon,
-                            "a fresh session weighs its whole horizon"
-                        );
-                    }
-                }
-                _ => {
-                    if let Some(id) = active[g].take() {
-                        prop_assert!(engine.deregister(id).is_some());
-                    }
-                }
-            }
-            let loads = engine.shard_loads();
-            prop_assert!(
-                loads.iter().all(|l| l.weight <= l.occupancy * HORIZON),
-                "weights are bounded by occupancy x the longest horizon"
-            );
-            prop_assert!(
-                loads.iter().filter(|l| l.live == 0).all(|l| l.weight == 0),
-                "shards with no live session have no remaining work"
             );
         }
     }

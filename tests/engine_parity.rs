@@ -9,10 +9,12 @@
 //! * a parallel multi-group tick equals the serial single-group replays,
 //! * the message-driven streaming path (`register_stream` + `EpochUpdate` submission)
 //!   produces the same counters as the feed replay, epoch for epoch,
-//! * a multi-shard engine — one chunk per shard, or stolen session batches — produces the
-//!   same fleet `TickSummary` sequence as a single-shard inline engine,
-//! * the hot/cold split engine — dense per-shard `HotEntry` arrays, slot-stable session
-//!   slabs, active-set skip paths — matches a serial walk-everything oracle tick for tick
+//! * an engine with several workers — one chunk per worker, or stolen session batches —
+//!   produces the same fleet `TickSummary` sequence **and the same events in the same
+//!   order** as a one-worker inline engine,
+//! * the hot/cold split engine — a dense `HotEntry` array beside the session slab, both
+//!   indexed by group id, active-set skip paths — matches a serial walk-everything oracle
+//!   tick for tick
 //!   across churn, starvation, batch sizes and world mutation (pinning the memory-layout
 //!   overhaul),
 //! * persistent §5.4 buffers strictly reduce R-tree queries per update for `Tile-D-b`.
@@ -206,12 +208,12 @@ fn parallel_eight_group_tick_matches_eight_serial_runs() {
         fleet.iter().map(|g| counters_of(&run_monitoring(&tree, g, &config))).collect();
 
     let mut engine = MonitoringEngine::new(Arc::clone(&tree), 8);
-    assert_eq!(engine.shard_count(), 8);
+    assert_eq!(engine.worker_count(), 8);
     let ids: Vec<_> =
         fleet.iter().map(|g| engine.register(TrajectoryFeed::from_group(g), config)).collect();
     assert!(engine.group_count() >= 8, "the fleet must exercise at least 8 concurrent groups");
 
-    // Drive the fleet tick by tick (each tick advances all 8 groups on 8 shard threads).
+    // Drive the fleet tick by tick (each tick advances all 8 groups on 8 threads).
     let mut ticks = 0;
     while !engine.is_finished() {
         let summary = engine.tick();
@@ -235,32 +237,32 @@ fn parallel_eight_group_tick_matches_eight_serial_runs() {
 
 #[test]
 fn pool_executor_matches_the_single_shard_engine_tick_for_tick() {
+    // The test keeps its historical name: the one-worker engine is what a single shard was.
     let (tree, fleet) = world(8, 57);
     let config = MonitorConfig::new(Objective::Max, Method::tile()).with_max_timestamps(100);
 
     let mut pool = MonitoringEngine::with_executor(Arc::clone(&tree), 4, TickExecutor::WorkerPool);
     let mut inline = MonitoringEngine::new(Arc::clone(&tree), 1);
     assert_eq!(pool.executor(), TickExecutor::WorkerPool);
-    assert_eq!((pool.shard_count(), inline.shard_count()), (4, 1));
+    assert_eq!((pool.worker_count(), inline.worker_count()), (4, 1));
     for group in &fleet {
-        pool.register(TrajectoryFeed::from_group(group), config);
-        inline.register(TrajectoryFeed::from_group(group), config);
+        let session = || GroupSession::replay(TrajectoryFeed::from_group(group), config);
+        pool.register_session(session().with_events(true));
+        inline.register_session(session().with_events(true));
     }
 
-    let mut pool_summaries: Vec<TickSummary> = Vec::new();
+    let mut ticks = 0;
     while !pool.is_finished() {
-        pool_summaries.push(pool.tick());
+        assert_eq!(pool.tick(), inline.tick(), "tick {ticks}: the pool changed a fleet summary");
+        assert_eq!(
+            pool.drain_events(),
+            inline.drain_events(),
+            "tick {ticks}: the pool changed an event or the ascending-id order"
+        );
+        ticks += 1;
     }
-    let mut inline_summaries: Vec<TickSummary> = Vec::new();
-    while !inline.is_finished() {
-        inline_summaries.push(inline.tick());
-    }
-
-    assert_eq!(pool_summaries.len(), 100);
-    assert_eq!(
-        pool_summaries, inline_summaries,
-        "running the shards on the pool must not change any fleet tick summary"
-    );
+    assert_eq!(ticks, 100);
+    assert!(inline.is_finished());
     for id in 0..fleet.len() {
         assert_eq!(
             counters_of(pool.group_metrics(id)),
@@ -291,12 +293,12 @@ proptest! {
 
     // The work-stealing executor — session batches, stolen across workers, through the
     // shared query cache — must produce the *exact* tick-summary sequence and per-group
-    // counters of a single-shard inline engine, for any shard count, any (skewed) batch
-    // size and any skewed mix of group sizes.  Stealing and caching may only change the
-    // schedule, never a counter.
+    // counters *and the exact event sequence* of a one-worker inline engine (what a single
+    // shard was), for any worker count, any (skewed) batch size and any skewed mix of group
+    // sizes.  Stealing and caching may only change the schedule, never a counter or an event.
     #[test]
     fn stealing_ticks_match_a_single_shard_engine_for_any_skew(
-        shards in 1usize..=8,
+        workers in 1usize..=8,
         batch in 1usize..=8,
         sizes in prop_vec(1usize..=4, 1..11),
     ) {
@@ -307,14 +309,15 @@ proptest! {
 
         let mut stealing = MonitoringEngine::with_executor(
             Arc::clone(&tree),
-            shards,
+            workers,
             TickExecutor::WorkStealing { batch },
         )
         .with_query_cache(QueryCache::new());
         let mut inline = MonitoringEngine::new(Arc::clone(&tree), 1);
         for group in &fleet {
-            stealing.register(TrajectoryFeed::from_group(group), config);
-            inline.register(TrajectoryFeed::from_group(group), config);
+            let session = || GroupSession::replay(TrajectoryFeed::from_group(group), config);
+            stealing.register_session(session().with_events(true));
+            inline.register_session(session().with_events(true));
         }
 
         let mut guard = 0usize;
@@ -322,6 +325,11 @@ proptest! {
             let a = stealing.tick();
             let b = inline.tick();
             prop_assert_eq!(a, b, "tick {} diverged under stealing", guard);
+            prop_assert_eq!(
+                stealing.drain_events(),
+                inline.drain_events(),
+                "tick {}: events diverged under stealing", guard
+            );
             guard += 1;
             prop_assert!(guard <= HORIZON, "bounded fleets finish within their horizon");
         }
@@ -449,7 +457,7 @@ impl WalkEverythingOracle {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    // The memory-locality overhaul — hot/cold session split, slot-stable slabs with
+    // The memory-locality overhaul — hot/cold session split, an id-indexed slab with
     // free-list reuse, active-set skip paths (vacant / finished / starved), per-worker
     // query scratch — must be invisible in every protocol counter.  A scripted fleet mixing
     // bounded replays (which finish mid-run), open-horizon streams (which starve whenever
@@ -458,7 +466,7 @@ proptest! {
     // summary, every invalidation result and every per-group counter must be identical.
     #[test]
     fn hot_cold_engine_matches_the_walk_everything_oracle(
-        shards in 1usize..=4,
+        workers in 1usize..=4,
         batch in 1usize..=8,
         replay_sizes in prop_vec(1usize..=3, 1..6),
         stream_sizes in prop_vec(1usize..=3, 0..3),
@@ -472,7 +480,7 @@ proptest! {
 
         let mut engine = MonitoringEngine::with_executor(
             Arc::clone(&tree),
-            shards,
+            workers,
             TickExecutor::WorkStealing { batch },
         )
         .with_query_cache(QueryCache::new());
@@ -544,9 +552,7 @@ proptest! {
                 prop_assert_eq!(summary.applied, applied, "tick {}: applied diverged", t);
                 prop_assert_eq!(summary.groups_checked, checked, "tick {}: checked diverged", t);
                 prop_assert_eq!(summary.invalidated, affected.len());
-                let mut engine_affected = summary.affected.clone();
-                engine_affected.sort_unstable();
-                prop_assert_eq!(engine_affected, affected, "tick {}: affected sets diverged", t);
+                prop_assert_eq!(summary.affected, affected, "tick {}: affected ids diverged", t);
             }
 
             let a = engine.tick();
@@ -554,8 +560,8 @@ proptest! {
             prop_assert_eq!(a, b, "tick {} diverged from the walk-everything oracle", t);
         }
 
-        // Every surviving group's counters, and the fleet-wide totals (live + retired +
-        // reclaimed), must match the oracle's.
+        // Every surviving group's counters, and the fleet-wide totals (live + departed),
+        // must match the oracle's.
         for (id, slot) in oracle.sessions.iter().enumerate() {
             if let Some(session) = slot {
                 prop_assert_eq!(

@@ -90,7 +90,7 @@ proptest! {
         let config = MonitorConfig::new(Objective::Max, Method::circle())
             .with_max_timestamps(HORIZON);
 
-        // Single shard on both sides: ticks are serial, so within a tick the first group of
+        // One worker on both sides: ticks are serial, so within a tick the first group of
         // each duplicated trajectory inserts and its twin *deterministically* hits.
         let mut cached =
             MonitoringEngine::new(Arc::clone(&tree), 1).with_query_cache(QueryCache::new());
@@ -179,7 +179,7 @@ proptest! {
                 "group {} counters diverged under the cache", id
             );
         }
-        // The duplicated trajectories guarantee deterministic hits on a serial shard: at
+        // The duplicated trajectories guarantee deterministic hits on a serial engine: at
         // every generation each twin group replays its partner's insertions.
         let stats = cached.query_cache().expect("cache attached").stats();
         prop_assert!(stats.hits > 0, "duplicate groups must hit the shared cache");

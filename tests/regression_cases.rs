@@ -8,7 +8,7 @@ use mpn::geom::Point;
 use mpn::index::RTree;
 use mpn::mobility::waypoint::{random_waypoint, WaypointConfig};
 use mpn::mobility::Trajectory;
-use mpn::proto::Request;
+use mpn::proto::{NotificationKind, Request, Response, WireConfig};
 use mpn::sim::{
     EpochUpdate, GroupSession, MonitorConfig, MonitoringEngine, ServerCore, TrajectoryFeed,
 };
@@ -17,7 +17,7 @@ use mpn::sim::{
 /// deregistration was implicit: a deregistered group silently vanished from the total, which
 /// looked like a lost session.  The contract is now explicit — `finished` totals the
 /// **currently registered** sessions past their horizon, deregistered groups move to
-/// `retired` — and fleet metrics keep including the retired groups' counters.
+/// `retired` — and fleet metrics keep including the departed groups' counters.
 #[test]
 fn finished_total_excludes_deregistered_groups_which_move_to_retired() {
     let pois: Vec<Point> =
@@ -54,17 +54,23 @@ fn finished_total_excludes_deregistered_groups_which_move_to_retired() {
     assert_eq!(summary.finished, 1, "only registered sessions count as finished");
     assert_eq!(summary.retired, 1, "the deregistered group is accounted explicitly");
 
-    // Fleet accounting must not shrink when a group leaves.
+    // Fleet accounting must not shrink when a group leaves, nor when its id is reused.
     engine.run_to_completion();
+    let live_updates: usize = ids[1..].iter().map(|&id| engine.group_metrics(id).updates).sum();
     let fleet_metrics = engine.fleet_metrics();
     assert_eq!(fleet_metrics.group_size, 6, "all three 2-user groups stay in the fleet totals");
-    let per_group_updates: usize = (0..3).map(|id| engine.group_metrics(id).updates).sum();
-    assert_eq!(fleet_metrics.updates, per_group_updates);
+    assert_eq!(fleet_metrics.updates, live_updates + departed.updates);
+    assert_eq!(fleet_metrics.timestamps, 9 + 9 + 29);
+    let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(10);
+    assert_eq!(engine.register(TrajectoryFeed::from_group(&fleet[0]), config), ids[0]);
+    let reused = engine.fleet_metrics();
+    assert_eq!(reused.group_size, 8, "the new epoch's users are counted beside the old one's");
+    assert_eq!((reused.updates, reused.timestamps), (fleet_metrics.updates, 9 + 9 + 29));
 
-    // And the consuming accessor still reports every group in id order.
+    // And the consuming accessor reports the registered groups in id order.
     let all = engine.into_group_metrics();
     assert_eq!(all.len(), 3);
-    assert_eq!(all[0].timestamps, 9, "the retired record survives into_group_metrics");
+    assert_eq!(all[0].timestamps, 0, "id 0 now holds the fresh, unticked epoch");
     assert_eq!(all[2].timestamps, 29);
 }
 
@@ -94,7 +100,7 @@ fn open_horizon_streams_have_no_finish_line_and_never_count_as_finished() {
     let open = engine.register_stream(2, MonitorConfig::new(Objective::Max, Method::circle()));
     assert_eq!(engine.horizon(), None, "one open session makes the fleet horizon open");
     assert_eq!(engine.group(open).horizon(), None);
-    assert_eq!(engine.group(open).remaining_horizon(), None);
+    assert!(!engine.group(open).horizon_is_covered());
 
     // Drive the bounded replay to its end while feeding the stream only occasionally.
     for t in 0..8 {
@@ -119,6 +125,39 @@ fn open_horizon_streams_have_no_finish_line_and_never_count_as_finished() {
     engine.deregister(open).unwrap();
     assert_eq!(engine.horizon(), Some(5));
     assert!(engine.is_finished());
+}
+
+/// A capped session that was sent more reports than its cap wedged `ServerCore::backlog`:
+/// `submit` only refused a session that *was* finished, the tick skips a finished session
+/// without draining its inbox, and the backlog is only reduced by `summary.advanced` — so the
+/// surplus epochs stayed queued, `has_work()` stayed true and the transport ran a whole-fleet
+/// tick on every poll iteration until the group deregistered.  `submit` now refuses an epoch
+/// once consumed plus queued epochs reach the horizon.
+#[test]
+fn reports_beyond_a_capped_horizon_are_refused_and_the_backlog_drains() {
+    let pois: Vec<Point> = (0..9).map(|i| Point::new(f64::from(i % 3), f64::from(i / 3))).collect();
+    let mut core = ServerCore::new(RTree::bulk_load(&pois), 1);
+    let config = WireConfig { max_timestamps: Some(2), ..WireConfig::default() };
+    core.enqueue(1, Request::Register { group_size: 2, config });
+    for t in 0..6 {
+        let positions = vec![Point::new(0.1 * f64::from(t), 0.5), Point::new(1.5, 1.0)];
+        core.enqueue(1, Request::Report { group: 0, positions });
+    }
+    let refused = core
+        .process()
+        .responses
+        .iter()
+        .filter(|(_, r)| {
+            matches!(r, Response::Notification { kind: NotificationKind::BadRequest, .. })
+        })
+        .count();
+    assert_eq!(refused, 4, "the cap admits two epochs; the other four reports are answered");
+    assert_eq!(core.backlog(), 1, "one epoch consumed by this tick, one waiting");
+    core.process();
+    assert_eq!(core.backlog(), 0);
+    assert!(!core.has_work(), "nothing keeps the transport ticking");
+    assert!(core.engine().group(0).is_finished());
+    assert_eq!(core.engine().group(0).pending_epochs(), 0);
 }
 
 /// `ProcessOutput::applied` used to be deduplicated by a linear scan per request; the set that
