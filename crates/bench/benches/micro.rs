@@ -11,6 +11,8 @@
 //! * safe-region computation cost per engine (Circle vs Tile vs Tile-D vs Tile-D-b),
 //! * stateful vs stateless Tile-D-b sessions (the §5.4 buffer-reuse win),
 //! * quiet-tick executor overhead of the persistent worker pool,
+//! * one report into a registered Circle fleet of 200 and of 20,000 groups: a tick costs the
+//!   groups that reported, not the fleet (printed side by side, never asserted as a ratio),
 //! * skewed-fleet busy ticks: Zipf group sizes, the big groups neighbours in id order —
 //!   one chunk per worker vs work-stealing session batches vs stealing plus the shared
 //!   query cache,
@@ -39,7 +41,7 @@ use mpn_index::{Aggregate, GnnSearch, QueryCache, RTree};
 use mpn_mobility::poi::{clustered_pois, PoiConfig};
 use mpn_mobility::Trajectory;
 use mpn_proto::{Request, Response};
-use mpn_sim::{MonitorConfig, MonitoringEngine, TickExecutor, TrajectoryFeed};
+use mpn_sim::{EpochUpdate, MonitorConfig, MonitoringEngine, TickExecutor, TrajectoryFeed};
 
 fn poi_tree(n: usize) -> RTree {
     let pois = clustered_pois(&PoiConfig { count: n, domain: 10_000.0, ..PoiConfig::default() }, 7);
@@ -50,6 +52,29 @@ fn users(m: usize) -> Vec<Point> {
     (0..m)
         .map(|i| Point::new(4_000.0 + 300.0 * i as f64, 5_000.0 + 170.0 * (i as f64).sin() * 200.0))
         .collect()
+}
+
+/// Registers one stream per feed and runs their registration tick; returns the ids beside
+/// the feeds.
+fn replay_fleet(
+    engine: &mut MonitoringEngine,
+    feeds: impl Iterator<Item = TrajectoryFeed>,
+    config: MonitorConfig,
+) -> Vec<(usize, TrajectoryFeed)> {
+    let mut fleet: Vec<_> =
+        feeds.map(|feed| (engine.register_stream(feed.group_size(), config), feed)).collect();
+    replay_tick(engine, &mut fleet);
+    fleet
+}
+
+/// Submits every replay's next recorded epoch, then ticks: what one sample of a replayed
+/// fleet costs.
+fn replay_tick(engine: &mut MonitoringEngine, replays: &mut [(usize, TrajectoryFeed)]) {
+    for (group_id, feed) in replays.iter_mut() {
+        let positions = feed.next_epoch().expect("horizon exhausted mid-bench");
+        engine.submit(EpochUpdate { group_id: *group_id, positions }).expect("a live group");
+    }
+    black_box(engine.tick());
 }
 
 /// GT-Verify fixture: three users with 5 × 5 tiles each around `pᵒ` = the origin, a tile one
@@ -189,7 +214,8 @@ fn main() {
     // Executor overhead on quiet ticks: a fleet of stationary groups never violates its safe
     // regions after registration, so every tick is pure violation checking — the per-tick
     // cost is dominated by how the executor wakes the pool workers, which the persistent
-    // pool keeps parked between ticks.
+    // pool keeps parked between ticks.  Every group reports each sample, or the tick would
+    // have nobody to advance.
     {
         let tree = Arc::new(poi_tree(2_000));
         let stationary: Arc<Vec<Trajectory>> =
@@ -197,18 +223,37 @@ fn main() {
         let config = MonitorConfig::new(Objective::Max, Method::circle());
         let mut pool_engine = MonitoringEngine::new(Arc::clone(&tree), 8);
         // 32 groups sharing one recording (feeds share the Arc, never copy the data).
-        for _ in 0..32 {
-            pool_engine.register(TrajectoryFeed::new(Arc::clone(&stationary)), config);
+        let feeds = (0..32).map(|_| TrajectoryFeed::new(Arc::clone(&stationary)));
+        let mut fleet = replay_fleet(&mut pool_engine, feeds, config);
+        b("executor/quiet_tick_pool", &mut || replay_tick(&mut pool_engine, &mut fleet));
+    }
+
+    // One report into a quiet registered fleet: the paper's server does nothing for a group
+    // until it reports (§3), so the tick that consumes one report should cost one session's
+    // work whatever the fleet size.  Both fleets are stationary Circle/MAX groups of three
+    // on a grid; each sample submits one group's (unchanged) positions and ticks once.
+    for groups in [200usize, 20_000] {
+        let tree = Arc::new(poi_tree(8_000));
+        let config = MonitorConfig::new(Objective::Max, Method::circle());
+        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
+        let spot = |g: usize| {
+            let (x, y) = (300.0 + 65.0 * (g % 145) as f64, 300.0 + 65.0 * (g / 145) as f64);
+            (0..3).map(|i| Point::new(x + 14.0 * i as f64, y + 8.0 * i as f64)).collect()
+        };
+        let report = |engine: &mut MonitoringEngine, group_id| {
+            engine.submit(EpochUpdate { group_id, positions: spot(group_id) }).expect("live");
+        };
+        for _ in 0..groups {
+            let id = engine.register_stream(3, config);
+            report(&mut engine, id);
         }
-        pool_engine.tick(); // registration tick: every group's initial computation, once
-        b("executor/quiet_tick_pool", &mut || {
-            black_box(pool_engine.tick());
+        engine.tick(); // registration: every initial computation, once
+        let mut next = 0;
+        b(&format!("tick/one_report_of_{groups}"), &mut || {
+            report(&mut engine, next);
+            black_box(engine.tick());
+            next = (next + 1) % groups;
         });
-        assert!(
-            !pool_engine.is_finished(),
-            "horizon exhausted mid-bench: quiet ticks were no longer measured — raise the \
-             stationary trajectory length"
-        );
     }
 
     // Skewed-fleet busy ticks: the workload the work-stealing executor exists for.  32
@@ -266,34 +311,31 @@ fn main() {
             TickExecutor::WorkStealing { batch: BATCH },
         )
         .with_query_cache(QueryCache::new());
-        for engine in [&mut one_chunk, &mut stealing, &mut stealing_cached] {
-            for class in &classes {
-                for _ in 0..COPIES {
-                    engine.register(TrajectoryFeed::new(Arc::clone(class)), config);
-                }
-            }
-            engine.tick(); // registration tick
-        }
-        // Each sample is a *pair* of ticks: the two oscillation parities enumerate
-        // different tile neighbourhoods and so cost differently, but a pair always covers
-        // both, keeping every sample (and thus the variant means) directly comparable.
+        let [one_chunk_fleet, stealing_fleet, cached_fleet] =
+            &mut [&mut one_chunk, &mut stealing, &mut stealing_cached].map(|engine| {
+                let feeds = classes
+                    .iter()
+                    .flat_map(|class| (0..COPIES).map(|_| TrajectoryFeed::new(Arc::clone(class))));
+                replay_fleet(engine, feeds, config)
+            });
+        // Each sample is a *pair* of ticks, every group reporting before each: the two
+        // oscillation parities enumerate different tile neighbourhoods and so cost
+        // differently, but a pair always covers both, keeping every sample (and thus the
+        // variant means) directly comparable.
         let hot_one_chunk =
             bench("executor/skewed_tick_pair_chunk_per_worker", budget, &filter, || {
-                black_box(one_chunk.tick());
-                black_box(one_chunk.tick());
+                replay_tick(&mut one_chunk, one_chunk_fleet);
+                replay_tick(&mut one_chunk, one_chunk_fleet);
             });
         let hot_stealing = bench("executor/skewed_tick_pair_stealing", budget, &filter, || {
-            black_box(stealing.tick());
-            black_box(stealing.tick());
+            replay_tick(&mut stealing, stealing_fleet);
+            replay_tick(&mut stealing, stealing_fleet);
         });
         let hot_cached =
             bench("executor/skewed_tick_pair_stealing_cached", budget, &filter, || {
-                black_box(stealing_cached.tick());
-                black_box(stealing_cached.tick());
+                replay_tick(&mut stealing_cached, cached_fleet);
+                replay_tick(&mut stealing_cached, cached_fleet);
             });
-        for engine in [&one_chunk, &stealing, &stealing_cached] {
-            assert!(!engine.is_finished(), "hot horizon exhausted mid-bench — raise HOT_HORIZON");
-        }
         if let Some(totals) = hot_stealing.map(|_| stealing.exec_totals()) {
             println!(
                 "  skewed stealing: {} batches, {} steals, summed imbalance {}",

@@ -9,10 +9,15 @@
 //!   with whoever built it) and every registered [`GroupSession`] owns its state — there is
 //!   no borrowed trajectory data and no lifetime tying the engine to a pre-baked workload.
 //!   A group's id *is* its slot: the paper's server (§3, Fig. 3) keeps one record per group
-//!   and the groups are independent, so nothing partitions them.  Position input arrives as
-//!   owned [`EpochUpdate`] batches via [`submit`](MonitoringEngine::submit) (the streaming
-//!   path) or from a per-session [`TrajectoryFeed`] (the replay path); every
-//!   [`tick`](MonitoringEngine::tick) advances all live sessions one epoch.
+//!   and the groups are independent, so nothing partitions them.  Position input has one way
+//!   in: owned [`EpochUpdate`] batches via [`submit`](MonitoringEngine::submit).  A recorded
+//!   replay is just another client, submitting
+//!   [`TrajectoryFeed::next_epoch`](crate::TrajectoryFeed::next_epoch) each tick.
+//! * **Report-driven ticks.**  The paper's server does nothing for a group until one of its
+//!   users reports, and neither does a [`tick`](MonitoringEngine::tick): the engine keeps a
+//!   ready list of the ids with a submitted epoch waiting and advances exactly those, one
+//!   epoch each, in ascending id order.  A quiet fleet receiving one report costs one
+//!   session's work; the finished and starved tallies are maintained counters.
 //! * **Workers slice the slab.**  A one-worker engine ticks inline and is the serial
 //!   reference of the parity suites (`tests/engine_parity.rs`).  With more workers the engine
 //!   owns an [`mpn_pool::WorkerPool`] — long-lived threads parked between ticks and woken by
@@ -20,19 +25,16 @@
 //!   cuts the *same* slab into contiguous chunks of ids ([`TickExecutor`] picks their
 //!   length).  Every pass visits the groups in ascending id order whatever the worker count,
 //!   so a parallel tick produces exactly the counters **and the events** of a serial one.
-//! * **Fleet lifecycle.**  Beyond late [`register`](MonitoringEngine::register)-ation, groups
-//!   can [`deregister`](MonitoringEngine::deregister) mid-run (their session state — heading
-//!   predictors, §5.4 buffer, last answer — is reclaimed, their metrics are handed back and
-//!   folded into the fleet totals) and later [`rejoin`](MonitoringEngine::rejoin) under
-//!   their old id.  Freed ids are reused, most recently freed first, before a new one is
-//!   allocated, so the slab stays dense under churn.
+//! * **Fleet lifecycle.**  Groups [`register`](MonitoringEngine::register_stream) at any
+//!   time and can [`deregister`](MonitoringEngine::deregister) mid-run (their session state
+//!   — heading predictors, §5.4 buffer, last answer — is reclaimed, their metrics are handed
+//!   back and folded into the fleet totals).  Freed ids are reused, most recently freed
+//!   first, before a new one is allocated, so the slab stays dense under churn.
 //!
 //! Sessions may have different horizons (and even different methods/objectives); a session
-//! past its bounded horizon is skipped, and an **open-horizon** streaming session (no
-//! [`MonitorConfig`](crate::MonitorConfig) timestamp cap) never finishes — it leaves the
-//! fleet via deregistration.  [`run_to_completion`](MonitoringEngine::run_to_completion)
-//! ticks until every registered session finished and therefore requires a fleet of bounded,
-//! feed-driven sessions.  Per-group / fleet-wide metrics (the latter including those of
+//! past its bounded horizon takes no more epochs, and an **open-horizon** streaming session
+//! (no [`MonitorConfig`] timestamp cap) never finishes — it leaves the fleet via
+//! deregistration.  Per-group / fleet-wide metrics (the latter including those of
 //! deregistered groups) are available throughout via
 //! [`group_metrics`](MonitoringEngine::group_metrics) /
 //! [`fleet_metrics`](MonitoringEngine::fleet_metrics).
@@ -44,17 +46,15 @@ use mpn_index::{IndexView, QueryCache, RTree, WorldView};
 use mpn_pool::WorkerPool;
 
 use crate::metrics::{EngineReport, MonitoringMetrics};
-use crate::monitor::{
-    EventSink, GroupSession, MonitorConfig, SessionEvent, StepOutcome, TrajectoryFeed,
-};
+use crate::monitor::{EventSink, GroupSession, MonitorConfig, SessionEvent, StepOutcome};
 
 /// Identifier of a registered group.
 ///
 /// Ids are dense and handed out in registration order, and an id is the group's index into
 /// the engine's slab; the id of a [`deregister`](MonitoringEngine::deregister)ed group goes
-/// to a free-list and is reused by the next [`register`](MonitoringEngine::register) /
-/// [`rejoin`](MonitoringEngine::rejoin), so an id is only unique among the groups alive at
-/// one time.
+/// to a free-list and is reused by the next
+/// [`register_session`](MonitoringEngine::register_session), so an id is only unique among
+/// the groups alive at one time.
 pub type GroupId = usize;
 
 /// One epoch of owned user positions for a registered group — the unit of position input a
@@ -237,11 +237,11 @@ pub struct TickSummary {
     /// never count here — they have nothing to finish — and a deregistered group leaves this
     /// total for [`retired`](TickSummary::retired).
     pub finished: usize,
-    /// Live sessions that had no epoch to consume this tick (empty inbox, no or exhausted
-    /// feed).  Replay fleets never starve before their horizon; for a streaming fleet this
-    /// counts groups whose clients are reporting slower than the server ticks.
+    /// Live sessions that had no epoch to consume this tick (nothing submitted since their
+    /// last advance): registered, unfinished and not advanced.  This counts groups whose
+    /// clients are reporting slower than the server ticks.
     pub starved: usize,
-    /// Ids of deregistered groups awaiting reuse by `register`/`rejoin` (the vacant slab
+    /// Ids of deregistered groups awaiting reuse by the next registration (the vacant slab
     /// slots).
     pub retired: usize,
     /// Executor diagnostics (batches, steals, imbalance, cache hits/misses).  Excluded from
@@ -265,105 +265,42 @@ impl PartialEq for TickSummary {
 
 impl Eq for TickSummary {}
 
-/// The per-session **hot** state: the few bytes a tick must read to decide whether the
-/// session's cold body needs to be touched at all (see [`MonitoringEngine`] for the split).
+/// Advances the ready sessions of one contiguous chunk of the slab — the ids
+/// `first..first + slab.len()` — one epoch each; returns the chunk's tick tally.
 ///
-/// Every field is a mirror of session state that only changes at known points — after an
-/// [`advance`](GroupSession::advance) (refreshed on the worker by [`HotEntry::refresh`]),
-/// on [`submit`](MonitoringEngine::submit) (`pending`), and on registration /
-/// deregistration (`vacant`) — so reading the mirror is always equivalent to asking the
-/// session.
-#[derive(Debug, Clone, Copy)]
-struct HotEntry {
-    /// The id is free: its session was deregistered and the slot awaits reuse.
-    vacant: bool,
-    /// Mirror of [`GroupSession::is_finished`]: the whole bounded horizon is consumed.
-    finished: bool,
-    /// Mirror of [`GroupSession::feed_has_next`]: the replay feed can supply an epoch.
-    feed_ready: bool,
-    /// Mirror of [`GroupSession::pending_epochs`]: submitted batches waiting in the inbox.
-    pending: usize,
-}
-
-impl HotEntry {
-    /// The entry of a deregistered (or not yet installed) id.
-    const VACANT: HotEntry =
-        HotEntry { vacant: true, finished: false, feed_ready: false, pending: 0 };
-
-    fn new(session: &GroupSession) -> Self {
-        let mut entry = HotEntry { vacant: false, ..HotEntry::VACANT };
-        entry.refresh(session);
-        entry
-    }
-
-    /// Re-mirrors the session after an advance (the one place its clock, feed cursor and
-    /// inbox all change).
-    fn refresh(&mut self, session: &GroupSession) {
-        self.finished = session.is_finished();
-        self.feed_ready = session.feed_has_next();
-        self.pending = session.pending_epochs();
-    }
-}
-
-/// Advances one contiguous chunk of the slab — the ids `first..first + hot.len()` — one
-/// epoch per live session; returns the chunk's tick tally.
-///
-/// This is the unit of parallel work, and the engine's memory hot path: the loop *streams*
-/// the dense [`HotEntry`] array and dereferences a session's cold body only when that
-/// session actually has an epoch to consume.  The skip tallies are exact mirrors of what a
-/// full [`GroupSession::advance`] would have returned:
-///
-/// * `vacant` — no session, nothing to count;
-/// * `finished` — `advance` would return [`StepOutcome::Finished`] (no counters) and the
-///   follow-up `is_finished()` check would tally one `finished`;
-/// * `pending == 0 && !feed_ready` — `advance` would pop nothing and return
-///   [`StepOutcome::Starved`] without moving the session's clock.
-///
-/// Sessions are fully independent, so where the slab is cut (and which worker runs a chunk)
-/// changes only the schedule, never any counter; and the skip paths above change only which
-/// memory is touched, never what is counted (`tests/engine_parity.rs` pins both).
+/// `ready` is the engine's whole ready list, sorted: the chunk takes its ids by binary
+/// search, so a pass costs the sessions that reported, never the chunk's length.  Every
+/// ready session has an epoch queued and is unfinished, so each advance consumes one; the
+/// tally counts the advances and the sessions they finished.  Sessions are fully
+/// independent, so where the slab is cut (and which worker runs a chunk) changes only the
+/// schedule, never any counter (`tests/engine_parity.rs` pins it).
 fn advance_chunk(
     first: GroupId,
-    hot: &mut [HotEntry],
-    cold: &mut [Option<GroupSession>],
+    slab: &mut [Option<GroupSession>],
+    ready: &[GroupId],
     view: IndexView<'_>,
     events: &mut EventSink,
 ) -> TickSummary {
-    debug_assert_eq!(hot.len(), cold.len(), "hot and cold chunks must be sliced in lockstep");
+    let lo = ready.partition_point(|&id| id < first);
+    let hi = ready.partition_point(|&id| id < first + slab.len());
     let mut tally = TickSummary::default();
-    for (id, (entry, slot)) in (first..).zip(hot.iter_mut().zip(cold.iter_mut())) {
-        if entry.vacant {
-            continue;
-        }
-        if entry.finished {
-            tally.finished += 1;
-            continue;
-        }
-        if entry.pending == 0 && !entry.feed_ready {
-            // Active-set scheduling: a session with nothing to consume is tallied as
-            // starved without walking its cold body (positions, cached answer).
-            tally.starved += 1;
-            continue;
-        }
-        let session = slot.as_mut().expect("a non-vacant slot holds a session");
+    for &id in &ready[lo..hi] {
+        let session = slab[id - first].as_mut().expect("a ready id holds a session");
         match session.advance_into(view, id, events) {
-            StepOutcome::Finished => {}
-            StepOutcome::Starved => tally.starved += 1,
-            StepOutcome::Registered => {
-                tally.advanced += 1;
-                tally.registered += 1;
-            }
-            StepOutcome::Quiet => tally.advanced += 1,
+            StepOutcome::Registered => tally.registered += 1,
+            StepOutcome::Quiet => {}
             StepOutcome::Updated { violators } => {
-                tally.advanced += 1;
                 tally.updated += 1;
                 tally.violators += violators;
             }
+            StepOutcome::Finished | StepOutcome::Starved => {
+                unreachable!("a ready session has an epoch to consume")
+            }
         }
+        tally.advanced += 1;
         if session.is_finished() {
             tally.finished += 1;
         }
-        entry.refresh(session);
     }
     tally
 }
@@ -372,18 +309,17 @@ fn advance_chunk(
 /// predicate for every session and force-recomputes the affected ones against the new view,
 /// their revised regions going to `events`.  Returns `(sessions checked, affected ids)`.
 ///
-/// A forced recompute consumes no epoch and moves no clock, so the hot mirrors stay valid
-/// without a refresh.
+/// A forced recompute consumes no epoch and moves no clock, so the ready list stays valid.
 fn invalidate_chunk(
     first: GroupId,
-    cold: &mut [Option<GroupSession>],
+    slab: &mut [Option<GroupSession>],
     view: IndexView<'_>,
     change: &WorldChange,
     events: &mut EventSink,
 ) -> (usize, Vec<GroupId>) {
     let mut affected = Vec::new();
     let mut checked = 0usize;
-    for (id, slot) in (first..).zip(cold.iter_mut()) {
+    for (id, slot) in (first..).zip(slab.iter_mut()) {
         let Some(session) = slot else { continue };
         checked += 1;
         if session.world_change_invalidates(change)
@@ -412,37 +348,35 @@ fn invalidate_chunk(
 fn for_each_chunk<T: Send>(
     pool: Option<&mut WorkerPool>,
     executor: TickExecutor,
-    hot: &mut [HotEntry],
-    cold: &mut [Option<GroupSession>],
+    slab: &mut [Option<GroupSession>],
     events: &mut EventSink,
-    pass: impl Fn(GroupId, &mut [HotEntry], &mut [Option<GroupSession>], &mut EventSink) -> T + Sync,
+    pass: impl Fn(GroupId, &mut [Option<GroupSession>], &mut EventSink) -> T + Sync,
     mut fold: impl FnMut(T),
 ) -> TickExecCounters {
     let workers = pool.as_ref().map_or(1, |pool| pool.worker_count());
     let len = match executor {
-        TickExecutor::WorkerPool => hot.len().div_ceil(workers),
+        TickExecutor::WorkerPool => slab.len().div_ceil(workers),
         TickExecutor::WorkStealing { batch } => batch,
     }
     .max(1);
-    let chunks = hot.len().div_ceil(len);
+    let chunks = slab.len().div_ceil(len);
     let Some(pool) = pool.filter(|_| chunks > 1) else {
-        fold(pass(0, hot, cold, events));
+        fold(pass(0, slab, events));
         return TickExecCounters { batches: 1, ..TickExecCounters::default() };
     };
     let mut outcomes: Vec<(Option<T>, EventSink)> =
         (0..chunks).map(|_| (None, Vec::new())).collect();
     pool.scoped(|scope| {
         let pass = &pass;
-        let mut work =
-            hot.chunks_mut(len).zip(cold.chunks_mut(len)).zip(outcomes.iter_mut()).enumerate();
+        let mut work = slab.chunks_mut(len).zip(outcomes.iter_mut()).enumerate();
         let inline = work.next_back();
-        for (i, ((hot, cold), (result, sent))) in work {
+        for (i, (chunk, (result, sent))) in work {
             scope.execute_on(i * workers / chunks, move || {
-                *result = Some(pass(i * len, hot, cold, sent));
+                *result = Some(pass(i * len, chunk, sent));
             });
         }
-        if let Some((i, ((hot, cold), (result, sent)))) = inline {
-            *result = Some(pass(i * len, hot, cold, sent));
+        if let Some((i, (chunk, (result, sent)))) = inline {
+            *result = Some(pass(i * len, chunk, sent));
         }
     });
     for (result, mut sent) in outcomes {
@@ -458,15 +392,14 @@ fn for_each_chunk<T: Send>(
     }
 }
 
-/// Folds one tally's protocol counters into an accumulator (the per-tick bookkeeping fields
-/// — `tick`, `retired`, `exec` — are filled in by the caller, not summed).
+/// Folds one chunk's tally into an accumulator (the fleet-wide fields — `tick`, `finished`,
+/// `starved`, `retired`, `exec` — are filled in by the caller, not summed).
 fn merge_counts(acc: &mut TickSummary, t: &TickSummary) {
     acc.advanced += t.advanced;
     acc.updated += t.updated;
     acc.violators += t.violators;
     acc.registered += t.registered;
     acc.finished += t.finished;
-    acc.starved += t.starved;
 }
 
 /// A stateful server monitoring a churning fleet of moving groups over one POI index.
@@ -475,33 +408,32 @@ fn merge_counts(acc: &mut TickSummary, t: &TickSummary) {
 /// session owns its data, so engines can be moved into server threads, held alongside their
 /// workload, and fed from the network.
 ///
-/// # The hot/cold session split
+/// # The slab and the ready list
 ///
-/// The sessions live in two parallel arrays indexed by [`GroupId`]:
-///
-/// * `hot` — a dense `Vec<HotEntry>` of per-tick decision state (16 bytes per session:
-///   vacancy, finished/feed flags, waiting epochs).  The tick streams this array linearly;
-///   sessions with nothing to do are skipped or tallied right here, cache line after cache
-///   line, without dereferencing anything.
-/// * `cold` — the slab of full [`GroupSession`] bodies (configuration, metrics, last answer,
-///   the flat position buffer; what else a body holds depends on its method — see the crate
-///   docs).  Only sessions that actually consume an epoch touch their cold body.  A body
-///   keeps no event log: the protocol events of an advance go to the tick's sink
-///   ([`MonitoringEngine::drain_events`]).
-///
-/// Deregistration marks the hot entry vacant, empties the cold slot and parks the id on the
-/// free-list; no other session moves, so `submit`, `group` lookups and deregistration are
-/// one index away.  `hot.len() == cold.len()` always; an id is vacant iff its hot entry says
-/// so iff its cold option is `None` iff it is on the free-list.
+/// * `slab` — the [`GroupSession`] bodies indexed by [`GroupId`] (configuration, metrics,
+///   last answer, the flat position buffer; what else a body holds depends on its method —
+///   see the crate docs).  A body keeps no event log: the protocol events of an advance go
+///   to the tick's sink ([`MonitoringEngine::drain_events`]).  Deregistration empties the
+///   slot and parks the id on the free-list; no other session moves, so `submit`, `group`
+///   lookups and deregistration are one index away.  An id is vacant iff its slot is `None`
+///   iff it is on the free-list.
+/// * `ready` — the ids a tick will advance.  An id is ready iff its session is registered,
+///   not finished, and has at least one queued epoch: [`submit`](MonitoringEngine::submit)
+///   pushes it when its queue goes from 0 to 1, registering a pre-built session that holds
+///   one pushes it, a tick keeps it while an epoch is left, and deregistration removes it.
+///   Order does not matter between ticks; a tick sorts the list in place, so its passes
+///   visit the groups in ascending id.
 #[derive(Debug)]
 pub struct MonitoringEngine {
     /// The mutable POI world: a shared base R-tree plus the generation-stamped delta overlay
     /// maintained by [`apply_world_change`](MonitoringEngine::apply_world_change).
     world: WorldView,
-    /// Dense per-id tick state, streamed by [`advance_chunk`].
-    hot: Vec<HotEntry>,
     /// Session bodies by id; `None` marks a vacant (deregistered) id.
-    cold: Vec<Option<GroupSession>>,
+    slab: Vec<Option<GroupSession>>,
+    /// The ids the next tick advances (see the type docs for the invariant).
+    ready: Vec<GroupId>,
+    /// Registered sessions that have consumed their whole bounded horizon.
+    finished: usize,
     /// Ids of deregistered groups, available for reuse (most recently freed last).
     free_ids: Vec<GroupId>,
     /// Merged metrics of every group that deregistered (`group_size` = their users), so
@@ -558,8 +490,9 @@ impl MonitoringEngine {
         assert!(!world.is_empty(), "monitoring requires a non-empty POI set");
         Self {
             world,
-            hot: Vec::new(),
-            cold: Vec::new(),
+            slab: Vec::new(),
+            ready: Vec::new(),
+            finished: 0,
             free_ids: Vec::new(),
             departed: MonitoringMetrics::new(0),
             events: Vec::new(),
@@ -606,19 +539,6 @@ impl MonitoringEngine {
         &self.world
     }
 
-    /// Registers a replay group for monitoring and returns its id.
-    ///
-    /// This is the replay path: the feed plays its recorded trajectories back one epoch per
-    /// tick (see [`TrajectoryFeed`]), giving the session a bounded horizon.  Shorthand for
-    /// [`register_session`](MonitoringEngine::register_session) with a
-    /// [`GroupSession::replay`] session.
-    ///
-    /// # Panics
-    /// Panics when the feed's group is empty (checked at feed construction).
-    pub fn register(&mut self, feed: TrajectoryFeed, config: MonitorConfig) -> GroupId {
-        self.register_session(GroupSession::replay(feed, config))
-    }
-
     /// Registers a streaming group of `group_size` users and returns its id.
     ///
     /// The session consumes [`EpochUpdate`]s pushed via [`submit`](MonitoringEngine::submit);
@@ -632,7 +552,6 @@ impl MonitoringEngine {
     }
 
     /// Registers a pre-built session (the general form of
-    /// [`register`](MonitoringEngine::register) /
     /// [`register_stream`](MonitoringEngine::register_stream), e.g. for a session with its
     /// events enabled).
     ///
@@ -643,11 +562,16 @@ impl MonitoringEngine {
     /// own `t = 0`); their registration message is counted on the next tick that feeds them.
     pub fn register_session(&mut self, session: GroupSession) -> GroupId {
         let id = self.free_ids.pop().unwrap_or_else(|| {
-            self.hot.push(HotEntry::VACANT);
-            self.cold.push(None);
-            self.hot.len() - 1
+            self.slab.push(None);
+            self.slab.len() - 1
         });
-        self.install(id, session)
+        if session.is_finished() {
+            self.finished += 1;
+        } else if session.pending_epochs() > 0 {
+            self.ready.push(id);
+        }
+        self.slab[id] = Some(session);
+        id
     }
 
     /// Removes a group from monitoring, reclaiming its session state.
@@ -662,9 +586,14 @@ impl MonitoringEngine {
     /// Returns `None` for an unknown or already-deregistered id (deregistration is
     /// idempotent).
     pub fn deregister(&mut self, id: GroupId) -> Option<MonitoringMetrics> {
-        let session = self.cold.get_mut(id)?.take()?;
-        self.hot[id] = HotEntry::VACANT;
+        let session = self.slab.get_mut(id)?.take()?;
         self.free_ids.push(id);
+        if session.is_finished() {
+            self.finished -= 1;
+        } else if session.pending_epochs() > 0 {
+            let at = self.ready.iter().position(|&r| r == id).expect("a fed group is ready");
+            self.ready.swap_remove(at);
+        }
         // Undrained events leave with the session: nobody owns the group any more, and the
         // id may be handed to a new one before the next drain.
         if !self.events.is_empty() {
@@ -674,42 +603,6 @@ impl MonitoringEngine {
         self.departed.group_size += metrics.group_size;
         self.departed.absorb(&metrics);
         Some(metrics)
-    }
-
-    /// Re-registers a replay group under the id of a previously deregistered one.
-    ///
-    /// The new session starts fresh from its own `t = 0` (sessions are self-clocked); the
-    /// previous epoch's numbers are what [`deregister`](MonitoringEngine::deregister)
-    /// returned.
-    ///
-    /// # Panics
-    /// Panics when `id` is not currently free (never registered, or still active); the empty
-    /// group case panics at feed construction.
-    pub fn rejoin(&mut self, id: GroupId, feed: TrajectoryFeed, config: MonitorConfig) -> GroupId {
-        self.rejoin_session(id, GroupSession::replay(feed, config))
-    }
-
-    /// Re-registers a pre-built session under the id of a previously deregistered group (the
-    /// general form of [`rejoin`](MonitoringEngine::rejoin)).
-    ///
-    /// # Panics
-    /// Panics when `id` is not currently free (never registered, or still active).
-    pub fn rejoin_session(&mut self, id: GroupId, session: GroupSession) -> GroupId {
-        let pos = self
-            .free_ids
-            .iter()
-            .position(|&free| free == id)
-            .expect("rejoin requires the id of a deregistered group");
-        self.free_ids.swap_remove(pos);
-        self.install(id, session)
-    }
-
-    /// Puts `session` into the vacant slot `id`.
-    fn install(&mut self, id: GroupId, session: GroupSession) -> GroupId {
-        debug_assert!(self.hot[id].vacant && self.cold[id].is_none(), "id {id} is occupied");
-        self.hot[id] = HotEntry::new(&session);
-        self.cold[id] = Some(session);
-        id
     }
 
     /// Queues one epoch of owned positions for a streaming group; the batch is consumed by
@@ -723,7 +616,7 @@ impl MonitoringEngine {
     /// notifications instead of crashing the server.
     pub fn submit(&mut self, update: EpochUpdate) -> Result<(), SubmitError> {
         let EpochUpdate { group_id, positions } = update;
-        let Some(session) = self.cold.get_mut(group_id).and_then(Option::as_mut) else {
+        let Some(session) = self.slab.get_mut(group_id).and_then(Option::as_mut) else {
             return Err(SubmitError::UnknownGroup(group_id));
         };
         if positions.len() != session.group_size() {
@@ -736,10 +629,10 @@ impl MonitoringEngine {
         if session.horizon_is_covered() {
             return Err(SubmitError::Finished(group_id));
         }
+        if session.pending_epochs() == 0 {
+            self.ready.push(group_id);
+        }
         session.submit(positions);
-        // Keep the hot mirror current: the next tick's active-set walk must see the queued
-        // epoch without asking the session.
-        self.hot[group_id].pending = session.pending_epochs();
         Ok(())
     }
 
@@ -805,10 +698,9 @@ impl MonitoringEngine {
         for_each_chunk(
             self.pool.as_mut(),
             self.executor,
-            &mut self.hot,
-            &mut self.cold,
+            &mut self.slab,
             &mut self.events,
-            |first, _, cold, events| invalidate_chunk(first, cold, view, &change, events),
+            |first, slab, events| invalidate_chunk(first, slab, view, &change, events),
             |(checked, ids)| {
                 groups_checked += checked;
                 affected.extend(ids);
@@ -830,7 +722,7 @@ impl MonitoringEngine {
     /// Number of currently registered (active) groups.
     #[must_use]
     pub fn group_count(&self) -> usize {
-        self.cold.len() - self.free_ids.len()
+        self.slab.len() - self.free_ids.len()
     }
 
     /// Number of deregistered ids awaiting reuse.
@@ -857,19 +749,11 @@ impl MonitoringEngine {
         self.clock
     }
 
-    /// The longest horizon over all registered sessions: `Some(max)` when every session is
-    /// bounded (0 for an empty fleet), `None` as soon as any registered session has an open
-    /// horizon — the fleet then has no finite completion point.
-    #[must_use]
-    pub fn horizon(&self) -> Option<usize> {
-        self.sessions().try_fold(0usize, |acc, s| s.horizon().map(|h| acc.max(h)))
-    }
-
     /// Whether every registered session has consumed its whole bounded horizon.  A fleet
     /// holding any open-horizon streaming session is never finished.
     #[must_use]
     pub fn is_finished(&self) -> bool {
-        self.sessions().all(GroupSession::is_finished)
+        self.finished == self.group_count()
     }
 
     /// One coherent snapshot of the whole engine: clock, membership accounting, executor
@@ -889,7 +773,8 @@ impl MonitoringEngine {
         }
     }
 
-    /// Advances every live session one epoch.
+    /// Advances every ready session — registered, unfinished, with a submitted epoch waiting
+    /// — one epoch, in ascending id order; every other session is untouched.
     ///
     /// A one-worker engine ticks fully inline.  With more workers the slab is cut into
     /// contiguous chunks of ids — one per worker under [`TickExecutor::WorkerPool`], `batch`
@@ -905,19 +790,27 @@ impl MonitoringEngine {
             Some(cache) => self.world.view().with_cache(cache),
             None => self.world.view(),
         };
-        // On one worker this is one inline call with no bookkeeping of its own: together
-        // with the per-worker query scratch, a steady-state tick allocates nothing at all
+        // Sorting in place and the inline one-worker pass allocate nothing: together with
+        // the per-worker query scratch, a steady-state tick allocates nothing at all
         // (`tests/alloc_gates.rs` pins this).
+        self.ready.sort_unstable();
+        let ready = &self.ready;
         let mut summary = TickSummary::default();
         summary.exec = for_each_chunk(
             self.pool.as_mut(),
             self.executor,
-            &mut self.hot,
-            &mut self.cold,
+            &mut self.slab,
             &mut self.events,
-            |first, hot, cold, events| advance_chunk(first, hot, cold, view, events),
+            |first, slab, events| advance_chunk(first, slab, ready, view, events),
             |tally| merge_counts(&mut summary, &tally),
         );
+        summary.starved = self.group_count() - self.finished - summary.advanced;
+        self.finished += summary.finished;
+        summary.finished = self.finished;
+        let slab = &self.slab;
+        self.ready.retain(|&id| {
+            slab[id].as_ref().is_some_and(|s| !s.is_finished() && s.pending_epochs() > 0)
+        });
         if let (Some(before), Some(cache)) = (cache_before, self.cache.as_deref()) {
             let delta = cache.stats().since(&before);
             summary.exec.cache_hits = delta.hits;
@@ -930,43 +823,13 @@ impl MonitoringEngine {
         summary
     }
 
-    /// Ticks until every session has consumed its whole horizon; returns the tick count.
-    ///
-    /// This is a replay-fleet driver: every session must have a **bounded** horizon (an
-    /// open-horizon streaming session never finishes) and epochs to consume on every tick
-    /// (a feed, or pre-[`submit`](MonitoringEngine::submit)ted batches covering the
-    /// horizon).
-    ///
-    /// # Panics
-    /// Panics when a registered session has an open horizon, or when a tick makes no
-    /// progress because every unfinished session starved — both would otherwise loop
-    /// forever.
-    pub fn run_to_completion(&mut self) -> usize {
-        assert!(
-            self.horizon().is_some(),
-            "run_to_completion requires bounded horizons; open-horizon streaming sessions \
-             only leave the fleet via deregister"
-        );
-        let mut ticks = 0;
-        while !self.is_finished() {
-            let summary = self.tick();
-            ticks += 1;
-            assert!(
-                summary.advanced > 0 || self.is_finished(),
-                "run_to_completion stalled: every unfinished session starved (no feed and no \
-                 submitted epochs)"
-            );
-        }
-        ticks
-    }
-
     /// The session of one group.
     ///
     /// # Panics
     /// Panics on an unknown or deregistered id.
     #[must_use]
     pub fn group(&self, id: GroupId) -> &GroupSession {
-        self.cold[id].as_ref().unwrap_or_else(|| panic!("group {id} has been deregistered"))
+        self.slab[id].as_ref().unwrap_or_else(|| panic!("group {id} has been deregistered"))
     }
 
     /// The metrics one registered group has accumulated so far.
@@ -1002,12 +865,12 @@ impl MonitoringEngine {
     pub fn into_group_metrics(mut self) -> Vec<MonitoringMetrics> {
         // `mem::take` instead of destructuring: the engine implements `Drop` (worker-pool
         // shutdown), so fields cannot be moved out of `self` directly.
-        let cold = std::mem::take(&mut self.cold);
-        cold.into_iter().flatten().map(GroupSession::into_metrics).collect()
+        let slab = std::mem::take(&mut self.slab);
+        slab.into_iter().flatten().map(GroupSession::into_metrics).collect()
     }
 
     fn sessions(&self) -> impl Iterator<Item = &GroupSession> {
-        self.cold.iter().flatten()
+        self.slab.iter().flatten()
     }
 }
 
@@ -1027,7 +890,8 @@ impl Drop for MonitoringEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monitor::run_monitoring;
+    use crate::experiment::submit_and_tick;
+    use crate::monitor::{run_monitoring, TrajectoryFeed};
     use mpn_core::{Method, Objective};
     use mpn_mobility::poi::{clustered_pois, PoiConfig};
     use mpn_mobility::waypoint::{random_waypoint, WaypointConfig};
@@ -1044,8 +908,27 @@ mod tests {
         (tree, fleet)
     }
 
-    fn feed(group: &[Trajectory]) -> TrajectoryFeed {
-        TrajectoryFeed::from_group(group)
+    type Replays = Vec<(GroupId, TrajectoryFeed)>;
+
+    /// Registers `group`'s recording as a stream capped at the recording; the returned feed
+    /// is what the test submits from.
+    fn replay(
+        engine: &mut MonitoringEngine,
+        group: &[Trajectory],
+        config: MonitorConfig,
+    ) -> (GroupId, TrajectoryFeed) {
+        let feed = TrajectoryFeed::from_group(group);
+        (engine.register_stream(feed.group_size(), feed.capped(config)), feed)
+    }
+
+    /// Submits and ticks until every session has consumed its horizon; returns the ticks.
+    fn run(engine: &mut MonitoringEngine, replays: &mut Replays) -> usize {
+        let mut ticks = 0;
+        while !engine.is_finished() {
+            submit_and_tick(engine, replays);
+            ticks += 1;
+        }
+        ticks
     }
 
     #[test]
@@ -1056,11 +939,8 @@ mod tests {
         let serial: Vec<_> = fleet.iter().map(|g| run_monitoring(&tree, g, &config)).collect();
 
         let mut engine = MonitoringEngine::new(Arc::clone(&tree), 4);
-        for group in &fleet {
-            engine.register(feed(group), config);
-        }
-        let ticks = engine.run_to_completion();
-        assert_eq!(ticks, 80, "80-timestamp horizon takes 80 ticks");
+        let mut replays: Replays = fleet.iter().map(|g| replay(&mut engine, g, config)).collect();
+        assert_eq!(run(&mut engine, &mut replays), 80, "80-timestamp horizon takes 80 ticks");
         let parallel = engine.into_group_metrics();
 
         assert_eq!(parallel.len(), serial.len());
@@ -1077,28 +957,26 @@ mod tests {
         let (tree, fleet) = world(5);
         let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(40);
         let mut engine = MonitoringEngine::new(Arc::clone(&tree), 2);
-        for group in &fleet {
-            engine.register(feed(group), config);
-        }
+        let mut replays: Replays = fleet.iter().map(|g| replay(&mut engine, g, config)).collect();
         assert_eq!(engine.group_count(), 5);
-        assert_eq!(engine.horizon(), Some(40));
 
-        let first = engine.tick();
+        let first = submit_and_tick(&mut engine, &mut replays);
         assert_eq!(first.tick, 0);
         assert_eq!(first.registered, 5, "first tick registers every group");
         assert_eq!(first.advanced, 5);
-        assert_eq!(first.starved, 0, "replay feeds cover their horizon");
+        assert_eq!(first.starved, 0, "every group reported");
 
-        let second = engine.tick();
+        let second = submit_and_tick(&mut engine, &mut replays);
         assert_eq!(second.tick, 1);
         assert_eq!(second.registered, 0);
         assert_eq!(second.advanced, 5);
 
-        engine.run_to_completion();
+        run(&mut engine, &mut replays);
         assert!(engine.is_finished());
         let summary = engine.tick();
         assert_eq!(summary.advanced, 0, "finished sessions do not advance");
         assert_eq!(summary.finished, 5);
+        assert_eq!(summary.starved, 0, "finished sessions do not starve");
         assert_eq!(summary.retired, 0);
     }
 
@@ -1107,10 +985,8 @@ mod tests {
         let (tree, fleet) = world(3);
         let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(30);
         let mut engine = MonitoringEngine::new(Arc::clone(&tree), 8);
-        for group in &fleet {
-            engine.register(feed(group), config);
-        }
-        engine.run_to_completion();
+        let mut replays: Replays = fleet.iter().map(|g| replay(&mut engine, g, config)).collect();
+        run(&mut engine, &mut replays);
         let fleet_metrics = engine.fleet_metrics();
         assert_eq!(fleet_metrics.group_size, 9, "3 groups of 3 users");
         assert_eq!(fleet_metrics.timestamps, 3 * 29);
@@ -1122,15 +998,12 @@ mod tests {
     fn heterogeneous_sessions_coexist() {
         let (tree, fleet) = world(2);
         let mut engine = MonitoringEngine::new(Arc::clone(&tree), 3);
-        let a = engine.register(
-            feed(&fleet[0]),
-            MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(20),
-        );
-        let b = engine.register(
-            feed(&fleet[1]),
-            MonitorConfig::new(Objective::Sum, Method::tile()).with_max_timestamps(50),
-        );
-        engine.run_to_completion();
+        let circle = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(20);
+        let tile = MonitorConfig::new(Objective::Sum, Method::tile()).with_max_timestamps(50);
+        let mut replays =
+            vec![replay(&mut engine, &fleet[0], circle), replay(&mut engine, &fleet[1], tile)];
+        let (a, b) = (replays[0].0, replays[1].0);
+        run(&mut engine, &mut replays);
         assert_eq!(engine.group_metrics(a).timestamps, 19);
         assert_eq!(engine.group_metrics(b).timestamps, 49);
         assert_eq!(engine.group(a).config().method.name(), "Circle");
@@ -1142,14 +1015,14 @@ mod tests {
         let (tree, fleet) = world(2);
         let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(25);
         let mut engine = MonitoringEngine::new(Arc::clone(&tree), 2);
-        engine.register(feed(&fleet[0]), config);
-        engine.tick();
-        engine.tick();
-        let late = engine.register(feed(&fleet[1]), config);
-        let summary = engine.tick();
+        let mut replays: Replays = vec![replay(&mut engine, &fleet[0], config)];
+        submit_and_tick(&mut engine, &mut replays);
+        submit_and_tick(&mut engine, &mut replays);
+        replays.push(replay(&mut engine, &fleet[1], config));
+        let summary = submit_and_tick(&mut engine, &mut replays);
         assert_eq!(summary.registered, 1, "the late group registers on its first tick");
-        engine.run_to_completion();
-        assert_eq!(engine.group_metrics(late).timestamps, 24, "late groups replay fully");
+        run(&mut engine, &mut replays);
+        assert_eq!(engine.group_metrics(replays[1].0).timestamps, 24, "late groups replay fully");
     }
 
     #[test]
@@ -1157,12 +1030,14 @@ mod tests {
         let (tree, fleet) = world(4);
         let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(30);
         let mut engine = MonitoringEngine::new(Arc::clone(&tree), 2);
-        let ids: Vec<_> = fleet.iter().map(|g| engine.register(feed(g), config)).collect();
+        let mut replays: Replays = fleet.iter().map(|g| replay(&mut engine, g, config)).collect();
+        let ids: Vec<_> = replays.iter().map(|(id, _)| *id).collect();
         for _ in 0..10 {
-            engine.tick();
+            submit_and_tick(&mut engine, &mut replays);
         }
 
         let departed = engine.deregister(ids[1]).expect("group 1 is registered");
+        replays.remove(1);
         assert_eq!(departed.timestamps, 9, "10 ticks = registration + 9 monitored timestamps");
         assert_eq!(engine.group_count(), 3);
         assert_eq!(engine.retired_count(), 1);
@@ -1175,18 +1050,18 @@ mod tests {
         assert_eq!(fleet_before_reuse.group_size, 12, "the departed users stay in the total");
 
         // The freed id is reused by the next registration; fleet totals do not shrink.
-        let reused = engine.register(feed(&fleet[1]), config);
-        assert_eq!(reused, ids[1]);
+        replays.push(replay(&mut engine, &fleet[1], config));
+        assert_eq!(replays[3].0, ids[1]);
         assert_eq!(engine.group_count(), 4);
         assert_eq!(engine.retired_count(), 0);
         let fleet_after_reuse = engine.fleet_metrics();
         assert_eq!(fleet_after_reuse.updates, fleet_before_reuse.updates);
         assert_eq!(fleet_after_reuse.group_size, fleet_before_reuse.group_size + 3);
 
-        engine.run_to_completion();
+        run(&mut engine, &mut replays);
         let all = engine.into_group_metrics();
         assert_eq!(all.len(), 4);
-        assert_eq!(all[ids[1]].timestamps, 29, "the rejoined epoch replays its full horizon");
+        assert_eq!(all[ids[1]].timestamps, 29, "the new session replays its full horizon");
     }
 
     #[test]
@@ -1194,33 +1069,15 @@ mod tests {
         let (tree, fleet) = world(1);
         let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(10);
         let mut engine = MonitoringEngine::new(Arc::clone(&tree), 2);
-        engine.register(feed(&fleet[0]), config);
+        let mut replays: Replays = vec![replay(&mut engine, &fleet[0], config)];
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.register(TrajectoryFeed::from_group(&[]), config);
+            engine.register_stream(0, config);
         }));
         assert!(panicked.is_err(), "empty groups are rejected");
         assert_eq!(engine.group_count(), 1, "the failed registration left no trace");
         assert_eq!(engine.retired_count(), 0);
-        engine.run_to_completion();
+        run(&mut engine, &mut replays);
         assert_eq!(engine.into_group_metrics().len(), 1);
-    }
-
-    #[test]
-    fn rejoin_requires_a_freed_id_and_restarts_the_group() {
-        let (tree, fleet) = world(2);
-        let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(20);
-        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 2);
-        let id = engine.register(feed(&fleet[0]), config);
-        for _ in 0..5 {
-            engine.tick();
-        }
-        engine.deregister(id).unwrap();
-        let back = engine.rejoin(id, feed(&fleet[0]), config);
-        assert_eq!(back, id);
-        let summary = engine.tick();
-        assert_eq!(summary.registered, 1, "a rejoined group re-registers on its next tick");
-        engine.run_to_completion();
-        assert_eq!(engine.group_metrics(id).timestamps, 19, "the new epoch starts from t = 0");
     }
 
     #[test]
@@ -1231,7 +1088,7 @@ mod tests {
 
         let mut engine = MonitoringEngine::new(Arc::clone(&tree), 2);
         let id = engine.register_stream(fleet[0].len(), config);
-        assert_eq!(engine.horizon(), Some(30), "a capped stream is bounded");
+        assert_eq!(engine.group(id).horizon(), Some(30), "a capped stream is bounded");
 
         let mut source = TrajectoryFeed::from_group(&fleet[0]);
         for tick in 0..30 {
@@ -1254,7 +1111,7 @@ mod tests {
         let config = MonitorConfig::new(Objective::Max, Method::circle());
         let mut engine = MonitoringEngine::new(Arc::clone(&tree), 2);
         let id = engine.register_stream(3, config);
-        assert_eq!(engine.horizon(), None, "an uncapped stream has an open horizon");
+        assert_eq!(engine.group(id).horizon(), None, "an uncapped stream has an open horizon");
         assert!(!engine.is_finished(), "open-horizon fleets are never finished");
 
         let summary = engine.tick();
@@ -1304,25 +1161,16 @@ mod tests {
     }
 
     #[test]
-    fn run_to_completion_rejects_open_horizons() {
-        let (tree, _) = world(1);
-        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 2);
-        engine.register_stream(3, MonitorConfig::new(Objective::Max, Method::circle()));
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.run_to_completion();
-        }));
-        assert!(panicked.is_err(), "an open-horizon fleet can never run to completion");
-    }
-
-    #[test]
     fn drain_events_tags_session_events_with_group_ids() {
         let (tree, fleet) = world(2);
         let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(20);
         let mut engine = MonitoringEngine::new(Arc::clone(&tree), 2);
-        let silent = engine.register(feed(&fleet[0]), config);
+        let silent = replay(&mut engine, &fleet[0], config);
+        let feed = TrajectoryFeed::from_group(&fleet[1]);
         let logged = engine
-            .register_session(GroupSession::replay(feed(&fleet[1]), config).with_events(true));
-        engine.tick();
+            .register_session(GroupSession::streaming(3, feed.capped(config)).with_events(true));
+        let mut replays = vec![silent, (logged, feed)];
+        submit_and_tick(&mut engine, &mut replays);
         let events = engine.drain_events();
         assert!(events.iter().all(|(id, _)| *id == logged), "only logged sessions emit");
         assert_eq!(
@@ -1331,7 +1179,6 @@ mod tests {
             "registration assigns every user"
         );
         assert!(events.iter().any(|(_, e)| matches!(e, SessionEvent::Assigned { .. })));
-        let _ = silent;
         assert!(engine.drain_events().is_empty(), "draining is destructive");
     }
 
@@ -1340,11 +1187,9 @@ mod tests {
         let (tree, fleet) = world(4);
         let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(10);
         let mut engine = MonitoringEngine::new(Arc::clone(&tree), 4);
-        for group in &fleet {
-            engine.register(feed(group), config);
-        }
-        engine.tick();
-        engine.tick();
+        let mut replays: Replays = fleet.iter().map(|g| replay(&mut engine, g, config)).collect();
+        submit_and_tick(&mut engine, &mut replays);
+        submit_and_tick(&mut engine, &mut replays);
         // Dropping mid-run must join the parked workers promptly (a hang here shows up as a
         // timeout under `cargo test -- --test-threads=1`); the debug assertions in `Drop`
         // check the workers exited cleanly.
@@ -1352,8 +1197,8 @@ mod tests {
 
         // An engine that never ticked in parallel (one worker: no pool) also drops cleanly.
         let mut serial = MonitoringEngine::new(Arc::clone(&tree), 1);
-        serial.register(feed(&fleet[0]), config);
-        serial.run_to_completion();
+        let mut replays = vec![replay(&mut serial, &fleet[0], config)];
+        run(&mut serial, &mut replays);
         drop(serial);
     }
 }

@@ -7,7 +7,7 @@ use std::time::Duration;
 use mpn_index::RTree;
 use mpn_mobility::GroupWorkload;
 
-use crate::engine::MonitoringEngine;
+use crate::engine::{EpochUpdate, GroupId, MonitoringEngine, TickSummary};
 use crate::metrics::MonitoringMetrics;
 use crate::monitor::{MonitorConfig, TrajectoryFeed};
 
@@ -34,10 +34,11 @@ pub struct WorkloadSummary {
 ///
 /// This drives a [`MonitoringEngine`] with a **single worker**: the paper's figures report
 /// per-update CPU time, and timing safe-region computations while other workers compete for
-/// cores would inflate those numbers.  The engine shares its POI index via `Arc` and replays
-/// each group through a [`TrajectoryFeed`], so the tree and the workload's groups are cloned
-/// once per call — a one-off memcpy that is negligible against the monitoring compute it
-/// feeds.
+/// cores would inflate those numbers.  Each group is a stream capped at its recording
+/// ([`TrajectoryFeed::capped`]) and, like any client, submits its next recorded epoch before
+/// each tick (a tick that advances nobody before the end panics).  The engine shares its POI
+/// index via `Arc`, so the tree and the workload's groups are cloned once per call — a
+/// one-off memcpy that is negligible against the monitoring compute it feeds.
 #[must_use]
 pub fn run_workload(
     tree: &RTree,
@@ -45,11 +46,32 @@ pub fn run_workload(
     config: &MonitorConfig,
 ) -> WorkloadSummary {
     let mut engine = MonitoringEngine::new(tree.clone(), 1);
-    for group in workload.iter() {
-        engine.register(TrajectoryFeed::from_group(group), *config);
+    let mut replays: Vec<_> = workload
+        .iter()
+        .map(|group| {
+            let feed = TrajectoryFeed::from_group(group);
+            (engine.register_stream(feed.group_size(), feed.capped(*config)), feed)
+        })
+        .collect();
+    while !engine.is_finished() {
+        let summary = submit_and_tick(&mut engine, &mut replays);
+        assert!(summary.advanced > 0, "replay stalled: no unfinished group advanced");
     }
-    engine.run_to_completion();
     summarize(engine.into_group_metrics())
+}
+
+/// Submits the next recorded epoch of every unfinished replay, then ticks once.
+pub(crate) fn submit_and_tick(
+    engine: &mut MonitoringEngine,
+    replays: &mut [(GroupId, TrajectoryFeed)],
+) -> TickSummary {
+    for (group_id, feed) in replays.iter_mut() {
+        if !engine.group(*group_id).is_finished() {
+            let positions = feed.next_epoch().expect("the cap is within the recording");
+            engine.submit(EpochUpdate { group_id: *group_id, positions }).expect("a live replay");
+        }
+    }
+    engine.tick()
 }
 
 /// Averages a set of per-group metrics into a [`WorkloadSummary`].

@@ -18,22 +18,23 @@
 //!   owns its configuration (objective and safe-region `Method`), its
 //!   [`mpn_core::SessionState`] (last answer; heading predictors and the §5.4 GNN buffer
 //!   where the method uses them) and its metrics, and **consumes** one epoch of owned
-//!   positions per [`advance`](GroupSession::advance): either batches queued via
-//!   [`submit`](GroupSession::submit) (streaming) or epochs played back by a
-//!   [`TrajectoryFeed`] (replay — a thin adapter over `Arc`-shared recorded trajectories).
-//!   A session without a timestamp cap has an **open horizon**: it monitors until
-//!   deregistered.
+//!   positions per [`advance`](GroupSession::advance) from its one input path, the batches
+//!   queued via [`submit`](GroupSession::submit).  A recording is replayed the same way: a
+//!   [`TrajectoryFeed`] (`Arc`-shared recorded trajectories) hands out owned epochs that the
+//!   driver submits like any client.  A session without a timestamp cap has an **open
+//!   horizon**: it monitors until deregistered.
 //! * [`MonitoringEngine`] ([`engine`]) — a churning fleet of sessions in one slab indexed
-//!   by group id, advanced one epoch per [`tick`](MonitoringEngine::tick) (inline, or
-//!   sliced per tick over a persistent worker pool).
+//!   by group id.  A [`tick`](MonitoringEngine::tick) advances exactly the groups with a
+//!   submitted epoch waiting, one epoch each (inline, or sliced per tick over a persistent
+//!   worker pool).
 //!   The engine owns its POI index as a [`mpn_index::WorldView`] (a shared base R-tree
 //!   behind a generation-stamped mutation overlay) and has no lifetime parameters, so it
 //!   moves freely into server threads.  Dynamic membership
-//!   ([`register`](MonitoringEngine::register) / [`register_stream`](MonitoringEngine::register_stream)
-//!   / [`deregister`](MonitoringEngine::deregister) / [`rejoin`](MonitoringEngine::rejoin))
-//!   runs over a free-list of group ids (most recently freed first, else the next unused
-//!   index); streaming input arrives as [`EpochUpdate`]s via
-//!   [`submit`](MonitoringEngine::submit).
+//!   ([`register_stream`](MonitoringEngine::register_stream) /
+//!   [`register_session`](MonitoringEngine::register_session) /
+//!   [`deregister`](MonitoringEngine::deregister)) runs over a free-list of group ids (most
+//!   recently freed first, else the next unused index); input arrives as [`EpochUpdate`]s
+//!   via [`submit`](MonitoringEngine::submit).
 //! * [`ServerCore`] ([`server`]) — the `mpn-proto` server core: a queue of client-tagged
 //!   wire-shaped `Request`s drained into engine ticks, with the sessions'
 //!   [`SessionEvent`]s routed back to the client owning each group (probe requests,
@@ -119,26 +120,26 @@
 //!
 //! # Memory layout of the tick hot path
 //!
-//! At fleet scale the tick is memory-bound, not compute-bound: with a warm query cache the
-//! per-session work collapses to a few counter updates and a cache probe, and throughput is
-//! set by how many cache lines a tick must pull.  Four layout decisions keep that number
-//! small (pinned counter-bit-identical by `tests/engine_parity.rs`'s walk-everything
-//! oracle):
+//! At fleet scale most groups are quiet most of the time, so what a tick costs is set by
+//! how many sessions it touches.  Four layout decisions keep that number at the sessions
+//! that reported (pinned counter-bit-identical by `tests/engine_parity.rs`'s
+//! walk-everything oracle):
 //!
-//! * **Hot/cold session split, active-set scheduling** — the engine keeps a dense array of
-//!   per-session decision state (vacancy, finished, feed readiness, waiting epochs) beside
-//!   the slab of session bodies, both indexed by group id.  The tick streams the first and
-//!   touches a body only when that session has an epoch to consume; finished and starved
-//!   sessions are tallied off the dense array exactly as a full advance would have counted
-//!   them.  A group's id is its slot and never moves, so lookups need no directory.
+//! * **A ready list, not a scan** — the engine keeps one plain `Vec` of the group ids with a
+//!   submitted epoch waiting ([`submit`](MonitoringEngine::submit) pushes an id when its
+//!   queue goes from empty to one) and a tick sorts it in place and advances exactly those
+//!   sessions, in ascending id; nothing walks the fleet.  The finished tally is a counter
+//!   kept at the advance that finishes a session and at deregistration, and the starved
+//!   tally follows from it (registered − finished − advanced).  A group's id is its slot
+//!   and never moves, so lookups need no directory.
 //! * **A session holds what its method needs** — always: the configuration, the metrics,
 //!   the last answer and one flat buffer of positions (the epoch being monitored, then the
 //!   submitted ones, consumed in place).  Heading predictors exist once a method that reads
 //!   headings has observed a position (never for Circle); the §5.4 buffer is a boxed slot
-//!   that only Tile-D-b with persistent buffers fills; the replay feed and a tile region
-//!   inside `SafeRegion` are boxed.  A Circle/MAX group of three costs 723 live heap bytes,
-//!   slab slot and hot entry included (it was 1,269); `tests/alloc_gates.rs` gates it at
-//!   760 and prints the table by owner.
+//!   that only Tile-D-b with persistent buffers fills; a tile region inside `SafeRegion` is
+//!   boxed.  A Circle/MAX group of three costs ≈ 700 live heap bytes, slab slot and owner
+//!   included (it was 1,269); `tests/alloc_gates.rs` gates it at 720 and prints the table
+//!   by owner.
 //! * **One event sink per tick** — sessions keep no event log.  What a session created
 //!   [`with_events`](GroupSession::with_events) sends is appended, tagged with its group
 //!   id, to a buffer the engine owns (one per chunk under the pool, concatenated in
@@ -167,11 +168,11 @@
 //! metrics never grow.  Reports are cumulative; phase-based tools snapshot at phase
 //! boundaries and diff the counters.
 //!
-//! [`run_monitoring`] drives one replay session to its horizon (its counters are pinned
-//! bit-identical to the reference loop in `tests/engine_parity.rs`) and
-//! [`experiment::run_workload`] drives a whole multi-group workload through a one-worker
-//! engine, which is how `mpn-bench`'s `figures` binary reproduces — and checks — every
-//! figure of the paper.
+//! [`run_monitoring`] replays one recording through one session to its horizon (its
+//! counters are pinned bit-identical to the reference loop in `tests/engine_parity.rs`) and
+//! [`experiment::run_workload`] replays a whole multi-group workload through a one-worker
+//! engine, submitting every group's next recorded epoch before each tick, which is how
+//! `mpn-bench`'s `figures` binary reproduces — and checks — every figure of the paper.
 
 #![forbid(unsafe_code)]
 

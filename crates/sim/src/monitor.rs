@@ -4,23 +4,20 @@
 //! (objective and safe-region [`Method`]), the per-group [`SessionState`] (heading
 //! predictors, §5.4 GNN buffer, last answer) and the accumulated metrics.  A session does
 //! **not** borrow trajectory data; it consumes one *epoch* of owned user positions per
-//! [`advance`](GroupSession::advance) call, drawn from two sources:
-//!
-//! * **submitted batches** ([`GroupSession::submit`]) — the streaming path: a network
-//!   front-end (or the [`MonitoringEngine`](crate::engine::MonitoringEngine)'s
-//!   [`submit`](crate::engine::MonitoringEngine::submit)) appends each epoch's positions to
-//!   the session's one flat position buffer as they arrive off the wire;
-//! * **a [`TrajectoryFeed`]** — the replay path: a thin adapter that plays a recorded
-//!   trajectory set back one epoch per advance (every counter bit-identical to the
-//!   reference loop in `tests/engine_parity.rs`).
+//! [`advance`](GroupSession::advance) call, and has one source of epochs: batches
+//! [`submit`](GroupSession::submit)ted into its inbox (by a network front-end, or through
+//! the [`MonitoringEngine`](crate::engine::MonitoringEngine)'s
+//! [`submit`](crate::engine::MonitoringEngine::submit)), appended to the session's one flat
+//! position buffer as they arrive off the wire.  A recording is replayed the same way: a
+//! [`TrajectoryFeed`] plays it back as owned epochs that the driver submits like any client
+//! (every counter bit-identical to the reference loop in `tests/engine_parity.rs`).
 //!
 //! Each consumed epoch replays one timestamp of the protocol of Fig. 3: the first epoch
 //! registers the query (every user reports once, the server computes and notifies); each
 //! later epoch is **violation detection** against the last answer, then — only when a user
 //! left her region — the step 1–3 report/probe/recompute/notify exchange.  A session whose
-//! inbox and feed are both dry reports [`StepOutcome::Starved`] and does not advance its
-//! clock: epochs are data-driven, so a streaming group that reports slowly simply progresses
-//! slowly.
+//! inbox is empty reports [`StepOutcome::Starved`] and does not advance its clock: epochs
+//! are data-driven, so a streaming group that reports slowly simply progresses slowly.
 //!
 //! Sessions are self-clocked and `Send`, so a
 //! [`MonitoringEngine`](crate::engine::MonitoringEngine) can advance many of them from worker
@@ -28,7 +25,8 @@
 //! per-user protocol sends of each epoch, as [`SessionEvent`]s tagged with its group id, to
 //! the event sink of the engine tick that advanced it; [`ServerCore`](crate::server::ServerCore)
 //! turns those into `mpn-proto` responses.  A session keeps no log of its own, and holds
-//! only what its method needs (the crate docs list it).  [`run_monitoring`] drives one replay session to its horizon.
+//! only what its method needs (the crate docs list it).  [`run_monitoring`] replays one
+//! recording through one session to its horizon.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -54,9 +52,9 @@ pub struct MonitorConfig {
     pub compress_regions: bool,
     /// Smoothing factor of the per-user heading predictor feeding the directed ordering.
     pub heading_smoothing: f64,
-    /// Optional cap on the number of monitored timestamps.  For a replay session `None`
-    /// means the full common horizon of the recorded group; for a streaming session `None`
-    /// means an **open horizon** — the session runs until it is deregistered.
+    /// Optional cap on the number of monitored timestamps.  `None` means an **open
+    /// horizon** — the session runs until it is deregistered (a replay caps it at the
+    /// recording, see [`TrajectoryFeed::capped`]).
     pub max_timestamps: Option<usize>,
     /// Whether the session keeps its §5.4 GNN buffer alive across updates (Tile-D-b only).
     ///
@@ -109,8 +107,7 @@ pub enum StepOutcome {
     },
     /// The session had already consumed its whole horizon; nothing happened.
     Finished,
-    /// No epoch was available (empty inbox, no feed or an exhausted one): the session's
-    /// clock did not move.  Never produced by the replay path before its horizon.
+    /// No epoch was available (empty inbox): the session's clock did not move.
     Starved,
 }
 
@@ -144,13 +141,12 @@ pub enum SessionEvent {
 /// engine tick), each event tagged with the id of the group that sent it.
 pub(crate) type EventSink = Vec<(GroupId, SessionEvent)>;
 
-/// Replay adapter: feeds a recorded trajectory set into an owned [`GroupSession`], one epoch
-/// of positions per [`advance`](GroupSession::advance).
+/// Replay source: plays a recorded trajectory set back as owned epochs of positions, which a
+/// replay driver submits into a streaming [`GroupSession`] like any client's reports.
 ///
-/// The trajectories sit behind an [`Arc`], so many sessions (or repeated replays) can share
+/// The trajectories sit behind an [`Arc`], so many feeds (or repeated replays) can share
 /// one recorded data set without copying it — full-scale workloads are tens of megabytes.
-/// The feed is exhausted after [`horizon`](TrajectoryFeed::horizon) epochs (the common prefix
-/// every user has data for).
+/// The feed is exhausted after the common prefix every user has data for.
 #[derive(Debug, Clone)]
 pub struct TrajectoryFeed {
     group: Arc<Vec<Trajectory>>,
@@ -189,39 +185,24 @@ impl TrajectoryFeed {
         self.group.len()
     }
 
-    /// Number of epochs the feed can supply: the shortest trajectory's length.
+    /// `config` with its timestamp cap lowered to the recording: the configuration a
+    /// streaming session replaying this feed is registered with, so that it finishes exactly
+    /// when the feed runs out (or earlier, at the configured cap).
     #[must_use]
-    pub fn horizon(&self) -> usize {
-        self.horizon
-    }
-
-    /// Whether at least one more epoch is available — a cursor/horizon compare, cheap
-    /// enough for the engine's active-set scheduling to ask every tick.
-    #[must_use]
-    pub fn has_next(&self) -> bool {
-        self.cursor < self.horizon
+    pub fn capped(&self, config: MonitorConfig) -> MonitorConfig {
+        config.with_max_timestamps(
+            config.max_timestamps.map_or(self.horizon, |cap| cap.min(self.horizon)),
+        )
     }
 
     /// The next epoch's positions as an owned batch, or `None` when exhausted.
-    ///
-    /// This is the convenience used to pump a feed *into* a streaming session or over a
-    /// network client; the in-session replay path uses the allocation-free
-    /// [`fill_next`](Self::fill_next) instead.
     pub fn next_epoch(&mut self) -> Option<Vec<Point>> {
-        let mut out = Vec::with_capacity(self.group.len());
-        self.fill_next(&mut out).then_some(out)
-    }
-
-    /// Writes the next epoch's positions into `out` (cleared first); returns `false` when
-    /// the feed is exhausted.
-    pub(crate) fn fill_next(&mut self, out: &mut Vec<Point>) -> bool {
         if self.cursor >= self.horizon {
-            return false;
+            return None;
         }
-        out.clear();
-        out.extend(self.group.iter().map(|traj| traj.at(self.cursor)));
+        let epoch = self.group.iter().map(|traj| traj.at(self.cursor)).collect();
         self.cursor += 1;
-        true
+        Some(epoch)
     }
 }
 
@@ -243,24 +224,9 @@ pub struct GroupSession {
     registered: bool,
     /// Whether per-user protocol events go to the tick's event sink (see [`SessionEvent`]).
     log_events: bool,
-    /// Replay source consulted when no submitted epoch is waiting.
-    feed: Option<Box<TrajectoryFeed>>,
 }
 
 impl GroupSession {
-    /// Creates a replay session over a recorded trajectory feed.
-    ///
-    /// The session's horizon is the feed's ([`TrajectoryFeed::horizon`]), capped by
-    /// [`MonitorConfig::max_timestamps`].
-    #[must_use]
-    pub fn replay(feed: TrajectoryFeed, config: MonitorConfig) -> Self {
-        let horizon = feed.horizon();
-        let horizon = config.max_timestamps.map_or(horizon, |cap| horizon.min(cap));
-        let mut session = Self::with_horizon(feed.group_size(), config, Some(horizon));
-        session.feed = Some(Box::new(feed));
-        session
-    }
-
     /// Creates a streaming session for a group of `group_size` users whose positions arrive
     /// via [`submit`](GroupSession::submit).
     ///
@@ -271,10 +237,6 @@ impl GroupSession {
     /// Panics when `group_size` is zero.
     #[must_use]
     pub fn streaming(group_size: usize, config: MonitorConfig) -> Self {
-        Self::with_horizon(group_size, config, config.max_timestamps)
-    }
-
-    fn with_horizon(group_size: usize, config: MonitorConfig, horizon: Option<usize>) -> Self {
         assert!(group_size > 0, "monitoring requires at least one user trajectory");
         let session = SessionState::new(group_size, config.heading_smoothing)
             .with_persistent_buffers(config.persist_buffers);
@@ -283,11 +245,10 @@ impl GroupSession {
             metrics: MonitoringMetrics::new(group_size),
             positions: Vec::new(),
             cursor: 0,
-            horizon,
+            horizon: config.max_timestamps,
             next_t: 0,
             registered: false,
             log_events: false,
-            feed: None,
             config,
         }
     }
@@ -296,7 +257,7 @@ impl GroupSession {
     /// session collects them, tagged with the group id, into the sink that
     /// [`drain_events`](crate::engine::MonitoringEngine::drain_events) hands out.
     ///
-    /// Off by default: the replay paths never pay for cloning regions into events.
+    /// Off by default: the replay drivers never pay for cloning regions into events.
     #[must_use]
     pub fn with_events(mut self, enabled: bool) -> Self {
         self.log_events = enabled;
@@ -357,8 +318,7 @@ impl GroupSession {
 
     /// Queues one epoch of user positions for the next [`advance`](GroupSession::advance).
     ///
-    /// Batches are consumed strictly FIFO, one per advance, *before* the feed (if any) is
-    /// consulted — a session fed both ways interleaves deterministically.
+    /// Batches are consumed strictly FIFO, one per advance.
     ///
     /// # Panics
     /// Panics when the batch does not hold exactly one position per user (callers that need
@@ -383,12 +343,6 @@ impl GroupSession {
         (self.positions.len() - self.cursor) / self.group_size()
     }
 
-    /// Whether the replay feed (if any) still has epochs to supply.
-    #[must_use]
-    pub fn feed_has_next(&self) -> bool {
-        self.feed.as_deref().is_some_and(TrajectoryFeed::has_next)
-    }
-
     /// Position capacity currently held, in epochs (test hook for the release on drain).
     #[cfg(test)]
     pub(crate) fn inbox_capacity(&self) -> usize {
@@ -397,10 +351,9 @@ impl GroupSession {
 
     /// Consumes the next epoch of the protocol.
     ///
-    /// The epoch's positions are the oldest [`submit`](GroupSession::submit)ted ones, else
-    /// the replay feed's next; with neither available the session
-    /// [`Starved`](StepOutcome::Starved)s and its clock does not move.  Protocol events are
-    /// not recorded: only an engine tick has a sink for them.
+    /// The epoch's positions are the oldest [`submit`](GroupSession::submit)ted ones; with
+    /// none waiting the session [`Starved`](StepOutcome::Starved)s and its clock does not
+    /// move.  Protocol events are not recorded: only an engine tick has a sink for them.
     ///
     /// # Panics
     /// Panics when the POI view is empty.
@@ -422,25 +375,17 @@ impl GroupSession {
         }
 
         let m = self.group_size();
-        if self.cursor < self.positions.len() {
-            self.cursor += m;
-            if self.cursor == self.positions.len() && self.cursor > m {
-                // Nothing else waits: drop the consumed epochs in front of this one, and
-                // whatever capacity a burst (a reconnecting client's backlog) left behind.
-                self.positions.copy_within(self.cursor - m.., 0);
-                self.positions.truncate(m);
-                self.cursor = m;
-                self.positions.shrink_to(2 * m);
-            }
-        } else {
-            let fed = match self.feed.as_mut() {
-                Some(feed) => feed.fill_next(&mut self.positions),
-                None => false,
-            };
-            if !fed {
-                return StepOutcome::Starved;
-            }
+        if self.cursor == self.positions.len() {
+            return StepOutcome::Starved;
+        }
+        self.cursor += m;
+        if self.cursor == self.positions.len() && self.cursor > m {
+            // Nothing else waits: drop the consumed epochs in front of this one, and
+            // whatever capacity a burst (a reconnecting client's backlog) left behind.
+            self.positions.copy_within(self.cursor - m.., 0);
+            self.positions.truncate(m);
             self.cursor = m;
+            self.positions.shrink_to(2 * m);
         }
 
         let t = self.next_t;
@@ -573,10 +518,11 @@ impl GroupSession {
 
 /// Replays one user group against the server and collects metrics.
 ///
-/// A single-group wrapper over a [`GroupSession::replay`] session: with the default
-/// configuration (no persistent buffers) the resulting updates, packets and work counters
-/// are bit-identical to the reference loop in `tests/engine_parity.rs`.  The trajectories
-/// are cloned once into the feed.
+/// A single-group driver: one streaming session, capped at the recording
+/// ([`TrajectoryFeed::capped`]), is submitted the recording's next epoch before every
+/// advance.  With the default configuration (no persistent buffers) the resulting updates,
+/// packets and work counters are bit-identical to the reference loop in
+/// `tests/engine_parity.rs`.  The trajectories are cloned once into the feed.
 ///
 /// # Panics
 /// Panics when the group is empty or the POI tree is empty.
@@ -587,10 +533,12 @@ pub fn run_monitoring(
     config: &MonitorConfig,
 ) -> MonitoringMetrics {
     assert!(!tree.is_empty(), "monitoring requires a non-empty POI set");
-    let mut session = GroupSession::replay(TrajectoryFeed::from_group(group), *config);
+    let mut feed = TrajectoryFeed::from_group(group);
+    let mut session = GroupSession::streaming(feed.group_size(), feed.capped(*config));
     while !session.is_finished() {
+        session.submit(feed.next_epoch().expect("the cap is within the recording"));
         let outcome = session.advance(tree);
-        debug_assert_ne!(outcome, StepOutcome::Starved, "a replay feed covers its horizon");
+        debug_assert_ne!(outcome, StepOutcome::Starved, "a submitted epoch is consumed");
     }
     session.into_metrics()
 }
@@ -695,16 +643,19 @@ mod tests {
     #[test]
     fn sessions_report_their_protocol_steps() {
         let (tree, group) = workload();
-        let mut session = GroupSession::replay(
-            TrajectoryFeed::from_group(&group),
-            MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(60),
-        );
+        let mut feed = TrajectoryFeed::from_group(&group);
+        let config = MonitorConfig::new(Objective::Max, Method::circle());
+        assert_eq!(feed.capped(config).max_timestamps, Some(400), "capped at the recording");
+        let mut session =
+            GroupSession::streaming(group.len(), feed.capped(config.with_max_timestamps(60)));
         assert_eq!(session.horizon(), Some(60));
         assert!(!session.is_finished());
+        session.submit(feed.next_epoch().unwrap());
         assert_eq!(session.advance(&tree), StepOutcome::Registered);
         let mut quiet = 0usize;
         let mut updated = 0usize;
         while !session.is_finished() {
+            session.submit(feed.next_epoch().unwrap());
             match session.advance(&tree) {
                 StepOutcome::Quiet => quiet += 1,
                 StepOutcome::Updated { violators } => {
@@ -768,10 +719,11 @@ mod tests {
     fn event_log_records_the_per_user_protocol_sends() {
         let (tree, group) = workload();
         let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(120);
-        let mut session =
-            GroupSession::replay(TrajectoryFeed::from_group(&group), config).with_events(true);
+        let mut feed = TrajectoryFeed::from_group(&group);
+        let mut session = GroupSession::streaming(group.len(), config).with_events(true);
         let view = IndexView::from(&tree);
         let mut events = Vec::new();
+        session.submit(feed.next_epoch().unwrap());
         assert_eq!(session.advance_into(view, 7, &mut events), StepOutcome::Registered);
         assert_eq!(events.len(), group.len(), "registration assigns every user a region");
         assert!(events.iter().all(|(id, e)| *id == 7
@@ -780,6 +732,7 @@ mod tests {
         // Find an epoch that updates: it must probe the non-violators and re-assign everyone.
         while !session.is_finished() {
             events.clear();
+            session.submit(feed.next_epoch().unwrap());
             if let StepOutcome::Updated { violators } = session.advance_into(view, 7, &mut events) {
                 let probes =
                     events.iter().filter(|(_, e)| matches!(e, SessionEvent::Probed { .. })).count();

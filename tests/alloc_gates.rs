@@ -3,7 +3,8 @@
 //! Six facts the tick path, the tile verifier and the session layout are built around,
 //! asserted as counts (never a wall-clock ratio):
 //!
-//! * a steady-state quiet tick — every user inside her region — allocates **nothing**;
+//! * a steady-state quiet tick — every user reported, every user inside her region —
+//!   allocates **nothing**;
 //! * a warm-cache Circle recomputation allocates only its answer bookkeeping (the violator
 //!   list and the region vector): the query path itself — probe build, cache lookup, GNN
 //!   staging — is allocation-free;
@@ -16,8 +17,8 @@
 //!   the per-tile candidate list are per-thread scratch, so trying more tiles costs no
 //!   allocation;
 //! * a monitored group costs the server what its method needs, in live heap bytes: a Circle
-//!   group of three at most 760 (723 today, 1,269 before the layout went lean), further
-//!   epochs nothing, and the leaner layout costs a buffered Tile-D-b session nothing.  Run
+//!   group of three at most 720 (≈ 700 today, 723 before the ready list replaced the hot
+//!   entries, 1,269 before the layout went lean), further epochs nothing, and the leaner layout costs a buffered Tile-D-b session nothing.  Run
 //!   with `--nocapture` for the per-owner table behind those figures.
 //!
 //! The counters are thread-local: `cargo test` runs the tests of this binary on parallel
@@ -39,8 +40,8 @@ use mpn::mobility::poi::{clustered_pois, PoiConfig};
 use mpn::mobility::Trajectory;
 use mpn::proto::{Request, Response, WireConfig};
 use mpn::sim::{
-    GroupSession, MonitorConfig, MonitoringEngine, MonitoringMetrics, ServerCore, SessionEvent,
-    StepOutcome, TrajectoryFeed,
+    EpochUpdate, GroupSession, MonitorConfig, MonitoringEngine, MonitoringMetrics, ServerCore,
+    SessionEvent, StepOutcome, TrajectoryFeed,
 };
 
 thread_local! {
@@ -140,9 +141,28 @@ const GROUPS: usize = 16;
 const TICKS: u64 = 64;
 
 /// A one-worker engine (it ticks fully inline: no chunk buffers, no executor
-/// bookkeeping) over `GROUPS` Circle groups sharing one recording, ticked to steady state:
-/// registration plus enough epochs for every capacity and both cache parities to warm.
-fn warm_engine(recording: Vec<Trajectory>, cache: Option<QueryCache>) -> MonitoringEngine {
+/// bookkeeping) over `GROUPS` Circle groups replaying one recording, each reporting its next
+/// recorded epoch before every tick.
+struct Fleet {
+    engine: MonitoringEngine,
+    feeds: Vec<TrajectoryFeed>,
+}
+
+impl Fleet {
+    /// Submits every group's next epoch (not counted: the positions are the client's
+    /// allocation), then ticks; returns the allocations of the tick alone.
+    fn tick(&mut self) -> u64 {
+        for (group_id, feed) in self.feeds.iter_mut().enumerate() {
+            let positions = feed.next_epoch().expect("horizon exhausted mid-count");
+            self.engine.submit(EpochUpdate { group_id, positions }).expect("a live group");
+        }
+        allocations_during(|| black_box(self.engine.tick())).0
+    }
+}
+
+/// The fleet ticked to steady state: registration plus enough epochs for every capacity and
+/// both cache parities to warm.
+fn warm_fleet(recording: Vec<Trajectory>, cache: Option<QueryCache>) -> Fleet {
     let recording = Arc::new(recording);
     let config = MonitorConfig::new(Objective::Max, Method::circle());
     let mut engine = MonitoringEngine::new(Arc::new(poi_tree(2_000)), 1);
@@ -150,28 +170,25 @@ fn warm_engine(recording: Vec<Trajectory>, cache: Option<QueryCache>) -> Monitor
         engine = engine.with_query_cache(cache);
     }
     for _ in 0..GROUPS {
-        engine.register(TrajectoryFeed::new(Arc::clone(&recording)), config);
+        engine.register_stream(recording.len(), config);
     }
+    let feeds = (0..GROUPS).map(|_| TrajectoryFeed::new(Arc::clone(&recording))).collect();
+    let mut fleet = Fleet { engine, feeds };
     for _ in 0..4 {
-        engine.tick();
+        fleet.tick();
     }
-    engine
+    fleet
 }
 
 /// Stationary groups never violate their regions after the registration tick, so every tick
-/// is pure violation checking.  With the hot/cold session split, the reused per-session
-/// location buffers and the inline one-worker tick, that must not touch the heap.
+/// is pure violation checking.  With the ready list sorted in place, the reused per-session
+/// position buffers and the inline one-worker tick, that must not touch the heap.
 #[test]
 fn quiet_tick_steady() {
     let still = users(3).iter().map(|p| Trajectory::new(vec![*p; 1_000])).collect();
-    let mut quiet = warm_engine(still, Some(QueryCache::new()));
-    let (total, ()) = allocations_during(|| {
-        for _ in 0..TICKS {
-            black_box(quiet.tick());
-        }
-    });
+    let mut quiet = warm_fleet(still, Some(QueryCache::new()));
+    let total: u64 = (0..TICKS).map(|_| quiet.tick()).sum();
     assert_eq!(total, 0, "a steady-state quiet tick must not allocate");
-    assert!(!quiet.is_finished(), "horizon exhausted mid-count");
 }
 
 /// A two-position oscillation violates every safe region on every tick, so every session
@@ -184,13 +201,8 @@ fn allocations_per_oscillating_recompute(cache: Option<QueryCache>) -> f64 {
             Trajectory::new((0..1_000).map(|t| if t % 2 == 0 { *p } else { far }).collect())
         })
         .collect();
-    let mut busy = warm_engine(osc, cache);
-    let (total, ()) = allocations_during(|| {
-        for _ in 0..TICKS {
-            black_box(busy.tick());
-        }
-    });
-    assert!(!busy.is_finished(), "horizon exhausted mid-count");
+    let mut busy = warm_fleet(osc, cache);
+    let total: u64 = (0..TICKS).map(|_| busy.tick()).sum();
     total as f64 / (TICKS * GROUPS as u64) as f64
 }
 
@@ -333,9 +345,9 @@ fn tile_sum_recompute_warm() {
     );
 }
 
-/// Groups in the byte gate: enough that the fleet-wide tables (slab, owners, hot
-/// entries — each a `Vec` that doubles, 16,384 being a power of two keeps them exactly full)
-/// are charged to the groups that fill them.
+/// Groups in the byte gate: enough that the fleet-wide tables (slab, owners — each a `Vec`
+/// that doubles, 16,384 being a power of two keeps them exactly full) are charged to the
+/// groups that fill them.
 const FLEET: usize = 16_384;
 /// Requests per `process` call: the registration flood reaches a real server over several
 /// ticks, and the request queue's capacity is not a per-group cost.
@@ -394,7 +406,7 @@ fn circle_group_bytes() {
     ] {
         println!("  {name:<18} {size:>4}");
     }
-    println!("live per group of {FLEET} (slab, hot entry, owner included):");
+    println!("live per group of {FLEET} (slab, owner, ready list included):");
     for (after, (bytes, blocks)) in [("Register", registered), ("the first region", monitored)] {
         println!(
             "  after {after:<17} {:>7.1} bytes in {:.2} blocks",
@@ -410,7 +422,7 @@ fn circle_group_bytes() {
     );
 
     let per_group = monitored.0 as f64 / FLEET as f64;
-    assert!(per_group <= 760.0, "a Circle group of three costs {per_group:.1} live bytes");
+    assert!(per_group <= 720.0, "a Circle group of three costs {per_group:.1} live bytes");
 
     let mut recomputed = 0;
     for e in 1..=5 {

@@ -1,7 +1,8 @@
 //! Property tests for dynamic fleet membership: random interleavings of
-//! `register` / `deregister` / `tick` over a 16-group fleet must leave every group's protocol
-//! counters identical to that group replayed solo — churn bookkeeping (the id free-list and
-//! slot reuse) must never corrupt or cross-wire a session.
+//! `register_stream` / `deregister` / `tick` over a 16-group fleet, every registered group
+//! submitting its next recorded epoch before each tick, must leave every group's protocol
+//! counters identical to that group replayed solo — churn bookkeeping (the id free-list,
+//! slot reuse and the ready list) must never corrupt or cross-wire a session.
 //!
 //! Uses the offline `proptest` shim: cases are deterministic (seeded from the test name), so
 //! a failing case index reproduces exactly.
@@ -14,8 +15,8 @@ use mpn::mobility::poi::{clustered_pois, PoiConfig};
 use mpn::mobility::waypoint::{random_waypoint, WaypointConfig};
 use mpn::mobility::Trajectory;
 use mpn::sim::{
-    GroupId, GroupSession, MonitorConfig, MonitoringEngine, MonitoringMetrics, Traffic,
-    TrajectoryFeed,
+    EpochUpdate, GroupId, GroupSession, MonitorConfig, MonitoringEngine, MonitoringMetrics,
+    Traffic, TrajectoryFeed,
 };
 use proptest::collection::vec as prop_vec;
 use proptest::prelude::*;
@@ -61,10 +62,12 @@ fn counters_of(metrics: &MonitoringMetrics) -> Counters {
     }
 }
 
-/// One registration epoch of a group: which group, its engine id, how many ticks it saw, and
-/// the metrics the engine reported for it (taken at deregistration or at the end).
+/// One registration epoch of a group: which group, the recording it submits from, how many
+/// ticks it saw, and the metrics the engine reported for it (taken at deregistration or at
+/// the end).
 struct Epoch {
     gidx: usize,
+    feed: TrajectoryFeed,
     advances: usize,
     metrics: Option<MonitoringMetrics>,
 }
@@ -91,6 +94,12 @@ proptest! {
                 // Ticks are twice as likely as either membership op, so most interleavings
                 // actually advance the fleet between joins and leaves.
                 0 | 1 => {
+                    for &(id, epoch) in active.iter().flatten() {
+                        if let Some(positions) = epochs[epoch].feed.next_epoch() {
+                            let update = EpochUpdate { group_id: id, positions };
+                            engine.submit(update).expect("an unfinished group takes its epoch");
+                        }
+                    }
                     engine.tick();
                     for slot in active.iter().flatten() {
                         epochs[slot.1].advances += 1;
@@ -98,7 +107,7 @@ proptest! {
                 }
                 2 => {
                     if active[g].is_none() {
-                        let id = engine.register(feed(&fleet[g]), config());
+                        let id = engine.register_stream(fleet[g].len(), config());
                         // Pin the free-list: a freed id must be reused before a fresh one
                         // is allocated.
                         if let Some(pos) = freed.iter().position(|&f| f == id) {
@@ -108,7 +117,8 @@ proptest! {
                             next_fresh += 1;
                         }
                         active[g] = Some((id, epochs.len()));
-                        epochs.push(Epoch { gidx: g, advances: 0, metrics: None });
+                        let feed = feed(&fleet[g]);
+                        epochs.push(Epoch { gidx: g, feed, advances: 0, metrics: None });
                     }
                 }
                 _ => {
@@ -135,9 +145,13 @@ proptest! {
 
         // Every epoch must match its group replayed solo for the same number of advances.
         for (i, epoch) in epochs.iter().enumerate() {
-            let mut solo = GroupSession::replay(feed(&fleet[epoch.gidx]), config());
+            let mut recording = feed(&fleet[epoch.gidx]);
+            let mut solo = GroupSession::streaming(fleet[epoch.gidx].len(), config());
             for _ in 0..epoch.advances {
-                let _ = solo.advance(&tree);
+                if let Some(positions) = recording.next_epoch() {
+                    solo.submit(positions);
+                }
+                let _ = solo.advance(&*tree);
             }
             let engine_counters =
                 counters_of(epoch.metrics.as_ref().expect("every epoch ends with metrics"));

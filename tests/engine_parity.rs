@@ -4,19 +4,19 @@
 //! measures: this file replays the *legacy* stateless monitoring loop (the exact algorithm of
 //! the original `run_monitoring`, re-implemented here as the baseline) and asserts that
 //!
-//! * the compatibility wrapper — now an owned [`mpn::sim::TrajectoryFeed`] replay session —
-//!   reproduces its updates, packets and work counters exactly,
+//! * the compatibility wrapper — a recording submitted epoch by epoch into one streaming
+//!   session, like any client — reproduces its updates, packets and work counters exactly,
 //! * a parallel multi-group tick equals the serial single-group replays,
-//! * the message-driven streaming path (`register_stream` + `EpochUpdate` submission)
-//!   produces the same counters as the feed replay, epoch for epoch,
+//! * the engine path (`register_stream` + `EpochUpdate` submission) produces the same
+//!   counters as a standalone session fed the same recording, epoch for epoch,
 //! * an engine with several workers — one chunk per worker, or stolen session batches —
 //!   produces the same fleet `TickSummary` sequence **and the same events in the same
 //!   order** as a one-worker inline engine,
-//! * the hot/cold split engine — a dense `HotEntry` array beside the session slab, both
-//!   indexed by group id, active-set skip paths — matches a serial walk-everything oracle
-//!   tick for tick
-//!   across churn, starvation, batch sizes and world mutation (pinning the memory-layout
-//!   overhaul),
+//! * the report-driven engine — a ready list of the groups with a submitted epoch, sorted
+//!   and advanced per tick, maintained finished / starved tallies — matches a serial
+//!   walk-everything oracle tick for tick across churn (deregistering groups with queued
+//!   epochs, reusing their ids in the same step), starvation, backlogs, batch sizes and
+//!   world mutation,
 //! * persistent §5.4 buffers strictly reduce R-tree queries per update for `Tile-D-b`.
 
 use std::sync::Arc;
@@ -121,6 +121,29 @@ fn legacy_run_monitoring(tree: &RTree, group: &[Trajectory], config: &MonitorCon
     Counters { timestamps, updates, traffic, stats }
 }
 
+/// A recording replayed as a client: the feed it submits from and the configuration its
+/// stream is registered with (capped at the recording).
+fn replay(group: &[Trajectory], config: MonitorConfig) -> (TrajectoryFeed, MonitorConfig) {
+    let feed = TrajectoryFeed::from_group(group);
+    let capped = feed.capped(config);
+    (feed, capped)
+}
+
+/// Submits the next recorded epoch of every unfinished replay to every engine (the replays
+/// hold the same ids in each).
+fn submit_next(engines: &mut [&mut MonitoringEngine], replays: &mut [(usize, TrajectoryFeed)]) {
+    for (id, feed) in replays.iter_mut() {
+        if engines[0].group(*id).is_finished() {
+            continue;
+        }
+        let positions = feed.next_epoch().expect("the cap is within the recording");
+        for engine in engines.iter_mut() {
+            let update = EpochUpdate { group_id: *id, positions: positions.clone() };
+            engine.submit(update).expect("a live replay");
+        }
+    }
+}
+
 fn counters_of(metrics: &mpn::sim::MonitoringMetrics) -> Counters {
     Counters {
         timestamps: metrics.timestamps,
@@ -163,39 +186,42 @@ fn engine_path_matches_the_wrapper_for_a_single_group() {
     let wrapper = run_monitoring(&tree, &fleet[0], &config);
 
     let mut engine = MonitoringEngine::new(Arc::clone(&tree), 4);
-    let id = engine.register(TrajectoryFeed::from_group(&fleet[0]), config);
-    engine.run_to_completion();
-    assert_eq!(counters_of(&wrapper), counters_of(engine.group_metrics(id)));
+    let (feed, capped) = replay(&fleet[0], config);
+    let mut replays = [(engine.register_stream(3, capped), feed)];
+    while !engine.is_finished() {
+        submit_next(&mut [&mut engine], &mut replays);
+        engine.tick();
+    }
+    assert_eq!(counters_of(&wrapper), counters_of(engine.group_metrics(replays[0].0)));
 }
 
 #[test]
 fn streaming_submission_matches_the_feed_replay_epoch_for_epoch() {
-    // The message-driven path — owned `EpochUpdate` batches submitted into a streaming
-    // session — must be protocol-equivalent to the `TrajectoryFeed` replay of the same
-    // recording: identical counters after every tick, for the legacy baseline too.
+    // The engine path — owned `EpochUpdate` batches submitted into a registered stream and
+    // consumed by ticks — must be protocol-equivalent to a standalone session advanced on
+    // the same recording: identical counters after every tick, for the legacy baseline too.
     let (tree, fleet) = world(1, 77);
     let group = &fleet[0];
     let config = MonitorConfig::new(Objective::Max, Method::tile()).with_max_timestamps(120);
     let legacy = legacy_run_monitoring(&tree, group, &config);
 
-    let mut replay = MonitoringEngine::new(Arc::clone(&tree), 2);
-    let replay_id = replay.register(TrajectoryFeed::from_group(group), config);
+    let mut solo = GroupSession::streaming(group.len(), config);
     let mut stream = MonitoringEngine::new(Arc::clone(&tree), 2);
     let stream_id = stream.register_stream(group.len(), config);
 
     let mut source = TrajectoryFeed::from_group(group);
-    for _ in 0..120 {
+    for t in 0..120 {
         let positions = source.next_epoch().expect("the recording covers the horizon");
+        solo.submit(positions.clone());
         stream.submit(EpochUpdate { group_id: stream_id, positions }).expect("live group");
-        let fed = replay.tick();
-        let submitted = stream.tick();
-        assert_eq!(fed, submitted, "feed and stream must produce identical tick summaries");
-        assert_eq!(
-            counters_of(replay.group_metrics(replay_id)),
-            counters_of(stream.group_metrics(stream_id)),
-        );
+        let outcome = solo.advance(&*tree);
+        let summary = stream.tick();
+        assert_eq!((summary.advanced, summary.starved), (1, 0), "tick {t}");
+        assert_eq!(summary.registered, usize::from(outcome == StepOutcome::Registered));
+        assert_eq!(summary.updated, usize::from(matches!(outcome, StepOutcome::Updated { .. })));
+        assert_eq!(counters_of(solo.metrics()), counters_of(stream.group_metrics(stream_id)));
     }
-    assert!(replay.is_finished() && stream.is_finished());
+    assert!(solo.is_finished() && stream.is_finished());
     assert_eq!(legacy, counters_of(stream.group_metrics(stream_id)));
 }
 
@@ -209,13 +235,20 @@ fn parallel_eight_group_tick_matches_eight_serial_runs() {
 
     let mut engine = MonitoringEngine::new(Arc::clone(&tree), 8);
     assert_eq!(engine.worker_count(), 8);
-    let ids: Vec<_> =
-        fleet.iter().map(|g| engine.register(TrajectoryFeed::from_group(g), config)).collect();
+    let mut replays: Vec<_> = fleet
+        .iter()
+        .map(|g| {
+            let (feed, capped) = replay(g, config);
+            (engine.register_stream(g.len(), capped), feed)
+        })
+        .collect();
+    let ids: Vec<_> = replays.iter().map(|(id, _)| *id).collect();
     assert!(engine.group_count() >= 8, "the fleet must exercise at least 8 concurrent groups");
 
     // Drive the fleet tick by tick (each tick advances all 8 groups on 8 threads).
     let mut ticks = 0;
     while !engine.is_finished() {
+        submit_next(&mut [&mut engine], &mut replays);
         let summary = engine.tick();
         assert!(summary.advanced <= 8);
         ticks += 1;
@@ -245,14 +278,18 @@ fn pool_executor_matches_the_single_shard_engine_tick_for_tick() {
     let mut inline = MonitoringEngine::new(Arc::clone(&tree), 1);
     assert_eq!(pool.executor(), TickExecutor::WorkerPool);
     assert_eq!((pool.worker_count(), inline.worker_count()), (4, 1));
+    let mut replays = Vec::new();
     for group in &fleet {
-        let session = || GroupSession::replay(TrajectoryFeed::from_group(group), config);
-        pool.register_session(session().with_events(true));
-        inline.register_session(session().with_events(true));
+        let (feed, capped) = replay(group, config);
+        let session = || GroupSession::streaming(group.len(), capped).with_events(true);
+        let id = pool.register_session(session());
+        assert_eq!(inline.register_session(session()), id);
+        replays.push((id, feed));
     }
 
     let mut ticks = 0;
     while !pool.is_finished() {
+        submit_next(&mut [&mut pool, &mut inline], &mut replays);
         assert_eq!(pool.tick(), inline.tick(), "tick {ticks}: the pool changed a fleet summary");
         assert_eq!(
             pool.drain_events(),
@@ -314,14 +351,18 @@ proptest! {
         )
         .with_query_cache(QueryCache::new());
         let mut inline = MonitoringEngine::new(Arc::clone(&tree), 1);
+        let mut replays = Vec::new();
         for group in &fleet {
-            let session = || GroupSession::replay(TrajectoryFeed::from_group(group), config);
-            stealing.register_session(session().with_events(true));
-            inline.register_session(session().with_events(true));
+            let (feed, capped) = replay(group, config);
+            let session = || GroupSession::streaming(group.len(), capped).with_events(true);
+            let id = stealing.register_session(session());
+            prop_assert_eq!(inline.register_session(session()), id);
+            replays.push((id, feed));
         }
 
         let mut guard = 0usize;
         while !stealing.is_finished() {
+            submit_next(&mut [&mut stealing, &mut inline], &mut replays);
             let a = stealing.tick();
             let b = inline.tick();
             prop_assert_eq!(a, b, "tick {} diverged under stealing", guard);
@@ -348,12 +389,11 @@ proptest! {
     }
 }
 
-/// A serial "walk everything" oracle: the pre-split engine semantics, re-implemented as the
-/// plainest possible loop — one [`WorldView`], one `Vec<Option<GroupSession>>` indexed by
-/// group id, every session asked (and advanced when live) on every tick.  No hot mirrors,
-/// no vacancy/finished/starved skip paths, no executor, no query cache.  The hot/cold
-/// split and active-set scheduling may only change which memory a tick touches, never a
-/// counter; this oracle is what "never a counter" is measured against.
+/// A serial "walk everything" oracle: the engine's semantics re-implemented as the plainest
+/// possible loop — one [`WorldView`], one `Vec<Option<GroupSession>>` indexed by group id,
+/// every session asked (and advanced when live) on every tick.  No ready list, no maintained
+/// tallies, no executor, no query cache.  The ready list may only change which sessions a
+/// tick touches, never a counter; this oracle is what "never a counter" is measured against.
 struct WalkEverythingOracle {
     world: WorldView,
     sessions: Vec<Option<GroupSession>>,
@@ -457,13 +497,15 @@ impl WalkEverythingOracle {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    // The memory-locality overhaul — hot/cold session split, an id-indexed slab with
-    // free-list reuse, active-set skip paths (vacant / finished / starved), per-worker
-    // query scratch — must be invisible in every protocol counter.  A scripted fleet mixing
+    // Report-driven ticks — a ready list of the ids with a submitted epoch, maintained
+    // finished / starved tallies, an id-indexed slab with free-list reuse, per-worker query
+    // scratch — must be invisible in every protocol counter.  A scripted fleet mixing
     // bounded replays (which finish mid-run), open-horizon streams (which starve whenever
-    // the script withholds their epoch), churn (deregister + id reuse) and POI world
-    // mutation runs side by side with the serial walk-everything oracle; every tick
-    // summary, every invalidation result and every per-group counter must be identical.
+    // the script withholds their epoch, and sometimes get two in one step, so a backlog
+    // outlives a tick), churn (deregistering replays and streams, some with an epoch still
+    // queued, and replays reusing the freed ids in the same step) and POI world mutation
+    // runs side by side with the serial walk-everything oracle; every tick summary, every
+    // invalidation result and every per-group counter must be identical.
     #[test]
     fn hot_cold_engine_matches_the_walk_everything_oracle(
         workers in 1usize..=4,
@@ -486,9 +528,12 @@ proptest! {
         .with_query_cache(QueryCache::new());
         let mut oracle = WalkEverythingOracle::new(&tree);
 
+        let mut replays = Vec::new();
         for group in &fleet {
-            let id = engine.register(TrajectoryFeed::from_group(group), replay_config);
-            oracle.register(id, GroupSession::replay(TrajectoryFeed::from_group(group), replay_config));
+            let (feed, capped) = replay(group, replay_config);
+            let id = engine.register_stream(group.len(), capped);
+            oracle.register(id, GroupSession::streaming(group.len(), capped));
+            replays.push((id, feed));
         }
         let mut stream_ids = Vec::new();
         for &size in &stream_sizes {
@@ -498,19 +543,22 @@ proptest! {
         }
 
         for (t, &op) in script.iter().enumerate() {
-            // Feed roughly half the streams' ticks: the withheld ticks starve the streams,
-            // exercising the active-set starve-skip against the oracle's full advance.
+            // Feed roughly half the streams' ticks, a third of those twice: the withheld
+            // ticks starve the streams, the doubled ones leave an epoch queued past the tick.
             for (i, &(id, size)) in stream_ids.iter().enumerate() {
-                if (op >> (i % 8)) & 1 == 0 {
+                if (op >> (i % 8)) & 1 != 0 {
+                    continue;
+                }
+                for k in 0..1 + usize::from(op % 3 == 0) {
                     let positions: Vec<Point> = (0..size)
                         .map(|u| Point::new(
-                            40.0 + ((t * 13 + u * 7 + i * 3) % 400) as f64,
-                            60.0 + ((t * 29 + u * 11) % 400) as f64,
+                            40.0 + ((t * 13 + k * 5 + u * 7 + i * 3) % 400) as f64,
+                            60.0 + ((t * 29 + k * 17 + u * 11) % 400) as f64,
                         ))
                         .collect();
                     engine
                         .submit(EpochUpdate { group_id: id, positions: positions.clone() })
-                        .expect("streams are never deregistered by the script");
+                        .expect("open-horizon streams take every epoch");
                     oracle.sessions[id]
                         .as_mut()
                         .expect("oracle mirrors the engine's membership")
@@ -518,21 +566,37 @@ proptest! {
                 }
             }
 
-            // Churn: deregister one replay group, then maybe re-register over the freed id.
+            // Churn: deregister any group — a stream may leave with its epoch still queued —
+            // then maybe register a replay, which reuses the freed id.
             if op % 7 == 0 {
                 let id = (op / 7) % oracle.sessions.len();
-                if !stream_ids.iter().any(|&(sid, _)| sid == id) {
-                    let engine_removed = engine.deregister(id).is_some();
-                    let oracle_removed = oracle.deregister(id);
-                    prop_assert_eq!(engine_removed, oracle_removed, "deregister({}) diverged", id);
-                }
+                let engine_removed = engine.deregister(id).is_some();
+                let oracle_removed = oracle.deregister(id);
+                prop_assert_eq!(engine_removed, oracle_removed, "deregister({}) diverged", id);
+                stream_ids.retain(|&(sid, _)| sid != id);
+                replays.retain(|(rid, _)| *rid != id);
             }
             if op % 11 == 0 {
                 let group = &fleet[op % fleet.len()];
                 let config = MonitorConfig::new(Objective::Max, Method::circle())
                     .with_max_timestamps(4);
-                let id = engine.register(TrajectoryFeed::from_group(group), config);
-                oracle.register(id, GroupSession::replay(TrajectoryFeed::from_group(group), config));
+                let (feed, capped) = replay(group, config);
+                let id = engine.register_stream(group.len(), capped);
+                oracle.register(id, GroupSession::streaming(group.len(), capped));
+                replays.push((id, feed));
+            }
+
+            // Every unfinished replay reports, a newly registered one included.
+            for (id, feed) in &mut replays {
+                let twin = oracle.sessions[*id].as_mut().expect("replays are registered");
+                if twin.is_finished() {
+                    continue;
+                }
+                let positions = feed.next_epoch().expect("the cap is within the recording");
+                twin.submit(positions.clone());
+                engine
+                    .submit(EpochUpdate { group_id: *id, positions })
+                    .expect("an unfinished replay takes its next epoch");
             }
 
             // World mutation: inserts and (sometimes unknown) deletes.

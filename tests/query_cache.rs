@@ -22,7 +22,8 @@ use mpn::mobility::poi::{clustered_pois, PoiConfig};
 use mpn::mobility::waypoint::{random_waypoint, WaypointConfig};
 use mpn::mobility::Trajectory;
 use mpn::sim::{
-    MonitorConfig, MonitoringEngine, MonitoringMetrics, Traffic, TrajectoryFeed, WorldChange,
+    EpochUpdate, MonitorConfig, MonitoringEngine, MonitoringMetrics, Traffic, TrajectoryFeed,
+    WorldChange,
 };
 use proptest::collection::vec as prop_vec;
 use proptest::prelude::*;
@@ -95,9 +96,11 @@ proptest! {
         let mut cached =
             MonitoringEngine::new(Arc::clone(&tree), 1).with_query_cache(QueryCache::new());
         let mut plain = MonitoringEngine::new(Arc::clone(&tree), 1);
+        let mut feeds = Vec::new();
         for group in &fleet {
-            cached.register(TrajectoryFeed::from_group(group), config);
-            plain.register(TrajectoryFeed::from_group(group), config);
+            let id = cached.register_stream(group.len(), config);
+            prop_assert_eq!(plain.register_stream(group.len(), config), id);
+            feeds.push(TrajectoryFeed::from_group(group));
         }
 
         // Fixed probe group for the view-level bit-identity check below.
@@ -111,6 +114,14 @@ proptest! {
                 0 | 1 => {
                     if cached.is_finished() {
                         continue;
+                    }
+                    // Every group reports its next recorded epoch to both engines.
+                    for (id, feed) in feeds.iter_mut().enumerate() {
+                        let positions = feed.next_epoch().expect("the recording covers the cap");
+                        for engine in [&mut cached, &mut plain] {
+                            let update = EpochUpdate { group_id: id, positions: positions.clone() };
+                            engine.submit(update).expect("an unfinished group takes its epoch");
+                        }
                     }
                     let a = cached.tick();
                     let b = plain.tick();

@@ -10,8 +10,23 @@ use mpn::mobility::waypoint::{random_waypoint, WaypointConfig};
 use mpn::mobility::Trajectory;
 use mpn::proto::{NotificationKind, Request, Response, WireConfig};
 use mpn::sim::{
-    EpochUpdate, GroupSession, MonitorConfig, MonitoringEngine, ServerCore, TrajectoryFeed,
+    EpochUpdate, GroupSession, MonitorConfig, MonitoringEngine, ServerCore, TickSummary,
+    TrajectoryFeed,
 };
+
+/// Submits the next recorded epoch of every unfinished replay, then ticks.
+fn replay_tick(
+    engine: &mut MonitoringEngine,
+    replays: &mut [(usize, TrajectoryFeed)],
+) -> TickSummary {
+    for (id, feed) in replays.iter_mut() {
+        if !engine.group(*id).is_finished() {
+            let positions = feed.next_epoch().expect("the cap is within the recording");
+            engine.submit(EpochUpdate { group_id: *id, positions }).expect("a live replay");
+        }
+    }
+    engine.tick()
+}
 
 /// `TickSummary::finished` was documented as a fleet-wide total but its relationship to
 /// deregistration was implicit: a deregistered group silently vanished from the total, which
@@ -30,39 +45,43 @@ fn finished_total_excludes_deregistered_groups_which_move_to_retired() {
 
     let horizons = [10usize, 10, 30];
     let mut engine = MonitoringEngine::new(tree, 2);
-    let ids: Vec<_> = fleet
+    let mut replays: Vec<_> = fleet
         .iter()
         .zip(horizons)
         .map(|(group, horizon)| {
             let config =
                 MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(horizon);
-            engine.register(TrajectoryFeed::from_group(group), config)
+            (engine.register_stream(group.len(), config), TrajectoryFeed::from_group(group))
         })
         .collect();
+    let ids: Vec<_> = replays.iter().map(|(id, _)| *id).collect();
 
-    let mut summary = engine.tick();
+    let mut summary = replay_tick(&mut engine, &mut replays);
     for _ in 1..12 {
-        summary = engine.tick();
+        summary = replay_tick(&mut engine, &mut replays);
     }
     assert_eq!(summary.finished, 2, "after 12 ticks the two 10-timestamp groups are done");
     assert_eq!(summary.retired, 0);
 
     // Deregistering a finished group moves it from `finished` to `retired`.
     let departed = engine.deregister(ids[0]).expect("group 0 is registered");
+    replays.remove(0);
     assert_eq!(departed.timestamps, 9, "10-timestamp horizon = registration + 9 timestamps");
-    let summary = engine.tick();
+    let summary = replay_tick(&mut engine, &mut replays);
     assert_eq!(summary.finished, 1, "only registered sessions count as finished");
     assert_eq!(summary.retired, 1, "the deregistered group is accounted explicitly");
 
     // Fleet accounting must not shrink when a group leaves, nor when its id is reused.
-    engine.run_to_completion();
+    while !engine.is_finished() {
+        replay_tick(&mut engine, &mut replays);
+    }
     let live_updates: usize = ids[1..].iter().map(|&id| engine.group_metrics(id).updates).sum();
     let fleet_metrics = engine.fleet_metrics();
     assert_eq!(fleet_metrics.group_size, 6, "all three 2-user groups stay in the fleet totals");
     assert_eq!(fleet_metrics.updates, live_updates + departed.updates);
     assert_eq!(fleet_metrics.timestamps, 9 + 9 + 29);
     let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(10);
-    assert_eq!(engine.register(TrajectoryFeed::from_group(&fleet[0]), config), ids[0]);
+    assert_eq!(engine.register_stream(2, config), ids[0]);
     let reused = engine.fleet_metrics();
     assert_eq!(reused.group_size, 8, "the new epoch's users are counted beside the old one's");
     assert_eq!((reused.updates, reused.timestamps), (fleet_metrics.updates, 9 + 9 + 29));
@@ -74,14 +93,12 @@ fn finished_total_excludes_deregistered_groups_which_move_to_retired() {
     assert_eq!(all[2].timestamps, 29);
 }
 
-/// `MonitoringEngine::horizon()` used to be `max().unwrap_or(0)` over per-session horizons
-/// (each of which was `min()` over the group's trajectory lengths) — a streaming session
-/// with no pre-known horizon had no honest representation and an empty fleet looked
-/// "finished at 0".  The contract is now explicit: `horizon()` is `Some(max)`
-/// only when every registered session is bounded, `None` as soon as any session is
-/// open-horizon; open sessions never count into `TickSummary::finished` (they have nothing
-/// to finish) and starve visibly (`TickSummary::starved`) instead of advancing on missing
-/// data.
+/// A fleet horizon used to be `max().unwrap_or(0)` over per-session horizons — a streaming
+/// session with no pre-known horizon had no honest representation and an empty fleet looked
+/// "finished at 0".  The contract is now explicit: an uncapped session's horizon is `None`,
+/// a fleet holding one is never finished, open sessions never count into
+/// `TickSummary::finished` (they have nothing to finish) and they starve visibly
+/// (`TickSummary::starved`) instead of advancing on missing data.
 #[test]
 fn open_horizon_streams_have_no_finish_line_and_never_count_as_finished() {
     let pois: Vec<Point> =
@@ -91,14 +108,12 @@ fn open_horizon_streams_have_no_finish_line_and_never_count_as_finished() {
     let group: Vec<Trajectory> = (0..2).map(|i| random_waypoint(&traj, 100 + i as u64)).collect();
 
     let mut engine = MonitoringEngine::new(Arc::clone(&tree), 2);
-    let bounded = engine.register(
-        TrajectoryFeed::from_group(&group),
-        MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(5),
-    );
-    assert_eq!(engine.horizon(), Some(5), "an all-bounded fleet reports its longest horizon");
+    let capped = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(5);
+    let bounded = engine.register_stream(2, capped);
+    let mut replays = [(bounded, TrajectoryFeed::from_group(&group))];
+    assert_eq!(engine.group(bounded).horizon(), Some(5));
 
     let open = engine.register_stream(2, MonitorConfig::new(Objective::Max, Method::circle()));
-    assert_eq!(engine.horizon(), None, "one open session makes the fleet horizon open");
     assert_eq!(engine.group(open).horizon(), None);
     assert!(!engine.group(open).horizon_is_covered());
 
@@ -108,7 +123,7 @@ fn open_horizon_streams_have_no_finish_line_and_never_count_as_finished() {
             let positions: Vec<Point> = group.iter().map(|traj| traj.at(t)).collect();
             engine.submit(EpochUpdate { group_id: open, positions }).unwrap();
         }
-        let summary = engine.tick();
+        let summary = replay_tick(&mut engine, &mut replays);
         assert_eq!(summary.starved, usize::from(t % 2 != 0), "unfed epochs starve visibly");
         assert_eq!(
             summary.finished,
@@ -123,7 +138,6 @@ fn open_horizon_streams_have_no_finish_line_and_never_count_as_finished() {
 
     // Deregistration is the only way out for an open session — and restores boundedness.
     engine.deregister(open).unwrap();
-    assert_eq!(engine.horizon(), Some(5));
     assert!(engine.is_finished());
 }
 
@@ -194,24 +208,26 @@ fn undrained_events_stay_grouped_by_session_and_leave_with_their_group() {
     let traj = WaypointConfig { domain: 600.0, speed_limit: 40.0, timestamps: 40 };
     let config = MonitorConfig::new(Objective::Max, Method::circle());
     let mut engine = MonitoringEngine::new(RTree::bulk_load(&pois), 2);
-    let ids: Vec<_> = (0..2u64)
+    let mut replays: Vec<_> = (0..2u64)
         .map(|g| {
             let group: Vec<Trajectory> =
                 (0..2).map(|i| random_waypoint(&traj, g * 7 + i)).collect();
-            let session = GroupSession::replay(TrajectoryFeed::from_group(&group), config);
-            engine.register_session(session.with_events(true))
+            let feed = TrajectoryFeed::from_group(&group);
+            let session = GroupSession::streaming(2, feed.capped(config));
+            (engine.register_session(session.with_events(true)), feed)
         })
         .collect();
+    let ids: Vec<_> = replays.iter().map(|(id, _)| *id).collect();
     for _ in 0..6 {
-        engine.tick();
+        replay_tick(&mut engine, &mut replays);
     }
     let senders: Vec<_> = engine.drain_events().iter().map(|(id, _)| *id).collect();
     let (of_first, of_second): (Vec<_>, Vec<_>) = senders.iter().partition(|&&id| id == ids[0]);
     assert!(of_first.len() > 2 && of_second.len() > 2, "both groups updated after registering");
     assert_eq!(senders, [of_first, of_second].concat(), "one run per session");
 
-    engine.tick();
-    engine.tick();
+    replay_tick(&mut engine, &mut replays);
+    replay_tick(&mut engine, &mut replays);
     engine.deregister(ids[1]).expect("registered");
     assert!(engine.drain_events().iter().all(|(id, _)| *id == ids[0]));
 }
