@@ -64,7 +64,7 @@ impl Scale {
 }
 
 /// Default angular deviation `θ` of the directed ordering (the paper learns it from recent
-/// travel directions; 45° is a representative bound from reference [26]).
+/// travel directions; 45° is a representative bound from reference \[26\]).
 pub const DEFAULT_THETA: f64 = std::f64::consts::FRAC_PI_4;
 
 /// Group sizes evaluated by Fig. 13 / Fig. 17 (Table 2: 2–6, default 3).

@@ -29,7 +29,7 @@ const ESCAPE: u8 = 0xC0;
 /// Appends `cells` to `out` as a step stream: a varint count, then per cell one byte
 /// `[level:2 | dx+4:3 | dy+4:3]`, where `(dx, dy)` is the cell's offset from the previous
 /// cell rescaled to the new cell's level (the first cell steps from [`TileCell::SEED`]).
-/// A level above 2 or a step outside `-4..=3` is an [`ESCAPE`] followed by the whole cell.
+/// A level above 2 or a step outside `-4..=3` is an `ESCAPE` followed by the whole cell.
 pub fn encode_cells(cells: &[TileCell], out: &mut Vec<u8>) {
     put_varint(out, u32::try_from(cells.len()).expect("tile count fits u32"));
     let mut prev = TileCell::SEED;

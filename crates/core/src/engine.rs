@@ -7,8 +7,8 @@
 //! (Section 4, Circle-MSR) or any Tile / Tile-D / Tile-D-b configuration (Section 5), the
 //! latter with optional reuse of the §5.4 GNN buffer across updates.
 //!
-//! The trait has two flavours of invocation: [`compute_stateless`]
-//! (SafeRegionEngine::compute_stateless) answers a one-shot query, while
+//! The trait has two flavours of invocation:
+//! [`compute_stateless`](SafeRegionEngine::compute_stateless) answers a one-shot query, while
 //! [`compute`](SafeRegionEngine::compute) threads a mutable per-group
 //! [`SessionState`] through the call so heading predictors, buffered GNN prefixes and the
 //! last answer persist across updates — the stateful server loop of Fig. 3.

@@ -30,7 +30,7 @@
 //! The paper's server is stateful: between updates for the same group it keeps the per-user
 //! heading predictors, the §5.4 GNN buffer and the last answer.  [`SessionState`]
 //! ([`session`]) carries exactly that state through
-//! [`SafeRegionEngine::compute`](engine::SafeRegionEngine::compute) /
+//! [`SafeRegionEngine::compute`] /
 //! [`MpnServer::compute_session`], so with persistent buffers enabled a `Tile-D-b` update
 //! typically issues **one** R-tree query (the Circle-MSR seed) instead of two.
 //!

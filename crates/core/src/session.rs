@@ -75,9 +75,9 @@ impl SessionState {
 
     /// Feeds the users' current locations into the heading predictors.
     ///
-    /// Call once per timestamp, *before* [`SafeRegionEngine::compute`]
-    /// (crate::engine::SafeRegionEngine::compute) so the directed ordering sees up-to-date
-    /// headings.
+    /// Call once per timestamp, *before*
+    /// [`SafeRegionEngine::compute`](crate::engine::SafeRegionEngine::compute) so the directed
+    /// ordering sees up-to-date headings.
     ///
     /// # Panics
     /// Panics when `locations` does not have one entry per user.

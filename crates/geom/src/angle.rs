@@ -40,7 +40,7 @@ pub fn angle_diff(a: f64, b: f64) -> f64 {
 
 /// Exponentially-weighted heading predictor.
 ///
-/// Tao et al. (the paper's reference [26]) observe that near-future travel directions deviate
+/// Tao et al. (the paper's reference \[26\]) observe that near-future travel directions deviate
 /// from recent ones by a bounded angle `θ`.  The predictor maintains a smoothed heading from
 /// the recent location history and exposes it for the directed ordering.
 #[derive(Debug, Clone)]

@@ -2,7 +2,7 @@
 //!
 //! Given a group of user locations `U` and an aggregate function (MAX or SUM), the GNN query
 //! returns the POIs with the smallest aggregate distance to the whole group.  This is the
-//! `FindMaxGNN` / `FindSumGNN` primitive of Papadias et al. (the paper's reference [24]) which
+//! `FindMaxGNN` / `FindSumGNN` primitive of Papadias et al. (the paper's reference \[24\]) which
 //! the safe-region algorithms call in Algorithm 1 (top-2 for the circle radius) and in the
 //! buffering optimisation of Section 5.4 (top-(b+1) to bound the candidate set).
 //!
@@ -10,10 +10,12 @@
 //!
 //! Nodes are ranked by a lower bound of the aggregate distance (the aggregate of per-user
 //! minimum distances to the node MBR), which is admissible for both MAX and SUM.  The frontier
-//! heap holds *nodes only*; the result vector holds the `k` best entries seen so far, and its
-//! last element is the pruning bound.  A point that does not beat the bound, or a child whose
-//! lower bound exceeds the bound's distance, never enters anything; the search ends when the
-//! frontier's smallest lower bound exceeds the bound.  The nodes opened are exactly those
+//! heap holds *nodes only*, each as its `(level, index)` in the tree's level arrays, so it
+//! borrows nothing and is a per-thread buffer that every query reuses.  The result vector
+//! holds the `k` best entries seen so far, and its last element is the pruning bound.  A
+//! point that does not beat the bound, or a child whose lower bound exceeds the bound's
+//! distance, never enters anything; the search ends when the frontier's smallest lower
+//! bound exceeds the bound.  The nodes opened are exactly those
 //! whose lower bound is at most the final k-th distance — the set the textbook incremental
 //! best-first search (one heap of nodes *and* points) opens, so [`QueryStats`] are those of
 //! that search whenever no heap key ties with the k-th distance (on such a tie best-first
@@ -38,6 +40,7 @@
 //! a node only when its lower bound *exceeds* the k-th distance.  Exact ties are real: for a
 //! two-user SUM group every POI near the segment between the users rounds to the same sum.
 
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -133,43 +136,46 @@ impl<'a> GnnSearch<'a> {
     pub fn top_k_into(&self, k: usize, out: &mut Vec<GnnNeighbor>) -> QueryStats {
         out.clear();
         let mut stats = QueryStats::default();
-        let Some(root) = self.tree.root().filter(|_| k > 0) else {
+        let Some((root, _)) = self.tree.root().filter(|_| k > 0) else {
             return stats;
         };
         out.reserve(k.min(self.tree.len()));
         // The k-th best distance once `k` entries are held; nothing is pruned before that.
         let kth_dist =
             |out: &[GnnNeighbor]| if out.len() == k { out[k - 1].dist } else { f64::INFINITY };
-        let mut frontier = BinaryHeap::with_capacity(FRONTIER_CAPACITY);
-        frontier.push(Ranked { key: 0.0, item: root });
-        while let Some(Ranked { key: lower_bound, item: node }) = frontier.pop() {
+        let mut frontier = FRONTIER.take();
+        frontier.clear();
+        frontier.push(Ranked { key: 0.0, item: (root, 0) });
+        while let Some(Ranked { key: lower_bound, item: (level, at) }) = frontier.pop() {
             if lower_bound > kth_dist(out) {
                 break;
             }
             stats.nodes_visited += 1;
-            match node {
-                Node::Leaf { entries, .. } => {
-                    stats.points_examined += entries.len();
-                    for batch in entries.chunks(LANES) {
-                        let dists = point_dists(self.aggregate, self.users, batch);
-                        for (entry, dist) in batch.iter().zip(dists) {
-                            offer(out, k, GnnNeighbor { entry: *entry, dist });
-                        }
+            let node = self.tree.level(level)[at];
+            if level == 0 {
+                let entries = self.tree.leaf_entries(&node);
+                stats.points_examined += entries.len();
+                for batch in entries.chunks(LANES) {
+                    let dists = point_dists(self.aggregate, self.users, batch);
+                    for (entry, dist) in batch.iter().zip(dists) {
+                        offer(out, k, GnnNeighbor { entry: *entry, dist });
                     }
                 }
-                Node::Internal { children, .. } => {
-                    let bound = kth_dist(out);
-                    for batch in children.chunks(LANES) {
-                        let bounds = rect_lower_bounds(self.aggregate, self.users, batch);
-                        for (node, lower_bound) in batch.iter().zip(bounds) {
-                            if lower_bound <= bound {
-                                frontier.push(Ranked { key: lower_bound, item: node });
-                            }
+            } else {
+                let bound = kth_dist(out);
+                let below = self.tree.level(level - 1);
+                for first in node.children().step_by(LANES) {
+                    let batch = &below[first..node.end.min(first + LANES)];
+                    let bounds = rect_lower_bounds(self.aggregate, self.users, batch);
+                    for (at, lower_bound) in (first..first + batch.len()).zip(bounds) {
+                        if lower_bound <= bound {
+                            frontier.push(Ranked { key: lower_bound, item: (level - 1, at) });
                         }
                     }
                 }
             }
         }
+        FRONTIER.set(frontier);
         stats
     }
 }
@@ -212,11 +218,13 @@ impl<T> Ord for Ranked<T> {
     }
 }
 
-/// Initial frontier capacity: the frontier borrows tree nodes, so it cannot live in the
-/// per-worker [`QueryScratch`](crate::QueryScratch) and is allocated once per traversal.  Of
-/// 1,000 three-user groups over 21,287 POIs none (MAX) and 6 (SUM) had a top-2 query keep
-/// more nodes pending; at 64, 39 % and 92 % of them regrew the heap.
-const FRONTIER_CAPACITY: usize = 256;
+thread_local! {
+    /// The frontier of `(level, index)` nodes under their lower bounds: it borrows no tree,
+    /// so it lives per thread beside the [`QueryScratch`](crate::QueryScratch) and a query
+    /// reuses the capacity the thread's earlier queries grew.
+    static FRONTIER: Cell<BinaryHeap<Ranked<(usize, usize)>>> =
+        const { Cell::new(BinaryHeap::new()) };
+}
 
 /// Width of one kernel batch (the default R-tree fan-out).
 const LANES: usize = 32;
@@ -275,8 +283,7 @@ fn rect_lower_bounds(aggregate: Aggregate, users: &[Point], batch: &[Node]) -> [
     let n = batch.len();
     // Per lane `(lo.x, hi.x)` and `(lo.y, hi.y)`.
     let (mut xs, mut ys) = ([(0.0f64, 0.0f64); LANES], [(0.0f64, 0.0f64); LANES]);
-    for ((x, y), node) in xs.iter_mut().zip(&mut ys).zip(batch) {
-        let mbr = node.mbr();
+    for ((x, y), Node { mbr, .. }) in xs.iter_mut().zip(&mut ys).zip(batch) {
         (*x, *y) = ((mbr.lo.x, mbr.hi.x), (mbr.lo.y, mbr.hi.y));
     }
     // One axis of `Rect::min_dist`, with compare-select for its two `f64::max`.

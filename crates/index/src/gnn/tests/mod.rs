@@ -157,9 +157,8 @@ fn kernels_match_the_scalar_aggregates_bit_for_bit() {
             }
             let entries: Vec<PoiEntry> =
                 (at..at + width).map(|i| PoiEntry::new(i, coords[i])).collect();
-            let nodes: Vec<Node> = (at..at + width)
-                .map(|i| Node::Leaf { mbr: rect_at(i), entries: Vec::new() })
-                .collect();
+            let nodes: Vec<Node> =
+                (at..at + width).map(|i| Node { mbr: rect_at(i), start: 0, end: 0 }).collect();
             for agg in [Aggregate::Max, Aggregate::Sum] {
                 for (e, got) in entries.iter().zip(point_dists(agg, users, &entries)) {
                     let want = match agg {
@@ -169,8 +168,8 @@ fn kernels_match_the_scalar_aggregates_bit_for_bit() {
                     assert_eq!(got.to_bits(), want.to_bits(), "{agg:?} point {e:?}");
                 }
                 for (n, got) in nodes.iter().zip(rect_lower_bounds(agg, users, &nodes)) {
-                    let want = agg.rect_lower_bound(&n.mbr(), users);
-                    assert_eq!(got.to_bits(), want.to_bits(), "{agg:?} rect {:?}", n.mbr());
+                    let want = agg.rect_lower_bound(&n.mbr, users);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{agg:?} rect {:?}", n.mbr);
                     checked += 1;
                 }
             }
@@ -179,8 +178,8 @@ fn kernels_match_the_scalar_aggregates_bit_for_bit() {
     }
     assert!(checked > 100_000);
     // A user on a zero-area rectangle, and the empty rectangle of an empty node.
-    let on = [Node::Leaf { mbr: Rect::from_point(users[0]), entries: Vec::new() }];
-    let empty = [Node::Leaf { mbr: Rect::EMPTY, entries: Vec::new() }];
+    let on = [Node { mbr: Rect::from_point(users[0]), start: 0, end: 0 }];
+    let empty = [Node { mbr: Rect::EMPTY, start: 0, end: 0 }];
     for agg in [Aggregate::Max, Aggregate::Sum] {
         assert_eq!(rect_lower_bounds(agg, &users[..1], &on)[0], 0.0);
         assert_eq!(rect_lower_bounds(agg, users, &empty)[0], f64::INFINITY);
@@ -200,7 +199,7 @@ fn retired_best_first(
     k: usize,
 ) -> (Vec<GnnNeighbor>, QueryStats, bool) {
     enum Item<'a> {
-        Node(&'a Node),
+        Node(usize, &'a Node),
         Entry(PoiEntry),
     }
     let (mut out, mut stats, mut keys) = (Vec::new(), QueryStats::default(), Vec::new());
@@ -209,26 +208,23 @@ fn retired_best_first(
         keys.push(key);
         heap.push(Ranked { key, item });
     };
-    if let Some(root) = tree.root().filter(|_| k > 0) {
-        push(&mut heap, aggregate.rect_lower_bound(&root.mbr(), users), Item::Node(root));
+    if let Some((level, root)) = tree.root().filter(|_| k > 0) {
+        push(&mut heap, aggregate.rect_lower_bound(&root.mbr, users), Item::Node(level, root));
     }
     while let Some(Ranked { key, item }) = heap.pop() {
         match item {
-            Item::Node(node) => {
+            Item::Node(level, node) => {
                 stats.nodes_visited += 1;
-                match node {
-                    Node::Leaf { entries, .. } => {
-                        for e in entries {
-                            stats.points_examined += 1;
-                            let d = aggregate.point_dist(e.location, users);
-                            push(&mut heap, d, Item::Entry(*e));
-                        }
+                if level == 0 {
+                    for e in tree.leaf_entries(node) {
+                        stats.points_examined += 1;
+                        let d = aggregate.point_dist(e.location, users);
+                        push(&mut heap, d, Item::Entry(*e));
                     }
-                    Node::Internal { children, .. } => {
-                        for c in children {
-                            let lb = aggregate.rect_lower_bound(&c.mbr(), users);
-                            push(&mut heap, lb, Item::Node(c));
-                        }
+                } else {
+                    for c in &tree.level(level - 1)[node.children()] {
+                        let lb = aggregate.rect_lower_bound(&c.mbr, users);
+                        push(&mut heap, lb, Item::Node(level - 1, c));
                     }
                 }
             }

@@ -10,9 +10,10 @@
 //!    pruning of Fig. 10) — see [`RTree::candidates_within_user_radii`] and
 //!    [`RTree::candidates_within_sum_radius`].
 //!
-//! The R-tree is implemented from scratch and immutable: one STR bulk load builds it, the GNN
-//! query is a k-bounded branch-and-bound over it, and node accesses are counted so
-//! experiments can report index I/O.
+//! The R-tree is implemented from scratch and immutable, stored as arrays: one STR bulk load
+//! builds it as the POIs in leaf order plus one node array per level, the GNN query is a
+//! k-bounded branch-and-bound over it, and node accesses are counted so experiments can
+//! report index I/O.
 //!
 //! Dynamic POI sets are served by [`world`]: a [`WorldView`] wraps an immutable base tree in a
 //! generation-stamped insert/delete overlay (compacted back into the base past a threshold),

@@ -5,6 +5,13 @@
 //! insert/delete overlay of [`crate::world::WorldView`], which rebuilds the base with another
 //! bulk load when the overlay outgrows its threshold.  The distance-ranked traversal is the
 //! GNN search of [`crate::gnn`]; the two candidate walks of Theorems 3 and 6 live here.
+//!
+//! # Layout
+//!
+//! The tree is stored as what an STR pack produces: one array of the POIs in leaf order and
+//! one array of nodes per level, leaves first and the root last.  A node is its MBR plus a
+//! contiguous range of children — of the level below, or of the entry array for a leaf — so
+//! a node is named by `(level, index)`, and nothing is boxed or nested.
 
 use mpn_geom::{DistanceBounds, Point, Rect};
 
@@ -69,56 +76,18 @@ impl QueryStats {
     }
 }
 
-#[derive(Debug, Clone)]
-pub(crate) enum Node {
-    Leaf { mbr: Rect, entries: Vec<PoiEntry> },
-    Internal { mbr: Rect, children: Vec<Node> },
+/// One node of the packed tree: its MBR and its children, a contiguous range of the level
+/// below (of the entry array, for a leaf).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Node {
+    pub(crate) mbr: Rect,
+    pub(crate) start: usize,
+    pub(crate) end: usize,
 }
 
 impl Node {
-    pub(crate) fn mbr(&self) -> Rect {
-        match self {
-            Node::Leaf { mbr, .. } | Node::Internal { mbr, .. } => *mbr,
-        }
-    }
-
-    fn recompute_mbr(&mut self) {
-        match self {
-            Node::Leaf { mbr, entries } => {
-                *mbr =
-                    entries.iter().fold(Rect::EMPTY, |r, e| r.union(Rect::from_point(e.location)));
-            }
-            Node::Internal { mbr, children } => {
-                *mbr = children.iter().fold(Rect::EMPTY, |r, c| r.union(c.mbr()));
-            }
-        }
-    }
-
-    fn height(&self) -> usize {
-        match self {
-            Node::Leaf { .. } => 1,
-            Node::Internal { children, .. } => {
-                1 + children.iter().map(Node::height).max().unwrap_or(0)
-            }
-        }
-    }
-
-    fn node_count(&self) -> usize {
-        match self {
-            Node::Leaf { .. } => 1,
-            Node::Internal { children, .. } => {
-                1 + children.iter().map(Node::node_count).sum::<usize>()
-            }
-        }
-    }
-
-    /// Number of POI entries stored in the subtree (used by structural tests).
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        match self {
-            Node::Leaf { entries, .. } => entries.len(),
-            Node::Internal { children, .. } => children.iter().map(Node::len).sum(),
-        }
+    pub(crate) fn children(&self) -> std::ops::Range<usize> {
+        self.start..self.end
     }
 }
 
@@ -126,8 +95,11 @@ impl Node {
 #[derive(Debug, Clone)]
 pub struct RTree {
     config: RTreeConfig,
-    root: Option<Node>,
-    len: usize,
+    /// The POIs in leaf order.
+    entries: Vec<PoiEntry>,
+    /// The nodes of each level, leaves first; the last level is the root alone (no level at
+    /// all for an empty tree).
+    levels: Vec<Vec<Node>>,
     next_id: usize,
     generation: u64,
 }
@@ -150,47 +122,53 @@ impl RTree {
         Self::bulk_load_entries(entries, RTreeConfig::default())
     }
 
-    /// Bulk loads a tree from pre-identified entries using Sort-Tile-Recursive packing.
+    /// Bulk loads a tree from pre-identified entries using Sort-Tile-Recursive packing: one
+    /// `str_pack` pass over the entries makes the leaves, one over each level's nodes (by
+    /// MBR centre) the level above, until one root is left.
     #[must_use]
-    pub fn bulk_load_entries(entries: Vec<PoiEntry>, config: RTreeConfig) -> Self {
-        let len = entries.len();
+    pub fn bulk_load_entries(mut entries: Vec<PoiEntry>, config: RTreeConfig) -> Self {
         let next_id = entries.iter().map(|e| e.id + 1).max().unwrap_or(0);
-        if entries.is_empty() {
-            return Self { config, root: None, len: 0, next_id, generation: next_generation() };
+        let cap = config.max_entries;
+        let mut levels = Vec::new();
+        if !entries.is_empty() {
+            let point = |e: &PoiEntry| Rect::from_point(e.location);
+            levels.push(str_pack(&mut entries, cap, |e| e.location, point));
         }
-        let leaves = str_pack_leaves(entries, config.max_entries);
-        let root = build_upper_levels(leaves, config.max_entries);
-        Self { config, root: Some(root), len, next_id, generation: next_generation() }
+        while let Some(level) = levels.last_mut().filter(|level| level.len() > 1) {
+            let above = str_pack(level, cap, |n| n.mbr.center(), |n| n.mbr);
+            levels.push(above);
+        }
+        Self { config, entries, levels, next_id, generation: next_generation() }
     }
 
     /// Number of POIs stored in the tree.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// Whether the tree holds no POIs.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.entries.is_empty()
     }
 
     /// Height of the tree (0 for an empty tree, 1 for a single leaf).
     #[must_use]
     pub fn height(&self) -> usize {
-        self.root.as_ref().map_or(0, Node::height)
+        self.levels.len()
     }
 
     /// Total number of nodes (leaves plus internal nodes).
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.root.as_ref().map_or(0, Node::node_count)
+        self.levels.iter().map(Vec::len).sum()
     }
 
     /// Minimum bounding rectangle of the whole data set.
     #[must_use]
     pub fn bounds(&self) -> Rect {
-        self.root.as_ref().map_or(Rect::EMPTY, Node::mbr)
+        self.root().map_or(Rect::EMPTY, |(_, root)| root.mbr)
     }
 
     /// The tree's fan-out configuration.
@@ -210,16 +188,9 @@ impl RTree {
         self.generation
     }
 
-    /// Iterates over every entry (in unspecified order).
+    /// Iterates over every entry (in leaf order).
     pub fn iter(&self) -> impl Iterator<Item = PoiEntry> + '_ {
-        let mut stack: Vec<&Node> = self.root.iter().collect();
-        std::iter::from_fn(move || loop {
-            match stack.pop()? {
-                Node::Leaf { entries, .. } => return Some(entries.iter().copied()),
-                Node::Internal { children, .. } => stack.extend(children.iter()),
-            }
-        })
-        .flatten()
+        self.entries.iter().copied()
     }
 
     /// Candidate POIs for the MAX objective: every POI `p` such that `‖p, uᵢ‖ ≤ radiiᵢ` for all
@@ -247,45 +218,9 @@ impl RTree {
         out: &mut Vec<PoiEntry>,
     ) -> QueryStats {
         assert_eq!(users.len(), radii.len(), "one radius per user");
-        out.clear();
-        let mut stats = QueryStats::default();
-        if let Some(root) = &self.root {
-            Self::user_radii_walk(root, users, radii, out, &mut stats);
-        }
-        stats
-    }
-
-    /// Depth-first candidate walk.  Children are descended in *reverse* order, which is the
-    /// visit order of the historical explicit LIFO stack — output order is part of the
-    /// bit-identity contract (cached payloads replay it verbatim).
-    fn user_radii_walk(
-        node: &Node,
-        users: &[Point],
-        radii: &[f64],
-        out: &mut Vec<PoiEntry>,
-        stats: &mut QueryStats,
-    ) {
-        let mbr = node.mbr();
-        if users.iter().zip(radii).any(|(u, r)| mbr.min_dist(*u) > *r) {
-            return;
-        }
-        stats.nodes_visited += 1;
-        match node {
-            Node::Leaf { entries, .. } => {
-                for e in entries {
-                    stats.points_examined += 1;
-                    let keep = users.iter().zip(radii).all(|(u, r)| e.location.dist(*u) <= *r);
-                    if keep {
-                        out.push(*e);
-                    }
-                }
-            }
-            Node::Internal { children, .. } => {
-                for c in children.iter().rev() {
-                    Self::user_radii_walk(c, users, radii, out, stats);
-                }
-            }
-        }
+        let prune = |mbr: &Rect| users.iter().zip(radii).any(|(u, r)| mbr.min_dist(*u) > *r);
+        let keep = |p: Point| users.iter().zip(radii).all(|(u, r)| p.dist(*u) <= *r);
+        self.walk_into(&prune, &keep, out)
     }
 
     /// Candidate POIs for the SUM objective: every POI whose summed distance to the users is at
@@ -311,47 +246,68 @@ impl RTree {
         threshold: f64,
         out: &mut Vec<PoiEntry>,
     ) -> QueryStats {
+        let prune = |mbr: &Rect| users.iter().map(|u| mbr.min_dist(*u)).sum::<f64>() > threshold;
+        let keep = |p: Point| users.iter().map(|u| p.dist(*u)).sum::<f64>() <= threshold;
+        self.walk_into(&prune, &keep, out)
+    }
+
+    /// The candidate walk from the root into `out` (cleared first).
+    fn walk_into(
+        &self,
+        prune: &impl Fn(&Rect) -> bool,
+        keep: &impl Fn(Point) -> bool,
+        out: &mut Vec<PoiEntry>,
+    ) -> QueryStats {
         out.clear();
         let mut stats = QueryStats::default();
-        if let Some(root) = &self.root {
-            Self::sum_radius_walk(root, users, threshold, out, &mut stats);
+        if let Some((level, root)) = self.root() {
+            self.walk(level, root, prune, keep, out, &mut stats);
         }
         stats
     }
 
-    fn sum_radius_walk(
+    /// Depth-first candidate walk: a node whose MBR `prune`s is skipped, every entry of an
+    /// opened leaf is examined and the ones that `keep` are emitted.  Children are descended
+    /// in *reverse* order, which is the visit order of the historical explicit LIFO stack —
+    /// output order is part of the bit-identity contract (cached payloads replay it
+    /// verbatim).
+    fn walk(
+        &self,
+        level: usize,
         node: &Node,
-        users: &[Point],
-        threshold: f64,
+        prune: &impl Fn(&Rect) -> bool,
+        keep: &impl Fn(Point) -> bool,
         out: &mut Vec<PoiEntry>,
         stats: &mut QueryStats,
     ) {
-        let mbr = node.mbr();
-        let lower: f64 = users.iter().map(|u| mbr.min_dist(*u)).sum();
-        if lower > threshold {
+        if prune(&node.mbr) {
             return;
         }
         stats.nodes_visited += 1;
-        match node {
-            Node::Leaf { entries, .. } => {
-                for e in entries {
-                    stats.points_examined += 1;
-                    let sum: f64 = users.iter().map(|u| e.location.dist(*u)).sum();
-                    if sum <= threshold {
-                        out.push(*e);
-                    }
-                }
-            }
-            Node::Internal { children, .. } => {
-                for c in children.iter().rev() {
-                    Self::sum_radius_walk(c, users, threshold, out, stats);
-                }
+        if level == 0 {
+            let entries = self.leaf_entries(node);
+            stats.points_examined += entries.len();
+            out.extend(entries.iter().filter(|e| keep(e.location)));
+        } else {
+            for child in self.levels[level - 1][node.children()].iter().rev() {
+                self.walk(level - 1, child, prune, keep, out, stats);
             }
         }
     }
 
-    pub(crate) fn root(&self) -> Option<&Node> {
-        self.root.as_ref()
+    /// The nodes of `level`, 0 being the leaves.
+    pub(crate) fn level(&self, level: usize) -> &[Node] {
+        &self.levels[level]
+    }
+
+    /// The entries of a leaf.
+    pub(crate) fn leaf_entries(&self, leaf: &Node) -> &[PoiEntry] {
+        &self.entries[leaf.children()]
+    }
+
+    /// The root and its level, unless the tree is empty.
+    pub(crate) fn root(&self) -> Option<(usize, &Node)> {
+        Some((self.levels.len().checked_sub(1)?, self.levels.last()?.first()?))
     }
 
     /// One past the largest id stored.  The delta overlay of [`crate::world::WorldView`]
@@ -361,61 +317,30 @@ impl RTree {
     }
 }
 
-// ---------------------------------------------------------------------------------------------
-// STR bulk loading.
-// ---------------------------------------------------------------------------------------------
-
-fn str_pack_leaves(mut entries: Vec<PoiEntry>, cap: usize) -> Vec<Node> {
-    let n = entries.len();
-    let leaf_count = n.div_ceil(cap);
-    let slices = (leaf_count as f64).sqrt().ceil() as usize;
-    entries.sort_by(|a, b| a.location.x.total_cmp(&b.location.x));
-    let per_slice = n.div_ceil(slices.max(1));
-
-    let mut leaves = Vec::with_capacity(leaf_count);
-    for slice in entries.chunks(per_slice.max(1)) {
-        let mut slice: Vec<PoiEntry> = slice.to_vec();
-        slice.sort_by(|a, b| a.location.y.total_cmp(&b.location.y));
-        for chunk in slice.chunks(cap) {
-            let mut leaf = Node::Leaf { mbr: Rect::EMPTY, entries: chunk.to_vec() };
-            leaf.recompute_mbr();
-            leaves.push(leaf);
+/// One STR pass: sorts `items` (stably) by the `x` of their `at` point, cuts them into
+/// `⌈√groups⌉` slices, sorts each slice by `y` and cuts it into groups of `cap`; returns one
+/// node per group, over its range of the reordered `items`.
+fn str_pack<T>(
+    items: &mut [T],
+    cap: usize,
+    at: impl Fn(&T) -> Point,
+    mbr: impl Fn(&T) -> Rect,
+) -> Vec<Node> {
+    let n = items.len();
+    let groups = n.div_ceil(cap);
+    let slices = (groups as f64).sqrt().ceil() as usize;
+    items.sort_by(|a, b| at(a).x.total_cmp(&at(b).x));
+    let per_slice = n.div_ceil(slices.max(1)).max(1);
+    let mut nodes = Vec::with_capacity(groups);
+    for (s, slice) in items.chunks_mut(per_slice).enumerate() {
+        slice.sort_by(|a, b| at(a).y.total_cmp(&at(b).y));
+        for (g, group) in slice.chunks(cap).enumerate() {
+            let start = s * per_slice + g * cap;
+            let mbr = group.iter().fold(Rect::EMPTY, |r, item| r.union(mbr(item)));
+            nodes.push(Node { mbr, start, end: start + group.len() });
         }
     }
-    leaves
-}
-
-fn build_upper_levels(mut level: Vec<Node>, cap: usize) -> Node {
-    while level.len() > 1 {
-        // Pack the current level with the same STR strategy applied to node centres.
-        let n = level.len();
-        let group_count = n.div_ceil(cap);
-        let slices = (group_count as f64).sqrt().ceil() as usize;
-        level.sort_by(|a, b| a.mbr().center().x.total_cmp(&b.mbr().center().x));
-        let per_slice = n.div_ceil(slices.max(1));
-
-        let mut next = Vec::with_capacity(group_count);
-        let mut buf: Vec<Node> = Vec::new();
-        std::mem::swap(&mut buf, &mut level);
-        let mut chunks: Vec<Vec<Node>> = Vec::new();
-        let mut iter = buf.into_iter().peekable();
-        while iter.peek().is_some() {
-            let slice: Vec<Node> = iter.by_ref().take(per_slice.max(1)).collect();
-            chunks.push(slice);
-        }
-        for mut slice in chunks {
-            slice.sort_by(|a, b| a.mbr().center().y.total_cmp(&b.mbr().center().y));
-            let mut iter = slice.into_iter().peekable();
-            while iter.peek().is_some() {
-                let children: Vec<Node> = iter.by_ref().take(cap).collect();
-                let mut node = Node::Internal { mbr: Rect::EMPTY, children };
-                node.recompute_mbr();
-                next.push(node);
-            }
-        }
-        level = next;
-    }
-    level.pop().expect("non-empty level")
+    nodes
 }
 
 #[cfg(test)]
@@ -513,19 +438,13 @@ mod tests {
 
     #[test]
     fn node_capacity_is_respected() {
-        fn check(node: &Node, cap: usize) {
-            match node {
-                Node::Leaf { entries, .. } => assert!((1..=cap).contains(&entries.len())),
-                Node::Internal { children, .. } => {
-                    assert!((1..=cap).contains(&children.len()));
-                    children.iter().for_each(|c| check(c, cap));
-                }
-            }
-        }
         for (n, cap) in [(200, 6), (97, 4), (1000, 32), (33, 32)] {
             let entries = grid_points(n).into_iter().enumerate().map(|(i, p)| PoiEntry::new(i, p));
             let t = RTree::bulk_load_entries(entries.collect(), RTreeConfig::new(cap));
-            check(t.root().unwrap(), cap);
+            for level in &t.levels {
+                assert!(level.iter().all(|node| (1..=cap).contains(&node.children().len())));
+            }
+            assert_eq!(t.levels.last().unwrap().len(), 1, "one root");
             assert!(t.node_count() >= n.div_ceil(cap));
         }
         assert_eq!(RTreeConfig::new(1).max_entries, 4, "a degenerate fan-out is clamped");
@@ -534,23 +453,17 @@ mod tests {
     #[test]
     fn mbrs_cover_their_subtrees() {
         let t = RTree::bulk_load(&grid_points(777));
-        fn check(node: &Node) {
-            let mbr = node.mbr();
-            match node {
-                Node::Leaf { entries, .. } => {
-                    for e in entries {
-                        assert!(mbr.contains(e.location));
-                    }
-                }
-                Node::Internal { children, .. } => {
-                    for c in children {
-                        assert!(mbr.contains_rect(&c.mbr()));
-                        check(c);
-                    }
+        for (level, nodes) in t.levels.iter().enumerate() {
+            for node in nodes {
+                if level == 0 {
+                    let entries = &t.entries[node.children()];
+                    assert!(entries.iter().all(|e| node.mbr.contains(e.location)));
+                } else {
+                    let children = &t.levels[level - 1][node.children()];
+                    assert!(children.iter().all(|c| node.mbr.contains_rect(&c.mbr)));
                 }
             }
         }
-        check(t.root().unwrap());
     }
 
     #[test]
@@ -602,8 +515,19 @@ mod tests {
 
     #[test]
     fn subtree_entry_count_matches_len() {
+        // Each level's child ranges cover the level below (the entries, below the leaves)
+        // exactly once, so the root's subtree holds every entry.
         let t = RTree::bulk_load(&grid_points(321));
-        assert_eq!(t.root().unwrap().len(), t.len());
+        let mut below = t.len();
+        for level in &t.levels {
+            let mut ranges: Vec<_> = level.iter().map(Node::children).collect();
+            ranges.sort_by_key(|r| r.start);
+            assert_eq!(ranges[0].start, 0);
+            assert!(ranges.windows(2).all(|w| w[0].end == w[1].start));
+            assert_eq!(ranges.last().unwrap().end, below);
+            below = level.len();
+        }
+        assert_eq!(below, 1);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! An index query needs a `Vec<u64>` of exact key bits to probe the
 //! [`QueryCache`](crate::QueryCache) and a vector to stage its neighbours in.  [`QueryScratch`]
 //! hoists those buffers out of the call: they live in a thread-keyed arena and are reused by
-//! every query the thread runs, so a warm-cache query performs **zero heap allocations** end
-//! to end and an uncached one allocates only its traversal frontier (see
+//! every query the thread runs, so a warm-cache query — and, once the thread is warm, a
+//! query with no cache at all — performs **zero heap allocations** end to end (see
 //! [`IndexView::top2`](crate::IndexView::top2) and the `*_into` query variants).
 //!
 //! # Why the scratch is per *worker*
@@ -17,18 +17,17 @@
 //!
 //! # What stays on the call stack
 //!
-//! The candidate walks ([`RTree::candidates_within_user_radii_into`]
-//! (crate::RTree::candidates_within_user_radii_into) and the sum-radius variant) need a
-//! visit stack; it is the program stack — the walk recurses, bounded by the R-tree height
-//! (a handful of levels even at millions of POIs) — so no heap stack is allocated at all.
-//! The GNN frontier ([`GnnSearch::top_k_into`](crate::GnnSearch::top_k_into)) is the one
-//! heap allocation a traversal makes: its items borrow tree nodes, so it cannot outlive the
-//! call and live here.  A traversal is not the rare case: a server without a
+//! The candidate walks
+//! ([`RTree::candidates_within_user_radii_into`](crate::RTree::candidates_within_user_radii_into)
+//! and the sum-radius variant) need a visit stack; it is the program stack — the walk
+//! recurses, bounded by the R-tree height (a handful of levels even at millions of POIs).
+//! The GNN frontier ([`GnnSearch::top_k_into`](crate::GnnSearch::top_k_into)) is a heap of
+//! `(level, index)` node names that borrows no tree, so it is per-thread too, kept beside
+//! this scratch in `gnn.rs`: [`IndexView::top2`](crate::IndexView::top2) holds the scratch
+//! while its search runs, and a frontier inside it would be the fresh empty one a nested
+//! [`with_scratch`] sees.  A traversal is not the rare case: a server without a
 //! [`QueryCache`](crate::QueryCache) — the one the repository benchmark runs — traverses on
-//! every recomputation, and a server with one still does for every group that shares no
-//! query location with another (`index.cache_hit_share` is 0 on all four benchmark
-//! workloads).  The frontier holds nodes only and starts at a capacity a top-2 query all
-//! but never outgrows, so the cost is one allocation per query (`tests/alloc_gates.rs`,
+//! every recomputation, and pays no allocation for it (`tests/alloc_gates.rs`,
 //! `uncached_circle_recompute`).
 
 use std::cell::Cell;

@@ -182,8 +182,11 @@ impl WorldView {
     }
 
     /// Unconditionally rebuilds the base from the merged entry set and clears the overlay.
+    /// The entries are bulk loaded in id order, so the new base is the tree a fresh bulk load
+    /// of the same POI set builds, whatever the overlay's history.
     pub fn compact(&mut self) {
-        let entries: Vec<PoiEntry> = self.view().iter().collect();
+        let mut entries: Vec<PoiEntry> = self.view().iter().collect();
+        entries.sort_unstable_by_key(|e| e.id);
         let config = self.base.config();
         self.base = Arc::new(RTree::bulk_load_entries(entries, config));
         self.overlay = Overlay::default();

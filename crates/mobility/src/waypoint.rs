@@ -7,7 +7,7 @@
 //! * [`taxi_trajectory`] — a hotspot-biased waypoint model standing in for the GeoLife taxi
 //!   data set: destinations are drawn from a small set of urban hotspots, speeds vary per leg
 //!   (traffic), and consecutive legs prefer bounded heading changes, which is the property the
-//!   directed tile ordering exploits (Section 5.2, reference [26]).
+//!   directed tile ordering exploits (Section 5.2, reference \[26\]).
 
 use mpn_geom::{angle_diff, Point};
 use rand::rngs::StdRng;

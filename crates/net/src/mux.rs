@@ -5,7 +5,7 @@
 //! [`Token`], and the shared core.  One [`poll_once`](MuxServer::poll_once) iteration:
 //!
 //! 1. waits for readiness (accepts, reads, writes) under the caller's timeout;
-//! 2. drains every readable socket through its incremental [`FrameReader`] state machine,
+//! 2. drains every readable socket through its incremental [`FrameReader`](mpn_proto::FrameReader) state machine,
 //!    enqueueing whole decoded requests into the core tagged with the connection's
 //!    [`ClientId`] — partial frames simply park in the per-connection reader;
 //! 3. if the core has work (queued requests, or inbox epochs from an earlier burst), runs

@@ -150,11 +150,12 @@
 //!   sends nothing allocates nothing.
 //! * **Per-worker query scratch arenas** — the index layer stages probe keys and GNN
 //!   candidate staging in thread-local [`mpn_index::QueryScratch`] buffers
-//!   ([`mpn_index::with_scratch`]), so a steady-state warm-cache tick performs *zero*
-//!   per-query heap allocations.  Pool workers persist across ticks, so each worker's
-//!   arenas warm once and are reused for the engine's lifetime; one-worker engines
-//!   additionally tick through an allocation-free inline path (asserted by the counting
-//!   allocator of the tier-1 test `tests/alloc_gates.rs`).
+//!   ([`mpn_index::with_scratch`]) and keeps the GNN frontier per thread beside them, so a
+//!   warm-cache query, and one with no cache at all, performs *zero* heap allocations.
+//!   Pool workers persist across ticks, so each worker's arenas warm once and are reused
+//!   for the engine's lifetime; one-worker engines additionally tick through an
+//!   allocation-free inline path (asserted by the counting allocator of the tier-1 test
+//!   `tests/alloc_gates.rs`).
 //!
 //! # Engine-wide snapshots
 //!

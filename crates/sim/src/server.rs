@@ -17,7 +17,7 @@
 //!
 //! Per request:
 //!
-//! * [`Request::Register`] → a streaming [`GroupSession`](crate::GroupSession) with its
+//! * [`Request::Register`] → a streaming [`GroupSession`] with its
 //!   events enabled, under the most recently freed group id (else the next unused one);
 //!   answered with a `Registered` notification carrying that id;
 //! * [`Request::Report`] → an [`EpochUpdate`] appended to the group's positions (invalid

@@ -9,7 +9,7 @@
 //!   list and the region vector): the query path itself — probe build, cache lookup, GNN
 //!   staging — is allocation-free;
 //! * without a cache — the server the repository benchmark runs — the same recomputation
-//!   adds exactly one allocation, the frontier heap of its R-tree traversal;
+//!   allocates no more: its R-tree traversal's frontier heap is per-thread scratch too;
 //! * warm GT-Verify allocates nothing on its pass and its fail path, and a whole warm
 //!   Tile-D-b recompute allocates in proportion to its *output*, not to the thousands of
 //!   (tile, candidate) pairs it verifies;
@@ -219,18 +219,19 @@ fn warm_recompute_tick() {
 }
 
 /// The configuration the repository benchmark serves: no cache, so every recomputation
-/// traverses the tree.  The traversal's only allocation is its frontier heap, which borrows
-/// tree nodes and therefore cannot live in the per-worker scratch: one allocation at its
-/// initial capacity, which a top-2 query all but never outgrows.  Measured 3.00 per recomputation
-/// (the warm path's 2.00 plus the frontier) against a bound of 3 + 1; the best-first
-/// traversal this replaced regrew its heap of nodes and points to 8.50.
+/// traverses the tree.  The traversal's frontier heap names nodes by `(level, index)` and
+/// borrows no tree, so it is per-thread scratch and warm after the first query.  Measured
+/// 2.00 per recomputation, the warm-cache path's answer bookkeeping, against a bound of 2.5;
+/// it was 3.00 while the frontier borrowed tree nodes and was allocated per query, and 8.50
+/// under the best-first traversal that regrew its heap of nodes and points.
 #[test]
 fn uncached_circle_recompute() {
     let per_recompute = allocations_per_oscillating_recompute(None);
+    println!("uncached circle recompute: {per_recompute:.2} allocations");
     assert!(
-        per_recompute <= 4.0,
-        "an uncached circle recomputation must stay within its answer bookkeeping plus one \
-         frontier allocation, got {per_recompute:.2} allocations"
+        per_recompute <= 2.5,
+        "an uncached circle recomputation must stay within its answer bookkeeping, got \
+         {per_recompute:.2} allocations"
     );
 }
 
@@ -435,24 +436,33 @@ fn circle_group_bytes() {
 }
 
 /// The boxed §5.4 slot and the lazily created predictors must not cost the paper's main
-/// method anything: one Tile-D-b/MAX session with a built buffer, struct plus heap.
+/// method anything: one Tile-D-b/MAX session with a built buffer, struct plus heap.  The
+/// thread is warmed with a throwaway session first, so the per-thread scratch it grows (the
+/// tile verifier, the candidate pool, the query scratch and the GNN frontier) is not charged
+/// to the session measured.
 #[test]
 fn buffered_tile_session_bytes() {
-    /// The same measurement on the commit before sessions went lean.
-    const PARENT: usize = 23_768;
+    /// The same measurement on a warmed thread, taken on the commit before the R-tree
+    /// became one array per level.
+    const PARENT: usize = 6_656;
     let tree = poi_tree(8_000);
     let config = MonitorConfig::new(
         Objective::Max,
         Method::tile_directed_buffered(std::f64::consts::FRAC_PI_4, 100),
     )
     .with_persistent_buffers(true);
+    let session = || {
+        let mut session = GroupSession::streaming(3, config);
+        session.submit(users(3));
+        assert_eq!(session.advance(&tree), StepOutcome::Registered);
+        session
+    };
+    drop(session());
     let start = live();
-    let mut session = GroupSession::streaming(3, config);
-    session.submit(users(3));
-    assert_eq!(session.advance(&tree), StepOutcome::Registered);
+    let session = session();
     let (heap, blocks) = live_since(start);
     assert!(session.session_state().has_cached_buffer(), "the session must hold a built buffer");
     let total = size_of::<GroupSession>() + heap;
-    println!("Tile-D-b/MAX session with a built buffer: {total} bytes ({blocks} heap blocks)");
-    assert!(total <= PARENT + 16, "a buffered tile session costs {total} bytes, was {PARENT}");
+    println!("Tile-D-b/MAX session with a built buffer on a warm thread: {total} bytes ({blocks} heap blocks)");
+    assert!(total <= PARENT + 64, "a buffered tile session costs {total} bytes, was {PARENT}");
 }
