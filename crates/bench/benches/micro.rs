@@ -32,9 +32,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mpn_core::{
-    circle_msr, decode_cells, encode_cells, tile_msr, ComputeStats, EngineContext, Method,
-    MpnServer, Objective, SessionState, TileCell, TileFrame, TileMsrConfig, TileRegion,
-    TileVerifier, DEFAULT_RADIUS_CAP,
+    circle_msr, decode_cells, encode_cells, tile_msr, ComputeStats, Method, Objective,
+    SessionState, TileCell, TileFrame, TileMsrConfig, TileRegion, TileVerifier,
 };
 use mpn_geom::{min_focal_diff_over_square, Point, Square};
 use mpn_index::{Aggregate, GnnSearch, QueryCache, RTree};
@@ -164,7 +163,7 @@ fn main() {
 
     println!("# mpn micro-benchmarks (budget {budget:?}/bench)\n");
 
-    // Safe-region computation per engine.
+    // Safe-region computation per method.
     {
         let tree = poi_tree(8_000);
         let group = users(3);
@@ -178,36 +177,37 @@ fn main() {
             ),
         ];
         for (name, method) in methods {
-            let server = MpnServer::new(&tree, Objective::Max, method);
             b(name, &mut || {
-                black_box(server.compute(black_box(&group)));
+                black_box(method.answer(&tree, Objective::Max, black_box(&group), None));
             });
         }
         for (name, method) in
             [("safe_region/sum_tile", Method::tile()), ("safe_region/sum_circle", Method::circle())]
         {
-            let server = MpnServer::new(&tree, Objective::Sum, method);
             b(name, &mut || {
-                black_box(server.compute(black_box(&group)));
+                black_box(method.answer(&tree, Objective::Sum, black_box(&group), None));
             });
         }
     }
 
-    // Stateful session vs stateless recomputation for the buffered engine.
+    // Stateful session vs stateless recomputation for the buffered method.
     {
         let tree = poi_tree(8_000);
         let group = users(3);
         let method = Method::tile_directed_buffered(std::f64::consts::FRAC_PI_4, 100);
-        let engine = method.engine();
-        let ctx = EngineContext::new(&tree, Objective::Max);
         b("session/tile_d_b_stateless", &mut || {
-            black_box(engine.compute_stateless(ctx, black_box(&group), None));
+            black_box(method.answer(&tree, Objective::Max, black_box(&group), None));
         });
         let mut session = SessionState::new(group.len(), 0.3).with_persistent_buffers(true);
         session.observe(&group);
-        black_box(engine.compute(ctx, &group, &mut session)); // prime the buffer
+        black_box(method.answer_session(&tree, Objective::Max, &group, &mut session)); // prime
         b("session/tile_d_b_persistent", &mut || {
-            black_box(engine.compute(ctx, black_box(&group), &mut session));
+            black_box(method.answer_session(
+                &tree,
+                Objective::Max,
+                black_box(&group),
+                &mut session,
+            ));
         });
     }
 
@@ -375,7 +375,7 @@ fn main() {
         let group = users(3);
         let config = TileMsrConfig { alpha: 10, ..TileMsrConfig::default() };
         b("ablation/gt_verify", &mut || {
-            black_box(tile_msr(&tree, &group, Objective::Max, &config, None));
+            black_box(tile_msr(&tree, &group, Objective::Max, &config, None, &mut None));
         });
         // One iteration verifies 1,000 (tile, candidate) pairs against warm summaries, so
         // the printed microseconds read as nanoseconds per candidate.
@@ -398,7 +398,7 @@ fn main() {
             let config =
                 TileMsrConfig { index_pruning: pruning, alpha: 10, ..TileMsrConfig::default() };
             b(name, &mut || {
-                black_box(tile_msr(&tree, &group, Objective::Max, &config, None));
+                black_box(tile_msr(&tree, &group, Objective::Max, &config, None, &mut None));
             });
         }
     }
@@ -424,7 +424,7 @@ fn main() {
         let group = users(3);
         let config = TileMsrConfig::tile_directed(std::f64::consts::FRAC_PI_4);
         b("tile/sum_recompute_unbuffered", &mut || {
-            black_box(tile_msr(&tree, black_box(&group), Objective::Sum, &config, None));
+            black_box(tile_msr(&tree, black_box(&group), Objective::Sum, &config, None, &mut None));
         });
     }
 
@@ -476,7 +476,7 @@ fn main() {
         let tree = poi_tree(21_287);
         let group = users(5);
         b("circle_msr/21k_pois", &mut || {
-            black_box(circle_msr(&tree, &group, Objective::Max, DEFAULT_RADIUS_CAP));
+            black_box(circle_msr(&tree, &group, Objective::Max));
         });
     }
 
@@ -485,7 +485,8 @@ fn main() {
     {
         let tree = poi_tree(8_000);
         let group = users(3);
-        let out = tile_msr(&tree, &group, Objective::Max, &TileMsrConfig::default(), None);
+        let out =
+            tile_msr(&tree, &group, Objective::Max, &TileMsrConfig::default(), None, &mut None);
         let region =
             out.regions.iter().max_by_key(|r| r.len()).expect("at least one region").clone();
         let mut stream = Vec::new();

@@ -5,9 +5,7 @@
 use mpn_bench::params::Scale;
 use mpn_bench::{build_poi_tree, build_workload, TrajectoryKind};
 use mpn_core::region::{TileFrame, TileRegion};
-use mpn_core::{
-    circle_msr, tile_msr, ComputeStats, Objective, TileMsrConfig, TileVerifier, DEFAULT_RADIUS_CAP,
-};
+use mpn_core::{circle_msr, tile_msr, ComputeStats, Objective, TileMsrConfig, TileVerifier};
 use mpn_geom::max_dist_to_set;
 
 fn main() {
@@ -16,7 +14,7 @@ fn main() {
     let workload = build_workload(TrajectoryKind::Geolife, scale, 3, 1.0, 100);
     let users = workload.locations_at(0, 50);
 
-    let circle = circle_msr(&tree, &users, Objective::Max, DEFAULT_RADIUS_CAP);
+    let circle = circle_msr(&tree, &users, Objective::Max);
     println!("POIs: {}   users: {:?}", tree.len(), users);
     println!("circle radius r_max = {:.2}", circle.radius);
 
@@ -25,7 +23,7 @@ fn main() {
         ("Tile-D", TileMsrConfig::tile_directed(std::f64::consts::FRAC_PI_4)),
         ("Tile-D-b", TileMsrConfig::tile_directed_buffered(std::f64::consts::FRAC_PI_4, 100)),
     ] {
-        let out = tile_msr(&tree, &users, Objective::Max, &config, None);
+        let out = tile_msr(&tree, &users, Objective::Max, &config, None, &mut None);
         println!("\n== {label} ==");
         println!(
             "  tiles accepted {}  rejected {}  verify calls {}  candidate checks {}  rtree queries {}",
@@ -52,7 +50,7 @@ fn main() {
     println!("\n== per-round growth trace (Tile) ==");
     for alpha in [1, 2, 3, 5, 10, 30] {
         let config = TileMsrConfig { alpha, ..TileMsrConfig::tile() };
-        let out = tile_msr(&tree, &users, Objective::Max, &config, None);
+        let out = tile_msr(&tree, &users, Objective::Max, &config, None, &mut None);
         let sizes: Vec<usize> = out.regions.iter().map(TileRegion::len).collect();
         println!("  alpha = {alpha:>2}: tiles per user = {sizes:?}");
     }

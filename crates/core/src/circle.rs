@@ -4,25 +4,22 @@
 //! The maximal radius keeping the group valid is derived from the best and second-best
 //! meeting points: Theorem 1 for the MAX objective, Theorem 5 for the SUM objective.
 
-use mpn_geom::{Circle, Point};
-use mpn_index::{Aggregate, GnnNeighbor, IndexView, QueryStats};
+use mpn_geom::Point;
+use mpn_index::{GnnNeighbor, IndexView, QueryStats};
 
-use crate::region::SafeRegion;
-use crate::server::Answer;
-use crate::{ComputeStats, Objective};
+use crate::Objective;
 
-/// Result of Circle-MSR: the optimum, the runner-up and the common radius.
+/// Result of Circle-MSR: the optimum, the runner-up and the common radius.  Every user's
+/// safe region is the circle of that radius centred at her location.
 #[derive(Debug, Clone)]
 pub struct CircleMsr {
     /// The optimal meeting point `pᵒ` (top-1 GNN).
     pub optimal: GnnNeighbor,
     /// The second-best meeting point, used to derive the radius; `None` when the data set has
-    /// a single POI (the radius is then only limited by `radius_cap`).
+    /// a single POI (the radius is then [`RADIUS_CAP`]).
     pub runner_up: Option<GnnNeighbor>,
-    /// The maximal common radius `r_max`.
+    /// The maximal common radius `r_max`, at most [`RADIUS_CAP`].
     pub radius: f64,
-    /// One circular safe region per user, centred at the user's location.
-    pub regions: Vec<Circle>,
     /// R-tree traversal statistics of the underlying GNN query.
     pub stats: QueryStats,
 }
@@ -30,7 +27,7 @@ pub struct CircleMsr {
 /// Upper bound applied to the circle radius when the POI set cannot bound it
 /// (single-POI data sets).  Chosen to comfortably exceed any workload domain used in the
 /// experiments while staying far from floating-point overflow.
-pub const DEFAULT_RADIUS_CAP: f64 = 1.0e9;
+pub const RADIUS_CAP: f64 = 1.0e9;
 
 /// Maximal common radius for circular safe regions.
 ///
@@ -50,7 +47,8 @@ pub fn maximal_circle_radius(
     }
 }
 
-/// Runs Circle-MSR (Algorithm 1) over the POI view for the given user group.
+/// Runs Circle-MSR (Algorithm 1) over the POI view for the given user group: the top-2 GNN
+/// plus the Theorem 1 / Theorem 5 radius.
 ///
 /// Accepts anything convertible to an [`IndexView`]: a plain `&RTree` or a mutable-world
 /// view carrying a delta overlay.
@@ -63,70 +61,25 @@ pub fn circle_msr<'a>(
     tree: impl Into<IndexView<'a>>,
     users: &[Point],
     objective: Objective,
-    radius_cap: f64,
 ) -> CircleMsr {
     let view = tree.into();
-    let (optimal, runner_up, radius, stats) = circle_top2(view, users, objective, radius_cap);
-    let regions = users.iter().map(|u| Circle::new(*u, radius)).collect();
-    CircleMsr { optimal, runner_up, radius, regions, stats }
-}
-
-/// Runs Circle-MSR and builds the server [`Answer`] directly — the monitoring hot path.
-///
-/// Same computation (and bit-identical stats) as [`circle_msr`] followed by the
-/// `Answer` conversion, but the per-user regions are collected **once**, straight into the
-/// `Vec<SafeRegion>` the answer owns, instead of a `Vec<Circle>` that is then mapped into a
-/// second vector.  Together with [`IndexView::top2`] this makes a warm-cache circle update
-/// allocate only the answer's single region vector.
-///
-/// # Panics
-/// Panics when the view is empty or the user group is empty.
-#[must_use]
-pub fn circle_msr_answer<'a>(
-    tree: impl Into<IndexView<'a>>,
-    users: &[Point],
-    objective: Objective,
-    radius_cap: f64,
-) -> Answer {
-    let view = tree.into();
-    let (optimal, _, radius, gnn) = circle_top2(view, users, objective, radius_cap);
-    let mut stats = ComputeStats::default();
-    stats.gnn.absorb(gnn);
-    stats.rtree_queries = 1;
-    Answer {
-        optimal_index: optimal.entry.id,
-        optimal_point: optimal.entry.location,
-        optimal_dist: optimal.dist,
-        regions: users.iter().map(|u| SafeRegion::Circle(Circle::new(*u, radius))).collect(),
-        stats,
-    }
-}
-
-/// The shared core of Algorithm 1: top-2 GNN plus the Theorem 1 / Theorem 5 radius.
-fn circle_top2(
-    view: IndexView<'_>,
-    users: &[Point],
-    objective: Objective,
-    radius_cap: f64,
-) -> (GnnNeighbor, Option<GnnNeighbor>, f64, QueryStats) {
     assert!(!view.is_empty(), "Circle-MSR requires a non-empty POI set");
     assert!(!users.is_empty(), "Circle-MSR requires at least one user");
 
-    let aggregate: Aggregate = objective.aggregate();
-    let (best, runner_up, stats) = view.top2(users, aggregate);
+    let (best, runner_up, stats) = view.top2(users, objective.aggregate());
     let optimal = best.expect("a non-empty view yields a top-1 GNN");
     let radius = runner_up
-        .map_or(radius_cap, |second| {
+        .map_or(RADIUS_CAP, |second| {
             maximal_circle_radius(objective, optimal.dist, second.dist, users.len())
         })
-        .min(radius_cap);
-    (optimal, runner_up, radius, stats)
+        .min(RADIUS_CAP);
+    CircleMsr { optimal, runner_up, radius, stats }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpn_geom::{max_dist_to_set, sum_dist_to_set, DistanceBounds};
+    use mpn_geom::{max_dist_to_set, sum_dist_to_set, Circle, DistanceBounds};
     use mpn_index::RTree;
 
     fn small_world() -> (RTree, Vec<Point>) {
@@ -152,21 +105,23 @@ mod tests {
     #[test]
     fn circle_msr_picks_the_max_gnn_and_centres_circles_on_users() {
         let (tree, users) = small_world();
-        let out = circle_msr(&tree, &users, Objective::Max, DEFAULT_RADIUS_CAP);
+        let out = circle_msr(&tree, &users, Objective::Max);
         assert_eq!(out.optimal.entry.id, 0, "(2,2) minimises the max distance");
-        assert_eq!(out.regions.len(), users.len());
-        for (circle, user) in out.regions.iter().zip(&users) {
+        assert!(out.radius > 0.0);
+        let answer = crate::Method::Circle.answer(&tree, Objective::Max, &users, None);
+        assert_eq!(answer.regions.len(), users.len());
+        for (region, user) in answer.regions.iter().zip(&users) {
+            let crate::SafeRegion::Circle(circle) = region else { panic!("not a circle") };
             assert_eq!(circle.center, *user);
             assert!((circle.radius - out.radius).abs() < 1e-12);
         }
-        assert!(out.radius > 0.0);
     }
 
     #[test]
     fn circle_msr_radius_matches_manual_computation() {
         let (tree, users) = small_world();
         for objective in [Objective::Max, Objective::Sum] {
-            let out = circle_msr(&tree, &users, objective, DEFAULT_RADIUS_CAP);
+            let out = circle_msr(&tree, &users, objective);
             let agg = |p: Point| match objective {
                 Objective::Max => max_dist_to_set(p, &users),
                 Objective::Sum => sum_dist_to_set(p, &users),
@@ -183,7 +138,7 @@ mod tests {
         // Sample locations inside the circles and confirm the optimum never changes.
         let (tree, users) = small_world();
         for objective in [Objective::Max, Objective::Sum] {
-            let out = circle_msr(&tree, &users, objective, DEFAULT_RADIUS_CAP);
+            let out = circle_msr(&tree, &users, objective);
             let pois: Vec<Point> = tree.iter().map(|e| e.location).collect();
             // Deterministic sampling on a small grid of offsets inside each circle.
             let offsets = [-0.99, -0.5, 0.0, 0.5, 0.99];
@@ -192,16 +147,12 @@ mod tests {
                     if ox * ox + oy * oy > 1.0 {
                         continue;
                     }
-                    let moved: Vec<Point> = out
-                        .regions
+                    let moved: Vec<Point> = users
                         .iter()
-                        .map(|c| Point::new(c.center.x + ox * c.radius, c.center.y + oy * c.radius))
+                        .map(|u| Point::new(u.x + ox * out.radius, u.y + oy * out.radius))
                         .collect();
-                    for c in &out.regions {
-                        assert!(c.contains(Point::new(
-                            c.center.x + ox * c.radius,
-                            c.center.y + oy * c.radius
-                        )));
+                    for (user, l) in users.iter().zip(&moved) {
+                        assert!(Circle::new(*user, out.radius).contains(*l));
                     }
                     let agg = |p: Point| objective.aggregate().point_dist(p, &moved);
                     let best = pois.iter().map(|p| agg(*p)).fold(f64::INFINITY, f64::min);
@@ -219,15 +170,15 @@ mod tests {
     fn single_poi_uses_the_radius_cap() {
         let tree = RTree::bulk_load(&[Point::new(0.0, 0.0)]);
         let users = vec![Point::new(1.0, 1.0)];
-        let out = circle_msr(&tree, &users, Objective::Max, 123.0);
+        let out = circle_msr(&tree, &users, Objective::Max);
         assert!(out.runner_up.is_none());
-        assert_eq!(out.radius, 123.0);
+        assert_eq!(out.radius, RADIUS_CAP);
     }
 
     #[test]
     #[should_panic(expected = "non-empty POI set")]
     fn empty_tree_panics() {
         let tree = RTree::bulk_load(&[]);
-        let _ = circle_msr(&tree, &[Point::ORIGIN], Objective::Max, 1.0);
+        let _ = circle_msr(&tree, &[Point::ORIGIN], Objective::Max);
     }
 }

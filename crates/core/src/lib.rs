@@ -19,25 +19,25 @@
 //! | §5.4 Alg. 5, Thm. 4 | buffering of GNN prefixes | [`buffer`] |
 //! | §6 Alg. 6, Thm. 5–7 | the sum-optimal variant | [`tile_verify`], [`circle`], [`buffer`] |
 //! | §7.1 packet model | the lossless tile-region stream that is sent | [`compress`] |
+//! | Fig. 3 step 3 | the one computation: meeting point plus one region per user | [`method`] |
 //!
-//! # Architecture: one method description, sessions
+//! # Architecture: one method, one computation, sessions
 //!
-//! [`Method`] is the one description of a safe-region configuration (Circle, or a Tile-MSR
-//! configuration) and the one implementor of the [`SafeRegionEngine`] trait ([`engine`]),
-//! the seam [`MpnServer`], the monitoring layer in `mpn-sim` and the benchmark compute
-//! through; [`Method::engine`] boxes it for callers that hold a trait object.
+//! [`Method`] ([`method`]) is the one description of a safe-region configuration (Circle, or
+//! a Tile-MSR configuration) and the one way to compute with it.  [`Method::answer`]
+//! answers a one-shot query; [`Method::answer_session`] answers a monitored group's update.
+//! The monitoring layer in `mpn-sim` calls the latter.
 //!
 //! The paper's server is stateful: between updates for the same group it keeps the per-user
 //! heading predictors, the §5.4 GNN buffer and the last answer.  [`SessionState`]
-//! ([`session`]) carries exactly that state through
-//! [`SafeRegionEngine::compute`] /
-//! [`MpnServer::compute_session`], so with persistent buffers enabled a `Tile-D-b` update
-//! typically issues **one** R-tree query (the Circle-MSR seed) instead of two.
+//! ([`session`]) carries exactly that state through [`Method::answer_session`], so with
+//! persistent buffers enabled a `Tile-D-b` update typically issues **one** R-tree query (the
+//! Circle-MSR seed) instead of two.
 //!
-//! The entry point for one-shot queries is [`MpnServer`]:
+//! A one-shot query:
 //!
 //! ```
-//! use mpn_core::{Method, MpnServer, Objective};
+//! use mpn_core::{Method, Objective};
 //! use mpn_geom::Point;
 //! use mpn_index::RTree;
 //!
@@ -45,8 +45,7 @@
 //! let tree = RTree::bulk_load(&pois);
 //! let users = vec![Point::new(1.0, 1.0), Point::new(3.0, 0.0)];
 //!
-//! let server = MpnServer::new(&tree, Objective::Max, Method::tile());
-//! let answer = server.compute(&users);
+//! let answer = Method::tile().answer(&tree, Objective::Max, &users, None);
 //! assert!(answer.all_inside(&users));
 //! ```
 
@@ -55,27 +54,25 @@
 pub mod buffer;
 pub mod circle;
 pub mod compress;
-pub mod engine;
+pub mod method;
 pub mod ordering;
 pub mod region;
-pub mod server;
 pub mod session;
 pub mod tile;
 pub mod tile_verify;
 pub mod verify;
 
 pub use buffer::BufferSet;
-pub use circle::{circle_msr, CircleMsr, DEFAULT_RADIUS_CAP};
+pub use circle::{circle_msr, CircleMsr, RADIUS_CAP};
 pub use compress::{
     decode_cells, encode_cells, packets_for_values, region_value_count, MAX_TILE_LEVEL,
     VALUES_PER_PACKET,
 };
-pub use engine::{EngineContext, SafeRegionEngine};
+pub use method::{Answer, EngineContext, Method, SafeRegionEngine};
 pub use ordering::TileOrdering;
 pub use region::{SafeRegion, TileCell, TileFrame, TileRegion};
-pub use server::{Answer, Method, MpnServer};
 pub use session::SessionState;
-pub use tile::{tile_msr, tile_msr_cached, BufferCache, TileMsr, TileMsrConfig};
+pub use tile::{tile_msr, BufferCache, TileMsr, TileMsrConfig};
 pub use tile_verify::TileVerifier;
 
 use mpn_index::{Aggregate, QueryStats};

@@ -1,16 +1,16 @@
-//! Per-group session state threaded through the safe-region engines.
+//! Per-group session state threaded through the safe-region computation.
 //!
 //! The monitoring server of the paper is *stateful*: between two safe-region computations for
 //! the same group it keeps the per-user heading predictors feeding the directed tile ordering
 //! (Section 5.2), the §5.4 GNN buffer so its prefix ladder can be reused instead of rebuilt,
 //! and the last [`Answer`] against which violations are detected.  [`SessionState`] bundles
-//! exactly that state; a [`SafeRegionEngine`](crate::engine::SafeRegionEngine) receives it
-//! mutably on every [`compute`](crate::engine::SafeRegionEngine::compute) so the state
-//! survives across updates instead of being rebuilt from scratch.
+//! exactly that state; [`Method::answer_session`](crate::Method::answer_session) receives it
+//! mutably on every update so the state survives across updates instead of being rebuilt
+//! from scratch.
 
 use mpn_geom::{HeadingPredictor, Point};
 
-use crate::server::Answer;
+use crate::method::Answer;
 use crate::tile::BufferCache;
 use crate::Objective;
 
@@ -58,7 +58,7 @@ impl SessionState {
     ///
     /// Disabled (the default), every tile computation rebuilds its buffer exactly like the
     /// stateless one-shot API, which keeps legacy monitoring runs bit-identical.  Enabled, the
-    /// engine keeps the buffer alive between updates and only rebuilds it when the optimal
+    /// session keeps the buffer alive between updates and only rebuilds it when the optimal
     /// meeting point moves or the group strays too far from the buffer's anchor locations,
     /// trading slightly smaller safe regions for roughly half the R-tree queries per update.
     #[must_use]
@@ -76,8 +76,8 @@ impl SessionState {
     /// Feeds the users' current locations into the heading predictors.
     ///
     /// Call once per timestamp, *before*
-    /// [`SafeRegionEngine::compute`](crate::engine::SafeRegionEngine::compute) so the directed
-    /// ordering sees up-to-date headings.
+    /// [`Method::answer_session`](crate::Method::answer_session) so the directed ordering sees
+    /// up-to-date headings.
     ///
     /// # Panics
     /// Panics when `locations` does not have one entry per user.
@@ -171,9 +171,10 @@ impl SessionState {
     }
 
     /// Stores the answer of a completed computation and returns a reference to it (called by
-    /// the engines).  Taking the answer by value avoids cloning the per-user region vectors
-    /// on every update — the legacy loop kept a single answer by value, and this sits inside
-    /// the section whose duration is reported as the paper's "CPU time per computation".
+    /// [`Method::answer_session`](crate::Method::answer_session)).  Taking the answer by value
+    /// avoids cloning the per-user region vectors on every update — the legacy loop kept a
+    /// single answer by value, and this sits inside the section whose duration is reported as
+    /// the paper's "CPU time per computation".
     /// `generation` stamps which world content the answer is valid for.
     pub(crate) fn record_answer(&mut self, answer: Answer, generation: u64) -> &Answer {
         self.answer_generation = generation;
@@ -182,7 +183,8 @@ impl SessionState {
 
     /// The persistent buffer slot, or `None` when persistence is disabled.
     ///
-    /// Engines pass the inner slot to the cache-aware tile computation.
+    /// [`Method::answer_session`](crate::Method::answer_session) passes the inner slot to the
+    /// tile computation.
     pub(crate) fn buffer_slot_mut(&mut self) -> Option<&mut Option<Box<BufferCache>>> {
         self.persist_buffers.then_some(&mut self.buffer)
     }

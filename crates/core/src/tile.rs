@@ -9,7 +9,7 @@ use mpn_geom::{DistanceBounds, Point};
 use mpn_index::{GnnNeighbor, IndexView, PoiEntry};
 
 use crate::buffer::BufferSet;
-use crate::circle::{circle_msr, DEFAULT_RADIUS_CAP};
+use crate::circle::circle_msr;
 use crate::ordering::{TileOrdering, TileStream};
 use crate::region::{TileCell, TileFrame, TileRegion};
 use crate::tile_verify::TileVerifier;
@@ -29,8 +29,6 @@ pub struct TileMsrConfig {
     pub index_pruning: bool,
     /// Buffering parameter `b` of Section 5.4 (`None` disables buffering).
     pub buffering: Option<usize>,
-    /// Upper bound on the circular radius used to seed the tile size (see Circle-MSR).
-    pub radius_cap: f64,
 }
 
 impl Default for TileMsrConfig {
@@ -43,7 +41,6 @@ impl Default for TileMsrConfig {
             ordering: TileOrdering::Undirected,
             index_pruning: true,
             buffering: None,
-            radius_cap: DEFAULT_RADIUS_CAP,
         }
     }
 }
@@ -163,32 +160,16 @@ pub struct TileMsr {
 /// `headings[i]`, when provided, is user `i`'s predicted travel direction used by the directed
 /// ordering; pass `None` (or `Some(None)` per user) when headings are unknown.
 ///
-/// # Panics
-/// Panics when the tree or the user group is empty.
-#[must_use]
-pub fn tile_msr<'a>(
-    tree: impl Into<IndexView<'a>>,
-    users: &[Point],
-    objective: Objective,
-    config: &TileMsrConfig,
-    headings: Option<&[Option<f64>]>,
-) -> TileMsr {
-    tile_msr_cached(tree, users, objective, config, headings, &mut None)
-}
-
-/// Runs Tile-MSR with an optional persistent buffer cache.
-///
 /// When `config.buffering` is enabled and `cache` holds a [`BufferCache`] that is still valid
 /// for the current locations and optimum, the buffered GNN query of Section 5.4 is skipped and
 /// the cached prefix is verified against instead (its thresholds stay anchored to the
 /// build-time locations, so Theorem 4/7 still hold).  An invalid or absent cache is rebuilt in
-/// place.  Passing `&mut None` (what [`tile_msr`] does) builds a fresh buffer and discards it,
-/// which is bit-identical to the historical stateless behaviour.
+/// place.  Passing `&mut None` builds a fresh buffer and discards it: a one-shot computation.
 ///
 /// # Panics
 /// Panics when the tree or the user group is empty.
 #[must_use]
-pub fn tile_msr_cached<'a>(
+pub fn tile_msr<'a>(
     tree: impl Into<IndexView<'a>>,
     users: &[Point],
     objective: Objective,
@@ -206,7 +187,7 @@ pub fn tile_msr_cached<'a>(
     let mut stats = ComputeStats::default();
 
     // Lines 1-2: seed with Circle-MSR; the initial tile is the maximal square inside the circle.
-    let seed = circle_msr(view, users, objective, config.radius_cap);
+    let seed = circle_msr(view, users, objective);
     stats.gnn.absorb(seed.stats);
     stats.rtree_queries += 1;
     let delta = std::f64::consts::SQRT_2 * seed.radius;
@@ -569,7 +550,8 @@ mod tests {
     #[test]
     fn tile_msr_regions_contain_the_users_and_the_seed_tiles() {
         let (tree, users) = world();
-        let out = tile_msr(&tree, &users, Objective::Max, &TileMsrConfig::default(), None);
+        let out =
+            tile_msr(&tree, &users, Objective::Max, &TileMsrConfig::default(), None, &mut None);
         assert_eq!(out.regions.len(), users.len());
         for (region, user) in out.regions.iter().zip(&users) {
             assert!(!region.is_empty());
@@ -581,7 +563,8 @@ mod tests {
     #[test]
     fn tile_regions_are_at_least_as_large_as_the_inscribed_circle_square() {
         let (tree, users) = world();
-        let out = tile_msr(&tree, &users, Objective::Max, &TileMsrConfig::default(), None);
+        let out =
+            tile_msr(&tree, &users, Objective::Max, &TileMsrConfig::default(), None, &mut None);
         let seed_area = (std::f64::consts::SQRT_2 * out.radius).powi(2);
         for region in &out.regions {
             assert!(region.area() + 1e-9 >= seed_area);
@@ -642,7 +625,7 @@ mod tests {
             TileMsrConfig::tile_directed(std::f64::consts::FRAC_PI_4),
             TileMsrConfig::tile_directed_buffered(std::f64::consts::FRAC_PI_4, 20),
         ] {
-            let out = tile_msr(&tree, &users, Objective::Max, &config, None);
+            let out = tile_msr(&tree, &users, Objective::Max, &config, None, &mut None);
             assert_safe_region_group_valid(&tree, &users, Objective::Max, &out);
         }
     }
@@ -654,7 +637,7 @@ mod tests {
             TileMsrConfig::default(),
             TileMsrConfig::tile_directed_buffered(std::f64::consts::FRAC_PI_4, 20),
         ] {
-            let out = tile_msr(&tree, &users, Objective::Sum, &config, None);
+            let out = tile_msr(&tree, &users, Objective::Sum, &config, None, &mut None);
             assert_safe_region_group_valid(&tree, &users, Objective::Sum, &out);
         }
     }
@@ -665,40 +648,41 @@ mod tests {
         let config = TileMsrConfig::tile_directed_buffered(0.8, 20);
         let mut cache = None;
 
-        let first = tile_msr_cached(&tree, &users, Objective::Max, &config, None, &mut cache);
+        let first = tile_msr(&tree, &users, Objective::Max, &config, None, &mut cache);
         assert!(first.built_buffer, "cold cache must build");
-        let again = tile_msr_cached(&tree, &users, Objective::Max, &config, None, &mut cache);
+        let again = tile_msr(&tree, &users, Objective::Max, &config, None, &mut cache);
         assert!(!again.built_buffer, "unchanged state must reuse");
 
         // The SUM ladder divides by 2m, not 2: a MAX cache must never serve a SUM query.
-        let sum = tile_msr_cached(&tree, &users, Objective::Sum, &config, None, &mut cache);
+        let sum = tile_msr(&tree, &users, Objective::Sum, &config, None, &mut cache);
         assert!(sum.built_buffer, "objective change must rebuild");
 
         // A different buffering parameter changes the prefix length.
         let bigger = TileMsrConfig::tile_directed_buffered(0.8, 30);
-        let resized = tile_msr_cached(&tree, &users, Objective::Sum, &bigger, None, &mut cache);
+        let resized = tile_msr(&tree, &users, Objective::Sum, &bigger, None, &mut cache);
         assert!(resized.built_buffer, "buffer-size change must rebuild");
 
         // A different tree (even with identical contents) must rebuild.
         let other_tree = RTree::bulk_load(&grid_pois(8, 5.0));
-        let other = tile_msr_cached(&other_tree, &users, Objective::Sum, &bigger, None, &mut cache);
+        let other = tile_msr(&other_tree, &users, Objective::Sum, &bigger, None, &mut cache);
         assert!(other.built_buffer, "tree change must rebuild");
 
         // A world mutation bumps the logical generation and invalidates the cache.
         let mut mutable = WorldView::new(RTree::bulk_load(&grid_pois(8, 5.0)));
-        let warm = tile_msr_cached(&mutable, &users, Objective::Sum, &bigger, None, &mut cache);
+        let warm = tile_msr(&mutable, &users, Objective::Sum, &bigger, None, &mut cache);
         assert!(warm.built_buffer);
-        let reused = tile_msr_cached(&mutable, &users, Objective::Sum, &bigger, None, &mut cache);
+        let reused = tile_msr(&mutable, &users, Objective::Sum, &bigger, None, &mut cache);
         assert!(!reused.built_buffer, "unchanged world must reuse");
         mutable.insert(Point::new(1.0, 2.0));
-        let stale = tile_msr_cached(&mutable, &users, Objective::Sum, &bigger, None, &mut cache);
+        let stale = tile_msr(&mutable, &users, Objective::Sum, &bigger, None, &mut cache);
         assert!(stale.built_buffer, "world mutation must rebuild");
     }
 
     #[test]
     fn optimal_point_matches_brute_force() {
         let (tree, users) = world();
-        let out = tile_msr(&tree, &users, Objective::Max, &TileMsrConfig::default(), None);
+        let out =
+            tile_msr(&tree, &users, Objective::Max, &TileMsrConfig::default(), None, &mut None);
         let brute = tree
             .iter()
             .min_by(|a, b| {
@@ -711,13 +695,15 @@ mod tests {
     #[test]
     fn buffering_reduces_rtree_queries() {
         let (tree, users) = world();
-        let plain = tile_msr(&tree, &users, Objective::Max, &TileMsrConfig::default(), None);
+        let plain =
+            tile_msr(&tree, &users, Objective::Max, &TileMsrConfig::default(), None, &mut None);
         let buffered = tile_msr(
             &tree,
             &users,
             Objective::Max,
             &TileMsrConfig { buffering: Some(50), ..TileMsrConfig::default() },
             None,
+            &mut None,
         );
         assert!(
             buffered.stats.rtree_queries < plain.stats.rtree_queries,
@@ -743,7 +729,7 @@ mod tests {
         let users = vec![Point::new(990.0, 1_010.0), Point::new(1_030.0, 980.0)];
         for objective in [Objective::Max, Objective::Sum] {
             let directed = TileMsrConfig::tile_directed(std::f64::consts::FRAC_PI_4);
-            let out = tile_msr(&tree, &users, objective, &directed, None);
+            let out = tile_msr(&tree, &users, objective, &directed, None, &mut None);
             // Divide-Verify runs at most 1 + 4 + 16 times per tried cell at L = 2 (so this
             // undercounts several times over), and every tried cell used to cost an index query.
             let cells_tried = out.stats.verify_calls / 21;
@@ -755,7 +741,7 @@ mod tests {
             );
 
             let unpruned = TileMsrConfig { index_pruning: false, alpha: 3, ..directed };
-            let out = tile_msr(&tree, &users, objective, &unpruned, None);
+            let out = tile_msr(&tree, &users, objective, &unpruned, None, &mut None);
             assert_eq!(out.stats.rtree_queries, 2, "{objective:?}: the seed GNN and one scan");
         }
     }
@@ -770,6 +756,7 @@ mod tests {
             Objective::Max,
             &TileMsrConfig::tile_directed(std::f64::consts::FRAC_PI_4),
             Some(&headings),
+            &mut None,
         );
         // User 0 heads east: every non-seed tile must lie in the eastern half-plane.
         for cell in out.regions[0].cells().iter().filter(|c| !(c.ix == 0 && c.iy == 0)) {
@@ -788,7 +775,8 @@ mod tests {
         // Two POIs symmetric about the single user: best and runner-up tie, radius = 0.
         let tree = RTree::bulk_load(&[Point::new(-1.0, 0.0), Point::new(1.0, 0.0)]);
         let users = vec![Point::new(0.0, 0.0)];
-        let out = tile_msr(&tree, &users, Objective::Max, &TileMsrConfig::default(), None);
+        let out =
+            tile_msr(&tree, &users, Objective::Max, &TileMsrConfig::default(), None, &mut None);
         assert_eq!(out.radius, 0.0);
         assert_eq!(out.regions[0].len(), 1);
         assert!(out.regions[0].squares()[0].side() <= f64::EPSILON);

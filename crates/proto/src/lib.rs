@@ -216,7 +216,8 @@ pub enum AdminRequest {
         /// Where the new POI appears.
         location: Point,
     },
-    /// POI `poi` disappears; an unknown id earns [`NotificationKind::UnknownPoi`].
+    /// POI `poi` disappears; an unknown id earns [`NotificationKind::UnknownPoi`], the last
+    /// live POI [`NotificationKind::BadRequest`] (the world may not become empty).
     PoiDelete {
         /// Id of the POI to remove.
         poi: u64,
@@ -277,8 +278,9 @@ pub enum NotificationKind {
     /// The addressed group is not registered (never was, or already deregistered).
     UnknownGroup,
     /// The request was malformed at the protocol level: a report whose batch does not hold
-    /// one position per user, or a registration for an empty group or for one too large to
-    /// ever fit a report frame ([`MAX_FRAME_LEN`]` / 16` users).
+    /// one position per user, a registration for an empty group or for one too large to
+    /// ever fit a report frame ([`MAX_FRAME_LEN`]` / 16` users), or an admin delete of the
+    /// last live POI (the `group` field echoes its id).
     BadRequest,
     /// The admin request was applied; the notification's `group` field carries the POI id
     /// the change concerned (the freshly assigned id of an insert, or the deleted id).

@@ -120,8 +120,8 @@ pub enum WorldChange {
         /// Where the new POI appears.
         location: Point,
     },
-    /// POI `poi` disappears.  Unknown (or already-deleted) ids are rejected gracefully —
-    /// the summary reports `applied == false` and nothing is touched.
+    /// POI `poi` disappears.  Unknown (or already-deleted) ids, and the last live POI, are
+    /// rejected gracefully — the summary reports `applied == false` and nothing is touched.
     PoiDelete {
         /// Id of the POI to remove.
         poi: usize,
@@ -131,9 +131,11 @@ pub enum WorldChange {
 /// What one [`MonitoringEngine::apply_world_change`] call did.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InvalidationSummary {
-    /// Whether the change took effect (`false` only for a delete of an unknown id).
+    /// Whether the change took effect (`false` only for a delete of an unknown id or of the
+    /// last live POI).
     pub applied: bool,
-    /// The POI the change concerned: the freshly assigned id of an insert, or the deleted id.
+    /// The POI the change concerned: the freshly assigned id of an insert, the deleted id, or
+    /// the last live POI a refused delete named (`None` for an unknown id).
     pub poi: Option<usize>,
     /// The world generation after the change (unchanged when not applied).
     pub generation: u64,
@@ -667,18 +669,25 @@ impl MonitoringEngine {
     /// nothing.
     ///
     /// A delete of an unknown (or already-deleted) id is rejected gracefully: the summary
-    /// reports `applied == false` and no session is examined.  After the pass the overlay is
-    /// compacted back into the base index when it has outgrown its threshold (content and
-    /// generation are preserved, so cached buffers stay valid).
+    /// reports `applied == false` and no session is examined.  So is a delete of the last
+    /// live POI, before the world is touched: an empty world has no meeting point to monitor.
+    /// After the pass the overlay is compacted back into the base index when it has outgrown
+    /// its threshold (content and generation are preserved, so cached buffers stay valid).
     pub fn apply_world_change(&mut self, change: WorldChange) -> InvalidationSummary {
-        let poi = match change {
-            WorldChange::PoiInsert { location } => Some(self.world.insert(location)),
-            WorldChange::PoiDelete { poi } => self.world.delete(poi).map(|_| poi),
+        let (applied, poi) = match change {
+            WorldChange::PoiInsert { location } => (true, Some(self.world.insert(location))),
+            WorldChange::PoiDelete { poi } if self.world.len() == 1 => {
+                (false, self.world.view().iter().any(|e| e.id == poi).then_some(poi))
+            }
+            WorldChange::PoiDelete { poi } => {
+                let deleted = self.world.delete(poi).is_some();
+                (deleted, deleted.then_some(poi))
+            }
         };
-        if poi.is_none() {
+        if !applied {
             return InvalidationSummary {
                 applied: false,
-                poi: None,
+                poi,
                 generation: self.world.generation(),
                 groups_checked: 0,
                 invalidated: 0,
@@ -686,8 +695,6 @@ impl MonitoringEngine {
                 compacted: false,
             };
         }
-        assert!(!self.world.is_empty(), "a POI delete may not empty the monitored world");
-
         self.events_interleaved |= !self.events.is_empty();
         let view = match self.cache.as_deref() {
             Some(cache) => self.world.view().with_cache(cache),

@@ -31,7 +31,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use mpn_core::{EngineContext, Method, Objective, SafeRegion, SafeRegionEngine, SessionState};
+use mpn_core::{Method, Objective, SafeRegion, SessionState};
 use mpn_geom::Point;
 use mpn_index::{IndexView, RTree};
 use mpn_mobility::Trajectory;
@@ -491,10 +491,14 @@ impl GroupSession {
 
     /// Runs one safe-region computation and pushes the notifications.
     fn compute_and_notify(&mut self, view: IndexView<'_>, group: GroupId, events: &mut EventSink) {
-        let ctx = EngineContext::new(view, self.config.objective);
         let locations = &self.positions[self.cursor - self.group_size()..self.cursor];
         let start = Instant::now();
-        let answer = self.config.method.compute(ctx, locations, &mut self.session);
+        let answer = self.config.method.answer_session(
+            view,
+            self.config.objective,
+            locations,
+            &mut self.session,
+        );
         let elapsed = start.elapsed();
         self.metrics.record_update(elapsed, &answer.stats);
         debug_assert!(answer.all_inside(locations), "fresh safe regions must contain the users");

@@ -371,8 +371,13 @@ impl ServerCore {
             }
         };
         let summary = self.engine.apply_world_change(change);
-        let Some(poi) = summary.applied.then_some(summary.poi).flatten() else {
-            out.push((client, notification(echo, NotificationKind::UnknownPoi)));
+        let Some(poi) = summary.poi.filter(|_| summary.applied) else {
+            // A refused delete that names a live POI names the last one.
+            let kind = match summary.poi {
+                Some(_) => NotificationKind::BadRequest,
+                None => NotificationKind::UnknownPoi,
+            };
+            out.push((client, notification(echo, kind)));
             return;
         };
         // The ack names the POI the change resolved to (for inserts: the id the new POI

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use mpn::core::{Method, MpnServer, Objective};
+use mpn::core::{Method, Objective};
 use mpn::geom::Point;
 use mpn::index::RTree;
 use mpn::net::{read_batch, MuxConfig, MuxServer};
@@ -49,9 +49,8 @@ fn main() {
 
     // Where will the north group meet?  Compute it client-side so the console knows which
     // café to close for the demonstration.
-    let doomed = MpnServer::new(tree.as_ref(), Objective::Max, Method::circle())
-        .compute(&north_friends)
-        .optimal_index;
+    let doomed =
+        Method::circle().answer(tree.as_ref(), Objective::Max, &north_friends, None).optimal_index;
 
     let core = ServerCore::new(Arc::clone(&tree), 2);
     let mut server =

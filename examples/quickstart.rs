@@ -2,7 +2,7 @@
 //!
 //! Run with: `cargo run --example quickstart` (asserts what it prints; CI runs it).
 
-use mpn::core::{region_value_count, Method, MpnServer, Objective, SessionState};
+use mpn::core::{region_value_count, Method, Objective, SessionState};
 use mpn::geom::Point;
 use mpn::index::RTree;
 
@@ -25,8 +25,7 @@ fn main() {
     for (label, method) in
         [("Circle safe regions", Method::circle()), ("Tile safe regions", Method::tile())]
     {
-        let server = MpnServer::new(&tree, Objective::Max, method);
-        let answer = server.compute(&friends);
+        let answer = method.answer(&tree, Objective::Max, &friends, None);
         assert_eq!(answer.optimal_index, 3, "cafe #3 minimises the longest walk");
         assert!(answer.all_inside(&friends), "fresh regions contain their users");
         println!("{label}:");
@@ -34,10 +33,11 @@ fn main() {
             "  optimal meeting point: cafe #{} at {} (worst-case walk {:.1})",
             answer.optimal_index, answer.optimal_point, answer.optimal_dist
         );
+        // The payload the §7.1 model charges: tile regions travel compressed (the default).
         for (i, region) in answer.regions.iter().enumerate() {
             println!(
                 "  friend {i}: safe region payload = {} values, still inside: {}",
-                region_value_count(region, false),
+                region_value_count(region, true),
                 region.contains(friends[i])
             );
         }
@@ -45,8 +45,7 @@ fn main() {
     }
 
     // As long as everyone stays inside their region, no communication is needed.
-    let server = MpnServer::new(&tree, Objective::Max, Method::tile());
-    let answer = server.compute(&friends);
+    let answer = Method::tile().answer(&tree, Objective::Max, &friends, None);
     let mut moved = friends.clone();
     moved[0] = Point::new(180.0, 270.0); // a small move
     assert!(answer.all_inside(&moved));
@@ -64,13 +63,14 @@ fn main() {
     // recomputation.  With persistent buffers, Tile-D-b builds its buffer once (the seed
     // query plus the buffer query) and later updates reuse it: one R-tree query.
     let buffered = Method::tile_directed_buffered(std::f64::consts::FRAC_PI_4, 3);
-    let server = MpnServer::new(&tree, Objective::Max, buffered);
     let mut session = SessionState::new(friends.len(), 0.3).with_persistent_buffers(true);
     session.observe(&friends);
-    let first = server.compute_session(&friends, &mut session).stats.rtree_queries;
+    let first = buffered.answer_session(&tree, Objective::Max, &friends, &mut session);
+    let first = first.stats.rtree_queries;
     moved[0] = Point::new(180.0, 270.0);
     session.observe(&moved);
-    let second = server.compute_session(&moved, &mut session).stats.rtree_queries;
+    let second = buffered.answer_session(&tree, Objective::Max, &moved, &mut session);
+    let second = second.stats.rtree_queries;
     assert_eq!((first, second), (2, 1), "the second update reuses the buffer");
     println!("\nstateful Tile-D-b session: {first} R-tree queries to build, {second} to reuse");
 

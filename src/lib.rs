@@ -24,7 +24,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use mpn::core::{MpnServer, Method, Objective};
+//! use mpn::core::{Method, Objective};
 //! use mpn::geom::Point;
 //! use mpn::index::RTree;
 //!
@@ -37,8 +37,7 @@
 //! let tree = RTree::bulk_load(&pois);
 //! let users = vec![Point::new(1.0, 1.0), Point::new(3.0, 2.0), Point::new(2.0, 4.0)];
 //!
-//! let server = MpnServer::new(&tree, Objective::Max, Method::circle());
-//! let answer = server.compute(&users);
+//! let answer = Method::circle().answer(&tree, Objective::Max, &users, None);
 //! assert_eq!(answer.optimal_index, 0); // (2,2) is the MAX-optimal meeting point
 //! assert!(answer.regions.iter().all(|r| !r.is_empty()));
 //! ```

@@ -17,8 +17,10 @@
 //!   the per-tile candidate list are per-thread scratch, so trying more tiles costs no
 //!   allocation;
 //! * a monitored group costs the server what its method needs, in live heap bytes: a Circle
-//!   group of three at most 720 (≈ 700 today, 723 before the ready list replaced the hot
-//!   entries, 1,269 before the layout went lean), further epochs nothing, and the leaner layout costs a buffered Tile-D-b session nothing.  Run
+//!   group of three at most 695 (≈ 692 today, 700 while `Method::Circle` carried a radius
+//!   cap, 723 before the ready list replaced the hot entries, 1,269 before the layout went
+//!   lean), further epochs nothing, and the leaner layout costs a buffered Tile-D-b session
+//!   nothing.  Run
 //!   with `--nocapture` for the per-owner table behind those figures.
 //!
 //! The counters are thread-local: `cargo test` runs the tests of this binary on parallel
@@ -31,8 +33,8 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use mpn::core::{
-    region_value_count, Answer, ComputeStats, EngineContext, Method, Objective, SafeRegion,
-    SafeRegionEngine, SessionState, TileCell, TileFrame, TileRegion, TileVerifier,
+    region_value_count, Answer, ComputeStats, Method, Objective, SafeRegion, SessionState,
+    TileCell, TileFrame, TileRegion, TileVerifier,
 };
 use mpn::geom::Point;
 use mpn::index::{QueryCache, RTree};
@@ -280,11 +282,12 @@ fn tile_recompute_warm() {
     let tree = poi_tree(8_000);
     let group = users(3);
     let method = Method::tile_directed_buffered(std::f64::consts::FRAC_PI_4, 100);
-    let ctx = EngineContext::new(&tree, Objective::Max);
     let mut session = SessionState::new(group.len(), 0.3).with_persistent_buffers(true);
     session.observe(&group);
-    black_box(method.compute(ctx, &group, &mut session)); // builds buffer and scratch
-    let (total, answer) = allocations_during(|| method.compute(ctx, &group, &mut session));
+    // The first computation builds the buffer and the per-thread scratch.
+    black_box(method.answer_session(&tree, Objective::Max, &group, &mut session));
+    let (total, answer) =
+        allocations_during(|| method.answer_session(&tree, Objective::Max, &group, &mut session));
     assert_eq!(answer.stats.rtree_queries, 1, "the recompute must reuse the buffer");
     assert!(total > 0, "the answer's region vectors are heap-allocated: the counter is blind");
     let bound = tile_output_bound(&answer.regions);
@@ -328,11 +331,12 @@ fn tile_sum_recompute_warm() {
     let group =
         [Point::new(4_160.0, 5_200.0), Point::new(4_172.0, 6_344.0), Point::new(4_184.0, 6_437.0)];
     let method = Method::tile_directed(std::f64::consts::FRAC_PI_4);
-    let ctx = EngineContext::new(&tree, Objective::Sum);
     let mut session = SessionState::new(group.len(), 0.3);
     session.observe(&group);
-    black_box(method.compute(ctx, &group, &mut session)); // grows the scratch
-    let (total, answer) = allocations_during(|| method.compute(ctx, &group, &mut session));
+    // The first computation grows the per-thread scratch.
+    black_box(method.answer_session(&tree, Objective::Sum, &group, &mut session));
+    let (total, answer) =
+        allocations_during(|| method.answer_session(&tree, Objective::Sum, &group, &mut session));
     let stats = answer.stats;
     assert!(stats.rtree_queries >= 3, "the recompute must refill the pool at least once");
     assert!(stats.verify_calls > 100, "too few tiles tried to tell: {}", stats.verify_calls);
@@ -423,7 +427,7 @@ fn circle_group_bytes() {
     );
 
     let per_group = monitored.0 as f64 / FLEET as f64;
-    assert!(per_group <= 720.0, "a Circle group of three costs {per_group:.1} live bytes");
+    assert!(per_group <= 695.0, "a Circle group of three costs {per_group:.1} live bytes");
 
     let mut recomputed = 0;
     for e in 1..=5 {

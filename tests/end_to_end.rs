@@ -3,7 +3,7 @@
 //! than Circle, buffering cuts index work at equal update frequency) are checked on the
 //! figures' own workloads by `mpn-bench`'s `figures::check`, not here.
 
-use mpn::core::{Method, MpnServer, Objective};
+use mpn::core::{Method, Objective};
 use mpn::index::RTree;
 use mpn::mobility::poi::{clustered_pois, PoiConfig};
 use mpn::mobility::waypoint::{taxi_trajectory, TaxiConfig};
@@ -32,9 +32,8 @@ fn monitoring_never_misses_a_meeting_point_change() {
 
     for objective in [Objective::Max, Objective::Sum] {
         for method in [Method::circle(), Method::tile(), Method::tile_directed(0.8)] {
-            let server = MpnServer::new(&tree, objective, method);
             let mut locations: Vec<_> = group.iter().map(|t| t.at(0)).collect();
-            let mut answer = server.compute(&locations);
+            let mut answer = method.answer(&tree, objective, &locations, None);
             for t in 1..250 {
                 locations.clear();
                 locations.extend(group.iter().map(|traj| traj.at(t)));
@@ -49,7 +48,7 @@ fn monitoring_never_misses_a_meeting_point_change() {
                         method.name()
                     );
                 } else {
-                    answer = server.compute(&locations);
+                    answer = method.answer(&tree, objective, &locations, None);
                 }
             }
         }
@@ -67,8 +66,8 @@ fn sum_and_max_objectives_can_disagree_and_are_both_served() {
         mpn::geom::Point::new(480.0, 650.0),
         mpn::geom::Point::new(2_700.0, 2_500.0),
     ];
-    let max_answer = MpnServer::new(&tree, Objective::Max, Method::tile()).compute(&users);
-    let sum_answer = MpnServer::new(&tree, Objective::Sum, Method::tile()).compute(&users);
+    let max_answer = Method::tile().answer(&tree, Objective::Max, &users, None);
+    let sum_answer = Method::tile().answer(&tree, Objective::Sum, &users, None);
 
     // Verify each optimum against brute force on its own objective.
     let pois: Vec<_> = tree.iter().map(|e| e.location).collect();

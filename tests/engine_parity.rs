@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use mpn::core::{region_value_count, Method, MpnServer, Objective};
+use mpn::core::{region_value_count, Method, Objective};
 use mpn::geom::{HeadingPredictor, Point};
 use mpn::index::WorldView;
 use mpn::index::{QueryCache, RTree};
@@ -64,7 +64,6 @@ struct Counters {
 fn legacy_run_monitoring(tree: &RTree, group: &[Trajectory], config: &MonitorConfig) -> Counters {
     let horizon = group.iter().map(Trajectory::len).min().unwrap_or(0);
     let horizon = config.max_timestamps.map_or(horizon, |cap| horizon.min(cap));
-    let server = MpnServer::new(tree, config.objective, config.method);
 
     let mut timestamps = 0usize;
     let mut updates = 0usize;
@@ -81,7 +80,8 @@ fn legacy_run_monitoring(tree: &RTree, group: &[Trajectory], config: &MonitorCon
         traffic.record_uplink(2);
     }
     let headings: Vec<Option<f64>> = predictors.iter().map(HeadingPredictor::predicted).collect();
-    let mut answer = server.compute_with_headings(&locations, Some(&headings));
+    let (method, objective) = (config.method, config.objective);
+    let mut answer = method.answer(tree, objective, &locations, Some(&headings));
     updates += 1;
     stats.absorb(&answer.stats);
     for region in &answer.regions {
@@ -110,7 +110,7 @@ fn legacy_run_monitoring(tree: &RTree, group: &[Trajectory], config: &MonitorCon
         }
         let headings: Vec<Option<f64>> =
             predictors.iter().map(HeadingPredictor::predicted).collect();
-        answer = server.compute_with_headings(&locations, Some(&headings));
+        answer = method.answer(tree, objective, &locations, Some(&headings));
         updates += 1;
         stats.absorb(&answer.stats);
         for region in &answer.regions {

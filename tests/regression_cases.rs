@@ -3,12 +3,12 @@
 
 use std::sync::Arc;
 
-use mpn::core::{Method, MpnServer, Objective, SafeRegion};
+use mpn::core::{Method, Objective, SafeRegion};
 use mpn::geom::Point;
 use mpn::index::RTree;
 use mpn::mobility::waypoint::{random_waypoint, WaypointConfig};
 use mpn::mobility::Trajectory;
-use mpn::proto::{NotificationKind, Request, Response, WireConfig};
+use mpn::proto::{AdminRequest, NotificationKind, Request, Response, WireConfig};
 use mpn::sim::{
     EpochUpdate, GroupSession, MonitorConfig, MonitoringEngine, ServerCore, TickSummary,
     TrajectoryFeed,
@@ -174,6 +174,30 @@ fn reports_beyond_a_capped_horizon_are_refused_and_the_backlog_drains() {
     assert_eq!(core.engine().group(0).pending_epochs(), 0);
 }
 
+/// Deleting the last live POI used to empty the world first and then fail an assertion, so a
+/// granted admin client could panic `ServerCore::process` (and with it the transport's one
+/// thread) after the world had already changed.  The delete is now refused up front: the
+/// operator gets `BadRequest` echoing the POI id (it exists, so not `UnknownPoi`) and the
+/// world keeps its POI and its generation.
+#[test]
+fn deleting_the_last_poi_is_refused_before_the_world_changes() {
+    let mut core =
+        ServerCore::new(RTree::bulk_load(&[Point::new(0.0, 0.0), Point::new(5.0, 5.0)]), 1);
+    core.grant_admin(1);
+    core.enqueue(1, Request::Admin(AdminRequest::PoiDelete { poi: 0 }));
+    let applied = Response::Notification { group: 0, kind: NotificationKind::AdminApplied };
+    assert_eq!(core.process().responses, vec![(1, applied)]);
+    let generation = core.engine().world().generation();
+
+    for (poi, kind) in [(1, NotificationKind::BadRequest), (7, NotificationKind::UnknownPoi)] {
+        core.enqueue(1, Request::Admin(AdminRequest::PoiDelete { poi }));
+        let refused = Response::Notification { group: poi, kind };
+        assert_eq!(core.process().responses, vec![(1, refused)]);
+        assert_eq!(core.engine().world().len(), 1, "the last POI stays");
+        assert_eq!(core.engine().world().generation(), generation, "nothing was touched");
+    }
+}
+
 /// `ProcessOutput::applied` used to be deduplicated by a linear scan per request; the set that
 /// replaced it must keep the contract a transport frames its downlink by: every client once,
 /// in first-arrival order, whatever one call has seen forgotten by the next.
@@ -248,7 +272,7 @@ fn proptest_shrink_three_pois_two_users() {
     let tree = RTree::bulk_load(&pois);
 
     for objective in [Objective::Max, Objective::Sum] {
-        let answer = MpnServer::new(&tree, objective, Method::tile()).compute(&users);
+        let answer = Method::tile().answer(&tree, objective, &users, None);
         eprintln!(
             "{objective:?}: optimal {} regions sizes {:?}",
             answer.optimal_index,
@@ -315,7 +339,7 @@ fn fnv1a(hash: &mut u64, value: i64) {
 /// changes a region's cells or a work counter and fails here.
 #[test]
 fn tile_msr_decisions_match_the_golden_fixture() {
-    use mpn::core::{tile_msr_cached, ComputeStats, TileMsrConfig};
+    use mpn::core::{tile_msr, ComputeStats, TileMsrConfig};
     use std::f64::consts::{FRAC_PI_4, TAU};
 
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
@@ -383,14 +407,8 @@ fn tile_msr_decisions_match_the_golden_fixture() {
                 users.iter().map(|u| Point::new(u.x + 0.75, u.y - 0.5)).collect();
             let mut cache = None;
             for locations in [users, &moved] {
-                let out = tile_msr_cached(
-                    &tree,
-                    locations,
-                    objective,
-                    &config,
-                    Some(headings),
-                    &mut cache,
-                );
+                let out =
+                    tile_msr(&tree, locations, objective, &config, Some(headings), &mut cache);
                 stats.absorb(&out.stats);
                 for region in &out.regions {
                     fnv1a(&mut hash, region.len() as i64);

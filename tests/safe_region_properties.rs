@@ -2,7 +2,7 @@
 //! stack: for randomly generated POI sets, user groups and methods, no location instance drawn
 //! from the computed safe regions may change the optimal meeting point.
 
-use mpn::core::{Method, MpnServer, Objective, SafeRegion};
+use mpn::core::{Method, Objective, SafeRegion};
 use mpn::geom::Point;
 use mpn::index::RTree;
 use mpn::proto::Response;
@@ -45,8 +45,7 @@ fn check_invariant(
     samples: &[(f64, f64)],
 ) -> Result<(), TestCaseError> {
     let tree = RTree::bulk_load(pois);
-    let server = MpnServer::new(&tree, objective, method);
-    let answer = server.compute(users);
+    let answer = method.answer(&tree, objective, users, None);
     prop_assert_eq!(answer.regions.len(), users.len());
     prop_assert!(answer.all_inside(users));
 
@@ -119,7 +118,7 @@ proptest! {
         users in arb_users(1_000.0),
     ) {
         let tree = RTree::bulk_load(&pois);
-        let answer = MpnServer::new(&tree, Objective::Max, Method::tile()).compute(&users);
+        let answer = Method::tile().answer(&tree, Objective::Max, &users, None);
         for (user, region) in answer.regions.iter().enumerate() {
             let SafeRegion::Tiles(tiles) = region else { continue };
             let response = Response::SafeRegion {

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use mpn::core::{Method, MpnServer, Objective, SafeRegion};
+use mpn::core::{Method, Objective, SafeRegion};
 use mpn::geom::Point;
 use mpn::index::{IndexView, RTree, WorldView};
 use mpn::net::{MuxConfig, MuxServer};
@@ -116,8 +116,8 @@ proptest! {
 
             // Whole-answer parity: same optimum cost, valid regions, for both methods.
             for method in [Method::circle(), Method::tile()] {
-                let over = MpnServer::new(&world, objective, method).compute(&users);
-                let flat = MpnServer::new(&rebuilt, objective, method).compute(&users);
+                let over = method.answer(&world, objective, &users, None);
+                let flat = method.answer(&rebuilt, objective, &users, None);
                 let cost = |p: Point| objective.aggregate().point_dist(p, &users);
                 prop_assert!((cost(over.optimal_point) - cost(flat.optimal_point)).abs() <= 1e-9);
                 prop_assert!(over.all_inside(&users));
@@ -367,9 +367,8 @@ fn poi_delete_reaches_the_affected_client_as_an_unsolicited_mux_push() {
         .collect();
     let users = vec![Point::new(95.0, 103.0), Point::new(110.0, 100.0)];
     let tree = Arc::new(RTree::bulk_load(&pois));
-    let expected = MpnServer::new(tree.as_ref(), Objective::Max, Method::circle())
-        .compute(&users)
-        .optimal_index;
+    let expected =
+        Method::circle().answer(tree.as_ref(), Objective::Max, &users, None).optimal_index;
 
     let core = ServerCore::new(Arc::clone(&tree), 2);
     let mut mux = MuxServer::bind("127.0.0.1:0", core, MuxConfig::default()).expect("bind mux");
