@@ -10,6 +10,8 @@
 //! new cell's level, and one byte per tile — a level and a small step from the previous cell —
 //! is enough.  [`decode_cells`] reproduces the cells exactly and in order, whatever their
 //! level or coordinates, and the model's 4 bytes a tile bound the real bytes from above.
+//! Its counts and escaped coordinates are [`put_varint`]s, the one varint of the workspace:
+//! `mpn-proto`'s codec sends its ids and counts the same way.
 
 use crate::region::{SafeRegion, TileCell};
 
@@ -31,7 +33,7 @@ const ESCAPE: u8 = 0xC0;
 /// cell rescaled to the new cell's level (the first cell steps from [`TileCell::SEED`]).
 /// A level above 2 or a step outside `-4..=3` is an `ESCAPE` followed by the whole cell.
 pub fn encode_cells(cells: &[TileCell], out: &mut Vec<u8>) {
-    put_varint(out, u32::try_from(cells.len()).expect("tile count fits u32"));
+    put_varint(out, cells.len() as u64);
     let mut prev = TileCell::SEED;
     for &cell in cells {
         let step = (cell.level < 3)
@@ -43,7 +45,7 @@ pub fn encode_cells(cells: &[TileCell], out: &mut Vec<u8>) {
         } else {
             out.extend([ESCAPE, cell.level]);
             for v in [cell.ix, cell.iy] {
-                put_varint(out, ((v << 1) ^ (v >> 31)) as u32);
+                put_varint(out, u64::from(((v << 1) ^ (v >> 31)) as u32));
             }
         }
         prev = cell;
@@ -57,10 +59,10 @@ pub fn encode_cells(cells: &[TileCell], out: &mut Vec<u8>) {
 /// any other fault is named, in the words of the codec's `Malformed` error.
 pub fn decode_cells(bytes: &[u8]) -> Result<(Vec<TileCell>, usize), &'static str> {
     let mut rest = bytes;
-    let count = varint(&mut rest)? as usize;
-    if count > rest.len() {
-        return Err("tile count exceeds the payload");
-    }
+    let count = usize::try_from(varint(&mut rest)?)
+        .ok()
+        .filter(|&count| count <= rest.len())
+        .ok_or("tile count exceeds the payload")?;
     let mut cells = Vec::with_capacity(count);
     let mut prev = TileCell::SEED;
     for _ in 0..count {
@@ -80,8 +82,12 @@ pub fn decode_cells(bytes: &[u8]) -> Result<(Vec<TileCell>, usize), &'static str
             if level > MAX_TILE_LEVEL {
                 return Err("tile level out of range");
             }
-            let unzigzag = |v: u32| (v >> 1) as i32 ^ -((v & 1) as i32);
-            TileCell::new(level, unzigzag(varint(&mut rest)?), unzigzag(varint(&mut rest)?))
+            let mut coordinate = || {
+                let v =
+                    u32::try_from(varint(&mut rest)?).map_err(|_| "tile coordinate exceeds u32")?;
+                Ok::<_, &'static str>((v >> 1) as i32 ^ -((v & 1) as i32))
+            };
+            TileCell::new(level, coordinate()?, coordinate()?)
         };
         cells.push(prev);
     }
@@ -95,7 +101,9 @@ fn rescale(from: TileCell, level: u8) -> (i64, i64) {
     (at(from.ix), at(from.iy))
 }
 
-fn put_varint(out: &mut Vec<u8>, mut v: u32) {
+/// Appends `v` as a little-endian base-128 varint (LEB128): seven bits a byte, the high bit
+/// set on every byte but the last — one byte below 128, ten at most.
+pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
         out.push(v as u8 | 0x80);
         v >>= 7;
@@ -109,21 +117,21 @@ fn byte(rest: &mut &[u8]) -> Result<u8, &'static str> {
     Ok(first)
 }
 
-/// Little-endian base-128 `u32`, canonical form only: at most five bytes, nothing above bit
-/// 31, no trailing zero group.
-fn varint(rest: &mut &[u8]) -> Result<u32, &'static str> {
+/// Reads a [`put_varint`] off the front of `rest`, canonical form only: at most ten bytes,
+/// nothing above bit 63, no trailing zero group.  Errors in the codec's `Malformed` words.
+pub fn varint(rest: &mut &[u8]) -> Result<u64, &'static str> {
     let mut value = 0;
-    for shift in (0..32).step_by(7) {
+    for shift in (0..64).step_by(7) {
         let b = byte(rest)?;
-        if (shift == 28 && b > 0x0F) || (shift > 0 && b == 0) {
+        if (shift == 63 && b > 0x01) || (shift > 0 && b == 0) {
             break;
         }
-        value |= u32::from(b & 0x7F) << shift;
+        value |= u64::from(b & 0x7F) << shift;
         if b < 0x80 {
             return Ok(value);
         }
     }
-    Err("varint is over-long or exceeds u32")
+    Err("varint is over-long or exceeds u64")
 }
 
 /// Number of packets needed to transmit `values` double-precision values.

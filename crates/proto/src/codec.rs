@@ -1,11 +1,21 @@
 //! The compact length-prefixed binary codec of the protocol.
 //!
 //! Every message travels as one **frame**: a little-endian `u32` payload length, a one-byte
-//! message tag, then the tag's payload.  Primitives are little-endian; `f64`s ship as their
-//! IEEE-754 bit patterns (the round-trip is exact, which the property tests pin); tile
-//! regions ship as their shared frame plus the step stream of [`mpn_core::compress`] — one
-//! byte per cell that neighbours its predecessor, the whole cell after an escape byte
-//! otherwise — and are rebuilt exactly, cells in their original order, on decode.
+//! message tag, then the tag's payload.  Every integer field of a payload — group, user and
+//! POI ids, the group size, the buffer and horizon of a [`WireConfig`], a world generation and
+//! its revised count — is a canonical LEB128 varint ([`mpn_core::compress::put_varint`]), one
+//! byte below 128.  A [`Request::Report`] carries no position count: its positions are the
+//! rest of the frame, 16 bytes each.  `f64`s ship as their little-endian IEEE-754 bit patterns
+//! (the round-trip is exact, which the property tests pin); tile regions ship as their shared
+//! frame plus the step stream of [`mpn_core::compress`] — one byte per cell that neighbours
+//! its predecessor, the whole cell after an escape byte otherwise — and are rebuilt exactly,
+//! cells in their original order, on decode.
+//!
+//! Three things stay fixed-width, because the repository benchmark walks them by hand without
+//! the codec (`FenceScan` in `benchmark/src/loadgen.rs`, `decode_stream` in
+//! `benchmark/src/oracle.rs`): the `u32` frame length, the `u32` message count in front of a
+//! downlink batch (`mpn-net`'s `encode_batch`), and the 10-byte [`Response::Notification`]
+//! payload — tag, `u64` group, kind — whose `UnknownGroup` echo the load generator scans for.
 //!
 //! Uplink and downlink tags live in disjoint ranges (`0x01..` vs `0x81..`), so a captured
 //! frame identifies its direction and [`Request::decode`] cannot silently parse a response
@@ -18,6 +28,7 @@
 
 use std::io::Read;
 
+use mpn_core::compress::{put_varint, varint};
 use mpn_core::{decode_cells, encode_cells, SafeRegion, TileFrame, TileRegion};
 use mpn_geom::{Circle, Point};
 
@@ -29,6 +40,10 @@ use crate::{
 /// allocating.  16 MiB comfortably holds any realistic epoch batch or tile region while
 /// keeping a malicious length prefix harmless.
 pub const MAX_FRAME_LEN: usize = 16 << 20;
+
+/// Most positions one [`Request::Report`] frame can carry: what [`MAX_FRAME_LEN`] leaves after
+/// the tag and the longest (10-byte) group varint, at 16 bytes a position.
+pub const MAX_REPORT_POSITIONS: usize = (MAX_FRAME_LEN - 11) / 16;
 
 /// Why a frame failed to decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,38 +90,36 @@ const REGION_TILES: u8 = 2;
 const ADMIN_POI_INSERT: u8 = 0;
 const ADMIN_POI_DELETE: u8 = 1;
 
-/// Sequential little-endian reader over one frame's payload.
+/// Sequential reader over the unread rest of one frame's payload.
 struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    rest: &'a [u8],
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
     fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.buf.len())
-            .ok_or(DecodeError::Malformed("truncated payload"))?;
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
+        if n > self.rest.len() {
+            return Err(DecodeError::Malformed("truncated payload"));
+        }
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Ok(head)
     }
 
     fn u8(&mut self) -> Result<u8, DecodeError> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("take returned 4 bytes")))
-    }
-
     fn u64(&mut self) -> Result<u64, DecodeError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("take returned 8 bytes")))
+    }
+
+    fn varint(&mut self) -> Result<u64, DecodeError> {
+        varint(&mut self.rest).map_err(DecodeError::Malformed)
+    }
+
+    /// A varint of a field the protocol types as `u32`.
+    fn varint_u32(&mut self) -> Result<u32, DecodeError> {
+        u32::try_from(self.varint()?).map_err(|_| DecodeError::Malformed("varint exceeds u32"))
     }
 
     fn f64(&mut self) -> Result<f64, DecodeError> {
@@ -118,16 +131,12 @@ impl<'a> Reader<'a> {
     }
 
     fn finish(self) -> Result<(), DecodeError> {
-        if self.pos == self.buf.len() {
+        if self.rest.is_empty() {
             Ok(())
         } else {
             Err(DecodeError::Malformed("trailing bytes after the payload"))
         }
     }
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
 }
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
@@ -146,7 +155,7 @@ fn put_point(out: &mut Vec<u8>, p: Point) {
 /// Encodes `payload` as one frame (length prefix + tag + payload bytes) appended to `out`.
 fn frame(out: &mut Vec<u8>, tag: u8, payload: impl FnOnce(&mut Vec<u8>)) {
     let len_at = out.len();
-    put_u32(out, 0); // patched below
+    out.extend_from_slice(&[0; 4]); // patched below
     out.push(tag);
     payload(out);
     let len = out.len() - len_at - 4;
@@ -189,7 +198,7 @@ fn encode_config(out: &mut Vec<u8>, config: &WireConfig) {
         WireMethod::TileDirectedBuffered { theta, buffer } => {
             out.push(3);
             put_f64(out, theta);
-            put_u32(out, buffer);
+            put_varint(out, buffer.into());
         }
     }
     out.push(u8::from(config.compress_regions) | (u8::from(config.persist_buffers) << 1));
@@ -197,7 +206,7 @@ fn encode_config(out: &mut Vec<u8>, config: &WireConfig) {
         None => out.push(0),
         Some(cap) => {
             out.push(1);
-            put_u32(out, cap);
+            put_varint(out, cap.into());
         }
     }
 }
@@ -212,7 +221,7 @@ fn decode_config(r: &mut Reader<'_>) -> Result<WireConfig, DecodeError> {
         0 => WireMethod::Circle,
         1 => WireMethod::Tile,
         2 => WireMethod::TileDirected { theta: r.f64()? },
-        3 => WireMethod::TileDirectedBuffered { theta: r.f64()?, buffer: r.u32()? },
+        3 => WireMethod::TileDirectedBuffered { theta: r.f64()?, buffer: r.varint_u32()? },
         _ => return Err(DecodeError::Malformed("unknown method")),
     };
     let flags = r.u8()?;
@@ -221,7 +230,7 @@ fn decode_config(r: &mut Reader<'_>) -> Result<WireConfig, DecodeError> {
     }
     let max_timestamps = match r.u8()? {
         0 => None,
-        1 => Some(r.u32()?),
+        1 => Some(r.varint_u32()?),
         _ => return Err(DecodeError::Malformed("unknown horizon marker")),
     };
     Ok(WireConfig {
@@ -262,8 +271,8 @@ fn decode_region(r: &mut Reader<'_>) -> Result<SafeRegion, DecodeError> {
             let delta = r.f64()?;
             // The stream bounds its count by the remaining payload before allocating; one
             // sort finds duplicates, so a megabyte of one-byte cells is not 10¹² compares.
-            let (cells, used) = decode_cells(&r.buf[r.pos..]).map_err(DecodeError::Malformed)?;
-            r.pos += used;
+            let (cells, used) = decode_cells(r.rest).map_err(DecodeError::Malformed)?;
+            r.rest = &r.rest[used..];
             let region = TileRegion::from_cells(TileFrame { origin, delta }, cells)
                 .ok_or(DecodeError::Malformed("duplicate tile cells"))?;
             Ok(SafeRegion::Tiles(Box::new(region)))
@@ -277,18 +286,17 @@ impl Request {
     pub fn encode(&self, out: &mut Vec<u8>) {
         match self {
             Request::Register { group_size, config } => frame(out, TAG_REGISTER, |out| {
-                put_u32(out, *group_size);
+                put_varint(out, (*group_size).into());
                 encode_config(out, config);
             }),
             Request::Report { group, positions } => frame(out, TAG_REPORT, |out| {
-                put_u64(out, *group);
-                put_u32(out, u32::try_from(positions.len()).expect("group size fits u32"));
+                put_varint(out, *group);
                 for p in positions {
                     put_point(out, *p);
                 }
             }),
             Request::Deregister { group } => frame(out, TAG_DEREGISTER, |out| {
-                put_u64(out, *group);
+                put_varint(out, *group);
             }),
             Request::Admin(admin) => frame(out, TAG_ADMIN, |out| match admin {
                 AdminRequest::PoiInsert { location } => {
@@ -297,7 +305,7 @@ impl Request {
                 }
                 AdminRequest::PoiDelete { poi } => {
                     out.push(ADMIN_POI_DELETE);
-                    put_u64(out, *poi);
+                    put_varint(out, *poi);
                 }
             }),
         }
@@ -318,29 +326,29 @@ impl Request {
     /// retry); any other error means the frame is not a valid uplink message.
     pub fn decode(buf: &[u8]) -> Result<(Self, usize), DecodeError> {
         let (payload, consumed) = split_frame(buf)?;
-        let mut r = Reader::new(&payload[1..]);
+        let mut r = Reader { rest: &payload[1..] };
         let request = match payload[0] {
             TAG_REGISTER => {
-                let group_size = r.u32()?;
+                let group_size = r.varint_u32()?;
                 let config = decode_config(&mut r)?;
                 Request::Register { group_size, config }
             }
             TAG_REPORT => {
-                let group = r.u64()?;
-                let count = r.u32()? as usize;
-                if count.saturating_mul(16) > r.buf.len() - r.pos {
-                    return Err(DecodeError::Malformed("position count exceeds the payload"));
+                let group = r.varint()?;
+                // The positions are the rest of the frame, whose length bounds the allocation.
+                if !r.rest.len().is_multiple_of(16) {
+                    return Err(DecodeError::Malformed("report ends inside a position"));
                 }
-                let mut positions = Vec::with_capacity(count);
-                for _ in 0..count {
+                let mut positions = Vec::with_capacity(r.rest.len() / 16);
+                while !r.rest.is_empty() {
                     positions.push(r.point()?);
                 }
                 Request::Report { group, positions }
             }
-            TAG_DEREGISTER => Request::Deregister { group: r.u64()? },
+            TAG_DEREGISTER => Request::Deregister { group: r.varint()? },
             TAG_ADMIN => Request::Admin(match r.u8()? {
                 ADMIN_POI_INSERT => AdminRequest::PoiInsert { location: r.point()? },
-                ADMIN_POI_DELETE => AdminRequest::PoiDelete { poi: r.u64()? },
+                ADMIN_POI_DELETE => AdminRequest::PoiDelete { poi: r.varint()? },
                 _ => return Err(DecodeError::Malformed("unknown admin command")),
             }),
             tag => return Err(DecodeError::UnknownTag(tag)),
@@ -356,16 +364,17 @@ impl Response {
         match self {
             Response::SafeRegion { group, user, meeting_point, region } => {
                 frame(out, TAG_SAFE_REGION, |out| {
-                    put_u64(out, *group);
-                    put_u32(out, *user);
+                    put_varint(out, *group);
+                    put_varint(out, (*user).into());
                     put_point(out, *meeting_point);
                     encode_region(out, region);
                 });
             }
             Response::ProbeRequest { group, user } => frame(out, TAG_PROBE_REQUEST, |out| {
-                put_u64(out, *group);
-                put_u32(out, *user);
+                put_varint(out, *group);
+                put_varint(out, (*user).into());
             }),
+            // Fixed-width on purpose: the benchmark's load generator scans for this layout.
             Response::Notification { group, kind } => frame(out, TAG_NOTIFICATION, |out| {
                 put_u64(out, *group);
                 out.push(match kind {
@@ -380,9 +389,9 @@ impl Response {
             }),
             Response::WorldUpdate { group, generation, revised } => {
                 frame(out, TAG_WORLD_UPDATE, |out| {
-                    put_u64(out, *group);
-                    put_u64(out, *generation);
-                    put_u32(out, *revised);
+                    put_varint(out, *group);
+                    put_varint(out, *generation);
+                    put_varint(out, (*revised).into());
                 });
             }
         }
@@ -403,16 +412,18 @@ impl Response {
     /// retry); any other error means the frame is not a valid downlink message.
     pub fn decode(buf: &[u8]) -> Result<(Self, usize), DecodeError> {
         let (payload, consumed) = split_frame(buf)?;
-        let mut r = Reader::new(&payload[1..]);
+        let mut r = Reader { rest: &payload[1..] };
         let response = match payload[0] {
             TAG_SAFE_REGION => {
-                let group = r.u64()?;
-                let user = r.u32()?;
+                let group = r.varint()?;
+                let user = r.varint_u32()?;
                 let meeting_point = r.point()?;
                 let region = decode_region(&mut r)?;
                 Response::SafeRegion { group, user, meeting_point, region }
             }
-            TAG_PROBE_REQUEST => Response::ProbeRequest { group: r.u64()?, user: r.u32()? },
+            TAG_PROBE_REQUEST => {
+                Response::ProbeRequest { group: r.varint()?, user: r.varint_u32()? }
+            }
             TAG_NOTIFICATION => {
                 let group = r.u64()?;
                 let kind = match r.u8()? {
@@ -427,9 +438,11 @@ impl Response {
                 };
                 Response::Notification { group, kind }
             }
-            TAG_WORLD_UPDATE => {
-                Response::WorldUpdate { group: r.u64()?, generation: r.u64()?, revised: r.u32()? }
-            }
+            TAG_WORLD_UPDATE => Response::WorldUpdate {
+                group: r.varint()?,
+                generation: r.varint()?,
+                revised: r.varint_u32()?,
+            },
             tag => return Err(DecodeError::UnknownTag(tag)),
         };
         r.finish()?;
@@ -546,7 +559,7 @@ mod tests {
     fn region_frame(kind: u8, stream: &[u8]) -> Vec<u8> {
         let mut bytes = Vec::new();
         frame(&mut bytes, TAG_SAFE_REGION, |out| {
-            out.extend_from_slice(&[0; 28]);
+            out.extend_from_slice(&[0; 18]);
             out.push(kind);
             out.extend_from_slice(&[0; 24]);
             out.extend_from_slice(stream);
@@ -659,46 +672,41 @@ mod tests {
         huge.push(TAG_DEREGISTER);
         assert!(matches!(Request::decode(&huge).unwrap_err(), DecodeError::Oversize(_)));
 
-        // A lying position count must not over-allocate or panic.
-        let mut lying = Vec::new();
-        frame(&mut lying, TAG_REPORT, |out| {
-            put_u64(out, 1);
-            put_u32(out, u32::MAX);
-        });
-        assert!(matches!(Request::decode(&lying).unwrap_err(), DecodeError::Malformed(_)));
-
-        // Trailing garbage inside the frame is malformed.
-        let mut padded = Vec::new();
-        frame(&mut padded, TAG_DEREGISTER, |out| {
-            put_u64(out, 1);
-            out.push(0xEE);
-        });
-        assert!(matches!(Request::decode(&padded).unwrap_err(), DecodeError::Malformed(_)));
-
-        // An unknown admin sub-command is malformed, not a new message.
-        let mut odd = Vec::new();
-        frame(&mut odd, TAG_ADMIN, |out| {
-            out.push(2);
-            put_u64(out, 1);
-        });
-        assert_eq!(
-            Request::decode(&odd).unwrap_err(),
-            DecodeError::Malformed("unknown admin command")
-        );
-
-        // A world update truncated mid-generation is malformed once the frame is complete.
-        let mut short = Vec::new();
-        frame(&mut short, TAG_WORLD_UPDATE, |out| {
-            put_u64(out, 1);
-            put_u32(out, 0);
-        });
-        assert!(matches!(Response::decode(&short).unwrap_err(), DecodeError::Malformed(_)));
+        // One payload per way a frame can lie, and the fault it must be named by.  A varint
+        // must be canonical (no padding or trailing zero group, at most ten bytes, nothing
+        // above `u64`), and fit `u32` where the field is one; a report's positions are the
+        // rest of its frame, so a ragged tail is malformed.
+        let over_long = "varint is over-long or exceeds u64";
+        let (eleven, above_u64) =
+            ([[0x80; 10].as_slice(), &[1]].concat(), [[0xFF; 9].as_slice(), &[2]].concat());
+        let ragged = [&[1][..], &[0; 16 * 1024 + 5]].concat();
+        let lies: [(u8, &[u8], &str); 10] = [
+            (TAG_DEREGISTER, &[0x81, 0x80, 0x80, 0x00], over_long),
+            (TAG_DEREGISTER, &eleven, over_long),
+            (TAG_DEREGISTER, &above_u64, over_long),
+            (TAG_DEREGISTER, &[0x80, 0x00], over_long),
+            (TAG_DEREGISTER, &[0x80, 0x80], "truncated payload"),
+            (TAG_DEREGISTER, &[1, 0xEE], "trailing bytes after the payload"),
+            (TAG_REPORT, &ragged, "report ends inside a position"),
+            (TAG_ADMIN, &[2, 1], "unknown admin command"),
+            (TAG_PROBE_REQUEST, &[1, 0x80, 0x80, 0x80, 0x80, 0x10], "varint exceeds u32"),
+            (TAG_WORLD_UPDATE, &[1, 0x80], "truncated payload"),
+        ];
+        for (tag, payload, message) in lies {
+            let mut bytes = Vec::new();
+            frame(&mut bytes, tag, |out| out.extend_from_slice(payload));
+            let got = if tag < 0x80 {
+                Request::decode(&bytes).map(drop)
+            } else {
+                Response::decode(&bytes).map(drop)
+            };
+            assert_eq!(got, Err(DecodeError::Malformed(message)), "{tag:#04x} {payload:02x?}");
+        }
 
         // One case per way a tile region can lie (0xC0 escapes, 0x24 stays, 0x2C steps right),
         // after the retired 9-bytes-a-cell layout (kind 1: `u32` count, `u8` level, 2 × `i32`).
         const T: u8 = REGION_TILES;
-        let (over_long, leaves) =
-            ("varint is over-long or exceeds u32", "tile step leaves the i32 grid");
+        let leaves = "tile step leaves the i32 grid";
         let lies: [(u8, &[u8], &str); 12] = [
             (1, &[1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], "unknown region kind"),
             (T, &[], "truncated payload"),
@@ -707,7 +715,7 @@ mod tests {
             // An escaped level `TileFrame::side_at` could not shift by.
             (T, &[1, 0xC0, MAX_TILE_LEVEL + 1, 0, 0], "tile level out of range"),
             (T, &[1, 0xC1], "unknown tile escape byte"),
-            (T, &[1, 0xC0, 0, 0x80, 0x80, 0x80, 0x80, 0x10, 0], over_long),
+            (T, &[1, 0xC0, 0, 0x80, 0x80, 0x80, 0x80, 0x10, 0], "tile coordinate exceeds u32"),
             (T, &[1, 0xC0, 0, 0x81, 0x00, 0], over_long),
             // From (0, i32::MAX, 0): one step right, or one level down.
             (T, &[2, 0xC0, 0, 0xFE, 0xFF, 0xFF, 0xFF, 0x0F, 0, 0x2C], leaves),

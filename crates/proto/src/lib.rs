@@ -51,7 +51,11 @@
 //! The byte [`codec`] is an implementation detail underneath this model, and for tile regions
 //! it stays below it: the step stream it sends ([`mpn_core::compress`]) averages a little
 //! over one byte a tile on real regions against the model's own 4 (two tiles per value), so
-//! modelled packets bound the real ones from above (`tests/wire_gates.rs`).
+//! modelled packets bound the real ones from above (`tests/wire_gates.rs`).  The model
+//! charges an id or a count a whole value; the codec sends every integer as a varint of its
+//! information content (one byte below 128), except three fixed-width fields the repository
+//! benchmark walks by hand — the `u32` frame length, the `u32` batch count and the 10-byte
+//! [`Response::Notification`] (see [`codec`]).
 //!
 //! Control-plane messages (`Register`, `Deregister`, `Notification`) have no counterpart in
 //! the paper's Fig. 3 accounting; they are charged their literal payload (1–2 values).
@@ -60,7 +64,7 @@
 
 pub mod codec;
 
-pub use codec::{read_frame, DecodeError, FrameReader, MAX_FRAME_LEN};
+pub use codec::{read_frame, DecodeError, FrameReader, MAX_FRAME_LEN, MAX_REPORT_POSITIONS};
 
 use mpn_core::{packets_for_values, region_value_count, Method, Objective, SafeRegion};
 use mpn_geom::Point;
@@ -279,8 +283,8 @@ pub enum NotificationKind {
     UnknownGroup,
     /// The request was malformed at the protocol level: a report whose batch does not hold
     /// one position per user, a registration for an empty group or for one too large to
-    /// ever fit a report frame ([`MAX_FRAME_LEN`]` / 16` users), or an admin delete of the
-    /// last live POI (the `group` field echoes its id).
+    /// ever fit a report frame (more than [`MAX_REPORT_POSITIONS`] users), or an admin delete
+    /// of the last live POI (the `group` field echoes its id).
     BadRequest,
     /// The admin request was applied; the notification's `group` field carries the POI id
     /// the change concerned (the freshly assigned id of an insert, or the deleted id).

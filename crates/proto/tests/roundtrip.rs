@@ -91,18 +91,62 @@ fn a_megabyte_of_valid_tokens_is_decoded_or_rejected_quickly() {
     let region = TileRegion::from_cells(frame, cells).expect("distinct cells");
     let region = SafeRegion::Tiles(Box::new(region));
     let response = Response::SafeRegion { group: 1, user: 0, meeting_point: frame.origin, region };
+    // Length, tag, one-byte group and user, meeting point, kind, origin, δ; a 3-byte count.
+    const HEADER: usize = 4 + 1 + 1 + 1 + 16 + 1 + 16 + 8;
     // A million steps to the right; then the same frame with every step standing still.
     let walk = response.encoded();
-    assert_eq!(walk.len(), 58 + 3 + (1 << 20));
+    assert_eq!(walk.len(), HEADER + 3 + (1 << 20));
     let mut still = walk.clone();
-    still[58 + 3..].fill(0x24);
+    still[HEADER + 3..].fill(0x24);
     for (bytes, expected) in [
-        (walk, Ok((response, 58 + 3 + (1 << 20)))),
+        (walk, Ok((response, HEADER + 3 + (1 << 20)))),
         (still, Err(DecodeError::Malformed("duplicate tile cells"))),
     ] {
         let started = std::time::Instant::now();
         assert_eq!(Response::decode(&bytes), expected);
         assert!(started.elapsed().as_secs_f64() < 1.0, "{:?}", started.elapsed());
+    }
+}
+
+/// Ids at every varint length boundary round-trip through every message that carries one,
+/// and cost the bytes of their information content: 1 below 128, 2 below 16,384, 3 above.
+#[test]
+fn ids_at_every_varint_boundary_round_trip() {
+    for (id, id_bytes) in
+        [(0, 1), (127, 1), (128, 2), (16_383, 2), (16_384, 3), (u32::MAX.into(), 5), (u64::MAX, 10)]
+    {
+        let user = u32::try_from(id).unwrap_or(u32::MAX);
+        let requests = [
+            Request::Register {
+                group_size: user,
+                config: wire_config(1, 3, 0.5, user, 3, Some(user)),
+            },
+            Request::Report { group: id, positions: vec![Point::new(1.0, -2.0); 3] },
+            Request::Deregister { group: id },
+            Request::Admin(AdminRequest::PoiDelete { poi: id }),
+        ];
+        for request in &requests {
+            let bytes = request.encoded();
+            assert_eq!(Request::decode(&bytes), Ok((request.clone(), bytes.len())), "{id}");
+        }
+        assert_eq!(requests[1].encoded().len(), 4 + 1 + id_bytes + 3 * 16, "a report of {id}");
+        assert_eq!(requests[2].encoded().len(), 4 + 1 + id_bytes, "a deregister of {id}");
+
+        let region = SafeRegion::Circle(Circle::new(Point::new(3.0, 4.0), 5.0));
+        let responses = [
+            Response::SafeRegion { group: id, user, meeting_point: Point::ORIGIN, region },
+            Response::ProbeRequest { group: id, user },
+            Response::Notification { group: id, kind: NotificationKind::Registered },
+            Response::WorldUpdate { group: id, generation: id, revised: user },
+        ];
+        for response in &responses {
+            let bytes = response.encoded();
+            assert_eq!(Response::decode(&bytes), Ok((response.clone(), bytes.len())), "{id}");
+        }
+        let user_bytes = id_bytes.min(5);
+        assert_eq!(responses[0].encoded().len(), 46 + id_bytes + user_bytes, "a circle of {id}");
+        assert_eq!(responses[1].encoded().len(), 5 + id_bytes + user_bytes, "a probe of {id}");
+        assert_eq!(responses[2].encoded().len(), 14, "a notification is fixed-width");
     }
 }
 
@@ -198,11 +242,11 @@ proptest! {
         let response =
             Response::SafeRegion { group: 5, user: 1, meeting_point: origin, region: walked };
         assert_round_trips(&response)?;
-        // 58 fixed bytes, a count, one byte a cell — except after a jump, and after a cell
+        // 48 fixed bytes, a count, one byte a cell — except after a jump, and after a cell
         // `push` dropped as a duplicate (the next step is then taken from further back):
         // those may cost an escape, 8 bytes at these coordinates.
         let escapes = moves.iter().filter(|m| m.0 == 2).count() + (moves.len() - steps);
-        prop_assert!(response.encoded().len() <= 60 + steps + 7 * escapes, "{steps} cells");
+        prop_assert!(response.encoded().len() <= 50 + steps + 7 * escapes, "{steps} cells");
 
         // Levels to the cap and coordinates over the whole of `i32`: escapes, bit for bit.
         assert_round_trips(&Response::SafeRegion {

@@ -42,7 +42,7 @@ use mpn_geom::Point;
 use mpn_index::RTree;
 use mpn_proto::{
     AdminRequest, NotificationKind, Request, Response, WireConfig, WireGroupId, WireMethod,
-    MAX_FRAME_LEN,
+    MAX_REPORT_POSITIONS,
 };
 
 use crate::engine::{
@@ -55,11 +55,6 @@ use crate::monitor::{GroupSession, MonitorConfig, SessionEvent};
 /// Front-ends allocate these (monotonically — ids are never reused, unlike poll tokens or
 /// group ids, so a recycled connection slot can never inherit a dead client's groups).
 pub type ClientId = u64;
-
-/// Largest group a client may register.  A [`Request::Report`] carries 16 bytes per user, so
-/// a larger group could never send one inside [`MAX_FRAME_LEN`] — while registering it would
-/// make the server allocate per declared user before a single position arrived.
-const MAX_GROUP_SIZE: usize = MAX_FRAME_LEN / 16;
 
 /// Resolves a client-chosen [`WireConfig`] to the server-side monitoring configuration
 /// (server defaults fill everything the wire does not carry, e.g. the heading smoothing).
@@ -279,7 +274,9 @@ impl ServerCore {
                     WireMethod::TileDirected { theta }
                     | WireMethod::TileDirectedBuffered { theta, .. } => theta.is_finite(),
                 };
-                if group_size == 0 || group_size > MAX_GROUP_SIZE || !finite_config {
+                // A group no `Report` frame could carry would still make the server allocate
+                // per declared user before a single position arrived.
+                if group_size == 0 || group_size > MAX_REPORT_POSITIONS || !finite_config {
                     out.push((client, notification(u64::MAX, NotificationKind::BadRequest)));
                     return;
                 }
@@ -553,7 +550,7 @@ mod tests {
     fn oversized_groups_are_rejected_before_anything_is_allocated() {
         let (tree, _) = world();
         let mut server = ServerCore::new(tree, 1);
-        let cap = u32::try_from(MAX_GROUP_SIZE).expect("fits the wire");
+        let cap = u32::try_from(MAX_REPORT_POSITIONS).expect("fits the wire");
         let register =
             |group_size: u32| Request::Register { group_size, config: WireConfig::default() };
         for group_size in [u32::MAX, cap + 1] {

@@ -5,8 +5,9 @@
 //! request order, one tick per request, one count-prefixed batch per tick), so any
 //! divergence — ordering, routing, extra or missing batches — shows up here as a raw byte
 //! mismatch.  A second case does the same for one tick carrying a burst of first reports from
-//! two clients and a world change, and pins a hash of the bytes: the order of a tick's
-//! downlink is part of the contract, not an accident of how events are collected.
+//! two clients and a world change, and pins a hash of the decoded responses and one of the
+//! bytes: the order of a tick's downlink is part of the contract, not an accident of how
+//! events are collected.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -192,8 +193,9 @@ const BURST_GROUPS: usize = 1_024;
 /// Groups per registration tick: the clients take turns, so ownership alternates in runs of
 /// this many ids, cut across the chunks of all three workers.
 const RUN: usize = 64;
-/// Users per group (a `Report` of two is 49 bytes: one client's burst stays under 64 KB, the
-/// least a loopback receive window starts at, so a blocking write never waits for the loop).
+/// Users per group (a `Report` of two is at most 39 bytes: one client's burst stays under
+/// 64 KB, the least a loopback receive window starts at, so a blocking write never waits for
+/// the loop).
 const PAIR: usize = 2;
 
 /// Something that applies one tick's uplink of the two clients (client ids 1 and 2) in one
@@ -450,12 +452,29 @@ fn a_burst_tick_keeps_its_downlink_order_over_the_wire() {
     }
 
     // FNV-1a over both clients' downlink: control notifications, `WorldUpdate` before its
-    // regions, then the tick's events in ascending group id.  The constant was not recorded
-    // from this engine: it is what the last sharded commit (PR 22) produced for this trace
-    // with `test_core()` built on *one* shard, so three workers matching it is evidence that
-    // any worker count sends what one shard sent, byte for byte.
-    let hash = reference.bytes.iter().flatten().fold(0xcbf2_9ce4_8422_2325u64, |hash, &byte| {
-        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
-    assert_eq!(hash, 0x65a1_16fd_06ee_ec0d, "the downlink of the burst trace changed");
+    // regions, then the tick's events in ascending group id.  Two hashes, because content and
+    // encoding change for different reasons.  The value hash covers the decoded responses
+    // (their `Debug` rendering).  It was recorded while the bytes still hashed to what the
+    // last sharded engine sent for this trace with `test_core()` on *one* shard, so three
+    // workers matching it is evidence that any worker count says what one shard said.  A
+    // codec change must leave it alone; the byte hash pins the encoding and moves with it.
+    let fnv1a = |hash: u64, bytes: &[u8]| {
+        bytes
+            .iter()
+            .fold(hash, |hash, &byte| (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3))
+    };
+    let (mut values, mut bytes) = (0xcbf2_9ce4_8422_2325u64, 0xcbf2_9ce4_8422_2325u64);
+    for raw in &reference.bytes {
+        bytes = fnv1a(bytes, raw);
+        let mut rest = &raw[..];
+        while let Some((batch, consumed)) = parse_batch(rest) {
+            rest = &rest[consumed..];
+            for response in batch {
+                values = fnv1a(values, format!("{response:?}").as_bytes());
+            }
+        }
+        assert!(rest.is_empty(), "the transcript is whole batches");
+    }
+    assert_eq!(values, 0x6a1f_9e08_2d44_0dd0, "what the burst trace says changed");
+    assert_eq!(bytes, 0x8122_a030_9f58_51ba, "how the burst trace is encoded changed");
 }

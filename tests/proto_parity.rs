@@ -16,7 +16,9 @@
 //! * and a monitoring session's downlink tally is exactly the cost of the responses the
 //!   server core produced for it.
 
-use mpn::core::{packets_for_values, region_value_count, Method, Objective, SafeRegion};
+use mpn::core::{
+    encode_cells, packets_for_values, region_value_count, Method, Objective, SafeRegion,
+};
 use mpn::geom::{Circle, Point};
 use mpn::index::RTree;
 use mpn::mobility::poi::{clustered_pois, PoiConfig};
@@ -129,8 +131,6 @@ fn real_tile_regions_match_result_notifications_compressed_and_plain() {
 /// wire, not an estimate of it.
 #[test]
 fn real_tile_regions_round_trip_at_under_two_bytes_a_tile() {
-    // Frame length, tag, group, user, meeting point, region kind, frame origin and δ.
-    const FIXED: usize = 4 + 1 + 8 + 4 + 16 + 1 + 16 + 8;
     let (tree, users) = parity_world();
     let theta = std::f64::consts::FRAC_PI_4;
     let methods =
@@ -149,12 +149,15 @@ fn real_tile_regions_round_trip_at_under_two_bytes_a_tile() {
                 };
                 let bytes = wire.encoded();
                 assert_eq!(Response::decode(&bytes), Ok((wire, bytes.len())));
+                let mut stream = Vec::new();
+                encode_cells(region_tiles.cells(), &mut stream);
+                assert!(bytes.ends_with(&stream), "the frame ends in the region's step stream");
                 tiles += region_tiles.len();
-                tile_bytes += bytes.len() - FIXED;
+                tile_bytes += stream.len();
                 // Per region too: the model's doubles (origin, δ, count, two tiles a value)
                 // cover the bytes sent for the same four things.
                 let modelled = 8 * region_value_count(region, true);
-                assert!(modelled >= bytes.len() - FIXED + 24, "{objective:?} {method:?}");
+                assert!(modelled >= stream.len() + 24, "{objective:?} {method:?}");
             }
         }
     }

@@ -8,7 +8,10 @@ use mpn::geom::Point;
 use mpn::index::RTree;
 use mpn::mobility::waypoint::{random_waypoint, WaypointConfig};
 use mpn::mobility::Trajectory;
-use mpn::proto::{AdminRequest, NotificationKind, Request, Response, WireConfig};
+use mpn::proto::{
+    AdminRequest, NotificationKind, Request, Response, WireConfig, MAX_FRAME_LEN,
+    MAX_REPORT_POSITIONS,
+};
 use mpn::sim::{
     EpochUpdate, GroupSession, MonitorConfig, MonitoringEngine, ServerCore, TickSummary,
     TrajectoryFeed,
@@ -196,6 +199,28 @@ fn deleting_the_last_poi_is_refused_before_the_world_changes() {
         assert_eq!(core.engine().world().len(), 1, "the last POI stays");
         assert_eq!(core.engine().world().generation(), generation, "nothing was touched");
     }
+}
+
+/// The registration cap was `MAX_FRAME_LEN / 16` users, which forgot the `Report` header: the
+/// largest group the server admitted could never send a report (its frame was 13 bytes over
+/// the cap, so the decoder answered `Oversize`).  The cap is now what one `Report` frame holds
+/// after the tag and the longest group id, and a group one larger is refused.
+#[test]
+fn the_largest_group_the_server_admits_can_report() {
+    let mut core = ServerCore::new(RTree::bulk_load(&[Point::new(0.0, 0.0)]), 1);
+    let group_size = u32::try_from(MAX_REPORT_POSITIONS + 1).expect("fits the wire");
+    core.enqueue(1, Request::Register { group_size, config: WireConfig::default() });
+    let refused = Response::Notification { group: u64::MAX, kind: NotificationKind::BadRequest };
+    assert_eq!(core.process().responses, vec![(1, refused)]);
+    assert_eq!(core.engine().group_count(), 0, "nothing was registered");
+
+    let report = Request::Report {
+        group: u64::MAX,
+        positions: vec![Point::new(1.0, 2.0); MAX_REPORT_POSITIONS],
+    };
+    let bytes = report.encoded();
+    assert!(bytes.len() - 4 <= MAX_FRAME_LEN, "a {}-byte payload", bytes.len() - 4);
+    assert_eq!(Request::decode(&bytes), Ok((report, bytes.len())));
 }
 
 /// `ProcessOutput::applied` used to be deduplicated by a linear scan per request; the set that

@@ -6,15 +6,17 @@
 //! `ServerCore` and the TCP front-end's batch envelope, and the bytes that come out are held
 //! to three facts:
 //!
-//! * a `SafeRegion` response costs at most its 62 fixed bytes plus **2 bytes a tile** on
-//!   average (the retired layout charged 9, the §7.1 model charges 4);
+//! * a tile `SafeRegion` response's header — every byte before its step stream — is at most
+//!   48 bytes (the fleet's group ids are below 128, so each id is a one-byte varint), and the
+//!   step stream costs at most its count plus **2 bytes a tile** on average (the retired
+//!   layout charged 9, the §7.1 model charges 4);
 //! * the downlink is a function of the inputs: two runs produce identical bytes;
 //! * what was sent is what a client reads back, response for response.
 //!
-//! Run with `--nocapture` for the per-response attribution (fixed header / one-byte steps /
+//! Run with `--nocapture` for the per-response attribution (header / count / one-byte steps /
 //! escapes) behind those figures.
 
-use mpn::core::SafeRegion;
+use mpn::core::{encode_cells, SafeRegion};
 use mpn::index::RTree;
 use mpn::mobility::network::{NetworkConfig, RoadNetwork};
 use mpn::mobility::poi::{clustered_pois, PoiConfig};
@@ -25,10 +27,6 @@ use mpn::sim::ServerCore;
 const GROUPS: usize = 12;
 const GROUP_SIZE: usize = 3;
 const EPOCHS: usize = 40;
-
-/// Frame length, tag, group, user, meeting point, region kind, frame origin and `δ`: what a
-/// tile `SafeRegion` response costs before its cell count.
-const FIXED: usize = 4 + 1 + 8 + 4 + 16 + 1 + 16 + 8;
 
 /// Every downlink byte of the fleet's run, one batch envelope per tick, and the responses
 /// they were encoded from.
@@ -94,18 +92,25 @@ fn attribute(stream: &[u8]) -> (usize, usize, usize, usize) {
 fn tile_regions_cost_two_bytes_a_tile_and_repeat_exactly() {
     let (wire, batches) = drive();
 
-    let (mut responses, mut tiles, mut bytes) = (0usize, 0usize, 0usize);
+    let (mut responses, mut tiles, mut bytes, mut header_bytes) = (0usize, 0usize, 0usize, 0);
     let (mut count_bytes, mut steps, mut escapes, mut escape_bytes) = (0, 0, 0, 0);
     for response in batches.iter().flatten() {
         let Response::SafeRegion { region: SafeRegion::Tiles(region), .. } = response else {
             continue;
         };
+        // The header is what the codec puts in front of the region's step stream.
         let frame = response.encoded();
-        let (count_len, one_byte, escaped, escaped_bytes) = attribute(&frame[FIXED..]);
+        let mut stream = Vec::new();
+        encode_cells(region.cells(), &mut stream);
+        assert!(frame.ends_with(&stream), "a tile response ends in its step stream");
+        let header = frame.len() - stream.len();
+        assert!(header <= 48, "a {header}-byte header in front of one-byte ids");
+        let (count_len, one_byte, escaped, escaped_bytes) = attribute(&stream);
         assert_eq!(one_byte + escaped, region.len(), "one token per tile");
         responses += 1;
         tiles += region.len();
         bytes += frame.len();
+        header_bytes += header;
         count_bytes += count_len;
         steps += one_byte;
         escapes += escaped;
@@ -113,23 +118,25 @@ fn tile_regions_cost_two_bytes_a_tile_and_repeat_exactly() {
     }
     assert!(responses >= 10 * GROUPS, "{responses} tile responses: the fleet must keep updating");
     let per = |n: usize| n as f64 / responses as f64;
+    let stream_bytes = bytes - header_bytes;
     println!(
         "{responses} tile SafeRegion responses over {EPOCHS} epochs, {:.1} tiles each: \
-         {:.1} B each = {FIXED} fixed + {:.2} count + {:.1} one-byte steps + {:.1} B in {:.2} \
+         {:.1} B each = {:.1} header + {:.2} count + {:.1} one-byte steps + {:.1} B in {:.2} \
          escapes; {:.2} B a tile (retired layout: {:.1} B each)",
         per(tiles),
         per(bytes),
+        per(header_bytes),
         per(count_bytes),
         per(steps),
         per(escape_bytes),
         per(escapes),
-        (bytes - FIXED * responses) as f64 / tiles as f64,
+        stream_bytes as f64 / tiles as f64,
         62.0 + 9.0 * per(tiles),
     );
-    assert_eq!(bytes, responses * FIXED + count_bytes + steps + escape_bytes);
+    assert_eq!(stream_bytes, count_bytes + steps + escape_bytes);
     assert!(
-        bytes <= 62 * responses + 2 * tiles,
-        "{bytes} B for {responses} responses holding {tiles} tiles"
+        stream_bytes <= 4 * responses + 2 * tiles,
+        "{stream_bytes} B of step stream for {responses} responses holding {tiles} tiles"
     );
 
     // What was sent is what a client reads back, batch for batch.
