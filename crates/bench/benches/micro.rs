@@ -16,8 +16,9 @@
 //! * skewed-fleet busy ticks: Zipf group sizes, the big groups neighbours in id order —
 //!   one chunk per worker vs work-stealing session batches vs stealing plus the shared
 //!   query cache,
-//! * GT-Verify (Section 5.3): a whole Tile-MSR run, and ns per (tile, candidate) pair on the
-//!   pass and the fail path of the incremental verifier,
+//! * GT-Verify (Section 5.3): a whole Tile-MSR run, ns per (tile, candidate) pair on the pass
+//!   and the fail path of the incremental verifier, and 64 cold Tile-D-b/MAX first regions at
+//!   the paper's data-set size,
 //! * index pruning on/off (Theorem 3),
 //! * the SUM side of the tile methods: ns per closed-form focal-difference minimum
 //!   (Section 6.3.1) and a whole unbuffered Tile-D/SUM recompute served by one candidate pool,
@@ -79,7 +80,7 @@ fn replay_tick(engine: &mut MonitoringEngine, replays: &mut [(usize, TrajectoryF
 /// GT-Verify fixture: three users with 5 × 5 tiles each around `pᵒ` = the origin, a tile one
 /// step beyond user 0's region, and 1,000 candidates on a ring — at radius 5,000 every pair
 /// passes the whole-region check (Algorithm 4, lines 1-2), at radius 30 every pair fails it,
-/// runs the Theorem 2 fold and is rejected.
+/// answers Theorem 2 from its sorted summaries (built on the first pass) and is rejected.
 struct GtFixture {
     anchors: [Point; 3],
     regions: Vec<TileRegion>,
@@ -401,6 +402,33 @@ fn main() {
                 black_box(tile_msr(&tree, &group, Objective::Max, &config, None, &mut None));
             });
         }
+    }
+
+    // First regions of the paper's main method at its data-set size: 64 groups of three spread
+    // over the domain, one cold Tile-D-b/MAX `Method::answer` each (GNN buffer, seed circle,
+    // tile growth with GT-Verify on every tried tile) — the work `drive_tile_max`'s `setup_s`
+    // times for its 200 groups.  One iteration answers all 64.
+    {
+        let tree = poi_tree(21_287);
+        let method = Method::tile_directed_buffered(std::f64::consts::FRAC_PI_4, 100);
+        let groups: Vec<[Point; 3]> = (0..64)
+            .map(|g| {
+                let t = f64::from(g);
+                let centre = Point::new(
+                    5_000.0 + 4_000.0 * (t * 0.731).sin(),
+                    5_000.0 + 4_000.0 * (t * 1.237).cos(),
+                );
+                [0.0, 2.1, 4.2].map(|phase| {
+                    let r = 200.0 + 600.0 * (t * 0.37 + phase).sin().abs();
+                    Point::new(centre.x + r * (t + phase).cos(), centre.y + r * (t + phase).sin())
+                })
+            })
+            .collect();
+        b("tile/first_regions_tile_d_b_max", &mut || {
+            for group in &groups {
+                black_box(method.answer(&tree, Objective::Max, black_box(group), None));
+            }
+        });
     }
 
     // The SUM verifier's kernel and the unbuffered recompute that calls it per (tile, candidate).

@@ -90,12 +90,6 @@ impl TileStream {
         self.accepted_in_layer = true;
     }
 
-    /// Whether the stream has run out of tiles.
-    #[must_use]
-    pub fn is_exhausted(&self) -> bool {
-        self.exhausted && self.cursor >= self.queue.len()
-    }
-
     fn advance_layer(&mut self) {
         self.layer += 1;
         self.accepted_in_layer = false;
@@ -173,7 +167,6 @@ mod tests {
         }
         // No acceptance was ever reported, so only the first layer is produced.
         assert_eq!(seen.len(), 8);
-        assert!(s.is_exhausted());
         assert!(s.next_cell().is_none());
     }
 

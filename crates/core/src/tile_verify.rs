@@ -13,34 +13,51 @@
 //! computed twice.  A [`TileVerifier`] keeps, and extends by exactly the tiles pushed since
 //! it last looked:
 //!
-//! * **per tile** of every user, `‖pᵒ, s‖max` — candidate-independent, so one array per user;
-//! * **per (candidate, user)**, the array of `‖p, s‖min` over that user's tiles plus the
-//!   running region minimum `‖p, Rⱼ‖min`.  This is the MAX analogue of the paper's per-user
-//!   hash tables `H₁ … H_m` (Algorithm 6), and the SUM verifier keeps its running minimum
-//!   focal difference `min_{l ∈ Rⱼ} (‖p, l‖ − ‖pᵒ, l‖)` in the very same table.  Entries are
-//!   dense: a candidate is named by a caller-chosen *slot* (its position in the §5.4 buffer,
-//!   or the order of first appearance when candidates come from the R-tree), never hashed;
-//! * **per user**, the running `‖pᵒ, Rⱼ‖max` and `‖anchorⱼ, Rⱼ‖max`, which make the
-//!   whole-region check of Algorithm 4 (lines 1–2), the slot distance of Algorithm 5
-//!   (line 1) and the pruning radii of Theorems 3/6 `O(m)` look-ups instead of walks over
-//!   every tile of every region.
+//! * **per user**, her tiles in ascending `a = ‖pᵒ, s‖max` order (candidate-independent), and
+//!   the running `‖pᵒ, Rⱼ‖max` and `‖anchorⱼ, Rⱼ‖max`, which make the whole-region check of
+//!   Algorithm 4 (lines 1–2), the slot distance of Algorithm 5 (line 1) and the pruning radii
+//!   of Theorems 3/6 `O(m)` look-ups instead of walks over every tile of every region;
+//! * **per (candidate, user)**, the running region minimum `‖p, Rⱼ‖min`.  This is the MAX
+//!   analogue of the paper's per-user hash tables `H₁ … H_m` (Algorithm 6), and the SUM
+//!   verifier keeps its running minimum focal difference `min_{l ∈ Rⱼ} (‖p, l‖ − ‖pᵒ, l‖)` in
+//!   the very same table.  Entries are dense: a candidate is named by a caller-chosen *slot*
+//!   (its position in the §5.4 buffer, or the order of first appearance when candidates come
+//!   from the R-tree), never hashed;
+//! * **per (candidate, user) that reaches Theorem 2** (MAX only), a *sorted summary* of the
+//!   pairs `(a, b) = (‖pᵒ, s‖max, ‖p, s‖min)` over the user's tiles: in `a` order the prefix
+//!   and suffix minima of `b`, in `b` order each tile's `a` and the prefix and suffix maxima of
+//!   `a`.  Only the pairs that fail the whole-region check need one — a few percent of the
+//!   tables — and it is rebuilt only when the user's region has grown since it was built.
 //!
-//! On top of these, the four tile groups `G↓↓ / G↑↓ / G↓↑ / G↑↑` of Theorem 2 are never
-//! materialised: one pass of two compares per tile folds `(max ‖pᵒ,·‖max, min ‖p,·‖min)` per
-//! group, and every union the theorem's cases need is a max/min over at most four of those
-//! pairs.
+//! For the tile `s` under test, with thresholds `dᵒ = ‖pᵒ, s‖max` and `d_p = ‖p, s‖min`, one
+//! `partition_point` in each order splits a user's tiles at the thresholds, and the four groups
+//! `G↓↓ / G↑↓ / G↓↑ / G↑↑` of Theorem 2 are never materialised: every union the theorem's
+//! cases need is a prefix or a suffix of one order, so its `(max a, min b)` is one look-up.  A
+//! tile whose `a` equals `dᵒ` (or whose `b` equals `d_p`) is *up*, as in the theorem's
+//! `≥`: the searches count the tiles strictly below a threshold.  The one aggregate that is
+//! neither a prefix nor a suffix is the least `b` of `G↑↑` alone (case 4 with one user
+//! dominating both distances), and it is computed lazily: `G↑↑` is non-empty exactly when the
+//! largest `a` over `{b ≥ d_p}` is at least `dᵒ`, which is then its largest `a`; its least `b`
+//! is at least both the least `b` of `{b ≥ d_p}` and that of `{a ≥ dᵒ}`.  Lemma 1 is tried on
+//! that bound first, and only when it fails is the exact value read by walking the `b` order
+//! from `d_p` to the first tile with `a ≥ dᵒ`.
 //!
 //! # Why the decisions are bit-identical to recomputing from scratch
 //!
-//! Every dominant distance is a `max`/`min` fold over per-tile distances that are computed
-//! by the same `Square::{min_dist, max_dist}` calls on the same inputs.  Those values are
-//! finite and non-negative (non-finite input is rejected at the server boundary), and over
-//! such values `f64::max` and `f64::min` are associative and commutative, so folding them
-//! tile by tile as regions grow, group by group, or all at once yields the same bits — and
-//! Lemma 1 ([`lemma1_holds`]) then compares the same two numbers.  The SUM verifier adds its
-//! per-user minima in user order exactly as before, because `+` is *not* order-independent.
-//! The candidates themselves arrive in the index's output order whether they were queried
-//! for this tile or filtered from the per-computation pool (a narrower query's output is the
+//! Every dominant distance is a `max`/`min` over per-tile distances that are computed by the
+//! same `Square::{min_dist, max_dist}` calls on the same inputs.  Those values are finite and
+//! non-negative (non-finite input is rejected at the server boundary), and over such values
+//! `f64::max` and `f64::min` do not depend on order or grouping, so folding them tile by tile
+//! as regions grow, per group as the per-pair fold of earlier versions did, or as a prefix or
+//! suffix of a sorted order yields the same bits.  The sorted split puts every tile on the same
+//! side of a threshold as that fold's `>=` did (values are never NaN), so each case of
+//! Theorem 2 hands Lemma 1 ([`lemma1_holds`]) the same two numbers, and a case is vacuous
+//! exactly when the fold found a group empty.  The lazy bound only decides when the exact value
+//! would decide the same way (Lemma 1 is monotone in the dominant minimum).  The unit tests pin
+//! `accepts` to that fold, kept there as a reference.  The SUM verifier adds its per-user
+//! minima in user order exactly as before, because `+` is *not* order-independent.  The
+//! candidates themselves arrive in the index's output order whether they were queried for
+//! this tile or filtered from the per-computation pool (a narrower query's output is the
 //! in-order subsequence of a wider one's; see `CandidatePool` in `tile.rs`), so `accepts`
 //! stops at the same first failing candidate and counts the same pairs.
 //!
@@ -68,19 +85,30 @@ const RETAINED_TABLES: usize = 1024;
 struct UserSummary {
     /// The location `‖·, Rⱼ‖max` reach is measured from (buffer anchor or current location).
     anchor: Point,
-    /// `‖pᵒ, s‖max` per tile, in region order.
-    opt_max: Vec<f64>,
+    /// `(‖pᵒ, s‖max, index of s in the region)` per tile, in ascending `‖pᵒ, s‖max` order.
+    by_opt: Vec<(f64, usize)>,
     /// Running `‖pᵒ, Rⱼ‖max` (−∞ for an empty region).
     opt_reach: f64,
     /// Running `‖anchorⱼ, Rⱼ‖max` (−∞ for an empty region).
     anchor_reach: f64,
 }
 
+/// One tile of a sorted summary, in ascending `‖p, s‖min` order.
+#[derive(Debug, Clone, Copy)]
+struct CandStep {
+    /// `‖p, s‖min`, the sort key.
+    cand_min: f64,
+    /// `‖pᵒ, s‖max`.
+    opt_max: f64,
+    /// The largest `‖pᵒ,·‖max` of this tile and every tile before it.
+    opt_max_upto: f64,
+    /// The largest `‖pᵒ,·‖max` of this tile and every tile after it.
+    opt_max_from: f64,
+}
+
 /// One (candidate, user) entry of the memo table.
 #[derive(Debug)]
 struct CandidateTable {
-    /// MAX only: `‖p, s‖min` per tile, in region order.
-    tile_min: Vec<f64>,
     /// Number of the user's tiles already folded into `region_min`.
     folded: usize,
     /// MAX: running `‖p, Rⱼ‖min`.  SUM: running minimum focal difference over `Rⱼ`.
@@ -88,41 +116,78 @@ struct CandidateTable {
 }
 
 impl CandidateTable {
-    const EMPTY: Self = Self { tile_min: Vec::new(), folded: 0, region_min: f64::INFINITY };
+    const EMPTY: Self = Self { folded: 0, region_min: f64::INFINITY };
 }
 
-/// `(max ‖pᵒ,·‖max, min ‖p,·‖min)` of each Theorem 2 group of one user, indexed by
-/// `[‖pᵒ,s'‖max ≥ dᵒ] + 2·[‖p,s'‖min ≥ d_p]`, plus a bit set of the non-empty groups.
-#[derive(Debug, Clone, Copy)]
-struct Groups {
-    max_opt: [f64; 4],
-    min_cand: [f64; 4],
-    present: u8,
+/// The sorted summary of one (candidate, user) entry, kept apart from the memo table so
+/// that the tables every pair reads stay small.
+#[derive(Debug, Default)]
+struct SortedSummary {
+    /// How many of the user's tiles the summary describes (0: none built).
+    sorted: usize,
+    /// The user's tiles in ascending `‖p, s‖min` order.
+    by_cand: Vec<CandStep>,
+    /// At each rank of the user's `by_opt` order, the least `‖p,·‖min` up to and including
+    /// that rank and from it on.
+    by_opt: Vec<(f64, f64)>,
 }
 
-const DD: u8 = 0b0001; // G↓↓
-const UD: u8 = 0b0010; // G↑↓: ‖pᵒ,·‖max at least the tile's
-const DU: u8 = 0b0100; // G↓↑: ‖p,·‖min at least the tile's
-const UU: u8 = 0b1000; // G↑↑
-const ALL: u8 = DD | UD | DU | UU;
-
-impl Groups {
-    const EMPTY: Self =
-        Self { max_opt: [f64::NEG_INFINITY; 4], min_cand: [f64::INFINITY; 4], present: 0 };
-
-    /// Dominant distances of the union of the groups in `mask` (`None` when it is empty).
-    fn union(&self, mask: u8) -> Option<(f64, f64)> {
-        if self.present & mask == 0 {
-            return None;
+impl SortedSummary {
+    /// Rebuilds the summary of `candidate` over `squares`, the user's tiles.
+    fn build(&mut self, user: &UserSummary, squares: &[Square], candidate: Point) {
+        self.by_cand.clear();
+        self.by_opt.clear();
+        let mut least = f64::INFINITY;
+        for &(opt_max, tile) in &user.by_opt {
+            let cand_min = squares[tile].min_dist(candidate);
+            least = least.min(cand_min);
+            self.by_opt.push((least, cand_min));
+            self.by_cand.push(CandStep { cand_min, opt_max, opt_max_upto: 0.0, opt_max_from: 0.0 });
         }
-        let mut out = (f64::NEG_INFINITY, f64::INFINITY);
-        for g in 0..4 {
-            if mask & (1 << g) != 0 {
-                out = (out.0.max(self.max_opt[g]), out.1.min(self.min_cand[g]));
-            }
+        let mut least = f64::INFINITY;
+        for (_, from) in self.by_opt.iter_mut().rev() {
+            least = least.min(*from);
+            *from = least;
         }
-        Some(out)
+        self.by_cand.sort_unstable_by(|x, y| x.cand_min.total_cmp(&y.cand_min));
+        let mut most = f64::NEG_INFINITY;
+        for step in &mut self.by_cand {
+            most = most.max(step.opt_max);
+            step.opt_max_upto = most;
+        }
+        let mut most = f64::NEG_INFINITY;
+        for step in self.by_cand.iter_mut().rev() {
+            most = most.max(step.opt_max);
+            step.opt_max_from = most;
+        }
+        self.sorted = squares.len();
     }
+}
+
+/// One other user's tiles split at the thresholds `(dᵒ, d_p)` of the tile under test: the
+/// `(max ‖pᵒ,·‖max, min ‖p,·‖min)` of every union of Theorem 2 groups that is a prefix or a
+/// suffix of a sorted order (`None` when the union is empty).
+#[derive(Debug, Clone, Copy, Default)]
+struct Split {
+    /// The whole region.
+    all: (f64, f64),
+    /// `G↓↓ ∪ G↓↑`, the tiles with `‖pᵒ,·‖max < dᵒ`: their least `‖p,·‖min`.
+    low_opt: Option<f64>,
+    /// `G↑↓ ∪ G↑↑`, the tiles with `‖pᵒ,·‖max ≥ dᵒ`.
+    high_opt: Option<(f64, f64)>,
+    /// `G↓↓ ∪ G↑↓`, the tiles with `‖p,·‖min < d_p`: their largest `‖pᵒ,·‖max`.
+    low_cand: Option<f64>,
+    /// `G↓↑ ∪ G↑↑`, the tiles with `‖p,·‖min ≥ d_p`.
+    high_cand: Option<(f64, f64)>,
+    /// How many tiles have `‖p,·‖min < d_p`: where `G↓↑ ∪ G↑↑` starts in the `b` order.
+    cand_rank: usize,
+}
+
+/// Lemma 1 over the tile under test `(dᵒ, d_p)` and one `(‖pᵒ,·‖max, ‖p,·‖min)` pair per
+/// other user.
+fn lemma1_over(d_o: f64, d_p: f64, pairs: impl Iterator<Item = (f64, f64)>) -> bool {
+    let (max, min) = pairs.fold((d_o, d_p), |(max, min), (a, b)| (max.max(a), min.max(b)));
+    lemma1_holds(max, min)
 }
 
 /// The incremental verifier of one Tile-MSR computation (see the module docs).
@@ -137,7 +202,10 @@ pub struct TileVerifier {
     users: Vec<UserSummary>,
     /// Entry `slot · m + j` belongs to candidate `slot` and user `j`.
     tables: Vec<CandidateTable>,
-    groups: Vec<Groups>,
+    /// MAX only: the sorted summaries, indexed as `tables` and grown as pairs reach Theorem 2.
+    summaries: Vec<SortedSummary>,
+    /// Per user, her tiles split at the thresholds of the pair under Theorem 2.
+    splits: Vec<Split>,
 }
 
 impl TileVerifier {
@@ -149,26 +217,28 @@ impl TileVerifier {
         self.users.resize_with(anchors.len(), UserSummary::default);
         for (user, anchor) in self.users.iter_mut().zip(anchors) {
             user.anchor = *anchor;
-            user.opt_max.clear();
+            user.by_opt.clear();
             user.opt_reach = f64::NEG_INFINITY;
             user.anchor_reach = f64::NEG_INFINITY;
         }
         self.tables.truncate(RETAINED_TABLES);
         for table in &mut self.tables {
-            table.tile_min.clear();
-            table.folded = 0;
-            table.region_min = f64::INFINITY;
+            *table = CandidateTable::EMPTY;
         }
-        self.groups.clear();
-        self.groups.resize(anchors.len(), Groups::EMPTY);
+        self.summaries.truncate(RETAINED_TABLES);
+        for summary in &mut self.summaries {
+            summary.sorted = 0;
+        }
+        self.splits.resize(anchors.len(), Split::default());
     }
 
     /// Folds the tiles pushed since the last call into the per-user summaries.
     pub(crate) fn sync(&mut self, regions: &[TileRegion]) {
         for (user, region) in self.users.iter_mut().zip(regions) {
-            for sq in &region.squares()[user.opt_max.len()..] {
+            for (tile, sq) in region.squares().iter().enumerate().skip(user.by_opt.len()) {
                 let d = sq.max_dist(self.p_opt);
-                user.opt_max.push(d);
+                let rank = user.by_opt.partition_point(|&(opt_max, _)| opt_max < d);
+                user.by_opt.insert(rank, (d, tile));
                 user.opt_reach = user.opt_reach.max(d);
                 user.anchor_reach = user.anchor_reach.max(sq.max_dist(user.anchor));
             }
@@ -229,19 +299,18 @@ impl TileVerifier {
     ) -> bool {
         let m = regions.len();
         let d_p = tile.min_dist(candidate);
+        let others = || (0..m).filter(move |&l| l != user);
 
         // Lines 1-2 of Algorithm 4: the whole-region check often succeeds outright.  A user
         // without tiles admits no location combination, so the check is vacuously true.
         let (mut dominant_max, mut dominant_min) = (d_o, d_p);
-        for j in (0..m).filter(|&j| j != user) {
+        for j in others() {
             if regions[j].is_empty() {
                 return true;
             }
             let table = &mut self.tables[first + j];
             for sq in &regions[j].squares()[table.folded..] {
-                let d = sq.min_dist(candidate);
-                table.tile_min.push(d);
-                table.region_min = table.region_min.min(d);
+                table.region_min = table.region_min.min(sq.min_dist(candidate));
             }
             table.folded = regions[j].len();
             dominant_max = dominant_max.max(self.users[j].opt_reach);
@@ -251,36 +320,39 @@ impl TileVerifier {
             return true;
         }
 
-        // One pass over the other users' tiles folds the dominant distances of the four
-        // groups of Section 5.3 (thresholds: the tile's own dᵒ = ‖pᵒ,s‖max, d_p = ‖p,s‖min).
-        for j in (0..m).filter(|&j| j != user) {
-            let mut groups = Groups::EMPTY;
-            let tile_min = &self.tables[first + j].tile_min;
-            for (&opt_max, &cand_min) in self.users[j].opt_max.iter().zip(tile_min) {
-                let g = usize::from(opt_max >= d_o) + 2 * usize::from(cand_min >= d_p);
-                groups.max_opt[g] = groups.max_opt[g].max(opt_max);
-                groups.min_cand[g] = groups.min_cand[g].min(cand_min);
-                groups.present |= 1 << g;
-            }
-            self.groups[j] = groups;
+        // Split every other user's tiles at the tile's thresholds dᵒ = ‖pᵒ,s‖max and
+        // d_p = ‖p,s‖min (Section 5.3), and fold cases 2-3 of Theorem 2 on the way: uᵢ
+        // dominates only the min (every G↓↓ ∪ G↑↓) or only the max (every G↓↓ ∪ G↓↑).  A case
+        // with an empty union is vacuous.  Case 1 (uᵢ dominates both) needs no check of its
+        // own: it fails only when every G↓↓ is non-empty and Lemma 1 fails on (dᵒ, d_p), and
+        // then every G↓↓ ∪ G↓↑ is non-empty with its least ‖p,·‖min below d_p, so case 3
+        // compares the same two numbers.
+        if self.summaries.len() < first + m {
+            self.summaries.resize_with(first + m, SortedSummary::default);
         }
-        let groups = &self.groups;
-        // Lemma 1 over the tile plus, for every other user `l`, the union of `select(l)`;
-        // vacuously true when some union is empty.
-        let holds = |select: &dyn Fn(usize) -> u8| {
-            let (mut dominant_max, mut dominant_min) = (d_o, d_p);
-            for l in (0..m).filter(|&l| l != user) {
-                let Some((max_opt, min_cand)) = groups[l].union(select(l)) else {
-                    return true;
-                };
-                dominant_max = dominant_max.max(max_opt);
-                dominant_min = dominant_min.max(min_cand);
+        let (mut case2_max, mut case3_min) = (Some(d_o), Some(d_p));
+        for j in others() {
+            let (user, summary) = (&self.users[j], &mut self.summaries[first + j]);
+            if summary.sorted != regions[j].len() {
+                summary.build(user, regions[j].squares(), candidate);
             }
-            lemma1_holds(dominant_max, dominant_min)
-        };
-
-        // Theorem 2, cases 1-3: uᵢ dominates both distances / only the min / only the max.
-        if !holds(&|_| DD) || !holds(&|_| DD | UD) || !holds(&|_| DD | DU) {
+            let opt_rank = user.by_opt.partition_point(|&(opt_max, _)| opt_max < d_o);
+            let cand_rank = summary.by_cand.partition_point(|step| step.cand_min < d_p);
+            let split = Split {
+                all: (user.opt_reach, self.tables[first + j].region_min),
+                low_opt: opt_rank.checked_sub(1).map(|k| summary.by_opt[k].0),
+                high_opt: summary.by_opt.get(opt_rank).map(|&(_, from)| (user.opt_reach, from)),
+                low_cand: cand_rank.checked_sub(1).map(|k| summary.by_cand[k].opt_max_upto),
+                high_cand: summary.by_cand.get(cand_rank).map(|s| (s.opt_max_from, s.cand_min)),
+                cand_rank,
+            };
+            case2_max = case2_max.zip(split.low_cand).map(|(max, opt_max)| max.max(opt_max));
+            case3_min = case3_min.zip(split.low_opt).map(|(min, cand_min)| min.max(cand_min));
+            self.splits[j] = split;
+        }
+        if case2_max.is_some_and(|max| !lemma1_holds(max, d_p))
+            || case3_min.is_some_and(|min| !lemma1_holds(d_o, min))
+        {
             return false;
         }
 
@@ -291,19 +363,48 @@ impl TileVerifier {
         // candidate pruning the shortcut can accept combinations that were never actually
         // verified, which breaks conservativeness (caught by the workspace property tests).
         // Instead the remaining combinations are always covered with one grouped Lemma-1
-        // check per (dominant-max user j, dominant-min user k) pair.  Each remaining
-        // combination has its tiles contained in the corresponding grouped regions, so a pass
-        // here implies the combination is valid.
-        let others = || (0..m).filter(|&l| l != user);
-        others().filter(|&j| groups[j].present & (UD | UU) != 0).all(|j| {
-            others().filter(|&k| groups[k].present & (DU | UU) != 0).all(|k| {
-                holds(&|l| match (l == j, l == k) {
-                    (true, true) => UU,
-                    (true, false) => UD | UU,
-                    (false, true) => DU | UU,
-                    (false, false) => ALL,
-                })
-            })
+        // check per (dominant-max user j, dominant-min user k) pair: j's G↑↓ ∪ G↑↑, k's
+        // G↓↑ ∪ G↑↑ and every other user's whole region, or G↑↑ alone when j = k.  Each
+        // remaining combination has its tiles contained in the corresponding grouped regions,
+        // so a pass here implies the combination is valid.
+        let splits = &self.splits;
+        for j in others() {
+            let Some(high_opt) = splits[j].high_opt else { continue };
+            for k in others().filter(|&k| k != j) {
+                let Some(high_cand) = splits[k].high_cand else { continue };
+                let pick = |l: usize| match l {
+                    _ if l == j => high_opt,
+                    _ if l == k => high_cand,
+                    _ => splits[l].all,
+                };
+                if !lemma1_over(d_o, d_p, others().map(pick)) {
+                    return false;
+                }
+            }
+        }
+        // j = k: G↑↑ is non-empty exactly when the largest ‖pᵒ,·‖max of G↓↑ ∪ G↑↑ reaches dᵒ.
+        // Its least ‖p,·‖min is bounded below by those of G↓↑ ∪ G↑↑ and G↑↓ ∪ G↑↑; only when
+        // Lemma 1 fails on that bound is the exact value read off the ‖p,·‖min order.
+        others().all(|j| {
+            let (Some((uu_max, cand_floor)), Some((_, opt_floor))) =
+                (splits[j].high_cand, splits[j].high_opt)
+            else {
+                return true;
+            };
+            let holds = |uu_min: f64| {
+                lemma1_over(
+                    d_o,
+                    d_p,
+                    others().map(|l| if l == j { (uu_max, uu_min) } else { splits[l].all }),
+                )
+            };
+            uu_max < d_o || holds(cand_floor.max(opt_floor)) || {
+                let steps = &self.summaries[first + j].by_cand[splits[j].cand_rank..];
+                steps
+                    .iter()
+                    .find(|step| step.opt_max >= d_o)
+                    .is_none_or(|step| holds(step.cand_min))
+            }
         })
     }
 
@@ -340,286 +441,4 @@ impl TileVerifier {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::region::{TileCell, TileFrame};
-    use crate::verify::verify_max_exhaustive;
-    use mpn_geom::sum_dist_to_set;
-
-    /// A verifier for `m` users whose anchors play no role in the test.
-    fn verifier(objective: Objective, p_opt: Point, m: usize) -> TileVerifier {
-        let mut v = TileVerifier::default();
-        v.begin(objective, p_opt, &vec![Point::ORIGIN; m]);
-        v
-    }
-
-    /// Verifies one (tile, candidate) pair.
-    fn check(
-        v: &mut TileVerifier,
-        regions: &[TileRegion],
-        user: usize,
-        tile: &Square,
-        candidate: Point,
-        slot: usize,
-    ) -> bool {
-        v.accepts(regions, user, tile, [(candidate, slot)], &mut ComputeStats::default())
-    }
-
-    fn region_at(center: Point, delta: f64, cells: &[TileCell]) -> TileRegion {
-        let mut r = TileRegion::new(TileFrame::centered_at(center, delta));
-        for c in cells {
-            r.push(*c);
-        }
-        r
-    }
-
-    /// Brute-force oracle: samples location instances from the regions (plus the new tile for
-    /// `user`) and reports whether the candidate ever beats the optimum.
-    fn oracle_max_valid(
-        regions: &[TileRegion],
-        user: usize,
-        tile: &Square,
-        candidate: Point,
-        p_opt: Point,
-    ) -> bool {
-        let per_user: Vec<Vec<Square>> = regions
-            .iter()
-            .enumerate()
-            .map(|(j, r)| if j == user { vec![*tile] } else { r.squares().to_vec() })
-            .collect();
-        // Sample the corner/centre lattice of every tile combination.
-        fn samples(sq: &Square) -> Vec<Point> {
-            let mut v = sq.corners().to_vec();
-            v.push(sq.center);
-            v
-        }
-        fn recurse(
-            per_user: &[Vec<Square>],
-            chosen: &mut Vec<Point>,
-            candidate: Point,
-            p_opt: Point,
-        ) -> bool {
-            if chosen.len() == per_user.len() {
-                let d_opt = chosen.iter().map(|l| l.dist(p_opt)).fold(0.0, f64::max);
-                let d_cand = chosen.iter().map(|l| l.dist(candidate)).fold(0.0, f64::max);
-                return d_opt <= d_cand + 1e-7;
-            }
-            let u = chosen.len();
-            for sq in &per_user[u] {
-                for s in samples(sq) {
-                    chosen.push(s);
-                    let ok = recurse(per_user, chosen, candidate, p_opt);
-                    chosen.pop();
-                    if !ok {
-                        return false;
-                    }
-                }
-            }
-            true
-        }
-        recurse(&per_user, &mut Vec::new(), candidate, p_opt)
-    }
-
-    #[test]
-    fn gt_accepts_obviously_safe_tiles() {
-        let p_opt = Point::new(0.0, 0.0);
-        let candidate = Point::new(100.0, 0.0);
-        let regions = vec![
-            region_at(Point::new(1.0, 0.0), 2.0, &[TileCell::SEED]),
-            region_at(Point::new(-1.0, 1.0), 2.0, &[TileCell::SEED]),
-        ];
-        let tile = Square::new(Point::new(3.0, 0.0), 2.0);
-        let mut gt = verifier(Objective::Max, p_opt, 2);
-        assert!(check(&mut gt, &regions, 0, &tile, candidate, 7));
-    }
-
-    #[test]
-    fn gt_rejects_tiles_next_to_the_candidate() {
-        let p_opt = Point::new(0.0, 0.0);
-        let candidate = Point::new(10.0, 0.0);
-        let regions = vec![
-            region_at(Point::new(1.0, 0.0), 2.0, &[TileCell::SEED]),
-            region_at(Point::new(0.0, 1.0), 2.0, &[TileCell::SEED]),
-        ];
-        // A tile adjacent to the candidate pulls user 0 so close to it that the candidate wins.
-        let tile = Square::new(Point::new(9.5, 0.0), 2.0);
-        let mut gt = verifier(Objective::Max, p_opt, 2);
-        assert!(!check(&mut gt, &regions, 0, &tile, candidate, 3));
-    }
-
-    #[test]
-    fn gt_verify_is_conservative_wrt_oracle_on_a_grid_of_tiles() {
-        let p_opt = Point::new(0.0, 0.0);
-        let candidate = Point::new(8.0, 0.0);
-        let regions = vec![
-            region_at(Point::new(1.0, 0.5), 1.0, &[TileCell::SEED, TileCell::new(0, 1, 0)]),
-            region_at(Point::new(-0.5, -1.0), 1.0, &[TileCell::SEED]),
-        ];
-        let mut gt = verifier(Objective::Max, p_opt, 2);
-        for gx in -3..=9 {
-            for gy in -3..=3 {
-                let tile = Square::new(Point::new(f64::from(gx), f64::from(gy)), 1.0);
-                let oracle = oracle_max_valid(&regions, 0, &tile, candidate, p_opt);
-                let gt_ok = check(&mut gt, &regions, 0, &tile, candidate, 11);
-                let per_user = vec![vec![tile], regions[1].squares().to_vec()];
-                let it_ok = verify_max_exhaustive(&per_user, p_opt, candidate);
-                // Conservativeness: an accepted tile must be genuinely valid.
-                assert!(!gt_ok || oracle, "GT accepted an invalid tile at ({gx},{gy})");
-                assert!(!it_ok || oracle, "IT accepted an invalid tile at ({gx},{gy})");
-            }
-        }
-    }
-
-    #[test]
-    fn gt_verify_with_many_users_remains_conservative() {
-        let p_opt = Point::new(0.0, 0.0);
-        let candidate = Point::new(6.0, 4.0);
-        let regions = vec![
-            region_at(Point::new(0.5, 0.0), 1.0, &[TileCell::SEED, TileCell::new(0, 0, 1)]),
-            region_at(Point::new(-1.0, 0.5), 1.0, &[TileCell::SEED]),
-            region_at(Point::new(0.0, -1.5), 1.0, &[TileCell::SEED, TileCell::new(0, -1, 0)]),
-        ];
-        let mut gt = verifier(Objective::Max, p_opt, 3);
-        for gx in -2..=7 {
-            for gy in -2..=5 {
-                let tile = Square::new(Point::new(f64::from(gx) * 0.8, f64::from(gy) * 0.8), 0.8);
-                let oracle = oracle_max_valid(&regions, 1, &tile, candidate, p_opt);
-                let gt_ok = check(&mut gt, &regions, 1, &tile, candidate, 1);
-                assert!(!gt_ok || oracle, "GT accepted an invalid tile at ({gx},{gy})");
-            }
-        }
-    }
-
-    #[test]
-    fn sum_verifier_accepts_and_rejects_correctly() {
-        let p_opt = Point::new(0.0, 0.0);
-        let users = [Point::new(1.0, 0.0), Point::new(-1.0, 0.0)];
-        let regions = vec![
-            region_at(users[0], 1.0, &[TileCell::SEED]),
-            region_at(users[1], 1.0, &[TileCell::SEED]),
-        ];
-        let mut v = verifier(Objective::Sum, p_opt, 2);
-        // A far candidate can never beat pᵒ.
-        let far = Point::new(50.0, 0.0);
-        let tile_near_home = Square::new(Point::new(1.5, 0.5), 1.0);
-        assert!(check(&mut v, &regions, 0, &tile_near_home, far, 0));
-        // A candidate at (4,0): moving user 0 right next to it makes the sum for the candidate
-        // smaller than for pᵒ, so the tile must be rejected.
-        let near = Point::new(4.0, 0.0);
-        let tile_near_candidate = Square::new(Point::new(3.8, 0.0), 1.0);
-        assert!(!check(&mut v, &regions, 0, &tile_near_candidate, near, 1));
-    }
-
-    #[test]
-    fn sum_verifier_matches_brute_force_sampling() {
-        let p_opt = Point::new(1.0, 1.0);
-        let users = [Point::new(0.0, 0.0), Point::new(2.0, 1.0), Point::new(1.0, 3.0)];
-        let regions: Vec<TileRegion> =
-            users.iter().map(|u| region_at(*u, 1.0, &[TileCell::SEED])).collect();
-        let mut v = verifier(Objective::Sum, p_opt, 3);
-        let candidate = Point::new(4.0, 2.0);
-        for gx in -2..=6 {
-            for gy in -2..=5 {
-                let tile = Square::new(Point::new(f64::from(gx), f64::from(gy)), 1.0);
-                let accepted = check(&mut v, &regions, 2, &tile, candidate, 0);
-                if accepted {
-                    // Sample instances: the candidate's sum must never beat the optimum's.
-                    for &(t0x, t0y) in &[(0.45, 0.0), (-0.45, 0.3), (0.0, -0.45)] {
-                        for &(t1x, t1y) in &[(0.45, 0.0), (-0.45, -0.4)] {
-                            for &(sx, sy) in &[(0.49, 0.49), (-0.49, 0.0), (0.0, -0.49)] {
-                                let instance = [
-                                    Point::new(users[0].x + t0x, users[0].y + t0y),
-                                    Point::new(users[1].x + t1x, users[1].y + t1y),
-                                    Point::new(
-                                        tile.center.x + sx * tile.side(),
-                                        tile.center.y + sy * tile.side(),
-                                    ),
-                                ];
-                                // Clamp the third sample into the tile.
-                                let l2 = Point::new(
-                                    instance[2].x.clamp(tile.to_rect().lo.x, tile.to_rect().hi.x),
-                                    instance[2].y.clamp(tile.to_rect().lo.y, tile.to_rect().hi.y),
-                                );
-                                let instance = [instance[0], instance[1], l2];
-                                let d_opt = sum_dist_to_set(p_opt, &instance);
-                                let d_cand = sum_dist_to_set(candidate, &instance);
-                                assert!(
-                                    d_opt <= d_cand + 1e-6,
-                                    "accepted tile ({gx},{gy}) allows the candidate to win"
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The summaries must fold in tiles pushed between calls — for every user, in any
-    /// interleaving — and decide exactly as a verifier that sees the final regions cold.
-    #[test]
-    fn summaries_extended_across_pushes_match_a_fresh_verifier() {
-        let p_opt = Point::new(0.0, 0.0);
-        let candidates = [Point::new(6.0, 1.0), Point::new(-5.0, 4.0), Point::new(2.5, -7.0)];
-        let growth = [
-            (0, TileCell::new(0, 1, 0)),
-            (1, TileCell::new(1, -1, 2)),
-            (0, TileCell::new(0, 1, 1)),
-        ];
-        for objective in [Objective::Max, Objective::Sum] {
-            let mut regions = vec![
-                region_at(Point::new(2.0, 0.0), 1.0, &[TileCell::SEED]),
-                region_at(Point::new(-2.0, 0.0), 1.0, &[TileCell::SEED]),
-                region_at(Point::new(0.0, 2.5), 1.0, &[TileCell::SEED]),
-            ];
-            let mut memoised = verifier(objective, p_opt, 3);
-            for (grown, cell) in growth {
-                regions[grown].push(cell);
-                for user in 0..3 {
-                    for gx in -4..=4 {
-                        let tile = Square::new(Point::new(f64::from(gx) * 1.5, 1.0), 1.0);
-                        for (slot, candidate) in candidates.into_iter().enumerate() {
-                            let warm = check(&mut memoised, &regions, user, &tile, candidate, slot);
-                            let cold = check(
-                                &mut verifier(objective, p_opt, 3),
-                                &regions,
-                                user,
-                                &tile,
-                                candidate,
-                                slot,
-                            );
-                            assert_eq!(warm, cold, "{objective:?} user {user} tile {gx}");
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn an_empty_region_makes_every_check_vacuously_true() {
-        let p_opt = Point::new(0.0, 0.0);
-        let regions = vec![
-            region_at(Point::new(1.0, 0.0), 2.0, &[TileCell::SEED]),
-            region_at(Point::new(0.0, 1.0), 2.0, &[]),
-        ];
-        // Right on top of the candidate: rejected for any non-empty partner region.
-        let tile = Square::new(Point::new(9.5, 0.0), 2.0);
-        let mut gt = verifier(Objective::Max, p_opt, 2);
-        assert!(check(&mut gt, &regions, 0, &tile, Point::new(10.0, 0.0), 0));
-    }
-
-    #[test]
-    fn begin_forgets_the_previous_computation() {
-        let regions = vec![
-            region_at(Point::new(1.0, 0.0), 2.0, &[TileCell::SEED]),
-            region_at(Point::new(0.0, 1.0), 2.0, &[TileCell::SEED]),
-        ];
-        let tile = Square::new(Point::new(9.5, 0.0), 2.0);
-        let mut v = verifier(Objective::Max, Point::new(0.0, 0.0), 2);
-        assert!(!check(&mut v, &regions, 0, &tile, Point::new(10.0, 0.0), 0));
-        // Same slot, different optimum and candidate: nothing may leak from the first run.
-        v.begin(Objective::Max, Point::new(10.0, 0.0), &[Point::ORIGIN; 2]);
-        assert!(check(&mut v, &regions, 0, &tile, Point::new(-100.0, 0.0), 0));
-    }
-}
+mod tests;

@@ -1,6 +1,6 @@
 //! Allocation gates of the monitoring hot path, counted by a global allocator shim.
 //!
-//! Six facts the tick path, the tile verifier and the session layout are built around,
+//! Seven facts the tick path, the tile verifier and the session layout are built around,
 //! asserted as counts (never a wall-clock ratio):
 //!
 //! * a steady-state quiet tick — every user reported, every user inside her region —
@@ -20,8 +20,13 @@
 //!   group of three at most 695 (≈ 692 today, 700 while `Method::Circle` carried a radius
 //!   cap, 723 before the ready list replaced the hot entries, 1,269 before the layout went
 //!   lean), further epochs nothing, and the leaner layout costs a buffered Tile-D-b session
-//!   nothing.  Run
-//!   with `--nocapture` for the per-owner table behind those figures.
+//!   nothing;
+//! * what a worker thread keeps parked after one Tile-D-b/MAX computation (the verifier's
+//!   tables, the candidate pool, the query scratch) stays within a quarter above what it was
+//!   when every table kept `‖p, s‖min` per tile: GT-Verify's sorted summaries are built only
+//!   for the (candidate, user) pairs that reach Theorem 2.
+//!
+//! Run with `--nocapture` for the per-owner table behind those figures.
 //!
 //! The counters are thread-local: `cargo test` runs the tests of this binary on parallel
 //! threads, and a one-worker engine ticks inline on the calling thread, so each test
@@ -241,7 +246,8 @@ fn uncached_circle_recompute() {
 fn tile_recompute_warm() {
     // GT-Verify: three users with 5 x 5 tiles each around the origin, a tile one step beyond
     // user 0's region, and 1,000 candidates on a ring — at radius 5,000 every pair passes
-    // the whole-region check, at radius 30 every pair runs the Theorem 2 fold and fails.
+    // the whole-region check, at radius 30 every pair answers Theorem 2 from its sorted
+    // summaries and fails.
     let anchors = [Point::new(-40.0, 10.0), Point::new(35.0, 25.0), Point::new(5.0, -45.0)];
     let regions: Vec<TileRegion> = anchors
         .iter()
@@ -320,6 +326,41 @@ fn tile_output_bound(regions: &[SafeRegion]) -> usize {
         })
         .sum::<usize>()
         + 29
+}
+
+/// What a worker thread keeps after computing the paper's main method once: the tile
+/// verifier's summary tables, the candidate pool and the query scratch stay parked in the
+/// thread for the next computation, so their memory is charged to the thread, not to a
+/// session.  A fresh thread runs one cold Tile-D-b/MAX `Method::answer` over the 21,287-POI
+/// tree and drops the answer; what it still holds is that scratch.  Measured 36,352 bytes in
+/// 33 blocks over 17,905 verified pairs; the bound is a quarter above the fold's figure.
+#[test]
+fn tile_scratch_bytes() {
+    /// The same measurement (262 blocks) taken with the per-pair Theorem 2 fold, which kept
+    /// every table's `‖p, s‖min` per tile, before the sorted summaries replaced it.
+    const PARENT: usize = 81_536;
+    let tree = Arc::new(poi_tree(21_287));
+    let (bytes, blocks, checked) = std::thread::spawn(move || {
+        let group = [
+            Point::new(4_160.0, 5_200.0),
+            Point::new(4_520.0, 6_400.0),
+            Point::new(3_320.0, 5_680.0),
+        ];
+        let method = Method::tile_directed_buffered(std::f64::consts::FRAC_PI_4, 100);
+        let start = live();
+        let answer = method.answer(&*tree, Objective::Max, &group, None);
+        let checked = answer.stats.candidates_checked;
+        drop(answer);
+        let (bytes, blocks) = live_since(start);
+        (bytes, blocks, checked)
+    })
+    .join()
+    .expect("the computing thread");
+    println!(
+        "Tile-D-b/MAX scratch after one answer: {bytes} bytes in {blocks} blocks ({checked} pairs)"
+    );
+    assert!(checked > 10_000, "too few verified pairs to tell: {checked}");
+    assert!(bytes <= PARENT + PARENT / 4, "the tile scratch holds {bytes} bytes, was {PARENT}");
 }
 
 /// The unbuffered path gathers candidates per tried tile.  With the per-computation pool in
