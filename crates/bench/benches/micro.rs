@@ -14,8 +14,7 @@
 //! * one report into a registered Circle fleet of 200 and of 20,000 groups: a tick costs the
 //!   groups that reported, not the fleet (printed side by side, never asserted as a ratio),
 //! * skewed-fleet busy ticks: Zipf group sizes, the big groups neighbours in id order —
-//!   one chunk per worker vs work-stealing session batches vs stealing plus the shared
-//!   query cache,
+//!   one chunk per worker vs work-stealing session batches,
 //! * GT-Verify (Section 5.3): a whole Tile-MSR run, ns per (tile, candidate) pair on the pass
 //!   and the fail path of the incremental verifier, and 64 cold Tile-D-b/MAX first regions at
 //!   the paper's data-set size,
@@ -37,7 +36,7 @@ use mpn_core::{
     SessionState, TileCell, TileFrame, TileMsrConfig, TileRegion, TileVerifier,
 };
 use mpn_geom::{min_focal_diff_over_square, Point, Square};
-use mpn_index::{Aggregate, GnnSearch, QueryCache, RTree};
+use mpn_index::{Aggregate, GnnSearch, RTree};
 use mpn_mobility::poi::{clustered_pois, PoiConfig};
 use mpn_mobility::Trajectory;
 use mpn_proto::{Request, Response};
@@ -262,9 +261,7 @@ fn main() {
     // their safe regions on every tick.  The size classes are registered one after the
     // other, so they are contiguous in id order: one chunk per worker hands the eight
     // biggest groups to a single worker, which bounds the tick; stealing splits the slab
-    // into session batches the workers with the lighter classes pull over.  Each size class
-    // shares one recording, so the third variant adds the fleet-wide query cache: within a
-    // batch the class twins replay each other's candidate lists.
+    // into session batches the workers with the lighter classes pull over.
     {
         const WORKERS: usize = 4;
         const CLASS_SIZES: [usize; 4] = [4, 3, 2, 1];
@@ -306,14 +303,8 @@ fn main() {
             WORKERS,
             TickExecutor::WorkStealing { batch: BATCH },
         );
-        let mut stealing_cached = MonitoringEngine::with_executor(
-            Arc::clone(&tree),
-            WORKERS,
-            TickExecutor::WorkStealing { batch: BATCH },
-        )
-        .with_query_cache(QueryCache::new());
-        let [one_chunk_fleet, stealing_fleet, cached_fleet] =
-            &mut [&mut one_chunk, &mut stealing, &mut stealing_cached].map(|engine| {
+        let [one_chunk_fleet, stealing_fleet] =
+            &mut [&mut one_chunk, &mut stealing].map(|engine| {
                 let feeds = classes
                     .iter()
                     .flat_map(|class| (0..COPIES).map(|_| TrajectoryFeed::new(Arc::clone(class))));
@@ -332,11 +323,6 @@ fn main() {
             replay_tick(&mut stealing, stealing_fleet);
             replay_tick(&mut stealing, stealing_fleet);
         });
-        let hot_cached =
-            bench("executor/skewed_tick_pair_stealing_cached", budget, &filter, || {
-                replay_tick(&mut stealing_cached, cached_fleet);
-                replay_tick(&mut stealing_cached, cached_fleet);
-            });
         if let Some(totals) = hot_stealing.map(|_| stealing.exec_totals()) {
             println!(
                 "  skewed stealing: {} batches, {} steals, summed imbalance {}",
@@ -345,18 +331,6 @@ fn main() {
             assert!(
                 totals.steals > 0,
                 "the skewed fleet must provoke steals: the biggest class's 4 batches sit on one worker"
-            );
-        }
-        if let Some(totals) = hot_cached.map(|_| stealing_cached.exec_totals()) {
-            println!(
-                "  skewed cache: {} hits / {} misses ({:.1}% hit rate)",
-                totals.cache_hits,
-                totals.cache_misses,
-                totals.cache_hit_rate() * 100.0
-            );
-            assert!(
-                totals.cache_hit_rate() >= 0.5,
-                "8 copies per size class must lift the shared-cache hit rate above 50%"
             );
         }
         if let (Some(one), Some(steal)) = (hot_one_chunk, hot_stealing) {

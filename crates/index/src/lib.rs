@@ -20,24 +20,40 @@
 //! and [`IndexView`] is the `Copy` query handle — over a plain tree or a world — that the
 //! engine layers consume.
 //!
-//! Fleets full of near-duplicate groups can share their query results through [`cache`]: a
-//! lock-striped [`QueryCache`] keyed by (quantized query point, k, world generation) is
-//! attached per view ([`IndexView::with_cache`]) and replays results and [`QueryStats`]
-//! bit-identically; the generation key makes invalidation free — a content change simply
-//! turns every older entry into a miss.
+//! Each query runs for the one group that asks it: no result is shared across groups, as none
+//! is in the paper's server (§3, Fig. 3).
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod gnn;
 pub mod rtree;
 pub mod scratch;
 pub mod world;
 
-pub use cache::{
-    CacheStats, QueryCache, DEFAULT_CACHE_QUANTUM, DEFAULT_CACHE_STRIPES, DEFAULT_STRIPE_CAPACITY,
-};
 pub use gnn::{Aggregate, GnnNeighbor, GnnSearch};
 pub use rtree::{PoiEntry, QueryStats, RTree, RTreeConfig};
 pub use scratch::{with_scratch, QueryScratch};
 pub use world::{IndexView, WorldView, DEFAULT_COMPACTION_THRESHOLD};
+
+/// Benchmark-only shim that caches nothing: `benchmark/src/trace.rs` still attaches one to
+/// an engine, and ROADMAP item 1(c) deletes it.
+#[derive(Debug, Default)]
+pub struct QueryCache;
+
+impl QueryCache {
+    /// The shim's one constructor.
+    pub fn new() -> Self {
+        Self
+    }
+}
+
+/// Benchmark-only shim read by `benchmark/src/trace.rs`; ROADMAP item 1(c) deletes it.
+#[derive(Debug, Clone, Copy)]
+pub struct CacheStats;
+
+impl CacheStats {
+    /// Always 0.0: nothing is cached.
+    pub fn hit_rate(&self) -> f64 {
+        0.0
+    }
+}

@@ -1,11 +1,10 @@
 //! Per-worker query scratch arenas: reusable buffers for the query hot path.
 //!
-//! An index query needs a `Vec<u64>` of exact key bits to probe the
-//! [`QueryCache`](crate::QueryCache) and a vector to stage its neighbours in.  [`QueryScratch`]
-//! hoists those buffers out of the call: they live in a thread-keyed arena and are reused by
-//! every query the thread runs, so a warm-cache query — and, once the thread is warm, a
-//! query with no cache at all — performs **zero heap allocations** end to end (see
-//! [`IndexView::top2`](crate::IndexView::top2) and the `*_into` query variants).
+//! [`IndexView::top2`](crate::IndexView::top2) stages its neighbours in a vector before it
+//! copies out the two it returns.  [`QueryScratch`] hoists that vector out of the call: it
+//! lives in a thread-keyed arena and is reused by every query the thread runs, so once the
+//! thread is warm a query performs **zero heap allocations** end to end (see the `*_into`
+//! query variants).
 //!
 //! # Why the scratch is per *worker*
 //!
@@ -25,10 +24,9 @@
 //! `(level, index)` node names that borrows no tree, so it is per-thread too, kept beside
 //! this scratch in `gnn.rs`: [`IndexView::top2`](crate::IndexView::top2) holds the scratch
 //! while its search runs, and a frontier inside it would be the fresh empty one a nested
-//! [`with_scratch`] sees.  A traversal is not the rare case: a server without a
-//! [`QueryCache`](crate::QueryCache) — the one the repository benchmark runs — traverses on
-//! every recomputation, and pays no allocation for it (`tests/alloc_gates.rs`,
-//! `uncached_circle_recompute`).
+//! [`with_scratch`] sees.  Every recomputation traverses the tree — the server the
+//! repository benchmark runs included — and pays no allocation for it
+//! (`tests/alloc_gates.rs`, `uncached_circle_recompute`).
 
 use std::cell::Cell;
 
@@ -40,10 +38,8 @@ use crate::gnn::GnnNeighbor;
 /// is the whole point.  All fields are crate-internal — the scratch is plumbing, not API.
 #[derive(Debug, Default)]
 pub struct QueryScratch {
-    /// Exact scalar bits of the cache probe key (see `cache::ProbeKey`).
-    pub(crate) probe: Vec<u64>,
-    /// kNN result staging: uncached traversals write here before the caller copies out the
-    /// prefix it needs (e.g. the top-2 of Circle-MSR).
+    /// kNN result staging: traversals write here before the caller copies out the prefix it
+    /// needs (e.g. the top-2 of Circle-MSR).
     pub(crate) neighbors: Vec<GnnNeighbor>,
 }
 

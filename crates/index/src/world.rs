@@ -24,7 +24,6 @@ use std::sync::Arc;
 
 use mpn_geom::Point;
 
-use crate::cache::QueryCache;
 use crate::gnn::{Aggregate, GnnNeighbor, GnnSearch};
 use crate::rtree::{next_generation, PoiEntry, QueryStats, RTree};
 use crate::scratch::with_scratch;
@@ -50,9 +49,9 @@ impl Overlay {
     }
 }
 
-/// Default overlay size (inserts + deletes) above which [`WorldView::maybe_compact`]
-/// rebuilds the base tree.  Small enough that overlay scans stay cheap next to an R-tree
-/// traversal, large enough that a burst of changes amortises one STR bulk load.
+/// Overlay size (inserts + deletes) above which [`WorldView::maybe_compact`] rebuilds the
+/// base tree.  Small enough that overlay scans stay cheap next to an R-tree traversal, large
+/// enough that a burst of changes amortises one STR bulk load.
 pub const DEFAULT_COMPACTION_THRESHOLD: usize = 64;
 
 /// A mutable POI world: an immutable base [`RTree`] plus an insert/delete overlay.
@@ -64,7 +63,6 @@ pub struct WorldView {
     generation: u64,
     /// Continues the base tree's id numbering for overlay inserts.
     next_id: usize,
-    compaction_threshold: usize,
     compactions: usize,
 }
 
@@ -78,21 +76,7 @@ impl WorldView {
         let base = base.into();
         let generation = base.generation();
         let next_id = base.next_id();
-        Self {
-            base,
-            overlay: Overlay::default(),
-            generation,
-            next_id,
-            compaction_threshold: DEFAULT_COMPACTION_THRESHOLD,
-            compactions: 0,
-        }
-    }
-
-    /// Sets the overlay size at which [`WorldView::maybe_compact`] rebuilds the base.
-    #[must_use]
-    pub fn with_compaction_threshold(mut self, threshold: usize) -> Self {
-        self.compaction_threshold = threshold.max(1);
-        self
+        Self { base, overlay: Overlay::default(), generation, next_id, compactions: 0 }
     }
 
     /// The immutable base tree (shared with whoever else holds the `Arc`).
@@ -108,7 +92,6 @@ impl WorldView {
             base: &self.base,
             overlay: (!self.overlay.is_empty()).then_some(&self.overlay),
             generation: self.generation,
-            cache: None,
         }
     }
 
@@ -170,11 +153,11 @@ impl WorldView {
         Some(location)
     }
 
-    /// Rebuilds the base from the merged entry set when the overlay has outgrown its
-    /// threshold; returns whether a compaction ran.  Ids are preserved, the logical
-    /// generation is **not** bumped (the content is unchanged).
+    /// Rebuilds the base from the merged entry set when the overlay has outgrown
+    /// [`DEFAULT_COMPACTION_THRESHOLD`]; returns whether a compaction ran.  Ids are preserved,
+    /// the logical generation is **not** bumped (the content is unchanged).
     pub fn maybe_compact(&mut self) -> bool {
-        if self.overlay.len() <= self.compaction_threshold {
+        if self.overlay.len() <= DEFAULT_COMPACTION_THRESHOLD {
             return false;
         }
         self.compact();
@@ -218,14 +201,11 @@ pub struct IndexView<'a> {
     base: &'a RTree,
     overlay: Option<&'a Overlay>,
     generation: u64,
-    /// Optional shared result cache consulted by the query methods (see
-    /// [`with_cache`](IndexView::with_cache)).
-    cache: Option<&'a QueryCache>,
 }
 
 impl<'a> From<&'a RTree> for IndexView<'a> {
     fn from(tree: &'a RTree) -> Self {
-        Self { base: tree, overlay: None, generation: tree.generation(), cache: None }
+        Self { base: tree, overlay: None, generation: tree.generation() }
     }
 }
 
@@ -258,27 +238,11 @@ impl<'a> IndexView<'a> {
     }
 
     /// The logical generation of the content served by this view (the plain tree's stamp, or
-    /// the world's logical stamp).  Caches keyed on this value (the §5.4 GNN buffer, the
-    /// shared [`QueryCache`]) detect any content change exactly.
+    /// the world's logical stamp).  A cache keyed on this value (the §5.4 GNN buffer)
+    /// detects any content change exactly.
     #[must_use]
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// Attaches a shared [`QueryCache`]: the three query methods first look their key up at
-    /// this view's generation and insert on a miss.  Results (and [`QueryStats`]) are
-    /// bit-identical with and without the cache — a hit replays what the same query computed
-    /// earlier at the same generation — so attaching a cache is purely a performance choice.
-    #[must_use]
-    pub fn with_cache(mut self, cache: &'a QueryCache) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// The attached shared result cache, if any.
-    #[must_use]
-    pub fn cache(&self) -> Option<&'a QueryCache> {
-        self.cache
     }
 
     fn deleted(&self, id: usize) -> bool {
@@ -317,10 +281,8 @@ impl<'a> IndexView<'a> {
         (out, stats)
     }
 
-    /// [`top_k`](IndexView::top_k) into a caller-provided buffer (cleared first).  With a
-    /// reused buffer and a warm cache the whole lookup — probe key, hit check, result copy —
-    /// performs zero heap allocations; results and stats are bit-identical to
-    /// [`top_k`](IndexView::top_k).
+    /// [`top_k`](IndexView::top_k) into a caller-provided buffer (cleared first); with a
+    /// reused buffer on a warm thread the search performs no heap allocation.
     ///
     /// # Panics
     /// Panics when `users` is empty.
@@ -332,62 +294,6 @@ impl<'a> IndexView<'a> {
         out: &mut Vec<GnnNeighbor>,
     ) -> QueryStats {
         assert!(!users.is_empty(), "GNN search requires at least one user");
-        let Some(cache) = self.cache else {
-            return self.top_k_uncached_into(users, aggregate, k, out);
-        };
-        with_scratch(|scratch| {
-            let probe = cache.top_k_probe(self.generation, users, aggregate, k, &mut scratch.probe);
-            if let Some(stats) = cache.get_neighbors_into(probe, out) {
-                return stats;
-            }
-            let stats = self.top_k_uncached_into(users, aggregate, k, out);
-            cache.put_neighbors(probe, out, stats);
-            stats
-        })
-    }
-
-    /// The best and second-best meeting points under `aggregate` — the Circle-MSR fast path
-    /// (Algorithm 1 line 1 needs exactly the top-2).  Cache key, lookup counters and stats
-    /// are identical to `top_k(users, aggregate, 2)`, but a warm-cache call allocates
-    /// nothing: the probe key and the miss-path staging live in the per-worker
-    /// [`QueryScratch`](crate::QueryScratch), and a hit copies out two `GnnNeighbor`s
-    /// instead of cloning the payload vector.
-    ///
-    /// # Panics
-    /// Panics when `users` is empty.
-    #[must_use]
-    pub fn top2(
-        &self,
-        users: &[Point],
-        aggregate: Aggregate,
-    ) -> (Option<GnnNeighbor>, Option<GnnNeighbor>, QueryStats) {
-        assert!(!users.is_empty(), "GNN search requires at least one user");
-        with_scratch(|scratch| {
-            let Some(cache) = self.cache else {
-                let stats = self.top_k_uncached_into(users, aggregate, 2, &mut scratch.neighbors);
-                return (
-                    scratch.neighbors.first().copied(),
-                    scratch.neighbors.get(1).copied(),
-                    stats,
-                );
-            };
-            let probe = cache.top_k_probe(self.generation, users, aggregate, 2, &mut scratch.probe);
-            if let Some(hit) = cache.get_top2(probe) {
-                return hit;
-            }
-            let stats = self.top_k_uncached_into(users, aggregate, 2, &mut scratch.neighbors);
-            cache.put_neighbors(probe, &scratch.neighbors, stats);
-            (scratch.neighbors.first().copied(), scratch.neighbors.get(1).copied(), stats)
-        })
-    }
-
-    fn top_k_uncached_into(
-        &self,
-        users: &[Point],
-        aggregate: Aggregate,
-        k: usize,
-        out: &mut Vec<GnnNeighbor>,
-    ) -> QueryStats {
         let Some(overlay) = self.overlay else {
             return GnnSearch::new(self.base, users, aggregate).top_k_into(k, out);
         };
@@ -407,6 +313,25 @@ impl<'a> IndexView<'a> {
         stats
     }
 
+    /// The best and second-best meeting points under `aggregate` — the Circle-MSR fast path
+    /// (Algorithm 1 line 1 needs exactly the top-2).  Answers and stats are those of
+    /// `top_k(users, aggregate, 2)`, but the neighbours are staged in the per-worker
+    /// [`QueryScratch`](crate::QueryScratch), so a call on a warm thread allocates nothing.
+    ///
+    /// # Panics
+    /// Panics when `users` is empty.
+    #[must_use]
+    pub fn top2(
+        &self,
+        users: &[Point],
+        aggregate: Aggregate,
+    ) -> (Option<GnnNeighbor>, Option<GnnNeighbor>, QueryStats) {
+        with_scratch(|scratch| {
+            let stats = self.top_k_into(users, aggregate, 2, &mut scratch.neighbors);
+            (scratch.neighbors.first().copied(), scratch.neighbors.get(1).copied(), stats)
+        })
+    }
+
     /// Candidate POIs for the MAX objective: every live POI within `radii[i]` of every user
     /// `i` (Theorem 3 pruning on the base, exact filtering of the overlay).
     #[must_use]
@@ -421,29 +346,8 @@ impl<'a> IndexView<'a> {
     }
 
     /// [`candidates_within_user_radii`](IndexView::candidates_within_user_radii) into a
-    /// caller-provided buffer (cleared first); allocation-free with a reused buffer and a
-    /// warm cache.
+    /// caller-provided buffer (cleared first); allocation-free with a reused buffer.
     pub fn candidates_within_user_radii_into(
-        &self,
-        users: &[Point],
-        radii: &[f64],
-        out: &mut Vec<PoiEntry>,
-    ) -> QueryStats {
-        let Some(cache) = self.cache else {
-            return self.candidates_within_user_radii_uncached_into(users, radii, out);
-        };
-        with_scratch(|scratch| {
-            let probe = cache.user_radii_probe(self.generation, users, radii, &mut scratch.probe);
-            if let Some(stats) = cache.get_entries_into(probe, out) {
-                return stats;
-            }
-            let stats = self.candidates_within_user_radii_uncached_into(users, radii, out);
-            cache.put_entries(probe, out, stats);
-            stats
-        })
-    }
-
-    fn candidates_within_user_radii_uncached_into(
         &self,
         users: &[Point],
         radii: &[f64],
@@ -478,30 +382,8 @@ impl<'a> IndexView<'a> {
     }
 
     /// [`candidates_within_sum_radius`](IndexView::candidates_within_sum_radius) into a
-    /// caller-provided buffer (cleared first); allocation-free with a reused buffer and a
-    /// warm cache.
+    /// caller-provided buffer (cleared first); allocation-free with a reused buffer.
     pub fn candidates_within_sum_radius_into(
-        &self,
-        users: &[Point],
-        threshold: f64,
-        out: &mut Vec<PoiEntry>,
-    ) -> QueryStats {
-        let Some(cache) = self.cache else {
-            return self.candidates_within_sum_radius_uncached_into(users, threshold, out);
-        };
-        with_scratch(|scratch| {
-            let probe =
-                cache.sum_radius_probe(self.generation, users, threshold, &mut scratch.probe);
-            if let Some(stats) = cache.get_entries_into(probe, out) {
-                return stats;
-            }
-            let stats = self.candidates_within_sum_radius_uncached_into(users, threshold, out);
-            cache.put_entries(probe, out, stats);
-            stats
-        })
-    }
-
-    fn candidates_within_sum_radius_uncached_into(
         &self,
         users: &[Point],
         threshold: f64,
@@ -637,12 +519,12 @@ mod tests {
 
     #[test]
     fn compaction_preserves_content_ids_and_logical_generation() {
-        let mut world = churned_world().with_compaction_threshold(4);
+        let mut world = churned_world();
         let generation = world.generation();
         let mut before: Vec<usize> = world.view().iter().map(|e| e.id).collect();
         before.sort_unstable();
 
-        assert!(world.maybe_compact(), "the overlay is past the threshold");
+        world.compact();
         assert_eq!(world.compactions(), 1);
         assert_eq!(world.overlay_len(), 0);
         assert_eq!(world.generation(), generation, "compaction does not change content");
@@ -654,6 +536,16 @@ mod tests {
         // Fresh ids keep advancing past compaction (no id reuse).
         let id = world.insert(Point::ORIGIN);
         assert!(before.iter().all(|&existing| existing != id));
+
+        // `maybe_compact` rebuilds only once the overlay is past the threshold.
+        while world.overlay_len() < DEFAULT_COMPACTION_THRESHOLD {
+            world.insert(Point::new(1.5, 2.5));
+        }
+        assert!(!world.maybe_compact(), "an overlay at the threshold stays");
+        world.insert(Point::new(2.5, 1.5));
+        assert!(world.maybe_compact(), "an overlay past the threshold compacts");
+        assert_eq!(world.compactions(), 2);
+        assert_eq!(world.overlay_len(), 0);
     }
 
     #[test]

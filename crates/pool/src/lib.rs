@@ -39,7 +39,7 @@
 //!
 //! The pool's threads live for the lifetime of the pool, which is what makes *per-worker*
 //! scratch state cheap: thread-keyed arenas (e.g. `mpn-index`'s query scratch, which keeps
-//! the cache probe key and candidate staging buffers) are built once per worker and then
+//! the GNN neighbour staging buffer) are built once per worker and then
 //! reused by every batch that worker executes, tick after tick.  A scoped-thread executor
 //! gets fresh threads — and therefore cold arenas — every tick; routing the tick through
 //! the pool is what turns those per-query allocations into steady-state zero.

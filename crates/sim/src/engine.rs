@@ -42,7 +42,7 @@
 use std::sync::Arc;
 
 use mpn_geom::Point;
-use mpn_index::{IndexView, QueryCache, RTree, WorldView};
+use mpn_index::{IndexView, RTree, WorldView};
 use mpn_pool::WorkerPool;
 
 use crate::metrics::{EngineReport, MonitoringMetrics};
@@ -171,13 +171,13 @@ pub enum TickExecutor {
     },
 }
 
-/// Executor diagnostics of one tick: how the work was scheduled and what the shared query
-/// cache did, as opposed to what the fleet computed.
+/// Executor diagnostics of one tick: how the work was scheduled, as opposed to what the
+/// fleet computed.
 ///
 /// These counters are **not** part of [`TickSummary`]'s equality — they are scheduling
 /// artifacts that legitimately differ between executors, runs and machines (a steal happens
-/// when a worker *happens* to go idle first; a cache hit depends on which racing session got
-/// there first), while the protocol counters are bit-identical by contract.
+/// when a worker *happens* to go idle first), while the protocol counters are bit-identical
+/// by contract.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TickExecCounters {
     /// Chunks the slab was cut into (session batches for [`TickExecutor::WorkStealing`], one
@@ -188,10 +188,6 @@ pub struct TickExecCounters {
     /// Jobs run by the busiest minus the laziest pool worker after stealing (the chunk run
     /// on the calling thread is no pool job).
     pub imbalance: usize,
-    /// Shared-cache lookups answered from the cache during this tick (0 without a cache).
-    pub cache_hits: u64,
-    /// Shared-cache lookups that fell through to a real traversal during this tick.
-    pub cache_misses: u64,
 }
 
 impl TickExecCounters {
@@ -200,28 +196,15 @@ impl TickExecCounters {
         self.batches += other.batches;
         self.steals += other.steals;
         self.imbalance += other.imbalance;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-    }
-
-    /// Fraction of this tick's shared-cache lookups that hit (0.0 without lookups).
-    #[must_use]
-    pub fn cache_hit_rate(&self) -> f64 {
-        let lookups = self.cache_hits + self.cache_misses;
-        if lookups == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / lookups as f64
-        }
     }
 }
 
 /// Aggregate outcome of one fleet-wide tick.
 ///
 /// Equality deliberately covers only the *protocol* counters (everything except
-/// [`exec`](TickSummary::exec)): those are deterministic — identical across executors,
-/// worker counts and cache configurations — and pinned by `tests/engine_parity.rs`, while
-/// the executor diagnostics describe the racy schedule that produced them.
+/// [`exec`](TickSummary::exec)): those are deterministic — identical across executors and
+/// worker counts — and pinned by `tests/engine_parity.rs`, while the executor diagnostics
+/// describe the racy schedule that produced them.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TickSummary {
     /// Index of the tick (0 = the registration tick of the initially registered groups).
@@ -246,8 +229,8 @@ pub struct TickSummary {
     /// Ids of deregistered groups awaiting reuse by the next registration (the vacant slab
     /// slots).
     pub retired: usize,
-    /// Executor diagnostics (batches, steals, imbalance, cache hits/misses).  Excluded from
-    /// equality — see the type docs.
+    /// Executor diagnostics (batches, steals, imbalance).  Excluded from equality — see the
+    /// type docs.
     pub exec: TickExecCounters,
 }
 
@@ -386,12 +369,7 @@ fn for_each_chunk<T: Send>(
         fold(result.expect("the scope barrier ran every job"));
     }
     let stats = pool.last_scope_stats();
-    TickExecCounters {
-        batches: chunks,
-        steals: stats.steals,
-        imbalance: stats.imbalance(),
-        ..TickExecCounters::default()
-    }
+    TickExecCounters { batches: chunks, steals: stats.steals, imbalance: stats.imbalance() }
 }
 
 /// Folds one chunk's tally into an accumulator (the fleet-wide fields — `tick`, `finished`,
@@ -452,11 +430,8 @@ pub struct MonitoringEngine {
     executor: TickExecutor,
     /// Present iff there is more than one worker (a single worker always ticks inline).
     pool: Option<WorkerPool>,
-    /// Optional fleet-wide shared query cache, attached to every tick's [`IndexView`] so
-    /// near-duplicate groups reuse candidate lists within a generation.
-    cache: Option<Arc<QueryCache>>,
-    /// Executor diagnostics accumulated over every tick so far (batches, steals, cache
-    /// traffic) — the lifetime counterpart of the per-tick [`TickSummary::exec`].
+    /// Executor diagnostics accumulated over every tick so far (batches, steals, imbalance)
+    /// — the lifetime counterpart of the per-tick [`TickSummary::exec`].
     exec_totals: TickExecCounters,
 }
 
@@ -502,34 +477,18 @@ impl MonitoringEngine {
             clock: 0,
             executor,
             pool: (workers > 1).then(|| WorkerPool::new(workers)),
-            cache: None,
             exec_totals: TickExecCounters::default(),
         }
     }
 
-    /// Attaches a fleet-wide shared query cache: every tick (and every
-    /// [`apply_world_change`](MonitoringEngine::apply_world_change) invalidation pass)
-    /// queries the index through it, so groups monitoring the same region reuse candidate
-    /// lists within a world generation.  Pass a pre-shared [`Arc`] to share one cache across
-    /// several engines watching the same world.
-    ///
-    /// Results are replayed bit-identically (see [`QueryCache`]), so counters do not change —
-    /// only [`QueryStats`](mpn_index::QueryStats) node-access work is saved.  Per-tick hit /
-    /// miss deltas land on [`TickSummary::exec`].
+    /// Benchmark-only shim, returns `self` (`benchmark/src/trace.rs`; ROADMAP item 1(c)).
     #[must_use]
-    pub fn with_query_cache(mut self, cache: impl Into<Arc<QueryCache>>) -> Self {
-        self.cache = Some(cache.into());
+    pub fn with_query_cache(self, _: mpn_index::QueryCache) -> Self {
         self
     }
 
-    /// The shared query cache, when one is attached.
-    #[must_use]
-    pub fn query_cache(&self) -> Option<&Arc<QueryCache>> {
-        self.cache.as_ref()
-    }
-
     /// Executor diagnostics accumulated over every tick so far: total batches dispatched,
-    /// batches stolen across workers, summed per-tick imbalance, and query-cache traffic.
+    /// batches stolen across workers and summed per-tick imbalance.
     #[must_use]
     pub fn exec_totals(&self) -> TickExecCounters {
         self.exec_totals
@@ -696,10 +655,7 @@ impl MonitoringEngine {
             };
         }
         self.events_interleaved |= !self.events.is_empty();
-        let view = match self.cache.as_deref() {
-            Some(cache) => self.world.view().with_cache(cache),
-            None => self.world.view(),
-        };
+        let view = self.world.view();
         let mut groups_checked = 0;
         let mut affected = Vec::new();
         for_each_chunk(
@@ -764,8 +720,8 @@ impl MonitoringEngine {
     }
 
     /// One coherent snapshot of the whole engine: clock, membership accounting, executor
-    /// totals, query-cache counters and the merged fleet metrics — see [`EngineReport`] for
-    /// what each field measures.
+    /// totals and the merged fleet metrics — see [`EngineReport`] for what each field
+    /// measures.
     ///
     /// Cost is O(fleet) — snapshot at phase boundaries, not per tick.
     #[must_use]
@@ -775,7 +731,7 @@ impl MonitoringEngine {
             groups: self.group_count(),
             retired: self.retired_count(),
             exec: self.exec_totals,
-            cache: self.cache.as_deref().map(QueryCache::stats),
+            cache: Some(mpn_index::CacheStats),
             fleet: self.fleet_metrics(),
         }
     }
@@ -792,11 +748,7 @@ impl MonitoringEngine {
     /// are identical to a serial replay regardless of worker count and executor.
     pub fn tick(&mut self) -> TickSummary {
         self.events_interleaved |= !self.events.is_empty();
-        let cache_before = self.cache.as_deref().map(QueryCache::stats);
-        let view = match self.cache.as_deref() {
-            Some(cache) => self.world.view().with_cache(cache),
-            None => self.world.view(),
-        };
+        let view = self.world.view();
         // Sorting in place and the inline one-worker pass allocate nothing: together with
         // the per-worker query scratch, a steady-state tick allocates nothing at all
         // (`tests/alloc_gates.rs` pins this).
@@ -818,11 +770,6 @@ impl MonitoringEngine {
         self.ready.retain(|&id| {
             slab[id].as_ref().is_some_and(|s| !s.is_finished() && s.pending_epochs() > 0)
         });
-        if let (Some(before), Some(cache)) = (cache_before, self.cache.as_deref()) {
-            let delta = cache.stats().since(&before);
-            summary.exec.cache_hits = delta.hits;
-            summary.exec.cache_misses = delta.misses;
-        }
         self.exec_totals.absorb(&summary.exec);
         summary.retired = self.retired_count();
         summary.tick = self.clock;

@@ -87,36 +87,17 @@
 //!   machinery (see `mpn-net`'s crate docs for the idle-connection delivery and ordering
 //!   guarantees).
 //!
-//! # Shared caches and when they help
+//! # Tick scheduling
 //!
-//! Ticks can route every index query through a fleet-wide, lock-striped
-//! [`mpn_index::QueryCache`] attached via [`MonitoringEngine::with_query_cache`] (or
-//! [`ServerCore::with_engine`] for the server paths).  The cache is keyed by
-//! *(query kind, quantized query geometry, k, world generation)* and replays candidate lists
-//! **and** their [`mpn_index::QueryStats`] verbatim, so counters stay bit-identical with or
-//! without it — only repeated R-tree / GNN traversal work is saved.  The generation in the
-//! key makes invalidation free: after [`MonitoringEngine::apply_world_change`] bumps the
-//! generation, every older entry is simply never looked up again (and is eventually evicted
-//! by capacity), with no flush pass and no cross-tick bookkeeping.
-//!
-//! When does it help?  Exactly when distinct sessions ask *bit-identical* questions within
-//! one generation: flash-crowd fleets (many groups converging on the same venue share GNN
-//! candidate lists), replicated monitors (several subscribers watching the same group), or
-//! dense fleets whose groups quantize onto the same grid cell.  It does **not** help a fleet
-//! of geometrically unique groups — every lookup is a miss plus an insert — which is why the
-//! cache is opt-in rather than default.  Hit/miss deltas per tick are reported on
-//! [`TickSummary::exec`] ([`TickExecCounters`]) and as engine-lifetime totals on
-//! [`MonitoringEngine::exec_totals`], so a deployment can measure its own hit rate and drop
-//! the cache when it pays for nothing.
-//!
-//! The same `exec` counters expose how a tick was scheduled.  A one-worker engine advances
-//! the slab inline; with more workers the same slab is cut into contiguous chunks of ids
-//! that run on the persistent worker pool, the last of them on the calling thread.
+//! [`TickSummary::exec`] ([`TickExecCounters`]) and the engine-lifetime totals of
+//! [`MonitoringEngine::exec_totals`] expose how a tick was scheduled.  A one-worker engine
+//! advances the slab inline; with more workers the same slab is cut into contiguous chunks
+//! of ids that run on the persistent worker pool, the last of them on the calling thread.
 //! [`TickExecutor`] only picks the chunk length — one chunk per worker
 //! ([`TickExecutor::WorkerPool`], the default) or stealable session *batches*
 //! ([`TickExecutor::WorkStealing`]), so idle workers finish a straggling run of expensive
-//! groups (`steals`, `imbalance`).  Like the cache, the schedule changes no protocol counter
-//! and no event — each stays identical to the serial replay.
+//! groups (`steals`, `imbalance`).  The schedule changes no protocol counter and no event —
+//! each stays identical to the serial replay.
 //!
 //! # Memory layout of the tick hot path
 //!
@@ -148,10 +129,10 @@
 //!   undrained, a stable sort restores id order, so a session's push still
 //!   precedes its later epoch.  Nothing walks the fleet to collect events, and a tick that
 //!   sends nothing allocates nothing.
-//! * **Per-worker query scratch arenas** — the index layer stages probe keys and GNN
-//!   candidate staging in thread-local [`mpn_index::QueryScratch`] buffers
-//!   ([`mpn_index::with_scratch`]) and keeps the GNN frontier per thread beside them, so a
-//!   warm-cache query, and one with no cache at all, performs *zero* heap allocations.
+//! * **Per-worker query scratch arenas** — the index layer stages GNN neighbours in
+//!   thread-local [`mpn_index::QueryScratch`] buffers ([`mpn_index::with_scratch`]) and
+//!   keeps the GNN frontier per thread beside them, so a query on a warm thread performs
+//!   *zero* heap allocations.
 //!   Pool workers persist across ticks, so each worker's arenas warm once and are reused
 //!   for the engine's lifetime; one-worker engines additionally tick through an
 //!   allocation-free inline path (asserted by the counting allocator of the tier-1 test
@@ -161,8 +142,7 @@
 //!
 //! [`MonitoringEngine::report`] returns an [`EngineReport`]: one coherent struct holding
 //! the engine clock, membership accounting (registered groups / ids awaiting reuse),
-//! lifetime [`TickExecCounters`], the shared query cache's
-//! [`CacheStats`](mpn_index::CacheStats) and the merged fleet [`MonitoringMetrics`]
+//! lifetime [`TickExecCounters`] and the merged fleet [`MonitoringMetrics`]
 //! (departed groups included).  A measurement tool (the `benchmark/` package's traced run)
 //! reads this one snapshot instead of poking four accessors.  Every field is a fixed-size counter
 //! — no per-update sample is kept anywhere — so a report costs O(fleet) and a session's

@@ -10,7 +10,6 @@
 use std::time::Duration;
 
 use mpn_core::{packets_for_values, ComputeStats};
-use mpn_index::CacheStats;
 
 use crate::engine::TickExecCounters;
 
@@ -68,10 +67,8 @@ impl Traffic {
 ///   **tick throughput** (epochs served per second).
 /// * [`groups`](EngineReport::groups) / [`retired`](EngineReport::retired) — fleet
 ///   membership accounting: registered sessions, and deregistered ids awaiting reuse.
-/// * [`exec`](EngineReport::exec) — lifetime executor totals (batches, steals, imbalance,
-///   cache traffic): how the work was scheduled, as opposed to what it computed.
-/// * [`cache`](EngineReport::cache) — the shared [`QueryCache`](mpn_index::QueryCache)'s
-///   cumulative counters (`None` when no cache is attached).
+/// * [`exec`](EngineReport::exec) — lifetime executor totals (batches, steals,
+///   imbalance): how the work was scheduled, as opposed to what it computed.
 /// * [`fleet`](EngineReport::fleet) — the merged [`MonitoringMetrics`] of every session,
 ///   deregistered ones included: the §7.1 measures (update frequency, mean per-update CPU
 ///   time and communication cost as packets); its `group_size` is the lifetime user total.
@@ -86,11 +83,10 @@ pub struct EngineReport {
     pub groups: usize,
     /// Deregistered ids awaiting reuse.
     pub retired: usize,
-    /// Executor diagnostics accumulated over every tick (batches, steals, imbalance,
-    /// query-cache hit/miss traffic).
+    /// Executor diagnostics accumulated over every tick (batches, steals, imbalance).
     pub exec: TickExecCounters,
-    /// Cumulative shared query-cache counters, when a cache is attached.
-    pub cache: Option<CacheStats>,
+    /// Benchmark-only shim, always `Some` (`benchmark/src/trace.rs`; ROADMAP item 1(c)).
+    pub cache: Option<mpn_index::CacheStats>,
     /// Fleet-wide merged metrics (registered + departed groups).
     pub fleet: MonitoringMetrics,
 }

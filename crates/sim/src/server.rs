@@ -119,8 +119,7 @@ impl ServerCore {
     }
 
     /// Creates a core around a pre-configured engine — the hook for a non-default executor
-    /// ([`TickExecutor::WorkStealing`](crate::TickExecutor)) and a shared
-    /// [`QueryCache`](mpn_index::QueryCache), which have no wire-level knobs.
+    /// ([`TickExecutor::WorkStealing`](crate::TickExecutor)), which has no wire-level knob.
     #[must_use]
     pub fn with_engine(engine: MonitoringEngine) -> Self {
         Self {

@@ -1,15 +1,13 @@
 //! Allocation gates of the monitoring hot path, counted by a global allocator shim.
 //!
-//! Seven facts the tick path, the tile verifier and the session layout are built around,
+//! Six facts the tick path, the tile verifier and the session layout are built around,
 //! asserted as counts (never a wall-clock ratio):
 //!
 //! * a steady-state quiet tick — every user reported, every user inside her region —
 //!   allocates **nothing**;
-//! * a warm-cache Circle recomputation allocates only its answer bookkeeping (the violator
-//!   list and the region vector): the query path itself — probe build, cache lookup, GNN
-//!   staging — is allocation-free;
-//! * without a cache — the server the repository benchmark runs — the same recomputation
-//!   allocates no more: its R-tree traversal's frontier heap is per-thread scratch too;
+//! * a Circle recomputation allocates only its answer bookkeeping (the violator list and the
+//!   region vector): its R-tree traversal's GNN staging and frontier heap are per-thread
+//!   scratch;
 //! * warm GT-Verify allocates nothing on its pass and its fail path, and a whole warm
 //!   Tile-D-b recompute allocates in proportion to its *output*, not to the thousands of
 //!   (tile, candidate) pairs it verifies;
@@ -42,7 +40,7 @@ use mpn::core::{
     TileCell, TileFrame, TileRegion, TileVerifier,
 };
 use mpn::geom::Point;
-use mpn::index::{QueryCache, RTree};
+use mpn::index::RTree;
 use mpn::mobility::poi::{clustered_pois, PoiConfig};
 use mpn::mobility::Trajectory;
 use mpn::proto::{Request, Response, WireConfig};
@@ -167,15 +165,12 @@ impl Fleet {
     }
 }
 
-/// The fleet ticked to steady state: registration plus enough epochs for every capacity and
-/// both cache parities to warm.
-fn warm_fleet(recording: Vec<Trajectory>, cache: Option<QueryCache>) -> Fleet {
+/// The fleet ticked to steady state: registration plus enough epochs for every capacity to
+/// warm.
+fn warm_fleet(recording: Vec<Trajectory>) -> Fleet {
     let recording = Arc::new(recording);
     let config = MonitorConfig::new(Objective::Max, Method::circle());
     let mut engine = MonitoringEngine::new(Arc::new(poi_tree(2_000)), 1);
-    if let Some(cache) = cache {
-        engine = engine.with_query_cache(cache);
-    }
     for _ in 0..GROUPS {
         engine.register_stream(recording.len(), config);
     }
@@ -193,14 +188,20 @@ fn warm_fleet(recording: Vec<Trajectory>, cache: Option<QueryCache>) -> Fleet {
 #[test]
 fn quiet_tick_steady() {
     let still = users(3).iter().map(|p| Trajectory::new(vec![*p; 1_000])).collect();
-    let mut quiet = warm_fleet(still, Some(QueryCache::new()));
+    let mut quiet = warm_fleet(still);
     let total: u64 = (0..TICKS).map(|_| quiet.tick()).sum();
     assert_eq!(total, 0, "a steady-state quiet tick must not allocate");
 }
 
 /// A two-position oscillation violates every safe region on every tick, so every session
-/// recomputes.  Allocations per recomputation over `TICKS` ticks of such a fleet.
-fn allocations_per_oscillating_recompute(cache: Option<QueryCache>) -> f64 {
+/// recomputes, and every recomputation traverses the tree.  The traversal's frontier heap
+/// names nodes by `(level, index)` and borrows no tree, so it is per-thread scratch and warm
+/// after the first query.  Measured 2.00 allocations per recomputation, the answer
+/// bookkeeping, against a bound of 2.5; it was 3.00 while the frontier borrowed tree nodes
+/// and was allocated per query, and 8.50 under the best-first traversal that regrew its heap
+/// of nodes and points.
+#[test]
+fn uncached_circle_recompute() {
     let osc = users(3)
         .iter()
         .map(|p| {
@@ -208,36 +209,13 @@ fn allocations_per_oscillating_recompute(cache: Option<QueryCache>) -> f64 {
             Trajectory::new((0..1_000).map(|t| if t % 2 == 0 { *p } else { far }).collect())
         })
         .collect();
-    let mut busy = warm_fleet(osc, cache);
+    let mut busy = warm_fleet(osc);
     let total: u64 = (0..TICKS).map(|_| busy.tick()).sum();
-    total as f64 / (TICKS * GROUPS as u64) as f64
-}
-
-/// After one cold round the shared query cache replays both parities of the oscillation,
-/// and the probe key is staged in the per-worker scratch arena.
-#[test]
-fn warm_recompute_tick() {
-    let per_recompute = allocations_per_oscillating_recompute(Some(QueryCache::new()));
-    assert!(
-        per_recompute <= 3.0,
-        "a warm-cache circle recomputation must stay within its answer bookkeeping \
-         (violator list + region vector), got {per_recompute:.2} allocations"
-    );
-}
-
-/// The configuration the repository benchmark serves: no cache, so every recomputation
-/// traverses the tree.  The traversal's frontier heap names nodes by `(level, index)` and
-/// borrows no tree, so it is per-thread scratch and warm after the first query.  Measured
-/// 2.00 per recomputation, the warm-cache path's answer bookkeeping, against a bound of 2.5;
-/// it was 3.00 while the frontier borrowed tree nodes and was allocated per query, and 8.50
-/// under the best-first traversal that regrew its heap of nodes and points.
-#[test]
-fn uncached_circle_recompute() {
-    let per_recompute = allocations_per_oscillating_recompute(None);
-    println!("uncached circle recompute: {per_recompute:.2} allocations");
+    let per_recompute = total as f64 / (TICKS * GROUPS as u64) as f64;
+    println!("circle recompute: {per_recompute:.2} allocations");
     assert!(
         per_recompute <= 2.5,
-        "an uncached circle recomputation must stay within its answer bookkeeping, got \
+        "a circle recomputation must stay within its answer bookkeeping, got \
          {per_recompute:.2} allocations"
     );
 }
