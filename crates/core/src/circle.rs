@@ -1,12 +1,14 @@
 //! Circular safe regions: the Circle-MSR algorithm (Section 4.2, Algorithm 1).
 //!
-//! Every user receives a circle centred at her current location, all with the same radius.
+//! Every user receives a circle around her current location, all within the same radius.
 //! The maximal radius keeping the group valid is derived from the best and second-best
 //! meeting points: Theorem 1 for the MAX objective, Theorem 5 for the SUM objective.
+//! The circle sent is [`snapped_circle`]: `f32`-exact, and inside the Theorem 1 / 5 disc.
 
-use mpn_geom::Point;
+use mpn_geom::{Circle, Point};
 use mpn_index::{GnnNeighbor, IndexView, QueryStats};
 
+use crate::region::f32_down;
 use crate::Objective;
 
 /// Result of Circle-MSR: the optimum, the runner-up and the common radius.  Every user's
@@ -45,6 +47,19 @@ pub fn maximal_circle_radius(
         Objective::Max => gap / 2.0,
         Objective::Sum => gap / (2.0 * group_size as f64),
     }
+}
+
+/// The region sent to the user at `u` for the radius `r`: centred at the nearest `f32` point
+/// `c′`, radius `r − ‖u, c′‖` rounded down to an `f32`, so every point of it is within `r` of
+/// `u` (Theorem 1 / 5 holds).  The exact `Circle(u, r)` when that would not hold `u` strictly
+/// inside: a best/runner-up tie (`r = 0`), or `r` below twice the snap.
+#[must_use]
+pub fn snapped_circle(u: Point, r: f64) -> Circle {
+    let center = Point::new(f64::from(u.x as f32), f64::from(u.y as f32));
+    let snap = u.dist(center);
+    let radius = f32_down(r - snap);
+    let (center, radius) = if radius > snap { (center, radius) } else { (u, r) };
+    Circle::new(center, radius)
 }
 
 /// Runs Circle-MSR (Algorithm 1) over the POI view for the given user group: the top-2 GNN
@@ -112,8 +127,11 @@ mod tests {
         assert_eq!(answer.regions.len(), users.len());
         for (region, user) in answer.regions.iter().zip(&users) {
             let crate::SafeRegion::Circle(circle) = region else { panic!("not a circle") };
-            assert_eq!(circle.center, *user);
-            assert!((circle.radius - out.radius).abs() < 1e-12);
+            // Centred within one `f32` snap of the user, shrunk by at least the snap.
+            let snap = circle.center.dist(*user);
+            assert!(snap <= f64::from(f32::EPSILON) * user.x.abs().max(user.y.abs()));
+            assert!(circle.radius + snap <= out.radius);
+            assert!(snap < circle.radius, "the user is strictly inside");
         }
     }
 

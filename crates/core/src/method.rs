@@ -10,10 +10,10 @@
 //!   [`SessionState`] through the computation, so the heading predictors, the §5.4 GNN buffer
 //!   and the last answer persist across updates (the stateful server of Fig. 3).
 
-use mpn_geom::{Circle, Point};
+use mpn_geom::Point;
 use mpn_index::IndexView;
 
-use crate::circle::circle_msr;
+use crate::circle::{circle_msr, snapped_circle};
 use crate::region::SafeRegion;
 use crate::session::SessionState;
 use crate::tile::{tile_msr, BufferCache, TileMsrConfig};
@@ -136,7 +136,7 @@ impl Method {
             Method::Circle => {
                 let out = circle_msr(view, users, objective);
                 let stats = ComputeStats { gnn: out.stats, rtree_queries: 1, ..Default::default() };
-                let circle = |u: &Point| SafeRegion::Circle(Circle::new(*u, out.radius));
+                let circle = |u: &Point| SafeRegion::Circle(snapped_circle(*u, out.radius));
                 (out.optimal, users.iter().map(circle).collect(), stats)
             }
             Method::Tile(config) => {

@@ -48,8 +48,8 @@ impl TileCell {
 
 /// The coordinate frame shared by all tiles of one user's safe region.
 ///
-/// `origin` is the lower-left corner of the user's seed tile (the maximal square inscribed in
-/// her circular safe region, Algorithm 3 lines 2–4) and `delta` is the base tile side `δ`.
+/// `origin` is the lower-left corner of the user's seed tile ([`seed`](Self::seed): in the square
+/// inscribed in her circular safe region, Algorithm 3 lines 2–4) and `delta` is the tile side `δ`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TileFrame {
     /// Lower-left corner of the level-0 cell (0, 0).
@@ -63,6 +63,28 @@ impl TileFrame {
     #[must_use]
     pub fn centered_at(center: Point, delta: f64) -> Self {
         Self { origin: Point::new(center.x - delta / 2.0, center.y - delta / 2.0), delta }
+    }
+
+    /// Tile-MSR's seed frame (Algorithm 3, line 2), `f32`-exact: the origin of
+    /// [`centered_at`](Self::centered_at) rounded up, the side rounded down, so the seed tile
+    /// stays inside the square inscribed in the Theorem 1 / 5 disc.  That exact frame itself
+    /// when `δ ≤ ε` or the snapped seed would not hold `center` strictly inside.
+    #[must_use]
+    pub fn seed(center: Point, delta: f64) -> Self {
+        let exact = Self::centered_at(center, delta);
+        let bounds = exact.square(TileCell::SEED).to_rect();
+        let up = |v: f64| -f32_down(-v);
+        let origin = Point::new(up(bounds.lo.x), up(bounds.lo.y));
+        let side = f32_down((bounds.hi.x - origin.x).min(bounds.hi.y - origin.y));
+        let frame = Self { origin, delta: side };
+        let seed = frame.square(TileCell::SEED).to_rect();
+        let (lo, hi) = (seed.lo, seed.hi);
+        let holds = lo.x < center.x && center.x < hi.x && lo.y < center.y && center.y < hi.y;
+        if delta > f64::EPSILON && holds && bounds.contains_rect(&seed) {
+            frame
+        } else {
+            exact
+        }
     }
 
     /// Side length of tiles at the given level.
@@ -81,6 +103,12 @@ impl TileFrame {
         );
         Square::new(Point::new(lo.x + side / 2.0, lo.y + side / 2.0), side)
     }
+}
+
+/// The largest `f32` at or below `v`, as an `f64`.
+pub(crate) fn f32_down(v: f64) -> f64 {
+    let f = v as f32;
+    f64::from(if f64::from(f) > v { f.next_down() } else { f })
 }
 
 /// A tile-based safe region: a union of square tiles in a common frame (Section 5).

@@ -1,6 +1,8 @@
 //! Tile-based safe regions: the Tile-MSR algorithm (Section 5.2, Algorithm 3) together with
 //! the divide-and-conquer verification (Algorithm 2), index pruning (Theorem 3 / Theorem 6)
 //! and the buffering optimisation (Section 5.4, Algorithm 5).
+//!
+//! Seed frames are [`TileFrame::seed`]: `f32`-exact, so tiles grow and verify on what is sent.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -192,9 +194,9 @@ pub fn tile_msr<'a>(
     stats.rtree_queries += 1;
     let delta = std::f64::consts::SQRT_2 * seed.radius;
 
-    // Lines 3-4: one seed tile per user.
+    // Lines 3-4: one seed tile per user, `f32`-exact wherever that still holds the user.
     let regions: Vec<TileRegion> =
-        users.iter().map(|u| TileRegion::with_seed(TileFrame::centered_at(*u, delta))).collect();
+        users.iter().map(|u| TileRegion::with_seed(TileFrame::seed(*u, delta))).collect();
 
     // Degenerate seed (the two best meeting points are equidistant): the safe regions collapse
     // to the users' current locations and no browsing can grow them.

@@ -11,6 +11,12 @@
 //! its predecessor, the whole cell after an escape byte otherwise — and are rebuilt exactly,
 //! cells in their original order, on decode.
 //!
+//! A [`SafeRegion`]'s geometry (circle centre and radius, tile frame origin and `δ`) ships as
+//! three `f32`s (region kinds `0x10` / `0x12`) when all three survive the trip, else as `f64`s
+//! (kinds `0` / `2`): lossless, so server and client test exits against one region.  `mpn-core`
+//! snaps it to `f32`s inside the Theorem 1 / 5 region; a tie or a region narrower than the snap
+//! stays exact (the kind byte is the fallback flag).  NaN, ∞ or a negative size is malformed.
+//!
 //! Three things stay fixed-width, because the repository benchmark walks them by hand without
 //! the codec (`FenceScan` in `benchmark/src/loadgen.rs`, `decode_stream` in
 //! `benchmark/src/oracle.rs`): the `u32` frame length, the `u32` message count in front of a
@@ -87,6 +93,7 @@ const TAG_WORLD_UPDATE: u8 = 0x84;
 // so that an old frame is "unknown region kind", not a misread step stream.
 const REGION_CIRCLE: u8 = 0;
 const REGION_TILES: u8 = 2;
+const REGION_F32: u8 = 0x10;
 const ADMIN_POI_INSERT: u8 = 0;
 const ADMIN_POI_DELETE: u8 = 1;
 
@@ -128,6 +135,19 @@ impl<'a> Reader<'a> {
 
     fn point(&mut self) -> Result<Point, DecodeError> {
         Ok(Point::new(self.f64()?, self.f64()?))
+    }
+
+    /// A region's finite point and finite, non-negative size (zero on a tie), in `f32`s or not.
+    fn geometry(&mut self, f32: bool) -> Result<(Point, f64), DecodeError> {
+        let mut value = || match f32 {
+            true => Ok(f32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")).into()),
+            false => self.f64(),
+        };
+        let (x, y, size) = (value()?, value()?, value()?);
+        if !(x.is_finite() && y.is_finite() && size.is_finite() && size >= 0.0) {
+            return Err(DecodeError::Malformed("non-finite region geometry or negative size"));
+        }
+        Ok((Point::new(x, y), size))
     }
 
     fn finish(self) -> Result<(), DecodeError> {
@@ -243,32 +263,34 @@ fn decode_config(r: &mut Reader<'_>) -> Result<WireConfig, DecodeError> {
 }
 
 fn encode_region(out: &mut Vec<u8>, region: &SafeRegion) {
-    match region {
-        SafeRegion::Circle(circle) => {
-            out.push(REGION_CIRCLE);
-            put_point(out, circle.center);
-            put_f64(out, circle.radius);
-        }
+    let (kind, geometry) = match region {
+        SafeRegion::Circle(c) => (REGION_CIRCLE, [c.center.x, c.center.y, c.radius]),
         SafeRegion::Tiles(tiles) => {
-            out.push(REGION_TILES);
             let frame = tiles.frame();
-            put_point(out, frame.origin);
-            put_f64(out, frame.delta);
-            encode_cells(tiles.cells(), out);
+            (REGION_TILES, [frame.origin.x, frame.origin.y, frame.delta])
         }
+    };
+    if geometry.iter().all(|&v| f64::from(v as f32).to_bits() == v.to_bits()) {
+        out.push(kind | REGION_F32);
+        geometry.into_iter().for_each(|v| out.extend_from_slice(&(v as f32).to_le_bytes()));
+    } else {
+        out.push(kind);
+        geometry.into_iter().for_each(|v| put_f64(out, v));
+    }
+    if let SafeRegion::Tiles(tiles) = region {
+        encode_cells(tiles.cells(), out);
     }
 }
 
 fn decode_region(r: &mut Reader<'_>) -> Result<SafeRegion, DecodeError> {
-    match r.u8()? {
+    let kind = r.u8()?;
+    match kind & !REGION_F32 {
         REGION_CIRCLE => {
-            let center = r.point()?;
-            let radius = r.f64()?;
+            let (center, radius) = r.geometry(kind & REGION_F32 != 0)?;
             Ok(SafeRegion::Circle(Circle::new(center, radius)))
         }
         REGION_TILES => {
-            let origin = r.point()?;
-            let delta = r.f64()?;
+            let (origin, delta) = r.geometry(kind & REGION_F32 != 0)?;
             // The stream bounds its count by the remaining payload before allocating; one
             // sort finds duplicates, so a megabyte of one-byte cells is not 10¹² compares.
             let (cells, used) = decode_cells(r.rest).map_err(DecodeError::Malformed)?;

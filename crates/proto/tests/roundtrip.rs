@@ -91,8 +91,9 @@ fn a_megabyte_of_valid_tokens_is_decoded_or_rejected_quickly() {
     let region = TileRegion::from_cells(frame, cells).expect("distinct cells");
     let region = SafeRegion::Tiles(Box::new(region));
     let response = Response::SafeRegion { group: 1, user: 0, meeting_point: frame.origin, region };
-    // Length, tag, one-byte group and user, meeting point, kind, origin, δ; a 3-byte count.
-    const HEADER: usize = 4 + 1 + 1 + 1 + 16 + 1 + 16 + 8;
+    // Length, tag, one-byte group and user, meeting point, kind, origin and δ as `f32`s (all
+    // three are `f32`-exact); a 3-byte count.
+    const HEADER: usize = 4 + 1 + 1 + 1 + 16 + 1 + 8 + 4;
     // A million steps to the right; then the same frame with every step standing still.
     let walk = response.encoded();
     assert_eq!(walk.len(), HEADER + 3 + (1 << 20));
@@ -144,7 +145,8 @@ fn ids_at_every_varint_boundary_round_trip() {
             assert_eq!(Response::decode(&bytes), Ok((response.clone(), bytes.len())), "{id}");
         }
         let user_bytes = id_bytes.min(5);
-        assert_eq!(responses[0].encoded().len(), 46 + id_bytes + user_bytes, "a circle of {id}");
+        // Meeting point 16 B; the `f32`-exact circle a kind byte and three 4-byte values.
+        assert_eq!(responses[0].encoded().len(), 34 + id_bytes + user_bytes, "a circle of {id}");
         assert_eq!(responses[1].encoded().len(), 5 + id_bytes + user_bytes, "a probe of {id}");
         assert_eq!(responses[2].encoded().len(), 14, "a notification is fixed-width");
     }
@@ -374,6 +376,38 @@ proptest! {
         // Whatever the bytes say, decoding returns — it must not panic or over-allocate.
         let _ = Request::decode(&bytes);
         let _ = Response::decode(&bytes);
+    }
+
+    #[test]
+    fn non_finite_or_negative_region_geometry_is_malformed(
+        tiles in 0usize..2,
+        f32_kind in 0usize..2,
+        slot in 0usize..3,
+        bad in 0usize..3,
+        x in -10_000i32..10_000,
+        size in 1u32..1_000,
+    ) {
+        // Whole numbers are `f32`-exact; a tenth on top of each makes the frame `f64`.
+        let off = if f32_kind == 1 { 0.0 } else { 0.1 };
+        let mut values = [f64::from(x) + off, f64::from(-x) + off, f64::from(size) + off];
+        values[slot] = match (slot, bad) {
+            (_, 0) => f64::NAN,
+            (2, 1) => -values[2],
+            (_, 1) => f64::NEG_INFINITY,
+            _ => f64::INFINITY,
+        };
+        let [x, y, size] = values;
+        let region = if tiles == 1 {
+            tile_region(Point::new(x, y), size, &[(0, 0, 0), (1, 2, -3)])
+        } else {
+            SafeRegion::Circle(Circle { center: Point::new(x, y), radius: size })
+        };
+        let bytes =
+            Response::SafeRegion { group: 1, user: 0, meeting_point: Point::ORIGIN, region }
+                .encoded();
+        let stream = if tiles == 1 { 3 } else { 0 };
+        prop_assert_eq!(bytes.len() - stream, if f32_kind == 1 { 36 } else { 48 });
+        prop_assert!(matches!(Response::decode(&bytes), Err(DecodeError::Malformed(_))));
     }
 
     #[test]

@@ -458,6 +458,8 @@ fn a_burst_tick_keeps_its_downlink_order_over_the_wire() {
     // last sharded engine sent for this trace with `test_core()` on *one* shard, so three
     // workers matching it is evidence that any worker count says what one shard said.  A
     // codec change must leave it alone; the byte hash pins the encoding and moves with it.
+    // Both were re-recorded once when safe regions became `f32`-exact: the circles' centres
+    // and radii, the tile frames' origins and `δ` changed value, and ship in 12 fewer bytes.
     let fnv1a = |hash: u64, bytes: &[u8]| {
         bytes
             .iter()
@@ -475,6 +477,6 @@ fn a_burst_tick_keeps_its_downlink_order_over_the_wire() {
         }
         assert!(rest.is_empty(), "the transcript is whole batches");
     }
-    assert_eq!(values, 0x6a1f_9e08_2d44_0dd0, "what the burst trace says changed");
-    assert_eq!(bytes, 0x8122_a030_9f58_51ba, "how the burst trace is encoded changed");
+    assert_eq!(values, 0x01dc_7d28_260d_452c, "what the burst trace says changed");
+    assert_eq!(bytes, 0x01d4_1a81_6b43_5c30, "how the burst trace is encoded changed");
 }

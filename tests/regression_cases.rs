@@ -398,22 +398,26 @@ fn tile_msr_decisions_match_the_golden_fixture() {
     //  tiles_rejected, rtree_queries), recorded when the test was written.  The four unbuffered rows'
     //  rtree_queries were re-recorded when the per-computation candidate pool replaced the
     //  per-tile index query (36,570 / 22,344 / 16,322 / 15,200 before); nothing else moved.
+    //  Every row was re-recorded once more when the seed frame became `f32`-exact (origin
+    //  rounded up, `δ` down): every tile is then grown on a frame shifted by at most one `f32`
+    //  step, so the cells move and the counters by at most 0.3 % (Tile/SUM's rtree_queries
+    //  457 → 456: its candidate bounds follow the tiles).
     let golden: [(&str, Objective, u64, [usize; 5]); 6] = [
-        ("Tile", Objective::Max, 0xa797_eaf2_64ed_d67f, [664_478, 2_616_638, 18_035, 489_434, 717]),
-        ("Tile", Objective::Sum, 0x0789_9847_154a_047f, [338_468, 1_908_786, 16_536, 242_869, 457]),
-        ("Tile-D", Objective::Max, 0xf0e2_d6cd_88e8_2037, [255_094, 812_908, 12_254, 183_115, 649]),
-        ("Tile-D", Objective::Sum, 0xe0c1_ab7a_e7b7_acca, [223_216, 948_695, 10_735, 160_445, 454]),
+        ("Tile", Objective::Max, 0x744e_3dc9_9176_0243, [664_474, 2_616_630, 18_033, 489_433, 717]),
+        ("Tile", Objective::Sum, 0xb337_b542_c353_47ac, [337_628, 1_903_648, 16_539, 242_226, 456]),
+        ("Tile-D", Objective::Max, 0xabef_a66a_6c0f_693f, [255_094, 812_892, 12_255, 183_114, 649]),
+        ("Tile-D", Objective::Sum, 0x2c74_a4cf_5cd9_6631, [223_216, 948_703, 10_736, 160_444, 454]),
         (
             "Tile-D-b",
             Objective::Max,
-            0x0148_e3e3_ee0e_785d,
-            [219_125, 445_680, 11_961, 157_318, 193],
+            0xf2b6_068b_e638_f5d5,
+            [219_125, 445_698, 11_962, 157_317, 193],
         ),
         (
             "Tile-D-b",
             Objective::Sum,
-            0x34d5_ab36_18cb_e130,
-            [191_117, 411_512, 10_881, 136_694, 193],
+            0x591c_e958_ba2d_693b,
+            [191_117, 411_513, 10_882, 136_693, 193],
         ),
     ];
 

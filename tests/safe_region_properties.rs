@@ -2,8 +2,8 @@
 //! stack: for randomly generated POI sets, user groups and methods, no location instance drawn
 //! from the computed safe regions may change the optimal meeting point.
 
-use mpn::core::{Method, Objective, SafeRegion};
-use mpn::geom::Point;
+use mpn::core::{circle_msr, encode_cells, Method, Objective, SafeRegion, TileCell, TileFrame};
+use mpn::geom::{Circle, DistanceBounds, Point, Rect};
 use mpn::index::RTree;
 use mpn::proto::Response;
 use proptest::prelude::*;
@@ -142,6 +142,123 @@ proptest! {
     }
 }
 
+/// A world far from the origin or not: a base point at 0, at the world edge (10,000), at
+/// ±2²⁴ (where `f32`s are 2 apart), at the `i32` edges (256 apart) or anywhere in the world,
+/// and points up to 100 from it.
+fn arb_placed_world() -> impl Strategy<Value = (Vec<Point>, Vec<Point>)> {
+    let base = (0usize..7, 0.0f64..10_000.0).prop_map(|(pick, any)| {
+        [0.0, 10_000.0, 16_777_216.0, -16_777_216.0, f64::from(i32::MIN), f64::from(i32::MAX), any]
+            [pick]
+    });
+    let near = || (0.0f64..100.0, 0.0f64..100.0);
+    let (pois, users) =
+        (proptest::collection::vec(near(), 2..30), proptest::collection::vec(near(), 1..5));
+    (base, pois, users).prop_map(|(base, pois, users)| {
+        let place = |&(x, y): &(f64, f64)| Point::new(base + x, base + y);
+        (pois.iter().map(place).collect(), users.iter().map(place).collect())
+    })
+}
+
+/// The region's geometry and cells as bits: what a decoder must rebuild exactly.
+fn region_bits(region: &SafeRegion) -> (Vec<u64>, Vec<TileCell>) {
+    let (values, cells) = match region {
+        SafeRegion::Circle(c) => ([c.center.x, c.center.y, c.radius], vec![]),
+        SafeRegion::Tiles(t) => {
+            let f = t.frame();
+            ([f.origin.x, f.origin.y, f.delta], t.cells().to_vec())
+        }
+    };
+    (values.iter().map(|v| v.to_bits()).collect(), cells)
+}
+
+/// Whether the point is strictly inside the rectangle.
+fn strictly_inside(rect: &Rect, p: Point) -> bool {
+    rect.lo.x < p.x && p.x < rect.hi.x && rect.lo.y < p.y && p.y < rect.hi.y
+}
+
+// The regions as sent, for every method × objective: `f32` geometry where it is sound — inside
+// the Theorem 1 / 5 disc or the exact inscribed seed square, with the user strictly inside —
+// and the exact kind where it is not, every tie included; either way rebuilt bit for bit.
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
+
+    #[test]
+    fn sent_regions_round_trip_nest_in_the_theorem_regions_and_hold_their_users(
+        world in arb_placed_world(),
+        tie in 0usize..3,
+    ) {
+        let (pois, users) = world;
+        // A POI set with every location twice forces a best/runner-up tie: `r_max = 0`.
+        let pois = if tie == 0 { [pois.as_slice(), pois.as_slice()].concat() } else { pois };
+        let tree = RTree::bulk_load(&pois);
+        let methods = [
+            Method::circle(),
+            Method::tile(),
+            Method::tile_directed(std::f64::consts::FRAC_PI_4),
+            Method::tile_directed_buffered(std::f64::consts::FRAC_PI_4, 10),
+        ];
+        for method in methods {
+            for objective in [Objective::Max, Objective::Sum] {
+                let r_max = circle_msr(&tree, &users, objective).radius;
+                prop_assert!(tie != 0 || r_max == 0.0, "duplicated POIs tie");
+                let answer = method.answer(&tree, objective, &users, None);
+                for (i, (region, &u)) in answer.regions.iter().zip(&users).enumerate() {
+                    let response = Response::SafeRegion {
+                        group: 7,
+                        user: i as u32,
+                        meeting_point: answer.optimal_point,
+                        region: region.clone(),
+                    };
+                    let bytes = response.encoded();
+                    let (decoded, _) = Response::decode(&bytes).expect("a valid frame");
+                    let Response::SafeRegion { region: back, .. } = &decoded else {
+                        panic!("decoded to {decoded:?}")
+                    };
+                    prop_assert_eq!(region_bits(back), region_bits(region), "bit for bit");
+
+                    // Length, tag, one-byte ids and meeting point (23 B), the kind byte, then
+                    // 24 B of `f64` geometry or 12 B of `f32`s; then a tile step stream.
+                    let mut stream = Vec::new();
+                    if let SafeRegion::Tiles(t) = region {
+                        encode_cells(t.cells(), &mut stream);
+                    }
+                    let header = bytes.len() - stream.len();
+                    prop_assert!(header == 36 || header == 48, "{header}-byte header");
+                    let f32_kind = header == 36;
+                    prop_assert!(r_max > 0.0 || !f32_kind, "a tie ships the exact kind");
+
+                    match region {
+                        SafeRegion::Circle(c) if f32_kind => {
+                            let snap = c.center.dist(u);
+                            prop_assert!(snap + c.radius <= r_max, "inside Circle(u, r_max)");
+                            prop_assert!(snap < c.radius, "the user is strictly inside");
+                        }
+                        SafeRegion::Circle(c) => {
+                            prop_assert_eq!(*c, Circle::new(u, r_max));
+                            prop_assert!(c.contains(u));
+                        }
+                        SafeRegion::Tiles(t) => {
+                            let delta = std::f64::consts::SQRT_2 * r_max;
+                            let exact = TileFrame::centered_at(u, delta);
+                            let seed = t.frame().square(TileCell::SEED).to_rect();
+                            prop_assert_eq!(t.cells()[0], TileCell::SEED);
+                            if f32_kind {
+                                let inscribed = exact.square(TileCell::SEED).to_rect();
+                                prop_assert!(inscribed.contains_rect(&seed), "nested seed");
+                                prop_assert!(strictly_inside(&seed, u), "strictly inside");
+                            } else {
+                                prop_assert_eq!(t.frame(), exact);
+                                prop_assert!(delta <= f64::EPSILON || strictly_inside(&seed, u));
+                                prop_assert!(t.contains(u));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// One tile push: which user's region grows, and by which cell of her frame.
 fn arb_push() -> impl Strategy<Value = (usize, u8, i32, i32)> {
     (0usize..4, 0u32..2, -3i32..4, -3i32..4)
@@ -164,7 +281,7 @@ proptest! {
         probe in arb_push(),
     ) {
         use mpn::core::verify::verify_max_exhaustive;
-        use mpn::core::{ComputeStats, TileCell, TileFrame, TileRegion, TileVerifier};
+        use mpn::core::{ComputeStats, TileRegion, TileVerifier};
 
         let m = frames.len();
         let anchors: Vec<Point> = frames.iter().map(|(anchor, _)| *anchor).collect();

@@ -7,43 +7,53 @@
 //! to three facts:
 //!
 //! * a tile `SafeRegion` response's header — every byte before its step stream — is at most
-//!   48 bytes (the fleet's group ids are below 128, so each id is a one-byte varint), and the
-//!   step stream costs at most its count plus **2 bytes a tile** on average (the retired
-//!   layout charged 9, the §7.1 model charges 4);
+//!   36 bytes (the fleet's group ids are below 128, so each id is a one-byte varint, and the
+//!   frame origin and `δ` are `f32`-exact, so they ship in 12 bytes), and the step stream
+//!   costs at most its count plus **2 bytes a tile** on average (the retired layout charged
+//!   9, the §7.1 model charges 4);
+//! * a circle `SafeRegion` response of the same fleet under Circle/SUM is at most 36 bytes;
 //! * the downlink is a function of the inputs: two runs produce identical bytes;
 //! * what was sent is what a client reads back, response for response.
 //!
 //! Run with `--nocapture` for the per-response attribution (header / count / one-byte steps /
-//! escapes) behind those figures.
+//! escapes) behind those figures, and for the share of regions that shipped in the exact
+//! `f64` fallback kind (48 bytes of header).
 
 use mpn::core::{encode_cells, SafeRegion};
 use mpn::index::RTree;
 use mpn::mobility::network::{NetworkConfig, RoadNetwork};
 use mpn::mobility::poi::{clustered_pois, PoiConfig};
 use mpn::net::{encode_batch, read_batch};
-use mpn::proto::{Request, Response, WireConfig, WireMethod};
+use mpn::proto::{Request, Response, WireConfig, WireMethod, WireObjective};
 use mpn::sim::ServerCore;
 
 const GROUPS: usize = 12;
 const GROUP_SIZE: usize = 3;
 const EPOCHS: usize = 40;
+/// A `SafeRegion` response's bytes before any step stream: length, tag, one-byte group and
+/// user, the meeting point, the region kind and three `f32`s — twelve more with `f64`s.
+const REGION_HEADER: usize = 36;
 
-/// Every downlink byte of the fleet's run, one batch envelope per tick, and the responses
-/// they were encoded from.
-fn drive() -> (Vec<u8>, Vec<Vec<Response>>) {
-    let pois = clustered_pois(&PoiConfig { count: 6_000, ..PoiConfig::default() }, 2013);
-    let network =
-        RoadNetwork::generate(&NetworkConfig { timestamps: EPOCHS, ..NetworkConfig::default() }, 7);
-    let fleet: Vec<_> =
-        (0..GROUPS * GROUP_SIZE).map(|user| network.trajectory(100 + user as u64, user)).collect();
-    let config = WireConfig {
+/// The paper's main method, as `drive_tile_max` runs it.
+fn tile_config() -> WireConfig {
+    WireConfig {
         method: WireMethod::TileDirectedBuffered {
             theta: std::f64::consts::FRAC_PI_4,
             buffer: 100,
         },
         persist_buffers: true,
         ..WireConfig::default()
-    };
+    }
+}
+
+/// Every downlink byte of the fleet's run under `config`, one batch envelope per tick, and
+/// the responses they were encoded from.
+fn drive(config: WireConfig) -> (Vec<u8>, Vec<Vec<Response>>) {
+    let pois = clustered_pois(&PoiConfig { count: 6_000, ..PoiConfig::default() }, 2013);
+    let network =
+        RoadNetwork::generate(&NetworkConfig { timestamps: EPOCHS, ..NetworkConfig::default() }, 7);
+    let fleet: Vec<_> =
+        (0..GROUPS * GROUP_SIZE).map(|user| network.trajectory(100 + user as u64, user)).collect();
 
     let mut core = ServerCore::new(RTree::bulk_load(&pois), 1);
     let (mut wire, mut batches) = (Vec::new(), Vec::new());
@@ -90,10 +100,10 @@ fn attribute(stream: &[u8]) -> (usize, usize, usize, usize) {
 
 #[test]
 fn tile_regions_cost_two_bytes_a_tile_and_repeat_exactly() {
-    let (wire, batches) = drive();
+    let (wire, batches) = drive(tile_config());
 
     let (mut responses, mut tiles, mut bytes, mut header_bytes) = (0usize, 0usize, 0usize, 0);
-    let (mut count_bytes, mut steps, mut escapes, mut escape_bytes) = (0, 0, 0, 0);
+    let (mut count_bytes, mut steps, mut escapes, mut escape_bytes, mut exact) = (0, 0, 0, 0, 0);
     for response in batches.iter().flatten() {
         let Response::SafeRegion { region: SafeRegion::Tiles(region), .. } = response else {
             continue;
@@ -104,7 +114,7 @@ fn tile_regions_cost_two_bytes_a_tile_and_repeat_exactly() {
         encode_cells(region.cells(), &mut stream);
         assert!(frame.ends_with(&stream), "a tile response ends in its step stream");
         let header = frame.len() - stream.len();
-        assert!(header <= 48, "a {header}-byte header in front of one-byte ids");
+        exact += usize::from(header > REGION_HEADER);
         let (count_len, one_byte, escaped, escaped_bytes) = attribute(&stream);
         assert_eq!(one_byte + escaped, region.len(), "one token per tile");
         responses += 1;
@@ -133,6 +143,8 @@ fn tile_regions_cost_two_bytes_a_tile_and_repeat_exactly() {
         stream_bytes as f64 / tiles as f64,
         62.0 + 9.0 * per(tiles),
     );
+    println!("{}", fallback_share("tile", exact, responses));
+    assert_eq!(exact, 0, "every tile header is {REGION_HEADER} B in front of one-byte ids");
     assert_eq!(stream_bytes, count_bytes + steps + escape_bytes);
     assert!(
         stream_bytes <= 4 * responses + 2 * tiles,
@@ -147,5 +159,36 @@ fn tile_regions_cost_two_bytes_a_tile_and_repeat_exactly() {
     assert!(stream.is_empty(), "{} bytes after the last batch", stream.len());
 
     // And a second run of the same fleet sends the same bytes.
-    assert!(drive().0 == wire, "the downlink must be a function of the inputs");
+    assert!(drive(tile_config()).0 == wire, "the downlink must be a function of the inputs");
+}
+
+/// The attribution line of the regions that shipped in the exact `f64` kind.
+fn fallback_share(kind: &str, exact: usize, regions: usize) -> String {
+    let share = 100.0 * exact as f64 / regions as f64;
+    format!("{kind} regions in the exact f64 fallback kind: {exact} of {regions} ({share:.1} %)")
+}
+
+#[test]
+fn circle_regions_ship_in_36_bytes() {
+    let config = WireConfig { objective: WireObjective::Sum, ..WireConfig::default() };
+    let (wire, batches) = drive(config);
+    let (mut circles, mut bytes, mut exact) = (0usize, 0usize, 0usize);
+    for response in batches.iter().flatten() {
+        let Response::SafeRegion { region: SafeRegion::Circle(_), .. } = response else {
+            continue;
+        };
+        let len = response.encoded().len();
+        circles += 1;
+        bytes += len;
+        exact += usize::from(len > REGION_HEADER);
+    }
+    assert!(circles >= 10 * GROUPS, "{circles} circle responses: the fleet must keep updating");
+    let each = bytes as f64 / circles as f64;
+    println!("{circles} circle SafeRegion responses over {EPOCHS} epochs: {each:.1} B each");
+    println!("{}", fallback_share("circle", exact, circles));
+    assert_eq!(exact, 0, "every circle response is {REGION_HEADER} B with one-byte ids");
+    let mut stream = &wire[..];
+    for batch in &batches {
+        assert_eq!(&read_batch(&mut stream).expect("a whole batch"), batch);
+    }
 }
