@@ -10,7 +10,7 @@
 //! * **downlink** — encoded response bytes queue in an outbox and drain whenever the socket
 //!   is writable.  The outbox level drives the **backpressure contract** (see the crate
 //!   docs): above the soft limit the connection stops being read, above the hard limit it is
-//!   dropped.
+//!   dropped.  A drained outbox shrinks back to [`BUFFER_FLOOR`].
 //!
 //! The connection never talks to the engine itself; it only classifies what happened
 //! ([`ReadOutcome`]) and lets the event loop decide.
@@ -18,7 +18,7 @@
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 
-use mpn_proto::{DecodeError, FrameReader, Request, Response};
+use mpn_proto::{codec::BUFFER_FLOOR, DecodeError, FrameReader, Request, Response};
 use mpn_sim::ClientId;
 
 use crate::poll::Interest;
@@ -194,8 +194,9 @@ impl Connection {
         }
         if self.sent == self.outbox.len() {
             self.outbox.clear();
+            self.outbox.shrink_to(BUFFER_FLOOR);
             self.sent = 0;
-        } else if self.sent >= 64 * 1024 {
+        } else if self.sent >= BUFFER_FLOOR {
             // Compact occasionally so a long-lived slow reader does not pin dead bytes.
             self.outbox.drain(..self.sent);
             self.sent = 0;

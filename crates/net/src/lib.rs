@@ -12,8 +12,8 @@
 //! ([`conn::Connection`]) whose incremental [`mpn_proto::FrameReader`]s reassemble frames
 //! across arbitrarily fragmented reads; decoded requests from every ready socket batch into
 //! the core, one engine tick runs per loop iteration, and each addressed client gets one
-//! count-prefixed batch ([`envelope`]) encoded straight into its outbox.  The loop only
-//! frames what the core produced, so a connection's downlink is **byte-identical** to the
+//! count-prefixed batch ([`envelope`]), each response encoded into its outbox as the core's
+//! [`process_with`](mpn_sim::ServerCore::process_with) produces it.  The loop only frames what the core produced, so a connection's downlink is **byte-identical** to the
 //! in-process `ServerCore` output for the same lock-step request trace (pinned by the
 //! workspace test `tests/mux_parity.rs`).
 //!
@@ -33,6 +33,9 @@
 //!    its owned groups are deregistered and its queued requests dropped.  A slow reader is
 //!    never allowed to hold unbounded server memory, and a vanished client never leaks live
 //!    sessions.
+//!
+//! A completely flushed outbox, like a frame reader that decoded all it was fed, keeps at
+//! most 64 KiB of capacity: a burst tick does not leave its buffers behind for good.
 //!
 //! The same disconnect path runs on EOF, on undecodable uplink bytes (framing cannot be
 //! resynchronised, so the connection is closed — requests decoded before the bad frame are
@@ -55,9 +58,8 @@
 //! by the workspace test `tests/world_mutation.rs`.
 //!
 //! Per-client ordering guarantee: the owner of an affected group always sees the
-//! `WorldUpdate` before the revised regions it announces, because the core queues the
-//! announcement during request application and the recomputed regions drain from the
-//! engine's event sink only after the tick.
+//! `WorldUpdate` before the revised regions it announces, because the core sends the
+//! announcement during request application and the recomputed regions only with the tick.
 
 #![forbid(unsafe_op_in_unsafe_fn)]
 

@@ -9,9 +9,9 @@
 //!    enqueueing whole decoded requests into the core tagged with the connection's
 //!    [`ClientId`] — partial frames simply park in the per-connection reader;
 //! 3. if the core has work (queued requests, or inbox epochs from an earlier burst), runs
-//!    **one** engine tick and routes the client-tagged responses back: each addressed
-//!    connection gets one count-prefixed batch ([`crate::envelope`]) encoded into its
-//!    outbox and flushed as far as the socket accepts.
+//!    **one** engine tick and routes the client-tagged responses back as the tick produces
+//!    them: each addressed connection gets one count-prefixed batch ([`crate::envelope`])
+//!    encoded into its outbox and flushed as far as the socket accepts.
 //!
 //! Closed, malformed and backpressured connections are deregistered from both the poller and
 //! the core ([`ServerCore::disconnect`]), so a vanished client never leaks live sessions.
@@ -120,6 +120,14 @@ impl Slab {
 
     fn len(&self) -> usize {
         self.entries.len() - self.free.len()
+    }
+
+    /// Opens this tick's batch on `token`'s connection unless it is open already.
+    fn open_batch(&mut self, token: Token, addressed: &mut Vec<Token>) -> Option<Token> {
+        if self.get_mut(token)?.begin_batch() {
+            addressed.push(token);
+        }
+        Some(token)
     }
 }
 
@@ -310,33 +318,36 @@ impl MuxServer {
 
     /// Runs one engine tick over the queued requests and routes the responses: one
     /// count-prefixed batch per addressed connection.
+    ///
+    /// One batch per client this tick: every client with an applied request answers
+    /// (possibly count 0 — a quiet epoch), plus any client whose sessions produced events
+    /// without a fresh request (burst uplink draining from the inbox).  A batch opens with
+    /// its client's first response, and each response is encoded into its connection's
+    /// outbox as the core produces it.
     fn tick(&mut self) {
-        let output = self.core.process();
-        self.stats.ticks += 1;
-        self.stats.responses += output.responses.len() as u64;
-
-        // One batch per client this tick: every client with an applied request answers
-        // (possibly count 0 — a quiet epoch), plus any client whose sessions produced
-        // events without a fresh request (burst uplink draining from the inbox).  Each
-        // response is encoded straight into its connection's outbox.
         let mut addressed: Vec<Token> = Vec::new();
-        for &client in &output.applied {
-            self.open_batch(client, &mut addressed);
-        }
+        let (conns, clients, stats) = (&mut self.conns, &self.clients, &mut self.stats);
         // Responses come in per-client runs: the connection is looked up once per run.
         let mut run: Option<(ClientId, Option<Token>)> = None;
-        for (client, response) in &output.responses {
+        let output = self.core.process_with(|client, response| {
+            stats.responses += 1;
             let token = match run {
-                Some((of, token)) if of == *client => token,
+                Some((of, token)) if of == client => token,
                 _ => {
-                    let token = self.open_batch(*client, &mut addressed);
-                    run = Some((*client, token));
+                    // `None`: the client vanished mid-tick and its sessions are gone.
+                    let token =
+                        clients.get(&client).and_then(|&t| conns.open_batch(t, &mut addressed));
+                    run = Some((client, token));
                     token
                 }
             };
-            if let Some(conn) = token.and_then(|token| self.conns.get_mut(token)) {
-                conn.push_response(response);
+            if let Some(conn) = token.and_then(|token| conns.get_mut(token)) {
+                conn.push_response(&response);
             }
+        });
+        self.stats.ticks += 1;
+        for token in output.applied.iter().filter_map(|client| self.clients.get(client)) {
+            self.conns.open_batch(*token, &mut addressed);
         }
         for token in addressed {
             if let Some(conn) = self.conns.get_mut(token) {
@@ -344,16 +355,6 @@ impl MuxServer {
             }
             self.flush_and_sync(token);
         }
-    }
-
-    /// Opens this tick's batch on `client`'s connection unless it is open already.  `None`:
-    /// the client vanished mid-tick and its sessions are already gone.
-    fn open_batch(&mut self, client: ClientId, addressed: &mut Vec<Token>) -> Option<Token> {
-        let token = *self.clients.get(&client)?;
-        if self.conns.get_mut(token)?.begin_batch() {
-            addressed.push(token);
-        }
-        Some(token)
     }
 
     /// Flushes a connection's outbox, then applies the backpressure verdict and re-registers

@@ -51,6 +51,10 @@ pub const MAX_FRAME_LEN: usize = 16 << 20;
 /// the tag and the longest (10-byte) group varint, at 16 bytes a position.
 pub const MAX_REPORT_POSITIONS: usize = (MAX_FRAME_LEN - 11) / 16;
 
+/// Capacity a drained message buffer keeps (a [`FrameReader`], a connection's outbox, the
+/// server's request queue): a burst pays for its own buffer and gives what it grew back.
+pub const BUFFER_FLOOR: usize = 64 << 10;
+
 /// Why a frame failed to decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeError {
@@ -522,8 +526,9 @@ pub fn read_frame(stream: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
 /// tag, lying length, malformed payload) and the connection should be closed; the reader
 /// makes no attempt to resynchronise.
 ///
-/// Consumed bytes are compacted away lazily, so a long-lived connection's buffer stays
-/// proportional to its largest in-flight frame, not its lifetime traffic.
+/// Consumed bytes are compacted away lazily, and a reader that decoded all it was fed keeps
+/// at most [`BUFFER_FLOOR`] bytes of capacity: a connection holds its unread bytes, not its
+/// largest burst.
 #[derive(Debug, Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
@@ -541,7 +546,7 @@ impl FrameReader {
     /// Appends bytes read off the transport (any chunking, including one byte at a time).
     pub fn feed(&mut self, bytes: &[u8]) {
         // Compact before growing: reuse the dead prefix instead of enlarging the buffer.
-        if self.pos > 0 && (self.pos == self.buf.len() || self.pos >= 4096) {
+        if self.pos >= 4096 {
             self.buf.drain(..self.pos);
             self.pos = 0;
         }
@@ -563,6 +568,11 @@ impl FrameReader {
         match Request::decode(&self.buf[self.pos..]) {
             Ok((message, consumed)) => {
                 self.pos += consumed;
+                if self.pos == self.buf.len() {
+                    self.buf.clear();
+                    self.buf.shrink_to(BUFFER_FLOOR);
+                    self.pos = 0;
+                }
                 Ok(Some(message))
             }
             Err(DecodeError::Incomplete) => Ok(None),

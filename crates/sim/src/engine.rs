@@ -3,41 +3,22 @@
 //!
 //! A production meeting-point service is a long-lived server: thousands of groups come and go
 //! while the POI index stays hot, and the server's cost is dominated by per-update work, not
-//! setup.  [`MonitoringEngine`] models exactly that:
+//! setup.  [`MonitoringEngine`] models exactly that (the crate docs describe its layout):
 //!
-//! * **Owned sessions, one slab.**  The engine owns its POI index (an [`Arc<RTree>`] shared
-//!   with whoever built it) and every registered [`GroupSession`] owns its state — there is
-//!   no borrowed trajectory data and no lifetime tying the engine to a pre-baked workload.
-//!   A group's id *is* its slot: the paper's server (§3, Fig. 3) keeps one record per group
-//!   and the groups are independent, so nothing partitions them.  Position input has one way
-//!   in: owned [`EpochUpdate`] batches via [`submit`](MonitoringEngine::submit).  A recorded
-//!   replay is just another client, submitting
-//!   [`TrajectoryFeed::next_epoch`](crate::TrajectoryFeed::next_epoch) each tick.
-//! * **Report-driven ticks.**  The paper's server does nothing for a group until one of its
-//!   users reports, and neither does a [`tick`](MonitoringEngine::tick): the engine keeps a
-//!   ready list of the ids with a submitted epoch waiting and advances exactly those, one
-//!   epoch each, in ascending id order.  A quiet fleet receiving one report costs one
-//!   session's work; the finished and starved tallies are maintained counters.
-//! * **Workers take batches of the ready list.**  A one-worker engine ticks inline and is the
-//!   serial reference of the parity suites (`tests/engine_parity.rs`).  With more workers a
-//!   tick cuts its sorted ready list into batches and fans them out over
-//!   [`std::thread::scope`] threads, the calling thread among them; the worker count is the
-//!   only knob.  Every pass visits the groups in ascending id order whatever the worker
-//!   count, so a parallel tick produces exactly the counters **and the events** of a serial
-//!   one.
+//! * **Owned sessions, one slab.**  The engine shares its POI index via [`Arc<RTree>`] and
+//!   every [`GroupSession`] owns its state.  A group's id *is* its slot: the paper's server
+//!   (§3, Fig. 3) keeps one record per group and the groups are independent.  Position input
+//!   has one way in, owned [`EpochUpdate`]s via [`submit`](MonitoringEngine::submit); a
+//!   recorded replay submits [`TrajectoryFeed::next_epoch`](crate::TrajectoryFeed::next_epoch).
+//! * **Report-driven ticks.**  Like the paper's server, a [`tick`](MonitoringEngine::tick)
+//!   advances exactly the groups with a submitted epoch waiting (the ready list), one epoch
+//!   each, in ascending id order — inline on one worker, in batches over scoped threads with
+//!   more, with the same counters **and events** either way.
 //! * **Fleet lifecycle.**  Groups [`register`](MonitoringEngine::register_stream) at any
-//!   time and can [`deregister`](MonitoringEngine::deregister) mid-run (their session state
-//!   — heading predictors, §5.4 buffer, last answer — is reclaimed, their metrics are handed
-//!   back and folded into the fleet totals).  Freed ids are reused, most recently freed
-//!   first, before a new one is allocated, so the slab stays dense under churn.
-//!
-//! Sessions may have different horizons (and even different methods/objectives); a session
-//! past its bounded horizon takes no more epochs, and an **open-horizon** streaming session
-//! (no [`MonitorConfig`] timestamp cap) never finishes — it leaves the fleet via
-//! deregistration.  Per-group / fleet-wide metrics (the latter including those of
-//! deregistered groups) are available throughout via
-//! [`group_metrics`](MonitoringEngine::group_metrics) /
-//! [`fleet_metrics`](MonitoringEngine::fleet_metrics).
+//!   time and [`deregister`](MonitoringEngine::deregister) mid-run; their metrics fold into
+//!   the fleet totals ([`fleet_metrics`](MonitoringEngine::fleet_metrics)) and their ids are
+//!   reused, most recently freed first.  A session past its bounded horizon takes no more
+//!   epochs; an **open-horizon** one (no [`MonitorConfig`] timestamp cap) never finishes.
 
 use std::sync::{Arc, Mutex};
 
@@ -298,28 +279,32 @@ pub(crate) fn fan_out<J: Send, R: Send>(
     done.into_iter().map(|(_, result)| result).collect()
 }
 
-/// Folds one batch's tally into an accumulator (the fleet-wide fields — `tick`, `finished`,
-/// `starved`, `retired` — are filled in by the caller, not summed).
-fn merge_counts(acc: &mut TickSummary, t: &TickSummary) {
-    acc.advanced += t.advanced;
-    acc.updated += t.updated;
-    acc.violators += t.violators;
-    acc.registered += t.registered;
-    acc.finished += t.finished;
+/// Runs `pass`, which sends in ascending group id, with the earlier passes' `logged` events
+/// (ascending too) merged in: `send` sees ascending ids, a group's logged events first.
+fn merged_with<R>(
+    logged: Vec<(GroupId, SessionEvent)>,
+    send: &mut EventSink,
+    pass: impl FnOnce(&mut EventSink) -> R,
+) -> R {
+    let mut logged = logged.into_iter().peekable();
+    let result = pass(&mut |group, event| {
+        while let Some((id, earlier)) = logged.next_if(|&(id, _)| id <= group) {
+            send(id, earlier);
+        }
+        send(group, event);
+    });
+    logged.for_each(|(id, earlier)| send(id, earlier));
+    result
 }
 
 /// A stateful server monitoring a churning fleet of moving groups over one POI index.
-///
-/// The engine has no lifetime parameters: it shares the POI index via [`Arc`] and every
-/// session owns its data, so engines can be moved into server threads, held alongside their
-/// workload, and fed from the network.
 ///
 /// # The slab and the ready list
 ///
 /// * `slab` — the [`GroupSession`] bodies indexed by [`GroupId`] (configuration, metrics,
 ///   last answer, the flat position buffer; what else a body holds depends on its method —
 ///   see the crate docs).  A body keeps no event log: the protocol events of an advance go
-///   to the tick's sink ([`MonitoringEngine::drain_events`]).  Deregistration empties the
+///   to the tick's sink ([`MonitoringEngine::tick_with`]).  Deregistration empties the
 ///   slot and parks the id on the free-list; no other session moves, so `submit`, `group`
 ///   lookups and deregistration are one index away.  An id is vacant iff its slot is `None`
 ///   iff it is on the free-list.
@@ -345,13 +330,9 @@ pub struct MonitoringEngine {
     /// Merged metrics of every group that deregistered (`group_size` = their users), so
     /// fleet-wide totals never shrink when a group leaves.
     departed: MonitoringMetrics,
-    /// The event sink: what sessions registered [`with_events`](GroupSession::with_events)
-    /// sent since the last [`drain_events`](MonitoringEngine::drain_events), each pass (a
-    /// tick, a world change) appending in ascending id order.
-    events: EventSink,
-    /// A pass appended to a sink that already held an earlier pass's events, so the sink as
-    /// a whole is no longer in id order; `drain_events` restores it.
-    events_interleaved: bool,
+    /// Events not yet handed out, in ascending group id: world-change pushes the next tick
+    /// sends, and what [`tick`](MonitoringEngine::tick) collected.
+    events: Vec<(GroupId, SessionEvent)>,
     clock: usize,
     /// Threads a tick may fan out over (1 = always inline on the caller).
     workers: usize,
@@ -381,7 +362,6 @@ impl MonitoringEngine {
             free_ids: Vec::new(),
             departed: MonitoringMetrics::new(0),
             events: Vec::new(),
-            events_interleaved: false,
             clock: 0,
             workers: workers.max(1),
             batches: 0,
@@ -464,9 +444,7 @@ impl MonitoringEngine {
         }
         // Undrained events leave with the session: nobody owns the group any more, and the
         // id may be handed to a new one before the next drain.
-        if !self.events.is_empty() {
-            self.events.retain(|(group, _)| *group != id);
-        }
+        self.events.retain(|(group, _)| *group != id);
         let metrics = session.into_metrics();
         self.departed.group_size += metrics.group_size;
         self.departed.absorb(&metrics);
@@ -504,20 +482,12 @@ impl MonitoringEngine {
         Ok(())
     }
 
-    /// Takes the event sink: the protocol events of every session registered
-    /// [`with_events`](GroupSession::with_events) since the last call, tagged with the group
-    /// id, in ascending group id order — whatever the worker count — and, within
-    /// one session, in the order they were sent.
-    ///
-    /// Sessions without events contribute nothing; the
-    /// [`ServerCore`](crate::server::ServerCore) turns these into wire responses after each
-    /// tick.  The sink's capacity goes with it — a burst of first regions does not stay
-    /// resident — and a tick that sends nothing allocates nothing.
+    /// Takes the events [`tick`](MonitoringEngine::tick) collected and world changes pushed
+    /// since the last call: those of every session registered
+    /// [`with_events`](GroupSession::with_events), tagged with the group id, in ascending
+    /// group id order — whatever the worker count — and, within one session, in the order
+    /// they were sent.  [`tick_with`](MonitoringEngine::tick_with) streams them instead.
     pub fn drain_events(&mut self) -> Vec<(GroupId, SessionEvent)> {
-        if std::mem::take(&mut self.events_interleaved) {
-            // Stable: a session's forced recompute stays ahead of its later advance.
-            self.events.sort_by_key(|(group, _)| *group);
-        }
         std::mem::take(&mut self.events)
     }
 
@@ -560,20 +530,23 @@ impl MonitoringEngine {
                 compacted: false,
             };
         }
-        self.events_interleaved |= !self.events.is_empty();
         let view = self.world.view();
         let mut groups_checked = 0;
         let mut affected = Vec::new();
-        // A forced recompute consumes no epoch and moves no clock, so the ready list stays valid.
-        for (id, slot) in self.slab.iter_mut().enumerate() {
-            let Some(session) = slot else { continue };
-            groups_checked += 1;
-            if session.world_change_invalidates(&change)
-                && session.force_recompute_into(view, id, &mut self.events)
-            {
-                affected.push(id);
+        let (logged, mut events) = (std::mem::take(&mut self.events), Vec::new());
+        // A forced recompute consumes no epoch and moves no clock: the ready list stays valid.
+        merged_with(logged, &mut |id, event| events.push((id, event)), |send| {
+            for (id, slot) in self.slab.iter_mut().enumerate() {
+                let Some(session) = slot else { continue };
+                groups_checked += 1;
+                if session.world_change_invalidates(&change)
+                    && session.force_recompute_into(view, id, send)
+                {
+                    affected.push(id);
+                }
             }
-        }
+        });
+        self.events = events;
         let generation = self.world.generation();
         let compacted = self.world.maybe_compact();
         InvalidationSummary {
@@ -635,45 +608,62 @@ impl MonitoringEngine {
         }
     }
 
+    /// [`tick_with`](MonitoringEngine::tick_with), collecting the events it sends for
+    /// [`drain_events`](MonitoringEngine::drain_events).
+    pub fn tick(&mut self) -> TickSummary {
+        let mut sent = Vec::new();
+        let summary = self.tick_with(&mut |id, event| sent.push((id, event)));
+        self.events = sent;
+        summary
+    }
+
     /// Advances every ready session — registered, unfinished, with a submitted epoch waiting
-    /// — one epoch, in ascending id order; every other session is untouched.
+    /// — one epoch, in ascending id order, handing `send` the events in ascending group id:
+    /// the tick's own, merged with the pushes world changes logged since the last tick (a
+    /// group's pushes first).  Every other session is untouched.
     ///
-    /// A one-worker engine, or a tick with fewer than two ready sessions, runs fully inline.
-    /// Otherwise the sorted ready list is cut into up to four batches per worker, and the
-    /// threads of one [`std::thread::scope`] — up to `workers − 1` spawned for the tick, plus
-    /// the calling thread — take them from a shared queue until none is left.  Each batch's
-    /// events go to a buffer of its own, appended in batch order.  Counters and
-    /// events are deterministic: groups are independent and batches are concatenated in id
-    /// order, so the summary, all per-group metrics and
-    /// [`drain_events`](MonitoringEngine::drain_events) are identical to a serial replay
-    /// regardless of worker count.
+    /// A one-worker engine, or a tick with fewer than two ready sessions, runs fully inline
+    /// and hands each event on as it is sent.  Otherwise the sorted ready list is cut into up
+    /// to four batches per worker, and the threads of one [`std::thread::scope`] — up to
+    /// `workers − 1` spawned for the tick, plus the calling thread — take them from a shared
+    /// queue until none is left.  Each batch's events go to a buffer of its own, replayed in
+    /// batch order.  Counters and events are deterministic: groups are independent and
+    /// batches are replayed in id order, so the summary, all per-group metrics and the events
+    /// are identical to a serial replay regardless of worker count.
     ///
     /// Spawned threads are fresh every tick, so their query scratch starts cold; the calling
     /// thread's stays warm.
-    pub fn tick(&mut self) -> TickSummary {
-        self.events_interleaved |= !self.events.is_empty();
+    pub fn tick_with(&mut self, send: &mut dyn FnMut(GroupId, SessionEvent)) -> TickSummary {
         let view = self.world.view();
         // Sorting in place and the inline pass allocate nothing: together with the
         // per-thread query scratch, a steady-state one-worker tick allocates nothing at all
         // (`tests/alloc_gates.rs` pins this).
         self.ready.sort_unstable();
-        let mut summary = if self.workers == 1 || self.ready.len() < 2 {
-            advance_batch(0, &mut self.slab, &self.ready, view, &mut self.events)
-        } else {
+        let logged = std::mem::take(&mut self.events);
+        let mut summary = merged_with(logged, send, |send| {
+            if self.workers == 1 || self.ready.len() < 2 {
+                return advance_batch(0, &mut self.slab, &self.ready, view, send);
+            }
             let len = self.ready.len().div_ceil(self.workers * BATCHES_PER_WORKER);
             let batches = cut_batches(&mut self.slab, &self.ready, len);
             self.batches += batches.len();
             let outcomes = fan_out(self.workers, batches, |(first, slab, ids)| {
                 let mut sent = Vec::new();
-                (advance_batch(first, slab, ids, view, &mut sent), sent)
+                let tally = advance_batch(first, slab, ids, view, &mut |id, e| sent.push((id, e)));
+                (tally, sent)
             });
             let mut summary = TickSummary::default();
-            for (tally, mut sent) in outcomes {
-                merge_counts(&mut summary, &tally);
-                self.events.append(&mut sent);
+            for (t, sent) in outcomes {
+                // `tick`, `starved` and `retired` are fleet-wide: filled in below.
+                summary.advanced += t.advanced;
+                summary.updated += t.updated;
+                summary.violators += t.violators;
+                summary.registered += t.registered;
+                summary.finished += t.finished;
+                sent.into_iter().for_each(|(id, event)| send(id, event));
             }
             summary
-        };
+        });
         summary.starved = self.group_count() - self.finished - summary.advanced;
         self.finished += summary.finished;
         summary.finished = self.finished;

@@ -48,7 +48,7 @@
 //! # The core and its one transport
 //!
 //! `ServerCore` is the in-process API: decoded `Request` values enqueued under a
-//! [`ClientId`] and `process()`ed on the caller's cadence — no transport, no framing; what
+//! [`ClientId`] and processed on the caller's cadence — no transport, no framing; what
 //! tests, the benchmark's in-process depth and embedded deployments use.  Its one transport
 //! is the readiness-driven event loop `mpn_net::MuxServer`: one thread, thousands of
 //! non-blocking sockets, per-connection incremental decode (`mpn_proto::FrameReader`),
@@ -122,17 +122,14 @@
 //!   submitted ones, consumed in place).  Heading predictors exist once a method that reads
 //!   headings has observed a position (never for Circle); the §5.4 buffer is a boxed slot
 //!   that only Tile-D-b with persistent buffers fills; a tile region inside `SafeRegion` is
-//!   boxed.  A Circle/MAX group of three costs ≈ 700 live heap bytes, slab slot and owner
-//!   included (it was 1,269); `tests/alloc_gates.rs` gates it at 720 and prints the table
-//!   by owner.
-//! * **One event sink per tick** — sessions keep no event log.  What a session created
-//!   [`with_events`](GroupSession::with_events) sends is appended, tagged with its group
-//!   id, to a buffer the engine owns (one per batch when a tick fans out, concatenated in
-//!   ascending id order) and [`MonitoringEngine::drain_events`] takes that buffer whole.  A
-//!   world change's forced recomputes write to the same sink; when passes pile up
-//!   undrained, a stable sort restores id order, so a session's push still
-//!   precedes its later epoch.  Nothing walks the fleet to collect events, and a tick that
-//!   sends nothing allocates nothing.
+//!   boxed.  A Circle/MAX group of three costs ≈ 676 live heap bytes, slab slot and owner
+//!   included (it was 1,269); `tests/alloc_gates.rs` gates it and prints the table by owner.
+//! * **One event stream per tick** — sessions keep no event log.  What a session created
+//!   [`with_events`](GroupSession::with_events) sends goes, tagged with its group id, to
+//!   the callback of [`MonitoringEngine::tick_with`] (via one buffer per batch when a tick
+//!   fans out), merged in ascending id with the pushes of world changes since the last
+//!   tick; [`ServerCore`] encodes each one as it arrives.  A tick that sends nothing
+//!   allocates nothing.
 //! * **Per-worker query scratch arenas** — the index layer stages GNN neighbours in
 //!   thread-local [`mpn_index::QueryScratch`] buffers ([`mpn_index::with_scratch`]) and
 //!   keeps the GNN frontier per thread beside them, so a query on a warm thread performs

@@ -21,7 +21,7 @@
 //!
 //! Sessions are self-clocked and `Send`, so a
 //! [`MonitoringEngine`](crate::engine::MonitoringEngine) can advance many of them from worker
-//! threads.  A session created [`with_events`](GroupSession::with_events) appends the
+//! threads.  A session created [`with_events`](GroupSession::with_events) sends the
 //! per-user protocol sends of each epoch, as [`SessionEvent`]s tagged with its group id, to
 //! the event sink of the engine tick that advanced it; [`ServerCore`](crate::server::ServerCore)
 //! turns those into `mpn-proto` responses.  A session keeps no log of its own, and holds
@@ -112,7 +112,7 @@ pub enum StepOutcome {
 }
 
 /// One epoch of the protocol as seen by a single user — the per-user sends a session created
-/// [`with_events`](GroupSession::with_events) appends to its tick's event sink.
+/// [`with_events`](GroupSession::with_events) sends to its tick's event sink.
 ///
 /// Events carry owned copies of the shipped payloads (the meeting point and the user's
 /// region), so a front-end can serialise them long after the session has moved on.  They are
@@ -137,9 +137,9 @@ pub enum SessionEvent {
     },
 }
 
-/// Where protocol events are collected: a buffer owned by whoever advances the sessions (an
-/// engine tick), each event tagged with the id of the group that sent it.
-pub(crate) type EventSink = Vec<(GroupId, SessionEvent)>;
+/// Where protocol events go: the callback of whoever advances the sessions (an engine tick),
+/// handed each event with the id of the group that sent it.
+pub(crate) type EventSink<'a> = dyn FnMut(GroupId, SessionEvent) + 'a;
 
 /// Replay source: plays a recorded trajectory set back as owned epochs of positions, which a
 /// replay driver submits into a streaming [`GroupSession`] like any client's reports.
@@ -217,9 +217,6 @@ pub struct GroupSession {
     /// consumed in place, FIFO.
     positions: Vec<Point>,
     cursor: usize,
-    /// `None` = open horizon: the session monitors until deregistered (streaming sessions
-    /// without a [`MonitorConfig::max_timestamps`] cap).
-    horizon: Option<usize>,
     next_t: usize,
     registered: bool,
     /// Whether per-user protocol events go to the tick's event sink (see [`SessionEvent`]).
@@ -245,7 +242,6 @@ impl GroupSession {
             metrics: MonitoringMetrics::new(group_size),
             positions: Vec::new(),
             cursor: 0,
-            horizon: config.max_timestamps,
             next_t: 0,
             registered: false,
             log_events: false,
@@ -254,8 +250,8 @@ impl GroupSession {
     }
 
     /// Enables (or disables) the per-user protocol events: the engine tick that advances the
-    /// session collects them, tagged with the group id, into the sink that
-    /// [`drain_events`](crate::engine::MonitoringEngine::drain_events) hands out.
+    /// session hands them, tagged with the group id, to its sink
+    /// ([`tick_with`](crate::engine::MonitoringEngine::tick_with)'s callback).
     ///
     /// Off by default: the replay drivers never pay for cloning regions into events.
     #[must_use]
@@ -271,10 +267,10 @@ impl GroupSession {
     }
 
     /// The number of epochs this session will consume (including the registration), or
-    /// `None` for an open-horizon streaming session.
+    /// `None` for an open-horizon streaming session (no [`MonitorConfig::max_timestamps`] cap).
     #[must_use]
     pub fn horizon(&self) -> Option<usize> {
-        self.horizon
+        self.config.max_timestamps
     }
 
     /// Whether the epochs consumed so far plus those waiting in the inbox reach the bounded
@@ -282,7 +278,7 @@ impl GroupSession {
     /// horizon.
     #[must_use]
     pub fn horizon_is_covered(&self) -> bool {
-        self.horizon.is_some_and(|h| self.next_t + self.pending_epochs() >= h)
+        self.horizon().is_some_and(|h| self.next_t + self.pending_epochs() >= h)
     }
 
     /// The session's configuration.
@@ -301,7 +297,7 @@ impl GroupSession {
     /// never finished; they leave the server via deregistration.
     #[must_use]
     pub fn is_finished(&self) -> bool {
-        self.registered && self.horizon.is_some_and(|h| self.next_t >= h)
+        self.registered && self.horizon().is_some_and(|h| self.next_t >= h)
     }
 
     /// Metrics accumulated so far.
@@ -358,10 +354,10 @@ impl GroupSession {
     /// # Panics
     /// Panics when the POI view is empty.
     pub fn advance<'a>(&mut self, index: impl Into<IndexView<'a>>) -> StepOutcome {
-        self.advance_into(index.into(), 0, &mut Vec::new())
+        self.advance_into(index.into(), 0, &mut |_, _| {})
     }
 
-    /// [`advance`](GroupSession::advance), appending the epoch's protocol events (if
+    /// [`advance`](GroupSession::advance), sending the epoch's protocol events (if
     /// [enabled](GroupSession::with_events)) to `events` under the id `group`.
     pub(crate) fn advance_into(
         &mut self,
@@ -435,7 +431,7 @@ impl GroupSession {
                 if violating.peek() == Some(&user) {
                     violating.next();
                 } else {
-                    events.push((group, SessionEvent::Probed { user }));
+                    events(group, SessionEvent::Probed { user });
                 }
             }
         }
@@ -471,10 +467,10 @@ impl GroupSession {
     /// Returns `false` (and does nothing) for a session that is not registered, has no
     /// current answer, or has already finished its horizon.
     pub fn force_recompute<'a>(&mut self, index: impl Into<IndexView<'a>>) -> bool {
-        self.force_recompute_into(index.into(), 0, &mut Vec::new())
+        self.force_recompute_into(index.into(), 0, &mut |_, _| {})
     }
 
-    /// [`force_recompute`](GroupSession::force_recompute), appending the
+    /// [`force_recompute`](GroupSession::force_recompute), sending the
     /// [`SessionEvent::Assigned`] events (if [enabled](GroupSession::with_events)) to `events`.
     pub(crate) fn force_recompute_into(
         &mut self,
@@ -507,14 +503,14 @@ impl GroupSession {
                 .traffic
                 .record_downlink(notification_values(region, self.config.compress_regions));
             if self.log_events {
-                events.push((
+                events(
                     group,
                     SessionEvent::Assigned {
                         user,
                         meeting_point: answer.optimal_point,
                         region: region.clone(),
                     },
-                ));
+                );
             }
         }
     }
@@ -728,7 +724,8 @@ mod tests {
         let view = IndexView::from(&tree);
         let mut events = Vec::new();
         session.submit(feed.next_epoch().unwrap());
-        assert_eq!(session.advance_into(view, 7, &mut events), StepOutcome::Registered);
+        let outcome = session.advance_into(view, 7, &mut |id, e| events.push((id, e)));
+        assert_eq!(outcome, StepOutcome::Registered);
         assert_eq!(events.len(), group.len(), "registration assigns every user a region");
         assert!(events.iter().all(|(id, e)| *id == 7
             && matches!(e, SessionEvent::Assigned { region, .. } if !region.is_empty())));
@@ -737,7 +734,8 @@ mod tests {
         while !session.is_finished() {
             events.clear();
             session.submit(feed.next_epoch().unwrap());
-            if let StepOutcome::Updated { violators } = session.advance_into(view, 7, &mut events) {
+            let outcome = session.advance_into(view, 7, &mut |id, e| events.push((id, e)));
+            if let StepOutcome::Updated { violators } = outcome {
                 let probes =
                     events.iter().filter(|(_, e)| matches!(e, SessionEvent::Probed { .. })).count();
                 let assigned = events

@@ -4,16 +4,17 @@
 //! FIFO of `(client, Request)` pairs, and the group-ownership table that makes the server
 //! multi-tenant: each registered group belongs to the [`ClientId`] that registered it,
 //! downlink events route back to that client, and requests addressed to another client's
-//! group are rejected like unknown groups.  One [`process`](ServerCore::process) call applies
-//! every queued request in arrival order, runs **one** engine tick, and returns the
-//! responses tagged with their destination client.  [`disconnect`](ServerCore::disconnect)
+//! group are rejected like unknown groups.  One [`process_with`](ServerCore::process_with)
+//! call applies every queued request in arrival order, runs **one** engine tick, and hands
+//! each response, tagged with its destination client, to a callback as it is produced
+//! ([`process`](ServerCore::process) collects them).  [`disconnect`](ServerCore::disconnect)
 //! tears down everything a vanished client owned — the mid-session-disconnect contract of
 //! the network front-end.
 //!
 //! The core is the in-process API (enqueue decoded values under any client id, `process` on
 //! the caller's cadence) and `mpn_net::MuxServer` is its one transport: the responses are
-//! produced here and only framed there, which is what keeps the TCP downlink byte-identical
-//! to the in-process output for the same request trace (`tests/mux_parity.rs`).
+//! produced here and only framed there, one at a time, which is what keeps the TCP downlink
+//! byte-identical to the in-process output for the same request trace (`tests/mux_parity.rs`).
 //!
 //! Per request:
 //!
@@ -41,8 +42,8 @@ use std::sync::Arc;
 use mpn_geom::Point;
 use mpn_index::RTree;
 use mpn_proto::{
-    AdminRequest, NotificationKind, Request, Response, WireConfig, WireGroupId, WireMethod,
-    MAX_REPORT_POSITIONS,
+    codec::BUFFER_FLOOR, AdminRequest, NotificationKind, Request, Response, WireConfig,
+    WireGroupId, WireMethod, MAX_REPORT_POSITIONS,
 };
 
 use crate::engine::{
@@ -69,12 +70,16 @@ pub fn monitor_config(wire: &WireConfig) -> MonitorConfig {
     config
 }
 
-/// What one [`ServerCore::process`] call produced.
+/// Where [`ServerCore::process_with`] sends each response it produces.
+type Downlink<'a> = dyn FnMut(ClientId, Response) + 'a;
+
+/// What one [`ServerCore::process`] or [`ServerCore::process_with`] call produced.
 #[derive(Debug, Default)]
 pub struct ProcessOutput {
     /// Every downlink response of this tick, tagged with its destination client, in send
     /// order: control notifications first (one per applied request that warrants one, in
     /// request arrival order), then the tick's per-user protocol sends in ascending group id.
+    /// Empty from [`process_with`](ServerCore::process_with), which sent them instead.
     pub responses: Vec<(ClientId, Response)>,
     /// Clients that had at least one request applied this tick, deduplicated, in first-
     /// arrival order.  A front-end that frames its downlink per tick (the batch envelope of
@@ -102,8 +107,8 @@ pub struct ServerCore {
     /// this out of band ([`grant_admin`](ServerCore::grant_admin)); an ungranted client's
     /// admin request is answered with [`NotificationKind::AdminDenied`] and touches nothing.
     admins: HashSet<ClientId>,
-    /// Clients seen by the current [`process`](ServerCore::process) call (kept for its
-    /// capacity; empty between calls).
+    /// Clients seen by the current [`process_with`](ServerCore::process_with) call (kept for
+    /// its capacity; empty between calls).
     seen: HashSet<ClientId>,
     last_summary: Option<TickSummary>,
 }
@@ -186,50 +191,51 @@ impl ServerCore {
         self.admins.contains(&client)
     }
 
-    /// Applies every queued request in arrival order, runs one engine tick, and
-    /// returns the client-tagged responses (control notifications first, then the tick's
-    /// per-user protocol sends).
+    /// [`process_with`](ServerCore::process_with), collecting the responses into
+    /// [`ProcessOutput::responses`].
     pub fn process(&mut self) -> ProcessOutput {
+        let mut responses = Vec::new();
+        let output = self.process_with(|client, response| responses.push((client, response)));
+        ProcessOutput { responses, ..output }
+    }
+
+    /// The one body of a tick: applies every queued request in arrival order, runs one engine
+    /// tick, and hands `send` each client-tagged response as it is produced — the control
+    /// notifications (in request arrival order), then the tick's per-user protocol sends
+    /// ([`MonitoringEngine::tick_with`], ascending group id).  No list of responses is built,
+    /// and the emptied request queue keeps at most [`BUFFER_FLOOR`] bytes of capacity.
+    pub fn process_with(&mut self, mut send: impl FnMut(ClientId, Response)) -> ProcessOutput {
         let mut output = ProcessOutput::default();
         while let Some((client, request)) = self.queue.pop_front() {
             // Requests arrive in per-client runs: only a change of client asks the set.
             if output.applied.last() != Some(&client) && self.seen.insert(client) {
                 output.applied.push(client);
             }
-            self.apply(client, request, &mut output.responses);
+            self.apply(client, request, &mut send);
         }
+        self.queue.shrink_to(BUFFER_FLOOR / size_of::<(ClientId, Request)>());
         self.seen.clear();
-        let summary = self.engine.tick();
+        let owners = &self.owners;
+        let summary = self.engine.tick_with(&mut |group, event| {
+            let Some(client) = owners.get(group).copied().flatten() else {
+                debug_assert!(false, "event from group {group} without an owner");
+                return;
+            };
+            let (group, user) =
+                (wire_id(group), |u| u32::try_from(u).expect("group sizes fit u32"));
+            let response = match event {
+                SessionEvent::Probed { user: u } => Response::ProbeRequest { group, user: user(u) },
+                SessionEvent::Assigned { user: u, meeting_point, region } => {
+                    Response::SafeRegion { group, user: user(u), meeting_point, region }
+                }
+            };
+            send(client, response);
+        });
         // Every advanced session consumed exactly one inbox epoch: the core only creates
         // streaming (inbox-fed) sessions, so `advanced` is the tick's backlog drain.
         self.backlog = self.backlog.saturating_sub(summary.advanced);
         self.last_summary = Some(summary);
         output.summary = summary;
-        let events = self.engine.drain_events();
-        output.responses.reserve_exact(events.len());
-        for (group, event) in events {
-            let Some(client) = self.owner(group) else {
-                debug_assert!(false, "event from group {group} without an owner");
-                continue;
-            };
-            output.responses.push((
-                client,
-                match event {
-                    SessionEvent::Probed { user } => Response::ProbeRequest {
-                        group: wire_id(group),
-                        user: u32::try_from(user).expect("group sizes fit u32"),
-                    },
-                    SessionEvent::Assigned { user, meeting_point, region } => {
-                        Response::SafeRegion {
-                            group: wire_id(group),
-                            user: u32::try_from(user).expect("group sizes fit u32"),
-                            meeting_point,
-                            region,
-                        }
-                    }
-                },
-            ));
-        }
         output
     }
 
@@ -253,11 +259,11 @@ impl ServerCore {
         owned
     }
 
-    fn apply(&mut self, client: ClientId, request: Request, out: &mut Vec<(ClientId, Response)>) {
+    fn apply(&mut self, client: ClientId, request: Request, out: &mut Downlink) {
         match request {
             Request::Register { group_size, config } => {
                 let Ok(group_size) = usize::try_from(group_size) else {
-                    out.push((client, notification(u64::MAX, NotificationKind::BadRequest)));
+                    out(client, notification(u64::MAX, NotificationKind::BadRequest));
                     return;
                 };
                 // A non-finite cone angle would steer every tile ordering of the session.
@@ -269,7 +275,7 @@ impl ServerCore {
                 // A group no `Report` frame could carry would still make the server allocate
                 // per declared user before a single position arrived.
                 if group_size == 0 || group_size > MAX_REPORT_POSITIONS || !finite_config {
-                    out.push((client, notification(u64::MAX, NotificationKind::BadRequest)));
+                    out(client, notification(u64::MAX, NotificationKind::BadRequest));
                     return;
                 }
                 let session =
@@ -279,30 +285,30 @@ impl ServerCore {
                     self.owners.resize(id + 1, None);
                 }
                 self.owners[id] = Some(client);
-                out.push((client, notification(wire_id(id), NotificationKind::Registered)));
+                out(client, notification(wire_id(id), NotificationKind::Registered));
             }
             Request::Report { group, positions } => {
                 // Ownership gates every group-addressed request: another client's group id
                 // behaves exactly like an unregistered one (no existence leak, no
                 // cross-tenant steering).
                 let Some(group_id) = self.owned_by(group, client) else {
-                    out.push((client, notification(group, NotificationKind::UnknownGroup)));
+                    out(client, notification(group, NotificationKind::UnknownGroup));
                     return;
                 };
                 // Non-finite coordinates stop at the boundary: inside the engine a NaN makes
                 // every comparison false, so the user would silently drop out of the meeting
                 // point (a Definition 3 violation) instead of failing loudly.
                 if !positions.iter().all(Point::is_finite) {
-                    out.push((client, notification(group, NotificationKind::BadRequest)));
+                    out(client, notification(group, NotificationKind::BadRequest));
                     return;
                 }
                 match self.engine.submit(EpochUpdate { group_id, positions }) {
                     Ok(()) => self.backlog += 1,
                     Err(SubmitError::UnknownGroup(_)) => {
-                        out.push((client, notification(group, NotificationKind::UnknownGroup)));
+                        out(client, notification(group, NotificationKind::UnknownGroup));
                     }
                     Err(SubmitError::WrongGroupSize { .. } | SubmitError::Finished(_)) => {
-                        out.push((client, notification(group, NotificationKind::BadRequest)));
+                        out(client, notification(group, NotificationKind::BadRequest));
                     }
                 }
             }
@@ -317,43 +323,38 @@ impl ServerCore {
                     Some(_) => NotificationKind::Deregistered,
                     None => NotificationKind::UnknownGroup,
                 };
-                out.push((client, notification(group, kind)));
+                out(client, notification(group, kind));
             }
             Request::Admin(admin) => self.apply_admin(client, admin, out),
         }
     }
 
     /// Applies one [`Request::Admin`] world mutation: gate on the admin grant, mutate the
-    /// engine's [`WorldView`](mpn_index::WorldView), then queue the unsolicited
+    /// engine's [`WorldView`](mpn_index::WorldView), then send the unsolicited
     /// [`Response::WorldUpdate`] pushes for every group whose safe regions the change broke.
     ///
     /// Per-client ordering is the push contract of the front-end: the owner of an affected
-    /// group sees the `WorldUpdate` (queued here, during request application) *before* the
-    /// revised `SafeRegion` responses, which the forced recomputation logged as session
-    /// events and [`process`](ServerCore::process) drains only after the tick.
-    fn apply_admin(
-        &mut self,
-        client: ClientId,
-        admin: AdminRequest,
-        out: &mut Vec<(ClientId, Response)>,
-    ) {
+    /// group sees the `WorldUpdate` (sent here, during request application) *before* the
+    /// revised `SafeRegion` responses, which the forced recomputation logged in the engine
+    /// and the tick of [`process_with`](ServerCore::process_with) sends.
+    fn apply_admin(&mut self, client: ClientId, admin: AdminRequest, out: &mut Downlink) {
         let echo = match admin {
             AdminRequest::PoiDelete { poi } => poi,
             AdminRequest::PoiInsert { .. } => u64::MAX,
         };
         if !self.admins.contains(&client) {
-            out.push((client, notification(echo, NotificationKind::AdminDenied)));
+            out(client, notification(echo, NotificationKind::AdminDenied));
             return;
         }
         let change = match admin {
             AdminRequest::PoiInsert { location } if !location.is_finite() => {
-                out.push((client, notification(echo, NotificationKind::BadRequest)));
+                out(client, notification(echo, NotificationKind::BadRequest));
                 return;
             }
             AdminRequest::PoiInsert { location } => WorldChange::PoiInsert { location },
             AdminRequest::PoiDelete { poi } => {
                 let Ok(poi) = usize::try_from(poi) else {
-                    out.push((client, notification(echo, NotificationKind::UnknownPoi)));
+                    out(client, notification(echo, NotificationKind::UnknownPoi));
                     return;
                 };
                 WorldChange::PoiDelete { poi }
@@ -366,12 +367,12 @@ impl ServerCore {
                 Some(_) => NotificationKind::BadRequest,
                 None => NotificationKind::UnknownPoi,
             };
-            out.push((client, notification(echo, kind)));
+            out(client, notification(echo, kind));
             return;
         };
         // The ack names the POI the change resolved to (for inserts: the id the new POI
         // was assigned, which the operator needs to ever delete it again).
-        out.push((client, notification(poi as u64, NotificationKind::AdminApplied)));
+        out(client, notification(poi as u64, NotificationKind::AdminApplied));
         for &group in &summary.affected {
             let Some(owner) = self.owner(group) else {
                 debug_assert!(false, "affected group {group} without an owner");
@@ -379,14 +380,14 @@ impl ServerCore {
             };
             let revised =
                 u32::try_from(self.engine.group(group).group_size()).expect("group sizes fit u32");
-            out.push((
+            out(
                 owner,
                 Response::WorldUpdate {
                     group: wire_id(group),
                     generation: summary.generation,
                     revised,
                 },
-            ));
+            );
         }
     }
 

@@ -1,6 +1,6 @@
 //! Allocation gates of the monitoring hot path, counted by a global allocator shim.
 //!
-//! Six facts the tick path, the tile verifier and the session layout are built around,
+//! Seven facts the tick path, the tile verifier and the session layout are built around,
 //! asserted as counts (never a wall-clock ratio):
 //!
 //! * a steady-state quiet tick — every user reported, every user inside her region —
@@ -15,10 +15,13 @@
 //!   the per-tile candidate list are per-thread scratch, so trying more tiles costs no
 //!   allocation;
 //! * a monitored group costs the server what its method needs, in live heap bytes: a Circle
-//!   group of three at most 695 (≈ 692 today, 700 while `Method::Circle` carried a radius
-//!   cap, 723 before the ready list replaced the hot entries, 1,269 before the layout went
-//!   lean), further epochs nothing, and the leaner layout costs a buffered Tile-D-b session
-//!   nothing;
+//!   group of three at most 680 (≈ 676 today, 692 while a session kept its horizon beside
+//!   its configuration, 700 while `Method::Circle` carried a radius cap, 723 before the
+//!   ready list replaced the hot entries, 1,269 before the layout went lean), further epochs
+//!   nothing, and the leaner layout costs a buffered Tile-D-b session nothing;
+//! * the tick of a first-region burst streams each response from the session to the
+//!   encoder: at its peak it holds at most the encoded downlink plus 64 KiB above what it
+//!   leaves behind, so no per-response buffer sits between the engine and the wire;
 //! * what a worker thread keeps parked after one Tile-D-b/MAX computation (the verifier's
 //!   tables, the candidate pool, the query scratch) stays within a quarter above what it was
 //!   when every table kept `‖p, s‖min` per tile: GT-Verify's sorted summaries are built only
@@ -57,6 +60,9 @@ thread_local! {
     // that predates a measurement may be freed during it, and only differences are read.
     static LIVE_BYTES: Cell<usize> = const { Cell::new(0) };
     static LIVE_BLOCKS: Cell<usize> = const { Cell::new(0) };
+    // The highest `LIVE_BYTES` reached since `PEAK_BASE` was taken, as an excess over it.
+    static PEAK_BASE: Cell<usize> = const { Cell::new(0) };
+    static PEAK_ABOVE: Cell<isize> = const { Cell::new(0) };
 }
 
 /// Counts every `alloc` / `realloc` / `alloc_zeroed` call of the current thread (a path that
@@ -69,7 +75,12 @@ fn count() {
 }
 
 fn resize(from: usize, to: usize) {
-    LIVE_BYTES.with(|n| n.set(n.get().wrapping_sub(from).wrapping_add(to)));
+    let live = LIVE_BYTES.with(|n| {
+        n.set(n.get().wrapping_sub(from).wrapping_add(to));
+        n.get()
+    });
+    let above = live.wrapping_sub(PEAK_BASE.with(Cell::get)) as isize;
+    PEAK_ABOVE.with(|peak| peak.set(peak.get().max(above)));
 }
 
 fn blocks(freed: usize, made: usize) {
@@ -123,6 +134,19 @@ fn allocations_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
 /// This thread's live `(bytes, blocks)`; only differences between two readings mean anything.
 fn live() -> (usize, usize) {
     (LIVE_BYTES.with(Cell::get), LIVE_BLOCKS.with(Cell::get))
+}
+
+/// Starts a high-water mark at this thread's live bytes now; returns the base reading.
+fn reset_peak() -> usize {
+    let base = live().0;
+    PEAK_BASE.with(|b| b.set(base));
+    PEAK_ABOVE.with(|peak| peak.set(0));
+    base
+}
+
+/// The most live bytes this thread held above the base since [`reset_peak`].
+fn peak_above() -> isize {
+    PEAK_ABOVE.with(Cell::get)
 }
 
 /// What the thread holds now beyond the reading `since`.
@@ -445,7 +469,7 @@ fn circle_group_bytes() {
     );
 
     let per_group = monitored.0 as f64 / FLEET as f64;
-    assert!(per_group <= 695.0, "a Circle group of three costs {per_group:.1} live bytes");
+    assert!(per_group <= 680.0, "a Circle group of three costs {per_group:.1} live bytes");
 
     let mut recomputed = 0;
     for e in 1..=5 {
@@ -455,6 +479,46 @@ fn circle_group_bytes() {
     // Nothing per group: what may still grow is a per-thread query scratch, a few KB once.
     let grown = live_since(start).0 as i64 - monitored.0 as i64;
     assert!(grown.unsigned_abs() < FLEET as u64, "five epochs moved the fleet by {grown} bytes");
+}
+
+/// The first regions of a whole fleet in one tick, the burst that sets a server's peak memory:
+/// 16,384 Circle groups report their first epoch at once and `process_with` hands each of the
+/// 49,152 responses to an encoder appending to one `Vec<u8>`.  What the thread held at the
+/// peak beyond what the tick leaves behind (the sessions' answers, the encoded bytes) must
+/// stay within the encoded bytes plus 64 KiB.  A list of the tick's events (64 B a response)
+/// or of its responses (72 B), both of which the tick once built, would each break it.
+#[test]
+fn first_region_burst_peak() {
+    let mut core = ServerCore::new(Arc::new(poi_tree(2_000)), 1);
+    let register = Request::Register { group_size: 3, config: WireConfig::default() };
+    assert_eq!(serve(&mut core, (0..FLEET).map(|_| register.clone())), FLEET);
+    for g in 0..FLEET {
+        core.enqueue(1, Request::Report { group: g as u64, positions: spot(g, 0) });
+    }
+    let (mut encoded, mut responses) = (Vec::new(), 0);
+    let base = reset_peak();
+    core.process_with(|_, response| {
+        responses += 1;
+        response.encode(&mut encoded);
+    });
+    let after = live().0.wrapping_sub(base) as isize;
+    let transient = peak_above() - after;
+    assert_eq!(responses, 3 * FLEET, "every user gets a first region");
+
+    println!("first-region burst of {responses} responses in one tick:");
+    println!(
+        "  encoded {} B ({:.1} B a response); the tick left {after} B, peaked {} B above that",
+        encoded.len(),
+        encoded.len() as f64 / responses as f64,
+        transient
+    );
+    println!(
+        "  a list of the tick's events would hold {} B, one of its responses {} B",
+        responses * size_of::<(usize, SessionEvent)>(),
+        responses * size_of::<(u64, Response)>()
+    );
+    let bound = encoded.len() + (64 << 10);
+    assert!(transient <= bound as isize, "the burst tick peaked {transient} B above its end");
 }
 
 /// The boxed §5.4 slot and the lazily created predictors must not cost the paper's main

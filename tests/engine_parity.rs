@@ -12,6 +12,8 @@
 //! * an engine with several workers — ready-list batches fanned out over scoped threads —
 //!   produces the same fleet `TickSummary` sequence **and the same events in the same
 //!   order** as a one-worker inline engine,
+//! * a tick streamed to a callback (`tick_with`) sends exactly the events, in exactly the
+//!   order, that `tick` collects and `drain_events` hands out, world-change pushes included,
 //! * the report-driven engine — a ready list of the groups with a submitted epoch, sorted
 //!   and advanced per tick, maintained finished / starved tallies — matches a serial
 //!   walk-everything oracle tick for tick across churn (deregistering groups with queued
@@ -307,6 +309,60 @@ fn pool_executor_matches_the_single_shard_engine_tick_for_tick() {
             counters_of(inline.group_metrics(id)),
             "group {id} diverged between the pooled and the inline engine"
         );
+    }
+}
+
+/// `tick_with` is the one body of a tick and `tick` + `drain_events` collect what it sends:
+/// the two must agree event for event, at one worker (events handed on as they are sent) and
+/// at four (batch buffers replayed), with world-change pushes logged before the tick merged
+/// in, also for a group that is pushed to and advances in the same tick.
+#[test]
+fn streamed_ticks_send_what_collected_ticks_drain() {
+    let (tree, fleet) = world(6, 91);
+    let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(60);
+    for workers in [1, 4] {
+        let mut streamed = MonitoringEngine::new(Arc::clone(&tree), workers);
+        let mut collected = MonitoringEngine::new(Arc::clone(&tree), workers);
+        let mut replays = Vec::new();
+        for group in &fleet {
+            let (feed, capped) = replay(group, config);
+            let session = || GroupSession::streaming(group.len(), capped).with_events(true);
+            let id = streamed.register_session(session());
+            assert_eq!(collected.register_session(session()), id);
+            replays.push((id, feed));
+        }
+        let (mut ticks, mut pushed_and_advanced) = (0, 0);
+        while !streamed.is_finished() {
+            submit_next(&mut [&mut streamed, &mut collected], &mut replays);
+            let mut pushed = Vec::new();
+            if ticks % 3 == 1 {
+                // Two passes before the tick: the optimum of a late group, then of an early
+                // one, so the logged pushes are not in id order as a whole.
+                for id in [(ticks + 3) % fleet.len(), ticks % 3] {
+                    let answer = streamed.group(id).session_state().last_answer();
+                    let poi = answer.expect("registered").optimal_index;
+                    let change = WorldChange::PoiDelete { poi };
+                    // Generations are process-unique stamps: compare what the change did.
+                    let summary = streamed.apply_world_change(change);
+                    assert_eq!(collected.apply_world_change(change).affected, summary.affected);
+                    pushed.extend(summary.affected);
+                }
+            }
+            let mut sent = Vec::new();
+            let summary = streamed.tick_with(&mut |id, event| sent.push((id, event)));
+            assert_eq!(summary, collected.tick(), "tick {ticks} at {workers} workers");
+            let drained = collected.drain_events();
+            assert_eq!(sent, drained, "tick {ticks} at {workers} workers: the events diverged");
+            assert!(sent.windows(2).all(|w| w[0].0 <= w[1].0), "events out of id order");
+            let size = fleet[0].len();
+            pushed_and_advanced += pushed
+                .iter()
+                .filter(|&&id| sent.iter().filter(|(of, _)| *of == id).count() > size)
+                .count();
+            ticks += 1;
+        }
+        assert!(pushed_and_advanced > 0, "no group was pushed to and updated in one tick");
+        assert!(streamed.drain_events().is_empty(), "a streamed tick leaves nothing behind");
     }
 }
 
