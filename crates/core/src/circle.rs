@@ -65,8 +65,8 @@ pub fn snapped_circle(u: Point, r: f64) -> Circle {
 /// Runs Circle-MSR (Algorithm 1) over the POI view for the given user group: the top-2 GNN
 /// plus the Theorem 1 / Theorem 5 radius.
 ///
-/// Accepts anything convertible to an [`IndexView`]: a plain `&RTree` or a mutable-world
-/// view carrying a delta overlay.
+/// Accepts anything convertible to an [`IndexView`]: a plain `&RTree`, an `&Arc<RTree>` or
+/// a mutable world's current tree.
 ///
 /// # Panics
 /// Panics when the view is empty or the user group is empty — there is no meeting point to

@@ -26,7 +26,7 @@ pub struct SessionState {
     /// The §5.4 buffer, boxed: only a Tile-D-b session with persistent buffers ever fills it.
     buffer: Option<Box<BufferCache>>,
     last_answer: Option<Answer>,
-    /// [`IndexView::generation`](mpn_index::IndexView::generation) of the POI content the
+    /// [`RTree::generation`](mpn_index::RTree::generation) of the POI content the
     /// last answer was computed against (meaningless without one), used by the world-change
     /// invalidation pass.
     answer_generation: u64,

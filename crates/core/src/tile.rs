@@ -95,10 +95,10 @@ pub struct BufferCache {
     objective: Objective,
     /// The buffering parameter `b` the set was built with.
     b: usize,
-    /// [`IndexView::generation`] of the view the buffer was queried from: a process-unique
-    /// stamp refreshed on every construction and mutation (for a mutable world, its
-    /// *logical* generation — preserved across compaction), so a different or modified POI
-    /// set is detected exactly, never probabilistically.
+    /// [`RTree::generation`](mpn_index::RTree::generation) of the tree the buffer was queried
+    /// from: a process-unique stamp refreshed on every construction, and a mutable world
+    /// rebuilds its tree on every change, so a different or modified POI set is detected
+    /// exactly, never probabilistically.
     tree_generation: u64,
 }
 
@@ -259,14 +259,13 @@ pub fn tile_msr<'a>(
 ///
 /// Within a computation the users and `pᵒ` are fixed and only the Theorem 3 radii / the
 /// Theorem 6 threshold change from tile to tile.  The R-tree walk is a deterministic
-/// depth-first traversal and [`IndexView`] appends its overlay inserts in a fixed order, and
-/// both keep an entry by comparing the very distances recorded here against the bound — so
-/// the output of a query is exactly the order-preserving filter of the output of any query
-/// with bounds at least as large (pinned by `mpn-index`'s `narrower_candidate_queries_…`
-/// proptest).  Filtering the pool *in order* with the index's own float expressions
-/// therefore hands the verifier the same candidates in the same order as a per-tile query
-/// would, and every decision, verifier slot and work counter except the number of index
-/// queries stays bit-identical.
+/// depth-first traversal, and it keeps an entry by comparing the very distances recorded
+/// here against the bound — so the output of a query is exactly the order-preserving filter
+/// of the output of any query with bounds at least as large (pinned by `mpn-index`'s
+/// `narrower_candidate_queries_…` proptest).  Filtering the pool *in order* with the index's
+/// own float expressions therefore hands the verifier the same candidates in the same order
+/// as a per-tile query would, and every decision, verifier slot and work counter except the
+/// number of index queries stays bit-identical.
 #[derive(Debug, Default)]
 struct CandidatePool {
     /// The last fetch, in the index's output order.
@@ -669,7 +668,7 @@ mod tests {
         let other = tile_msr(&other_tree, &users, Objective::Sum, &bigger, None, &mut cache);
         assert!(other.built_buffer, "tree change must rebuild");
 
-        // A world mutation bumps the logical generation and invalidates the cache.
+        // A world mutation rebuilds the tree under a fresh generation: the cache is stale.
         let mut mutable = WorldView::new(RTree::bulk_load(&grid_pois(8, 5.0)));
         let warm = tile_msr(&mutable, &users, Objective::Sum, &bigger, None, &mut cache);
         assert!(warm.built_buffer);

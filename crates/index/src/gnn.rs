@@ -45,6 +45,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::rtree::{Node, PoiEntry, QueryStats, RTree};
+use crate::scratch::with_scratch;
 use mpn_geom::{max_dist_to_set, sum_dist_to_set, DistanceBounds, Point, Rect};
 
 /// The aggregate distance function of the meeting-point objective.
@@ -177,6 +178,58 @@ impl<'a> GnnSearch<'a> {
         }
         FRONTIER.set(frontier);
         stats
+    }
+}
+
+impl RTree {
+    /// The `k` best meeting points under `aggregate` for the group `users`, in ascending
+    /// `(aggregate distance, id)` order, plus traversal statistics — `FindMaxGNN` /
+    /// `FindSumGNN`.
+    ///
+    /// # Panics
+    /// Panics when `users` is empty.
+    #[must_use]
+    pub fn top_k(
+        &self,
+        users: &[Point],
+        aggregate: Aggregate,
+        k: usize,
+    ) -> (Vec<GnnNeighbor>, QueryStats) {
+        GnnSearch::new(self, users, aggregate).top_k(k)
+    }
+
+    /// [`top_k`](RTree::top_k) into a caller-provided buffer (cleared first); with a reused
+    /// buffer on a warm thread the search performs no heap allocation.
+    ///
+    /// # Panics
+    /// Panics when `users` is empty.
+    pub fn top_k_into(
+        &self,
+        users: &[Point],
+        aggregate: Aggregate,
+        k: usize,
+        out: &mut Vec<GnnNeighbor>,
+    ) -> QueryStats {
+        GnnSearch::new(self, users, aggregate).top_k_into(k, out)
+    }
+
+    /// The best and second-best meeting points under `aggregate` — the Circle-MSR fast path
+    /// (Algorithm 1 line 1 needs exactly the top-2).  Answers and stats are those of
+    /// `top_k(users, aggregate, 2)`, but the neighbours are staged in the per-worker
+    /// [`QueryScratch`](crate::QueryScratch), so a call on a warm thread allocates nothing.
+    ///
+    /// # Panics
+    /// Panics when `users` is empty.
+    #[must_use]
+    pub fn top2(
+        &self,
+        users: &[Point],
+        aggregate: Aggregate,
+    ) -> (Option<GnnNeighbor>, Option<GnnNeighbor>, QueryStats) {
+        with_scratch(|scratch| {
+            let stats = self.top_k_into(users, aggregate, 2, &mut scratch.neighbors);
+            (scratch.neighbors.first().copied(), scratch.neighbors.get(1).copied(), stats)
+        })
     }
 }
 

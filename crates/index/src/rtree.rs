@@ -1,10 +1,11 @@
 //! A planar R-tree over points of interest.
 //!
-//! The tree is immutable: it is built in one STR (Sort-Tile-Recursive) bulk load — the POI
-//! sets of the paper's experiments are static — and a changing world is served by the
-//! insert/delete overlay of [`crate::world::WorldView`], which rebuilds the base with another
-//! bulk load when the overlay outgrows its threshold.  The distance-ranked traversal is the
-//! GNN search of [`crate::gnn`]; the two candidate walks of Theorems 3 and 6 live here.
+//! The tree is immutable to its readers: it is built in one STR (Sort-Tile-Recursive) bulk
+//! load — the POI sets of the paper's experiments are static — and a changing world
+//! ([`crate::world::WorldView`]) edits the entry array and bulk loads it again.  The STR pass
+//! sorts on total keys, so the layout is a function of the POI set alone, whatever order the
+//! entries arrive in.  The distance-ranked traversal is the GNN search of [`crate::gnn`]; the
+//! two candidate walks of Theorems 3 and 6 live here.
 //!
 //! # Layout
 //!
@@ -104,11 +105,10 @@ pub struct RTree {
     generation: u64,
 }
 
-/// Process-unique stamp for [`RTree::generation`]: every construction gets a fresh value, so
-/// two trees never share a generation.  The overlay of [`crate::world::WorldView`] mints its
-/// logical generations from the same counter, so tree stamps and world stamps can never
-/// collide.
-pub(crate) fn next_generation() -> u64 {
+/// Process-unique stamp for [`RTree::generation`]: every construction and every rebuild gets
+/// a fresh value from one counter, so two trees never share a generation and a world's
+/// stamp strictly increases with each change.
+fn next_generation() -> u64 {
     use std::sync::atomic::{AtomicU64, Ordering};
     static NEXT: AtomicU64 = AtomicU64::new(1);
     NEXT.fetch_add(1, Ordering::Relaxed)
@@ -132,10 +132,10 @@ impl RTree {
         let mut levels = Vec::new();
         if !entries.is_empty() {
             let point = |e: &PoiEntry| Rect::from_point(e.location);
-            levels.push(str_pack(&mut entries, cap, |e| e.location, point));
+            levels.push(str_pack(&mut entries, cap, |e| (e.location, e.id), point));
         }
         while let Some(level) = levels.last_mut().filter(|level| level.len() > 1) {
-            let above = str_pack(level, cap, |n| n.mbr.center(), |n| n.mbr);
+            let above = str_pack(level, cap, |n| (n.mbr.center(), n.start), |n| n.mbr);
             levels.push(above);
         }
         Self { config, entries, levels, next_id, generation: next_generation() }
@@ -179,10 +179,10 @@ impl RTree {
 
     /// Process-unique identity stamp of this tree's contents.
     ///
-    /// Every construction produces a fresh value, so caches keyed on the generation (e.g. the
-    /// persistent §5.4 GNN buffer) can detect a different tree without probabilistic
-    /// address/content comparisons.  Cloning preserves the stamp: a clone holds identical
-    /// contents, so caches built from the original stay valid for it.
+    /// Every construction and every rebuild produces a fresh value, so caches keyed on the
+    /// generation (e.g. the persistent §5.4 GNN buffer) can detect a different tree without
+    /// probabilistic address/content comparisons.  Cloning preserves the stamp: a clone holds
+    /// identical contents, so caches built from the original stay valid for it.
     #[must_use]
     pub fn generation(&self) -> u64 {
         self.generation
@@ -310,30 +310,53 @@ impl RTree {
         Some((self.levels.len().checked_sub(1)?, self.levels.last()?.first()?))
     }
 
-    /// One past the largest id stored.  The delta overlay of [`crate::world::WorldView`]
-    /// continues this numbering so overlay inserts never collide with base ids.
+    /// One past the largest id stored, recomputed by every bulk load.  A
+    /// [`WorldView`](crate::world::WorldView) starts its own numbering here and keeps it, so
+    /// a deleted highest id is never handed out again.
     pub(crate) fn next_id(&self) -> usize {
         self.next_id
     }
+
+    /// Applies `edit` to the entry array and bulk loads the result in place of this tree,
+    /// with a fresh generation.  The old node arrays are freed first and the entries are
+    /// sorted in place, so the rebuild holds no second copy of either.
+    pub(crate) fn rebuild<R>(&mut self, edit: impl FnOnce(&mut Vec<PoiEntry>) -> R) -> R {
+        let mut entries = std::mem::take(&mut self.entries);
+        self.levels = Vec::new();
+        let out = edit(&mut entries);
+        *self = Self::bulk_load_entries(entries, self.config);
+        out
+    }
 }
 
-/// One STR pass: sorts `items` (stably) by the `x` of their `at` point, cuts them into
-/// `⌈√groups⌉` slices, sorts each slice by `y` and cuts it into groups of `cap`; returns one
-/// node per group, over its range of the reordered `items`.
+/// One STR pass: sorts `items` by the `x` of their `at` point, cuts them into `⌈√groups⌉`
+/// slices, sorts each slice by `y` and cuts it into groups of `cap`; returns one node per
+/// group, over its range of the reordered `items`.
+///
+/// `at` also yields a key unique per item (an entry's id, a node's first child), and the
+/// sorts are in place on total keys — `(x, key)`, then `(y, x, key)` — so the layout does not
+/// depend on the input order and no sort scratch is allocated.  For items handed over in key
+/// order this is the layout two stable sorts, by `x` and then by `y`, would build.
 fn str_pack<T>(
     items: &mut [T],
     cap: usize,
-    at: impl Fn(&T) -> Point,
+    at: impl Fn(&T) -> (Point, usize),
     mbr: impl Fn(&T) -> Rect,
 ) -> Vec<Node> {
     let n = items.len();
     let groups = n.div_ceil(cap);
     let slices = (groups as f64).sqrt().ceil() as usize;
-    items.sort_by(|a, b| at(a).x.total_cmp(&at(b).x));
+    items.sort_unstable_by(|a, b| {
+        let ((p, i), (q, j)) = (at(a), at(b));
+        p.x.total_cmp(&q.x).then(i.cmp(&j))
+    });
     let per_slice = n.div_ceil(slices.max(1)).max(1);
     let mut nodes = Vec::with_capacity(groups);
     for (s, slice) in items.chunks_mut(per_slice).enumerate() {
-        slice.sort_by(|a, b| at(a).y.total_cmp(&at(b).y));
+        slice.sort_unstable_by(|a, b| {
+            let ((p, i), (q, j)) = (at(a), at(b));
+            p.y.total_cmp(&q.y).then(p.x.total_cmp(&q.x)).then(i.cmp(&j))
+        });
         for (g, group) in slice.chunks(cap).enumerate() {
             let start = s * per_slice + g * cap;
             let mbr = group.iter().fold(Rect::EMPTY, |r, item| r.union(mbr(item)));

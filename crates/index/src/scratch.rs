@@ -1,6 +1,6 @@
 //! Per-worker query scratch arenas: reusable buffers for the query hot path.
 //!
-//! [`IndexView::top2`](crate::IndexView::top2) stages its neighbours in a vector before it
+//! [`RTree::top2`](crate::RTree::top2) stages its neighbours in a vector before it
 //! copies out the two it returns.  [`QueryScratch`] hoists that vector out of the call: it
 //! lives in a thread-keyed arena and is reused by every query the thread runs, so once the
 //! thread is warm a query performs **zero heap allocations** end to end (see the `*_into`
@@ -23,7 +23,7 @@
 //! recurses, bounded by the R-tree height (a handful of levels even at millions of POIs).
 //! The GNN frontier ([`GnnSearch::top_k_into`](crate::GnnSearch::top_k_into)) is a heap of
 //! `(level, index)` node names that borrows no tree, so it is per-thread too, kept beside
-//! this scratch in `gnn.rs`: [`IndexView::top2`](crate::IndexView::top2) holds the scratch
+//! this scratch in `gnn.rs`: [`RTree::top2`](crate::RTree::top2) holds the scratch
 //! while its search runs, and a frontier inside it would be the fresh empty one a nested
 //! [`with_scratch`] sees.  Every recomputation traverses the tree — the server the
 //! repository benchmark runs included — and pays no allocation for it

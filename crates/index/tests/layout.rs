@@ -80,11 +80,12 @@ fn golden_world() -> (Vec<PoiEntry>, Vec<Vec<Point>>) {
     (entries, groups)
 }
 
-/// The layout golden: one hash over every query on the plain tree and on a world with ten
-/// inserts and ten deletes, and one over the same queries once that world is compacted.
-/// Recorded on the nested-node tree, before the tree became one array per level; the
-/// compacted hash with the id-order compaction of the test below already applied, since
-/// until then compaction laid duplicate POIs out in the order the old tree iterated them.
+/// The layout golden: one hash over every query on the plain tree, and one over the same
+/// queries on a world after ten inserts and ten deletes.  Both were recorded before a world
+/// change rebuilt the tree in place: the tree hash on the stable-sort STR pass, the world hash
+/// as the hash of that world compacted into a fresh bulk load by id.  So the total-key sorts
+/// lay out what stable sorts laid out, and a changed world is the tree a fresh bulk load of
+/// its POI set builds.
 #[test]
 fn query_output_order_and_stats_match_the_golden_hashes() {
     let (entries, groups) = golden_world();
@@ -100,65 +101,53 @@ fn query_output_order_and_stats_match_the_golden_hashes() {
         for i in 0..10 {
             assert!(world.delete(i * 2_087 + 11).is_some());
         }
-        let mut hash = 0xcbf2_9ce4_8422_2325;
-        hash_queries(&mut hash, IndexView::from(&tree), &groups);
-        hash_queries(&mut hash, world.view(), &groups);
-        let mut compacted = 0xcbf2_9ce4_8422_2325;
-        world.compact();
-        hash_queries(&mut compacted, world.view(), &groups);
-        got.push((fanout, tree.height(), tree.node_count(), hash, compacted));
+        let (mut tree_hash, mut world_hash) = (0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325);
+        hash_queries(&mut tree_hash, &tree, &groups);
+        hash_queries(&mut world_hash, world.view(), &groups);
+        got.push((fanout, tree.height(), tree.node_count(), tree_hash, world_hash));
     }
-    for (fanout, height, nodes, hash, compacted) in &got {
+    for (fanout, height, nodes, tree_hash, world_hash) in &got {
         println!(
-            "fan-out {fanout}: height {height}, {nodes} nodes, {hash:#018x} / {compacted:#018x}"
+            "fan-out {fanout}: height {height}, {nodes} nodes, {tree_hash:#018x} / {world_hash:#018x}"
         );
     }
     assert_eq!(
         got,
         [
-            (32, 3, 702, 0xbc0b_bd52_004f_91e1, 0xbfed_9899_e53b_089f),
-            (6, 6, 4_322, 0xd4d2_d48f_942e_00bd, 0xe482_3db9_13b0_6fec),
+            (32, 3, 702, 0x6903_3813_cbd3_7865, 0xbfed_9899_e53b_089f),
+            (6, 6, 4_322, 0xa5bb_d8ed_1253_5b6e, 0xe482_3db9_13b0_6fec),
         ]
     );
 }
 
-/// Compaction rebuilds the base in one bulk load over the live entries.  STR's sorts are
-/// stable, so the order those entries are handed over in decides how POIs with equal `x`
-/// are laid out; handing them over by id makes the compacted tree the one a fresh bulk load
-/// of the same POI set builds, whatever the overlay's history.  A grid world with shuffled
-/// ids has equal `x` everywhere, so any other order shows in the walks' output and stats.
+/// STR sorts on total keys, so the tree is a function of the POI set, not of the order its
+/// entries arrive in — which is what lets a world change re-pack the entry array in whatever
+/// order the last rebuild left it.  A grid with shuffled ids has equal `x` and `y`
+/// everywhere, so an order-dependent tie shows in the walks' output and stats.
 #[test]
-fn a_compacted_world_is_the_tree_a_fresh_bulk_load_builds() {
+fn the_layout_does_not_depend_on_the_input_order() {
     let config = RTreeConfig::new(6);
-    let entries: Vec<PoiEntry> = (0..1_600)
+    let shuffled: Vec<PoiEntry> = (0..1_600)
         .map(|i| PoiEntry::new(i * 7_919 % 1_600, Point::new((i % 40) as f64, (i / 40) as f64)))
         .collect();
-    let mut world = WorldView::new(RTree::bulk_load_entries(entries, config));
-    for i in 0..30 {
-        world.insert(Point::new((i * 13 % 40) as f64, (i * 7 % 40) as f64 + 0.5));
-    }
-    for i in 0..30 {
-        assert!(world.delete(i * 53 + 7).is_some());
-    }
-    world.compact();
-    let mut live: Vec<PoiEntry> = world.view().iter().collect();
-    live.sort_by_key(|e| e.id);
-    let fresh = RTree::bulk_load_entries(live, config);
+    let mut by_id = shuffled.clone();
+    by_id.sort_by_key(|e| e.id);
+    let (a, b) =
+        (RTree::bulk_load_entries(shuffled, config), RTree::bulk_load_entries(by_id, config));
 
     let mut next = stream(0x2545_f491_4f6c_dd1d);
     let ids = |found: &[PoiEntry]| found.iter().map(|e| e.id).collect::<Vec<_>>();
     for _ in 0..200 {
         let users: Vec<Point> = (0..3).map(|_| Point::new(next() * 40.0, next() * 40.0)).collect();
-        let (compacted, fresh) = (world.view(), IndexView::from(&fresh));
         let radii = [9.0, 11.0, 13.0];
-        let (a, a_stats) = compacted.candidates_within_user_radii(&users, &radii);
-        let (b, b_stats) = fresh.candidates_within_user_radii(&users, &radii);
-        assert_eq!((ids(&a), a_stats), (ids(&b), b_stats));
-        let (a, a_stats) = compacted.candidates_within_sum_radius(&users, 30.0);
-        let (b, b_stats) = fresh.candidates_within_sum_radius(&users, 30.0);
-        assert_eq!((ids(&a), a_stats), (ids(&b), b_stats));
+        let (x, x_stats) = a.candidates_within_user_radii(&users, &radii);
+        let (y, y_stats) = b.candidates_within_user_radii(&users, &radii);
+        assert_eq!((ids(&x), x_stats), (ids(&y), y_stats));
+        let (x, x_stats) = a.candidates_within_sum_radius(&users, 30.0);
+        let (y, y_stats) = b.candidates_within_sum_radius(&users, 30.0);
+        assert_eq!((ids(&x), x_stats), (ids(&y), y_stats));
         for aggregate in [Aggregate::Max, Aggregate::Sum] {
-            assert_eq!(compacted.top_k(&users, aggregate, 5), fresh.top_k(&users, aggregate, 5));
+            assert_eq!(a.top_k(&users, aggregate, 5), b.top_k(&users, aggregate, 5));
         }
     }
 }

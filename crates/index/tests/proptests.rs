@@ -3,7 +3,7 @@
 
 use mpn_geom::Point;
 use mpn_index::gnn::brute_force_gnn;
-use mpn_index::{Aggregate, GnnSearch, IndexView, PoiEntry, RTree, RTreeConfig, WorldView};
+use mpn_index::{Aggregate, GnnSearch, PoiEntry, RTree, RTreeConfig, WorldView};
 use proptest::prelude::*;
 
 fn pt() -> impl Strategy<Value = Point> {
@@ -81,10 +81,11 @@ proptest! {
         prop_assert_eq!(got_sum_ids, want_sum);
     }
 
-    // The contract `mpn-core`'s per-computation candidate pool rests on: the R-tree walk and
-    // the overlay merge emit entries in an order that does not depend on the bounds, and keep
-    // an entry by comparing its exact user distances against them — so a query's output is
-    // the order-preserving filter of the output of any query with bounds at least as large.
+    // The contract `mpn-core`'s per-computation candidate pool rests on: the R-tree walk, on a
+    // bulk-loaded tree and on a changed world's rebuilt one, emits entries in an order that
+    // does not depend on the bounds, and keeps an entry by comparing its exact user distances
+    // against them — so a query's output is the order-preserving filter of the output of any
+    // query with bounds at least as large.
     #[test]
     fn narrower_candidate_queries_are_in_order_filters_of_wider_ones(
         points in proptest::collection::vec(pt(), 1..300),
@@ -110,7 +111,7 @@ proptest! {
         let radii: Vec<f64> = wide_radii.iter().zip(&shrink).map(|(r, s)| r * s).collect();
         let wide_threshold = radius * users.len() as f64;
         let threshold = wide_threshold * shrink[4];
-        for view in [IndexView::from(&tree), world.view()] {
+        for view in [&tree, world.view()] {
             let (wide, _) = view.candidates_within_user_radii(&users, &wide_radii);
             let (narrow, _) = view.candidates_within_user_radii(&users, &radii);
             let filtered: Vec<PoiEntry> = wide

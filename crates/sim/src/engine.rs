@@ -89,9 +89,9 @@ impl std::error::Error for SubmitError {}
 /// One mutation of the POI world: a point of interest appearing or disappearing while the
 /// fleet is being monitored (a closing restaurant, a pop-up venue).
 ///
-/// Applied via [`MonitoringEngine::apply_world_change`], which threads the change through the
-/// engine's [`WorldView`] overlay and immediately recomputes exactly the sessions whose safe
-/// regions the change can break.
+/// Applied via [`MonitoringEngine::apply_world_change`], which rebuilds the engine's
+/// [`WorldView`] tree with the change and immediately recomputes exactly the sessions whose
+/// safe regions the change can break.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WorldChange {
     /// A new POI appears at `location`; its id is assigned by the world (reported in the
@@ -126,8 +126,6 @@ pub struct InvalidationSummary {
     pub invalidated: usize,
     /// The ids of the invalidated groups, ascending.
     pub affected: Vec<GroupId>,
-    /// Whether the delta overlay was folded back into the base index afterwards.
-    pub compacted: bool,
 }
 
 /// Benchmark-only shim, ignored: a tick's batches follow from the worker count
@@ -316,8 +314,8 @@ fn merged_with<R>(
 ///   visit the groups in ascending id.
 #[derive(Debug)]
 pub struct MonitoringEngine {
-    /// The mutable POI world: a shared base R-tree plus the generation-stamped delta overlay
-    /// maintained by [`apply_world_change`](MonitoringEngine::apply_world_change).
+    /// The mutable POI world: one R-tree per world state, rebuilt by
+    /// [`apply_world_change`](MonitoringEngine::apply_world_change).
     world: WorldView,
     /// Session bodies by id; `None` marks a vacant (deregistered) id.
     slab: Vec<Option<GroupSession>>,
@@ -381,7 +379,7 @@ impl MonitoringEngine {
         self
     }
 
-    /// The engine's mutable POI world (base index plus delta overlay).
+    /// The engine's mutable POI world: the current R-tree and its generation.
     #[must_use]
     pub fn world(&self) -> &WorldView {
         &self.world
@@ -493,21 +491,19 @@ impl MonitoringEngine {
 
     /// Applies one POI world change and recomputes exactly the sessions it can break.
     ///
-    /// The change is written into the engine's [`WorldView`] overlay first (bumping the
-    /// world generation), then an invalidation pass runs over the slab on the calling thread:
-    /// every registered session evaluates the break predicate ([`GroupSession::world_change_invalidates`] — a deleted POI that
-    /// participates in the answer or the cached §5.4 buffer, or an inserted POI whose
-    /// best-case aggregate undercuts the optimum's worst case over the regions) and the
-    /// affected sessions are force-recomputed against the new world, re-notifying their
-    /// users through the normal metrics / traffic / [`SessionEvent`] path.  Unaffected
-    /// sessions are untouched — their safe regions remain provably valid, so they recompute
-    /// nothing.
+    /// The change is applied to the engine's [`WorldView`] first — one bulk load of the edited
+    /// entry array, which gives the world a fresh generation — then an invalidation pass runs
+    /// over the slab on the calling thread: every registered session evaluates the break
+    /// predicate ([`GroupSession::world_change_invalidates`] — a deleted POI that participates
+    /// in the answer or the cached §5.4 buffer, or an inserted POI whose best-case aggregate
+    /// undercuts the optimum's worst case over the regions) and the affected sessions are
+    /// force-recomputed against the new world, re-notifying their users through the normal
+    /// metrics / traffic / [`SessionEvent`] path.  Unaffected sessions are untouched — their
+    /// safe regions remain provably valid, so they recompute nothing.
     ///
     /// A delete of an unknown (or already-deleted) id is rejected gracefully: the summary
     /// reports `applied == false` and no session is examined.  So is a delete of the last
     /// live POI, before the world is touched: an empty world has no meeting point to monitor.
-    /// After the pass the overlay is compacted back into the base index when it has outgrown
-    /// its threshold (content and generation are preserved, so cached buffers stay valid).
     pub fn apply_world_change(&mut self, change: WorldChange) -> InvalidationSummary {
         let (applied, poi) = match change {
             WorldChange::PoiInsert { location } => (true, Some(self.world.insert(location))),
@@ -527,7 +523,6 @@ impl MonitoringEngine {
                 groups_checked: 0,
                 invalidated: 0,
                 affected: Vec::new(),
-                compacted: false,
             };
         }
         let view = self.world.view();
@@ -547,16 +542,13 @@ impl MonitoringEngine {
             }
         });
         self.events = events;
-        let generation = self.world.generation();
-        let compacted = self.world.maybe_compact();
         InvalidationSummary {
             applied: true,
             poi,
-            generation,
+            generation: self.world.generation(),
             groups_checked,
             invalidated: affected.len(),
             affected,
-            compacted,
         }
     }
 

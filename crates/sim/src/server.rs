@@ -26,7 +26,7 @@
 //!   touching any session);
 //! * [`Request::Deregister`] → session teardown, its metrics folded into the fleet totals;
 //! * [`Request::Admin`] → a POI-world mutation ([`WorldChange`]) applied through the
-//!   engine's generation-stamped overlay, gated on a per-client admin grant
+//!   engine's generation-stamped world, gated on a per-client admin grant
 //!   ([`grant_admin`](ServerCore::grant_admin)).  Groups whose safe regions the change
 //!   invalidated are force-recomputed and their owners receive an **unsolicited push**:
 //!   a [`Response::WorldUpdate`] announcing the new world generation, followed by the

@@ -3,8 +3,8 @@
 //!
 //! The cast:
 //!
-//! * a **city** of cafés in two districts (the POI tree behind a generation-stamped
-//!   `WorldView` overlay);
+//! * a **city** of cafés in two districts (a `WorldView`: one POI tree per world state,
+//!   rebuilt with a fresh generation on every change);
 //! * two **groups** of friends converging on a meeting point, one per district, each on its
 //!   own multiplexed TCP connection;
 //! * an **operator console** — the first accepted connection, granted admin rights out of
@@ -141,10 +141,9 @@ fn main() {
     assert_eq!(world.len(), cafes.len(), "one café closed, one opened: net zero");
     assert_eq!(server.core().engine().group_count(), 0);
     println!(
-        "\ndone: {} cafés live at generation {}, {} compactions, every session deregistered",
+        "\ndone: {} cafés live at generation {}, every session deregistered",
         world.len(),
-        world.generation(),
-        world.compactions()
+        world.generation()
     );
 }
 

@@ -1,6 +1,6 @@
 //! Allocation gates of the monitoring hot path, counted by a global allocator shim.
 //!
-//! Seven facts the tick path, the tile verifier and the session layout are built around,
+//! Eight facts the tick path, the tile verifier and the session layout are built around,
 //! asserted as counts (never a wall-clock ratio):
 //!
 //! * a steady-state quiet tick — every user reported, every user inside her region —
@@ -25,7 +25,10 @@
 //! * what a worker thread keeps parked after one Tile-D-b/MAX computation (the verifier's
 //!   tables, the candidate pool, the query scratch) stays within a quarter above what it was
 //!   when every table kept `‖p, s‖min` per tile: GT-Verify's sorted summaries are built only
-//!   for the (candidate, user) pairs that reach Theorem 2.
+//!   for the (candidate, user) pairs that reach Theorem 2;
+//! * a POI change re-packs the world's own entry array in place: at its peak it holds less
+//!   than an eighth of that array above where it started, so neither a second copy of the
+//!   entries nor a sort scratch exists.
 //!
 //! Run with `--nocapture` for the per-owner table behind those figures.
 //!
@@ -43,13 +46,13 @@ use mpn::core::{
     TileCell, TileFrame, TileRegion, TileVerifier,
 };
 use mpn::geom::Point;
-use mpn::index::RTree;
+use mpn::index::{PoiEntry, RTree};
 use mpn::mobility::poi::{clustered_pois, PoiConfig};
 use mpn::mobility::Trajectory;
 use mpn::proto::{Request, Response, WireConfig};
 use mpn::sim::{
     EpochUpdate, GroupSession, MonitorConfig, MonitoringEngine, MonitoringMetrics, ServerCore,
-    SessionEvent, StepOutcome, TrajectoryFeed,
+    SessionEvent, StepOutcome, TrajectoryFeed, WorldChange,
 };
 
 thread_local! {
@@ -551,4 +554,48 @@ fn buffered_tile_session_bytes() {
     let total = size_of::<GroupSession>() + heap;
     println!("Tile-D-b/MAX session with a built buffer on a warm thread: {total} bytes ({blocks} heap blocks)");
     assert!(total <= PARENT + 64, "a buffered tile session costs {total} bytes, was {PARENT}");
+}
+
+/// An engine over the paper's 21,287 POIs, its world holding the only handle to the tree,
+/// takes a delete and then an insert that break no group.  Each change bulk loads the
+/// world's own entry array again: the STR sorts run in place and the old node arrays are
+/// freed before the new ones are built, so the change's peak above its start stays below an
+/// eighth of the entry array (a second copy of the entries, or a stable sort's scratch of
+/// half of them, would break it).
+#[test]
+fn world_change_copies_no_entries() {
+    let mut engine = MonitoringEngine::new(poi_tree(21_287), 1);
+    let config = MonitorConfig::new(Objective::Max, Method::circle());
+    for _ in 0..4 {
+        let group_id = engine.register_stream(3, config);
+        engine.submit(EpochUpdate { group_id, positions: users(3) }).expect("a live group");
+    }
+    engine.tick();
+    drop(engine.drain_events());
+    let centre = users(3)[1];
+    let farthest = engine
+        .world()
+        .view()
+        .iter()
+        .max_by(|a, b| a.location.dist(centre).total_cmp(&b.location.dist(centre)))
+        .expect("a live POI")
+        .id;
+    let entries = engine.world().len() * size_of::<PoiEntry>();
+
+    let mut peak = |change| {
+        reset_peak();
+        let summary = engine.apply_world_change(change);
+        assert!(summary.applied && summary.affected.is_empty(), "the change breaks no group");
+        assert_eq!(summary.groups_checked, 4);
+        peak_above()
+    };
+    let delete = peak(WorldChange::PoiDelete { poi: farthest });
+    let insert = peak(WorldChange::PoiInsert { location: Point::new(-1.0e6, -1.0e6) });
+    println!(
+        "world change over {entries} B of entries: the delete peaked {delete} B, the insert \
+         {insert} B above their start"
+    );
+    for (change, peak) in [("delete", delete), ("insert", insert)] {
+        assert!(peak < (entries / 8) as isize, "the {change} peaked {peak} B above its start");
+    }
 }

@@ -542,7 +542,6 @@ impl WalkEverythingOracle {
                 affected.push(id);
             }
         }
-        self.world.maybe_compact();
         (true, checked, affected)
     }
 }

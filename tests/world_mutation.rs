@@ -1,9 +1,9 @@
-//! The mutable world, end to end: the generation-stamped [`WorldView`] overlay must answer
-//! queries exactly like a tree rebuilt from scratch, the invalidation predicates must be
-//! *sound* (a safe region that survives a world change still upholds Definition 3 against
-//! the **new** world), the engine must force-recompute exactly the affected groups, and a
-//! breaking POI delete must reach the affected client as an unsolicited push over the
-//! multiplexed TCP front-end while unaffected tenants hear nothing.
+//! The mutable world, end to end: a changed [`WorldView`] must answer queries exactly like a
+//! fresh bulk load of its live POIs, the invalidation predicates must be *sound* (a safe
+//! region that survives a world change still upholds Definition 3 against the **new**
+//! world), the engine must force-recompute exactly the affected groups, and a breaking POI
+//! delete must reach the affected client as an unsolicited push over the multiplexed TCP
+//! front-end while unaffected tenants hear nothing.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use mpn::core::{Method, Objective, SafeRegion};
 use mpn::geom::Point;
-use mpn::index::{IndexView, RTree, WorldView};
+use mpn::index::{IndexView, PoiEntry, QueryStats, RTree, WorldView};
 use mpn::net::{MuxConfig, MuxServer};
 use mpn::proto::{
     AdminRequest, DecodeError, NotificationKind, Request, Response, WireConfig, WireMethod,
@@ -47,9 +47,11 @@ fn arb_ops(domain: f64) -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec((coin, arb_point(domain), 0.0f64..1.0), 1..8)
 }
 
-/// Applies `op` to both the overlay world and the plain id → location mirror model.
+/// Applies `op` to both the world and the plain id → location mirror model; an applied
+/// change must strictly raise the world's generation.
 fn apply_op(world: &mut WorldView, model: &mut HashMap<usize, Point>, op: &Op) {
     let &(insert, location, pick) = op;
+    let generation = world.generation();
     if insert {
         let id = world.insert(location);
         assert!(model.insert(id, location).is_none(), "insert ids are never reused");
@@ -58,8 +60,9 @@ fn apply_op(world: &mut WorldView, model: &mut HashMap<usize, Point>, op: &Op) {
         ids.sort_unstable();
         let id = ids[((pick * ids.len() as f64) as usize).min(ids.len() - 1)];
         let removed = world.delete(id).expect("live POIs are deletable");
-        assert_eq!(Some(removed), model.remove(&id), "the overlay forgot where the POI was");
+        assert_eq!(Some(removed), model.remove(&id), "the world forgot where the POI was");
     }
+    assert!(world.generation() > generation, "every applied change raises the generation");
 }
 
 /// Aggregate distances of every live model POI to `users`, best first.
@@ -70,14 +73,32 @@ fn brute_dists(model: &HashMap<usize, Point>, users: &[Point], objective: Object
     dists
 }
 
+/// Every query kind the engines issue, as each answer's ordered ids and its `QueryStats`:
+/// top-k for k ∈ {1, 2, 101} under MAX and SUM, and both candidate walks.
+fn answers(view: IndexView<'_>, users: &[Point]) -> Vec<(Vec<usize>, QueryStats)> {
+    let mut out = Vec::new();
+    for objective in [Objective::Max, Objective::Sum] {
+        for k in [1, 2, 101] {
+            let (top, stats) = view.top_k(users, objective.aggregate(), k);
+            out.push((top.iter().map(|n| n.entry.id).collect(), stats));
+        }
+    }
+    let ids =
+        |(found, stats): (Vec<PoiEntry>, QueryStats)| (found.iter().map(|e| e.id).collect(), stats);
+    let radii: Vec<f64> = (0..users.len()).map(|i| 400.0 + 50.0 * i as f64).collect();
+    out.push(ids(view.candidates_within_user_radii(users, &radii)));
+    out.push(ids(view.candidates_within_sum_radius(users, 700.0 * users.len() as f64)));
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
 
-    // The overlay answers every query the engines issue exactly like a tree rebuilt from
-    // the surviving POIs, and an id-preserving compaction changes neither results nor the
-    // generation stamp.
+    // A changed world is the tree a fresh bulk load of its live POIs builds: every query the
+    // engines issue gives the same ids in the same order with the same `QueryStats`.  A
+    // refused change touches nothing, and a deleted highest id is never handed out again.
     #[test]
-    fn overlay_queries_match_a_rebuilt_tree(
+    fn a_changed_world_answers_like_a_fresh_bulk_load(
         pois in arb_pois(1_000.0),
         ops in arb_ops(1_000.0),
         users in arb_users(1_000.0),
@@ -86,56 +107,42 @@ proptest! {
         let mut model: HashMap<usize, Point> =
             base.iter().map(|e| (e.id, e.location)).collect();
         let mut world = WorldView::new(base);
-        let generation = world.generation();
-
         for op in &ops {
             apply_op(&mut world, &mut model, op);
         }
-        prop_assert!(world.generation() > generation, "every mutation bumps the generation");
-        prop_assert_eq!(world.view().len(), model.len());
+        prop_assert_eq!(world.len(), model.len());
 
-        let live: Vec<Point> = {
-            let mut ids: Vec<usize> = model.keys().copied().collect();
-            ids.sort_unstable();
-            ids.iter().map(|id| model[id]).collect()
-        };
-        let rebuilt = RTree::bulk_load(&live);
+        let mut live: Vec<PoiEntry> =
+            model.iter().map(|(id, location)| PoiEntry::new(*id, *location)).collect();
+        live.sort_by_key(|e| e.id);
+        let fresh = RTree::bulk_load_entries(live, world.view().config());
+        let got = answers(world.view(), &users);
+        prop_assert_eq!(&got, &answers(&fresh, &users));
         for objective in [Objective::Max, Objective::Sum] {
-            // Top-k parity, against both brute force and the rebuilt tree.
-            let k = 3.min(model.len());
-            let (top, _) = world.view().top_k(&users, objective.aggregate(), k);
-            let brute = brute_dists(&model, &users, objective);
-            prop_assert_eq!(top.len(), k);
-            for (n, want) in top.iter().zip(&brute) {
-                prop_assert!((n.dist - want).abs() <= 1e-9, "overlay top-k diverged");
+            let (top, _) = world.view().top_k(&users, objective.aggregate(), 3);
+            for (n, want) in top.iter().zip(brute_dists(&model, &users, objective)) {
+                prop_assert!((n.dist - want).abs() <= 1e-9, "top-k diverged from brute force");
             }
-            let (rebuilt_top, _) = IndexView::from(&rebuilt).top_k(&users, objective.aggregate(), k);
-            for (a, b) in top.iter().zip(&rebuilt_top) {
-                prop_assert!((a.dist - b.dist).abs() <= 1e-9, "rebuilt tree disagrees");
-            }
-
-            // Whole-answer parity: same optimum cost, valid regions, for both methods.
             for method in [Method::circle(), Method::tile()] {
-                let over = method.answer(&world, objective, &users, None);
-                let flat = method.answer(&rebuilt, objective, &users, None);
-                let cost = |p: Point| objective.aggregate().point_dist(p, &users);
-                prop_assert!((cost(over.optimal_point) - cost(flat.optimal_point)).abs() <= 1e-9);
-                prop_assert!(over.all_inside(&users));
+                let changed = method.answer(&world, objective, &users, None);
+                let flat = method.answer(&fresh, objective, &users, None);
+                prop_assert_eq!(changed.optimal_point, flat.optimal_point);
+                prop_assert!(changed.all_inside(&users));
             }
         }
 
-        // Compaction folds the overlay into a fresh base without renumbering or restamping.
-        let (before, _) = world.view().top_k(&users, Objective::Max.aggregate(), model.len());
-        let stamp = world.generation();
-        world.compact();
-        prop_assert_eq!(world.generation(), stamp, "compaction must not restamp the content");
-        prop_assert_eq!(world.overlay_len(), 0);
-        let (after, _) = world.view().top_k(&users, Objective::Max.aggregate(), model.len());
-        prop_assert_eq!(before.len(), after.len());
-        for (a, b) in before.iter().zip(&after) {
-            prop_assert_eq!(a.entry.id, b.entry.id, "compaction must preserve POI ids");
-            prop_assert!((a.dist - b.dist).abs() <= 1e-12);
-        }
+        // Refused: an id never handed out, and one already deleted.
+        let generation = world.generation();
+        let highest = *model.keys().max().expect("a live POI");
+        prop_assert_eq!(world.delete(highest + 1_000), None);
+        prop_assert!(world.delete(highest).is_some());
+        let generation_after = world.generation();
+        prop_assert!(generation_after > generation);
+        let before = answers(world.view(), &users);
+        prop_assert_eq!(world.delete(highest), None);
+        prop_assert_eq!(world.generation(), generation_after, "a refused change restamps nothing");
+        prop_assert_eq!(answers(world.view(), &users), before);
+        prop_assert!(world.insert(users[0]) > highest, "a deleted highest id came back");
     }
 }
 
