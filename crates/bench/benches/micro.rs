@@ -10,11 +10,8 @@
 //!
 //! * safe-region computation cost per engine (Circle vs Tile vs Tile-D vs Tile-D-b),
 //! * stateful vs stateless Tile-D-b sessions (the §5.4 buffer-reuse win),
-//! * quiet-tick cost of fanning a tick out over scoped threads, against ticking inline,
 //! * one report into a registered Circle fleet of 200 and of 20,000 groups: a tick costs the
 //!   groups that reported, not the fleet (printed side by side, never asserted as a ratio),
-//! * skewed-fleet busy ticks: Zipf group sizes, the big groups neighbours in id order —
-//!   ready-list batches over four threads vs inline,
 //! * GT-Verify (Section 5.3): a whole Tile-MSR run, ns per (tile, candidate) pair on the pass
 //!   and the fail path of the incremental verifier, and 64 cold Tile-D-b/MAX first regions at
 //!   the paper's data-set size,
@@ -28,7 +25,6 @@
 //! The allocation gates of the tick hot path are a tier-1 test (`tests/alloc_gates.rs`).
 
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mpn_core::{
@@ -38,9 +34,8 @@ use mpn_core::{
 use mpn_geom::{min_focal_diff_over_square, Point, Square};
 use mpn_index::{Aggregate, GnnSearch, RTree};
 use mpn_mobility::poi::{clustered_pois, PoiConfig};
-use mpn_mobility::Trajectory;
 use mpn_proto::{Request, Response};
-use mpn_sim::{EpochUpdate, MonitorConfig, MonitoringEngine, TrajectoryFeed};
+use mpn_sim::{EpochUpdate, MonitorConfig, MonitoringEngine};
 
 fn poi_tree(n: usize) -> RTree {
     let pois = clustered_pois(&PoiConfig { count: n, domain: 10_000.0, ..PoiConfig::default() }, 7);
@@ -51,29 +46,6 @@ fn users(m: usize) -> Vec<Point> {
     (0..m)
         .map(|i| Point::new(4_000.0 + 300.0 * i as f64, 5_000.0 + 170.0 * (i as f64).sin() * 200.0))
         .collect()
-}
-
-/// Registers one stream per feed and runs their registration tick; returns the ids beside
-/// the feeds.
-fn replay_fleet(
-    engine: &mut MonitoringEngine,
-    feeds: impl Iterator<Item = TrajectoryFeed>,
-    config: MonitorConfig,
-) -> Vec<(usize, TrajectoryFeed)> {
-    let mut fleet: Vec<_> =
-        feeds.map(|feed| (engine.register_stream(feed.group_size(), config), feed)).collect();
-    replay_tick(engine, &mut fleet);
-    fleet
-}
-
-/// Submits every replay's next recorded epoch, then ticks: what one sample of a replayed
-/// fleet costs.
-fn replay_tick(engine: &mut MonitoringEngine, replays: &mut [(usize, TrajectoryFeed)]) {
-    for (group_id, feed) in replays.iter_mut() {
-        let positions = feed.next_epoch().expect("horizon exhausted mid-bench");
-        engine.submit(EpochUpdate { group_id: *group_id, positions }).expect("a live group");
-    }
-    black_box(engine.tick());
 }
 
 /// GT-Verify fixture: three users with 5 × 5 tiles each around `pᵒ` = the origin, a tile one
@@ -112,17 +84,9 @@ fn gt_fixture(ring_radius: f64) -> GtFixture {
 }
 
 /// Runs `f` repeatedly for the configured budget and prints mean / median / p95.
-///
-/// Returns the measured mean — `None` when the benchmark was filtered out — so sections
-/// can compare variants (e.g. the skewed-fleet fan-out speedup) without re-measuring.
-fn bench<T>(
-    name: &str,
-    budget: Duration,
-    filter: &str,
-    mut f: impl FnMut() -> T,
-) -> Option<Duration> {
+fn bench<T>(name: &str, budget: Duration, filter: &str, mut f: impl FnMut() -> T) {
     if !name.contains(filter) {
-        return None;
+        return;
     }
     // Warm-up: a tenth of the budget.
     let warm_until = Instant::now() + budget / 10;
@@ -151,7 +115,6 @@ fn bench<T>(
         p95.as_secs_f64() * 1e6,
         samples.len()
     );
-    Some(mean)
 }
 
 fn main() {
@@ -211,32 +174,13 @@ fn main() {
         });
     }
 
-    // Fan-out overhead on quiet ticks: a fleet of stationary groups never violates its safe
-    // regions after registration, so every tick is pure violation checking — on eight
-    // workers the per-tick cost is dominated by spawning and joining the tick's threads,
-    // which the inline variant does not pay.  Every group reports each sample, or the tick
-    // would have nobody to advance.
-    for (name, workers) in [("executor/quiet_tick_inline", 1), ("executor/quiet_tick_8_workers", 8)]
-    {
-        let tree = Arc::new(poi_tree(2_000));
-        let stationary: Arc<Vec<Trajectory>> =
-            Arc::new(users(3).iter().map(|p| Trajectory::new(vec![*p; 400_000])).collect());
-        let config = MonitorConfig::new(Objective::Max, Method::circle());
-        let mut engine = MonitoringEngine::new(Arc::clone(&tree), workers);
-        // 32 groups sharing one recording (feeds share the Arc, never copy the data).
-        let feeds = (0..32).map(|_| TrajectoryFeed::new(Arc::clone(&stationary)));
-        let mut fleet = replay_fleet(&mut engine, feeds, config);
-        b(name, &mut || replay_tick(&mut engine, &mut fleet));
-    }
-
     // One report into a quiet registered fleet: the paper's server does nothing for a group
     // until it reports (§3), so the tick that consumes one report should cost one session's
     // work whatever the fleet size.  Both fleets are stationary Circle/MAX groups of three
     // on a grid; each sample submits one group's (unchanged) positions and ticks once.
     for groups in [200usize, 20_000] {
-        let tree = Arc::new(poi_tree(8_000));
         let config = MonitorConfig::new(Objective::Max, Method::circle());
-        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
+        let mut engine = MonitoringEngine::new(poi_tree(8_000), 1);
         let spot = |g: usize| {
             let (x, y) = (300.0 + 65.0 * (g % 145) as f64, 300.0 + 65.0 * (g / 145) as f64);
             (0..3).map(|i| Point::new(x + 14.0 * i as f64, y + 8.0 * i as f64)).collect()
@@ -255,83 +199,6 @@ fn main() {
             black_box(engine.tick());
             next = (next + 1) % groups;
         });
-    }
-
-    // Skewed-fleet busy ticks: the workload a multi-worker tick exists for.  32 groups of
-    // Zipf-ish sizes [4, 3, 2, 1] teleport every epoch and therefore recompute their safe
-    // regions on every tick.  The size classes are registered one after the other, so they
-    // are contiguous in id order: the ready list is cut into 16 batches of two, and the
-    // threads that drew the lighter classes take the batches left over.
-    {
-        const WORKERS: usize = 4;
-        const CLASS_SIZES: [usize; 4] = [4, 3, 2, 1];
-        const COPIES: usize = 8;
-        const HOT_HORIZON: usize = 20_000;
-        let tree = Arc::new(poi_tree(8_000));
-        let classes: Vec<Arc<Vec<Trajectory>>> = (0..CLASS_SIZES.len())
-            .map(|c| {
-                Arc::new(
-                    (0..CLASS_SIZES[c])
-                        .map(|i| {
-                            let a = Point::new(
-                                3_600.0 + 450.0 * c as f64 + 40.0 * i as f64,
-                                4_600.0 + 250.0 * c as f64 + 90.0 * i as f64,
-                            );
-                            // A short local jump: far enough to violate every safe region
-                            // (so every tick is a recomputation tick), near enough that
-                            // both endpoints stay in the central POI band, where tile
-                            // enumeration stays moderate.
-                            let z = Point::new(a.x + 500.0, a.y + 300.0);
-                            Trajectory::new(
-                                (0..HOT_HORIZON).map(|t| if t % 2 == 0 { a } else { z }).collect(),
-                            )
-                        })
-                        .collect(),
-                )
-            })
-            .collect();
-        // Tile regions: heavy enough (hundreds of microseconds per recomputation) that the
-        // tick cost is compute-dominated, which is what the threads share out.
-        let config = MonitorConfig::new(Objective::Max, Method::tile());
-        let mut inline = MonitoringEngine::new(Arc::clone(&tree), 1);
-        let mut fanned = MonitoringEngine::new(Arc::clone(&tree), WORKERS);
-        let [inline_fleet, fanned_fleet] = &mut [&mut inline, &mut fanned].map(|engine| {
-            let feeds = classes
-                .iter()
-                .flat_map(|class| (0..COPIES).map(|_| TrajectoryFeed::new(Arc::clone(class))));
-            replay_fleet(engine, feeds, config)
-        });
-        // Each sample is a *pair* of ticks, every group reporting before each: the two
-        // oscillation parities enumerate different tile neighbourhoods and so cost
-        // differently, but a pair always covers both, keeping every sample (and thus the
-        // variant means) directly comparable.
-        let hot_inline = bench("executor/skewed_tick_pair_inline", budget, &filter, || {
-            replay_tick(&mut inline, inline_fleet);
-            replay_tick(&mut inline, inline_fleet);
-        });
-        let hot_fanned = bench("executor/skewed_tick_pair_4_workers", budget, &filter, || {
-            replay_tick(&mut fanned, fanned_fleet);
-            replay_tick(&mut fanned, fanned_fleet);
-        });
-        if hot_fanned.is_some() {
-            let report = fanned.report();
-            println!(
-                "  skewed fan-out: {} batches over {} ticks",
-                report.exec.batches, report.ticks
-            );
-            assert_eq!(
-                report.exec.batches,
-                16 * report.ticks,
-                "32 ready groups on 4 workers are 16 batches of two, every tick"
-            );
-        }
-        if let (Some(one), Some(four)) = (hot_inline, hot_fanned) {
-            let speedup = one.as_secs_f64() / four.as_secs_f64();
-            let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-            // Printed, not asserted: a ratio of two wall-clock means is a clock fact (the
-            // same work bursts 2x on a shared host); the schedule facts are asserted above.
-            println!("  skewed speedup: 4 workers {speedup:.2}x vs inline ({cores} cores)");
-        }
     }
 
     // Verifier and pruning ablations.

@@ -333,7 +333,7 @@ thread_local! {
 
 /// Runs `f` with this thread's parked [`TileScratch`] (the `mpn_index::with_scratch`
 /// pattern): taken out of thread-local storage for the call and put back afterwards with
-/// whatever capacity the call grew.  The scratch is per worker thread, never per session — a
+/// whatever capacity the call grew.  The scratch is per thread, never per session — a
 /// session-held copy would cost a tile fleet more memory than the rest of the server.
 fn with_scratch<R>(f: impl FnOnce(&mut TileScratch) -> R) -> R {
     SCRATCH.with(|cell| {

@@ -64,10 +64,10 @@
 //! # Scratch
 //!
 //! The tables live for one computation but their buffers are reused: Tile-MSR (`tile.rs`)
-//! parks one verifier per worker thread, beside the candidate pool that serves the unbuffered
+//! parks one verifier per thread, beside the candidate pool that serves the unbuffered
 //! Theorem 3/6 retrievals, and their vectors keep their capacity, so a warm recompute
-//! performs no heap allocation in the verify loop.  The scratch is per worker thread, never
-//! per session — a session-held copy would cost a Tile-D-b fleet more memory than the rest
+//! performs no heap allocation in the verify loop.  The scratch is per thread, never per
+//! session — a session-held copy would cost a Tile-D-b fleet more memory than the rest
 //! of the server.
 
 use mpn_geom::{min_focal_diff_over_square, DistanceBounds, Point, Square, EPSILON};

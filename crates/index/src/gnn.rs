@@ -215,7 +215,7 @@ impl RTree {
 
     /// The best and second-best meeting points under `aggregate` — the Circle-MSR fast path
     /// (Algorithm 1 line 1 needs exactly the top-2).  Answers and stats are those of
-    /// `top_k(users, aggregate, 2)`, but the neighbours are staged in the per-worker
+    /// `top_k(users, aggregate, 2)`, but the neighbours are staged in the per-thread
     /// [`QueryScratch`](crate::QueryScratch), so a call on a warm thread allocates nothing.
     ///
     /// # Panics

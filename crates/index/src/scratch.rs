@@ -1,4 +1,4 @@
-//! Per-worker query scratch arenas: reusable buffers for the query hot path.
+//! Per-thread query scratch arenas: reusable buffers for the query hot path.
 //!
 //! [`RTree::top2`](crate::RTree::top2) stages its neighbours in a vector before it
 //! copies out the two it returns.  [`QueryScratch`] hoists that vector out of the call: it
@@ -8,12 +8,10 @@
 //!
 //! # Why the scratch is per *thread*
 //!
-//! A one-worker monitoring engine — the configuration the repository benchmark serves —
-//! runs every query on the thread that ticks it.  Keying the arena by thread therefore means
-//! that thread warms its buffers once and keeps them for the lifetime of the fleet, with no
-//! cross-thread synchronisation, because a scratch is only ever touched by the thread that
-//! owns it.  A multi-worker tick's spawned threads live for one tick, so theirs warm once
-//! per tick.
+//! A monitoring engine runs every query on the thread that ticks it.  Keying the arena by
+//! thread therefore means that thread warms its buffers once and keeps them for the lifetime
+//! of the fleet, with no cross-thread synchronisation, because a scratch is only ever
+//! touched by the thread that owns it.
 //!
 //! # What stays on the call stack
 //!

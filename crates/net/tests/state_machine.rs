@@ -27,7 +27,7 @@ fn test_core() -> ServerCore {
         &PoiConfig { count: 400, domain: 2_000.0, clusters: 4, ..PoiConfig::default() },
         11,
     );
-    ServerCore::new(Arc::new(RTree::bulk_load(&pois)), 2)
+    ServerCore::new(Arc::new(RTree::bulk_load(&pois)), 1)
 }
 
 fn circle_config() -> WireConfig {

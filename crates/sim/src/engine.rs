@@ -12,18 +12,17 @@
 //!   recorded replay submits [`TrajectoryFeed::next_epoch`](crate::TrajectoryFeed::next_epoch).
 //! * **Report-driven ticks.**  Like the paper's server, a [`tick`](MonitoringEngine::tick)
 //!   advances exactly the groups with a submitted epoch waiting (the ready list), one epoch
-//!   each, in ascending id order — inline on one worker, in batches over scoped threads with
-//!   more, with the same counters **and events** either way.
+//!   each, in ascending id order, on the calling thread.
 //! * **Fleet lifecycle.**  Groups [`register`](MonitoringEngine::register_stream) at any
 //!   time and [`deregister`](MonitoringEngine::deregister) mid-run; their metrics fold into
 //!   the fleet totals ([`fleet_metrics`](MonitoringEngine::fleet_metrics)) and their ids are
 //!   reused, most recently freed first.  A session past its bounded horizon takes no more
 //!   epochs; an **open-horizon** one (no [`MonitorConfig`] timestamp cap) never finishes.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use mpn_geom::Point;
-use mpn_index::{IndexView, RTree, WorldView};
+use mpn_index::{RTree, WorldView};
 
 use crate::metrics::{EngineReport, MonitoringMetrics};
 use crate::monitor::{EventSink, GroupSession, MonitorConfig, SessionEvent, StepOutcome};
@@ -128,8 +127,8 @@ pub struct InvalidationSummary {
     pub affected: Vec<GroupId>,
 }
 
-/// Benchmark-only shim, ignored: a tick's batches follow from the worker count
-/// (`benchmark/src/trace.rs`; ROADMAP item 1(b)).
+/// Benchmark-only shim, ignored: every tick runs inline (`benchmark/src/trace.rs`; ROADMAP
+/// item 1(b)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TickExecutor {
     /// Ignored, like its batch length.
@@ -139,11 +138,11 @@ pub enum TickExecutor {
     },
 }
 
-/// How the ticks so far fanned out, as opposed to what the fleet computed: a scheduling
-/// artifact that differs with the worker count, never a protocol counter.
+/// Benchmark-only shim (`benchmark/src/trace.rs`; ROADMAP item 1(b)): every tick runs
+/// inline on the calling thread, so every counter is always 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TickExecCounters {
-    /// Ready-list batches handed to the tick's threads (none for a tick run inline).
+    /// Benchmark-only shim, always 0 (`benchmark/src/trace.rs`; ROADMAP item 1(b)).
     pub batches: usize,
     /// Benchmark-only shim, always 0 (`benchmark/src/trace.rs`; ROADMAP item 1(b)).
     pub steals: usize,
@@ -153,8 +152,8 @@ pub struct TickExecCounters {
 
 /// Aggregate outcome of one fleet-wide tick.
 ///
-/// Every field is deterministic — identical across worker counts — and pinned by
-/// `tests/engine_parity.rs`.
+/// Every field is deterministic — a count of what the groups did, never of how long — and
+/// pinned by `tests/engine_parity.rs`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TickSummary {
     /// Index of the tick (0 = the registration tick of the initially registered groups).
@@ -181,118 +180,21 @@ pub struct TickSummary {
     pub retired: usize,
 }
 
-/// Ready-list batches per worker in a tick that fans out: enough that a thread held up by a
-/// run of expensive recomputes leaves the rest of the list to the others, few enough that
-/// the per-batch event buffers and queue round-trips stay noise.
-const BATCHES_PER_WORKER: usize = 4;
-
-/// Advances the sessions `ids` — a sorted run of the ready list, all inside the slab piece
-/// that starts at id `first` — one epoch each; returns their tick tally.
-///
-/// Every ready session has an epoch queued and is unfinished, so each advance consumes one;
-/// the tally counts the advances and the sessions they finished.  Sessions are fully
-/// independent, so how the ready list is cut (and which thread runs a batch) changes only
-/// the schedule, never any counter (`tests/engine_parity.rs` pins it).
-fn advance_batch(
-    first: GroupId,
-    slab: &mut [Option<GroupSession>],
-    ids: &[GroupId],
-    view: IndexView<'_>,
-    events: &mut EventSink,
-) -> TickSummary {
-    let mut tally = TickSummary::default();
-    for &id in ids {
-        let session = slab[id - first].as_mut().expect("a ready id holds a session");
-        match session.advance_into(view, id, events) {
-            StepOutcome::Registered => tally.registered += 1,
-            StepOutcome::Quiet => {}
-            StepOutcome::Updated { violators } => {
-                tally.updated += 1;
-                tally.violators += violators;
-            }
-            StepOutcome::Finished | StepOutcome::Starved => {
-                unreachable!("a ready session has an epoch to consume")
-            }
-        }
-        tally.advanced += 1;
-        if session.is_finished() {
-            tally.finished += 1;
-        }
-    }
-    tally
-}
-
-/// A slab piece, the id of its first slot and the batch of ready ids inside it.
-type Batch<'a> = (GroupId, &'a mut [Option<GroupSession>], &'a [GroupId]);
-
-/// Cuts the sorted `ready` list into batches of `len` ids and the slab into the disjoint
-/// pieces they live in, so each batch can go to a thread of its own.
-fn cut_batches<'a>(
-    mut slab: &'a mut [Option<GroupSession>],
-    ready: &'a [GroupId],
-    len: usize,
-) -> Vec<Batch<'a>> {
-    let mut first = 0;
-    let mut batches = Vec::with_capacity(ready.len().div_ceil(len));
-    for ids in ready.chunks(len) {
-        let end = ids[ids.len() - 1] + 1;
-        let (piece, rest) = std::mem::take(&mut slab).split_at_mut(end - first);
-        batches.push((first, piece, ids));
-        (slab, first) = (rest, end);
-    }
-    batches
-}
-
-/// Runs `run` on every job over at most `workers` threads of one [`std::thread::scope`], the
-/// calling thread among them, and returns the results in job order.
-///
-/// Each thread takes the next job from a shared queue until none is left, so a thread held up
-/// by an expensive job leaves the rest to the others.  A job's panic reaches the caller once
-/// every thread has stopped.
-pub(crate) fn fan_out<J: Send, R: Send>(
-    workers: usize,
-    jobs: Vec<J>,
-    run: impl Fn(J) -> R + Sync,
-) -> Vec<R> {
-    let threads = workers.min(jobs.len());
-    let queue = Mutex::new(jobs.into_iter().enumerate());
-    let work = || {
-        let mut done = Vec::new();
-        loop {
-            // Bound first: the guard must not live on while the job runs.
-            let next = queue.lock().expect("no job runs under the queue lock").next();
-            let Some((i, job)) = next else { return done };
-            done.push((i, run(job)));
-        }
-    };
-    let mut done = std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
-        let mut done = work();
-        for helper in helpers {
-            done.extend(helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
-        }
-        done
-    });
-    done.sort_unstable_by_key(|&(i, _)| i);
-    done.into_iter().map(|(_, result)| result).collect()
-}
-
 /// Runs `pass`, which sends in ascending group id, with the earlier passes' `logged` events
 /// (ascending too) merged in: `send` sees ascending ids, a group's logged events first.
-fn merged_with<R>(
+fn merged_with(
     logged: Vec<(GroupId, SessionEvent)>,
     send: &mut EventSink,
-    pass: impl FnOnce(&mut EventSink) -> R,
-) -> R {
+    pass: impl FnOnce(&mut EventSink),
+) {
     let mut logged = logged.into_iter().peekable();
-    let result = pass(&mut |group, event| {
+    pass(&mut |group, event| {
         while let Some((id, earlier)) = logged.next_if(|&(id, _)| id <= group) {
             send(id, earlier);
         }
         send(group, event);
     });
     logged.for_each(|(id, earlier)| send(id, earlier));
-    result
 }
 
 /// A stateful server monitoring a churning fleet of moving groups over one POI index.
@@ -332,24 +234,19 @@ pub struct MonitoringEngine {
     /// sends, and what [`tick`](MonitoringEngine::tick) collected.
     events: Vec<(GroupId, SessionEvent)>,
     clock: usize,
-    /// Threads a tick may fan out over (1 = always inline on the caller).
-    workers: usize,
-    /// Ready-list batches handed to threads over every tick so far.
-    batches: usize,
 }
 
 impl MonitoringEngine {
-    /// Creates an engine over the POI tree that ticks on up to `workers` threads.
+    /// Creates an engine over the POI tree.  Every tick runs on the calling thread.
     ///
     /// Accepts the tree by value or as a pre-shared [`Arc`] (`Arc::clone` a handle to keep
-    /// reading the index from outside the engine).  `workers` is clamped to at least 1.
-    /// One worker means fully serial, inline ticks; see [`tick`](MonitoringEngine::tick) for
-    /// what more buy.
+    /// reading the index from outside the engine).  `_workers` is a benchmark-only shim
+    /// (ROADMAP item 1(b)): ignored, every tick runs inline.
     ///
     /// # Panics
     /// Panics when the POI tree is empty.
     #[must_use]
-    pub fn new(tree: impl Into<Arc<RTree>>, workers: usize) -> Self {
+    pub fn new(tree: impl Into<Arc<RTree>>, _workers: usize) -> Self {
         let world = WorldView::new(tree.into());
         assert!(!world.is_empty(), "monitoring requires a non-empty POI set");
         Self {
@@ -361,8 +258,6 @@ impl MonitoringEngine {
             departed: MonitoringMetrics::new(0),
             events: Vec::new(),
             clock: 0,
-            workers: workers.max(1),
-            batches: 0,
         }
     }
 
@@ -483,8 +378,8 @@ impl MonitoringEngine {
     /// Takes the events [`tick`](MonitoringEngine::tick) collected and world changes pushed
     /// since the last call: those of every session registered
     /// [`with_events`](GroupSession::with_events), tagged with the group id, in ascending
-    /// group id order — whatever the worker count — and, within one session, in the order
-    /// they were sent.  [`tick_with`](MonitoringEngine::tick_with) streams them instead.
+    /// group id order and, within one session, in the order they were sent.
+    /// [`tick_with`](MonitoringEngine::tick_with) streams them instead.
     pub fn drain_events(&mut self) -> Vec<(GroupId, SessionEvent)> {
         std::mem::take(&mut self.events)
     }
@@ -564,12 +459,6 @@ impl MonitoringEngine {
         self.free_ids.len()
     }
 
-    /// Number of threads a tick may fan out over (1 = inline on the caller).
-    #[must_use]
-    pub fn worker_count(&self) -> usize {
-        self.workers
-    }
-
     /// Number of ticks executed so far.
     #[must_use]
     pub fn clock(&self) -> usize {
@@ -583,8 +472,8 @@ impl MonitoringEngine {
         self.finished == self.group_count()
     }
 
-    /// One coherent snapshot of the whole engine: clock, membership accounting, fan-out
-    /// totals and the merged fleet metrics — see [`EngineReport`] for what each field
+    /// One coherent snapshot of the whole engine: clock, membership accounting and the
+    /// merged fleet metrics — see [`EngineReport`] for what each field
     /// measures.
     ///
     /// Cost is O(fleet) — snapshot at phase boundaries, not per tick.
@@ -594,7 +483,7 @@ impl MonitoringEngine {
             ticks: self.clock,
             groups: self.group_count(),
             retired: self.retired_count(),
-            exec: TickExecCounters { batches: self.batches, ..TickExecCounters::default() },
+            exec: TickExecCounters::default(),
             cache: Some(mpn_index::CacheStats),
             fleet: self.fleet_metrics(),
         }
@@ -610,51 +499,38 @@ impl MonitoringEngine {
     }
 
     /// Advances every ready session — registered, unfinished, with a submitted epoch waiting
-    /// — one epoch, in ascending id order, handing `send` the events in ascending group id:
-    /// the tick's own, merged with the pushes world changes logged since the last tick (a
-    /// group's pushes first).  Every other session is untouched.
-    ///
-    /// A one-worker engine, or a tick with fewer than two ready sessions, runs fully inline
-    /// and hands each event on as it is sent.  Otherwise the sorted ready list is cut into up
-    /// to four batches per worker, and the threads of one [`std::thread::scope`] — up to
-    /// `workers − 1` spawned for the tick, plus the calling thread — take them from a shared
-    /// queue until none is left.  Each batch's events go to a buffer of its own, replayed in
-    /// batch order.  Counters and events are deterministic: groups are independent and
-    /// batches are replayed in id order, so the summary, all per-group metrics and the events
-    /// are identical to a serial replay regardless of worker count.
-    ///
-    /// Spawned threads are fresh every tick, so their query scratch starts cold; the calling
-    /// thread's stays warm.
+    /// — one epoch, in ascending id order on the calling thread, handing `send` each event as
+    /// it is sent, in ascending group id: the tick's own, merged with the pushes world changes
+    /// logged since the last tick (a group's pushes first).  Every other session is untouched.
     pub fn tick_with(&mut self, send: &mut dyn FnMut(GroupId, SessionEvent)) -> TickSummary {
         let view = self.world.view();
-        // Sorting in place and the inline pass allocate nothing: together with the
-        // per-thread query scratch, a steady-state one-worker tick allocates nothing at all
-        // (`tests/alloc_gates.rs` pins this).
+        // Sorting in place and the pass allocate nothing: together with the per-thread query
+        // scratch, a steady-state tick allocates nothing at all (`tests/alloc_gates.rs` pins
+        // this).
         self.ready.sort_unstable();
         let logged = std::mem::take(&mut self.events);
-        let mut summary = merged_with(logged, send, |send| {
-            if self.workers == 1 || self.ready.len() < 2 {
-                return advance_batch(0, &mut self.slab, &self.ready, view, send);
+        let mut summary = TickSummary::default();
+        merged_with(logged, send, |send| {
+            // Every ready session has an epoch queued and is unfinished, so each advance
+            // consumes one; `finished` counts the sessions this tick finished.
+            for &id in &self.ready {
+                let session = self.slab[id].as_mut().expect("a ready id holds a session");
+                match session.advance_into(view, id, send) {
+                    StepOutcome::Registered => summary.registered += 1,
+                    StepOutcome::Quiet => {}
+                    StepOutcome::Updated { violators } => {
+                        summary.updated += 1;
+                        summary.violators += violators;
+                    }
+                    StepOutcome::Finished | StepOutcome::Starved => {
+                        unreachable!("a ready session has an epoch to consume")
+                    }
+                }
+                summary.advanced += 1;
+                if session.is_finished() {
+                    summary.finished += 1;
+                }
             }
-            let len = self.ready.len().div_ceil(self.workers * BATCHES_PER_WORKER);
-            let batches = cut_batches(&mut self.slab, &self.ready, len);
-            self.batches += batches.len();
-            let outcomes = fan_out(self.workers, batches, |(first, slab, ids)| {
-                let mut sent = Vec::new();
-                let tally = advance_batch(first, slab, ids, view, &mut |id, e| sent.push((id, e)));
-                (tally, sent)
-            });
-            let mut summary = TickSummary::default();
-            for (t, sent) in outcomes {
-                // `tick`, `starved` and `retired` are fleet-wide: filled in below.
-                summary.advanced += t.advanced;
-                summary.updated += t.updated;
-                summary.violators += t.violators;
-                summary.registered += t.registered;
-                summary.finished += t.finished;
-                sent.into_iter().for_each(|(id, event)| send(id, event));
-            }
-            summary
         });
         summary.starved = self.group_count() - self.finished - summary.advanced;
         self.finished += summary.finished;
@@ -762,19 +638,19 @@ mod tests {
     }
 
     #[test]
-    fn parallel_ticks_match_serial_replays() {
+    fn engine_ticks_match_serial_replays() {
         let (tree, fleet) = world(6);
         let config = MonitorConfig::new(Objective::Max, Method::tile()).with_max_timestamps(80);
 
         let serial: Vec<_> = fleet.iter().map(|g| run_monitoring(&tree, g, &config)).collect();
 
-        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 4);
+        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
         let mut replays: Replays = fleet.iter().map(|g| replay(&mut engine, g, config)).collect();
         assert_eq!(run(&mut engine, &mut replays), 80, "80-timestamp horizon takes 80 ticks");
-        let parallel = engine.into_group_metrics();
+        let ticked = engine.into_group_metrics();
 
-        assert_eq!(parallel.len(), serial.len());
-        for (p, s) in parallel.iter().zip(&serial) {
+        assert_eq!(ticked.len(), serial.len());
+        for (p, s) in ticked.iter().zip(&serial) {
             assert_eq!(p.updates, s.updates);
             assert_eq!(p.timestamps, s.timestamps);
             assert_eq!(p.traffic, s.traffic);
@@ -786,7 +662,7 @@ mod tests {
     fn tick_summaries_account_for_every_session() {
         let (tree, fleet) = world(5);
         let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(40);
-        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 2);
+        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
         let mut replays: Replays = fleet.iter().map(|g| replay(&mut engine, g, config)).collect();
         assert_eq!(engine.group_count(), 5);
 
@@ -814,7 +690,7 @@ mod tests {
     fn fleet_metrics_merge_all_groups() {
         let (tree, fleet) = world(3);
         let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(30);
-        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 8);
+        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
         let mut replays: Replays = fleet.iter().map(|g| replay(&mut engine, g, config)).collect();
         run(&mut engine, &mut replays);
         let fleet_metrics = engine.fleet_metrics();
@@ -827,7 +703,7 @@ mod tests {
     #[test]
     fn heterogeneous_sessions_coexist() {
         let (tree, fleet) = world(2);
-        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 3);
+        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
         let circle = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(20);
         let tile = MonitorConfig::new(Objective::Sum, Method::tile()).with_max_timestamps(50);
         let mut replays =
@@ -844,7 +720,7 @@ mod tests {
     fn late_registration_starts_from_the_groups_own_clock() {
         let (tree, fleet) = world(2);
         let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(25);
-        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 2);
+        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
         let mut replays: Replays = vec![replay(&mut engine, &fleet[0], config)];
         submit_and_tick(&mut engine, &mut replays);
         submit_and_tick(&mut engine, &mut replays);
@@ -859,7 +735,7 @@ mod tests {
     fn deregistered_groups_keep_their_metrics_and_free_their_ids() {
         let (tree, fleet) = world(4);
         let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(30);
-        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 2);
+        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
         let mut replays: Replays = fleet.iter().map(|g| replay(&mut engine, g, config)).collect();
         let ids: Vec<_> = replays.iter().map(|(id, _)| *id).collect();
         for _ in 0..10 {
@@ -898,7 +774,7 @@ mod tests {
     fn rejecting_an_empty_group_leaves_the_bookkeeping_intact() {
         let (tree, fleet) = world(1);
         let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(10);
-        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 2);
+        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
         let mut replays: Replays = vec![replay(&mut engine, &fleet[0], config)];
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             engine.register_stream(0, config);
@@ -916,7 +792,7 @@ mod tests {
         let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(30);
         let replay = run_monitoring(&tree, &fleet[0], &config);
 
-        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 2);
+        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
         let id = engine.register_stream(fleet[0].len(), config);
         assert_eq!(engine.group(id).horizon(), Some(30), "a capped stream is bounded");
 
@@ -939,7 +815,7 @@ mod tests {
     fn starved_streams_are_counted_but_do_not_advance() {
         let (tree, fleet) = world(1);
         let config = MonitorConfig::new(Objective::Max, Method::circle());
-        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 2);
+        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
         let id = engine.register_stream(3, config);
         assert_eq!(engine.group(id).horizon(), None, "an uncapped stream has an open horizon");
         assert!(!engine.is_finished(), "open-horizon fleets are never finished");
@@ -961,7 +837,7 @@ mod tests {
     fn submit_rejects_unknown_groups_and_bad_batches() {
         let (tree, fleet) = world(1);
         let config = MonitorConfig::new(Objective::Max, Method::circle());
-        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 2);
+        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
         let id = engine.register_stream(3, config);
 
         let bad = engine.submit(EpochUpdate { group_id: 99, positions: vec![Point::ORIGIN; 3] });
@@ -994,7 +870,7 @@ mod tests {
     fn drain_events_tags_session_events_with_group_ids() {
         let (tree, fleet) = world(2);
         let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(20);
-        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 2);
+        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
         let silent = replay(&mut engine, &fleet[0], config);
         let feed = TrajectoryFeed::from_group(&fleet[1]);
         let logged = engine
@@ -1010,26 +886,5 @@ mod tests {
         );
         assert!(events.iter().any(|(_, e)| matches!(e, SessionEvent::Assigned { .. })));
         assert!(engine.drain_events().is_empty(), "draining is destructive");
-    }
-
-    #[test]
-    fn engine_shutdown_joins_the_pool_workers() {
-        let (tree, fleet) = world(4);
-        let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(10);
-        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 4);
-        let mut replays: Replays = fleet.iter().map(|g| replay(&mut engine, g, config)).collect();
-        submit_and_tick(&mut engine, &mut replays);
-        submit_and_tick(&mut engine, &mut replays);
-        // The test keeps its historical name: a tick joins the threads it fanned out over
-        // before it returns, so an engine dropped mid-run has no worker left to join (a hang
-        // here shows up as a timeout under `cargo test -- --test-threads=1`).
-        assert_eq!(engine.report().exec.batches, 8, "4 ready groups, one per batch, twice");
-        drop(engine);
-
-        // An engine that never ticked in parallel (one worker) also drops cleanly.
-        let mut serial = MonitoringEngine::new(Arc::clone(&tree), 1);
-        let mut replays = vec![replay(&mut serial, &fleet[0], config)];
-        run(&mut serial, &mut replays);
-        drop(serial);
     }
 }

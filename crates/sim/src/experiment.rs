@@ -32,13 +32,13 @@ pub struct WorkloadSummary {
 
 /// Runs one monitoring configuration over every group of the workload and averages the results.
 ///
-/// This drives a [`MonitoringEngine`] with a **single worker**: the paper's figures report
-/// per-update CPU time, and timing safe-region computations while other workers compete for
-/// cores would inflate those numbers.  Each group is a stream capped at its recording
-/// ([`TrajectoryFeed::capped`]) and, like any client, submits its next recorded epoch before
-/// each tick (a tick that advances nobody before the end panics).  The engine shares its POI
-/// index via `Arc`, so the tree and the workload's groups are cloned once per call — a
-/// one-off memcpy that is negligible against the monitoring compute it feeds.
+/// This drives one [`MonitoringEngine`], which ticks on the calling thread, so the per-update
+/// CPU time the paper's figures report is the computation's own.  Each group is a stream
+/// capped at its recording ([`TrajectoryFeed::capped`]) and, like any client, submits its
+/// next recorded epoch before each tick (a tick that advances nobody before the end panics).
+/// The engine shares its POI index via `Arc`, so the tree and the workload's groups are
+/// cloned once per call — a one-off memcpy that is negligible against the monitoring compute
+/// it feeds.
 #[must_use]
 pub fn run_workload(
     tree: &RTree,

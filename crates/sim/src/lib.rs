@@ -25,8 +25,7 @@
 //!   horizon**: it monitors until deregistered.
 //! * [`MonitoringEngine`] ([`engine`]) — a churning fleet of sessions in one slab indexed
 //!   by group id.  A [`tick`](MonitoringEngine::tick) advances exactly the groups with a
-//!   submitted epoch waiting, one epoch each (inline, or in batches of the ready list fanned
-//!   out over scoped threads).
+//!   submitted epoch waiting, one epoch each, on the calling thread.
 //!   The engine owns its POI index as a [`mpn_index::WorldView`] (one R-tree per world
 //!   state, rebuilt on every POI change) and has no lifetime parameters, so it moves freely
 //!   into server threads.  Dynamic membership
@@ -90,21 +89,21 @@
 //!   machinery (see `mpn-net`'s crate docs for the idle-connection delivery and ordering
 //!   guarantees).
 //!
-//! # Tick scheduling
+//! # One thread by design
 //!
-//! The worker count is the one knob.  A one-worker engine advances its ready list inline.
-//! With more workers a tick cuts the sorted ready list — never the slab — into a few
-//! batches per worker and fans them out over one [`std::thread::scope`]: up to `workers − 1`
-//! threads spawned for the tick plus the calling thread, each taking the next batch from a
-//! shared queue, so a thread held up by a run of expensive recomputes leaves the rest to
-//! the others.  A quiet fleet with one report costs no thread at all.  The
-//! [`EngineReport`]'s [`TickExecCounters`] count the batches handed out.  The schedule
-//! changes no protocol counter and no event — each stays identical to the serial replay.
+//! A tick advances its ready list on the calling thread, and nothing in the crate spawns a
+//! thread.  The paper's server (§3, Fig. 3) handles each group's report, probe, recompute
+//! and notify on its own, and a tick that fanned batches of its ready list out over scoped
+//! threads was measured against this one and deleted, for two reasons:
 //!
-//! The benchmarked server ticks on one worker.  A spawned thread costs about 30 µs a tick
-//! on two vCPUs (`executor/quiet_tick_8_workers` against `executor/quiet_tick_inline` in the
-//! micro-bench), which only ticks that carry heavy recomputes win back
-//! (`executor/skewed_tick_pair_{inline,4_workers}`).
+//! * the served benchmark pins its server process to one CPU, so a second thread there only
+//!   shares that CPU;
+//! * unpinned, on two shared vCPUs (10 alternating 1-vs-2-worker pairs a workload at seed 1,
+//!   20 s each, every count equal), two workers won nowhere.  On `drive_tile_max` the
+//!   medians were `setup_s` 0.171 → 0.167 s (lower in 6 of 10 pairs), server CPU per report
+//!   622 → 613 µs (4 of 10) and `server_rss_mb` 6.38 → 7.67.  On `walk_circle_max` they were
+//!   `setup_s` 0.127 → 0.115 s (6 of 10), server CPU per report 1.69 → 1.95 µs, the median
+//!   notify latency 0.224 → 0.302 ms and `server_rss_mb` 20.7 → 24.2 (all worse in 10 of 10).
 //!
 //! # Memory layout of the tick hot path
 //!
@@ -129,35 +128,32 @@
 //!   included (it was 1,269); `tests/alloc_gates.rs` gates it and prints the table by owner.
 //! * **One event stream per tick** — sessions keep no event log.  What a session created
 //!   [`with_events`](GroupSession::with_events) sends goes, tagged with its group id, to
-//!   the callback of [`MonitoringEngine::tick_with`] (via one buffer per batch when a tick
-//!   fans out), merged in ascending id with the pushes of world changes since the last
-//!   tick; [`ServerCore`] encodes each one as it arrives.  A tick that sends nothing
-//!   allocates nothing.
-//! * **Per-worker query scratch arenas** — the index layer stages GNN neighbours in
+//!   the callback of [`MonitoringEngine::tick_with`] as it is sent, merged in ascending id
+//!   with the pushes of world changes since the last tick; [`ServerCore`] encodes each one
+//!   as it arrives.  A tick that sends nothing allocates nothing.
+//! * **Per-thread query scratch arenas** — the index layer stages GNN neighbours in
 //!   thread-local [`mpn_index::QueryScratch`] buffers ([`mpn_index::with_scratch`]) and
 //!   keeps the GNN frontier per thread beside them, so a query on a warm thread performs
-//!   *zero* heap allocations.
-//!   A one-worker engine ticks on the calling thread, whose arenas warm once and serve the
-//!   engine's lifetime through an allocation-free inline path (asserted by the counting
-//!   allocator of the tier-1 test `tests/alloc_gates.rs`).  A tick's spawned threads are
-//!   fresh, so theirs warm once per tick.
+//!   *zero* heap allocations.  The engine ticks on the calling thread, whose arenas warm
+//!   once and serve the engine's lifetime through an allocation-free tick (asserted by the
+//!   counting allocator of the tier-1 test `tests/alloc_gates.rs`).
 //!
 //! # Engine-wide snapshots
 //!
 //! [`MonitoringEngine::report`] returns an [`EngineReport`]: one coherent struct holding
 //! the engine clock, membership accounting (registered groups / ids awaiting reuse),
-//! lifetime fan-out [`TickExecCounters`] and the merged fleet [`MonitoringMetrics`]
-//! (departed groups included).  A measurement tool (the `benchmark/` package's traced run)
-//! reads this one snapshot instead of poking four accessors.  Every field is a fixed-size counter
-//! — no per-update sample is kept anywhere — so a report costs O(fleet) and a session's
-//! metrics never grow.  Reports are cumulative; phase-based tools snapshot at phase
-//! boundaries and diff the counters.
+//! the always-zero [`TickExecCounters`] the benchmark still reads and the merged fleet
+//! [`MonitoringMetrics`] (departed groups included).  A measurement tool (the `benchmark/`
+//! package's traced run) reads this one snapshot instead of poking four accessors.  Every
+//! field is a fixed-size counter — no per-update sample is kept anywhere — so a report
+//! costs O(fleet) and a session's metrics never grow.  Reports are cumulative; phase-based
+//! tools snapshot at phase boundaries and diff the counters.
 //!
 //! [`run_monitoring`] replays one recording through one session to its horizon (its
 //! counters are pinned bit-identical to the reference loop in `tests/engine_parity.rs`) and
-//! [`experiment::run_workload`] replays a whole multi-group workload through a one-worker
-//! engine, submitting every group's next recorded epoch before each tick, which is how
-//! `mpn-bench`'s `figures` binary reproduces — and checks — every figure of the paper.
+//! [`experiment::run_workload`] replays a whole multi-group workload through one engine,
+//! submitting every group's next recorded epoch before each tick, which is how `mpn-bench`'s
+//! `figures` binary reproduces — and checks — every figure of the paper.
 
 #![forbid(unsafe_code)]
 
@@ -177,79 +173,3 @@ pub use monitor::{
     run_monitoring, GroupSession, MonitorConfig, SessionEvent, StepOutcome, TrajectoryFeed,
 };
 pub use server::{monitor_config, ClientId, ProcessOutput, ServerCore};
-
-/// The tick fan-out's contract ([`engine::fan_out`]): every job runs once on some thread of
-/// one scope, its borrows end at the scope's barrier, results come back in job order, and a
-/// job's panic reaches the caller after the barrier.
-#[cfg(test)]
-mod tests {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::{Duration, Instant};
-
-    use crate::engine::fan_out;
-
-    #[test]
-    fn jobs_mutate_borrowed_data_through_the_barrier() {
-        let mut values = vec![0usize; 16];
-        let jobs: Vec<_> = values.iter_mut().enumerate().collect();
-        let squares = fan_out(4, jobs, |(i, slot)| {
-            *slot = i * i;
-            i * i
-        });
-        assert_eq!(values, (0..16).map(|i| i * i).collect::<Vec<_>>());
-        assert_eq!(squares, values, "results come back in job order");
-    }
-
-    #[test]
-    fn empty_scopes_are_fine() {
-        let ran = AtomicUsize::new(0);
-        let out: Vec<()> = fan_out(3, Vec::<usize>::new(), |_| {
-            ran.fetch_add(1, Ordering::SeqCst);
-        });
-        assert!(out.is_empty());
-        assert_eq!(ran.load(Ordering::SeqCst), 0);
-    }
-
-    #[test]
-    fn zero_thread_request_is_clamped() {
-        let caller = std::thread::current().id();
-        let threads = fan_out(0, vec![(); 5], |()| std::thread::current().id());
-        assert_eq!(threads, vec![caller; 5], "no worker asked for: the caller runs every job");
-    }
-
-    /// Job 0 holds its thread until every other job has finished, so the fan-out completes
-    /// only if the other threads drain the queue meanwhile; a thread that kept jobs of its
-    /// own behind a slow one turns this into a visible test failure.
-    #[test]
-    fn a_slow_job_leaves_the_queue_to_the_other_threads() {
-        const JOBS: usize = 10;
-        let finished = AtomicUsize::new(0);
-        fan_out(3, (0..JOBS).collect(), |job| {
-            if job == 0 {
-                let deadline = Instant::now() + Duration::from_secs(30);
-                while finished.load(Ordering::SeqCst) < JOBS - 1 {
-                    assert!(Instant::now() < deadline, "the queue starved behind a slow job");
-                    std::thread::yield_now();
-                }
-            }
-            finished.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(finished.load(Ordering::SeqCst), JOBS);
-    }
-
-    #[test]
-    fn job_panics_are_reraised_after_the_barrier() {
-        let ran = AtomicUsize::new(0);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            fan_out(2, (0..16).collect(), |job: usize| {
-                assert_ne!(job, 5, "job boom");
-                ran.fetch_add(1, Ordering::SeqCst);
-            })
-        }));
-        assert!(caught.is_err(), "the job panic must propagate to the caller");
-        assert_eq!(ran.load(Ordering::SeqCst), 15, "every other job still ran");
-        // Nothing outlives the scope: the next fan-out starts clean.
-        assert_eq!(fan_out(2, vec![1, 2], |x| x * 10), vec![10, 20]);
-    }
-}

@@ -67,8 +67,8 @@ impl Traffic {
 ///   **tick throughput** (epochs served per second).
 /// * [`groups`](EngineReport::groups) / [`retired`](EngineReport::retired) — fleet
 ///   membership accounting: registered sessions, and deregistered ids awaiting reuse.
-/// * [`exec`](EngineReport::exec) — lifetime fan-out totals (ready-list batches handed to
-///   threads): how the work was scheduled, as opposed to what it computed.
+/// * [`exec`](EngineReport::exec) — a benchmark-only shim, always zero: every tick runs on
+///   the calling thread.
 /// * [`fleet`](EngineReport::fleet) — the merged [`MonitoringMetrics`] of every session,
 ///   deregistered ones included: the §7.1 measures (update frequency, mean per-update CPU
 ///   time and communication cost as packets); its `group_size` is the lifetime user total.
@@ -83,7 +83,7 @@ pub struct EngineReport {
     pub groups: usize,
     /// Deregistered ids awaiting reuse.
     pub retired: usize,
-    /// Fan-out diagnostics accumulated over every tick (see [`TickExecCounters`]).
+    /// Benchmark-only shim, always zero (see [`TickExecCounters`]).
     pub exec: TickExecCounters,
     /// Benchmark-only shim, always `Some` (`benchmark/src/trace.rs`; ROADMAP item 1(c)).
     pub cache: Option<mpn_index::CacheStats>,

@@ -19,9 +19,9 @@
 //! inbox is empty reports [`StepOutcome::Starved`] and does not advance its clock: epochs
 //! are data-driven, so a streaming group that reports slowly simply progresses slowly.
 //!
-//! Sessions are self-clocked and `Send`, so a
-//! [`MonitoringEngine`](crate::engine::MonitoringEngine) can advance many of them from worker
-//! threads.  A session created [`with_events`](GroupSession::with_events) sends the
+//! Sessions are self-clocked and independent, so a
+//! [`MonitoringEngine`](crate::engine::MonitoringEngine) advances exactly the ones that
+//! reported, in any order.  A session created [`with_events`](GroupSession::with_events) sends the
 //! per-user protocol sends of each epoch, as [`SessionEvent`]s tagged with its group id, to
 //! the event sink of the engine tick that advanced it; [`ServerCore`](crate::server::ServerCore)
 //! turns those into `mpn-proto` responses.  A session keeps no log of its own, and holds

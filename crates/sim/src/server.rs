@@ -114,14 +114,16 @@ pub struct ServerCore {
 }
 
 impl ServerCore {
-    /// Creates a core over the POI tree whose engine ticks on `workers` threads (1 = inline).
+    /// Creates a core over the POI tree whose engine ticks on the calling thread.
+    /// `_workers` is a benchmark-only shim (ROADMAP item 1(b)): ignored, every tick runs
+    /// inline.
     ///
     /// # Panics
     /// Panics when the POI tree is empty.
     #[must_use]
-    pub fn new(tree: impl Into<Arc<RTree>>, workers: usize) -> Self {
+    pub fn new(tree: impl Into<Arc<RTree>>, _workers: usize) -> Self {
         Self {
-            engine: MonitoringEngine::new(tree, workers),
+            engine: MonitoringEngine::new(tree, 1),
             queue: VecDeque::new(),
             owners: Vec::new(),
             backlog: 0,
@@ -456,7 +458,7 @@ mod tests {
     #[test]
     fn register_report_notify_round_trip() {
         let (tree, group) = world();
-        let mut server = ServerCore::new(Arc::clone(&tree), 2);
+        let mut server = ServerCore::new(Arc::clone(&tree), 1);
         server.enqueue(
             CLIENT,
             Request::Register { group_size: group.len() as u32, config: WireConfig::default() },
@@ -511,7 +513,7 @@ mod tests {
     #[test]
     fn invalid_requests_get_error_notifications_not_crashes() {
         let (tree, group) = world();
-        let mut server = ServerCore::new(Arc::clone(&tree), 2);
+        let mut server = ServerCore::new(Arc::clone(&tree), 1);
 
         server.enqueue(CLIENT, Request::Register { group_size: 0, config: WireConfig::default() });
         server.enqueue(CLIENT, Request::Report { group: 17, positions: positions_at(&group, 0) });
@@ -628,7 +630,7 @@ mod tests {
         };
         let replay = crate::monitor::run_monitoring(&tree, &group, &monitor_config(&wire));
 
-        let mut server = ServerCore::new(Arc::clone(&tree), 4);
+        let mut server = ServerCore::new(Arc::clone(&tree), 1);
         server.enqueue(CLIENT, Request::Register { group_size: group.len() as u32, config: wire });
         let id = registered_id(&process(&mut server));
         for t in 0..50 {
@@ -646,7 +648,7 @@ mod tests {
     #[test]
     fn core_routes_responses_to_the_owning_client() {
         let (tree, group) = world();
-        let mut core = ServerCore::new(Arc::clone(&tree), 2);
+        let mut core = ServerCore::new(Arc::clone(&tree), 1);
         core.enqueue(
             7,
             Request::Register { group_size: group.len() as u32, config: WireConfig::default() },
@@ -699,7 +701,7 @@ mod tests {
     #[test]
     fn cross_client_group_access_is_rejected_like_an_unknown_group() {
         let (tree, group) = world();
-        let mut core = ServerCore::new(Arc::clone(&tree), 2);
+        let mut core = ServerCore::new(Arc::clone(&tree), 1);
         core.enqueue(
             1,
             Request::Register { group_size: group.len() as u32, config: WireConfig::default() },
@@ -723,7 +725,7 @@ mod tests {
     #[test]
     fn disconnect_deregisters_owned_groups_and_drops_queued_requests() {
         let (tree, group) = world();
-        let mut core = ServerCore::new(Arc::clone(&tree), 2);
+        let mut core = ServerCore::new(Arc::clone(&tree), 1);
         core.enqueue(
             1,
             Request::Register { group_size: group.len() as u32, config: WireConfig::default() },
@@ -763,7 +765,7 @@ mod tests {
     #[test]
     fn admin_requests_are_gated_and_push_world_updates_to_affected_owners() {
         let (tree, group) = world();
-        let mut core = ServerCore::new(Arc::clone(&tree), 2);
+        let mut core = ServerCore::new(Arc::clone(&tree), 1);
         // Client 1 is the operator console; clients 2 and 3 are ordinary tenants.
         core.grant_admin(1);
         assert!(core.is_admin(1) && !core.is_admin(2));
@@ -842,7 +844,7 @@ mod tests {
     #[test]
     fn a_granted_insert_is_acked_with_an_id_the_operator_can_delete() {
         let (tree, group) = world();
-        let mut server = ServerCore::new(Arc::clone(&tree), 2);
+        let mut server = ServerCore::new(Arc::clone(&tree), 1);
         server.enqueue(CLIENT, Request::Admin(AdminRequest::PoiInsert { location: Point::ORIGIN }));
         let responses = process(&mut server);
         assert_eq!(responses, vec![notification(u64::MAX, NotificationKind::AdminDenied)]);
@@ -872,7 +874,7 @@ mod tests {
     #[test]
     fn backlog_tracks_unconsumed_epochs() {
         let (tree, group) = world();
-        let mut core = ServerCore::new(Arc::clone(&tree), 2);
+        let mut core = ServerCore::new(Arc::clone(&tree), 1);
         core.enqueue(
             1,
             Request::Register { group_size: group.len() as u32, config: WireConfig::default() },

@@ -52,7 +52,7 @@ fn main() {
     let doomed =
         Method::circle().answer(tree.as_ref(), Objective::Max, &north_friends, None).optimal_index;
 
-    let core = ServerCore::new(Arc::clone(&tree), 2);
+    let core = ServerCore::new(Arc::clone(&tree), 1);
     let mut server =
         MuxServer::bind("127.0.0.1:0", core, MuxConfig::default()).expect("bind loopback");
     let addr = server.local_addr().expect("local addr");

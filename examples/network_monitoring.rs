@@ -103,7 +103,7 @@ fn downlink_of(responses: &[(ClientId, Response)], client: ClientId) -> Vec<Resp
 
 fn in_process_demo(tree: Arc<RTree>) {
     println!("== In-process: a request queue drained into engine ticks ==\n");
-    let mut server = ServerCore::new(tree, 4);
+    let mut server = ServerCore::new(tree, 1);
 
     // One client per group: the core routes every response to the client owning the group.
     let clients: [(ClientId, &str, WireConfig); 2] = [
@@ -142,7 +142,7 @@ fn in_process_demo(tree: Arc<RTree>) {
     let acks = server.process().responses;
     let ids: Vec<u64> =
         clients.iter().map(|(client, ..)| registered_id(&downlink_of(&acks, *client))).collect();
-    println!("registered groups {ids:?} ({} workers)\n", server.engine().worker_count());
+    println!("registered groups {ids:?}\n");
 
     let mut tallies = [Downlink::default(), Downlink::default()];
     for _ in 0..EPOCHS {
@@ -224,7 +224,7 @@ fn multiplexed_demo(tree: Arc<RTree>) {
     const MUX_EPOCHS: usize = 60;
 
     println!("\n== Loopback TCP, multiplexed: one event loop, {CLIENTS} concurrent clients ==\n");
-    let core = ServerCore::new(tree, 4);
+    let core = ServerCore::new(tree, 1);
     let mut server =
         MuxServer::bind("127.0.0.1:0", core, MuxConfig::default()).expect("bind mux loopback");
     let addr = server.local_addr().expect("local addr");

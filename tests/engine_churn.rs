@@ -80,7 +80,7 @@ proptest! {
         ops in prop_vec((0usize..4, 0usize..GROUPS), 4..48),
     ) {
         let (tree, fleet) = world();
-        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 3);
+        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
 
         // Model state: which epoch (if any) each group is currently registered under, the
         // engine id it got, and the set of ids the model expects to be free.

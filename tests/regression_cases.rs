@@ -47,7 +47,7 @@ fn finished_total_excludes_deregistered_groups_which_move_to_retired() {
         .collect();
 
     let horizons = [10usize, 10, 30];
-    let mut engine = MonitoringEngine::new(tree, 2);
+    let mut engine = MonitoringEngine::new(tree, 1);
     let mut replays: Vec<_> = fleet
         .iter()
         .zip(horizons)
@@ -110,7 +110,7 @@ fn open_horizon_streams_have_no_finish_line_and_never_count_as_finished() {
     let traj = WaypointConfig { domain: 600.0, speed_limit: 6.0, timestamps: 40 };
     let group: Vec<Trajectory> = (0..2).map(|i| random_waypoint(&traj, 100 + i as u64)).collect();
 
-    let mut engine = MonitoringEngine::new(Arc::clone(&tree), 2);
+    let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
     let capped = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(5);
     let bounded = engine.register_stream(2, capped);
     let mut replays = [(bounded, TrajectoryFeed::from_group(&group))];
@@ -256,7 +256,7 @@ fn undrained_events_stay_grouped_by_session_and_leave_with_their_group() {
         (0..80).map(|i| Point::new(f64::from(i % 10) * 60.0, f64::from(i / 10) * 70.0)).collect();
     let traj = WaypointConfig { domain: 600.0, speed_limit: 40.0, timestamps: 40 };
     let config = MonitorConfig::new(Objective::Max, Method::circle());
-    let mut engine = MonitoringEngine::new(RTree::bulk_load(&pois), 2);
+    let mut engine = MonitoringEngine::new(RTree::bulk_load(&pois), 1);
     let mut replays: Vec<_> = (0..2u64)
         .map(|g| {
             let group: Vec<Trajectory> =

@@ -259,7 +259,7 @@ fn world_changes_recompute_exactly_the_affected_groups() {
         })
         .collect();
     let tree = Arc::new(RTree::bulk_load(&pois));
-    let mut engine = MonitoringEngine::new(Arc::clone(&tree), 2);
+    let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
     let config = MonitorConfig::new(Objective::Max, Method::circle());
     let near = engine.register_session(GroupSession::streaming(2, config));
     let far = engine.register_session(GroupSession::streaming(2, config));
@@ -377,7 +377,7 @@ fn poi_delete_reaches_the_affected_client_as_an_unsolicited_mux_push() {
     let expected =
         Method::circle().answer(tree.as_ref(), Objective::Max, &users, None).optimal_index;
 
-    let core = ServerCore::new(Arc::clone(&tree), 2);
+    let core = ServerCore::new(Arc::clone(&tree), 1);
     let mut mux = MuxServer::bind("127.0.0.1:0", core, MuxConfig::default()).expect("bind mux");
     let addr = mux.local_addr().expect("addr");
     // Connections are numbered from 1 in accept order: the operator console connects first,
