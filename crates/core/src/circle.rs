@@ -123,7 +123,7 @@ mod tests {
         let out = circle_msr(&tree, &users, Objective::Max);
         assert_eq!(out.optimal.entry.id, 0, "(2,2) minimises the max distance");
         assert!(out.radius > 0.0);
-        let answer = crate::Method::Circle.answer(&tree, Objective::Max, &users, None);
+        let (answer, _) = crate::Method::Circle.answer(&tree, Objective::Max, &users, None);
         assert_eq!(answer.regions.len(), users.len());
         for (region, user) in answer.regions.iter().zip(&users) {
             let crate::SafeRegion::Circle(circle) = region else { panic!("not a circle") };

@@ -45,7 +45,7 @@
 //! let tree = RTree::bulk_load(&pois);
 //! let users = vec![Point::new(1.0, 1.0), Point::new(3.0, 0.0)];
 //!
-//! let answer = Method::tile().answer(&tree, Objective::Max, &users, None);
+//! let (answer, _stats) = Method::tile().answer(&tree, Objective::Max, &users, None);
 //! assert!(answer.all_inside(&users));
 //! ```
 
@@ -68,7 +68,7 @@ pub use compress::{
     decode_cells, encode_cells, packets_for_values, region_value_count, MAX_TILE_LEVEL,
     VALUES_PER_PACKET,
 };
-pub use method::{Answer, EngineContext, Method, SafeRegionEngine};
+pub use method::{Answer, EngineContext, Method, SafeRegionEngine, SafeRegionEngineOutput};
 pub use ordering::TileOrdering;
 pub use region::{SafeRegion, TileCell, TileFrame, TileRegion};
 pub use session::SessionState;

@@ -3,7 +3,8 @@
 //! [`Method`] describes a safe-region configuration — Circle-MSR (§4) or a Tile-MSR
 //! configuration (§5, §6) — and computes with it.  Given the POI index view, the objective
 //! and the users' locations it returns an [`Answer`]: the optimal meeting point plus one
-//! independent safe region per user.  There are two calls:
+//! independent safe region per user, and beside it the computation's [`ComputeStats`], which
+//! the caller folds into its own tally at once.  There are two calls:
 //!
 //! * [`Method::answer`] answers a one-shot query.
 //! * [`Method::answer_session`] answers a monitored group's update.  It threads the group's
@@ -73,7 +74,8 @@ impl Method {
         matches!(self, Method::Tile(_))
     }
 
-    /// One-shot computation: the optimal meeting point plus one safe region per user.
+    /// One-shot computation: the optimal meeting point plus one safe region per user, and the
+    /// computation's work counters.
     ///
     /// `view` is anything convertible to an [`IndexView`] (a `&RTree`, `&Arc<RTree>` or
     /// `&WorldView`).  `headings[i]`, when provided, is user `i`'s predicted travel direction
@@ -88,7 +90,7 @@ impl Method {
         objective: Objective,
         users: &[Point],
         headings: Option<&[Option<f64>]>,
-    ) -> Answer {
+    ) -> (Answer, ComputeStats) {
         self.compute(view.into(), objective, users, headings, &mut None)
     }
 
@@ -97,6 +99,7 @@ impl Method {
     ///
     /// The answer is stored in (and borrowed back from) the session, so no per-update clone
     /// of the region vectors is paid; read it again later via [`SessionState::last_answer`].
+    /// The work counters are returned beside it and not stored: a session keeps no tally.
     /// Callers must have fed the current locations to [`SessionState::observe`] beforehand
     /// (unless [`Method::uses_headings`] is `false`).
     ///
@@ -108,9 +111,9 @@ impl Method {
         objective: Objective,
         users: &[Point],
         session: &'s mut SessionState,
-    ) -> &'s Answer {
+    ) -> (&'s Answer, ComputeStats) {
         let view = view.into();
-        let answer = match self {
+        let (answer, stats) = match self {
             // Circle-MSR never reads a heading, so the per-update `predicted_headings()`
             // vector is skipped: the only allocation left in a circle update is the answer's
             // region vector.
@@ -121,7 +124,7 @@ impl Method {
                 self.compute(view, objective, users, Some(&headings), cache.unwrap_or(&mut None))
             }
         };
-        session.record_answer(answer, view.generation())
+        (session.record_answer(answer, view.generation()), stats)
     }
 
     fn compute(
@@ -131,7 +134,7 @@ impl Method {
         users: &[Point],
         headings: Option<&[Option<f64>]>,
         cache: &mut Option<Box<BufferCache>>,
-    ) -> Answer {
+    ) -> (Answer, ComputeStats) {
         let (optimal, regions, stats) = match self {
             Method::Circle => {
                 let out = circle_msr(view, users, objective);
@@ -149,13 +152,13 @@ impl Method {
                 (out.optimal, regions, out.stats)
             }
         };
-        Answer {
+        let answer = Answer {
             optimal_index: optimal.entry.id,
             optimal_point: optimal.entry.location,
             optimal_dist: optimal.dist,
             regions,
-            stats,
-        }
+        };
+        (answer, stats)
     }
 }
 
@@ -170,8 +173,6 @@ pub struct Answer {
     pub optimal_dist: f64,
     /// One safe region per user, in the order of the `users` slice.
     pub regions: Vec<SafeRegion>,
-    /// Work counters for the computation.
-    pub stats: ComputeStats,
 }
 
 impl Answer {
@@ -211,7 +212,7 @@ impl Answer {
 }
 
 // The benchmark's traced replay (`benchmark/src/trace.rs`) still computes through the trait
-// below, and the benchmark is only ever changed on its own.  These three items exist for it
+// below, and the benchmark is only ever changed on its own.  These four items exist for it
 // alone: nothing else in the workspace names them (CI checks), and ROADMAP item 1(a) deletes
 // them when `trace.rs` calls `Method::answer_session` directly.
 
@@ -232,25 +233,33 @@ impl<'a> EngineContext<'a> {
     }
 }
 
+/// What [`SafeRegionEngine::compute`] returns (benchmark shim, see above).
+pub struct SafeRegionEngineOutput {
+    /// The computation's work counters (the answer is the session's last).
+    pub stats: ComputeStats,
+}
+
 /// [`Method::answer_session`] behind a trait object (benchmark shim, see above).
 pub trait SafeRegionEngine {
     /// Forwards to [`Method::answer_session`].
-    fn compute<'s>(
+    fn compute(
         &self,
         ctx: EngineContext<'_>,
         users: &[Point],
-        session: &'s mut SessionState,
-    ) -> &'s Answer;
+        session: &mut SessionState,
+    ) -> SafeRegionEngineOutput;
 }
 
 impl SafeRegionEngine for Method {
-    fn compute<'s>(
+    fn compute(
         &self,
         ctx: EngineContext<'_>,
         users: &[Point],
-        session: &'s mut SessionState,
-    ) -> &'s Answer {
-        self.answer_session(ctx.tree, ctx.objective, users, session)
+        session: &mut SessionState,
+    ) -> SafeRegionEngineOutput {
+        SafeRegionEngineOutput {
+            stats: self.answer_session(ctx.tree, ctx.objective, users, session).1,
+        }
     }
 }
 
@@ -286,8 +295,8 @@ mod tests {
     fn circle_and_tile_agree_on_the_optimal_point() {
         let (tree, users) = world();
         for objective in [Objective::Max, Objective::Sum] {
-            let circle = Method::circle().answer(&tree, objective, &users, None);
-            let tile = Method::tile().answer(&tree, objective, &users, None);
+            let (circle, _) = Method::circle().answer(&tree, objective, &users, None);
+            let (tile, _) = Method::tile().answer(&tree, objective, &users, None);
             assert_eq!(circle.optimal_index, tile.optimal_index);
             assert!((circle.optimal_dist - tile.optimal_dist).abs() < 1e-9);
         }
@@ -297,7 +306,7 @@ mod tests {
     fn answers_contain_one_region_per_user_and_users_start_inside() {
         let (tree, users) = world();
         for method in [Method::circle(), Method::tile(), Method::tile_directed(0.8)] {
-            let answer = method.answer(&tree, Objective::Max, &users, None);
+            let (answer, _) = method.answer(&tree, Objective::Max, &users, None);
             assert_eq!(answer.regions.len(), users.len());
             assert!(answer.all_inside(&users));
             assert!(answer.violators(&users).is_empty());
@@ -307,7 +316,7 @@ mod tests {
     #[test]
     fn violators_are_reported_by_index() {
         let (tree, users) = world();
-        let answer = Method::circle().answer(&tree, Objective::Max, &users, None);
+        let (answer, _) = Method::circle().answer(&tree, Objective::Max, &users, None);
         let mut moved = users.clone();
         moved[1] = Point::new(1000.0, 1000.0);
         assert!(!answer.all_inside(&moved));
@@ -317,15 +326,15 @@ mod tests {
     #[test]
     fn mismatched_location_count_is_not_inside() {
         let (tree, users) = world();
-        let answer = Method::circle().answer(&tree, Objective::Max, &users, None);
+        let (answer, _) = Method::circle().answer(&tree, Objective::Max, &users, None);
         assert!(!answer.all_inside(&users[..2]));
     }
 
     #[test]
     fn tile_regions_cover_at_least_the_circle_inscribed_square() {
         let (tree, users) = world();
-        let circle = Method::circle().answer(&tree, Objective::Max, &users, None);
-        let tile = Method::tile().answer(&tree, Objective::Max, &users, None);
+        let (circle, _) = Method::circle().answer(&tree, Objective::Max, &users, None);
+        let (tile, _) = Method::tile().answer(&tree, Objective::Max, &users, None);
         // The tile method is a refinement of the circle method: each tile region contains the
         // maximal square inscribed in the corresponding circle, so the user can travel at
         // least as far along the axes.
@@ -350,6 +359,7 @@ mod tests {
         assert!(session.last_answer().is_none());
         let optimal = Method::circle()
             .answer_session(&tree, Objective::Max, &users, &mut session)
+            .0
             .optimal_index;
         assert_eq!(session.last_answer().unwrap().optimal_index, optimal);
     }
@@ -361,16 +371,16 @@ mod tests {
         let mut session = SessionState::new(users.len(), 0.3).with_persistent_buffers(true);
 
         session.observe(&users);
-        let first = method.answer_session(&tree, Objective::Max, &users, &mut session);
-        let (first_queries, first_optimal) = (first.stats.rtree_queries, first.optimal_index);
+        let (first, stats) = method.answer_session(&tree, Objective::Max, &users, &mut session);
+        let (first_queries, first_optimal) = (stats.rtree_queries, first.optimal_index);
         assert_eq!(first_queries, 2, "first compute builds the buffer");
         assert!(session.has_cached_buffer());
 
         // A small move: the optimum is unchanged, so the buffer must be reused.
         let moved: Vec<Point> = users.iter().map(|u| Point::new(u.x + 0.2, u.y)).collect();
         session.observe(&moved);
-        let second = method.answer_session(&tree, Objective::Max, &moved, &mut session);
-        assert_eq!(second.stats.rtree_queries, 1, "second compute reuses the buffer");
+        let (second, stats) = method.answer_session(&tree, Objective::Max, &moved, &mut session);
+        assert_eq!(stats.rtree_queries, 1, "second compute reuses the buffer");
         assert_eq!(second.optimal_index, first_optimal);
     }
 
@@ -381,8 +391,8 @@ mod tests {
         let mut session = SessionState::new(users.len(), 0.3);
         for _ in 0..3 {
             session.observe(&users);
-            let answer = method.answer_session(&tree, Objective::Max, &users, &mut session);
-            assert_eq!(answer.stats.rtree_queries, 2);
+            let (_, stats) = method.answer_session(&tree, Objective::Max, &users, &mut session);
+            assert_eq!(stats.rtree_queries, 2);
         }
     }
 }

@@ -15,7 +15,8 @@
 //!   each, in ascending id order, on the calling thread.
 //! * **Fleet lifecycle.**  Groups [`register`](MonitoringEngine::register_stream) at any
 //!   time and [`deregister`](MonitoringEngine::deregister) mid-run; their metrics fold into
-//!   the fleet totals ([`fleet_metrics`](MonitoringEngine::fleet_metrics)) and their ids are
+//!   the fleet totals ([`fleet_metrics`](MonitoringEngine::fleet_metrics), whose work
+//!   counters every computation adds to as it runs) and their ids are
 //!   reused, most recently freed first.  A session past its bounded horizon takes no more
 //!   epochs; an **open-horizon** one (no [`MonitorConfig`] timestamp cap) never finishes.
 
@@ -24,7 +25,7 @@ use std::sync::Arc;
 use mpn_geom::Point;
 use mpn_index::{RTree, WorldView};
 
-use crate::metrics::{EngineReport, MonitoringMetrics};
+use crate::metrics::{EngineReport, FleetMetrics, MonitoringMetrics};
 use crate::monitor::{EventSink, GroupSession, MonitorConfig, SessionEvent, StepOutcome};
 
 /// Identifier of a registered group.
@@ -227,9 +228,10 @@ pub struct MonitoringEngine {
     finished: usize,
     /// Ids of deregistered groups, available for reuse (most recently freed last).
     free_ids: Vec<GroupId>,
-    /// Merged metrics of every group that deregistered (`group_size` = their users), so
-    /// fleet-wide totals never shrink when a group leaves.
-    departed: MonitoringMetrics,
+    /// The fleet totals no session holds: the merged metrics and users of every group that
+    /// deregistered (so totals never shrink when a group leaves), and the work counters of
+    /// every computation any session ran.
+    retained: FleetMetrics,
     /// Events not yet handed out, in ascending group id: world-change pushes the next tick
     /// sends, and what [`tick`](MonitoringEngine::tick) collected.
     events: Vec<(GroupId, SessionEvent)>,
@@ -255,7 +257,7 @@ impl MonitoringEngine {
             ready: Vec::new(),
             finished: 0,
             free_ids: Vec::new(),
-            departed: MonitoringMetrics::new(0),
+            retained: FleetMetrics::default(),
             events: Vec::new(),
             clock: 0,
         }
@@ -321,7 +323,8 @@ impl MonitoringEngine {
     /// and undrained events along with the heading predictors) and its accumulated metrics
     /// are returned.  They also stay part of [`fleet_metrics`](MonitoringEngine::fleet_metrics)
     /// — a server's totals do not shrink when a group leaves — but no longer per id: a
-    /// caller that wants a departed group's own numbers keeps the returned record.  The id
+    /// caller that wants a departed group's own numbers keeps the returned record.  Its
+    /// computations' work counters were added to the fleet's as they ran.  The id
     /// counts into [`retired_count`](MonitoringEngine::retired_count) until it is reused.
     ///
     /// Returns `None` for an unknown or already-deregistered id (deregistration is
@@ -338,9 +341,9 @@ impl MonitoringEngine {
         // Undrained events leave with the session: nobody owns the group any more, and the
         // id may be handed to a new one before the next drain.
         self.events.retain(|(group, _)| *group != id);
+        self.retained.group_size += session.group_size();
         let metrics = session.into_metrics();
-        self.departed.group_size += metrics.group_size;
-        self.departed.absorb(&metrics);
+        self.retained.merged.absorb(&metrics);
         Some(metrics)
     }
 
@@ -430,7 +433,7 @@ impl MonitoringEngine {
                 let Some(session) = slot else { continue };
                 groups_checked += 1;
                 if session.world_change_invalidates(&change)
-                    && session.force_recompute_into(view, id, send)
+                    && session.force_recompute_into(view, id, &mut self.retained.stats, send)
                 {
                     affected.push(id);
                 }
@@ -515,7 +518,7 @@ impl MonitoringEngine {
             // consumes one; `finished` counts the sessions this tick finished.
             for &id in &self.ready {
                 let session = self.slab[id].as_mut().expect("a ready id holds a session");
-                match session.advance_into(view, id, send) {
+                match session.advance_into(view, id, &mut self.retained.stats, send) {
                     StepOutcome::Registered => summary.registered += 1,
                     StepOutcome::Quiet => {}
                     StepOutcome::Updated { violators } => {
@@ -566,18 +569,17 @@ impl MonitoringEngine {
 
     /// Fleet-wide metrics: every group's counters merged into one record, **including**
     /// those of deregistered groups (a long-lived server's totals must not shrink when a
-    /// group leaves or its id is recycled).
+    /// group leaves or its id is recycled), and the work counters of every computation.
     ///
     /// `group_size` is the total number of monitored users over the fleet's lifetime (each
     /// epoch of a churning group counts its users once).
     #[must_use]
-    pub fn fleet_metrics(&self) -> MonitoringMetrics {
-        let users = self.sessions().map(GroupSession::group_size).sum::<usize>();
-        let mut fleet = MonitoringMetrics::new(users + self.departed.group_size);
+    pub fn fleet_metrics(&self) -> FleetMetrics {
+        let mut fleet = self.retained.clone();
         for session in self.sessions() {
-            fleet.absorb(session.metrics());
+            fleet.group_size += session.group_size();
+            fleet.merged.absorb(session.metrics());
         }
-        fleet.absorb(&self.departed);
         fleet
     }
 
@@ -598,7 +600,7 @@ mod tests {
     use super::*;
     use crate::experiment::submit_and_tick;
     use crate::monitor::{run_monitoring, TrajectoryFeed};
-    use mpn_core::{Method, Objective};
+    use mpn_core::{ComputeStats, Method, Objective};
     use mpn_mobility::poi::{clustered_pois, PoiConfig};
     use mpn_mobility::waypoint::{random_waypoint, WaypointConfig};
     use mpn_mobility::Trajectory;
@@ -647,14 +649,16 @@ mod tests {
         let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
         let mut replays: Replays = fleet.iter().map(|g| replay(&mut engine, g, config)).collect();
         assert_eq!(run(&mut engine, &mut replays), 80, "80-timestamp horizon takes 80 ticks");
+        let mut serial_stats = ComputeStats::default();
+        serial.iter().for_each(|(_, stats)| serial_stats.absorb(stats));
+        assert_eq!(engine.fleet_metrics().stats, serial_stats);
         let ticked = engine.into_group_metrics();
 
         assert_eq!(ticked.len(), serial.len());
-        for (p, s) in ticked.iter().zip(&serial) {
+        for (p, (s, _)) in ticked.iter().zip(&serial) {
             assert_eq!(p.updates, s.updates);
             assert_eq!(p.timestamps, s.timestamps);
             assert_eq!(p.traffic, s.traffic);
-            assert_eq!(p.stats, s.stats);
         }
     }
 
@@ -790,7 +794,7 @@ mod tests {
     fn submitted_epochs_drive_streaming_sessions_through_ticks() {
         let (tree, fleet) = world(2);
         let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(30);
-        let replay = run_monitoring(&tree, &fleet[0], &config);
+        let (replay, replay_stats) = run_monitoring(&tree, &fleet[0], &config);
 
         let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
         let id = engine.register_stream(fleet[0].len(), config);
@@ -808,7 +812,7 @@ mod tests {
         assert!(engine.is_finished());
         assert_eq!(engine.group_metrics(id).updates, replay.updates);
         assert_eq!(engine.group_metrics(id).traffic, replay.traffic);
-        assert_eq!(engine.group_metrics(id).stats, replay.stats);
+        assert_eq!(engine.fleet_metrics().stats, replay_stats);
     }
 
     #[test]

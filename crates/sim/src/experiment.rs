@@ -4,11 +4,12 @@
 
 use std::time::Duration;
 
+use mpn_core::ComputeStats;
 use mpn_index::RTree;
 use mpn_mobility::GroupWorkload;
 
 use crate::engine::{EpochUpdate, GroupId, MonitoringEngine, TickSummary};
-use crate::metrics::MonitoringMetrics;
+use crate::metrics::{mean_duration, MonitoringMetrics};
 use crate::monitor::{MonitorConfig, TrajectoryFeed};
 
 /// Averaged results of running one method over a whole workload.
@@ -57,7 +58,8 @@ pub fn run_workload(
         let summary = submit_and_tick(&mut engine, &mut replays);
         assert!(summary.advanced > 0, "replay stalled: no unfinished group advanced");
     }
-    summarize(engine.into_group_metrics())
+    let stats = engine.fleet_metrics().stats;
+    summarize(engine.into_group_metrics(), &stats)
 }
 
 /// Submits the next recorded epoch of every unfinished replay, then ticks once.
@@ -74,9 +76,10 @@ pub(crate) fn submit_and_tick(
     engine.tick()
 }
 
-/// Averages a set of per-group metrics into a [`WorkloadSummary`].
+/// Averages a set of per-group metrics into a [`WorkloadSummary`]; `stats` are the summed
+/// work counters of the groups' computations.
 #[must_use]
-pub fn summarize(per_group: Vec<MonitoringMetrics>) -> WorkloadSummary {
+pub fn summarize(per_group: Vec<MonitoringMetrics>, stats: &ComputeStats) -> WorkloadSummary {
     let groups = per_group.len().max(1);
     let update_frequency =
         per_group.iter().map(MonitoringMetrics::update_frequency).sum::<f64>() / groups as f64;
@@ -85,11 +88,9 @@ pub fn summarize(per_group: Vec<MonitoringMetrics>) -> WorkloadSummary {
         per_group.iter().map(MonitoringMetrics::packets_per_timestamp).sum::<f64>() / groups as f64;
     let total_updates: usize = per_group.iter().map(|m| m.updates).sum();
     let total_time: Duration = per_group.iter().map(|m| m.compute_time).sum();
-    let mean_compute_time =
-        if total_updates == 0 { Duration::ZERO } else { total_time / total_updates as u32 };
-    let total_queries: usize = per_group.iter().map(|m| m.stats.rtree_queries).sum();
+    let mean_compute_time = mean_duration(total_time, total_updates);
     let rtree_queries_per_update =
-        if total_updates == 0 { 0.0 } else { total_queries as f64 / total_updates as f64 };
+        if total_updates == 0 { 0.0 } else { stats.rtree_queries as f64 / total_updates as f64 };
     WorkloadSummary {
         groups: per_group.len(),
         update_frequency,
@@ -136,7 +137,7 @@ mod tests {
 
     #[test]
     fn summarize_handles_the_empty_case() {
-        let summary = summarize(Vec::new());
+        let summary = summarize(Vec::new(), &ComputeStats::default());
         assert_eq!(summary.groups, 0);
         assert_eq!(summary.update_frequency, 0.0);
         assert_eq!(summary.mean_compute_time, Duration::ZERO);

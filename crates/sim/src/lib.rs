@@ -119,13 +119,18 @@
 //!   kept at the advance that finishes a session and at deregistration, and the starved
 //!   tally follows from it (registered − finished − advanced).  A group's id is its slot
 //!   and never moves, so lookups need no directory.
-//! * **A session holds what its method needs** — always: the configuration, the metrics,
-//!   the last answer and one flat buffer of positions (the epoch being monitored, then the
-//!   submitted ones, consumed in place).  Heading predictors exist once a method that reads
-//!   headings has observed a position (never for Circle); the §5.4 buffer is a boxed slot
-//!   that only Tile-D-b with persistent buffers fills; a tile region inside `SafeRegion` is
-//!   boxed.  A Circle/MAX group of three costs ≈ 676 live heap bytes, slab slot and owner
-//!   included (it was 1,269); `tests/alloc_gates.rs` gates it and prints the table by owner.
+//! * **A session holds what its method needs** — always: a handle to its configuration,
+//!   the group's metrics, the last answer and one flat buffer of positions (the epoch being
+//!   monitored, then the submitted ones, consumed in place).  Heading predictors exist once
+//!   a method that reads headings has observed a position (never for Circle); the §5.4
+//!   buffer is a boxed slot that only Tile-D-b with persistent buffers fills; a tile region
+//!   inside `SafeRegion` is boxed.  The slab slot is 232 B (464 before): the
+//!   [`MonitorConfig`] (80 B) is an `Arc` that [`ServerCore`] shares between groups
+//!   registered alike, the computations' [`ComputeStats`](mpn_core::ComputeStats) (72 B in
+//!   the stored answer and 72 B in the metrics) go to one fleet accumulator in the engine,
+//!   and the group size and epoch clock are no longer kept twice.  A Circle/MAX group of
+//!   three costs ≈ 444 live heap bytes, slab slot and owner included (675.6 before, 1,269
+//!   at first); `tests/alloc_gates.rs` gates it and the slot size and prints the table.
 //! * **One event stream per tick** — sessions keep no event log.  What a session created
 //!   [`with_events`](GroupSession::with_events) sends goes, tagged with its group id, to
 //!   the callback of [`MonitoringEngine::tick_with`] as it is sent, merged in ascending id
@@ -142,8 +147,9 @@
 //!
 //! [`MonitoringEngine::report`] returns an [`EngineReport`]: one coherent struct holding
 //! the engine clock, membership accounting (registered groups / ids awaiting reuse),
-//! the always-zero [`TickExecCounters`] the benchmark still reads and the merged fleet
-//! [`MonitoringMetrics`] (departed groups included).  A measurement tool (the `benchmark/`
+//! the always-zero [`TickExecCounters`] the benchmark still reads and the [`FleetMetrics`]:
+//! every group's [`MonitoringMetrics`] merged (departed groups included) and the fleet's
+//! work counters.  A measurement tool (the `benchmark/`
 //! package's traced run) reads this one snapshot instead of poking four accessors.  Every
 //! field is a fixed-size counter — no per-update sample is kept anywhere — so a report
 //! costs O(fleet) and a session's metrics never grow.  Reports are cumulative; phase-based
@@ -168,7 +174,7 @@ pub use engine::{
     TickExecutor, TickSummary, WorldChange,
 };
 pub use experiment::{run_workload, WorkloadSummary};
-pub use metrics::{EngineReport, MonitoringMetrics, Traffic};
+pub use metrics::{EngineReport, FleetMetrics, MonitoringMetrics, Traffic};
 pub use monitor::{
     run_monitoring, GroupSession, MonitorConfig, SessionEvent, StepOutcome, TrajectoryFeed,
 };

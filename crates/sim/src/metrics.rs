@@ -6,7 +6,12 @@
 //! costs in values is defined once, in `mpn-proto` (`LOCATION_VALUES`, `PROBE_VALUES`,
 //! `notification_values`); [`Traffic`] only turns values into packets and tallies them by
 //! direction.
+//!
+//! Each session keeps its group's [`MonitoringMetrics`]: what the figures average per group.
+//! The computations' [`ComputeStats`] are read only as fleet totals, so they go straight into
+//! the accumulator of whoever advances the session (the engine's: [`FleetMetrics::stats`]).
 
+use std::ops::Deref;
 use std::time::Duration;
 
 use mpn_core::{packets_for_values, ComputeStats};
@@ -69,9 +74,9 @@ impl Traffic {
 ///   membership accounting: registered sessions, and deregistered ids awaiting reuse.
 /// * [`exec`](EngineReport::exec) — a benchmark-only shim, always zero: every tick runs on
 ///   the calling thread.
-/// * [`fleet`](EngineReport::fleet) — the merged [`MonitoringMetrics`] of every session,
-///   deregistered ones included: the §7.1 measures (update frequency, mean per-update CPU
-///   time and communication cost as packets); its `group_size` is the lifetime user total.
+/// * [`fleet`](EngineReport::fleet) — the [`FleetMetrics`] of every session, deregistered
+///   ones included: the §7.1 measures (update frequency, mean per-update CPU time and
+///   communication cost as packets), the lifetime user total and the work counters.
 ///
 /// Building a report is O(fleet), so callers snapshot at phase boundaries (e.g. warm-up
 /// end, measurement end) rather than per tick, and diff the cumulative counters.
@@ -88,45 +93,55 @@ pub struct EngineReport {
     /// Benchmark-only shim, always `Some` (`benchmark/src/trace.rs`; ROADMAP item 1(c)).
     pub cache: Option<mpn_index::CacheStats>,
     /// Fleet-wide merged metrics (registered + departed groups).
-    pub fleet: MonitoringMetrics,
+    pub fleet: FleetMetrics,
 }
 
-/// Aggregated metrics of one monitoring run (one user group over one trajectory horizon).
-#[derive(Debug, Clone)]
-pub struct MonitoringMetrics {
-    /// Number of users in the monitored group.
+/// The fleet's totals ([`fleet_metrics`](crate::MonitoringEngine::fleet_metrics)): every
+/// group's [`MonitoringMetrics`] merged (read through `Deref`), departed groups included, and
+/// what only the fleet keeps.
+#[derive(Debug, Clone, Default)]
+pub struct FleetMetrics {
+    /// The per-group measures, summed over every group.
+    pub merged: MonitoringMetrics,
+    /// Users monitored over the fleet's lifetime (a re-registered group counts again).
     pub group_size: usize,
+    /// The work counters of every safe-region computation the fleet ran.
+    pub stats: ComputeStats,
+}
+
+impl Deref for FleetMetrics {
+    type Target = MonitoringMetrics;
+
+    fn deref(&self) -> &MonitoringMetrics {
+        &self.merged
+    }
+}
+
+/// What one group's session keeps: the measures the figures average per group.
+#[derive(Debug, Clone, Default)]
+pub struct MonitoringMetrics {
     /// Number of replayed timestamps after the initial registration.
     pub timestamps: usize,
     /// Number of safe-region recomputations (including the initial one).
     pub updates: usize,
     /// Total CPU time spent computing safe regions.
     pub compute_time: Duration,
-    /// Accumulated work counters of every safe-region computation.
-    pub stats: ComputeStats,
     /// Message and packet tally.
     pub traffic: Traffic,
 }
 
-impl MonitoringMetrics {
-    /// Creates an empty metrics record for a group of the given size.
-    #[must_use]
-    pub fn new(group_size: usize) -> Self {
-        Self {
-            group_size,
-            timestamps: 0,
-            updates: 0,
-            compute_time: Duration::ZERO,
-            stats: ComputeStats::default(),
-            traffic: Traffic::default(),
-        }
-    }
+/// `total / n`, or zero for `n == 0`, divided as `u128` nanoseconds: `Duration / u32` would
+/// silently wrap an `n` above `u32::MAX`, and divide by zero at exactly 2³².
+pub(crate) fn mean_duration(total: Duration, n: usize) -> Duration {
+    let mean = total.as_nanos().checked_div(n as u128).unwrap_or(0);
+    Duration::from_nanos(u64::try_from(mean).unwrap_or(u64::MAX))
+}
 
+impl MonitoringMetrics {
     /// Records one safe-region computation.
-    pub fn record_update(&mut self, elapsed: Duration, stats: &ComputeStats) {
+    pub fn record_update(&mut self, elapsed: Duration) {
         self.updates += 1;
         self.compute_time += elapsed;
-        self.stats.absorb(stats);
     }
 
     /// Update frequency: recomputations per monitored timestamp (the paper's primary measure).
@@ -141,16 +156,7 @@ impl MonitoringMetrics {
     /// Mean CPU time per safe-region computation.
     #[must_use]
     pub fn mean_compute_time(&self) -> Duration {
-        if self.updates == 0 {
-            return Duration::ZERO;
-        }
-        self.compute_time / self.updates as u32
-    }
-
-    /// Total number of TCP packets exchanged.
-    #[must_use]
-    pub fn packets(&self) -> usize {
-        self.traffic.packets
+        mean_duration(self.compute_time, self.updates)
     }
 
     /// Packets per monitored timestamp (the communication-cost series of the figures).
@@ -167,7 +173,6 @@ impl MonitoringMetrics {
         self.timestamps += other.timestamps;
         self.updates += other.updates;
         self.compute_time += other.compute_time;
-        self.stats.absorb(&other.stats);
         self.traffic.absorb(&other.traffic);
     }
 }
@@ -235,7 +240,7 @@ mod tests {
 
     #[test]
     fn frequencies_and_means_handle_empty_runs() {
-        let m = MonitoringMetrics::new(3);
+        let m = MonitoringMetrics::default();
         assert_eq!(m.update_frequency(), 0.0);
         assert_eq!(m.mean_compute_time(), Duration::ZERO);
         assert_eq!(m.packets_per_timestamp(), 0.0);
@@ -243,10 +248,9 @@ mod tests {
 
     #[test]
     fn record_update_accumulates() {
-        let mut m = MonitoringMetrics::new(2);
-        m.timestamps = 10;
-        m.record_update(Duration::from_millis(4), &ComputeStats::default());
-        m.record_update(Duration::from_millis(6), &ComputeStats::default());
+        let mut m = MonitoringMetrics { timestamps: 10, ..MonitoringMetrics::default() };
+        m.record_update(Duration::from_millis(4));
+        m.record_update(Duration::from_millis(6));
         assert_eq!(m.updates, 2);
         assert_eq!(m.update_frequency(), 0.2);
         assert_eq!(m.mean_compute_time(), Duration::from_millis(5));
@@ -254,17 +258,27 @@ mod tests {
 
     #[test]
     fn absorb_merges_runs() {
-        let mut a = MonitoringMetrics::new(2);
-        a.timestamps = 100;
-        a.record_update(Duration::from_millis(1), &ComputeStats::default());
-        let mut b = MonitoringMetrics::new(2);
-        b.timestamps = 50;
-        b.record_update(Duration::from_millis(3), &ComputeStats::default());
-        b.record_update(Duration::from_millis(3), &ComputeStats::default());
+        let mut a = MonitoringMetrics { timestamps: 100, ..MonitoringMetrics::default() };
+        a.record_update(Duration::from_millis(1));
+        let mut b = MonitoringMetrics { timestamps: 50, ..MonitoringMetrics::default() };
+        b.record_update(Duration::from_millis(3));
+        b.record_update(Duration::from_millis(3));
         a.absorb(&b);
         assert_eq!(a.timestamps, 150);
         assert_eq!(a.updates, 3);
         assert_eq!(a.compute_time, Duration::from_millis(7));
         assert!((a.update_frequency() - 0.02).abs() < 1e-12);
+    }
+
+    #[test]
+    fn mean_compute_time_survives_more_than_u32_max_updates() {
+        // `Duration / (n as u32)` divided by zero here: 2³² truncates to 0.
+        let m = MonitoringMetrics {
+            updates: 1 << 32,
+            compute_time: Duration::from_secs(3 << 32),
+            ..MonitoringMetrics::default()
+        };
+        assert_eq!(m.mean_compute_time(), Duration::from_secs(3));
+        assert_eq!(mean_duration(Duration::from_nanos(7), (1 << 32) + 1), Duration::ZERO);
     }
 }

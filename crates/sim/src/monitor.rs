@@ -1,8 +1,10 @@
 //! The per-group monitoring state machine, message-driven and fully owned.
 //!
 //! [`GroupSession`] owns everything the server keeps for one moving group: its configuration
-//! (objective and safe-region [`Method`]), the per-group [`SessionState`] (heading
-//! predictors, §5.4 GNN buffer, last answer) and the accumulated metrics.  A session does
+//! (objective and safe-region [`Method`], behind an `Arc` that groups configured alike may
+//! share), the per-group [`SessionState`] (heading predictors, §5.4 GNN buffer, last answer)
+//! and the group's metrics.  The work counters of its computations go to the caller's
+//! accumulator (a [`ComputeStats`] passed to [`advance`](GroupSession::advance)).  A session does
 //! **not** borrow trajectory data; it consumes one *epoch* of owned user positions per
 //! [`advance`](GroupSession::advance) call, and has one source of epochs: batches
 //! [`submit`](GroupSession::submit)ted into its inbox (by a network front-end, or through
@@ -31,7 +33,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use mpn_core::{Method, Objective, SafeRegion, SessionState};
+use mpn_core::{ComputeStats, Method, Objective, SafeRegion, SessionState};
 use mpn_geom::Point;
 use mpn_index::{IndexView, RTree};
 use mpn_mobility::Trajectory;
@@ -209,7 +211,8 @@ impl TrajectoryFeed {
 /// The monitoring state machine of one moving group, owning all of its server-side state.
 #[derive(Debug)]
 pub struct GroupSession {
-    config: MonitorConfig,
+    /// Shared by the sessions a [`ServerCore`](crate::ServerCore) registered alike.
+    config: Arc<MonitorConfig>,
     session: SessionState,
     metrics: MonitoringMetrics,
     /// Epochs of `group_size` positions, back to back: the epoch being monitored ends at
@@ -217,7 +220,6 @@ pub struct GroupSession {
     /// consumed in place, FIFO.
     positions: Vec<Point>,
     cursor: usize,
-    next_t: usize,
     registered: bool,
     /// Whether per-user protocol events go to the tick's event sink (see [`SessionEvent`]).
     log_events: bool,
@@ -229,20 +231,21 @@ impl GroupSession {
     ///
     /// Without a [`MonitorConfig::max_timestamps`] cap the session has an **open horizon**:
     /// it is never [`finished`](GroupSession::is_finished) and monitors until deregistered.
+    /// `config` is a [`MonitorConfig`] of its own or an `Arc` shared with other sessions.
     ///
     /// # Panics
     /// Panics when `group_size` is zero.
     #[must_use]
-    pub fn streaming(group_size: usize, config: MonitorConfig) -> Self {
+    pub fn streaming(group_size: usize, config: impl Into<Arc<MonitorConfig>>) -> Self {
         assert!(group_size > 0, "monitoring requires at least one user trajectory");
+        let config = config.into();
         let session = SessionState::new(group_size, config.heading_smoothing)
             .with_persistent_buffers(config.persist_buffers);
         Self {
             session,
-            metrics: MonitoringMetrics::new(group_size),
+            metrics: MonitoringMetrics::default(),
             positions: Vec::new(),
             cursor: 0,
-            next_t: 0,
             registered: false,
             log_events: false,
             config,
@@ -278,7 +281,12 @@ impl GroupSession {
     /// horizon.
     #[must_use]
     pub fn horizon_is_covered(&self) -> bool {
-        self.horizon().is_some_and(|h| self.next_t + self.pending_epochs() >= h)
+        self.horizon().is_some_and(|h| self.consumed() + self.pending_epochs() >= h)
+    }
+
+    /// Epochs consumed so far: the registration plus every monitored timestamp.
+    fn consumed(&self) -> usize {
+        usize::from(self.registered) + self.metrics.timestamps
     }
 
     /// The session's configuration.
@@ -297,7 +305,7 @@ impl GroupSession {
     /// never finished; they leave the server via deregistration.
     #[must_use]
     pub fn is_finished(&self) -> bool {
-        self.registered && self.horizon().is_some_and(|h| self.next_t >= h)
+        self.registered && self.horizon().is_some_and(|h| self.consumed() >= h)
     }
 
     /// Metrics accumulated so far.
@@ -345,7 +353,8 @@ impl GroupSession {
         self.positions.capacity() / self.group_size()
     }
 
-    /// Consumes the next epoch of the protocol.
+    /// Consumes the next epoch of the protocol, adding the work counters of the computation
+    /// it runs (if any) to `stats`.
     ///
     /// The epoch's positions are the oldest [`submit`](GroupSession::submit)ted ones; with
     /// none waiting the session [`Starved`](StepOutcome::Starved)s and its clock does not
@@ -353,8 +362,12 @@ impl GroupSession {
     ///
     /// # Panics
     /// Panics when the POI view is empty.
-    pub fn advance<'a>(&mut self, index: impl Into<IndexView<'a>>) -> StepOutcome {
-        self.advance_into(index.into(), 0, &mut |_, _| {})
+    pub fn advance<'a>(
+        &mut self,
+        index: impl Into<IndexView<'a>>,
+        stats: &mut ComputeStats,
+    ) -> StepOutcome {
+        self.advance_into(index.into(), 0, stats, &mut |_, _| {})
     }
 
     /// [`advance`](GroupSession::advance), sending the epoch's protocol events (if
@@ -363,6 +376,7 @@ impl GroupSession {
         &mut self,
         view: IndexView<'_>,
         group: GroupId,
+        stats: &mut ComputeStats,
         events: &mut EventSink,
     ) -> StepOutcome {
         assert!(!view.is_empty(), "monitoring requires a non-empty POI set");
@@ -384,7 +398,6 @@ impl GroupSession {
             self.positions.shrink_to(2 * m);
         }
 
-        let t = self.next_t;
         // Circle groups skip the predictors (one `atan2` per user): nothing would read them,
         // so a Circle session never even creates them.
         if self.config.method.uses_headings() {
@@ -397,14 +410,12 @@ impl GroupSession {
             for _ in 0..self.group_size() {
                 self.metrics.traffic.record_uplink(LOCATION_VALUES);
             }
-            self.compute_and_notify(view, group, events);
+            self.compute_and_notify(view, group, stats, events);
             self.registered = true;
-            self.next_t = t + 1;
             return StepOutcome::Registered;
         }
 
         self.metrics.timestamps += 1;
-        self.next_t = t + 1;
 
         let violators = self
             .session
@@ -436,7 +447,7 @@ impl GroupSession {
             }
         }
         // Step 3: recompute and notify everyone.
-        self.compute_and_notify(view, group, events);
+        self.compute_and_notify(view, group, stats, events);
         StepOutcome::Updated { violators: violators.len() }
     }
 
@@ -465,9 +476,14 @@ impl GroupSession {
     /// [`advance`](GroupSession::advance)'s).
     ///
     /// Returns `false` (and does nothing) for a session that is not registered, has no
-    /// current answer, or has already finished its horizon.
-    pub fn force_recompute<'a>(&mut self, index: impl Into<IndexView<'a>>) -> bool {
-        self.force_recompute_into(index.into(), 0, &mut |_, _| {})
+    /// current answer, or has already finished its horizon.  The computation's work counters
+    /// are added to `stats`, as by [`advance`](GroupSession::advance).
+    pub fn force_recompute<'a>(
+        &mut self,
+        index: impl Into<IndexView<'a>>,
+        stats: &mut ComputeStats,
+    ) -> bool {
+        self.force_recompute_into(index.into(), 0, stats, &mut |_, _| {})
     }
 
     /// [`force_recompute`](GroupSession::force_recompute), sending the
@@ -476,27 +492,35 @@ impl GroupSession {
         &mut self,
         view: IndexView<'_>,
         group: GroupId,
+        stats: &mut ComputeStats,
         events: &mut EventSink,
     ) -> bool {
         if !self.registered || self.is_finished() || self.session.last_answer().is_none() {
             return false;
         }
-        self.compute_and_notify(view, group, events);
+        self.compute_and_notify(view, group, stats, events);
         true
     }
 
-    /// Runs one safe-region computation and pushes the notifications.
-    fn compute_and_notify(&mut self, view: IndexView<'_>, group: GroupId, events: &mut EventSink) {
+    /// Runs one safe-region computation, adds its work counters to `stats` and pushes the
+    /// notifications.
+    fn compute_and_notify(
+        &mut self,
+        view: IndexView<'_>,
+        group: GroupId,
+        stats: &mut ComputeStats,
+        events: &mut EventSink,
+    ) {
         let locations = &self.positions[self.cursor - self.group_size()..self.cursor];
         let start = Instant::now();
-        let answer = self.config.method.answer_session(
+        let (answer, computed) = self.config.method.answer_session(
             view,
             self.config.objective,
             locations,
             &mut self.session,
         );
-        let elapsed = start.elapsed();
-        self.metrics.record_update(elapsed, &answer.stats);
+        self.metrics.record_update(start.elapsed());
+        stats.absorb(&computed);
         debug_assert!(answer.all_inside(locations), "fresh safe regions must contain the users");
         for (user, region) in answer.regions.iter().enumerate() {
             self.metrics
@@ -516,7 +540,8 @@ impl GroupSession {
     }
 }
 
-/// Replays one user group against the server and collects metrics.
+/// Replays one user group against the server and collects its metrics and the summed work
+/// counters of its computations.
 ///
 /// A single-group driver: one streaming session, capped at the recording
 /// ([`TrajectoryFeed::capped`]), is submitted the recording's next epoch before every
@@ -531,16 +556,17 @@ pub fn run_monitoring(
     tree: &RTree,
     group: &[Trajectory],
     config: &MonitorConfig,
-) -> MonitoringMetrics {
+) -> (MonitoringMetrics, ComputeStats) {
     assert!(!tree.is_empty(), "monitoring requires a non-empty POI set");
     let mut feed = TrajectoryFeed::from_group(group);
     let mut session = GroupSession::streaming(feed.group_size(), feed.capped(*config));
+    let mut stats = ComputeStats::default();
     while !session.is_finished() {
         session.submit(feed.next_epoch().expect("the cap is within the recording"));
-        let outcome = session.advance(tree);
+        let outcome = session.advance(tree, &mut stats);
         debug_assert_ne!(outcome, StepOutcome::Starved, "a submitted epoch is consumed");
     }
-    session.into_metrics()
+    (session.into_metrics(), stats)
 }
 
 #[cfg(test)]
@@ -561,7 +587,7 @@ mod tests {
     #[test]
     fn monitoring_produces_consistent_metrics() {
         let (tree, group) = workload();
-        let metrics =
+        let (metrics, _) =
             run_monitoring(&tree, &group, &MonitorConfig::new(Objective::Max, Method::circle()));
         assert_eq!(metrics.timestamps, 399);
         assert!(metrics.updates >= 1, "the initial computation counts as an update");
@@ -575,12 +601,12 @@ mod tests {
     #[test]
     fn tile_regions_reduce_update_frequency_compared_to_circles() {
         let (tree, group) = workload();
-        let circle = run_monitoring(
+        let (circle, _) = run_monitoring(
             &tree,
             &group,
             &MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(250),
         );
-        let tile = run_monitoring(
+        let (tile, _) = run_monitoring(
             &tree,
             &group,
             &MonitorConfig::new(Objective::Max, Method::tile()).with_max_timestamps(250),
@@ -596,7 +622,7 @@ mod tests {
     #[test]
     fn sum_objective_monitoring_runs_end_to_end() {
         let (tree, group) = workload();
-        let metrics = run_monitoring(
+        let (metrics, _) = run_monitoring(
             &tree,
             &group,
             &MonitorConfig::new(Objective::Sum, Method::tile()).with_max_timestamps(150),
@@ -608,21 +634,21 @@ mod tests {
     #[test]
     fn buffered_method_is_cheaper_per_update_in_index_work() {
         let (tree, group) = workload();
-        let plain = run_monitoring(
+        let (plain, plain_stats) = run_monitoring(
             &tree,
             &group,
             &MonitorConfig::new(Objective::Max, Method::tile_directed(0.8))
                 .with_max_timestamps(120),
         );
-        let buffered = run_monitoring(
+        let (buffered, buffered_stats) = run_monitoring(
             &tree,
             &group,
             &MonitorConfig::new(Objective::Max, Method::tile_directed_buffered(0.8, 50))
                 .with_max_timestamps(120),
         );
-        let plain_queries_per_update = plain.stats.rtree_queries as f64 / plain.updates as f64;
+        let plain_queries_per_update = plain_stats.rtree_queries as f64 / plain.updates as f64;
         let buffered_queries_per_update =
-            buffered.stats.rtree_queries as f64 / buffered.updates as f64;
+            buffered_stats.rtree_queries as f64 / buffered.updates as f64;
         assert!(
             buffered_queries_per_update < plain_queries_per_update,
             "buffering must reduce R-tree queries per update ({buffered_queries_per_update} vs {plain_queries_per_update})"
@@ -632,7 +658,7 @@ mod tests {
     #[test]
     fn max_timestamp_cap_limits_the_run() {
         let (tree, group) = workload();
-        let metrics = run_monitoring(
+        let (metrics, _) = run_monitoring(
             &tree,
             &group,
             &MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(50),
@@ -650,13 +676,14 @@ mod tests {
             GroupSession::streaming(group.len(), feed.capped(config.with_max_timestamps(60)));
         assert_eq!(session.horizon(), Some(60));
         assert!(!session.is_finished());
+        let mut stats = ComputeStats::default();
         session.submit(feed.next_epoch().unwrap());
-        assert_eq!(session.advance(&tree), StepOutcome::Registered);
+        assert_eq!(session.advance(&tree, &mut stats), StepOutcome::Registered);
         let mut quiet = 0usize;
         let mut updated = 0usize;
         while !session.is_finished() {
             session.submit(feed.next_epoch().unwrap());
-            match session.advance(&tree) {
+            match session.advance(&tree, &mut stats) {
                 StepOutcome::Quiet => quiet += 1,
                 StepOutcome::Updated { violators } => {
                     assert!(violators >= 1 && violators <= session.group_size());
@@ -668,7 +695,7 @@ mod tests {
             }
         }
         assert!(session.horizon_is_covered());
-        assert_eq!(session.advance(&tree), StepOutcome::Finished);
+        assert_eq!(session.advance(&tree, &mut stats), StepOutcome::Finished);
         assert_eq!(quiet + updated, 59);
         assert_eq!(session.metrics().updates, updated + 1);
     }
@@ -677,12 +704,13 @@ mod tests {
     fn streaming_session_consumes_submitted_epochs_and_matches_the_replay() {
         let (tree, group) = workload();
         let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(80);
-        let replay = run_monitoring(&tree, &group, &config);
+        let (replay, replay_stats) = run_monitoring(&tree, &group, &config);
 
         // The same epochs, submitted as owned batches into a streaming session.
         let mut feed = TrajectoryFeed::from_group(&group);
         let mut session = GroupSession::streaming(group.len(), config);
-        assert_eq!(session.advance(&tree), StepOutcome::Starved, "no data yet");
+        let mut stats = ComputeStats::default();
+        assert_eq!(session.advance(&tree, &mut stats), StepOutcome::Starved, "no data yet");
         let mut epochs = 0;
         while let Some(batch) = feed.next_epoch() {
             if epochs == 80 {
@@ -693,12 +721,12 @@ mod tests {
         }
         assert_eq!(session.pending_epochs(), 80);
         while !session.is_finished() {
-            assert_ne!(session.advance(&tree), StepOutcome::Starved);
+            assert_ne!(session.advance(&tree, &mut stats), StepOutcome::Starved);
         }
         assert_eq!(session.metrics().timestamps, replay.timestamps);
         assert_eq!(session.metrics().updates, replay.updates);
         assert_eq!(session.metrics().traffic, replay.traffic);
-        assert_eq!(session.metrics().stats, replay.stats);
+        assert_eq!(stats, replay_stats);
     }
 
     #[test]
@@ -706,12 +734,13 @@ mod tests {
         let (tree, group) = workload();
         let config = MonitorConfig::new(Objective::Max, Method::circle());
         let mut session = GroupSession::streaming(group.len(), config);
+        let mut stats = ComputeStats::default();
         assert_eq!(session.horizon(), None, "no cap means an open horizon");
         assert!(!session.horizon_is_covered());
         session.submit(group.iter().map(|t| t.at(0)).collect());
-        assert_eq!(session.advance(&tree), StepOutcome::Registered);
+        assert_eq!(session.advance(&tree, &mut stats), StepOutcome::Registered);
         assert!(!session.is_finished(), "open-horizon sessions only leave by deregistration");
-        assert_eq!(session.advance(&tree), StepOutcome::Starved);
+        assert_eq!(session.advance(&tree, &mut stats), StepOutcome::Starved);
         assert_eq!(session.metrics().timestamps, 0, "a starved epoch does not advance the clock");
     }
 
@@ -722,9 +751,9 @@ mod tests {
         let mut feed = TrajectoryFeed::from_group(&group);
         let mut session = GroupSession::streaming(group.len(), config).with_events(true);
         let view = IndexView::from(&tree);
-        let mut events = Vec::new();
+        let (mut events, mut stats) = (Vec::new(), ComputeStats::default());
         session.submit(feed.next_epoch().unwrap());
-        let outcome = session.advance_into(view, 7, &mut |id, e| events.push((id, e)));
+        let outcome = session.advance_into(view, 7, &mut stats, &mut |id, e| events.push((id, e)));
         assert_eq!(outcome, StepOutcome::Registered);
         assert_eq!(events.len(), group.len(), "registration assigns every user a region");
         assert!(events.iter().all(|(id, e)| *id == 7
@@ -734,7 +763,8 @@ mod tests {
         while !session.is_finished() {
             events.clear();
             session.submit(feed.next_epoch().unwrap());
-            let outcome = session.advance_into(view, 7, &mut |id, e| events.push((id, e)));
+            let outcome =
+                session.advance_into(view, 7, &mut stats, &mut |id, e| events.push((id, e)));
             if let StepOutcome::Updated { violators } = outcome {
                 let probes =
                     events.iter().filter(|(_, e)| matches!(e, SessionEvent::Probed { .. })).count();
@@ -757,6 +787,7 @@ mod tests {
         let config = MonitorConfig::new(Objective::Max, Method::circle());
         let mut feed = TrajectoryFeed::from_group(&group);
         let mut session = GroupSession::streaming(group.len(), config);
+        let mut stats = ComputeStats::default();
 
         // A reconnect-style burst: several hundred epochs flushed at once.
         for _ in 0..300 {
@@ -764,7 +795,7 @@ mod tests {
         }
         assert!(session.inbox_capacity() >= 300);
         while session.pending_epochs() > 0 {
-            assert_ne!(session.advance(&tree), StepOutcome::Starved);
+            assert_ne!(session.advance(&tree, &mut stats), StepOutcome::Starved);
         }
         assert!(
             session.inbox_capacity() <= 2,
@@ -774,7 +805,10 @@ mod tests {
 
         // The steady trickle fits what is kept: sessions keep working.
         session.submit(feed.next_epoch().unwrap());
-        assert!(matches!(session.advance(&tree), StepOutcome::Quiet | StepOutcome::Updated { .. }));
+        assert!(matches!(
+            session.advance(&tree, &mut stats),
+            StepOutcome::Quiet | StepOutcome::Updated { .. }
+        ));
     }
 
     #[test]

@@ -111,6 +111,9 @@ pub struct ServerCore {
     /// its capacity; empty between calls).
     seen: HashSet<ClientId>,
     last_summary: Option<TickSummary>,
+    /// One shared [`MonitorConfig`] per distinct [`WireConfig`] sessions were registered
+    /// with, so sessions alike hold one `Arc` (see `shared_config`).
+    configs: Vec<(WireConfig, Arc<MonitorConfig>)>,
 }
 
 impl ServerCore {
@@ -130,6 +133,7 @@ impl ServerCore {
             admins: HashSet::new(),
             seen: HashSet::new(),
             last_summary: None,
+            configs: Vec::new(),
         }
     }
 
@@ -261,6 +265,22 @@ impl ServerCore {
         owned
     }
 
+    /// The shared server-side configuration for `wire`, found by a linear scan of a table
+    /// that forgets configs no live session holds before it adds one.  It keeps at most 16:
+    /// a client that registers ever new ones gets unshared configs past that, not a longer
+    /// scan.
+    fn shared_config(&mut self, wire: WireConfig) -> Arc<MonitorConfig> {
+        if let Some((_, config)) = self.configs.iter().find(|(known, _)| *known == wire) {
+            return Arc::clone(config);
+        }
+        self.configs.retain(|(_, config)| Arc::strong_count(config) > 1);
+        let config = Arc::new(monitor_config(&wire));
+        if self.configs.len() < 16 {
+            self.configs.push((wire, Arc::clone(&config)));
+        }
+        config
+    }
+
     fn apply(&mut self, client: ClientId, request: Request, out: &mut Downlink) {
         match request {
             Request::Register { group_size, config } => {
@@ -280,8 +300,8 @@ impl ServerCore {
                     out(client, notification(u64::MAX, NotificationKind::BadRequest));
                     return;
                 }
-                let session =
-                    GroupSession::streaming(group_size, monitor_config(&config)).with_events(true);
+                let config = self.shared_config(config);
+                let session = GroupSession::streaming(group_size, config).with_events(true);
                 let id = self.engine.register_session(session);
                 if id >= self.owners.len() {
                     self.owners.resize(id + 1, None);
@@ -628,7 +648,8 @@ mod tests {
             persist_buffers: false,
             max_timestamps: Some(50),
         };
-        let replay = crate::monitor::run_monitoring(&tree, &group, &monitor_config(&wire));
+        let (replay, replay_stats) =
+            crate::monitor::run_monitoring(&tree, &group, &monitor_config(&wire));
 
         let mut server = ServerCore::new(Arc::clone(&tree), 1);
         server.enqueue(CLIENT, Request::Register { group_size: group.len() as u32, config: wire });
@@ -642,7 +663,7 @@ mod tests {
         assert_eq!(metrics.updates, replay.updates);
         assert_eq!(metrics.timestamps, replay.timestamps);
         assert_eq!(metrics.traffic, replay.traffic);
-        assert_eq!(metrics.stats, replay.stats);
+        assert_eq!(server.engine().fleet_metrics().stats, replay_stats);
     }
 
     #[test]

@@ -49,8 +49,10 @@ fn main() {
 
     // Where will the north group meet?  Compute it client-side so the console knows which
     // café to close for the demonstration.
-    let doomed =
-        Method::circle().answer(tree.as_ref(), Objective::Max, &north_friends, None).optimal_index;
+    let doomed = Method::circle()
+        .answer(tree.as_ref(), Objective::Max, &north_friends, None)
+        .0
+        .optimal_index;
 
     let core = ServerCore::new(Arc::clone(&tree), 1);
     let mut server =

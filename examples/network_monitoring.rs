@@ -168,7 +168,7 @@ fn in_process_demo(tree: Arc<RTree>) {
             tally.epochs_with_update,
             tally.probes,
             tally.assignments,
-            metrics.packets()
+            metrics.traffic.packets
         );
         server.enqueue(*client, Request::Deregister { group: id });
     }
@@ -180,7 +180,7 @@ fn in_process_demo(tree: Arc<RTree>) {
     println!(
         "\nboth groups deregistered; fleet lifetime totals: {} updates, {} packets\n",
         server.engine().fleet_metrics().updates,
-        server.engine().fleet_metrics().packets()
+        server.engine().fleet_metrics().traffic.packets
     );
 }
 

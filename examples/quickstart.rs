@@ -25,7 +25,7 @@ fn main() {
     for (label, method) in
         [("Circle safe regions", Method::circle()), ("Tile safe regions", Method::tile())]
     {
-        let answer = method.answer(&tree, Objective::Max, &friends, None);
+        let (answer, _) = method.answer(&tree, Objective::Max, &friends, None);
         assert_eq!(answer.optimal_index, 3, "cafe #3 minimises the longest walk");
         assert!(answer.all_inside(&friends), "fresh regions contain their users");
         println!("{label}:");
@@ -45,7 +45,7 @@ fn main() {
     }
 
     // As long as everyone stays inside their region, no communication is needed.
-    let answer = Method::tile().answer(&tree, Objective::Max, &friends, None);
+    let (answer, _) = Method::tile().answer(&tree, Objective::Max, &friends, None);
     let mut moved = friends.clone();
     moved[0] = Point::new(180.0, 270.0); // a small move
     assert!(answer.all_inside(&moved));
@@ -65,12 +65,12 @@ fn main() {
     let buffered = Method::tile_directed_buffered(std::f64::consts::FRAC_PI_4, 3);
     let mut session = SessionState::new(friends.len(), 0.3).with_persistent_buffers(true);
     session.observe(&friends);
-    let first = buffered.answer_session(&tree, Objective::Max, &friends, &mut session);
-    let first = first.stats.rtree_queries;
+    let (_, first) = buffered.answer_session(&tree, Objective::Max, &friends, &mut session);
+    let first = first.rtree_queries;
     moved[0] = Point::new(180.0, 270.0);
     session.observe(&moved);
-    let second = buffered.answer_session(&tree, Objective::Max, &moved, &mut session);
-    let second = second.stats.rtree_queries;
+    let (_, second) = buffered.answer_session(&tree, Objective::Max, &moved, &mut session);
+    let second = second.rtree_queries;
     assert_eq!((first, second), (2, 1), "the second update reuses the buffer");
     println!("\nstateful Tile-D-b session: {first} R-tree queries to build, {second} to reuse");
 

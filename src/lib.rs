@@ -37,7 +37,7 @@
 //! let tree = RTree::bulk_load(&pois);
 //! let users = vec![Point::new(1.0, 1.0), Point::new(3.0, 2.0), Point::new(2.0, 4.0)];
 //!
-//! let answer = Method::circle().answer(&tree, Objective::Max, &users, None);
+//! let (answer, _stats) = Method::circle().answer(&tree, Objective::Max, &users, None);
 //! assert_eq!(answer.optimal_index, 0); // (2,2) is the MAX-optimal meeting point
 //! assert!(answer.regions.iter().all(|r| !r.is_empty()));
 //! ```

@@ -15,10 +15,13 @@
 //!   the per-tile candidate list are per-thread scratch, so trying more tiles costs no
 //!   allocation;
 //! * a monitored group costs the server what its method needs, in live heap bytes: a Circle
-//!   group of three at most 680 (≈ 676 today, 692 while a session kept its horizon beside
-//!   its configuration, 700 while `Method::Circle` carried a radius cap, 723 before the
-//!   ready list replaced the hot entries, 1,269 before the layout went lean), further epochs
-//!   nothing, and the leaner layout costs a buffered Tile-D-b session nothing;
+//!   group of three at most 450 in a slab slot of at most 240 B, its configuration shared
+//!   with the groups registered alike (≈ 444 in 232 today, 676 in 464 while every slot kept
+//!   its own configuration and two copies of the work counters,
+//!   692 while a session kept its horizon beside its configuration, 700 while
+//!   `Method::Circle` carried a radius cap, 723 before the ready list replaced the hot
+//!   entries, 1,269 before the layout went lean), further epochs nothing, and the leaner
+//!   layout costs a buffered Tile-D-b session nothing;
 //! * the tick of a first-region burst streams each response from the session to the
 //!   encoder: at its peak it holds at most the encoded downlink plus 64 KiB above what it
 //!   leaves behind, so no per-response buffer sits between the engine and the wire;
@@ -49,7 +52,7 @@ use mpn::geom::Point;
 use mpn::index::{PoiEntry, RTree};
 use mpn::mobility::poi::{clustered_pois, PoiConfig};
 use mpn::mobility::Trajectory;
-use mpn::proto::{Request, Response, WireConfig};
+use mpn::proto::{Request, Response, WireConfig, WireMethod};
 use mpn::sim::{
     EpochUpdate, GroupSession, MonitorConfig, MonitoringEngine, MonitoringMetrics, ServerCore,
     SessionEvent, StepOutcome, TrajectoryFeed, WorldChange,
@@ -300,16 +303,16 @@ fn tile_recompute_warm() {
     session.observe(&group);
     // The first computation builds the buffer and the per-thread scratch.
     black_box(method.answer_session(&tree, Objective::Max, &group, &mut session));
-    let (total, answer) =
+    let (total, (answer, stats)) =
         allocations_during(|| method.answer_session(&tree, Objective::Max, &group, &mut session));
-    assert_eq!(answer.stats.rtree_queries, 1, "the recompute must reuse the buffer");
+    assert_eq!(stats.rtree_queries, 1, "the recompute must reuse the buffer");
     assert!(total > 0, "the answer's region vectors are heap-allocated: the counter is blind");
     let bound = tile_output_bound(&answer.regions);
     assert!(
         total as usize <= bound,
         "a warm Tile-D-b recompute allocated {total} times for {} verified pairs; its output \
          accounts for at most {bound}",
-        answer.stats.candidates_checked
+        stats.candidates_checked
     );
 
     // Charging the answer to the §7.1 model — once per region, on every update — is a closed
@@ -356,8 +359,8 @@ fn tile_scratch_bytes() {
         ];
         let method = Method::tile_directed_buffered(std::f64::consts::FRAC_PI_4, 100);
         let start = live();
-        let answer = method.answer(&*tree, Objective::Max, &group, None);
-        let checked = answer.stats.candidates_checked;
+        let (answer, stats) = method.answer(&*tree, Objective::Max, &group, None);
+        let checked = stats.candidates_checked;
         drop(answer);
         let (bytes, blocks) = live_since(start);
         (bytes, blocks, checked)
@@ -384,9 +387,8 @@ fn tile_sum_recompute_warm() {
     session.observe(&group);
     // The first computation grows the per-thread scratch.
     black_box(method.answer_session(&tree, Objective::Sum, &group, &mut session));
-    let (total, answer) =
+    let (total, (answer, stats)) =
         allocations_during(|| method.answer_session(&tree, Objective::Sum, &group, &mut session));
-    let stats = answer.stats;
     assert!(stats.rtree_queries >= 3, "the recompute must refill the pool at least once");
     assert!(stats.verify_calls > 100, "too few tiles tried to tell: {}", stats.verify_calls);
     let bound = tile_output_bound(&answer.regions);
@@ -476,7 +478,9 @@ fn circle_group_bytes() {
     );
 
     let per_group = monitored.0 as f64 / FLEET as f64;
-    assert!(per_group <= 680.0, "a Circle group of three costs {per_group:.1} live bytes");
+    assert!(per_group <= 450.0, "a Circle group of three costs {per_group:.1} live bytes");
+    let slot = size_of::<GroupSession>();
+    assert!(slot <= 240, "a session's slab slot is {slot} B");
 
     let mut recomputed = 0;
     for e in 1..=5 {
@@ -486,6 +490,27 @@ fn circle_group_bytes() {
     // Nothing per group: what may still grow is a per-thread query scratch, a few KB once.
     let grown = live_since(start).0 as i64 - monitored.0 as i64;
     assert!(grown.unsigned_abs() < FLEET as u64, "five epochs moved the fleet by {grown} bytes");
+}
+
+/// Sessions registered with the same `WireConfig` share one `MonitorConfig`, which is what
+/// keeps it out of the slab slot.  The table of shared configurations holds at most 16 and
+/// forgets those no live session holds when it adds one, so a client that registered 16
+/// others and left does not stop later groups from sharing.
+#[test]
+fn sessions_alike_share_one_config() {
+    let mut core = ServerCore::new(Arc::new(poi_tree(2_000)), 1);
+    let register = |config| Request::Register { group_size: 3, config };
+    let capped = |cap| WireConfig { max_timestamps: Some(cap), ..WireConfig::default() };
+    assert_eq!(serve(&mut core, (1..=16).map(|cap| register(capped(cap)))), 16);
+    assert_eq!(serve(&mut core, (0..16).map(|group| Request::Deregister { group })), 16);
+    let tile = WireConfig { method: WireMethod::Tile, ..WireConfig::default() };
+    let alike = [WireConfig::default(), tile, WireConfig::default()];
+    assert_eq!(serve(&mut core, alike.into_iter().map(register)), 3);
+    // The freed ids are reused most recently freed first: 15, 14, 13.
+    let config = |id| core.engine().group(id).config();
+    assert!(std::ptr::eq(config(15), config(13)), "alike sessions share their config");
+    assert!(!std::ptr::eq(config(15), config(14)));
+    assert_eq!(config(14).method.name(), "Tile");
 }
 
 /// The first regions of a whole fleet in one tick, the burst that sets a server's peak memory:
@@ -547,7 +572,7 @@ fn buffered_tile_session_bytes() {
     let session = || {
         let mut session = GroupSession::streaming(3, config);
         session.submit(users(3));
-        assert_eq!(session.advance(&tree), StepOutcome::Registered);
+        assert_eq!(session.advance(&tree, &mut ComputeStats::default()), StepOutcome::Registered);
         session
     };
     drop(session());

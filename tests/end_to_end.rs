@@ -33,7 +33,7 @@ fn monitoring_never_misses_a_meeting_point_change() {
     for objective in [Objective::Max, Objective::Sum] {
         for method in [Method::circle(), Method::tile(), Method::tile_directed(0.8)] {
             let mut locations: Vec<_> = group.iter().map(|t| t.at(0)).collect();
-            let mut answer = method.answer(&tree, objective, &locations, None);
+            let (mut answer, _) = method.answer(&tree, objective, &locations, None);
             for t in 1..250 {
                 locations.clear();
                 locations.extend(group.iter().map(|traj| traj.at(t)));
@@ -48,7 +48,7 @@ fn monitoring_never_misses_a_meeting_point_change() {
                         method.name()
                     );
                 } else {
-                    answer = method.answer(&tree, objective, &locations, None);
+                    (answer, _) = method.answer(&tree, objective, &locations, None);
                 }
             }
         }
@@ -66,8 +66,8 @@ fn sum_and_max_objectives_can_disagree_and_are_both_served() {
         mpn::geom::Point::new(480.0, 650.0),
         mpn::geom::Point::new(2_700.0, 2_500.0),
     ];
-    let max_answer = Method::tile().answer(&tree, Objective::Max, &users, None);
-    let sum_answer = Method::tile().answer(&tree, Objective::Sum, &users, None);
+    let (max_answer, _) = Method::tile().answer(&tree, Objective::Max, &users, None);
+    let (sum_answer, _) = Method::tile().answer(&tree, Objective::Sum, &users, None);
 
     // Verify each optimum against brute force on its own objective.
     let pois: Vec<_> = tree.iter().map(|e| e.location).collect();
@@ -88,9 +88,10 @@ fn compressed_and_uncompressed_runs_agree_on_updates() {
     let tree = poi_tree(500, 2_000.0, 71);
     let group = taxi_group(3, 2_000.0, 200, 19);
     let base = MonitorConfig::new(Objective::Max, Method::tile());
-    let compressed = run_monitoring(&tree, &group, &base);
-    let plain = run_monitoring(&tree, &group, &MonitorConfig { compress_regions: false, ..base });
+    let (compressed, _) = run_monitoring(&tree, &group, &base);
+    let (plain, _) =
+        run_monitoring(&tree, &group, &MonitorConfig { compress_regions: false, ..base });
     // Compression only affects packet counts, never the protocol behaviour.
     assert_eq!(compressed.updates, plain.updates);
-    assert!(compressed.packets() <= plain.packets());
+    assert!(compressed.traffic.packets <= plain.traffic.packets);
 }

@@ -1,22 +1,25 @@
 //! Property tests for dynamic fleet membership: random interleavings of
 //! `register_stream` / `deregister` / `tick` over a 16-group fleet, every registered group
 //! submitting its next recorded epoch before each tick, must leave every group's protocol
-//! counters identical to that group replayed solo — churn bookkeeping (the id free-list,
-//! slot reuse and the ready list) must never corrupt or cross-wire a session.
+//! counters identical to that group replayed solo, and the fleet's work counters equal to
+//! the solo replays' summed — churn bookkeeping (the id free-list, slot reuse and the ready
+//! list) must never corrupt or cross-wire a session, nor drop or double a departed group's
+//! work.
 //!
 //! Uses the offline `proptest` shim: cases are deterministic (seeded from the test name), so
 //! a failing case index reproduces exactly.
 
 use std::sync::Arc;
 
-use mpn::core::{ComputeStats, Method, Objective};
-use mpn::index::RTree;
+use mpn::core::{ComputeStats, Method, Objective, SessionState};
+use mpn::geom::Point;
+use mpn::index::{RTree, WorldView};
 use mpn::mobility::poi::{clustered_pois, PoiConfig};
 use mpn::mobility::waypoint::{random_waypoint, WaypointConfig};
 use mpn::mobility::Trajectory;
 use mpn::sim::{
     EpochUpdate, GroupId, GroupSession, MonitorConfig, MonitoringEngine, MonitoringMetrics,
-    Traffic, TrajectoryFeed,
+    SessionEvent, Traffic, TrajectoryFeed, WorldChange,
 };
 use proptest::collection::vec as prop_vec;
 use proptest::prelude::*;
@@ -44,22 +47,16 @@ fn config() -> MonitorConfig {
     MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(HORIZON)
 }
 
-/// The deterministic protocol counters of a run (wall-clock timings excluded).
+/// The deterministic protocol counters of a group (wall-clock timings excluded).
 #[derive(Debug, PartialEq, Eq)]
 struct Counters {
     timestamps: usize,
     updates: usize,
     traffic: Traffic,
-    stats: ComputeStats,
 }
 
 fn counters_of(metrics: &MonitoringMetrics) -> Counters {
-    Counters {
-        timestamps: metrics.timestamps,
-        updates: metrics.updates,
-        traffic: metrics.traffic,
-        stats: metrics.stats,
-    }
+    Counters { timestamps: metrics.timestamps, updates: metrics.updates, traffic: metrics.traffic }
 }
 
 /// One registration epoch of a group: which group, the recording it submits from, how many
@@ -143,7 +140,9 @@ proptest! {
             epochs[slot.1].metrics = Some(engine.group_metrics(slot.0).clone());
         }
 
-        // Every epoch must match its group replayed solo for the same number of advances.
+        // Every epoch must match its group replayed solo for the same number of advances,
+        // and the fleet's work counters all solo replays together.
+        let mut solo_stats = ComputeStats::default();
         for (i, epoch) in epochs.iter().enumerate() {
             let mut recording = feed(&fleet[epoch.gidx]);
             let mut solo = GroupSession::streaming(fleet[epoch.gidx].len(), config());
@@ -151,7 +150,7 @@ proptest! {
                 if let Some(positions) = recording.next_epoch() {
                     solo.submit(positions);
                 }
-                let _ = solo.advance(&*tree);
+                let _ = solo.advance(&*tree, &mut solo_stats);
             }
             let engine_counters =
                 counters_of(epoch.metrics.as_ref().expect("every epoch ends with metrics"));
@@ -164,5 +163,71 @@ proptest! {
                 epoch.advances
             );
         }
+        prop_assert_eq!(engine.fleet_metrics().stats, solo_stats);
     }
+}
+
+/// The fleet's work counters hold every computation exactly once, a departed group's
+/// included: through registrations, updates, a deregistration, the reuse of its id and a POI
+/// delete's forced recomputes, they equal a solo `Method::answer_session` replay of the same
+/// computations (one per `Assigned` event of user 0, at the positions the group last
+/// reported) against a world that saw the same delete.
+#[test]
+fn fleet_stats_count_every_computation_once_across_churn() {
+    let (tree, fleet) = world();
+    let config = MonitorConfig::new(Objective::Max, Method::circle());
+    let logged = || GroupSession::streaming(2, config).with_events(true);
+    let replay = |events: Vec<(GroupId, SessionEvent)>,
+                  last: &[Vec<Point>],
+                  world: &WorldView,
+                  solo: &mut ComputeStats| {
+        for (id, event) in events {
+            if matches!(event, SessionEvent::Assigned { user: 0, .. }) {
+                let mut state = SessionState::new(2, config.heading_smoothing);
+                let (_, stats) = config.method.answer_session(
+                    world.view(),
+                    config.objective,
+                    &last[id],
+                    &mut state,
+                );
+                solo.absorb(&stats);
+            }
+        }
+    };
+    let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
+    let mut world = WorldView::new(Arc::clone(&tree));
+    let mut solo = ComputeStats::default();
+    // Per id: the recording it reports from, and the positions it reported last.
+    let mut recording: Vec<usize> = (0..3).collect();
+    let mut last = vec![Vec::new(); 3];
+    for _ in 0..3 {
+        engine.register_session(logged());
+    }
+    let (mut departed, mut pushed) = (None, 0);
+    for t in 0..HORIZON {
+        if t == 4 {
+            departed = engine.deregister(1);
+            assert_eq!(engine.register_session(logged()), 1, "the freed id is reused");
+            recording[1] = 3;
+        }
+        for id in 0..3 {
+            last[id] = fleet[recording[id]].iter().map(|traj| traj.at(t)).collect();
+            let positions = last[id].clone();
+            engine.submit(EpochUpdate { group_id: id, positions }).expect("a live group");
+        }
+        engine.tick();
+        replay(engine.drain_events(), &last, &world, &mut solo);
+        if t == 8 {
+            let answer = engine.group(0).session_state().last_answer();
+            let poi = answer.expect("registered").optimal_index;
+            pushed = engine.apply_world_change(WorldChange::PoiDelete { poi }).invalidated;
+            world.delete(poi).expect("the optimum is a live POI");
+            replay(engine.drain_events(), &last, &world, &mut solo);
+        }
+    }
+    assert!(departed.is_some_and(|metrics| metrics.updates > 0), "group 1 left with work");
+    assert!(pushed > 0, "deleting an optimum forces a recompute");
+    let fleet_metrics = engine.fleet_metrics();
+    assert!(fleet_metrics.updates > 4, "the fleet must update beyond registering");
+    assert_eq!(fleet_metrics.stats, solo);
 }

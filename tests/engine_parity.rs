@@ -6,7 +6,8 @@
 //!
 //! * the compatibility wrapper — a recording submitted epoch by epoch into one streaming
 //!   session, like any client — reproduces its updates, packets and work counters exactly,
-//! * a multi-group tick equals the single-group replays, each run on its own,
+//! * a multi-group tick equals the single-group replays, each run on its own, and the
+//!   engine's fleet work counters equal the replays' summed,
 //! * the engine path (`register_stream` + `EpochUpdate` submission) produces the same
 //!   counters as a standalone session fed the same recording, epoch for epoch,
 //! * a tick streamed to a callback (`tick_with`) sends exactly the events, in exactly the
@@ -19,7 +20,7 @@
 
 use std::sync::Arc;
 
-use mpn::core::{region_value_count, Method, Objective};
+use mpn::core::{region_value_count, ComputeStats, Method, Objective};
 use mpn::geom::{HeadingPredictor, Point};
 use mpn::index::{RTree, WorldView};
 use mpn::mobility::poi::{clustered_pois, PoiConfig};
@@ -44,13 +45,13 @@ fn world(groups: usize, seed: u64) -> (Arc<RTree>, Vec<Vec<Trajectory>>) {
     (tree, fleet)
 }
 
-/// The protocol counters a monitoring run produces (everything except wall-clock times).
+/// The protocol counters a group's metrics hold (everything except wall-clock times); the
+/// work counters of its computations are compared beside them, as a [`ComputeStats`].
 #[derive(Debug, PartialEq, Eq)]
 struct Counters {
     timestamps: usize,
     updates: usize,
     traffic: Traffic,
-    stats: mpn::core::ComputeStats,
 }
 
 /// The original stateless monitoring loop, verbatim from the pre-refactor implementation:
@@ -58,13 +59,17 @@ struct Counters {
 /// server recomputing from scratch every time.  This is the parity baseline; it charges the
 /// literal §7.1 costs (2 values per reported location, 1 per probe, meeting point + region
 /// per notification) rather than naming `mpn-proto`'s definitions, so it pins them too.
-fn legacy_run_monitoring(tree: &RTree, group: &[Trajectory], config: &MonitorConfig) -> Counters {
+fn legacy_run_monitoring(
+    tree: &RTree,
+    group: &[Trajectory],
+    config: &MonitorConfig,
+) -> (Counters, ComputeStats) {
     let horizon = group.iter().map(Trajectory::len).min().unwrap_or(0);
     let horizon = config.max_timestamps.map_or(horizon, |cap| horizon.min(cap));
 
     let mut timestamps = 0usize;
     let mut updates = 0usize;
-    let mut stats = mpn::core::ComputeStats::default();
+    let mut stats = ComputeStats::default();
     let mut traffic = Traffic::default();
     let mut predictors: Vec<HeadingPredictor> =
         group.iter().map(|_| HeadingPredictor::new(config.heading_smoothing)).collect();
@@ -78,9 +83,9 @@ fn legacy_run_monitoring(tree: &RTree, group: &[Trajectory], config: &MonitorCon
     }
     let headings: Vec<Option<f64>> = predictors.iter().map(HeadingPredictor::predicted).collect();
     let (method, objective) = (config.method, config.objective);
-    let mut answer = method.answer(tree, objective, &locations, Some(&headings));
+    let (mut answer, computed) = method.answer(tree, objective, &locations, Some(&headings));
     updates += 1;
-    stats.absorb(&answer.stats);
+    stats.absorb(&computed);
     for region in &answer.regions {
         traffic.record_downlink(2 + region_value_count(region, config.compress_regions));
     }
@@ -107,15 +112,16 @@ fn legacy_run_monitoring(tree: &RTree, group: &[Trajectory], config: &MonitorCon
         }
         let headings: Vec<Option<f64>> =
             predictors.iter().map(HeadingPredictor::predicted).collect();
-        answer = method.answer(tree, objective, &locations, Some(&headings));
+        let computed;
+        (answer, computed) = method.answer(tree, objective, &locations, Some(&headings));
         updates += 1;
-        stats.absorb(&answer.stats);
+        stats.absorb(&computed);
         for region in &answer.regions {
             traffic.record_downlink(2 + region_value_count(region, config.compress_regions));
         }
     }
 
-    Counters { timestamps, updates, traffic, stats }
+    (Counters { timestamps, updates, traffic }, stats)
 }
 
 /// A recording replayed as a client: the feed it submits from and the configuration its
@@ -141,13 +147,8 @@ fn submit_next(engines: &mut [&mut MonitoringEngine], replays: &mut [(usize, Tra
     }
 }
 
-fn counters_of(metrics: &mpn::sim::MonitoringMetrics) -> Counters {
-    Counters {
-        timestamps: metrics.timestamps,
-        updates: metrics.updates,
-        traffic: metrics.traffic,
-        stats: metrics.stats,
-    }
+fn counters_of(metrics: &MonitoringMetrics) -> Counters {
+    Counters { timestamps: metrics.timestamps, updates: metrics.updates, traffic: metrics.traffic }
 }
 
 #[test]
@@ -163,11 +164,11 @@ fn wrapper_reproduces_the_legacy_loop_exactly_for_every_method() {
             Method::tile_directed_buffered(theta, 60),
         ] {
             let config = MonitorConfig::new(objective, method).with_max_timestamps(150);
-            let legacy = legacy_run_monitoring(&tree, group, &config);
-            let session = run_monitoring(&tree, group, &config);
+            let (legacy, legacy_stats) = legacy_run_monitoring(&tree, group, &config);
+            let (session, stats) = run_monitoring(&tree, group, &config);
             assert_eq!(
-                legacy,
-                counters_of(&session),
+                (legacy, legacy_stats),
+                (counters_of(&session), stats),
                 "{objective:?}/{} diverged from the legacy loop",
                 method.name()
             );
@@ -180,7 +181,7 @@ fn engine_path_matches_the_wrapper_for_a_single_group() {
     let (tree, fleet) = world(1, 9);
     let config =
         MonitorConfig::new(Objective::Max, Method::tile_directed(0.8)).with_max_timestamps(120);
-    let wrapper = run_monitoring(&tree, &fleet[0], &config);
+    let (wrapper, wrapper_stats) = run_monitoring(&tree, &fleet[0], &config);
 
     let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
     let (feed, capped) = replay(&fleet[0], config);
@@ -190,6 +191,7 @@ fn engine_path_matches_the_wrapper_for_a_single_group() {
         engine.tick();
     }
     assert_eq!(counters_of(&wrapper), counters_of(engine.group_metrics(replays[0].0)));
+    assert_eq!(wrapper_stats, engine.fleet_metrics().stats);
 }
 
 #[test]
@@ -203,6 +205,7 @@ fn streaming_submission_matches_the_feed_replay_epoch_for_epoch() {
     let legacy = legacy_run_monitoring(&tree, group, &config);
 
     let mut solo = GroupSession::streaming(group.len(), config);
+    let mut solo_stats = ComputeStats::default();
     let mut stream = MonitoringEngine::new(Arc::clone(&tree), 1);
     let stream_id = stream.register_stream(group.len(), config);
 
@@ -211,15 +214,16 @@ fn streaming_submission_matches_the_feed_replay_epoch_for_epoch() {
         let positions = source.next_epoch().expect("the recording covers the horizon");
         solo.submit(positions.clone());
         stream.submit(EpochUpdate { group_id: stream_id, positions }).expect("live group");
-        let outcome = solo.advance(&*tree);
+        let outcome = solo.advance(&*tree, &mut solo_stats);
         let summary = stream.tick();
         assert_eq!((summary.advanced, summary.starved), (1, 0), "tick {t}");
         assert_eq!(summary.registered, usize::from(outcome == StepOutcome::Registered));
         assert_eq!(summary.updated, usize::from(matches!(outcome, StepOutcome::Updated { .. })));
         assert_eq!(counters_of(solo.metrics()), counters_of(stream.group_metrics(stream_id)));
+        assert_eq!(solo_stats, stream.fleet_metrics().stats, "tick {t}");
     }
     assert!(solo.is_finished() && stream.is_finished());
-    assert_eq!(legacy, counters_of(stream.group_metrics(stream_id)));
+    assert_eq!(legacy, (counters_of(stream.group_metrics(stream_id)), solo_stats));
 }
 
 #[test]
@@ -227,8 +231,15 @@ fn eight_group_tick_matches_eight_serial_runs() {
     let (tree, fleet) = world(8, 21);
     let config = MonitorConfig::new(Objective::Max, Method::tile()).with_max_timestamps(100);
 
-    let serial: Vec<Counters> =
-        fleet.iter().map(|g| counters_of(&run_monitoring(&tree, g, &config))).collect();
+    let mut serial_stats = ComputeStats::default();
+    let serial: Vec<Counters> = fleet
+        .iter()
+        .map(|g| {
+            let (metrics, stats) = run_monitoring(&tree, g, &config);
+            serial_stats.absorb(&stats);
+            counters_of(&metrics)
+        })
+        .collect();
 
     let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
     let mut replays: Vec<_> = fleet
@@ -262,6 +273,7 @@ fn eight_group_tick_matches_eight_serial_runs() {
         fleet_metrics.traffic.packets,
         serial.iter().map(|c| c.traffic.packets).sum::<usize>()
     );
+    assert_eq!(fleet_metrics.stats, serial_stats);
 }
 
 /// `tick_with` is the one body of a tick and `tick` + `drain_events` collect what it sends:
@@ -339,7 +351,10 @@ fn skewed_fleet(sizes: &[usize], horizon: usize) -> (Arc<RTree>, Vec<Vec<Traject
 struct WalkEverythingOracle {
     world: WorldView,
     sessions: Vec<Option<GroupSession>>,
-    retired: Vec<MonitoringMetrics>,
+    /// The metrics and the group size of every deregistered session.
+    retired: Vec<(MonitoringMetrics, usize)>,
+    /// The work counters of every computation any session ran.
+    stats: ComputeStats,
     clock: usize,
 }
 
@@ -349,6 +364,7 @@ impl WalkEverythingOracle {
             world: WorldView::new(Arc::clone(tree)),
             sessions: Vec::new(),
             retired: Vec::new(),
+            stats: ComputeStats::default(),
             clock: 0,
         }
     }
@@ -369,7 +385,8 @@ impl WalkEverythingOracle {
     fn deregister(&mut self, id: usize) -> bool {
         match self.sessions[id].take() {
             Some(session) => {
-                self.retired.push(session.into_metrics());
+                let size = session.group_size();
+                self.retired.push((session.into_metrics(), size));
                 true
             }
             None => false,
@@ -385,7 +402,7 @@ impl WalkEverythingOracle {
                 tally.finished += 1;
                 continue;
             }
-            match session.advance(view) {
+            match session.advance(view, &mut self.stats) {
                 StepOutcome::Finished => {}
                 StepOutcome::Starved => tally.starved += 1,
                 StepOutcome::Registered => {
@@ -427,7 +444,9 @@ impl WalkEverythingOracle {
         for (id, slot) in self.sessions.iter_mut().enumerate() {
             let Some(session) = slot else { continue };
             checked += 1;
-            if session.world_change_invalidates(&change) && session.force_recompute(view) {
+            if session.world_change_invalidates(&change)
+                && session.force_recompute(view, &mut self.stats)
+            {
                 affected.push(id);
             }
         }
@@ -570,27 +589,28 @@ proptest! {
             }
         }
         let fleet_metrics = engine.fleet_metrics();
-        let oracle_all: Vec<&MonitoringMetrics> = oracle
+        let oracle_all: Vec<(&MonitoringMetrics, usize)> = oracle
             .sessions
             .iter()
-            .filter_map(|s| s.as_ref().map(GroupSession::metrics))
-            .chain(oracle.retired.iter())
+            .filter_map(|s| s.as_ref().map(|s| (s.metrics(), s.group_size())))
+            .chain(oracle.retired.iter().map(|(m, size)| (m, *size)))
             .collect();
+        prop_assert_eq!(fleet_metrics.stats, oracle.stats, "the fleet's work counters diverged");
         prop_assert_eq!(
             fleet_metrics.updates,
-            oracle_all.iter().map(|m| m.updates).sum::<usize>()
+            oracle_all.iter().map(|(m, _)| m.updates).sum::<usize>()
         );
         prop_assert_eq!(
             fleet_metrics.timestamps,
-            oracle_all.iter().map(|m| m.timestamps).sum::<usize>()
+            oracle_all.iter().map(|(m, _)| m.timestamps).sum::<usize>()
         );
         prop_assert_eq!(
             fleet_metrics.traffic.packets,
-            oracle_all.iter().map(|m| m.traffic.packets).sum::<usize>()
+            oracle_all.iter().map(|(m, _)| m.traffic.packets).sum::<usize>()
         );
         prop_assert_eq!(
             fleet_metrics.group_size,
-            oracle_all.iter().map(|m| m.group_size).sum::<usize>()
+            oracle_all.iter().map(|(_, size)| size).sum::<usize>()
         );
     }
 }
@@ -601,11 +621,12 @@ fn persistent_buffers_cut_tile_d_b_index_work_versus_the_stateless_path() {
     let base = MonitorConfig::new(Objective::Max, Method::tile_directed_buffered(0.8, 100))
         .with_max_timestamps(200);
 
-    let stateless = run_monitoring(&tree, &fleet[0], &base);
-    let stateful = run_monitoring(&tree, &fleet[0], &base.with_persistent_buffers(true));
+    let (stateless, stateless_stats) = run_monitoring(&tree, &fleet[0], &base);
+    let (stateful, stateful_stats) =
+        run_monitoring(&tree, &fleet[0], &base.with_persistent_buffers(true));
 
-    let stateless_q = stateless.stats.rtree_queries as f64 / stateless.updates as f64;
-    let stateful_q = stateful.stats.rtree_queries as f64 / stateful.updates as f64;
+    let stateless_q = stateless_stats.rtree_queries as f64 / stateless.updates as f64;
+    let stateful_q = stateful_stats.rtree_queries as f64 / stateful.updates as f64;
     assert!(
         stateful_q < stateless_q,
         "persistent buffers must reduce R-tree queries per update ({stateful_q:.2} vs {stateless_q:.2})"

@@ -108,7 +108,7 @@ fn real_tile_regions_match_result_notifications_compressed_and_plain() {
     let (tree, users) = parity_world();
 
     for objective in [Objective::Max, Objective::Sum] {
-        let answer = Method::tile().answer(&tree, objective, &users, None);
+        let (answer, _) = Method::tile().answer(&tree, objective, &users, None);
         assert!(!answer.regions.is_empty());
         for region in &answer.regions {
             for compress in [true, false] {
@@ -138,7 +138,7 @@ fn real_tile_regions_round_trip_at_under_two_bytes_a_tile() {
     let (mut tiles, mut tile_bytes) = (0, 0);
     for objective in [Objective::Max, Objective::Sum] {
         for method in methods {
-            let answer = method.answer(&tree, objective, &users, None);
+            let (answer, _) = method.answer(&tree, objective, &users, None);
             for (user, region) in answer.regions.iter().enumerate() {
                 let SafeRegion::Tiles(region_tiles) = region else { panic!("{method:?}") };
                 let wire = Response::SafeRegion {

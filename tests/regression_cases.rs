@@ -297,7 +297,7 @@ fn proptest_shrink_three_pois_two_users() {
     let tree = RTree::bulk_load(&pois);
 
     for objective in [Objective::Max, Objective::Sum] {
-        let answer = Method::tile().answer(&tree, objective, &users, None);
+        let (answer, _) = Method::tile().answer(&tree, objective, &users, None);
         eprintln!(
             "{objective:?}: optimal {} regions sizes {:?}",
             answer.optimal_index,

@@ -45,7 +45,7 @@ fn check_invariant(
     samples: &[(f64, f64)],
 ) -> Result<(), TestCaseError> {
     let tree = RTree::bulk_load(pois);
-    let answer = method.answer(&tree, objective, users, None);
+    let (answer, _) = method.answer(&tree, objective, users, None);
     prop_assert_eq!(answer.regions.len(), users.len());
     prop_assert!(answer.all_inside(users));
 
@@ -118,7 +118,7 @@ proptest! {
         users in arb_users(1_000.0),
     ) {
         let tree = RTree::bulk_load(&pois);
-        let answer = Method::tile().answer(&tree, Objective::Max, &users, None);
+        let (answer, _) = Method::tile().answer(&tree, Objective::Max, &users, None);
         for (user, region) in answer.regions.iter().enumerate() {
             let SafeRegion::Tiles(tiles) = region else { continue };
             let response = Response::SafeRegion {
@@ -201,7 +201,7 @@ proptest! {
             for objective in [Objective::Max, Objective::Sum] {
                 let r_max = circle_msr(&tree, &users, objective).radius;
                 prop_assert!(tie != 0 || r_max == 0.0, "duplicated POIs tie");
-                let answer = method.answer(&tree, objective, &users, None);
+                let (answer, _) = method.answer(&tree, objective, &users, None);
                 for (i, (region, &u)) in answer.regions.iter().zip(&users).enumerate() {
                     let response = Response::SafeRegion {
                         group: 7,

@@ -124,8 +124,8 @@ proptest! {
                 prop_assert!((n.dist - want).abs() <= 1e-9, "top-k diverged from brute force");
             }
             for method in [Method::circle(), Method::tile()] {
-                let changed = method.answer(&world, objective, &users, None);
-                let flat = method.answer(&fresh, objective, &users, None);
+                let (changed, _) = method.answer(&world, objective, &users, None);
+                let (flat, _) = method.answer(&fresh, objective, &users, None);
                 prop_assert_eq!(changed.optimal_point, flat.optimal_point);
                 prop_assert!(changed.all_inside(&users));
             }
@@ -375,7 +375,7 @@ fn poi_delete_reaches_the_affected_client_as_an_unsolicited_mux_push() {
     let users = vec![Point::new(95.0, 103.0), Point::new(110.0, 100.0)];
     let tree = Arc::new(RTree::bulk_load(&pois));
     let expected =
-        Method::circle().answer(tree.as_ref(), Objective::Max, &users, None).optimal_index;
+        Method::circle().answer(tree.as_ref(), Objective::Max, &users, None).0.optimal_index;
 
     let core = ServerCore::new(Arc::clone(&tree), 1);
     let mut mux = MuxServer::bind("127.0.0.1:0", core, MuxConfig::default()).expect("bind mux");
