@@ -31,13 +31,7 @@ fn test_core() -> ServerCore {
 }
 
 fn circle_config() -> WireConfig {
-    WireConfig {
-        objective: WireObjective::Max,
-        method: WireMethod::Circle,
-        compress_regions: true,
-        persist_buffers: false,
-        max_timestamps: None,
-    }
+    WireConfig { objective: WireObjective::Max, method: WireMethod::Circle, persist_buffers: false }
 }
 
 fn feed(seed: u64, size: usize, epochs: usize) -> TrajectoryFeed {

@@ -2,8 +2,8 @@
 //!
 //! Every message travels as one **frame**: a little-endian `u32` payload length, a one-byte
 //! message tag, then the tag's payload.  Every integer field of a payload — group, user and
-//! POI ids, the group size, the buffer and horizon of a [`WireConfig`], a world generation and
-//! its revised count — is a canonical LEB128 varint ([`mpn_core::compress::put_varint`]), one
+//! POI ids, the group size, the buffer of a [`WireConfig`], a world generation and its
+//! revised count — is a canonical LEB128 varint ([`mpn_core::compress::put_varint`]), one
 //! byte below 128.  A [`Request::Report`] carries no position count: its positions are the
 //! rest of the frame, 16 bytes each.  `f64`s ship as their little-endian IEEE-754 bit patterns
 //! (the round-trip is exact, which the property tests pin); tile regions ship as their shared
@@ -225,14 +225,7 @@ fn encode_config(out: &mut Vec<u8>, config: &WireConfig) {
             put_varint(out, buffer.into());
         }
     }
-    out.push(u8::from(config.compress_regions) | (u8::from(config.persist_buffers) << 1));
-    match config.max_timestamps {
-        None => out.push(0),
-        Some(cap) => {
-            out.push(1);
-            put_varint(out, cap.into());
-        }
-    }
+    out.push(u8::from(config.persist_buffers));
 }
 
 fn decode_config(r: &mut Reader<'_>) -> Result<WireConfig, DecodeError> {
@@ -248,22 +241,12 @@ fn decode_config(r: &mut Reader<'_>) -> Result<WireConfig, DecodeError> {
         3 => WireMethod::TileDirectedBuffered { theta: r.f64()?, buffer: r.varint_u32()? },
         _ => return Err(DecodeError::Malformed("unknown method")),
     };
-    let flags = r.u8()?;
-    if flags > 0b11 {
-        return Err(DecodeError::Malformed("unknown config flags"));
-    }
-    let max_timestamps = match r.u8()? {
-        0 => None,
-        1 => Some(r.varint_u32()?),
-        _ => return Err(DecodeError::Malformed("unknown horizon marker")),
+    let persist_buffers = match r.u8()? {
+        0 => false,
+        1 => true,
+        _ => return Err(DecodeError::Malformed("unknown config flags")),
     };
-    Ok(WireConfig {
-        objective,
-        method,
-        compress_regions: flags & 1 != 0,
-        persist_buffers: flags & 2 != 0,
-        max_timestamps,
-    })
+    Ok(WireConfig { objective, method, persist_buffers })
 }
 
 fn encode_region(out: &mut Vec<u8>, region: &SafeRegion) {
@@ -615,9 +598,7 @@ mod tests {
                 config: WireConfig {
                     objective: WireObjective::Sum,
                     method: WireMethod::TileDirectedBuffered { theta: 0.75, buffer: 100 },
-                    compress_regions: true,
                     persist_buffers: true,
-                    max_timestamps: Some(500),
                 },
             },
             Request::Report {
@@ -707,12 +688,16 @@ mod tests {
         // One payload per way a frame can lie, and the fault it must be named by.  A varint
         // must be canonical (no padding or trailing zero group, at most ten bytes, nothing
         // above `u64`), and fit `u32` where the field is one; a report's positions are the
-        // rest of its frame, so a ragged tail is malformed.
+        // rest of its frame, so a ragged tail is malformed.  A register frame from before the
+        // horizon left the wire still ends in its horizon marker, after the old compression
+        // flag, which reads as `persist_buffers`: refused, never misread.
         let over_long = "varint is over-long or exceeds u64";
         let (eleven, above_u64) =
             ([[0x80; 10].as_slice(), &[1]].concat(), [[0xFF; 9].as_slice(), &[2]].concat());
         let ragged = [&[1][..], &[0; 16 * 1024 + 5]].concat();
-        let lies: [(u8, &[u8], &str); 10] = [
+        let lies: [(u8, &[u8], &str); 12] = [
+            (TAG_REGISTER, &[3, 0, 0, 1, 0], "trailing bytes after the payload"),
+            (TAG_REGISTER, &[3, 0, 0, 2], "unknown config flags"),
             (TAG_DEREGISTER, &[0x81, 0x80, 0x80, 0x00], over_long),
             (TAG_DEREGISTER, &eleven, over_long),
             (TAG_DEREGISTER, &above_u64, over_long),

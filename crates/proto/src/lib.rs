@@ -13,7 +13,7 @@
 //! Uplink ([`Request`], client → server):
 //!
 //! * [`Request::Register`] — open a monitoring session for a group (`group_size` users and a
-//!   [`WireConfig`] choosing objective, safe-region method and horizon);
+//!   [`WireConfig`] choosing objective and safe-region method);
 //! * [`Request::Report`] — one epoch of user positions for a registered group (both the
 //!   spontaneous step-1 violation reports and the step-2 probe replies travel as reports);
 //! * [`Request::Deregister`] — close the session;
@@ -161,24 +161,14 @@ pub struct WireConfig {
     pub objective: WireObjective,
     /// Safe-region method.
     pub method: WireMethod,
-    /// Whether tile regions are shipped compressed (the paper's default).
-    pub compress_regions: bool,
     /// Whether the server keeps the §5.4 GNN buffer alive across updates (Tile-D-b only).
     pub persist_buffers: bool,
-    /// Cap on monitored timestamps; `None` = open horizon (monitor until deregistration).
-    pub max_timestamps: Option<u32>,
 }
 
 impl Default for WireConfig {
-    /// MAX objective, circular regions, compression on, open horizon.
+    /// MAX objective, circular regions, no persistent buffers.
     fn default() -> Self {
-        Self {
-            objective: WireObjective::Max,
-            method: WireMethod::Circle,
-            compress_regions: true,
-            persist_buffers: false,
-            max_timestamps: None,
-        }
+        Self { objective: WireObjective::Max, method: WireMethod::Circle, persist_buffers: false }
     }
 }
 
@@ -333,8 +323,7 @@ impl Response {
     /// Payload size of this message in §7.1 double-precision values.
     ///
     /// A [`SafeRegion`](Response::SafeRegion) costs [`notification_values`] — `compress`
-    /// chooses the paper's compressed tile encoding, exactly like the group's
-    /// `MonitorConfig::compress_regions`.
+    /// chooses the paper's compressed tile encoding, which every monitoring session charges.
     #[must_use]
     pub fn values(&self, compress: bool) -> usize {
         match self {

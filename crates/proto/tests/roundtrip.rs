@@ -18,8 +18,7 @@ fn wire_config(
     method: usize,
     theta: f64,
     buffer: u32,
-    flags: usize,
-    cap: Option<u32>,
+    persist: bool,
 ) -> WireConfig {
     WireConfig {
         objective: if objective == 0 { WireObjective::Max } else { WireObjective::Sum },
@@ -29,9 +28,7 @@ fn wire_config(
             2 => WireMethod::TileDirected { theta },
             _ => WireMethod::TileDirectedBuffered { theta, buffer },
         },
-        compress_regions: flags & 1 != 0,
-        persist_buffers: flags & 2 != 0,
-        max_timestamps: cap,
+        persist_buffers: persist,
     }
 }
 
@@ -118,10 +115,7 @@ fn ids_at_every_varint_boundary_round_trip() {
     {
         let user = u32::try_from(id).unwrap_or(u32::MAX);
         let requests = [
-            Request::Register {
-                group_size: user,
-                config: wire_config(1, 3, 0.5, user, 3, Some(user)),
-            },
+            Request::Register { group_size: user, config: wire_config(1, 3, 0.5, user, true) },
             Request::Report { group: id, positions: vec![Point::new(1.0, -2.0); 3] },
             Request::Deregister { group: id },
             Request::Admin(AdminRequest::PoiDelete { poi: id }),
@@ -162,12 +156,11 @@ proptest! {
         method in 0usize..4,
         theta in 1e-3f64..std::f64::consts::PI,
         buffer in 1u32..1_000,
-        flags in 0usize..4,
-        cap in (0usize..2, 0u32..1_000_000).prop_map(|(set, v)| (set == 1).then_some(v)),
+        persist in 0usize..2,
     ) {
         let request = Request::Register {
             group_size,
-            config: wire_config(objective, method, theta, buffer, flags, cap),
+            config: wire_config(objective, method, theta, buffer, persist == 1),
         };
         let bytes = request.encoded();
         let (decoded, consumed) = Request::decode(&bytes).expect("a valid frame");

@@ -17,8 +17,7 @@
 //!   time and [`deregister`](MonitoringEngine::deregister) mid-run; their metrics fold into
 //!   the fleet totals ([`fleet_metrics`](MonitoringEngine::fleet_metrics), whose work
 //!   counters every computation adds to as it runs) and their ids are
-//!   reused, most recently freed first.  A session past its bounded horizon takes no more
-//!   epochs; an **open-horizon** one (no [`MonitorConfig`] timestamp cap) never finishes.
+//!   reused, most recently freed first.  A session monitors until it is deregistered.
 
 use std::sync::Arc;
 
@@ -61,9 +60,6 @@ pub enum SubmitError {
         /// The batch's size.
         got: usize,
     },
-    /// The epochs the session has consumed plus those already queued reach its bounded
-    /// horizon: one more would never be consumed, only sit in the inbox until deregistration.
-    Finished(GroupId),
 }
 
 impl std::fmt::Display for SubmitError {
@@ -74,12 +70,6 @@ impl std::fmt::Display for SubmitError {
                 f,
                 "group {group_id} has {expected} users but the epoch update carries {got} positions"
             ),
-            SubmitError::Finished(id) => {
-                write!(
-                    f,
-                    "group {id} has its whole horizon consumed or queued and takes no more epochs"
-                )
-            }
         }
     }
 }
@@ -167,14 +157,9 @@ pub struct TickSummary {
     pub violators: usize,
     /// Sessions that performed their initial registration during this tick.
     pub registered: usize,
-    /// Sessions that have consumed their whole **bounded** horizon, totalled over every
-    /// currently registered session (not a per-tick delta).  Open-horizon streaming sessions
-    /// never count here — they have nothing to finish — and a deregistered group leaves this
-    /// total for [`retired`](TickSummary::retired).
-    pub finished: usize,
     /// Live sessions that had no epoch to consume this tick (nothing submitted since their
-    /// last advance): registered, unfinished and not advanced.  This counts groups whose
-    /// clients are reporting slower than the server ticks.
+    /// last advance): registered and not advanced.  This counts groups whose clients are
+    /// reporting slower than the server ticks.
     pub starved: usize,
     /// Ids of deregistered groups awaiting reuse by the next registration (the vacant slab
     /// slots).
@@ -209,10 +194,10 @@ fn merged_with(
 ///   slot and parks the id on the free-list; no other session moves, so `submit`, `group`
 ///   lookups and deregistration are one index away.  An id is vacant iff its slot is `None`
 ///   iff it is on the free-list.
-/// * `ready` — the ids a tick will advance.  An id is ready iff its session is registered,
-///   not finished, and has at least one queued epoch: [`submit`](MonitoringEngine::submit)
-///   pushes it when its queue goes from 0 to 1, registering a pre-built session that holds
-///   one pushes it, a tick keeps it while an epoch is left, and deregistration removes it.
+/// * `ready` — the ids a tick will advance.  An id is ready iff its session is registered
+///   and has at least one queued epoch: [`submit`](MonitoringEngine::submit) pushes it
+///   when its queue goes from 0 to 1, registering a pre-built session that holds one pushes
+///   it, a tick keeps it while an epoch is left, and deregistration removes it.
 ///   Order does not matter between ticks; a tick sorts the list in place, so its passes
 ///   visit the groups in ascending id.
 #[derive(Debug)]
@@ -224,8 +209,6 @@ pub struct MonitoringEngine {
     slab: Vec<Option<GroupSession>>,
     /// The ids the next tick advances (see the type docs for the invariant).
     ready: Vec<GroupId>,
-    /// Registered sessions that have consumed their whole bounded horizon.
-    finished: usize,
     /// Ids of deregistered groups, available for reuse (most recently freed last).
     free_ids: Vec<GroupId>,
     /// The fleet totals no session holds: the merged metrics and users of every group that
@@ -255,7 +238,6 @@ impl MonitoringEngine {
             world,
             slab: Vec::new(),
             ready: Vec::new(),
-            finished: 0,
             free_ids: Vec::new(),
             retained: FleetMetrics::default(),
             events: Vec::new(),
@@ -284,9 +266,8 @@ impl MonitoringEngine {
 
     /// Registers a streaming group of `group_size` users and returns its id.
     ///
-    /// The session consumes [`EpochUpdate`]s pushed via [`submit`](MonitoringEngine::submit);
-    /// without a [`MonitorConfig`] timestamp cap it has an open horizon and monitors until
-    /// deregistered.
+    /// The session consumes [`EpochUpdate`]s pushed via [`submit`](MonitoringEngine::submit)
+    /// and monitors until deregistered.
     ///
     /// # Panics
     /// Panics when `group_size` is zero.
@@ -308,9 +289,7 @@ impl MonitoringEngine {
             self.slab.push(None);
             self.slab.len() - 1
         });
-        if session.is_finished() {
-            self.finished += 1;
-        } else if session.pending_epochs() > 0 {
+        if session.pending_epochs() > 0 {
             self.ready.push(id);
         }
         self.slab[id] = Some(session);
@@ -332,9 +311,7 @@ impl MonitoringEngine {
     pub fn deregister(&mut self, id: GroupId) -> Option<MonitoringMetrics> {
         let session = self.slab.get_mut(id)?.take()?;
         self.free_ids.push(id);
-        if session.is_finished() {
-            self.finished -= 1;
-        } else if session.pending_epochs() > 0 {
+        if session.pending_epochs() > 0 {
             let at = self.ready.iter().position(|&r| r == id).expect("a fed group is ready");
             self.ready.swap_remove(at);
         }
@@ -351,11 +328,9 @@ impl MonitoringEngine {
     /// the next [`tick`](MonitoringEngine::tick) (batches queue FIFO, one per tick).
     ///
     /// # Errors
-    /// Rejects updates for unknown / deregistered ids, batches whose size does not match the
-    /// group, and epochs beyond a bounded horizon (consumed plus queued epochs already reach
-    /// it, so the batch would sit in the inbox forever, unconsumed) — all without touching
-    /// any session state, so a network front-end maps these to protocol-level error
-    /// notifications instead of crashing the server.
+    /// Rejects updates for unknown / deregistered ids and batches whose size does not match
+    /// the group — both without touching any session state, so a network front-end maps
+    /// them to protocol-level error notifications instead of crashing the server.
     pub fn submit(&mut self, update: EpochUpdate) -> Result<(), SubmitError> {
         let EpochUpdate { group_id, positions } = update;
         let Some(session) = self.slab.get_mut(group_id).and_then(Option::as_mut) else {
@@ -367,9 +342,6 @@ impl MonitoringEngine {
                 expected: session.group_size(),
                 got: positions.len(),
             });
-        }
-        if session.horizon_is_covered() {
-            return Err(SubmitError::Finished(group_id));
         }
         if session.pending_epochs() == 0 {
             self.ready.push(group_id);
@@ -468,13 +440,6 @@ impl MonitoringEngine {
         self.clock
     }
 
-    /// Whether every registered session has consumed its whole bounded horizon.  A fleet
-    /// holding any open-horizon streaming session is never finished.
-    #[must_use]
-    pub fn is_finished(&self) -> bool {
-        self.finished == self.group_count()
-    }
-
     /// One coherent snapshot of the whole engine: clock, membership accounting and the
     /// merged fleet metrics — see [`EngineReport`] for what each field
     /// measures.
@@ -501,10 +466,10 @@ impl MonitoringEngine {
         summary
     }
 
-    /// Advances every ready session — registered, unfinished, with a submitted epoch waiting
-    /// — one epoch, in ascending id order on the calling thread, handing `send` each event as
-    /// it is sent, in ascending group id: the tick's own, merged with the pushes world changes
-    /// logged since the last tick (a group's pushes first).  Every other session is untouched.
+    /// Advances every ready session — registered, with a submitted epoch waiting — one epoch,
+    /// in ascending id order on the calling thread, handing `send` each event as it is sent,
+    /// in ascending group id: the tick's own, merged with the pushes world changes logged
+    /// since the last tick (a group's pushes first).  Every other session is untouched.
     pub fn tick_with(&mut self, send: &mut dyn FnMut(GroupId, SessionEvent)) -> TickSummary {
         let view = self.world.view();
         // Sorting in place and the pass allocate nothing: together with the per-thread query
@@ -514,8 +479,7 @@ impl MonitoringEngine {
         let logged = std::mem::take(&mut self.events);
         let mut summary = TickSummary::default();
         merged_with(logged, send, |send| {
-            // Every ready session has an epoch queued and is unfinished, so each advance
-            // consumes one; `finished` counts the sessions this tick finished.
+            // Every ready session has an epoch queued, so each advance consumes one.
             for &id in &self.ready {
                 let session = self.slab[id].as_mut().expect("a ready id holds a session");
                 match session.advance_into(view, id, &mut self.retained.stats, send) {
@@ -525,23 +489,14 @@ impl MonitoringEngine {
                         summary.updated += 1;
                         summary.violators += violators;
                     }
-                    StepOutcome::Finished | StepOutcome::Starved => {
-                        unreachable!("a ready session has an epoch to consume")
-                    }
+                    StepOutcome::Starved => unreachable!("a ready session has an epoch to consume"),
                 }
                 summary.advanced += 1;
-                if session.is_finished() {
-                    summary.finished += 1;
-                }
             }
         });
-        summary.starved = self.group_count() - self.finished - summary.advanced;
-        self.finished += summary.finished;
-        summary.finished = self.finished;
+        summary.starved = self.group_count() - summary.advanced;
         let slab = &self.slab;
-        self.ready.retain(|&id| {
-            slab[id].as_ref().is_some_and(|s| !s.is_finished() && s.pending_epochs() > 0)
-        });
+        self.ready.retain(|&id| slab[id].as_ref().is_some_and(|s| s.pending_epochs() > 0));
         summary.retired = self.retired_count();
         summary.tick = self.clock;
         self.clock += 1;
@@ -599,6 +554,7 @@ impl MonitoringEngine {
 mod tests {
     use super::*;
     use crate::experiment::submit_and_tick;
+    use crate::monitor::tests::first;
     use crate::monitor::{run_monitoring, TrajectoryFeed};
     use mpn_core::{ComputeStats, Method, Objective};
     use mpn_mobility::poi::{clustered_pois, PoiConfig};
@@ -618,37 +574,44 @@ mod tests {
 
     type Replays = Vec<(GroupId, TrajectoryFeed)>;
 
-    /// Registers `group`'s recording as a stream capped at the recording; the returned feed
-    /// is what the test submits from.
+    /// Registers a stream for the first `n` timestamps of `group`'s recording; the returned
+    /// feed is what the test submits from.
     fn replay(
         engine: &mut MonitoringEngine,
         group: &[Trajectory],
+        n: usize,
         config: MonitorConfig,
     ) -> (GroupId, TrajectoryFeed) {
-        let feed = TrajectoryFeed::from_group(group);
-        (engine.register_stream(feed.group_size(), feed.capped(config)), feed)
+        let feed = TrajectoryFeed::new(first(group, n));
+        (engine.register_stream(feed.group_size(), config), feed)
     }
 
-    /// Submits and ticks until every session has consumed its horizon; returns the ticks.
+    /// Submits and ticks until every recording has run out; returns the ticks.
     fn run(engine: &mut MonitoringEngine, replays: &mut Replays) -> usize {
         let mut ticks = 0;
-        while !engine.is_finished() {
-            submit_and_tick(engine, replays);
+        while submit_and_tick(engine, replays).is_some() {
             ticks += 1;
         }
         ticks
     }
 
+    /// One tick of [`submit_and_tick`] while a recording has an epoch left.
+    fn step(engine: &mut MonitoringEngine, replays: &mut Replays) -> TickSummary {
+        submit_and_tick(engine, replays).expect("a recording has an epoch left")
+    }
+
     #[test]
     fn engine_ticks_match_serial_replays() {
         let (tree, fleet) = world(6);
-        let config = MonitorConfig::new(Objective::Max, Method::tile()).with_max_timestamps(80);
+        let config = MonitorConfig::new(Objective::Max, Method::tile());
 
-        let serial: Vec<_> = fleet.iter().map(|g| run_monitoring(&tree, g, &config)).collect();
+        let serial: Vec<_> =
+            fleet.iter().map(|g| run_monitoring(&tree, &first(g, 80), &config)).collect();
 
         let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
-        let mut replays: Replays = fleet.iter().map(|g| replay(&mut engine, g, config)).collect();
-        assert_eq!(run(&mut engine, &mut replays), 80, "80-timestamp horizon takes 80 ticks");
+        let mut replays: Replays =
+            fleet.iter().map(|g| replay(&mut engine, g, 80, config)).collect();
+        assert_eq!(run(&mut engine, &mut replays), 80, "an 80-timestamp recording takes 80 ticks");
         let mut serial_stats = ComputeStats::default();
         serial.iter().for_each(|(_, stats)| serial_stats.absorb(stats));
         assert_eq!(engine.fleet_metrics().stats, serial_stats);
@@ -665,37 +628,37 @@ mod tests {
     #[test]
     fn tick_summaries_account_for_every_session() {
         let (tree, fleet) = world(5);
-        let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(40);
+        let config = MonitorConfig::new(Objective::Max, Method::circle());
         let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
-        let mut replays: Replays = fleet.iter().map(|g| replay(&mut engine, g, config)).collect();
+        let mut replays: Replays =
+            fleet.iter().map(|g| replay(&mut engine, g, 40, config)).collect();
         assert_eq!(engine.group_count(), 5);
 
-        let first = submit_and_tick(&mut engine, &mut replays);
-        assert_eq!(first.tick, 0);
-        assert_eq!(first.registered, 5, "first tick registers every group");
-        assert_eq!(first.advanced, 5);
-        assert_eq!(first.starved, 0, "every group reported");
+        let initial = step(&mut engine, &mut replays);
+        assert_eq!(initial.tick, 0);
+        assert_eq!(initial.registered, 5, "first tick registers every group");
+        assert_eq!(initial.advanced, 5);
+        assert_eq!(initial.starved, 0, "every group reported");
 
-        let second = submit_and_tick(&mut engine, &mut replays);
+        let second = step(&mut engine, &mut replays);
         assert_eq!(second.tick, 1);
         assert_eq!(second.registered, 0);
         assert_eq!(second.advanced, 5);
 
-        run(&mut engine, &mut replays);
-        assert!(engine.is_finished());
+        assert_eq!(run(&mut engine, &mut replays), 38, "the recordings end after 40 ticks");
         let summary = engine.tick();
-        assert_eq!(summary.advanced, 0, "finished sessions do not advance");
-        assert_eq!(summary.finished, 5);
-        assert_eq!(summary.starved, 0, "finished sessions do not starve");
+        assert_eq!(summary.advanced, 0, "sessions whose recordings ran out do not advance");
+        assert_eq!(summary.starved, 5, "they starve: registered − advanced");
         assert_eq!(summary.retired, 0);
     }
 
     #[test]
     fn fleet_metrics_merge_all_groups() {
         let (tree, fleet) = world(3);
-        let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(30);
+        let config = MonitorConfig::new(Objective::Max, Method::circle());
         let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
-        let mut replays: Replays = fleet.iter().map(|g| replay(&mut engine, g, config)).collect();
+        let mut replays: Replays =
+            fleet.iter().map(|g| replay(&mut engine, g, 30, config)).collect();
         run(&mut engine, &mut replays);
         let fleet_metrics = engine.fleet_metrics();
         assert_eq!(fleet_metrics.group_size, 9, "3 groups of 3 users");
@@ -708,10 +671,12 @@ mod tests {
     fn heterogeneous_sessions_coexist() {
         let (tree, fleet) = world(2);
         let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
-        let circle = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(20);
-        let tile = MonitorConfig::new(Objective::Sum, Method::tile()).with_max_timestamps(50);
-        let mut replays =
-            vec![replay(&mut engine, &fleet[0], circle), replay(&mut engine, &fleet[1], tile)];
+        let circle = MonitorConfig::new(Objective::Max, Method::circle());
+        let tile = MonitorConfig::new(Objective::Sum, Method::tile());
+        let mut replays = vec![
+            replay(&mut engine, &fleet[0], 20, circle),
+            replay(&mut engine, &fleet[1], 50, tile),
+        ];
         let (a, b) = (replays[0].0, replays[1].0);
         run(&mut engine, &mut replays);
         assert_eq!(engine.group_metrics(a).timestamps, 19);
@@ -723,13 +688,13 @@ mod tests {
     #[test]
     fn late_registration_starts_from_the_groups_own_clock() {
         let (tree, fleet) = world(2);
-        let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(25);
+        let config = MonitorConfig::new(Objective::Max, Method::circle());
         let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
-        let mut replays: Replays = vec![replay(&mut engine, &fleet[0], config)];
-        submit_and_tick(&mut engine, &mut replays);
-        submit_and_tick(&mut engine, &mut replays);
-        replays.push(replay(&mut engine, &fleet[1], config));
-        let summary = submit_and_tick(&mut engine, &mut replays);
+        let mut replays: Replays = vec![replay(&mut engine, &fleet[0], 25, config)];
+        step(&mut engine, &mut replays);
+        step(&mut engine, &mut replays);
+        replays.push(replay(&mut engine, &fleet[1], 25, config));
+        let summary = step(&mut engine, &mut replays);
         assert_eq!(summary.registered, 1, "the late group registers on its first tick");
         run(&mut engine, &mut replays);
         assert_eq!(engine.group_metrics(replays[1].0).timestamps, 24, "late groups replay fully");
@@ -738,12 +703,13 @@ mod tests {
     #[test]
     fn deregistered_groups_keep_their_metrics_and_free_their_ids() {
         let (tree, fleet) = world(4);
-        let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(30);
+        let config = MonitorConfig::new(Objective::Max, Method::circle());
         let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
-        let mut replays: Replays = fleet.iter().map(|g| replay(&mut engine, g, config)).collect();
+        let mut replays: Replays =
+            fleet.iter().map(|g| replay(&mut engine, g, 30, config)).collect();
         let ids: Vec<_> = replays.iter().map(|(id, _)| *id).collect();
         for _ in 0..10 {
-            submit_and_tick(&mut engine, &mut replays);
+            step(&mut engine, &mut replays);
         }
 
         let departed = engine.deregister(ids[1]).expect("group 1 is registered");
@@ -760,7 +726,7 @@ mod tests {
         assert_eq!(fleet_before_reuse.group_size, 12, "the departed users stay in the total");
 
         // The freed id is reused by the next registration; fleet totals do not shrink.
-        replays.push(replay(&mut engine, &fleet[1], config));
+        replays.push(replay(&mut engine, &fleet[1], 30, config));
         assert_eq!(replays[3].0, ids[1]);
         assert_eq!(engine.group_count(), 4);
         assert_eq!(engine.retired_count(), 0);
@@ -771,15 +737,15 @@ mod tests {
         run(&mut engine, &mut replays);
         let all = engine.into_group_metrics();
         assert_eq!(all.len(), 4);
-        assert_eq!(all[ids[1]].timestamps, 29, "the new session replays its full horizon");
+        assert_eq!(all[ids[1]].timestamps, 29, "the new session replays its whole recording");
     }
 
     #[test]
     fn rejecting_an_empty_group_leaves_the_bookkeeping_intact() {
         let (tree, fleet) = world(1);
-        let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(10);
+        let config = MonitorConfig::new(Objective::Max, Method::circle());
         let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
-        let mut replays: Replays = vec![replay(&mut engine, &fleet[0], config)];
+        let mut replays: Replays = vec![replay(&mut engine, &fleet[0], 10, config)];
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             engine.register_stream(0, config);
         }));
@@ -793,23 +759,23 @@ mod tests {
     #[test]
     fn submitted_epochs_drive_streaming_sessions_through_ticks() {
         let (tree, fleet) = world(2);
-        let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(30);
-        let (replay, replay_stats) = run_monitoring(&tree, &fleet[0], &config);
+        let config = MonitorConfig::new(Objective::Max, Method::circle());
+        let group = first(&fleet[0], 30);
+        let (replay, replay_stats) = run_monitoring(&tree, &group, &config);
 
         let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
-        let id = engine.register_stream(fleet[0].len(), config);
-        assert_eq!(engine.group(id).horizon(), Some(30), "a capped stream is bounded");
-
-        let mut source = TrajectoryFeed::from_group(&fleet[0]);
-        for tick in 0..30 {
-            let positions = source.next_epoch().expect("the recording covers the horizon");
+        let id = engine.register_stream(group.len(), config);
+        let mut source = TrajectoryFeed::new(group);
+        let mut tick = 0;
+        while let Some(positions) = source.next_epoch() {
             engine.submit(EpochUpdate { group_id: id, positions }).expect("live group");
             let summary = engine.tick();
             assert_eq!(summary.advanced, 1);
             assert_eq!(summary.starved, 0);
             assert_eq!(summary.registered, usize::from(tick == 0));
+            tick += 1;
         }
-        assert!(engine.is_finished());
+        assert_eq!(tick, 30);
         assert_eq!(engine.group_metrics(id).updates, replay.updates);
         assert_eq!(engine.group_metrics(id).traffic, replay.traffic);
         assert_eq!(engine.fleet_metrics().stats, replay_stats);
@@ -821,13 +787,10 @@ mod tests {
         let config = MonitorConfig::new(Objective::Max, Method::circle());
         let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
         let id = engine.register_stream(3, config);
-        assert_eq!(engine.group(id).horizon(), None, "an uncapped stream has an open horizon");
-        assert!(!engine.is_finished(), "open-horizon fleets are never finished");
 
         let summary = engine.tick();
         assert_eq!(summary.starved, 1);
         assert_eq!(summary.advanced, 0);
-        assert_eq!(summary.finished, 0, "open-horizon sessions never count as finished");
 
         let positions: Vec<Point> = fleet[0].iter().map(|t| t.at(0)).collect();
         engine.submit(EpochUpdate { group_id: id, positions }).unwrap();
@@ -853,34 +816,18 @@ mod tests {
         let positions: Vec<Point> = fleet[0].iter().map(|t| t.at(0)).collect();
         let bad = engine.submit(EpochUpdate { group_id: id, positions });
         assert_eq!(bad, Err(SubmitError::UnknownGroup(id)), "deregistered ids reject updates");
-
-        // A bounded stream past its horizon rejects further epochs instead of queueing them
-        // forever (its inbox would never be drained again).
-        let capped = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(2);
-        let done = engine.register_stream(3, capped);
-        for _ in 0..2 {
-            let positions: Vec<Point> = fleet[0].iter().map(|t| t.at(0)).collect();
-            engine.submit(EpochUpdate { group_id: done, positions }).unwrap();
-            engine.tick();
-        }
-        assert!(engine.group(done).is_finished());
-        let positions: Vec<Point> = fleet[0].iter().map(|t| t.at(0)).collect();
-        let bad = engine.submit(EpochUpdate { group_id: done, positions });
-        assert_eq!(bad, Err(SubmitError::Finished(done)));
-        assert_eq!(engine.group(done).pending_epochs(), 0, "nothing was queued");
     }
 
     #[test]
     fn drain_events_tags_session_events_with_group_ids() {
         let (tree, fleet) = world(2);
-        let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(20);
+        let config = MonitorConfig::new(Objective::Max, Method::circle());
         let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
-        let silent = replay(&mut engine, &fleet[0], config);
+        let silent = replay(&mut engine, &fleet[0], 20, config);
         let feed = TrajectoryFeed::from_group(&fleet[1]);
-        let logged = engine
-            .register_session(GroupSession::streaming(3, feed.capped(config)).with_events(true));
+        let logged = engine.register_session(GroupSession::streaming(3, config).with_events(true));
         let mut replays = vec![silent, (logged, feed)];
-        submit_and_tick(&mut engine, &mut replays);
+        step(&mut engine, &mut replays);
         let events = engine.drain_events();
         assert!(events.iter().all(|(id, _)| *id == logged), "only logged sessions emit");
         assert_eq!(

@@ -35,8 +35,8 @@ pub struct WorkloadSummary {
 ///
 /// This drives one [`MonitoringEngine`], which ticks on the calling thread, so the per-update
 /// CPU time the paper's figures report is the computation's own.  Each group is a stream
-/// capped at its recording ([`TrajectoryFeed::capped`]) and, like any client, submits its
-/// next recorded epoch before each tick (a tick that advances nobody before the end panics).
+/// that, like any client, submits its next recorded epoch before each tick; a group whose
+/// recording has run out submits nothing more, and the run stops when every recording has.
 /// The engine shares its POI index via `Arc`, so the tree and the workload's groups are
 /// cloned once per call — a one-off memcpy that is negligible against the monitoring compute
 /// it feeds.
@@ -51,29 +51,28 @@ pub fn run_workload(
         .iter()
         .map(|group| {
             let feed = TrajectoryFeed::from_group(group);
-            (engine.register_stream(feed.group_size(), feed.capped(*config)), feed)
+            (engine.register_stream(feed.group_size(), *config), feed)
         })
         .collect();
-    while !engine.is_finished() {
-        let summary = submit_and_tick(&mut engine, &mut replays);
-        assert!(summary.advanced > 0, "replay stalled: no unfinished group advanced");
-    }
+    while submit_and_tick(&mut engine, &mut replays).is_some() {}
     let stats = engine.fleet_metrics().stats;
     summarize(engine.into_group_metrics(), &stats)
 }
 
-/// Submits the next recorded epoch of every unfinished replay, then ticks once.
+/// Submits the next recorded epoch of every replay with one left, then ticks once; `None`,
+/// without a tick, once every recording has run out.
 pub(crate) fn submit_and_tick(
     engine: &mut MonitoringEngine,
     replays: &mut [(GroupId, TrajectoryFeed)],
-) -> TickSummary {
+) -> Option<TickSummary> {
+    let mut fed = false;
     for (group_id, feed) in replays.iter_mut() {
-        if !engine.group(*group_id).is_finished() {
-            let positions = feed.next_epoch().expect("the cap is within the recording");
+        if let Some(positions) = feed.next_epoch() {
             engine.submit(EpochUpdate { group_id: *group_id, positions }).expect("a live replay");
+            fed = true;
         }
     }
-    engine.tick()
+    fed.then(|| engine.tick())
 }
 
 /// Averages a set of per-group metrics into a [`WorkloadSummary`]; `stats` are the summed
@@ -105,6 +104,7 @@ pub fn summarize(per_group: Vec<MonitoringMetrics>, stats: &ComputeStats) -> Wor
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monitor::tests::first;
     use mpn_core::{Method, Objective};
     use mpn_mobility::poi::{clustered_pois, PoiConfig};
     use mpn_mobility::waypoint::{random_waypoint, WaypointConfig};
@@ -121,14 +121,17 @@ mod tests {
 
     #[test]
     fn run_workload_averages_over_groups() {
-        let (tree, workload) = workload(3, 2);
-        let summary = run_workload(
-            &tree,
-            &workload,
-            &MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(100),
+        let (tree, workload) = workload(4, 2);
+        // Each replay stops with its own recording, a shorter one included.
+        let lengths = [100, 100, 60, 100];
+        let workload = GroupWorkload::new(
+            workload.iter().zip(lengths).map(|(group, length)| first(group, length)).collect(),
         );
-        assert_eq!(summary.groups, 3);
-        assert_eq!(summary.per_group.len(), 3);
+        let summary =
+            run_workload(&tree, &workload, &MonitorConfig::new(Objective::Max, Method::circle()));
+        assert_eq!(summary.groups, 4);
+        let timestamps: Vec<_> = summary.per_group.iter().map(|m| m.timestamps).collect();
+        assert_eq!(timestamps, [99, 99, 59, 99], "recording length − 1 timestamps a group");
         assert!(summary.update_frequency > 0.0 && summary.update_frequency <= 1.0);
         assert!(summary.packets_per_timestamp > 0.0);
         assert!(summary.updates_per_group >= 1.0);

@@ -21,8 +21,7 @@
 //!   positions per [`advance`](GroupSession::advance) from its one input path, the batches
 //!   queued via [`submit`](GroupSession::submit).  A recording is replayed the same way: a
 //!   [`TrajectoryFeed`] (`Arc`-shared recorded trajectories) hands out owned epochs that the
-//!   driver submits like any client.  A session without a timestamp cap has an **open
-//!   horizon**: it monitors until deregistered.
+//!   driver submits like any client.  A session monitors until it is deregistered.
 //! * [`MonitoringEngine`] ([`engine`]) — a churning fleet of sessions in one slab indexed
 //!   by group id.  A [`tick`](MonitoringEngine::tick) advances exactly the groups with a
 //!   submitted epoch waiting, one epoch each, on the calling thread.
@@ -115,17 +114,16 @@
 //! * **A ready list, not a scan** — the engine keeps one plain `Vec` of the group ids with a
 //!   submitted epoch waiting ([`submit`](MonitoringEngine::submit) pushes an id when its
 //!   queue goes from empty to one) and a tick sorts it in place and advances exactly those
-//!   sessions, in ascending id; nothing walks the fleet.  The finished tally is a counter
-//!   kept at the advance that finishes a session and at deregistration, and the starved
-//!   tally follows from it (registered − finished − advanced).  A group's id is its slot
-//!   and never moves, so lookups need no directory.
+//!   sessions, in ascending id; nothing walks the fleet.  The starved tally needs no walk
+//!   either: it is registered − advanced.  A group's id is its slot and never moves, so
+//!   lookups need no directory.
 //! * **A session holds what its method needs** — always: a handle to its configuration,
 //!   the group's metrics, the last answer and one flat buffer of positions (the epoch being
 //!   monitored, then the submitted ones, consumed in place).  Heading predictors exist once
 //!   a method that reads headings has observed a position (never for Circle); the §5.4
 //!   buffer is a boxed slot that only Tile-D-b with persistent buffers fills; a tile region
 //!   inside `SafeRegion` is boxed.  The slab slot is 232 B (464 before): the
-//!   [`MonitorConfig`] (80 B) is an `Arc` that [`ServerCore`] shares between groups
+//!   [`MonitorConfig`] (64 B) is an `Arc` that [`ServerCore`] shares between groups
 //!   registered alike, the computations' [`ComputeStats`](mpn_core::ComputeStats) (72 B in
 //!   the stored answer and 72 B in the metrics) go to one fleet accumulator in the engine,
 //!   and the group size and epoch clock are no longer kept twice.  A Circle/MAX group of
@@ -155,11 +153,12 @@
 //! costs O(fleet) and a session's metrics never grow.  Reports are cumulative; phase-based
 //! tools snapshot at phase boundaries and diff the counters.
 //!
-//! [`run_monitoring`] replays one recording through one session to its horizon (its
-//! counters are pinned bit-identical to the reference loop in `tests/engine_parity.rs`) and
+//! [`run_monitoring`] replays one recording through one session (its counters are pinned
+//! bit-identical to the reference loop in `tests/engine_parity.rs`) and
 //! [`experiment::run_workload`] replays a whole multi-group workload through one engine,
-//! submitting every group's next recorded epoch before each tick, which is how `mpn-bench`'s
-//! `figures` binary reproduces — and checks — every figure of the paper.
+//! submitting every group's next recorded epoch before each tick; both stop when the
+//! recordings run out.  That is how `mpn-bench`'s `figures` binary reproduces — and
+//! checks — every figure of the paper.
 
 #![forbid(unsafe_code)]
 

@@ -28,7 +28,7 @@
 //! the event sink of the engine tick that advanced it; [`ServerCore`](crate::server::ServerCore)
 //! turns those into `mpn-proto` responses.  A session keeps no log of its own, and holds
 //! only what its method needs (the crate docs list it).  [`run_monitoring`] replays one
-//! recording through one session to its horizon.
+//! recording through one session and stops when the recording runs out.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -50,14 +50,8 @@ pub struct MonitorConfig {
     pub objective: Objective,
     /// Safe-region method (Circle, Tile, Tile-D, Tile-D-b).
     pub method: Method,
-    /// Whether tile regions are shipped with the lossless compression (the paper's default).
-    pub compress_regions: bool,
     /// Smoothing factor of the per-user heading predictor feeding the directed ordering.
     pub heading_smoothing: f64,
-    /// Optional cap on the number of monitored timestamps.  `None` means an **open
-    /// horizon** — the session runs until it is deregistered (a replay caps it at the
-    /// recording, see [`TrajectoryFeed::capped`]).
-    pub max_timestamps: Option<usize>,
     /// Whether the session keeps its §5.4 GNN buffer alive across updates (Tile-D-b only).
     ///
     /// Off (the default) every buffered update rebuilds the buffer, exactly like the one-shot
@@ -70,21 +64,7 @@ impl MonitorConfig {
     /// A run with the given objective and method and default remaining settings.
     #[must_use]
     pub fn new(objective: Objective, method: Method) -> Self {
-        Self {
-            objective,
-            method,
-            compress_regions: true,
-            heading_smoothing: 0.3,
-            max_timestamps: None,
-            persist_buffers: false,
-        }
-    }
-
-    /// Limits the number of replayed timestamps.
-    #[must_use]
-    pub fn with_max_timestamps(mut self, limit: usize) -> Self {
-        self.max_timestamps = Some(limit);
-        self
+        Self { objective, method, heading_smoothing: 0.3, persist_buffers: false }
     }
 
     /// Enables reuse of the §5.4 GNN buffer across updates.
@@ -107,8 +87,6 @@ pub enum StepOutcome {
         /// Number of users that had left their safe regions.
         violators: usize,
     },
-    /// The session had already consumed its whole horizon; nothing happened.
-    Finished,
     /// No epoch was available (empty inbox): the session's clock did not move.
     Starved,
 }
@@ -187,16 +165,6 @@ impl TrajectoryFeed {
         self.group.len()
     }
 
-    /// `config` with its timestamp cap lowered to the recording: the configuration a
-    /// streaming session replaying this feed is registered with, so that it finishes exactly
-    /// when the feed runs out (or earlier, at the configured cap).
-    #[must_use]
-    pub fn capped(&self, config: MonitorConfig) -> MonitorConfig {
-        config.with_max_timestamps(
-            config.max_timestamps.map_or(self.horizon, |cap| cap.min(self.horizon)),
-        )
-    }
-
     /// The next epoch's positions as an owned batch, or `None` when exhausted.
     pub fn next_epoch(&mut self) -> Option<Vec<Point>> {
         if self.cursor >= self.horizon {
@@ -229,9 +197,8 @@ impl GroupSession {
     /// Creates a streaming session for a group of `group_size` users whose positions arrive
     /// via [`submit`](GroupSession::submit).
     ///
-    /// Without a [`MonitorConfig::max_timestamps`] cap the session has an **open horizon**:
-    /// it is never [`finished`](GroupSession::is_finished) and monitors until deregistered.
-    /// `config` is a [`MonitorConfig`] of its own or an `Arc` shared with other sessions.
+    /// The session monitors until it is deregistered.  `config` is a [`MonitorConfig`] of its
+    /// own or an `Arc` shared with other sessions.
     ///
     /// # Panics
     /// Panics when `group_size` is zero.
@@ -269,26 +236,6 @@ impl GroupSession {
         self.session.group_size()
     }
 
-    /// The number of epochs this session will consume (including the registration), or
-    /// `None` for an open-horizon streaming session (no [`MonitorConfig::max_timestamps`] cap).
-    #[must_use]
-    pub fn horizon(&self) -> Option<usize> {
-        self.config.max_timestamps
-    }
-
-    /// Whether the epochs consumed so far plus those waiting in the inbox reach the bounded
-    /// horizon: one more submitted epoch would never be consumed.  Never true for an open
-    /// horizon.
-    #[must_use]
-    pub fn horizon_is_covered(&self) -> bool {
-        self.horizon().is_some_and(|h| self.consumed() + self.pending_epochs() >= h)
-    }
-
-    /// Epochs consumed so far: the registration plus every monitored timestamp.
-    fn consumed(&self) -> usize {
-        usize::from(self.registered) + self.metrics.timestamps
-    }
-
     /// The session's configuration.
     #[must_use]
     pub fn config(&self) -> &MonitorConfig {
@@ -299,13 +246,6 @@ impl GroupSession {
     #[must_use]
     pub fn session_state(&self) -> &SessionState {
         &self.session
-    }
-
-    /// Whether the whole (bounded) horizon has been consumed.  Open-horizon sessions are
-    /// never finished; they leave the server via deregistration.
-    #[must_use]
-    pub fn is_finished(&self) -> bool {
-        self.registered && self.horizon().is_some_and(|h| self.consumed() >= h)
     }
 
     /// Metrics accumulated so far.
@@ -380,10 +320,6 @@ impl GroupSession {
         events: &mut EventSink,
     ) -> StepOutcome {
         assert!(!view.is_empty(), "monitoring requires a non-empty POI set");
-        if self.is_finished() {
-            return StepOutcome::Finished;
-        }
-
         let m = self.group_size();
         if self.cursor == self.positions.len() {
             return StepOutcome::Starved;
@@ -475,9 +411,9 @@ impl GroupSession {
     /// violation-triggered update (protocol events need an engine's sink, like
     /// [`advance`](GroupSession::advance)'s).
     ///
-    /// Returns `false` (and does nothing) for a session that is not registered, has no
-    /// current answer, or has already finished its horizon.  The computation's work counters
-    /// are added to `stats`, as by [`advance`](GroupSession::advance).
+    /// Returns `false` (and does nothing) for a session that has no answer yet (it has not
+    /// registered).  The computation's work counters are added to `stats`, as by
+    /// [`advance`](GroupSession::advance).
     pub fn force_recompute<'a>(
         &mut self,
         index: impl Into<IndexView<'a>>,
@@ -495,7 +431,7 @@ impl GroupSession {
         stats: &mut ComputeStats,
         events: &mut EventSink,
     ) -> bool {
-        if !self.registered || self.is_finished() || self.session.last_answer().is_none() {
+        if self.session.last_answer().is_none() {
             return false;
         }
         self.compute_and_notify(view, group, stats, events);
@@ -523,9 +459,7 @@ impl GroupSession {
         stats.absorb(&computed);
         debug_assert!(answer.all_inside(locations), "fresh safe regions must contain the users");
         for (user, region) in answer.regions.iter().enumerate() {
-            self.metrics
-                .traffic
-                .record_downlink(notification_values(region, self.config.compress_regions));
+            self.metrics.traffic.record_downlink(notification_values(region, true));
             if self.log_events {
                 events(
                     group,
@@ -543,9 +477,8 @@ impl GroupSession {
 /// Replays one user group against the server and collects its metrics and the summed work
 /// counters of its computations.
 ///
-/// A single-group driver: one streaming session, capped at the recording
-/// ([`TrajectoryFeed::capped`]), is submitted the recording's next epoch before every
-/// advance.  With the default configuration (no persistent buffers) the resulting updates,
+/// A single-group driver: one streaming session is submitted the recording's next epoch
+/// before every advance, and the replay stops when the recording runs out.  With the default configuration (no persistent buffers) the resulting updates,
 /// packets and work counters are bit-identical to the reference loop in
 /// `tests/engine_parity.rs`.  The trajectories are cloned once into the feed.
 ///
@@ -559,10 +492,10 @@ pub fn run_monitoring(
 ) -> (MonitoringMetrics, ComputeStats) {
     assert!(!tree.is_empty(), "monitoring requires a non-empty POI set");
     let mut feed = TrajectoryFeed::from_group(group);
-    let mut session = GroupSession::streaming(feed.group_size(), feed.capped(*config));
+    let mut session = GroupSession::streaming(feed.group_size(), *config);
     let mut stats = ComputeStats::default();
-    while !session.is_finished() {
-        session.submit(feed.next_epoch().expect("the cap is within the recording"));
+    while let Some(epoch) = feed.next_epoch() {
+        session.submit(epoch);
         let outcome = session.advance(tree, &mut stats);
         debug_assert_ne!(outcome, StepOutcome::Starved, "a submitted epoch is consumed");
     }
@@ -570,7 +503,7 @@ pub fn run_monitoring(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mpn_mobility::poi::{clustered_pois, PoiConfig};
     use mpn_mobility::waypoint::{random_waypoint, WaypointConfig};
@@ -582,6 +515,12 @@ mod tests {
         let config = WaypointConfig { domain: 1000.0, speed_limit: 6.0, timestamps: 400 };
         let group: Vec<Trajectory> = (0..3).map(|i| random_waypoint(&config, 50 + i)).collect();
         (tree, group)
+    }
+
+    /// The first `n` timestamps of every user's recording: a replay that stops after `n`
+    /// epochs.
+    pub(crate) fn first(group: &[Trajectory], n: usize) -> Vec<Trajectory> {
+        group.iter().map(|t| Trajectory::new(t.points()[..n].to_vec())).collect()
     }
 
     #[test]
@@ -601,16 +540,11 @@ mod tests {
     #[test]
     fn tile_regions_reduce_update_frequency_compared_to_circles() {
         let (tree, group) = workload();
-        let (circle, _) = run_monitoring(
-            &tree,
-            &group,
-            &MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(250),
-        );
-        let (tile, _) = run_monitoring(
-            &tree,
-            &group,
-            &MonitorConfig::new(Objective::Max, Method::tile()).with_max_timestamps(250),
-        );
+        let group = first(&group, 250);
+        let (circle, _) =
+            run_monitoring(&tree, &group, &MonitorConfig::new(Objective::Max, Method::circle()));
+        let (tile, _) =
+            run_monitoring(&tree, &group, &MonitorConfig::new(Objective::Max, Method::tile()));
         assert!(
             tile.updates <= circle.updates,
             "tile-based regions must not trigger more updates (tile {}, circle {})",
@@ -624,9 +558,10 @@ mod tests {
         let (tree, group) = workload();
         let (metrics, _) = run_monitoring(
             &tree,
-            &group,
-            &MonitorConfig::new(Objective::Sum, Method::tile()).with_max_timestamps(150),
+            &first(&group, 150),
+            &MonitorConfig::new(Objective::Sum, Method::tile()),
         );
+        assert_eq!(metrics.timestamps, 149, "the replay stops with its recording");
         assert!(metrics.updates >= 1);
         assert!(metrics.traffic.packets > 0);
     }
@@ -634,17 +569,16 @@ mod tests {
     #[test]
     fn buffered_method_is_cheaper_per_update_in_index_work() {
         let (tree, group) = workload();
+        let group = first(&group, 120);
         let (plain, plain_stats) = run_monitoring(
             &tree,
             &group,
-            &MonitorConfig::new(Objective::Max, Method::tile_directed(0.8))
-                .with_max_timestamps(120),
+            &MonitorConfig::new(Objective::Max, Method::tile_directed(0.8)),
         );
         let (buffered, buffered_stats) = run_monitoring(
             &tree,
             &group,
-            &MonitorConfig::new(Objective::Max, Method::tile_directed_buffered(0.8, 50))
-                .with_max_timestamps(120),
+            &MonitorConfig::new(Objective::Max, Method::tile_directed_buffered(0.8, 50)),
         );
         let plain_queries_per_update = plain_stats.rtree_queries as f64 / plain.updates as f64;
         let buffered_queries_per_update =
@@ -656,46 +590,30 @@ mod tests {
     }
 
     #[test]
-    fn max_timestamp_cap_limits_the_run() {
-        let (tree, group) = workload();
-        let (metrics, _) = run_monitoring(
-            &tree,
-            &group,
-            &MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(50),
-        );
-        assert_eq!(metrics.timestamps, 49);
-    }
-
-    #[test]
     fn sessions_report_their_protocol_steps() {
         let (tree, group) = workload();
-        let mut feed = TrajectoryFeed::from_group(&group);
+        let mut feed = TrajectoryFeed::from_group(&first(&group, 60));
         let config = MonitorConfig::new(Objective::Max, Method::circle());
-        assert_eq!(feed.capped(config).max_timestamps, Some(400), "capped at the recording");
-        let mut session =
-            GroupSession::streaming(group.len(), feed.capped(config.with_max_timestamps(60)));
-        assert_eq!(session.horizon(), Some(60));
-        assert!(!session.is_finished());
+        let mut session = GroupSession::streaming(group.len(), config);
         let mut stats = ComputeStats::default();
         session.submit(feed.next_epoch().unwrap());
         assert_eq!(session.advance(&tree, &mut stats), StepOutcome::Registered);
         let mut quiet = 0usize;
         let mut updated = 0usize;
-        while !session.is_finished() {
-            session.submit(feed.next_epoch().unwrap());
+        while let Some(epoch) = feed.next_epoch() {
+            session.submit(epoch);
             match session.advance(&tree, &mut stats) {
                 StepOutcome::Quiet => quiet += 1,
                 StepOutcome::Updated { violators } => {
                     assert!(violators >= 1 && violators <= session.group_size());
                     updated += 1;
                 }
-                StepOutcome::Registered | StepOutcome::Finished | StepOutcome::Starved => {
+                StepOutcome::Registered | StepOutcome::Starved => {
                     panic!("unexpected outcome mid-run")
                 }
             }
         }
-        assert!(session.horizon_is_covered());
-        assert_eq!(session.advance(&tree, &mut stats), StepOutcome::Finished);
+        assert_eq!(session.advance(&tree, &mut stats), StepOutcome::Starved);
         assert_eq!(quiet + updated, 59);
         assert_eq!(session.metrics().updates, updated + 1);
     }
@@ -703,7 +621,8 @@ mod tests {
     #[test]
     fn streaming_session_consumes_submitted_epochs_and_matches_the_replay() {
         let (tree, group) = workload();
-        let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(80);
+        let group = first(&group, 80);
+        let config = MonitorConfig::new(Objective::Max, Method::circle());
         let (replay, replay_stats) = run_monitoring(&tree, &group, &config);
 
         // The same epochs, submitted as owned batches into a streaming session.
@@ -711,16 +630,11 @@ mod tests {
         let mut session = GroupSession::streaming(group.len(), config);
         let mut stats = ComputeStats::default();
         assert_eq!(session.advance(&tree, &mut stats), StepOutcome::Starved, "no data yet");
-        let mut epochs = 0;
         while let Some(batch) = feed.next_epoch() {
-            if epochs == 80 {
-                break;
-            }
             session.submit(batch);
-            epochs += 1;
         }
         assert_eq!(session.pending_epochs(), 80);
-        while !session.is_finished() {
+        while session.pending_epochs() > 0 {
             assert_ne!(session.advance(&tree, &mut stats), StepOutcome::Starved);
         }
         assert_eq!(session.metrics().timestamps, replay.timestamps);
@@ -735,11 +649,8 @@ mod tests {
         let config = MonitorConfig::new(Objective::Max, Method::circle());
         let mut session = GroupSession::streaming(group.len(), config);
         let mut stats = ComputeStats::default();
-        assert_eq!(session.horizon(), None, "no cap means an open horizon");
-        assert!(!session.horizon_is_covered());
         session.submit(group.iter().map(|t| t.at(0)).collect());
         assert_eq!(session.advance(&tree, &mut stats), StepOutcome::Registered);
-        assert!(!session.is_finished(), "open-horizon sessions only leave by deregistration");
         assert_eq!(session.advance(&tree, &mut stats), StepOutcome::Starved);
         assert_eq!(session.metrics().timestamps, 0, "a starved epoch does not advance the clock");
     }
@@ -747,8 +658,8 @@ mod tests {
     #[test]
     fn event_log_records_the_per_user_protocol_sends() {
         let (tree, group) = workload();
-        let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(120);
-        let mut feed = TrajectoryFeed::from_group(&group);
+        let config = MonitorConfig::new(Objective::Max, Method::circle());
+        let mut feed = TrajectoryFeed::from_group(&first(&group, 120));
         let mut session = GroupSession::streaming(group.len(), config).with_events(true);
         let view = IndexView::from(&tree);
         let (mut events, mut stats) = (Vec::new(), ComputeStats::default());
@@ -760,9 +671,9 @@ mod tests {
             && matches!(e, SessionEvent::Assigned { region, .. } if !region.is_empty())));
 
         // Find an epoch that updates: it must probe the non-violators and re-assign everyone.
-        while !session.is_finished() {
+        while let Some(epoch) = feed.next_epoch() {
             events.clear();
-            session.submit(feed.next_epoch().unwrap());
+            session.submit(epoch);
             let outcome =
                 session.advance_into(view, 7, &mut stats, &mut |id, e| events.push((id, e)));
             if let StepOutcome::Updated { violators } = outcome {

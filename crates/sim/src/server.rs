@@ -61,13 +61,8 @@ pub type ClientId = u64;
 /// (server defaults fill everything the wire does not carry, e.g. the heading smoothing).
 #[must_use]
 pub fn monitor_config(wire: &WireConfig) -> MonitorConfig {
-    let mut config = MonitorConfig::new(wire.objective.into(), wire.method.to_method())
-        .with_persistent_buffers(wire.persist_buffers);
-    config.compress_regions = wire.compress_regions;
-    if let Some(cap) = wire.max_timestamps {
-        config = config.with_max_timestamps(cap as usize);
-    }
-    config
+    MonitorConfig::new(wire.objective.into(), wire.method.to_method())
+        .with_persistent_buffers(wire.persist_buffers)
 }
 
 /// Where [`ServerCore::process_with`] sends each response it produces.
@@ -329,7 +324,7 @@ impl ServerCore {
                     Err(SubmitError::UnknownGroup(_)) => {
                         out(client, notification(group, NotificationKind::UnknownGroup));
                     }
-                    Err(SubmitError::WrongGroupSize { .. } | SubmitError::Finished(_)) => {
+                    Err(SubmitError::WrongGroupSize { .. }) => {
                         out(client, notification(group, NotificationKind::BadRequest));
                     }
                 }
@@ -644,12 +639,13 @@ mod tests {
         let wire = WireConfig {
             objective: WireObjective::Max,
             method: WireMethod::Tile,
-            compress_regions: true,
             persist_buffers: false,
-            max_timestamps: Some(50),
         };
-        let (replay, replay_stats) =
-            crate::monitor::run_monitoring(&tree, &group, &monitor_config(&wire));
+        let (replay, replay_stats) = crate::monitor::run_monitoring(
+            &tree,
+            &crate::monitor::tests::first(&group, 50),
+            &monitor_config(&wire),
+        );
 
         let mut server = ServerCore::new(Arc::clone(&tree), 1);
         server.enqueue(CLIENT, Request::Register { group_size: group.len() as u32, config: wire });

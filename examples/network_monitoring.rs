@@ -116,9 +116,7 @@ fn in_process_demo(tree: Arc<RTree>) {
                     theta: std::f64::consts::FRAC_PI_4,
                     buffer: 100,
                 },
-                compress_regions: true,
                 persist_buffers: true,
-                max_timestamps: None,
             },
         ),
         (
@@ -127,9 +125,7 @@ fn in_process_demo(tree: Arc<RTree>) {
             WireConfig {
                 objective: WireObjective::Sum,
                 method: WireMethod::Circle,
-                compress_regions: true,
                 persist_buffers: false,
-                max_timestamps: None,
             },
         ),
     ];
@@ -193,9 +189,7 @@ fn lock_step_session(stream: &mut TcpStream, mut feed: TrajectoryFeed) -> Downli
     let config = WireConfig {
         objective: WireObjective::Max,
         method: WireMethod::Tile,
-        compress_regions: true,
         persist_buffers: false,
-        max_timestamps: None,
     };
     stream
         .write_all(&Request::Register { group_size: feed.group_size() as u32, config }.encoded())

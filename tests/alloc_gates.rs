@@ -500,8 +500,11 @@ fn circle_group_bytes() {
 fn sessions_alike_share_one_config() {
     let mut core = ServerCore::new(Arc::new(poi_tree(2_000)), 1);
     let register = |config| Request::Register { group_size: 3, config };
-    let capped = |cap| WireConfig { max_timestamps: Some(cap), ..WireConfig::default() };
-    assert_eq!(serve(&mut core, (1..=16).map(|cap| register(capped(cap)))), 16);
+    let buffered = |buffer| WireConfig {
+        method: WireMethod::TileDirectedBuffered { theta: 0.5, buffer },
+        ..WireConfig::default()
+    };
+    assert_eq!(serve(&mut core, (1..=16).map(|buffer| register(buffered(buffer)))), 16);
     assert_eq!(serve(&mut core, (0..16).map(|group| Request::Deregister { group })), 16);
     let tile = WireConfig { method: WireMethod::Tile, ..WireConfig::default() };
     let alike = [WireConfig::default(), tile, WireConfig::default()];

@@ -8,7 +8,6 @@ use mpn::index::RTree;
 use mpn::mobility::poi::{clustered_pois, PoiConfig};
 use mpn::mobility::waypoint::{taxi_trajectory, TaxiConfig};
 use mpn::mobility::Trajectory;
-use mpn::sim::{run_monitoring, MonitorConfig};
 
 fn poi_tree(count: usize, domain: f64, seed: u64) -> RTree {
     let pois = clustered_pois(&PoiConfig { count, domain, ..PoiConfig::default() }, seed);
@@ -81,17 +80,4 @@ fn sum_and_max_objectives_can_disagree_and_are_both_served() {
         .fold(f64::INFINITY, f64::min);
     assert!((max_answer.optimal_dist - best_max).abs() < 1e-6);
     assert!((sum_answer.optimal_dist - best_sum).abs() < 1e-6);
-}
-
-#[test]
-fn compressed_and_uncompressed_runs_agree_on_updates() {
-    let tree = poi_tree(500, 2_000.0, 71);
-    let group = taxi_group(3, 2_000.0, 200, 19);
-    let base = MonitorConfig::new(Objective::Max, Method::tile());
-    let (compressed, _) = run_monitoring(&tree, &group, &base);
-    let (plain, _) =
-        run_monitoring(&tree, &group, &MonitorConfig { compress_regions: false, ..base });
-    // Compression only affects packet counts, never the protocol behaviour.
-    assert_eq!(compressed.updates, plain.updates);
-    assert!(compressed.traffic.packets <= plain.traffic.packets);
 }

@@ -26,7 +26,7 @@ use proptest::prelude::*;
 
 /// Size of the candidate fleet each interleaving draws from.
 const GROUPS: usize = 16;
-/// Horizon of every session (registration + 11 monitored timestamps).
+/// Length of every recording (registration + 11 monitored timestamps).
 const HORIZON: usize = 12;
 
 fn world() -> (Arc<RTree>, Vec<Vec<Trajectory>>) {
@@ -44,7 +44,7 @@ fn feed(group: &[Trajectory]) -> TrajectoryFeed {
 }
 
 fn config() -> MonitorConfig {
-    MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(HORIZON)
+    MonitorConfig::new(Objective::Max, Method::circle())
 }
 
 /// The deterministic protocol counters of a group (wall-clock timings excluded).
@@ -94,7 +94,7 @@ proptest! {
                     for &(id, epoch) in active.iter().flatten() {
                         if let Some(positions) = epochs[epoch].feed.next_epoch() {
                             let update = EpochUpdate { group_id: id, positions };
-                            engine.submit(update).expect("an unfinished group takes its epoch");
+                            engine.submit(update).expect("a registered group takes its epoch");
                         }
                     }
                     engine.tick();

@@ -13,7 +13,7 @@
 //! * a tick streamed to a callback (`tick_with`) sends exactly the events, in exactly the
 //!   order, that `tick` collects and `drain_events` hands out, world-change pushes included,
 //! * the report-driven engine — a ready list of the groups with a submitted epoch, sorted
-//!   and advanced per tick, maintained finished / starved tallies — matches a serial
+//!   and advanced per tick, the starved tally derived from it — matches a serial
 //!   walk-everything oracle tick for tick across churn (deregistering groups with queued
 //!   epochs, reusing their ids in the same step), starvation, backlogs and world mutation,
 //! * persistent §5.4 buffers strictly reduce R-tree queries per update for `Tile-D-b`.
@@ -58,14 +58,15 @@ struct Counters {
 /// per-update heading prediction, violation detection, step 1–3 message accounting, with the
 /// server recomputing from scratch every time.  This is the parity baseline; it charges the
 /// literal §7.1 costs (2 values per reported location, 1 per probe, meeting point + region
-/// per notification) rather than naming `mpn-proto`'s definitions, so it pins them too.
+/// per notification) rather than naming `mpn-proto`'s definitions, so it pins them too.  It
+/// runs to the end of the shortest recording; a caller that wants fewer timestamps passes
+/// a truncated group ([`first`]).
 fn legacy_run_monitoring(
     tree: &RTree,
     group: &[Trajectory],
     config: &MonitorConfig,
 ) -> (Counters, ComputeStats) {
     let horizon = group.iter().map(Trajectory::len).min().unwrap_or(0);
-    let horizon = config.max_timestamps.map_or(horizon, |cap| horizon.min(cap));
 
     let mut timestamps = 0usize;
     let mut updates = 0usize;
@@ -87,7 +88,7 @@ fn legacy_run_monitoring(
     updates += 1;
     stats.absorb(&computed);
     for region in &answer.regions {
-        traffic.record_downlink(2 + region_value_count(region, config.compress_regions));
+        traffic.record_downlink(2 + region_value_count(region, true));
     }
 
     for t in 1..horizon {
@@ -117,34 +118,34 @@ fn legacy_run_monitoring(
         updates += 1;
         stats.absorb(&computed);
         for region in &answer.regions {
-            traffic.record_downlink(2 + region_value_count(region, config.compress_regions));
+            traffic.record_downlink(2 + region_value_count(region, true));
         }
     }
 
     (Counters { timestamps, updates, traffic }, stats)
 }
 
-/// A recording replayed as a client: the feed it submits from and the configuration its
-/// stream is registered with (capped at the recording).
-fn replay(group: &[Trajectory], config: MonitorConfig) -> (TrajectoryFeed, MonitorConfig) {
-    let feed = TrajectoryFeed::from_group(group);
-    let capped = feed.capped(config);
-    (feed, capped)
+/// The first `n` timestamps of every user's recording.
+fn first(group: &[Trajectory], n: usize) -> Vec<Trajectory> {
+    group.iter().map(|t| Trajectory::new(t.points()[..n].to_vec())).collect()
 }
 
-/// Submits the next recorded epoch of every unfinished replay to every engine (the replays
-/// hold the same ids in each).
-fn submit_next(engines: &mut [&mut MonitoringEngine], replays: &mut [(usize, TrajectoryFeed)]) {
+/// Submits the next recorded epoch of every replay with one left to every engine (the
+/// replays hold the same ids in each); `false` once every recording has run out.
+fn submit_next(
+    engines: &mut [&mut MonitoringEngine],
+    replays: &mut [(usize, TrajectoryFeed)],
+) -> bool {
+    let mut fed = false;
     for (id, feed) in replays.iter_mut() {
-        if engines[0].group(*id).is_finished() {
-            continue;
-        }
-        let positions = feed.next_epoch().expect("the cap is within the recording");
+        let Some(positions) = feed.next_epoch() else { continue };
         for engine in engines.iter_mut() {
             let update = EpochUpdate { group_id: *id, positions: positions.clone() };
             engine.submit(update).expect("a live replay");
         }
+        fed = true;
     }
+    fed
 }
 
 fn counters_of(metrics: &MonitoringMetrics) -> Counters {
@@ -154,7 +155,7 @@ fn counters_of(metrics: &MonitoringMetrics) -> Counters {
 #[test]
 fn wrapper_reproduces_the_legacy_loop_exactly_for_every_method() {
     let (tree, fleet) = world(1, 3);
-    let group = &fleet[0];
+    let group = &first(&fleet[0], 150);
     let theta = std::f64::consts::FRAC_PI_4;
     for objective in [Objective::Max, Objective::Sum] {
         for method in [
@@ -163,7 +164,7 @@ fn wrapper_reproduces_the_legacy_loop_exactly_for_every_method() {
             Method::tile_directed(theta),
             Method::tile_directed_buffered(theta, 60),
         ] {
-            let config = MonitorConfig::new(objective, method).with_max_timestamps(150);
+            let config = MonitorConfig::new(objective, method);
             let (legacy, legacy_stats) = legacy_run_monitoring(&tree, group, &config);
             let (session, stats) = run_monitoring(&tree, group, &config);
             assert_eq!(
@@ -179,15 +180,13 @@ fn wrapper_reproduces_the_legacy_loop_exactly_for_every_method() {
 #[test]
 fn engine_path_matches_the_wrapper_for_a_single_group() {
     let (tree, fleet) = world(1, 9);
-    let config =
-        MonitorConfig::new(Objective::Max, Method::tile_directed(0.8)).with_max_timestamps(120);
-    let (wrapper, wrapper_stats) = run_monitoring(&tree, &fleet[0], &config);
+    let config = MonitorConfig::new(Objective::Max, Method::tile_directed(0.8));
+    let group = first(&fleet[0], 120);
+    let (wrapper, wrapper_stats) = run_monitoring(&tree, &group, &config);
 
     let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
-    let (feed, capped) = replay(&fleet[0], config);
-    let mut replays = [(engine.register_stream(3, capped), feed)];
-    while !engine.is_finished() {
-        submit_next(&mut [&mut engine], &mut replays);
+    let mut replays = [(engine.register_stream(3, config), TrajectoryFeed::new(group))];
+    while submit_next(&mut [&mut engine], &mut replays) {
         engine.tick();
     }
     assert_eq!(counters_of(&wrapper), counters_of(engine.group_metrics(replays[0].0)));
@@ -200,8 +199,8 @@ fn streaming_submission_matches_the_feed_replay_epoch_for_epoch() {
     // consumed by ticks — must be protocol-equivalent to a standalone session advanced on
     // the same recording: identical counters after every tick, for the legacy baseline too.
     let (tree, fleet) = world(1, 77);
-    let group = &fleet[0];
-    let config = MonitorConfig::new(Objective::Max, Method::tile()).with_max_timestamps(120);
+    let group = &first(&fleet[0], 120);
+    let config = MonitorConfig::new(Objective::Max, Method::tile());
     let legacy = legacy_run_monitoring(&tree, group, &config);
 
     let mut solo = GroupSession::streaming(group.len(), config);
@@ -211,7 +210,7 @@ fn streaming_submission_matches_the_feed_replay_epoch_for_epoch() {
 
     let mut source = TrajectoryFeed::from_group(group);
     for t in 0..120 {
-        let positions = source.next_epoch().expect("the recording covers the horizon");
+        let positions = source.next_epoch().expect("the recording has 120 epochs");
         solo.submit(positions.clone());
         stream.submit(EpochUpdate { group_id: stream_id, positions }).expect("live group");
         let outcome = solo.advance(&*tree, &mut solo_stats);
@@ -222,14 +221,15 @@ fn streaming_submission_matches_the_feed_replay_epoch_for_epoch() {
         assert_eq!(counters_of(solo.metrics()), counters_of(stream.group_metrics(stream_id)));
         assert_eq!(solo_stats, stream.fleet_metrics().stats, "tick {t}");
     }
-    assert!(solo.is_finished() && stream.is_finished());
+    assert!(source.next_epoch().is_none(), "the whole recording was replayed");
     assert_eq!(legacy, (counters_of(stream.group_metrics(stream_id)), solo_stats));
 }
 
 #[test]
 fn eight_group_tick_matches_eight_serial_runs() {
     let (tree, fleet) = world(8, 21);
-    let config = MonitorConfig::new(Objective::Max, Method::tile()).with_max_timestamps(100);
+    let config = MonitorConfig::new(Objective::Max, Method::tile());
+    let fleet: Vec<_> = fleet.iter().map(|g| first(g, 100)).collect();
 
     let mut serial_stats = ComputeStats::default();
     let serial: Vec<Counters> = fleet
@@ -244,18 +244,14 @@ fn eight_group_tick_matches_eight_serial_runs() {
     let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
     let mut replays: Vec<_> = fleet
         .iter()
-        .map(|g| {
-            let (feed, capped) = replay(g, config);
-            (engine.register_stream(g.len(), capped), feed)
-        })
+        .map(|g| (engine.register_stream(g.len(), config), TrajectoryFeed::from_group(g)))
         .collect();
     let ids: Vec<_> = replays.iter().map(|(id, _)| *id).collect();
     assert!(engine.group_count() >= 8, "the fleet must exercise at least 8 concurrent groups");
 
     // Drive the fleet tick by tick (each tick advances all 8 groups).
     let mut ticks = 0;
-    while !engine.is_finished() {
-        submit_next(&mut [&mut engine], &mut replays);
+    while submit_next(&mut [&mut engine], &mut replays) {
         let summary = engine.tick();
         assert!(summary.advanced <= 8);
         ticks += 1;
@@ -282,20 +278,18 @@ fn eight_group_tick_matches_eight_serial_runs() {
 #[test]
 fn streamed_ticks_send_what_collected_ticks_drain() {
     let (tree, fleet) = world(6, 91);
-    let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(60);
+    let config = MonitorConfig::new(Objective::Max, Method::circle());
     let mut streamed = MonitoringEngine::new(Arc::clone(&tree), 1);
     let mut collected = MonitoringEngine::new(Arc::clone(&tree), 1);
     let mut replays = Vec::new();
     for group in &fleet {
-        let (feed, capped) = replay(group, config);
-        let session = || GroupSession::streaming(group.len(), capped).with_events(true);
+        let session = || GroupSession::streaming(group.len(), config).with_events(true);
         let id = streamed.register_session(session());
         assert_eq!(collected.register_session(session()), id);
-        replays.push((id, feed));
+        replays.push((id, TrajectoryFeed::new(first(group, 60))));
     }
     let (mut ticks, mut pushed_and_advanced) = (0, 0);
-    while !streamed.is_finished() {
-        submit_next(&mut [&mut streamed, &mut collected], &mut replays);
+    while submit_next(&mut [&mut streamed, &mut collected], &mut replays) {
         let mut pushed = Vec::new();
         if ticks % 3 == 1 {
             // Two passes before the tick: the optimum of a late group, then of an early
@@ -328,11 +322,11 @@ fn streamed_ticks_send_what_collected_ticks_drain() {
 }
 
 /// Small-world fleet for the oracle property test: `sizes[g]` users per group, all with
-/// the same short bounded horizon, over a modest clustered POI set.
-fn skewed_fleet(sizes: &[usize], horizon: usize) -> (Arc<RTree>, Vec<Vec<Trajectory>>) {
+/// recordings of the same short length, over a modest clustered POI set.
+fn skewed_fleet(sizes: &[usize], timestamps: usize) -> (Arc<RTree>, Vec<Vec<Trajectory>>) {
     let pois = clustered_pois(&PoiConfig { count: 150, domain: 500.0, ..PoiConfig::default() }, 71);
     let tree = Arc::new(RTree::bulk_load(&pois));
-    let config = WaypointConfig { domain: 500.0, speed_limit: 7.0, timestamps: horizon };
+    let config = WaypointConfig { domain: 500.0, speed_limit: 7.0, timestamps };
     let fleet = sizes
         .iter()
         .enumerate()
@@ -345,8 +339,8 @@ fn skewed_fleet(sizes: &[usize], horizon: usize) -> (Arc<RTree>, Vec<Vec<Traject
 
 /// A serial "walk everything" oracle: the engine's semantics re-implemented as the plainest
 /// possible loop — one [`WorldView`], one `Vec<Option<GroupSession>>` indexed by group id,
-/// every session asked (and advanced when live) on every tick.  No ready list, no maintained
-/// tallies.  The ready list may only change which sessions a tick touches, never a counter;
+/// every session asked (and advanced when it has an epoch) on every tick.  No ready list, no
+/// maintained tallies.  The ready list may only change which sessions a tick touches, never a counter;
 /// this oracle is what "never a counter" is measured against.
 struct WalkEverythingOracle {
     world: WorldView,
@@ -398,12 +392,7 @@ impl WalkEverythingOracle {
         let view = self.world.view();
         for slot in &mut self.sessions {
             let Some(session) = slot else { continue };
-            if session.is_finished() {
-                tally.finished += 1;
-                continue;
-            }
             match session.advance(view, &mut self.stats) {
-                StepOutcome::Finished => {}
                 StepOutcome::Starved => tally.starved += 1,
                 StepOutcome::Registered => {
                     tally.advanced += 1;
@@ -415,9 +404,6 @@ impl WalkEverythingOracle {
                     tally.updated += 1;
                     tally.violators += violators;
                 }
-            }
-            if session.is_finished() {
-                tally.finished += 1;
             }
         }
         tally.retired = self.sessions.iter().filter(|s| s.is_none()).count();
@@ -457,11 +443,11 @@ impl WalkEverythingOracle {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    // Report-driven ticks — a ready list of the ids with a submitted epoch, maintained
-    // finished / starved tallies, an id-indexed slab with free-list reuse, per-thread query
+    // Report-driven ticks — a ready list of the ids with a submitted epoch, the starved
+    // tally derived from it, an id-indexed slab with free-list reuse, per-thread query
     // scratch — must be invisible in every protocol counter.  A scripted fleet mixing
-    // bounded replays (which finish mid-run), open-horizon streams (which starve whenever
-    // the script withholds their epoch, and sometimes get two in one step, so a backlog
+    // replays (whose recordings run out mid-run, after which they starve), streams (which
+    // starve whenever the script withholds their epoch, and sometimes get two in one step, so a backlog
     // outlives a tick), churn (deregistering replays and streams, some with an epoch still
     // queued, and replays reusing the freed ids in the same step) and POI world mutation
     // runs side by side with the serial walk-everything oracle; every tick summary, every
@@ -474,24 +460,21 @@ proptest! {
     ) {
         const HORIZON: usize = 8;
         let (tree, fleet) = skewed_fleet(&replay_sizes, 24);
-        let replay_config = MonitorConfig::new(Objective::Max, Method::circle())
-            .with_max_timestamps(HORIZON);
-        let stream_config = MonitorConfig::new(Objective::Max, Method::circle());
+        let config = MonitorConfig::new(Objective::Max, Method::circle());
 
         let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
         let mut oracle = WalkEverythingOracle::new(&tree);
 
         let mut replays = Vec::new();
         for group in &fleet {
-            let (feed, capped) = replay(group, replay_config);
-            let id = engine.register_stream(group.len(), capped);
-            oracle.register(id, GroupSession::streaming(group.len(), capped));
-            replays.push((id, feed));
+            let id = engine.register_stream(group.len(), config);
+            oracle.register(id, GroupSession::streaming(group.len(), config));
+            replays.push((id, TrajectoryFeed::new(first(group, HORIZON))));
         }
         let mut stream_ids = Vec::new();
         for &size in &stream_sizes {
-            let id = engine.register_stream(size, stream_config);
-            oracle.register(id, GroupSession::streaming(size, stream_config));
+            let id = engine.register_stream(size, config);
+            oracle.register(id, GroupSession::streaming(size, config));
             stream_ids.push((id, size));
         }
 
@@ -511,7 +494,7 @@ proptest! {
                         .collect();
                     engine
                         .submit(EpochUpdate { group_id: id, positions: positions.clone() })
-                        .expect("open-horizon streams take every epoch");
+                        .expect("streams take every epoch");
                     oracle.sessions[id]
                         .as_mut()
                         .expect("oracle mirrors the engine's membership")
@@ -531,25 +514,19 @@ proptest! {
             }
             if op % 11 == 0 {
                 let group = &fleet[op % fleet.len()];
-                let config = MonitorConfig::new(Objective::Max, Method::circle())
-                    .with_max_timestamps(4);
-                let (feed, capped) = replay(group, config);
-                let id = engine.register_stream(group.len(), capped);
-                oracle.register(id, GroupSession::streaming(group.len(), capped));
-                replays.push((id, feed));
+                let id = engine.register_stream(group.len(), config);
+                oracle.register(id, GroupSession::streaming(group.len(), config));
+                replays.push((id, TrajectoryFeed::new(first(group, 4))));
             }
 
-            // Every unfinished replay reports, a newly registered one included.
+            // Every replay with an epoch left reports, a newly registered one included.
             for (id, feed) in &mut replays {
+                let Some(positions) = feed.next_epoch() else { continue };
                 let twin = oracle.sessions[*id].as_mut().expect("replays are registered");
-                if twin.is_finished() {
-                    continue;
-                }
-                let positions = feed.next_epoch().expect("the cap is within the recording");
                 twin.submit(positions.clone());
                 engine
                     .submit(EpochUpdate { group_id: *id, positions })
-                    .expect("an unfinished replay takes its next epoch");
+                    .expect("a registered replay takes its next epoch");
             }
 
             // World mutation: inserts and (sometimes unknown) deletes.
@@ -618,12 +595,12 @@ proptest! {
 #[test]
 fn persistent_buffers_cut_tile_d_b_index_work_versus_the_stateless_path() {
     let (tree, fleet) = world(1, 33);
-    let base = MonitorConfig::new(Objective::Max, Method::tile_directed_buffered(0.8, 100))
-        .with_max_timestamps(200);
+    let base = MonitorConfig::new(Objective::Max, Method::tile_directed_buffered(0.8, 100));
+    let group = first(&fleet[0], 200);
 
-    let (stateless, stateless_stats) = run_monitoring(&tree, &fleet[0], &base);
+    let (stateless, stateless_stats) = run_monitoring(&tree, &group, &base);
     let (stateful, stateful_stats) =
-        run_monitoring(&tree, &fleet[0], &base.with_persistent_buffers(true));
+        run_monitoring(&tree, &group, &base.with_persistent_buffers(true));
 
     let stateless_q = stateless_stats.rtree_queries as f64 / stateless.updates as f64;
     let stateful_q = stateful_stats.rtree_queries as f64 / stateful.updates as f64;

@@ -44,9 +44,7 @@ fn trace() -> (WireConfig, TrajectoryFeed) {
     let config = WireConfig {
         objective: WireObjective::Max,
         method: WireMethod::TileDirectedBuffered { theta: std::f64::consts::FRAC_PI_4, buffer: 60 },
-        compress_regions: true,
         persist_buffers: true,
-        max_timestamps: None,
     };
     let taxi = TaxiConfig {
         domain: 3_000.0,
@@ -336,9 +334,7 @@ fn replay_burst(harness: &mut impl Harness) {
     let config = WireConfig {
         objective: WireObjective::Max,
         method: WireMethod::Circle,
-        compress_regions: true,
         persist_buffers: false,
-        max_timestamps: None,
     };
     let register = Request::Register { group_size: PAIR as u32, config };
     let mut veteran = 0;

@@ -173,25 +173,22 @@ fn a_sessions_downlink_tally_is_the_cost_of_the_responses_it_produced() {
     let walk = WaypointConfig { domain: 1_000.0, speed_limit: 6.0, timestamps: 60 };
     let group: Vec<_> = (0..3).map(|i| random_waypoint(&walk, 70 + i)).collect();
 
-    for compress_regions in [true, false] {
-        let mut core = ServerCore::new(RTree::bulk_load(&pois), 1);
-        let config =
-            WireConfig { method: WireMethod::Tile, compress_regions, ..WireConfig::default() };
-        core.enqueue(1, Request::Register { group_size: 3, config });
-        core.process();
-        let (mut packets, mut messages) = (0, 0);
-        for t in 0..60 {
-            let positions = group.iter().map(|traj| traj.at(t)).collect();
-            core.enqueue(1, Request::Report { group: 0, positions });
-            for (_, response) in core.process().responses {
-                packets += response.packets(compress_regions);
-                messages += 1;
-            }
+    let mut core = ServerCore::new(RTree::bulk_load(&pois), 1);
+    let config = WireConfig { method: WireMethod::Tile, ..WireConfig::default() };
+    core.enqueue(1, Request::Register { group_size: 3, config });
+    core.process();
+    let (mut packets, mut messages) = (0, 0);
+    for t in 0..60 {
+        let positions = group.iter().map(|traj| traj.at(t)).collect();
+        core.enqueue(1, Request::Report { group: 0, positions });
+        for (_, response) in core.process().responses {
+            packets += response.packets(true);
+            messages += 1;
         }
-        let traffic = core.engine().group_metrics(0).traffic;
-        assert!(messages > 3, "the walk must trigger updates, not just the registration");
-        assert_eq!(traffic.downlink_packets, packets, "compress = {compress_regions}");
-        // Every update is answered by one uplink per user (her report or her probe reply).
-        assert_eq!(traffic.messages - messages, 3 * core.engine().group_metrics(0).updates);
     }
+    let traffic = core.engine().group_metrics(0).traffic;
+    assert!(messages > 3, "the walk must trigger updates, not just the registration");
+    assert_eq!(traffic.downlink_packets, packets);
+    // Every update is answered by one uplink per user (her report or her probe reply).
+    assert_eq!(traffic.messages - messages, 3 * core.engine().group_metrics(0).updates);
 }

@@ -1,8 +1,6 @@
 //! Regression tests for concrete inputs that once exposed bugs (found by the property tests),
 //! and for behaviors whose documentation once disagreed with the code.
 
-use std::sync::Arc;
-
 use mpn::core::{Method, Objective, SafeRegion};
 use mpn::geom::Point;
 use mpn::index::RTree;
@@ -17,65 +15,62 @@ use mpn::sim::{
     TrajectoryFeed,
 };
 
-/// Submits the next recorded epoch of every unfinished replay, then ticks.
+/// Submits the next recorded epoch of every replay with one left, then ticks.
 fn replay_tick(
     engine: &mut MonitoringEngine,
     replays: &mut [(usize, TrajectoryFeed)],
 ) -> TickSummary {
     for (id, feed) in replays.iter_mut() {
-        if !engine.group(*id).is_finished() {
-            let positions = feed.next_epoch().expect("the cap is within the recording");
+        if let Some(positions) = feed.next_epoch() {
             engine.submit(EpochUpdate { group_id: *id, positions }).expect("a live replay");
         }
     }
     engine.tick()
 }
 
-/// `TickSummary::finished` was documented as a fleet-wide total but its relationship to
-/// deregistration was implicit: a deregistered group silently vanished from the total, which
-/// looked like a lost session.  The contract is now explicit — `finished` totals the
-/// **currently registered** sessions past their horizon, deregistered groups move to
-/// `retired` — and fleet metrics keep including the departed groups' counters.
+/// The first `n` timestamps of every user's recording.
+fn first(group: &[Trajectory], n: usize) -> Vec<Trajectory> {
+    group.iter().map(|t| Trajectory::new(t.points()[..n].to_vec())).collect()
+}
+
+/// A deregistered group used to vanish silently from the tick's totals, which looked like a
+/// lost session.  The contract is now explicit — deregistered groups move to
+/// `TickSummary::retired` — and fleet metrics keep including the departed groups' counters.
 #[test]
-fn finished_total_excludes_deregistered_groups_which_move_to_retired() {
+fn deregistered_groups_move_to_retired_and_stay_in_the_fleet_totals() {
     let pois: Vec<Point> =
         (0..80).map(|i| Point::new(f64::from(i % 10) * 60.0, f64::from(i / 10) * 70.0)).collect();
     let tree = RTree::bulk_load(&pois);
     let traj = WaypointConfig { domain: 600.0, speed_limit: 6.0, timestamps: 40 };
-    let fleet: Vec<Vec<Trajectory>> = (0..3)
-        .map(|g| (0..2).map(|i| random_waypoint(&traj, (g * 7 + i) as u64)).collect())
-        .collect();
-
-    let horizons = [10usize, 10, 30];
+    let config = MonitorConfig::new(Objective::Max, Method::circle());
     let mut engine = MonitoringEngine::new(tree, 1);
-    let mut replays: Vec<_> = fleet
-        .iter()
-        .zip(horizons)
-        .map(|(group, horizon)| {
-            let config =
-                MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(horizon);
-            (engine.register_stream(group.len(), config), TrajectoryFeed::from_group(group))
+    let mut replays: Vec<_> = [10, 10, 30]
+        .into_iter()
+        .enumerate()
+        .map(|(g, length)| {
+            let group: Vec<Trajectory> =
+                (0..2).map(|i| random_waypoint(&traj, (g * 7 + i) as u64)).collect();
+            (
+                engine.register_stream(group.len(), config),
+                TrajectoryFeed::new(first(&group, length)),
+            )
         })
         .collect();
     let ids: Vec<_> = replays.iter().map(|(id, _)| *id).collect();
 
-    let mut summary = replay_tick(&mut engine, &mut replays);
-    for _ in 1..12 {
-        summary = replay_tick(&mut engine, &mut replays);
+    for _ in 0..12 {
+        assert_eq!(replay_tick(&mut engine, &mut replays).retired, 0);
     }
-    assert_eq!(summary.finished, 2, "after 12 ticks the two 10-timestamp groups are done");
-    assert_eq!(summary.retired, 0);
 
-    // Deregistering a finished group moves it from `finished` to `retired`.
+    // Deregistering a group moves it to `retired`.
     let departed = engine.deregister(ids[0]).expect("group 0 is registered");
     replays.remove(0);
-    assert_eq!(departed.timestamps, 9, "10-timestamp horizon = registration + 9 timestamps");
+    assert_eq!(departed.timestamps, 9, "a 10-timestamp recording = registration + 9 timestamps");
     let summary = replay_tick(&mut engine, &mut replays);
-    assert_eq!(summary.finished, 1, "only registered sessions count as finished");
     assert_eq!(summary.retired, 1, "the deregistered group is accounted explicitly");
 
     // Fleet accounting must not shrink when a group leaves, nor when its id is reused.
-    while !engine.is_finished() {
+    for _ in 13..30 {
         replay_tick(&mut engine, &mut replays);
     }
     let live_updates: usize = ids[1..].iter().map(|&id| engine.group_metrics(id).updates).sum();
@@ -83,7 +78,6 @@ fn finished_total_excludes_deregistered_groups_which_move_to_retired() {
     assert_eq!(fleet_metrics.group_size, 6, "all three 2-user groups stay in the fleet totals");
     assert_eq!(fleet_metrics.updates, live_updates + departed.updates);
     assert_eq!(fleet_metrics.timestamps, 9 + 9 + 29);
-    let config = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(10);
     assert_eq!(engine.register_stream(2, config), ids[0]);
     let reused = engine.fleet_metrics();
     assert_eq!(reused.group_size, 8, "the new epoch's users are counted beside the old one's");
@@ -94,87 +88,6 @@ fn finished_total_excludes_deregistered_groups_which_move_to_retired() {
     assert_eq!(all.len(), 3);
     assert_eq!(all[0].timestamps, 0, "id 0 now holds the fresh, unticked epoch");
     assert_eq!(all[2].timestamps, 29);
-}
-
-/// A fleet horizon used to be `max().unwrap_or(0)` over per-session horizons — a streaming
-/// session with no pre-known horizon had no honest representation and an empty fleet looked
-/// "finished at 0".  The contract is now explicit: an uncapped session's horizon is `None`,
-/// a fleet holding one is never finished, open sessions never count into
-/// `TickSummary::finished` (they have nothing to finish) and they starve visibly
-/// (`TickSummary::starved`) instead of advancing on missing data.
-#[test]
-fn open_horizon_streams_have_no_finish_line_and_never_count_as_finished() {
-    let pois: Vec<Point> =
-        (0..80).map(|i| Point::new(f64::from(i % 10) * 60.0, f64::from(i / 10) * 70.0)).collect();
-    let tree = Arc::new(RTree::bulk_load(&pois));
-    let traj = WaypointConfig { domain: 600.0, speed_limit: 6.0, timestamps: 40 };
-    let group: Vec<Trajectory> = (0..2).map(|i| random_waypoint(&traj, 100 + i as u64)).collect();
-
-    let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
-    let capped = MonitorConfig::new(Objective::Max, Method::circle()).with_max_timestamps(5);
-    let bounded = engine.register_stream(2, capped);
-    let mut replays = [(bounded, TrajectoryFeed::from_group(&group))];
-    assert_eq!(engine.group(bounded).horizon(), Some(5));
-
-    let open = engine.register_stream(2, MonitorConfig::new(Objective::Max, Method::circle()));
-    assert_eq!(engine.group(open).horizon(), None);
-    assert!(!engine.group(open).horizon_is_covered());
-
-    // Drive the bounded replay to its end while feeding the stream only occasionally.
-    for t in 0..8 {
-        if t % 2 == 0 {
-            let positions: Vec<Point> = group.iter().map(|traj| traj.at(t)).collect();
-            engine.submit(EpochUpdate { group_id: open, positions }).unwrap();
-        }
-        let summary = replay_tick(&mut engine, &mut replays);
-        assert_eq!(summary.starved, usize::from(t % 2 != 0), "unfed epochs starve visibly");
-        assert_eq!(
-            summary.finished,
-            usize::from(engine.group(bounded).is_finished()),
-            "only the bounded session can ever count as finished"
-        );
-    }
-    assert!(engine.group(bounded).is_finished());
-    assert!(!engine.group(open).is_finished(), "open sessions never finish on their own");
-    assert!(!engine.is_finished());
-    assert_eq!(engine.group_metrics(open).timestamps, 3, "4 fed epochs = registration + 3");
-
-    // Deregistration is the only way out for an open session — and restores boundedness.
-    engine.deregister(open).unwrap();
-    assert!(engine.is_finished());
-}
-
-/// A capped session that was sent more reports than its cap wedged `ServerCore::backlog`:
-/// `submit` only refused a session that *was* finished, the tick skips a finished session
-/// without draining its inbox, and the backlog is only reduced by `summary.advanced` — so the
-/// surplus epochs stayed queued, `has_work()` stayed true and the transport ran a whole-fleet
-/// tick on every poll iteration until the group deregistered.  `submit` now refuses an epoch
-/// once consumed plus queued epochs reach the horizon.
-#[test]
-fn reports_beyond_a_capped_horizon_are_refused_and_the_backlog_drains() {
-    let pois: Vec<Point> = (0..9).map(|i| Point::new(f64::from(i % 3), f64::from(i / 3))).collect();
-    let mut core = ServerCore::new(RTree::bulk_load(&pois), 1);
-    let config = WireConfig { max_timestamps: Some(2), ..WireConfig::default() };
-    core.enqueue(1, Request::Register { group_size: 2, config });
-    for t in 0..6 {
-        let positions = vec![Point::new(0.1 * f64::from(t), 0.5), Point::new(1.5, 1.0)];
-        core.enqueue(1, Request::Report { group: 0, positions });
-    }
-    let refused = core
-        .process()
-        .responses
-        .iter()
-        .filter(|(_, r)| {
-            matches!(r, Response::Notification { kind: NotificationKind::BadRequest, .. })
-        })
-        .count();
-    assert_eq!(refused, 4, "the cap admits two epochs; the other four reports are answered");
-    assert_eq!(core.backlog(), 1, "one epoch consumed by this tick, one waiting");
-    core.process();
-    assert_eq!(core.backlog(), 0);
-    assert!(!core.has_work(), "nothing keeps the transport ticking");
-    assert!(core.engine().group(0).is_finished());
-    assert_eq!(core.engine().group(0).pending_epochs(), 0);
 }
 
 /// Deleting the last live POI used to empty the world first and then fail an assertion, so a
@@ -262,7 +175,7 @@ fn undrained_events_stay_grouped_by_session_and_leave_with_their_group() {
             let group: Vec<Trajectory> =
                 (0..2).map(|i| random_waypoint(&traj, g * 7 + i)).collect();
             let feed = TrajectoryFeed::from_group(&group);
-            let session = GroupSession::streaming(2, feed.capped(config));
+            let session = GroupSession::streaming(2, config);
             (engine.register_session(session.with_events(true)), feed)
         })
         .collect();
