@@ -3,19 +3,20 @@
 //! `mpn-sim`'s [`ServerCore`](mpn_sim::ServerCore) is transport-agnostic: a queue of
 //! client-tagged requests, an engine tick, client-tagged responses.  This crate supplies the
 //! transport — and nothing but the transport — on top of `std` alone (no external event
-//! library; the readiness layer talks to `epoll`/`poll` directly in [`poll`]).
+//! library; a private readiness layer talks to Linux `epoll` directly).
 //!
 //! # One transport over one core
 //!
 //! [`MuxServer`] is one event-loop thread, thousands of non-blocking sockets, one *shared*
-//! core.  Readiness events ([`poll::Poller`]) drive per-connection state machines
-//! ([`conn::Connection`]) whose incremental [`mpn_proto::FrameReader`]s reassemble frames
-//! across arbitrarily fragmented reads; decoded requests from every ready socket batch into
-//! the core, one engine tick runs per loop iteration, and each addressed client gets one
-//! count-prefixed batch ([`envelope`]), each response encoded into its outbox as the core's
-//! [`process_with`](mpn_sim::ServerCore::process_with) produces it.  The loop only frames what the core produced, so a connection's downlink is **byte-identical** to the
-//! in-process `ServerCore` output for the same lock-step request trace (pinned by the
-//! workspace test `tests/mux_parity.rs`).
+//! core.  Readiness events drive per-connection state machines whose incremental
+//! [`mpn_proto::FrameReader`]s reassemble frames across arbitrarily fragmented reads; decoded
+//! requests from every ready socket batch into the core, one engine tick runs per loop
+//! iteration, and each addressed client gets one count-prefixed batch ([`envelope`]), each
+//! response encoded into its outbox as the core's
+//! [`process_with`](mpn_sim::ServerCore::process_with) produces it.  The loop only frames what
+//! the core produced, so a connection's downlink is **byte-identical** to the in-process
+//! `ServerCore` output for the same lock-step request trace (pinned by the workspace test
+//! `tests/mux_parity.rs`).
 //!
 //! # The backpressure contract
 //!
@@ -62,13 +63,13 @@
 //! announcement during request application and the recomputed regions only with the tick.
 
 #![forbid(unsafe_op_in_unsafe_fn)]
+#![deny(unsafe_code)]
 
-pub mod conn;
+mod conn;
 pub mod envelope;
 pub mod mux;
-pub mod poll;
+#[allow(unsafe_code)] // epoll and setsockopt FFI
+mod poll;
 
-pub use conn::{CloseReason, Connection, ReadOutcome};
 pub use envelope::{encode_batch, read_batch};
 pub use mux::{MuxConfig, MuxServer, MuxStats};
-pub use poll::{Interest, PollEvent, Poller, Token};

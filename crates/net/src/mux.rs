@@ -1,8 +1,8 @@
 //! The readiness-driven multiplexed front-end: one event loop, thousands of sockets, one
 //! shared [`ServerCore`].
 //!
-//! [`MuxServer`] owns a non-blocking listener, a slab of [`Connection`]s keyed by poll
-//! [`Token`], and the shared core.  One [`poll_once`](MuxServer::poll_once) iteration:
+//! [`MuxServer`] owns a non-blocking listener, a slab of `Connection`s keyed by poll
+//! `Token`, and the shared core.  One [`poll_once`](MuxServer::poll_once) iteration:
 //!
 //! 1. waits for readiness (accepts, reads, writes) under the caller's timeout;
 //! 2. drains every readable socket through its incremental [`FrameReader`](mpn_proto::FrameReader) state machine,
@@ -39,7 +39,7 @@ pub struct MuxConfig {
     /// Accepted connections beyond this are closed immediately.
     pub max_connections: usize,
     /// When set, each accepted socket's kernel send buffer is pinned to roughly this many
-    /// bytes ([`crate::poll::set_send_buffer`]), which also disables autotuning — at
+    /// bytes (`SO_SNDBUF`), which also disables autotuning — at
     /// thousands of connections the multi-megabyte autotuned default dominates server
     /// memory, and an unpinned buffer absorbs a slow reader's downlink long before the
     /// outbox limits can act.
