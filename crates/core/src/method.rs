@@ -124,7 +124,7 @@ impl Method {
                 self.compute(view, objective, users, Some(&headings), cache.unwrap_or(&mut None))
             }
         };
-        (session.record_answer(answer, view.generation()), stats)
+        (session.record_answer(answer), stats)
     }
 
     fn compute(
@@ -144,12 +144,13 @@ impl Method {
             }
             Method::Tile(config) => {
                 let out = tile_msr(view, users, objective, config, headings, cache);
-                // Not `collect()`: it would keep the larger `Vec<TileRegion>` allocation.
+                // Not `collect()`: it would keep the larger `Vec<TileRegion>` allocation, and
+                // boxing that would copy it.  An exactly sized `Vec` boxes in place.
                 let mut regions = Vec::with_capacity(out.regions.len());
                 regions.extend(
                     out.regions.into_iter().map(|tiles| SafeRegion::Tiles(Box::new(tiles))),
                 );
-                (out.optimal, regions, out.stats)
+                (out.optimal, regions.into_boxed_slice(), out.stats)
             }
         };
         let answer = Answer {
@@ -171,8 +172,9 @@ pub struct Answer {
     pub optimal_point: Point,
     /// Aggregate distance of the group to `pᵒ` at computation time.
     pub optimal_dist: f64,
-    /// One safe region per user, in the order of the `users` slice.
-    pub regions: Vec<SafeRegion>,
+    /// One safe region per user, in the order of the `users` slice (boxed: an answer never
+    /// grows, so it keeps no capacity word).
+    pub regions: Box<[SafeRegion]>,
 }
 
 impl Answer {

@@ -17,19 +17,16 @@ use crate::Objective;
 /// Mutable per-group state owned by the server between safe-region computations.
 #[derive(Debug, Clone)]
 pub struct SessionState {
-    group_size: usize,
+    /// A `u32` beside the persistence flag, so the two share one word.
+    group_size: u32,
+    persist_buffers: bool,
     smoothing: f64,
     /// One predictor per user, created by the first [`observe`](SessionState::observe): a
     /// session whose method never reads a heading (Circle) never allocates them.
-    predictors: Vec<HeadingPredictor>,
-    persist_buffers: bool,
+    predictors: Box<[HeadingPredictor]>,
     /// The §5.4 buffer, boxed: only a Tile-D-b session with persistent buffers ever fills it.
     buffer: Option<Box<BufferCache>>,
     last_answer: Option<Answer>,
-    /// [`RTree::generation`](mpn_index::RTree::generation) of the POI content the
-    /// last answer was computed against (meaningless without one), used by the world-change
-    /// invalidation pass.
-    answer_generation: u64,
 }
 
 impl SessionState {
@@ -39,18 +36,17 @@ impl SessionState {
     /// (the monitoring default is 0.3).
     ///
     /// # Panics
-    /// Panics when `group_size` is zero.
+    /// Panics when `group_size` is zero or does not fit a `u32`.
     #[must_use]
     pub fn new(group_size: usize, smoothing: f64) -> Self {
         assert!(group_size > 0, "a session needs at least one user");
         Self {
-            group_size,
-            smoothing,
-            predictors: Vec::new(),
+            group_size: u32::try_from(group_size).expect("group sizes fit u32"),
             persist_buffers: false,
+            smoothing,
+            predictors: Box::default(),
             buffer: None,
             last_answer: None,
-            answer_generation: 0,
         }
     }
 
@@ -70,7 +66,7 @@ impl SessionState {
     /// Number of users in the group this session tracks.
     #[must_use]
     pub fn group_size(&self) -> usize {
-        self.group_size
+        self.group_size as usize
     }
 
     /// Feeds the users' current locations into the heading predictors.
@@ -82,9 +78,9 @@ impl SessionState {
     /// # Panics
     /// Panics when `locations` does not have one entry per user.
     pub fn observe(&mut self, locations: &[Point]) {
-        assert_eq!(locations.len(), self.group_size, "one location per user is required");
+        assert_eq!(locations.len(), self.group_size(), "one location per user is required");
         if self.predictors.is_empty() {
-            self.predictors = vec![HeadingPredictor::new(self.smoothing); self.group_size];
+            self.predictors = vec![HeadingPredictor::new(self.smoothing); locations.len()].into();
         }
         for (predictor, location) in self.predictors.iter_mut().zip(locations) {
             predictor.observe(*location);
@@ -96,7 +92,7 @@ impl SessionState {
     pub fn predicted_headings(&self) -> Vec<Option<f64>> {
         let mut headings: Vec<_> =
             self.predictors.iter().map(HeadingPredictor::predicted).collect();
-        headings.resize(self.group_size, None);
+        headings.resize(self.group_size(), None);
         headings
     }
 
@@ -110,13 +106,6 @@ impl SessionState {
     #[must_use]
     pub fn has_cached_buffer(&self) -> bool {
         self.buffer.is_some()
-    }
-
-    /// The world generation the last answer was computed against, `None` before the first
-    /// computation.
-    #[must_use]
-    pub fn answer_generation(&self) -> Option<u64> {
-        self.last_answer.as_ref().map(|_| self.answer_generation)
     }
 
     /// Whether deleting POI `poi` can break this session's current safe regions.
@@ -175,9 +164,7 @@ impl SessionState {
     /// avoids cloning the per-user region vectors on every update — the legacy loop kept a
     /// single answer by value, and this sits inside the section whose duration is reported as
     /// the paper's "CPU time per computation".
-    /// `generation` stamps which world content the answer is valid for.
-    pub(crate) fn record_answer(&mut self, answer: Answer, generation: u64) -> &Answer {
-        self.answer_generation = generation;
+    pub(crate) fn record_answer(&mut self, answer: Answer) -> &Answer {
         self.last_answer.insert(answer)
     }
 
@@ -218,10 +205,10 @@ mod tests {
         Answer {
             optimal_index: 3,
             optimal_point: Point::ORIGIN,
-            regions: vec![
+            regions: Box::new([
                 crate::SafeRegion::Circle(mpn_geom::Circle::new(Point::new(2.0, 0.0), 1.0)),
                 crate::SafeRegion::Circle(mpn_geom::Circle::new(Point::new(-2.0, 0.0), 1.0)),
-            ],
+            ]),
             optimal_dist: 2.0,
         }
     }
@@ -230,7 +217,7 @@ mod tests {
     fn delete_invalidates_only_participating_pois() {
         let mut session = SessionState::new(2, 0.3);
         assert!(!session.delete_invalidates(3), "no answer, nothing to invalidate");
-        session.record_answer(answer_with_regions(), 1);
+        session.record_answer(answer_with_regions());
         assert!(session.delete_invalidates(3), "deleting the optimum breaks the regions");
         assert!(!session.delete_invalidates(99), "a beaten runner-up never breaks them");
     }
@@ -240,7 +227,7 @@ mod tests {
         let mut session = SessionState::new(2, 0.3);
         let far = Point::new(500.0, 500.0);
         assert!(!session.insert_invalidates(far, Objective::Max), "no answer yet");
-        session.record_answer(answer_with_regions(), 1);
+        session.record_answer(answer_with_regions());
         // Worst case of the optimum over the regions: max distance is 3 per user.
         // A far-away point can never undercut it; a point at the origin always can.
         assert!(!session.insert_invalidates(far, Objective::Max));

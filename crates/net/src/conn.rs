@@ -3,17 +3,18 @@
 //! One [`Connection`] owns one non-blocking [`TcpStream`] and the two buffers that decouple
 //! it from the shared engine:
 //!
-//! * **uplink** — raw readable bytes feed a [`FrameReader`]; whole decoded [`Request`]s pop
-//!   out and go to the server core.  Partial frames park in the reader across any number of
-//!   reads; a malformed/oversize frame is fatal for the connection (the stream cannot be
-//!   resynchronised).
+//! * **uplink** — raw readable bytes feed a [`FrameReader`]; each whole [`Request`] goes to
+//!   the caller's callback the moment it is decoded, so a read pass holds no list of them.
+//!   Partial frames park in the reader across any number of reads; a malformed/oversize
+//!   frame is fatal for the connection (the stream cannot be resynchronised), but every
+//!   request decoded before it has already been handed over.
 //! * **downlink** — encoded response bytes queue in an outbox and drain whenever the socket
 //!   is writable.  The outbox level drives the **backpressure contract** (see the crate
 //!   docs): above the soft limit the connection stops being read, above the hard limit it is
 //!   dropped.  A drained outbox shrinks back to [`BUFFER_FLOOR`].
 //!
-//! The connection never talks to the engine itself; it only classifies what happened
-//! ([`ReadOutcome`]) and lets the event loop decide.
+//! The connection never talks to the engine itself: it hands requests on and reports why it
+//! must close ([`CloseReason`]), and the event loop decides.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -35,16 +36,6 @@ pub enum CloseReason {
     Backpressure,
     /// An I/O error other than `WouldBlock`/`Interrupted`.
     Error,
-}
-
-/// What one readable-event handling pass produced.
-#[derive(Debug, Default)]
-pub struct ReadOutcome {
-    /// Whole requests decoded off the stream, in arrival order.
-    pub requests: Vec<Request>,
-    /// Set when the connection must be closed (requests decoded before the failure are still
-    /// delivered — they were validly framed).
-    pub close: Option<CloseReason>,
 }
 
 /// One multiplexed client connection.
@@ -99,15 +90,21 @@ impl Connection {
         self.paused
     }
 
-    /// Handles a readable event: drains the socket into the frame reader and decodes every
-    /// whole request.  Reading stops early (without consuming the socket dry) when the
-    /// outbox is already above `soft_limit` — a client that does not drain its downlink does
-    /// not get to keep filling the uplink.
+    /// Handles a readable event: drains the socket into the frame reader and hands `deliver`
+    /// every whole request, in arrival order, as soon as it is decoded.  Reading stops early
+    /// (without consuming the socket dry) when the outbox is already above `soft_limit` — a
+    /// client that does not drain its downlink does not get to keep filling the uplink.
     ///
-    /// Returns the decoded requests plus an optional close verdict; `bytes_in` is
-    /// incremented by the number of bytes consumed off the socket.
-    pub fn handle_readable(&mut self, soft_limit: usize, bytes_in: &mut u64) -> ReadOutcome {
-        let mut outcome = ReadOutcome::default();
+    /// Returns the close verdict, if the connection must close.  The requests decoded before
+    /// a malformed frame were validly framed and have been delivered by then; the caller's
+    /// close then undoes what they registered.  `bytes_in` is incremented by the number of
+    /// bytes consumed off the socket.
+    pub fn handle_readable(
+        &mut self,
+        soft_limit: usize,
+        bytes_in: &mut u64,
+        mut deliver: impl FnMut(Request),
+    ) -> Option<CloseReason> {
         let mut scratch = [0u8; 16 * 1024];
         loop {
             if self.outbox_len() > soft_limit {
@@ -115,34 +112,25 @@ impl Connection {
                 break;
             }
             match self.stream.read(&mut scratch) {
-                Ok(0) => {
-                    outcome.close = Some(CloseReason::Disconnected);
-                    break;
-                }
+                Ok(0) => return Some(CloseReason::Disconnected),
                 Ok(n) => {
                     *bytes_in += n as u64;
                     self.reader.feed(&scratch[..n]);
                     loop {
                         match self.reader.next_request() {
-                            Ok(Some(request)) => outcome.requests.push(request),
+                            Ok(Some(request)) => deliver(request),
                             Ok(None) => break,
                             Err(DecodeError::Incomplete) => unreachable!("absorbed by FrameReader"),
-                            Err(_) => {
-                                outcome.close = Some(CloseReason::Malformed);
-                                return outcome;
-                            }
+                            Err(_) => return Some(CloseReason::Malformed),
                         }
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    outcome.close = Some(CloseReason::Error);
-                    break;
-                }
+                Err(_) => return Some(CloseReason::Error),
             }
         }
-        outcome
+        None
     }
 
     /// Opens this tick's count-prefixed batch ([`crate::envelope`]) at the end of the

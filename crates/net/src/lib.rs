@@ -1,7 +1,7 @@
 //! The network front-end of the meeting-point monitoring server.
 //!
-//! `mpn-sim`'s [`ServerCore`](mpn_sim::ServerCore) is transport-agnostic: a queue of
-//! client-tagged requests, an engine tick, client-tagged responses.  This crate supplies the
+//! `mpn-sim`'s [`ServerCore`](mpn_sim::ServerCore) is transport-agnostic: client-tagged
+//! requests applied as they arrive, an engine tick, client-tagged responses.  This crate supplies the
 //! transport — and nothing but the transport — on top of `std` alone (no external event
 //! library; a private readiness layer talks to Linux `epoll` directly).
 //!
@@ -9,9 +9,9 @@
 //!
 //! [`MuxServer`] is one event-loop thread, thousands of non-blocking sockets, one *shared*
 //! core.  Readiness events drive per-connection state machines whose incremental
-//! [`mpn_proto::FrameReader`]s reassemble frames across arbitrarily fragmented reads; decoded
-//! requests from every ready socket batch into the core, one engine tick runs per loop
-//! iteration, and each addressed client gets one count-prefixed batch ([`envelope`]), each
+//! [`mpn_proto::FrameReader`]s reassemble frames across arbitrarily fragmented reads; each
+//! decoded request from every ready socket is applied by the core at once, one engine tick
+//! runs per loop iteration, and each addressed client gets one count-prefixed batch ([`envelope`]), each
 //! response encoded into its outbox as the core's
 //! [`process_with`](mpn_sim::ServerCore::process_with) produces it.  The loop only frames what
 //! the core produced, so a connection's downlink is **byte-identical** to the in-process
@@ -31,7 +31,7 @@
 //! 2. **Drop** — a paused connection can still accrue downlink from already-submitted epochs
 //!    (inbox backlog).  If the outbox ever exceeds `hard_outbox_limit`, the connection is
 //!    closed outright and [`disconnect`](mpn_sim::ServerCore::disconnect)ed from the core:
-//!    its owned groups are deregistered and its queued requests dropped.  A slow reader is
+//!    its owned groups are deregistered and the responses it was still owed dropped.  A slow reader is
 //!    never allowed to hold unbounded server memory, and a vanished client never leaks live
 //!    sessions.
 //!
@@ -39,8 +39,9 @@
 //! most 64 KiB of capacity: a burst tick does not leave its buffers behind for good.
 //!
 //! The same disconnect path runs on EOF, on undecodable uplink bytes (framing cannot be
-//! resynchronised, so the connection is closed — requests decoded before the bad frame are
-//! still honoured), and on socket errors.
+//! resynchronised, so the connection is closed — requests decoded before the bad frame were
+//! applied already, and the close then deregisters the groups they registered), and on
+//! socket errors.
 //!
 //! # The push path (server-initiated downlink)
 //!

@@ -6,9 +6,10 @@
 //!
 //! 1. waits for readiness (accepts, reads, writes) under the caller's timeout;
 //! 2. drains every readable socket through its incremental [`FrameReader`](mpn_proto::FrameReader) state machine,
-//!    enqueueing whole decoded requests into the core tagged with the connection's
-//!    [`ClientId`] — partial frames simply park in the per-connection reader;
-//! 3. if the core has work (queued requests, or inbox epochs from an earlier burst), runs
+//!    handing each request to the core, tagged with the connection's [`ClientId`], the
+//!    moment it is decoded — the core applies it there, and partial frames simply park in
+//!    the per-connection reader;
+//! 3. if the core has work (responses to send, or inbox epochs from an earlier burst), runs
 //!    **one** engine tick and routes the client-tagged responses back as the tick produces
 //!    them: each addressed connection gets one count-prefixed batch ([`crate::envelope`])
 //!    encoded into its outbox and flushed as far as the socket accepts.
@@ -77,7 +78,7 @@ pub struct MuxStats {
     pub paused: u64,
     /// Engine ticks run.
     pub ticks: u64,
-    /// Requests decoded and enqueued.
+    /// Requests decoded and handed to the core.
     pub requests: u64,
     /// Responses encoded and queued.
     pub responses: u64,
@@ -288,18 +289,20 @@ impl MuxServer {
             return; // Already closed earlier in this iteration.
         };
         if event.readable || event.closed {
-            let was_paused = conn.is_paused();
-            let outcome =
-                conn.handle_readable(self.config.soft_outbox_limit, &mut self.stats.bytes_in);
+            let (was_paused, client) = (conn.is_paused(), conn.client);
+            let (core, requests) = (&mut self.core, &mut self.stats.requests);
+            let close = conn.handle_readable(
+                self.config.soft_outbox_limit,
+                &mut self.stats.bytes_in,
+                |request| {
+                    *requests += 1;
+                    core.enqueue(client, request);
+                },
+            );
             if conn.is_paused() && !was_paused {
                 self.stats.paused += 1;
             }
-            let client = conn.client;
-            self.stats.requests += outcome.requests.len() as u64;
-            for request in outcome.requests {
-                self.core.enqueue(client, request);
-            }
-            if let Some(reason) = outcome.close {
+            if let Some(reason) = close {
                 self.close(event.token, reason);
                 return;
             }
@@ -316,7 +319,7 @@ impl MuxServer {
         }
     }
 
-    /// Runs one engine tick over the queued requests and routes the responses: one
+    /// Runs one engine tick after the applied requests and routes the responses: one
     /// count-prefixed batch per addressed connection.
     ///
     /// One batch per client this tick: every client with an applied request answers
@@ -392,7 +395,7 @@ impl MuxServer {
     }
 
     /// Closes a connection: poller deregistration, slab removal, and core disconnect (owned
-    /// groups are deregistered, queued requests dropped).
+    /// groups are deregistered, responses not yet sent dropped).
     fn close(&mut self, token: Token, reason: CloseReason) {
         let Some(conn) = self.conns.remove(token) else {
             return;

@@ -1,6 +1,7 @@
 //! Connection state-machine tests for the multiplexed front-end: frame reassembly across
-//! fragmented reads, malformed-uplink closes, both phases of the backpressure contract,
-//! mid-session disconnect cleanup, and many connections sharing one loop without crosstalk.
+//! fragmented reads, malformed-uplink closes that still apply the requests before the bad
+//! frame, both phases of the backpressure contract, mid-session disconnect cleanup, and many
+//! connections sharing one loop without crosstalk.
 //!
 //! Every test drives a real [`MuxServer`] over loopback sockets from a single thread,
 //! interleaving `poll_once` with client-side socket work, so the event loop's behaviour is
@@ -226,8 +227,12 @@ fn malformed_frame_closes_the_connection_but_honours_earlier_requests() {
     }
     assert_eq!(server.stats().requests, 1, "the valid frame before the garbage was decoded");
     assert_eq!(server.connection_count(), 0);
-    // The close disconnects the client, so the group it had registered is gone again.
-    assert_eq!(server.core().engine().group_count(), 0);
+    // The registration was applied: its group of two counts in the fleet's lifetime users,
+    // and the close, which disconnects the client, deregistered it again.
+    let engine = server.core().engine();
+    assert_eq!(engine.fleet_metrics().group_size, 2, "the registration was applied");
+    assert_eq!(engine.retired_count(), 1, "the close deregistered the group");
+    assert_eq!(engine.group_count(), 0);
 }
 
 #[test]

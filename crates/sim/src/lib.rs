@@ -33,9 +33,9 @@
 //!   [`deregister`](MonitoringEngine::deregister)) runs over a free-list of group ids (most
 //!   recently freed first, else the next unused index); input arrives as [`EpochUpdate`]s
 //!   via [`submit`](MonitoringEngine::submit).
-//! * [`ServerCore`] ([`server`]) — the `mpn-proto` server core: a queue of client-tagged
-//!   wire-shaped `Request`s drained into engine ticks, with the sessions'
-//!   [`SessionEvent`]s routed back to the client owning each group (probe requests,
+//! * [`ServerCore`] ([`server`]) — the `mpn-proto` server core: client-tagged wire-shaped
+//!   `Request`s applied as they arrive, their answers sent with the next engine tick, and the
+//!   sessions' [`SessionEvent`]s routed back to the client owning each group (probe requests,
 //!   safe-region assignments).  The core is transport-agnostic and multi-tenant.
 //!
 //! Communication cost follows the §7.1 packet model (packets of 67 doubles).  What a Fig. 3
@@ -45,12 +45,13 @@
 //!
 //! # The core and its one transport
 //!
-//! `ServerCore` is the in-process API: decoded `Request` values enqueued under a
-//! [`ClientId`] and processed on the caller's cadence — no transport, no framing; what
+//! `ServerCore` is the in-process API: decoded `Request` values applied under a
+//! [`ClientId`] and answered on the caller's cadence — no transport, no framing; what
 //! tests, the benchmark's in-process depth and embedded deployments use.  Its one transport
 //! is the readiness-driven event loop `mpn_net::MuxServer`: one thread, thousands of
 //! non-blocking sockets, per-connection incremental decode (`mpn_proto::FrameReader`),
-//! requests batched into the shared core once per poll iteration, write-buffered responses
+//! each request applied by the shared core as it is decoded, one tick per poll iteration,
+//! write-buffered responses
 //! with backpressure (see `mpn-net`'s crate docs for the backpressure contract: a client
 //! that stops draining first stops being read, then is dropped and deregistered).  The
 //! transport only frames what the core produced, so its downlink is **byte-identical** to
@@ -68,9 +69,8 @@
 //!   the right trade while changes are rare next to queries — the one writer the repository
 //!   benchmark knows makes about one change a second.
 //! * **Generations** — the rebuilt tree's process-unique stamp is the world's generation,
-//!   so every applied change raises it strictly; every computed answer is stamped with the
-//!   generation it was computed against (`mpn_core::SessionState::answer_generation`), and
-//!   a §5.4 buffer cache keyed on it sees every change.
+//!   so every applied change raises it strictly, and a §5.4 buffer cache keyed on it sees
+//!   every change.
 //! * **Invalidation is precise, not conservative-rebuild**: a delete breaks a group iff the
 //!   deleted POI participates in its answer or its §5.4 GNN buffer; an insert breaks it iff
 //!   the new POI's best-case aggregate over the group's safe regions undercuts the current
@@ -122,13 +122,14 @@
 //!   monitored, then the submitted ones, consumed in place).  Heading predictors exist once
 //!   a method that reads headings has observed a position (never for Circle); the §5.4
 //!   buffer is a boxed slot that only Tile-D-b with persistent buffers fills; a tile region
-//!   inside `SafeRegion` is boxed.  The slab slot is 232 B (464 before): the
+//!   inside `SafeRegion` is boxed.  The slab slot is 192 B (232, and 464 before): the
 //!   [`MonitorConfig`] (64 B) is an `Arc` that [`ServerCore`] shares between groups
 //!   registered alike, the computations' [`ComputeStats`](mpn_core::ComputeStats) (72 B in
 //!   the stored answer and 72 B in the metrics) go to one fleet accumulator in the engine,
-//!   and the group size and epoch clock are no longer kept twice.  A Circle/MAX group of
-//!   three costs ≈ 444 live heap bytes, slab slot and owner included (675.6 before, 1,269
-//!   at first); `tests/alloc_gates.rs` gates it and the slot size and prints the table.
+//!   the group size and epoch clock are no longer kept twice, and what never grows (the
+//!   answer's regions, the predictors) is a boxed slice.  A Circle/MAX group of three costs
+//!   ≈ 405 live heap bytes, slab slot and owner included (443.6 and 675.6 before, 1,269 at
+//!   first); `tests/alloc_gates.rs` gates it and the slot size and prints the table.
 //! * **One event stream per tick** — sessions keep no event log.  What a session created
 //!   [`with_events`](GroupSession::with_events) sends goes, tagged with its group id, to
 //!   the callback of [`MonitoringEngine::tick_with`] as it is sent, merged in ascending id

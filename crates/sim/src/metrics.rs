@@ -23,8 +23,6 @@ use crate::engine::TickExecCounters;
 pub struct Traffic {
     /// Total messages sent (all kinds, both directions).
     pub messages: usize,
-    /// Total TCP packets sent.
-    pub packets: usize,
     /// Packets sent from clients to the server (uplink).
     pub uplink_packets: usize,
     /// Packets sent from the server to clients (downlink).
@@ -32,6 +30,12 @@ pub struct Traffic {
 }
 
 impl Traffic {
+    /// Total TCP packets sent, both directions.
+    #[must_use]
+    pub fn packets(&self) -> usize {
+        self.uplink_packets + self.downlink_packets
+    }
+
     /// Records one client → server message of `values` double-precision values (a location
     /// report or a probe reply).
     pub fn record_uplink(&mut self, values: usize) {
@@ -44,18 +48,15 @@ impl Traffic {
         self.downlink_packets += self.record(values);
     }
 
-    /// Counts one message of `values` values in the totals; returns its packets.
+    /// Counts one message of `values` values; returns its packets.
     fn record(&mut self, values: usize) -> usize {
-        let packets = packets_for_values(values);
         self.messages += 1;
-        self.packets += packets;
-        packets
+        packets_for_values(values)
     }
 
     /// Merges another tally into this one.
     pub fn absorb(&mut self, other: &Traffic) {
         self.messages += other.messages;
-        self.packets += other.packets;
         self.uplink_packets += other.uplink_packets;
         self.downlink_packets += other.downlink_packets;
     }
@@ -165,7 +166,7 @@ impl MonitoringMetrics {
         if self.timestamps == 0 {
             return 0.0;
         }
-        self.traffic.packets as f64 / self.timestamps as f64
+        self.traffic.packets() as f64 / self.timestamps as f64
     }
 
     /// Merges another run's metrics into this one (used to average over user groups).
@@ -188,9 +189,9 @@ mod tests {
     fn small_messages_fit_one_packet() {
         let mut t = Traffic::default();
         t.record_uplink(LOCATION_VALUES);
-        assert_eq!((t.packets, t.uplink_packets), (1, 1));
+        assert_eq!((t.packets(), t.uplink_packets), (1, 1));
         t.record_downlink(PROBE_VALUES);
-        assert_eq!((t.packets, t.downlink_packets), (2, 1));
+        assert_eq!((t.packets(), t.downlink_packets), (2, 1));
     }
 
     #[test]
@@ -199,7 +200,7 @@ mod tests {
         assert_eq!(notification_values(&region, true), 5);
         let mut t = Traffic::default();
         t.record_downlink(notification_values(&region, true));
-        assert_eq!(t.packets, 1);
+        assert_eq!(t.packets(), 1);
     }
 
     #[test]
@@ -227,7 +228,7 @@ mod tests {
         let region = SafeRegion::Circle(Circle::new(Point::ORIGIN, 1.0));
         t.record_downlink(notification_values(&region, true));
         assert_eq!(t.messages, 4);
-        assert_eq!(t.packets, 4);
+        assert_eq!(t.packets(), 4);
         assert_eq!(t.uplink_packets, 2);
         assert_eq!(t.downlink_packets, 2);
 
@@ -235,7 +236,7 @@ mod tests {
         total.absorb(&t);
         total.absorb(&t);
         assert_eq!(total.messages, 8);
-        assert_eq!(total.packets, 8);
+        assert_eq!(total.packets(), 8);
     }
 
     #[test]

@@ -531,7 +531,7 @@ pub(crate) mod tests {
         assert_eq!(metrics.timestamps, 399);
         assert!(metrics.updates >= 1, "the initial computation counts as an update");
         assert!(metrics.updates <= metrics.timestamps + 1);
-        assert!(metrics.traffic.packets > 0);
+        assert!(metrics.traffic.packets() > 0);
         assert!(metrics.traffic.messages >= metrics.updates * group.len());
         assert!(metrics.mean_compute_time().as_nanos() > 0);
         assert!(metrics.update_frequency() <= 1.0);
@@ -563,7 +563,7 @@ pub(crate) mod tests {
         );
         assert_eq!(metrics.timestamps, 149, "the replay stops with its recording");
         assert!(metrics.updates >= 1);
-        assert!(metrics.traffic.packets > 0);
+        assert!(metrics.traffic.packets() > 0);
     }
 
     #[test]

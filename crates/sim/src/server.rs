@@ -1,12 +1,16 @@
-//! The protocol front-end: an `mpn-proto` request queue drained into engine ticks.
+//! The protocol front-end: `mpn-proto` requests applied as they arrive, their responses sent
+//! with the next engine tick.
 //!
-//! [`ServerCore`] is the **transport-agnostic** server.  It owns the [`MonitoringEngine`], a
-//! FIFO of `(client, Request)` pairs, and the group-ownership table that makes the server
-//! multi-tenant: each registered group belongs to the [`ClientId`] that registered it,
-//! downlink events route back to that client, and requests addressed to another client's
-//! group are rejected like unknown groups.  One [`process_with`](ServerCore::process_with)
-//! call applies every queued request in arrival order, runs **one** engine tick, and hands
-//! each response, tagged with its destination client, to a callback as it is produced
+//! [`ServerCore`] is the **transport-agnostic** server.  It owns the [`MonitoringEngine`], the
+//! control responses applied requests produced and not yet sent, and the group-ownership
+//! table that makes the server multi-tenant: each registered group belongs to the
+//! [`ClientId`] that registered it, downlink events route back to that client, and requests
+//! addressed to another client's group are rejected like unknown groups.
+//! [`enqueue`](ServerCore::enqueue) applies one request on the spot — a report's positions
+//! are copied into the group's inbox and the decoded request is dropped — so no request is
+//! ever stored.  One [`process_with`](ServerCore::process_with) call sends the control
+//! responses in request arrival order, runs **one** engine tick, and hands each response,
+//! tagged with its destination client, to a callback as it is produced
 //! ([`process`](ServerCore::process) collects them).  [`disconnect`](ServerCore::disconnect)
 //! tears down everything a vanished client owned — the mid-session-disconnect contract of
 //! the network front-end.
@@ -34,9 +38,9 @@
 //!
 //! The caller owns the tick cadence: a deployment calls `process` on its epoch clock (the
 //! event loop calls it once per poll iteration with work pending), a test calls it after
-//! enqueueing whatever it wants applied.
+//! enqueueing whatever it wants answered.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use mpn_geom::Point;
@@ -65,9 +69,6 @@ pub fn monitor_config(wire: &WireConfig) -> MonitorConfig {
         .with_persistent_buffers(wire.persist_buffers)
 }
 
-/// Where [`ServerCore::process_with`] sends each response it produces.
-type Downlink<'a> = dyn FnMut(ClientId, Response) + 'a;
-
 /// What one [`ServerCore::process`] or [`ServerCore::process_with`] call produced.
 #[derive(Debug, Default)]
 pub struct ProcessOutput {
@@ -76,34 +77,38 @@ pub struct ProcessOutput {
     /// request arrival order), then the tick's per-user protocol sends in ascending group id.
     /// Empty from [`process_with`](ServerCore::process_with), which sent them instead.
     pub responses: Vec<(ClientId, Response)>,
-    /// Clients that had at least one request applied this tick, deduplicated, in first-
-    /// arrival order.  A front-end that frames its downlink per tick (the batch envelope of
-    /// the TCP transport) answers exactly `applied ∪ {clients with responses}`.
+    /// Clients that had at least one request applied since the previous call, deduplicated,
+    /// in first-arrival order.  A front-end that frames its downlink per tick (the batch
+    /// envelope of the TCP transport) answers exactly `applied ∪ {clients with responses}`.
     pub applied: Vec<ClientId>,
     /// The engine tick that ran after the requests were applied.
     pub summary: TickSummary,
 }
 
-/// The transport-agnostic monitoring server core: request queue, engine, tick loop and
-/// multi-tenant response routing, shared by every front-end.
+/// The transport-agnostic monitoring server core: request application, engine, tick loop
+/// and multi-tenant response routing, shared by every front-end.
 #[derive(Debug)]
 pub struct ServerCore {
     engine: MonitoringEngine,
-    queue: VecDeque<(ClientId, Request)>,
+    /// The control responses of the requests applied since the last tick, in request arrival
+    /// order: the next [`process_with`](ServerCore::process_with) sends them first.
+    responses: Vec<(ClientId, Response)>,
+    /// Clients with a request applied since the last tick, deduplicated, in first-arrival
+    /// order (the next [`ProcessOutput::applied`]).
+    applied: Vec<ClientId>,
     /// Which client registered (and therefore owns) each live group, indexed by [`GroupId`]
     /// (ids are dense and reused, like the engine's directory).  `Some` exactly for the
     /// engine's active groups that were registered through the core.
     owners: Vec<Option<ClientId>>,
     /// Submitted epochs not yet consumed by a tick, over all sessions.  Lets front-ends ask
     /// [`has_work`](ServerCore::has_work) without scanning the fleet: a burst of reports is
-    /// applied to the inboxes in one call but drained one epoch per tick.
+    /// applied to the inboxes as it arrives but drained one epoch per tick.
     backlog: usize,
     /// Clients allowed to mutate the POI world via [`Request::Admin`].  Deployments grant
     /// this out of band ([`grant_admin`](ServerCore::grant_admin)); an ungranted client's
     /// admin request is answered with [`NotificationKind::AdminDenied`] and touches nothing.
     admins: HashSet<ClientId>,
-    /// Clients seen by the current [`process_with`](ServerCore::process_with) call (kept for
-    /// its capacity; empty between calls).
+    /// The members of `applied` (kept for its capacity; emptied by every tick).
     seen: HashSet<ClientId>,
     last_summary: Option<TickSummary>,
     /// One shared [`MonitorConfig`] per distinct [`WireConfig`] sessions were registered
@@ -122,7 +127,8 @@ impl ServerCore {
     pub fn new(tree: impl Into<Arc<RTree>>, _workers: usize) -> Self {
         Self {
             engine: MonitoringEngine::new(tree, 1),
-            queue: VecDeque::new(),
+            responses: Vec::new(),
+            applied: Vec::new(),
             owners: Vec::new(),
             backlog: 0,
             admins: HashSet::new(),
@@ -144,15 +150,23 @@ impl ServerCore {
         self.last_summary
     }
 
-    /// Queues one request from `client` for the next [`process`](ServerCore::process) call.
+    /// Applies one request from `client` now: the ownership check, then the inbox submit,
+    /// registration, deregistration or world change it asks for.  Its control response, if
+    /// it warrants one, waits for the next [`process_with`](ServerCore::process_with), which
+    /// sends it before the tick; the request itself is dropped here, a report's positions
+    /// once the group's inbox holds a copy.
     pub fn enqueue(&mut self, client: ClientId, request: Request) {
-        self.queue.push_back((client, request));
+        // Requests arrive in per-client runs: only a change of client asks the set.
+        if self.applied.last() != Some(&client) && self.seen.insert(client) {
+            self.applied.push(client);
+        }
+        self.apply(client, request);
     }
 
-    /// Number of requests waiting to be applied.
+    /// Control responses of applied requests that the next tick has still to send.
     #[must_use]
     pub fn pending_requests(&self) -> usize {
-        self.queue.len()
+        self.responses.len()
     }
 
     /// Submitted epochs sitting in session inboxes, not yet consumed by a tick.
@@ -161,12 +175,13 @@ impl ServerCore {
         self.backlog
     }
 
-    /// Whether a [`process`](ServerCore::process) call would do anything: requests are
-    /// queued, or previously applied epochs still wait in session inboxes.  Event loops use
-    /// this to skip engine ticks on idle poll iterations.
+    /// Whether a [`process`](ServerCore::process) call would do anything: a client had a
+    /// request applied or a response waits to be sent since the last tick, or applied epochs
+    /// still wait in session inboxes.  Event loops use this to skip engine ticks on idle poll
+    /// iterations.
     #[must_use]
     pub fn has_work(&self) -> bool {
-        !self.queue.is_empty() || self.backlog > 0
+        !self.applied.is_empty() || !self.responses.is_empty() || self.backlog > 0
     }
 
     /// The client owning a live group, if the group was registered through the core.
@@ -200,22 +215,19 @@ impl ServerCore {
         ProcessOutput { responses, ..output }
     }
 
-    /// The one body of a tick: applies every queued request in arrival order, runs one engine
-    /// tick, and hands `send` each client-tagged response as it is produced — the control
-    /// notifications (in request arrival order), then the tick's per-user protocol sends
-    /// ([`MonitoringEngine::tick_with`], ascending group id).  No list of responses is built,
-    /// and the emptied request queue keeps at most [`BUFFER_FLOOR`] bytes of capacity.
+    /// The one body of a tick: hands `send` each client-tagged response as it goes out — the
+    /// control responses of the requests applied since the last tick (in request arrival
+    /// order), then, as one engine tick produces them, its per-user protocol sends
+    /// ([`MonitoringEngine::tick_with`], ascending group id).  No list of the tick's
+    /// responses is built, and the emptied control list keeps at most [`BUFFER_FLOOR`] bytes
+    /// of capacity.
     pub fn process_with(&mut self, mut send: impl FnMut(ClientId, Response)) -> ProcessOutput {
-        let mut output = ProcessOutput::default();
-        while let Some((client, request)) = self.queue.pop_front() {
-            // Requests arrive in per-client runs: only a change of client asks the set.
-            if output.applied.last() != Some(&client) && self.seen.insert(client) {
-                output.applied.push(client);
-            }
-            self.apply(client, request, &mut send);
+        for (client, response) in self.responses.drain(..) {
+            send(client, response);
         }
-        self.queue.shrink_to(BUFFER_FLOOR / size_of::<(ClientId, Request)>());
+        self.responses.shrink_to(BUFFER_FLOOR / size_of::<(ClientId, Response)>());
         self.seen.clear();
+        let applied = std::mem::take(&mut self.applied);
         let owners = &self.owners;
         let summary = self.engine.tick_with(&mut |group, event| {
             let Some(client) = owners.get(group).copied().flatten() else {
@@ -236,18 +248,22 @@ impl ServerCore {
         // streaming (inbox-fed) sessions, so `advanced` is the tick's backlog drain.
         self.backlog = self.backlog.saturating_sub(summary.advanced);
         self.last_summary = Some(summary);
-        output.summary = summary;
-        output
+        ProcessOutput { responses: Vec::new(), applied, summary }
     }
 
-    /// Tears down everything `client` owns after its connection vanished: unapplied queued
-    /// requests are dropped and every group it registered is deregistered (like an
-    /// explicit [`Request::Deregister`]).  Returns the deregistered group ids.
+    /// Tears down everything `client` owns after its connection vanished: the responses
+    /// waiting for it are dropped and every group it registered is deregistered (like an
+    /// explicit [`Request::Deregister`]), its inbox epochs with it.  Returns the deregistered
+    /// group ids.  What its requests already did to other clients stays done: an applied
+    /// world change keeps its pushes to the owners it affected.
     ///
     /// This is the disconnect contract of the network front-end: a mid-session disconnect
     /// must not leak live sessions that nobody can ever report to again.
     pub fn disconnect(&mut self, client: ClientId) -> Vec<GroupId> {
-        self.queue.retain(|(c, _)| *c != client);
+        self.responses.retain(|(to, _)| *to != client);
+        if self.seen.remove(&client) {
+            self.applied.retain(|&c| c != client);
+        }
         self.admins.remove(&client);
         let owned: Vec<GroupId> =
             (0..self.owners.len()).filter(|&group| self.owners[group] == Some(client)).collect();
@@ -276,11 +292,11 @@ impl ServerCore {
         config
     }
 
-    fn apply(&mut self, client: ClientId, request: Request, out: &mut Downlink) {
+    fn apply(&mut self, client: ClientId, request: Request) {
         match request {
             Request::Register { group_size, config } => {
                 let Ok(group_size) = usize::try_from(group_size) else {
-                    out(client, notification(u64::MAX, NotificationKind::BadRequest));
+                    self.reply(client, notification(u64::MAX, NotificationKind::BadRequest));
                     return;
                 };
                 // A non-finite cone angle would steer every tile ordering of the session.
@@ -292,7 +308,7 @@ impl ServerCore {
                 // A group no `Report` frame could carry would still make the server allocate
                 // per declared user before a single position arrived.
                 if group_size == 0 || group_size > MAX_REPORT_POSITIONS || !finite_config {
-                    out(client, notification(u64::MAX, NotificationKind::BadRequest));
+                    self.reply(client, notification(u64::MAX, NotificationKind::BadRequest));
                     return;
                 }
                 let config = self.shared_config(config);
@@ -302,30 +318,30 @@ impl ServerCore {
                     self.owners.resize(id + 1, None);
                 }
                 self.owners[id] = Some(client);
-                out(client, notification(wire_id(id), NotificationKind::Registered));
+                self.reply(client, notification(wire_id(id), NotificationKind::Registered));
             }
             Request::Report { group, positions } => {
                 // Ownership gates every group-addressed request: another client's group id
                 // behaves exactly like an unregistered one (no existence leak, no
                 // cross-tenant steering).
                 let Some(group_id) = self.owned_by(group, client) else {
-                    out(client, notification(group, NotificationKind::UnknownGroup));
+                    self.reply(client, notification(group, NotificationKind::UnknownGroup));
                     return;
                 };
                 // Non-finite coordinates stop at the boundary: inside the engine a NaN makes
                 // every comparison false, so the user would silently drop out of the meeting
                 // point (a Definition 3 violation) instead of failing loudly.
                 if !positions.iter().all(Point::is_finite) {
-                    out(client, notification(group, NotificationKind::BadRequest));
+                    self.reply(client, notification(group, NotificationKind::BadRequest));
                     return;
                 }
                 match self.engine.submit(EpochUpdate { group_id, positions }) {
                     Ok(()) => self.backlog += 1,
                     Err(SubmitError::UnknownGroup(_)) => {
-                        out(client, notification(group, NotificationKind::UnknownGroup));
+                        self.reply(client, notification(group, NotificationKind::UnknownGroup));
                     }
                     Err(SubmitError::WrongGroupSize { .. }) => {
-                        out(client, notification(group, NotificationKind::BadRequest));
+                        self.reply(client, notification(group, NotificationKind::BadRequest));
                     }
                 }
             }
@@ -340,9 +356,9 @@ impl ServerCore {
                     Some(_) => NotificationKind::Deregistered,
                     None => NotificationKind::UnknownGroup,
                 };
-                out(client, notification(group, kind));
+                self.reply(client, notification(group, kind));
             }
-            Request::Admin(admin) => self.apply_admin(client, admin, out),
+            Request::Admin(admin) => self.apply_admin(client, admin),
         }
     }
 
@@ -351,27 +367,28 @@ impl ServerCore {
     /// [`Response::WorldUpdate`] pushes for every group whose safe regions the change broke.
     ///
     /// Per-client ordering is the push contract of the front-end: the owner of an affected
-    /// group sees the `WorldUpdate` (sent here, during request application) *before* the
-    /// revised `SafeRegion` responses, which the forced recomputation logged in the engine
-    /// and the tick of [`process_with`](ServerCore::process_with) sends.
-    fn apply_admin(&mut self, client: ClientId, admin: AdminRequest, out: &mut Downlink) {
+    /// group sees the `WorldUpdate` (queued here, during request application, and sent with
+    /// the control responses) *before* the revised `SafeRegion` responses, which the forced
+    /// recomputation logged in the engine and the tick of
+    /// [`process_with`](ServerCore::process_with) sends.
+    fn apply_admin(&mut self, client: ClientId, admin: AdminRequest) {
         let echo = match admin {
             AdminRequest::PoiDelete { poi } => poi,
             AdminRequest::PoiInsert { .. } => u64::MAX,
         };
         if !self.admins.contains(&client) {
-            out(client, notification(echo, NotificationKind::AdminDenied));
+            self.reply(client, notification(echo, NotificationKind::AdminDenied));
             return;
         }
         let change = match admin {
             AdminRequest::PoiInsert { location } if !location.is_finite() => {
-                out(client, notification(echo, NotificationKind::BadRequest));
+                self.reply(client, notification(echo, NotificationKind::BadRequest));
                 return;
             }
             AdminRequest::PoiInsert { location } => WorldChange::PoiInsert { location },
             AdminRequest::PoiDelete { poi } => {
                 let Ok(poi) = usize::try_from(poi) else {
-                    out(client, notification(echo, NotificationKind::UnknownPoi));
+                    self.reply(client, notification(echo, NotificationKind::UnknownPoi));
                     return;
                 };
                 WorldChange::PoiDelete { poi }
@@ -384,12 +401,12 @@ impl ServerCore {
                 Some(_) => NotificationKind::BadRequest,
                 None => NotificationKind::UnknownPoi,
             };
-            out(client, notification(echo, kind));
+            self.reply(client, notification(echo, kind));
             return;
         };
         // The ack names the POI the change resolved to (for inserts: the id the new POI
         // was assigned, which the operator needs to ever delete it again).
-        out(client, notification(poi as u64, NotificationKind::AdminApplied));
+        self.reply(client, notification(poi as u64, NotificationKind::AdminApplied));
         for &group in &summary.affected {
             let Some(owner) = self.owner(group) else {
                 debug_assert!(false, "affected group {group} without an owner");
@@ -397,7 +414,7 @@ impl ServerCore {
             };
             let revised =
                 u32::try_from(self.engine.group(group).group_size()).expect("group sizes fit u32");
-            out(
+            self.reply(
                 owner,
                 Response::WorldUpdate {
                     group: wire_id(group),
@@ -406,6 +423,11 @@ impl ServerCore {
                 },
             );
         }
+    }
+
+    /// Queues `response` to `client`, to go out before the next tick's sends.
+    fn reply(&mut self, client: ClientId, response: Response) {
+        self.responses.push((client, response));
     }
 
     /// Resolves a wire group id to an engine id iff the group is live and owned by `client`.
@@ -754,20 +776,36 @@ mod tests {
         core.process();
         assert_eq!(core.engine().group_count(), 2);
 
-        // Client 1 vanishes with a report still queued and epochs in its inbox.
+        // Client 1 vanishes with epochs in its inbox and a response not yet sent; client 2
+        // reported in the same round.
         core.enqueue(1, Request::Report { group: 0, positions: positions_at(&group, 0) });
         core.process();
         core.enqueue(1, Request::Report { group: 0, positions: positions_at(&group, 1) });
         core.enqueue(1, Request::Report { group: 0, positions: positions_at(&group, 2) });
-        assert_eq!(core.pending_requests(), 2);
+        core.enqueue(1, Request::Deregister { group: 1 });
+        core.enqueue(2, Request::Report { group: 1, positions: positions_at(&group, 0) });
+        assert_eq!(core.backlog(), 3, "reports are applied as they arrive");
+        assert_eq!(core.pending_requests(), 1, "client 1's UnknownGroup waits for the tick");
         let dropped = core.disconnect(1);
         assert_eq!(dropped, vec![0]);
-        assert_eq!(core.pending_requests(), 0, "queued requests of the dead client are dropped");
-        assert_eq!(core.backlog(), 0, "inbox epochs of the dead client left the backlog");
+        assert_eq!(core.pending_requests(), 0, "responses queued for the dead client are dropped");
+        assert_eq!(core.backlog(), 1, "inbox epochs of the dead client left the backlog");
         assert_eq!(core.engine().group_count(), 1, "client 2's group survives");
         assert_eq!(core.engine().retired_count(), 1, "client 1's id awaits reuse");
         assert_eq!(core.owner(0), None);
         assert!(core.disconnect(1).is_empty(), "disconnect is idempotent");
+
+        // The tick answers client 2 alone: its group gets its first regions.
+        let output = core.process();
+        assert_eq!(output.applied, vec![2]);
+        assert_eq!(output.summary.advanced, 1);
+        assert!(output.responses.iter().all(|(to, _)| *to == 2), "downlink for a dead client");
+        let assigned = output
+            .responses
+            .iter()
+            .filter(|(_, r)| matches!(r, Response::SafeRegion { group: 1, .. }))
+            .count();
+        assert_eq!(assigned, group.len());
 
         // The freed id is reusable and gets a fresh owner.
         core.enqueue(
@@ -853,9 +891,18 @@ mod tests {
             "the unaffected tenant hears nothing"
         );
 
-        // The admin grant dies with the connection.
+        // A change applied before its sender vanished still reaches the owner it broke, and
+        // the admin grant dies with the connection.
+        core.enqueue(
+            1,
+            Request::Admin(AdminRequest::PoiDelete { poi: new_answer.optimal_index as u64 }),
+        );
         core.disconnect(1);
         assert!(!core.is_admin(1));
+        assert!(core.has_work(), "the push to client 2 waits for the tick");
+        let responses = core.process().responses;
+        assert!(matches!(responses.first(), Some((2, Response::WorldUpdate { group: 0, .. }))));
+        assert!(responses.iter().all(|(c, _)| *c == 2), "nothing goes to the vanished client");
     }
 
     #[test]

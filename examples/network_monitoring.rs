@@ -164,7 +164,7 @@ fn in_process_demo(tree: Arc<RTree>) {
             tally.epochs_with_update,
             tally.probes,
             tally.assignments,
-            metrics.traffic.packets
+            metrics.traffic.packets()
         );
         server.enqueue(*client, Request::Deregister { group: id });
     }
@@ -176,7 +176,7 @@ fn in_process_demo(tree: Arc<RTree>) {
     println!(
         "\nboth groups deregistered; fleet lifetime totals: {} updates, {} packets\n",
         server.engine().fleet_metrics().updates,
-        server.engine().fleet_metrics().traffic.packets
+        server.engine().fleet_metrics().traffic.packets()
     );
 }
 

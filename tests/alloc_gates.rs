@@ -1,7 +1,7 @@
 //! Allocation gates of the monitoring hot path, counted by a global allocator shim.
 //!
-//! Eight facts the tick path, the tile verifier and the session layout are built around,
-//! asserted as counts (never a wall-clock ratio):
+//! Nine facts the tick path, the uplink, the tile verifier and the session layout are built
+//! around, asserted as counts (never a wall-clock ratio):
 //!
 //! * a steady-state quiet tick — every user reported, every user inside her region —
 //!   allocates **nothing**;
@@ -15,13 +15,17 @@
 //!   the per-tile candidate list are per-thread scratch, so trying more tiles costs no
 //!   allocation;
 //! * a monitored group costs the server what its method needs, in live heap bytes: a Circle
-//!   group of three at most 450 in a slab slot of at most 240 B, its configuration shared
-//!   with the groups registered alike (≈ 444 in 232 today, 676 in 464 while every slot kept
-//!   its own configuration and two copies of the work counters,
-//!   692 while a session kept its horizon beside its configuration, 700 while
-//!   `Method::Circle` carried a radius cap, 723 before the ready list replaced the hot
-//!   entries, 1,269 before the layout went lean), further epochs nothing, and the leaner
-//!   layout costs a buffered Tile-D-b session nothing;
+//!   group of three at most 410 in a slab slot of at most 192 B, its configuration shared
+//!   with the groups registered alike (≈ 405 in 192 today, 444 in 232 while a session kept
+//!   its answer's world generation, a `usize` group size, a `Vec` of predictors and a
+//!   packet total beside its two halves, 676 in 464 while every slot kept its own
+//!   configuration and two copies of the work counters, 692 while a session kept its horizon
+//!   beside its configuration, 700 while `Method::Circle` carried a radius cap, 723 before
+//!   the ready list replaced the hot entries, 1,269 before the layout went lean), further
+//!   epochs nothing, and the leaner layout costs a buffered Tile-D-b session nothing;
+//! * a burst of reports arriving before a tick holds nothing per report: each is applied to
+//!   its group's inbox as it arrives and freed, so no queue of decoded requests waits for
+//!   the tick;
 //! * the tick of a first-region burst streams each response from the session to the
 //!   encoder: at its peak it holds at most the encoded downlink plus 64 KiB above what it
 //!   leaves behind, so no per-response buffer sits between the engine and the wire;
@@ -406,7 +410,7 @@ fn tile_sum_recompute_warm() {
 /// groups that fill them.
 const FLEET: usize = 16_384;
 /// Requests per `process` call: the registration flood reaches a real server over several
-/// ticks, and the request queue's capacity is not a per-group cost.
+/// ticks, and the capacity of the responses waiting for a tick is not a per-group cost.
 const BURST: usize = 1_024;
 
 /// Group `g`'s three users at epoch `e`: a 128-wide grid of groups, each drifting a little
@@ -478,9 +482,9 @@ fn circle_group_bytes() {
     );
 
     let per_group = monitored.0 as f64 / FLEET as f64;
-    assert!(per_group <= 450.0, "a Circle group of three costs {per_group:.1} live bytes");
+    assert!(per_group <= 410.0, "a Circle group of three costs {per_group:.1} live bytes");
     let slot = size_of::<GroupSession>();
-    assert!(slot <= 240, "a session's slab slot is {slot} B");
+    assert!(slot <= 192, "a session's slab slot is {slot} B");
 
     let mut recomputed = 0;
     for e in 1..=5 {
@@ -554,6 +558,47 @@ fn first_region_burst_peak() {
     );
     let bound = encoded.len() + (64 << 10);
     assert!(transient <= bound as isize, "the burst tick peaked {transient} B above its end");
+}
+
+/// A saturation epoch's uplink: one report per group of the same fleet arrives before any
+/// tick.  `enqueue` applies each report as it comes — its positions are copied into the inbox
+/// the session already holds, and the decoded request is freed — so the arrival holds
+/// nothing per report: its live-heap peak stays within 4 B a report above where it started.
+/// A queue of the decoded requests and their position lists, which the core once kept until
+/// the tick, would hold about 96 B a report.
+#[test]
+fn report_arrival_burst_peak() {
+    let mut core = ServerCore::new(Arc::new(poi_tree(2_000)), 1);
+    let register = Request::Register { group_size: 3, config: WireConfig::default() };
+    assert_eq!(serve(&mut core, (0..FLEET).map(|_| register.clone())), FLEET);
+    let burst = |core: &mut ServerCore, e: usize| {
+        for g in 0..FLEET {
+            core.enqueue(1, Request::Report { group: g as u64, positions: spot(g, e) });
+        }
+    };
+    // A first whole-fleet burst sizes every inbox and the engine's ready list for good.
+    burst(&mut core, 0);
+    assert_eq!(core.process().summary.advanced, FLEET);
+
+    reset_peak();
+    burst(&mut core, 1);
+    let peak = peak_above();
+    assert_eq!(core.backlog(), FLEET, "every report was applied on arrival");
+    let output = core.process();
+    assert_eq!(output.summary.advanced, FLEET, "one tick consumes the burst");
+    assert_eq!(core.backlog(), 0);
+
+    let queued = FLEET * (size_of::<(u64, Request)>() + 3 * size_of::<Point>());
+    println!(
+        "report arrival burst of {FLEET} reports: the live heap peaked {peak} B above its start \
+         ({:.2} B a report); a queue of the decoded requests would hold {queued} B",
+        peak as f64 / FLEET as f64
+    );
+    let bound = 4 * FLEET;
+    assert!(
+        peak <= bound as isize,
+        "the arrival of {FLEET} reports peaked {peak} B above its start"
+    );
 }
 
 /// The boxed §5.4 slot and the lazily created predictors must not cost the paper's main

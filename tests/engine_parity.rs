@@ -266,8 +266,8 @@ fn eight_group_tick_matches_eight_serial_runs() {
     let fleet_metrics = engine.fleet_metrics();
     assert_eq!(fleet_metrics.updates, serial.iter().map(|c| c.updates).sum::<usize>());
     assert_eq!(
-        fleet_metrics.traffic.packets,
-        serial.iter().map(|c| c.traffic.packets).sum::<usize>()
+        fleet_metrics.traffic.packets(),
+        serial.iter().map(|c| c.traffic.packets()).sum::<usize>()
     );
     assert_eq!(fleet_metrics.stats, serial_stats);
 }
@@ -582,8 +582,8 @@ proptest! {
             oracle_all.iter().map(|(m, _)| m.timestamps).sum::<usize>()
         );
         prop_assert_eq!(
-            fleet_metrics.traffic.packets,
-            oracle_all.iter().map(|(m, _)| m.traffic.packets).sum::<usize>()
+            fleet_metrics.traffic.packets(),
+            oracle_all.iter().map(|(m, _)| m.traffic.packets()).sum::<usize>()
         );
         prop_assert_eq!(
             fleet_metrics.group_size,

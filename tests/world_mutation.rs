@@ -22,7 +22,8 @@ use mpn::proto::{
     WireObjective,
 };
 use mpn::sim::{
-    EpochUpdate, GroupSession, MonitorConfig, MonitoringEngine, ServerCore, WorldChange,
+    EpochUpdate, GroupId, GroupSession, MonitorConfig, MonitoringEngine, ServerCore, SessionEvent,
+    WorldChange,
 };
 use proptest::prelude::*;
 
@@ -163,14 +164,28 @@ fn sample_in_region(region: &SafeRegion, u: f64, v: f64) -> Point {
     }
 }
 
+/// The regions a world change pushed to group `id` (what [`MonitoringEngine::drain_events`]
+/// returns after it), in user order, each beside the meeting point it came with.
+fn pushed_regions(events: &[(GroupId, SessionEvent)], id: GroupId) -> Vec<(Point, SafeRegion)> {
+    events
+        .iter()
+        .filter_map(|(group, event)| match event {
+            SessionEvent::Assigned { meeting_point, region, .. } if *group == id => {
+                Some((*meeting_point, region.clone()))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
 
     // Soundness of the invalidation predicates: when the engine decides a world change does
     // *not* break a group, the group's stale safe regions must still uphold Definition 3
     // against the new world — no location instance drawn from them may beat the stale
-    // optimum.  When it does break the group, the recomputation must leave a fresh answer
-    // stamped with the new generation.
+    // optimum.  When it does break the group, the recomputation must push every user the
+    // region of its fresh answer.
     #[test]
     fn surviving_regions_uphold_definition_3_against_the_new_world(
         pois in arb_pois(1_000.0),
@@ -186,12 +201,13 @@ proptest! {
             let session = GroupSession::streaming(
                 users.len(),
                 MonitorConfig::new(objective, Method::circle()),
-            );
+            )
+            .with_events(true);
             let id = engine.register_session(session);
             engine.submit(EpochUpdate { group_id: id, positions: users.clone() }).expect("submit");
             engine.tick();
+            drop(engine.drain_events());
             let stale = engine.group(id).session_state().last_answer().expect("answered").clone();
-            let stale_generation = engine.group(id).session_state().answer_generation();
 
             let change = if insert {
                 WorldChange::PoiInsert { location }
@@ -203,16 +219,13 @@ proptest! {
             let summary = engine.apply_world_change(change);
             prop_assert!(summary.applied);
             prop_assert_eq!(summary.groups_checked, 1);
+            let pushed = pushed_regions(&engine.drain_events(), id);
 
             if summary.invalidated == 0 {
                 // The stale regions survived: the stale optimum must still be optimal in
                 // the new world for every location instance inside them.
                 prop_assert!(summary.affected.is_empty());
-                prop_assert_eq!(
-                    engine.group(id).session_state().answer_generation(),
-                    stale_generation,
-                    "an unaffected group must not recompute"
-                );
+                prop_assert!(pushed.is_empty(), "an unaffected group must not recompute");
                 let live: Vec<Point> =
                     engine.world().view().iter().map(|e| e.location).collect();
                 for &(u, v) in &samples {
@@ -231,15 +244,13 @@ proptest! {
             } else {
                 prop_assert_eq!(summary.invalidated, 1);
                 prop_assert_eq!(summary.affected.as_slice(), &[id]);
-                let state = engine.group(id).session_state();
-                prop_assert_eq!(
-                    state.answer_generation(),
-                    Some(summary.generation),
-                    "a recomputed answer is stamped with the new generation"
-                );
+                let fresh = engine.group(id).session_state().last_answer().expect("recomputed");
+                let expected: Vec<(Point, SafeRegion)> =
+                    fresh.regions.iter().map(|region| (fresh.optimal_point, region.clone())).collect();
+                prop_assert_eq!(pushed, expected, "every user is pushed her fresh region");
                 if let WorldChange::PoiDelete { poi } = change {
                     prop_assert!(
-                        state.last_answer().expect("recomputed").optimal_index != poi,
+                        fresh.optimal_index != poi,
                         "the recomputation still serves the deleted POI"
                     );
                 }
@@ -261,16 +272,16 @@ fn world_changes_recompute_exactly_the_affected_groups() {
     let tree = Arc::new(RTree::bulk_load(&pois));
     let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
     let config = MonitorConfig::new(Objective::Max, Method::circle());
-    let near = engine.register_session(GroupSession::streaming(2, config));
-    let far = engine.register_session(GroupSession::streaming(2, config));
+    let near = engine.register_session(GroupSession::streaming(2, config).with_events(true));
+    let far = engine.register_session(GroupSession::streaming(2, config).with_events(true));
     for (id, corner) in [(near, 100.0), (far, 900.0)] {
         let positions = vec![Point::new(corner - 5.0, corner), Point::new(corner + 5.0, corner)];
         engine.submit(EpochUpdate { group_id: id, positions }).expect("submit");
     }
     engine.tick();
+    drop(engine.drain_events());
     let near_optimal =
         engine.group(near).session_state().last_answer().expect("answered").optimal_index;
-    let far_generation = engine.group(far).session_state().answer_generation();
 
     // Deleting the near group's optimum breaks exactly that group.
     let summary = engine.apply_world_change(WorldChange::PoiDelete { poi: near_optimal });
@@ -280,9 +291,10 @@ fn world_changes_recompute_exactly_the_affected_groups() {
     assert_eq!(summary.invalidated, 1);
     assert_eq!(summary.affected, vec![near]);
     assert_eq!(summary.generation, engine.world().generation());
-    assert_eq!(
-        engine.group(far).session_state().answer_generation(),
-        far_generation,
+    let pushed = engine.drain_events();
+    assert_eq!(pushed_regions(&pushed, near).len(), 2, "both near users get a fresh region");
+    assert!(
+        pushed_regions(&pushed, far).is_empty(),
         "the far group recomputed although the delete could not touch it"
     );
 
