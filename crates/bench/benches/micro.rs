@@ -16,6 +16,7 @@
 //!   and the fail path of the incremental verifier, and 64 cold Tile-D-b/MAX first regions at
 //!   the paper's data-set size,
 //! * index pruning on/off (Theorem 3),
+//! * the exit check of a stored tile region (`Answer::violators`), ns per user,
 //! * the SUM side of the tile methods: ns per closed-form focal-difference minimum
 //!   (Section 6.3.1) and a whole unbuffered Tile-D/SUM recompute served by one candidate pool,
 //! * R-tree GNN query cost,
@@ -28,7 +29,7 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use mpn_core::{
-    circle_msr, decode_cells, encode_cells, tile_msr, ComputeStats, Method, Objective,
+    circle_msr, decode_cells, encode_cells, tile_msr, ComputeStats, Method, Objective, SafeRegion,
     SessionState, TileCell, TileFrame, TileMsrConfig, TileRegion, TileVerifier,
 };
 use mpn_geom::{min_focal_diff_over_square, Point, Square};
@@ -258,6 +259,32 @@ fn main() {
         b("tile/first_regions_tile_d_b_max", &mut || {
             for group in &groups {
                 black_box(method.answer(&tree, Objective::Max, black_box(group), None));
+            }
+        });
+    }
+
+    // The exit check of a stored tile region, which maps each cell to its square on the fly: a
+    // Tile-D-b/MAX answer for four users against 250 epochs, alternately every user at the
+    // centre of one of her tiles and every user 1 km off it (a miss scans every tile).  One
+    // iteration checks 1,000 users, so the printed microseconds read as nanoseconds per user.
+    {
+        let method = Method::tile_directed_buffered(std::f64::consts::FRAC_PI_4, 100);
+        let (answer, _) = method.answer(&poi_tree(8_000), Objective::Max, &users(4), None);
+        let epochs: Vec<Vec<Point>> = (0..250)
+            .map(|k| {
+                let off = if k % 2 == 0 { 0.0 } else { 1_000.0 };
+                let at = |(i, region): (usize, &SafeRegion)| match region {
+                    SafeRegion::Tiles(t) => t.frame().square(t.cells()[(7 * k + i) % t.len()]),
+                    SafeRegion::Circle(_) => unreachable!("a tile method answers with tiles"),
+                };
+                let shifted = |sq: Square| Point::new(sq.center.x + off, sq.center.y - off);
+                answer.regions.iter().enumerate().map(|r| shifted(at(r))).collect()
+            })
+            .collect();
+        b("tile/violation_check_ns_per_user", &mut || {
+            for (k, positions) in epochs.iter().enumerate() {
+                let violators = answer.violators(black_box(positions));
+                assert_eq!(violators.len(), (k % 2) * positions.len(), "the fixture left its path");
             }
         });
     }

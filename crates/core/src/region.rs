@@ -111,27 +111,26 @@ pub(crate) fn f32_down(v: f64) -> f64 {
     f64::from(if f64::from(f) > v { f.next_down() } else { f })
 }
 
-/// A tile-based safe region: a union of square tiles in a common frame (Section 5).
+/// A tile-based safe region: a union of square tiles in a common frame (Section 5), stored as
+/// its frame and its 12 B cells.  Every query maps a cell to its [`Square`] through
+/// [`TileFrame::square`] where it needs it, so no tile's geometry is kept beside its cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TileRegion {
     frame: TileFrame,
     cells: Vec<TileCell>,
-    squares: Vec<Square>,
 }
 
 impl TileRegion {
     /// Creates an empty region in the given frame.
     #[must_use]
     pub fn new(frame: TileFrame) -> Self {
-        Self { frame, cells: Vec::new(), squares: Vec::new() }
+        Self { frame, cells: Vec::new() }
     }
 
     /// Creates a region already containing the seed tile centred on the frame.
     #[must_use]
     pub fn with_seed(frame: TileFrame) -> Self {
-        let mut region = Self::new(frame);
-        region.push(TileCell::SEED);
-        region
+        Self { frame, cells: vec![TileCell::SEED] }
     }
 
     /// Rebuilds a region from its cells, in their order; `None` when a cell repeats.  One
@@ -143,8 +142,14 @@ impl TileRegion {
         if sorted.windows(2).any(|pair| pair[0] == pair[1]) {
             return None;
         }
-        let squares = cells.iter().map(|&cell| frame.square(cell)).collect();
-        Some(Self { frame, cells, squares })
+        Some(Self { frame, cells })
+    }
+
+    /// [`with_seed`](Self::with_seed) in place: keeps the cells' capacity for the next growth.
+    pub(crate) fn reseed(&mut self, frame: TileFrame) {
+        self.frame = frame;
+        self.cells.clear();
+        self.cells.push(TileCell::SEED);
     }
 
     /// The region's coordinate frame.
@@ -156,7 +161,6 @@ impl TileRegion {
     /// Adds a tile to the region (no-op when the cell is already present).
     pub fn push(&mut self, cell: TileCell) {
         if !self.cells.contains(&cell) {
-            self.squares.push(self.frame.square(cell));
             self.cells.push(cell);
         }
     }
@@ -179,34 +183,34 @@ impl TileRegion {
         &self.cells
     }
 
-    /// The tiles' geometry.
-    #[must_use]
-    pub fn squares(&self) -> &[Square] {
-        &self.squares
+    /// The tiles' geometry, computed from the cells in their order.
+    pub fn squares(&self) -> impl ExactSizeIterator<Item = Square> + '_ {
+        let frame = self.frame;
+        self.cells.iter().map(move |&cell| frame.square(cell))
     }
 
     /// Whether the point lies inside the region (inside any tile).
     #[must_use]
     pub fn contains(&self, p: Point) -> bool {
-        self.squares.iter().any(|s| s.contains(p))
+        self.squares().any(|s| s.contains(p))
     }
 
     /// Minimum distance from `p` to the region: `‖p, Rᵢ‖min` (∞ for an empty region).
     #[must_use]
     pub fn min_dist(&self, p: Point) -> f64 {
-        self.squares.iter().map(|s| s.min_dist(p)).fold(f64::INFINITY, f64::min)
+        self.squares().map(|s| s.min_dist(p)).fold(f64::INFINITY, f64::min)
     }
 
     /// Maximum distance from `p` to the region: `‖p, Rᵢ‖max` (−∞ for an empty region).
     #[must_use]
     pub fn max_dist(&self, p: Point) -> f64 {
-        self.squares.iter().map(|s| s.max_dist(p)).fold(f64::NEG_INFINITY, f64::max)
+        self.squares().map(|s| s.max_dist(p)).fold(f64::NEG_INFINITY, f64::max)
     }
 
     /// Total area covered (tiles never overlap by construction, so the sum is exact).
     #[must_use]
     pub fn area(&self) -> f64 {
-        self.squares.iter().map(Square::area).sum()
+        self.squares().map(|s| s.area()).sum()
     }
 }
 

@@ -195,8 +195,7 @@ pub fn tile_msr<'a>(
     let delta = std::f64::consts::SQRT_2 * seed.radius;
 
     // Lines 3-4: one seed tile per user, `f32`-exact wherever that still holds the user.
-    let regions: Vec<TileRegion> =
-        users.iter().map(|u| TileRegion::with_seed(TileFrame::seed(*u, delta))).collect();
+    let frames = users.iter().map(|u| TileFrame::seed(*u, delta));
 
     // Degenerate seed (the two best meeting points are equidistant): the safe regions collapse
     // to the users' current locations and no browsing can grow them.
@@ -205,7 +204,7 @@ pub fn tile_msr<'a>(
             optimal: seed.optimal,
             runner_up: seed.runner_up,
             radius: seed.radius,
-            regions,
+            regions: frames.map(TileRegion::with_seed).collect(),
             stats,
             built_buffer: false,
         };
@@ -240,16 +239,37 @@ pub fn tile_msr<'a>(
 
     // Σⱼ ‖pᵒ, uⱼ‖: the part of every tile's Theorem 6 threshold that no tile changes.
     let opt_dist_sum = users.iter().map(|u| p_opt.location.dist(*u)).sum();
-    let mut growth =
-        TileGrowth { view, users, regions, p_opt, opt_dist_sum, objective, config, buffer, stats };
-    with_scratch(|scratch| growth.run(scratch, headings));
+    let (regions, stats) = with_scratch(|scratch| {
+        let TileScratch { verifier, pool, regions } = scratch;
+        for (k, frame) in frames.enumerate() {
+            match regions.get_mut(k) {
+                Some(region) => region.reseed(frame),
+                None => regions.push(TileRegion::with_seed(frame)),
+            }
+        }
+        let regions = &mut regions[..users.len()];
+        let mut growth = TileGrowth {
+            view,
+            users,
+            regions,
+            p_opt,
+            opt_dist_sum,
+            objective,
+            config,
+            buffer,
+            stats,
+        };
+        growth.run(verifier, pool, headings);
+        // The regions grew in the thread's buffers; the answer gets exactly sized copies.
+        (growth.regions.to_vec(), growth.stats)
+    });
 
     TileMsr {
         optimal: seed.optimal,
         runner_up: seed.runner_up,
         radius: seed.radius,
-        regions: growth.regions,
-        stats: growth.stats,
+        regions,
+        stats,
         built_buffer,
     }
 }
@@ -319,12 +339,14 @@ impl CandidatePool {
     }
 }
 
-/// The per-thread buffers of a Tile-MSR computation: the verifier's summary tables and the
-/// candidate pool live for one computation, their allocations for the thread.
+/// The per-thread buffers of a Tile-MSR computation: the verifier's summary tables, the
+/// candidate pool and the regions being grown live for one computation, their allocations for
+/// the thread.  A finished region leaves as an exactly sized copy of its cells.
 #[derive(Debug, Default)]
 struct TileScratch {
     verifier: TileVerifier,
     pool: CandidatePool,
+    regions: Vec<TileRegion>,
 }
 
 thread_local! {
@@ -334,7 +356,8 @@ thread_local! {
 /// Runs `f` with this thread's parked [`TileScratch`] (the `mpn_index::with_scratch`
 /// pattern): taken out of thread-local storage for the call and put back afterwards with
 /// whatever capacity the call grew.  The scratch is per thread, never per session — a
-/// session-held copy would cost a tile fleet more memory than the rest of the server.
+/// session-held copy, growth buffers and their doubling slack included, would cost a tile
+/// fleet more memory than the rest of the server.
 fn with_scratch<R>(f: impl FnOnce(&mut TileScratch) -> R) -> R {
     SCRATCH.with(|cell| {
         let mut scratch = cell.take();
@@ -348,7 +371,7 @@ fn with_scratch<R>(f: impl FnOnce(&mut TileScratch) -> R) -> R {
 struct TileGrowth<'a> {
     view: IndexView<'a>,
     users: &'a [Point],
-    regions: Vec<TileRegion>,
+    regions: &'a mut [TileRegion],
     p_opt: PoiEntry,
     opt_dist_sum: f64,
     objective: Objective,
@@ -359,8 +382,12 @@ struct TileGrowth<'a> {
 
 impl TileGrowth<'_> {
     /// Round-robin tile browsing bounded by α.
-    fn run(&mut self, scratch: &mut TileScratch, headings: Option<&[Option<f64>]>) {
-        let TileScratch { verifier, pool } = scratch;
+    fn run(
+        &mut self,
+        verifier: &mut TileVerifier,
+        pool: &mut CandidatePool,
+        headings: Option<&[Option<f64>]>,
+    ) {
         // The threshold ladder of a buffer bounds distances from its anchors (the locations
         // at build time); without a buffer, Theorems 3/6 measure from the current locations.
         let anchors = self.buffer.map_or(self.users, |cache| cache.anchors.as_slice());
@@ -408,7 +435,7 @@ impl TileGrowth<'_> {
             // Algorithm 5, line 1: the distance any buffered location instance can stray
             // from the anchors — the new tile for this user, the existing regions for the
             // others.
-            verifier.sync(&self.regions);
+            verifier.sync(self.regions);
             let dist = (0..self.users.len())
                 .filter(|&j| j != user)
                 .fold(square.max_dist(cache.anchors[user]), |d, j| d.max(verifier.anchor_reach(j)));
@@ -420,16 +447,10 @@ impl TileGrowth<'_> {
             let prefix =
                 cache.set.candidates(slot).iter().enumerate().map(|(k, c)| (c.location, k));
             self.stats.verify_calls += 1;
-            verifier.accepts(&self.regions, user, &square, prefix, &mut self.stats)
+            verifier.accepts(self.regions, user, &square, prefix, &mut self.stats)
         } else {
             self.stats.verify_calls += 1;
-            verifier.accepts(
-                &self.regions,
-                user,
-                &square,
-                gathered.iter().copied(),
-                &mut self.stats,
-            )
+            verifier.accepts(self.regions, user, &square, gathered.iter().copied(), &mut self.stats)
         };
         if ok {
             self.regions[user].push(cell);
@@ -475,7 +496,7 @@ impl TileGrowth<'_> {
             return;
         }
         let tile = self.regions[user].frame().square(cell);
-        verifier.sync(&self.regions);
+        verifier.sync(self.regions);
         // r†ⱼ: how far user j may stray from her current location (the verifier's anchor
         // on this unbuffered path); for the user under test this must include the new tile.
         let reach = |j: usize| {
@@ -597,8 +618,9 @@ mod tests {
                 .iter()
                 .map(|region| {
                     // Pick a random point in a random tile of the region.
-                    let tiles = region.squares();
-                    let sq = tiles[(rand01() * tiles.len() as f64) as usize % tiles.len()];
+                    let mut tiles = region.squares();
+                    let sq = tiles.nth((rand01() * tiles.len() as f64) as usize % tiles.len());
+                    let sq = sq.expect("a tile of the region");
                     let r = sq.to_rect();
                     Point::new(r.lo.x + r.width() * rand01(), r.lo.y + r.height() * rand01())
                 })
@@ -780,6 +802,6 @@ mod tests {
             tile_msr(&tree, &users, Objective::Max, &TileMsrConfig::default(), None, &mut None);
         assert_eq!(out.radius, 0.0);
         assert_eq!(out.regions[0].len(), 1);
-        assert!(out.regions[0].squares()[0].side() <= f64::EPSILON);
+        assert!(out.regions[0].squares().next().expect("the seed").side() <= f64::EPSILON);
     }
 }

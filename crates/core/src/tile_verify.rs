@@ -13,6 +13,8 @@
 //! computed twice.  A [`TileVerifier`] keeps, and extends by exactly the tiles pushed since
 //! it last looked:
 //!
+//! * **per user**, her tiles' squares in her region's order: a [`TileRegion`] stores only its
+//!   cells, so each tile's square is computed once, when the summary first meets it;
 //! * **per user**, her tiles in ascending `a = ‖pᵒ, s‖max` order (candidate-independent), and
 //!   the running `‖pᵒ, Rⱼ‖max` and `‖anchorⱼ, Rⱼ‖max`, which make the whole-region check of
 //!   Algorithm 4 (lines 1–2), the slot distance of Algorithm 5 (line 1) and the pruning radii
@@ -45,7 +47,8 @@
 //! # Why the decisions are bit-identical to recomputing from scratch
 //!
 //! Every dominant distance is a `max`/`min` over per-tile distances that are computed by the
-//! same `Square::{min_dist, max_dist}` calls on the same inputs.  Those values are finite and
+//! same `Square::{min_dist, max_dist}` calls on the same inputs (a kept square is the
+//! `TileFrame::square` of its cell, as in every region query).  Those values are finite and
 //! non-negative (non-finite input is rejected at the server boundary), and over such values
 //! `f64::max` and `f64::min` do not depend on order or grouping, so folding them tile by tile
 //! as regions grow, per group as the per-pair fold of earlier versions did, or as a prefix or
@@ -63,12 +66,12 @@
 //!
 //! # Scratch
 //!
-//! The tables live for one computation but their buffers are reused: Tile-MSR (`tile.rs`)
-//! parks one verifier per thread, beside the candidate pool that serves the unbuffered
-//! Theorem 3/6 retrievals, and their vectors keep their capacity, so a warm recompute
-//! performs no heap allocation in the verify loop.  The scratch is per thread, never per
-//! session — a session-held copy would cost a Tile-D-b fleet more memory than the rest
-//! of the server.
+//! The tables and the kept squares live for one computation but their buffers are reused:
+//! Tile-MSR (`tile.rs`) parks one verifier per thread, beside the candidate pool that serves
+//! the unbuffered Theorem 3/6 retrievals and the buffers its regions grow in, and their
+//! vectors keep their capacity, so a warm recompute performs no heap allocation in the verify
+//! loop.  The scratch is per thread, never per session — a session-held copy would cost a
+//! Tile-D-b fleet more memory than the rest of the server.
 
 use mpn_geom::{min_focal_diff_over_square, DistanceBounds, Point, Square, EPSILON};
 
@@ -85,6 +88,8 @@ const RETAINED_TABLES: usize = 1024;
 struct UserSummary {
     /// The location `‖·, Rⱼ‖max` reach is measured from (buffer anchor or current location).
     anchor: Point,
+    /// The squares of the region's tiles folded so far, in the region's order.
+    squares: Vec<Square>,
     /// `(‖pᵒ, s‖max, index of s in the region)` per tile, in ascending `‖pᵒ, s‖max` order.
     by_opt: Vec<(f64, usize)>,
     /// Running `‖pᵒ, Rⱼ‖max` (−∞ for an empty region).
@@ -133,13 +138,13 @@ struct SortedSummary {
 }
 
 impl SortedSummary {
-    /// Rebuilds the summary of `candidate` over `squares`, the user's tiles.
-    fn build(&mut self, user: &UserSummary, squares: &[Square], candidate: Point) {
+    /// Rebuilds the summary of `candidate` over the user's tiles.
+    fn build(&mut self, user: &UserSummary, candidate: Point) {
         self.by_cand.clear();
         self.by_opt.clear();
         let mut least = f64::INFINITY;
         for &(opt_max, tile) in &user.by_opt {
-            let cand_min = squares[tile].min_dist(candidate);
+            let cand_min = user.squares[tile].min_dist(candidate);
             least = least.min(cand_min);
             self.by_opt.push((least, cand_min));
             self.by_cand.push(CandStep { cand_min, opt_max, opt_max_upto: 0.0, opt_max_from: 0.0 });
@@ -160,7 +165,7 @@ impl SortedSummary {
             most = most.max(step.opt_max);
             step.opt_max_from = most;
         }
-        self.sorted = squares.len();
+        self.sorted = user.squares.len();
     }
 }
 
@@ -217,6 +222,7 @@ impl TileVerifier {
         self.users.resize_with(anchors.len(), UserSummary::default);
         for (user, anchor) in self.users.iter_mut().zip(anchors) {
             user.anchor = *anchor;
+            user.squares.clear();
             user.by_opt.clear();
             user.opt_reach = f64::NEG_INFINITY;
             user.anchor_reach = f64::NEG_INFINITY;
@@ -232,15 +238,19 @@ impl TileVerifier {
         self.splits.resize(anchors.len(), Split::default());
     }
 
-    /// Folds the tiles pushed since the last call into the per-user summaries.
+    /// Folds the tiles pushed since the last call into the per-user summaries, computing
+    /// each new tile's square once.
     pub(crate) fn sync(&mut self, regions: &[TileRegion]) {
         for (user, region) in self.users.iter_mut().zip(regions) {
-            for (tile, sq) in region.squares().iter().enumerate().skip(user.by_opt.len()) {
+            let frame = region.frame();
+            for &cell in &region.cells()[user.squares.len()..] {
+                let sq = frame.square(cell);
                 let d = sq.max_dist(self.p_opt);
                 let rank = user.by_opt.partition_point(|&(opt_max, _)| opt_max < d);
-                user.by_opt.insert(rank, (d, tile));
+                user.by_opt.insert(rank, (d, user.squares.len()));
                 user.opt_reach = user.opt_reach.max(d);
                 user.anchor_reach = user.anchor_reach.max(sq.max_dist(user.anchor));
+                user.squares.push(sq);
             }
         }
     }
@@ -309,7 +319,7 @@ impl TileVerifier {
                 return true;
             }
             let table = &mut self.tables[first + j];
-            for sq in &regions[j].squares()[table.folded..] {
+            for sq in &self.users[j].squares[table.folded..] {
                 table.region_min = table.region_min.min(sq.min_dist(candidate));
             }
             table.folded = regions[j].len();
@@ -334,7 +344,7 @@ impl TileVerifier {
         for j in others() {
             let (user, summary) = (&self.users[j], &mut self.summaries[first + j]);
             if summary.sorted != regions[j].len() {
-                summary.build(user, regions[j].squares(), candidate);
+                summary.build(user, candidate);
             }
             let opt_rank = user.by_opt.partition_point(|&(opt_max, _)| opt_max < d_o);
             let cand_rank = summary.by_cand.partition_point(|step| step.cand_min < d_p);
@@ -426,7 +436,7 @@ impl TileVerifier {
                 continue;
             }
             let table = &mut self.tables[first + j];
-            for sq in &region.squares()[table.folded..] {
+            for sq in &self.users[j].squares[table.folded..] {
                 let d = min_focal_diff_over_square(candidate, self.p_opt, sq);
                 table.region_min = table.region_min.min(d);
             }

@@ -47,7 +47,7 @@ fn oracle_max_valid(
     let per_user: Vec<Vec<Square>> = regions
         .iter()
         .enumerate()
-        .map(|(j, r)| if j == user { vec![*tile] } else { r.squares().to_vec() })
+        .map(|(j, r)| if j == user { vec![*tile] } else { r.squares().collect() })
         .collect();
     // Sample the corner/centre lattice of every tile combination.
     fn samples(sq: &Square) -> Vec<Point> {
@@ -123,7 +123,7 @@ fn gt_verify_is_conservative_wrt_oracle_on_a_grid_of_tiles() {
             let tile = Square::new(Point::new(f64::from(gx), f64::from(gy)), 1.0);
             let oracle = oracle_max_valid(&regions, 0, &tile, candidate, p_opt);
             let gt_ok = check(&mut gt, &regions, 0, &tile, candidate, 11);
-            let per_user = vec![vec![tile], regions[1].squares().to_vec()];
+            let per_user = vec![vec![tile], regions[1].squares().collect()];
             let it_ok = verify_max_exhaustive(&per_user, p_opt, candidate);
             // Conservativeness: an accepted tile must be genuinely valid.
             assert!(!gt_ok || oracle, "GT accepted an invalid tile at ({gx},{gy})");
@@ -334,7 +334,8 @@ fn gt_verify(
         if regions[j].is_empty() {
             return true;
         }
-        let squares = regions[j].squares();
+        let frame = regions[j].frame();
+        let squares: Vec<Square> = regions[j].cells().iter().map(|&c| frame.square(c)).collect();
         let region_min = squares.iter().fold(f64::INFINITY, |d, sq| d.min(sq.min_dist(candidate)));
         dominant_max = squares.iter().fold(dominant_max, |d, sq| d.max(sq.max_dist(p_opt)));
         dominant_min = dominant_min.max(region_min);
@@ -347,7 +348,8 @@ fn gt_verify(
         .iter()
         .map(|region| {
             let mut groups = Groups::EMPTY;
-            for sq in region.squares() {
+            for &cell in region.cells() {
+                let sq = region.frame().square(cell);
                 let (opt_max, cand_min) = (sq.max_dist(p_opt), sq.min_dist(candidate));
                 let g = usize::from(opt_max >= d_o) + 2 * usize::from(cand_min >= d_p);
                 groups.max_opt[g] = groups.max_opt[g].max(opt_max);

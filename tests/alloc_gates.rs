@@ -1,6 +1,6 @@
 //! Allocation gates of the monitoring hot path, counted by a global allocator shim.
 //!
-//! Nine facts the tick path, the uplink, the tile verifier and the session layout are built
+//! Ten facts the tick path, the uplink, the tile verifier and the session layout are built
 //! around, asserted as counts (never a wall-clock ratio):
 //!
 //! * a steady-state quiet tick — every user reported, every user inside her region —
@@ -23,6 +23,9 @@
 //!   beside its configuration, 700 while `Method::Circle` carried a radius cap, 723 before
 //!   the ready list replaced the hot entries, 1,269 before the layout went lean), further
 //!   epochs nothing, and the leaner layout costs a buffered Tile-D-b session nothing;
+//! * an unbuffered Tile-D/SUM group costs its slot and its regions, and a stored region is its
+//!   frame and one exactly sized vector of 12 B cells: the regions grow in per-thread buffers
+//!   and no tile keeps its square;
 //! * a burst of reports arriving before a tick holds nothing per report: each is applied to
 //!   its group's inbox as it arrives and freed, so no queue of decoded requests waits for
 //!   the tick;
@@ -56,7 +59,7 @@ use mpn::geom::Point;
 use mpn::index::{PoiEntry, RTree};
 use mpn::mobility::poi::{clustered_pois, PoiConfig};
 use mpn::mobility::Trajectory;
-use mpn::proto::{Request, Response, WireConfig, WireMethod};
+use mpn::proto::{Request, Response, WireConfig, WireMethod, WireObjective};
 use mpn::sim::{
     EpochUpdate, GroupSession, MonitorConfig, MonitoringEngine, MonitoringMetrics, ServerCore,
     SessionEvent, StepOutcome, TrajectoryFeed, WorldChange,
@@ -297,9 +300,9 @@ fn tile_recompute_warm() {
         assert_eq!(total, 0, "warm GT-Verify must not allocate (ring {ring_radius})");
     }
 
-    // A whole warm Tile-D-b recompute — buffer reused, per-thread verifier scratch grown by
-    // the priming run — allocates only what it hands back (two growing vectors per region,
-    // the answer) plus the seed query and the per-layer tile streams.
+    // A whole warm Tile-D-b recompute — buffer reused, per-thread verifier scratch and growth
+    // buffers grown by the priming run — allocates only what it hands back (one exactly sized
+    // vector per region, the answer) plus the seed query and the per-layer tile streams.
     let tree = poi_tree(8_000);
     let group = users(3);
     let method = Method::tile_directed_buffered(std::f64::consts::FRAC_PI_4, 100);
@@ -328,16 +331,19 @@ fn tile_recompute_warm() {
     assert_eq!(charging, 0, "the §7.1 accounting must not allocate");
 }
 
-/// Per region: two vectors doubling from capacity 4, per browsed layer a ring vector plus its
-/// sort buffer, and the box that carries the finished tile set inside its `SafeRegion`; 29
-/// covers the seed query and answer bookkeeping (for the groups of three measured here the
-/// total is what it was when regions were unboxed and the constant 32).
+/// Per region: one exactly sized vector of cells (the region grew in the thread's buffers),
+/// per browsed layer a ring vector plus its sort buffer, and the box that carries the finished
+/// tile set inside its `SafeRegion`; 29 covers the seed query and answer bookkeeping (for the
+/// groups of three measured here the total is what it was when regions were unboxed and the
+/// constant 32).  Measured 16 allocations against a bound of 95 on the Tile-D-b/MAX recompute
+/// and 17 against 89 on the Tile-D/SUM one; the bound charged each region two vectors doubling
+/// from capacity 4 while it kept its squares beside its cells.
 fn tile_output_bound(regions: &[SafeRegion]) -> usize {
     regions
         .iter()
         .map(|region| {
             let tiles = region_value_count(region, false) / 3;
-            2 * (tiles.max(4).ilog2() as usize) + 2 * (tiles + 1) + 1
+            2 * (tiles + 1) + 2
         })
         .sum::<usize>()
         + 29
@@ -347,8 +353,10 @@ fn tile_output_bound(regions: &[SafeRegion]) -> usize {
 /// verifier's summary tables, the candidate pool and the query scratch stay parked in the
 /// thread for the next computation, so their memory is charged to the thread, not to a
 /// session.  A fresh thread runs one cold Tile-D-b/MAX `Method::answer` over the 21,287-POI
-/// tree and drops the answer; what it still holds is that scratch.  Measured 36,352 bytes in
-/// 33 blocks over 17,905 verified pairs; the bound is a quarter above the fold's figure.
+/// tree and drops the answer; what it still holds is that scratch, now with the buffers its
+/// regions grew in.  Measured 47,584 bytes in 40 blocks over 17,904 verified pairs (36,352 in
+/// 33 while each region grew in its own vectors and left with them); the bound is a quarter
+/// above the fold's figure.
 #[test]
 fn tile_scratch_bytes() {
     /// The same measurement (262 blocks) taken with the per-pair Theorem 2 fold, which kept
@@ -403,6 +411,62 @@ fn tile_sum_recompute_warm() {
         stats.verify_calls,
         stats.rtree_queries
     );
+}
+
+/// Tile groups in the tile bytes-per-group gate.
+const TILE_FLEET: usize = 256;
+
+/// The tile bytes-per-group gate: what 256 unbuffered Tile-D/SUM groups of three cost a
+/// `ServerCore` over the paper's 21,287 POIs once every user holds her first region.  Without
+/// a §5.4 buffer a group's memory beyond its slot is its regions, and a stored region is its
+/// frame and its cells.  A first fleet on this thread grows the per-thread tile scratch (the
+/// verifier, the candidate pool, the regions' growth buffers) and is dropped, so the scratch
+/// is not charged to the fleet measured.  Measured 2,605 B a group at 51.0 tiles a user, the
+/// first regions adding 15.2 B a stored tile; 8,505 B and 53.7 B while a region kept each
+/// tile's 24 B square beside its 12 B cell, both in vectors that doubled as the region grew.
+#[test]
+fn tile_group_bytes() {
+    const MEASURED: usize = 2_605;
+    let tree = Arc::new(poi_tree(21_287));
+    let config = WireConfig {
+        objective: WireObjective::Sum,
+        method: WireMethod::TileDirected { theta: std::f64::consts::FRAC_PI_4 },
+        persist_buffers: false,
+    };
+    let register = Request::Register { group_size: 3, config };
+    let report =
+        || (0..TILE_FLEET).map(|g| Request::Report { group: g as u64, positions: spot(g, 0) });
+    let mut warm = ServerCore::new(Arc::clone(&tree), 1);
+    serve(&mut warm, (0..TILE_FLEET).map(|_| register.clone()));
+    serve(&mut warm, report());
+    drop(warm);
+
+    let start = live();
+    let mut core = ServerCore::new(tree, 1);
+    assert_eq!(serve(&mut core, (0..TILE_FLEET).map(|_| register.clone())), TILE_FLEET);
+    let registered = live_since(start).0;
+    assert_eq!(serve(&mut core, report()), 3 * TILE_FLEET, "every user gets a first region");
+    let (bytes, blocks) = live_since(start);
+    let tiles: usize = (0..TILE_FLEET)
+        .flat_map(|g| {
+            let answer = core.engine().group(g).session_state().last_answer();
+            answer.expect("a first answer").regions.iter()
+        })
+        .map(|region| match region {
+            SafeRegion::Tiles(tiles) => tiles.len(),
+            SafeRegion::Circle(_) => panic!("a tile method answered with a circle"),
+        })
+        .sum();
+    let per_group = bytes / TILE_FLEET;
+    println!(
+        "Tile-D/SUM live per group of {TILE_FLEET} after the first region: {per_group} bytes in \
+         {:.2} blocks, {:.1} tiles per user, {:.1} bytes per stored tile",
+        blocks as f64 / TILE_FLEET as f64,
+        tiles as f64 / (3 * TILE_FLEET) as f64,
+        (bytes - registered) as f64 / tiles as f64
+    );
+    assert!(tiles >= 10 * 3 * TILE_FLEET, "too few tiles to tell: {tiles}");
+    assert!(per_group <= MEASURED + 64, "a Tile-D/SUM group of three costs {per_group} bytes");
 }
 
 /// Groups in the byte gate: enough that the fleet-wide tables (slab, owners — each a `Vec`
@@ -608,9 +672,10 @@ fn report_arrival_burst_peak() {
 /// to the session measured.
 #[test]
 fn buffered_tile_session_bytes() {
-    /// The same measurement on a warmed thread, taken on the commit before the R-tree
-    /// became one array per level.
-    const PARENT: usize = 6_656;
+    /// The same measurement on a warmed thread, taken once a stored tile region kept only
+    /// its cells (6,440 B while it kept each tile's square beside its cell, 6,656 before the
+    /// R-tree became one array per level).
+    const PARENT: usize = 5_252;
     let tree = poi_tree(8_000);
     let config = MonitorConfig::new(
         Objective::Max,

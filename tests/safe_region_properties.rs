@@ -29,9 +29,9 @@ fn sample_in_region(region: &SafeRegion, u: f64, v: f64) -> Point {
             Point::new(c.center.x + radius * angle.cos(), c.center.y + radius * angle.sin())
         }
         SafeRegion::Tiles(tiles) => {
-            let squares = tiles.squares();
+            let mut squares = tiles.squares();
             let idx = ((u * squares.len() as f64) as usize).min(squares.len() - 1);
-            let rect = squares[idx].to_rect();
+            let rect = squares.nth(idx).expect("a tile of the region").to_rect();
             Point::new(rect.lo.x + rect.width() * v, rect.lo.y + rect.height() * (1.0 - u))
         }
     }
@@ -301,7 +301,7 @@ proptest! {
             }
             let user = (probe.0 + step) % m;
             let tile = regions[user].frame().square(TileCell::new(probe.1, probe.2, probe.3));
-            let mut per_user: Vec<_> = regions.iter().map(|r| r.squares().to_vec()).collect();
+            let mut per_user: Vec<Vec<_>> = regions.iter().map(|r| r.squares().collect()).collect();
             per_user[user] = vec![tile];
             for (slot, candidate) in candidates.iter().enumerate() {
                 let accepted =

@@ -156,9 +156,9 @@ fn sample_in_region(region: &SafeRegion, u: f64, v: f64) -> Point {
             Point::new(c.center.x + radius * angle.cos(), c.center.y + radius * angle.sin())
         }
         SafeRegion::Tiles(tiles) => {
-            let squares = tiles.squares();
+            let mut squares = tiles.squares();
             let idx = ((u * squares.len() as f64) as usize).min(squares.len() - 1);
-            let rect = squares[idx].to_rect();
+            let rect = squares.nth(idx).expect("a tile of the region").to_rect();
             Point::new(rect.lo.x + rect.width() * v, rect.lo.y + rect.height() * (1.0 - u))
         }
     }
