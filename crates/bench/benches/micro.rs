@@ -33,7 +33,7 @@ use mpn_core::{
     SessionState, TileCell, TileFrame, TileMsrConfig, TileRegion, TileVerifier,
 };
 use mpn_geom::{min_focal_diff_over_square, Point, Square};
-use mpn_index::{Aggregate, GnnSearch, RTree};
+use mpn_index::{Aggregate, GnnSearch, QueryStats, RTree};
 use mpn_mobility::poi::{clustered_pois, PoiConfig};
 use mpn_proto::{Request, Response};
 use mpn_sim::{EpochUpdate, MonitorConfig, MonitoringEngine};
@@ -329,9 +329,9 @@ fn main() {
     // The same query cold: the sections above ask about one hot location, so the tree nodes
     // they touch never leave the cache.  One iteration runs 1,000 distinct groups of three
     // spread over the domain, so the printed microseconds read as nanoseconds per query.
-    // Users sit 1–3 km from their group's centre, which makes a SUM query open 37.5 nodes and
-    // score 979 points on average (MAX 5.9 / 93) — the work of the repository benchmark's
-    // `churn_circle_sum` registrations (37.7 / 917).
+    // Users sit 1–3 km from their group's centre, as in the repository benchmark's
+    // `churn_circle_sum` registrations.  Each aggregate also prints the nodes a query opens and
+    // the points it scores.
     {
         let tree = poi_tree(21_287);
         let groups: Vec<[Point; 3]> = (0..1_000)
@@ -348,12 +348,19 @@ fn main() {
             })
             .collect();
         for agg in [Aggregate::Max, Aggregate::Sum] {
-            let mut out = Vec::new();
-            b(&format!("gnn/top2_{}_cold_21287", agg.name()), &mut || {
+            let (mut out, mut work, mut queries) = (Vec::new(), QueryStats::default(), 0);
+            let name = format!("gnn/top2_{}_cold_21287", agg.name());
+            b(&name, &mut || {
                 for group in &groups {
-                    black_box(GnnSearch::new(&tree, black_box(group), agg).top_k_into(2, &mut out));
+                    work.absorb(GnnSearch::new(&tree, group, agg).top_k_into(2, &mut out));
                 }
+                queries += groups.len();
             });
+            if queries > 0 {
+                let per = |count: usize| count as f64 / queries as f64;
+                let (nodes, points) = (per(work.nodes_visited), per(work.points_examined));
+                println!("{name} per query: {nodes:.1} nodes opened, {points:.1} points scored");
+            }
         }
     }
 

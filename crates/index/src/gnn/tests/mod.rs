@@ -176,6 +176,17 @@ fn kernels_match_the_scalar_aggregates_bit_for_bit() {
         }
     }
     assert!(checked > 100_000);
+    // A rectangle centred on a user: the SUM lane where that user's distance is 0 and it adds
+    // nothing to the tangent plane's slope.
+    for i in 0..2_000 {
+        let (rect, other) = (rect_at(i), rect_at(i + 1));
+        let group = [rect.center(), users[1], users[2]];
+        let nodes = [Node { mbr: rect, start: 0, end: 0 }, Node { mbr: other, start: 0, end: 0 }];
+        for (n, got) in nodes.iter().zip(rect_lower_bounds(Aggregate::Sum, &group, &nodes)) {
+            let want = Aggregate::Sum.rect_lower_bound(&n.mbr, &group);
+            assert_eq!(got.to_bits(), want.to_bits(), "centred rect {:?}", n.mbr);
+        }
+    }
     // A user on a zero-area rectangle, and the empty rectangle of an empty node.
     let on = [Node { mbr: Rect::from_point(users[0]), start: 0, end: 0 }];
     let empty = [Node { mbr: Rect::EMPTY, start: 0, end: 0 }];
@@ -298,6 +309,70 @@ proptest! {
                     prop_assert_eq!(stats, walk.1);
                 }
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_048))]
+
+    // No point of a rectangle has a computed SUM below the rectangle's bound: corners, edge
+    // midpoints, the centre and interior points, over rectangles that are flat or a point,
+    // users on a corner, at the centre or on top of each other, and the two-user group with
+    // the rectangle on the segment between them, where the slope `G` is about 0 and the
+    // tangent-plane bound is at its tightest.
+    #[test]
+    fn sum_rect_lower_bound_is_admissible(
+        corner in pt(),
+        sides in (0.0f64..300.0, 0.0f64..300.0),
+        users in proptest::collection::vec(pt(), 1..8),
+        shape in 0usize..8,
+        along in 0.0f64..=1.0,
+        inside in proptest::collection::vec((0.0f64..=1.0, 0.0f64..=1.0), 16),
+    ) {
+        let (mut users, mut sides) = (users, sides);
+        match shape {
+            0 => sides.0 = 0.0,
+            1 => sides = (0.0, 0.0),
+            _ => {}
+        }
+        let mut rect = Rect::new(corner, corner + Point::new(sides.0, sides.1));
+        match shape {
+            2 => users[0] = rect.corners()[users.len() % 4],
+            3 => users[0] = rect.center(),
+            4 => {
+                let first = users[0];
+                users.iter_mut().step_by(2).for_each(|u| *u = first);
+            }
+            5..=7 => {
+                users.truncate(2);
+                users.resize(2, Point::new(120.0, -75.0));
+                let on = users[0] + (users[1] - users[0]) * along;
+                let half = Point::new(0.5 + sides.0 * 0.01, if shape == 7 { 0.0 } else { 0.5 });
+                rect = Rect::new(on - half, on + half);
+            }
+            _ => {}
+        }
+        let bound = Aggregate::Sum.rect_lower_bound(&rect, &users);
+        if shape >= 5 && users[0].dist(users[1]) > 10.0 {
+            // The tangent plane, not the summed minimum distances, decides the bound here.
+            let summed: f64 = users.iter().map(|u| rect.min_dist(*u)).sum();
+            prop_assert!(bound > summed, "{bound} <= {summed} on {rect:?}");
+        }
+        let (lo, hi, c) = (rect.lo, rect.hi, rect.center());
+        let edges = [
+            Point::new(c.x, lo.y),
+            Point::new(c.x, hi.y),
+            Point::new(lo.x, c.y),
+            Point::new(hi.x, c.y),
+            c,
+        ];
+        let interior =
+            inside.iter().map(|(s, t)| lo + Point::new((hi.x - lo.x) * s, (hi.y - lo.y) * t));
+        for p in rect.corners().into_iter().chain(edges).chain(interior) {
+            let p = Point::new(p.x.clamp(lo.x, hi.x), p.y.clamp(lo.y, hi.y));
+            let sum = sum_dist_to_set(p, &users);
+            prop_assert!(bound <= sum, "bound {bound} > {sum} at {p:?} in {rect:?} for {users:?}");
         }
     }
 }

@@ -225,7 +225,7 @@ impl RTree {
 
     /// Candidate POIs for the SUM objective: every POI whose summed distance to the users is at
     /// most `threshold` (the complement of the pruning rule of Theorem 6).  A node is pruned
-    /// when the sum of per-user minimum distances to its MBR already exceeds the threshold.
+    /// when its admissible SUM bound, [`crate::Aggregate::rect_lower_bound`], exceeds it.
     #[must_use]
     pub fn candidates_within_sum_radius(
         &self,
@@ -246,7 +246,7 @@ impl RTree {
         threshold: f64,
         out: &mut Vec<PoiEntry>,
     ) -> QueryStats {
-        let prune = |mbr: &Rect| users.iter().map(|u| mbr.min_dist(*u)).sum::<f64>() > threshold;
+        let prune = |mbr: &Rect| crate::Aggregate::Sum.rect_lower_bound(mbr, users) > threshold;
         let keep = |p: Point| users.iter().map(|u| p.dist(*u)).sum::<f64>() <= threshold;
         self.walk_into(&prune, &keep, out)
     }
