@@ -33,8 +33,8 @@ use mpn_core::{
     SessionState, TileCell, TileFrame, TileMsrConfig, TileRegion, TileVerifier,
 };
 use mpn_geom::{min_focal_diff_over_square, Point, Square};
-use mpn_index::{Aggregate, GnnSearch, QueryStats, RTree};
-use mpn_mobility::poi::{clustered_pois, PoiConfig};
+use mpn_index::{frontier_pushes, Aggregate, GnnSearch, QueryStats, RTree};
+use mpn_mobility::poi::{clustered_pois, uniform_pois, PoiConfig};
 use mpn_proto::{Request, Response};
 use mpn_sim::{EpochUpdate, MonitorConfig, MonitoringEngine};
 
@@ -329,12 +329,13 @@ fn main() {
     // The same query cold: the sections above ask about one hot location, so the tree nodes
     // they touch never leave the cache.  One iteration runs 1,000 distinct groups of three
     // spread over the domain, so the printed microseconds read as nanoseconds per query.
-    // Users sit 1–3 km from their group's centre, as in the repository benchmark's
-    // `churn_circle_sum` registrations.  Each aggregate also prints the nodes a query opens and
-    // the points it scores.
+    // Users sit 1–3 km from their group's centre in `cold`, as in the repository benchmark's
+    // `churn_circle_sum` registrations, and each on its own over the domain in `spread_cold`, as
+    // `walk_circle_max`'s walkers do.  Each prints nodes opened, points scored and frontier pushes
+    // per query.
     {
         let tree = poi_tree(21_287);
-        let groups: Vec<[Point; 3]> = (0..1_000)
+        let centred: Vec<[Point; 3]> = (0..1_000)
             .map(|g| {
                 let t = f64::from(g);
                 let centre = Point::new(
@@ -347,11 +348,18 @@ fn main() {
                 })
             })
             .collect();
-        for agg in [Aggregate::Max, Aggregate::Sum] {
+        let spread: Vec<[Point; 3]> =
+            uniform_pois(3_000, 10_000.0, 11).chunks(3).map(|u| [u[0], u[1], u[2]]).collect();
+        for (kind, groups, agg) in [
+            ("cold", &centred, Aggregate::Max),
+            ("cold", &centred, Aggregate::Sum),
+            ("spread_cold", &spread, Aggregate::Max),
+        ] {
             let (mut out, mut work, mut queries) = (Vec::new(), QueryStats::default(), 0);
-            let name = format!("gnn/top2_{}_cold_21287", agg.name());
+            let name = format!("gnn/top2_{}_{kind}_21287", agg.name());
+            let before = frontier_pushes();
             b(&name, &mut || {
-                for group in &groups {
+                for group in groups {
                     work.absorb(GnnSearch::new(&tree, group, agg).top_k_into(2, &mut out));
                 }
                 queries += groups.len();
@@ -359,7 +367,9 @@ fn main() {
             if queries > 0 {
                 let per = |count: usize| count as f64 / queries as f64;
                 let (nodes, points) = (per(work.nodes_visited), per(work.points_examined));
-                println!("{name} per query: {nodes:.1} nodes opened, {points:.1} points scored");
+                let pushes = per(frontier_pushes() - before);
+                let counts = format!("{nodes:.1} nodes opened, {points:.1} points scored");
+                println!("{name} per query: {counts}, {pushes:.1} frontier pushes");
             }
         }
     }

@@ -8,19 +8,20 @@
 //!
 //! # Traversal: k-bounded branch-and-bound
 //!
-//! Nodes are ranked by [`Aggregate::rect_lower_bound`], an admissible lower bound of the
-//! aggregate distance from the per-user minimum distances to the node MBR and, for SUM, the
-//! sum's tangent plane at the MBR's centre, tight where the sum is flat.  The frontier
-//! heap holds *nodes only*, each as its `(level, index)` in the tree's level arrays, so it
-//! borrows nothing and is a per-thread buffer that every query reuses.  The result vector
-//! holds the `k` best entries seen so far, and its last element is the pruning bound.  A
-//! point that does not beat the bound, or a child whose lower bound exceeds the bound's
-//! distance, never enters anything; the search ends when the frontier's smallest lower
-//! bound exceeds the bound.  The nodes opened are exactly those
+//! Nodes are ranked by [`Aggregate::rect_lower_bound`], an admissible lower bound of the aggregate
+//! distance from the per-user minimum distances to the node MBR and, for SUM, the sum's tangent
+//! plane at the MBR's centre, tight where the sum is flat.  The frontier holds *nodes only*, each
+//! as its `(level, index)` in the tree's level arrays, so it borrows nothing and is a per-thread
+//! buffer that every query reuses.  The result vector holds the `k` best entries seen so far, and
+//! its last element is the pruning bound.  A point that does not beat the bound, or a child whose
+//! lower bound exceeds the bound's distance, never enters anything.  A query pushes far more nodes
+//! than it opens, so the frontier is a flat vector: a push is a `Vec::push`, and each step drops
+//! the nodes above the k-th distance (it only falls, so they could never be opened) and opens the
+//! smallest left, found by a linear scan, until none is left.  The nodes opened are exactly those
 //! whose lower bound is at most the final k-th distance — the set the textbook incremental
-//! best-first search (one heap of nodes *and* points) opens, so [`QueryStats`] are those of
-//! that search whenever no heap key ties with the k-th distance (on such a tie best-first
-//! opens whatever its heap happens to surface first; this search opens every tied node).
+//! best-first search (one heap of nodes *and* points) opens, so [`QueryStats`] are those of that
+//! search whenever no heap key ties with the k-th distance (on such a tie best-first opens whatever
+//! its heap happens to surface first; this search opens every tied node).
 //!
 //! # Batch kernels and the squared MAX
 //!
@@ -43,8 +44,6 @@
 //! two-user SUM group every POI near the segment between the users rounds to the same sum.
 
 use std::cell::Cell;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 use crate::rtree::{Node, PoiEntry, QueryStats, RTree};
 use crate::scratch::with_scratch;
@@ -160,13 +159,9 @@ impl<'a> GnnSearch<'a> {
         // The k-th best distance once `k` entries are held; nothing is pruned before that.
         let kth_dist =
             |out: &[GnnNeighbor]| if out.len() == k { out[k - 1].dist } else { f64::INFINITY };
-        let mut frontier = FRONTIER.take();
-        frontier.clear();
-        frontier.push(Ranked { key: 0.0, item: (root, 0) });
-        while let Some(Ranked { key: lower_bound, item: (level, at) }) = frontier.pop() {
-            if lower_bound > kth_dist(out) {
-                break;
-            }
+        let (mut frontier, mut pushed) = (FRONTIER.take(), 0);
+        frontier.push((0.0, (root, 0)));
+        while let Some((level, at)) = pop_nearest(&mut frontier, kth_dist(out)) {
             stats.nodes_visited += 1;
             let node = self.tree.level(level)[at];
             if level == 0 {
@@ -186,12 +181,14 @@ impl<'a> GnnSearch<'a> {
                     let bounds = rect_lower_bounds(self.aggregate, self.users, batch);
                     for (at, lower_bound) in (first..first + batch.len()).zip(bounds) {
                         if lower_bound <= bound {
-                            frontier.push(Ranked { key: lower_bound, item: (level - 1, at) });
+                            frontier.push((lower_bound, (level - 1, at)));
+                            pushed += 1;
                         }
                     }
                 }
             }
         }
+        PUSHED.set(PUSHED.get() + pushed);
         FRONTIER.set(frontier);
         stats
     }
@@ -263,36 +260,27 @@ fn offer(out: &mut Vec<GnnNeighbor>, k: usize, candidate: GnnNeighbor) {
     out.insert(out.partition_point(before), candidate);
 }
 
-/// A heap item under its key (a frontier node under its lower bound); smallest key first,
-/// so the ordering is reversed: std's `BinaryHeap` is a max-heap.
-struct Ranked<T> {
-    key: f64,
-    item: T,
-}
-
-impl<T> PartialEq for Ranked<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl<T> Eq for Ranked<T> {}
-impl<T> PartialOrd for Ranked<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Ranked<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.key.total_cmp(&self.key)
-    }
-}
-
 thread_local! {
-    /// The frontier of `(level, index)` nodes under their lower bounds: it borrows no tree,
-    /// so it lives per thread beside the [`QueryScratch`](crate::QueryScratch) and a query
-    /// reuses the capacity the thread's earlier queries grew.
-    static FRONTIER: Cell<BinaryHeap<Ranked<(usize, usize)>>> =
-        const { Cell::new(BinaryHeap::new()) };
+    /// The frontier of `(level, index)` nodes under their lower bounds (see "Traversal"): it
+    /// borrows no tree, so it lives per thread beside the [`QueryScratch`](crate::QueryScratch), a
+    /// query reuses the capacity the thread's earlier queries grew, and it goes back empty.
+    static FRONTIER: Cell<Vec<(f64, (usize, usize))>> = const { Cell::new(Vec::new()) };
+    static PUSHED: Cell<usize> = const { Cell::new(0) };
+}
+
+/// How many nodes this thread's GNN searches have pushed onto their frontiers so far: a
+/// running total, so the pushes of a batch of queries are the difference of two readings.
+#[must_use]
+pub fn frontier_pushes() -> usize {
+    PUSHED.get()
+}
+
+/// Drops every frontier node above `bound`, the k-th distance, which only falls, so none of them
+/// could ever be opened; takes out the smallest left, if any.
+fn pop_nearest(frontier: &mut Vec<(f64, (usize, usize))>, bound: f64) -> Option<(usize, usize)> {
+    frontier.retain(|node| node.0 <= bound);
+    let (nearest, _) = frontier.iter().enumerate().min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0))?;
+    Some(frontier.swap_remove(nearest).1)
 }
 
 /// Width of one kernel batch (the default R-tree fan-out).
@@ -350,13 +338,14 @@ fn point_dists(aggregate: Aggregate, users: &[Point], batch: &[PoiEntry]) -> [f6
 /// [`Aggregate::rect_lower_bound`] of up to [`LANES`] node MBRs at once, bit for bit.
 fn rect_lower_bounds(aggregate: Aggregate, users: &[Point], batch: &[Node]) -> [f64; LANES] {
     let n = batch.len();
-    // Per lane `(lo.x, hi.x)` and `(lo.y, hi.y)`.
-    let (mut xs, mut ys) = ([(0.0f64, 0.0f64); LANES], [(0.0f64, 0.0f64); LANES]);
-    for ((x, y), Node { mbr, .. }) in xs.iter_mut().zip(&mut ys).zip(batch) {
-        (*x, *y) = ((mbr.lo.x, mbr.hi.x), (mbr.lo.y, mbr.hi.y));
+    // One lane array per coordinate: `lo.x`, `hi.x`, `lo.y`, `hi.y`.
+    let [mut lo_x, mut hi_x, mut lo_y, mut hi_y] = [[0.0f64; LANES]; 4];
+    for (i, Node { mbr, .. }) in batch.iter().enumerate() {
+        (lo_x[i], hi_x[i], lo_y[i], hi_y[i]) = (mbr.lo.x, mbr.hi.x, mbr.lo.y, mbr.hi.y);
     }
+    let (lo_x, hi_x, lo_y, hi_y) = (&lo_x[..n], &hi_x[..n], &lo_y[..n], &hi_y[..n]);
     // One axis of `Rect::min_dist`, with compare-select for its two `f64::max`.
-    let gap = |(lo, hi): (f64, f64), at: f64| {
+    let gap = |lo: f64, hi: f64, at: f64| {
         let below = if lo - at > 0.0 { lo - at } else { 0.0 };
         if at - hi > below {
             at - hi
@@ -365,8 +354,8 @@ fn rect_lower_bounds(aggregate: Aggregate, users: &[Point], batch: &[Node]) -> [
         }
     };
     let mut bounds = aggregate_lanes(aggregate, users, n, |u| {
-        xs[..n].iter().zip(&ys[..n]).map(move |(x, y)| {
-            let (dx, dy) = (gap(*x, u.x), gap(*y, u.y));
+        (0..n).map(move |i| {
+            let (dx, dy) = (gap(lo_x[i], hi_x[i], u.x), gap(lo_y[i], hi_y[i], u.y));
             dx * dx + dy * dy
         })
     });

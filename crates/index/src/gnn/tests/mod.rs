@@ -5,6 +5,8 @@
 use super::*;
 use crate::rtree::RTreeConfig;
 use proptest::prelude::*;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 fn clustered_points(n: usize) -> Vec<Point> {
     // Deterministic pseudo-random layout (no external RNG needed for unit tests).
@@ -126,6 +128,38 @@ fn empty_user_group_panics() {
     let _ = GnnSearch::new(&tree, &[], Aggregate::Max);
 }
 
+/// `top_k` is public, so a group can hold a NaN or infinite coordinate even though the server
+/// refuses such positions.  The search must still end with at most `k` results, and leave this
+/// thread's frontier empty for the next query: a NaN lower bound is never pushed, since
+/// `lower_bound <= bound` is false for it.
+#[test]
+fn non_finite_users_end_the_search_and_leave_the_frontier_clean() {
+    let pts = clustered_points(600);
+    let tree = RTree::bulk_load(&pts);
+    let finite = [Point::new(30.0, 40.0), Point::new(50.0, 45.0), Point::new(35.0, 60.0)];
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let groups: [&[Point]; 3] = [
+            &[Point::new(bad, 40.0), finite[1], finite[2]],
+            &[finite[0], finite[1], Point::new(35.0, bad)],
+            &[Point::new(bad, bad)],
+        ];
+        for users in groups {
+            for aggregate in [Aggregate::Max, Aggregate::Sum] {
+                for k in [1, 2, 101] {
+                    let (got, _) = GnnSearch::new(&tree, users, aggregate).top_k(k);
+                    assert!(got.len() <= k, "{} results for k = {k} from {users:?}", got.len());
+                    let (next, _) = GnnSearch::new(&tree, &finite, aggregate).top_k(k);
+                    assert_eq!(
+                        next,
+                        brute_force_gnn(&pts, &finite, aggregate, k),
+                        "after {users:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn aggregate_names() {
     assert_eq!(Aggregate::Max.name(), "max");
@@ -196,10 +230,36 @@ fn kernels_match_the_scalar_aggregates_bit_for_bit() {
     }
 }
 
+/// A heap item under its key (a node or point under its lower bound or distance); smallest
+/// key first, so the ordering is reversed: std's `BinaryHeap` is a max-heap.
+struct Ranked<T> {
+    key: f64,
+    item: T,
+}
+
+impl<T> PartialEq for Ranked<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl<T> Eq for Ranked<T> {}
+impl<T> PartialOrd for Ranked<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<T> Ord for Ranked<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key.total_cmp(&self.key)
+    }
+}
+
 /// The traversal this module shipped until the k-bounded search replaced it — the
 /// incremental best-first of Hjaltason & Samet: one heap of nodes *and* points, every
 /// point of every opened leaf pushed, results popped in order.  Kept only as the
-/// reference of `bounded_gnn_matches_the_retired_best_first`.  The flag reports whether
+/// reference of `bounded_gnn_matches_the_retired_best_first`, and the only user of
+/// `Ranked` and `BinaryHeap` since the search's frontier became a flat vector that drops
+/// nodes above the k-th distance and scans for the smallest.  The flag reports whether
 /// another heap key equalled the k-th distance, the one case where which nodes it opens
 /// depends on `BinaryHeap`'s sift order.
 fn retired_best_first(

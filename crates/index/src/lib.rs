@@ -31,7 +31,7 @@ pub mod rtree;
 pub mod scratch;
 pub mod world;
 
-pub use gnn::{Aggregate, GnnNeighbor, GnnSearch};
+pub use gnn::{frontier_pushes, Aggregate, GnnNeighbor, GnnSearch};
 pub use rtree::{PoiEntry, QueryStats, RTree, RTreeConfig};
 pub use scratch::{with_scratch, QueryScratch};
 pub use world::{IndexView, WorldView};

@@ -19,8 +19,8 @@
 //! ([`RTree::candidates_within_user_radii_into`](crate::RTree::candidates_within_user_radii_into)
 //! and the sum-radius variant) need a visit stack; it is the program stack — the walk
 //! recurses, bounded by the R-tree height (a handful of levels even at millions of POIs).
-//! The GNN frontier ([`GnnSearch::top_k_into`](crate::GnnSearch::top_k_into)) is a heap of
-//! `(level, index)` node names that borrows no tree, so it is per-thread too, kept beside
+//! The GNN frontier ([`GnnSearch::top_k_into`](crate::GnnSearch::top_k_into)) is a flat vector
+//! of `(level, index)` node names that borrows no tree, so it is per-thread too, kept beside
 //! this scratch in `gnn.rs`: [`RTree::top2`](crate::RTree::top2) holds the scratch
 //! while its search runs, and a frontier inside it would be the fresh empty one a nested
 //! [`with_scratch`] sees.  Every recomputation traverses the tree — the server the

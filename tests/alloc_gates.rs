@@ -6,7 +6,7 @@
 //! * a steady-state quiet tick — every user reported, every user inside her region —
 //!   allocates **nothing**;
 //! * a Circle recomputation allocates only its answer bookkeeping (the violator list and the
-//!   region vector): its R-tree traversal's GNN staging and frontier heap are per-thread
+//!   region vector): its R-tree traversal's GNN staging and frontier are per-thread
 //!   scratch;
 //! * warm GT-Verify allocates nothing on its pass and its fail path, and a whole warm
 //!   Tile-D-b recompute allocates in proportion to its *output*, not to the thousands of
@@ -234,7 +234,7 @@ fn quiet_tick_steady() {
 }
 
 /// A two-position oscillation violates every safe region on every tick, so every session
-/// recomputes, and every recomputation traverses the tree.  The traversal's frontier heap
+/// recomputes, and every recomputation traverses the tree.  The traversal's frontier
 /// names nodes by `(level, index)` and borrows no tree, so it is per-thread scratch and warm
 /// after the first query.  Measured 2.00 allocations per recomputation, the answer
 /// bookkeeping, against a bound of 2.5; it was 3.00 while the frontier borrowed tree nodes
