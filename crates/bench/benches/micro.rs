@@ -16,7 +16,7 @@
 //!   and the fail path of the incremental verifier, and 64 cold Tile-D-b/MAX first regions at
 //!   the paper's data-set size,
 //! * index pruning on/off (Theorem 3),
-//! * the exit check of a stored tile region (`Answer::violators`), ns per user,
+//! * the exit check of a stored tile region (`Answer::leavers`), ns per user,
 //! * the SUM side of the tile methods: ns per closed-form focal-difference minimum
 //!   (Section 6.3.1) and a whole unbuffered Tile-D/SUM recompute served by one candidate pool,
 //! * R-tree GNN query cost,
@@ -283,8 +283,8 @@ fn main() {
             .collect();
         b("tile/violation_check_ns_per_user", &mut || {
             for (k, positions) in epochs.iter().enumerate() {
-                let violators = answer.violators(black_box(positions));
-                assert_eq!(violators.len(), (k % 2) * positions.len(), "the fixture left its path");
+                let leavers = answer.leavers(black_box(positions));
+                assert_eq!(leavers, (k % 2) * positions.len(), "the fixture left its path");
             }
         });
     }

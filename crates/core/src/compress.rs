@@ -18,10 +18,9 @@ use crate::region::{SafeRegion, TileCell};
 /// Number of payload doubles that fit into one TCP packet (§7.1): `(576 − 40) / 8 = 67`.
 pub const VALUES_PER_PACKET: usize = 67;
 
-/// Highest subdivision level a tile cell may carry.  `TileFrame::side_at` computes
-/// `δ / 2^level`, so any level ≥ 32 would overflow the shift; real regions never exceed a
-/// handful of levels (the §7.1 model caps at 15), so 31 rejects corrupt streams without ever
-/// refusing a region Tile-MSR can produce.
+/// Highest subdivision level a tile cell may carry.  Real regions never exceed a handful of
+/// levels (the §7.1 model caps at 15), so 31 rejects corrupt streams without ever refusing a
+/// region Tile-MSR can produce.
 pub const MAX_TILE_LEVEL: u8 = 31;
 
 /// Token that announces a cell spelled out in full: `level: u8`, then `ix` and `iy` as

@@ -188,28 +188,13 @@ impl Answer {
             && self.regions.iter().zip(locations).all(|(region, l)| region.contains(*l))
     }
 
-    /// Indices of the users that have left their safe regions.
-    ///
-    /// # Contract
-    /// `locations` must hold exactly one location per user, in the order of the `users` slice
-    /// the answer was computed for (`locations.len() == self.regions.len()`).  Unlike
-    /// [`Answer::all_inside`], which treats a length mismatch as "not inside", this method has
-    /// no sensible lenient reading — a silently truncating `zip` would report the tail users
-    /// as compliant — so the contract is asserted in debug builds.
+    /// How many users have left their safe regions: the exit check of every report, which
+    /// allocates nothing.  `locations` holds one location per user, in the answer's order (a
+    /// truncating `zip` would count the tail users as inside, so debug builds assert it).
     #[must_use]
-    pub fn violators(&self, locations: &[Point]) -> Vec<usize> {
-        debug_assert_eq!(
-            locations.len(),
-            self.regions.len(),
-            "violators requires one location per safe region"
-        );
-        self.regions
-            .iter()
-            .zip(locations)
-            .enumerate()
-            .filter(|(_, (region, l))| !region.contains(**l))
-            .map(|(i, _)| i)
-            .collect()
+    pub fn leavers(&self, locations: &[Point]) -> usize {
+        debug_assert_eq!(locations.len(), self.regions.len(), "one location per safe region");
+        self.regions.iter().zip(locations).filter(|(region, l)| !region.contains(**l)).count()
     }
 }
 
@@ -311,18 +296,20 @@ mod tests {
             let (answer, _) = method.answer(&tree, Objective::Max, &users, None);
             assert_eq!(answer.regions.len(), users.len());
             assert!(answer.all_inside(&users));
-            assert!(answer.violators(&users).is_empty());
+            assert_eq!(answer.leavers(&users), 0);
         }
     }
 
     #[test]
-    fn violators_are_reported_by_index() {
+    fn leavers_are_counted() {
         let (tree, users) = world();
         let (answer, _) = Method::circle().answer(&tree, Objective::Max, &users, None);
         let mut moved = users.clone();
         moved[1] = Point::new(1000.0, 1000.0);
         assert!(!answer.all_inside(&moved));
-        assert_eq!(answer.violators(&moved), vec![1]);
+        assert_eq!(answer.leavers(&moved), 1);
+        moved[2] = moved[1];
+        assert_eq!(answer.leavers(&moved), 2);
     }
 
     #[test]

@@ -87,10 +87,11 @@ impl TileFrame {
         }
     }
 
-    /// Side length of tiles at the given level.
+    /// Side length of tiles at the given level: `δ / 2ˡᵉᵛᵉˡ`, computed as a product with the
+    /// exact power of two `2⁻ˡᵉᵛᵉˡ`, which rounds to the same `f64` without a division.
     #[must_use]
     pub fn side_at(&self, level: u8) -> f64 {
-        self.delta / f64::from(1u32 << u32::from(level))
+        self.delta * f64::from_bits((1023 - u64::from(level)) << 52)
     }
 
     /// Geometry of a cell in this frame.
@@ -189,10 +190,16 @@ impl TileRegion {
         self.cells.iter().map(move |&cell| frame.square(cell))
     }
 
-    /// Whether the point lies inside the region (inside any tile).
+    /// Whether the point lies inside the region (inside any tile).  With a finite `δ` a tile's
+    /// bounds are its centre ∓ its half side: [`Square`]'s decisions, without its `Rect`.
     #[must_use]
     pub fn contains(&self, p: Point) -> bool {
-        self.squares().any(|s| s.contains(p))
+        if !self.frame.delta.is_finite() {
+            return self.squares().any(|s| s.contains(p));
+        }
+        self.squares().any(|Square { center: c, half }| {
+            (c.x - half..=c.x + half).contains(&p.x) && (c.y - half..=c.y + half).contains(&p.y)
+        })
     }
 
     /// Minimum distance from `p` to the region: `‖p, Rᵢ‖min` (∞ for an empty region).

@@ -8,10 +8,11 @@
 //!   Partial frames park in the reader across any number of reads; a malformed/oversize
 //!   frame is fatal for the connection (the stream cannot be resynchronised), but every
 //!   request decoded before it has already been handed over.
-//! * **downlink** — encoded response bytes queue in an outbox and drain whenever the socket
-//!   is writable.  The outbox level drives the **backpressure contract** (see the crate
-//!   docs): above the soft limit the connection stops being read, above the hard limit it is
-//!   dropped.  A drained outbox shrinks back to [`BUFFER_FLOOR`].
+//! * **downlink** — a tick's batch opens with its announced count, its frames are encoded
+//!   into an outbox written out every [`BUFFER_FLOOR`] bytes, and what the socket refuses
+//!   drains whenever it is writable.  The outbox level drives the **backpressure contract**
+//!   (see the crate docs): above the soft limit the connection stops being read, above the
+//!   hard limit it is dropped.  A drained outbox shrinks back to [`BUFFER_FLOOR`].
 //!
 //! The connection never talks to the engine itself: it hands requests on and reports why it
 //! must close ([`CloseReason`]), and the event loop decides.
@@ -48,9 +49,10 @@ pub struct Connection {
     outbox: Vec<u8>,
     /// Bytes of `outbox` already written to the socket.
     sent: usize,
-    /// The batch the event loop is still appending to: where its count header sits in
-    /// `outbox`, and the responses counted so far.
-    batch: Option<(usize, u32)>,
+    /// The batch of this tick: the responses announced for it, and those sent so far.
+    batch: Option<(u32, u32)>,
+    /// The outbox level at which a push flushes: [`BUFFER_FLOOR`] above what the last left.
+    write_at: usize,
     /// The interest currently registered with the poller (kept here so the loop only issues
     /// `reregister` syscalls on actual changes).
     pub interest: Interest,
@@ -68,6 +70,7 @@ impl Connection {
             outbox: Vec::new(),
             sent: 0,
             batch: None,
+            write_at: BUFFER_FLOOR,
             interest: Interest::READ,
             paused: false,
         }
@@ -133,31 +136,40 @@ impl Connection {
         None
     }
 
-    /// Opens this tick's count-prefixed batch ([`crate::envelope`]) at the end of the
-    /// outbox, its count to be patched in by [`end_batch`](Connection::end_batch); returns
-    /// `false` when one is open already.
-    pub fn begin_batch(&mut self) -> bool {
-        if self.batch.is_some() {
-            return false;
-        }
-        self.batch = Some((self.outbox.len(), 0));
-        self.outbox.extend_from_slice(&0u32.to_le_bytes());
-        true
+    /// Adds `responses` to the count of this tick's batch; returns `true` when that opened it.
+    pub fn announce(&mut self, responses: usize) -> bool {
+        let opened = self.batch.is_none();
+        self.batch.get_or_insert((0, 0)).0 += u32::try_from(responses).expect("a batch fits u32");
+        opened
     }
 
-    /// Encodes one response straight into the outbox, as the next frame of the open batch.
+    /// Writes the batch's count header ([`crate::envelope`]), before any of its frames.
+    pub fn begin_batch(&mut self) {
+        let (announced, _) = self.batch.expect("a batch was announced");
+        self.outbox.extend_from_slice(&announced.to_le_bytes());
+    }
+
+    /// Encodes one response into the outbox, as the next frame of the batch, and
+    /// [`flush`](Connection::flush)es (`soft`, `out` passed on) once the outbox grew
+    /// [`BUFFER_FLOOR`] past what the last flush left; an I/O error is left for the flush after
+    /// the tick.  Returns the level the frame reached.
     ///
     /// # Panics
     /// Panics when no batch is open.
-    pub fn push_response(&mut self, response: &Response) {
+    pub fn push_response(&mut self, response: &Response, soft: usize, out: &mut u64) -> usize {
         self.batch.as_mut().expect("a batch is open").1 += 1;
         response.encode(&mut self.outbox);
+        let level = self.outbox_len();
+        if level >= self.write_at && self.flush(soft, out).is_err() {
+            self.write_at = usize::MAX;
+        }
+        level
     }
 
-    /// Closes the open batch; its bytes are then ready to [`flush`](Connection::flush).
+    /// Closes the batch, which must have sent what it announced, for the next flush.
     pub fn end_batch(&mut self) {
-        if let Some((header, count)) = self.batch.take() {
-            self.outbox[header..header + 4].copy_from_slice(&count.to_le_bytes());
+        if let Some((announced, sent)) = self.batch.take() {
+            assert_eq!(sent, announced, "a batch sends the responses it announced");
         }
     }
 
@@ -189,6 +201,7 @@ impl Connection {
             self.outbox.drain(..self.sent);
             self.sent = 0;
         }
+        self.write_at = self.outbox_len() + BUFFER_FLOOR;
         if self.paused && self.outbox_len() <= soft_limit {
             self.paused = false;
         }

@@ -4,7 +4,8 @@
 //! count followed by that many encoded [`Response`] frames.  The count makes quiet epochs
 //! observable: a client in lock-step can block on the header and learn "zero notifications
 //! this epoch" instead of guessing from a read timeout.  [`MuxServer`](crate::MuxServer)
-//! emits exactly this layout ([`encode_batch`]); [`read_batch`] is its client-side inverse.
+//! emits exactly this layout ([`encode_batch`]), the count announced before the tick, so the
+//! frames go out while the tick produces them; [`read_batch`] is its client-side inverse.
 
 use std::io::{self, Read};
 

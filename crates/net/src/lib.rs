@@ -11,12 +11,13 @@
 //! core.  Readiness events drive per-connection state machines whose incremental
 //! [`mpn_proto::FrameReader`]s reassemble frames across arbitrarily fragmented reads; each
 //! decoded request from every ready socket is applied by the core at once, one engine tick
-//! runs per loop iteration, and each addressed client gets one count-prefixed batch ([`envelope`]), each
-//! response encoded into its outbox as the core's
-//! [`process_with`](mpn_sim::ServerCore::process_with) produces it.  The loop only frames what
-//! the core produced, so a connection's downlink is **byte-identical** to the in-process
-//! `ServerCore` output for the same lock-step request trace (pinned by the workspace test
-//! `tests/mux_parity.rs`).
+//! runs per loop iteration, and each addressed client gets one count-prefixed batch
+//! ([`envelope`]) whose count the core announces before the tick; each response is encoded
+//! into its outbox as the core's [`process_with`](mpn_sim::ServerCore::process_with) produces
+//! it and written out every 64 KiB, so no connection holds a whole burst tick.  The loop only
+//! frames what the core produced, so a connection's downlink is **byte-identical** to the
+//! in-process `ServerCore` output for the same lock-step request trace (pinned by the
+//! workspace test `tests/mux_parity.rs`).
 //!
 //! # The backpressure contract
 //!
@@ -29,8 +30,9 @@
 //!    propagates the stall to the peer.  Reading resumes as soon as the outbox drains back
 //!    under the soft limit.
 //! 2. **Drop** — a paused connection can still accrue downlink from already-submitted epochs
-//!    (inbox backlog).  If the outbox ever exceeds `hard_outbox_limit`, the connection is
-//!    closed outright and [`disconnect`](mpn_sim::ServerCore::disconnect)ed from the core:
+//!    (inbox backlog).  If the outbox exceeds `hard_outbox_limit` after a flush (a tick is
+//!    judged once it ends, however often it wrote), the connection is closed outright and
+//!    [`disconnect`](mpn_sim::ServerCore::disconnect)ed from the core:
 //!    its owned groups are deregistered and the responses it was still owed dropped.  A slow reader is
 //!    never allowed to hold unbounded server memory, and a vanished client never leaks live
 //!    sessions.

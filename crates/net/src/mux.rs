@@ -11,8 +11,8 @@
 //!    the per-connection reader;
 //! 3. if the core has work (responses to send, or inbox epochs from an earlier burst), runs
 //!    **one** engine tick and routes the client-tagged responses back as the tick produces
-//!    them: each addressed connection gets one count-prefixed batch ([`crate::envelope`])
-//!    encoded into its outbox and flushed as far as the socket accepts.
+//!    them: each addressed connection gets one count-prefixed batch ([`crate::envelope`]),
+//!    its count announced before the tick, written out every 64 KiB while it is encoded.
 //!
 //! Closed, malformed and backpressured connections are deregistered from both the poller and
 //! the core ([`ServerCore::disconnect`]), so a vanished client never leaks live sessions.
@@ -86,6 +86,8 @@ pub struct MuxStats {
     pub bytes_in: u64,
     /// Bytes written to sockets.
     pub bytes_out: u64,
+    /// The largest outbox level any connection reached with a response pushed into it.
+    pub outbox_peak: usize,
 }
 
 /// The poll token of the listener; connections use `slot + 1`.
@@ -122,14 +124,6 @@ impl Slab {
     fn len(&self) -> usize {
         self.entries.len() - self.free.len()
     }
-
-    /// Opens this tick's batch on `token`'s connection unless it is open already.
-    fn open_batch(&mut self, token: Token, addressed: &mut Vec<Token>) -> Option<Token> {
-        if self.get_mut(token)?.begin_batch() {
-            addressed.push(token);
-        }
-        Some(token)
-    }
 }
 
 /// A multiplexed monitoring server: many clients, one event-loop thread, one shared engine.
@@ -145,6 +139,8 @@ pub struct MuxServer {
     stats: MuxStats,
     next_client: ClientId,
     events: Vec<PollEvent>,
+    /// The connections a tick sends a batch to (kept for its capacity).
+    addressed: Vec<Token>,
 }
 
 impl MuxServer {
@@ -168,6 +164,7 @@ impl MuxServer {
             // Connections are numbered from 1 in accept order (see `core_mut`).
             next_client: 1,
             events: Vec::new(),
+            addressed: Vec::new(),
         })
     }
 
@@ -324,40 +321,42 @@ impl MuxServer {
     ///
     /// One batch per client this tick: every client with an applied request answers
     /// (possibly count 0 — a quiet epoch), plus any client whose sessions produced events
-    /// without a fresh request (burst uplink draining from the inbox).  A batch opens with
-    /// its client's first response, and each response is encoded into its connection's
-    /// outbox as the core produces it.
+    /// without a fresh request (burst uplink draining from the inbox).  Each batch opens with
+    /// the count [`ServerCore::announce`] gave, then each response is encoded into its
+    /// connection's outbox as the core produces it.
     fn tick(&mut self) {
-        let mut addressed: Vec<Token> = Vec::new();
-        let (conns, clients, stats) = (&mut self.conns, &self.clients, &mut self.stats);
+        let (conns, clients) = (&mut self.conns, &self.clients);
+        let mut addressed = std::mem::take(&mut self.addressed);
+        self.core.announce(|client, responses| {
+            let Some(&token) = clients.get(&client) else { return };
+            if conns.get_mut(token).is_some_and(|conn| conn.announce(responses)) {
+                addressed.push(token);
+            }
+        });
+        for &token in &addressed {
+            conns.get_mut(token).expect("an announced connection is open").begin_batch();
+        }
+        let (stats, soft_limit) = (&mut self.stats, self.config.soft_outbox_limit);
         // Responses come in per-client runs: the connection is looked up once per run.
         let mut run: Option<(ClientId, Option<Token>)> = None;
-        let output = self.core.process_with(|client, response| {
+        self.core.process_with(|client, response| {
             stats.responses += 1;
-            let token = match run {
-                Some((of, token)) if of == client => token,
-                _ => {
-                    // `None`: the client vanished mid-tick and its sessions are gone.
-                    let token =
-                        clients.get(&client).and_then(|&t| conns.open_batch(t, &mut addressed));
-                    run = Some((client, token));
-                    token
-                }
-            };
-            if let Some(conn) = token.and_then(|token| conns.get_mut(token)) {
-                conn.push_response(&response);
+            if run.is_none_or(|(of, _)| of != client) {
+                run = Some((client, clients.get(&client).copied()));
+            }
+            if let Some(conn) = run.and_then(|(_, token)| conns.get_mut(token?)) {
+                let level = conn.push_response(&response, soft_limit, &mut stats.bytes_out);
+                stats.outbox_peak = stats.outbox_peak.max(level);
             }
         });
         self.stats.ticks += 1;
-        for token in output.applied.iter().filter_map(|client| self.clients.get(client)) {
-            self.conns.open_batch(*token, &mut addressed);
-        }
-        for token in addressed {
+        for token in addressed.drain(..) {
             if let Some(conn) = self.conns.get_mut(token) {
                 conn.end_batch();
             }
             self.flush_and_sync(token);
         }
+        self.addressed = addressed;
     }
 
     /// Flushes a connection's outbox, then applies the backpressure verdict and re-registers

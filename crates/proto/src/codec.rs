@@ -729,7 +729,7 @@ mod tests {
             (T, &[], "truncated payload"),
             (T, &[3, 0x24, 0x2C], "tile count exceeds the payload"),
             (T, &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F], "tile count exceeds the payload"),
-            // An escaped level `TileFrame::side_at` could not shift by.
+            // An escaped level above the cap.
             (T, &[1, 0xC0, MAX_TILE_LEVEL + 1, 0, 0], "tile level out of range"),
             (T, &[1, 0xC1], "unknown tile escape byte"),
             (T, &[1, 0xC0, 0, 0x80, 0x80, 0x80, 0x80, 0x10, 0], "tile coordinate exceeds u32"),

@@ -457,6 +457,15 @@ impl MonitoringEngine {
         }
     }
 
+    /// Hands `count` the groups of the next [`tick_with`](MonitoringEngine::tick_with) and
+    /// the events it sends each, changing nothing: 1 per logged world-change push, and what
+    /// each ready session's advance sends (possibly 0).  A group may come twice; counts add.
+    pub fn announce(&self, mut count: impl FnMut(GroupId, usize)) {
+        self.events.iter().for_each(|&(group, _)| count(group, 1));
+        let next = |id: GroupId| self.slab[id].as_ref().map_or(0, GroupSession::next_events);
+        self.ready.iter().for_each(|&id| count(id, next(id)));
+    }
+
     /// [`tick_with`](MonitoringEngine::tick_with), collecting the events it sends for
     /// [`drain_events`](MonitoringEngine::drain_events).
     pub fn tick(&mut self) -> TickSummary {
@@ -482,7 +491,19 @@ impl MonitoringEngine {
             // Every ready session has an epoch queued, so each advance consumes one.
             for &id in &self.ready {
                 let session = self.slab[id].as_mut().expect("a ready id holds a session");
-                match session.advance_into(view, id, &mut self.retained.stats, send) {
+                // What `announce` said this advance sends, checked against what it sends.
+                let (announced, mut sent) =
+                    (cfg!(debug_assertions).then(|| session.next_events()), 0);
+                let outcome =
+                    session.advance_into(view, id, &mut self.retained.stats, &mut |g, e| {
+                        sent += 1;
+                        send(g, e);
+                    });
+                debug_assert!(
+                    announced.is_none_or(|n| n == sent),
+                    "announced {announced:?}, sent {sent}"
+                );
+                match outcome {
                     StepOutcome::Registered => summary.registered += 1,
                     StepOutcome::Quiet => {}
                     StepOutcome::Updated { violators } => {

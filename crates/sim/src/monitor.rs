@@ -310,8 +310,31 @@ impl GroupSession {
         self.advance_into(index.into(), 0, stats, &mut |_, _| {})
     }
 
+    /// The protocol events the next advance sends (with [events](GroupSession::with_events)
+    /// on and an epoch submitted): every user's region for the first epoch, none for a quiet
+    /// one, and for `k` leavers a probe to each of the other `m − k`, then every region.
+    pub(crate) fn next_events(&self) -> usize {
+        if !self.log_events || self.cursor == self.positions.len() {
+            return 0;
+        }
+        let m = self.group_size();
+        match self.registered.then(|| self.leavers(self.cursor + m)) {
+            None => m,
+            Some(0) => 0,
+            Some(k) => (m - k) + m,
+        }
+    }
+
+    /// How many users of the epoch ending at `end` left their regions of the last answer.
+    fn leavers(&self, end: usize) -> usize {
+        let answer = self.session.last_answer().expect("a registered session always has an answer");
+        answer.leavers(&self.positions[end - self.group_size()..end])
+    }
+
     /// [`advance`](GroupSession::advance), sending the epoch's protocol events (if
-    /// [enabled](GroupSession::with_events)) to `events` under the id `group`.
+    /// [enabled](GroupSession::with_events)) to `events` under the id `group`: as many as
+    /// [`next_events`](GroupSession::next_events) said (the engine's tick checks it in debug
+    /// builds).
     pub(crate) fn advance_into(
         &mut self,
         view: IndexView<'_>,
@@ -353,38 +376,30 @@ impl GroupSession {
 
         self.metrics.timestamps += 1;
 
-        let violators = self
-            .session
-            .last_answer()
-            .expect("a registered session always has an answer")
-            .violators(&self.positions[self.cursor - m..self.cursor]);
-        if violators.is_empty() {
+        let violators = self.leavers(self.cursor);
+        if violators == 0 {
             return StepOutcome::Quiet;
         }
 
         // Step 1: each violating user reports her location.
-        for _ in &violators {
+        for _ in 0..violators {
             self.metrics.traffic.record_uplink(LOCATION_VALUES);
         }
         // Step 2: the server probes every other user, who replies.
-        let others = self.group_size() - violators.len();
-        for _ in 0..others {
+        for _ in 0..m - violators {
             self.metrics.traffic.record_downlink(PROBE_VALUES);
             self.metrics.traffic.record_uplink(LOCATION_VALUES);
         }
         if self.log_events {
-            let mut violating = violators.iter().copied().peekable();
-            for user in 0..self.group_size() {
-                if violating.peek() == Some(&user) {
-                    violating.next();
-                } else {
-                    events(group, SessionEvent::Probed { user });
-                }
+            let answer = self.session.last_answer().expect("a registered session has an answer");
+            let epoch = answer.regions.iter().zip(&self.positions[self.cursor - m..self.cursor]);
+            for (user, _) in epoch.enumerate().filter(|(_, (region, p))| region.contains(**p)) {
+                events(group, SessionEvent::Probed { user });
             }
         }
         // Step 3: recompute and notify everyone.
         self.compute_and_notify(view, group, stats, events);
-        StepOutcome::Updated { violators: violators.len() }
+        StepOutcome::Updated { violators }
     }
 
     /// Whether the given POI change can break this session's current safe regions

@@ -11,7 +11,9 @@
 //! ever stored.  One [`process_with`](ServerCore::process_with) call sends the control
 //! responses in request arrival order, runs **one** engine tick, and hands each response,
 //! tagged with its destination client, to a callback as it is produced
-//! ([`process`](ServerCore::process) collects them).  [`disconnect`](ServerCore::disconnect)
+//! ([`process`](ServerCore::process) collects them); [`announce`](ServerCore::announce), run
+//! before it, counts them per client, so a transport sends a batch's count before its frames.
+//! [`disconnect`](ServerCore::disconnect)
 //! tears down everything a vanished client owned — the mid-session-disconnect contract of
 //! the network front-end.
 //!
@@ -207,6 +209,20 @@ impl ServerCore {
         self.admins.contains(&client)
     }
 
+    /// The counting pass of the next [`process_with`](ServerCore::process_with), changing
+    /// nothing: hands `count` each client it addresses and how many responses it sends them,
+    /// over calls whose counts add — control responses, then the pushes and advance events of
+    /// the groups the client owns, and 0 for a client that had a request applied.
+    pub fn announce(&self, mut count: impl FnMut(ClientId, usize)) {
+        self.responses.iter().for_each(|&(client, _)| count(client, 1));
+        self.applied.iter().for_each(|&client| count(client, 0));
+        self.engine.announce(|group, n| {
+            if let Some(client) = self.owner(group).filter(|_| n > 0) {
+                count(client, n);
+            }
+        });
+    }
+
     /// [`process_with`](ServerCore::process_with), collecting the responses into
     /// [`ProcessOutput::responses`].
     pub fn process(&mut self) -> ProcessOutput {
@@ -220,7 +236,7 @@ impl ServerCore {
     /// order), then, as one engine tick produces them, its per-user protocol sends
     /// ([`MonitoringEngine::tick_with`], ascending group id).  No list of the tick's
     /// responses is built, and the emptied control list keeps at most [`BUFFER_FLOOR`] bytes
-    /// of capacity.
+    /// of capacity.  Each client gets the count [`announce`](ServerCore::announce) gave it.
     pub fn process_with(&mut self, mut send: impl FnMut(ClientId, Response)) -> ProcessOutput {
         for (client, response) in self.responses.drain(..) {
             send(client, response);

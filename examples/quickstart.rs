@@ -51,11 +51,11 @@ fn main() {
     assert!(answer.all_inside(&moved));
     println!("after a small move, recomputation needed: {}", !answer.all_inside(&moved));
     moved[0] = Point::new(900.0, 900.0); // a big move
-    assert_eq!(answer.violators(&moved), vec![0]);
+    assert_eq!(answer.leavers(&moved), 1);
     println!(
-        "after a big move, recomputation needed:  {} (violators: {:?})",
+        "after a big move, recomputation needed:  {} (users outside: {})",
         !answer.all_inside(&moved),
-        answer.violators(&moved)
+        answer.leavers(&moved)
     );
 
     // For continuous monitoring the server keeps per-group state (heading predictors, the

@@ -5,8 +5,8 @@
 //!
 //! * a steady-state quiet tick — every user reported, every user inside her region —
 //!   allocates **nothing**;
-//! * a Circle recomputation allocates only its answer bookkeeping (the violator list and the
-//!   region vector): its R-tree traversal's GNN staging and frontier are per-thread
+//! * a Circle recomputation allocates only its answer's region vector: the leavers are
+//!   counted, not listed, and its R-tree traversal's GNN staging and frontier are per-thread
 //!   scratch;
 //! * warm GT-Verify allocates nothing on its pass and its fail path, and a whole warm
 //!   Tile-D-b recompute allocates in proportion to its *output*, not to the thousands of
@@ -236,10 +236,10 @@ fn quiet_tick_steady() {
 /// A two-position oscillation violates every safe region on every tick, so every session
 /// recomputes, and every recomputation traverses the tree.  The traversal's frontier
 /// names nodes by `(level, index)` and borrows no tree, so it is per-thread scratch and warm
-/// after the first query.  Measured 2.00 allocations per recomputation, the answer
-/// bookkeeping, against a bound of 2.5; it was 3.00 while the frontier borrowed tree nodes
-/// and was allocated per query, and 8.50 under the best-first traversal that regrew its heap
-/// of nodes and points.
+/// after the first query.  Measured 1.00 allocation per recomputation, the answer's boxed
+/// regions, against a bound of 1.5; it was 2.00 while the session collected its violators
+/// into a `Vec`, 3.00 while the frontier borrowed tree nodes and was allocated per query, and
+/// 8.50 under the best-first traversal that regrew its heap of nodes and points.
 #[test]
 fn uncached_circle_recompute() {
     let osc = users(3)
@@ -254,8 +254,8 @@ fn uncached_circle_recompute() {
     let per_recompute = total as f64 / (TICKS * GROUPS as u64) as f64;
     println!("circle recompute: {per_recompute:.2} allocations");
     assert!(
-        per_recompute <= 2.5,
-        "a circle recomputation must stay within its answer bookkeeping, got \
+        per_recompute <= 1.5,
+        "a circle recomputation must allocate only its answer's regions, got \
          {per_recompute:.2} allocations"
     );
 }

@@ -99,14 +99,14 @@ fn legacy_run_monitoring(
             predictor.observe(*location);
         }
 
-        let violators = answer.violators(&locations);
-        if violators.is_empty() {
+        let violators = answer.leavers(&locations);
+        if violators == 0 {
             continue;
         }
-        for _ in &violators {
+        for _ in 0..violators {
             traffic.record_uplink(2);
         }
-        let others = group.len() - violators.len();
+        let others = group.len() - violators;
         for _ in 0..others {
             traffic.record_downlink(1);
             traffic.record_uplink(2);
