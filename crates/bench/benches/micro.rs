@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use mpn_core::{
     circle_msr, decode_cells, encode_cells, tile_msr, ComputeStats, Method, Objective, SafeRegion,
-    SessionState, TileCell, TileFrame, TileMsrConfig, TileRegion, TileVerifier,
+    TileCell, TileFrame, TileMsrConfig, TileRegion, TileVerifier,
 };
 use mpn_geom::{min_focal_diff_over_square, Point, Square};
 use mpn_index::{frontier_pushes, Aggregate, GnnSearch, QueryStats, RTree};
@@ -154,24 +154,13 @@ fn main() {
         }
     }
 
-    // Stateful session vs stateless recomputation for the buffered method.
+    // One computation of the buffered method, its §5.4 buffer built inside it.
     {
         let tree = poi_tree(8_000);
         let group = users(3);
         let method = Method::tile_directed_buffered(std::f64::consts::FRAC_PI_4, 100);
         b("session/tile_d_b_stateless", &mut || {
             black_box(method.answer(&tree, Objective::Max, black_box(&group), None));
-        });
-        let mut session = SessionState::new(group.len(), 0.3).with_persistent_buffers(true);
-        session.observe(&group);
-        black_box(method.answer_session(&tree, Objective::Max, &group, &mut session)); // prime
-        b("session/tile_d_b_persistent", &mut || {
-            black_box(method.answer_session(
-                &tree,
-                Objective::Max,
-                black_box(&group),
-                &mut session,
-            ));
         });
     }
 
@@ -208,7 +197,7 @@ fn main() {
         let group = users(3);
         let config = TileMsrConfig { alpha: 10, ..TileMsrConfig::default() };
         b("ablation/gt_verify", &mut || {
-            black_box(tile_msr(&tree, &group, Objective::Max, &config, None, &mut None));
+            black_box(tile_msr(&tree, &group, Objective::Max, &config, None));
         });
         // One iteration verifies 1,000 (tile, candidate) pairs against warm summaries, so
         // the printed microseconds read as nanoseconds per candidate.
@@ -231,7 +220,7 @@ fn main() {
             let config =
                 TileMsrConfig { index_pruning: pruning, alpha: 10, ..TileMsrConfig::default() };
             b(name, &mut || {
-                black_box(tile_msr(&tree, &group, Objective::Max, &config, None, &mut None));
+                black_box(tile_msr(&tree, &group, Objective::Max, &config, None));
             });
         }
     }
@@ -310,7 +299,7 @@ fn main() {
         let group = users(3);
         let config = TileMsrConfig::tile_directed(std::f64::consts::FRAC_PI_4);
         b("tile/sum_recompute_unbuffered", &mut || {
-            black_box(tile_msr(&tree, black_box(&group), Objective::Sum, &config, None, &mut None));
+            black_box(tile_msr(&tree, black_box(&group), Objective::Sum, &config, None));
         });
     }
 
@@ -388,8 +377,7 @@ fn main() {
     {
         let tree = poi_tree(8_000);
         let group = users(3);
-        let out =
-            tile_msr(&tree, &group, Objective::Max, &TileMsrConfig::default(), None, &mut None);
+        let out = tile_msr(&tree, &group, Objective::Max, &TileMsrConfig::default(), None);
         let region =
             out.regions.iter().max_by_key(|r| r.len()).expect("at least one region").clone();
         let mut stream = Vec::new();

@@ -23,7 +23,7 @@ fn main() {
         ("Tile-D", TileMsrConfig::tile_directed(std::f64::consts::FRAC_PI_4)),
         ("Tile-D-b", TileMsrConfig::tile_directed_buffered(std::f64::consts::FRAC_PI_4, 100)),
     ] {
-        let out = tile_msr(&tree, &users, Objective::Max, &config, None, &mut None);
+        let out = tile_msr(&tree, &users, Objective::Max, &config, None);
         println!("\n== {label} ==");
         println!(
             "  tiles accepted {}  rejected {}  verify calls {}  candidate checks {}  rtree queries {}",
@@ -50,7 +50,7 @@ fn main() {
     println!("\n== per-round growth trace (Tile) ==");
     for alpha in [1, 2, 3, 5, 10, 30] {
         let config = TileMsrConfig { alpha, ..TileMsrConfig::tile() };
-        let out = tile_msr(&tree, &users, Objective::Max, &config, None, &mut None);
+        let out = tile_msr(&tree, &users, Objective::Max, &config, None);
         let sizes: Vec<usize> = out.regions.iter().map(TileRegion::len).collect();
         println!("  alpha = {alpha:>2}: tiles per user = {sizes:?}");
     }

@@ -56,18 +56,6 @@ impl BufferSet {
         self.thresholds.len()
     }
 
-    /// The optimal meeting point `pᵒ` captured when the buffer was built.
-    #[must_use]
-    pub fn optimal(&self) -> PoiEntry {
-        self.entries[0]
-    }
-
-    /// The largest admissible distance threshold `β_b` (Definition 6).
-    #[must_use]
-    pub fn beta(&self) -> f64 {
-        self.thresholds.last().copied().unwrap_or(0.0)
-    }
-
     /// Smallest slot `z` whose threshold `β_z` is at least `dist` (Algorithm 5, line 2).
     ///
     /// Returns `None` when even `β_b` is too small, in which case the tile violates the
@@ -85,18 +73,12 @@ impl BufferSet {
         let end = slot.min(self.entries.len().saturating_sub(1)).max(1);
         &self.entries[1..end]
     }
-
-    /// Every buffered candidate except the optimum (used when a caller wants the full prefix).
-    #[must_use]
-    pub fn all_candidates(&self) -> &[PoiEntry] {
-        &self.entries[1..]
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpn_geom::max_dist_to_set;
+    use mpn_geom::{max_dist_to_set, sum_dist_to_set};
     use mpn_index::RTree;
 
     fn world() -> (RTree, Vec<Point>) {
@@ -129,9 +111,15 @@ mod tests {
         let (tree, users) = world();
         let max_buf = BufferSet::build(&tree, &users, Objective::Max, 5);
         let sum_buf = BufferSet::build(&tree, &users, Objective::Sum, 5);
-        // The SUM ladder uses 2m in the denominator; both ladders are non-negative.
-        assert!(sum_buf.beta() >= 0.0);
-        assert!(max_buf.beta() >= 0.0);
+        // The SUM ladder uses 2m in the denominator, the MAX one 2, over the same ranking.
+        let m = users.len() as f64;
+        for (max, sum) in max_buf.thresholds.iter().zip(&sum_buf.thresholds) {
+            assert!(*max >= 0.0 && *sum >= 0.0);
+        }
+        assert_eq!(sum_buf.slots(), max_buf.slots());
+        let sum_best = sum_dist_to_set(sum_buf.entries[0].location, &users);
+        let sum_next = sum_dist_to_set(sum_buf.entries[1].location, &users);
+        assert!((sum_buf.thresholds[0] - (sum_next - sum_best) / (2.0 * m)).abs() < 1e-9);
     }
 
     #[test]
@@ -142,27 +130,33 @@ mod tests {
         let z0 = buf.slot_for(0.0).unwrap();
         assert!(buf.thresholds[z0 - 1] >= 0.0);
         // A distance just below β_b maps to a slot whose threshold covers it.
-        let d = buf.beta() * 0.99;
+        let beta = *buf.thresholds.last().expect("a non-empty ladder");
+        let d = beta * 0.99;
         let z = buf.slot_for(d).unwrap();
         assert!(buf.thresholds[z - 1] >= d);
         if z >= 2 {
             assert!(buf.thresholds[z - 2] < d);
         }
         // Distances beyond β_b are rejected.
-        assert!(buf.slot_for(buf.beta() + 1.0).is_none());
+        assert!(buf.slot_for(beta + 1.0).is_none());
     }
 
     #[test]
     fn candidates_are_a_prefix_without_the_optimum() {
         let (tree, users) = world();
         let buf = BufferSet::build(&tree, &users, Objective::Max, 8);
-        let po = buf.optimal();
+        let optimal = tree
+            .iter()
+            .min_by(|a, b| {
+                max_dist_to_set(a.location, &users).total_cmp(&max_dist_to_set(b.location, &users))
+            })
+            .expect("a POI");
         for z in 1..=buf.slots() {
             let cands = buf.candidates(z);
-            assert!(cands.len() <= z.max(1));
-            assert!(cands.iter().all(|c| c.id != po.id));
+            assert_eq!(cands.len(), z - 1, "the prefix before slot {z}");
+            assert!(cands.iter().all(|c| c.id != optimal.id));
+            assert_eq!(cands, &buf.candidates(buf.slots())[..cands.len()], "a prefix");
         }
-        assert_eq!(buf.all_candidates().len(), 8);
     }
 
     #[test]
@@ -172,6 +166,7 @@ mod tests {
         let users = vec![Point::new(1.0, 0.0)];
         let buf = BufferSet::build(&tree, &users, Objective::Max, 100);
         assert_eq!(buf.slots(), 2);
-        assert_eq!(buf.all_candidates().len(), 2);
+        assert_eq!(buf.candidates(buf.slots()).len(), 1);
+        assert!(buf.slot_for(f64::INFINITY).is_none());
     }
 }

@@ -29,10 +29,11 @@
 //! The monitoring layer in `mpn-sim` calls the latter.
 //!
 //! The paper's server is stateful: between updates for the same group it keeps the per-user
-//! heading predictors, the §5.4 GNN buffer and the last answer.  [`SessionState`]
-//! ([`session`]) carries exactly that state through [`Method::answer_session`], so with
-//! persistent buffers enabled a `Tile-D-b` update typically issues **one** R-tree query (the
-//! Circle-MSR seed) instead of two.
+//! heading predictors and the last answer.  [`SessionState`] ([`session`]) carries exactly
+//! that state through [`Method::answer_session`].  The §5.4 GNN buffer is not session state:
+//! as in the paper, it is one top-(b + 1) query made inside one Tile-MSR computation, so a
+//! `Tile-D-b` update issues two R-tree queries (the Circle-MSR seed and the buffer), one-shot
+//! or monitored.
 //!
 //! A one-shot query:
 //!
@@ -72,7 +73,7 @@ pub use method::{Answer, EngineContext, Method, SafeRegionEngine, SafeRegionEngi
 pub use ordering::TileOrdering;
 pub use region::{SafeRegion, TileCell, TileFrame, TileRegion};
 pub use session::SessionState;
-pub use tile::{tile_msr, BufferCache, TileMsr, TileMsrConfig};
+pub use tile::{tile_msr, TileMsr, TileMsrConfig};
 pub use tile_verify::TileVerifier;
 
 use mpn_index::{Aggregate, QueryStats};

@@ -8,8 +8,9 @@
 //!
 //! * [`Method::answer`] answers a one-shot query.
 //! * [`Method::answer_session`] answers a monitored group's update.  It threads the group's
-//!   [`SessionState`] through the computation, so the heading predictors, the §5.4 GNN buffer
-//!   and the last answer persist across updates (the stateful server of Fig. 3).
+//!   [`SessionState`] through the computation, so the heading predictors and the last answer
+//!   persist across updates (the stateful server of Fig. 3).  A buffered Tile-MSR builds its
+//!   §5.4 buffer inside every computation, one-shot or not.
 
 use mpn_geom::Point;
 use mpn_index::IndexView;
@@ -17,7 +18,7 @@ use mpn_index::IndexView;
 use crate::circle::{circle_msr, snapped_circle};
 use crate::region::SafeRegion;
 use crate::session::SessionState;
-use crate::tile::{tile_msr, BufferCache, TileMsrConfig};
+use crate::tile::{tile_msr, TileMsrConfig};
 use crate::{ComputeStats, Objective};
 
 /// The safe-region method used by the server.
@@ -91,11 +92,11 @@ impl Method {
         users: &[Point],
         headings: Option<&[Option<f64>]>,
     ) -> (Answer, ComputeStats) {
-        self.compute(view.into(), objective, users, headings, &mut None)
+        self.compute(view.into(), objective, users, headings)
     }
 
     /// Stateful computation for a monitored group: the tile methods read the predicted
-    /// headings from the session and reuse its §5.4 GNN buffer when persistence is on.
+    /// headings from the session.
     ///
     /// The answer is stored in (and borrowed back from) the session, so no per-update clone
     /// of the region vectors is paid; read it again later via [`SessionState::last_answer`].
@@ -117,11 +118,9 @@ impl Method {
             // Circle-MSR never reads a heading, so the per-update `predicted_headings()`
             // vector is skipped: the only allocation left in a circle update is the answer's
             // region vector.
-            Method::Circle => self.compute(view, objective, users, None, &mut None),
+            Method::Circle => self.compute(view, objective, users, None),
             Method::Tile(_) => {
-                let headings = session.predicted_headings();
-                let cache = session.buffer_slot_mut();
-                self.compute(view, objective, users, Some(&headings), cache.unwrap_or(&mut None))
+                self.compute(view, objective, users, Some(&session.predicted_headings()))
             }
         };
         (session.record_answer(answer), stats)
@@ -133,7 +132,6 @@ impl Method {
         objective: Objective,
         users: &[Point],
         headings: Option<&[Option<f64>]>,
-        cache: &mut Option<Box<BufferCache>>,
     ) -> (Answer, ComputeStats) {
         let (optimal, regions, stats) = match self {
             Method::Circle => {
@@ -143,7 +141,7 @@ impl Method {
                 (out.optimal, users.iter().map(circle).collect(), stats)
             }
             Method::Tile(config) => {
-                let out = tile_msr(view, users, objective, config, headings, cache);
+                let out = tile_msr(view, users, objective, config, headings);
                 // Not `collect()`: it would keep the larger `Vec<TileRegion>` allocation, and
                 // boxing that would copy it.  An exactly sized `Vec` boxes in place.
                 let mut regions = Vec::with_capacity(out.regions.len());
@@ -354,34 +352,18 @@ mod tests {
     }
 
     #[test]
-    fn persistent_buffers_are_reused_across_updates() {
+    fn every_buffered_compute_builds_its_buffer() {
         let (tree, users) = world();
         let method = Method::tile_directed_buffered(0.8, 20);
+        // The flag is a benchmark-only shim: a session never keeps a buffer across updates,
+        // so every update makes the seed GNN query and the buffer's, small move or not.
         let mut session = SessionState::new(users.len(), 0.3).with_persistent_buffers(true);
-
-        session.observe(&users);
-        let (first, stats) = method.answer_session(&tree, Objective::Max, &users, &mut session);
-        let (first_queries, first_optimal) = (stats.rtree_queries, first.optimal_index);
-        assert_eq!(first_queries, 2, "first compute builds the buffer");
-        assert!(session.has_cached_buffer());
-
-        // A small move: the optimum is unchanged, so the buffer must be reused.
-        let moved: Vec<Point> = users.iter().map(|u| Point::new(u.x + 0.2, u.y)).collect();
-        session.observe(&moved);
-        let (second, stats) = method.answer_session(&tree, Objective::Max, &moved, &mut session);
-        assert_eq!(stats.rtree_queries, 1, "second compute reuses the buffer");
-        assert_eq!(second.optimal_index, first_optimal);
-    }
-
-    #[test]
-    fn without_persistence_every_compute_rebuilds() {
-        let (tree, users) = world();
-        let method = Method::tile_directed_buffered(0.8, 20);
-        let mut session = SessionState::new(users.len(), 0.3);
-        for _ in 0..3 {
-            session.observe(&users);
-            let (_, stats) = method.answer_session(&tree, Objective::Max, &users, &mut session);
-            assert_eq!(stats.rtree_queries, 2);
+        for step in 0..3 {
+            let moved: Vec<Point> =
+                users.iter().map(|u| Point::new(u.x + 0.2 * f64::from(step), u.y)).collect();
+            session.observe(&moved);
+            let (_, stats) = method.answer_session(&tree, Objective::Max, &moved, &mut session);
+            assert_eq!(stats.rtree_queries, 2, "update {step}");
         }
     }
 }

@@ -2,30 +2,25 @@
 //!
 //! The monitoring server of the paper is *stateful*: between two safe-region computations for
 //! the same group it keeps the per-user heading predictors feeding the directed tile ordering
-//! (Section 5.2), the §5.4 GNN buffer so its prefix ladder can be reused instead of rebuilt,
-//! and the last [`Answer`] against which violations are detected.  [`SessionState`] bundles
-//! exactly that state; [`Method::answer_session`](crate::Method::answer_session) receives it
-//! mutably on every update so the state survives across updates instead of being rebuilt
-//! from scratch.
+//! (Section 5.2) and the last [`Answer`] against which violations are detected.
+//! [`SessionState`] bundles exactly that state;
+//! [`Method::answer_session`](crate::Method::answer_session) receives it mutably on every
+//! update so the state survives across updates.  The §5.4 GNN buffer is not part of it: a
+//! buffered computation builds its own, as the paper does.
 
 use mpn_geom::{HeadingPredictor, Point};
 
 use crate::method::Answer;
-use crate::tile::BufferCache;
 use crate::Objective;
 
 /// Mutable per-group state owned by the server between safe-region computations.
 #[derive(Debug, Clone)]
 pub struct SessionState {
-    /// A `u32` beside the persistence flag, so the two share one word.
     group_size: u32,
-    persist_buffers: bool,
     smoothing: f64,
     /// One predictor per user, created by the first [`observe`](SessionState::observe): a
     /// session whose method never reads a heading (Circle) never allocates them.
     predictors: Box<[HeadingPredictor]>,
-    /// The §5.4 buffer, boxed: only a Tile-D-b session with persistent buffers ever fills it.
-    buffer: Option<Box<BufferCache>>,
     last_answer: Option<Answer>,
 }
 
@@ -42,24 +37,16 @@ impl SessionState {
         assert!(group_size > 0, "a session needs at least one user");
         Self {
             group_size: u32::try_from(group_size).expect("group sizes fit u32"),
-            persist_buffers: false,
             smoothing,
             predictors: Box::default(),
-            buffer: None,
             last_answer: None,
         }
     }
 
-    /// Enables or disables reuse of the §5.4 GNN buffer across updates.
-    ///
-    /// Disabled (the default), every tile computation rebuilds its buffer exactly like the
-    /// stateless one-shot API, which keeps legacy monitoring runs bit-identical.  Enabled, the
-    /// session keeps the buffer alive between updates and only rebuilds it when the optimal
-    /// meeting point moves or the group strays too far from the buffer's anchor locations,
-    /// trading slightly smaller safe regions for roughly half the R-tree queries per update.
+    /// Returns `self` unchanged: a benchmark-only shim (ROADMAP item 1).  A session keeps no
+    /// §5.4 buffer across updates, whatever `_enabled` says.
     #[must_use]
-    pub fn with_persistent_buffers(mut self, enabled: bool) -> Self {
-        self.persist_buffers = enabled;
+    pub fn with_persistent_buffers(self, _enabled: bool) -> Self {
         self
     }
 
@@ -102,30 +89,18 @@ impl SessionState {
         self.last_answer.as_ref()
     }
 
-    /// Whether a buffered prefix is currently cached.
-    #[must_use]
-    pub fn has_cached_buffer(&self) -> bool {
-        self.buffer.is_some()
-    }
-
     /// Whether deleting POI `poi` can break this session's current safe regions.
     ///
     /// Per Definition 3, the regions stay valid as long as the recorded optimum remains the
     /// group's best meeting point everywhere inside them.  Removing a POI can only change
-    /// that verdict when the POI *participates* in the answer: it is the optimum itself, or
-    /// it sits in the cached §5.4 GNN buffer whose prefix ladder the next verification would
-    /// consult.  Deleting any other POI only removes a runner-up that was already beaten, so
-    /// the regions — and the cached buffer thresholds, which remain conservative when a
-    /// competitor disappears — stay sound.
+    /// that verdict when the POI is the optimum itself.  Deleting any other POI only removes a
+    /// runner-up that was already beaten, so the regions stay sound; the next computation
+    /// builds its §5.4 buffer from the world as it is then.
     ///
     /// Sessions without a recorded answer have nothing to invalidate.
     #[must_use]
     pub fn delete_invalidates(&self, poi: usize) -> bool {
-        let Some(answer) = self.last_answer.as_ref() else {
-            return false;
-        };
-        answer.optimal_index == poi
-            || self.buffer.as_ref().is_some_and(|cache| cache.references(poi))
+        self.last_answer.as_ref().is_some_and(|answer| answer.optimal_index == poi)
     }
 
     /// Whether inserting a POI at `location` can break this session's current safe regions.
@@ -166,14 +141,6 @@ impl SessionState {
     /// the paper's "CPU time per computation".
     pub(crate) fn record_answer(&mut self, answer: Answer) -> &Answer {
         self.last_answer.insert(answer)
-    }
-
-    /// The persistent buffer slot, or `None` when persistence is disabled.
-    ///
-    /// [`Method::answer_session`](crate::Method::answer_session) passes the inner slot to the
-    /// tile computation.
-    pub(crate) fn buffer_slot_mut(&mut self) -> Option<&mut Option<Box<BufferCache>>> {
-        self.persist_buffers.then_some(&mut self.buffer)
     }
 }
 
@@ -239,14 +206,5 @@ mod tests {
         // both regions (e.g. (6, 0): min dist to the right region is 3.0, to the left 7.0)
         // yields lower_new = 7.0 > 3.0 → safe.
         assert!(!session.insert_invalidates(Point::new(6.0, 0.0), Objective::Max));
-    }
-
-    #[test]
-    fn buffer_slot_respects_the_persistence_flag() {
-        let mut off = SessionState::new(1, 0.3);
-        assert!(off.buffer_slot_mut().is_none());
-        let mut on = SessionState::new(1, 0.3).with_persistent_buffers(true);
-        assert!(on.buffer_slot_mut().is_some());
-        assert!(!on.has_cached_buffer());
     }
 }

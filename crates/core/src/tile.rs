@@ -78,67 +78,6 @@ impl TileMsrConfig {
     }
 }
 
-/// A §5.4 GNN buffer together with the user locations it was built at.
-///
-/// The threshold ladder of a [`BufferSet`] bounds how far each user may stray *from the
-/// locations at build time*; anchoring the reuse check (and the per-tile distance of
-/// Algorithm 5, line 1) to those locations keeps Theorem 4/7 sound when the buffer outlives
-/// the computation that built it.  A stateful session
-/// ([`SessionState`](crate::session::SessionState)) keeps one cache per group so that
-/// subsequent updates skip the buffer-building GNN query entirely.
-#[derive(Debug, Clone)]
-pub struct BufferCache {
-    pub(crate) set: BufferSet,
-    pub(crate) anchors: Vec<Point>,
-    /// The objective the threshold ladder was derived under (the SUM denominator is `2m`,
-    /// the MAX one `2`, so a ladder is only valid for its own objective).
-    objective: Objective,
-    /// The buffering parameter `b` the set was built with.
-    b: usize,
-    /// [`RTree::generation`](mpn_index::RTree::generation) of the tree the buffer was queried
-    /// from: a process-unique stamp refreshed on every construction, and a mutable world
-    /// rebuilds its tree on every change, so a different or modified POI set is detected
-    /// exactly, never probabilistically.
-    tree_generation: u64,
-}
-
-impl BufferCache {
-    /// Whether this buffer may serve a computation for the given current state.
-    ///
-    /// Reuse is allowed only when the cache was built from the same POI content (by logical
-    /// generation), objective and buffer size, the group shape is unchanged, the optimal
-    /// meeting point is still the one the ladder was derived from, and no user has strayed
-    /// beyond half the largest threshold from her anchor location (a heuristic that rebuilds
-    /// before the ladder degenerates into rejecting every tile).
-    fn reusable_for(
-        &self,
-        generation: u64,
-        users: &[Point],
-        objective: Objective,
-        b: usize,
-        optimal_id: usize,
-    ) -> bool {
-        self.tree_generation == generation
-            && self.objective == objective
-            && self.b == b
-            && self.anchors.len() == users.len()
-            && self.set.optimal().id == optimal_id
-            && users
-                .iter()
-                .zip(&self.anchors)
-                .all(|(u, anchor)| u.dist(*anchor) <= 0.5 * self.set.beta())
-    }
-
-    /// Whether the buffered prefix contains the given POI (as the optimum or a candidate).
-    ///
-    /// Deleting a buffered POI can break the threshold ladder (Definition 6 ranks real
-    /// neighbours), so the world-change invalidation pass treats any referenced deletion as
-    /// breaking the session's cached state.
-    pub(crate) fn references(&self, poi: usize) -> bool {
-        self.set.optimal().id == poi || self.set.all_candidates().iter().any(|e| e.id == poi)
-    }
-}
-
 /// Output of Tile-MSR.
 #[derive(Debug, Clone)]
 pub struct TileMsr {
@@ -152,9 +91,6 @@ pub struct TileMsr {
     pub regions: Vec<TileRegion>,
     /// Work counters accumulated while computing the regions.
     pub stats: ComputeStats,
-    /// Whether this computation built a fresh §5.4 GNN buffer (always `false` without
-    /// buffering; `true` on every call when no cache is reused).
-    pub built_buffer: bool,
 }
 
 /// Runs Tile-MSR (Algorithm 3) for the given group.
@@ -162,11 +98,9 @@ pub struct TileMsr {
 /// `headings[i]`, when provided, is user `i`'s predicted travel direction used by the directed
 /// ordering; pass `None` (or `Some(None)` per user) when headings are unknown.
 ///
-/// When `config.buffering` is enabled and `cache` holds a [`BufferCache`] that is still valid
-/// for the current locations and optimum, the buffered GNN query of Section 5.4 is skipped and
-/// the cached prefix is verified against instead (its thresholds stay anchored to the
-/// build-time locations, so Theorem 4/7 still hold).  An invalid or absent cache is rebuilt in
-/// place.  Passing `&mut None` builds a fresh buffer and discards it: a one-shot computation.
+/// When `config.buffering` is enabled the computation makes the one top-(b + 1) GNN query of
+/// Section 5.4 and verifies every tile against a prefix of its answer; the buffer lives and
+/// dies with the computation.
 ///
 /// # Panics
 /// Panics when the tree or the user group is empty.
@@ -177,7 +111,6 @@ pub fn tile_msr<'a>(
     objective: Objective,
     config: &TileMsrConfig,
     headings: Option<&[Option<f64>]>,
-    cache: &mut Option<Box<BufferCache>>,
 ) -> TileMsr {
     let view = tree.into();
     assert!(!view.is_empty(), "Tile-MSR requires a non-empty POI set");
@@ -206,36 +139,18 @@ pub fn tile_msr<'a>(
             radius: seed.radius,
             regions: frames.map(TileRegion::with_seed).collect(),
             stats,
-            built_buffer: false,
         };
     }
 
     let p_opt = seed.optimal.entry;
 
-    // Optional buffering: one extra GNN query replaces all later candidate retrievals.  A
-    // still-valid persistent cache skips even that query.
-    let mut built_buffer = false;
-    let buffer: Option<&BufferCache> = if let Some(b) = config.buffering {
-        let reusable = cache
-            .as_ref()
-            .is_some_and(|c| c.reusable_for(view.generation(), users, objective, b, p_opt.id));
-        if !reusable {
-            let set = BufferSet::build(view, users, objective, b);
-            stats.gnn.absorb(set.stats);
-            stats.rtree_queries += 1;
-            built_buffer = true;
-            *cache = Some(Box::new(BufferCache {
-                set,
-                anchors: users.to_vec(),
-                objective,
-                b,
-                tree_generation: view.generation(),
-            }));
-        }
-        cache.as_deref()
-    } else {
-        None
-    };
+    // Optional buffering: one extra GNN query replaces all later candidate retrievals.
+    let buffer = config.buffering.map(|b| {
+        let set = BufferSet::build(view, users, objective, b);
+        stats.gnn.absorb(set.stats);
+        stats.rtree_queries += 1;
+        set
+    });
 
     // Σⱼ ‖pᵒ, uⱼ‖: the part of every tile's Theorem 6 threshold that no tile changes.
     let opt_dist_sum = users.iter().map(|u| p_opt.location.dist(*u)).sum();
@@ -256,7 +171,7 @@ pub fn tile_msr<'a>(
             opt_dist_sum,
             objective,
             config,
-            buffer,
+            buffer: buffer.as_ref(),
             stats,
         };
         growth.run(verifier, pool, headings);
@@ -270,7 +185,6 @@ pub fn tile_msr<'a>(
         radius: seed.radius,
         regions,
         stats,
-        built_buffer,
     }
 }
 
@@ -376,7 +290,7 @@ struct TileGrowth<'a> {
     opt_dist_sum: f64,
     objective: Objective,
     config: &'a TileMsrConfig,
-    buffer: Option<&'a BufferCache>,
+    buffer: Option<&'a BufferSet>,
     stats: ComputeStats,
 }
 
@@ -388,10 +302,9 @@ impl TileGrowth<'_> {
         pool: &mut CandidatePool,
         headings: Option<&[Option<f64>]>,
     ) {
-        // The threshold ladder of a buffer bounds distances from its anchors (the locations
-        // at build time); without a buffer, Theorems 3/6 measure from the current locations.
-        let anchors = self.buffer.map_or(self.users, |cache| cache.anchors.as_slice());
-        verifier.begin(self.objective, self.p_opt.location, anchors);
+        // Theorems 3/6 and a buffer's threshold ladder both measure from the current locations,
+        // which the buffer was built from.
+        verifier.begin(self.objective, self.p_opt.location, self.users);
         pool.begin();
 
         let max_layer = (self.config.alpha + 2) as i32;
@@ -421,7 +334,7 @@ impl TileGrowth<'_> {
     ///
     /// Without a buffer the candidates are the `gathered` ones.  With a buffer they are the
     /// prefix of the smallest buffered slot covering the current region extent, measured
-    /// from the buffer's anchors.
+    /// from the users' locations.
     fn divide_verify(
         &mut self,
         verifier: &mut TileVerifier,
@@ -431,21 +344,20 @@ impl TileGrowth<'_> {
         gathered: &[(Point, usize)],
     ) -> bool {
         let square = self.regions[user].frame().square(cell);
-        let ok = if let Some(cache) = self.buffer {
-            // Algorithm 5, line 1: the distance any buffered location instance can stray
-            // from the anchors — the new tile for this user, the existing regions for the
+        let ok = if let Some(buffer) = self.buffer {
+            // Algorithm 5, line 1: the distance any location instance can stray from the
+            // users' locations — the new tile for this user, the existing regions for the
             // others.
             verifier.sync(self.regions);
             let dist = (0..self.users.len())
                 .filter(|&j| j != user)
-                .fold(square.max_dist(cache.anchors[user]), |d, j| d.max(verifier.anchor_reach(j)));
+                .fold(square.max_dist(self.users[user]), |d, j| d.max(verifier.anchor_reach(j)));
             // Lines 2-4: the smallest admissible slot; reject outright when none covers `dist`.
-            let Some(slot) = cache.set.slot_for(dist) else {
+            let Some(slot) = buffer.slot_for(dist) else {
                 self.stats.tiles_rejected += 1;
                 return false;
             };
-            let prefix =
-                cache.set.candidates(slot).iter().enumerate().map(|(k, c)| (c.location, k));
+            let prefix = buffer.candidates(slot).iter().enumerate().map(|(k, c)| (c.location, k));
             self.stats.verify_calls += 1;
             verifier.accepts(self.regions, user, &square, prefix, &mut self.stats)
         } else {
@@ -497,8 +409,8 @@ impl TileGrowth<'_> {
         }
         let tile = self.regions[user].frame().square(cell);
         verifier.sync(self.regions);
-        // r†ⱼ: how far user j may stray from her current location (the verifier's anchor
-        // on this unbuffered path); for the user under test this must include the new tile.
+        // r†ⱼ: how far user j may stray from her current location (the verifier's anchor);
+        // for the user under test this must include the new tile.
         let reach = |j: usize| {
             let r = verifier.anchor_reach(j).max(0.0);
             if j == user {
@@ -555,7 +467,7 @@ impl TileGrowth<'_> {
 mod tests {
     use super::*;
     use mpn_geom::max_dist_to_set;
-    use mpn_index::{RTree, WorldView};
+    use mpn_index::RTree;
 
     fn grid_pois(n_side: usize, spacing: f64) -> Vec<Point> {
         (0..n_side * n_side)
@@ -572,8 +484,7 @@ mod tests {
     #[test]
     fn tile_msr_regions_contain_the_users_and_the_seed_tiles() {
         let (tree, users) = world();
-        let out =
-            tile_msr(&tree, &users, Objective::Max, &TileMsrConfig::default(), None, &mut None);
+        let out = tile_msr(&tree, &users, Objective::Max, &TileMsrConfig::default(), None);
         assert_eq!(out.regions.len(), users.len());
         for (region, user) in out.regions.iter().zip(&users) {
             assert!(!region.is_empty());
@@ -585,8 +496,7 @@ mod tests {
     #[test]
     fn tile_regions_are_at_least_as_large_as_the_inscribed_circle_square() {
         let (tree, users) = world();
-        let out =
-            tile_msr(&tree, &users, Objective::Max, &TileMsrConfig::default(), None, &mut None);
+        let out = tile_msr(&tree, &users, Objective::Max, &TileMsrConfig::default(), None);
         let seed_area = (std::f64::consts::SQRT_2 * out.radius).powi(2);
         for region in &out.regions {
             assert!(region.area() + 1e-9 >= seed_area);
@@ -648,7 +558,7 @@ mod tests {
             TileMsrConfig::tile_directed(std::f64::consts::FRAC_PI_4),
             TileMsrConfig::tile_directed_buffered(std::f64::consts::FRAC_PI_4, 20),
         ] {
-            let out = tile_msr(&tree, &users, Objective::Max, &config, None, &mut None);
+            let out = tile_msr(&tree, &users, Objective::Max, &config, None);
             assert_safe_region_group_valid(&tree, &users, Objective::Max, &out);
         }
     }
@@ -660,52 +570,15 @@ mod tests {
             TileMsrConfig::default(),
             TileMsrConfig::tile_directed_buffered(std::f64::consts::FRAC_PI_4, 20),
         ] {
-            let out = tile_msr(&tree, &users, Objective::Sum, &config, None, &mut None);
+            let out = tile_msr(&tree, &users, Objective::Sum, &config, None);
             assert_safe_region_group_valid(&tree, &users, Objective::Sum, &out);
         }
     }
 
     #[test]
-    fn buffer_cache_is_not_reused_across_objectives_trees_or_sizes() {
-        let (tree, users) = world();
-        let config = TileMsrConfig::tile_directed_buffered(0.8, 20);
-        let mut cache = None;
-
-        let first = tile_msr(&tree, &users, Objective::Max, &config, None, &mut cache);
-        assert!(first.built_buffer, "cold cache must build");
-        let again = tile_msr(&tree, &users, Objective::Max, &config, None, &mut cache);
-        assert!(!again.built_buffer, "unchanged state must reuse");
-
-        // The SUM ladder divides by 2m, not 2: a MAX cache must never serve a SUM query.
-        let sum = tile_msr(&tree, &users, Objective::Sum, &config, None, &mut cache);
-        assert!(sum.built_buffer, "objective change must rebuild");
-
-        // A different buffering parameter changes the prefix length.
-        let bigger = TileMsrConfig::tile_directed_buffered(0.8, 30);
-        let resized = tile_msr(&tree, &users, Objective::Sum, &bigger, None, &mut cache);
-        assert!(resized.built_buffer, "buffer-size change must rebuild");
-
-        // A different tree (even with identical contents) must rebuild.
-        let other_tree = RTree::bulk_load(&grid_pois(8, 5.0));
-        let other = tile_msr(&other_tree, &users, Objective::Sum, &bigger, None, &mut cache);
-        assert!(other.built_buffer, "tree change must rebuild");
-
-        // A world mutation rebuilds the tree under a fresh generation: the cache is stale.
-        let mut mutable = WorldView::new(RTree::bulk_load(&grid_pois(8, 5.0)));
-        let warm = tile_msr(&mutable, &users, Objective::Sum, &bigger, None, &mut cache);
-        assert!(warm.built_buffer);
-        let reused = tile_msr(&mutable, &users, Objective::Sum, &bigger, None, &mut cache);
-        assert!(!reused.built_buffer, "unchanged world must reuse");
-        mutable.insert(Point::new(1.0, 2.0));
-        let stale = tile_msr(&mutable, &users, Objective::Sum, &bigger, None, &mut cache);
-        assert!(stale.built_buffer, "world mutation must rebuild");
-    }
-
-    #[test]
     fn optimal_point_matches_brute_force() {
         let (tree, users) = world();
-        let out =
-            tile_msr(&tree, &users, Objective::Max, &TileMsrConfig::default(), None, &mut None);
+        let out = tile_msr(&tree, &users, Objective::Max, &TileMsrConfig::default(), None);
         let brute = tree
             .iter()
             .min_by(|a, b| {
@@ -718,15 +591,13 @@ mod tests {
     #[test]
     fn buffering_reduces_rtree_queries() {
         let (tree, users) = world();
-        let plain =
-            tile_msr(&tree, &users, Objective::Max, &TileMsrConfig::default(), None, &mut None);
+        let plain = tile_msr(&tree, &users, Objective::Max, &TileMsrConfig::default(), None);
         let buffered = tile_msr(
             &tree,
             &users,
             Objective::Max,
             &TileMsrConfig { buffering: Some(50), ..TileMsrConfig::default() },
             None,
-            &mut None,
         );
         assert!(
             buffered.stats.rtree_queries < plain.stats.rtree_queries,
@@ -752,7 +623,7 @@ mod tests {
         let users = vec![Point::new(990.0, 1_010.0), Point::new(1_030.0, 980.0)];
         for objective in [Objective::Max, Objective::Sum] {
             let directed = TileMsrConfig::tile_directed(std::f64::consts::FRAC_PI_4);
-            let out = tile_msr(&tree, &users, objective, &directed, None, &mut None);
+            let out = tile_msr(&tree, &users, objective, &directed, None);
             // Divide-Verify runs at most 1 + 4 + 16 times per tried cell at L = 2 (so this
             // undercounts several times over), and every tried cell used to cost an index query.
             let cells_tried = out.stats.verify_calls / 21;
@@ -764,7 +635,7 @@ mod tests {
             );
 
             let unpruned = TileMsrConfig { index_pruning: false, alpha: 3, ..directed };
-            let out = tile_msr(&tree, &users, objective, &unpruned, None, &mut None);
+            let out = tile_msr(&tree, &users, objective, &unpruned, None);
             assert_eq!(out.stats.rtree_queries, 2, "{objective:?}: the seed GNN and one scan");
         }
     }
@@ -779,7 +650,6 @@ mod tests {
             Objective::Max,
             &TileMsrConfig::tile_directed(std::f64::consts::FRAC_PI_4),
             Some(&headings),
-            &mut None,
         );
         // User 0 heads east: every non-seed tile must lie in the eastern half-plane.
         for cell in out.regions[0].cells().iter().filter(|c| !(c.ix == 0 && c.iy == 0)) {
@@ -798,8 +668,7 @@ mod tests {
         // Two POIs symmetric about the single user: best and runner-up tie, radius = 0.
         let tree = RTree::bulk_load(&[Point::new(-1.0, 0.0), Point::new(1.0, 0.0)]);
         let users = vec![Point::new(0.0, 0.0)];
-        let out =
-            tile_msr(&tree, &users, Objective::Max, &TileMsrConfig::default(), None, &mut None);
+        let out = tile_msr(&tree, &users, Objective::Max, &TileMsrConfig::default(), None);
         assert_eq!(out.radius, 0.0);
         assert_eq!(out.regions[0].len(), 1);
         assert!(out.regions[0].squares().next().expect("the seed").side() <= f64::EPSILON);

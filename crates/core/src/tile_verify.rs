@@ -86,7 +86,7 @@ const RETAINED_TABLES: usize = 1024;
 /// Candidate-independent summary of one user's region.
 #[derive(Debug, Default)]
 struct UserSummary {
-    /// The location `‖·, Rⱼ‖max` reach is measured from (buffer anchor or current location).
+    /// The location `‖·, Rⱼ‖max` reach is measured from (the user's current location).
     anchor: Point,
     /// The squares of the region's tiles folded so far, in the region's order.
     squares: Vec<Square>,

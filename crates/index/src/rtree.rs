@@ -179,10 +179,10 @@ impl RTree {
 
     /// Process-unique identity stamp of this tree's contents.
     ///
-    /// Every construction and every rebuild produces a fresh value, so caches keyed on the
-    /// generation (e.g. the persistent §5.4 GNN buffer) can detect a different tree without
+    /// Every construction and every rebuild produces a fresh value, so anything keyed on the
+    /// generation (a world's announced state) can detect a different tree without
     /// probabilistic address/content comparisons.  Cloning preserves the stamp: a clone holds
-    /// identical contents, so caches built from the original stay valid for it.
+    /// identical contents.
     #[must_use]
     pub fn generation(&self) -> u64 {
         self.generation

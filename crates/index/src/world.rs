@@ -4,8 +4,8 @@
 //! set mutable without a second query path: every applied insert or delete edits the tree's
 //! own entry array (one push or one `swap_remove`) and bulk loads that same array again, so
 //! the world is always one tree and every query reads it directly.  The rebuilt tree carries
-//! a fresh process-unique [`RTree::generation`], and that stamp is the world's: a cache keyed
-//! on it (the §5.4 GNN buffer) sees every change.
+//! a fresh process-unique [`RTree::generation`], and that stamp is the world's: every applied
+//! change raises it, and `Response::WorldUpdate` ships it.
 //!
 //! This rests on what a change costs against how often one comes: one bulk load (≈ 3.6 ms at
 //! the paper's 21,287 POIs), while the one writer the repository benchmark knows makes about

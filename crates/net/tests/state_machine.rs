@@ -32,7 +32,11 @@ fn test_core() -> ServerCore {
 }
 
 fn circle_config() -> WireConfig {
-    WireConfig { objective: WireObjective::Max, method: WireMethod::Circle, persist_buffers: false }
+    WireConfig {
+        objective: WireObjective::Max,
+        method: WireMethod::Circle,
+        ..WireConfig::default()
+    }
 }
 
 fn feed(seed: u64, size: usize, epochs: usize) -> TrajectoryFeed {

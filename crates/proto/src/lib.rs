@@ -161,12 +161,13 @@ pub struct WireConfig {
     pub objective: WireObjective,
     /// Safe-region method.
     pub method: WireMethod,
-    /// Whether the server keeps the §5.4 GNN buffer alive across updates (Tile-D-b only).
+    /// Encoded and decoded, and ignored by the server: a benchmark-only shim (ROADMAP item 1).
+    /// Every buffered computation builds its own §5.4 buffer.
     pub persist_buffers: bool,
 }
 
 impl Default for WireConfig {
-    /// MAX objective, circular regions, no persistent buffers.
+    /// MAX objective, circular regions, the ignored persistence flag off.
     fn default() -> Self {
         Self { objective: WireObjective::Max, method: WireMethod::Circle, persist_buffers: false }
     }

@@ -16,8 +16,8 @@
 //!
 //! * [`GroupSession`] ([`monitor`]) — the protocol state machine of *one* moving group.  It
 //!   owns its configuration (objective and safe-region `Method`), its
-//!   [`mpn_core::SessionState`] (last answer; heading predictors and the §5.4 GNN buffer
-//!   where the method uses them) and its metrics, and **consumes** one epoch of owned
+//!   [`mpn_core::SessionState`] (last answer; heading predictors where the method uses
+//!   them) and its metrics, and **consumes** one epoch of owned
 //!   positions per [`advance`](GroupSession::advance) from its one input path, the batches
 //!   queued via [`submit`](GroupSession::submit).  A recording is replayed the same way: a
 //!   [`TrajectoryFeed`] (`Arc`-shared recorded trajectories) hands out owned epochs that the
@@ -69,12 +69,11 @@
 //!   the right trade while changes are rare next to queries — the one writer the repository
 //!   benchmark knows makes about one change a second.
 //! * **Generations** — the rebuilt tree's process-unique stamp is the world's generation,
-//!   so every applied change raises it strictly, and a §5.4 buffer cache keyed on it sees
-//!   every change.
+//!   so every applied change raises it strictly.
 //! * **Invalidation is precise, not conservative-rebuild**: a delete breaks a group iff the
-//!   deleted POI participates in its answer or its §5.4 GNN buffer; an insert breaks it iff
-//!   the new POI's best-case aggregate over the group's safe regions undercuts the current
-//!   optimum's worst case (`mpn_core::SessionState::{delete_invalidates,
+//!   deleted POI is its meeting point (a computation's §5.4 buffer dies with it); an insert
+//!   breaks it iff the new POI's best-case aggregate over the group's safe regions undercuts
+//!   the current optimum's worst case (`mpn_core::SessionState::{delete_invalidates,
 //!   insert_invalidates}`).  Both predicates are *sound*: a group they leave alone still
 //!   upholds Definition 3 against the new world (pinned by the workspace property test
 //!   `tests/world_mutation.rs`).  Only broken groups are force-recomputed, on the calling
@@ -120,16 +119,15 @@
 //! * **A session holds what its method needs** — always: a handle to its configuration,
 //!   the group's metrics, the last answer and one flat buffer of positions (the epoch being
 //!   monitored, then the submitted ones, consumed in place).  Heading predictors exist once
-//!   a method that reads headings has observed a position (never for Circle); the §5.4
-//!   buffer is a boxed slot that only Tile-D-b with persistent buffers fills; a tile region
-//!   inside `SafeRegion` is boxed.  The slab slot is 192 B (232, and 464 before): the
+//!   a method that reads headings has observed a position (never for Circle); a tile region
+//!   inside `SafeRegion` is boxed.  The slab slot is 184 B (192, 232, and 464 before): the
 //!   [`MonitorConfig`] (64 B) is an `Arc` that [`ServerCore`] shares between groups
 //!   registered alike, the computations' [`ComputeStats`](mpn_core::ComputeStats) (72 B in
 //!   the stored answer and 72 B in the metrics) go to one fleet accumulator in the engine,
 //!   the group size and epoch clock are no longer kept twice, and what never grows (the
 //!   answer's regions, the predictors) is a boxed slice.  A Circle/MAX group of three costs
-//!   ≈ 405 live heap bytes, slab slot and owner included (443.6 and 675.6 before, 1,269 at
-//!   first); `tests/alloc_gates.rs` gates it and the slot size and prints the table.
+//!   ≈ 397 live heap bytes, slab slot and owner included (404.6, 443.6 and 675.6 before,
+//!   1,269 at first); `tests/alloc_gates.rs` gates it and the slot size and prints the table.
 //! * **One event stream per tick** — sessions keep no event log.  What a session created
 //!   [`with_events`](GroupSession::with_events) sends goes, tagged with its group id, to
 //!   the callback of [`MonitoringEngine::tick_with`] as it is sent, merged in ascending id

@@ -52,11 +52,8 @@ pub struct MonitorConfig {
     pub method: Method,
     /// Smoothing factor of the per-user heading predictor feeding the directed ordering.
     pub heading_smoothing: f64,
-    /// Whether the session keeps its §5.4 GNN buffer alive across updates (Tile-D-b only).
-    ///
-    /// Off (the default) every buffered update rebuilds the buffer, exactly like the one-shot
-    /// API; on, the buffer is rebuilt only when the optimum moves or
-    /// the group strays from the buffer anchors, roughly halving R-tree queries per update.
+    /// Never read: a benchmark-only shim (ROADMAP item 1).  Every buffered computation builds
+    /// its own §5.4 buffer.
     pub persist_buffers: bool,
 }
 
@@ -65,13 +62,6 @@ impl MonitorConfig {
     #[must_use]
     pub fn new(objective: Objective, method: Method) -> Self {
         Self { objective, method, heading_smoothing: 0.3, persist_buffers: false }
-    }
-
-    /// Enables reuse of the §5.4 GNN buffer across updates.
-    #[must_use]
-    pub fn with_persistent_buffers(mut self, enabled: bool) -> Self {
-        self.persist_buffers = enabled;
-        self
     }
 }
 
@@ -206,8 +196,7 @@ impl GroupSession {
     pub fn streaming(group_size: usize, config: impl Into<Arc<MonitorConfig>>) -> Self {
         assert!(group_size > 0, "monitoring requires at least one user trajectory");
         let config = config.into();
-        let session = SessionState::new(group_size, config.heading_smoothing)
-            .with_persistent_buffers(config.persist_buffers);
+        let session = SessionState::new(group_size, config.heading_smoothing);
         Self {
             session,
             metrics: MonitoringMetrics::default(),
@@ -242,7 +231,7 @@ impl GroupSession {
         &self.config
     }
 
-    /// The per-group engine state (heading predictors, buffer cache, last answer).
+    /// The per-group engine state (heading predictors, last answer).
     #[must_use]
     pub fn session_state(&self) -> &SessionState {
         &self.session
@@ -493,8 +482,8 @@ impl GroupSession {
 /// counters of its computations.
 ///
 /// A single-group driver: one streaming session is submitted the recording's next epoch
-/// before every advance, and the replay stops when the recording runs out.  With the default configuration (no persistent buffers) the resulting updates,
-/// packets and work counters are bit-identical to the reference loop in
+/// before every advance, and the replay stops when the recording runs out.  The resulting
+/// updates, packets and work counters are bit-identical to the reference loop in
 /// `tests/engine_parity.rs`.  The trajectories are cloned once into the feed.
 ///
 /// # Panics

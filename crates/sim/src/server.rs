@@ -65,10 +65,11 @@ pub type ClientId = u64;
 
 /// Resolves a client-chosen [`WireConfig`] to the server-side monitoring configuration
 /// (server defaults fill everything the wire does not carry, e.g. the heading smoothing).
+/// The wire's buffer-persistence flag is ignored: every buffered computation builds its own
+/// §5.4 buffer.
 #[must_use]
 pub fn monitor_config(wire: &WireConfig) -> MonitorConfig {
     MonitorConfig::new(wire.objective.into(), wire.method.to_method())
-        .with_persistent_buffers(wire.persist_buffers)
 }
 
 /// What one [`ServerCore::process`] or [`ServerCore::process_with`] call produced.
@@ -79,10 +80,6 @@ pub struct ProcessOutput {
     /// request arrival order), then the tick's per-user protocol sends in ascending group id.
     /// Empty from [`process_with`](ServerCore::process_with), which sent them instead.
     pub responses: Vec<(ClientId, Response)>,
-    /// Clients that had at least one request applied since the previous call, deduplicated,
-    /// in first-arrival order.  A front-end that frames its downlink per tick (the batch
-    /// envelope of the TCP transport) answers exactly `applied ∪ {clients with responses}`.
-    pub applied: Vec<ClientId>,
     /// The engine tick that ran after the requests were applied.
     pub summary: TickSummary,
 }
@@ -96,7 +93,7 @@ pub struct ServerCore {
     /// order: the next [`process_with`](ServerCore::process_with) sends them first.
     responses: Vec<(ClientId, Response)>,
     /// Clients with a request applied since the last tick, deduplicated, in first-arrival
-    /// order (the next [`ProcessOutput::applied`]).
+    /// order: [`announce`](ServerCore::announce) addresses each, if only with a count of 0.
     applied: Vec<ClientId>,
     /// Which client registered (and therefore owns) each live group, indexed by [`GroupId`]
     /// (ids are dense and reused, like the engine's directory).  `Some` exactly for the
@@ -243,7 +240,7 @@ impl ServerCore {
         }
         self.responses.shrink_to(BUFFER_FLOOR / size_of::<(ClientId, Response)>());
         self.seen.clear();
-        let applied = std::mem::take(&mut self.applied);
+        self.applied.clear();
         let owners = &self.owners;
         let summary = self.engine.tick_with(&mut |group, event| {
             let Some(client) = owners.get(group).copied().flatten() else {
@@ -264,7 +261,7 @@ impl ServerCore {
         // streaming (inbox-fed) sessions, so `advanced` is the tick's backlog drain.
         self.backlog = self.backlog.saturating_sub(summary.advanced);
         self.last_summary = Some(summary);
-        ProcessOutput { responses: Vec::new(), applied, summary }
+        ProcessOutput { responses: Vec::new(), summary }
     }
 
     /// Tears down everything `client` owns after its connection vanished: the responses
@@ -621,7 +618,7 @@ mod tests {
         let (tree, group) = world();
         let theta = std::f64::consts::FRAC_PI_4;
         for method in [WireMethod::Circle, WireMethod::TileDirectedBuffered { theta, buffer: 20 }] {
-            let config = WireConfig { method, persist_buffers: true, ..WireConfig::default() };
+            let config = WireConfig { method, ..WireConfig::default() };
             let mut server = ServerCore::new(Arc::clone(&tree), 1);
             server.enqueue(CLIENT, Request::Register { group_size: 3, config });
             let id = registered_id(&process(&mut server));
@@ -677,7 +674,7 @@ mod tests {
         let wire = WireConfig {
             objective: WireObjective::Max,
             method: WireMethod::Tile,
-            persist_buffers: false,
+            ..WireConfig::default()
         };
         let (replay, replay_stats) = crate::monitor::run_monitoring(
             &tree,
@@ -700,6 +697,40 @@ mod tests {
         assert_eq!(server.engine().fleet_metrics().stats, replay_stats);
     }
 
+    /// The wire's buffer-persistence flag is a benchmark-only shim the server ignores: a fleet
+    /// that sets it gets, response for response, the downlink of a fleet that does not.
+    #[test]
+    fn the_buffer_persistence_flag_changes_no_response() {
+        let (tree, group) = world();
+        let theta = std::f64::consts::FRAC_PI_4;
+        for method in [
+            WireMethod::TileDirectedBuffered { theta, buffer: 20 },
+            WireMethod::TileDirected { theta },
+            WireMethod::Circle,
+        ] {
+            let downlink = |flag| {
+                let config = WireConfig { method, persist_buffers: flag, ..WireConfig::default() };
+                let mut server = ServerCore::new(Arc::clone(&tree), 1);
+                for _ in 0..4 {
+                    server.enqueue(CLIENT, Request::Register { group_size: 3, config });
+                }
+                let mut responses = process(&mut server);
+                for t in 0..60 {
+                    for g in 0..4 {
+                        let positions = positions_at(&group, t + 8 * g);
+                        server.enqueue(CLIENT, Request::Report { group: g as u64, positions });
+                    }
+                    responses.extend(process(&mut server));
+                }
+                responses
+            };
+            let plain = downlink(false);
+            let regions = plain.iter().filter(|r| matches!(r, Response::SafeRegion { .. }));
+            assert!(regions.count() > 4 * 3, "{method:?}: the fleet must update past its start");
+            assert_eq!(downlink(true), plain, "{method:?}");
+        }
+    }
+
     #[test]
     fn core_routes_responses_to_the_owning_client() {
         let (tree, group) = world();
@@ -712,8 +743,10 @@ mod tests {
             9,
             Request::Register { group_size: group.len() as u32, config: WireConfig::default() },
         );
+        let mut applied = Vec::new();
+        core.announce(|client, n| applied.extend((n == 0).then_some(client)));
+        assert_eq!(applied, vec![7, 9], "each client with a request applied, in arrival order");
         let output = core.process();
-        assert_eq!(output.applied, vec![7, 9]);
         let ids: Vec<(ClientId, WireGroupId)> = output
             .responses
             .iter()
@@ -812,8 +845,11 @@ mod tests {
         assert!(core.disconnect(1).is_empty(), "disconnect is idempotent");
 
         // The tick answers client 2 alone: its group gets its first regions.
+        let mut addressed = Vec::new();
+        core.announce(|client, _| addressed.push(client));
+        addressed.dedup();
+        assert_eq!(addressed, vec![2]);
         let output = core.process();
-        assert_eq!(output.applied, vec![2]);
         assert_eq!(output.summary.advanced, 1);
         assert!(output.responses.iter().all(|(to, _)| *to == 2), "downlink for a dead client");
         let assigned = output

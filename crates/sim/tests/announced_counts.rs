@@ -8,7 +8,7 @@
 //! own, deregistrations, admin inserts and deletes (granted and denied), disconnects, and
 //! several reports queued before one tick, over every method and objective.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use mpn_geom::Point;
@@ -31,7 +31,7 @@ fn config(n: usize) -> WireConfig {
         WireMethod::TileDirectedBuffered { theta, buffer: 8 },
     ][n / 2 % 4];
     let objective = if n.is_multiple_of(2) { WireObjective::Max } else { WireObjective::Sum };
-    WireConfig { objective, method, persist_buffers: n.is_multiple_of(3) }
+    WireConfig { objective, method, ..WireConfig::default() }
 }
 
 /// What the test knows of one live group: its owner and the positions it last reported.
@@ -47,6 +47,9 @@ struct Clients {
     groups: BTreeMap<u64, Group>,
     registering: HashMap<ClientId, Vec<usize>>,
     registrations: usize,
+    /// The clients that sent a request since the last tick: each is addressed, if only with a
+    /// count of 0.
+    applied: BTreeSet<ClientId>,
 }
 
 impl Clients {
@@ -62,7 +65,7 @@ impl Clients {
         let mut announced: BTreeMap<ClientId, usize> = BTreeMap::new();
         core.announce(|client, responses| *announced.entry(client).or_default() += responses);
         let mut sent: BTreeMap<ClientId, usize> = BTreeMap::new();
-        let output = core.process_with(|client, response| {
+        core.process_with(|client, response| {
             *sent.entry(client).or_default() += 1;
             if let Response::Notification { group, kind: NotificationKind::Registered } = response {
                 let size = self.registering.get_mut(&client).expect("a registration").remove(0);
@@ -70,7 +73,7 @@ impl Clients {
                 self.groups.insert(group, Group { owner: client, last });
             }
         });
-        for client in output.applied {
+        for client in std::mem::take(&mut self.applied) {
             sent.entry(client).or_default();
         }
         prop_assert_eq!(announced, sent);
@@ -82,6 +85,7 @@ impl Clients {
         core.disconnect(client);
         self.groups.retain(|_, group| group.owner != client);
         self.registering.remove(&client);
+        self.applied.remove(&client);
     }
 }
 
@@ -167,6 +171,7 @@ proptest! {
                     continue;
                 }
             };
+            state.applied.insert(client);
             core.enqueue(client, request);
         }
         while core.has_work() {

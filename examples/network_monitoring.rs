@@ -116,7 +116,7 @@ fn in_process_demo(tree: Arc<RTree>) {
                     theta: std::f64::consts::FRAC_PI_4,
                     buffer: 100,
                 },
-                persist_buffers: true,
+                ..WireConfig::default()
             },
         ),
         (
@@ -125,7 +125,7 @@ fn in_process_demo(tree: Arc<RTree>) {
             WireConfig {
                 objective: WireObjective::Sum,
                 method: WireMethod::Circle,
-                persist_buffers: false,
+                ..WireConfig::default()
             },
         ),
     ];
@@ -189,7 +189,7 @@ fn lock_step_session(stream: &mut TcpStream, mut feed: TrajectoryFeed) -> Downli
     let config = WireConfig {
         objective: WireObjective::Max,
         method: WireMethod::Tile,
-        persist_buffers: false,
+        ..WireConfig::default()
     };
     stream
         .write_all(&Request::Register { group_size: feed.group_size() as u32, config }.encoded())

@@ -591,23 +591,3 @@ proptest! {
         );
     }
 }
-
-#[test]
-fn persistent_buffers_cut_tile_d_b_index_work_versus_the_stateless_path() {
-    let (tree, fleet) = world(1, 33);
-    let base = MonitorConfig::new(Objective::Max, Method::tile_directed_buffered(0.8, 100));
-    let group = first(&fleet[0], 200);
-
-    let (stateless, stateless_stats) = run_monitoring(&tree, &group, &base);
-    let (stateful, stateful_stats) =
-        run_monitoring(&tree, &group, &base.with_persistent_buffers(true));
-
-    let stateless_q = stateless_stats.rtree_queries as f64 / stateless.updates as f64;
-    let stateful_q = stateful_stats.rtree_queries as f64 / stateful.updates as f64;
-    assert!(
-        stateful_q < stateless_q,
-        "persistent buffers must reduce R-tree queries per update ({stateful_q:.2} vs {stateless_q:.2})"
-    );
-    // The stateless buffered path issues exactly two queries per update (seed + buffer).
-    assert!((stateless_q - 2.0).abs() < 1e-9);
-}

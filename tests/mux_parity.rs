@@ -44,7 +44,7 @@ fn trace() -> (WireConfig, TrajectoryFeed) {
     let config = WireConfig {
         objective: WireObjective::Max,
         method: WireMethod::TileDirectedBuffered { theta: std::f64::consts::FRAC_PI_4, buffer: 60 },
-        persist_buffers: true,
+        ..WireConfig::default()
     };
     let taxi = TaxiConfig {
         domain: 3_000.0,
@@ -216,12 +216,12 @@ impl Harness for InProcess {
                 self.core.enqueue(client, request.clone());
             }
         }
-        let output = self.core.process();
-        // A client is addressed if a request of hers was applied or a response is hers.
+        // A client gets a batch if the counting pass addresses her, even with a count of 0.
         let mut batches = [None, None];
-        for &client in &output.applied {
-            batches[client as usize - 1] = Some(Vec::new());
-        }
+        self.core.announce(|client, _| {
+            batches[client as usize - 1].get_or_insert_with(Vec::new);
+        });
+        let output = self.core.process();
         for (client, response) in output.responses {
             batches[client as usize - 1].get_or_insert_with(Vec::new).push(response);
         }
@@ -334,7 +334,7 @@ fn replay_burst(harness: &mut impl Harness) {
     let config = WireConfig {
         objective: WireObjective::Max,
         method: WireMethod::Circle,
-        persist_buffers: false,
+        ..WireConfig::default()
     };
     let register = Request::Register { group_size: PAIR as u32, config };
     let mut veteran = 0;

@@ -41,7 +41,6 @@ fn tile_config() -> WireConfig {
             theta: std::f64::consts::FRAC_PI_4,
             buffer: 100,
         },
-        persist_buffers: true,
         ..WireConfig::default()
     }
 }

@@ -6,6 +6,7 @@
 //! front-end while unaffected tenants hear nothing.
 
 use std::collections::HashMap;
+use std::f64::consts::FRAC_PI_4;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -185,7 +186,9 @@ proptest! {
     // *not* break a group, the group's stale safe regions must still uphold Definition 3
     // against the new world — no location instance drawn from them may beat the stale
     // optimum.  When it does break the group, the recomputation must push every user the
-    // region of its fresh answer.
+    // region of its fresh answer.  Tile-D-b's regions were verified against a §5.4 buffer
+    // that died with their computation, so half the deletes take a POI from the group's best
+    // b + 1: only deleting the optimum may break a group.
     #[test]
     fn surviving_regions_uphold_definition_3_against_the_new_world(
         pois in arb_pois(1_000.0),
@@ -195,14 +198,14 @@ proptest! {
         pick in 0.0f64..1.0,
         samples in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 8),
     ) {
-        for objective in [Objective::Max, Objective::Sum] {
+        const B: usize = 8;
+        let methods = [Method::circle(), Method::tile_directed_buffered(FRAC_PI_4, B)];
+        for (method, objective) in methods.into_iter().flat_map(|m| [(m, Objective::Max), (m, Objective::Sum)]) {
             let tree = Arc::new(RTree::bulk_load(&pois));
             let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
-            let session = GroupSession::streaming(
-                users.len(),
-                MonitorConfig::new(objective, Method::circle()),
-            )
-            .with_events(true);
+            let session =
+                GroupSession::streaming(users.len(), MonitorConfig::new(objective, method))
+                    .with_events(true);
             let id = engine.register_session(session);
             engine.submit(EpochUpdate { group_id: id, positions: users.clone() }).expect("submit");
             engine.tick();
@@ -211,6 +214,10 @@ proptest! {
 
             let change = if insert {
                 WorldChange::PoiInsert { location }
+            } else if pick < 0.5 {
+                // One of the best b + 1, which the registration's §5.4 buffer held.
+                let (best, _) = tree.top_k(&users, objective.aggregate(), B + 1);
+                WorldChange::PoiDelete { poi: best[((2.0 * pick) * best.len() as f64) as usize].entry.id }
             } else {
                 WorldChange::PoiDelete {
                     poi: ((pick * pois.len() as f64) as usize).min(pois.len() - 1),
@@ -226,6 +233,10 @@ proptest! {
                 // the new world for every location instance inside them.
                 prop_assert!(summary.affected.is_empty());
                 prop_assert!(pushed.is_empty(), "an unaffected group must not recompute");
+                prop_assert!(
+                    engine.world().view().iter().any(|e| e.id == stale.optimal_index),
+                    "a group kept a deleted meeting point"
+                );
                 let live: Vec<Point> =
                     engine.world().view().iter().map(|e| e.location).collect();
                 for &(u, v) in &samples {
@@ -260,7 +271,7 @@ proptest! {
 }
 
 /// Precision of the fan-out: a targeted delete recomputes exactly the groups it broke, and
-/// a delete of a POI nobody's answer or §5.4 buffer references recomputes nothing.
+/// a delete of a POI that is nobody's meeting point recomputes nothing.
 #[test]
 fn world_changes_recompute_exactly_the_affected_groups() {
     let pois: Vec<Point> = (0..200)
