@@ -9,13 +9,11 @@
 //! Covered timings:
 //!
 //! * safe-region computation cost per engine (Circle vs Tile vs Tile-D vs Tile-D-b),
-//! * stateful vs stateless Tile-D-b sessions (the §5.4 buffer-reuse win),
 //! * one report into a registered Circle fleet of 200 and of 20,000 groups: a tick costs the
 //!   groups that reported, not the fleet (printed side by side, never asserted as a ratio),
 //! * GT-Verify (Section 5.3): a whole Tile-MSR run, ns per (tile, candidate) pair on the pass
 //!   and the fail path of the incremental verifier, and 64 cold Tile-D-b/MAX first regions at
 //!   the paper's data-set size,
-//! * index pruning on/off (Theorem 3),
 //! * the exit check of a stored tile region (`Answer::leavers`), ns per user,
 //! * the SUM side of the tile methods: ns per closed-form focal-difference minimum
 //!   (Section 6.3.1) and a whole unbuffered Tile-D/SUM recompute served by one candidate pool,
@@ -154,16 +152,6 @@ fn main() {
         }
     }
 
-    // One computation of the buffered method, its §5.4 buffer built inside it.
-    {
-        let tree = poi_tree(8_000);
-        let group = users(3);
-        let method = Method::tile_directed_buffered(std::f64::consts::FRAC_PI_4, 100);
-        b("session/tile_d_b_stateless", &mut || {
-            black_box(method.answer(&tree, Objective::Max, black_box(&group), None));
-        });
-    }
-
     // One report into a quiet registered fleet: the paper's server does nothing for a group
     // until it reports (§3), so the tick that consumes one report should cost one session's
     // work whatever the fleet size.  Both fleets are stationary Circle/MAX groups of three
@@ -191,7 +179,7 @@ fn main() {
         });
     }
 
-    // Verifier and pruning ablations.
+    // The verifier: a whole Tile-MSR run and its per-candidate pass and fail paths.
     {
         let tree = poi_tree(4_000);
         let group = users(3);
@@ -214,13 +202,6 @@ fn main() {
                     let ok = verifier.accepts(&regions, 0, &tile, [*candidate], &mut stats);
                     assert_eq!(ok, expect, "{name}: the fixture left its path");
                 }
-            });
-        }
-        for (name, pruning) in [("ablation/pruning_on", true), ("ablation/pruning_off", false)] {
-            let config =
-                TileMsrConfig { index_pruning: pruning, alpha: 10, ..TileMsrConfig::default() };
-            b(name, &mut || {
-                black_box(tile_msr(&tree, &group, Objective::Max, &config, None));
             });
         }
     }

@@ -88,8 +88,8 @@ pub const DEFAULT_BUFFER: usize = 100;
 /// Tile limit `α` (Section 7.1: "we set α = 30").
 pub const ALPHA: usize = 30;
 
-/// Split level `L` (Section 7.1: "L = 2").
-pub const SPLIT_LEVEL: u32 = 2;
+/// Split level `L` (Section 7.1: "L = 2"), the one Tile-MSR runs with.
+pub use mpn_core::SPLIT_LEVEL;
 
 /// Prints Table 2 (parameter defaults and ranges) as CSV.
 pub fn print_table2() {

@@ -73,7 +73,7 @@ pub use method::{Answer, EngineContext, Method, SafeRegionEngine, SafeRegionEngi
 pub use ordering::TileOrdering;
 pub use region::{SafeRegion, TileCell, TileFrame, TileRegion};
 pub use session::SessionState;
-pub use tile::{tile_msr, TileMsr, TileMsrConfig};
+pub use tile::{tile_msr, TileMsr, TileMsrConfig, SPLIT_LEVEL};
 pub use tile_verify::TileVerifier;
 
 use mpn_index::{Aggregate, QueryStats};

@@ -17,38 +17,32 @@ use crate::region::{TileCell, TileFrame, TileRegion};
 use crate::tile_verify::TileVerifier;
 use crate::{ComputeStats, Objective};
 
-/// Configuration of Tile-MSR.
+/// Split level `L` of Table 2: how many quad subdivisions Divide-Verify may apply to a tile
+/// (Algorithm 2).  Every experiment of the paper fixes it at 2.
+pub const SPLIT_LEVEL: u32 = 2;
+
+/// Configuration of Tile-MSR.  Candidates are always pruned with the R-tree (Theorem 3 /
+/// Theorem 6) and tiles split [`SPLIT_LEVEL`] times at most.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TileMsrConfig {
     /// Tile limit `α`: the maximum number of round-robin passes over the users (Algorithm 3).
     pub alpha: usize,
-    /// Split level `L`: how many quad subdivisions Divide-Verify may apply (Algorithm 2).
-    pub split_level: u32,
     /// Tile ordering policy (undirected or directed, Section 5.2).
     pub ordering: TileOrdering,
-    /// Whether to prune candidate points with the R-tree (Theorem 3 / Theorem 6).
-    /// When disabled every POI except `pᵒ` is verified — the unoptimised baseline.
-    pub index_pruning: bool,
     /// Buffering parameter `b` of Section 5.4 (`None` disables buffering).
     pub buffering: Option<usize>,
 }
 
 impl Default for TileMsrConfig {
     fn default() -> Self {
-        // Defaults follow Table 2 and the accompanying text: α = 30, L = 2, b = 100 when
-        // buffering is enabled.
-        Self {
-            alpha: 30,
-            split_level: 2,
-            ordering: TileOrdering::Undirected,
-            index_pruning: true,
-            buffering: None,
-        }
+        // Defaults follow Table 2 and the accompanying text: α = 30, b = 100 when buffering is
+        // enabled.
+        Self { alpha: 30, ordering: TileOrdering::Undirected, buffering: None }
     }
 }
 
 impl TileMsrConfig {
-    /// The paper's `Tile` configuration: undirected ordering, index pruning.
+    /// The paper's `Tile` configuration: undirected ordering.
     #[must_use]
     pub fn tile() -> Self {
         Self::default()
@@ -267,8 +261,8 @@ thread_local! {
     static SCRATCH: Cell<TileScratch> = Cell::new(TileScratch::default());
 }
 
-/// Runs `f` with this thread's parked [`TileScratch`] (the `mpn_index::with_scratch`
-/// pattern): taken out of thread-local storage for the call and put back afterwards with
+/// Runs `f` with this thread's parked [`TileScratch`] (the pattern of `mpn-index`'s GNN
+/// frontier): taken out of thread-local storage for the call and put back afterwards with
 /// whatever capacity the call grew.  The scratch is per thread, never per session — a
 /// session-held copy, growth buffers and their doubling slack included, would cost a tile
 /// fleet more memory than the rest of the server.
@@ -317,8 +311,7 @@ impl TileGrowth<'_> {
                     if self.buffer.is_none() {
                         self.gather_candidates(verifier, pool, user, cell);
                     }
-                    let level = self.config.split_level;
-                    if self.divide_verify(verifier, user, cell, level, &pool.selected) {
+                    if self.divide_verify(verifier, user, cell, SPLIT_LEVEL, &pool.selected) {
                         stream.mark_accepted();
                         break;
                     }
@@ -380,14 +373,12 @@ impl TileGrowth<'_> {
         flag
     }
 
-    /// Leaves in `pool.selected` the candidates a tile must be verified against.
-    ///
-    /// With index pruning enabled these are the POIs Theorem 3 (MAX) or Theorem 6 (SUM)
-    /// cannot prune, under region extents that already account for the tile under test so the
-    /// candidate set is conservative; otherwise every POI except `pᵒ`.  The index is queried
-    /// only when the tile's bounds exceed what the pool's last fetch covered, and then with
-    /// slack on the part of the bounds that grows with the regions — MAX `rⱼ + maxⱼ r†ⱼ`, SUM
-    /// `T + 2·Σⱼ r†ⱼ`, never on `‖pᵒ, uⱼ‖` — so a computation fetches a handful of times.
+    /// Leaves in `pool.selected` the candidates a tile must be verified against: the POIs
+    /// Theorem 3 (MAX) or Theorem 6 (SUM) cannot prune, under region extents that already
+    /// account for the tile under test so the candidate set is conservative.  The index is
+    /// queried only when the tile's bounds exceed what the pool's last fetch covered, and then
+    /// with slack on the part of the bounds that grows with the regions — MAX `rⱼ + maxⱼ r†ⱼ`,
+    /// SUM `T + 2·Σⱼ r†ⱼ`, never on `‖pᵒ, uⱼ‖` — so a computation fetches a handful of times.
     fn gather_candidates(
         &mut self,
         verifier: &mut TileVerifier,
@@ -396,17 +387,6 @@ impl TileGrowth<'_> {
         cell: TileCell,
     ) {
         let (users, p_opt) = (self.users, self.p_opt);
-        if !self.config.index_pruning {
-            // The unoptimised baseline verifies against every POI: one scan serves every tile.
-            if pool.covered.is_empty() {
-                self.stats.rtree_queries += 1;
-                pool.covered.push(f64::INFINITY);
-                pool.entries.extend(self.view.iter());
-                pool.measure(users);
-                pool.select(users.len(), p_opt.id, |_, _| true);
-            }
-            return;
-        }
         let tile = self.regions[user].frame().square(cell);
         verifier.sync(self.regions);
         // r†ⱼ: how far user j may stray from her current location (the verifier's anchor);
@@ -554,7 +534,6 @@ mod tests {
         let (tree, users) = world();
         for config in [
             TileMsrConfig::default(),
-            TileMsrConfig { index_pruning: false, alpha: 10, ..TileMsrConfig::default() },
             TileMsrConfig::tile_directed(std::f64::consts::FRAC_PI_4),
             TileMsrConfig::tile_directed_buffered(std::f64::consts::FRAC_PI_4, 20),
         ] {
@@ -633,10 +612,6 @@ mod tests {
                 "{objective:?}: {} index queries for at least {cells_tried} cells",
                 out.stats.rtree_queries
             );
-
-            let unpruned = TileMsrConfig { index_pruning: false, alpha: 3, ..directed };
-            let out = tile_msr(&tree, &users, objective, &unpruned, None);
-            assert_eq!(out.stats.rtree_queries, 2, "{objective:?}: the seed GNN and one scan");
         }
     }
 

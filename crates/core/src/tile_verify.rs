@@ -80,7 +80,8 @@ use crate::verify::lemma1_holds;
 use crate::{ComputeStats, Objective};
 
 /// How many (candidate, user) tables a parked verifier keeps allocated between computations
-/// (an unpruned computation can touch one per POI; a buffered one touches `b · m`).
+/// (an unbuffered computation touches one per fetched candidate and user; a buffered one
+/// touches `b · m`).
 const RETAINED_TABLES: usize = 1024;
 
 /// Candidate-independent summary of one user's region.

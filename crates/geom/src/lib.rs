@@ -37,27 +37,6 @@ pub use square::Square;
 /// (reject a valid tile), never less (accept an invalid one).
 pub const EPSILON: f64 = 1e-9;
 
-/// A minimum/maximum distance pair from a shape to a point.
-///
-/// Several algorithms need both bounds at once (e.g. the dominant distances of Definition 5);
-/// returning them together avoids recomputing the per-axis deltas.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DistBounds {
-    /// Smallest Euclidean distance from the point to the shape.
-    pub min: f64,
-    /// Largest Euclidean distance from the point to the shape.
-    pub max: f64,
-}
-
-impl DistBounds {
-    /// Creates a new bounds pair. `min` must not exceed `max` (checked in debug builds).
-    #[must_use]
-    pub fn new(min: f64, max: f64) -> Self {
-        debug_assert!(min <= max + EPSILON, "min {min} > max {max}");
-        Self { min, max }
-    }
-}
-
 /// Trait for shapes that can report their minimum and maximum Euclidean distance to a point.
 ///
 /// This is the geometric interface consumed by the safe-region verification predicates
@@ -68,29 +47,6 @@ pub trait DistanceBounds {
     fn min_dist(&self, p: Point) -> f64;
     /// Maximum distance from `p` to the shape.
     fn max_dist(&self, p: Point) -> f64;
-    /// Both bounds at once; override when the two share work.
-    fn dist_bounds(&self, p: Point) -> DistBounds {
-        DistBounds::new(self.min_dist(p), self.max_dist(p))
-    }
     /// Whether the point lies inside (or on the boundary of) the shape.
     fn contains(&self, p: Point) -> bool;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn dist_bounds_constructor_keeps_fields() {
-        let b = DistBounds::new(1.0, 2.5);
-        assert_eq!(b.min, 1.0);
-        assert_eq!(b.max, 2.5);
-    }
-
-    #[test]
-    #[should_panic]
-    #[cfg(debug_assertions)]
-    fn dist_bounds_rejects_inverted_pair_in_debug() {
-        let _ = DistBounds::new(3.0, 1.0);
-    }
 }

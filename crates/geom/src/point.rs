@@ -45,12 +45,6 @@ impl Point {
         self.dist(Point::ORIGIN)
     }
 
-    /// Dot product, treating both points as vectors.
-    #[must_use]
-    pub fn dot(&self, other: Point) -> f64 {
-        self.x * other.x + self.y * other.y
-    }
-
     /// Z-component of the cross product, treating both points as vectors.
     ///
     /// Positive when `other` is counter-clockwise from `self`.
@@ -190,10 +184,9 @@ mod tests {
     }
 
     #[test]
-    fn dot_and_cross() {
+    fn cross_is_antisymmetric() {
         let a = Point::new(1.0, 0.0);
         let b = Point::new(0.0, 1.0);
-        assert_eq!(a.dot(b), 0.0);
         assert_eq!(a.cross(b), 1.0);
         assert_eq!(b.cross(a), -1.0);
     }

@@ -65,12 +65,6 @@ impl Rect {
         self.width() * self.height()
     }
 
-    /// Half of the perimeter (the "margin" used by R-tree split heuristics).
-    #[must_use]
-    pub fn margin(&self) -> f64 {
-        self.width() + self.height()
-    }
-
     /// Center of the rectangle.
     #[must_use]
     pub fn center(&self) -> Point {
@@ -115,15 +109,6 @@ impl Rect {
             && self.lo.y <= other.lo.y
             && self.hi.x >= other.hi.x
             && self.hi.y >= other.hi.y
-    }
-
-    /// Whether the rectangle intersects the closed disk of radius `r` centred at `c`.
-    ///
-    /// Used by the index-pruning rules: an R-tree MBR can only contain candidate meeting points
-    /// when it intersects every user's candidate disk (Fig. 10 of the paper).
-    #[must_use]
-    pub fn intersects_circle(&self, c: Point, r: f64) -> bool {
-        !self.is_empty() && self.min_dist(c) <= r
     }
 }
 
@@ -188,7 +173,6 @@ mod tests {
         assert_eq!(r.width(), 3.0);
         assert_eq!(r.height(), 4.0);
         assert_eq!(r.area(), 12.0);
-        assert_eq!(r.margin(), 7.0);
         assert_eq!(r.center(), Point::new(2.5, 4.0));
     }
 
@@ -241,14 +225,6 @@ mod tests {
         assert!(!a.intersects(&c));
         assert!(a.contains_rect(&Rect::new(Point::new(0.2, 0.2), Point::new(0.8, 0.8))));
         assert!(!a.contains_rect(&b));
-    }
-
-    #[test]
-    fn circle_intersection() {
-        let r = unit();
-        assert!(r.intersects_circle(Point::new(2.0, 0.5), 1.0));
-        assert!(!r.intersects_circle(Point::new(2.0, 0.5), 0.5));
-        assert!(r.intersects_circle(Point::new(0.5, 0.5), 0.01));
     }
 
     #[test]

@@ -46,7 +46,6 @@
 use std::cell::Cell;
 
 use crate::rtree::{Node, PoiEntry, QueryStats, RTree};
-use crate::scratch::with_scratch;
 use mpn_geom::{max_dist_to_set, sum_dist_to_set, DistanceBounds, Point, Rect};
 
 /// The aggregate distance function of the meeting-point objective.
@@ -129,12 +128,6 @@ impl<'a> GnnSearch<'a> {
     pub fn new(tree: &'a RTree, users: &'a [Point], aggregate: Aggregate) -> Self {
         assert!(!users.is_empty(), "GNN search requires at least one user");
         Self { tree, users, aggregate }
-    }
-
-    /// The best meeting point (top-1 GNN), if the tree is non-empty.
-    #[must_use]
-    pub fn best(&self) -> Option<GnnNeighbor> {
-        self.top_k(1).0.into_iter().next()
     }
 
     /// The `k` best meeting points in ascending `(aggregate distance, id)` order, plus traversal
@@ -228,8 +221,8 @@ impl RTree {
 
     /// The best and second-best meeting points under `aggregate` — the Circle-MSR fast path
     /// (Algorithm 1 line 1 needs exactly the top-2).  Answers and stats are those of
-    /// `top_k(users, aggregate, 2)`, but the neighbours are staged in the per-thread
-    /// [`QueryScratch`](crate::QueryScratch), so a call on a warm thread allocates nothing.
+    /// `top_k(users, aggregate, 2)`, but the neighbours are staged in a per-thread vector
+    /// beside the GNN frontier, so a call on a warm thread allocates nothing.
     ///
     /// # Panics
     /// Panics when `users` is empty.
@@ -239,10 +232,11 @@ impl RTree {
         users: &[Point],
         aggregate: Aggregate,
     ) -> (Option<GnnNeighbor>, Option<GnnNeighbor>, QueryStats) {
-        with_scratch(|scratch| {
-            let stats = self.top_k_into(users, aggregate, 2, &mut scratch.neighbors);
-            (scratch.neighbors.first().copied(), scratch.neighbors.get(1).copied(), stats)
-        })
+        let mut staged = TOP2.take();
+        let stats = self.top_k_into(users, aggregate, 2, &mut staged);
+        let (best, runner_up) = (staged.first().copied(), staged.get(1).copied());
+        TOP2.set(staged);
+        (best, runner_up, stats)
     }
 }
 
@@ -262,9 +256,11 @@ fn offer(out: &mut Vec<GnnNeighbor>, k: usize, candidate: GnnNeighbor) {
 
 thread_local! {
     /// The frontier of `(level, index)` nodes under their lower bounds (see "Traversal"): it
-    /// borrows no tree, so it lives per thread beside the [`QueryScratch`](crate::QueryScratch), a
-    /// query reuses the capacity the thread's earlier queries grew, and it goes back empty.
+    /// borrows no tree, so it lives per thread, a query reuses the capacity the thread's
+    /// earlier queries grew, and it goes back empty.
     static FRONTIER: Cell<Vec<(f64, (usize, usize))>> = const { Cell::new(Vec::new()) };
+    /// [`RTree::top2`]'s staging vector, taken and put back like the frontier.
+    static TOP2: Cell<Vec<GnnNeighbor>> = const { Cell::new(Vec::new()) };
     static PUSHED: Cell<usize> = const { Cell::new(0) };
 }
 

@@ -87,8 +87,8 @@ fn results_are_sorted_and_incremental() {
             assert!(w[0].dist <= w[1].dist + 1e-12);
         }
         // top-1 is a prefix of top-10.
-        let best = GnnSearch::new(&tree, &users, agg).best().unwrap();
-        assert!((best.dist - top10[0].dist).abs() < 1e-12);
+        let (top1, _) = GnnSearch::new(&tree, &users, agg).top_k(1);
+        assert!((top1[0].dist - top10[0].dist).abs() < 1e-12);
     }
 }
 
@@ -100,8 +100,8 @@ fn single_user_gnn_reduces_to_nearest_neighbor() {
     let (nn, d) =
         pts.iter().map(|p| p.dist(user[0])).enumerate().min_by(|a, b| a.1.total_cmp(&b.1)).unwrap();
     for agg in [Aggregate::Max, Aggregate::Sum] {
-        let best = GnnSearch::new(&tree, &user, agg).best().unwrap();
-        assert_eq!((best.entry.id, best.dist), (nn, d));
+        let (top1, _) = GnnSearch::new(&tree, &user, agg).top_k(1);
+        assert_eq!((top1[0].entry.id, top1[0].dist), (nn, d));
     }
 }
 
@@ -118,7 +118,7 @@ fn k_larger_than_data_returns_everything() {
 fn empty_tree_returns_no_results() {
     let tree = RTree::bulk_load(&[]);
     let users = [Point::new(0.0, 0.0)];
-    assert!(GnnSearch::new(&tree, &users, Aggregate::Max).best().is_none());
+    assert!(GnnSearch::new(&tree, &users, Aggregate::Max).top_k(1).0.is_empty());
 }
 
 #[test]

@@ -28,12 +28,10 @@
 
 pub mod gnn;
 pub mod rtree;
-pub mod scratch;
 pub mod world;
 
 pub use gnn::{frontier_pushes, Aggregate, GnnNeighbor, GnnSearch};
 pub use rtree::{PoiEntry, QueryStats, RTree, RTreeConfig};
-pub use scratch::{with_scratch, QueryScratch};
 pub use world::{IndexView, WorldView};
 
 /// Benchmark-only shim that caches nothing: `benchmark/src/trace.rs` still attaches one to

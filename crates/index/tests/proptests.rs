@@ -3,7 +3,9 @@
 
 use mpn_geom::Point;
 use mpn_index::gnn::brute_force_gnn;
-use mpn_index::{Aggregate, GnnSearch, PoiEntry, RTree, RTreeConfig, WorldView};
+use mpn_index::{
+    Aggregate, GnnNeighbor, GnnSearch, PoiEntry, QueryStats, RTree, RTreeConfig, WorldView,
+};
 use proptest::prelude::*;
 
 fn pt() -> impl Strategy<Value = Point> {
@@ -28,8 +30,8 @@ proptest! {
             .min_by(|a, b| a.1.total_cmp(&b.1))
             .unwrap();
         for agg in [Aggregate::Max, Aggregate::Sum] {
-            let got = GnnSearch::new(&tree, &[query], agg).best().unwrap();
-            prop_assert_eq!((got.entry.id, got.dist.to_bits()), (id, dist.to_bits()));
+            let (got, _) = GnnSearch::new(&tree, &[query], agg).top_k(1);
+            prop_assert_eq!((got[0].entry.id, got[0].dist.to_bits()), (id, dist.to_bits()));
         }
     }
 
@@ -127,6 +129,46 @@ proptest! {
                 .filter(|e| users.iter().map(|u| e.location.dist(*u)).sum::<f64>() <= threshold)
                 .collect();
             prop_assert_eq!(ids(&narrow), ids(&filtered));
+        }
+    }
+
+    // `RTree::top2` stages its answer in a per-thread vector that every call on the thread
+    // reuses: it must return `top_k(2)`'s first two neighbours and its `QueryStats` bit for bit,
+    // on a one-POI tree (no runner-up), on calls one after another, and on a world rebuilt
+    // between calls.
+    #[test]
+    fn top2_is_the_first_two_of_top_k(
+        points in proptest::collection::vec(pt(), 1..200),
+        inserts in proptest::collection::vec(pt(), 1..5),
+        groups in proptest::collection::vec(proptest::collection::vec(pt(), 1..5), 1..4),
+    ) {
+        type Bits = (usize, u64, u64, u64);
+        let bits = |n: Option<GnnNeighbor>| -> Option<Bits> {
+            n.map(|n| {
+                let at = n.entry.location;
+                (n.entry.id, at.x.to_bits(), at.y.to_bits(), n.dist.to_bits())
+            })
+        };
+        type Top2 = (Option<Bits>, Option<Bits>, QueryStats);
+        let both = |tree: &RTree, users: &[Point], agg| -> (Top2, Top2) {
+            let (best, runner_up, stats) = tree.top2(users, agg);
+            let (top, top_stats) = tree.top_k(users, agg, 2);
+            let expected = (bits(top.first().copied()), bits(top.get(1).copied()), top_stats);
+            ((bits(best), bits(runner_up), stats), expected)
+        };
+        let lone = RTree::bulk_load(&points[..1]);
+        let mut world = WorldView::new(RTree::bulk_load(&points));
+        for users in &groups {
+            for agg in [Aggregate::Max, Aggregate::Sum] {
+                let (got, expected) = both(&lone, users, agg);
+                prop_assert_eq!(got.1, None);
+                prop_assert_eq!(got, expected);
+                for p in &inserts {
+                    let (got, expected) = both(world.view(), users, agg);
+                    prop_assert_eq!(got, expected);
+                    world.insert(*p);
+                }
+            }
         }
     }
 }

@@ -52,7 +52,8 @@ pub const MAX_FRAME_LEN: usize = 16 << 20;
 pub const MAX_REPORT_POSITIONS: usize = (MAX_FRAME_LEN - 11) / 16;
 
 /// Capacity a drained message buffer keeps (a [`FrameReader`], a connection's outbox, the
-/// server's request queue): a burst pays for its own buffer and gives what it grew back.
+/// server's list of unsent control responses): a burst pays for its own buffer and gives what
+/// it grew back.
 pub const BUFFER_FLOOR: usize = 64 << 10;
 
 /// Why a frame failed to decode.

@@ -298,9 +298,9 @@ impl MonitoringEngine {
 
     /// Removes a group from monitoring, reclaiming its session state.
     ///
-    /// The session is dropped (the cached §5.4 GNN buffer, the last answer, any queued epochs
-    /// and undrained events along with the heading predictors) and its accumulated metrics
-    /// are returned.  They also stay part of [`fleet_metrics`](MonitoringEngine::fleet_metrics)
+    /// The session is dropped (the last answer, any queued epochs and undrained events along
+    /// with the heading predictors) and its accumulated metrics are returned.  They also stay
+    /// part of [`fleet_metrics`](MonitoringEngine::fleet_metrics)
     /// — a server's totals do not shrink when a group leaves — but no longer per id: a
     /// caller that wants a departed group's own numbers keeps the returned record.  Its
     /// computations' work counters were added to the fleet's as they ran.  The id
@@ -364,9 +364,9 @@ impl MonitoringEngine {
     /// The change is applied to the engine's [`WorldView`] first — one bulk load of the edited
     /// entry array, which gives the world a fresh generation — then an invalidation pass runs
     /// over the slab on the calling thread: every registered session evaluates the break
-    /// predicate ([`GroupSession::world_change_invalidates`] — a deleted POI that participates
-    /// in the answer or the cached §5.4 buffer, or an inserted POI whose best-case aggregate
-    /// undercuts the optimum's worst case over the regions) and the affected sessions are
+    /// predicate ([`GroupSession::world_change_invalidates`] — a deleted POI that is the
+    /// answer's optimum, or an inserted POI whose best-case aggregate undercuts the optimum's
+    /// worst case over the regions) and the affected sessions are
     /// force-recomputed against the new world, re-notifying their users through the normal
     /// metrics / traffic / [`SessionEvent`] path.  Unaffected sessions are untouched — their
     /// safe regions remain provably valid, so they recompute nothing.

@@ -133,12 +133,12 @@
 //!   the callback of [`MonitoringEngine::tick_with`] as it is sent, merged in ascending id
 //!   with the pushes of world changes since the last tick; [`ServerCore`] encodes each one
 //!   as it arrives.  A tick that sends nothing allocates nothing.
-//! * **Per-thread query scratch arenas** — the index layer stages GNN neighbours in
-//!   thread-local [`mpn_index::QueryScratch`] buffers ([`mpn_index::with_scratch`]) and
-//!   keeps the GNN frontier per thread beside them, so a query on a warm thread performs
-//!   *zero* heap allocations.  The engine ticks on the calling thread, whose arenas warm
-//!   once and serve the engine's lifetime through an allocation-free tick (asserted by the
-//!   counting allocator of the tier-1 test `tests/alloc_gates.rs`).
+//! * **Per-thread query buffers** — the index layer keeps the GNN frontier and the
+//!   neighbours [`RTree::top2`](mpn_index::RTree::top2) stages in thread-local vectors, so a
+//!   query on a warm thread performs *zero* heap allocations.  The engine ticks on the
+//!   calling thread, whose buffers warm once and serve the engine's lifetime through an
+//!   allocation-free tick (asserted by the counting allocator of the tier-1 test
+//!   `tests/alloc_gates.rs`).
 //!
 //! # Engine-wide snapshots
 //!

@@ -2,7 +2,7 @@
 //!
 //! [`GroupSession`] owns everything the server keeps for one moving group: its configuration
 //! (objective and safe-region [`Method`], behind an `Arc` that groups configured alike may
-//! share), the per-group [`SessionState`] (heading predictors, §5.4 GNN buffer, last answer)
+//! share), the per-group [`SessionState`] (heading predictors, last answer)
 //! and the group's metrics.  The work counters of its computations go to the caller's
 //! accumulator (a [`ComputeStats`] passed to [`advance`](GroupSession::advance)).  A session does
 //! **not** borrow trajectory data; it consumes one *epoch* of owned user positions per

@@ -72,13 +72,12 @@ pub fn monitor_config(wire: &WireConfig) -> MonitorConfig {
     MonitorConfig::new(wire.objective.into(), wire.method.to_method())
 }
 
-/// What one [`ServerCore::process`] or [`ServerCore::process_with`] call produced.
+/// What one [`ServerCore::process`] call produced.
 #[derive(Debug, Default)]
 pub struct ProcessOutput {
     /// Every downlink response of this tick, tagged with its destination client, in send
     /// order: control notifications first (one per applied request that warrants one, in
     /// request arrival order), then the tick's per-user protocol sends in ascending group id.
-    /// Empty from [`process_with`](ServerCore::process_with), which sent them instead.
     pub responses: Vec<(ClientId, Response)>,
     /// The engine tick that ran after the requests were applied.
     pub summary: TickSummary,
@@ -224,8 +223,8 @@ impl ServerCore {
     /// [`ProcessOutput::responses`].
     pub fn process(&mut self) -> ProcessOutput {
         let mut responses = Vec::new();
-        let output = self.process_with(|client, response| responses.push((client, response)));
-        ProcessOutput { responses, ..output }
+        let summary = self.process_with(|client, response| responses.push((client, response)));
+        ProcessOutput { responses, summary }
     }
 
     /// The one body of a tick: hands `send` each client-tagged response as it goes out — the
@@ -234,7 +233,7 @@ impl ServerCore {
     /// ([`MonitoringEngine::tick_with`], ascending group id).  No list of the tick's
     /// responses is built, and the emptied control list keeps at most [`BUFFER_FLOOR`] bytes
     /// of capacity.  Each client gets the count [`announce`](ServerCore::announce) gave it.
-    pub fn process_with(&mut self, mut send: impl FnMut(ClientId, Response)) -> ProcessOutput {
+    pub fn process_with(&mut self, mut send: impl FnMut(ClientId, Response)) -> TickSummary {
         for (client, response) in self.responses.drain(..) {
             send(client, response);
         }
@@ -261,7 +260,7 @@ impl ServerCore {
         // streaming (inbox-fed) sessions, so `advanced` is the tick's backlog drain.
         self.backlog = self.backlog.saturating_sub(summary.advanced);
         self.last_summary = Some(summary);
-        ProcessOutput { responses: Vec::new(), summary }
+        summary
     }
 
     /// Tears down everything `client` owns after its connection vanished: the responses
@@ -883,8 +882,8 @@ mod tests {
             );
         }
         core.process();
-        // The tenants monitor opposite corners of the domain, so their answers and §5.4
-        // buffers share no POIs and a targeted delete affects exactly one of them.
+        // The tenants monitor opposite corners of the domain, so their answers share no POIs
+        // and a targeted delete affects exactly one of them.
         let mirrored: Vec<Point> = positions_at(&group, 0)
             .iter()
             .map(|p| Point::new(1000.0 - p.x, 1000.0 - p.y))

@@ -13,7 +13,7 @@
 //! The script demonstrates the whole push pipeline: a closure that breaks the north group's
 //! answer arrives at that group as an unsolicited `WorldUpdate` (naming the new world
 //! generation) followed by its revised safe regions, while the south group — whose answer
-//! and §5.4 buffer never referenced the closed café — receives nothing at all.  A pop-up
+//! never referenced the closed café — receives nothing at all.  A pop-up
 //! café right at the north group's meeting point then undercuts its new optimum and
 //! triggers a second push.
 //!

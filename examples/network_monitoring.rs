@@ -102,7 +102,7 @@ fn downlink_of(responses: &[(ClientId, Response)], client: ClientId) -> Vec<Resp
 }
 
 fn in_process_demo(tree: Arc<RTree>) {
-    println!("== In-process: a request queue drained into engine ticks ==\n");
+    println!("== In-process: requests applied on arrival, then engine ticks ==\n");
     let mut server = ServerCore::new(tree, 1);
 
     // One client per group: the core routes every response to the client owning the group.

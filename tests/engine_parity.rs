@@ -15,8 +15,7 @@
 //! * the report-driven engine — a ready list of the groups with a submitted epoch, sorted
 //!   and advanced per tick, the starved tally derived from it — matches a serial
 //!   walk-everything oracle tick for tick across churn (deregistering groups with queued
-//!   epochs, reusing their ids in the same step), starvation, backlogs and world mutation,
-//! * persistent §5.4 buffers strictly reduce R-tree queries per update for `Tile-D-b`.
+//!   epochs, reusing their ids in the same step), starvation, backlogs and world mutation.
 
 use std::sync::Arc;
 
