@@ -209,7 +209,8 @@ fn main() {
     // First regions of the paper's main method at its data-set size: 64 groups of three spread
     // over the domain, one cold Tile-D-b/MAX `Method::answer` each (GNN buffer, seed circle,
     // tile growth with GT-Verify on every tried tile) — the work `drive_tile_max`'s `setup_s`
-    // times for its 200 groups.  One iteration answers all 64.
+    // times for its 200 groups.  One iteration answers all 64; the section prints verify calls
+    // and (tile, candidate) pairs per answer.
     {
         let tree = poi_tree(21_287);
         let method = Method::tile_directed_buffered(std::f64::consts::FRAC_PI_4, 100);
@@ -226,11 +227,20 @@ fn main() {
                 })
             })
             .collect();
-        b("tile/first_regions_tile_d_b_max", &mut || {
+        let name = "tile/first_regions_tile_d_b_max";
+        let (mut work, mut answers) = (ComputeStats::default(), 0);
+        b(name, &mut || {
             for group in &groups {
-                black_box(method.answer(&tree, Objective::Max, black_box(group), None));
+                let answer = method.answer(&tree, Objective::Max, black_box(group), None);
+                work.absorb(&black_box(answer).1);
             }
+            answers += groups.len();
         });
+        if answers > 0 {
+            let per = |count: usize| count as f64 / answers as f64;
+            let (calls, pairs) = (per(work.verify_calls), per(work.candidates_checked));
+            println!("{name} per answer: {calls:.1} verify calls, {pairs:.1} pairs");
+        }
     }
 
     // The exit check of a stored tile region, which maps each cell to its square on the fly: a

@@ -12,7 +12,8 @@ use mpn_index::{IndexView, PoiEntry, QueryStats};
 
 use crate::Objective;
 
-/// The buffered GNN prefix and its threshold ladder.
+/// The buffered GNN prefix and its threshold ladder.  The ladder is non-decreasing, so whether
+/// a slot covers a distance, and whether a candidate is in its prefix, are one comparison each.
 #[derive(Debug, Clone)]
 pub struct BufferSet {
     /// The best `b + 1` meeting points in increasing aggregate distance (`entries[0]` = `pᵒ`).
@@ -64,6 +65,21 @@ impl BufferSet {
     pub fn slot_for(&self, dist: f64) -> Option<usize> {
         let idx = self.thresholds.partition_point(|beta| *beta < dist);
         (idx < self.thresholds.len()).then_some(idx + 1)
+    }
+
+    /// Whether some slot covers `dist`, i.e. `β_b ≥ dist`: [`slot_for`](Self::slot_for) without
+    /// the search.
+    #[must_use]
+    pub fn covers(&self, dist: f64) -> bool {
+        self.thresholds.last().is_some_and(|beta| *beta >= dist)
+    }
+
+    /// Whether candidate `k` (its position in [`candidates`](Self::candidates)) is in the prefix
+    /// of the slot covering `dist`: `β_{k+1} < dist`, because that prefix holds one candidate
+    /// per threshold below `dist`.
+    #[must_use]
+    pub fn in_prefix(&self, k: usize, dist: f64) -> bool {
+        self.thresholds.get(k).is_some_and(|beta| *beta < dist)
     }
 
     /// The candidate points to verify against for slot `z`: the buffered prefix `P*₁..z`

@@ -121,22 +121,15 @@ impl TileStream {
 pub fn ring_cells(layer: i32) -> Vec<TileCell> {
     assert!(layer >= 1, "ring_cells is defined for layers >= 1");
     let k = layer;
-    let mut cells = Vec::with_capacity((8 * k) as usize);
-    for ix in -k..=k {
-        for iy in -k..=k {
-            if ix.abs().max(iy.abs()) == k {
-                cells.push(TileCell::new(0, ix, iy));
-            }
-        }
-    }
-    // Counter-clockwise order starting from the east direction (angle 0), matching Fig. 8.
-    cells.sort_by(|a, b| {
-        let ang = |c: &TileCell| {
-            f64::from(c.iy).atan2(f64::from(c.ix)).rem_euclid(2.0 * std::f64::consts::PI)
-        };
-        ang(a).total_cmp(&ang(b))
-    });
-    cells
+    // Counter-clockwise order starting from the east direction (angle 0), matching Fig. 8: a
+    // ray from the seed meets the ring once, so walking its sides in turn is the angle order.
+    let east = (0..k).map(|iy| (k, iy));
+    let north = (1 - k..=k).rev().map(|ix| (ix, k));
+    let west = (1 - k..=k).rev().map(|iy| (-k, iy));
+    let south = (-k..k).map(|ix| (ix, -k));
+    let south_east = (-k..0).map(|iy| (k, iy));
+    let sides = east.chain(north).chain(west).chain(south).chain(south_east);
+    sides.map(|(ix, iy)| TileCell::new(0, ix, iy)).collect()
 }
 
 #[cfg(test)]

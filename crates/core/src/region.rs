@@ -307,7 +307,6 @@ mod tests {
         let b = f.square(TileCell::new(0, 1, 0));
         assert!((a.center.dist(b.center) - 4.0).abs() < 1e-12);
         // They share an edge but no interior.
-        assert!(a.to_rect().intersects(&b.to_rect()));
         assert!((a.to_rect().hi.x - b.to_rect().lo.x).abs() < 1e-12);
     }
 

@@ -166,6 +166,7 @@ pub fn tile_msr<'a>(
             objective,
             config,
             buffer: buffer.as_ref(),
+            last_rejecter: None,
             stats,
         };
         growth.run(verifier, pool, headings);
@@ -285,6 +286,8 @@ struct TileGrowth<'a> {
     objective: Objective,
     config: &'a TileMsrConfig,
     buffer: Option<&'a BufferSet>,
+    /// The buffer position of the candidate that rejected the last tile (buffered only).
+    last_rejecter: Option<usize>,
     stats: ComputeStats,
 }
 
@@ -327,7 +330,9 @@ impl TileGrowth<'_> {
     ///
     /// Without a buffer the candidates are the `gathered` ones.  With a buffer they are the
     /// prefix of the smallest buffered slot covering the current region extent, measured
-    /// from the users' locations.
+    /// from the users' locations; the candidate that rejected the last tile, when in the
+    /// prefix ([`BufferSet::in_prefix`], one comparison), is asked first and the slot looked up
+    /// only if it passes.  `accepts` is a conjunction, so the order moves only the pair count.
     fn divide_verify(
         &mut self,
         verifier: &mut TileVerifier,
@@ -345,14 +350,29 @@ impl TileGrowth<'_> {
             let dist = (0..self.users.len())
                 .filter(|&j| j != user)
                 .fold(square.max_dist(self.users[user]), |d, j| d.max(verifier.anchor_reach(j)));
-            // Lines 2-4: the smallest admissible slot; reject outright when none covers `dist`.
-            let Some(slot) = buffer.slot_for(dist) else {
+            // Lines 2-4: reject outright when no slot covers `dist`.
+            if !buffer.covers(dist) {
                 self.stats.tiles_rejected += 1;
                 return false;
-            };
-            let prefix = buffer.candidates(slot).iter().enumerate().map(|(k, c)| (c.location, k));
+            }
+            // The smallest covering slot's prefix, led by the candidate that rejected the last
+            // tile when the prefix holds it.  The slot is looked up only if that one passes.
+            let first = self.last_rejecter.filter(|&k| buffer.in_prefix(k, dist));
+            let rest = std::iter::once(()).flat_map(|()| {
+                let slot = buffer.slot_for(dist).expect("β_b covers dist");
+                (0..buffer.candidates(slot).len()).filter(move |&k| Some(k) != first)
+            });
+            let (all, mut tried) = (buffer.candidates(buffer.slots()), None);
+            let prefix = first.into_iter().chain(rest).map(|k| {
+                tried = Some(k);
+                (all[k].location, k)
+            });
             self.stats.verify_calls += 1;
-            verifier.accepts(self.regions, user, &square, prefix, &mut self.stats)
+            let ok = verifier.accepts(self.regions, user, &square, prefix, &mut self.stats);
+            if !ok {
+                self.last_rejecter = tried;
+            }
+            ok
         } else {
             self.stats.verify_calls += 1;
             verifier.accepts(self.regions, user, &square, gathered.iter().copied(), &mut self.stats)

@@ -13,8 +13,9 @@
 //! computed twice.  A [`TileVerifier`] keeps, and extends by exactly the tiles pushed since
 //! it last looked:
 //!
-//! * **per user**, her tiles' squares in her region's order: a [`TileRegion`] stores only its
-//!   cells, so each tile's square is computed once, when the summary first meets it;
+//! * **per user**, her tiles in her region's order, as rectangles (MAX) or squares (SUM): a
+//!   [`TileRegion`] stores only its cells, so each tile's geometry is computed once, when the
+//!   summary first meets it;
 //! * **per user**, her tiles in ascending `a = ‖pᵒ, s‖max` order (candidate-independent), and
 //!   the running `‖pᵒ, Rⱼ‖max` and `‖anchorⱼ, Rⱼ‖max`, which make the whole-region check of
 //!   Algorithm 4 (lines 1–2), the slot distance of Algorithm 5 (line 1) and the pruning radii
@@ -32,11 +33,13 @@
 //!   tables — and it is rebuilt only when the user's region has grown since it was built.
 //!
 //! For the tile `s` under test, with thresholds `dᵒ = ‖pᵒ, s‖max` and `d_p = ‖p, s‖min`, one
-//! `partition_point` in each order splits a user's tiles at the thresholds, and the four groups
+//! split in each order cuts a user's tiles at the thresholds, and the four groups
 //! `G↓↓ / G↑↓ / G↓↑ / G↑↑` of Theorem 2 are never materialised: every union the theorem's
 //! cases need is a prefix or a suffix of one order, so its `(max a, min b)` is one look-up.  A
 //! tile whose `a` equals `dᵒ` (or whose `b` equals `d_p`) is *up*, as in the theorem's
-//! `≥`: the searches count the tiles strictly below a threshold.  The one aggregate that is
+//! `≥`: the splits count the tiles strictly below a threshold.  Each order keeps the rank its
+//! last split found and the next split walks from there, because the tiles tried one after
+//! another are mostly siblings with nearby thresholds.  The one aggregate that is
 //! neither a prefix nor a suffix is the least `b` of `G↑↑` alone (case 4 with one user
 //! dominating both distances), and it is computed lazily: `G↑↑` is non-empty exactly when the
 //! largest `a` over `{b ≥ d_p}` is at least `dᵒ`, which is then its largest `a`; its least `b`
@@ -47,22 +50,33 @@
 //! # Why the decisions are bit-identical to recomputing from scratch
 //!
 //! Every dominant distance is a `max`/`min` over per-tile distances that are computed by the
-//! same `Square::{min_dist, max_dist}` calls on the same inputs (a kept square is the
-//! `TileFrame::square` of its cell, as in every region query).  Those values are finite and
-//! non-negative (non-finite input is rejected at the server boundary), and over such values
-//! `f64::max` and `f64::min` do not depend on order or grouping, so folding them tile by tile
-//! as regions grow, per group as the per-pair fold of earlier versions did, or as a prefix or
-//! suffix of a sorted order yields the same bits.  The sorted split puts every tile on the same
-//! side of a threshold as that fold's `>=` did (values are never NaN), so each case of
-//! Theorem 2 hands Lemma 1 ([`lemma1_holds`]) the same two numbers, and a case is vacuous
-//! exactly when the fold found a group empty.  The lazy bound only decides when the exact value
-//! would decide the same way (Lemma 1 is monotone in the dominant minimum).  The unit tests pin
-//! `accepts` to that fold, kept there as a reference.  The SUM verifier adds its per-user
-//! minima in user order exactly as before, because `+` is *not* order-independent.  The
-//! candidates themselves arrive in the index's output order whether they were queried for
-//! this tile or filtered from the per-computation pool (a narrower query's output is the
-//! in-order subsequence of a wider one's; see `CandidatePool` in `tile.rs`), so `accepts`
-//! stops at the same first failing candidate and counts the same pairs.
+//! same `Square::{min_dist, max_dist}` arithmetic on the same inputs: a kept rectangle is the
+//! `to_rect` of the `TileFrame::square` of its cell, as in every region query, and a
+//! `Square`'s distances are those of its `to_rect`, so converting each folded tile once, and
+//! the tile under test once per [`accepts`](TileVerifier::accepts), changes no bit.  Those
+//! values are finite and non-negative (non-finite input is rejected at the server boundary),
+//! and over such values `f64::max` and `f64::min` do not depend on order or grouping, so
+//! folding them tile by tile as regions grow, per group as the per-pair fold of earlier
+//! versions did, or as a prefix or suffix of a sorted order yields the same bits.  The sorted
+//! split puts every tile on the same side of a threshold as that fold's `>=` did (values are
+//! never NaN), so each case of Theorem 2 hands Lemma 1 ([`lemma1_holds`]) the same two
+//! numbers, and a case is vacuous exactly when the fold found a group empty.  A split walked
+//! from the rank the last one cached ends where `partition_point` would: `< threshold` holds
+//! on a prefix of a sorted order, and the walk stops only between a tile below and one not.
+//! The lazy bound only decides when the exact value would decide the same way (Lemma 1 is
+//! monotone in the dominant minimum).  The unit tests pin `accepts` to that fold, kept there
+//! as a reference.  The SUM verifier adds its per-user minima in user order exactly as
+//! before, because `+` is *not* order-independent.
+//!
+//! The candidates arrive in the index's output order whether they were queried for this tile
+//! or filtered from the per-computation pool (a narrower query's output is the in-order
+//! subsequence of a wider one's; see `CandidatePool` in `tile.rs`), so `accepts` stops at the
+//! same first failing candidate and counts the same pairs.  Buffer-Divide-Verify reorders
+//! them: it asks the candidate that rejected the last tile first when the covering slot's
+//! prefix holds it (`TileGrowth::divide_verify`).  A pair's verdict is a function of the
+//! regions, the tile and the candidate (the tables only memoise it, keyed by the slot that
+//! names the candidate), and `accepts` is the conjunction of the verdicts, so the decision is
+//! the same; only the count of pairs asked before a rejection falls.
 //!
 //! # Scratch
 //!
@@ -73,7 +87,7 @@
 //! loop.  The scratch is per thread, never per session — a session-held copy would cost a
 //! Tile-D-b fleet more memory than the rest of the server.
 
-use mpn_geom::{min_focal_diff_over_square, DistanceBounds, Point, Square, EPSILON};
+use mpn_geom::{min_focal_diff_over_square, DistanceBounds, Point, Rect, Square, EPSILON};
 
 use crate::region::TileRegion;
 use crate::verify::lemma1_holds;
@@ -89,10 +103,15 @@ const RETAINED_TABLES: usize = 1024;
 struct UserSummary {
     /// The location `‖·, Rⱼ‖max` reach is measured from (the user's current location).
     anchor: Point,
-    /// The squares of the region's tiles folded so far, in the region's order.
+    /// MAX: the region's tiles folded so far, in the region's order, as the `Rect`s that a
+    /// `Square`'s distances convert it to.
+    rects: Vec<Rect>,
+    /// SUM: the same tiles' squares, for the focal-difference kernel.
     squares: Vec<Square>,
     /// `(‖pᵒ, s‖max, index of s in the region)` per tile, in ascending `‖pᵒ, s‖max` order.
     by_opt: Vec<(f64, usize)>,
+    /// The rank of `by_opt` that its last split at `dᵒ` found.
+    opt_rank: usize,
     /// Running `‖pᵒ, Rⱼ‖max` (−∞ for an empty region).
     opt_reach: f64,
     /// Running `‖anchorⱼ, Rⱼ‖max` (−∞ for an empty region).
@@ -133,6 +152,8 @@ struct SortedSummary {
     sorted: usize,
     /// The user's tiles in ascending `‖p, s‖min` order.
     by_cand: Vec<CandStep>,
+    /// The rank of `by_cand` that its last split at `d_p` found.
+    cand_rank: usize,
     /// At each rank of the user's `by_opt` order, the least `‖p,·‖min` up to and including
     /// that rank and from it on.
     by_opt: Vec<(f64, f64)>,
@@ -145,7 +166,7 @@ impl SortedSummary {
         self.by_opt.clear();
         let mut least = f64::INFINITY;
         for &(opt_max, tile) in &user.by_opt {
-            let cand_min = user.squares[tile].min_dist(candidate);
+            let cand_min = user.rects[tile].min_dist(candidate);
             least = least.min(cand_min);
             self.by_opt.push((least, cand_min));
             self.by_cand.push(CandStep { cand_min, opt_max, opt_max_upto: 0.0, opt_max_from: 0.0 });
@@ -166,7 +187,7 @@ impl SortedSummary {
             most = most.max(step.opt_max);
             step.opt_max_from = most;
         }
-        self.sorted = user.squares.len();
+        self.sorted = user.by_opt.len();
     }
 }
 
@@ -187,6 +208,20 @@ struct Split {
     high_cand: Option<(f64, f64)>,
     /// How many tiles have `‖p,·‖min < d_p`: where `G↓↑ ∪ G↑↑` starts in the `b` order.
     cand_rank: usize,
+}
+
+/// The rank where `below` turns false in `sorted` (on which it is monotone), walked from the
+/// `rank` the last split found and left there: `partition_point`'s rank, ties included, in as
+/// many steps as the split moved.
+fn walk_split<T>(sorted: &[T], rank: &mut usize, below: impl Fn(&T) -> bool) -> usize {
+    *rank = (*rank).min(sorted.len());
+    while *rank > 0 && !below(&sorted[*rank - 1]) {
+        *rank -= 1;
+    }
+    while sorted.get(*rank).is_some_and(&below) {
+        *rank += 1;
+    }
+    *rank
 }
 
 /// Lemma 1 over the tile under test `(dᵒ, d_p)` and one `(‖pᵒ,·‖max, ‖p,·‖min)` pair per
@@ -223,6 +258,7 @@ impl TileVerifier {
         self.users.resize_with(anchors.len(), UserSummary::default);
         for (user, anchor) in self.users.iter_mut().zip(anchors) {
             user.anchor = *anchor;
+            user.rects.clear();
             user.squares.clear();
             user.by_opt.clear();
             user.opt_reach = f64::NEG_INFINITY;
@@ -240,18 +276,21 @@ impl TileVerifier {
     }
 
     /// Folds the tiles pushed since the last call into the per-user summaries, computing
-    /// each new tile's square once.
+    /// each new tile's square (SUM) or rectangle (MAX) once.
     pub(crate) fn sync(&mut self, regions: &[TileRegion]) {
         for (user, region) in self.users.iter_mut().zip(regions) {
             let frame = region.frame();
-            for &cell in &region.cells()[user.squares.len()..] {
+            for &cell in &region.cells()[user.by_opt.len()..] {
                 let sq = frame.square(cell);
                 let d = sq.max_dist(self.p_opt);
                 let rank = user.by_opt.partition_point(|&(opt_max, _)| opt_max < d);
-                user.by_opt.insert(rank, (d, user.squares.len()));
+                user.by_opt.insert(rank, (d, user.by_opt.len()));
                 user.opt_reach = user.opt_reach.max(d);
                 user.anchor_reach = user.anchor_reach.max(sq.max_dist(user.anchor));
-                user.squares.push(sq);
+                match self.objective {
+                    Objective::Max => user.rects.push(sq.to_rect()),
+                    Objective::Sum => user.squares.push(sq),
+                }
             }
         }
     }
@@ -282,7 +321,8 @@ impl TileVerifier {
     ) -> bool {
         debug_assert_eq!(regions.len(), self.users.len(), "one region per anchor");
         self.sync(regions);
-        let tile_opt_max = tile.max_dist(self.p_opt);
+        let rect = tile.to_rect();
+        let tile_opt_max = rect.max_dist(self.p_opt);
         candidates.into_iter().all(|(candidate, slot)| {
             stats.candidates_checked += 1;
             let first = slot * regions.len();
@@ -291,7 +331,7 @@ impl TileVerifier {
             }
             match self.objective {
                 Objective::Max => {
-                    self.gt_verify(regions, user, tile, tile_opt_max, candidate, first)
+                    self.gt_verify(regions, user, &rect, tile_opt_max, candidate, first)
                 }
                 Objective::Sum => self.sum_verify(regions, user, tile, candidate, first),
             }
@@ -303,7 +343,7 @@ impl TileVerifier {
         &mut self,
         regions: &[TileRegion],
         user: usize,
-        tile: &Square,
+        tile: &Rect,
         d_o: f64,
         candidate: Point,
         first: usize,
@@ -320,8 +360,8 @@ impl TileVerifier {
                 return true;
             }
             let table = &mut self.tables[first + j];
-            for sq in &self.users[j].squares[table.folded..] {
-                table.region_min = table.region_min.min(sq.min_dist(candidate));
+            for rect in &self.users[j].rects[table.folded..] {
+                table.region_min = table.region_min.min(rect.min_dist(candidate));
             }
             table.folded = regions[j].len();
             dominant_max = dominant_max.max(self.users[j].opt_reach);
@@ -343,12 +383,13 @@ impl TileVerifier {
         }
         let (mut case2_max, mut case3_min) = (Some(d_o), Some(d_p));
         for j in others() {
-            let (user, summary) = (&self.users[j], &mut self.summaries[first + j]);
+            let (user, summary) = (&mut self.users[j], &mut self.summaries[first + j]);
             if summary.sorted != regions[j].len() {
                 summary.build(user, candidate);
             }
-            let opt_rank = user.by_opt.partition_point(|&(opt_max, _)| opt_max < d_o);
-            let cand_rank = summary.by_cand.partition_point(|step| step.cand_min < d_p);
+            let opt_rank = walk_split(&user.by_opt, &mut user.opt_rank, |&(a, _)| a < d_o);
+            let cand_rank =
+                walk_split(&summary.by_cand, &mut summary.cand_rank, |s| s.cand_min < d_p);
             let split = Split {
                 all: (user.opt_reach, self.tables[first + j].region_min),
                 low_opt: opt_rank.checked_sub(1).map(|k| summary.by_opt[k].0),

@@ -399,7 +399,9 @@ fn arb_xy(span: f64) -> impl Strategy<Value = (f64, f64)> {
 // long-lived verifier, pushes interleaved over the users (regions start empty and some stay
 // so), several candidates under sparse slots, tiles under test at levels 0-2.  Half the cases
 // put every frame on one grid of side 2 and pᵒ and the candidates on its points, so tiles of
-// different users coincide and a threshold equals a summary's value exactly.
+// different users coincide and a threshold equals a summary's value exactly.  The probes of a
+// step run in zigzag order of `dᵒ` (lowest, highest, next lowest, …), so the splits walk
+// down and up from the ranks they cached, and the next push may land below those ranks.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -442,9 +444,14 @@ proptest! {
             if let Some(&push) = step.checked_sub(1).map(|k| &pushes[k]) {
                 regions[push.0 % m].push(cell(push));
             }
-            for &probe in &probes {
-                let user = probe.0 % m;
-                let tile = regions[user].frame().square(cell(probe));
+            let mut tiles: Vec<(usize, Square)> = probes
+                .iter()
+                .map(|&probe| (probe.0 % m, regions[probe.0 % m].frame().square(cell(probe))))
+                .collect();
+            tiles.sort_by(|x, y| x.1.max_dist(p_opt).total_cmp(&y.1.max_dist(p_opt)));
+            let n = tiles.len();
+            let zigzag = (0..n).map(|i| if i % 2 == 0 { i / 2 } else { n - 1 - i / 2 });
+            for (user, tile) in zigzag.map(|i| tiles[i]) {
                 let mut expected = Vec::new();
                 for &(candidate, slot) in &candidates {
                     let want = gt_verify(&regions, user, &tile, p_opt, candidate);
@@ -462,6 +469,28 @@ proptest! {
                 let pairs = expected.iter().position(|&ok| !ok).map_or(expected.len(), |k| k + 1);
                 prop_assert_eq!(stats.candidates_checked, pairs);
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // A split walked from any cached rank, stale ones past the end included, lands where
+    // `partition_point` does, ties going up as `<` sends them, and caches that rank.
+    #[test]
+    fn walked_splits_land_on_the_partition_point(
+        values in proptest::collection::vec(0u32..8, 0..24),
+        start in 0usize..30,
+        thresholds in proptest::collection::vec(0u32..9, 1..8),
+    ) {
+        let mut sorted: Vec<f64> = values.iter().map(|&v| f64::from(v)).collect();
+        sorted.sort_by(f64::total_cmp);
+        let mut rank = start;
+        for threshold in thresholds.iter().map(|&t| f64::from(t)) {
+            let walked = walk_split(&sorted, &mut rank, |&v| v < threshold);
+            prop_assert_eq!(walked, sorted.partition_point(|&v| v < threshold));
+            prop_assert_eq!(rank, walked);
         }
     }
 }

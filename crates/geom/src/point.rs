@@ -45,14 +45,6 @@ impl Point {
         self.dist(Point::ORIGIN)
     }
 
-    /// Z-component of the cross product, treating both points as vectors.
-    ///
-    /// Positive when `other` is counter-clockwise from `self`.
-    #[must_use]
-    pub fn cross(&self, other: Point) -> f64 {
-        self.x * other.y - self.y * other.x
-    }
-
     /// Linear interpolation between `self` (at `t = 0`) and `other` (at `t = 1`).
     #[must_use]
     pub fn lerp(&self, other: Point, t: f64) -> Point {
@@ -181,14 +173,6 @@ mod tests {
         assert_eq!(a * 2.0, Point::new(2.0, 4.0));
         assert_eq!(b / 2.0, Point::new(1.5, -0.5));
         assert_eq!(-a, Point::new(-1.0, -2.0));
-    }
-
-    #[test]
-    fn cross_is_antisymmetric() {
-        let a = Point::new(1.0, 0.0);
-        let b = Point::new(0.0, 1.0);
-        assert_eq!(a.cross(b), 1.0);
-        assert_eq!(b.cross(a), -1.0);
     }
 
     #[test]

@@ -89,17 +89,6 @@ impl Rect {
         Rect { lo: self.lo.min_components(p), hi: self.hi.max_components(p) }
     }
 
-    /// Whether the two rectangles share at least one point.
-    #[must_use]
-    pub fn intersects(&self, other: &Rect) -> bool {
-        !(self.is_empty()
-            || other.is_empty()
-            || self.lo.x > other.hi.x
-            || other.lo.x > self.hi.x
-            || self.lo.y > other.hi.y
-            || other.lo.y > self.hi.y)
-    }
-
     /// Whether `other` lies entirely inside `self`.
     #[must_use]
     pub fn contains_rect(&self, other: &Rect) -> bool {
@@ -163,7 +152,6 @@ mod tests {
         assert!(e.is_empty());
         assert_eq!(e.area(), 0.0);
         assert!(!e.contains(Point::ORIGIN));
-        assert!(!e.intersects(&unit()));
         assert_eq!(e.union(unit()), unit());
     }
 
@@ -220,9 +208,6 @@ mod tests {
     fn intersection_and_containment() {
         let a = unit();
         let b = Rect::new(Point::new(0.5, 0.5), Point::new(2.0, 2.0));
-        let c = Rect::new(Point::new(5.0, 5.0), Point::new(6.0, 6.0));
-        assert!(a.intersects(&b));
-        assert!(!a.intersects(&c));
         assert!(a.contains_rect(&Rect::new(Point::new(0.2, 0.2), Point::new(0.8, 0.8))));
         assert!(!a.contains_rect(&b));
     }

@@ -22,12 +22,6 @@ impl Square {
         Self { center, half: (side / 2.0).max(0.0) }
     }
 
-    /// Creates a square directly from its centre and half side length.
-    #[must_use]
-    pub fn from_half(center: Point, half: f64) -> Self {
-        Self { center, half: half.max(0.0) }
-    }
-
     /// Side length `δ` of the tile.
     #[must_use]
     pub fn side(&self) -> f64 {
@@ -53,26 +47,6 @@ impl Square {
     #[must_use]
     pub fn corners(&self) -> [Point; 4] {
         self.to_rect().corners()
-    }
-
-    /// Splits the square into its four quadrant sub-squares (Algorithm 2, line 6).
-    ///
-    /// Order: lower-left, lower-right, upper-right, upper-left.
-    #[must_use]
-    pub fn subdivide(&self) -> [Square; 4] {
-        let q = self.half / 2.0;
-        [
-            Square::from_half(Point::new(self.center.x - q, self.center.y - q), q),
-            Square::from_half(Point::new(self.center.x + q, self.center.y - q), q),
-            Square::from_half(Point::new(self.center.x + q, self.center.y + q), q),
-            Square::from_half(Point::new(self.center.x - q, self.center.y + q), q),
-        ]
-    }
-
-    /// Whether the two squares overlap (closed intersection).
-    #[must_use]
-    pub fn intersects(&self, other: &Square) -> bool {
-        self.to_rect().intersects(&other.to_rect())
     }
 }
 
@@ -109,20 +83,6 @@ mod tests {
         assert_eq!(r.center(), s.center);
         assert!((r.width() - 1.0).abs() < 1e-12);
         assert!((r.height() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn subdivision_covers_parent_exactly() {
-        let s = Square::new(Point::new(0.0, 0.0), 2.0);
-        let kids = s.subdivide();
-        let total: f64 = kids.iter().map(Square::area).sum();
-        assert!((total - s.area()).abs() < 1e-12);
-        // Children tile the parent: each child is contained and they only meet at edges.
-        for k in &kids {
-            assert!(s.to_rect().contains_rect(&k.to_rect()));
-        }
-        assert_eq!(kids[0].center, Point::new(-0.5, -0.5));
-        assert_eq!(kids[2].center, Point::new(0.5, 0.5));
     }
 
     #[test]

@@ -359,9 +359,11 @@ fn tile_output_bound(regions: &[SafeRegion]) -> usize {
 /// thread for the next computation, so their memory is charged to the thread, not to a
 /// session.  A fresh thread runs one cold Tile-D-b/MAX `Method::answer` over the 21,287-POI
 /// tree and drops the answer; what it still holds is that scratch, now with the buffers its
-/// regions grew in.  Measured 47,584 bytes in 40 blocks over 17,904 verified pairs (36,352 in
-/// 33 while each region grew in its own vectors and left with them); the bound is a quarter
-/// above the fold's figure.
+/// regions grew in.  Measured 50,400 bytes in 40 blocks over 15,158 verified pairs since the
+/// MAX summaries keep each tile as a 32-byte `Rect` instead of a 24-byte `Square` and the
+/// buffered candidates are asked last rejecter first (47,584 over 17,904 before; 36,352 in 33
+/// while each region grew in its own vectors and left with them); the bound is a quarter above
+/// the fold's figure.
 #[test]
 fn tile_scratch_bytes() {
     /// The same measurement (262 blocks) taken with the per-pair Theorem 2 fold, which kept
