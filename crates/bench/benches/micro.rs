@@ -30,7 +30,7 @@ use mpn_core::{
     circle_msr, decode_cells, encode_cells, tile_msr, ComputeStats, Method, Objective, SafeRegion,
     TileCell, TileFrame, TileMsrConfig, TileRegion, TileVerifier,
 };
-use mpn_geom::{min_focal_diff_over_square, Point, Square};
+use mpn_geom::{min_focal_diff_over_tile, Point, Rect};
 use mpn_index::{frontier_pushes, Aggregate, GnnSearch, QueryStats, RTree};
 use mpn_mobility::poi::{clustered_pois, uniform_pois, PoiConfig};
 use mpn_proto::{Request, Response};
@@ -54,7 +54,7 @@ fn users(m: usize) -> Vec<Point> {
 struct GtFixture {
     anchors: [Point; 3],
     regions: Vec<TileRegion>,
-    tile: Square,
+    tile: Rect,
     candidates: Vec<(Point, usize)>,
 }
 
@@ -72,7 +72,7 @@ fn gt_fixture(ring_radius: f64) -> GtFixture {
             region
         })
         .collect();
-    let tile = regions[0].frame().square(TileCell::new(0, 3, 0));
+    let tile = regions[0].frame().tile(TileCell::new(0, 3, 0));
     let candidates = (0..1_000)
         .map(|k| {
             let angle = f64::from(k) * std::f64::consts::TAU / 1_000.0;
@@ -243,7 +243,7 @@ fn main() {
         }
     }
 
-    // The exit check of a stored tile region, which maps each cell to its square on the fly: a
+    // The exit check of a stored tile region, which maps each cell to its tile on the fly: a
     // Tile-D-b/MAX answer for four users against 250 epochs, alternately every user at the
     // centre of one of her tiles and every user 1 km off it (a miss scans every tile).  One
     // iteration checks 1,000 users, so the printed microseconds read as nanoseconds per user.
@@ -254,10 +254,10 @@ fn main() {
             .map(|k| {
                 let off = if k % 2 == 0 { 0.0 } else { 1_000.0 };
                 let at = |(i, region): (usize, &SafeRegion)| match region {
-                    SafeRegion::Tiles(t) => t.frame().square(t.cells()[(7 * k + i) % t.len()]),
+                    SafeRegion::Tiles(t) => t.frame().tile(t.cells()[(7 * k + i) % t.len()]),
                     SafeRegion::Circle(_) => unreachable!("a tile method answers with tiles"),
                 };
-                let shifted = |sq: Square| Point::new(sq.center.x + off, sq.center.y - off);
+                let shifted = |t: Rect| Point::new(t.center().x + off, t.center().y - off);
                 answer.regions.iter().enumerate().map(|r| shifted(at(r))).collect()
             })
             .collect();
@@ -273,17 +273,19 @@ fn main() {
     {
         // One iteration minimises over 1,000 (candidate, tile) pairs around pᵒ = the origin,
         // so the printed microseconds read as nanoseconds per call.
-        let cases: Vec<(Point, Square)> = (0..1_000)
+        let cases: Vec<(Point, Rect)> = (0..1_000)
             .map(|k| {
                 let angle = f64::from(k) * 0.61;
                 let candidate = Point::new(900.0 * angle.cos(), 700.0 * angle.sin());
                 let centre = Point::new(40.0 * (1.7 * angle).sin(), 55.0 * (2.3 * angle).cos());
-                (candidate, Square::new(centre, 4.0 + f64::from(k % 7)))
+                let half = (4.0 + f64::from(k % 7)) / 2.0;
+                let half = Point::new(half, half);
+                (candidate, Rect::new(centre - half, centre + half))
             })
             .collect();
         b("geom/min_focal_diff_ns", &mut || {
             for (candidate, tile) in &cases {
-                black_box(min_focal_diff_over_square(*candidate, Point::ORIGIN, black_box(tile)));
+                black_box(min_focal_diff_over_tile(*candidate, Point::ORIGIN, black_box(tile)));
             }
         });
         let tree = poi_tree(8_000);

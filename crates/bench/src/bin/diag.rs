@@ -73,15 +73,15 @@ fn main() {
         let mut accepted = 0;
         let mut oracle_valid = 0;
         for cell in mpn_core::ordering::ring_cells(1) {
-            let square = frame.square(cell);
+            let tile = frame.tile(cell);
             let candidates =
                 tree.iter().filter(|e| e.location != p_opt).map(|e| (e.location, e.id));
-            let gt_ok = gt.accepts(&seeds, user, &square, candidates, &mut ComputeStats::default());
+            let gt_ok = gt.accepts(&seeds, user, &tile, candidates, &mut ComputeStats::default());
             // Brute-force: sample corners of every region/tile and check the optimum holds.
             let mut valid = true;
-            'outer: for c0 in corner_samples(&seeds, 0, user, &square) {
-                for c1 in corner_samples(&seeds, 1, user, &square) {
-                    for c2 in corner_samples(&seeds, 2, user, &square) {
+            'outer: for c0 in corner_samples(&seeds, 0, user, &tile) {
+                for c1 in corner_samples(&seeds, 1, user, &tile) {
+                    for c2 in corner_samples(&seeds, 2, user, &tile) {
                         let instance = [c0, c1, c2];
                         let best = pois
                             .iter()
@@ -111,16 +111,16 @@ fn corner_samples(
     seeds: &[TileRegion],
     who: usize,
     user: usize,
-    tile: &mpn_geom::Square,
+    tile: &mpn_geom::Rect,
 ) -> Vec<mpn_geom::Point> {
     let mut out = Vec::new();
     if who == user {
         out.extend(tile.corners());
-        out.push(tile.center);
+        out.push(tile.center());
     } else {
-        for sq in seeds[who].squares() {
-            out.extend(sq.corners());
-            out.push(sq.center);
+        for t in seeds[who].tiles() {
+            out.extend(t.corners());
+            out.push(t.center());
         }
     }
     out

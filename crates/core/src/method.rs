@@ -329,8 +329,9 @@ mod tests {
             let (SafeRegion::Circle(circle), SafeRegion::Tiles(tiles)) = (c, t) else {
                 panic!("unexpected region kinds");
             };
-            let inscribed = circle.inscribed_square_rect();
-            for corner in inscribed.corners() {
+            let half = circle.radius / std::f64::consts::SQRT_2;
+            for (sx, sy) in [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)] {
+                let corner = Point::new(circle.center.x + sx * half, circle.center.y + sy * half);
                 // Shrink the corner towards the centre a hair to avoid boundary ties.
                 let towards = circle.center.lerp(corner, 0.999);
                 assert!(tiles.contains(towards));

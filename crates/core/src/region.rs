@@ -4,7 +4,7 @@
 //! guaranteed not to change while every user stays inside her own region (Definition 3).
 //! Section 4 approximates the maximal regions by circles, Section 5 by unions of square tiles.
 
-use mpn_geom::{Circle, DistanceBounds, Point, Square};
+use mpn_geom::{Circle, DistanceBounds, Point, Rect};
 
 /// Identity of a tile inside a [`TileFrame`]: a subdivision level and integer grid coordinates.
 ///
@@ -72,12 +72,12 @@ impl TileFrame {
     #[must_use]
     pub fn seed(center: Point, delta: f64) -> Self {
         let exact = Self::centered_at(center, delta);
-        let bounds = exact.square(TileCell::SEED).to_rect();
+        let bounds = exact.tile(TileCell::SEED);
         let up = |v: f64| -f32_down(-v);
         let origin = Point::new(up(bounds.lo.x), up(bounds.lo.y));
         let side = f32_down((bounds.hi.x - origin.x).min(bounds.hi.y - origin.y));
         let frame = Self { origin, delta: side };
-        let seed = frame.square(TileCell::SEED).to_rect();
+        let seed = frame.tile(TileCell::SEED);
         let (lo, hi) = (seed.lo, seed.hi);
         let holds = lo.x < center.x && center.x < hi.x && lo.y < center.y && center.y < hi.y;
         if delta > f64::EPSILON && holds && bounds.contains_rect(&seed) {
@@ -94,15 +94,27 @@ impl TileFrame {
         self.delta * f64::from_bits((1023 - u64::from(level)) << 52)
     }
 
-    /// Geometry of a cell in this frame.
+    /// Half the side of a tile at the given level, clamped at zero.
+    fn half_at(&self, level: u8) -> f64 {
+        (self.side_at(level) / 2.0).max(0.0)
+    }
+
+    /// A tile's bounds along one axis as computed, before they are ordered: centre ∓ half side,
+    /// the centre half a side past the cell's lower edge `origin + side · i`.
+    fn span(&self, origin: f64, level: u8, i: i32) -> (f64, f64) {
+        let side = self.side_at(level);
+        let center = origin + side * f64::from(i) + side / 2.0;
+        let half = self.half_at(level);
+        (center - half, center + half)
+    }
+
+    /// The tile of a cell in this frame: its centre ∓ half side bounds, ordered.  Every region
+    /// query and verifier decision reads this one expression.
     #[must_use]
-    pub fn square(&self, cell: TileCell) -> Square {
-        let side = self.side_at(cell.level);
-        let lo = Point::new(
-            self.origin.x + side * f64::from(cell.ix),
-            self.origin.y + side * f64::from(cell.iy),
-        );
-        Square::new(Point::new(lo.x + side / 2.0, lo.y + side / 2.0), side)
+    pub fn tile(&self, cell: TileCell) -> Rect {
+        let (lo_x, hi_x) = self.span(self.origin.x, cell.level, cell.ix);
+        let (lo_y, hi_y) = self.span(self.origin.y, cell.level, cell.iy);
+        Rect::new(Point::new(lo_x, lo_y), Point::new(hi_x, hi_y))
     }
 }
 
@@ -113,8 +125,8 @@ pub(crate) fn f32_down(v: f64) -> f64 {
 }
 
 /// A tile-based safe region: a union of square tiles in a common frame (Section 5), stored as
-/// its frame and its 12 B cells.  Every query maps a cell to its [`Square`] through
-/// [`TileFrame::square`] where it needs it, so no tile's geometry is kept beside its cell.
+/// its frame and its 12 B cells.  Every query maps a cell to its tile through
+/// [`TileFrame::tile`] where it needs it, so no tile's geometry is kept beside its cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TileRegion {
     frame: TileFrame,
@@ -184,40 +196,52 @@ impl TileRegion {
         &self.cells
     }
 
-    /// The tiles' geometry, computed from the cells in their order.
-    pub fn squares(&self) -> impl ExactSizeIterator<Item = Square> + '_ {
+    /// The tiles' geometry ([`TileFrame::tile`]), computed from the cells in their order.
+    pub fn tiles(&self) -> impl ExactSizeIterator<Item = Rect> + '_ {
         let frame = self.frame;
-        self.cells.iter().map(move |&cell| frame.square(cell))
+        self.cells.iter().map(move |&cell| frame.tile(cell))
     }
 
-    /// Whether the point lies inside the region (inside any tile).  With a finite `δ` a tile's
-    /// bounds are its centre ∓ its half side: [`Square`]'s decisions, without its `Rect`.
+    /// Whether the point lies inside the region: inside (or on the boundary of) any tile.
+    ///
+    /// This is the exit check of every report of a tile group.  With a finite `δ` each tile's
+    /// bounds come out ordered (centre − half ≤ centre + half) or NaN, so ordering them as
+    /// [`TileFrame::tile`] does changes no decision: the check compares them as computed, the
+    /// y axis only where x holds.  An infinite side can leave centre − half NaN (∞ − ∞), and
+    /// only then are the tiles ordered first.
     #[must_use]
     pub fn contains(&self, p: Point) -> bool {
-        if !self.frame.delta.is_finite() {
-            return self.squares().any(|s| s.contains(p));
+        let frame = self.frame;
+        if !frame.delta.is_finite() {
+            return self.tiles().any(|t| t.contains(p));
         }
-        self.squares().any(|Square { center: c, half }| {
-            (c.x - half..=c.x + half).contains(&p.x) && (c.y - half..=c.y + half).contains(&p.y)
+        self.cells.iter().any(|&cell| {
+            let within = |origin: f64, i: i32, v: f64| {
+                let (lo, hi) = frame.span(origin, cell.level, i);
+                lo <= v && v <= hi
+            };
+            within(frame.origin.x, cell.ix, p.x) && within(frame.origin.y, cell.iy, p.y)
         })
     }
 
     /// Minimum distance from `p` to the region: `‖p, Rᵢ‖min` (∞ for an empty region).
     #[must_use]
     pub fn min_dist(&self, p: Point) -> f64 {
-        self.squares().map(|s| s.min_dist(p)).fold(f64::INFINITY, f64::min)
+        self.tiles().map(|t| t.min_dist(p)).fold(f64::INFINITY, f64::min)
     }
 
     /// Maximum distance from `p` to the region: `‖p, Rᵢ‖max` (−∞ for an empty region).
     #[must_use]
     pub fn max_dist(&self, p: Point) -> f64 {
-        self.squares().map(|s| s.max_dist(p)).fold(f64::NEG_INFINITY, f64::max)
+        self.tiles().map(|t| t.max_dist(p)).fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// Total area covered (tiles never overlap by construction, so the sum is exact).
+    /// Total area covered (tiles never overlap by construction, so the sum is exact): per
+    /// tile `(2·half)²`, with the half side of [`TileFrame::tile`].
     #[must_use]
     pub fn area(&self) -> f64 {
-        self.squares().map(|s| s.area()).sum()
+        let side = |cell: &TileCell| 2.0 * self.frame.half_at(cell.level);
+        self.cells.iter().map(|cell| side(cell) * side(cell)).sum()
     }
 }
 
@@ -280,9 +304,8 @@ mod tests {
     #[test]
     fn frame_seed_tile_is_centred_on_the_user() {
         let f = frame();
-        let seed = f.square(TileCell::SEED);
-        assert_eq!(seed.center, Point::new(10.0, 10.0));
-        assert_eq!(seed.side(), 4.0);
+        let seed = f.tile(TileCell::SEED);
+        assert_eq!(seed, Rect::new(Point::new(8.0, 8.0), Point::new(12.0, 12.0)));
         assert_eq!(f.side_at(0), 4.0);
         assert_eq!(f.side_at(2), 1.0);
     }
@@ -291,23 +314,23 @@ mod tests {
     fn child_cells_tile_the_parent_exactly() {
         let f = frame();
         let parent = TileCell::new(1, -2, 3);
-        let parent_sq = f.square(parent);
+        let parent_tile = f.tile(parent);
         let kids = parent.children();
-        let kid_area: f64 = kids.iter().map(|c| f.square(*c).area()).sum();
-        assert!((kid_area - parent_sq.area()).abs() < 1e-12);
+        let area = |cells: Vec<TileCell>| TileRegion::from_cells(f, cells).unwrap().area();
+        assert!((area(kids.to_vec()) - area(vec![parent])).abs() < 1e-12);
         for k in kids {
-            assert!(parent_sq.to_rect().contains_rect(&f.square(k).to_rect()));
+            assert!(parent_tile.contains_rect(&f.tile(k)));
         }
     }
 
     #[test]
     fn neighbouring_level0_cells_do_not_overlap() {
         let f = frame();
-        let a = f.square(TileCell::new(0, 0, 0));
-        let b = f.square(TileCell::new(0, 1, 0));
-        assert!((a.center.dist(b.center) - 4.0).abs() < 1e-12);
+        let a = f.tile(TileCell::new(0, 0, 0));
+        let b = f.tile(TileCell::new(0, 1, 0));
+        assert!((b.lo.x - a.lo.x - 4.0).abs() < 1e-12);
         // They share an edge but no interior.
-        assert!((a.to_rect().hi.x - b.to_rect().lo.x).abs() < 1e-12);
+        assert!((a.hi.x - b.lo.x).abs() < 1e-12);
     }
 
     #[test]
@@ -318,7 +341,7 @@ mod tests {
         r.push(TileCell::SEED);
         r.push(TileCell::new(0, 1, 0));
         assert_eq!(r.len(), 2);
-        assert_eq!(r.squares().len(), 2);
+        assert_eq!(r.tiles().len(), 2);
         assert_eq!(TileRegion::from_cells(frame(), [r.cells(), r.cells()].concat()), None);
         assert_eq!(TileRegion::from_cells(frame(), r.cells().to_vec()), Some(r));
     }

@@ -7,7 +7,7 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 
-use mpn_geom::{DistanceBounds, Point};
+use mpn_geom::{DistanceBounds, Point, Rect};
 use mpn_index::{GnnNeighbor, IndexView, PoiEntry};
 
 use crate::buffer::BufferSet;
@@ -311,10 +311,12 @@ impl TileGrowth<'_> {
         for _round in 0..self.config.alpha {
             for (user, stream) in streams.iter_mut().enumerate() {
                 while let Some(cell) = stream.next_cell() {
+                    let tile = self.regions[user].frame().tile(cell);
                     if self.buffer.is_none() {
-                        self.gather_candidates(verifier, pool, user, cell);
+                        self.gather_candidates(verifier, pool, user, &tile);
                     }
-                    if self.divide_verify(verifier, user, cell, SPLIT_LEVEL, &pool.selected) {
+                    let gathered = &pool.selected;
+                    if self.divide_verify(verifier, user, cell, &tile, SPLIT_LEVEL, gathered) {
                         stream.mark_accepted();
                         break;
                     }
@@ -323,9 +325,9 @@ impl TileGrowth<'_> {
         }
     }
 
-    /// Divide-Verify (Algorithm 2) and Buffer-Divide-Verify (Algorithm 5): verify the tile
-    /// against every candidate; on failure subdivide into four sub-tiles and recurse up to
-    /// `level` times.  Returns `true` when the tile or at least one of its descendants was
+    /// Divide-Verify (Algorithm 2) and Buffer-Divide-Verify (Algorithm 5): verify the `tile`
+    /// of `cell` against every candidate; on failure subdivide into four sub-tiles and recurse
+    /// up to `level` times.  Returns `true` when the tile or at least one of its descendants was
     /// added to the user's region.
     ///
     /// Without a buffer the candidates are the `gathered` ones.  With a buffer they are the
@@ -338,10 +340,10 @@ impl TileGrowth<'_> {
         verifier: &mut TileVerifier,
         user: usize,
         cell: TileCell,
+        tile: &Rect,
         level: u32,
         gathered: &[(Point, usize)],
     ) -> bool {
-        let square = self.regions[user].frame().square(cell);
         let ok = if let Some(buffer) = self.buffer {
             // Algorithm 5, line 1: the distance any location instance can stray from the
             // users' locations — the new tile for this user, the existing regions for the
@@ -349,7 +351,7 @@ impl TileGrowth<'_> {
             verifier.sync(self.regions);
             let dist = (0..self.users.len())
                 .filter(|&j| j != user)
-                .fold(square.max_dist(self.users[user]), |d, j| d.max(verifier.anchor_reach(j)));
+                .fold(tile.max_dist(self.users[user]), |d, j| d.max(verifier.anchor_reach(j)));
             // Lines 2-4: reject outright when no slot covers `dist`.
             if !buffer.covers(dist) {
                 self.stats.tiles_rejected += 1;
@@ -368,14 +370,14 @@ impl TileGrowth<'_> {
                 (all[k].location, k)
             });
             self.stats.verify_calls += 1;
-            let ok = verifier.accepts(self.regions, user, &square, prefix, &mut self.stats);
+            let ok = verifier.accepts(self.regions, user, tile, prefix, &mut self.stats);
             if !ok {
                 self.last_rejecter = tried;
             }
             ok
         } else {
             self.stats.verify_calls += 1;
-            verifier.accepts(self.regions, user, &square, gathered.iter().copied(), &mut self.stats)
+            verifier.accepts(self.regions, user, tile, gathered.iter().copied(), &mut self.stats)
         };
         if ok {
             self.regions[user].push(cell);
@@ -387,8 +389,10 @@ impl TileGrowth<'_> {
             return false;
         }
         let mut flag = false;
+        let frame = self.regions[user].frame();
         for child in cell.children() {
-            flag |= self.divide_verify(verifier, user, child, level - 1, gathered);
+            flag |=
+                self.divide_verify(verifier, user, child, &frame.tile(child), level - 1, gathered);
         }
         flag
     }
@@ -404,10 +408,9 @@ impl TileGrowth<'_> {
         verifier: &mut TileVerifier,
         pool: &mut CandidatePool,
         user: usize,
-        cell: TileCell,
+        tile: &Rect,
     ) {
         let (users, p_opt) = (self.users, self.p_opt);
-        let tile = self.regions[user].frame().square(cell);
         verifier.sync(self.regions);
         // r†ⱼ: how far user j may stray from her current location (the verifier's anchor);
         // for the user under test this must include the new tile.
@@ -528,11 +531,13 @@ mod tests {
                 .iter()
                 .map(|region| {
                     // Pick a random point in a random tile of the region.
-                    let mut tiles = region.squares();
-                    let sq = tiles.nth((rand01() * tiles.len() as f64) as usize % tiles.len());
-                    let sq = sq.expect("a tile of the region");
-                    let r = sq.to_rect();
-                    Point::new(r.lo.x + r.width() * rand01(), r.lo.y + r.height() * rand01())
+                    let mut tiles = region.tiles();
+                    let r = tiles.nth((rand01() * tiles.len() as f64) as usize % tiles.len());
+                    let r = r.expect("a tile of the region");
+                    Point::new(
+                        r.lo.x + (r.hi.x - r.lo.x) * rand01(),
+                        r.lo.y + (r.hi.y - r.lo.y) * rand01(),
+                    )
                 })
                 .collect();
             for (region, l) in out.regions.iter().zip(&instance) {
@@ -650,9 +655,9 @@ mod tests {
         for cell in out.regions[0].cells().iter().filter(|c| !(c.ix == 0 && c.iy == 0)) {
             // Directed layer-1 cells for heading 0 with θ=π/4 are (1,0),(1,1),(1,-1) and their
             // outward continuations / subdivisions, all with positive x at level 0 geometry.
-            let sq = out.regions[0].frame().square(*cell);
+            let tile = out.regions[0].frame().tile(*cell);
             assert!(
-                sq.center.x >= users[0].x - 1e-9,
+                tile.lo.x + tile.hi.x >= 2.0 * users[0].x - 1e-9,
                 "directed ordering produced a tile behind the user: {cell:?}"
             );
         }
@@ -666,6 +671,7 @@ mod tests {
         let out = tile_msr(&tree, &users, Objective::Max, &TileMsrConfig::default(), None);
         assert_eq!(out.radius, 0.0);
         assert_eq!(out.regions[0].len(), 1);
-        assert!(out.regions[0].squares().next().expect("the seed").side() <= f64::EPSILON);
+        let seed = out.regions[0].tiles().next().expect("the seed");
+        assert!(seed.hi.x - seed.lo.x <= f64::EPSILON);
     }
 }

@@ -13,9 +13,9 @@
 //! computed twice.  A [`TileVerifier`] keeps, and extends by exactly the tiles pushed since
 //! it last looked:
 //!
-//! * **per user**, her tiles in her region's order, as rectangles (MAX) or squares (SUM): a
-//!   [`TileRegion`] stores only its cells, so each tile's geometry is computed once, when the
-//!   summary first meets it;
+//! * **per user**, her tiles in her region's order, each the [`TileFrame::tile`] of its cell,
+//!   one list for MAX and SUM: a [`TileRegion`] stores only its cells, so each tile's
+//!   geometry is computed once, when the summary first meets it;
 //! * **per user**, her tiles in ascending `a = ‖pᵒ, s‖max` order (candidate-independent), and
 //!   the running `‖pᵒ, Rⱼ‖max` and `‖anchorⱼ, Rⱼ‖max`, which make the whole-region check of
 //!   Algorithm 4 (lines 1–2), the slot distance of Algorithm 5 (line 1) and the pruning radii
@@ -50,10 +50,9 @@
 //! # Why the decisions are bit-identical to recomputing from scratch
 //!
 //! Every dominant distance is a `max`/`min` over per-tile distances that are computed by the
-//! same `Square::{min_dist, max_dist}` arithmetic on the same inputs: a kept rectangle is the
-//! `to_rect` of the `TileFrame::square` of its cell, as in every region query, and a
-//! `Square`'s distances are those of its `to_rect`, so converting each folded tile once, and
-//! the tile under test once per [`accepts`](TileVerifier::accepts), changes no bit.  Those
+//! same `Rect::{min_dist, max_dist}` arithmetic on the same inputs: a kept tile is the
+//! [`TileFrame::tile`] of its cell, as in every region query, and so is the tile under test,
+//! built once by its caller, so keeping each folded tile changes no bit.  Those
 //! values are finite and non-negative (non-finite input is rejected at the server boundary),
 //! and over such values `f64::max` and `f64::min` do not depend on order or grouping, so
 //! folding them tile by tile as regions grow, per group as the per-pair fold of earlier
@@ -80,14 +79,16 @@
 //!
 //! # Scratch
 //!
-//! The tables and the kept squares live for one computation but their buffers are reused:
+//! The tables and the kept tiles live for one computation but their buffers are reused:
 //! Tile-MSR (`tile.rs`) parks one verifier per thread, beside the candidate pool that serves
 //! the unbuffered Theorem 3/6 retrievals and the buffers its regions grow in, and their
 //! vectors keep their capacity, so a warm recompute performs no heap allocation in the verify
 //! loop.  The scratch is per thread, never per session — a session-held copy would cost a
 //! Tile-D-b fleet more memory than the rest of the server.
+//!
+//! [`TileFrame::tile`]: crate::TileFrame::tile
 
-use mpn_geom::{min_focal_diff_over_square, DistanceBounds, Point, Rect, Square, EPSILON};
+use mpn_geom::{min_focal_diff_over_tile, DistanceBounds, Point, Rect, EPSILON};
 
 use crate::region::TileRegion;
 use crate::verify::lemma1_holds;
@@ -103,11 +104,8 @@ const RETAINED_TABLES: usize = 1024;
 struct UserSummary {
     /// The location `‖·, Rⱼ‖max` reach is measured from (the user's current location).
     anchor: Point,
-    /// MAX: the region's tiles folded so far, in the region's order, as the `Rect`s that a
-    /// `Square`'s distances convert it to.
-    rects: Vec<Rect>,
-    /// SUM: the same tiles' squares, for the focal-difference kernel.
-    squares: Vec<Square>,
+    /// The region's tiles folded so far, in the region's order.
+    tiles: Vec<Rect>,
     /// `(‖pᵒ, s‖max, index of s in the region)` per tile, in ascending `‖pᵒ, s‖max` order.
     by_opt: Vec<(f64, usize)>,
     /// The rank of `by_opt` that its last split at `dᵒ` found.
@@ -166,7 +164,7 @@ impl SortedSummary {
         self.by_opt.clear();
         let mut least = f64::INFINITY;
         for &(opt_max, tile) in &user.by_opt {
-            let cand_min = user.rects[tile].min_dist(candidate);
+            let cand_min = user.tiles[tile].min_dist(candidate);
             least = least.min(cand_min);
             self.by_opt.push((least, cand_min));
             self.by_cand.push(CandStep { cand_min, opt_max, opt_max_upto: 0.0, opt_max_from: 0.0 });
@@ -258,8 +256,7 @@ impl TileVerifier {
         self.users.resize_with(anchors.len(), UserSummary::default);
         for (user, anchor) in self.users.iter_mut().zip(anchors) {
             user.anchor = *anchor;
-            user.rects.clear();
-            user.squares.clear();
+            user.tiles.clear();
             user.by_opt.clear();
             user.opt_reach = f64::NEG_INFINITY;
             user.anchor_reach = f64::NEG_INFINITY;
@@ -276,21 +273,18 @@ impl TileVerifier {
     }
 
     /// Folds the tiles pushed since the last call into the per-user summaries, computing
-    /// each new tile's square (SUM) or rectangle (MAX) once.
+    /// each new tile once.
     pub(crate) fn sync(&mut self, regions: &[TileRegion]) {
         for (user, region) in self.users.iter_mut().zip(regions) {
             let frame = region.frame();
             for &cell in &region.cells()[user.by_opt.len()..] {
-                let sq = frame.square(cell);
-                let d = sq.max_dist(self.p_opt);
+                let tile = frame.tile(cell);
+                let d = tile.max_dist(self.p_opt);
                 let rank = user.by_opt.partition_point(|&(opt_max, _)| opt_max < d);
                 user.by_opt.insert(rank, (d, user.by_opt.len()));
                 user.opt_reach = user.opt_reach.max(d);
-                user.anchor_reach = user.anchor_reach.max(sq.max_dist(user.anchor));
-                match self.objective {
-                    Objective::Max => user.rects.push(sq.to_rect()),
-                    Objective::Sum => user.squares.push(sq),
-                }
+                user.anchor_reach = user.anchor_reach.max(tile.max_dist(user.anchor));
+                user.tiles.push(tile);
             }
         }
     }
@@ -315,14 +309,13 @@ impl TileVerifier {
         &mut self,
         regions: &[TileRegion],
         user: usize,
-        tile: &Square,
+        tile: &Rect,
         candidates: impl IntoIterator<Item = (Point, usize)>,
         stats: &mut ComputeStats,
     ) -> bool {
         debug_assert_eq!(regions.len(), self.users.len(), "one region per anchor");
         self.sync(regions);
-        let rect = tile.to_rect();
-        let tile_opt_max = rect.max_dist(self.p_opt);
+        let tile_opt_max = tile.max_dist(self.p_opt);
         candidates.into_iter().all(|(candidate, slot)| {
             stats.candidates_checked += 1;
             let first = slot * regions.len();
@@ -331,7 +324,7 @@ impl TileVerifier {
             }
             match self.objective {
                 Objective::Max => {
-                    self.gt_verify(regions, user, &rect, tile_opt_max, candidate, first)
+                    self.gt_verify(regions, user, tile, tile_opt_max, candidate, first)
                 }
                 Objective::Sum => self.sum_verify(regions, user, tile, candidate, first),
             }
@@ -360,8 +353,8 @@ impl TileVerifier {
                 return true;
             }
             let table = &mut self.tables[first + j];
-            for rect in &self.users[j].rects[table.folded..] {
-                table.region_min = table.region_min.min(rect.min_dist(candidate));
+            for tile in &self.users[j].tiles[table.folded..] {
+                table.region_min = table.region_min.min(tile.min_dist(candidate));
             }
             table.folded = regions[j].len();
             dominant_max = dominant_max.max(self.users[j].opt_reach);
@@ -468,18 +461,18 @@ impl TileVerifier {
         &mut self,
         regions: &[TileRegion],
         user: usize,
-        tile: &Square,
+        tile: &Rect,
         candidate: Point,
         first: usize,
     ) -> bool {
-        let mut total = min_focal_diff_over_square(candidate, self.p_opt, tile);
+        let mut total = min_focal_diff_over_tile(candidate, self.p_opt, tile);
         for (j, region) in regions.iter().enumerate() {
             if j == user || region.is_empty() {
                 continue;
             }
             let table = &mut self.tables[first + j];
-            for sq in &self.users[j].squares[table.folded..] {
-                let d = min_focal_diff_over_square(candidate, self.p_opt, sq);
+            for tile in &self.users[j].tiles[table.folded..] {
+                let d = min_focal_diff_over_tile(candidate, self.p_opt, tile);
                 table.region_min = table.region_min.min(d);
             }
             table.folded = region.len();

@@ -15,12 +15,17 @@ fn verifier(objective: Objective, p_opt: Point, m: usize) -> TileVerifier {
     v
 }
 
+/// The tile of side `side` centred at `center`.
+fn square(center: Point, side: f64) -> Rect {
+    TileFrame::centered_at(center, side).tile(TileCell::SEED)
+}
+
 /// Verifies one (tile, candidate) pair.
 fn check(
     v: &mut TileVerifier,
     regions: &[TileRegion],
     user: usize,
-    tile: &Square,
+    tile: &Rect,
     candidate: Point,
     slot: usize,
 ) -> bool {
@@ -40,23 +45,23 @@ fn region_at(center: Point, delta: f64, cells: &[TileCell]) -> TileRegion {
 fn oracle_max_valid(
     regions: &[TileRegion],
     user: usize,
-    tile: &Square,
+    tile: &Rect,
     candidate: Point,
     p_opt: Point,
 ) -> bool {
-    let per_user: Vec<Vec<Square>> = regions
+    let per_user: Vec<Vec<Rect>> = regions
         .iter()
         .enumerate()
-        .map(|(j, r)| if j == user { vec![*tile] } else { r.squares().collect() })
+        .map(|(j, r)| if j == user { vec![*tile] } else { r.tiles().collect() })
         .collect();
     // Sample the corner/centre lattice of every tile combination.
-    fn samples(sq: &Square) -> Vec<Point> {
-        let mut v = sq.corners().to_vec();
-        v.push(sq.center);
+    fn samples(tile: &Rect) -> Vec<Point> {
+        let mut v = tile.corners().to_vec();
+        v.push(Point::new((tile.lo.x + tile.hi.x) / 2.0, (tile.lo.y + tile.hi.y) / 2.0));
         v
     }
     fn recurse(
-        per_user: &[Vec<Square>],
+        per_user: &[Vec<Rect>],
         chosen: &mut Vec<Point>,
         candidate: Point,
         p_opt: Point,
@@ -67,8 +72,8 @@ fn oracle_max_valid(
             return d_opt <= d_cand + 1e-7;
         }
         let u = chosen.len();
-        for sq in &per_user[u] {
-            for s in samples(sq) {
+        for tile in &per_user[u] {
+            for s in samples(tile) {
                 chosen.push(s);
                 let ok = recurse(per_user, chosen, candidate, p_opt);
                 chosen.pop();
@@ -90,7 +95,7 @@ fn gt_accepts_obviously_safe_tiles() {
         region_at(Point::new(1.0, 0.0), 2.0, &[TileCell::SEED]),
         region_at(Point::new(-1.0, 1.0), 2.0, &[TileCell::SEED]),
     ];
-    let tile = Square::new(Point::new(3.0, 0.0), 2.0);
+    let tile = square(Point::new(3.0, 0.0), 2.0);
     let mut gt = verifier(Objective::Max, p_opt, 2);
     assert!(check(&mut gt, &regions, 0, &tile, candidate, 7));
 }
@@ -104,7 +109,7 @@ fn gt_rejects_tiles_next_to_the_candidate() {
         region_at(Point::new(0.0, 1.0), 2.0, &[TileCell::SEED]),
     ];
     // A tile adjacent to the candidate pulls user 0 so close to it that the candidate wins.
-    let tile = Square::new(Point::new(9.5, 0.0), 2.0);
+    let tile = square(Point::new(9.5, 0.0), 2.0);
     let mut gt = verifier(Objective::Max, p_opt, 2);
     assert!(!check(&mut gt, &regions, 0, &tile, candidate, 3));
 }
@@ -120,10 +125,10 @@ fn gt_verify_is_conservative_wrt_oracle_on_a_grid_of_tiles() {
     let mut gt = verifier(Objective::Max, p_opt, 2);
     for gx in -3..=9 {
         for gy in -3..=3 {
-            let tile = Square::new(Point::new(f64::from(gx), f64::from(gy)), 1.0);
+            let tile = square(Point::new(f64::from(gx), f64::from(gy)), 1.0);
             let oracle = oracle_max_valid(&regions, 0, &tile, candidate, p_opt);
             let gt_ok = check(&mut gt, &regions, 0, &tile, candidate, 11);
-            let per_user = vec![vec![tile], regions[1].squares().collect()];
+            let per_user = vec![vec![tile], regions[1].tiles().collect()];
             let it_ok = verify_max_exhaustive(&per_user, p_opt, candidate);
             // Conservativeness: an accepted tile must be genuinely valid.
             assert!(!gt_ok || oracle, "GT accepted an invalid tile at ({gx},{gy})");
@@ -144,7 +149,7 @@ fn gt_verify_with_many_users_remains_conservative() {
     let mut gt = verifier(Objective::Max, p_opt, 3);
     for gx in -2..=7 {
         for gy in -2..=5 {
-            let tile = Square::new(Point::new(f64::from(gx) * 0.8, f64::from(gy) * 0.8), 0.8);
+            let tile = square(Point::new(f64::from(gx) * 0.8, f64::from(gy) * 0.8), 0.8);
             let oracle = oracle_max_valid(&regions, 1, &tile, candidate, p_opt);
             let gt_ok = check(&mut gt, &regions, 1, &tile, candidate, 1);
             assert!(!gt_ok || oracle, "GT accepted an invalid tile at ({gx},{gy})");
@@ -163,12 +168,12 @@ fn sum_verifier_accepts_and_rejects_correctly() {
     let mut v = verifier(Objective::Sum, p_opt, 2);
     // A far candidate can never beat pᵒ.
     let far = Point::new(50.0, 0.0);
-    let tile_near_home = Square::new(Point::new(1.5, 0.5), 1.0);
+    let tile_near_home = square(Point::new(1.5, 0.5), 1.0);
     assert!(check(&mut v, &regions, 0, &tile_near_home, far, 0));
     // A candidate at (4,0): moving user 0 right next to it makes the sum for the candidate
     // smaller than for pᵒ, so the tile must be rejected.
     let near = Point::new(4.0, 0.0);
-    let tile_near_candidate = Square::new(Point::new(3.8, 0.0), 1.0);
+    let tile_near_candidate = square(Point::new(3.8, 0.0), 1.0);
     assert!(!check(&mut v, &regions, 0, &tile_near_candidate, near, 1));
 }
 
@@ -182,7 +187,8 @@ fn sum_verifier_matches_brute_force_sampling() {
     let candidate = Point::new(4.0, 2.0);
     for gx in -2..=6 {
         for gy in -2..=5 {
-            let tile = Square::new(Point::new(f64::from(gx), f64::from(gy)), 1.0);
+            let center = Point::new(f64::from(gx), f64::from(gy));
+            let tile = square(center, 1.0);
             let accepted = check(&mut v, &regions, 2, &tile, candidate, 0);
             if accepted {
                 // Sample instances: the candidate's sum must never beat the optimum's.
@@ -192,15 +198,12 @@ fn sum_verifier_matches_brute_force_sampling() {
                             let instance = [
                                 Point::new(users[0].x + t0x, users[0].y + t0y),
                                 Point::new(users[1].x + t1x, users[1].y + t1y),
-                                Point::new(
-                                    tile.center.x + sx * tile.side(),
-                                    tile.center.y + sy * tile.side(),
-                                ),
+                                Point::new(center.x + sx, center.y + sy),
                             ];
                             // Clamp the third sample into the tile.
                             let l2 = Point::new(
-                                instance[2].x.clamp(tile.to_rect().lo.x, tile.to_rect().hi.x),
-                                instance[2].y.clamp(tile.to_rect().lo.y, tile.to_rect().hi.y),
+                                instance[2].x.clamp(tile.lo.x, tile.hi.x),
+                                instance[2].y.clamp(tile.lo.y, tile.hi.y),
                             );
                             let instance = [instance[0], instance[1], l2];
                             let d_opt = sum_dist_to_set(p_opt, &instance);
@@ -236,7 +239,7 @@ fn summaries_extended_across_pushes_match_a_fresh_verifier() {
             regions[grown].push(cell);
             for user in 0..3 {
                 for gx in -4..=4 {
-                    let tile = Square::new(Point::new(f64::from(gx) * 1.5, 1.0), 1.0);
+                    let tile = square(Point::new(f64::from(gx) * 1.5, 1.0), 1.0);
                     for (slot, candidate) in candidates.into_iter().enumerate() {
                         let warm = check(&mut memoised, &regions, user, &tile, candidate, slot);
                         let cold = check(
@@ -263,7 +266,7 @@ fn an_empty_region_makes_every_check_vacuously_true() {
         region_at(Point::new(0.0, 1.0), 2.0, &[]),
     ];
     // Right on top of the candidate: rejected for any non-empty partner region.
-    let tile = Square::new(Point::new(9.5, 0.0), 2.0);
+    let tile = square(Point::new(9.5, 0.0), 2.0);
     let mut gt = verifier(Objective::Max, p_opt, 2);
     assert!(check(&mut gt, &regions, 0, &tile, Point::new(10.0, 0.0), 0));
 }
@@ -274,7 +277,7 @@ fn begin_forgets_the_previous_computation() {
         region_at(Point::new(1.0, 0.0), 2.0, &[TileCell::SEED]),
         region_at(Point::new(0.0, 1.0), 2.0, &[TileCell::SEED]),
     ];
-    let tile = Square::new(Point::new(9.5, 0.0), 2.0);
+    let tile = square(Point::new(9.5, 0.0), 2.0);
     let mut v = verifier(Objective::Max, Point::new(0.0, 0.0), 2);
     assert!(!check(&mut v, &regions, 0, &tile, Point::new(10.0, 0.0), 0));
     // Same slot, different optimum and candidate: nothing may leak from the first run.
@@ -322,7 +325,7 @@ impl Groups {
 fn gt_verify(
     regions: &[TileRegion],
     user: usize,
-    tile: &Square,
+    tile: &Rect,
     p_opt: Point,
     candidate: Point,
 ) -> bool {
@@ -334,10 +337,9 @@ fn gt_verify(
         if regions[j].is_empty() {
             return true;
         }
-        let frame = regions[j].frame();
-        let squares: Vec<Square> = regions[j].cells().iter().map(|&c| frame.square(c)).collect();
-        let region_min = squares.iter().fold(f64::INFINITY, |d, sq| d.min(sq.min_dist(candidate)));
-        dominant_max = squares.iter().fold(dominant_max, |d, sq| d.max(sq.max_dist(p_opt)));
+        let tiles: Vec<Rect> = regions[j].tiles().collect();
+        let region_min = tiles.iter().fold(f64::INFINITY, |d, t| d.min(t.min_dist(candidate)));
+        dominant_max = tiles.iter().fold(dominant_max, |d, t| d.max(t.max_dist(p_opt)));
         dominant_min = dominant_min.max(region_min);
     }
     if lemma1_holds(dominant_max, dominant_min) {
@@ -348,9 +350,8 @@ fn gt_verify(
         .iter()
         .map(|region| {
             let mut groups = Groups::EMPTY;
-            for &cell in region.cells() {
-                let sq = region.frame().square(cell);
-                let (opt_max, cand_min) = (sq.max_dist(p_opt), sq.min_dist(candidate));
+            for tile in region.tiles() {
+                let (opt_max, cand_min) = (tile.max_dist(p_opt), tile.min_dist(candidate));
                 let g = usize::from(opt_max >= d_o) + 2 * usize::from(cand_min >= d_p);
                 groups.max_opt[g] = groups.max_opt[g].max(opt_max);
                 groups.min_cand[g] = groups.min_cand[g].min(cand_min);
@@ -444,9 +445,9 @@ proptest! {
             if let Some(&push) = step.checked_sub(1).map(|k| &pushes[k]) {
                 regions[push.0 % m].push(cell(push));
             }
-            let mut tiles: Vec<(usize, Square)> = probes
+            let mut tiles: Vec<(usize, Rect)> = probes
                 .iter()
-                .map(|&probe| (probe.0 % m, regions[probe.0 % m].frame().square(cell(probe))))
+                .map(|&probe| (probe.0 % m, regions[probe.0 % m].frame().tile(cell(probe))))
                 .collect();
             tiles.sort_by(|x, y| x.1.max_dist(p_opt).total_cmp(&y.1.max_dist(p_opt)));
             let n = tiles.len();

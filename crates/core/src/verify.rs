@@ -15,7 +15,7 @@
 //! and [`verify_max_exhaustive`] — the exponential enumeration the paper calls IT-Verify —
 //! feeds it one tile combination at a time and serves as the test oracle.
 
-use mpn_geom::{DistanceBounds, Point, Square, EPSILON};
+use mpn_geom::{DistanceBounds, Point, Rect, EPSILON};
 
 /// Lemma 1 for the MAX objective on already-folded dominant distances:
 /// `dominant_max_opt = ‖pᵒ, R‖⊤` and `dominant_min_cand = ‖p, R‖⊥`.
@@ -27,18 +27,18 @@ pub fn lemma1_holds(dominant_max_opt: f64, dominant_min_cand: f64) -> bool {
 }
 
 /// Exhaustive (exponential) verification used as a test oracle: checks Lemma 1 over every
-/// combination of one square per user.  This is the "IT-Verify" enumeration of Section 5.3
-/// and is only meant for small inputs.  A user without squares admits no combination, so
+/// combination of one tile per user.  This is the "IT-Verify" enumeration of Section 5.3
+/// and is only meant for small inputs.  A user without tiles admits no combination, so
 /// the check is vacuously true.
 #[must_use]
-pub fn verify_max_exhaustive(per_user_squares: &[Vec<Square>], p_opt: Point, p: Point) -> bool {
-    if per_user_squares.iter().any(Vec::is_empty) {
+pub fn verify_max_exhaustive(per_user_tiles: &[Vec<Rect>], p_opt: Point, p: Point) -> bool {
+    if per_user_tiles.iter().any(Vec::is_empty) {
         return true;
     }
-    let m = per_user_squares.len();
+    let m = per_user_tiles.len();
     let mut indices = vec![0usize; m];
     loop {
-        let combo = || indices.iter().enumerate().map(|(u, &i)| &per_user_squares[u][i]);
+        let combo = || indices.iter().enumerate().map(|(u, &i)| &per_user_tiles[u][i]);
         let dominant_max = combo().map(|s| s.max_dist(p_opt)).fold(f64::NEG_INFINITY, f64::max);
         let dominant_min = combo().map(|s| s.min_dist(p)).fold(f64::NEG_INFINITY, f64::max);
         if !lemma1_holds(dominant_max, dominant_min) {
@@ -51,7 +51,7 @@ pub fn verify_max_exhaustive(per_user_squares: &[Vec<Square>], p_opt: Point, p: 
                 return true;
             }
             indices[k] += 1;
-            if indices[k] < per_user_squares[k].len() {
+            if indices[k] < per_user_tiles[k].len() {
                 break;
             }
             indices[k] = 0;
@@ -63,6 +63,12 @@ pub fn verify_max_exhaustive(per_user_squares: &[Vec<Square>], p_opt: Point, p: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::region::{TileCell, TileFrame};
+
+    /// The tile of side `side` centred at `center`.
+    fn square(center: Point, side: f64) -> Rect {
+        TileFrame::centered_at(center, side).tile(TileCell::SEED)
+    }
 
     #[test]
     fn lemma1_passes_and_fails_as_in_fig6a() {
@@ -70,9 +76,9 @@ mod tests {
         let po = Point::new(0.0, 0.0);
         let p1 = Point::new(100.0, 0.0);
         let group = vec![
-            vec![Square::new(Point::new(10.0, 0.0), 2.0)], // far from p₁
-            vec![Square::new(Point::new(2.0, 0.0), 2.0)],
-            vec![Square::new(Point::new(-2.0, 1.0), 2.0)],
+            vec![square(Point::new(10.0, 0.0), 2.0)], // far from p₁
+            vec![square(Point::new(2.0, 0.0), 2.0)],
+            vec![square(Point::new(-2.0, 1.0), 2.0)],
         ];
         assert!(verify_max_exhaustive(&group, po, p1));
         // A candidate sitting in the middle of the group is within the dominant max distance
@@ -82,16 +88,14 @@ mod tests {
 
     #[test]
     fn vacuous_verification_with_empty_member() {
-        let group = vec![vec![Square::new(Point::new(0.0, 0.0), 2.0)], Vec::new()];
+        let group = vec![vec![square(Point::new(0.0, 0.0), 2.0)], Vec::new()];
         assert!(verify_max_exhaustive(&group, Point::new(0.0, 0.0), Point::new(0.1, 0.0)));
     }
 
     #[test]
     fn degenerate_squares_reduce_to_exact_distances() {
-        let group = vec![
-            vec![Square::new(Point::new(0.0, 0.0), 0.0)],
-            vec![Square::new(Point::new(4.0, 0.0), 0.0)],
-        ];
+        let group =
+            vec![vec![square(Point::new(0.0, 0.0), 0.0)], vec![square(Point::new(4.0, 0.0), 0.0)]];
         let po = Point::new(2.0, 0.0);
         let p = Point::new(10.0, 0.0);
         // With point regions Lemma 1 is exact: pᵒ dominates because max(2,2)=2 ≤ max(10,6).
@@ -101,10 +105,8 @@ mod tests {
 
     #[test]
     fn exhaustive_verification_agrees_with_lemma1_on_singletons() {
-        let per_user = vec![
-            vec![Square::new(Point::new(0.0, 0.0), 1.0)],
-            vec![Square::new(Point::new(3.0, 0.0), 1.0)],
-        ];
+        let per_user =
+            vec![vec![square(Point::new(0.0, 0.0), 1.0)], vec![square(Point::new(3.0, 0.0), 1.0)]];
         let po = Point::new(1.5, 0.0);
         let p_far = Point::new(50.0, 0.0);
         // A candidate right next to pᵒ (but off-axis) can win for some location instances,
@@ -126,16 +128,16 @@ mod tests {
         // strictly on pᵒ's side of the bisector (every point is closer to pᵒ than to p₁), so
         // the safe-region group is genuinely valid.
         let group = [
-            vec![Square::new(Point::new(0.0, 1.0), 0.2)],
+            vec![square(Point::new(0.0, 1.0), 0.2)],
             vec![
-                Square::new(Point::new(3.0, 8.5), 1.0),
-                Square::new(Point::new(3.0, 9.5), 1.0),
-                Square::new(Point::new(3.0, 10.5), 1.0),
-                Square::new(Point::new(3.0, 11.5), 1.0),
+                square(Point::new(3.0, 8.5), 1.0),
+                square(Point::new(3.0, 9.5), 1.0),
+                square(Point::new(3.0, 10.5), 1.0),
+                square(Point::new(3.0, 11.5), 1.0),
             ],
-            vec![Square::new(Point::new(1.0, -1.0), 0.2)],
+            vec![square(Point::new(1.0, -1.0), 0.2)],
         ];
-        let whole = |f: fn(&Square, Point) -> f64, q: Point, pick: fn(f64, f64) -> f64, id: f64| {
+        let whole = |f: fn(&Rect, Point) -> f64, q: Point, pick: fn(f64, f64) -> f64, id: f64| {
             group
                 .iter()
                 .map(|tiles| tiles.iter().map(|s| f(s, q)).fold(id, pick))

@@ -1,8 +1,9 @@
-//! Property-based tests of the Tile-MSR building blocks that `mpn-core` exposes: the quad
-//! subdivision of Divide-Verify (Algorithm 2) and the §5.4 buffer's constant-time questions.
+//! Property-based tests of the Tile-MSR building blocks that `mpn-core` exposes: a tile's
+//! geometry, the quad subdivision of Divide-Verify (Algorithm 2) and the §5.4 buffer's
+//! constant-time questions.
 
-use mpn_core::{BufferSet, Objective, TileCell, TileFrame};
-use mpn_geom::{DistanceBounds, Point};
+use mpn_core::{BufferSet, Objective, TileCell, TileFrame, TileRegion, SPLIT_LEVEL};
+use mpn_geom::{DistanceBounds, Point, Rect};
 use mpn_index::RTree;
 use proptest::prelude::*;
 
@@ -10,10 +11,57 @@ fn pt() -> impl Strategy<Value = Point> {
     (-100.0f64..100.0, -100.0f64..100.0).prop_map(|(x, y)| Point::new(x, y))
 }
 
+/// The tile of `cell` and its area as the retired centre / half-side tile type computed
+/// them: the centre half a side past the cell's lower-left corner, the half side clamped at
+/// zero, the box centre ∓ half, and the area `(2·half)²`.
+fn retired_tile(frame: TileFrame, cell: TileCell) -> (Rect, f64) {
+    let side = frame.side_at(cell.level);
+    let lo = Point::new(
+        frame.origin.x + side * f64::from(cell.ix),
+        frame.origin.y + side * f64::from(cell.iy),
+    );
+    let center = Point::new(lo.x + side / 2.0, lo.y + side / 2.0);
+    let half = (side / 2.0).max(0.0);
+    let rect = Rect::new(
+        Point::new(center.x - half, center.y - half),
+        Point::new(center.x + half, center.y + half),
+    );
+    (rect, (2.0 * half) * (2.0 * half))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    // The subdivision Divide-Verify applies, `TileFrame::square` of `TileCell::children`: the
+    // `TileFrame::tile` rounds exactly as the retired centre / half-side expression did (a
+    // tile built as `lo .. lo + side` does not), so every distance, containment test and
+    // verifier decision reads the same bits; `TileRegion::area` sums the same `(2·half)²`.
+    // Frames: arbitrary, Tile-MSR's `f32`-snapped seeds, and δ = 0; cells from level 0 past
+    // `SPLIT_LEVEL`.
+    #[test]
+    fn tiles_round_as_the_retired_centre_and_half_side(
+        center in pt(), delta in 0.0f64..60.0, kind in 0usize..4,
+        cells in proptest::collection::vec((0u32..SPLIT_LEVEL + 4, -40i32..40, -40i32..40), 1..24),
+    ) {
+        let frame = match kind {
+            0 => TileFrame::seed(center, delta),
+            1 => TileFrame::seed(center, 0.0),
+            2 => TileFrame { origin: center, delta: 0.0 },
+            _ => TileFrame { origin: center, delta },
+        };
+        let mut region = TileRegion::new(frame);
+        for &(level, ix, iy) in &cells {
+            let cell = TileCell::new(u8::try_from(level).expect("a small level"), ix, iy);
+            let (want, _) = retired_tile(frame, cell);
+            let got = frame.tile(cell);
+            let bits = |r: Rect| [r.lo.x, r.lo.y, r.hi.x, r.hi.y].map(f64::to_bits);
+            prop_assert_eq!(bits(got), bits(want), "{:?} in {:?}", cell, frame);
+            region.push(cell);
+        }
+        let area: f64 = region.cells().iter().map(|&cell| retired_tile(frame, cell).1).sum();
+        prop_assert_eq!(region.area().to_bits(), area.to_bits());
+    }
+
+    // The subdivision Divide-Verify applies, `TileFrame::tile` of `TileCell::children`: the
     // minimum (maximum) distance to the parent tile equals the min (max) over its children.
     #[test]
     fn square_subdivision_partitions_distance_bounds(
@@ -22,7 +70,7 @@ proptest! {
     ) {
         let frame = TileFrame { origin, delta };
         let parent = TileCell::new(level as u8, ix, iy);
-        let (s, kids) = (frame.square(parent), parent.children().map(|c| frame.square(c)));
+        let (s, kids) = (frame.tile(parent), parent.children().map(|c| frame.tile(c)));
         let kid_min = kids.iter().map(|k| k.min_dist(p)).fold(f64::INFINITY, f64::min);
         let kid_max = kids.iter().map(|k| k.max_dist(p)).fold(0.0f64, f64::max);
         prop_assert!((kid_min - s.min_dist(p)).abs() < 1e-9);

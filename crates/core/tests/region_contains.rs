@@ -1,28 +1,37 @@
 //! The exit check of a stored tile region against the per-cell reference it replaced.
 //!
 //! `TileRegion::contains` runs on every report of a tile group.  It used to map each cell to
-//! its [`Square`] with the side divided by `2^level` and ask [`Square::contains`]; it now
-//! multiplies by the exact power of two and compares the centre ∓ half bounds directly.  The
+//! its centre and half side with the side divided by `2^level` and ask whether the box
+//! centre ∓ half contains the point; it now multiplies by the exact power of two and, for a
+//! finite side, compares the same bounds without ordering them as `TileFrame::tile` does.  The
 //! reference below is that retired path, kept only here: every decision must match it, on
 //! tile edges and corners too, for any frame, finite or not.
 
 use mpn_core::{TileCell, TileFrame, TileRegion};
-use mpn_geom::{DistanceBounds, Point, Square};
+use mpn_geom::{DistanceBounds, Point, Rect};
 use proptest::prelude::*;
 
-/// The tile of `cell` as `TileFrame::square` built it with a division by `2^level`.
-fn square_by_division(frame: TileFrame, cell: TileCell) -> Square {
+/// The centre, half side and box of `cell`'s tile as they were built with a division by
+/// `2^level`: the centre half a side past the lower-left corner, the half side clamped at
+/// zero, the box centre ∓ half.
+fn square_by_division(frame: TileFrame, cell: TileCell) -> (Point, f64, Rect) {
     let side = frame.delta / f64::from(1u32 << u32::from(cell.level));
     let lo = Point::new(
         frame.origin.x + side * f64::from(cell.ix),
         frame.origin.y + side * f64::from(cell.iy),
     );
-    Square::new(Point::new(lo.x + side / 2.0, lo.y + side / 2.0), side)
+    let center = Point::new(lo.x + side / 2.0, lo.y + side / 2.0);
+    let half = (side / 2.0).max(0.0);
+    let rect = Rect::new(
+        Point::new(center.x - half, center.y - half),
+        Point::new(center.x + half, center.y + half),
+    );
+    (center, half, rect)
 }
 
 /// The retired exit check: any cell's reference square contains the point.
 fn contains_by_division(region: &TileRegion, p: Point) -> bool {
-    region.cells().iter().any(|&cell| square_by_division(region.frame(), cell).contains(p))
+    region.cells().iter().any(|&cell| square_by_division(region.frame(), cell).2.contains(p))
 }
 
 /// A tile side from its selector: one of the values a division and a product could round
@@ -61,16 +70,17 @@ proptest! {
         }
         let span = 12.0 * ordinary;
         for &(u, v, on, which) in &probes {
-            let tile = square_by_division(frame, region.cells()[which % region.len()]);
+            let (center, half, tile) =
+                square_by_division(frame, region.cells()[which % region.len()]);
             let [lo_left, lo_right, hi_right, hi_left] = tile.corners();
             let p = match on {
                 0 => lo_left,
                 1 => lo_right,
                 2 => hi_right,
                 3 => hi_left,
-                4 => Point::new(tile.center.x + tile.half, tile.center.y + u * tile.half),
-                5 => Point::new(tile.center.x + u * tile.half, tile.center.y - tile.half),
-                6 => tile.center,
+                4 => Point::new(center.x + half, center.y + u * half),
+                5 => Point::new(center.x + u * half, center.y - half),
+                6 => center,
                 _ => Point::new(ox + u * span, oy + v * span),
             };
             prop_assert_eq!(region.contains(p), contains_by_division(&region, p));

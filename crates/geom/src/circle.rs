@@ -1,6 +1,6 @@
 //! Circles: the circular safe regions of Section 4.
 
-use crate::{DistanceBounds, Point, Rect};
+use crate::{DistanceBounds, Point};
 
 /// A closed disk with a centre and radius.
 ///
@@ -19,18 +19,6 @@ impl Circle {
     #[must_use]
     pub fn new(center: Point, radius: f64) -> Self {
         Self { center, radius: radius.max(0.0) }
-    }
-
-    /// Largest axis-aligned square inscribed in the disk (side `√2·r`), returned as a rectangle.
-    ///
-    /// Tile-MSR (Algorithm 3, line 2) seeds each user's tile region with this square.
-    #[must_use]
-    pub fn inscribed_square_rect(&self) -> Rect {
-        let half = self.radius / std::f64::consts::SQRT_2;
-        Rect::new(
-            Point::new(self.center.x - half, self.center.y - half),
-            Point::new(self.center.x + half, self.center.y + half),
-        )
     }
 
     /// Area of the disk.
@@ -86,19 +74,6 @@ mod tests {
         assert!(c.contains(Point::new(1.0, 0.0)));
         assert!(c.contains(Point::new(0.0, -1.0)));
         assert!(!c.contains(Point::new(1.0, 1.0)));
-    }
-
-    #[test]
-    fn bounding_and_inscribed_rects() {
-        let c = Circle::new(Point::new(2.0, 3.0), 2.0);
-        let s = c.inscribed_square_rect();
-        // The disk's bounding box `center ± r` contains the inscribed square.
-        assert!(Rect::new(Point::new(0.0, 1.0), Point::new(4.0, 5.0)).contains_rect(&s));
-        // Every corner of the inscribed square lies on the circle boundary.
-        for corner in s.corners() {
-            assert!((c.center.dist(corner) - c.radius).abs() < 1e-12);
-        }
-        assert!((s.width() - 2.0 * 2f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Minimisation of the focal difference `f(l) = ‖p', l‖ − ‖pᵒ, l‖` over a square tile.
+//! Minimisation of the focal difference `f(l) = ‖p', l‖ − ‖pᵒ, l‖` over a tile.
 //!
 //! The SUM-objective verification (Section 6.3.1, Algorithm 6 of the paper) needs, for every
 //! user tile `s`, the minimum of the focal difference between a candidate point `p'` and the
@@ -42,7 +42,7 @@
 //! (`h₁ = h₂`: the stationary point is at infinity) yields a non-finite `s₊`, which lies in no
 //! edge and fails the range test.
 
-use crate::{DistanceBounds, Point, Square};
+use crate::{DistanceBounds, Point, Rect};
 
 /// The focal difference `f(l) = ‖p_prime, l‖ − ‖p_opt, l‖` at a single location.
 ///
@@ -59,20 +59,19 @@ fn stationary_offset(a1: f64, h1: f64, a2: f64, h2: f64) -> f64 {
     (a1 * h2 - a2 * h1) / (h2 - h1)
 }
 
-/// Minimum of the focal difference over a square tile.
+/// Minimum of the focal difference over a tile (any axis-aligned rectangle).
 ///
 /// This is the per-user term minimised independently in Equation (13) of the paper.  The value
 /// is bounded below by `−‖p_prime, p_opt‖` and above by `+‖p_prime, p_opt‖` (triangle
 /// inequality); the implementation asserts the lower bound in debug builds.
 #[must_use]
-pub fn min_focal_diff_over_square(p_prime: Point, p_opt: Point, tile: &Square) -> f64 {
-    let rect = tile.to_rect();
-    let (lo, hi) = (rect.lo, rect.hi);
+pub fn min_focal_diff_over_tile(p_prime: Point, p_opt: Point, tile: &Rect) -> f64 {
+    let (lo, hi) = (tile.lo, tile.hi);
     let mut best = f64::INFINITY;
     let mut consider = |l: Point| best = best.min(focal_diff(p_prime, p_opt, l));
 
     // Edge endpoints.
-    for c in rect.corners() {
+    for c in tile.corners() {
         consider(c);
     }
     // The stationary point of the two horizontal, then the two vertical edges.
@@ -104,14 +103,19 @@ pub fn min_focal_diff_over_square(p_prime: Point, p_opt: Point, tile: &Square) -
 mod tests {
     use super::*;
 
-    fn brute_force_min(p_prime: Point, p_opt: Point, tile: &Square, n: usize) -> f64 {
-        let r = tile.to_rect();
+    /// The tile of side `side` centred at `center`.
+    fn square(center: Point, side: f64) -> Rect {
+        let half = Point::new(side / 2.0, side / 2.0);
+        Rect::new(center - half, center + half)
+    }
+
+    fn brute_force_min(p_prime: Point, p_opt: Point, r: &Rect, n: usize) -> f64 {
         let mut best = f64::INFINITY;
         for i in 0..=n {
             for j in 0..=n {
                 let l = Point::new(
-                    r.lo.x + r.width() * i as f64 / n as f64,
-                    r.lo.y + r.height() * j as f64 / n as f64,
+                    r.lo.x + (r.hi.x - r.lo.x) * i as f64 / n as f64,
+                    r.lo.y + (r.hi.y - r.lo.y) * j as f64 / n as f64,
                 );
                 best = best.min(focal_diff(p_prime, p_opt, l));
             }
@@ -132,8 +136,8 @@ mod tests {
     fn min_over_square_matches_brute_force_on_axis_straddling_tile() {
         let p_prime = Point::new(-1.0, 0.0);
         let p_opt = Point::new(1.0, 0.0);
-        let tile = Square::new(Point::new(-3.0, 0.5), 2.0);
-        let fast = min_focal_diff_over_square(p_prime, p_opt, &tile);
+        let tile = square(Point::new(-3.0, 0.5), 2.0);
+        let fast = min_focal_diff_over_tile(p_prime, p_opt, &tile);
         let brute = brute_force_min(p_prime, p_opt, &tile, 400);
         assert!(fast <= brute + 1e-6, "fast {fast} must lower-bound brute {brute}");
         assert!((fast - brute).abs() < 1e-3);
@@ -143,8 +147,8 @@ mod tests {
     fn min_over_square_matches_brute_force_off_axis() {
         let p_prime = Point::new(0.0, 0.0);
         let p_opt = Point::new(3.0, 1.0);
-        let tile = Square::new(Point::new(2.0, 4.0), 1.5);
-        let fast = min_focal_diff_over_square(p_prime, p_opt, &tile);
+        let tile = square(Point::new(2.0, 4.0), 1.5);
+        let fast = min_focal_diff_over_tile(p_prime, p_opt, &tile);
         let brute = brute_force_min(p_prime, p_opt, &tile, 400);
         assert!(fast <= brute + 1e-6);
         assert!((fast - brute).abs() < 1e-3);
@@ -156,16 +160,16 @@ mod tests {
         let p_opt = Point::new(4.0, 0.0);
         // The tile contains p_prime and extends beyond it on the far side of the axis,
         // so the minimum is exactly −‖p', pᵒ‖.
-        let tile = Square::new(Point::new(-0.5, 0.0), 2.0);
-        let v = min_focal_diff_over_square(p_prime, p_opt, &tile);
+        let tile = square(Point::new(-0.5, 0.0), 2.0);
+        let v = min_focal_diff_over_tile(p_prime, p_opt, &tile);
         assert!((v - (-4.0)).abs() < 1e-9);
     }
 
     #[test]
     fn degenerate_foci_give_zero() {
         let p = Point::new(1.0, 1.0);
-        let tile = Square::new(Point::new(5.0, 5.0), 2.0);
-        assert!(min_focal_diff_over_square(p, p, &tile).abs() < 1e-12);
+        let tile = square(Point::new(5.0, 5.0), 2.0);
+        assert!(min_focal_diff_over_tile(p, p, &tile).abs() < 1e-12);
     }
 
     #[test]
@@ -174,8 +178,8 @@ mod tests {
         let p_opt = Point::new(2.0, 2.0);
         let d = p_prime.dist(p_opt);
         for k in 0..20 {
-            let tile = Square::new(Point::new(f64::from(k) - 10.0, 0.3 * f64::from(k)), 1.0);
-            let v = min_focal_diff_over_square(p_prime, p_opt, &tile);
+            let tile = square(Point::new(f64::from(k) - 10.0, 0.3 * f64::from(k)), 1.0);
+            let v = min_focal_diff_over_tile(p_prime, p_opt, &tile);
             assert!(v >= -d - 1e-9);
             assert!(v <= d + 1e-9);
         }

@@ -4,11 +4,11 @@
 //! exactly the primitives the paper's algorithms need:
 //!
 //! * [`Point`] — a location in the plane with Euclidean distance helpers.
-//! * [`Rect`] — an axis-aligned rectangle (R-tree MBRs) with min/max distance to a point.
+//! * [`Rect`] — an axis-aligned rectangle with min/max distance to a point: the R-tree's
+//!   MBRs, and the square tiles of the tile-based safe regions (Section 5).
 //! * [`Circle`] — circular safe regions (Section 4 of the paper).
-//! * [`Square`] — square tiles for tile-based safe regions (Section 5).
 //! * [`focal`] — closed-form minimum of the focal difference `‖p', l‖ − ‖pᵒ, l‖` over a
-//!   square, for the SUM objective (Section 6.3.1, Fig. 12).
+//!   tile, for the SUM objective (Section 6.3.1, Fig. 12).
 //! * [`angle`] — heading arithmetic for the directed tile ordering (Section 5.2).
 //!
 //! All distances are Euclidean (`f64`). The crate never panics on degenerate inputs
@@ -21,14 +21,12 @@ pub mod circle;
 pub mod focal;
 pub mod point;
 pub mod rect;
-pub mod square;
 
 pub use angle::{angle_diff, heading, normalize_angle, HeadingPredictor};
 pub use circle::Circle;
-pub use focal::{focal_diff, min_focal_diff_over_square};
+pub use focal::{focal_diff, min_focal_diff_over_tile};
 pub use point::{max_dist_to_set, sum_dist_to_set, Point};
 pub use rect::Rect;
-pub use square::Square;
 
 /// Numerical tolerance used across the workspace when comparing distances.
 ///

@@ -47,24 +47,6 @@ impl Rect {
         self.lo.x > self.hi.x || self.lo.y > self.hi.y
     }
 
-    /// Width along the x axis (0 for the empty rectangle).
-    #[must_use]
-    pub fn width(&self) -> f64 {
-        (self.hi.x - self.lo.x).max(0.0)
-    }
-
-    /// Height along the y axis (0 for the empty rectangle).
-    #[must_use]
-    pub fn height(&self) -> f64 {
-        (self.hi.y - self.lo.y).max(0.0)
-    }
-
-    /// Area of the rectangle.
-    #[must_use]
-    pub fn area(&self) -> f64 {
-        self.width() * self.height()
-    }
-
     /// Center of the rectangle.
     #[must_use]
     pub fn center(&self) -> Point {
@@ -122,12 +104,9 @@ impl DistanceBounds for Rect {
         (dx * dx + dy * dy).sqrt()
     }
 
+    /// No emptiness test: `lo > hi` on an axis, or a NaN bound, fails that axis' comparisons.
     fn contains(&self, p: Point) -> bool {
-        !self.is_empty()
-            && p.x >= self.lo.x
-            && p.x <= self.hi.x
-            && p.y >= self.lo.y
-            && p.y <= self.hi.y
+        p.x >= self.lo.x && p.x <= self.hi.x && p.y >= self.lo.y && p.y <= self.hi.y
     }
 }
 
@@ -150,7 +129,6 @@ mod tests {
     fn empty_rect_properties() {
         let e = Rect::EMPTY;
         assert!(e.is_empty());
-        assert_eq!(e.area(), 0.0);
         assert!(!e.contains(Point::ORIGIN));
         assert_eq!(e.union(unit()), unit());
     }
@@ -158,9 +136,6 @@ mod tests {
     #[test]
     fn geometry_measures() {
         let r = Rect::new(Point::new(1.0, 2.0), Point::new(4.0, 6.0));
-        assert_eq!(r.width(), 3.0);
-        assert_eq!(r.height(), 4.0);
-        assert_eq!(r.area(), 12.0);
         assert_eq!(r.center(), Point::new(2.5, 4.0));
     }
 

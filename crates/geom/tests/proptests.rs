@@ -1,18 +1,25 @@
 //! Property-based tests for the geometry primitives.
 
-use mpn_geom::{
-    focal_diff, min_focal_diff_over_square, Circle, DistanceBounds, Point, Rect, Square,
-};
+use mpn_geom::{focal_diff, min_focal_diff_over_tile, Circle, DistanceBounds, Point, Rect};
 use proptest::prelude::*;
 
 fn pt() -> impl Strategy<Value = Point> {
     (-100.0f64..100.0, -100.0f64..100.0).prop_map(|(x, y)| Point::new(x, y))
 }
 
-/// The numeric minimiser `min_focal_diff_over_square` used before the closed form (corners,
-/// focal-axis crossings, and a 17-sample sweep plus 32 golden-section steps per edge), kept as
-/// an independent reference.
-fn sweep_min_focal_diff(p_prime: Point, p_opt: Point, tile: &Square) -> f64 {
+/// A square tile of side `side` centred at `center`, built as a tile's centre ∓ half side.
+fn square(center: Point, side: f64) -> Rect {
+    let half = (side / 2.0).max(0.0);
+    Rect::new(
+        Point::new(center.x - half, center.y - half),
+        Point::new(center.x + half, center.y + half),
+    )
+}
+
+/// The numeric minimiser the focal minimum used before the closed form (corners, focal-axis
+/// crossings, and a 17-sample sweep plus 32 golden-section steps per edge), kept as an
+/// independent reference.
+fn sweep_min_focal_diff(p_prime: Point, p_opt: Point, tile: &Rect) -> f64 {
     let f = |l: Point| focal_diff(p_prime, p_opt, l);
     let corners = tile.corners();
     let mut best = corners.iter().map(|c| f(*c)).fold(f64::INFINITY, f64::min);
@@ -52,7 +59,7 @@ fn sweep_min_focal_diff(p_prime: Point, p_opt: Point, tile: &Square) -> f64 {
 }
 
 /// Minimum of the focal difference over `n` evenly spaced points of every edge.
-fn boundary_scan_min(p_prime: Point, p_opt: Point, tile: &Square, n: usize) -> f64 {
+fn boundary_scan_min(p_prime: Point, p_opt: Point, tile: &Rect, n: usize) -> f64 {
     let corners = tile.corners();
     let mut best = f64::INFINITY;
     for i in 0..4 {
@@ -70,13 +77,14 @@ fn focal_case(
     side: f64,
     exponent: f64,
     shape: usize,
-) -> (Point, Point, Square, f64) {
+) -> (Point, Point, Rect, f64) {
     let scale = 10f64.powf(exponent);
     let (ax, ay, bx, by, cx, cy) = unit;
     let mut p_prime = Point::new(ax * scale, ay * scale);
     let mut p_opt = Point::new(bx * scale, by * scale);
-    let mut tile = Square::new(Point::new(cx * scale, cy * scale), side * scale);
-    let lo = tile.to_rect().lo;
+    let (center, half) = (Point::new(cx * scale, cy * scale), side * scale / 2.0);
+    let mut tile = square(center, side * scale);
+    let lo = tile.lo;
     match shape {
         // A focus on an edge line (a kink of `f` along that edge).
         0 => p_prime.y = lo.y,
@@ -84,9 +92,9 @@ fn focal_case(
         // Both foci on one edge line: `f` is piecewise linear along it, s₊ = 0/0.
         2 => (p_prime.y, p_opt.y) = (lo.y, lo.y),
         // A focus inside the tile.
-        3 => p_prime = Point::new(tile.center.x + ax * tile.half, tile.center.y + ay * tile.half),
+        3 => p_prime = Point::new(center.x + ax * half, center.y + ay * half),
         4 => p_opt = p_prime,
-        5 => tile = Square::new(tile.center, 0.0),
+        5 => tile = square(center, 0.0),
         // Focal axis parallel to an edge, which also makes h₁ = h₂ on the two edges along it.
         6 => p_opt.y = p_prime.y,
         // h₁ = h₂ (up to rounding) with the bottom edge's line separating the foci.
@@ -115,7 +123,7 @@ proptest! {
         a in pt(), b in pt(), p in pt(), tx in 0.0f64..=1.0, ty in 0.0f64..=1.0
     ) {
         let r = Rect::new(a, b);
-        let inner = Point::new(r.lo.x + r.width() * tx, r.lo.y + r.height() * ty);
+        let inner = Point::new(r.lo.x + (r.hi.x - r.lo.x) * tx, r.lo.y + (r.hi.y - r.lo.y) * ty);
         let d = p.dist(inner);
         prop_assert!(d + 1e-9 >= r.min_dist(p));
         prop_assert!(d <= r.max_dist(p) + 1e-9);
@@ -139,7 +147,8 @@ proptest! {
         let u = r1.union(r2);
         prop_assert!(u.contains_rect(&r1));
         prop_assert!(u.contains_rect(&r2));
-        prop_assert!(u.area() + 1e-9 >= r1.area().max(r2.area()));
+        let area = |r: Rect| (r.hi.x - r.lo.x) * (r.hi.y - r.lo.y);
+        prop_assert!(area(u) + 1e-9 >= area(r1).max(area(r2)));
     }
 
     #[test]
@@ -147,17 +156,16 @@ proptest! {
         pp in pt(), po in pt(), c in pt(), side in 0.01f64..30.0,
         tx in 0.0f64..=1.0, ty in 0.0f64..=1.0
     ) {
-        let tile = Square::new(c, side);
-        let r = tile.to_rect();
-        let inner = Point::new(r.lo.x + r.width() * tx, r.lo.y + r.height() * ty);
-        let min = min_focal_diff_over_square(pp, po, &tile);
+        let r = square(c, side);
+        let inner = Point::new(r.lo.x + (r.hi.x - r.lo.x) * tx, r.lo.y + (r.hi.y - r.lo.y) * ty);
+        let min = min_focal_diff_over_tile(pp, po, &r);
         prop_assert!(focal_diff(pp, po, inner) + 1e-7 >= min);
     }
 
     #[test]
     fn focal_min_bounded_by_focus_distance(pp in pt(), po in pt(), c in pt(), side in 0.01f64..30.0) {
-        let tile = Square::new(c, side);
-        let min = min_focal_diff_over_square(pp, po, &tile);
+        let tile = square(c, side);
+        let min = min_focal_diff_over_tile(pp, po, &tile);
         prop_assert!(min >= -pp.dist(po) - 1e-9);
         prop_assert!(min <= pp.dist(po) + 1e-9);
     }
@@ -168,7 +176,7 @@ proptest! {
         side in 0.001f64..0.8, exponent in 0.0f64..4.0, shape in 0usize..16
     ) {
         let (p_prime, p_opt, tile, scale) = focal_case(unit, side, exponent, shape);
-        let closed = min_focal_diff_over_square(p_prime, p_opt, &tile);
+        let closed = min_focal_diff_over_tile(p_prime, p_opt, &tile);
         // Exact on the boundary: no sampled boundary point may undercut it.  A tile holding
         // p' attains the global minimum inside, below anything on its boundary.
         let scan = boundary_scan_min(p_prime, p_opt, &tile, 2_000);

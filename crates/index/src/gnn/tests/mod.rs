@@ -41,8 +41,8 @@ fn rect_lower_bound_is_admissible() {
         for i in 0..=10 {
             for j in 0..=10 {
                 let p = Point::new(
-                    rect.lo.x + rect.width() * f64::from(i) / 10.0,
-                    rect.lo.y + rect.height() * f64::from(j) / 10.0,
+                    rect.lo.x + (rect.hi.x - rect.lo.x) * f64::from(i) / 10.0,
+                    rect.lo.y + (rect.hi.y - rect.lo.y) * f64::from(j) / 10.0,
                 );
                 assert!(agg.point_dist(p, &users) + 1e-9 >= lb);
             }

@@ -280,7 +280,7 @@ fn tile_recompute_warm() {
             region
         })
         .collect();
-    let tile = regions[0].frame().square(TileCell::new(0, 3, 0));
+    let tile = regions[0].frame().tile(TileCell::new(0, 3, 0));
     for ring_radius in [5_000.0, 30.0] {
         let candidates: Vec<(Point, usize)> = (0..1_000)
             .map(|k| {
@@ -359,11 +359,12 @@ fn tile_output_bound(regions: &[SafeRegion]) -> usize {
 /// thread for the next computation, so their memory is charged to the thread, not to a
 /// session.  A fresh thread runs one cold Tile-D-b/MAX `Method::answer` over the 21,287-POI
 /// tree and drops the answer; what it still holds is that scratch, now with the buffers its
-/// regions grew in.  Measured 50,400 bytes in 40 blocks over 15,158 verified pairs since the
-/// MAX summaries keep each tile as a 32-byte `Rect` instead of a 24-byte `Square` and the
-/// buffered candidates are asked last rejecter first (47,584 over 17,904 before; 36,352 in 33
-/// while each region grew in its own vectors and left with them); the bound is a quarter above
-/// the fold's figure.
+/// regions grew in.  Measured 50,304 bytes in 40 blocks over 15,158 verified pairs since a
+/// user summary keeps one list of 32-byte `Rect` tiles for both objectives (50,400 while it
+/// also kept an empty list of 24-byte centre-and-half squares for SUM, 47,584 over 17,904
+/// pairs before the buffered candidates were asked last rejecter first; 36,352 in 33 while
+/// each region grew in its own vectors and left with them); the bound is a quarter above the
+/// fold's figure.
 #[test]
 fn tile_scratch_bytes() {
     /// The same measurement (262 blocks) taken with the per-pair Theorem 2 fold, which kept

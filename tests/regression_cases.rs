@@ -233,13 +233,13 @@ fn proptest_shrink_three_pois_two_users() {
             .map(|r| {
                 let SafeRegion::Tiles(tiles) = r else { panic!("expected tiles") };
                 let mut pts = Vec::new();
-                for sq in tiles.squares() {
-                    let rect = sq.to_rect();
+                for rect in tiles.tiles() {
+                    let (width, height) = (rect.hi.x - rect.lo.x, rect.hi.y - rect.lo.y);
                     for i in 0..=4 {
                         for j in 0..=4 {
                             pts.push(Point::new(
-                                rect.lo.x + rect.width() * f64::from(i) / 4.0,
-                                rect.lo.y + rect.height() * f64::from(j) / 4.0,
+                                rect.lo.x + width * f64::from(i) / 4.0,
+                                rect.lo.y + height * f64::from(j) / 4.0,
                             ));
                         }
                     }

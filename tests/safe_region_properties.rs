@@ -29,10 +29,11 @@ fn sample_in_region(region: &SafeRegion, u: f64, v: f64) -> Point {
             Point::new(c.center.x + radius * angle.cos(), c.center.y + radius * angle.sin())
         }
         SafeRegion::Tiles(tiles) => {
-            let mut squares = tiles.squares();
-            let idx = ((u * squares.len() as f64) as usize).min(squares.len() - 1);
-            let rect = squares.nth(idx).expect("a tile of the region").to_rect();
-            Point::new(rect.lo.x + rect.width() * v, rect.lo.y + rect.height() * (1.0 - u))
+            let mut rects = tiles.tiles();
+            let idx = ((u * rects.len() as f64) as usize).min(rects.len() - 1);
+            let rect = rects.nth(idx).expect("a tile of the region");
+            let (width, height) = (rect.hi.x - rect.lo.x, rect.hi.y - rect.lo.y);
+            Point::new(rect.lo.x + width * v, rect.lo.y + height * (1.0 - u))
         }
     }
 }
@@ -240,10 +241,10 @@ proptest! {
                         SafeRegion::Tiles(t) => {
                             let delta = std::f64::consts::SQRT_2 * r_max;
                             let exact = TileFrame::centered_at(u, delta);
-                            let seed = t.frame().square(TileCell::SEED).to_rect();
+                            let seed = t.frame().tile(TileCell::SEED);
                             prop_assert_eq!(t.cells()[0], TileCell::SEED);
                             if f32_kind {
-                                let inscribed = exact.square(TileCell::SEED).to_rect();
+                                let inscribed = exact.tile(TileCell::SEED);
                                 prop_assert!(inscribed.contains_rect(&seed), "nested seed");
                                 prop_assert!(strictly_inside(&seed, u), "strictly inside");
                             } else {
@@ -300,8 +301,8 @@ proptest! {
                 regions[user % m].push(TileCell::new(level, ix, iy));
             }
             let user = (probe.0 + step) % m;
-            let tile = regions[user].frame().square(TileCell::new(probe.1, probe.2, probe.3));
-            let mut per_user: Vec<Vec<_>> = regions.iter().map(|r| r.squares().collect()).collect();
+            let tile = regions[user].frame().tile(TileCell::new(probe.1, probe.2, probe.3));
+            let mut per_user: Vec<Vec<_>> = regions.iter().map(|r| r.tiles().collect()).collect();
             per_user[user] = vec![tile];
             for (slot, candidate) in candidates.iter().enumerate() {
                 let accepted =

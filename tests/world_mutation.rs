@@ -157,10 +157,11 @@ fn sample_in_region(region: &SafeRegion, u: f64, v: f64) -> Point {
             Point::new(c.center.x + radius * angle.cos(), c.center.y + radius * angle.sin())
         }
         SafeRegion::Tiles(tiles) => {
-            let mut squares = tiles.squares();
-            let idx = ((u * squares.len() as f64) as usize).min(squares.len() - 1);
-            let rect = squares.nth(idx).expect("a tile of the region").to_rect();
-            Point::new(rect.lo.x + rect.width() * v, rect.lo.y + rect.height() * (1.0 - u))
+            let mut rects = tiles.tiles();
+            let idx = ((u * rects.len() as f64) as usize).min(rects.len() - 1);
+            let rect = rects.nth(idx).expect("a tile of the region");
+            let (width, height) = (rect.hi.x - rect.lo.x, rect.hi.y - rect.lo.y);
+            Point::new(rect.lo.x + width * v, rect.lo.y + height * (1.0 - u))
         }
     }
 }
