@@ -154,7 +154,6 @@ impl Method {
         let answer = Answer {
             optimal_index: optimal.entry.id,
             optimal_point: optimal.entry.location,
-            optimal_dist: optimal.dist,
             regions,
         };
         (answer, stats)
@@ -168,8 +167,6 @@ pub struct Answer {
     pub optimal_index: usize,
     /// Location of the optimal meeting point `pᵒ`.
     pub optimal_point: Point,
-    /// Aggregate distance of the group to `pᵒ` at computation time.
-    pub optimal_dist: f64,
     /// One safe region per user, in the order of the `users` slice (boxed: an answer never
     /// grows, so it keeps no capacity word).
     pub regions: Box<[SafeRegion]>,
@@ -283,7 +280,7 @@ mod tests {
             let (circle, _) = Method::circle().answer(&tree, objective, &users, None);
             let (tile, _) = Method::tile().answer(&tree, objective, &users, None);
             assert_eq!(circle.optimal_index, tile.optimal_index);
-            assert!((circle.optimal_dist - tile.optimal_dist).abs() < 1e-9);
+            assert_eq!(circle.optimal_point, tile.optimal_point);
         }
     }
 

@@ -176,7 +176,6 @@ mod tests {
                 crate::SafeRegion::Circle(mpn_geom::Circle::new(Point::new(2.0, 0.0), 1.0)),
                 crate::SafeRegion::Circle(mpn_geom::Circle::new(Point::new(-2.0, 0.0), 1.0)),
             ]),
-            optimal_dist: 2.0,
         }
     }
 

@@ -173,12 +173,6 @@ impl RoadNetwork {
         self.nodes.len()
     }
 
-    /// Number of undirected edges.
-    #[must_use]
-    pub fn edge_count(&self) -> usize {
-        self.adjacency.iter().map(Vec::len).sum::<usize>() / 2
-    }
-
     /// Coordinates of a node.
     #[must_use]
     pub fn node(&self, id: usize) -> Point {
@@ -300,6 +294,12 @@ impl RoadNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trajectory::tests::longest_step;
+
+    /// Number of undirected edges.
+    fn edges(net: &RoadNetwork) -> usize {
+        net.adjacency.iter().map(Vec::len).sum::<usize>() / 2
+    }
 
     fn small_config() -> NetworkConfig {
         NetworkConfig {
@@ -318,8 +318,8 @@ mod tests {
         let b = RoadNetwork::generate(&config, 5);
         assert_eq!(a.node_count(), 100);
         assert_eq!(a.node_count(), b.node_count());
-        assert_eq!(a.edge_count(), b.edge_count());
-        assert!(a.edge_count() > 100, "a 10x10 grid keeps most of its ~180 edges");
+        assert_eq!(edges(&a), edges(&b));
+        assert!(edges(&a) > 100, "a 10x10 grid keeps most of its ~180 edges");
         // No isolated nodes after the connectivity pass.
         for v in 0..a.node_count() {
             assert!(!a.adjacency[v].is_empty(), "node {v} is isolated");
@@ -349,7 +349,7 @@ mod tests {
             let t = net.trajectory(100 + class as u64, class);
             assert_eq!(t.len(), 1500);
             let class_speed = 10.0 * (class + 1) as f64 / 4.0;
-            assert!(t.max_step() <= class_speed + 1e-9, "class {class} exceeded its speed");
+            assert!(longest_step(&t) <= class_speed + 1e-9, "class {class} exceeded its speed");
             assert!(t
                 .points()
                 .iter()
@@ -389,5 +389,24 @@ mod tests {
             (turns as f64) < 0.5 * moves as f64,
             "network movement should be mostly straight ({turns}/{moves} turns)"
         );
+    }
+
+    /// The fully degenerate corner (smallest grid, every edge removed, no shortcuts): 4 nodes
+    /// need at least 3 bridges, and the repair adds exactly a spanning tree.
+    #[test]
+    fn degenerate_network_repair_adds_a_spanning_tree() {
+        let config = NetworkConfig {
+            grid: 2,
+            removal_fraction: 1.0,
+            shortcuts: 0,
+            jitter: 0.0,
+            domain: 100.0,
+            timestamps: 8,
+            ..NetworkConfig::default()
+        };
+        for seed in 0..16 {
+            let network = RoadNetwork::generate(&config, seed);
+            assert_eq!((network.node_count(), edges(&network)), (4, 3), "seed {seed}");
+        }
     }
 }

@@ -54,12 +54,6 @@ impl Trajectory {
         self.points.windows(2).map(|w| w[0].dist(w[1])).sum()
     }
 
-    /// Maximum per-timestamp displacement (the effective speed of the trajectory).
-    #[must_use]
-    pub fn max_step(&self) -> f64 {
-        self.points.windows(2).map(|w| w[0].dist(w[1])).fold(0.0, f64::max)
-    }
-
     /// Average per-timestamp displacement.
     #[must_use]
     pub fn mean_step(&self) -> f64 {
@@ -123,8 +117,13 @@ impl Trajectory {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Maximum per-timestamp displacement (the effective speed of the trajectory).
+    pub(crate) fn longest_step(t: &Trajectory) -> f64 {
+        t.points().windows(2).map(|w| w[0].dist(w[1])).fold(0.0, f64::max)
+    }
 
     fn straight_line(n: usize, step: f64) -> Trajectory {
         Trajectory::new((0..n).map(|i| Point::new(i as f64 * step, 0.0)).collect())
@@ -140,7 +139,7 @@ mod tests {
         // Out-of-range timestamps clamp to the last location.
         assert_eq!(t.at(999), Point::new(20.0, 0.0));
         assert!((t.arc_length() - 20.0).abs() < 1e-12);
-        assert!((t.max_step() - 2.0).abs() < 1e-12);
+        assert!((longest_step(&t) - 2.0).abs() < 1e-12);
         assert!((t.mean_step() - 2.0).abs() < 1e-12);
     }
 

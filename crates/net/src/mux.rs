@@ -196,12 +196,6 @@ impl MuxServer {
         &self.stats
     }
 
-    /// Currently open connections.
-    #[must_use]
-    pub fn connection_count(&self) -> usize {
-        self.conns.len()
-    }
-
     /// Total downlink bytes buffered in connection outboxes (not yet accepted by the
     /// kernel) — the server-side memory the backpressure limits bound.
     #[must_use]

@@ -14,17 +14,18 @@
 //!   advances exactly the groups with a submitted epoch waiting (the ready list), one epoch
 //!   each, in ascending id order, on the calling thread.
 //! * **Fleet lifecycle.**  Groups [`register`](MonitoringEngine::register_stream) at any
-//!   time and [`deregister`](MonitoringEngine::deregister) mid-run; their metrics fold into
-//!   the fleet totals ([`fleet_metrics`](MonitoringEngine::fleet_metrics), whose work
-//!   counters every computation adds to as it runs) and their ids are
+//!   time and [`deregister`](MonitoringEngine::deregister) mid-run, and their ids are
 //!   reused, most recently freed first.  A session monitors until it is deregistered.
+//!   What the sessions measure goes to one set of fleet totals
+//!   ([`fleet_metrics`](MonitoringEngine::fleet_metrics)) as they advance, so a departed
+//!   group's work stays counted and nothing is kept per group.
 
 use std::sync::Arc;
 
 use mpn_geom::Point;
 use mpn_index::{RTree, WorldView};
 
-use crate::metrics::{EngineReport, FleetMetrics, MonitoringMetrics};
+use crate::metrics::{EngineReport, FleetMetrics};
 use crate::monitor::{EventSink, GroupSession, MonitorConfig, SessionEvent, StepOutcome};
 
 /// Identifier of a registered group.
@@ -187,8 +188,8 @@ fn merged_with(
 ///
 /// # The slab and the ready list
 ///
-/// * `slab` — the [`GroupSession`] bodies indexed by [`GroupId`] (configuration, metrics,
-///   last answer, the flat position buffer; what else a body holds depends on its method —
+/// * `slab` — the [`GroupSession`] bodies indexed by [`GroupId`] (configuration, last
+///   answer, the flat position buffer; what else a body holds depends on its method —
 ///   see the crate docs).  A body keeps no event log: the protocol events of an advance go
 ///   to the tick's sink ([`MonitoringEngine::tick_with`]).  Deregistration empties the
 ///   slot and parks the id on the free-list; no other session moves, so `submit`, `group`
@@ -211,10 +212,9 @@ pub struct MonitoringEngine {
     ready: Vec<GroupId>,
     /// Ids of deregistered groups, available for reuse (most recently freed last).
     free_ids: Vec<GroupId>,
-    /// The fleet totals no session holds: the merged metrics and users of every group that
-    /// deregistered (so totals never shrink when a group leaves), and the work counters of
-    /// every computation any session ran.
-    retained: FleetMetrics,
+    /// The fleet totals: what every advance of every session measured, and the users of
+    /// every registration.  Nothing is subtracted when a group leaves.
+    fleet: FleetMetrics,
     /// Events not yet handed out, in ascending group id: world-change pushes the next tick
     /// sends, and what [`tick`](MonitoringEngine::tick) collected.
     events: Vec<(GroupId, SessionEvent)>,
@@ -239,7 +239,7 @@ impl MonitoringEngine {
             slab: Vec::new(),
             ready: Vec::new(),
             free_ids: Vec::new(),
-            retained: FleetMetrics::default(),
+            fleet: FleetMetrics::default(),
             events: Vec::new(),
             clock: 0,
         }
@@ -283,7 +283,8 @@ impl MonitoringEngine {
     /// next unused index.
     ///
     /// Groups registered after ticking has started are self-clocked (they start from their
-    /// own `t = 0`); their registration message is counted on the next tick that feeds them.
+    /// own `t = 0`); their registration message is counted on the next tick that feeds them,
+    /// their users in the fleet's `group_size` now.
     pub fn register_session(&mut self, session: GroupSession) -> GroupId {
         let id = self.free_ids.pop().unwrap_or_else(|| {
             self.slab.push(None);
@@ -292,23 +293,22 @@ impl MonitoringEngine {
         if session.pending_epochs() > 0 {
             self.ready.push(id);
         }
+        self.fleet.group_size += session.group_size();
         self.slab[id] = Some(session);
         id
     }
 
-    /// Removes a group from monitoring, reclaiming its session state.
+    /// Removes a group from monitoring and returns its session, with the last answer, the
+    /// heading predictors and any queued epochs; its undrained events are dropped.
     ///
-    /// The session is dropped (the last answer, any queued epochs and undrained events along
-    /// with the heading predictors) and its accumulated metrics are returned.  They also stay
-    /// part of [`fleet_metrics`](MonitoringEngine::fleet_metrics)
-    /// — a server's totals do not shrink when a group leaves — but no longer per id: a
-    /// caller that wants a departed group's own numbers keeps the returned record.  Its
-    /// computations' work counters were added to the fleet's as they ran.  The id
-    /// counts into [`retired_count`](MonitoringEngine::retired_count) until it is reused.
+    /// What the group measured went to [`fleet_metrics`](MonitoringEngine::fleet_metrics)
+    /// as it advanced and stays there (a server's totals do not shrink when a group leaves).
+    /// The id counts into
+    /// [`retired_count`](MonitoringEngine::retired_count) until it is reused.
     ///
     /// Returns `None` for an unknown or already-deregistered id (deregistration is
     /// idempotent).
-    pub fn deregister(&mut self, id: GroupId) -> Option<MonitoringMetrics> {
+    pub fn deregister(&mut self, id: GroupId) -> Option<GroupSession> {
         let session = self.slab.get_mut(id)?.take()?;
         self.free_ids.push(id);
         if session.pending_epochs() > 0 {
@@ -318,10 +318,7 @@ impl MonitoringEngine {
         // Undrained events leave with the session: nobody owns the group any more, and the
         // id may be handed to a new one before the next drain.
         self.events.retain(|(group, _)| *group != id);
-        self.retained.group_size += session.group_size();
-        let metrics = session.into_metrics();
-        self.retained.merged.absorb(&metrics);
-        Some(metrics)
+        Some(session)
     }
 
     /// Queues one epoch of owned positions for a streaming group; the batch is consumed by
@@ -368,7 +365,7 @@ impl MonitoringEngine {
     /// answer's optimum, or an inserted POI whose best-case aggregate undercuts the optimum's
     /// worst case over the regions) and the affected sessions are
     /// force-recomputed against the new world, re-notifying their users through the normal
-    /// metrics / traffic / [`SessionEvent`] path.  Unaffected sessions are untouched — their
+    /// fleet metrics / [`SessionEvent`] path.  Unaffected sessions are untouched — their
     /// safe regions remain provably valid, so they recompute nothing.
     ///
     /// A delete of an unknown (or already-deleted) id is rejected gracefully: the summary
@@ -405,7 +402,7 @@ impl MonitoringEngine {
                 let Some(session) = slot else { continue };
                 groups_checked += 1;
                 if session.world_change_invalidates(&change)
-                    && session.force_recompute_into(view, id, &mut self.retained.stats, send)
+                    && session.force_recompute_into(view, id, &mut self.fleet.merged, send)
                 {
                     affected.push(id);
                 }
@@ -441,10 +438,8 @@ impl MonitoringEngine {
     }
 
     /// One coherent snapshot of the whole engine: clock, membership accounting and the
-    /// merged fleet metrics — see [`EngineReport`] for what each field
-    /// measures.
-    ///
-    /// Cost is O(fleet) — snapshot at phase boundaries, not per tick.
+    /// fleet metrics — see [`EngineReport`] for what each field measures.  It copies
+    /// counters kept as the engine runs, so its cost does not grow with the fleet.
     #[must_use]
     pub fn report(&self) -> EngineReport {
         EngineReport {
@@ -495,7 +490,7 @@ impl MonitoringEngine {
                 let (announced, mut sent) =
                     (cfg!(debug_assertions).then(|| session.next_events()), 0);
                 let outcome =
-                    session.advance_into(view, id, &mut self.retained.stats, &mut |g, e| {
+                    session.advance_into(view, id, &mut self.fleet.merged, &mut |g, e| {
                         sent += 1;
                         send(g, e);
                     });
@@ -533,51 +528,29 @@ impl MonitoringEngine {
         self.slab[id].as_ref().unwrap_or_else(|| panic!("group {id} has been deregistered"))
     }
 
-    /// The metrics one registered group has accumulated so far.
-    ///
-    /// # Panics
-    /// Panics on an unknown or deregistered id (a departed group's record is what
-    /// [`deregister`](MonitoringEngine::deregister) returned).
-    #[must_use]
-    pub fn group_metrics(&self, id: GroupId) -> &MonitoringMetrics {
-        self.group(id).metrics()
-    }
-
-    /// Fleet-wide metrics: every group's counters merged into one record, **including**
-    /// those of deregistered groups (a long-lived server's totals must not shrink when a
-    /// group leaves or its id is recycled), and the work counters of every computation.
+    /// Fleet-wide metrics: what every advance and forced recompute of every group measured,
+    /// **including** those of deregistered groups (a long-lived server's totals must not
+    /// shrink when a group leaves or its id is recycled), and the work counters of every
+    /// computation.  A copy of counters kept as the sessions advance: it allocates nothing
+    /// and costs the same for any fleet.
     ///
     /// `group_size` is the total number of monitored users over the fleet's lifetime (each
-    /// epoch of a churning group counts its users once).
+    /// registration counts its users once).  A group's own measures are not kept: a caller
+    /// that wants them replays the group on its own ([`run_monitoring`](crate::run_monitoring))
+    /// or tallies the events its ticks send.
     #[must_use]
     pub fn fleet_metrics(&self) -> FleetMetrics {
-        let mut fleet = self.retained.clone();
-        for session in self.sessions() {
-            fleet.group_size += session.group_size();
-            fleet.merged.absorb(session.metrics());
-        }
-        fleet
-    }
-
-    /// Consumes the engine, returning the metrics of every registered group in ascending id
-    /// order (without churn: one record per group, in registration order).
-    #[must_use]
-    pub fn into_group_metrics(self) -> Vec<MonitoringMetrics> {
-        self.slab.into_iter().flatten().map(GroupSession::into_metrics).collect()
-    }
-
-    fn sessions(&self) -> impl Iterator<Item = &GroupSession> {
-        self.slab.iter().flatten()
+        self.fleet
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::submit_and_tick;
+    use crate::metrics::MonitoringMetrics;
     use crate::monitor::tests::first;
     use crate::monitor::{run_monitoring, TrajectoryFeed};
-    use mpn_core::{ComputeStats, Method, Objective};
+    use mpn_core::{Method, Objective};
     use mpn_mobility::poi::{clustered_pois, PoiConfig};
     use mpn_mobility::waypoint::{random_waypoint, WaypointConfig};
     use mpn_mobility::Trajectory;
@@ -607,18 +580,50 @@ mod tests {
         (engine.register_stream(feed.group_size(), config), feed)
     }
 
+    /// Submits the next recorded epoch of every replay with one left, then ticks once; `None`,
+    /// without a tick, once every recording has run out.
+    fn feed_and_tick(engine: &mut MonitoringEngine, replays: &mut Replays) -> Option<TickSummary> {
+        let mut fed = false;
+        for (group_id, feed) in replays.iter_mut() {
+            if let Some(positions) = feed.next_epoch() {
+                let update = EpochUpdate { group_id: *group_id, positions };
+                engine.submit(update).expect("a live replay");
+                fed = true;
+            }
+        }
+        fed.then(|| engine.tick())
+    }
+
+    /// The measures of `group`'s first `n` timestamps replayed alone through an engine.
+    fn alone(
+        tree: &Arc<RTree>,
+        group: &[Trajectory],
+        n: usize,
+        config: MonitorConfig,
+    ) -> MonitoringMetrics {
+        let mut engine = MonitoringEngine::new(Arc::clone(tree), 1);
+        let mut replays = vec![replay(&mut engine, group, n, config)];
+        run(&mut engine, &mut replays);
+        engine.fleet_metrics().merged
+    }
+
+    /// Every measure but the wall-clock time.
+    fn counters(m: &MonitoringMetrics) -> impl PartialEq + std::fmt::Debug {
+        (m.timestamps, m.updates, m.traffic, m.stats)
+    }
+
     /// Submits and ticks until every recording has run out; returns the ticks.
     fn run(engine: &mut MonitoringEngine, replays: &mut Replays) -> usize {
         let mut ticks = 0;
-        while submit_and_tick(engine, replays).is_some() {
+        while feed_and_tick(engine, replays).is_some() {
             ticks += 1;
         }
         ticks
     }
 
-    /// One tick of [`submit_and_tick`] while a recording has an epoch left.
+    /// One tick of [`feed_and_tick`] while a recording has an epoch left.
     fn step(engine: &mut MonitoringEngine, replays: &mut Replays) -> TickSummary {
-        submit_and_tick(engine, replays).expect("a recording has an epoch left")
+        feed_and_tick(engine, replays).expect("a recording has an epoch left")
     }
 
     #[test]
@@ -626,24 +631,19 @@ mod tests {
         let (tree, fleet) = world(6);
         let config = MonitorConfig::new(Objective::Max, Method::tile());
 
-        let serial: Vec<_> =
-            fleet.iter().map(|g| run_monitoring(&tree, &first(g, 80), &config)).collect();
+        let mut serial = MonitoringMetrics::default();
+        for group in &fleet {
+            let replayed = run_monitoring(&tree, &first(group, 80), &config);
+            // Each group ticked alone through an engine measures what its replay does.
+            assert_eq!(counters(&alone(&tree, group, 80, config)), counters(&replayed));
+            serial.absorb(&replayed);
+        }
 
         let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
         let mut replays: Replays =
             fleet.iter().map(|g| replay(&mut engine, g, 80, config)).collect();
         assert_eq!(run(&mut engine, &mut replays), 80, "an 80-timestamp recording takes 80 ticks");
-        let mut serial_stats = ComputeStats::default();
-        serial.iter().for_each(|(_, stats)| serial_stats.absorb(stats));
-        assert_eq!(engine.fleet_metrics().stats, serial_stats);
-        let ticked = engine.into_group_metrics();
-
-        assert_eq!(ticked.len(), serial.len());
-        for (p, (s, _)) in ticked.iter().zip(&serial) {
-            assert_eq!(p.updates, s.updates);
-            assert_eq!(p.timestamps, s.timestamps);
-            assert_eq!(p.traffic, s.traffic);
-        }
+        assert_eq!(counters(&engine.fleet_metrics()), counters(&serial));
     }
 
     #[test]
@@ -680,11 +680,12 @@ mod tests {
         let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
         let mut replays: Replays =
             fleet.iter().map(|g| replay(&mut engine, g, 30, config)).collect();
+        assert_eq!(engine.fleet_metrics().group_size, 9, "counted at registration");
         run(&mut engine, &mut replays);
         let fleet_metrics = engine.fleet_metrics();
         assert_eq!(fleet_metrics.group_size, 9, "3 groups of 3 users");
         assert_eq!(fleet_metrics.timestamps, 3 * 29);
-        let per_group: usize = (0..3).map(|id| engine.group_metrics(id).updates).sum();
+        let per_group: usize = fleet.iter().map(|g| alone(&tree, g, 30, config).updates).sum();
         assert_eq!(fleet_metrics.updates, per_group);
     }
 
@@ -700,8 +701,12 @@ mod tests {
         ];
         let (a, b) = (replays[0].0, replays[1].0);
         run(&mut engine, &mut replays);
-        assert_eq!(engine.group_metrics(a).timestamps, 19);
-        assert_eq!(engine.group_metrics(b).timestamps, 49);
+        let (circle, tile) =
+            (alone(&tree, &fleet[0], 20, circle), alone(&tree, &fleet[1], 50, tile));
+        assert_eq!((circle.timestamps, tile.timestamps), (19, 49));
+        let mut both = circle;
+        both.absorb(&tile);
+        assert_eq!(counters(&engine.fleet_metrics()), counters(&both));
         assert_eq!(engine.group(a).config().method.name(), "Circle");
         assert_eq!(engine.group(b).config().method.name(), "Tile");
     }
@@ -718,7 +723,7 @@ mod tests {
         let summary = step(&mut engine, &mut replays);
         assert_eq!(summary.registered, 1, "the late group registers on its first tick");
         run(&mut engine, &mut replays);
-        assert_eq!(engine.group_metrics(replays[1].0).timestamps, 24, "late groups replay fully");
+        assert_eq!(engine.fleet_metrics().timestamps, 2 * 24, "late groups replay fully");
     }
 
     #[test]
@@ -732,18 +737,18 @@ mod tests {
         for _ in 0..10 {
             step(&mut engine, &mut replays);
         }
+        let before = engine.fleet_metrics();
+        assert_eq!(before.timestamps, 4 * 9, "10 ticks = registration + 9 monitored timestamps");
 
         let departed = engine.deregister(ids[1]).expect("group 1 is registered");
         replays.remove(1);
-        assert_eq!(departed.timestamps, 9, "10 ticks = registration + 9 monitored timestamps");
+        assert_eq!(departed.group_size(), 3, "the session is handed back");
         assert_eq!(engine.group_count(), 3);
         assert_eq!(engine.retired_count(), 1);
         assert!(engine.deregister(ids[1]).is_none(), "deregistration is idempotent");
-        // The departed group's counters keep feeding fleet accounting.
-        let live_updates: usize =
-            [0, 2, 3].iter().map(|&i| engine.group_metrics(ids[i]).updates).sum();
+        // The departed group's counters stay in the fleet accounting.
         let fleet_before_reuse = engine.fleet_metrics();
-        assert_eq!(fleet_before_reuse.updates, live_updates + departed.updates);
+        assert_eq!(counters(&fleet_before_reuse), counters(&before));
         assert_eq!(fleet_before_reuse.group_size, 12, "the departed users stay in the total");
 
         // The freed id is reused by the next registration; fleet totals do not shrink.
@@ -756,9 +761,11 @@ mod tests {
         assert_eq!(fleet_after_reuse.group_size, fleet_before_reuse.group_size + 3);
 
         run(&mut engine, &mut replays);
-        let all = engine.into_group_metrics();
-        assert_eq!(all.len(), 4);
-        assert_eq!(all[ids[1]].timestamps, 29, "the new session replays its whole recording");
+        assert_eq!(
+            engine.fleet_metrics().timestamps,
+            3 * 29 + 9 + 29,
+            "the departed group's 9 stay, the new session replays its whole recording"
+        );
     }
 
     #[test]
@@ -774,7 +781,8 @@ mod tests {
         assert_eq!(engine.group_count(), 1, "the failed registration left no trace");
         assert_eq!(engine.retired_count(), 0);
         run(&mut engine, &mut replays);
-        assert_eq!(engine.into_group_metrics().len(), 1);
+        assert_eq!(engine.fleet_metrics().group_size, 3, "only the registered group counts");
+        assert_eq!(engine.fleet_metrics().timestamps, 9);
     }
 
     #[test]
@@ -782,7 +790,7 @@ mod tests {
         let (tree, fleet) = world(2);
         let config = MonitorConfig::new(Objective::Max, Method::circle());
         let group = first(&fleet[0], 30);
-        let (replay, replay_stats) = run_monitoring(&tree, &group, &config);
+        let replay = run_monitoring(&tree, &group, &config);
 
         let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
         let id = engine.register_stream(group.len(), config);
@@ -797,9 +805,7 @@ mod tests {
             tick += 1;
         }
         assert_eq!(tick, 30);
-        assert_eq!(engine.group_metrics(id).updates, replay.updates);
-        assert_eq!(engine.group_metrics(id).traffic, replay.traffic);
-        assert_eq!(engine.fleet_metrics().stats, replay_stats);
+        assert_eq!(counters(&engine.fleet_metrics()), counters(&replay));
     }
 
     #[test]
@@ -818,7 +824,7 @@ mod tests {
         let summary = engine.tick();
         assert_eq!(summary.registered, 1);
         assert_eq!(summary.starved, 0);
-        assert_eq!(engine.group_metrics(id).updates, 1);
+        assert_eq!(engine.fleet_metrics().updates, 1);
     }
 
     #[test]

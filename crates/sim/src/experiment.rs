@@ -4,13 +4,11 @@
 
 use std::time::Duration;
 
-use mpn_core::ComputeStats;
 use mpn_index::RTree;
 use mpn_mobility::GroupWorkload;
 
-use crate::engine::{EpochUpdate, GroupId, MonitoringEngine, TickSummary};
 use crate::metrics::{mean_duration, MonitoringMetrics};
-use crate::monitor::{MonitorConfig, TrajectoryFeed};
+use crate::monitor::{run_monitoring, MonitorConfig};
 
 /// Averaged results of running one method over a whole workload.
 #[derive(Debug, Clone)]
@@ -27,58 +25,27 @@ pub struct WorkloadSummary {
     pub packets_per_timestamp: f64,
     /// Mean R-tree queries per safe-region computation.
     pub rtree_queries_per_update: f64,
-    /// Per-group metrics for detailed inspection.
+    /// Per-group metrics, in workload order: what [`run_monitoring`] returns for each group.
     pub per_group: Vec<MonitoringMetrics>,
 }
 
 /// Runs one monitoring configuration over every group of the workload and averages the results.
 ///
-/// This drives one [`MonitoringEngine`], which ticks on the calling thread, so the per-update
-/// CPU time the paper's figures report is the computation's own.  Each group is a stream
-/// that, like any client, submits its next recorded epoch before each tick; a group whose
-/// recording has run out submits nothing more, and the run stops when every recording has.
-/// The engine shares its POI index via `Arc`, so the tree and the workload's groups are
-/// cloned once per call — a one-off memcpy that is negligible against the monitoring compute
-/// it feeds.
+/// Each group is replayed on its own with [`run_monitoring`], on the calling thread, so the
+/// per-update CPU time the paper's figures report is the computation's own and each group's
+/// measures are its replay's.  A group's replay stops when its recording runs out.
 #[must_use]
 pub fn run_workload(
     tree: &RTree,
     workload: &GroupWorkload,
     config: &MonitorConfig,
 ) -> WorkloadSummary {
-    let mut engine = MonitoringEngine::new(tree.clone(), 1);
-    let mut replays: Vec<_> = workload
-        .iter()
-        .map(|group| {
-            let feed = TrajectoryFeed::from_group(group);
-            (engine.register_stream(feed.group_size(), *config), feed)
-        })
-        .collect();
-    while submit_and_tick(&mut engine, &mut replays).is_some() {}
-    let stats = engine.fleet_metrics().stats;
-    summarize(engine.into_group_metrics(), &stats)
+    summarize(workload.iter().map(|group| run_monitoring(tree, group, config)).collect())
 }
 
-/// Submits the next recorded epoch of every replay with one left, then ticks once; `None`,
-/// without a tick, once every recording has run out.
-pub(crate) fn submit_and_tick(
-    engine: &mut MonitoringEngine,
-    replays: &mut [(GroupId, TrajectoryFeed)],
-) -> Option<TickSummary> {
-    let mut fed = false;
-    for (group_id, feed) in replays.iter_mut() {
-        if let Some(positions) = feed.next_epoch() {
-            engine.submit(EpochUpdate { group_id: *group_id, positions }).expect("a live replay");
-            fed = true;
-        }
-    }
-    fed.then(|| engine.tick())
-}
-
-/// Averages a set of per-group metrics into a [`WorkloadSummary`]; `stats` are the summed
-/// work counters of the groups' computations.
+/// Averages a set of per-group metrics into a [`WorkloadSummary`].
 #[must_use]
-pub fn summarize(per_group: Vec<MonitoringMetrics>, stats: &ComputeStats) -> WorkloadSummary {
+pub fn summarize(per_group: Vec<MonitoringMetrics>) -> WorkloadSummary {
     let groups = per_group.len().max(1);
     let update_frequency =
         per_group.iter().map(MonitoringMetrics::update_frequency).sum::<f64>() / groups as f64;
@@ -88,8 +55,9 @@ pub fn summarize(per_group: Vec<MonitoringMetrics>, stats: &ComputeStats) -> Wor
     let total_updates: usize = per_group.iter().map(|m| m.updates).sum();
     let total_time: Duration = per_group.iter().map(|m| m.compute_time).sum();
     let mean_compute_time = mean_duration(total_time, total_updates);
+    let rtree_queries: usize = per_group.iter().map(|m| m.stats.rtree_queries).sum();
     let rtree_queries_per_update =
-        if total_updates == 0 { 0.0 } else { stats.rtree_queries as f64 / total_updates as f64 };
+        if total_updates == 0 { 0.0 } else { rtree_queries as f64 / total_updates as f64 };
     WorkloadSummary {
         groups: per_group.len(),
         update_frequency,
@@ -140,7 +108,7 @@ mod tests {
 
     #[test]
     fn summarize_handles_the_empty_case() {
-        let summary = summarize(Vec::new(), &ComputeStats::default());
+        let summary = summarize(Vec::new());
         assert_eq!(summary.groups, 0);
         assert_eq!(summary.update_frequency, 0.0);
         assert_eq!(summary.mean_compute_time, Duration::ZERO);

@@ -15,11 +15,12 @@
 //! has three layers:
 //!
 //! * [`GroupSession`] ([`monitor`]) — the protocol state machine of *one* moving group.  It
-//!   owns its configuration (objective and safe-region `Method`), its
+//!   owns its configuration (objective and safe-region `Method`) and its
 //!   [`mpn_core::SessionState`] (last answer; heading predictors where the method uses
-//!   them) and its metrics, and **consumes** one epoch of owned
+//!   them), and **consumes** one epoch of owned
 //!   positions per [`advance`](GroupSession::advance) from its one input path, the batches
-//!   queued via [`submit`](GroupSession::submit).  A recording is replayed the same way: a
+//!   queued via [`submit`](GroupSession::submit), adding what the epoch measures to the
+//!   caller's [`MonitoringMetrics`].  A recording is replayed the same way: a
 //!   [`TrajectoryFeed`] (`Arc`-shared recorded trajectories) hands out owned epochs that the
 //!   driver submits like any client.  A session monitors until it is deregistered.
 //! * [`MonitoringEngine`] ([`engine`]) — a churning fleet of sessions in one slab indexed
@@ -39,9 +40,9 @@
 //!   safe-region assignments).  The core is transport-agnostic and multi-tenant.
 //!
 //! Communication cost follows the §7.1 packet model (packets of 67 doubles).  What a Fig. 3
-//! message costs is defined once, in `mpn-proto`; a session charges those costs to its
-//! [`Traffic`] tally ([`metrics`]), so the simulated figures and the wire accounting are the
-//! same numbers by construction.
+//! message costs is defined once, in `mpn-proto`; a session charges those costs to the
+//! [`Traffic`] tally of the caller's accumulator ([`metrics`]), so the simulated figures and
+//! the wire accounting are the same numbers by construction.
 //!
 //! # The core and its one transport
 //!
@@ -117,17 +118,19 @@
 //!   either: it is registered − advanced.  A group's id is its slot and never moves, so
 //!   lookups need no directory.
 //! * **A session holds what its method needs** — always: a handle to its configuration,
-//!   the group's metrics, the last answer and one flat buffer of positions (the epoch being
-//!   monitored, then the submitted ones, consumed in place).  Heading predictors exist once
-//!   a method that reads headings has observed a position (never for Circle); a tile region
-//!   inside `SafeRegion` is boxed.  The slab slot is 184 B (192, 232, and 464 before): the
-//!   [`MonitorConfig`] (64 B) is an `Arc` that [`ServerCore`] shares between groups
-//!   registered alike, the computations' [`ComputeStats`](mpn_core::ComputeStats) (72 B in
-//!   the stored answer and 72 B in the metrics) go to one fleet accumulator in the engine,
-//!   the group size and epoch clock are no longer kept twice, and what never grows (the
-//!   answer's regions, the predictors) is a boxed slice.  A Circle/MAX group of three costs
-//!   ≈ 397 live heap bytes, slab slot and owner included (404.6, 443.6 and 675.6 before,
-//!   1,269 at first); `tests/alloc_gates.rs` gates it and the slot size and prints the table.
+//!   the last answer (meeting point, its POI id and the regions) and one flat buffer of
+//!   positions (the epoch being monitored, then the submitted ones, consumed in place).
+//!   Heading predictors exist once a method that reads headings has observed a position
+//!   (never for Circle); a tile region inside `SafeRegion` is boxed.  The slab slot is
+//!   120 B (184, 192, 232, and 464 before): the [`MonitorConfig`] (56 B) is an `Arc` that
+//!   [`ServerCore`] shares between groups registered alike, what an advance measures (the
+//!   §7.1 messages, updates and CPU time, and the computations'
+//!   [`ComputeStats`](mpn_core::ComputeStats)) goes to one fleet accumulator in the engine
+//!   instead of a record per slot, the group size and epoch clock are not kept twice, and
+//!   what never grows (the answer's regions, the predictors) is a boxed slice.  A
+//!   Circle/MAX group of three costs ≈ 333 live heap bytes, slab slot and owner included
+//!   (396.6, 404.6, 443.6 and 675.6 before, 1,269 at first); `tests/alloc_gates.rs` gates
+//!   it and the slot size and prints the table.
 //! * **One event stream per tick** — sessions keep no event log.  What a session created
 //!   [`with_events`](GroupSession::with_events) sends goes, tagged with its group id, to
 //!   the callback of [`MonitoringEngine::tick_with`] as it is sent, merged in ascending id
@@ -145,19 +148,21 @@
 //! [`MonitoringEngine::report`] returns an [`EngineReport`]: one coherent struct holding
 //! the engine clock, membership accounting (registered groups / ids awaiting reuse),
 //! the always-zero [`TickExecCounters`] the benchmark still reads and the [`FleetMetrics`]:
-//! every group's [`MonitoringMetrics`] merged (departed groups included) and the fleet's
-//! work counters.  A measurement tool (the `benchmark/`
-//! package's traced run) reads this one snapshot instead of poking four accessors.  Every
-//! field is a fixed-size counter — no per-update sample is kept anywhere — so a report
-//! costs O(fleet) and a session's metrics never grow.  Reports are cumulative; phase-based
+//! the [`MonitoringMetrics`] every advance of every group added to (departed groups
+//! included), the fleet's work counters among them, and the users it registered.  A
+//! measurement tool (the `benchmark/` package's traced run) reads this one snapshot instead
+//! of poking four accessors.  Every field is a fixed-size counter, kept as the sessions
+//! advance — no per-update sample and no per-group record is kept anywhere — so a report is
+//! a copy whose cost does not grow with the fleet.  Reports are cumulative; phase-based
 //! tools snapshot at phase boundaries and diff the counters.
 //!
-//! [`run_monitoring`] replays one recording through one session (its counters are pinned
-//! bit-identical to the reference loop in `tests/engine_parity.rs`) and
-//! [`experiment::run_workload`] replays a whole multi-group workload through one engine,
-//! submitting every group's next recorded epoch before each tick; both stop when the
-//! recordings run out.  That is how `mpn-bench`'s `figures` binary reproduces — and
-//! checks — every figure of the paper.
+//! The paper's §7.1 measures are averages over groups, so a group's own measures are an
+//! experiment's business, not the server's: [`run_monitoring`] replays one recording
+//! through one session into an accumulator of its own (its counters are pinned
+//! bit-identical to the reference loop in `tests/engine_parity.rs`), and
+//! [`experiment::run_workload`] replays each group of a workload that way and averages
+//! them; both stop when the recordings run out.  That is how `mpn-bench`'s `figures` binary
+//! reproduces — and checks — every figure of the paper.
 
 #![forbid(unsafe_code)]
 

@@ -7,9 +7,11 @@
 //! `notification_values`); [`Traffic`] only turns values into packets and tallies them by
 //! direction.
 //!
-//! Each session keeps its group's [`MonitoringMetrics`]: what the figures average per group.
-//! The computations' [`ComputeStats`] are read only as fleet totals, so they go straight into
-//! the accumulator of whoever advances the session (the engine's: [`FleetMetrics::stats`]).
+//! No session keeps a tally.  Whoever advances a session passes a [`MonitoringMetrics`] that
+//! the advance adds its timestamp, update, compute time, messages and work counters to: the
+//! engine passes its fleet totals ([`FleetMetrics`]), and a single-group replay
+//! ([`run_monitoring`](crate::run_monitoring)) its own group's, which is what the figures
+//! average per group.
 
 use std::ops::Deref;
 use std::time::Duration;
@@ -79,8 +81,8 @@ impl Traffic {
 ///   ones included: the §7.1 measures (update frequency, mean per-update CPU time and
 ///   communication cost as packets), the lifetime user total and the work counters.
 ///
-/// Building a report is O(fleet), so callers snapshot at phase boundaries (e.g. warm-up
-/// end, measurement end) rather than per tick, and diff the cumulative counters.
+/// A report copies counters the engine keeps as it goes, so it costs the same for any
+/// fleet; the counters are cumulative, so phase-based callers diff two reports.
 #[derive(Debug, Clone)]
 pub struct EngineReport {
     /// Ticks executed so far (the engine clock).
@@ -97,17 +99,16 @@ pub struct EngineReport {
     pub fleet: FleetMetrics,
 }
 
-/// The fleet's totals ([`fleet_metrics`](crate::MonitoringEngine::fleet_metrics)): every
-/// group's [`MonitoringMetrics`] merged (read through `Deref`), departed groups included, and
-/// what only the fleet keeps.
-#[derive(Debug, Clone, Default)]
+/// The fleet's totals ([`fleet_metrics`](crate::MonitoringEngine::fleet_metrics)): the
+/// [`MonitoringMetrics`] every advance of every group added to (read through `Deref`),
+/// departed groups included, and the users the fleet registered.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct FleetMetrics {
-    /// The per-group measures, summed over every group.
+    /// The measures of every group, summed as the groups advanced.
     pub merged: MonitoringMetrics,
-    /// Users monitored over the fleet's lifetime (a re-registered group counts again).
+    /// Users monitored over the fleet's lifetime, counted at registration (a re-registered
+    /// group counts again).
     pub group_size: usize,
-    /// The work counters of every safe-region computation the fleet ran.
-    pub stats: ComputeStats,
 }
 
 impl Deref for FleetMetrics {
@@ -118,8 +119,9 @@ impl Deref for FleetMetrics {
     }
 }
 
-/// What one group's session keeps: the measures the figures average per group.
-#[derive(Debug, Clone, Default)]
+/// The §7.1 measures of the sessions advanced into it (one group's for the figures, the
+/// fleet's for the engine), and the work counters of their computations.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct MonitoringMetrics {
     /// Number of replayed timestamps after the initial registration.
     pub timestamps: usize,
@@ -129,6 +131,8 @@ pub struct MonitoringMetrics {
     pub compute_time: Duration,
     /// Message and packet tally.
     pub traffic: Traffic,
+    /// The work counters of every safe-region computation.
+    pub stats: ComputeStats,
 }
 
 /// `total / n`, or zero for `n == 0`, divided as `u128` nanoseconds: `Duration / u32` would
@@ -139,10 +143,11 @@ pub(crate) fn mean_duration(total: Duration, n: usize) -> Duration {
 }
 
 impl MonitoringMetrics {
-    /// Records one safe-region computation.
-    pub fn record_update(&mut self, elapsed: Duration) {
+    /// Records one safe-region computation: its CPU time and its work counters.
+    pub fn record_update(&mut self, elapsed: Duration, stats: &ComputeStats) {
         self.updates += 1;
         self.compute_time += elapsed;
+        self.stats.absorb(stats);
     }
 
     /// Update frequency: recomputations per monitored timestamp (the paper's primary measure).
@@ -175,6 +180,7 @@ impl MonitoringMetrics {
         self.updates += other.updates;
         self.compute_time += other.compute_time;
         self.traffic.absorb(&other.traffic);
+        self.stats.absorb(&other.stats);
     }
 }
 
@@ -250,9 +256,13 @@ mod tests {
     #[test]
     fn record_update_accumulates() {
         let mut m = MonitoringMetrics { timestamps: 10, ..MonitoringMetrics::default() };
-        m.record_update(Duration::from_millis(4));
-        m.record_update(Duration::from_millis(6));
+        m.record_update(Duration::from_millis(4), &ComputeStats::default());
+        m.record_update(
+            Duration::from_millis(6),
+            &ComputeStats { rtree_queries: 1, ..ComputeStats::default() },
+        );
         assert_eq!(m.updates, 2);
+        assert_eq!(m.stats.rtree_queries, 1);
         assert_eq!(m.update_frequency(), 0.2);
         assert_eq!(m.mean_compute_time(), Duration::from_millis(5));
     }
@@ -260,14 +270,16 @@ mod tests {
     #[test]
     fn absorb_merges_runs() {
         let mut a = MonitoringMetrics { timestamps: 100, ..MonitoringMetrics::default() };
-        a.record_update(Duration::from_millis(1));
+        a.record_update(Duration::from_millis(1), &ComputeStats::default());
         let mut b = MonitoringMetrics { timestamps: 50, ..MonitoringMetrics::default() };
-        b.record_update(Duration::from_millis(3));
-        b.record_update(Duration::from_millis(3));
+        let two_queries = ComputeStats { rtree_queries: 2, ..ComputeStats::default() };
+        b.record_update(Duration::from_millis(3), &two_queries);
+        b.record_update(Duration::from_millis(3), &two_queries);
         a.absorb(&b);
         assert_eq!(a.timestamps, 150);
         assert_eq!(a.updates, 3);
         assert_eq!(a.compute_time, Duration::from_millis(7));
+        assert_eq!(a.stats.rtree_queries, 4);
         assert!((a.update_frequency() - 0.02).abs() < 1e-12);
     }
 

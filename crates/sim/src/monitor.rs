@@ -2,9 +2,10 @@
 //!
 //! [`GroupSession`] owns everything the server keeps for one moving group: its configuration
 //! (objective and safe-region [`Method`], behind an `Arc` that groups configured alike may
-//! share), the per-group [`SessionState`] (heading predictors, last answer)
-//! and the group's metrics.  The work counters of its computations go to the caller's
-//! accumulator (a [`ComputeStats`] passed to [`advance`](GroupSession::advance)).  A session does
+//! share) and the per-group [`SessionState`] (heading predictors, last answer).  It keeps
+//! no tally: what an advance measures (the §7.1 messages, the update and its CPU time, the
+//! computation's work counters) goes to the caller's accumulator, a [`MonitoringMetrics`]
+//! passed to [`advance`](GroupSession::advance).  A session does
 //! **not** borrow trajectory data; it consumes one *epoch* of owned user positions per
 //! [`advance`](GroupSession::advance) call, and has one source of epochs: batches
 //! [`submit`](GroupSession::submit)ted into its inbox (by a network front-end, or through
@@ -28,12 +29,13 @@
 //! the event sink of the engine tick that advanced it; [`ServerCore`](crate::server::ServerCore)
 //! turns those into `mpn-proto` responses.  A session keeps no log of its own, and holds
 //! only what its method needs (the crate docs list it).  [`run_monitoring`] replays one
-//! recording through one session and stops when the recording runs out.
+//! recording through one session into an accumulator of its own, so it returns that group's
+//! measures, and stops when the recording runs out.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use mpn_core::{ComputeStats, Method, Objective, SafeRegion, SessionState};
+use mpn_core::{Method, Objective, SafeRegion, SessionState};
 use mpn_geom::Point;
 use mpn_index::{IndexView, RTree};
 use mpn_mobility::Trajectory;
@@ -86,7 +88,7 @@ pub enum StepOutcome {
 ///
 /// Events carry owned copies of the shipped payloads (the meeting point and the user's
 /// region), so a front-end can serialise them long after the session has moved on.  They are
-/// recorded **in addition to** the [`Traffic`](crate::metrics::Traffic) accounting, which is
+/// sent **in addition to** the [`Traffic`](crate::metrics::Traffic) accounting, which is
 /// unchanged either way.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SessionEvent {
@@ -172,7 +174,6 @@ pub struct GroupSession {
     /// Shared by the sessions a [`ServerCore`](crate::ServerCore) registered alike.
     config: Arc<MonitorConfig>,
     session: SessionState,
-    metrics: MonitoringMetrics,
     /// Epochs of `group_size` positions, back to back: the epoch being monitored ends at
     /// `cursor`; the ones [`submit`](GroupSession::submit)ted since follow it and are
     /// consumed in place, FIFO.
@@ -199,7 +200,6 @@ impl GroupSession {
         let session = SessionState::new(group_size, config.heading_smoothing);
         Self {
             session,
-            metrics: MonitoringMetrics::default(),
             positions: Vec::new(),
             cursor: 0,
             registered: false,
@@ -237,18 +237,6 @@ impl GroupSession {
         &self.session
     }
 
-    /// Metrics accumulated so far.
-    #[must_use]
-    pub fn metrics(&self) -> &MonitoringMetrics {
-        &self.metrics
-    }
-
-    /// Consumes the session, returning its metrics.
-    #[must_use]
-    pub fn into_metrics(self) -> MonitoringMetrics {
-        self.metrics
-    }
-
     /// Queues one epoch of user positions for the next [`advance`](GroupSession::advance).
     ///
     /// Batches are consumed strictly FIFO, one per advance.
@@ -282,8 +270,9 @@ impl GroupSession {
         self.positions.capacity() / self.group_size()
     }
 
-    /// Consumes the next epoch of the protocol, adding the work counters of the computation
-    /// it runs (if any) to `stats`.
+    /// Consumes the next epoch of the protocol, adding what it measures to `metrics`: the
+    /// timestamp, the messages of Fig. 3's steps it runs, and the computation (if any) with
+    /// its CPU time and work counters.
     ///
     /// The epoch's positions are the oldest [`submit`](GroupSession::submit)ted ones; with
     /// none waiting the session [`Starved`](StepOutcome::Starved)s and its clock does not
@@ -294,9 +283,9 @@ impl GroupSession {
     pub fn advance<'a>(
         &mut self,
         index: impl Into<IndexView<'a>>,
-        stats: &mut ComputeStats,
+        metrics: &mut MonitoringMetrics,
     ) -> StepOutcome {
-        self.advance_into(index.into(), 0, stats, &mut |_, _| {})
+        self.advance_into(index.into(), 0, metrics, &mut |_, _| {})
     }
 
     /// The protocol events the next advance sends (with [events](GroupSession::with_events)
@@ -328,7 +317,7 @@ impl GroupSession {
         &mut self,
         view: IndexView<'_>,
         group: GroupId,
-        stats: &mut ComputeStats,
+        metrics: &mut MonitoringMetrics,
         events: &mut EventSink,
     ) -> StepOutcome {
         assert!(!view.is_empty(), "monitoring requires a non-empty POI set");
@@ -355,15 +344,15 @@ impl GroupSession {
         if !self.registered {
             // Query registration: every user reports her location once and receives the first
             // answer (counted like any other update).
-            for _ in 0..self.group_size() {
-                self.metrics.traffic.record_uplink(LOCATION_VALUES);
+            for _ in 0..m {
+                metrics.traffic.record_uplink(LOCATION_VALUES);
             }
-            self.compute_and_notify(view, group, stats, events);
+            self.compute_and_notify(view, group, metrics, events);
             self.registered = true;
             return StepOutcome::Registered;
         }
 
-        self.metrics.timestamps += 1;
+        metrics.timestamps += 1;
 
         let violators = self.leavers(self.cursor);
         if violators == 0 {
@@ -372,12 +361,12 @@ impl GroupSession {
 
         // Step 1: each violating user reports her location.
         for _ in 0..violators {
-            self.metrics.traffic.record_uplink(LOCATION_VALUES);
+            metrics.traffic.record_uplink(LOCATION_VALUES);
         }
         // Step 2: the server probes every other user, who replies.
         for _ in 0..m - violators {
-            self.metrics.traffic.record_downlink(PROBE_VALUES);
-            self.metrics.traffic.record_uplink(LOCATION_VALUES);
+            metrics.traffic.record_downlink(PROBE_VALUES);
+            metrics.traffic.record_uplink(LOCATION_VALUES);
         }
         if self.log_events {
             let answer = self.session.last_answer().expect("a registered session has an answer");
@@ -387,7 +376,7 @@ impl GroupSession {
             }
         }
         // Step 3: recompute and notify everyone.
-        self.compute_and_notify(view, group, stats, events);
+        self.compute_and_notify(view, group, metrics, events);
         StepOutcome::Updated { violators }
     }
 
@@ -411,19 +400,18 @@ impl GroupSession {
     ///
     /// This is the server-push half of the world-mutation protocol: a POI change that breaks
     /// a group's regions must not wait for the next violation report.  The recomputation
-    /// runs the normal notify path, so metrics and traffic accounting flow exactly like a
-    /// violation-triggered update (protocol events need an engine's sink, like
-    /// [`advance`](GroupSession::advance)'s).
+    /// runs the normal notify path, so the update and its notifications are added to
+    /// `metrics` exactly like a violation-triggered update's (protocol events need an
+    /// engine's sink, like [`advance`](GroupSession::advance)'s).
     ///
     /// Returns `false` (and does nothing) for a session that has no answer yet (it has not
-    /// registered).  The computation's work counters are added to `stats`, as by
-    /// [`advance`](GroupSession::advance).
+    /// registered).
     pub fn force_recompute<'a>(
         &mut self,
         index: impl Into<IndexView<'a>>,
-        stats: &mut ComputeStats,
+        metrics: &mut MonitoringMetrics,
     ) -> bool {
-        self.force_recompute_into(index.into(), 0, stats, &mut |_, _| {})
+        self.force_recompute_into(index.into(), 0, metrics, &mut |_, _| {})
     }
 
     /// [`force_recompute`](GroupSession::force_recompute), sending the
@@ -432,23 +420,23 @@ impl GroupSession {
         &mut self,
         view: IndexView<'_>,
         group: GroupId,
-        stats: &mut ComputeStats,
+        metrics: &mut MonitoringMetrics,
         events: &mut EventSink,
     ) -> bool {
         if self.session.last_answer().is_none() {
             return false;
         }
-        self.compute_and_notify(view, group, stats, events);
+        self.compute_and_notify(view, group, metrics, events);
         true
     }
 
-    /// Runs one safe-region computation, adds its work counters to `stats` and pushes the
-    /// notifications.
+    /// Runs one safe-region computation, adds it and its notifications to `metrics` and
+    /// pushes the notifications.
     fn compute_and_notify(
         &mut self,
         view: IndexView<'_>,
         group: GroupId,
-        stats: &mut ComputeStats,
+        metrics: &mut MonitoringMetrics,
         events: &mut EventSink,
     ) {
         let locations = &self.positions[self.cursor - self.group_size()..self.cursor];
@@ -459,11 +447,10 @@ impl GroupSession {
             locations,
             &mut self.session,
         );
-        self.metrics.record_update(start.elapsed());
-        stats.absorb(&computed);
+        metrics.record_update(start.elapsed(), &computed);
         debug_assert!(answer.all_inside(locations), "fresh safe regions must contain the users");
         for (user, region) in answer.regions.iter().enumerate() {
-            self.metrics.traffic.record_downlink(notification_values(region, true));
+            metrics.traffic.record_downlink(notification_values(region, true));
             if self.log_events {
                 events(
                     group,
@@ -478,13 +465,14 @@ impl GroupSession {
     }
 }
 
-/// Replays one user group against the server and collects its metrics and the summed work
-/// counters of its computations.
+/// Replays one user group against the server and returns its measures, the work counters of
+/// its computations included.
 ///
 /// A single-group driver: one streaming session is submitted the recording's next epoch
-/// before every advance, and the replay stops when the recording runs out.  The resulting
-/// updates, packets and work counters are bit-identical to the reference loop in
-/// `tests/engine_parity.rs`.  The trajectories are cloned once into the feed.
+/// before every advance, into an accumulator of the replay's own, and the replay stops when
+/// the recording runs out.  The resulting updates, packets and work counters are
+/// bit-identical to the reference loop in `tests/engine_parity.rs`.  The trajectories are
+/// cloned once into the feed.
 ///
 /// # Panics
 /// Panics when the group is empty or the POI tree is empty.
@@ -493,17 +481,17 @@ pub fn run_monitoring(
     tree: &RTree,
     group: &[Trajectory],
     config: &MonitorConfig,
-) -> (MonitoringMetrics, ComputeStats) {
+) -> MonitoringMetrics {
     assert!(!tree.is_empty(), "monitoring requires a non-empty POI set");
     let mut feed = TrajectoryFeed::from_group(group);
     let mut session = GroupSession::streaming(feed.group_size(), *config);
-    let mut stats = ComputeStats::default();
+    let mut metrics = MonitoringMetrics::default();
     while let Some(epoch) = feed.next_epoch() {
         session.submit(epoch);
-        let outcome = session.advance(tree, &mut stats);
+        let outcome = session.advance(tree, &mut metrics);
         debug_assert_ne!(outcome, StepOutcome::Starved, "a submitted epoch is consumed");
     }
-    (session.into_metrics(), stats)
+    metrics
 }
 
 #[cfg(test)]
@@ -530,7 +518,7 @@ pub(crate) mod tests {
     #[test]
     fn monitoring_produces_consistent_metrics() {
         let (tree, group) = workload();
-        let (metrics, _) =
+        let metrics =
             run_monitoring(&tree, &group, &MonitorConfig::new(Objective::Max, Method::circle()));
         assert_eq!(metrics.timestamps, 399);
         assert!(metrics.updates >= 1, "the initial computation counts as an update");
@@ -545,9 +533,9 @@ pub(crate) mod tests {
     fn tile_regions_reduce_update_frequency_compared_to_circles() {
         let (tree, group) = workload();
         let group = first(&group, 250);
-        let (circle, _) =
+        let circle =
             run_monitoring(&tree, &group, &MonitorConfig::new(Objective::Max, Method::circle()));
-        let (tile, _) =
+        let tile =
             run_monitoring(&tree, &group, &MonitorConfig::new(Objective::Max, Method::tile()));
         assert!(
             tile.updates <= circle.updates,
@@ -560,7 +548,7 @@ pub(crate) mod tests {
     #[test]
     fn sum_objective_monitoring_runs_end_to_end() {
         let (tree, group) = workload();
-        let (metrics, _) = run_monitoring(
+        let metrics = run_monitoring(
             &tree,
             &first(&group, 150),
             &MonitorConfig::new(Objective::Sum, Method::tile()),
@@ -574,19 +562,19 @@ pub(crate) mod tests {
     fn buffered_method_is_cheaper_per_update_in_index_work() {
         let (tree, group) = workload();
         let group = first(&group, 120);
-        let (plain, plain_stats) = run_monitoring(
+        let plain = run_monitoring(
             &tree,
             &group,
             &MonitorConfig::new(Objective::Max, Method::tile_directed(0.8)),
         );
-        let (buffered, buffered_stats) = run_monitoring(
+        let buffered = run_monitoring(
             &tree,
             &group,
             &MonitorConfig::new(Objective::Max, Method::tile_directed_buffered(0.8, 50)),
         );
-        let plain_queries_per_update = plain_stats.rtree_queries as f64 / plain.updates as f64;
+        let plain_queries_per_update = plain.stats.rtree_queries as f64 / plain.updates as f64;
         let buffered_queries_per_update =
-            buffered_stats.rtree_queries as f64 / buffered.updates as f64;
+            buffered.stats.rtree_queries as f64 / buffered.updates as f64;
         assert!(
             buffered_queries_per_update < plain_queries_per_update,
             "buffering must reduce R-tree queries per update ({buffered_queries_per_update} vs {plain_queries_per_update})"
@@ -599,14 +587,14 @@ pub(crate) mod tests {
         let mut feed = TrajectoryFeed::from_group(&first(&group, 60));
         let config = MonitorConfig::new(Objective::Max, Method::circle());
         let mut session = GroupSession::streaming(group.len(), config);
-        let mut stats = ComputeStats::default();
+        let mut metrics = MonitoringMetrics::default();
         session.submit(feed.next_epoch().unwrap());
-        assert_eq!(session.advance(&tree, &mut stats), StepOutcome::Registered);
+        assert_eq!(session.advance(&tree, &mut metrics), StepOutcome::Registered);
         let mut quiet = 0usize;
         let mut updated = 0usize;
         while let Some(epoch) = feed.next_epoch() {
             session.submit(epoch);
-            match session.advance(&tree, &mut stats) {
+            match session.advance(&tree, &mut metrics) {
                 StepOutcome::Quiet => quiet += 1,
                 StepOutcome::Updated { violators } => {
                     assert!(violators >= 1 && violators <= session.group_size());
@@ -617,9 +605,9 @@ pub(crate) mod tests {
                 }
             }
         }
-        assert_eq!(session.advance(&tree, &mut stats), StepOutcome::Starved);
+        assert_eq!(session.advance(&tree, &mut metrics), StepOutcome::Starved);
         assert_eq!(quiet + updated, 59);
-        assert_eq!(session.metrics().updates, updated + 1);
+        assert_eq!(metrics.updates, updated + 1);
     }
 
     #[test]
@@ -627,24 +615,24 @@ pub(crate) mod tests {
         let (tree, group) = workload();
         let group = first(&group, 80);
         let config = MonitorConfig::new(Objective::Max, Method::circle());
-        let (replay, replay_stats) = run_monitoring(&tree, &group, &config);
+        let replay = run_monitoring(&tree, &group, &config);
 
         // The same epochs, submitted as owned batches into a streaming session.
         let mut feed = TrajectoryFeed::from_group(&group);
         let mut session = GroupSession::streaming(group.len(), config);
-        let mut stats = ComputeStats::default();
-        assert_eq!(session.advance(&tree, &mut stats), StepOutcome::Starved, "no data yet");
+        let mut metrics = MonitoringMetrics::default();
+        assert_eq!(session.advance(&tree, &mut metrics), StepOutcome::Starved, "no data yet");
         while let Some(batch) = feed.next_epoch() {
             session.submit(batch);
         }
         assert_eq!(session.pending_epochs(), 80);
         while session.pending_epochs() > 0 {
-            assert_ne!(session.advance(&tree, &mut stats), StepOutcome::Starved);
+            assert_ne!(session.advance(&tree, &mut metrics), StepOutcome::Starved);
         }
-        assert_eq!(session.metrics().timestamps, replay.timestamps);
-        assert_eq!(session.metrics().updates, replay.updates);
-        assert_eq!(session.metrics().traffic, replay.traffic);
-        assert_eq!(stats, replay_stats);
+        assert_eq!(metrics.timestamps, replay.timestamps);
+        assert_eq!(metrics.updates, replay.updates);
+        assert_eq!(metrics.traffic, replay.traffic);
+        assert_eq!(metrics.stats, replay.stats);
     }
 
     #[test]
@@ -652,11 +640,11 @@ pub(crate) mod tests {
         let (tree, group) = workload();
         let config = MonitorConfig::new(Objective::Max, Method::circle());
         let mut session = GroupSession::streaming(group.len(), config);
-        let mut stats = ComputeStats::default();
+        let mut metrics = MonitoringMetrics::default();
         session.submit(group.iter().map(|t| t.at(0)).collect());
-        assert_eq!(session.advance(&tree, &mut stats), StepOutcome::Registered);
-        assert_eq!(session.advance(&tree, &mut stats), StepOutcome::Starved);
-        assert_eq!(session.metrics().timestamps, 0, "a starved epoch does not advance the clock");
+        assert_eq!(session.advance(&tree, &mut metrics), StepOutcome::Registered);
+        assert_eq!(session.advance(&tree, &mut metrics), StepOutcome::Starved);
+        assert_eq!(metrics.timestamps, 0, "a starved epoch does not advance the clock");
     }
 
     #[test]
@@ -666,9 +654,10 @@ pub(crate) mod tests {
         let mut feed = TrajectoryFeed::from_group(&first(&group, 120));
         let mut session = GroupSession::streaming(group.len(), config).with_events(true);
         let view = IndexView::from(&tree);
-        let (mut events, mut stats) = (Vec::new(), ComputeStats::default());
+        let (mut events, mut metrics) = (Vec::new(), MonitoringMetrics::default());
         session.submit(feed.next_epoch().unwrap());
-        let outcome = session.advance_into(view, 7, &mut stats, &mut |id, e| events.push((id, e)));
+        let outcome =
+            session.advance_into(view, 7, &mut metrics, &mut |id, e| events.push((id, e)));
         assert_eq!(outcome, StepOutcome::Registered);
         assert_eq!(events.len(), group.len(), "registration assigns every user a region");
         assert!(events.iter().all(|(id, e)| *id == 7
@@ -679,7 +668,7 @@ pub(crate) mod tests {
             events.clear();
             session.submit(epoch);
             let outcome =
-                session.advance_into(view, 7, &mut stats, &mut |id, e| events.push((id, e)));
+                session.advance_into(view, 7, &mut metrics, &mut |id, e| events.push((id, e)));
             if let StepOutcome::Updated { violators } = outcome {
                 let probes =
                     events.iter().filter(|(_, e)| matches!(e, SessionEvent::Probed { .. })).count();
@@ -702,7 +691,7 @@ pub(crate) mod tests {
         let config = MonitorConfig::new(Objective::Max, Method::circle());
         let mut feed = TrajectoryFeed::from_group(&group);
         let mut session = GroupSession::streaming(group.len(), config);
-        let mut stats = ComputeStats::default();
+        let mut metrics = MonitoringMetrics::default();
 
         // A reconnect-style burst: several hundred epochs flushed at once.
         for _ in 0..300 {
@@ -710,7 +699,7 @@ pub(crate) mod tests {
         }
         assert!(session.inbox_capacity() >= 300);
         while session.pending_epochs() > 0 {
-            assert_ne!(session.advance(&tree, &mut stats), StepOutcome::Starved);
+            assert_ne!(session.advance(&tree, &mut metrics), StepOutcome::Starved);
         }
         assert!(
             session.inbox_capacity() <= 2,
@@ -721,7 +710,7 @@ pub(crate) mod tests {
         // The steady trickle fits what is kept: sessions keep working.
         session.submit(feed.next_epoch().unwrap());
         assert!(matches!(
-            session.advance(&tree, &mut stats),
+            session.advance(&tree, &mut metrics),
             StepOutcome::Quiet | StepOutcome::Updated { .. }
         ));
     }

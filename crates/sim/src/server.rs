@@ -30,7 +30,7 @@
 //! * [`Request::Report`] → an [`EpochUpdate`] appended to the group's positions (invalid
 //!   reports are answered with `UnknownGroup` / `BadRequest` notifications instead of
 //!   touching any session);
-//! * [`Request::Deregister`] → session teardown, its metrics folded into the fleet totals;
+//! * [`Request::Deregister`] → session teardown (what it measured stays in the fleet totals);
 //! * [`Request::Admin`] → a POI-world mutation ([`WorldChange`]) applied through the
 //!   engine's generation-stamped world, gated on a per-client admin grant
 //!   ([`grant_admin`](ServerCore::grant_admin)).  Groups whose safe regions the change
@@ -199,12 +199,6 @@ impl ServerCore {
         self.admins.insert(client);
     }
 
-    /// Whether `client` may mutate the POI world.
-    #[must_use]
-    pub fn is_admin(&self, client: ClientId) -> bool {
-        self.admins.contains(&client)
-    }
-
     /// The counting pass of the next [`process_with`](ServerCore::process_with), changing
     /// nothing: hands `count` each client it addresses and how many responses it sends them,
     /// over calls whose counts add — control responses, then the pushes and advance events of
@@ -281,9 +275,8 @@ impl ServerCore {
             (0..self.owners.len()).filter(|&group| self.owners[group] == Some(client)).collect();
         for &group in &owned {
             self.owners[group] = None;
-            self.backlog = self.backlog.saturating_sub(self.engine.group(group).pending_epochs());
-            let removed = self.engine.deregister(group);
-            debug_assert!(removed.is_some(), "owned groups are live in the engine");
+            let removed = self.engine.deregister(group).expect("owned groups are live");
+            self.backlog = self.backlog.saturating_sub(removed.pending_epochs());
         }
         owned
     }
@@ -359,11 +352,12 @@ impl ServerCore {
             }
             Request::Deregister { group } => {
                 let departed = self.owned_by(group, client).and_then(|id| {
-                    self.backlog =
-                        self.backlog.saturating_sub(self.engine.group(id).pending_epochs());
                     self.owners[id] = None;
                     self.engine.deregister(id)
                 });
+                if let Some(session) = &departed {
+                    self.backlog = self.backlog.saturating_sub(session.pending_epochs());
+                }
                 let kind = match departed {
                     Some(_) => NotificationKind::Deregistered,
                     None => NotificationKind::UnknownGroup,
@@ -547,7 +541,7 @@ mod tests {
             }
         }
         assert!(updates >= 1, "60 epochs of movement must trigger an update");
-        let metrics = server.engine().group_metrics(0);
+        let metrics = server.engine().fleet_metrics();
         assert_eq!(metrics.updates, updates + 1, "wire updates match the engine's accounting");
         assert_eq!(metrics.timestamps, 59);
 
@@ -584,7 +578,7 @@ mod tests {
         server.enqueue(CLIENT, Request::Report { group: id, positions: vec![Point::ORIGIN] });
         let responses = process(&mut server);
         assert!(responses.contains(&notification(id, NotificationKind::BadRequest)));
-        assert_eq!(server.engine().group_metrics(0).updates, 0);
+        assert_eq!(server.engine().fleet_metrics().updates, 0);
         assert_eq!(server.last_summary().expect("processed").starved, 1);
     }
 
@@ -624,7 +618,7 @@ mod tests {
             server
                 .enqueue(CLIENT, Request::Report { group: id, positions: positions_at(&group, 0) });
             process(&mut server);
-            let before = server.engine().group_metrics(0).clone();
+            let before = server.engine().fleet_metrics();
 
             for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
                 let mut positions = positions_at(&group, 1);
@@ -636,7 +630,7 @@ mod tests {
                 );
                 assert_eq!(server.backlog(), 0, "nothing was enqueued");
             }
-            let after = server.engine().group_metrics(0);
+            let after = server.engine().fleet_metrics();
             assert_eq!((after.timestamps, after.updates), (before.timestamps, before.updates));
 
             // The session is untouched: the next well-formed report is served normally and
@@ -675,7 +669,7 @@ mod tests {
             method: WireMethod::Tile,
             ..WireConfig::default()
         };
-        let (replay, replay_stats) = crate::monitor::run_monitoring(
+        let replay = crate::monitor::run_monitoring(
             &tree,
             &crate::monitor::tests::first(&group, 50),
             &monitor_config(&wire),
@@ -689,11 +683,12 @@ mod tests {
                 .enqueue(CLIENT, Request::Report { group: id, positions: positions_at(&group, t) });
             process(&mut server);
         }
-        let metrics = server.engine().group_metrics(engine_id(id).unwrap());
+        // The core serves this one group, so its fleet totals are the group's.
+        let metrics = server.engine().fleet_metrics();
         assert_eq!(metrics.updates, replay.updates);
         assert_eq!(metrics.timestamps, replay.timestamps);
         assert_eq!(metrics.traffic, replay.traffic);
-        assert_eq!(server.engine().fleet_metrics().stats, replay_stats);
+        assert_eq!(metrics.stats, replay.stats);
     }
 
     /// The wire's buffer-persistence flag is a benchmark-only shim the server ignores: a fleet
@@ -874,7 +869,6 @@ mod tests {
         let mut core = ServerCore::new(Arc::clone(&tree), 1);
         // Client 1 is the operator console; clients 2 and 3 are ordinary tenants.
         core.grant_admin(1);
-        assert!(core.is_admin(1) && !core.is_admin(2));
         for client in [2, 3] {
             core.enqueue(
                 client,
@@ -949,11 +943,13 @@ mod tests {
             Request::Admin(AdminRequest::PoiDelete { poi: new_answer.optimal_index as u64 }),
         );
         core.disconnect(1);
-        assert!(!core.is_admin(1));
         assert!(core.has_work(), "the push to client 2 waits for the tick");
         let responses = core.process().responses;
         assert!(matches!(responses.first(), Some((2, Response::WorldUpdate { group: 0, .. }))));
         assert!(responses.iter().all(|(c, _)| *c == 2), "nothing goes to the vanished client");
+        core.enqueue(1, Request::Admin(AdminRequest::PoiDelete { poi: 0 }));
+        let denied = core.process().responses;
+        assert_eq!(denied, [(1, notification(0, NotificationKind::AdminDenied))], "the grant died");
     }
 
     #[test]

@@ -72,12 +72,13 @@ fn registered_id(responses: &[Response]) -> u64 {
         .expect("the server acknowledges a registration")
 }
 
-/// Tally of the downlink messages one client received.
+/// Tally of the downlink messages one client received, and their §7.1 packets.
 #[derive(Default)]
 struct Downlink {
     probes: usize,
     assignments: usize,
     epochs_with_update: usize,
+    packets: usize,
 }
 
 impl Downlink {
@@ -87,8 +88,9 @@ impl Downlink {
             match response {
                 Response::ProbeRequest { .. } => self.probes += 1,
                 Response::SafeRegion { .. } => self.assignments += 1,
-                Response::Notification { .. } | Response::WorldUpdate { .. } => {}
+                Response::Notification { .. } | Response::WorldUpdate { .. } => continue,
             }
+            self.packets += response.packets(true);
         }
         if self.assignments > before {
             self.epochs_with_update += 1;
@@ -152,19 +154,15 @@ fn in_process_demo(tree: Arc<RTree>) {
         }
     }
 
+    // Per group, what its client received; the server keeps only fleet totals.
     println!(
-        "{:<22} {:>8} {:>12} {:>12} {:>14}",
-        "group", "updates", "probes", "regions", "packets"
+        "{:<22} {:>8} {:>12} {:>12} {:>16}",
+        "group", "updates", "probes", "regions", "downlink packets"
     );
     for ((client, label, _), (tally, &id)) in clients.iter().zip(tallies.iter().zip(&ids)) {
-        let metrics = server.engine().group_metrics(id as usize);
         println!(
-            "{:<22} {:>8} {:>12} {:>12} {:>14}",
-            label,
-            tally.epochs_with_update,
-            tally.probes,
-            tally.assignments,
-            metrics.traffic.packets()
+            "{:<22} {:>8} {:>12} {:>12} {:>16}",
+            label, tally.epochs_with_update, tally.probes, tally.assignments, tally.packets
         );
         server.enqueue(*client, Request::Deregister { group: id });
     }
@@ -173,10 +171,14 @@ fn in_process_demo(tree: Arc<RTree>) {
         r,
         Response::Notification { kind: NotificationKind::Deregistered, .. }
     )));
+    let fleet = server.engine().fleet_metrics();
+    let received: usize = tallies.iter().map(|tally| tally.packets).sum();
+    assert_eq!(received, fleet.traffic.downlink_packets, "the server charged what it sent");
     println!(
-        "\nboth groups deregistered; fleet lifetime totals: {} updates, {} packets\n",
-        server.engine().fleet_metrics().updates,
-        server.engine().fleet_metrics().traffic.packets()
+        "\nboth groups deregistered; fleet lifetime totals: {} updates, {} packets ({} downlink)\n",
+        fleet.updates,
+        fleet.traffic.packets(),
+        fleet.traffic.downlink_packets
     );
 }
 
@@ -251,6 +253,7 @@ fn multiplexed_demo(tree: Arc<RTree>) {
         total.probes += tally.probes;
         total.assignments += tally.assignments;
         total.epochs_with_update += tally.epochs_with_update;
+        total.packets += tally.packets;
     }
     stop.store(true, Ordering::Relaxed);
     let server = server_thread.join().expect("event loop thread");
@@ -271,5 +274,7 @@ fn multiplexed_demo(tree: Arc<RTree>) {
     );
     assert_eq!(stats.accepted, CLIENTS as u64);
     assert_eq!(server.core().engine().group_count(), 0, "every session deregistered");
+    let fleet = server.core().engine().fleet_metrics();
+    assert_eq!(total.packets, fleet.traffic.downlink_packets, "the server charged what it sent");
     println!("\nall {CLIENTS} clients deregistered cleanly; engine is empty");
 }

@@ -31,7 +31,9 @@ fn main() {
         println!("{label}:");
         println!(
             "  optimal meeting point: cafe #{} at {} (worst-case walk {:.1})",
-            answer.optimal_index, answer.optimal_point, answer.optimal_dist
+            answer.optimal_index,
+            answer.optimal_point,
+            Objective::Max.aggregate().point_dist(answer.optimal_point, &friends)
         );
         // The payload the §7.1 model charges: tile regions travel compressed (the default).
         for (i, region) in answer.regions.iter().enumerate() {

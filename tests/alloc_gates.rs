@@ -1,6 +1,6 @@
 //! Allocation gates of the monitoring hot path, counted by a global allocator shim.
 //!
-//! Ten facts the tick path, the uplink, the tile verifier and the session layout are built
+//! Eleven facts the tick path, the uplink, the tile verifier and the session layout are built
 //! around, asserted as counts (never a wall-clock ratio):
 //!
 //! * a steady-state quiet tick — every user reported, every user inside her region —
@@ -15,15 +15,19 @@
 //!   the per-tile candidate list are per-thread scratch, so trying more tiles costs no
 //!   allocation;
 //! * a monitored group costs the server what its method needs, in live heap bytes: a Circle
-//!   group of three at most 400.6 in a slab slot of at most 184 B, its configuration shared
-//!   with the groups registered alike (≈ 396.6 in 184 today, 404.6 in 192 while a session
-//!   kept a boxed §5.4 buffer slot and a persistence flag, 444 in 232 while a session kept
-//!   its answer's world generation, a `usize` group size, a `Vec` of predictors and a
-//!   packet total beside its two halves, 676 in 464 while every slot kept its own
-//!   configuration and two copies of the work counters, 692 while a session kept its horizon
-//!   beside its configuration, 700 while `Method::Circle` carried a radius cap, 723 before
-//!   the ready list replaced the hot entries, 1,269 before the layout went lean), further
-//!   epochs nothing, and the leaner layout costs a buffered Tile-D-b session nothing;
+//!   group of three at most 336.6 in a slab slot of at most 120 B, its configuration shared
+//!   with the groups registered alike (≈ 332.6 in 120 today, 396.6 in 184 while a session
+//!   kept its group's §7.1 measures and its answer the optimum's distance, 404.6 in 192
+//!   while a session kept a boxed §5.4 buffer slot and a persistence flag, 444 in 232 while
+//!   a session kept its answer's world generation, a `usize` group size, a `Vec` of
+//!   predictors and a packet total beside its two halves, 676 in 464 while every slot kept
+//!   its own configuration and two copies of the work counters, 692 while a session kept
+//!   its horizon beside its configuration, 700 while `Method::Circle` carried a radius cap,
+//!   723 before the ready list replaced the hot entries, 1,269 before the layout went
+//!   lean), further epochs nothing, and the leaner layout costs a buffered Tile-D-b session
+//!   nothing;
+//! * the fleet's §7.1 totals are counted as the sessions advance, not kept per group, so
+//!   reading them (`fleet_metrics()`) allocates nothing whatever the fleet;
 //! * an unbuffered Tile-D/SUM group costs its slot and its regions, and a stored region is its
 //!   frame and one exactly sized vector of 12 B cells: the regions grow in per-thread buffers
 //!   and no tile keeps its square;
@@ -429,13 +433,14 @@ const TILE_FLEET: usize = 256;
 /// a §5.4 buffer a group's memory beyond its slot is its regions, and a stored region is its
 /// frame and its cells.  A first fleet on this thread grows the per-thread tile scratch (the
 /// verifier, the candidate pool, the regions' growth buffers) and is dropped, so the scratch
-/// is not charged to the fleet measured.  Measured 2,597 B a group at 51.0 tiles a user, the
-/// first regions adding 15.2 B a stored tile (2,605 B while the slab slot was 192 B); 8,505 B
+/// is not charged to the fleet measured.  Measured 2,533 B a group at 51.0 tiles a user, the
+/// first regions adding 15.2 B a stored tile (2,597 B while the slab slot was 184 B, 2,605 B
+/// while it was 192 B); 8,505 B
 /// and 53.7 B while a region kept each tile's 24 B square beside its 12 B cell, both in
 /// vectors that doubled as the region grew.
 #[test]
 fn tile_group_bytes() {
-    const MEASURED: usize = 2_597;
+    const MEASURED: usize = 2_533;
     let tree = Arc::new(poi_tree(21_287));
     let config = WireConfig {
         objective: WireObjective::Sum,
@@ -555,9 +560,14 @@ fn circle_group_bytes() {
     );
 
     let per_group = monitored.0 as f64 / FLEET as f64;
-    assert!(per_group <= 400.6, "a Circle group of three costs {per_group:.1} live bytes");
+    assert!(per_group <= 336.6, "a Circle group of three costs {per_group:.1} live bytes");
     let slot = size_of::<GroupSession>();
-    assert!(slot <= 184, "a session's slab slot is {slot} B");
+    assert!(slot <= 120, "a session's slab slot is {slot} B");
+    // The fleet's totals are kept as the sessions advance: reading them is a copy.
+    let (allocations, fleet) = allocations_during(|| core.engine().fleet_metrics());
+    println!("fleet_metrics() of {FLEET} groups: {allocations} allocations");
+    assert_eq!(allocations, 0, "reading the fleet totals allocated");
+    assert_eq!(fleet.group_size, 3 * FLEET);
 
     let mut recomputed = 0;
     for e in 1..=5 {
@@ -694,7 +704,8 @@ fn buffered_tile_session_bytes() {
     let session = || {
         let mut session = GroupSession::streaming(3, config);
         session.submit(users(3));
-        assert_eq!(session.advance(&tree, &mut ComputeStats::default()), StepOutcome::Registered);
+        let registered = session.advance(&tree, &mut MonitoringMetrics::default());
+        assert_eq!(registered, StepOutcome::Registered);
         session
     };
     drop(session());

@@ -1,10 +1,9 @@
 //! Property tests for dynamic fleet membership: random interleavings of
-//! `register_stream` / `deregister` / `tick` over a 16-group fleet, every registered group
-//! submitting its next recorded epoch before each tick, must leave every group's protocol
-//! counters identical to that group replayed solo, and the fleet's work counters equal to
-//! the solo replays' summed — churn bookkeeping (the id free-list, slot reuse and the ready
-//! list) must never corrupt or cross-wire a session, nor drop or double a departed group's
-//! work.
+//! `register_session` / `deregister` / `tick` over a 16-group fleet, every registered group
+//! submitting its next recorded epoch before each tick, must send every group the protocol
+//! events that group replayed solo is sent, and leave the fleet's totals equal to the solo
+//! replays' summed — churn bookkeeping (the id free-list, slot reuse and the ready list)
+//! must never corrupt or cross-wire a session, nor drop or double a departed group's work.
 //!
 //! Uses the offline `proptest` shim: cases are deterministic (seeded from the test name), so
 //! a failing case index reproduces exactly.
@@ -19,7 +18,7 @@ use mpn::mobility::waypoint::{random_waypoint, WaypointConfig};
 use mpn::mobility::Trajectory;
 use mpn::sim::{
     EpochUpdate, GroupId, GroupSession, MonitorConfig, MonitoringEngine, MonitoringMetrics,
-    SessionEvent, Traffic, TrajectoryFeed, WorldChange,
+    SessionEvent, TrajectoryFeed, WorldChange,
 };
 use proptest::collection::vec as prop_vec;
 use proptest::prelude::*;
@@ -47,26 +46,22 @@ fn config() -> MonitorConfig {
     MonitorConfig::new(Objective::Max, Method::circle())
 }
 
-/// The deterministic protocol counters of a group (wall-clock timings excluded).
-#[derive(Debug, PartialEq, Eq)]
-struct Counters {
-    timestamps: usize,
-    updates: usize,
-    traffic: Traffic,
+/// A streaming session of a fleet group whose ticks send its protocol events.
+fn logged(size: usize) -> GroupSession {
+    GroupSession::streaming(size, config()).with_events(true)
 }
 
-fn counters_of(metrics: &MonitoringMetrics) -> Counters {
-    Counters { timestamps: metrics.timestamps, updates: metrics.updates, traffic: metrics.traffic }
+/// The deterministic measures of a fleet (wall-clock timings excluded).
+fn counters_of(metrics: &MonitoringMetrics) -> impl PartialEq + std::fmt::Debug {
+    (metrics.timestamps, metrics.updates, metrics.traffic, metrics.stats)
 }
 
-/// One registration epoch of a group: which group, the recording it submits from, how many
-/// ticks it saw, and the metrics the engine reported for it (taken at deregistration or at
-/// the end).
+/// One registration epoch of a group: which group, the recording it submits from, and per
+/// tick it saw, the events the engine sent it.
 struct Epoch {
     gidx: usize,
     feed: TrajectoryFeed,
-    advances: usize,
-    metrics: Option<MonitoringMetrics>,
+    ticks: Vec<Vec<SessionEvent>>,
 }
 
 proptest! {
@@ -91,20 +86,24 @@ proptest! {
                 // Ticks are twice as likely as either membership op, so most interleavings
                 // actually advance the fleet between joins and leaves.
                 0 | 1 => {
+                    // Per engine id, the epoch registered under it.
+                    let mut of_id = vec![None; next_fresh];
                     for &(id, epoch) in active.iter().flatten() {
                         if let Some(positions) = epochs[epoch].feed.next_epoch() {
                             let update = EpochUpdate { group_id: id, positions };
                             engine.submit(update).expect("a registered group takes its epoch");
                         }
+                        of_id[id] = Some(epoch);
+                        epochs[epoch].ticks.push(Vec::new());
                     }
-                    engine.tick();
-                    for slot in active.iter().flatten() {
-                        epochs[slot.1].advances += 1;
-                    }
+                    engine.tick_with(&mut |id, event| {
+                        let epoch = of_id[id].expect("only registered groups send");
+                        epochs[epoch].ticks.last_mut().expect("this tick").push(event);
+                    });
                 }
                 2 => {
                     if active[g].is_none() {
-                        let id = engine.register_stream(fleet[g].len(), config());
+                        let id = engine.register_session(logged(fleet[g].len()));
                         // Pin the free-list: a freed id must be reused before a fresh one
                         // is allocated.
                         if let Some(pos) = freed.iter().position(|&f| f == id) {
@@ -115,14 +114,13 @@ proptest! {
                         }
                         active[g] = Some((id, epochs.len()));
                         let feed = feed(&fleet[g]);
-                        epochs.push(Epoch { gidx: g, feed, advances: 0, metrics: None });
+                        epochs.push(Epoch { gidx: g, feed, ticks: Vec::new() });
                     }
                 }
                 _ => {
-                    if let Some((id, epoch)) = active[g].take() {
-                        let metrics = engine.deregister(id);
-                        prop_assert!(metrics.is_some(), "active ids deregister exactly once");
-                        epochs[epoch].metrics = metrics;
+                    if let Some((id, _)) = active[g].take() {
+                        let session = engine.deregister(id);
+                        prop_assert!(session.is_some(), "active ids deregister exactly once");
                         freed.push(id);
                     }
                 }
@@ -135,35 +133,32 @@ proptest! {
             prop_assert_eq!(engine.retired_count(), freed.len());
         }
 
-        // Snapshot the groups that are still registered at the end of the interleaving.
-        for slot in active.iter().flatten() {
-            epochs[slot.1].metrics = Some(engine.group_metrics(slot.0).clone());
-        }
-
-        // Every epoch must match its group replayed solo for the same number of advances,
-        // and the fleet's work counters all solo replays together.
-        let mut solo_stats = ComputeStats::default();
+        // Every epoch must be sent, tick for tick, what its group replayed solo through an
+        // engine of its own is sent over as many ticks, and the fleet's totals must be all
+        // solo replays' together.
+        let mut solo_totals = MonitoringMetrics::default();
         for (i, epoch) in epochs.iter().enumerate() {
             let mut recording = feed(&fleet[epoch.gidx]);
-            let mut solo = GroupSession::streaming(fleet[epoch.gidx].len(), config());
-            for _ in 0..epoch.advances {
+            let mut solo = MonitoringEngine::new(Arc::clone(&tree), 1);
+            let id = solo.register_session(logged(fleet[epoch.gidx].len()));
+            for (t, sent) in epoch.ticks.iter().enumerate() {
                 if let Some(positions) = recording.next_epoch() {
-                    solo.submit(positions);
+                    solo.submit(EpochUpdate { group_id: id, positions }).expect("a live group");
                 }
-                let _ = solo.advance(&*tree, &mut solo_stats);
+                let mut alone = Vec::new();
+                solo.tick_with(&mut |_, event| alone.push(event));
+                prop_assert_eq!(
+                    sent,
+                    &alone,
+                    "epoch {} (group {}) diverged from its solo replay at its tick {}",
+                    i,
+                    epoch.gidx,
+                    t
+                );
             }
-            let engine_counters =
-                counters_of(epoch.metrics.as_ref().expect("every epoch ends with metrics"));
-            prop_assert_eq!(
-                &engine_counters,
-                &counters_of(solo.metrics()),
-                "epoch {} (group {}, {} advances) diverged from its solo replay",
-                i,
-                epoch.gidx,
-                epoch.advances
-            );
+            solo_totals.absorb(&solo.fleet_metrics());
         }
-        prop_assert_eq!(engine.fleet_metrics().stats, solo_stats);
+        prop_assert_eq!(counters_of(&engine.fleet_metrics()), counters_of(&solo_totals));
     }
 }
 
@@ -225,7 +220,10 @@ fn fleet_stats_count_every_computation_once_across_churn() {
             replay(engine.drain_events(), &last, &world, &mut solo);
         }
     }
-    assert!(departed.is_some_and(|metrics| metrics.updates > 0), "group 1 left with work");
+    assert!(
+        departed.is_some_and(|session| session.session_state().last_answer().is_some()),
+        "group 1 left with work"
+    );
     assert!(pushed > 0, "deleting an optimum forces a recompute");
     let fleet_metrics = engine.fleet_metrics();
     assert!(fleet_metrics.updates > 4, "the fleet must update beyond registering");

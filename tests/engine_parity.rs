@@ -6,8 +6,9 @@
 //!
 //! * the compatibility wrapper — a recording submitted epoch by epoch into one streaming
 //!   session, like any client — reproduces its updates, packets and work counters exactly,
-//! * a multi-group tick equals the single-group replays, each run on its own, and the
-//!   engine's fleet work counters equal the replays' summed,
+//! * `run_workload`'s per-group measures are `run_monitoring`'s of each group,
+//! * a multi-group tick equals the single-group replays, each run on its own: its events
+//!   are theirs, group by group, and its fleet totals are theirs summed,
 //! * the engine path (`register_stream` + `EpochUpdate` submission) produces the same
 //!   counters as a standalone session fed the same recording, epoch for epoch,
 //! * a tick streamed to a callback (`tick_with`) sends exactly the events, in exactly the
@@ -15,7 +16,8 @@
 //! * the report-driven engine — a ready list of the groups with a submitted epoch, sorted
 //!   and advanced per tick, the starved tally derived from it — matches a serial
 //!   walk-everything oracle tick for tick across churn (deregistering groups with queued
-//!   epochs, reusing their ids in the same step), starvation, backlogs and world mutation.
+//!   epochs, reusing their ids in the same step), starvation, backlogs and world mutation,
+//!   in every tick summary and in the fleet totals after every tick.
 
 use std::sync::Arc;
 
@@ -24,10 +26,11 @@ use mpn::geom::{HeadingPredictor, Point};
 use mpn::index::{RTree, WorldView};
 use mpn::mobility::poi::{clustered_pois, PoiConfig};
 use mpn::mobility::waypoint::{random_waypoint, taxi_trajectory, TaxiConfig, WaypointConfig};
-use mpn::mobility::Trajectory;
+use mpn::mobility::{GroupWorkload, Trajectory};
 use mpn::sim::{
-    run_monitoring, EpochUpdate, GroupSession, MonitorConfig, MonitoringEngine, MonitoringMetrics,
-    StepOutcome, TickSummary, Traffic, TrajectoryFeed, WorldChange,
+    run_monitoring, run_workload, EpochUpdate, GroupId, GroupSession, MonitorConfig,
+    MonitoringEngine, MonitoringMetrics, SessionEvent, StepOutcome, TickSummary, Traffic,
+    TrajectoryFeed, WorldChange,
 };
 use proptest::collection::vec as prop_vec;
 use proptest::prelude::*;
@@ -44,13 +47,14 @@ fn world(groups: usize, seed: u64) -> (Arc<RTree>, Vec<Vec<Trajectory>>) {
     (tree, fleet)
 }
 
-/// The protocol counters a group's metrics hold (everything except wall-clock times); the
-/// work counters of its computations are compared beside them, as a [`ComputeStats`].
+/// Every measure a [`MonitoringMetrics`] holds except the wall-clock time: the protocol
+/// counters and the work counters of the computations.
 #[derive(Debug, PartialEq, Eq)]
 struct Counters {
     timestamps: usize,
     updates: usize,
     traffic: Traffic,
+    stats: ComputeStats,
 }
 
 /// The original stateless monitoring loop, verbatim from the pre-refactor implementation:
@@ -60,11 +64,7 @@ struct Counters {
 /// per notification) rather than naming `mpn-proto`'s definitions, so it pins them too.  It
 /// runs to the end of the shortest recording; a caller that wants fewer timestamps passes
 /// a truncated group ([`first`]).
-fn legacy_run_monitoring(
-    tree: &RTree,
-    group: &[Trajectory],
-    config: &MonitorConfig,
-) -> (Counters, ComputeStats) {
+fn legacy_run_monitoring(tree: &RTree, group: &[Trajectory], config: &MonitorConfig) -> Counters {
     let horizon = group.iter().map(Trajectory::len).min().unwrap_or(0);
 
     let mut timestamps = 0usize;
@@ -121,7 +121,7 @@ fn legacy_run_monitoring(
         }
     }
 
-    (Counters { timestamps, updates, traffic }, stats)
+    Counters { timestamps, updates, traffic, stats }
 }
 
 /// The first `n` timestamps of every user's recording.
@@ -148,7 +148,12 @@ fn submit_next(
 }
 
 fn counters_of(metrics: &MonitoringMetrics) -> Counters {
-    Counters { timestamps: metrics.timestamps, updates: metrics.updates, traffic: metrics.traffic }
+    Counters {
+        timestamps: metrics.timestamps,
+        updates: metrics.updates,
+        traffic: metrics.traffic,
+        stats: metrics.stats,
+    }
 }
 
 #[test]
@@ -164,15 +169,40 @@ fn wrapper_reproduces_the_legacy_loop_exactly_for_every_method() {
             Method::tile_directed_buffered(theta, 60),
         ] {
             let config = MonitorConfig::new(objective, method);
-            let (legacy, legacy_stats) = legacy_run_monitoring(&tree, group, &config);
-            let (session, stats) = run_monitoring(&tree, group, &config);
+            let legacy = legacy_run_monitoring(&tree, group, &config);
+            let session = run_monitoring(&tree, group, &config);
             assert_eq!(
-                (legacy, legacy_stats),
-                (counters_of(&session), stats),
+                legacy,
+                counters_of(&session),
                 "{objective:?}/{} diverged from the legacy loop",
                 method.name()
             );
         }
+    }
+}
+
+/// The figures' contract: the per-group measures `run_workload` averages are, group by group
+/// and in workload order, `run_monitoring`'s of that group, recordings of unequal length
+/// included.  Every counter is compared bit for bit; only the wall-clock time differs.
+#[test]
+fn run_workload_per_group_equals_run_monitoring_of_each_group() {
+    let (tree, fleet) = world(4, 13);
+    let lengths = [120, 80, 150, 40];
+    let workload =
+        GroupWorkload::new(fleet.iter().zip(lengths).map(|(g, n)| first(g, n)).collect());
+    let theta = std::f64::consts::FRAC_PI_4;
+    for (objective, method) in [
+        (Objective::Max, Method::circle()),
+        (Objective::Sum, Method::tile()),
+        (Objective::Max, Method::tile_directed_buffered(theta, 60)),
+    ] {
+        let config = MonitorConfig::new(objective, method);
+        let summary = run_workload(&tree, &workload, &config);
+        assert_eq!(summary.groups, lengths.len());
+        let replayed: Vec<_> =
+            workload.iter().map(|g| counters_of(&run_monitoring(&tree, g, &config))).collect();
+        let per_group: Vec<_> = summary.per_group.iter().map(counters_of).collect();
+        assert_eq!(per_group, replayed, "{objective:?}/{}", method.name());
     }
 }
 
@@ -181,15 +211,15 @@ fn engine_path_matches_the_wrapper_for_a_single_group() {
     let (tree, fleet) = world(1, 9);
     let config = MonitorConfig::new(Objective::Max, Method::tile_directed(0.8));
     let group = first(&fleet[0], 120);
-    let (wrapper, wrapper_stats) = run_monitoring(&tree, &group, &config);
+    let wrapper = run_monitoring(&tree, &group, &config);
 
     let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
     let mut replays = [(engine.register_stream(3, config), TrajectoryFeed::new(group))];
     while submit_next(&mut [&mut engine], &mut replays) {
         engine.tick();
     }
-    assert_eq!(counters_of(&wrapper), counters_of(engine.group_metrics(replays[0].0)));
-    assert_eq!(wrapper_stats, engine.fleet_metrics().stats);
+    // The engine serves this one group, so its fleet totals are the group's.
+    assert_eq!(counters_of(&wrapper), counters_of(&engine.fleet_metrics()));
 }
 
 #[test]
@@ -203,7 +233,7 @@ fn streaming_submission_matches_the_feed_replay_epoch_for_epoch() {
     let legacy = legacy_run_monitoring(&tree, group, &config);
 
     let mut solo = GroupSession::streaming(group.len(), config);
-    let mut solo_stats = ComputeStats::default();
+    let mut solo_metrics = MonitoringMetrics::default();
     let mut stream = MonitoringEngine::new(Arc::clone(&tree), 1);
     let stream_id = stream.register_stream(group.len(), config);
 
@@ -212,16 +242,16 @@ fn streaming_submission_matches_the_feed_replay_epoch_for_epoch() {
         let positions = source.next_epoch().expect("the recording has 120 epochs");
         solo.submit(positions.clone());
         stream.submit(EpochUpdate { group_id: stream_id, positions }).expect("live group");
-        let outcome = solo.advance(&*tree, &mut solo_stats);
+        let outcome = solo.advance(&*tree, &mut solo_metrics);
         let summary = stream.tick();
         assert_eq!((summary.advanced, summary.starved), (1, 0), "tick {t}");
         assert_eq!(summary.registered, usize::from(outcome == StepOutcome::Registered));
         assert_eq!(summary.updated, usize::from(matches!(outcome, StepOutcome::Updated { .. })));
-        assert_eq!(counters_of(solo.metrics()), counters_of(stream.group_metrics(stream_id)));
-        assert_eq!(solo_stats, stream.fleet_metrics().stats, "tick {t}");
+        let streamed = counters_of(&stream.fleet_metrics());
+        assert_eq!(counters_of(&solo_metrics), streamed, "tick {t}");
     }
     assert!(source.next_epoch().is_none(), "the whole recording was replayed");
-    assert_eq!(legacy, (counters_of(stream.group_metrics(stream_id)), solo_stats));
+    assert_eq!(legacy, counters_of(&solo_metrics));
 }
 
 #[test]
@@ -230,45 +260,62 @@ fn eight_group_tick_matches_eight_serial_runs() {
     let config = MonitorConfig::new(Objective::Max, Method::tile());
     let fleet: Vec<_> = fleet.iter().map(|g| first(g, 100)).collect();
 
-    let mut serial_stats = ComputeStats::default();
-    let serial: Vec<Counters> = fleet
-        .iter()
-        .map(|g| {
-            let (metrics, stats) = run_monitoring(&tree, g, &config);
-            serial_stats.absorb(&stats);
-            counters_of(&metrics)
-        })
-        .collect();
+    let mut serial = MonitoringMetrics::default();
+    for group in &fleet {
+        serial.absorb(&run_monitoring(&tree, group, &config));
+    }
+    // Each group on its own, through an engine of its own: the events every tick sends it.
+    let alone: Vec<Vec<Vec<SessionEvent>>> =
+        fleet.iter().map(|g| events_alone(&tree, g, config)).collect();
 
     let mut engine = MonitoringEngine::new(Arc::clone(&tree), 1);
     let mut replays: Vec<_> = fleet
         .iter()
-        .map(|g| (engine.register_stream(g.len(), config), TrajectoryFeed::from_group(g)))
+        .map(|g| (engine.register_session(logged(g.len(), config)), TrajectoryFeed::from_group(g)))
         .collect();
-    let ids: Vec<_> = replays.iter().map(|(id, _)| *id).collect();
+    let ids: Vec<GroupId> = replays.iter().map(|(id, _)| *id).collect();
     assert!(engine.group_count() >= 8, "the fleet must exercise at least 8 concurrent groups");
 
-    // Drive the fleet tick by tick (each tick advances all 8 groups).
+    // Drive the fleet tick by tick (each tick advances all 8 groups): every tick sends each
+    // group what that group's own engine sent it on the same tick.
     let mut ticks = 0;
     while submit_next(&mut [&mut engine], &mut replays) {
-        let summary = engine.tick();
+        let mut sent = vec![Vec::new(); ids.len()];
+        let summary = engine.tick_with(&mut |id, event| sent[id].push(event));
         assert!(summary.advanced <= 8);
+        for (id, events) in sent.into_iter().enumerate() {
+            assert_eq!(events, alone[id][ticks], "group {id} diverged at tick {ticks}");
+        }
         ticks += 1;
     }
     assert_eq!(ticks, 100);
 
-    for (id, expected) in ids.iter().zip(&serial) {
-        assert_eq!(expected, &counters_of(engine.group_metrics(*id)), "group {id} diverged");
-    }
-
     // Fleet aggregation is the sum of the parts.
-    let fleet_metrics = engine.fleet_metrics();
-    assert_eq!(fleet_metrics.updates, serial.iter().map(|c| c.updates).sum::<usize>());
-    assert_eq!(
-        fleet_metrics.traffic.packets(),
-        serial.iter().map(|c| c.traffic.packets()).sum::<usize>()
-    );
-    assert_eq!(fleet_metrics.stats, serial_stats);
+    assert_eq!(counters_of(&engine.fleet_metrics()), counters_of(&serial));
+}
+
+/// A streaming session of `size` users whose ticks send its protocol events.
+fn logged(size: usize, config: MonitorConfig) -> GroupSession {
+    GroupSession::streaming(size, config).with_events(true)
+}
+
+/// `group`'s recording replayed alone through an engine of its own: the events each tick
+/// sent it.
+fn events_alone(
+    tree: &Arc<RTree>,
+    group: &[Trajectory],
+    config: MonitorConfig,
+) -> Vec<Vec<SessionEvent>> {
+    let mut engine = MonitoringEngine::new(Arc::clone(tree), 1);
+    let mut replays =
+        [(engine.register_session(logged(group.len(), config)), TrajectoryFeed::from_group(group))];
+    let mut ticks = Vec::new();
+    while submit_next(&mut [&mut engine], &mut replays) {
+        let mut sent = Vec::new();
+        engine.tick_with(&mut |_, event| sent.push(event));
+        ticks.push(sent);
+    }
+    ticks
 }
 
 /// `tick_with` is the one body of a tick and `tick` + `drain_events` collect what it sends:
@@ -344,10 +391,10 @@ fn skewed_fleet(sizes: &[usize], timestamps: usize) -> (Arc<RTree>, Vec<Vec<Traj
 struct WalkEverythingOracle {
     world: WorldView,
     sessions: Vec<Option<GroupSession>>,
-    /// The metrics and the group size of every deregistered session.
-    retired: Vec<(MonitoringMetrics, usize)>,
-    /// The work counters of every computation any session ran.
-    stats: ComputeStats,
+    /// What every advance and forced recompute of every session measured.
+    metrics: MonitoringMetrics,
+    /// The users of every registration.
+    users: usize,
     clock: usize,
 }
 
@@ -356,8 +403,8 @@ impl WalkEverythingOracle {
         Self {
             world: WorldView::new(Arc::clone(tree)),
             sessions: Vec::new(),
-            retired: Vec::new(),
-            stats: ComputeStats::default(),
+            metrics: MonitoringMetrics::default(),
+            users: 0,
             clock: 0,
         }
     }
@@ -366,6 +413,7 @@ impl WalkEverythingOracle {
     /// session under the same index (reusing the slot of a deregistered id exactly like the
     /// engine's free-list does).
     fn register(&mut self, id: usize, session: GroupSession) {
+        self.users += session.group_size();
         if id == self.sessions.len() {
             self.sessions.push(Some(session));
         } else {
@@ -376,14 +424,7 @@ impl WalkEverythingOracle {
     }
 
     fn deregister(&mut self, id: usize) -> bool {
-        match self.sessions[id].take() {
-            Some(session) => {
-                let size = session.group_size();
-                self.retired.push((session.into_metrics(), size));
-                true
-            }
-            None => false,
-        }
+        self.sessions[id].take().is_some()
     }
 
     fn tick(&mut self) -> TickSummary {
@@ -391,7 +432,7 @@ impl WalkEverythingOracle {
         let view = self.world.view();
         for slot in &mut self.sessions {
             let Some(session) = slot else { continue };
-            match session.advance(view, &mut self.stats) {
+            match session.advance(view, &mut self.metrics) {
                 StepOutcome::Starved => tally.starved += 1,
                 StepOutcome::Registered => {
                     tally.advanced += 1;
@@ -430,7 +471,7 @@ impl WalkEverythingOracle {
             let Some(session) = slot else { continue };
             checked += 1;
             if session.world_change_invalidates(&change)
-                && session.force_recompute(view, &mut self.stats)
+                && session.force_recompute(view, &mut self.metrics)
             {
                 affected.push(id);
             }
@@ -450,7 +491,7 @@ proptest! {
     // outlives a tick), churn (deregistering replays and streams, some with an epoch still
     // queued, and replays reusing the freed ids in the same step) and POI world mutation
     // runs side by side with the serial walk-everything oracle; every tick summary, every
-    // invalidation result and every per-group counter must be identical.
+    // invalidation result and the fleet totals after every tick must be identical.
     #[test]
     fn hot_cold_engine_matches_the_walk_everything_oracle(
         replay_sizes in prop_vec(1usize..=3, 1..6),
@@ -551,42 +592,15 @@ proptest! {
             let a = engine.tick();
             let b = oracle.tick();
             prop_assert_eq!(a, b, "tick {} diverged from the walk-everything oracle", t);
-        }
 
-        // Every surviving group's counters, and the fleet-wide totals (live + departed),
-        // must match the oracle's.
-        for (id, slot) in oracle.sessions.iter().enumerate() {
-            if let Some(session) = slot {
-                prop_assert_eq!(
-                    counters_of(engine.group_metrics(id)),
-                    counters_of(session.metrics()),
-                    "group {} diverged from its oracle twin", id
-                );
-            }
+            // The fleet totals (live and departed groups) after every tick.
+            let fleet_metrics = engine.fleet_metrics();
+            prop_assert_eq!(
+                counters_of(&fleet_metrics),
+                counters_of(&oracle.metrics),
+                "tick {}: the fleet totals diverged", t
+            );
+            prop_assert_eq!(fleet_metrics.group_size, oracle.users, "tick {}", t);
         }
-        let fleet_metrics = engine.fleet_metrics();
-        let oracle_all: Vec<(&MonitoringMetrics, usize)> = oracle
-            .sessions
-            .iter()
-            .filter_map(|s| s.as_ref().map(|s| (s.metrics(), s.group_size())))
-            .chain(oracle.retired.iter().map(|(m, size)| (m, *size)))
-            .collect();
-        prop_assert_eq!(fleet_metrics.stats, oracle.stats, "the fleet's work counters diverged");
-        prop_assert_eq!(
-            fleet_metrics.updates,
-            oracle_all.iter().map(|(m, _)| m.updates).sum::<usize>()
-        );
-        prop_assert_eq!(
-            fleet_metrics.timestamps,
-            oracle_all.iter().map(|(m, _)| m.timestamps).sum::<usize>()
-        );
-        prop_assert_eq!(
-            fleet_metrics.traffic.packets(),
-            oracle_all.iter().map(|(m, _)| m.traffic.packets()).sum::<usize>()
-        );
-        prop_assert_eq!(
-            fleet_metrics.group_size,
-            oracle_all.iter().map(|(_, size)| size).sum::<usize>()
-        );
     }
 }

@@ -254,7 +254,7 @@ impl OverTcp {
         let clients = [1, 2].map(|accepted| {
             let client = LockStep::connect(addr);
             let deadline = Instant::now() + Duration::from_secs(30);
-            while mux.connection_count() < accepted {
+            while mux.stats().accepted < accepted {
                 mux.poll_once(Some(Duration::from_millis(1))).expect("poll");
                 assert!(Instant::now() < deadline, "connection {accepted} was never accepted");
             }

@@ -186,9 +186,10 @@ fn a_sessions_downlink_tally_is_the_cost_of_the_responses_it_produced() {
             messages += 1;
         }
     }
-    let traffic = core.engine().group_metrics(0).traffic;
+    // The core serves this one group, so its fleet totals are the group's.
+    let fleet = core.engine().fleet_metrics();
     assert!(messages > 3, "the walk must trigger updates, not just the registration");
-    assert_eq!(traffic.downlink_packets, packets);
+    assert_eq!(fleet.traffic.downlink_packets, packets);
     // Every update is answered by one uplink per user (her report or her probe reply).
-    assert_eq!(traffic.messages - messages, 3 * core.engine().group_metrics(0).updates);
+    assert_eq!(fleet.traffic.messages - messages, 3 * fleet.updates);
 }

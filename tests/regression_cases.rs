@@ -11,8 +11,8 @@ use mpn::proto::{
     MAX_REPORT_POSITIONS,
 };
 use mpn::sim::{
-    EpochUpdate, GroupSession, MonitorConfig, MonitoringEngine, ServerCore, TickSummary,
-    TrajectoryFeed,
+    run_monitoring, EpochUpdate, GroupSession, MonitorConfig, MonitoringEngine, ServerCore,
+    TickSummary, TrajectoryFeed,
 };
 
 /// Submits the next recorded epoch of every replay with one left, then ticks.
@@ -43,17 +43,20 @@ fn deregistered_groups_move_to_retired_and_stay_in_the_fleet_totals() {
     let tree = RTree::bulk_load(&pois);
     let traj = WaypointConfig { domain: 600.0, speed_limit: 6.0, timestamps: 40 };
     let config = MonitorConfig::new(Objective::Max, Method::circle());
-    let mut engine = MonitoringEngine::new(tree, 1);
-    let mut replays: Vec<_> = [10, 10, 30]
+    let mut engine = MonitoringEngine::new(tree.clone(), 1);
+    let groups: Vec<Vec<Trajectory>> = [10, 10, 30]
         .into_iter()
         .enumerate()
         .map(|(g, length)| {
             let group: Vec<Trajectory> =
                 (0..2).map(|i| random_waypoint(&traj, (g * 7 + i) as u64)).collect();
-            (
-                engine.register_stream(group.len(), config),
-                TrajectoryFeed::new(first(&group, length)),
-            )
+            first(&group, length)
+        })
+        .collect();
+    let mut replays: Vec<_> = groups
+        .iter()
+        .map(|group| {
+            (engine.register_stream(group.len(), config), TrajectoryFeed::from_group(group))
         })
         .collect();
     let ids: Vec<_> = replays.iter().map(|(id, _)| *id).collect();
@@ -62,32 +65,28 @@ fn deregistered_groups_move_to_retired_and_stay_in_the_fleet_totals() {
         assert_eq!(replay_tick(&mut engine, &mut replays).retired, 0);
     }
 
-    // Deregistering a group moves it to `retired`.
+    // Deregistering a group moves it to `retired`; its recording had run out.
     let departed = engine.deregister(ids[0]).expect("group 0 is registered");
     replays.remove(0);
-    assert_eq!(departed.timestamps, 9, "a 10-timestamp recording = registration + 9 timestamps");
+    assert_eq!(departed.pending_epochs(), 0, "the session is handed back as it was");
     let summary = replay_tick(&mut engine, &mut replays);
     assert_eq!(summary.retired, 1, "the deregistered group is accounted explicitly");
 
-    // Fleet accounting must not shrink when a group leaves, nor when its id is reused.
+    // Fleet accounting must not shrink when a group leaves, nor when its id is reused: it
+    // holds every group's whole replay, the departed one's included.
     for _ in 13..30 {
         replay_tick(&mut engine, &mut replays);
     }
-    let live_updates: usize = ids[1..].iter().map(|&id| engine.group_metrics(id).updates).sum();
+    let replayed: usize = groups.iter().map(|g| run_monitoring(&tree, g, &config).updates).sum();
     let fleet_metrics = engine.fleet_metrics();
     assert_eq!(fleet_metrics.group_size, 6, "all three 2-user groups stay in the fleet totals");
-    assert_eq!(fleet_metrics.updates, live_updates + departed.updates);
+    assert_eq!(fleet_metrics.updates, replayed);
     assert_eq!(fleet_metrics.timestamps, 9 + 9 + 29);
     assert_eq!(engine.register_stream(2, config), ids[0]);
     let reused = engine.fleet_metrics();
     assert_eq!(reused.group_size, 8, "the new epoch's users are counted beside the old one's");
     assert_eq!((reused.updates, reused.timestamps), (fleet_metrics.updates, 9 + 9 + 29));
-
-    // And the consuming accessor reports the registered groups in id order.
-    let all = engine.into_group_metrics();
-    assert_eq!(all.len(), 3);
-    assert_eq!(all[0].timestamps, 0, "id 0 now holds the fresh, unticked epoch");
-    assert_eq!(all[2].timestamps, 29);
+    assert_eq!(engine.group(ids[0]).pending_epochs(), 0, "id 0 now holds the fresh epoch");
 }
 
 /// Deleting the last live POI used to empty the world first and then fail an assertion, so a
